@@ -31,6 +31,16 @@
 //!   cannot fail the build while a real regression (a halved speedup)
 //!   still does.
 //!
+//! Wall-clock ratios also depend on **which x25519 ladder the CPU
+//! ran**: `speedup_peel_batched` is ~1.2 on the portable four-wide
+//! ladder and ~4 on the eight-wide AVX-512 IFMA one, and every other
+//! flat-versus-reference ratio moves with it. `bench_round_pipeline`
+//! records the kernel as a top-level `ladder_backend` string; when both
+//! files carry one and they differ, the wall-clock ratios are reported
+//! as skipped instead of compared, so an IFMA baseline cannot fail a
+//! runner without IFMA, nor a portable baseline hide a regression on a
+//! runner with it.
+//!
 //! A metric regresses when `fresh < (1 − tolerance) × baseline`.
 //! Metrics present in only one file are reported but don't fail the
 //! gate (artefact schemas may grow); finding *no* comparable metric at
@@ -102,12 +112,23 @@ fn collect_speedups(path: &str, value: &Value, out: &mut Vec<(String, MetricClas
     }
 }
 
-fn load(path: &str) -> Result<Vec<(String, MetricClass, f64)>, String> {
+/// One artefact: its ratio metrics and, if recorded, the x25519
+/// ladder backend it was generated on.
+struct Artefact {
+    metrics: Vec<(String, MetricClass, f64)>,
+    ladder_backend: Option<String>,
+}
+
+fn load(path: &str) -> Result<Artefact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let value = serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let value: Value =
+        serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let mut metrics = Vec::new();
     collect_speedups("", &value, &mut metrics);
-    Ok(metrics)
+    Ok(Artefact {
+        metrics,
+        ladder_backend: value["ladder_backend"].as_str().map(str::to_string),
+    })
 }
 
 fn parse_tolerance(positional: Option<&String>, env_key: &str, default: f64) -> f64 {
@@ -153,13 +174,27 @@ fn main() -> ExitCode {
         "bench_diff: {baseline_path} (baseline) vs {fresh_path} (fresh), \
          tolerance {model_tolerance:.2} (model) / {wallclock_tolerance:.2} (wall-clock)"
     );
+    let backends_differ = match (&baseline.ladder_backend, &fresh.ladder_backend) {
+        (Some(b), Some(f)) if b != f => {
+            println!("  ladder backends differ: baseline {b:?}, fresh {f:?}");
+            true
+        }
+        _ => false,
+    };
+    let (baseline, fresh) = (baseline.metrics, fresh.metrics);
     let mut compared = 0usize;
+    let mut incomparable = 0usize;
     let mut regressions = 0usize;
     for (path, class, base) in &baseline {
         let Some((_, _, new)) = fresh.iter().find(|(p, _, _)| p == path) else {
             println!("  [skip] {path}: only in baseline");
             continue;
         };
+        if backends_differ && *class == MetricClass::Wallclock {
+            incomparable += 1;
+            println!("  [skip] {path}: {new:.3} vs baseline {base:.3} on another ladder backend");
+            continue;
+        }
         compared += 1;
         let tolerance = match class {
             MetricClass::Model => model_tolerance,
@@ -185,6 +220,13 @@ fn main() -> ExitCode {
         }
     }
 
+    if compared == 0 && incomparable > 0 {
+        println!(
+            "bench_diff: nothing comparable across ladder backends ({incomparable} metric(s) \
+             skipped); regenerate the baseline on this backend to gate them"
+        );
+        return ExitCode::SUCCESS;
+    }
     if compared == 0 {
         eprintln!(
             "bench_diff: no comparable speedup metrics found — refusing to pass an empty gate"

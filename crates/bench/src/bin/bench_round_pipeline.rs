@@ -23,9 +23,11 @@
 //! forward-pass time at the first — noising — server, the §8.2 unit of
 //! server work), heap allocations per onion (counting global allocator),
 //! and the full three-hop forward-pass time. A separate `peel` section
-//! isolates the onion-peeling stage itself and prices the 4-wide
-//! `Fe4` Montgomery ladder against both the scalar-ladder chunk path it
-//! replaced and the seed-era per-slot peel (see [`run_peel_stage`]).
+//! isolates the onion-peeling stage itself and prices the lockstep
+//! Montgomery ladder this CPU runs (`ladder_backend` in the artefact:
+//! eight-wide AVX-512 IFMA or the portable four-wide `Fe4`) against
+//! both the scalar-ladder chunk path it replaced and the seed-era
+//! per-slot peel (see `vuvuzela_bench::peelstage`).
 //! Written to `BENCH_round_pipeline.json` at the workspace root for the
 //! perf trajectory; regenerate with
 //! `cargo run --release -p vuvuzela-bench --bin bench_round_pipeline`.
@@ -235,6 +237,10 @@ fn main() {
         "mu": MU,
         "workers": vuvuzela_net::parallel::default_workers(),
         "iterations": ITERATIONS,
+        // Every ratio below prices a path that runs the detected ladder
+        // against one that never does; bench_diff compares them only
+        // between files that agree on this.
+        "ladder_backend": vuvuzela_crypto::x25519::ladder_backend(),
         "reference": {
             "first_hop_secs": reference.first_hop_secs,
             "first_hop_onions_per_sec": ref_rate,

@@ -3,8 +3,8 @@
 //! Regenerates Figure 8 for the paper's three dialing noise
 //! configurations (µ = 8K/13K/20K). The paper prints "b=7700" for the
 //! middle configuration — an evident typo for 770 (it matches neither
-//! the stated coverage nor the µ:b ratio of its neighbours); we use 770
-//! and record the discrepancy in EXPERIMENTS.md.
+//! the stated coverage nor the µ:b ratio of its neighbours); we use
+//! 770.
 //!
 //! Run: `cargo run --release -p vuvuzela-bench --bin fig8_dial_privacy`
 

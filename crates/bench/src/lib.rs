@@ -1,8 +1,9 @@
 //! Shared machinery for the benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation (§8); see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded results. This library provides:
+//! paper's evaluation (§8), writing their results to `bench_results/`.
+//! The repository's gated benchmark is the separate `benchmark/` package
+//! (see `benchmark/README.md`). This library provides:
 //!
 //! * [`costmodel`] — a calibrated Diffie-Hellman cost model implementing
 //!   the paper's own §8.2 arithmetic, used to extrapolate laptop-scale

@@ -10,14 +10,17 @@
 //! * **chunk reference** (`onion::peel_chunk_in_place_reference`): the
 //!   PR 2/PR 3 committed hot path — scalar ladders, inversions batched
 //!   across each chunk;
-//! * **batched** (`onion::peel_chunk_in_place`): the 4-wide
-//!   [`vuvuzela_crypto::fe4::Fe4`] Montgomery ladder plus the same
-//!   batched inversions — what every mix hop runs per worker chunk.
+//! * **batched** (`onion::peel_chunk_in_place`): the lockstep
+//!   Montgomery ladder the CPU supports — eight-wide on AVX-512 IFMA,
+//!   otherwise four-wide over [`vuvuzela_crypto::fe4::Fe4`]; see
+//!   [`vuvuzela_crypto::x25519::ladder_backend`] — plus the same
+//!   batched inversions: what every mix hop runs per worker chunk.
 //!
 //! All paths are asserted byte-identical before any timing; best-of-N
 //! wall-clock is reported. `speedup_peel_batched` (batched ÷ chunk
-//! reference) prices the 4-wide ladder against the previously committed
-//! implementation and rides the `bench_diff` regression gate;
+//! reference) prices the lockstep ladder against the scalar one and
+//! rides the `bench_diff` regression gate (between artefacts from the
+//! same ladder backend; it is ~1.2 four-wide and ~4 eight-wide);
 //! `speedup_peel_vs_per_slot` prices the whole batching stack against
 //! the seed path.
 

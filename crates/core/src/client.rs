@@ -69,6 +69,38 @@ pub(crate) struct Inflight {
     pub(crate) last_sent_round: u64,
 }
 
+/// Delivered messages, in order, in one byte arena. A long-lived client
+/// receives about one message a round and keeps them all; as a
+/// `Vec<u8>` apiece, bodies of a few dozen bytes each cost a heap block
+/// and a 24-byte header, which at cohort scale is most of what a
+/// process's memory grows by per round.
+#[derive(Default)]
+pub(crate) struct MessageLog {
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each message.
+    ends: Vec<usize>,
+}
+
+impl MessageLog {
+    fn push(&mut self, body: &[u8]) {
+        self.bytes.extend_from_slice(body);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The messages, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        let starts = core::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.bytes[start..end])
+    }
+
+    /// The messages as owned vectors, oldest first.
+    pub(crate) fn to_vecs(&self) -> Vec<Vec<u8>> {
+        self.iter().map(<[u8]>::to_vec).collect()
+    }
+}
+
 /// One active conversation's reliability state.
 pub(crate) struct Conversation {
     pub(crate) peer: PublicKey,
@@ -85,7 +117,7 @@ pub(crate) struct Conversation {
     /// Out-of-order arrivals waiting for the gap to fill.
     out_of_order: BTreeMap<u64, Vec<u8>>,
     /// In-order messages delivered to the user.
-    pub(crate) delivered: Vec<Vec<u8>>,
+    pub(crate) delivered: MessageLog,
     /// Everything below this peer sequence number has been acked by the
     /// peer.
     peer_acked: u64,
@@ -101,7 +133,7 @@ impl Conversation {
             inflight: BTreeMap::new(),
             next_expected: 0,
             out_of_order: BTreeMap::new(),
-            delivered: Vec::new(),
+            delivered: MessageLog::default(),
             peer_acked: 0,
         }
     }
@@ -161,11 +193,11 @@ impl Conversation {
         if frame.kind == MessageKind::Data {
             match frame.seq.cmp(&self.next_expected) {
                 core::cmp::Ordering::Equal => {
-                    self.delivered.push(frame.body);
+                    self.delivered.push(&frame.body);
                     self.next_expected += 1;
                     // Drain any consecutive out-of-order arrivals.
                     while let Some(body) = self.out_of_order.remove(&self.next_expected) {
-                        self.delivered.push(body);
+                        self.delivered.push(&body);
                         self.next_expected += 1;
                     }
                 }
@@ -377,7 +409,7 @@ impl Client {
     pub fn delivered_from(&self, peer: &PublicKey) -> Vec<Vec<u8>> {
         self.slot_of(peer)
             .and_then(|s| self.slots[s].as_ref())
-            .map(|c| c.delivered.clone())
+            .map(|c| c.delivered.to_vecs())
             .unwrap_or_default()
     }
 
@@ -387,7 +419,7 @@ impl Client {
         self.slots
             .iter()
             .flatten()
-            .flat_map(|c| c.delivered.iter().cloned())
+            .flat_map(|c| c.delivered.iter().map(<[u8]>::to_vec))
             .collect()
     }
 
@@ -725,12 +757,13 @@ mod tests {
 
         // Out of order: seq 1 before seq 0.
         conv.receive_frame(FramedMessage::data(1, 0, b"second"));
-        assert!(conv.delivered.is_empty());
+        assert_eq!(conv.delivered.iter().count(), 0);
         conv.receive_frame(FramedMessage::data(0, 0, b"first"));
-        assert_eq!(conv.delivered, vec![b"first".to_vec(), b"second".to_vec()]);
+        let both = vec![b"first".to_vec(), b"second".to_vec()];
+        assert_eq!(conv.delivered.to_vecs(), both);
         // Duplicate ignored.
         conv.receive_frame(FramedMessage::data(0, 0, b"first"));
-        assert_eq!(conv.delivered.len(), 2);
+        assert_eq!(conv.delivered.to_vecs(), both);
         assert_eq!(conv.next_expected, 2);
     }
 

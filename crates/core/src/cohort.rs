@@ -272,7 +272,7 @@ impl ClientCohort {
     pub fn delivered_from(&self, index: usize, peer: &PublicKey) -> Vec<Vec<u8>> {
         self.slot_of(index, peer)
             .and_then(|s| self.slots[s].as_ref())
-            .map(|c| c.delivered.clone())
+            .map(|c| c.delivered.to_vecs())
             .unwrap_or_default()
     }
 

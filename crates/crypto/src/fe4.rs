@@ -8,16 +8,20 @@
 //! and the four multiplication chains — each latency-bound on its own —
 //! interleave in the out-of-order window and keep the 64-bit multiplier
 //! port saturated. [`crate::x25519`] steps four onions' ladders in
-//! lockstep on this type.
+//! lockstep on this type on CPUs without AVX-512 IFMA; where the CPU has
+//! it the eight-wide `fe8` kernel runs instead (about 5× faster per
+//! ladder), and this module is the portable fallback.
 //!
 //! (A 10×25.5-bit `u32`-sliced variant whose products map to
 //! `pmuludq`/`vpmuludq` was prototyped and measured 2–5× *slower* here,
 //! both rolled — per-term loop overhead — and fully unrolled — SROA
 //! scalarizes the limb arrays and the SLP vectorizer never reassembles
 //! them, and even when it does, 40 live vector values spill. The 51-bit
-//! scalar kernel interleaved four-wide is the fastest shape safe Rust
-//! reaches on x86-64; the remaining headroom is latency-hiding, which
-//! is exactly what this layout buys.)
+//! scalar kernel interleaved four-wide is the fastest shape *portable*
+//! safe Rust reaches on x86-64 — what is left within it is
+//! latency-hiding, which this layout buys; a vector multiplier that
+//! does pay is the 52-bit `vpmadd52` one, used through intrinsics in
+//! `fe8.rs`.)
 //!
 //! # Loose-reduction invariant
 //!

@@ -10,9 +10,11 @@
 //! [`crate::fe4`] relaxes exactly that — it processes four elements in
 //! lockstep with *lazy* reduction (adds and subs don't carry at all, the
 //! bounds are re-established by the next multiplication), which is what
-//! makes the 4-wide Montgomery ladder on the peel hot path cheaper than
-//! four scalar ladders. See the `fe4` module docs for the precise limb
-//! bounds.
+//! makes the portable 4-wide Montgomery ladder cheaper than four scalar
+//! ladders. See the `fe4` module docs for the precise limb bounds (and
+//! `fe8.rs` for the eight-wide AVX-512 IFMA kernel the peel hot path
+//! prefers, which carries after every operation for a different
+//! reason).
 
 /// Mask selecting the low 51 bits of a limb.
 const LOW_51: u64 = (1 << 51) - 1;

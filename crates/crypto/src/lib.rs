@@ -4,9 +4,16 @@
 //! standard primitives: Curve25519 Diffie-Hellman for per-round ephemeral
 //! key agreement, an indistinguishable authenticated symmetric cipher for
 //! message payloads and onion layers, and a hash for dead-drop derivation.
-//! This crate implements all of them in pure safe Rust:
+//! This crate implements all of them from scratch, in safe Rust except
+//! for the one SIMD kernel named below:
 //!
-//! * [`x25519`] — RFC 7748 X25519 over a 51-bit-limb field implementation.
+//! * [`x25519`] — RFC 7748 X25519 over a 51-bit-limb field
+//!   implementation. The batched variable-base ladder (the onion
+//!   peeler's Diffie-Hellman, most of a server's CPU time) runs eight
+//!   wide on AVX-512 IFMA where the CPU has it and four wide in
+//!   portable Rust ([`fe4`]) elsewhere; the choice is made by CPU
+//!   detection at run time, reported by [`x25519::ladder_backend`], and
+//!   changes no output byte.
 //! * [`chacha20`] / [`poly1305`] / [`aead`] — RFC 8439 ChaCha20-Poly1305.
 //! * [`sha256`] / [`hkdf`] — FIPS 180-4 SHA-256, RFC 2104 HMAC, RFC 5869
 //!   HKDF.
@@ -24,14 +31,23 @@
 //! arithmetic), but this code has not been audited and makes no hard
 //! constant-time guarantee on every compiler/target; it reproduces the
 //! *functional* behaviour and cost structure of the paper's prototype.
+//!
+//! The crate is `deny(unsafe_code)`. The allowance is confined to the
+//! AVX-512 kernel `fe8.rs` (a vector store, and entering
+//! `#[target_feature]` code) plus the single call site in [`x25519`]
+//! that dispatches into it; both are guarded by a token type that only
+//! a successful CPUID check can construct. On other architectures the
+//! module is not compiled and the crate contains no `unsafe` at all.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;
 pub mod chacha20;
 pub(crate) mod edwards;
 pub mod fe4;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod fe8;
 pub mod field;
 pub mod hkdf;
 pub mod onion;

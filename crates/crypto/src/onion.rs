@@ -396,15 +396,31 @@ pub fn peel_in_place(
     Ok((key, inner_len))
 }
 
-/// Which Montgomery-ladder implementation a chunk peel drives: the
-/// production four-wide lockstep ladder, or the one-onion-at-a-time
-/// scalar ladder kept as the equivalence/benchmark reference.
+/// Which Montgomery-ladder implementation a chunk peel drives.
+/// Production takes [`LadderMode::detect`]'s answer; the scalar ladder
+/// is the equivalence/benchmark reference.
 #[derive(Clone, Copy)]
 enum LadderMode {
-    /// Four onions per [`crate::fe4::Fe4`] ladder, scalar tail.
+    /// Eight onions per `Fe8` ladder on AVX-512 IFMA; a partial last
+    /// octet is padded, so no other ladder runs in this mode.
+    #[cfg(target_arch = "x86_64")]
+    Oct(crate::fe8::Ifma),
+    /// Four onions per [`crate::fe4::Fe4`] ladder, scalar tail: the
+    /// portable fallback.
     Quad,
     /// One scalar ladder per onion (the pre-`Fe4` committed path).
     Scalar,
+}
+
+impl LadderMode {
+    /// The fastest mode this CPU supports; nothing else selects it.
+    fn detect() -> LadderMode {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ifma) = crate::fe8::Ifma::detect() {
+            return LadderMode::Oct(ifma);
+        }
+        LadderMode::Quad
+    }
 }
 
 /// Server side: peels one layer of **every onion in a chunk of slots**,
@@ -413,10 +429,11 @@ enum LadderMode {
 /// output byte — are identical to calling [`peel_in_place`]. Two batch
 /// optimisations stack on the hot path:
 ///
-/// * the variable-base x25519 ladders step **four onions in lockstep**
-///   over the limb-sliced [`crate::fe4::Fe4`] type (scalar ladder for
-///   the `count % 4` tail), eliminating the per-add carry chains and
-///   interleaving four multiplication dependency chains;
+/// * the variable-base x25519 ladders step **several onions in
+///   lockstep**: eight per AVX-512 IFMA ladder where the CPU has it
+///   (see [`crate::x25519::ladder_backend`]), otherwise four over the
+///   limb-sliced [`crate::fe4::Fe4`] type with a scalar ladder for the
+///   `count % 4` tail;
 /// * each ladder's final field inversion is deferred and batched across
 ///   the whole chunk (Montgomery's trick, sub-batched at
 ///   [`crate::edwards`]'s resolver width): `n` slots pay one
@@ -445,13 +462,13 @@ pub fn peel_chunk_in_place(
         chunk,
         stride,
         width,
-        LadderMode::Quad,
+        LadderMode::detect(),
     )
 }
 
 /// [`peel_chunk_in_place`] over the scalar (one-onion-at-a-time)
 /// Montgomery ladder — the committed pre-`Fe4` peel path, kept so the
-/// equivalence tests can hold the four-wide ladder to byte-identical
+/// equivalence tests can hold the lockstep ladders to byte-identical
 /// outputs and the round benchmarks can price the batching honestly.
 pub fn peel_chunk_in_place_reference(
     server_secret: &SecretKey,
@@ -472,7 +489,7 @@ pub fn peel_chunk_in_place_reference(
     )
 }
 
-/// Shared chunk-peel engine behind both ladder modes.
+/// Shared chunk-peel engine behind every ladder mode.
 #[allow(clippy::too_many_arguments)]
 fn peel_chunk_core(
     server_secret: &SecretKey,
@@ -494,7 +511,7 @@ fn peel_chunk_core(
         let group_len = (count - group_start).min(GROUP);
 
         // Pass 1: length checks, gathering the admitted slots' ephemeral
-        // keys so their ladders can run four-wide.
+        // keys so their ladders can run in lockstep.
         let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
         let mut eph = [[0u8; 32]; GROUP];
         let mut admitted = [false; GROUP];
@@ -512,12 +529,28 @@ fn peel_chunk_core(
             admitted_len += 1;
         }
 
-        // The ladders, inversions still deferred. In quad mode full
-        // quads run in lockstep (the per-onion scalar is the server's
-        // one secret, so the lanes differ only in their base point);
-        // the tail and the reference mode take the scalar ladder.
+        // The ladders, inversions still deferred. The per-onion scalar
+        // is the server's one secret, so the lanes of a lockstep ladder
+        // differ only in their base point. Oct mode pads its last
+        // octet by repeating a point and drops the spare results; in
+        // quad mode full quads run in lockstep and the tail, like the
+        // whole reference mode, takes the scalar ladder.
         let scalar_from = match mode {
             LadderMode::Scalar => 0,
+            #[cfg(target_arch = "x86_64")]
+            LadderMode::Oct(ifma) => {
+                for oct in admitted_idx[..admitted_len].chunks(crate::fe8::LANES) {
+                    let out = crate::x25519::x25519_pending_oct(
+                        ifma,
+                        server_secret.as_bytes(),
+                        core::array::from_fn(|lane| &eph[oct[lane.min(oct.len() - 1)]]),
+                    );
+                    for (&j, p) in oct.iter().zip(out) {
+                        pending[j] = p;
+                    }
+                }
+                admitted_len
+            }
             LadderMode::Quad => {
                 let full = admitted_len / LANES * LANES;
                 for quad in admitted_idx[..full].chunks_exact(LANES) {
@@ -879,8 +912,9 @@ mod tests {
 
     #[test]
     fn peel_chunk_small_sizes_match_per_slot() {
-        // Chunks of 1–5 slots cover the empty-quad and 1–3-onion
-        // scalar-tail paths of the 4-wide ladder; every slot must match
+        // Chunks of 1–5 slots cover the padded single octet of the
+        // 8-wide ladder, or the empty-quad and 1–3-onion scalar-tail
+        // paths of the 4-wide one; every slot must match
         // the per-slot reference bytewise, as must the scalar-ladder
         // chunk reference.
         let mut rng = StdRng::seed_from_u64(91);
@@ -932,6 +966,82 @@ mod tests {
                     "count {count} slot {i} payload"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn peel_chunk_ladder_modes_agree_three_ways() {
+        // Oct == Quad == scalar reference, results and arena bytes, for
+        // every count 0..=40 (partial and full octets and quads, the
+        // 32-slot resolver group boundary), with tampered, low-order
+        // and — as the chunk's last slot — truncated slots interleaved
+        // among the valid ones.
+        let mut rng = StdRng::seed_from_u64(93);
+        let server = Keypair::generate(&mut rng);
+        let (sample, _) = wrap(&mut rng, &[server.public], 13, b"three ways");
+        let width = sample.len();
+        let stride = width + 5;
+        #[cfg(target_arch = "x86_64")]
+        let oct = crate::fe8::ifma_or_skip("peel_chunk_ladder_modes_agree_three_ways")
+            .map(LadderMode::Oct);
+        #[cfg(not(target_arch = "x86_64"))]
+        let oct: Option<LadderMode> = None;
+
+        for count in 0..=40usize {
+            let mut chunk = vec![0u8; count * stride];
+            for i in 0..count {
+                let (mut onion, _) = wrap(&mut rng, &[server.public], 13, b"three ways");
+                match (i + count) % 7 {
+                    2 => onion[40] ^= 1,           // authentication failure
+                    4 => onion[..32].fill(0),      // low-order ephemeral
+                    5 => onion[width - 1] ^= 0x80, // tampered tag
+                    _ => {}
+                }
+                chunk[i * stride..i * stride + width].copy_from_slice(&onion);
+            }
+            if count % 3 == 1 {
+                // Cut the last slot short of `width`: BadLength, and
+                // one fewer admitted slot in the last ladder group.
+                chunk.truncate((count - 1) * stride + width - 1);
+            }
+
+            let run = |mode: LadderMode| {
+                let mut arena = chunk.clone();
+                let results = peel_chunk_core(
+                    &server.secret,
+                    &server.public,
+                    13,
+                    &mut arena,
+                    stride,
+                    width,
+                    mode,
+                );
+                let results: Vec<_> = results
+                    .into_iter()
+                    .map(|r| r.map(|(key, len)| (key.0, len)))
+                    .collect();
+                (results, arena)
+            };
+            let scalar = run(LadderMode::Scalar);
+            assert_eq!(scalar.0.len(), count);
+            assert_eq!(
+                run(LadderMode::Quad),
+                scalar,
+                "count {count}: Quad vs scalar"
+            );
+            if let Some(oct) = oct {
+                assert_eq!(run(oct), scalar, "count {count}: Oct vs scalar");
+            }
+            let failures = scalar.0.iter().filter(|r| r.is_err()).count();
+            let expected = (0..count)
+                .filter(|i| {
+                    matches!((i + count) % 7, 2 | 4 | 5) || (count % 3 == 1 && i + 1 == count)
+                })
+                .count();
+            assert_eq!(
+                failures, expected,
+                "count {count}: every bad slot is refused"
+            );
         }
     }
 

@@ -5,7 +5,10 @@
 //! dominates server CPU time (paper §8.2), so its cost model is the basis
 //! for the throughput/latency extrapolations in the benchmark harness.
 
+use crate::edwards::PendingU;
 use crate::fe4::{Fe4, LANES};
+#[cfg(target_arch = "x86_64")]
+use crate::fe8::{self, Fe8, Ifma};
 use crate::field::Fe;
 use rand::{CryptoRng, RngCore};
 
@@ -174,7 +177,7 @@ impl DhTable {
 
     /// `sk · pk` with the final field inversion deferred, for batch
     /// resolution via [`resolve_pending`].
-    pub(crate) fn diffie_hellman_pending(&self, sk: &SecretKey) -> crate::edwards::PendingU {
+    pub(crate) fn diffie_hellman_pending(&self, sk: &SecretKey) -> PendingU {
         self.inner.scalarmult_pending(&clamp(sk.0))
     }
 }
@@ -182,13 +185,13 @@ impl DhTable {
 /// `X25519(scalar, 9)` with the final field inversion deferred; resolve
 /// with [`resolve_pending`]. Crate-internal: the onion wrapper batches
 /// one onion's keygens and DHs into a single inversion.
-pub(crate) fn x25519_base_pending(scalar: &[u8; 32]) -> crate::edwards::PendingU {
+pub(crate) fn x25519_base_pending(scalar: &[u8; 32]) -> PendingU {
     crate::edwards::scalarmult_base_pending(&clamp(*scalar))
 }
 
 /// Resolves deferred scalar-multiplication results into `out` with one
 /// shared field inversion (Montgomery's trick).
-pub(crate) fn resolve_pending_into(pending: &[crate::edwards::PendingU], out: &mut [[u8; 32]]) {
+pub(crate) fn resolve_pending_into(pending: &[PendingU], out: &mut [[u8; 32]]) {
     crate::edwards::resolve_batch_into(pending, out);
 }
 
@@ -227,28 +230,55 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 /// peeler batches the inversion across a whole worker chunk of onions
 /// (Montgomery's trick), shaving ~one `Fe::invert` per onion off the
 /// peel hot path while producing bit-identical shared secrets.
-pub(crate) fn x25519_pending(scalar: &[u8; 32], u: &[u8; 32]) -> crate::edwards::PendingU {
+pub(crate) fn x25519_pending(scalar: &[u8; 32], u: &[u8; 32]) -> PendingU {
     ladder(&clamp(*scalar), u)
 }
 
 /// Four `X25519(scalar, u)` ladders in lockstep with every inversion
 /// deferred; resolve with [`resolve_pending_into`]. Crate-internal: the
-/// onion peeler runs each worker chunk's variable-base DHs through this
-/// (the per-onion scalar is the server's one secret, so all four lanes
-/// share `scalar`), then batches the final inversions across the whole
-/// chunk. Byte-identical to four scalar [`x25519`] calls.
-pub(crate) fn x25519_pending_quad(
-    scalar: &[u8; 32],
-    us: [&[u8; 32]; LANES],
-) -> [crate::edwards::PendingU; LANES] {
+/// onion peeler's portable path (CPUs without AVX-512 IFMA) runs each
+/// worker chunk's variable-base DHs through this (the per-onion scalar
+/// is the server's one secret, so all four lanes share `scalar`), then
+/// batches the final inversions across the whole chunk. Byte-identical
+/// to four scalar [`x25519`] calls.
+pub(crate) fn x25519_pending_quad(scalar: &[u8; 32], us: [&[u8; 32]; LANES]) -> [PendingU; LANES] {
     let k = clamp(*scalar);
     ladder4([&k; LANES], us)
 }
 
+/// [`x25519_pending_quad`] eight-wide on AVX-512 IFMA: the onion
+/// peeler's path wherever an [`Ifma`] token can be had. Byte-identical
+/// to eight scalar [`x25519`] calls.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn x25519_pending_oct(
+    ifma: Ifma,
+    scalar: &[u8; 32],
+    us: [&[u8; 32]; fe8::LANES],
+) -> [PendingU; fe8::LANES] {
+    let k = clamp(*scalar);
+    ladder8_on(ifma, [&k; fe8::LANES], us)
+}
+
+/// Which ladder the batched paths ([`x25519_batch`], the onion peeler)
+/// run on this machine: `"avx512-ifma x8"` when the CPU has AVX-512F
+/// and IFMA, `"portable x4"` otherwise. The choice is made by CPU
+/// detection alone; binaries print this once at start-up so a log says
+/// which kernel produced its numbers.
+#[must_use]
+pub fn ladder_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if Ifma::detect().is_some() {
+        return "avx512-ifma x8";
+    }
+    "portable x4"
+}
+
 /// Batched X25519: computes `X25519(scalars[i], us[i])` for parallel
 /// slices of scalars and u-coordinates, stepping the Montgomery ladder
-/// four-wide over [`crate::fe4::Fe4`] (scalar ladder for the `len % 4`
-/// tail) and sharing the final field inversions across sub-batches of
+/// eight-wide over `Fe8` on AVX-512 IFMA CPUs (a partial last octet is
+/// padded by repeating its last pair) and otherwise four-wide over
+/// [`crate::fe4::Fe4`] (scalar ladder for the `len % 4` tail), sharing
+/// the final field inversions across sub-batches of
 /// [`crate::edwards::MAX_RESOLVE_BATCH`] via Montgomery's trick.
 /// Bit-identical to calling [`x25519`] element-wise — low-order inputs
 /// yield the all-zero output in their lane without disturbing the rest
@@ -260,22 +290,15 @@ pub(crate) fn x25519_pending_quad(
 #[must_use]
 pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     assert_eq!(scalars.len(), us.len(), "parallel slices must match");
-    let n = scalars.len();
-    let mut pending = Vec::with_capacity(n);
-    let mut quads = scalars.chunks_exact(LANES).zip(us.chunks_exact(LANES));
-    for (ks, points) in &mut quads {
-        let clamped: [[u8; 32]; LANES] = core::array::from_fn(|l| clamp(ks[l]));
-        let out = ladder4(
-            core::array::from_fn(|l| &clamped[l]),
-            core::array::from_fn(|l| &points[l]),
-        );
-        pending.extend_from_slice(&out);
-    }
-    for (k, u) in scalars[n - n % LANES..].iter().zip(&us[n - n % LANES..]) {
-        pending.push(ladder(&clamp(*k), u));
-    }
+    #[cfg(target_arch = "x86_64")]
+    let pending = match Ifma::detect() {
+        Some(ifma) => batch_pending_oct(ifma, scalars, us),
+        None => batch_pending_quad(scalars, us),
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let pending = batch_pending_quad(scalars, us);
 
-    let mut out = vec![[0u8; 32]; n];
+    let mut out = vec![[0u8; 32]; pending.len()];
     for (pending_chunk, out_chunk) in pending
         .chunks(crate::edwards::MAX_RESOLVE_BATCH)
         .zip(out.chunks_mut(crate::edwards::MAX_RESOLVE_BATCH))
@@ -283,6 +306,43 @@ pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
         resolve_pending_into(pending_chunk, out_chunk);
     }
     out
+}
+
+/// The portable half of [`x25519_batch`]: full quads through
+/// [`ladder4`], the `len % 4` tail through the scalar [`ladder`].
+fn batch_pending_quad(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<PendingU> {
+    let n = scalars.len();
+    let mut pending = Vec::with_capacity(n);
+    for (ks, points) in scalars.chunks_exact(LANES).zip(us.chunks_exact(LANES)) {
+        let clamped: [[u8; 32]; LANES] = core::array::from_fn(|l| clamp(ks[l]));
+        pending.extend(ladder4(
+            core::array::from_fn(|l| &clamped[l]),
+            core::array::from_fn(|l| &points[l]),
+        ));
+    }
+    for (k, u) in scalars[n - n % LANES..].iter().zip(&us[n - n % LANES..]) {
+        pending.push(ladder(&clamp(*k), u));
+    }
+    pending
+}
+
+/// The IFMA half of [`x25519_batch`]: every pair goes through
+/// [`ladder8`]; the spare lanes of a partial last octet repeat its last
+/// pair and are discarded.
+#[cfg(target_arch = "x86_64")]
+fn batch_pending_oct(ifma: Ifma, scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<PendingU> {
+    let mut pending = Vec::with_capacity(scalars.len());
+    for (ks, points) in scalars.chunks(fe8::LANES).zip(us.chunks(fe8::LANES)) {
+        let last = ks.len() - 1;
+        let clamped: [[u8; 32]; fe8::LANES] = core::array::from_fn(|l| clamp(ks[l.min(last)]));
+        let out = ladder8_on(
+            ifma,
+            core::array::from_fn(|l| &clamped[l]),
+            core::array::from_fn(|l| &points[l.min(last)]),
+        );
+        pending.extend_from_slice(&out[..ks.len()]);
+    }
+    pending
 }
 
 /// The RFC 7748 Montgomery ladder stepped **four-wide**: one
@@ -294,7 +354,7 @@ pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
 /// multiplication chains interleave instead of serializing. Low-order
 /// inputs leave `z2 = 0` in their lane, resolving to zero exactly like
 /// the scalar path.
-fn ladder4(ks: [&[u8; 32]; LANES], us: [&[u8; 32]; LANES]) -> [crate::edwards::PendingU; LANES] {
+fn ladder4(ks: [&[u8; 32]; LANES], us: [&[u8; 32]; LANES]) -> [PendingU; LANES] {
     /// One full ladder step: conditional swap plus the differential
     /// add-and-double formulas. Kept `inline(never)` deliberately — the
     /// nine field operations fuse inside this one medium-sized function
@@ -343,14 +403,80 @@ fn ladder4(ks: [&[u8; 32]; LANES], us: [&[u8; 32]; LANES]) -> [crate::edwards::P
     Fe4::cswap(&swap, &mut x2, &mut x3);
     Fe4::cswap(&swap, &mut z2, &mut z3);
 
-    core::array::from_fn(|l| crate::edwards::PendingU::from_ratio(x2.lane(l), z2.lane(l)))
+    core::array::from_fn(|l| PendingU::from_ratio(x2.lane(l), z2.lane(l)))
+}
+
+/// The one place safe code enters the AVX-512 IFMA ladder.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn ladder8_on(
+    _ifma: Ifma,
+    ks: [&[u8; 32]; fe8::LANES],
+    us: [&[u8; 32]; fe8::LANES],
+) -> [PendingU; fe8::LANES] {
+    // SAFETY: `ladder8` needs a CPU with avx512f and avx512ifma, and an
+    // `Ifma` can only be built by `Ifma::detect`, which found both.
+    unsafe { ladder8(ks, us) }
+}
+
+/// The RFC 7748 Montgomery ladder stepped **eight-wide** on AVX-512
+/// IFMA: [`ladder4`] formula for formula and swap for swap, over
+/// [`Fe8`] — whose operations each end carried (see [`crate::fe8`]),
+/// where `Fe4`'s adds and subs run lazy — with the conditional swap a
+/// per-lane `__mmask8` blend. The `(x2, z2)` endpoints leave as
+/// [`PendingU`]s exactly like the other ladders', so callers batch the
+/// inversions the same way.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn ladder8(ks: [&[u8; 32]; fe8::LANES], us: [&[u8; 32]; fe8::LANES]) -> [PendingU; fe8::LANES] {
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn step(swap: u8, x1: &Fe8, x2: &mut Fe8, z2: &mut Fe8, x3: &mut Fe8, z3: &mut Fe8) {
+        Fe8::cswap(swap, x2, x3);
+        Fe8::cswap(swap, z2, z3);
+
+        let a = x2.add(z2);
+        let aa = a.square();
+        let b = x2.sub(z2);
+        let bb = b.square();
+        let e = aa.sub(&bb);
+        let c = x3.add(z3);
+        let d = x3.sub(z3);
+        let da = d.mul(&a);
+        let cb = c.mul(&b);
+        *x3 = da.add(&cb).square();
+        *z3 = x1.mul(&da.sub(&cb).square());
+        *x2 = aa.mul(&bb);
+        *z2 = e.mul(&e.mul_small_add(121_665, &aa));
+    }
+
+    let x1 = Fe8::from_fes(&core::array::from_fn(|l| Fe::from_bytes(us[l])));
+
+    let mut x2 = Fe8::splat(Fe::ONE);
+    let mut z2 = Fe8::splat(Fe::ZERO);
+    let mut x3 = x1;
+    let mut z3 = Fe8::splat(Fe::ONE);
+    let mut swap = 0u8;
+
+    for t in (0..255).rev() {
+        let mut k_t = 0u8;
+        for (lane, k) in ks.iter().enumerate() {
+            k_t |= ((k[t / 8] >> (t % 8)) & 1) << lane;
+        }
+        step(swap ^ k_t, &x1, &mut x2, &mut z2, &mut x3, &mut z3);
+        swap = k_t;
+    }
+    Fe8::cswap(swap, &mut x2, &mut x3);
+    Fe8::cswap(swap, &mut z2, &mut z3);
+
+    let (nums, dens) = (x2.to_fes(), z2.to_fes());
+    core::array::from_fn(|l| PendingU::from_ratio(nums[l], dens[l]))
 }
 
 /// The raw RFC 7748 Montgomery ladder, stopping before the final
 /// `x2 · z2⁻¹` inversion. A low-order input leaves `z2 = 0`, which the
 /// batch resolver maps to the all-zero output exactly as
 /// `Fe::invert(0) == 0` does on the immediate path.
-fn ladder(k: &[u8; 32], u: &[u8; 32]) -> crate::edwards::PendingU {
+fn ladder(k: &[u8; 32], u: &[u8; 32]) -> PendingU {
     let x1 = Fe::from_bytes(u);
 
     let mut x2 = Fe::ONE;
@@ -383,7 +509,7 @@ fn ladder(k: &[u8; 32], u: &[u8; 32]) -> crate::edwards::PendingU {
     Fe::cswap(swap, &mut x2, &mut x3);
     Fe::cswap(swap, &mut z2, &mut z3);
 
-    crate::edwards::PendingU::from_ratio(x2, z2)
+    PendingU::from_ratio(x2, z2)
 }
 
 #[cfg(test)]
@@ -398,6 +524,23 @@ mod tests {
             *byte = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("valid hex");
         }
         out
+    }
+
+    /// The two RFC 7748 §5.2 vectors as `(scalar, u, output)`, for the
+    /// tests that plant them in lanes of a batch.
+    fn rfc7748_vectors() -> [([u8; 32], [u8; 32], [u8; 32]); 2] {
+        [
+            (
+                hex32("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4"),
+                hex32("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"),
+                hex32("c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"),
+            ),
+            (
+                hex32("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"),
+                hex32("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493"),
+                hex32("95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"),
+            ),
+        ]
     }
 
     /// RFC 7748 §5.2 test vector 1.
@@ -512,12 +655,7 @@ mod tests {
     fn batch_lanes_carry_rfc7748_vectors() {
         // The two RFC 7748 §5.2 vectors placed in every lane position of
         // one quad, padded with random pairs.
-        let s1 = hex32("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-        let u1 = hex32("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-        let w1 = hex32("c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
-        let s2 = hex32("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
-        let u2 = hex32("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
-        let w2 = hex32("95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+        let [(s1, u1, w1), (s2, u2, w2)] = rfc7748_vectors();
         let mut rng = StdRng::seed_from_u64(12);
         for position in 0..4 {
             let mut scalars = vec![[0u8; 32]; 4];
@@ -565,6 +703,173 @@ mod tests {
         let zeros = vec![[0u8; 32]; 4];
         let all_low = x25519_batch(&scalars[..4], &zeros);
         assert_eq!(all_low, vec![[0u8; 32]; 4], "all-low-order quad");
+    }
+
+    /// Eight `(scalar, u)` pairs straight through the eight-wide
+    /// ladder, resolved; `None` (and a SKIPPED line) without IFMA.
+    #[cfg(target_arch = "x86_64")]
+    fn x25519_oct(
+        test: &'static str,
+        scalars: &[[u8; 32]; 8],
+        us: &[[u8; 32]; 8],
+    ) -> Option<[[u8; 32]; 8]> {
+        let ifma = fe8::ifma_or_skip(test)?;
+        let clamped = scalars.map(clamp);
+        let pending = ladder8_on(
+            ifma,
+            core::array::from_fn(|l| &clamped[l]),
+            core::array::from_fn(|l| &us[l]),
+        );
+        let mut out = [[0u8; 32]; 8];
+        resolve_pending_into(&pending, &mut out);
+        Some(out)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn oct_lanes_carry_rfc7748_vectors() {
+        // The two RFC 7748 §5.2 vectors in every lane position of one
+        // octet, the other six lanes random.
+        let [(s1, u1, w1), (s2, u2, w2)] = rfc7748_vectors();
+        let mut rng = StdRng::seed_from_u64(21);
+        for position in 0..8 {
+            let mut scalars = [[0u8; 32]; 8];
+            let mut us = [[0u8; 32]; 8];
+            for i in 0..8 {
+                rng.fill_bytes(&mut scalars[i]);
+                rng.fill_bytes(&mut us[i]);
+            }
+            let other = (position + 3) % 8;
+            (scalars[position], us[position]) = (s1, u1);
+            (scalars[other], us[other]) = (s2, u2);
+            let Some(out) = x25519_oct("oct_lanes_carry_rfc7748_vectors", &scalars, &us) else {
+                return;
+            };
+            assert_eq!(out[position], w1, "vector 1 in lane {position}");
+            assert_eq!(out[other], w2, "vector 2 in lane {other}");
+            for i in 0..8 {
+                assert_eq!(out[i], x25519(&scalars[i], &us[i]), "lane {i}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn oct_rfc7748_iterated_1000() {
+        // RFC 7748 §5.2's iterated vector, every iteration through the
+        // eight-wide ladder with the pair in all eight lanes.
+        let mut k = BASE_POINT;
+        let mut u = BASE_POINT;
+        for i in 0..1000 {
+            let Some(out) = x25519_oct("oct_rfc7748_iterated_1000", &[k; 8], &[u; 8]) else {
+                return;
+            };
+            assert!(
+                out.iter().all(|r| *r == out[0]),
+                "iteration {i}: lanes differ"
+            );
+            u = k;
+            k = out[0];
+            if i == 0 {
+                let once = "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079";
+                assert_eq!(k, hex32(once));
+            }
+        }
+        let want = hex32("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+        assert_eq!(k, want);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn oct_low_order_and_twist_lanes() {
+        // Every low-order u-coordinate (canonical and not) and points on
+        // the quadratic twist, one per octet and in a different lane
+        // each time, beside honest points: a low-order lane resolves to
+        // zero, alone, and every lane equals the scalar ladder.
+        let low_order = [
+            [0u8; 32],
+            hex32("0100000000000000000000000000000000000000000000000000000000000000"),
+            hex32("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+            hex32("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+            hex32("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"), // p − 1
+            hex32("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"), // p
+            hex32("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"), // p + 1
+            hex32("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"), // p, bit 255 set
+            hex32("0000000000000000000000000000000000000000000000000000000000000080"), // 2^255
+        ];
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut twist = Vec::new();
+        while twist.len() < 4 {
+            let mut u = [0u8; 32];
+            rng.fill_bytes(&mut u);
+            // The Edwards table cannot represent twist points.
+            if DhTable::new(&PublicKey(u)).is_none() {
+                twist.push(u);
+            }
+        }
+        let mut scalars = [[0u8; 32]; 8];
+        for k in &mut scalars {
+            rng.fill_bytes(k);
+        }
+        let special = low_order.iter().map(|u| (u, true));
+        for (case, (point, is_low_order)) in
+            special.chain(twist.iter().map(|u| (u, false))).enumerate()
+        {
+            let lane = case % 8;
+            let mut us: [[u8; 32]; 8] =
+                core::array::from_fn(|_| Keypair::generate(&mut rng).public.0);
+            us[lane] = *point;
+            us[(lane + 1) % 8] = twist[case % 4];
+            let Some(out) = x25519_oct("oct_low_order_and_twist_lanes", &scalars, &us) else {
+                return;
+            };
+            for i in 0..8 {
+                assert_eq!(out[i], x25519(&scalars[i], &us[i]), "case {case} lane {i}");
+                let expect_zero = i == lane && is_low_order;
+                assert_eq!(out[i] == [0u8; 32], expect_zero, "case {case} lane {i}");
+            }
+        }
+        // An octet of nothing but low-order points: every shared
+        // inversion input is zero at once.
+        let all_low: [[u8; 32]; 8] = core::array::from_fn(|l| low_order[l]);
+        if let Some(out) = x25519_oct("oct_low_order_and_twist_lanes", &scalars, &all_low) {
+            assert_eq!(out, [[0u8; 32]; 8]);
+        }
+    }
+
+    #[test]
+    fn batch_matches_scalar_around_octet_boundaries() {
+        // Lengths around one, two and four octets (and the resolver's
+        // batch of 32): on an IFMA CPU these are the padded-last-octet
+        // cases, elsewhere quads plus scalar tails.
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [7usize, 8, 9, 15, 16, 17, 31, 32, 33, 41] {
+            let mut scalars = vec![[0u8; 32]; n];
+            let mut us = vec![[0u8; 32]; n];
+            for i in 0..n {
+                rng.fill_bytes(&mut scalars[i]);
+                rng.fill_bytes(&mut us[i]);
+            }
+            us[n - 1] = [0u8; 32]; // the repeated padding point is low-order
+            let batch = x25519_batch(&scalars, &us);
+            for i in 0..n {
+                assert_eq!(batch[i], x25519(&scalars[i], &us[i]), "n {n} lane {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn ladder_backend_names_the_detected_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        let oct = Ifma::detect().is_some();
+        #[cfg(not(target_arch = "x86_64"))]
+        let oct = false;
+        // CI runs this test with --nocapture to log what it covered.
+        println!("x25519 ladder backend: {}", ladder_backend());
+        assert_eq!(
+            ladder_backend(),
+            if oct { "avx512-ifma x8" } else { "portable x4" }
+        );
     }
 
     #[test]

@@ -263,7 +263,7 @@ mod tests {
             tuned.b
         );
         // The paper quotes "250,000 rounds"; the exact Theorem-2 arithmetic
-        // tops out a few percent lower (see EXPERIMENTS.md).
+        // tops out a few percent lower.
         assert!(tuned.rounds >= 230_000, "tuned rounds = {}", tuned.rounds);
     }
 
@@ -271,8 +271,8 @@ mod tests {
     fn dialing_configurations_cover_paper_rounds() {
         // §6.5: µ=8000/13000/20000 cover ≈1200/3500/8000 dialing rounds.
         // The paper's counts are approximate; the exact Theorem-2
-        // arithmetic lands 10–25% lower on the larger two configurations
-        // (see EXPERIMENTS.md), so the brackets here are generous below.
+        // arithmetic lands 10–25% lower on the larger two configurations,
+        // so the brackets here are generous below.
         let t = PrivacyTarget::default();
         let small = max_protected_rounds(Protocol::Dialing, 8_000.0, 500.0, t);
         assert!((900..=1_800).contains(&small), "µ=8K got {small}");

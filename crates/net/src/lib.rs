@@ -8,7 +8,8 @@
 //! models the network as explicit, observable *links* rather than sockets:
 //!
 //! * [`meter`] — per-link byte/message counters, the source of every
-//!   bandwidth number in EXPERIMENTS.md.
+//!   bandwidth number the benches report (`link_bytes_per_onion` in
+//!   `benchmark/README.md`).
 //! * [`link`] — a [`link::Link`] carries batches of opaque ciphertexts
 //!   between hops and hands each batch to an optional [`link::Tap`],
 //!   which models the paper's §2.3 adversary: it can *monitor, block,

@@ -22,6 +22,11 @@ fn parse_args() -> Result<PathBuf, String> {
 
 fn run() -> Result<(), String> {
     let cfg = deploy::load_config(&parse_args()?)?;
+    // On stderr: stdout is what `vuvuzela-launch --check` reads. One
+    // preformatted line, so a launch's processes cannot interleave it.
+    let backend = vuvuzela::crypto::x25519::ladder_backend();
+    let line = format!("vuvuzela-entry: x25519 ladder backend {backend}\n");
+    eprint!("{line}");
     let stats = deploy::serve_entry(&cfg).map_err(|err| err.to_string())?;
     println!(
         "vuvuzela-entry: done ({} conversation, {} dialing rounds)",

@@ -41,6 +41,11 @@ fn run() -> Result<(), String> {
             cfg.system.chain_len
         ));
     }
+    // On stderr: stdout is what `vuvuzela-launch --check` reads. One
+    // preformatted line, so a launch's processes cannot interleave it.
+    let backend = vuvuzela::crypto::x25519::ladder_backend();
+    let line = format!("vuvuzela-server {position}: x25519 ladder backend {backend}\n");
+    eprint!("{line}");
     let stats = deploy::serve_server(&cfg, position).map_err(|err| err.to_string())?;
     println!(
         "vuvuzela-server {position}: done ({} conversation, {} dialing rounds)",

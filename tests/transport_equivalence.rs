@@ -205,11 +205,16 @@ fn overfill_entry(chain_len: usize, extra: usize) -> Error {
     // The dummy tail drains exactly the admitted rounds but never
     // answers, so the entry's window can only fill, never drain:
     // admission behaviour is a pure function of the client's sends.
+    // It hands its transport end back rather than dropping it: the link
+    // must stay open until the entry has returned, or the entry can see
+    // a closed downstream before it reads the out-of-window frame and
+    // fail with a transport error instead of the rejection under test.
     let window = chain_len.max(1);
     let drain = std::thread::spawn(move || {
         for _ in 0..window {
             dummy.recv().expect("forwarded round");
         }
+        dummy
     });
     let entry_clients: Arc<dyn Transport> = Arc::new(entry_clients);
     let entry_down: Arc<dyn Transport> = Arc::new(entry_down);
@@ -243,7 +248,7 @@ fn overfill_entry(chain_len: usize, extra: usize) -> Error {
         .expect("entry thread")
         .expect_err("overfilled entry must reject");
     drop(client_end);
-    drain.join().expect("drain thread");
+    drop(drain.join().expect("drain thread"));
     err
 }
 
