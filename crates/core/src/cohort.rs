@@ -4,10 +4,12 @@
 //! state and reply keys in flat parallel arrays instead of N
 //! [`Client`](crate::client::Client) objects. Each round it builds all
 //! requests directly into one [`RoundBuffer`] arena — no per-onion
-//! `Vec`, no per-client request list — parallelised over
-//! [`vuvuzela_net::WorkerPool`] strides, and ingests the round's
-//! replies the same way. One shared set of per-server DH tables serves
-//! the whole cohort.
+//! `Vec`, no per-client request list, no per-client key list —
+//! parallelised over [`vuvuzela_net::WorkerPool`] by chunk of
+//! consecutive clients, each chunk's onions wrapped together through
+//! [`onion::wrap_chunk_in_place`], and ingests the round's replies by
+//! client stripe. One shared set of per-server DH tables serves the
+//! whole cohort.
 //!
 //! The cohort is **byte-identical** to N individual `Client`s driven
 //! over the same derived RNG schedule: client `i`'s round randomness is
@@ -24,6 +26,7 @@
 
 use crate::client::{Client, ClientError, Conversation};
 use crate::config::SystemConfig;
+use crate::noise::WRAP_CHUNK_SLOTS;
 use crate::roundbuf::RoundBuffer;
 use crate::server::round_rng;
 use rand::rngs::StdRng;
@@ -73,9 +76,15 @@ struct PendingBatch {
     keys: Vec<LayerKey>,
 }
 
-/// One client's build-stage work item: its index, its conversation
-/// slots, and its stretch of the round arena.
-type BuildItem<'a> = (usize, &'a mut [Option<Box<Conversation>>], &'a mut [u8]);
+/// One build-stage work item — a chunk of consecutive clients: the
+/// chunk's index, the clients' conversation slots, their stretch of the
+/// round arena, and their window of the round's layer-key arena.
+type BuildItem<'a> = (
+    usize,
+    &'a mut [Option<Box<Conversation>>],
+    &'a mut [u8],
+    &'a mut [LayerKey],
+);
 
 /// One client's reply-ingestion work item: its conversation slots, its
 /// replies, and the layer keys recorded at build time.
@@ -114,8 +123,8 @@ impl ClientCohort {
     ///
     /// # Panics
     ///
-    /// Panics if `tables` does not have one entry per server key or the
-    /// config is invalid.
+    /// Panics if the chain is empty, `tables` does not have one entry
+    /// per server key, or the config is invalid.
     #[must_use]
     pub fn new(
         config: SystemConfig,
@@ -124,6 +133,7 @@ impl ClientCohort {
         tables: Arc<Vec<onion::PrecomputedServer>>,
     ) -> ClientCohort {
         config.validate();
+        assert!(!server_pks.is_empty(), "a cohort wraps for a chain");
         assert_eq!(tables.len(), server_pks.len(), "one table per server");
         ClientCohort {
             config,
@@ -300,8 +310,16 @@ impl ClientCohort {
     /// exactly one onion per slot per client, real or fake, written
     /// straight into a flat [`RoundBuffer`] (stride = onion width, no
     /// per-onion allocation) in client-major slot order. Work is split
-    /// across `config.workers` pool workers by client stripe; layer
-    /// keys are recorded for [`ClientCohort::handle_conversation_replies`].
+    /// across `config.workers` pool workers by chunk of consecutive
+    /// clients ([`WRAP_CHUNK_SLOTS`] onions), each chunk in two passes:
+    /// pass A walks its clients in index order doing everything that
+    /// draws from a client's RNG — per slot the fake-partner draw (idle
+    /// slots), the payload seal and encode, then that onion's
+    /// [`onion::draw_layer_secrets`], the interleaving a per-object
+    /// client produces — and pass B wraps the whole chunk through
+    /// [`onion::wrap_chunk_in_place`], which writes the layer keys for
+    /// [`ClientCohort::handle_conversation_replies`] straight into the
+    /// chunk's window of the round's one flat key arena.
     ///
     /// Byte-identical to each client running
     /// [`Client::build_conversation_requests`] with
@@ -315,6 +333,7 @@ impl ClientCohort {
         for _ in 0..n * slots_per {
             buf.push_with(|_| {});
         }
+        let mut keys = vec![LayerKey([0u8; 32]); n * slots_per * chain_len];
 
         let retransmit_after = self.config.retransmit_after;
         let window = self.window;
@@ -322,19 +341,27 @@ impl ClientCohort {
         let tables: &[onion::PrecomputedServer] = &self.tables;
         let secrets = &self.secrets;
         let publics = &self.publics;
+        let chunk_clients = (WRAP_CHUNK_SLOTS / slots_per).max(1);
+        let chunk_onions = chunk_clients * slots_per;
         let items: Vec<BuildItem<'_>> = self
             .slots
-            .chunks_mut(slots_per)
-            .zip(buf.arena_mut().chunks_mut(width * slots_per))
+            .chunks_mut(chunk_onions)
+            .zip(buf.arena_mut().chunks_mut(width * chunk_onions))
+            .zip(keys.chunks_mut(chain_len * chunk_onions))
             .enumerate()
-            .map(|(i, (slots, arena))| (i, slots, arena))
+            .map(|(c, ((slots, arena), keys))| (c, slots, arena, keys))
             .collect();
 
-        let keys: Vec<Vec<LayerKey>> =
-            WorkerPool::shared().map_vec(items, self.config.workers, |(i, slots, arena)| {
+        WorkerPool::shared().map_vec(items, self.config.workers, |(c, slots, arena, keys)| {
+            let mut layer_secrets = vec![[0u8; 32]; slots.len() * chain_len];
+            let mut onions = arena
+                .chunks_mut(width)
+                .zip(layer_secrets.chunks_mut(chain_len));
+            for (j, client_slots) in slots.chunks_mut(slots_per).enumerate() {
+                let i = c * chunk_clients + j;
                 let mut rng = client_round_rng(seed, round, i as u64);
-                let mut keys = Vec::with_capacity(slots_per * chain_len);
-                for (slot, onion_bytes) in slots.iter_mut().zip(arena.chunks_mut(width)) {
+                for slot in client_slots {
+                    let (onion_bytes, onion_secrets) = onions.next().expect("one onion per slot");
                     let payload = &mut onion_bytes[32 * chain_len..];
                     match slot {
                         Some(conversation) => {
@@ -358,23 +385,21 @@ impl ClientCohort {
                             .encode_into(payload);
                         }
                     }
-                    // Step 2: onion wrap, in place.
-                    keys.extend(onion::wrap_into_with(
-                        &mut rng,
-                        tables,
-                        round,
-                        onion_bytes,
-                        EXCHANGE_REQUEST_LEN,
-                    ));
+                    onion::draw_layer_secrets(&mut rng, onion_secrets);
                 }
-                keys
-            });
-        self.pending.insert(
-            round,
-            PendingBatch {
-                keys: keys.into_iter().flatten().collect(),
-            },
-        );
+            }
+            // Step 2: onion wrap, the chunk at once, in place.
+            onion::wrap_chunk_in_place(
+                tables,
+                round,
+                arena,
+                width,
+                EXCHANGE_REQUEST_LEN,
+                &layer_secrets,
+                Some(keys),
+            );
+        });
+        self.pending.insert(round, PendingBatch { keys });
         buf
     }
 
@@ -437,9 +462,11 @@ impl ClientCohort {
     /// Builds one dialing round's requests: every cohort client writes
     /// to the no-op drop (§5.2 — the cohort never dials, so its dialing
     /// traffic is pure cover). One onion per client, straight into a
-    /// flat [`RoundBuffer`]; byte-identical to each client running
-    /// [`Client::build_dial_request`] with an empty dial queue over
-    /// [`client_round_rng`].
+    /// flat [`RoundBuffer`], in the same two passes per chunk of
+    /// clients as [`ClientCohort::build_conversation_round`] (the cover
+    /// path never sees a reply, so no keys are kept); byte-identical to
+    /// each client running [`Client::build_dial_request`] with an empty
+    /// dial queue over [`client_round_rng`].
     pub fn build_dialing_round(&mut self, round: u64) -> RoundBuffer {
         let chain_len = self.server_pks.len();
         let width = onion::wrapped_len(DIAL_REQUEST_LEN, chain_len);
@@ -450,15 +477,31 @@ impl ClientCohort {
         }
         let seed = self.seed;
         let tables: &[onion::PrecomputedServer] = &self.tables;
-        let items: Vec<(usize, &mut [u8])> =
-            buf.arena_mut().chunks_mut(width).enumerate().collect();
-        WorkerPool::shared().map_vec(items, self.config.workers, |(i, onion_bytes)| {
-            let mut rng = client_round_rng(seed, round, i as u64);
-            let request = DialRequest::noop(&mut rng);
-            request.encode_into(&mut onion_bytes[32 * chain_len..]);
-            // Same bytes and RNG consumption as `wrap_into_with`; the
-            // cover path never sees a reply, so the keys are dropped.
-            onion::wrap_noise_into(&mut rng, tables, round, onion_bytes, DIAL_REQUEST_LEN);
+        let items: Vec<(usize, &mut [u8])> = buf
+            .arena_mut()
+            .chunks_mut(width * WRAP_CHUNK_SLOTS)
+            .enumerate()
+            .collect();
+        WorkerPool::shared().map_vec(items, self.config.workers, |(c, arena)| {
+            let mut layer_secrets = vec![[0u8; 32]; arena.len() / width * chain_len];
+            for (j, (onion_bytes, onion_secrets)) in arena
+                .chunks_mut(width)
+                .zip(layer_secrets.chunks_mut(chain_len))
+                .enumerate()
+            {
+                let mut rng = client_round_rng(seed, round, (c * WRAP_CHUNK_SLOTS + j) as u64);
+                DialRequest::noop(&mut rng).encode_into(&mut onion_bytes[32 * chain_len..]);
+                onion::draw_layer_secrets(&mut rng, onion_secrets);
+            }
+            onion::wrap_chunk_in_place(
+                tables,
+                round,
+                arena,
+                width,
+                DIAL_REQUEST_LEN,
+                &layer_secrets,
+                None,
+            );
         });
         buf
     }

@@ -8,13 +8,15 @@
 //! must be rejected, not silently ignored.
 
 use serde_json::{json, Value};
+use vuvuzela_crypto::onion::MAX_CHAIN;
 use vuvuzela_dp::{NoiseDistribution, NoiseMode};
 
 /// Configuration shared by every component of a Vuvuzela deployment.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Number of mix servers in the chain (the paper evaluates 1–6,
-    /// default 3 as in §8.1).
+    /// default 3 as in §8.1); at most [`MAX_CHAIN`], the longest chain
+    /// the onion wrapper supports.
     pub chain_len: usize,
     /// Conversation cover-traffic distribution per noising server
     /// (paper default µ = 300,000, b = 13,800 at production scale).
@@ -97,11 +99,15 @@ impl SystemConfig {
         })
     }
 
-    /// Deserializes from a JSON value, rejecting unknown fields.
+    /// Deserializes from a JSON value, rejecting unknown fields and a
+    /// `chain_len` the onion wrapper cannot serve (a deployment file
+    /// must fail here, not inside the first noising server's first
+    /// round).
     ///
     /// # Errors
     ///
-    /// A description of the first missing, unknown, or ill-typed field.
+    /// A description of the first missing, unknown, ill-typed or
+    /// out-of-range field.
     pub fn from_json(value: &Value) -> Result<SystemConfig, String> {
         let map = expect_object(value, "system config")?;
         reject_unknown(
@@ -118,8 +124,15 @@ impl SystemConfig {
             ],
             "system config",
         )?;
+        let chain_len = get_usize(map, "chain_len")?;
+        if !(1..=MAX_CHAIN).contains(&chain_len) {
+            return Err(format!(
+                "field \"chain_len\" must be between 1 and {MAX_CHAIN} (the longest chain \
+                 the onion wrapper supports), got {chain_len}"
+            ));
+        }
         Ok(SystemConfig {
-            chain_len: get_usize(map, "chain_len")?,
+            chain_len,
             conversation_noise: noise_from_json(require(map, "conversation_noise")?)?,
             dialing_noise: noise_from_json(require(map, "dialing_noise")?)?,
             noise_mode: noise_mode_from_str(
@@ -139,9 +152,16 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics on a zero-length chain or zero conversation slots, which
-    /// have no meaningful protocol interpretation.
+    /// have no meaningful protocol interpretation, and on a chain longer
+    /// than [`MAX_CHAIN`], which the onion wrapper would refuse
+    /// mid-round.
     pub fn validate(&self) {
         assert!(self.chain_len >= 1, "chain must have at least one server");
+        assert!(
+            self.chain_len <= MAX_CHAIN,
+            "chain of {} exceeds the onion wrapper's limit of {MAX_CHAIN} servers",
+            self.chain_len
+        );
         assert!(
             self.conversation_slots >= 1,
             "clients need at least one conversation slot"
@@ -321,6 +341,40 @@ mod tests {
         assert_eq!(cfg.conversation_noise.mu, 300_000.0);
         assert_eq!(cfg.dialing_noise.mu, 13_000.0);
         assert_eq!(cfg.noise_mode, NoiseMode::Sampled);
+    }
+
+    #[test]
+    fn chain_len_bounded_by_the_onion_wrapper() {
+        let with_chain = |chain_len: usize| {
+            let mut value = SystemConfig::default().to_json();
+            if let Value::Object(map) = &mut value {
+                map.insert("chain_len".to_string(), Value::from(chain_len as u64));
+            }
+            SystemConfig::from_json(&value)
+        };
+        for chain_len in [1, MAX_CHAIN] {
+            let cfg = with_chain(chain_len).expect("both ends of the range parse");
+            assert_eq!(cfg.chain_len, chain_len);
+            cfg.validate();
+        }
+        for chain_len in [0, MAX_CHAIN + 1] {
+            let err = with_chain(chain_len).expect_err("outside the range");
+            assert!(err.contains("chain_len"), "error names the field: {err}");
+            assert!(
+                err.contains(&format!("1 and {MAX_CHAIN}")),
+                "error names the limit: {err}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the onion wrapper's limit of 16")]
+    fn overlong_chain_rejected() {
+        let cfg = SystemConfig {
+            chain_len: MAX_CHAIN + 1,
+            ..SystemConfig::default()
+        };
+        cfg.validate();
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! suffix of the chain — this is why cover traffic is the dominant cost
 //! at small scale (§8.2) and why latency grows quadratically with chain
 //! length (Figure 11).
+//!
+//! The in-place generators ([`conversation_noise_into`],
+//! [`dialing_noise_into`]) write every payload into the round arena
+//! first, then wrap the noise slots a chunk at a time through
+//! [`onion::wrap_chunk_in_place`], so a round's thousands of keygens and
+//! DHs against the same few server keys share eight-wide ladders where
+//! the CPU has them. The allocating [`conversation_noise`] /
+//! [`dialing_noise`] stay at seed cost as the byte-identical reference.
 
 use crate::config::SystemConfig;
 use crate::roundbuf::RoundBuffer;
@@ -207,11 +215,20 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
     total
 }
 
+/// Slots per [`onion::wrap_chunk_in_place`] call on the bulk wrap paths
+/// (here and in [`crate::cohort`]): the granularity at which a worker
+/// batches onions' scalar multiplications into eight-wide ladders, and
+/// the unit the pool schedules.
+pub(crate) const WRAP_CHUNK_SLOTS: usize = 32;
+
 /// Onion-wraps `batch` slots `first..len` in place: each slot already
 /// holds its payload at offset `32 * chain.len()` (where
-/// [`onion::wrap_into`] expects it) and is sealed for the chain suffix in
-/// parallel. Seeds are drawn per slot from `rng` in slot order, exactly
-/// like [`wrap_payloads`] does for the allocating path.
+/// [`onion::wrap_into`] expects it) and is sealed for the chain suffix,
+/// a chunk of [`WRAP_CHUNK_SLOTS`] slots per [`onion::wrap_chunk_in_place`]
+/// call, chunks in parallel. Seeds are drawn per slot from `rng` in slot
+/// order, exactly like [`wrap_payloads`] does for the allocating path —
+/// and none at all for an empty chain; each slot's child RNG then
+/// yields only that onion's layer secrets.
 fn wrap_slots_in_place<R: RngCore + CryptoRng>(
     rng: &mut R,
     batch: &mut RoundBuffer,
@@ -224,8 +241,7 @@ fn wrap_slots_in_place<R: RngCore + CryptoRng>(
         return;
     }
     let count = batch.len() - first;
-    let width = batch.width();
-    let payload_len = width - chain.len() * onion::LAYER_OVERHEAD;
+    let payload_len = batch.width() - chain.len() * onion::LAYER_OVERHEAD;
     let seeds: Vec<[u8; 32]> = (0..count)
         .map(|_| {
             let mut seed = [0u8; 32];
@@ -237,10 +253,24 @@ fn wrap_slots_in_place<R: RngCore + CryptoRng>(
     let stride = batch.stride();
     let arena = batch.arena_mut();
     let region = &mut arena[first * stride..];
-    WorkerPool::shared().map_strides_mut(region, stride, workers, |i, slot| {
-        let mut child = StdRng::from_seed(seeds[i]);
-        onion::wrap_noise_into(&mut child, chain, round, &mut slot[..width], payload_len);
-    });
+    WorkerPool::shared().map_stride_chunks_mut(
+        region,
+        stride,
+        WRAP_CHUNK_SLOTS,
+        workers,
+        |first_slot, window| {
+            let slots = window.len().div_ceil(stride);
+            let mut secrets = vec![[0u8; 32]; slots * chain.len()];
+            for (seed, slot_secrets) in seeds[first_slot..]
+                .iter()
+                .zip(secrets.chunks_mut(chain.len()))
+            {
+                onion::draw_layer_secrets(&mut StdRng::from_seed(*seed), slot_secrets);
+            }
+            onion::wrap_chunk_in_place(chain, round, window, stride, payload_len, &secrets, None);
+            vec![(); slots]
+        },
+    );
 }
 
 /// The expected cover traffic a single noising server adds to one round
@@ -321,12 +351,18 @@ pub fn wrap_payloads<R: RngCore + CryptoRng>(
     })
 }
 
-/// [`wrap_payloads`] at production speed: per-server precomputed DH
-/// tables, comb keygen, and the in-place sealer — byte-identical output
-/// and RNG consumption to the reference version for equal parent RNG
-/// states (asserted by this module's tests). This is the workload
-/// generators' path: building a benchmark client population no longer
-/// pays ladder keygen or per-layer allocations.
+/// [`wrap_payloads`] at production speed: the payloads laid out in one
+/// flat arena and wrapped through [`wrap_slots_in_place`], the cover
+/// traffic's own chunked path — byte-identical output and RNG
+/// consumption to the reference version for equal parent RNG states
+/// (asserted by this module's tests). This is the workload generators'
+/// path: building a benchmark client population no longer pays ladder
+/// keygen or per-layer allocations.
+///
+/// # Panics
+///
+/// Panics if the payloads differ in length — a round's requests have
+/// exactly one size.
 pub fn wrap_payloads_precomputed<R: RngCore + CryptoRng>(
     rng: &mut R,
     payloads: Vec<Vec<u8>>,
@@ -334,29 +370,22 @@ pub fn wrap_payloads_precomputed<R: RngCore + CryptoRng>(
     round: u64,
     workers: usize,
 ) -> Vec<Vec<u8>> {
-    if chain.is_empty() {
+    if chain.is_empty() || payloads.is_empty() {
         return payloads;
     }
+    let payload_len = payloads[0].len();
     let precomp: Vec<onion::PrecomputedServer> = chain
         .iter()
         .map(|pk| onion::PrecomputedServer::new(*pk))
         .collect();
-    let chain_len = chain.len();
-    let seeded: Vec<([u8; 32], Vec<u8>)> = payloads
-        .into_iter()
-        .map(|p| {
-            let mut seed = [0u8; 32];
-            rng.fill_bytes(&mut seed);
-            (seed, p)
-        })
-        .collect();
-    parallel_map(seeded, workers, |(seed, payload)| {
-        let mut child = StdRng::from_seed(seed);
-        let mut buf = vec![0u8; onion::wrapped_len(payload.len(), chain_len)];
-        buf[32 * chain_len..32 * chain_len + payload.len()].copy_from_slice(&payload);
-        onion::wrap_noise_into(&mut child, &precomp, round, &mut buf, payload.len());
-        buf
-    })
+    let width = onion::wrapped_len(payload_len, chain.len());
+    let mut batch = RoundBuffer::with_capacity(width, width, payloads.len());
+    for payload in &payloads {
+        assert_eq!(payload.len(), payload_len, "payloads share one size");
+        batch.push_with(|slot| slot[32 * chain.len()..][..payload_len].copy_from_slice(payload));
+    }
+    wrap_slots_in_place(rng, &mut batch, 0, &precomp, round, workers);
+    batch.to_vecs()
 }
 
 #[cfg(test)]
@@ -491,6 +520,137 @@ mod tests {
         let reference = wrap_payloads(&mut rng_a, payloads.clone(), &chain, 4, 2);
         let fast = wrap_payloads_precomputed(&mut rng_b, payloads, &chain, 4, 2);
         assert_eq!(reference, fast);
+    }
+
+    /// A parent seed whose sampled `(n1, n2)` draws total exactly
+    /// `total` conversation noise onions under `dist`, found against
+    /// the cheap unwrapped path (the counts are the first two draws
+    /// whatever the chain).
+    fn seed_with_conversation_total(total: usize, dist: NoiseDistribution) -> u64 {
+        (0u64..)
+            .find(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let batch = conversation_noise(&mut rng, &[], 0, dist, NoiseMode::Sampled, 1);
+                batch.onions.len() == total
+            })
+            .expect("some seed draws the total")
+    }
+
+    #[test]
+    fn noise_into_matches_allocating_reference_at_batch_edges() {
+        // Noise totals on and around the octet (8 lanes), the 32-lane
+        // resolver group and the 32-slot worker chunk, at 1–3 workers:
+        // the chunked in-place path must reproduce the allocating
+        // reference's onions, counts and final RNG state, appended
+        // behind client slots it must not touch, in a strided arena.
+        let mut rng = StdRng::seed_from_u64(20);
+        let pks: Vec<PublicKey> = (0..2).map(|_| Keypair::generate(&mut rng).public).collect();
+        let precomp: Vec<onion::PrecomputedServer> = pks
+            .iter()
+            .map(|pk| onion::PrecomputedServer::new(*pk))
+            .collect();
+        let round = 3;
+
+        for total in [0usize, 1, 7, 8, 9, 31, 32, 33, 65] {
+            // Conversation noise for a two-server suffix, sampled.
+            let dist = NoiseDistribution::new(total as f64 / 2.0, 1.5);
+            let seed = seed_with_conversation_total(total, dist);
+            let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2);
+            for workers in 1..=3usize {
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = rng_a.clone();
+                let reference =
+                    conversation_noise(&mut rng_a, &pks, round, dist, NoiseMode::Sampled, workers);
+                assert_eq!(reference.onions.len(), total);
+
+                let mut batch = RoundBuffer::new(width + 16, width);
+                for _ in 0..2 {
+                    batch.push_with(|slot| slot.fill(0xAB));
+                }
+                let (singles, pairs) = conversation_noise_into(
+                    &mut rng_b,
+                    &mut batch,
+                    &precomp,
+                    round,
+                    dist,
+                    NoiseMode::Sampled,
+                    workers,
+                );
+                assert_eq!((singles, pairs), (reference.singles, reference.pairs));
+                let slots = batch.to_vecs();
+                assert!(slots[..2].iter().all(|s| s.iter().all(|&b| b == 0xAB)));
+                assert_eq!(
+                    &slots[2..],
+                    &reference.onions[..],
+                    "conversation total {total} workers {workers}"
+                );
+                assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "parent RNG state");
+            }
+
+            // Dialing noise for a one-server suffix: one drop whose
+            // deterministic count is the total.
+            let dist = NoiseDistribution::new(total as f64, 1.0);
+            let width = onion::wrapped_len(vuvuzela_wire::DIAL_REQUEST_LEN, 1);
+            for workers in 1..=3usize {
+                let mut rng_a = StdRng::seed_from_u64(500 + total as u64);
+                let mut rng_b = rng_a.clone();
+                let mode = NoiseMode::Deterministic;
+                let reference = dialing_noise(&mut rng_a, &pks[1..], round, 1, dist, mode, workers);
+                assert_eq!(reference.onions.len(), total);
+
+                let mut batch = RoundBuffer::new(width, width);
+                let added = dialing_noise_into(
+                    &mut rng_b,
+                    &mut batch,
+                    &precomp[1..],
+                    round,
+                    1,
+                    dist,
+                    mode,
+                    workers,
+                );
+                assert_eq!(added, reference.singles);
+                assert_eq!(
+                    batch.to_vecs(),
+                    reference.onions,
+                    "dialing total {total} workers {workers}"
+                );
+                assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "parent RNG state");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_chain_draws_no_wrapping_seeds() {
+        // The last server's substitutes are plain requests: the in-place
+        // path must stop after the payload draws, like the reference.
+        let dist = NoiseDistribution::new(9.0, 1.0);
+        let mode = NoiseMode::Deterministic;
+        let mut rng_a = StdRng::seed_from_u64(21);
+        let mut rng_b = rng_a.clone();
+        let mut payload_rng = rng_a.clone();
+
+        let reference = conversation_noise(&mut rng_a, &[], 0, dist, mode, 2);
+        let mut batch = RoundBuffer::new(EXCHANGE_REQUEST_LEN, EXCHANGE_REQUEST_LEN);
+        conversation_noise_into(&mut rng_b, &mut batch, &[], 0, dist, mode, 2);
+        assert_eq!(batch.to_vecs(), reference.onions);
+        assert_eq!(reference.onions.len(), 18);
+
+        // n1 = n2 = 9: ten singles (the odd leftover included), then
+        // four pairs each drawing its shared drop first — and nothing
+        // else was consumed.
+        for _ in 0..10 {
+            let _ = ExchangeRequest::noise(&mut payload_rng);
+        }
+        for _ in 0..4 {
+            let _ = DeadDropId::random(&mut payload_rng);
+            for _ in 0..2 {
+                let _ = ExchangeRequest::noise(&mut payload_rng);
+            }
+        }
+        let after = payload_rng.next_u64();
+        assert_eq!(rng_a.next_u64(), after);
+        assert_eq!(rng_b.next_u64(), after);
     }
 
     #[test]

@@ -25,6 +25,16 @@
 //! `x25519_base(k) == x25519(k, 9)` in tests — rather than pasted in, so
 //! a transcription error cannot silently corrupt keys.
 //!
+//! **Where the comb runs.** The tables serve every single-onion wrap
+//! ([`crate::onion::wrap_into_with`], [`crate::onion::wrap_noise_into`]:
+//! per-object clients, a server's substitute for a malformed onion),
+//! long-term keygen, and — on CPUs without AVX-512 IFMA — the bulk
+//! chunk wrap as well. Where the eight-wide ladder exists, one of its
+//! lanes (~8 µs) undercuts a comb multiplication (~12 µs), so
+//! [`crate::onion::wrap_chunk_in_place`] sends a whole chunk's keygens
+//! and DHs through the ladder instead and only borrows this module's
+//! batch resolver.
+//!
 //! Like the rest of this crate the table walk is not hardened
 //! constant-time (digit selection branches); see the crate-level security
 //! note.

@@ -19,6 +19,28 @@
 //! user's result on the way back" of §4.1. Each request layer therefore
 //! adds [`LAYER_OVERHEAD`] bytes, and each reply layer adds
 //! [`REPLY_LAYER_OVERHEAD`] bytes.
+//!
+//! # Which path each entry point takes
+//!
+//! Every wrap below produces the same bytes and layer keys from the same
+//! ephemeral secrets (X25519 is a function; [`draw_layer_secrets`] is
+//! the one definition of the order the secrets are drawn in), and every
+//! peel the same results; they differ in who computes the scalar
+//! multiplications.
+//!
+//! | entry point | scalar multiplications |
+//! |---|---|
+//! | [`wrap`] | scalar ladder, allocating — the seed reference |
+//! | [`wrap_into`] | comb keygen, scalar-ladder DH, in place |
+//! | [`wrap_into_with`], [`wrap_noise_into`] | comb keygen and comb DH (per-server tables), one onion on the stack — the single-onion path: per-object clients, a server's substitutes |
+//! | [`wrap_chunk_in_place`] | **the bulk path**, a chunk of arena slots per call: eight-wide ladder lanes on AVX-512 IFMA, the comb elsewhere — cover traffic, cohort build, workload generators |
+//! | [`peel`], [`peel_in_place`] | scalar ladder, one onion |
+//! | [`peel_chunk_in_place`] | **the bulk path**: eight-wide ladder on AVX-512 IFMA, four-wide portable ladder elsewhere |
+//!
+//! The chunk wrap sits beside the chunk peel: both take a run of
+//! fixed-stride slots, batch the ladders across onions, resolve the
+//! deferred inversions in shared groups, and pick their ladder by CPU
+//! detection alone ([`crate::x25519::ladder_backend`]).
 
 use crate::aead;
 use crate::hkdf::hkdf;
@@ -115,8 +137,8 @@ pub fn layer_key_from_shared(
 /// A chain server's public key plus (when the key lies on the curve
 /// proper) a precomputed Edwards comb table accelerating the per-onion
 /// `eph_sk · server_pk` Diffie-Hellman. Built once per long-lived server
-/// key; used by the bulk noise-wrapping path, which performs this DH for
-/// every cover onion, every round.
+/// key; the single-onion wraps use the table everywhere, the chunk wrap
+/// where the CPU lacks the eight-wide ladder.
 pub struct PrecomputedServer {
     /// The server's long-term public key.
     pub public: PublicKey,
@@ -222,9 +244,10 @@ pub fn wrap_into<R: RngCore + CryptoRng>(
 }
 
 /// Like [`wrap_into`], but performing each layer's Diffie-Hellman through
-/// the servers' precomputed comb tables — the bulk cover-traffic path,
-/// where the same chain suffix is wrapped thousands of times per round.
-/// Byte-identical output and RNG consumption.
+/// the servers' precomputed comb tables — the single-onion path, for
+/// callers that build one onion at a time against a chain they wrap for
+/// every round (bulk callers use [`wrap_chunk_in_place`]). Byte-identical
+/// output and RNG consumption.
 pub fn wrap_into_with<R: RngCore + CryptoRng>(
     rng: &mut R,
     servers: &[PrecomputedServer],
@@ -237,10 +260,11 @@ pub fn wrap_into_with<R: RngCore + CryptoRng>(
     keys[..servers.len()].iter().map(|k| LayerKey(*k)).collect()
 }
 
-/// [`wrap_into_with`] for callers that discard the layer keys — the bulk
-/// cover-traffic path, which never sees a reply to its own noise. Runs
-/// entirely on the stack (zero heap allocations per onion); identical RNG
-/// consumption and output bytes.
+/// [`wrap_into_with`] for callers that discard the layer keys — a
+/// server's one-off cover onions (the substitute for a malformed
+/// request), which never see a reply. Runs entirely on the stack (zero
+/// heap allocations per onion); identical RNG consumption and output
+/// bytes.
 ///
 /// # Panics
 ///
@@ -261,13 +285,27 @@ pub fn wrap_noise_into<R: RngCore + CryptoRng>(
 /// evaluates up to 6 servers).
 pub const MAX_CHAIN: usize = 16;
 
-/// Shared core of [`wrap_into_with`] / [`wrap_noise_into`]: draws all
-/// ephemeral secrets first (the same RNG order as `wrap`), runs every
-/// layer's keygen and DH with the field inversions deferred — 2·chain_len
-/// scalar multiplications share a single inversion, the whole batch on
-/// the stack — then seals innermost-outwards in place: each layer
-/// encrypts where it stands, appends its tag, and prefixes its ephemeral
-/// key. Layer keys are written to `keys_out[..servers.len()]`.
+/// Draws one onion's per-layer ephemeral secrets, `out[i]` for server
+/// `i` of the chain. This is the **single definition** of the wrapping
+/// RNG order: every wrap entry point — the allocating [`wrap`] draws the
+/// same bytes through [`Keypair::generate_reference`] — consumes exactly
+/// `32 · chain_len` bytes per onion, outermost layer first, so a bulk
+/// caller that draws with this and hands the secrets to
+/// [`wrap_chunk_in_place`] leaves its RNG where per-onion wrapping
+/// would.
+pub fn draw_layer_secrets<R: RngCore + CryptoRng>(rng: &mut R, out: &mut [[u8; 32]]) {
+    for secret in out {
+        rng.fill_bytes(secret);
+    }
+}
+
+/// Shared core of [`wrap_into_with`] / [`wrap_noise_into`], the
+/// single-onion path: draws all ephemeral secrets first
+/// ([`draw_layer_secrets`]), runs every layer's keygen and DH through
+/// the fixed-base comb tables with the field inversions deferred —
+/// 2·chain_len scalar multiplications share a single inversion, the
+/// whole batch on the stack — then seals through [`seal_layers`]. Layer
+/// keys are written to `keys_out[..servers.len()]`.
 fn wrap_with_core<R: RngCore + CryptoRng>(
     rng: &mut R,
     servers: &[PrecomputedServer],
@@ -278,23 +316,63 @@ fn wrap_with_core<R: RngCore + CryptoRng>(
 ) {
     let chain_len = servers.len();
     assert!(chain_len <= MAX_CHAIN, "chain too long for stack batching");
-    let total = wrapped_len(payload_len, chain_len);
-    assert!(buf.len() >= total, "wrapping needs the full onion stride");
 
-    let nonce = round_nonce(round, Direction::Request);
-    let mut secret_bytes = [[0u8; 32]; MAX_CHAIN];
-    for secret in secret_bytes.iter_mut().take(chain_len) {
-        rng.fill_bytes(secret);
-    }
+    let mut secrets = [[0u8; 32]; MAX_CHAIN];
+    draw_layer_secrets(rng, &mut secrets[..chain_len]);
     let mut pending = [crate::edwards::PendingU::PLACEHOLDER; 2 * MAX_CHAIN];
-    for (i, server) in servers.iter().enumerate() {
-        let secret = SecretKey::from_bytes(secret_bytes[i]);
-        pending[2 * i] = crate::x25519::x25519_base_pending(secret.as_bytes());
-        pending[2 * i + 1] = server.shared_with_pending(&secret);
-    }
+    comb_lanes(servers, 0, &secrets[..chain_len], &mut pending);
     let mut resolved = [[0u8; 32]; 2 * MAX_CHAIN];
     crate::x25519::resolve_pending_into(&pending[..2 * chain_len], &mut resolved[..2 * chain_len]);
 
+    let nonce = round_nonce(round, Direction::Request);
+    seal_layers(
+        servers,
+        &nonce,
+        &resolved[..2 * chain_len],
+        buf,
+        payload_len,
+        keys_out,
+    );
+}
+
+/// The comb arm of both wraps. `secrets` is a run of a slot-major
+/// secret list starting at its index `first`, so `secrets[k]` belongs
+/// to server `(first + k) % servers.len()`; `pending[2k]` becomes its
+/// keygen `secret · 9` and `pending[2k + 1]` its DH
+/// `secret · server_pk`, inversions deferred.
+fn comb_lanes(
+    servers: &[PrecomputedServer],
+    first: usize,
+    secrets: &[[u8; 32]],
+    pending: &mut [crate::edwards::PendingU],
+) {
+    for (k, secret) in secrets.iter().enumerate() {
+        let server = &servers[(first + k) % servers.len()];
+        pending[2 * k] = crate::x25519::x25519_base_pending(secret);
+        pending[2 * k + 1] = server.shared_with_pending(&SecretKey::from_bytes(*secret));
+    }
+}
+
+/// Shared tail of the single-onion and chunk wraps. `resolved` holds one
+/// onion's scalar multiplications, `[2i]` the layer-`i` ephemeral public
+/// key and `[2i + 1]` its shared secret with `servers[i]`; this derives
+/// every layer key (HKDF, rejecting a degenerate secret) into
+/// `keys_out[..servers.len()]`, then seals innermost-outwards in place:
+/// each layer encrypts where it stands, appends its tag, and prefixes
+/// its ephemeral key.
+fn seal_layers(
+    servers: &[PrecomputedServer],
+    nonce: &[u8; aead::NONCE_LEN],
+    resolved: &[[u8; 32]],
+    buf: &mut [u8],
+    payload_len: usize,
+    keys_out: &mut [[u8; 32]; MAX_CHAIN],
+) {
+    let chain_len = servers.len();
+    assert!(
+        buf.len() >= wrapped_len(payload_len, chain_len),
+        "wrapping needs the full onion stride"
+    );
     for (i, server) in servers.iter().enumerate() {
         let eph_public = PublicKey::from_bytes(resolved[2 * i]);
         let shared = SharedSecret(resolved[2 * i + 1]);
@@ -306,10 +384,156 @@ fn wrap_with_core<R: RngCore + CryptoRng>(
     let mut start = 32 * chain_len;
     let mut content_len = payload_len;
     for i in (0..chain_len).rev() {
-        let sealed = aead::seal_in_place(&keys_out[i], &nonce, &[], &mut buf[start..], content_len);
+        let sealed = aead::seal_in_place(&keys_out[i], nonce, &[], &mut buf[start..], content_len);
         buf[start - 32..start].copy_from_slice(&resolved[2 * i]);
         start -= 32;
         content_len = sealed + 32;
+    }
+}
+
+/// Client / noising-server side: onion-wraps **every slot of a chunk**,
+/// in place — the bulk path beside [`peel_chunk_in_place`]. Slot `i`
+/// occupies `chunk[i * stride .. i * stride + wrapped_len]` with its
+/// payload already at offset `32 * servers.len()` (where [`wrap_into`]
+/// expects it); `secrets` holds the per-layer ephemeral secrets the
+/// caller drew with [`draw_layer_secrets`], slot-major,
+/// `servers.len()` per slot. Per slot the output bytes and layer keys
+/// are identical to [`wrap_into_with`] fed the same secrets from its
+/// RNG; what changes is who computes the `2 · chain_len · slots` scalar
+/// multiplications (each secret once against u = 9, once against its
+/// server's key):
+///
+/// * where the CPU has AVX-512 IFMA (see
+///   [`crate::x25519::ladder_backend`]) they go eight independent
+///   `(scalar, point)` lanes at a time through the eight-wide ladder —
+///   a lane of it is cheaper than the fixed-base comb, and the lanes
+///   need not share a scalar or a base; a partial last octet repeats
+///   its last pair and drops the spare lanes, exactly as the peel does,
+///   and a twist-point server key is just another ladder input;
+/// * elsewhere they run through the comb tables per layer, as the
+///   single-onion wrap does.
+///
+/// Either way the inversions resolve in shared groups of
+/// [`crate::edwards`]'s resolver width, and HKDF, the degenerate-secret
+/// check and the in-place seal are [`seal_layers`], the single-onion
+/// path's own tail. The choice is CPU detection alone.
+///
+/// Layer keys are written to `keys_out` when given (slot-major,
+/// `servers.len()` per slot, ordered like `servers`); cover traffic
+/// passes `None`. The only heap use is one scratch vector per call.
+///
+/// # Panics
+///
+/// Panics if the chain exceeds [`MAX_CHAIN`] servers, `secrets` (or
+/// `keys_out`) does not hold `servers.len()` entries per slot, or a
+/// slot (`stride`, and what is left of `chunk` for the last one) is
+/// shorter than a wrapped onion.
+pub fn wrap_chunk_in_place(
+    servers: &[PrecomputedServer],
+    round: u64,
+    chunk: &mut [u8],
+    stride: usize,
+    payload_len: usize,
+    secrets: &[[u8; 32]],
+    keys_out: Option<&mut [LayerKey]>,
+) {
+    wrap_chunk_core(
+        servers,
+        round,
+        chunk,
+        stride,
+        payload_len,
+        secrets,
+        keys_out,
+        LadderMode::detect(),
+    );
+}
+
+/// [`wrap_chunk_in_place`] with the ladder choice explicit, so the
+/// equivalence tests can drive both arms on one host:
+/// [`LadderMode::Oct`] runs the eight-wide ladder, every other mode the
+/// comb (no narrower ladder beats a fixed-base table).
+#[allow(clippy::too_many_arguments)]
+fn wrap_chunk_core(
+    servers: &[PrecomputedServer],
+    round: u64,
+    chunk: &mut [u8],
+    stride: usize,
+    payload_len: usize,
+    secrets: &[[u8; 32]],
+    mut keys_out: Option<&mut [LayerKey]>,
+    mode: LadderMode,
+) {
+    let chain_len = servers.len();
+    assert!(chain_len <= MAX_CHAIN, "chain too long for stack batching");
+    assert!(
+        stride > 0 && stride >= wrapped_len(payload_len, chain_len),
+        "a slot holds a whole wrapped onion"
+    );
+    let count = chunk.len().div_ceil(stride);
+    assert_eq!(
+        secrets.len(),
+        count * chain_len,
+        "one secret per layer per slot"
+    );
+    if let Some(keys) = &keys_out {
+        assert_eq!(keys.len(), secrets.len(), "one key per layer per slot");
+    }
+    if secrets.is_empty() {
+        return; // no slots, or nothing to wrap them for
+    }
+
+    // Every scalar multiplication of the chunk, in lane order
+    // (`2k` keygen, `2k + 1` DH of `secrets[k]`), one resolver group —
+    // four octets — at a time.
+    const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
+    let mut resolved = vec![[0u8; 32]; 2 * secrets.len()];
+    for (g, out) in resolved.chunks_mut(GROUP).enumerate() {
+        let first = g * GROUP;
+        let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
+        match mode {
+            #[cfg(target_arch = "x86_64")]
+            LadderMode::Oct(ifma) => {
+                for oct in (0..out.len()).step_by(crate::fe8::LANES) {
+                    let live = (out.len() - oct).min(crate::fe8::LANES);
+                    let lane = |l: usize| first + oct + l.min(live - 1);
+                    let points = crate::x25519::x25519_pending_oct(
+                        ifma,
+                        core::array::from_fn(|l| &secrets[lane(l) / 2]),
+                        core::array::from_fn(|l| match lane(l) % 2 {
+                            0 => &crate::x25519::BASE_POINT,
+                            _ => servers[lane(l) / 2 % chain_len].public.as_bytes(),
+                        }),
+                    );
+                    pending[oct..oct + live].copy_from_slice(&points[..live]);
+                }
+            }
+            LadderMode::Quad | LadderMode::Scalar => comb_lanes(
+                servers,
+                first / 2,
+                &secrets[first / 2..(first + out.len()) / 2],
+                &mut pending,
+            ),
+        }
+        crate::x25519::resolve_pending_into(&pending[..out.len()], out);
+    }
+
+    let nonce = round_nonce(round, Direction::Request);
+    let mut keys = [[0u8; 32]; MAX_CHAIN];
+    for (i, onion) in resolved.chunks_exact(2 * chain_len).enumerate() {
+        seal_layers(
+            servers,
+            &nonce,
+            onion,
+            &mut chunk[i * stride..],
+            payload_len,
+            &mut keys,
+        );
+        if let Some(keys_out) = keys_out.as_deref_mut() {
+            for (out, key) in keys_out[i * chain_len..].iter_mut().zip(&keys[..chain_len]) {
+                *out = LayerKey(*key);
+            }
+        }
     }
 }
 
@@ -396,9 +620,10 @@ pub fn peel_in_place(
     Ok((key, inner_len))
 }
 
-/// Which Montgomery-ladder implementation a chunk peel drives.
-/// Production takes [`LadderMode::detect`]'s answer; the scalar ladder
-/// is the equivalence/benchmark reference.
+/// Which Montgomery-ladder implementation a chunk peel drives — and
+/// whether a chunk wrap drives one at all (only [`LadderMode::Oct`]
+/// beats its comb tables). Production takes [`LadderMode::detect`]'s
+/// answer; the scalar ladder is the equivalence/benchmark reference.
 #[derive(Clone, Copy)]
 enum LadderMode {
     /// Eight onions per `Fe8` ladder on AVX-512 IFMA; a partial last
@@ -542,7 +767,7 @@ fn peel_chunk_core(
                 for oct in admitted_idx[..admitted_len].chunks(crate::fe8::LANES) {
                     let out = crate::x25519::x25519_pending_oct(
                         ifma,
-                        server_secret.as_bytes(),
+                        [server_secret.as_bytes(); crate::fe8::LANES],
                         core::array::from_fn(|lane| &eph[oct[lane.min(oct.len() - 1)]]),
                     );
                     for (&j, p) in oct.iter().zip(out) {
@@ -801,6 +1026,196 @@ mod tests {
                 assert_eq!(a.0, b.0);
             }
         }
+    }
+
+    #[test]
+    fn wrap_chunk_matches_per_slot_and_allocating_wrap() {
+        // Chunk wrap == per-slot `wrap_into_with` == allocating `wrap`,
+        // onion bytes and layer keys, for every count 0..=40 at chain
+        // lengths 1..=4 — lane totals 2·chain_len·count on and off the
+        // octet and the 32-lane resolver group — in a strided arena
+        // whose headroom must stay untouched, with a twist-point server
+        // key in the longer chains, through both arms of the chunk wrap,
+        // and with the RNG left where `count` per-onion wraps leave it.
+        use rand::RngCore;
+        let mut rng = StdRng::seed_from_u64(94);
+        let twist = loop {
+            let mut u = [0u8; 32];
+            rng.fill_bytes(&mut u);
+            // The Edwards table cannot represent twist points.
+            if DhTable::new(&PublicKey(u)).is_none() {
+                break PublicKey(u);
+            }
+        };
+        let test = "wrap_chunk_matches_per_slot_and_allocating_wrap";
+        #[cfg(target_arch = "x86_64")]
+        let oct = crate::fe8::ifma_or_skip(test).map(LadderMode::Oct);
+        #[cfg(not(target_arch = "x86_64"))]
+        let oct: Option<LadderMode> = None;
+        let payload_len = 24;
+        let round = 5;
+
+        for chain_len in 1..=4usize {
+            let mut pks: Vec<PublicKey> = chain(chain_len, &mut rng)
+                .iter()
+                .map(|kp| kp.public)
+                .collect();
+            if chain_len >= 2 {
+                pks[chain_len / 2] = twist;
+            }
+            let servers: Vec<PrecomputedServer> =
+                pks.iter().map(|pk| PrecomputedServer::new(*pk)).collect();
+            let width = wrapped_len(payload_len, chain_len);
+            let stride = width + 7;
+
+            for count in 0..=40usize {
+                let parent = StdRng::seed_from_u64((1_000 * chain_len + count) as u64);
+                let payloads: Vec<Vec<u8>> = (0..count)
+                    .map(|i| (0..payload_len).map(|b| (31 * i + b) as u8).collect())
+                    .collect();
+
+                let mut rng_ref = parent.clone();
+                let mut rng_slot = parent.clone();
+                let mut want_keys: Vec<[u8; 32]> = Vec::new();
+                let mut want_onions: Vec<Vec<u8>> = Vec::new();
+                for payload in &payloads {
+                    let (onion, keys) = wrap(&mut rng_ref, &pks, round, payload);
+                    let mut buf = vec![0u8; width];
+                    buf[32 * chain_len..32 * chain_len + payload_len].copy_from_slice(payload);
+                    let slot_keys =
+                        wrap_into_with(&mut rng_slot, &servers, round, &mut buf, payload_len);
+                    assert_eq!(buf, onion, "chain {chain_len} count {count}: per-slot");
+                    for (a, b) in keys.iter().zip(&slot_keys) {
+                        assert_eq!(a.0, b.0, "chain {chain_len} count {count}: per-slot key");
+                    }
+                    want_keys.extend(keys.iter().map(|k| k.0));
+                    want_onions.push(onion);
+                }
+
+                let mut rng_chunk = parent.clone();
+                let mut secrets = vec![[0u8; 32]; count * chain_len];
+                for slot_secrets in secrets.chunks_mut(chain_len) {
+                    draw_layer_secrets(&mut rng_chunk, slot_secrets);
+                }
+                let after = rng_ref.next_u64();
+                assert_eq!(rng_slot.next_u64(), after, "per-slot RNG state");
+                assert_eq!(rng_chunk.next_u64(), after, "chunk RNG state");
+
+                let mut arena = vec![0xEEu8; count * stride];
+                for (i, payload) in payloads.iter().enumerate() {
+                    let at = i * stride + 32 * chain_len;
+                    arena[at..at + payload_len].copy_from_slice(payload);
+                }
+                if count % 2 == 1 {
+                    // The last slot may end with its onion.
+                    arena.truncate((count - 1) * stride + width);
+                }
+
+                for mode in [Some(LadderMode::Quad), oct].into_iter().flatten() {
+                    let mut wrapped = arena.clone();
+                    let mut keys = vec![LayerKey([0u8; 32]); count * chain_len];
+                    wrap_chunk_core(
+                        &servers,
+                        round,
+                        &mut wrapped,
+                        stride,
+                        payload_len,
+                        &secrets,
+                        Some(&mut keys),
+                        mode,
+                    );
+                    for (i, slot) in wrapped.chunks(stride).enumerate() {
+                        assert_eq!(
+                            &slot[..width],
+                            &want_onions[i][..],
+                            "chain {chain_len} count {count} slot {i}"
+                        );
+                        assert!(slot[width..].iter().all(|&b| b == 0xEE), "headroom");
+                    }
+                    let got_keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
+                    assert_eq!(got_keys, want_keys, "chain {chain_len} count {count} keys");
+
+                    // The key-less (cover traffic) form writes the same bytes.
+                    let mut keyless = arena.clone();
+                    wrap_chunk_core(
+                        &servers,
+                        round,
+                        &mut keyless,
+                        stride,
+                        payload_len,
+                        &secrets,
+                        None,
+                        mode,
+                    );
+                    assert_eq!(keyless, wrapped, "chain {chain_len} count {count} keyless");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_chunk_public_entry_peels_down_the_chain() {
+        // The detected-mode entry point end to end: 19 slots (a partial
+        // octet, a partial resolver group) wrapped for three servers
+        // peel back to their payloads, and the recorded layer keys open
+        // the replies.
+        let mut rng = StdRng::seed_from_u64(95);
+        let servers = chain(3, &mut rng);
+        let precomp: Vec<PrecomputedServer> = servers
+            .iter()
+            .map(|kp| PrecomputedServer::new(kp.public))
+            .collect();
+        let (count, payload_len, round) = (19usize, 40usize, 8u64);
+        let width = wrapped_len(payload_len, 3);
+        let mut arena = vec![0u8; count * width];
+        for (i, slot) in arena.chunks_mut(width).enumerate() {
+            slot[96..96 + payload_len].fill(i as u8 + 1);
+        }
+        let mut secrets = vec![[0u8; 32]; count * 3];
+        for slot_secrets in secrets.chunks_mut(3) {
+            draw_layer_secrets(&mut rng, slot_secrets);
+        }
+        let mut keys = vec![LayerKey([0u8; 32]); count * 3];
+        wrap_chunk_in_place(
+            &precomp,
+            round,
+            &mut arena,
+            width,
+            payload_len,
+            &secrets,
+            Some(&mut keys),
+        );
+
+        for (i, slot) in arena.chunks(width).enumerate() {
+            let mut onion = slot.to_vec();
+            let mut reply = vec![i as u8; 16];
+            let mut server_keys = Vec::new();
+            for kp in &servers {
+                let (key, inner) = peel(&kp.secret, &kp.public, round, &onion).expect("peel");
+                server_keys.push(key);
+                onion = inner;
+            }
+            assert_eq!(onion, vec![i as u8 + 1; payload_len], "slot {i}");
+            for key in server_keys.iter().rev() {
+                reply = wrap_reply_layer(key, round, &reply);
+            }
+            let opened =
+                unwrap_reply_layers(&keys[3 * i..3 * i + 3], round, &reply).expect("reply");
+            assert_eq!(opened, vec![i as u8; 16], "slot {i} reply");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one secret per layer per slot")]
+    fn wrap_chunk_rejects_a_short_secret_list() {
+        let mut rng = StdRng::seed_from_u64(96);
+        let servers: Vec<PrecomputedServer> = chain(2, &mut rng)
+            .iter()
+            .map(|kp| PrecomputedServer::new(kp.public))
+            .collect();
+        let width = wrapped_len(8, 2);
+        let mut arena = vec![0u8; 3 * width];
+        wrap_chunk_in_place(&servers, 0, &mut arena, width, 8, &[[7u8; 32]; 5], None);
     }
 
     #[test]

@@ -246,24 +246,31 @@ pub(crate) fn x25519_pending_quad(scalar: &[u8; 32], us: [&[u8; 32]; LANES]) -> 
     ladder4([&k; LANES], us)
 }
 
-/// [`x25519_pending_quad`] eight-wide on AVX-512 IFMA: the onion
-/// peeler's path wherever an [`Ifma`] token can be had. Byte-identical
-/// to eight scalar [`x25519`] calls.
+/// Eight independent `X25519(scalars[l], us[l])` ladders in lockstep on
+/// AVX-512 IFMA, every inversion deferred — wherever an [`Ifma`] token
+/// can be had this is the onion peeler's path (all eight lanes carry
+/// the server's one secret), the chunk wrapper's (each onion layer's
+/// fresh ephemeral secret, once against u = 9 and once against its
+/// server's key) and [`x25519_batch`]'s. Byte-identical to eight scalar
+/// [`x25519`] calls.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn x25519_pending_oct(
     ifma: Ifma,
-    scalar: &[u8; 32],
+    scalars: [&[u8; 32]; fe8::LANES],
     us: [&[u8; 32]; fe8::LANES],
 ) -> [PendingU; fe8::LANES] {
-    let k = clamp(*scalar);
-    ladder8_on(ifma, [&k; fe8::LANES], us)
+    let clamped: [[u8; 32]; fe8::LANES] = core::array::from_fn(|l| clamp(*scalars[l]));
+    ladder8_on(ifma, core::array::from_fn(|l| &clamped[l]), us)
 }
 
-/// Which ladder the batched paths ([`x25519_batch`], the onion peeler)
-/// run on this machine: `"avx512-ifma x8"` when the CPU has AVX-512F
-/// and IFMA, `"portable x4"` otherwise. The choice is made by CPU
-/// detection alone; binaries print this once at start-up so a log says
-/// which kernel produced its numbers.
+/// Which ladder the batched paths ([`x25519_batch`], the onion peeler
+/// and, where it is the eight-wide one, the bulk onion wrapper — see
+/// [`crate::onion::wrap_chunk_in_place`]) run on this machine:
+/// `"avx512-ifma x8"` when the CPU has AVX-512F and IFMA,
+/// `"portable x4"` otherwise (bulk wrapping then stays on the
+/// fixed-base comb tables). The choice is made by CPU detection alone;
+/// binaries print this once at start-up so a log says which kernel
+/// produced its numbers.
 #[must_use]
 pub fn ladder_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
@@ -334,10 +341,9 @@ fn batch_pending_oct(ifma: Ifma, scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<P
     let mut pending = Vec::with_capacity(scalars.len());
     for (ks, points) in scalars.chunks(fe8::LANES).zip(us.chunks(fe8::LANES)) {
         let last = ks.len() - 1;
-        let clamped: [[u8; 32]; fe8::LANES] = core::array::from_fn(|l| clamp(ks[l.min(last)]));
-        let out = ladder8_on(
+        let out = x25519_pending_oct(
             ifma,
-            core::array::from_fn(|l| &clamped[l]),
+            core::array::from_fn(|l| &ks[l.min(last)]),
             core::array::from_fn(|l| &points[l.min(last)]),
         );
         pending.extend_from_slice(&out[..ks.len()]);

@@ -1073,6 +1073,24 @@ mod tests {
     }
 
     #[test]
+    fn deployment_with_overlong_chain_fails_at_parse_time() {
+        // 17 servers with 17 addresses is self-consistent, but no onion
+        // could be wrapped for it: the file must be refused here, not by
+        // a panic inside the first noising server's first round.
+        let mut cfg = smoke_config();
+        cfg.system.chain_len = onion::MAX_CHAIN + 1;
+        cfg.server_addrs = vec!["127.0.0.1:0".to_string(); onion::MAX_CHAIN + 1];
+        let err = DeploymentConfig::from_json(&cfg.to_json()).expect_err("chain too long");
+        assert!(err.contains("chain_len"), "names the field: {err}");
+        assert!(err.contains("16"), "names the limit: {err}");
+
+        cfg.system.chain_len = onion::MAX_CHAIN;
+        cfg.server_addrs.pop();
+        let parsed = DeploymentConfig::from_json(&cfg.to_json()).expect("the limit itself parses");
+        assert_eq!(parsed.system.chain_len, onion::MAX_CHAIN);
+    }
+
+    #[test]
     fn client_rounds_are_deterministic() {
         let cfg = smoke_config();
         let pks = cfg.server_public_keys();

@@ -14,8 +14,12 @@ use vuvuzela::crypto::x25519::Keypair;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 
 fn cfg(slots: usize, workers: usize) -> SystemConfig {
+    cfg_chain(2, slots, workers)
+}
+
+fn cfg_chain(chain_len: usize, slots: usize, workers: usize) -> SystemConfig {
     SystemConfig {
-        chain_len: 2,
+        chain_len,
         conversation_noise: NoiseDistribution::new(2.0, 1.0),
         dialing_noise: NoiseDistribution::new(2.0, 1.0),
         noise_mode: NoiseMode::Deterministic,
@@ -164,5 +168,87 @@ proptest! {
         chain_a.run_dialing_round(round, Batch::Flat(buf), num_drops);
         chain_b.run_dialing_round(round, reference, num_drops);
         prop_assert_eq!(chain_a.dialing_observables(), chain_b.dialing_observables());
+    }
+}
+
+/// Cohort sizes around the chunk wrap's batch edges — the octet of
+/// ladder lanes, the 32-onion worker chunk and its second and third
+/// chunks — at one and two conversation slots and chains of one to
+/// three servers. Active and idle slots alternate in the flat order
+/// (with two slots: `AA II AI AA II AI …`), so within a client and
+/// across a chunk the fake-partner draws interleave with the layer-
+/// secret draws; the last client talks too, so the tail chunk is not
+/// all idle. Requests must match the per-object clients byte for byte,
+/// conversation and dialing, and the layer keys the chunk wrap recorded
+/// must open the chain's replies.
+#[test]
+fn cohort_matches_clients_at_chunk_edges() {
+    for n in [7usize, 8, 9, 33, 65] {
+        for slots in 1..=2usize {
+            for chain_len in 1..=3usize {
+                let workers = 1 + (n + slots + chain_len) % 3;
+                let config = cfg_chain(chain_len, slots, workers);
+                let seed = (1_000 * n + 10 * slots + chain_len) as u64;
+                let mut chain = Chain::new(config.clone(), seed);
+                let pks = chain.server_public_keys();
+                let case = format!("n {n} slots {slots} chain {chain_len}");
+
+                let cohort_seed = seed ^ 0xED6E;
+                let mut cohort = ClientCohort::with_own_tables(config.clone(), cohort_seed, &pks);
+                cohort.join(n);
+                let mut clients = reference_clients(n, cohort_seed, &config, &chain);
+
+                let mut pairs = vec![(0, 2), (3, 5), (n - 1, 4)];
+                if slots == 2 {
+                    pairs.push((0, 3));
+                }
+                for &(a, b) in &pairs {
+                    let (pk_a, pk_b) = (clients[a].public_key(), clients[b].public_key());
+                    cohort.pair(a, b).expect("pair");
+                    clients[a].start_conversation(pk_b).expect("start");
+                    clients[b].start_conversation(pk_a).expect("start");
+                    let body = format!("{a} to {b}").into_bytes();
+                    cohort.queue_message(a, &pk_b, &body).expect("queue");
+                    clients[a].queue_message(&pk_b, &body).expect("queue");
+                }
+
+                for round in 0..2u64 {
+                    let buf = cohort.build_conversation_round(round);
+                    let mut per_client = Vec::with_capacity(n);
+                    for (i, client) in clients.iter_mut().enumerate() {
+                        let mut rng = client_round_rng(cohort_seed, round, i as u64);
+                        per_client.push(client.build_conversation_requests(&mut rng, round, &pks));
+                    }
+                    let (flat, layout) = entry::multiplex(per_client);
+                    assert_eq!(buf.to_vecs(), flat, "{case} round {round} requests");
+
+                    let (replies, _) = chain.run_conversation_round(round, Batch::Flat(buf));
+                    cohort.handle_conversation_replies(round, &replies);
+                    for (i, client_replies) in
+                        entry::demultiplex(&layout, replies).into_iter().enumerate()
+                    {
+                        clients[i].handle_conversation_replies(round, client_replies);
+                    }
+                }
+                for &(a, b) in &pairs {
+                    let pk_a = clients[a].public_key();
+                    let want = vec![format!("{a} to {b}").into_bytes()];
+                    assert_eq!(cohort.delivered_from(b, &pk_a), want, "{case} {a} -> {b}");
+                    assert_eq!(clients[b].delivered_from(&pk_a), want, "{case} {a} -> {b}");
+                }
+
+                let round = 9u64;
+                let buf = cohort.build_dialing_round(round);
+                let reference: Vec<Vec<u8>> = clients
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, client)| {
+                        let mut rng = client_round_rng(cohort_seed, round, i as u64);
+                        client.build_dial_request(&mut rng, round, 4, &pks)
+                    })
+                    .collect();
+                assert_eq!(buf.to_vecs(), reference, "{case} dial requests");
+            }
+        }
     }
 }
