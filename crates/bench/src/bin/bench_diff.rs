@@ -31,15 +31,16 @@
 //!   cannot fail the build while a real regression (a halved speedup)
 //!   still does.
 //!
-//! Wall-clock ratios also depend on **which x25519 ladder the CPU
+//! Wall-clock ratios also depend on **which x25519 kernels the CPU
 //! ran**: `speedup_peel_batched` is ~1.2 on the portable four-wide
-//! ladder and ~4 on the eight-wide AVX-512 IFMA one, and every other
-//! flat-versus-reference ratio moves with it. `bench_round_pipeline`
-//! records the kernel as a top-level `ladder_backend` string; when both
-//! files carry one and they differ, the wall-clock ratios are reported
-//! as skipped instead of compared, so an IFMA baseline cannot fail a
-//! runner without IFMA, nor a portable baseline hide a regression on a
-//! runner with it.
+//! ladder and ~4 on the eight-wide AVX-512 IFMA one,
+//! `speedup_wrap_chunk` ~1 on the scalar comb and ~3 on the eight-wide
+//! one, and every other flat-versus-reference ratio moves with them.
+//! `bench_round_pipeline` records the kernel as a top-level
+//! `ladder_backend` string; when both files carry one and they differ,
+//! the wall-clock ratios are reported as skipped instead of compared,
+//! so an IFMA baseline cannot fail a runner without IFMA, nor a
+//! portable baseline hide a regression on a runner with it.
 //!
 //! A metric regresses when `fresh < (1 − tolerance) × baseline`.
 //! Metrics present in only one file are reported but don't fail the

@@ -27,7 +27,10 @@
 //! Montgomery ladder this CPU runs (`ladder_backend` in the artefact:
 //! eight-wide AVX-512 IFMA or the portable four-wide `Fe4`) against
 //! both the scalar-ladder chunk path it replaced and the seed-era
-//! per-slot peel (see `vuvuzela_bench::peelstage`).
+//! per-slot peel; a `wrap` section beside it prices the chunk wrap
+//! (cover traffic, cohort build: the comb tables eight lanes at a time
+//! on that backend) against the single-onion wrap over the same tables
+//! (see `vuvuzela_bench::peelstage`).
 //! Written to `BENCH_round_pipeline.json` at the workspace root for the
 //! perf trajectory; regenerate with
 //! `cargo run --release -p vuvuzela-bench --bin bench_round_pipeline`.
@@ -213,6 +216,7 @@ fn main() {
     let flat = best(&flat);
 
     let peel = vuvuzela_bench::peelstage::run(4096, 5, true);
+    let wrap = vuvuzela_bench::peelstage::run_wrap(4096, CHAIN_LEN, 5);
 
     let ref_rate = ONIONS as f64 / reference.first_hop_secs;
     let flat_rate = ONIONS as f64 / flat.first_hop_secs;
@@ -256,6 +260,7 @@ fn main() {
         "speedup_first_hop": speedup_first,
         "speedup_full_chain": speedup_full,
         "peel": peel,
+        "wrap": wrap,
     });
 
     // Committed at the workspace root (unlike the bench_results/

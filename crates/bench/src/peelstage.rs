@@ -1,5 +1,6 @@
-//! Isolated peel-stage micro-benchmark, shared by
-//! `bench_round_pipeline` and `bench_streaming_chain`.
+//! Isolated peel-stage and wrap-stage micro-benchmarks: [`run`] is
+//! shared by `bench_round_pipeline` and `bench_streaming_chain`,
+//! [`run_wrap`] (described on the function) is `bench_round_pipeline`'s.
 //!
 //! Times one server peeling a fixed arena of single-layer onions
 //! through up to three implementations over identical input bytes:
@@ -173,4 +174,105 @@ pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_js
             "speedup_peel_batched": batched / reference,
         })
     }
+}
+
+/// Slots per [`onion::wrap_chunk_in_place`] call in [`run_wrap`]: the
+/// chunk the bulk callers (noise generation, cohort build) hand it.
+const WRAP_CHUNK_SLOTS: usize = 32;
+
+/// Runs the wrap-stage comparison: `onions` payloads wrapped for a
+/// `chain_len`-server chain, best of `iterations` interleaved passes,
+/// through the two production wrap paths over identical secrets:
+///
+/// * **single-onion** (`onion::wrap_noise_into` per onion): scalar
+///   comb-table keygen and DH, one inversion per onion — what a
+///   per-object client or a server's substitute onion pays;
+/// * **chunk** (`onion::wrap_chunk_in_place`, 32 slots a call): the
+///   bulk path of cover traffic and cohort build — the eight-wide comb
+///   on AVX-512 IFMA, the same scalar comb elsewhere.
+///
+/// Rates are wrapped *layers* per second (`onions · chain_len` per
+/// pass). `speedup_wrap_chunk` (chunk ÷ single-onion) prices the
+/// eight-wide comb against the scalar one; it is ~1 on the portable
+/// backend, so like `speedup_peel_batched` it rides the `bench_diff`
+/// gate only between artefacts from the same `ladder_backend`.
+///
+/// # Panics
+///
+/// Panics if the two paths disagree on any output byte.
+#[must_use]
+pub fn run_wrap(onions: usize, chain_len: usize, iterations: usize) -> serde_json::Value {
+    let mut rng = StdRng::seed_from_u64(4243);
+    let servers: Vec<onion::PrecomputedServer> = (0..chain_len)
+        .map(|_| onion::PrecomputedServer::new(Keypair::generate(&mut rng).public))
+        .collect();
+    let width = onion::wrapped_len(PAYLOAD_LEN, chain_len);
+    let round = 1u64;
+    // Zero payloads in place; the secrets both paths consume, in the
+    // one order `draw_layer_secrets` defines.
+    let arena = vec![0u8; onions * width];
+    let mut secrets = vec![[0u8; 32]; onions * chain_len];
+    let secrets_rng = rng.clone();
+    for slot_secrets in secrets.chunks_mut(chain_len) {
+        onion::draw_layer_secrets(&mut rng, slot_secrets);
+    }
+
+    let wrap_chunks = |a: &mut [u8]| {
+        for (chunk, chunk_secrets) in a
+            .chunks_mut(WRAP_CHUNK_SLOTS * width)
+            .zip(secrets.chunks(WRAP_CHUNK_SLOTS * chain_len))
+        {
+            onion::wrap_chunk_in_place(
+                &servers,
+                round,
+                chunk,
+                width,
+                PAYLOAD_LEN,
+                chunk_secrets,
+                None,
+            );
+        }
+    };
+    let wrap_singly = |a: &mut [u8]| {
+        let mut rng = secrets_rng.clone();
+        for slot in a.chunks_mut(width) {
+            onion::wrap_noise_into(&mut rng, &servers, round, slot, PAYLOAD_LEN);
+        }
+    };
+    let time = |wrap: &dyn Fn(&mut [u8])| -> (f64, Vec<u8>) {
+        let mut a = arena.clone();
+        let start = Instant::now();
+        wrap(&mut a);
+        (start.elapsed().as_secs_f64(), a)
+    };
+
+    println!("\nwrap stage: {onions} onions x {chain_len} layers ({width}B)...");
+    assert_eq!(
+        time(&wrap_chunks).1,
+        time(&wrap_singly).1,
+        "chunk and single-onion wraps diverged"
+    );
+    println!("wrap outputs byte-identical across both paths");
+
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..iterations {
+        best[0] = best[0].min(time(&wrap_singly).0);
+        best[1] = best[1].min(time(&wrap_chunks).0);
+    }
+    let layers = (onions * chain_len) as f64;
+    let single = layers / best[0];
+    let chunk = layers / best[1];
+    println!(
+        "wrap: single-onion {single:>8.0} layers/s   chunk {chunk:>8.0} layers/s   {:.2}x",
+        chunk / single
+    );
+    serde_json::json!({
+        "onions": onions,
+        "chain_len": chain_len,
+        "onion_width_bytes": width,
+        "iterations": iterations,
+        "single_onion_layers_per_sec": single,
+        "chunk_layers_per_sec": chunk,
+        "speedup_wrap_chunk": chunk / single,
+    })
 }

@@ -12,8 +12,8 @@
 //! [`dialing_noise_into`]) write every payload into the round arena
 //! first, then wrap the noise slots a chunk at a time through
 //! [`onion::wrap_chunk_in_place`], so a round's thousands of keygens and
-//! DHs against the same few server keys share eight-wide ladders where
-//! the CPU has them. The allocating [`conversation_noise`] /
+//! DHs against the same few server keys walk those keys' comb tables
+//! eight lanes in lockstep where the CPU can. The allocating [`conversation_noise`] /
 //! [`dialing_noise`] stay at seed cost as the byte-identical reference.
 
 use crate::config::SystemConfig;
@@ -217,8 +217,9 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
 
 /// Slots per [`onion::wrap_chunk_in_place`] call on the bulk wrap paths
 /// (here and in [`crate::cohort`]): the granularity at which a worker
-/// batches onions' scalar multiplications into eight-wide ladders, and
-/// the unit the pool schedules.
+/// batches onions' fixed-base scalar multiplications into eight-lane
+/// comb walks (a chain-3 chunk is 192 lanes: 24 full octets, six
+/// shared inversions), and the unit the pool schedules.
 pub(crate) const WRAP_CHUNK_SLOTS: usize = 32;
 
 /// Onion-wraps `batch` slots `first..len` in place: each slot already

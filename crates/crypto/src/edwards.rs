@@ -25,19 +25,25 @@
 //! `x25519_base(k) == x25519(k, 9)` in tests — rather than pasted in, so
 //! a transcription error cannot silently corrupt keys.
 //!
-//! **Where the comb runs.** The tables serve every single-onion wrap
-//! ([`crate::onion::wrap_into_with`], [`crate::onion::wrap_noise_into`]:
-//! per-object clients, a server's substitute for a malformed onion),
-//! long-term keygen, and — on CPUs without AVX-512 IFMA — the bulk
-//! chunk wrap as well. Where the eight-wide ladder exists, one of its
-//! lanes (~8 µs) undercuts a comb multiplication (~12 µs), so
-//! [`crate::onion::wrap_chunk_in_place`] sends a whole chunk's keygens
-//! and DHs through the ladder instead and only borrows this module's
-//! batch resolver.
+//! **Where the comb runs.** Everywhere a base is fixed: the tables
+//! serve every single-onion wrap ([`crate::onion::wrap_into_with`],
+//! [`crate::onion::wrap_noise_into`]: per-object clients, a server's
+//! substitute for a malformed onion), long-term keygen, and the bulk
+//! chunk wrap ([`crate::onion::wrap_chunk_in_place`]: cover traffic,
+//! cohort build). The walk exists twice over the same tables:
+//! [`scalarmult_comb`], one scalar at a time over [`Fe`] (~12 µs with
+//! its inversion), and — on CPUs with AVX-512 IFMA —
+//! [`scalarmult_pending_oct`], eight independent `(table, scalar)`
+//! lanes in lockstep over [`Fe8`](crate::fe8::Fe8) (~2.3 µs a lane,
+//! against ~8 µs for a lane of the eight-wide *ladder*, which is why
+//! the chunk wrap no longer runs a variable-base algorithm on its
+//! fixed bases). The chunk wrap takes the eight-wide walk where it
+//! exists and the scalar one elsewhere; single-onion wraps always take
+//! the scalar one. Both feed the same batch resolver.
 //!
 //! Like the rest of this crate the table walk is not hardened
-//! constant-time (digit selection branches); see the crate-level security
-//! note.
+//! constant-time (digit selection branches, in the eight-wide walk per
+//! lane); see the crate-level security note.
 
 use crate::field::Fe;
 use crate::x25519::BASE_POINT;
@@ -67,8 +73,8 @@ struct BaseTable {
     d2: Fe,
     /// `d`, for on-curve checks when building point tables.
     d: Fe,
-    /// `rows[i][j−1] = (j+0) · 16²ⁱ · B` in Niels form, `j = 1..=8`.
-    rows: Box<[[Niels; 8]; 32]>,
+    /// The base point's comb table.
+    base: PointTable,
 }
 
 /// A comb table for an *arbitrary* curve point — the same radix-16
@@ -78,6 +84,7 @@ struct BaseTable {
 /// with a fresh scalar every time) runs at comb speed instead of ladder
 /// speed. See [`crate::x25519::DhTable`] for the public wrapper.
 pub(crate) struct PointTable {
+    /// `rows[i][j−1] = j · 16²ⁱ · P` in Niels form, `j = 1..=8`.
     rows: Box<[[Niels; 8]; 32]>,
 }
 
@@ -92,6 +99,13 @@ impl PointTable {
         Some(PointTable {
             rows: comb_table(point, &consts.d2),
         })
+    }
+
+    /// The base point's own table (u = 9), for the lanes of
+    /// [`scalarmult_pending_oct`] that generate keys.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn base() -> &'static PointTable {
+        &table().base
     }
 
     /// `clamped_scalar · P` as a Montgomery u-coordinate; bit-identical
@@ -391,8 +405,10 @@ fn build_table() -> BaseTable {
         "Edwards base point must map to Montgomery u = 9"
     );
 
-    let rows = comb_table(bp, &d2);
-    BaseTable { d2, d, rows }
+    let base = PointTable {
+        rows: comb_table(bp, &d2),
+    };
+    BaseTable { d2, d, base }
 }
 
 /// Builds the 32×8 signed-radix-16 comb table for a point `p`:
@@ -459,13 +475,13 @@ fn signed_radix16(scalar: &[u8; 32]) -> [i8; 64] {
 /// [`crate::x25519::x25519_base`].
 pub(crate) fn scalarmult_base_u(clamped_scalar: &[u8; 32]) -> [u8; 32] {
     let table = table();
-    scalarmult_comb(&table.rows, &table.d2, clamped_scalar).montgomery_u()
+    scalarmult_comb(&table.base.rows, &table.d2, clamped_scalar).montgomery_u()
 }
 
 /// Fixed-base scalar multiplication with the inversion deferred.
 pub(crate) fn scalarmult_base_pending(clamped_scalar: &[u8; 32]) -> PendingU {
     let table = table();
-    scalarmult_comb(&table.rows, &table.d2, clamped_scalar).montgomery_pending()
+    scalarmult_comb(&table.base.rows, &table.d2, clamped_scalar).montgomery_pending()
 }
 
 fn add_digit(h: &Extended, row: &[Niels; 8], digit: i8) -> Extended {
@@ -473,6 +489,187 @@ fn add_digit(h: &Extended, row: &[Niels; 8], digit: i8) -> Extended {
         core::cmp::Ordering::Greater => h.add_niels(&row[digit as usize - 1]),
         core::cmp::Ordering::Less => h.sub_niels(&row[(-digit) as usize - 1]),
         core::cmp::Ordering::Equal => *h,
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use oct::scalarmult_pending_oct;
+
+/// The comb walk eight lanes at a time over [`Fe8`](crate::fe8::Fe8):
+/// [`scalarmult_comb`] formula for formula, with each lane looking its
+/// own digit up in its own table. Everything here but the entry point
+/// is `#[target_feature]` code over value intrinsics, safe to call from
+/// one another.
+#[cfg(target_arch = "x86_64")]
+mod oct {
+    use super::{signed_radix16, Niels, PendingU, PointTable};
+    use crate::fe8::{Fe8, Ifma, LANES};
+    use crate::field::Fe;
+
+    /// Eight [`Extended`](super::Extended) points, one per lane.
+    pub(super) struct Extended8 {
+        pub(super) x: Fe8,
+        pub(super) y: Fe8,
+        pub(super) z: Fe8,
+        pub(super) t: Fe8,
+    }
+
+    /// Eight [`Niels`] points, one per lane.
+    pub(super) struct Niels8 {
+        pub(super) y_plus_x: Fe8,
+        pub(super) y_minus_x: Fe8,
+        pub(super) t2d: Fe8,
+    }
+
+    /// The neutral element (0, 1) in Niels form: what a zero digit adds.
+    const IDENTITY: Niels = Niels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        t2d: Fe::ZERO,
+    };
+
+    impl Niels8 {
+        /// Lane `l` becomes `digits[l] · 16²ⁱ · P_l` from `rows[l]`, row
+        /// `i` of its point's table: entry `|digit| − 1`, or the
+        /// identity for digit 0 (so the lockstep addition that follows
+        /// leaves that lane's point where it was); a negative digit's
+        /// lane is then negated the way [`Extended::sub_niels`] does
+        /// it, `y±x` swapped and `2dxy` replaced by its negative, both
+        /// by a masked blend.
+        ///
+        /// [`Extended::sub_niels`]: super::Extended::sub_niels
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        pub(super) fn lookup(rows: [&[Niels; 8]; LANES], digits: [i8; LANES]) -> Niels8 {
+            let mut negative = 0u8;
+            let entries: [&Niels; LANES] = core::array::from_fn(|l| {
+                negative |= u8::from(digits[l] < 0) << l;
+                match digits[l].unsigned_abs() {
+                    0 => &IDENTITY,
+                    j => &rows[l][usize::from(j) - 1],
+                }
+            });
+            let mut n = Niels8 {
+                y_plus_x: Fe8::from_fes(&entries.map(|e| e.y_plus_x)),
+                y_minus_x: Fe8::from_fes(&entries.map(|e| e.y_minus_x)),
+                t2d: Fe8::from_fes(&entries.map(|e| e.t2d)),
+            };
+            Fe8::cswap(negative, &mut n.y_plus_x, &mut n.y_minus_x);
+            let mut negated = Fe8::splat(Fe::ZERO).sub(&n.t2d);
+            Fe8::cswap(negative, &mut n.t2d, &mut negated);
+            n
+        }
+    }
+
+    impl Extended8 {
+        /// The neutral element in every lane.
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn identity() -> Extended8 {
+            Extended8 {
+                x: Fe8::splat(Fe::ZERO),
+                y: Fe8::splat(Fe::ONE),
+                z: Fe8::splat(Fe::ONE),
+                t: Fe8::splat(Fe::ZERO),
+            }
+        }
+
+        /// Mixed addition, [`Extended::add_niels`] in every lane.
+        ///
+        /// [`Extended::add_niels`]: super::Extended::add_niels
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        pub(super) fn add_niels(&self, n: &Niels8) -> Extended8 {
+            let a = self.y.sub(&self.x).mul(&n.y_minus_x);
+            let b = self.y.add(&self.x).mul(&n.y_plus_x);
+            let c = self.t.mul(&n.t2d);
+            let d = self.z.add(&self.z);
+            let e = b.sub(&a);
+            let f = d.sub(&c);
+            let g = d.add(&c);
+            let h = b.add(&a);
+            Extended8 {
+                x: e.mul(&f),
+                y: g.mul(&h),
+                z: f.mul(&g),
+                t: e.mul(&h),
+            }
+        }
+
+        /// Doubling ("dbl-2008-hwcd" for a = −1, every output negated,
+        /// which names the same point and spares a negation): four
+        /// squarings and four multiplications where the scalar walk
+        /// spends the unified addition's nine on each of its four
+        /// doublings.
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        pub(super) fn double(&self) -> Extended8 {
+            let xx = self.x.square();
+            let yy = self.y.square();
+            let zz = self.z.square();
+            let e = self.x.add(&self.y).square().sub(&xx).sub(&yy); // 2XY
+            let h = yy.add(&xx);
+            let g = yy.sub(&xx);
+            let f = zz.add(&zz).sub(&g);
+            Extended8 {
+                x: e.mul(&f),
+                y: g.mul(&h),
+                z: f.mul(&g),
+                t: e.mul(&h),
+            }
+        }
+    }
+
+    /// [`scalarmult_comb`](super::scalarmult_comb) in eight lanes: odd
+    /// digits, four doublings, even digits, each step one lookup and
+    /// one mixed addition across all lanes. Lanes leave as the
+    /// `(Z+Y, Z−Y)` of [`Extended::montgomery_pending`].
+    ///
+    /// [`Extended::montgomery_pending`]: super::Extended::montgomery_pending
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn comb8(
+        tables: [&PointTable; LANES],
+        clamped_scalars: [&[u8; 32]; LANES],
+    ) -> [PendingU; LANES] {
+        let digits: [[i8; 64]; LANES] =
+            core::array::from_fn(|l| signed_radix16(clamped_scalars[l]));
+        let add_digits = |h: &Extended8, i: usize| {
+            h.add_niels(&Niels8::lookup(
+                core::array::from_fn(|l| &tables[l].rows[i / 2]),
+                core::array::from_fn(|l| digits[l][i]),
+            ))
+        };
+        let mut h = Extended8::identity();
+        for i in (1..64).step_by(2) {
+            h = add_digits(&h, i);
+        }
+        for _ in 0..4 {
+            h = h.double();
+        }
+        for i in (0..64).step_by(2) {
+            h = add_digits(&h, i);
+        }
+        let (nums, dens) = (h.z.add(&h.y).to_fes(), h.z.sub(&h.y).to_fes());
+        core::array::from_fn(|l| PendingU {
+            num: nums[l],
+            den: dens[l],
+        })
+    }
+
+    /// Eight comb multiplications in lockstep on AVX-512 IFMA: lane `l`
+    /// is `clamped_scalars[l] · P_l`, `P_l` the point `tables[l]` was
+    /// built for, as a Montgomery u-coordinate with its inversion
+    /// deferred — after [`resolve_batch_into`](super::resolve_batch_into)
+    /// byte-identical to [`PointTable::scalarmult_u`], hence to
+    /// `x25519`. The lanes share nothing: any mix of tables (the base
+    /// point's among them, see [`PointTable::base`]) and scalars. The
+    /// one place safe code enters the eight-wide comb.
+    #[allow(unsafe_code)]
+    pub(crate) fn scalarmult_pending_oct(
+        _ifma: Ifma,
+        tables: [&PointTable; LANES],
+        clamped_scalars: [&[u8; 32]; LANES],
+    ) -> [PendingU; LANES] {
+        // SAFETY: `comb8` needs a CPU with avx512f and avx512ifma, and
+        // an `Ifma` can only be built by `Ifma::detect`, which found
+        // both.
+        unsafe { comb8(tables, clamped_scalars) }
     }
 }
 
@@ -632,5 +829,293 @@ mod tests {
         assert!(r == two || r == Fe::ZERO.sub(&two));
         // 2 is a non-residue mod 2^255−19.
         assert!(fe_sqrt(&two).is_none());
+    }
+    /// The eight-wide comb, held to `x25519` through its one entry
+    /// point and operation by operation to the scalar walk. Every test
+    /// asks `fe8::ifma_or_skip`, so a CPU without IFMA logs SKIPPED.
+    #[cfg(target_arch = "x86_64")]
+    mod oct {
+        use super::super::oct::{Extended8, Niels8};
+        use super::*;
+        use crate::fe8::{ifma_or_skip, Fe8, Ifma, LANES};
+
+        /// One octet through the eight-wide comb, resolved.
+        fn comb_oct(
+            ifma: Ifma,
+            tables: [&PointTable; LANES],
+            scalars: &[[u8; 32]; LANES],
+        ) -> [[u8; 32]; LANES] {
+            let clamped = scalars.map(clamp);
+            let pending =
+                scalarmult_pending_oct(ifma, tables, core::array::from_fn(|l| &clamped[l]));
+            let mut out = [[0u8; 32]; LANES];
+            resolve_batch_into(&pending, &mut out);
+            out
+        }
+
+        fn hex32(s: &str) -> [u8; 32] {
+            core::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex"))
+        }
+
+        #[test]
+        fn oct_comb_known_answers() {
+            let Some(ifma) = ifma_or_skip("oct_comb_known_answers") else {
+                return;
+            };
+            // RFC 7748 §6.1: Alice's and Bob's secrets against the base
+            // point's table give their public keys, against a table of
+            // the other's public key the shared secret — base-point and
+            // per-point lanes side by side in one octet.
+            let alice = hex32("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+            let bob = hex32("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+            let alice_pk =
+                hex32("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a");
+            let bob_pk = hex32("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f");
+            let shared = hex32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
+            let base = PointTable::base();
+            let to_alice = PointTable::new(&alice_pk).expect("a public key is on the curve");
+            let to_bob = PointTable::new(&bob_pk).expect("a public key is on the curve");
+            let out = comb_oct(
+                ifma,
+                [
+                    base, &to_bob, base, &to_alice, &to_alice, base, &to_bob, base,
+                ],
+                &[alice, alice, bob, bob, bob, bob, alice, alice],
+            );
+            let want = [
+                alice_pk, shared, bob_pk, shared, shared, bob_pk, shared, alice_pk,
+            ];
+            assert_eq!(out, want);
+
+            // 320 random (scalar, table) lanes: each lane draws its
+            // table from the base point's and six random points'.
+            let mut rng = StdRng::seed_from_u64(31);
+            let points: Vec<[u8; 32]> = (0..6)
+                .map(|_| {
+                    let mut k = [0u8; 32];
+                    rng.fill_bytes(&mut k);
+                    x25519(&k, &BASE_POINT)
+                })
+                .collect();
+            let tables: Vec<PointTable> = points
+                .iter()
+                .map(|u| PointTable::new(u).expect("k·B is on the curve"))
+                .collect();
+            for octet in 0..40 {
+                let picks: [usize; LANES] = core::array::from_fn(|_| (rng.next_u32() % 7) as usize);
+                let mut scalars = [[0u8; 32]; LANES];
+                for k in &mut scalars {
+                    rng.fill_bytes(k);
+                }
+                let out = comb_oct(ifma, picks.map(|p| tables.get(p).unwrap_or(base)), &scalars);
+                for l in 0..LANES {
+                    let u = points.get(picks[l]).unwrap_or(&BASE_POINT);
+                    assert_eq!(out[l], x25519(&scalars[l], u), "octet {octet} lane {l}");
+                }
+            }
+            // CI runs this test with --nocapture to log what it covered.
+            println!("eight-wide comb: exercised, 328 lanes equal x25519");
+        }
+
+        #[test]
+        fn oct_comb_digit_edges() {
+            let Some(ifma) = ifma_or_skip("oct_comb_digit_edges") else {
+                return;
+            };
+            let edges = [[0xFFu8; 32], [0x00; 32], [0x88; 32], [0x77; 32]];
+            // What each edge does to the digits, so the cases below
+            // are the cases they claim to be.
+            let digits = edges.map(|k| signed_radix16(&clamp(k)));
+            assert_eq!(digits[0][63], 8, "all-ones: the top digit reaches 8");
+            assert!(digits[0][1..63].iter().all(|&d| d == 0));
+            assert!(digits[1][..63].iter().all(|&d| d == 0), "all-zero");
+            assert!(digits[2][..63].iter().all(|&d| d == -8 || d == -7));
+            assert!(digits[3][1..].iter().all(|&d| d == 7));
+
+            let mut rng = StdRng::seed_from_u64(32);
+            let mut k = [0u8; 32];
+            rng.fill_bytes(&mut k);
+            let point = x25519(&k, &BASE_POINT);
+            let table = PointTable::new(&point).expect("k·B is on the curve");
+            let base = PointTable::base();
+            // Each edge against both tables, then rotated so every
+            // edge meets the other table and four other lanes.
+            let scalars: [[u8; 32]; LANES] = core::array::from_fn(|l| edges[l % 4]);
+            for rotate in 0..LANES {
+                let lanes: [(&PointTable, &[u8; 32]); LANES] =
+                    core::array::from_fn(|l| match (l + rotate) % 8 < 4 {
+                        true => (base, &BASE_POINT),
+                        false => (&table, &point),
+                    });
+                let out = comb_oct(ifma, lanes.map(|(table, _)| table), &scalars);
+                for l in 0..LANES {
+                    let want = x25519(&scalars[l], lanes[l].1);
+                    assert_eq!(out[l], want, "rotation {rotate} lane {l}");
+                }
+            }
+        }
+
+        #[test]
+        fn oct_comb_low_order_table_resolves_to_zero_alone() {
+            let Some(ifma) = ifma_or_skip("oct_comb_low_order_table_resolves_to_zero_alone") else {
+                return;
+            };
+            // u = 0 (order 2) and u = 1 (order 4) are on the curve, so
+            // they do get tables; a clamped scalar is a multiple of 8
+            // and sends them to the identity, Z − Y = 0.
+            let mut one = [0u8; 32];
+            one[0] = 1;
+            let base = PointTable::base();
+            let mut rng = StdRng::seed_from_u64(33);
+            for (case, u) in [[0u8; 32], one].iter().enumerate() {
+                let low = PointTable::new(u).expect("low-order points are on the curve");
+                for lane in 0..LANES {
+                    let mut scalars = [[0u8; 32]; LANES];
+                    for k in &mut scalars {
+                        rng.fill_bytes(k);
+                    }
+                    let tables: [&PointTable; LANES] =
+                        core::array::from_fn(|l| if l == lane { &low } else { base });
+                    let out = comb_oct(ifma, tables, &scalars);
+                    for l in 0..LANES {
+                        let want = if l == lane {
+                            [0u8; 32]
+                        } else {
+                            x25519(&scalars[l], &BASE_POINT)
+                        };
+                        assert_eq!(out[l], want, "case {case} low-order lane {lane}, lane {l}");
+                    }
+                }
+                // All eight lanes at once: every denominator is zero.
+                let out = comb_oct(ifma, [&low; LANES], &[[0x5Au8; 32]; LANES]);
+                assert_eq!(out, [[0u8; 32]; LANES], "case {case}");
+            }
+        }
+
+        /// What the point operations make of one octet of inputs.
+        struct PointOps {
+            looked_up: [Niels; LANES],
+            added: [Extended; LANES],
+            doubled: [Extended; LANES],
+        }
+
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn point_ops_ifma(
+            points: &[Extended; LANES],
+            rows: [&[Niels; 8]; LANES],
+            digits: [i8; LANES],
+        ) -> PointOps {
+            let unpack = |p: Extended8| {
+                let (x, y, z, t) = (p.x.to_fes(), p.y.to_fes(), p.z.to_fes(), p.t.to_fes());
+                core::array::from_fn(|l| Extended {
+                    x: x[l],
+                    y: y[l],
+                    z: z[l],
+                    t: t[l],
+                })
+            };
+            let h = Extended8 {
+                x: Fe8::from_fes(&points.map(|p| p.x)),
+                y: Fe8::from_fes(&points.map(|p| p.y)),
+                z: Fe8::from_fes(&points.map(|p| p.z)),
+                t: Fe8::from_fes(&points.map(|p| p.t)),
+            };
+            let n = Niels8::lookup(rows, digits);
+            let (added, doubled) = (unpack(h.add_niels(&n)), unpack(h.double()));
+            let (ypx, ymx, t2d) = (n.y_plus_x.to_fes(), n.y_minus_x.to_fes(), n.t2d.to_fes());
+            PointOps {
+                looked_up: core::array::from_fn(|l| Niels {
+                    y_plus_x: ypx[l],
+                    y_minus_x: ymx[l],
+                    t2d: t2d[l],
+                }),
+                added,
+                doubled,
+            }
+        }
+
+        /// The tests' own token-guarded way into `#[target_feature]`
+        /// code (the library has exactly one, `scalarmult_pending_oct`).
+        #[allow(unsafe_code)]
+        fn point_ops(
+            _ifma: Ifma,
+            points: &[Extended; LANES],
+            rows: [&[Niels; 8]; LANES],
+            digits: [i8; LANES],
+        ) -> PointOps {
+            // SAFETY: the `Ifma` token proves avx512f and avx512ifma.
+            unsafe { point_ops_ifma(points, rows, digits) }
+        }
+
+        /// Whether two extended representations name one point, and
+        /// `got` keeps `T·Z = X·Y`.
+        fn same_point(got: &Extended, want: &Extended) -> bool {
+            got.x.mul(&want.z) == want.x.mul(&got.z)
+                && got.y.mul(&want.z) == want.y.mul(&got.z)
+                && got.t.mul(&got.z) == got.x.mul(&got.y)
+        }
+
+        #[test]
+        fn oct_point_ops_match_scalar_lane_by_lane() {
+            let Some(ifma) = ifma_or_skip("oct_point_ops_match_scalar_lane_by_lane") else {
+                return;
+            };
+            let consts = table();
+            let mut rng = StdRng::seed_from_u64(34);
+            let mut random_point = |rows: &[[Niels; 8]; 32]| {
+                let mut k = [0u8; 32];
+                rng.fill_bytes(&mut k);
+                scalarmult_comb(rows, &consts.d2, &clamp(k))
+            };
+            let other = PointTable {
+                rows: comb_table(random_point(&consts.base.rows), &consts.d2),
+            };
+            // Every digit −8..=8 in every lane, against points with
+            // Z ≠ 1, lanes alternating between two tables and rows.
+            for shift in 0..17i8 {
+                let digits: [i8; LANES] = core::array::from_fn(|l| (shift + 5 * l as i8) % 17 - 8);
+                let rows: [&[Niels; 8]; LANES] = core::array::from_fn(|l| match l % 2 {
+                    0 => &consts.base.rows[(3 * l + shift as usize) % 32],
+                    _ => &other.rows[(5 * l + shift as usize) % 32],
+                });
+                let points: [Extended; LANES] = core::array::from_fn(|_| random_point(&other.rows));
+                let out = point_ops(ifma, &points, rows, digits);
+                for l in 0..LANES {
+                    let want = match digits[l] {
+                        0 => Niels {
+                            y_plus_x: Fe::ONE,
+                            y_minus_x: Fe::ONE,
+                            t2d: Fe::ZERO,
+                        },
+                        d if d > 0 => rows[l][d as usize - 1],
+                        d => {
+                            let n = rows[l][(-d) as usize - 1];
+                            Niels {
+                                y_plus_x: n.y_minus_x,
+                                y_minus_x: n.y_plus_x,
+                                t2d: Fe::ZERO.sub(&n.t2d),
+                            }
+                        }
+                    };
+                    let got = &out.looked_up[l];
+                    assert!(
+                        got.y_plus_x == want.y_plus_x
+                            && got.y_minus_x == want.y_minus_x
+                            && got.t2d == want.t2d,
+                        "lookup of digit {} in lane {l}",
+                        digits[l]
+                    );
+                    assert!(
+                        same_point(&out.added[l], &add_digit(&points[l], rows[l], digits[l])),
+                        "mixed addition of digit {} in lane {l}",
+                        digits[l]
+                    );
+                    assert!(
+                        same_point(&out.doubled[l], &points[l].add(&points[l], &consts.d2)),
+                        "doubling in lane {l}"
+                    );
+                }
+            }
+        }
     }
 }

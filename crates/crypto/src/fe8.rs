@@ -6,9 +6,11 @@
 //! `vpmadd52huq`, which multiply the **low 52 bits** of each lane and
 //! add the low or the high 52 bits of the 104-bit product into a 64-bit
 //! accumulator — 8 limb products per instruction where the portable
-//! [`Fe4`](crate::fe4::Fe4) kernel issues one `mulx`. [`crate::x25519`]
-//! steps eight onions' Montgomery ladders in lockstep on this type when
-//! the CPU has it; `Fe4` is the fallback everywhere else.
+//! [`Fe4`](crate::fe4::Fe4) kernel issues one `mulx`. When the CPU
+//! has it, [`crate::x25519`] steps eight onions' Montgomery ladders in
+//! lockstep on this type (`Fe4` is the fallback everywhere else) and
+//! [`crate::edwards`] walks eight fixed-base comb tables in lockstep
+//! (the scalar walk over [`Fe`] is the fallback).
 //!
 //! # The carried invariant
 //!
@@ -303,7 +305,7 @@ pub(crate) fn ifma_or_skip(test: &'static str) -> Option<Ifma> {
             reported.push(test);
             let _ = writeln!(
                 std::io::stderr(),
-                "SKIPPED {test}: no avx512f+avx512ifma on this CPU, the eight-wide ladder was not exercised"
+                "SKIPPED {test}: no avx512f+avx512ifma on this CPU, the eight-wide kernels were not exercised"
             );
         }
     }

@@ -11,9 +11,10 @@
 //!   implementation. The batched variable-base ladder (the onion
 //!   peeler's Diffie-Hellman, most of a server's CPU time) runs eight
 //!   wide on AVX-512 IFMA where the CPU has it and four wide in
-//!   portable Rust ([`fe4`]) elsewhere; the choice is made by CPU
-//!   detection at run time, reported by [`x25519::ladder_backend`], and
-//!   changes no output byte.
+//!   portable Rust ([`fe4`]) elsewhere, and the bulk onion wrapper's
+//!   fixed-base comb walk eight wide or one at a time likewise; the
+//!   choice is made by CPU detection at run time, reported by
+//!   [`x25519::ladder_backend`], and changes no output byte.
 //! * [`chacha20`] / [`poly1305`] / [`aead`] — RFC 8439 ChaCha20-Poly1305.
 //! * [`sha256`] / [`hkdf`] — FIPS 180-4 SHA-256, RFC 2104 HMAC, RFC 5869
 //!   HKDF.
@@ -34,9 +35,10 @@
 //!
 //! The crate is `deny(unsafe_code)`. The allowance is confined to the
 //! AVX-512 kernel `fe8.rs` (a vector store, and entering
-//! `#[target_feature]` code) plus the single call site in [`x25519`]
-//! that dispatches into it; both are guarded by a token type that only
-//! a successful CPUID check can construct. On other architectures the
+//! `#[target_feature]` code) plus the two call sites that dispatch
+//! into code built on it — the eight-wide ladder's in [`x25519`] and
+//! the eight-wide comb's in `edwards.rs`; all are guarded by a token
+//! type that only a successful CPUID check can construct. On other architectures the
 //! module is not compiled and the crate contains no `unsafe` at all.
 
 #![deny(unsafe_code)]

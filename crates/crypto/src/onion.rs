@@ -33,14 +33,16 @@
 //! | [`wrap`] | scalar ladder, allocating — the seed reference |
 //! | [`wrap_into`] | comb keygen, scalar-ladder DH, in place |
 //! | [`wrap_into_with`], [`wrap_noise_into`] | comb keygen and comb DH (per-server tables), one onion on the stack — the single-onion path: per-object clients, a server's substitutes |
-//! | [`wrap_chunk_in_place`] | **the bulk path**, a chunk of arena slots per call: eight-wide ladder lanes on AVX-512 IFMA, the comb elsewhere — cover traffic, cohort build, workload generators |
+//! | [`wrap_chunk_in_place`] | **the bulk path**, a chunk of arena slots per call: comb keygen and comb DH over the same tables, eight lanes in lockstep on AVX-512 IFMA, one at a time elsewhere — cover traffic, cohort build, workload generators |
 //! | [`peel`], [`peel_in_place`] | scalar ladder, one onion |
 //! | [`peel_chunk_in_place`] | **the bulk path**: eight-wide ladder on AVX-512 IFMA, four-wide portable ladder elsewhere |
 //!
 //! The chunk wrap sits beside the chunk peel: both take a run of
-//! fixed-stride slots, batch the ladders across onions, resolve the
-//! deferred inversions in shared groups, and pick their ladder by CPU
-//! detection alone ([`crate::x25519::ladder_backend`]).
+//! fixed-stride slots, batch the scalar multiplications across onions
+//! (the peel's are variable-base, so ladders; the wrap's are
+//! fixed-base, so comb walks), resolve the deferred inversions in
+//! shared groups, and pick the eight-wide or the portable kernel by
+//! CPU detection alone ([`crate::x25519::ladder_backend`]).
 
 use crate::aead;
 use crate::hkdf::hkdf;
@@ -137,8 +139,7 @@ pub fn layer_key_from_shared(
 /// A chain server's public key plus (when the key lies on the curve
 /// proper) a precomputed Edwards comb table accelerating the per-onion
 /// `eph_sk · server_pk` Diffie-Hellman. Built once per long-lived server
-/// key; the single-onion wraps use the table everywhere, the chunk wrap
-/// where the CPU lacks the eight-wide ladder.
+/// key; the single-onion wraps and the chunk wrap both walk it.
 pub struct PrecomputedServer {
     /// The server's long-term public key.
     pub public: PublicKey,
@@ -401,18 +402,20 @@ fn seal_layers(
 /// are identical to [`wrap_into_with`] fed the same secrets from its
 /// RNG; what changes is who computes the `2 · chain_len · slots` scalar
 /// multiplications (each secret once against u = 9, once against its
-/// server's key):
+/// server's key). Both bases are fixed, so both go through comb tables
+/// — the base point's and the server's [`PrecomputedServer`] one:
 ///
 /// * where the CPU has AVX-512 IFMA (see
-///   [`crate::x25519::ladder_backend`]) they go eight independent
-///   `(scalar, point)` lanes at a time through the eight-wide ladder —
-///   a lane of it is cheaper than the fixed-base comb, and the lanes
-///   need not share a scalar or a base; a partial last octet repeats
-///   its last pair and drops the spare lanes, exactly as the peel does,
-///   and a twist-point server key is just another ladder input;
-/// * elsewhere they run through the comb tables per layer, as the
-///   single-onion wrap does.
+///   [`crate::x25519::ladder_backend`]) eight independent
+///   `(scalar, table)` lanes at a time walk their tables in lockstep
+///   (~2.3 µs a lane); the lanes need share neither scalar nor table,
+///   and a partial last octet repeats its last pair and drops the
+///   spare lanes, exactly as the peel does;
+/// * elsewhere each multiplication walks its table alone (~9 µs), as
+///   in the single-onion wrap.
 ///
+/// A server key with no table (a twist point, which honest servers
+/// never publish) takes the scalar ladder for its DH on both arms.
 /// Either way the inversions resolve in shared groups of
 /// [`crate::edwards`]'s resolver width, and HKDF, the degenerate-secret
 /// check and the in-place seal are [`seal_layers`], the single-onion
@@ -449,10 +452,10 @@ pub fn wrap_chunk_in_place(
     );
 }
 
-/// [`wrap_chunk_in_place`] with the ladder choice explicit, so the
+/// [`wrap_chunk_in_place`] with the kernel choice explicit, so the
 /// equivalence tests can drive both arms on one host:
-/// [`LadderMode::Oct`] runs the eight-wide ladder, every other mode the
-/// comb (no narrower ladder beats a fixed-base table).
+/// [`LadderMode::Oct`] walks the comb tables eight lanes at a time,
+/// every other mode one at a time ([`comb_lanes`]).
 #[allow(clippy::too_many_arguments)]
 fn wrap_chunk_core(
     servers: &[PrecomputedServer],
@@ -497,15 +500,23 @@ fn wrap_chunk_core(
                 for oct in (0..out.len()).step_by(crate::fe8::LANES) {
                     let live = (out.len() - oct).min(crate::fe8::LANES);
                     let lane = |l: usize| first + oct + l.min(live - 1);
-                    let points = crate::x25519::x25519_pending_oct(
+                    let server = |l: usize| &servers[lane(l) / 2 % chain_len];
+                    let points = crate::x25519::x25519_comb_pending_oct(
                         ifma,
                         core::array::from_fn(|l| &secrets[lane(l) / 2]),
                         core::array::from_fn(|l| match lane(l) % 2 {
-                            0 => &crate::x25519::BASE_POINT,
-                            _ => servers[lane(l) / 2 % chain_len].public.as_bytes(),
+                            0 => None, // keygen: the base point's table
+                            _ => server(l).table.as_ref(),
                         }),
                     );
                     pending[oct..oct + live].copy_from_slice(&points[..live]);
+                    // A server key with no table rode its DH lanes
+                    // against the base point; redo them as the comb
+                    // arm does.
+                    for l in (0..live).filter(|&l| lane(l) % 2 == 1 && server(l).table.is_none()) {
+                        let secret = SecretKey::from_bytes(secrets[lane(l) / 2]);
+                        pending[oct + l] = server(l).shared_with_pending(&secret);
+                    }
                 }
             }
             LadderMode::Quad | LadderMode::Scalar => comb_lanes(
@@ -620,14 +631,18 @@ pub fn peel_in_place(
     Ok((key, inner_len))
 }
 
-/// Which Montgomery-ladder implementation a chunk peel drives — and
-/// whether a chunk wrap drives one at all (only [`LadderMode::Oct`]
-/// beats its comb tables). Production takes [`LadderMode::detect`]'s
-/// answer; the scalar ladder is the equivalence/benchmark reference.
+/// Which Montgomery-ladder implementation a chunk peel drives, and —
+/// since the eight-wide field kernel is the same CPU feature — whether
+/// a chunk wrap walks its comb tables eight lanes at a time
+/// ([`LadderMode::Oct`]) or one. Production takes
+/// [`LadderMode::detect`]'s answer; the scalar ladder is the
+/// equivalence/benchmark reference.
 #[derive(Clone, Copy)]
 enum LadderMode {
-    /// Eight onions per `Fe8` ladder on AVX-512 IFMA; a partial last
-    /// octet is padded, so no other ladder runs in this mode.
+    /// Eight onions per `Fe8` ladder (peel) or eight scalar
+    /// multiplications per `Fe8` comb walk (wrap) on AVX-512 IFMA; a
+    /// partial last octet is padded, so no other kernel runs in this
+    /// mode.
     #[cfg(target_arch = "x86_64")]
     Oct(crate::fe8::Ifma),
     /// Four onions per [`crate::fe4::Fe4`] ladder, scalar tail: the
@@ -1034,9 +1049,13 @@ mod tests {
         // onion bytes and layer keys, for every count 0..=40 at chain
         // lengths 1..=4 — lane totals 2·chain_len·count on and off the
         // octet and the 32-lane resolver group — in a strided arena
-        // whose headroom must stay untouched, with a twist-point server
-        // key in the longer chains, through both arms of the chunk wrap,
-        // and with the RNG left where `count` per-onion wraps leave it.
+        // whose headroom must stay untouched, through both arms of the
+        // chunk wrap, and with the RNG left where `count` per-onion
+        // wraps leave it. A twist-point server key (no table) moves
+        // through the chain with `count` — every position, the whole
+        // of a one-server chain, and absent — so on the eight-wide arm
+        // its scalar-fallback DH lanes share octets with tabled DH
+        // lanes and base-point keygen lanes in every lane position.
         use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(94);
         let twist = loop {
@@ -1056,19 +1075,29 @@ mod tests {
         let round = 5;
 
         for chain_len in 1..=4usize {
-            let mut pks: Vec<PublicKey> = chain(chain_len, &mut rng)
+            let honest: Vec<PublicKey> = chain(chain_len, &mut rng)
                 .iter()
                 .map(|kp| kp.public)
                 .collect();
-            if chain_len >= 2 {
-                pks[chain_len / 2] = twist;
-            }
-            let servers: Vec<PrecomputedServer> =
-                pks.iter().map(|pk| PrecomputedServer::new(*pk)).collect();
+            // `placements[t]` has the twist key at server `t`;
+            // `placements[chain_len]` is the honest chain.
+            let placements: Vec<(Vec<PublicKey>, Vec<PrecomputedServer>)> = (0..=chain_len)
+                .map(|twist_at| {
+                    let mut pks = honest.clone();
+                    if let Some(pk) = pks.get_mut(twist_at) {
+                        *pk = twist;
+                    }
+                    let servers = pks.iter().map(|pk| PrecomputedServer::new(*pk)).collect();
+                    (pks, servers)
+                })
+                .collect();
             let width = wrapped_len(payload_len, chain_len);
             let stride = width + 7;
 
             for count in 0..=40usize {
+                let (pks, servers) = &placements[count % (chain_len + 1)];
+                let untabled = servers.iter().filter(|s| s.table.is_none()).count();
+                assert_eq!(untabled, usize::from(count % (chain_len + 1) < chain_len));
                 let parent = StdRng::seed_from_u64((1_000 * chain_len + count) as u64);
                 let payloads: Vec<Vec<u8>> = (0..count)
                     .map(|i| (0..payload_len).map(|b| (31 * i + b) as u8).collect())
@@ -1079,11 +1108,11 @@ mod tests {
                 let mut want_keys: Vec<[u8; 32]> = Vec::new();
                 let mut want_onions: Vec<Vec<u8>> = Vec::new();
                 for payload in &payloads {
-                    let (onion, keys) = wrap(&mut rng_ref, &pks, round, payload);
+                    let (onion, keys) = wrap(&mut rng_ref, pks, round, payload);
                     let mut buf = vec![0u8; width];
                     buf[32 * chain_len..32 * chain_len + payload_len].copy_from_slice(payload);
                     let slot_keys =
-                        wrap_into_with(&mut rng_slot, &servers, round, &mut buf, payload_len);
+                        wrap_into_with(&mut rng_slot, servers, round, &mut buf, payload_len);
                     assert_eq!(buf, onion, "chain {chain_len} count {count}: per-slot");
                     for (a, b) in keys.iter().zip(&slot_keys) {
                         assert_eq!(a.0, b.0, "chain {chain_len} count {count}: per-slot key");
@@ -1115,7 +1144,7 @@ mod tests {
                     let mut wrapped = arena.clone();
                     let mut keys = vec![LayerKey([0u8; 32]); count * chain_len];
                     wrap_chunk_core(
-                        &servers,
+                        servers,
                         round,
                         &mut wrapped,
                         stride,
@@ -1138,7 +1167,7 @@ mod tests {
                     // The key-less (cover traffic) form writes the same bytes.
                     let mut keyless = arena.clone();
                     wrap_chunk_core(
-                        &servers,
+                        servers,
                         round,
                         &mut keyless,
                         stride,

@@ -249,10 +249,10 @@ pub(crate) fn x25519_pending_quad(scalar: &[u8; 32], us: [&[u8; 32]; LANES]) -> 
 /// Eight independent `X25519(scalars[l], us[l])` ladders in lockstep on
 /// AVX-512 IFMA, every inversion deferred — wherever an [`Ifma`] token
 /// can be had this is the onion peeler's path (all eight lanes carry
-/// the server's one secret), the chunk wrapper's (each onion layer's
-/// fresh ephemeral secret, once against u = 9 and once against its
-/// server's key) and [`x25519_batch`]'s. Byte-identical to eight scalar
-/// [`x25519`] calls.
+/// the server's one secret; the points are whatever arrived) and
+/// [`x25519_batch`]'s. The chunk wrapper's multiplications are all
+/// fixed-base and take [`x25519_comb_pending_oct`] instead.
+/// Byte-identical to eight scalar [`x25519`] calls.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn x25519_pending_oct(
     ifma: Ifma,
@@ -263,14 +263,41 @@ pub(crate) fn x25519_pending_oct(
     ladder8_on(ifma, core::array::from_fn(|l| &clamped[l]), us)
 }
 
-/// Which ladder the batched paths ([`x25519_batch`], the onion peeler
-/// and, where it is the eight-wide one, the bulk onion wrapper — see
-/// [`crate::onion::wrap_chunk_in_place`]) run on this machine:
-/// `"avx512-ifma x8"` when the CPU has AVX-512F and IFMA,
-/// `"portable x4"` otherwise (bulk wrapping then stays on the
-/// fixed-base comb tables). The choice is made by CPU detection alone;
-/// binaries print this once at start-up so a log says which kernel
-/// produced its numbers.
+/// Eight fixed-base multiplications in lockstep on AVX-512 IFMA, every
+/// inversion deferred: lane `l` is `X25519(scalars[l], P_l)` for the
+/// key `tables[l]` was built from, or for the base point u = 9 where it
+/// is `None` — computed not by a ladder but by the eight-wide walk over
+/// the Edwards comb tables
+/// ([`crate::edwards::scalarmult_pending_oct`]; 64 mixed additions a
+/// lane against [`x25519_pending_oct`]'s 255 ladder steps). This is the
+/// chunk wrapper's path wherever an [`Ifma`] token can be had: each
+/// onion layer's fresh ephemeral secret once against `None` (its
+/// public key) and once against its server's table. Byte-identical to
+/// eight scalar [`x25519`] calls.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn x25519_comb_pending_oct(
+    ifma: Ifma,
+    scalars: [&[u8; 32]; fe8::LANES],
+    tables: [Option<&DhTable>; fe8::LANES],
+) -> [PendingU; fe8::LANES] {
+    let clamped: [[u8; 32]; fe8::LANES] = core::array::from_fn(|l| clamp(*scalars[l]));
+    let base = crate::edwards::PointTable::base();
+    crate::edwards::scalarmult_pending_oct(
+        ifma,
+        tables.map(|table| table.map_or(base, |table| &table.inner)),
+        core::array::from_fn(|l| &clamped[l]),
+    )
+}
+
+/// Which kernel the batched paths run on this machine:
+/// `"avx512-ifma x8"` when the CPU has AVX-512F and IFMA — the onion
+/// peeler and [`x25519_batch`] then step eight ladders in lockstep and
+/// the bulk onion wrapper ([`crate::onion::wrap_chunk_in_place`])
+/// walks eight comb tables in lockstep — `"portable x4"` otherwise
+/// (four-wide ladders; bulk wrapping walks its comb tables one scalar
+/// at a time). The choice is made by CPU detection alone; binaries
+/// print this once at start-up so a log says which kernel produced its
+/// numbers.
 #[must_use]
 pub fn ladder_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]

@@ -659,11 +659,22 @@ pub fn run_client_tcp(cfg: &DeploymentConfig, depth: usize) -> Result<String, Er
 /// (pre-binding a listener to discover one), so one deployment file can
 /// say "any free port" and all processes still agree.
 ///
+/// Every probe listener stays bound until the last address is resolved
+/// and they are dropped together, so the kernel cannot hand this
+/// deployment the same port twice. One race remains and cannot be
+/// closed from here: between this function returning and a node's own
+/// `bind`, nothing holds the ports, and another process that asks for
+/// an ephemeral port in that window (a concurrently starting
+/// deployment, say) may be given one of them; that node then fails to
+/// bind — or its peer connects to the stranger. Deployments that must
+/// not lose that race name their ports.
+///
 /// # Errors
 ///
 /// Bind failures while probing for free ports.
 pub fn resolve_ephemeral_ports(cfg: &mut DeploymentConfig) -> Result<(), String> {
-    let resolve = |addr: &mut String| -> Result<(), String> {
+    let mut probes = Vec::new();
+    for addr in std::iter::once(&mut cfg.entry_addr).chain(&mut cfg.server_addrs) {
         if addr.ends_with(":0") {
             let listener = TcpListener::bind(addr.as_str())
                 .map_err(|err| format!("cannot probe a free port on {addr}: {err}"))?;
@@ -671,13 +682,10 @@ pub fn resolve_ephemeral_ports(cfg: &mut DeploymentConfig) -> Result<(), String>
                 .local_addr()
                 .map_err(|err| format!("no local addr for {addr}: {err}"))?
                 .to_string();
+            probes.push(listener);
         }
-        Ok(())
-    };
-    resolve(&mut cfg.entry_addr)?;
-    for addr in &mut cfg.server_addrs {
-        resolve(addr)?;
     }
+    drop(probes); // all at once, only now
     Ok(())
 }
 
@@ -1088,6 +1096,33 @@ mod tests {
         cfg.server_addrs.pop();
         let parsed = DeploymentConfig::from_json(&cfg.to_json()).expect("the limit itself parses");
         assert_eq!(parsed.system.chain_len, onion::MAX_CHAIN);
+    }
+
+    #[test]
+    fn resolved_ephemeral_ports_are_pairwise_distinct() {
+        // An entry and the longest chain there is, all on ":0": the
+        // seventeen probes are held together, so however the kernel
+        // recycles ports no two addresses may resolve to the same one.
+        let mut template = smoke_config();
+        template.entry_addr = "127.0.0.1:0".to_string();
+        template.server_addrs = vec!["127.0.0.1:0".to_string(); onion::MAX_CHAIN];
+        for attempt in 0..64 {
+            let mut cfg = template.clone();
+            resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
+            let mut addrs = cfg.server_addrs.clone();
+            addrs.push(cfg.entry_addr.clone());
+            assert!(
+                addrs.iter().all(|a| !a.ends_with(":0")),
+                "every address resolved"
+            );
+            addrs.sort();
+            addrs.dedup();
+            assert_eq!(
+                addrs.len(),
+                onion::MAX_CHAIN + 1,
+                "attempt {attempt}: {cfg:?}"
+            );
+        }
     }
 
     #[test]
