@@ -245,6 +245,7 @@ fn main() {
         // against one that never does; bench_diff compares them only
         // between files that agree on this.
         "ladder_backend": vuvuzela_crypto::x25519::ladder_backend(),
+        "sha256_backend": vuvuzela_crypto::sha256::backend(),
         "reference": {
             "first_hop_secs": reference.first_hop_secs,
             "first_hop_onions_per_sec": ref_rate,

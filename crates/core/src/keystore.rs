@@ -133,9 +133,11 @@ const WORDS: [&str; 64] = [
 ];
 
 /// Renders a public key as six words (36 bits of the key's SHA-256),
-/// enough for humans to compare over a phone call. Collisions require
-/// ~2^18 tries against a *targeted* victim — combine with the hex form
-/// ([`fingerprint_hex`]) for high-stakes verification.
+/// enough for humans to compare over a phone call. Matching one
+/// *targeted* victim's words takes ~2^36 key generations (a second
+/// preimage; ~2^18 is only the birthday bound for *some* colliding
+/// pair) — combine with the hex form ([`fingerprint_hex`]) for
+/// high-stakes verification.
 #[must_use]
 pub fn fingerprint_words(key: &PublicKey) -> String {
     let digest = sha256(key.as_bytes());

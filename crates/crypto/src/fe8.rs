@@ -292,22 +292,17 @@ impl Fe8 {
 
 /// `Ifma::detect` for tests of the eight-wide path, which must not pass
 /// silently where they ran nothing: on a CPU without IFMA this returns
-/// `None` and, the first time each test asks, writes a SKIPPED line to
-/// the process's own stderr (libtest captures only the print macros).
+/// `None` and, the first time each test asks, writes a SKIPPED line
+/// ([`crate::skipped_once`]).
 #[cfg(test)]
 pub(crate) fn ifma_or_skip(test: &'static str) -> Option<Ifma> {
-    use std::io::Write;
-    static REPORTED: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
     let ifma = Ifma::detect();
     if ifma.is_none() {
-        let mut reported = REPORTED.lock().expect("no test panics holding this lock");
-        if !reported.contains(&test) {
-            reported.push(test);
-            let _ = writeln!(
-                std::io::stderr(),
-                "SKIPPED {test}: no avx512f+avx512ifma on this CPU, the eight-wide kernels were not exercised"
-            );
-        }
+        crate::skipped_once(
+            test,
+            "avx512f+avx512ifma",
+            "the eight-wide kernels were not exercised",
+        );
     }
     ifma
 }

@@ -109,80 +109,87 @@ pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(s: &str) -> Vec<u8> {
-        (0..s.len() / 2)
-            .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("valid hex"))
-            .collect()
-    }
+    use crate::sha256::tests::{hex, on_each_arm};
 
     /// RFC 4231 test case 1.
     #[test]
     fn hmac_rfc4231_case1() {
-        let key = [0x0bu8; 20];
-        let want = hex("b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-        assert_eq!(&hmac_sha256(&key, b"Hi There")[..], &want[..]);
+        on_each_arm("hmac_rfc4231_case1", || {
+            let key = [0x0bu8; 20];
+            let want = hex("b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+            assert_eq!(&hmac_sha256(&key, b"Hi There")[..], &want[..]);
+        });
     }
 
     /// RFC 4231 test case 2 ("Jefe").
     #[test]
     fn hmac_rfc4231_case2() {
-        let want = hex("5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-        assert_eq!(
-            &hmac_sha256(b"Jefe", b"what do ya want for nothing?")[..],
-            &want[..]
-        );
+        on_each_arm("hmac_rfc4231_case2", || {
+            let want = hex("5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+            assert_eq!(
+                &hmac_sha256(b"Jefe", b"what do ya want for nothing?")[..],
+                &want[..]
+            );
+        });
     }
 
     /// RFC 4231 test case 3 (0xaa key, 0xdd data).
     #[test]
     fn hmac_rfc4231_case3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        let want = hex("773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
-        assert_eq!(&hmac_sha256(&key, &data)[..], &want[..]);
+        on_each_arm("hmac_rfc4231_case3", || {
+            let key = [0xaau8; 20];
+            let data = [0xddu8; 50];
+            let want = hex("773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+            assert_eq!(&hmac_sha256(&key, &data)[..], &want[..]);
+        });
     }
 
     /// RFC 4231 test case 6: key longer than one block.
     #[test]
     fn hmac_rfc4231_long_key() {
-        let key = [0xaau8; 131];
-        let data = b"Test Using Larger Than Block-Size Key - Hash Key First";
-        let want = hex("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-        assert_eq!(&hmac_sha256(&key, data)[..], &want[..]);
+        on_each_arm("hmac_rfc4231_long_key", || {
+            let key = [0xaau8; 131];
+            let data = b"Test Using Larger Than Block-Size Key - Hash Key First";
+            let want = hex("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+            assert_eq!(&hmac_sha256(&key, data)[..], &want[..]);
+        });
     }
 
     /// RFC 5869 test case 1.
     #[test]
     fn hkdf_rfc5869_case1() {
-        let ikm = [0x0bu8; 22];
-        let salt = hex("000102030405060708090a0b0c");
-        let info = hex("f0f1f2f3f4f5f6f7f8f9");
-        let prk = hkdf_extract(&salt, &ikm);
-        let want_prk = hex("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
-        assert_eq!(&prk[..], &want_prk[..]);
+        on_each_arm("hkdf_rfc5869_case1", || {
+            let ikm = [0x0bu8; 22];
+            let salt = hex("000102030405060708090a0b0c");
+            let info = hex("f0f1f2f3f4f5f6f7f8f9");
+            let prk = hkdf_extract(&salt, &ikm);
+            let want_prk = hex("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
+            assert_eq!(&prk[..], &want_prk[..]);
 
-        let mut okm = [0u8; 42];
-        hkdf_expand(&prk, &info, &mut okm);
-        let want_okm = hex(
-            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
-             34007208d5b887185865",
-        );
-        assert_eq!(&okm[..], &want_okm[..]);
+            let mut okm = [0u8; 42];
+            hkdf_expand(&prk, &info, &mut okm);
+            let want_okm = hex(
+                "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
+                 34007208d5b887185865",
+            );
+            assert_eq!(&okm[..], &want_okm[..]);
+        });
     }
 
     /// RFC 5869 test case 3 (zero-length salt and info).
     #[test]
     fn hkdf_rfc5869_case3() {
-        let ikm = [0x0bu8; 22];
-        let prk = hkdf_extract(b"", &ikm);
-        let mut okm = [0u8; 42];
-        hkdf_expand(&prk, b"", &mut okm);
-        let want = hex(
-            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
-             9d201395faa4b61a96c8",
-        );
-        assert_eq!(&okm[..], &want[..]);
+        on_each_arm("hkdf_rfc5869_case3", || {
+            let ikm = [0x0bu8; 22];
+            let prk = hkdf_extract(b"", &ikm);
+            let mut okm = [0u8; 42];
+            hkdf_expand(&prk, b"", &mut okm);
+            let want = hex(
+                "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
+                 9d201395faa4b61a96c8",
+            );
+            assert_eq!(&okm[..], &want[..]);
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! key agreement, an indistinguishable authenticated symmetric cipher for
 //! message payloads and onion layers, and a hash for dead-drop derivation.
 //! This crate implements all of them from scratch, in safe Rust except
-//! for the one SIMD kernel named below:
+//! for the entries into the two CPU-specific kernels named below:
 //!
 //! * [`x25519`] — RFC 7748 X25519 over a 51-bit-limb field
 //!   implementation. The batched variable-base ladder (the onion
@@ -17,7 +17,10 @@
 //!   [`x25519::ladder_backend`], and changes no output byte.
 //! * [`chacha20`] / [`poly1305`] / [`aead`] — RFC 8439 ChaCha20-Poly1305.
 //! * [`sha256`] / [`hkdf`] — FIPS 180-4 SHA-256, RFC 2104 HMAC, RFC 5869
-//!   HKDF.
+//!   HKDF. The compression function runs on the x86 SHA extensions
+//!   where the CPU has them and in portable Rust elsewhere; again CPU
+//!   detection alone decides, [`sha256::backend`] reports it, and no
+//!   digest changes.
 //! * [`onion`] — the layered encryption used by Vuvuzela's mixnet chain
 //!   (paper §4.1, Algorithm 1 step 2 / Algorithm 2 steps 1 and 4).
 //! * [`sealedbox`] — anonymous public-key boxes for dialing invitations
@@ -35,11 +38,13 @@
 //!
 //! The crate is `deny(unsafe_code)`. The allowance is confined to the
 //! AVX-512 kernel `fe8.rs` (a vector store, and entering
-//! `#[target_feature]` code) plus the two call sites that dispatch
-//! into code built on it — the eight-wide ladder's in [`x25519`] and
-//! the eight-wide comb's in `edwards.rs`; all are guarded by a token
-//! type that only a successful CPUID check can construct. On other architectures the
-//! module is not compiled and the crate contains no `unsafe` at all.
+//! `#[target_feature]` code) plus the three call sites that enter
+//! `#[target_feature]` code from ordinary code — the eight-wide
+//! ladder's in [`x25519`], the eight-wide comb's in `edwards.rs` and
+//! the SHA-NI compression function's in [`sha256`]; each is guarded by
+//! a token type that only a successful CPUID check can construct. On
+//! other architectures none of them is compiled and the crate contains
+//! no `unsafe` at all.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -110,6 +115,24 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
         acc |= x ^ y;
     }
     acc == 0
+}
+
+/// For tests of a CPU-specific kernel, which must not pass silently
+/// where they ran nothing: the first time each `test` reports it, writes
+/// `SKIPPED <test>: no <missing> on this CPU, <not_exercised>` to the
+/// process's own stderr (libtest captures only the print macros).
+#[cfg(test)]
+pub(crate) fn skipped_once(test: &'static str, missing: &str, not_exercised: &str) {
+    use std::io::Write;
+    static REPORTED: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
+    let mut reported = REPORTED.lock().expect("no test panics holding this lock");
+    if !reported.contains(&test) {
+        reported.push(test);
+        let _ = writeln!(
+            std::io::stderr(),
+            "SKIPPED {test}: no {missing} on this CPU, {not_exercised}"
+        );
+    }
 }
 
 #[cfg(test)]

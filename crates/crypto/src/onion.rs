@@ -896,6 +896,23 @@ mod tests {
     }
 
     #[test]
+    fn layer_key_known_answer() {
+        // Frozen from the portable SHA-256 before the SHA-NI arm
+        // existed: the KDF's bytes (salt order, label, one 32-byte
+        // expand block) must not drift on either arm.
+        crate::sha256::tests::on_each_arm("layer_key_known_answer", || {
+            let shared = SharedSecret(core::array::from_fn(|i| i as u8 + 1));
+            let eph = PublicKey::from_bytes([0x42; 32]);
+            let server = PublicKey::from_bytes(core::array::from_fn(|i| 0xff - i as u8));
+            let key = layer_key_from_shared(&shared, &eph, &server).expect("non-zero secret");
+            let want = crate::sha256::tests::hex(
+                "e645e494d36bb213e8b930e3a1b7dd319066d7e7d0f09284609532d0a275e9c1",
+            );
+            assert_eq!(&key.0[..], &want[..]);
+        });
+    }
+
+    #[test]
     fn wrap_peel_roundtrip_three_servers() {
         let mut rng = StdRng::seed_from_u64(1);
         let servers = chain(3, &mut rng);

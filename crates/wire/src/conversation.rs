@@ -12,7 +12,7 @@ use crate::{
 };
 use rand::{CryptoRng, RngCore};
 use vuvuzela_crypto::aead;
-use vuvuzela_crypto::hkdf::hkdf;
+use vuvuzela_crypto::hkdf::{hkdf_expand, hkdf_extract};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey, SecretKey};
 
 /// A dead-drop exchange request: deposit `sealed_message` in `drop` and
@@ -219,8 +219,11 @@ impl ConversationKeys {
         let mut salt = [0u8; 64];
         salt[..32].copy_from_slice(lo.as_bytes());
         salt[32..].copy_from_slice(hi.as_bytes());
-        let message_key = hkdf(&salt, &shared.0, b"vuvuzela/conv/msg/v1");
-        let drop_seed = hkdf(&salt, &shared.0, b"vuvuzela/conv/drop/v1");
+        // One extract, one expand per label.
+        let prk = hkdf_extract(&salt, &shared.0);
+        let (mut message_key, mut drop_seed) = ([0u8; 32], [0u8; 32]);
+        hkdf_expand(&prk, b"vuvuzela/conv/msg/v1", &mut message_key);
+        hkdf_expand(&prk, b"vuvuzela/conv/drop/v1", &mut drop_seed);
         let role = if my_public <= their_public {
             Role::Lower
         } else {
@@ -308,6 +311,25 @@ mod tests {
     fn pair(seed: u64) -> (Keypair, Keypair) {
         let mut rng = StdRng::seed_from_u64(seed);
         (Keypair::generate(&mut rng), Keypair::generate(&mut rng))
+    }
+
+    #[test]
+    fn derive_known_answer() {
+        // Frozen from `derive` when it ran the whole HKDF once per
+        // label; extracting once must not move either key.
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let a = SecretKey::from_bytes([0x11; 32]);
+        let b = SecretKey::from_bytes([0x22; 32]);
+        let keys = ConversationKeys::derive(&a, &a.public_key(), &b.public_key());
+        assert_eq!(
+            hex(&keys.message_key),
+            "844c5197e23e6ca68f2bf1b28a136e0ab8d1ab3b67ff2d94df4b6bc6d65f8d91"
+        );
+        assert_eq!(
+            hex(&keys.drop_seed),
+            "d45495ff2bdb06efabf8f5e552d3e50fb376336f0798e44984687145aafa89e6"
+        );
+        assert_eq!(keys.role(), Role::Higher);
     }
 
     #[test]

@@ -24,8 +24,9 @@ fn run() -> Result<(), String> {
     let cfg = deploy::load_config(&parse_args()?)?;
     // On stderr: stdout is what `vuvuzela-launch --check` reads. One
     // preformatted line, so a launch's processes cannot interleave it.
-    let backend = vuvuzela::crypto::x25519::ladder_backend();
-    let line = format!("vuvuzela-entry: x25519 ladder backend {backend}\n");
+    let ladder = vuvuzela::crypto::x25519::ladder_backend();
+    let sha = vuvuzela::crypto::sha256::backend();
+    let line = format!("vuvuzela-entry: x25519 ladder backend {ladder}, sha256 backend {sha}\n");
     eprint!("{line}");
     let stats = deploy::serve_entry(&cfg).map_err(|err| err.to_string())?;
     println!(

@@ -43,8 +43,11 @@ fn run() -> Result<(), String> {
     }
     // On stderr: stdout is what `vuvuzela-launch --check` reads. One
     // preformatted line, so a launch's processes cannot interleave it.
-    let backend = vuvuzela::crypto::x25519::ladder_backend();
-    let line = format!("vuvuzela-server {position}: x25519 ladder backend {backend}\n");
+    let ladder = vuvuzela::crypto::x25519::ladder_backend();
+    let sha = vuvuzela::crypto::sha256::backend();
+    let line = format!(
+        "vuvuzela-server {position}: x25519 ladder backend {ladder}, sha256 backend {sha}\n"
+    );
     eprint!("{line}");
     let stats = deploy::serve_server(&cfg, position).map_err(|err| err.to_string())?;
     println!(
