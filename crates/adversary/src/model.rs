@@ -11,7 +11,7 @@
 //!
 //! Integration tests cross-validate this model against the real chain
 //! (same deterministic noise, same counts); the attack evaluations in
-//! [`crate::attacks`] and the `attack_demo` benchmark then use the model
+//! [`crate::attacks`] and the `attack_demo` figure then use the model
 //! for the heavy Monte-Carlo parts.
 
 use rand::Rng;

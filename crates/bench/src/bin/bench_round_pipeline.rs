@@ -215,7 +215,7 @@ fn main() {
     let reference = best(&reference);
     let flat = best(&flat);
 
-    let peel = vuvuzela_bench::peelstage::run(4096, 5, true);
+    let peel = vuvuzela_bench::peelstage::run(4096, 5);
     let wrap = vuvuzela_bench::peelstage::run_wrap(4096, CHAIN_LEN, 5);
 
     let ref_rate = ONIONS as f64 / reference.first_hop_secs;

@@ -1,7 +1,7 @@
 //! Shared machinery for the benchmark harness.
 //!
-//! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation (§8), writing their results to `bench_results/`.
+//! `src/bin/figures.rs` regenerates every table and figure of the
+//! paper's evaluation (§8), writing its results to `bench_results/`.
 //! The repository's gated benchmark is the separate `benchmark/` package
 //! (see `benchmark/README.md`). This library provides:
 //!
@@ -15,20 +15,16 @@
 //!
 //! # Round-pipeline benchmark methodology
 //!
-//! The zero-copy refactor is measured two ways, both at **10,000 onions,
-//! chain length 3**:
+//! The zero-copy refactor is measured at **10,000 onions, chain length
+//! 3** by `src/bin/bench_round_pipeline.rs` (`cargo run --release -p
+//! vuvuzela-bench --bin bench_round_pipeline`) — the committed
+//! machine-readable artefact `BENCH_round_pipeline.json` at the repo
+//! root: onions/sec and allocations/onion for the flat and the per-`Vec`
+//! reference path (allocation counts via a counting global allocator),
+//! best of three passes, with a byte-identity assertion between the
+//! paths before any timing.
 //!
-//! * `benches/round.rs` (`cargo bench -p vuvuzela-bench --bench round`)
-//!   — criterion timings of the first (noising) server's forward pass,
-//!   `forward_pass/flat_10k` vs `forward_pass/per_vec_reference_10k`;
-//! * `src/bin/bench_round_pipeline.rs` (`cargo run --release -p
-//!   vuvuzela-bench --bin bench_round_pipeline`) — the committed
-//!   machine-readable artefact `BENCH_round_pipeline.json` at the repo
-//!   root: onions/sec and allocations/onion for both paths (allocation
-//!   counts via a counting global allocator), best of three passes, with
-//!   a byte-identity assertion between the paths before any timing.
-//!
-//! Shared choices, and why:
+//! Its choices, and why:
 //!
 //! * **the reference path is the seed implementation**, preserved as
 //!   `MixServer::forward_reference` (allocating peel, per-`Vec` noise

@@ -1,9 +1,8 @@
-//! Isolated peel-stage and wrap-stage micro-benchmarks: [`run`] is
-//! shared by `bench_round_pipeline` and `bench_streaming_chain`,
-//! [`run_wrap`] (described on the function) is `bench_round_pipeline`'s.
+//! Isolated peel-stage and wrap-stage micro-benchmarks behind
+//! `bench_round_pipeline` ([`run_wrap`] is described on the function).
 //!
-//! Times one server peeling a fixed arena of single-layer onions
-//! through up to three implementations over identical input bytes:
+//! [`run`] times one server peeling a fixed arena of single-layer onions
+//! through three implementations over identical input bytes:
 //!
 //! * **per-slot** (`onion::peel_in_place` per onion): the seed-era
 //!   reference — one scalar ladder *and one full field inversion* per
@@ -38,9 +37,7 @@ use vuvuzela_crypto::x25519::Keypair;
 const PAYLOAD_LEN: usize = 240;
 
 /// Runs the peel-stage comparison over `onions` onions, best of
-/// `iterations` passes per implementation. When `include_per_slot` is
-/// false the seed-era per-slot pass (the slowest) is skipped and the
-/// JSON omits its metrics — the compact form the streaming smoke uses.
+/// `iterations` passes per implementation.
 ///
 /// # Panics
 ///
@@ -48,7 +45,7 @@ const PAYLOAD_LEN: usize = 240;
 /// layer key, or error classification — a correctness gate, not a
 /// benchmark condition.
 #[must_use]
-pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_json::Value {
+pub fn run(onions: usize, iterations: usize) -> serde_json::Value {
     let mut rng = StdRng::seed_from_u64(4242);
     let server = Keypair::generate(&mut rng);
     let payload = vec![0u8; PAYLOAD_LEN];
@@ -63,7 +60,7 @@ pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_js
     }
 
     // Correctness gate: all peel paths must agree bytewise before
-    // timing (the per-slot path is checked even when not timed).
+    // timing.
     let mut a_batched = arena.clone();
     let mut a_reference = arena.clone();
     let mut a_per_slot = arena.clone();
@@ -122,58 +119,41 @@ pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_js
             let _ =
                 onion::peel_chunk_in_place(&server.secret, &server.public, round, a, stride, width);
         }));
-        if include_per_slot {
-            best[2] = best[2].min(time(&|a| {
-                for i in 0..onions {
-                    let _ = onion::peel_in_place(
-                        &server.secret,
-                        &server.public,
-                        round,
-                        &mut a[i * stride..(i + 1) * stride],
-                        width,
-                    );
-                }
-            }));
-        }
+        best[2] = best[2].min(time(&|a| {
+            for i in 0..onions {
+                let _ = onion::peel_in_place(
+                    &server.secret,
+                    &server.public,
+                    round,
+                    &mut a[i * stride..(i + 1) * stride],
+                    width,
+                );
+            }
+        }));
     }
     let reference = onions as f64 / best[0];
     let batched = onions as f64 / best[1];
 
-    if include_per_slot {
-        let per_slot = onions as f64 / best[2];
-        println!(
-            "peel: per-slot {per_slot:>8.0} onions/s   chunk-ref {reference:>8.0} onions/s   \
-             batched {batched:>8.0} onions/s"
-        );
-        println!(
-            "peel speedups: batched vs chunk-ref {:.2}x, vs per-slot {:.2}x",
-            batched / reference,
-            batched / per_slot
-        );
-        serde_json::json!({
-            "onions": onions,
-            "layer_width_bytes": width,
-            "iterations": iterations,
-            "per_slot_onions_per_sec": per_slot,
-            "chunk_reference_onions_per_sec": reference,
-            "batched_onions_per_sec": batched,
-            "speedup_peel_batched": batched / reference,
-            "speedup_peel_vs_per_slot": batched / per_slot,
-        })
-    } else {
-        println!(
-            "peel ({onions} onions): chunk-ref {reference:.0}/s, batched {batched:.0}/s ({:.2}x)",
-            batched / reference
-        );
-        serde_json::json!({
-            "onions": onions,
-            "layer_width_bytes": width,
-            "iterations": iterations,
-            "chunk_reference_onions_per_sec": reference,
-            "batched_onions_per_sec": batched,
-            "speedup_peel_batched": batched / reference,
-        })
-    }
+    let per_slot = onions as f64 / best[2];
+    println!(
+        "peel: per-slot {per_slot:>8.0} onions/s   chunk-ref {reference:>8.0} onions/s   \
+         batched {batched:>8.0} onions/s"
+    );
+    println!(
+        "peel speedups: batched vs chunk-ref {:.2}x, vs per-slot {:.2}x",
+        batched / reference,
+        batched / per_slot
+    );
+    serde_json::json!({
+        "onions": onions,
+        "layer_width_bytes": width,
+        "iterations": iterations,
+        "per_slot_onions_per_sec": per_slot,
+        "chunk_reference_onions_per_sec": reference,
+        "batched_onions_per_sec": batched,
+        "speedup_peel_batched": batched / reference,
+        "speedup_peel_vs_per_slot": batched / per_slot,
+    })
 }
 
 /// Slots per [`onion::wrap_chunk_in_place`] call in [`run_wrap`]: the

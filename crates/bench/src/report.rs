@@ -1,9 +1,7 @@
-//! Table printing, JSON artefacts, and shared timing helpers for the
-//! figure/bench binaries.
+//! Table printing and JSON artefacts for the figure/bench binaries.
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use vuvuzela_core::chain::RoundTiming;
 
 /// A simple fixed-width table printer for figure/table output.
 pub struct Table {
@@ -93,30 +91,6 @@ pub fn workspace_root() -> PathBuf {
     std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| PathBuf::from(d).join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."))
-}
-
-/// Per-stage busy time implied by one round's timings: forward pass,
-/// plus the matching backward pass where one exists (`timing.backward`
-/// is recorded last-server first and stays empty for forward-only
-/// dialing rounds), plus the tail's exchange/deposit. This is the input
-/// to the sustained-pipeline model the bench artefacts report — one
-/// shared definition so every artefact derives its speedup from the
-/// same formula.
-#[must_use]
-pub fn stage_busy_secs(timing: &RoundTiming) -> Vec<f64> {
-    let n = timing.forward.len();
-    (0..n)
-        .map(|i| {
-            let mut busy = timing.forward[i].as_secs_f64();
-            if let Some(b) = timing.backward.get(n - 1 - i) {
-                busy += b.as_secs_f64();
-            }
-            if i == n - 1 {
-                busy += timing.exchange.as_secs_f64();
-            }
-            busy
-        })
-        .collect()
 }
 
 /// Formats seconds the way the paper's figures label them.

@@ -8,7 +8,10 @@
 //! [`crate::pipeline::StreamingChain`] lifts exactly that restriction
 //! for *throughput* (hops overlap across in-flight rounds) while
 //! producing byte-identical per-round results; the synchronous chain
-//! stays as the reference path it is verified against.
+//! stays as the reference path it is verified against. Both are drivers
+//! over the one round recipe in [`crate::engine::RoundEngine`]:
+//! [`Chain::run_round`] calls each hop's engine in turn, the streaming
+//! stages call theirs from one thread per hop.
 //!
 //! All of a round's harness-level randomness (noise substitutes for
 //! undecodable exchange payloads, the dead-drop store's coin flips) is
@@ -16,10 +19,11 @@
 //! schedulers agree no matter how rounds interleave.
 
 use crate::config::SystemConfig;
-use crate::deaddrops::{ConversationDrops, InvitationDrops};
+use crate::deaddrops::InvitationDrops;
+use crate::engine::{EngineStep, RoundEngine};
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
-use crate::server::{round_rng, MixServer, RoundKind};
+use crate::server::{MixServer, RoundKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -27,42 +31,88 @@ use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::link::{Direction, Link};
 use vuvuzela_net::LinkId;
-use vuvuzela_wire::conversation::ExchangeRequest;
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
-use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
+use vuvuzela_wire::dialing::SealedInvitation;
 
-/// Domain separator distinguishing the chain-level per-round RNG (drop
-/// exchange, undecodable-payload substitutes) from the servers' own.
-pub(crate) const CHAIN_RNG_DOMAIN: u64 = 0x5EED_C4A1_4000_0000;
+/// What an in-process driver of [`RoundEngine`]s — [`Chain::run_round`]
+/// for a whole round, a streaming stage for its hop of a schedule —
+/// records on the way and hands to [`Chain::absorb`] afterwards.
+#[derive(Default)]
+pub(crate) struct StageReport {
+    /// Entries taps resized on the transfers this driver metered.
+    tap_resized: u64,
+    /// Per-round conversation observables the tail measured.
+    conversation_log: Vec<(u64, ConversationObservables)>,
+    dialing_log: Vec<(u64, DialingObservables)>,
+    /// The *last* dialing round's drops (a schedule's rounds reach the
+    /// tail in feed order, so this is the last one fed: the sequential
+    /// chain's overwrite semantics).
+    invitation_drops: Option<(u64, InvitationDrops)>,
+}
 
-/// Moves a flat round buffer across a link: meters it, and only pays the
-/// per-message conversion when an adversary tap is actually attached
-/// (taps see and mutate `Vec<Vec<u8>>` batches, as the threat model's
-/// "monitor, block, delay, or inject" interface always has).
-///
-/// Returns the buffer that arrives at the far end plus the number of
-/// entries the tap resized: those can no longer be valid onions, so the
-/// rebuild zero-fills their slots (downstream peeling replaces them with
-/// noise) and the count is surfaced on [`Chain::tap_resized`].
-pub(crate) fn transmit_buf(
-    link: &Link,
-    round: u64,
-    direction: Direction,
-    buf: RoundBuffer,
-) -> (RoundBuffer, u64) {
-    link.record(
-        round,
-        direction,
-        buf.len() as u64,
-        (buf.len() * buf.width()) as u64,
-    );
-    if !link.has_tap() {
-        return (buf, 0);
+impl StageReport {
+    /// Moves a flat round buffer across a link: meters it, and only
+    /// pays the per-message conversion when an adversary tap is actually
+    /// attached (taps see and mutate `Vec<Vec<u8>>` batches, as the
+    /// threat model's "monitor, block, delay, or inject" interface
+    /// always has).
+    ///
+    /// Returns the buffer that arrives at the far end. Entries the tap
+    /// resized can no longer be valid onions, so the rebuild zero-fills
+    /// their slots (downstream peeling replaces them with noise) and
+    /// their count is kept for [`Chain::tap_resized`].
+    pub(crate) fn transmit_buf(
+        &mut self,
+        link: &Link,
+        round: u64,
+        direction: Direction,
+        buf: RoundBuffer,
+    ) -> RoundBuffer {
+        link.record(
+            round,
+            direction,
+            buf.len() as u64,
+            (buf.len() * buf.width()) as u64,
+        );
+        if !link.has_tap() {
+            return buf;
+        }
+        let mut batch = buf.to_vecs();
+        link.tap_intercept(round, direction, &mut batch);
+        let (rebuilt, mismatched) = RoundBuffer::from_vecs(&batch, buf.stride(), buf.width());
+        self.tap_resized += mismatched.len() as u64;
+        rebuilt
     }
-    let mut batch = buf.to_vecs();
-    link.tap_intercept(round, direction, &mut batch);
-    let (rebuilt, mismatched) = RoundBuffer::from_vecs(&batch, buf.stride(), buf.width());
-    (rebuilt, mismatched.len() as u64)
+
+    /// Handles what an engine's forward pass produced at the hop behind
+    /// `link`: logs what a tail observed, retains a dialing round's
+    /// drops, meters a turnaround's backward leg, and says which way the
+    /// batch goes next — forward to the next hop, backward (the tail's
+    /// replies, already across its own link) to the hop before, or, a
+    /// dialing round having ended at the tail, nowhere.
+    pub(crate) fn route(
+        &mut self,
+        link: &Link,
+        step: EngineStep,
+    ) -> Option<(Direction, RoundBuffer)> {
+        match step {
+            EngineStep::Forward { buf, .. } => Some((Direction::Forward, buf)),
+            EngineStep::Turnaround {
+                round,
+                replies,
+                observables,
+            } => {
+                self.conversation_log.push((round, observables));
+                let replies = self.transmit_buf(link, round, Direction::Backward, replies);
+                Some((Direction::Backward, replies))
+            }
+            EngineStep::DialingComplete { round, drops, .. } => {
+                self.dialing_log.push((round, drops.observables()));
+                self.invitation_drops = Some((round, drops));
+                None
+            }
+        }
+    }
 }
 
 /// The client batch feeding one round, in either of the two shapes the
@@ -142,8 +192,7 @@ pub(crate) fn admit_batch(
                 width,
                 "flat batch width must equal the round's onion width"
             );
-            let (buf, _resized) = transmit_buf(client_link, round, Direction::Forward, buf);
-            buf
+            StageReport::default().transmit_buf(client_link, round, Direction::Forward, buf)
         }
     }
 }
@@ -297,7 +346,8 @@ pub struct Chain {
     pub(crate) invitation_drops: Option<(u64, InvitationDrops)>,
     /// Total entries adversary taps resized across flat-buffer
     /// transfers — every hop link plus the entry→clients reply leg
-    /// (their slots were zero-filled on rebuild; see [`transmit_buf`]).
+    /// (their slots were zero-filled on rebuild; see
+    /// [`StageReport::transmit_buf`]).
     /// The clients→entry request leg is excluded: its entry sizes are
     /// client-controlled, so a mismatch there cannot be attributed to a
     /// tap.
@@ -329,12 +379,6 @@ impl Chain {
         }
     }
 
-    /// The RNG for one round's chain-level randomness; a pure function
-    /// of `(seed, round)`, shared with the streaming scheduler.
-    pub(crate) fn chain_round_rng(seed: u64, round: u64) -> StdRng {
-        round_rng(seed ^ CHAIN_RNG_DOMAIN, round)
-    }
-
     /// The chain's public keys, in onion-wrapping order (server 0 first).
     #[must_use]
     pub fn server_public_keys(&self) -> Vec<PublicKey> {
@@ -350,68 +394,16 @@ impl Chain {
     /// Runs one conversation round over an already-multiplexed batch of
     /// client onions. Returns per-request replies (in batch order) and
     /// stage timings.
-    ///
-    /// The round runs end-to-end on a flat [`RoundBuffer`] arena — the
-    /// per-message vectors exist only at this client boundary.
     pub fn run_conversation_round(
         &mut self,
         round: u64,
         batch: impl Into<Batch>,
     ) -> (Vec<Vec<u8>>, RoundTiming) {
-        let start = Instant::now();
-        let mut timing = RoundTiming::default();
-        let kind = RoundKind::Conversation;
-
-        // Clients → entry (aggregate): per-message batches stay vectors
-        // through the entry, so a tap on the client link observes
-        // clients' raw bytes (including any malformed sizes) and the
-        // meter counts true lengths, exactly as pre-refactor; cohort
-        // batches arrive flat and stay flat.
-        let mut buf = admit_batch(
-            &self.client_link,
-            round,
-            kind,
-            self.config.chain_len,
-            batch.into(),
-        );
-        for (i, server) in self.servers.iter_mut().enumerate() {
-            let (arrived, resized) = transmit_buf(&self.links[i], round, Direction::Forward, buf);
-            self.tap_resized += resized;
-            buf = arrived;
-            let t = Instant::now();
-            buf = server.forward_buf(round, kind, buf);
-            timing.forward.push(t.elapsed());
+        let batch = batch.into();
+        match self.run_round(RoundSpec::Conversation { round, batch }) {
+            RoundOutcome::Conversation { replies, timing } => (replies, timing),
+            RoundOutcome::Dialing { .. } => unreachable!("outcome matches its spec"),
         }
-
-        // Dead-drop exchange at the last server (Algorithm 2 step 3b).
-        let t = Instant::now();
-        let mut rng = Chain::chain_round_rng(self.seed, round);
-        let (mut replies, observables) = exchange_conversation(
-            &mut rng,
-            self.config.chain_len,
-            self.config.exchange_shards,
-            self.config.workers,
-            &buf,
-        );
-        self.conversation_log.push((round, observables));
-        timing.exchange = t.elapsed();
-
-        // Backward through the chain (step 4), then entry → clients.
-        for i in (0..self.servers.len()).rev() {
-            let t = Instant::now();
-            replies = self.servers[i].backward_buf(round, replies);
-            timing.backward.push(t.elapsed());
-            let (arrived, resized) =
-                transmit_buf(&self.links[i], round, Direction::Backward, replies);
-            self.tap_resized += resized;
-            replies = arrived;
-        }
-        let (replies, resized) =
-            transmit_buf(&self.client_link, round, Direction::Backward, replies);
-        self.tap_resized += resized;
-
-        timing.total = start.elapsed();
-        (replies.to_vecs(), timing)
     }
 
     /// Runs one dialing round (forward-only; §5). The resulting
@@ -422,65 +414,80 @@ impl Chain {
         batch: impl Into<Batch>,
         num_drops: u32,
     ) -> RoundTiming {
-        let start = Instant::now();
-        let mut timing = RoundTiming::default();
-        let kind = RoundKind::Dialing { num_drops };
-
-        // Client link first (see run_conversation_round).
-        let mut buf = admit_batch(
-            &self.client_link,
+        let batch = batch.into();
+        let spec = RoundSpec::Dialing {
             round,
-            kind,
-            self.config.chain_len,
-            batch.into(),
-        );
-        for (i, server) in self.servers.iter_mut().enumerate() {
-            let (arrived, resized) = transmit_buf(&self.links[i], round, Direction::Forward, buf);
-            self.tap_resized += resized;
-            buf = arrived;
-            let t = Instant::now();
-            buf = server.forward_buf(round, kind, buf);
-            timing.forward.push(t.elapsed());
+            batch,
+            num_drops,
+        };
+        match self.run_round(spec) {
+            RoundOutcome::Dialing { timing } => timing,
+            RoundOutcome::Conversation { .. } => unreachable!("outcome matches its spec"),
         }
-
-        // Deposit into the invitation drops; add the last server's own
-        // per-drop noise; publish for download.
-        let t = Instant::now();
-        let last = self.servers.len() - 1;
-        let mut rng = Chain::chain_round_rng(self.seed, round);
-        let drops = deposit_dialing(&mut rng, &mut self.servers[last], round, num_drops, &buf);
-        self.dialing_log.push((round, drops.observables()));
-        // Dialing rounds are forward-only, so the per-server round state
-        // retained for a reply pass must be discarded explicitly.
-        for server in &mut self.servers {
-            server.abort_round(round);
-        }
-        self.invitation_drops = Some((round, drops));
-        timing.exchange = t.elapsed();
-
-        timing.total = start.elapsed();
-        timing
     }
 
-    /// Runs one round of a mixed schedule, dispatching on the spec's
-    /// protocol — the strictly sequential reference the streaming
-    /// scheduler's interleaved execution is verified against, round
-    /// descriptor by round descriptor.
+    /// Runs one round of a (possibly mixed) schedule start to finish —
+    /// the strictly sequential driver over each hop's [`RoundEngine`],
+    /// and the reference the streaming scheduler's interleaved execution
+    /// is verified against, round descriptor by round descriptor.
+    ///
+    /// The round runs end-to-end on a flat [`RoundBuffer`] arena; the
+    /// per-message vectors exist only at the client boundary. There,
+    /// per-message batches stay vectors through the entry, so a tap on
+    /// the client link observes clients' raw bytes (including any
+    /// malformed sizes) and the meter counts true lengths; cohort
+    /// batches arrive flat and stay flat.
     pub fn run_round(&mut self, spec: RoundSpec) -> RoundOutcome {
-        match spec {
-            RoundSpec::Conversation { round, batch } => {
-                let (replies, timing) = self.run_conversation_round(round, batch);
-                RoundOutcome::Conversation { replies, timing }
-            }
-            RoundSpec::Dialing {
-                round,
-                batch,
-                num_drops,
-            } => {
-                let timing = self.run_dialing_round(round, batch, num_drops);
-                RoundOutcome::Dialing { timing }
+        let start = Instant::now();
+        let mut timing = RoundTiming::default();
+        let mut report = StageReport::default();
+        let (round, kind, batch) = spec.into_parts();
+        let mut buf = admit_batch(&self.client_link, round, kind, self.config.chain_len, batch);
+
+        // Forward down the chain until the tail turns a conversation
+        // round around or completes a dialing round.
+        let mut turned = None;
+        for (server, link) in self.servers.iter_mut().zip(&self.links) {
+            let arrived = report.transmit_buf(link, round, Direction::Forward, buf);
+            let mut engine = RoundEngine::new(server, &self.config, self.seed);
+            match report.route(link, engine.forward(round, kind, arrived, &mut timing)) {
+                Some((Direction::Forward, next)) => buf = next,
+                Some((Direction::Backward, replies)) => {
+                    turned = Some(replies);
+                    break;
+                }
+                None => break,
             }
         }
+
+        // Backward through the hops before the tail (step 4; the tail's
+        // own pass ran in its turnaround), then entry → clients.
+        let replies = turned.map(|mut replies| {
+            let before_tail = self.servers.len() - 1;
+            let hops = self.servers[..before_tail].iter_mut();
+            for (server, link) in hops.zip(&self.links[..before_tail]).rev() {
+                let mut engine = RoundEngine::new(server, &self.config, self.seed);
+                replies = engine.backward(round, replies, &mut timing);
+                replies = report.transmit_buf(link, round, Direction::Backward, replies);
+            }
+            report
+                .transmit_buf(&self.client_link, round, Direction::Backward, replies)
+                .to_vecs()
+        });
+        self.absorb(report);
+        timing.total = start.elapsed();
+        match replies {
+            Some(replies) => RoundOutcome::Conversation { replies, timing },
+            None => RoundOutcome::Dialing { timing },
+        }
+    }
+
+    /// Folds what a driver recorded into the deployment's logs.
+    pub(crate) fn absorb(&mut self, report: StageReport) {
+        self.tap_resized += report.tap_resized;
+        self.conversation_log.extend(report.conversation_log);
+        self.dialing_log.extend(report.dialing_log);
+        self.invitation_drops = report.invitation_drops.or(self.invitation_drops.take());
     }
 
     /// Downloads one invitation drop from the most recent dialing round,
@@ -657,67 +664,14 @@ fn build_servers(config: &SystemConfig, seed: u64) -> Vec<MixServer> {
         .collect()
 }
 
-/// The last server's dead-drop exchange for one conversation round
-/// (Algorithm 2 step 3b): decodes the fully peeled requests (undecodable
-/// payloads become locally generated noise), exchanges through the drop
-/// table, and packs the responses into a reply buffer that reserves the
-/// whole chain's reply-layer overhead up front so every hop's in-place
-/// wrap fits in its slot. Shared verbatim by the sequential chain and
-/// the streaming scheduler's tail stage.
-pub(crate) fn exchange_conversation(
-    rng: &mut StdRng,
-    chain_len: usize,
-    shards: usize,
-    workers: usize,
-    buf: &RoundBuffer,
-) -> (RoundBuffer, ConversationObservables) {
-    let requests: Vec<ExchangeRequest> = (0..buf.len())
-        .map(|i| {
-            ExchangeRequest::decode(buf.slot(i)).unwrap_or_else(|_| ExchangeRequest::noise(rng))
-        })
-        .collect();
-    let (responses, observables) =
-        ConversationDrops::exchange_sharded(rng, &requests, shards, workers);
-    let reply_stride =
-        vuvuzela_wire::EXCHANGE_RESPONSE_LEN + chain_len * onion::REPLY_LAYER_OVERHEAD;
-    let mut replies = RoundBuffer::with_capacity(
-        reply_stride,
-        vuvuzela_wire::EXCHANGE_RESPONSE_LEN,
-        responses.len(),
-    );
-    for response in &responses {
-        replies.push_with(|slot| slot.copy_from_slice(&response.sealed_message));
-    }
-    (replies, observables)
-}
-
-/// The tail of one dialing round: deposits every peeled request into a
-/// fresh invitation-drop table (undecodable payloads become no-op
-/// writes) and adds the last server's direct per-drop noise. Shared by
-/// the sequential chain and the streaming scheduler.
-pub(crate) fn deposit_dialing(
-    rng: &mut StdRng,
-    last_server: &mut MixServer,
-    round: u64,
-    num_drops: u32,
-    buf: &RoundBuffer,
-) -> InvitationDrops {
-    let mut drops = InvitationDrops::new(num_drops);
-    for i in 0..buf.len() {
-        let request = DialRequest::decode(buf.slot(i)).unwrap_or_else(|_| DialRequest::noop(rng));
-        drops.deposit(request);
-    }
-    let counts = last_server.dialing_noise_counts(round, num_drops);
-    drops.add_noise(rng, &counts);
-    drops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::RngCore;
     use vuvuzela_crypto::onion;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
+    use vuvuzela_wire::conversation::ExchangeRequest;
+    use vuvuzela_wire::dialing::DialRequest;
     use vuvuzela_wire::{EXCHANGE_RESPONSE_LEN, SEALED_MESSAGE_LEN};
 
     fn tiny_config(chain_len: usize) -> SystemConfig {

@@ -1,10 +1,11 @@
 //! The shared per-server **round engine**: one implementation of the
-//! round state machine, two runtimes.
+//! round state machine, three drivers.
 //!
-//! Both deployment shapes — the in-process streaming pipeline
+//! The sequential [`crate::chain::Chain`] (one hop after the other on
+//! the calling thread), the in-process streaming pipeline
 //! ([`crate::pipeline::StreamingChain`], one OS thread per server) and
 //! the transport-driven wire nodes ([`crate::node`], one OS *process*
-//! per server) — used to carry their own copy of the same per-server
+//! per server) used to carry their own copy of the same per-server
 //! round loop: peel/noise/shuffle on the forward leg, the tail's
 //! dead-drop exchange or invitation deposit, the backward pass on
 //! conversation replies. This module is that loop, extracted once:
@@ -14,11 +15,12 @@
 //!   of both protocols) and turns each round-tagged input batch into
 //!   the *step* its runtime must perform next — forward the batch,
 //!   turn a conversation round around, or complete a forward-only
-//!   dialing round. The engine is transport-agnostic: the pipeline
-//!   routes steps onto mpsc hand-off queues, the wire nodes onto
+//!   dialing round. The engine is transport-agnostic: the chain hands
+//!   a step's batch to the next hop's engine, the pipeline routes it
+//!   onto mpsc hand-off queues, the wire nodes onto
 //!   [`vuvuzela_net::Transport`] frames. Because every source of round
 //!   randomness is a pure function of `(seed, round)` (see
-//!   [`crate::pipeline`] module docs), the two runtimes produce
+//!   [`crate::pipeline`] module docs), the runtimes produce
 //!   byte-identical rounds by construction — there is no second copy
 //!   of the recipe left to drift.
 //! * [`AdmissionWindow`] is the bounded in-flight window both drivers
@@ -29,15 +31,28 @@
 //!   rejection is deterministic — it depends only on the admitted-minus
 //!   -completed ledger, never on timing).
 
-use crate::chain::{deposit_dialing, exchange_conversation, Chain, RoundTiming};
+use crate::chain::RoundTiming;
 use crate::config::SystemConfig;
-use crate::deaddrops::InvitationDrops;
+use crate::deaddrops::{ConversationDrops, InvitationDrops};
 use crate::noise::expected_noise_per_server;
 use crate::observables::ConversationObservables;
 use crate::roundbuf::RoundBuffer;
-use crate::server::{MixServer, RoundKind};
+use crate::server::{round_rng, MixServer, RoundKind};
+use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::time::Instant;
+use vuvuzela_wire::conversation::ExchangeRequest;
+use vuvuzela_wire::dialing::DialRequest;
+
+/// Domain separator distinguishing the chain-level per-round RNG (drop
+/// exchange, undecodable-payload substitutes) from the servers' own.
+const CHAIN_RNG_DOMAIN: u64 = 0x5EED_C4A1_4000_0000;
+
+/// The RNG for one round's chain-level randomness: a pure function of
+/// `(chain seed, round)`, so every runtime's tail draws the same.
+fn chain_round_rng(seed: u64, round: u64) -> StdRng {
+    round_rng(seed ^ CHAIN_RNG_DOMAIN, round)
+}
 
 /// What a server's runtime must do with the batch the engine just
 /// processed.
@@ -87,7 +102,6 @@ pub enum EngineStep {
 /// exactly what the windowed/pipelined wire mode needs.
 pub struct RoundEngine<'a> {
     server: &'a mut MixServer,
-    chain_len: usize,
     exchange_shards: usize,
     workers: usize,
     seed: u64,
@@ -95,14 +109,13 @@ pub struct RoundEngine<'a> {
 
 impl<'a> RoundEngine<'a> {
     /// Wraps `server` (built by [`crate::chain::build_server`] or taken
-    /// from a [`Chain`]) for one schedule. `seed` is the *chain* seed
+    /// from a [`crate::chain::Chain`]) for one schedule. `seed` is the *chain* seed
     /// shared by the whole deployment — the tail derives each round's
     /// chain-level RNG from it.
     #[must_use]
     pub fn new(server: &'a mut MixServer, config: &SystemConfig, seed: u64) -> RoundEngine<'a> {
         RoundEngine {
             server,
-            chain_len: config.chain_len,
             exchange_shards: config.exchange_shards,
             workers: config.workers,
             seed,
@@ -121,6 +134,21 @@ impl<'a> RoundEngine<'a> {
     #[must_use]
     pub fn incoming_width(&self, kind: RoundKind) -> usize {
         self.server.incoming_width(kind)
+    }
+
+    /// The reply width this server expects on its incoming backward leg
+    /// — protocol validation for wire inputs, like
+    /// [`RoundEngine::incoming_width`].
+    #[must_use]
+    pub fn reply_width(&self) -> usize {
+        self.server.reply_width()
+    }
+
+    /// The least slot stride a reply arena arriving on that leg must
+    /// have (see [`MixServer::reply_stride`]).
+    #[must_use]
+    pub fn reply_stride(&self) -> usize {
+        self.server.reply_stride()
     }
 
     /// Runs the forward pass for one round-tagged batch and says what
@@ -148,10 +176,10 @@ impl<'a> RoundEngine<'a> {
         match kind {
             RoundKind::Conversation => {
                 let clock = Instant::now();
-                let mut rng = Chain::chain_round_rng(self.seed, round);
+                let mut rng = chain_round_rng(self.seed, round);
                 let (replies, observables) = exchange_conversation(
                     &mut rng,
-                    self.chain_len,
+                    self.server.reply_stride(),
                     self.exchange_shards,
                     self.workers,
                     &buf,
@@ -168,7 +196,7 @@ impl<'a> RoundEngine<'a> {
             }
             RoundKind::Dialing { num_drops } => {
                 let clock = Instant::now();
-                let mut rng = Chain::chain_round_rng(self.seed, round);
+                let mut rng = chain_round_rng(self.seed, round);
                 let drops = deposit_dialing(&mut rng, self.server, round, num_drops, &buf);
                 timing.exchange = clock.elapsed();
                 self.server.abort_round(round);
@@ -195,6 +223,57 @@ impl<'a> RoundEngine<'a> {
         timing.backward.push(clock.elapsed());
         replies
     }
+}
+
+/// The last server's dead-drop exchange for one conversation round
+/// (Algorithm 2 step 3b): decodes the fully peeled requests (undecodable
+/// payloads become locally generated noise), exchanges through the drop
+/// table, and packs the responses into a reply buffer that reserves the
+/// whole chain's reply-layer overhead up front so every hop's in-place
+/// wrap fits in its slot.
+fn exchange_conversation(
+    rng: &mut StdRng,
+    reply_stride: usize,
+    shards: usize,
+    workers: usize,
+    buf: &RoundBuffer,
+) -> (RoundBuffer, ConversationObservables) {
+    let requests: Vec<ExchangeRequest> = (0..buf.len())
+        .map(|i| {
+            ExchangeRequest::decode(buf.slot(i)).unwrap_or_else(|_| ExchangeRequest::noise(rng))
+        })
+        .collect();
+    let (responses, observables) =
+        ConversationDrops::exchange_sharded(rng, &requests, shards, workers);
+    let mut replies = RoundBuffer::with_capacity(
+        reply_stride,
+        vuvuzela_wire::EXCHANGE_RESPONSE_LEN,
+        responses.len(),
+    );
+    for response in &responses {
+        replies.push_with(|slot| slot.copy_from_slice(&response.sealed_message));
+    }
+    (replies, observables)
+}
+
+/// The tail of one dialing round: deposits every peeled request into a
+/// fresh invitation-drop table (undecodable payloads become no-op
+/// writes) and adds the last server's direct per-drop noise.
+fn deposit_dialing(
+    rng: &mut StdRng,
+    last_server: &mut MixServer,
+    round: u64,
+    num_drops: u32,
+    buf: &RoundBuffer,
+) -> InvitationDrops {
+    let mut drops = InvitationDrops::new(num_drops);
+    for i in 0..buf.len() {
+        let request = DialRequest::decode(buf.slot(i)).unwrap_or_else(|_| DialRequest::noop(rng));
+        drops.deposit(request);
+    }
+    let counts = last_server.dialing_noise_counts(round, num_drops);
+    drops.add_noise(rng, &counts);
+    drops
 }
 
 /// A round's admission cost: the expected number of onions it puts in

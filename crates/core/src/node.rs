@@ -253,7 +253,9 @@ enum Side {
 /// Any transport failure, or a [`Error::Protocol`] / [`Error::Frame`]
 /// when a peer violates the round protocol (backward frame on the
 /// forward leg, out-of-order round ids, wrong onion width for this hop,
-/// a `Bye` with rounds still in flight).
+/// a backward frame of another protocol than the round it answers or
+/// whose replies are not this hop's reply width in slots with room for
+/// the reply layers still to come, a `Bye` with rounds still in flight).
 pub fn run_server_node(
     mut server: MixServer,
     config: &SystemConfig,
@@ -267,8 +269,8 @@ pub fn run_server_node(
     let mut forward_seq = RoundSequencer::new();
     // Rounds forwarded downstream whose backward frame is still out;
     // backward frames must return in exactly this order (see the wire
-    // crate's sequencing rules).
-    let mut pending: VecDeque<u64> = VecDeque::new();
+    // crate's sequencing rules), each of its round's own protocol.
+    let mut pending: VecDeque<(u64, RoundType)> = VecDeque::new();
     let mut upstream_done = false;
 
     let mut links: Vec<(Side, Arc<dyn Transport>)> = vec![(Side::Upstream, Arc::clone(&upstream))];
@@ -319,7 +321,7 @@ pub fn run_server_node(
                             buf,
                             Vec::new(),
                         ))?;
-                        pending.push_back(round);
+                        pending.push_back((round, round_type));
                     }
                     EngineStep::Turnaround {
                         round,
@@ -378,16 +380,15 @@ pub fn run_server_node(
                     return Err(protocol(down_link, "forward frame on the backward leg"));
                 }
                 let round = back.round.0;
-                match pending.front() {
-                    Some(&expected) if expected == round => {
-                        pending.pop_front();
-                    }
-                    Some(&expected) => {
+                let round_type = back.round_type;
+                match pending.pop_front() {
+                    Some(expected) if expected == (round, round_type) => {}
+                    Some((expected, expected_type)) => {
                         return Err(protocol(
                             down_link,
                             format!(
-                                "expected the backward frame of round {expected}, got round \
-                                 {round}"
+                                "expected the {expected_type:?} backward frame of round \
+                                 {expected}, got a {round_type:?} one for round {round}"
                             ),
                         ))
                     }
@@ -398,9 +399,22 @@ pub fn run_server_node(
                         ))
                     }
                 }
-                let round_type = back.round_type;
                 match round_type {
                     RoundType::Conversation => {
+                        // The arena goes straight into the in-place
+                        // reply wrap: refuse one this hop's layer, or a
+                        // later hop's, would not fit in.
+                        let (width, stride) = (engine.reply_width(), engine.reply_stride());
+                        if back.width as usize != width || (back.stride as usize) < stride {
+                            return Err(protocol(
+                                down_link,
+                                format!(
+                                    "round {round} replies of width {} in slots of {} but this \
+                                     hop expects width {width} in slots of at least {stride}",
+                                    back.width, back.stride
+                                ),
+                            ));
+                        }
                         let trailer = back.trailer.clone();
                         let mut timing = RoundTiming::default();
                         let replies = engine.backward(round, buf_from_frame(back), &mut timing);
@@ -777,6 +791,98 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// Runs hop 0 of a two-server chain up to the forward frame of a
+    /// one-onion round 0 of `round_type`, then answers as its downstream
+    /// with conversation replies whose `(stride, width, count)` is
+    /// `lie(slots forwarded)`. The node must refuse them by name: the
+    /// join is the assertion that a lying peer cannot unwind it.
+    fn assert_hop0_refuses(round_type: RoundType, lie: impl FnOnce(u32) -> (u32, u32, u32)) {
+        let config = tiny_config(2);
+        let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
+        let (down_near, down_far) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
+        let server = build_server(&config, 3, 0);
+        let (cfg, up) = (config.clone(), Arc::new(up_near));
+        let down: Option<Arc<dyn Transport>> = Some(Arc::new(down_near));
+        let node = std::thread::spawn(move || run_server_node(server, &cfg, 3, up, down));
+        let num_drops = u32::from(round_type == RoundType::Dialing);
+        let kind = match round_type {
+            RoundType::Conversation => RoundKind::Conversation,
+            RoundType::Dialing => RoundKind::Dialing { num_drops },
+        };
+        // One undecodable onion: the hop replaces it and, on the way
+        // back, owes its slot a filler reply.
+        let width = onion::wrapped_len(kind.payload_len(), config.chain_len);
+        let batch = BatchFrame {
+            link: LinkId::Hop(0),
+            round: RoundId(0),
+            round_type,
+            num_drops,
+            backward: false,
+            stride: width as u32,
+            width: width as u32,
+            count: 1,
+            payload: vec![0; width],
+            trailer: Vec::new(),
+        };
+        up_far.send(Frame::Batch(batch)).expect("send batch");
+        let forwarded = match down_far.recv().expect("forwarded batch") {
+            Frame::Batch(forwarded) => forwarded,
+            other => panic!("expected the forwarded batch, got {other:?}"),
+        };
+        let (stride, width, count) = lie(forwarded.count);
+        let replies = BatchFrame {
+            round_type: RoundType::Conversation,
+            num_drops: 0,
+            backward: true,
+            stride,
+            width,
+            count,
+            payload: vec![0; (stride * count) as usize],
+            ..forwarded
+        };
+        down_far.send(Frame::Batch(replies)).expect("send the lie");
+        let returned = node
+            .join()
+            .expect("a lying downstream must not panic the node");
+        match returned {
+            Err(Error::Protocol { link, reason }) => {
+                assert_eq!(link, LinkId::Hop(1));
+                assert!(reason.contains("round 0"), "{reason}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    /// Hop 0's reply width in a two-server chain.
+    const REPLY_WIDTH: u32 =
+        (vuvuzela_wire::EXCHANGE_RESPONSE_LEN + onion::REPLY_LAYER_OVERHEAD) as u32;
+
+    #[test]
+    fn empty_reply_geometry_from_downstream_is_a_protocol_error() {
+        // 0/0/0 is a legal frame (a dialing completion has that shape)
+        // but not a conversation round's replies.
+        assert_hop0_refuses(RoundType::Conversation, |_| (0, 0, 0));
+    }
+
+    #[test]
+    fn replies_without_room_for_the_reply_layer_are_a_protocol_error() {
+        // The right count and width, but slots exactly as wide as the
+        // replies: this hop's in-place wrap would run off each slot.
+        assert_hop0_refuses(RoundType::Conversation, |forwarded| {
+            (REPLY_WIDTH, REPLY_WIDTH, forwarded)
+        });
+    }
+
+    #[test]
+    fn conversation_replies_to_a_dialing_round_are_a_protocol_error() {
+        // This hop dropped the dialing round's state when it forwarded
+        // it; well-formed replies for it have no forward pass to invert.
+        let stride = REPLY_WIDTH + onion::REPLY_LAYER_OVERHEAD as u32;
+        assert_hop0_refuses(RoundType::Dialing, |forwarded| {
+            (stride, REPLY_WIDTH, forwarded)
+        });
     }
 
     #[test]

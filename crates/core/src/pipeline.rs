@@ -92,13 +92,12 @@
 //!
 //! Sustained throughput of the streaming schedule is bounded by the
 //! slowest hop (plus the tail exchange) instead of the sum of hops; the
-//! `bench_streaming_chain` and `bench_mixed_schedule` artefacts measure
-//! both schedulers on the same homogeneous resp. mixed workloads.
+//! repository benchmark (`benchmark/`) measures both schedulers on the
+//! same batches as `core.pipeline.speedup_vs_sequential`.
 
-use crate::chain::{admit_batch, transmit_buf, Chain, RoundOutcome, RoundSpec, RoundTiming};
+use crate::chain::{admit_batch, Chain, RoundOutcome, RoundSpec, RoundTiming, StageReport};
 use crate::config::SystemConfig;
-use crate::engine::{AdmissionWindow, EngineStep, RoundEngine};
-use crate::observables::ConversationObservables;
+use crate::engine::{AdmissionWindow, RoundEngine};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use std::collections::{HashMap, HashSet};
@@ -130,20 +129,6 @@ enum StageMsg {
     /// Towards the clients (responses) — or, for forward-only dialing
     /// rounds, the tail's completion notice.
     Backward(Tagged),
-}
-
-/// What one stage reports when a schedule drains.
-struct StageReport {
-    /// Entries taps resized on this stage's incoming/outgoing transfers.
-    tap_resized: u64,
-    /// Tail stage only: per-round conversation observables, in round
-    /// completion order (equals feed order).
-    conversation_log: Vec<(u64, ConversationObservables)>,
-    /// Tail stage only: the schedule's *last* dialing round's drops
-    /// (rounds reach the tail in feed order, so last processed = last
-    /// fed, matching the sequential chain's overwrite semantics).
-    invitation_drops: Option<(u64, crate::deaddrops::InvitationDrops)>,
-    dialing_log: Vec<(u64, crate::observables::DialingObservables)>,
 }
 
 /// The fixed wiring of one pipeline stage (see [`pipeline_stage`]).
@@ -180,9 +165,8 @@ struct StageCtx<'a> {
 /// weighted admission (see the module docs). A thin [`RoundSpec`] view
 /// over [`crate::engine::admission_weights`] — the pricing itself lives
 /// in the engine, shared verbatim with the wire client driver, so both
-/// runtimes throttle mixed schedules identically. Exposed so tests and
-/// the mixed-schedule benchmark can inspect the pricing the scheduler
-/// will use.
+/// runtimes throttle mixed schedules identically. Exposed so tests can
+/// inspect the pricing the scheduler will use.
 #[must_use]
 pub fn admission_weights(config: &SystemConfig, window: usize, specs: &[RoundSpec]) -> Vec<usize> {
     let rounds: Vec<(RoundKind, usize)> = specs
@@ -372,8 +356,9 @@ impl StreamingChain {
         let abort = &AtomicBool::new(false);
 
         let mut collected: HashMap<u64, RoundOutcome> = HashMap::new();
-        let mut resized = 0u64;
-        let mut reports: Vec<StageReport> = Vec::new();
+        // The collector's own transfers (entry → clients), then one
+        // report per stage.
+        let mut reports = vec![StageReport::default()];
 
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(n);
@@ -419,33 +404,33 @@ impl StreamingChain {
 
             // The feeder/collector: admit rounds while the weighted
             // window has room, collect finished rounds otherwise.
-            let collect_one =
-                |resized: &mut u64, collected: &mut HashMap<u64, RoundOutcome>| -> u64 {
-                    let Some(StageMsg::Backward(mut tagged)) = recv_or_abort(&out_rx, abort) else {
-                        panic!("a pipeline stage died; schedule aborted");
-                    };
-                    let round = tagged.round.0;
-                    let outcome = match tagged.kind {
-                        RoundKind::Conversation => {
-                            let (replies, r) =
-                                transmit_buf(client_link, round, Direction::Backward, tagged.buf);
-                            *resized += r;
-                            tagged.timing.total = tagged.fed.elapsed();
-                            RoundOutcome::Conversation {
-                                replies: replies.to_vecs(),
-                                timing: tagged.timing,
-                            }
-                        }
-                        RoundKind::Dialing { .. } => {
-                            tagged.timing.total = tagged.fed.elapsed();
-                            RoundOutcome::Dialing {
-                                timing: tagged.timing,
-                            }
-                        }
-                    };
-                    collected.insert(round, outcome);
-                    round
+            let collect_one = |exit: &mut StageReport,
+                               collected: &mut HashMap<u64, RoundOutcome>|
+             -> u64 {
+                let Some(StageMsg::Backward(mut tagged)) = recv_or_abort(&out_rx, abort) else {
+                    panic!("a pipeline stage died; schedule aborted");
                 };
+                let round = tagged.round.0;
+                let outcome = match tagged.kind {
+                    RoundKind::Conversation => {
+                        let replies =
+                            exit.transmit_buf(client_link, round, Direction::Backward, tagged.buf);
+                        tagged.timing.total = tagged.fed.elapsed();
+                        RoundOutcome::Conversation {
+                            replies: replies.to_vecs(),
+                            timing: tagged.timing,
+                        }
+                    }
+                    RoundKind::Dialing { .. } => {
+                        tagged.timing.total = tagged.fed.elapsed();
+                        RoundOutcome::Dialing {
+                            timing: tagged.timing,
+                        }
+                    }
+                };
+                collected.insert(round, outcome);
+                round
+            };
             let mut done = 0usize;
             let mut admission = AdmissionWindow::new(window);
             for (spec, weight) in specs.into_iter().zip(weights) {
@@ -453,7 +438,7 @@ impl StreamingChain {
                 // heavier than the whole window still enters once the
                 // pipeline is empty (the window's progress guarantee).
                 while admission.would_block(weight) {
-                    let finished = collect_one(&mut resized, &mut collected);
+                    let finished = collect_one(&mut reports[0], &mut collected);
                     admission
                         .complete(finished)
                         .expect("finished round was admitted");
@@ -477,7 +462,7 @@ impl StreamingChain {
             }
             drop(feed_tx);
             while done < total {
-                let _ = collect_one(&mut resized, &mut collected);
+                let _ = collect_one(&mut reports[0], &mut collected);
                 done += 1;
             }
             for handle in handles {
@@ -485,14 +470,8 @@ impl StreamingChain {
             }
         });
 
-        self.chain.tap_resized += resized;
         for report in reports {
-            self.chain.tap_resized += report.tap_resized;
-            self.chain.conversation_log.extend(report.conversation_log);
-            self.chain.dialing_log.extend(report.dialing_log);
-            if let Some(drops) = report.invitation_drops {
-                self.chain.invitation_drops = Some(drops);
-            }
+            self.chain.absorb(report);
         }
         order
             .iter()
@@ -524,8 +503,9 @@ fn recv_or_abort(rx: &Receiver<StageMsg>, abort: &AtomicBool) -> Option<StageMsg
 /// round recipe (forward pass, the tail's dead-drop exchange /
 /// invitation deposit, backward passes — the same state machine the
 /// wire node runtimes drive); the stage only meters the batch through
-/// its link, routes the engine's steps onto the hand-off queues, and
-/// logs what the tail observed.
+/// its link and routes the engine's steps — handled by the
+/// [`StageReport`] the sequential chain uses too — onto the hand-off
+/// queues.
 fn pipeline_stage(
     server: &mut MixServer,
     ctx: &StageCtx<'_>,
@@ -533,12 +513,7 @@ fn pipeline_stage(
 ) -> StageReport {
     let mut engine = RoundEngine::new(server, ctx.config, ctx.seed);
     let is_last = ctx.index + 1 == ctx.config.chain_len;
-    let mut report = StageReport {
-        tap_resized: 0,
-        conversation_log: Vec::new(),
-        invitation_drops: None,
-        dialing_log: Vec::new(),
-    };
+    let mut report = StageReport::default();
     let expect_backwards = if is_last { 0 } else { ctx.total_conversation };
     let mut forwards = 0usize;
     let mut backwards = 0usize;
@@ -549,11 +524,11 @@ fn pipeline_stage(
         let sent_ok = match msg {
             StageMsg::Forward(mut tagged) => {
                 forwards += 1;
-                let (buf, r) =
-                    transmit_buf(ctx.link, tagged.round.0, Direction::Forward, tagged.buf);
-                report.tap_resized += r;
-                match engine.forward(tagged.round.0, tagged.kind, buf, &mut tagged.timing) {
-                    EngineStep::Forward { buf, .. } => {
+                let round = tagged.round.0;
+                let buf = report.transmit_buf(ctx.link, round, Direction::Forward, tagged.buf);
+                let step = engine.forward(round, tagged.kind, buf, &mut tagged.timing);
+                match report.route(ctx.link, step) {
+                    Some((Direction::Forward, buf)) => {
                         tagged.buf = buf;
                         ctx.next_tx
                             .as_ref()
@@ -561,21 +536,11 @@ fn pipeline_stage(
                             .send(StageMsg::Forward(tagged))
                             .is_ok()
                     }
-                    EngineStep::Turnaround {
-                        round,
-                        replies,
-                        observables,
-                    } => {
-                        report.conversation_log.push((round, observables));
-                        let (replies, r) =
-                            transmit_buf(ctx.link, round, Direction::Backward, replies);
-                        report.tap_resized += r;
+                    Some((Direction::Backward, replies)) => {
                         tagged.buf = replies;
                         ctx.back_tx.send(StageMsg::Backward(tagged)).is_ok()
                     }
-                    EngineStep::DialingComplete { round, drops, .. } => {
-                        report.dialing_log.push((round, drops.observables()));
-                        report.invitation_drops = Some((round, drops));
+                    None => {
                         tagged.buf = RoundBuffer::new(1, 0);
                         // Completion notice straight to the exit queue.
                         ctx.done_tx.send(StageMsg::Backward(tagged)).is_ok()
@@ -584,11 +549,9 @@ fn pipeline_stage(
             }
             StageMsg::Backward(mut tagged) => {
                 backwards += 1;
-                let replies = engine.backward(tagged.round.0, tagged.buf, &mut tagged.timing);
-                let (replies, r) =
-                    transmit_buf(ctx.link, tagged.round.0, Direction::Backward, replies);
-                report.tap_resized += r;
-                tagged.buf = replies;
+                let round = tagged.round.0;
+                let replies = engine.backward(round, tagged.buf, &mut tagged.timing);
+                tagged.buf = report.transmit_buf(ctx.link, round, Direction::Backward, replies);
                 ctx.back_tx.send(StageMsg::Backward(tagged)).is_ok()
             }
         };

@@ -190,8 +190,10 @@ impl RoundBuffer {
     ///
     /// Panics on inconsistent geometry (`data.len() != len * stride`,
     /// `width > stride`, zero stride) — a frame decoded by
-    /// `vuvuzela_wire` has already validated all three, so this guards
-    /// local construction bugs, not remote input.
+    /// `vuvuzela_wire` has already validated the first two and the node
+    /// runtimes hold its width and stride to what their hop expects
+    /// before rebuilding the arena, so this guards local construction
+    /// bugs, not remote input.
     #[must_use]
     pub fn from_raw(data: Vec<u8>, stride: usize, width: usize, len: usize) -> RoundBuffer {
         assert!(stride > 0, "stride must be positive");

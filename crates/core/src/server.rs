@@ -211,6 +211,24 @@ impl MixServer {
         onion::wrapped_len(kind.payload_len(), self.chain_len - self.position)
     }
 
+    /// The reply size this server expects on its incoming backward link:
+    /// the exchange response under the reply layers of the servers after
+    /// it.
+    #[must_use]
+    pub fn reply_width(&self) -> usize {
+        vuvuzela_wire::EXCHANGE_RESPONSE_LEN
+            + (self.chain_len - 1 - self.position) * onion::REPLY_LAYER_OVERHEAD
+    }
+
+    /// The slot stride of every reply arena in this chain: the tail
+    /// reserves the whole chain's reply layers up front, so each hop's
+    /// in-place wrap — this one's and those of the hops before it —
+    /// fits in its slot.
+    #[must_use]
+    pub fn reply_stride(&self) -> usize {
+        vuvuzela_wire::EXCHANGE_RESPONSE_LEN + self.chain_len * onion::REPLY_LAYER_OVERHEAD
+    }
+
     /// Forward pass on the flat round arena: peel every layer in place in
     /// parallel, replace malformed entries with substitute noise, append
     /// cover traffic, and apply the secret shuffle by index remapping.
@@ -331,10 +349,9 @@ impl MixServer {
             // uniform filler of the correct outgoing size for every
             // upstream request.
             self.malformed_replaced += state.incoming_len as u64;
-            let out_size = vuvuzela_wire::EXCHANGE_RESPONSE_LEN
-                + (self.chain_len - self.position) * onion::REPLY_LAYER_OVERHEAD;
-            let stride = out_size + self.position * onion::REPLY_LAYER_OVERHEAD;
-            let mut filler = RoundBuffer::with_capacity(stride, out_size, state.incoming_len);
+            let out_size = self.reply_width() + onion::REPLY_LAYER_OVERHEAD;
+            let mut filler =
+                RoundBuffer::with_capacity(self.reply_stride(), out_size, state.incoming_len);
             let rng = &mut state.rng;
             for _ in 0..state.incoming_len {
                 filler.push_with(|slot| rng.fill_bytes(slot));

@@ -164,8 +164,8 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if a batch frame's geometry is inconsistent
-    /// (`payload.len() != count * stride` or `width > stride`) — that is
-    /// a sender-side bug, never remote input.
+    /// (`payload.len() != count * stride`, `width > stride`, or slots of
+    /// zero stride) — that is a sender-side bug, never remote input.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
@@ -186,6 +186,10 @@ impl Frame {
                     batch.payload.len() as u64,
                     u64::from(batch.count) * u64::from(batch.stride),
                     "payload length must be count * stride"
+                );
+                assert!(
+                    batch.stride > 0 || batch.count == 0,
+                    "slots of a non-empty batch need a stride"
                 );
                 out.push(TYPE_BATCH);
                 out.extend_from_slice(&batch.link.code().to_le_bytes());
@@ -264,7 +268,10 @@ impl Frame {
                 let payload = r.take(payload_len)?.to_vec();
                 let trailer_len = r.u32()? as usize;
                 let trailer = r.take(trailer_len)?.to_vec();
-                if width > stride || payload.len() as u64 != u64::from(count) * u64::from(stride) {
+                if width > stride
+                    || (stride == 0 && count > 0)
+                    || payload.len() as u64 != u64::from(count) * u64::from(stride)
+                {
                     return Err(FrameError::BadGeometry);
                 }
                 Frame::Batch(BatchFrame {
@@ -443,6 +450,25 @@ mod tests {
         // panic sender-side on this inconsistency; flip the count byte
         // in otherwise valid bytes to model a corrupting peer.
         let mut bytes = Frame::Batch(sample_batch()).encode();
+        let count_off = 7 + 8 + 8 + 1 + 1 + 4 + 4 + 4;
+        bytes[count_off] = 3;
+        assert_eq!(Frame::decode(&bytes), Err(FrameError::BadGeometry));
+    }
+
+    #[test]
+    fn slots_without_a_stride_rejected() {
+        // Nothing at all is a legal batch (a dialing completion) ...
+        let empty = Frame::Batch(BatchFrame {
+            stride: 0,
+            width: 0,
+            count: 0,
+            payload: Vec::new(),
+            ..sample_batch()
+        });
+        let mut bytes = empty.encode();
+        assert_eq!(Frame::decode(&bytes), Ok(empty));
+        // ... but slots of no bytes are not: `count * stride` is still
+        // the (empty) payload's length, so only this check catches it.
         let count_off = 7 + 8 + 8 + 1 + 1 + 4 + 4 + 4;
         bytes[count_off] = 3;
         assert_eq!(Frame::decode(&bytes), Err(FrameError::BadGeometry));

@@ -23,7 +23,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde_json::{json, Value};
 use vuvuzela_core::chain::{build_server, server_keypairs, Chain};
@@ -714,16 +714,9 @@ pub struct LaunchReport {
     pub distributed: String,
     /// The reference transcript, when `--check` ran.
     pub reference: Option<String>,
-    /// Wall-clock seconds of the distributed run (client connect →
-    /// transcript complete; includes process startup).
-    pub distributed_secs: f64,
-    /// Wall-clock seconds of the in-process reference run.
-    pub reference_secs: Option<f64>,
     /// The pipelined run's transcript (also written to
     /// `distributed_pipelined.txt`), when `pipeline > 1`.
     pub pipelined: Option<String>,
-    /// Wall-clock seconds of the pipelined run.
-    pub pipelined_secs: Option<f64>,
     /// The clamped window depth the pipelined run used (1 when no
     /// pipelined run happened).
     pub pipeline_depth: usize,
@@ -738,15 +731,14 @@ fn kill_all(children: &mut [(String, Child)]) {
 
 /// Spawns one full process set — servers tail-to-head, entry, client —
 /// against `resolved_path`, waits for every process, and returns the
-/// client transcript plus the wall-clock seconds of the whole run.
+/// client transcript.
 fn run_process_set(
     cfg: &DeploymentConfig,
     bin: &dyn Fn(&str) -> PathBuf,
     resolved_path: &Path,
     transcript_path: &Path,
     depth: usize,
-) -> Result<(String, f64), String> {
-    let started = Instant::now();
+) -> Result<String, String> {
     let mut children: Vec<(String, Child)> = Vec::new();
     let spawn = |children: &mut Vec<(String, Child)>,
                  name: String,
@@ -813,14 +805,12 @@ fn run_process_set(
         kill_all(&mut children);
         return Err(failure);
     }
-    let secs = started.elapsed().as_secs_f64();
-    let transcript = std::fs::read_to_string(transcript_path).map_err(|err| {
+    std::fs::read_to_string(transcript_path).map_err(|err| {
         format!(
             "client wrote no transcript at {}: {err}",
             transcript_path.display()
         )
-    })?;
-    Ok((transcript, secs))
+    })
 }
 
 /// Strips the transcript header (whose digest covers the deployment's
@@ -834,8 +824,7 @@ fn transcript_body(transcript: &str) -> &str {
 /// Launches one deployment as separate OS processes — `chain_len`
 /// `vuvuzela-server`s, one `vuvuzela-entry`, one `vuvuzela-client` —
 /// replays the schedule, and writes `distributed.txt`,
-/// `reference.txt` (with `check`), `resolved.json` and
-/// `BENCH_wire_chain.json` into the out dir.
+/// `reference.txt` (with `check`) and `resolved.json` into the out dir.
 ///
 /// With `pipeline > 1` a second process set replays the same schedule
 /// with a pipelined client window (`distributed_pipelined.txt`). Its
@@ -876,8 +865,7 @@ pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchR
     let bin = |name: &str| bin_dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
 
     let transcript_path = opts.out_dir.join("distributed.txt");
-    let (distributed, distributed_secs) =
-        run_process_set(&cfg, &bin, &resolved_path, &transcript_path, 1)?;
+    let distributed = run_process_set(&cfg, &bin, &resolved_path, &transcript_path, 1)?;
 
     let depth = opts.pipeline.clamp(1, cfg.system.chain_len.max(1));
     let pipelined_run = if depth > 1 {
@@ -885,8 +873,7 @@ pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchR
         resolve_ephemeral_ports(&mut pcfg)?;
         let presolved_path = write_resolved("resolved_pipelined.json", &pcfg)?;
         let ptranscript_path = opts.out_dir.join("distributed_pipelined.txt");
-        let (transcript, secs) =
-            run_process_set(&pcfg, &bin, &presolved_path, &ptranscript_path, depth)?;
+        let transcript = run_process_set(&pcfg, &bin, &presolved_path, &ptranscript_path, depth)?;
         if transcript_body(&transcript) != transcript_body(&distributed) {
             return Err(format!(
                 "pipelined transcript body diverged from the sequential run: {} vs {}",
@@ -894,53 +881,20 @@ pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchR
                 transcript_path.display(),
             ));
         }
-        Some((pcfg, transcript, secs))
+        Some((pcfg, transcript))
     } else {
         None
     };
 
-    let (reference, reference_secs) = if opts.check {
-        let started = Instant::now();
+    let reference = if opts.check {
         let reference = run_reference(&cfg);
-        let secs = started.elapsed().as_secs_f64();
         let reference_path = opts.out_dir.join("reference.txt");
         std::fs::write(&reference_path, &reference)
             .map_err(|err| format!("cannot write {}: {err}", reference_path.display()))?;
-        (Some(reference), Some(secs))
+        Some(reference)
     } else {
-        (None, None)
+        None
     };
-
-    let rounds = cfg.schedule.len();
-    let pipelined_secs = pipelined_run.as_ref().map(|(_, _, secs)| *secs);
-    let bench = json!({
-        "bench": "wire_chain",
-        "rounds": rounds,
-        "loopback_multiprocess": {
-            "secs": distributed_secs,
-            "rounds_per_sec": rounds as f64 / distributed_secs.max(1e-9),
-        },
-        "pipelined_multiprocess": pipelined_secs.map(|secs| json!({
-            "secs": secs,
-            "rounds_per_sec": rounds as f64 / secs.max(1e-9),
-            "depth": depth,
-        })).unwrap_or(Value::Null),
-        "speedup_pipelined_wire": pipelined_secs
-            .map(|secs| json!(distributed_secs / secs.max(1e-9)))
-            .unwrap_or(Value::Null),
-        "in_process_reference": reference_secs.map(|secs| json!({
-            "secs": secs,
-            "rounds_per_sec": rounds as f64 / secs.max(1e-9),
-        })).unwrap_or(Value::Null),
-        "note": "informational: loopback TCP on a shared-core box, includes process startup; \
-                 not a distributed-deployment throughput claim",
-    });
-    let bench_path = opts.out_dir.join("BENCH_wire_chain.json");
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&bench).expect("bench renders") + "\n",
-    )
-    .map_err(|err| format!("cannot write {}: {err}", bench_path.display()))?;
 
     if let Some(reference) = &reference {
         if *reference != distributed {
@@ -952,7 +906,7 @@ pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchR
                 hex(&sha256(reference.as_bytes())),
             ));
         }
-        if let Some((pcfg, ptranscript, _)) = &pipelined_run {
+        if let Some((pcfg, ptranscript)) = &pipelined_run {
             let preference = run_reference(pcfg);
             let preference_path = opts.out_dir.join("reference_pipelined.txt");
             std::fs::write(&preference_path, &preference)
@@ -969,17 +923,10 @@ pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchR
             }
         }
     }
-    let (pipelined, pipelined_secs) = match pipelined_run {
-        Some((_, transcript, secs)) => (Some(transcript), Some(secs)),
-        None => (None, None),
-    };
     Ok(LaunchReport {
         distributed,
         reference,
-        distributed_secs,
-        reference_secs,
-        pipelined,
-        pipelined_secs,
+        pipelined: pipelined_run.map(|(_, transcript)| transcript),
         pipeline_depth: depth,
     })
 }
