@@ -16,9 +16,8 @@
 //!
 //! The ratios also depend on **which x25519 kernels the CPU ran**:
 //! `speedup_peel_batched` is ~1.2 on the portable four-wide ladder and
-//! ~4 on the eight-wide AVX-512 IFMA one, `speedup_wrap_chunk` ~1 on
-//! the scalar comb and ~3 on the eight-wide one, and every other
-//! flat-versus-reference ratio moves with them. `bench_round_pipeline`
+//! ~4 on the eight-wide AVX-512 IFMA one, and every other
+//! flat-versus-reference ratio moves with it. `bench_round_pipeline`
 //! records the kernel as a top-level `ladder_backend` string; when both
 //! files carry one and they differ, the ratios are reported as skipped
 //! instead of compared, so an IFMA baseline cannot fail a runner

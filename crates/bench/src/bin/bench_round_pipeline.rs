@@ -29,8 +29,8 @@
 //! both the scalar-ladder chunk path it replaced and the seed-era
 //! per-slot peel; a `wrap` section beside it prices the chunk wrap
 //! (cover traffic, cohort build: the comb tables eight lanes at a time
-//! on that backend) against the single-onion wrap over the same tables
-//! (see `vuvuzela_bench::peelstage`).
+//! on that backend) in wrapped layers per second (see
+//! `vuvuzela_bench::peelstage`).
 //! Written to `BENCH_round_pipeline.json` at the workspace root for the
 //! perf trajectory; regenerate with
 //! `cargo run --release -p vuvuzela-bench --bin bench_round_pipeline`.

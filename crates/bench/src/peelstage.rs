@@ -160,26 +160,20 @@ pub fn run(onions: usize, iterations: usize) -> serde_json::Value {
 /// chunk the bulk callers (noise generation, cohort build) hand it.
 const WRAP_CHUNK_SLOTS: usize = 32;
 
-/// Runs the wrap-stage comparison: `onions` payloads wrapped for a
-/// `chain_len`-server chain, best of `iterations` interleaved passes,
-/// through the two production wrap paths over identical secrets:
-///
-/// * **single-onion** (`onion::wrap_noise_into` per onion): scalar
-///   comb-table keygen and DH, one inversion per onion — what a
-///   per-object client or a server's substitute onion pays;
-/// * **chunk** (`onion::wrap_chunk_in_place`, 32 slots a call): the
-///   bulk path of cover traffic and cohort build — the eight-wide comb
-///   on AVX-512 IFMA, the same scalar comb elsewhere.
-///
-/// Rates are wrapped *layers* per second (`onions · chain_len` per
-/// pass). `speedup_wrap_chunk` (chunk ÷ single-onion) prices the
-/// eight-wide comb against the scalar one; it is ~1 on the portable
-/// backend, so like `speedup_peel_batched` it rides the `bench_diff`
-/// gate only between artefacts from the same `ladder_backend`.
+/// Prices the wrap stage: `onions` payloads wrapped for a
+/// `chain_len`-server chain through `onion::wrap_chunk_in_place`, 32
+/// slots a call — the bulk path of cover traffic and cohort build: the
+/// eight-wide comb on AVX-512 IFMA, the scalar comb elsewhere — best of
+/// `iterations` passes. The rate is wrapped *layers* per second
+/// (`onions · chain_len` per pass). There is no second wrap path to
+/// divide by: the single-onion entry points are the same kernel on a
+/// chunk of one, so they serve as the byte-identity check only (fed the
+/// same secrets from their RNG).
 ///
 /// # Panics
 ///
-/// Panics if the two paths disagree on any output byte.
+/// Panics if the chunk and the onion-at-a-time wraps disagree on any
+/// output byte.
 #[must_use]
 pub fn run_wrap(onions: usize, chain_len: usize, iterations: usize) -> serde_json::Value {
     let mut rng = StdRng::seed_from_u64(4243);
@@ -188,11 +182,11 @@ pub fn run_wrap(onions: usize, chain_len: usize, iterations: usize) -> serde_jso
         .collect();
     let width = onion::wrapped_len(PAYLOAD_LEN, chain_len);
     let round = 1u64;
-    // Zero payloads in place; the secrets both paths consume, in the
+    // Zero payloads in place; the secrets both forms consume, in the
     // one order `draw_layer_secrets` defines.
     let arena = vec![0u8; onions * width];
     let mut secrets = vec![[0u8; 32]; onions * chain_len];
-    let secrets_rng = rng.clone();
+    let mut secrets_rng = rng.clone();
     for slot_secrets in secrets.chunks_mut(chain_len) {
         onion::draw_layer_secrets(&mut rng, slot_secrets);
     }
@@ -213,46 +207,30 @@ pub fn run_wrap(onions: usize, chain_len: usize, iterations: usize) -> serde_jso
             );
         }
     };
-    let wrap_singly = |a: &mut [u8]| {
-        let mut rng = secrets_rng.clone();
-        for slot in a.chunks_mut(width) {
-            onion::wrap_noise_into(&mut rng, &servers, round, slot, PAYLOAD_LEN);
-        }
-    };
-    let time = |wrap: &dyn Fn(&mut [u8])| -> (f64, Vec<u8>) {
-        let mut a = arena.clone();
-        let start = Instant::now();
-        wrap(&mut a);
-        (start.elapsed().as_secs_f64(), a)
-    };
 
     println!("\nwrap stage: {onions} onions x {chain_len} layers ({width}B)...");
-    assert_eq!(
-        time(&wrap_chunks).1,
-        time(&wrap_singly).1,
-        "chunk and single-onion wraps diverged"
-    );
-    println!("wrap outputs byte-identical across both paths");
-
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..iterations {
-        best[0] = best[0].min(time(&wrap_singly).0);
-        best[1] = best[1].min(time(&wrap_chunks).0);
+    let (mut chunked, mut singly) = (arena.clone(), arena.clone());
+    wrap_chunks(&mut chunked);
+    for slot in singly.chunks_mut(width) {
+        onion::wrap_noise_into(&mut secrets_rng, &servers, round, slot, PAYLOAD_LEN);
     }
-    let layers = (onions * chain_len) as f64;
-    let single = layers / best[0];
-    let chunk = layers / best[1];
-    println!(
-        "wrap: single-onion {single:>8.0} layers/s   chunk {chunk:>8.0} layers/s   {:.2}x",
-        chunk / single
-    );
+    assert_eq!(chunked, singly, "chunk and single-onion wraps diverged");
+    println!("wrap outputs byte-identical, chunked and one onion at a time");
+
+    let mut best = f64::INFINITY;
+    for _ in 0..iterations {
+        let mut a = arena.clone();
+        let start = Instant::now();
+        wrap_chunks(&mut a);
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    let chunk = (onions * chain_len) as f64 / best;
+    println!("wrap: chunk {chunk:>8.0} layers/s");
     serde_json::json!({
         "onions": onions,
         "chain_len": chain_len,
         "onion_width_bytes": width,
         "iterations": iterations,
-        "single_onion_layers_per_sec": single,
         "chunk_layers_per_sec": chunk,
-        "speedup_wrap_chunk": chunk / single,
     })
 }

@@ -248,9 +248,10 @@ pub struct Client {
     /// Precomputed DH tables for the chain the client talks to, built
     /// lazily for the `server_pks` it is actually handed (or installed
     /// shared via [`Client::set_chain_tables`]) and reused every round —
-    /// request wrapping runs on [`onion::wrap_into_with`] (comb keygen,
-    /// table DH, zero per-layer allocations) instead of the allocating
-    /// [`onion::wrap`]. The `Arc` lets a harness population share one
+    /// request wrapping runs on [`onion::wrap_into_with`] (comb keygen
+    /// and table DH, an onion's layers sharing one eight-wide walk where
+    /// the CPU has it; zero per-layer allocations) instead of the
+    /// allocating [`onion::wrap`]. The `Arc` lets a harness population share one
     /// table set per chain instead of paying ~35 KB + ~1 ms per server
     /// per client.
     chain_precomp: std::sync::Arc<Vec<onion::PrecomputedServer>>,

@@ -34,7 +34,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vuvuzela_crypto::onion::{self, LayerKey};
-use vuvuzela_crypto::x25519::{Keypair, PublicKey, SecretKey};
+use vuvuzela_crypto::x25519::{x25519_base_batch, PublicKey, SecretKey};
 use vuvuzela_net::WorkerPool;
 use vuvuzela_wire::conversation::{ConversationKeys, ExchangeRequest};
 use vuvuzela_wire::dialing::DialRequest;
@@ -61,7 +61,7 @@ pub fn client_round_rng(seed: u64, round: u64, index: u64) -> StdRng {
 }
 
 /// The keypair-generation RNG for a cohort with the given seed. Client
-/// `i`'s keypair is the `i`-th [`Keypair::generate`] drawn from this
+/// `i`'s keypair is the `i`-th `Keypair::generate` drawn from this
 /// stream, regardless of how many [`ClientCohort::join`] calls grew the
 /// cohort.
 #[must_use]
@@ -162,20 +162,22 @@ impl ClientCohort {
     }
 
     /// Adds `count` fresh clients (idle, no conversations) to the
-    /// cohort. Keypairs continue the cohort's [`key_rng`] stream.
+    /// cohort. Keypairs continue the cohort's [`key_rng`] stream: the
+    /// secrets are drawn first, in `Keypair::generate`'s order, and
+    /// their public keys derived together
+    /// ([`x25519_base_batch`], eight at a time where the CPU can).
     pub fn join(&mut self, count: usize) {
-        self.secrets.reserve(count);
-        self.publics.reserve(count);
-        self.slots.reserve(count * self.config.conversation_slots);
-        for _ in 0..count {
-            let keypair = Keypair::generate(&mut self.key_rng);
-            self.by_key.insert(keypair.public, self.publics.len());
-            self.secrets.push(keypair.secret);
-            self.publics.push(keypair.public);
-            for _ in 0..self.config.conversation_slots {
-                self.slots.push(None);
-            }
+        let secrets: Vec<[u8; 32]> = (0..count)
+            .map(|_| *SecretKey::generate(&mut self.key_rng).as_bytes())
+            .collect();
+        for (secret, public) in secrets.iter().zip(x25519_base_batch(&secrets)) {
+            let public = PublicKey::from_bytes(public);
+            self.by_key.insert(public, self.publics.len());
+            self.secrets.push(SecretKey::from_bytes(*secret));
+            self.publics.push(public);
         }
+        let slots = self.publics.len() * self.config.conversation_slots;
+        self.slots.resize_with(slots, || None);
     }
 
     /// Number of clients in the cohort.
@@ -214,6 +216,17 @@ impl ClientCohort {
             .map(|p| index * self.config.conversation_slots + p)
     }
 
+    /// The slot a new conversation of client `index` with `peer` goes
+    /// in — its first free one — or `None` when the two already talk.
+    fn free_slot_for(&self, index: usize, peer: &PublicKey) -> Result<Option<usize>, ClientError> {
+        if self.slot_of(index, peer).is_some() {
+            return Ok(None);
+        }
+        let range = self.slot_range(index);
+        let free = self.slots[range.clone()].iter().position(Option::is_none);
+        Ok(Some(range.start + free.ok_or(ClientError::AllSlotsBusy)?))
+    }
+
     /// Enters client `index` into a conversation with `peer` in its
     /// first free slot (mirrors [`Client::start_conversation`]).
     ///
@@ -221,20 +234,17 @@ impl ClientCohort {
     ///
     /// [`ClientError::AllSlotsBusy`] when every slot is taken.
     pub fn start_conversation(&mut self, index: usize, peer: PublicKey) -> Result<(), ClientError> {
-        if self.slot_of(index, &peer).is_some() {
-            return Ok(()); // already talking; idempotent
+        if let Some(slot) = self.free_slot_for(index, &peer)? {
+            let keys = ConversationKeys::derive(&self.secrets[index], &self.publics[index], &peer);
+            self.slots[slot] = Some(Box::new(Conversation::new(peer, keys)));
         }
-        let range = self.slot_range(index);
-        let free = self.slots[range.clone()]
-            .iter()
-            .position(Option::is_none)
-            .ok_or(ClientError::AllSlotsBusy)?;
-        let keys = ConversationKeys::derive(&self.secrets[index], &self.publics[index], &peer);
-        self.slots[range.start + free] = Some(Box::new(Conversation::new(peer, keys)));
-        Ok(())
+        Ok(()) // idempotent when already talking
     }
 
-    /// Starts a mutual conversation between cohort clients `a` and `b`.
+    /// Starts a mutual conversation between cohort clients `a` and `b`:
+    /// what [`ClientCohort::start_conversation`] on each side does, the
+    /// pair's one Diffie-Hellman computed once (`a·B = b·A`) and both
+    /// sides' keys derived from it.
     ///
     /// # Errors
     ///
@@ -242,8 +252,16 @@ impl ClientCohort {
     /// (side `a` may keep the half-open slot, exactly as two individual
     /// clients would).
     pub fn pair(&mut self, a: usize, b: usize) -> Result<(), ClientError> {
-        self.start_conversation(a, self.publics[b])?;
-        self.start_conversation(b, self.publics[a])
+        let mut shared = None;
+        for (me, peer) in [(a, b), (b, a)] {
+            let (mine, theirs) = (self.publics[me], self.publics[peer]);
+            if let Some(slot) = self.free_slot_for(me, &theirs)? {
+                let shared = shared.get_or_insert_with(|| self.secrets[me].diffie_hellman(&theirs));
+                let keys = ConversationKeys::from_shared(shared, &mine, &theirs);
+                self.slots[slot] = Some(Box::new(Conversation::new(theirs, keys)));
+            }
+        }
+        Ok(())
     }
 
     /// Queues a message from client `index` to its partner `peer`
@@ -550,6 +568,7 @@ pub fn build_dial_requests_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vuvuzela_crypto::x25519::Keypair;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
 
     fn cfg(slots: usize, workers: usize) -> SystemConfig {
@@ -612,6 +631,78 @@ mod tests {
                 }
                 assert_eq!(buf.to_vecs(), reference, "workers = {workers}");
             }
+        }
+    }
+
+    #[test]
+    fn join_keys_do_not_depend_on_how_the_cohort_grew() {
+        // One `join`, uneven pieces (1, 3, 5, … — on and off the
+        // eight-wide keygen's octet) and a `Keypair::generate` loop over
+        // the same stream give every client the same identity.
+        let pks = server_pks(2);
+        for n in [0usize, 1, 7, 8, 9, 33] {
+            let mut whole = ClientCohort::with_own_tables(cfg(2, 1), 21, &pks);
+            whole.join(n);
+            let mut pieces = ClientCohort::with_own_tables(cfg(2, 1), 21, &pks);
+            let mut piece = 1;
+            while pieces.len() < n {
+                pieces.join(piece.min(n - pieces.len()));
+                piece += 2;
+            }
+            let mut krng = key_rng(21);
+            for cohort in [&whole, &pieces] {
+                assert_eq!(cohort.len(), n);
+                assert_eq!(cohort.slots.len(), 2 * n);
+                assert_eq!(cohort.by_key.len(), n);
+            }
+            for i in 0..n {
+                let want = Keypair::generate(&mut krng);
+                for cohort in [&whole, &pieces] {
+                    assert_eq!(cohort.publics[i], want.public, "n = {n}, client {i}");
+                    assert_eq!(cohort.secrets[i].as_bytes(), want.secret.as_bytes());
+                    assert_eq!(cohort.by_key[&want.public], i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_is_start_conversation_on_both_sides() {
+        // `pair` (one DH, both sides derived from it) against two
+        // `start_conversation` calls (a DH each): the same results and
+        // the same round bytes through a fresh pair, a repeated one, a
+        // self-pair, and a peer with no free slot, which leaves side
+        // `a` half-open either way.
+        let pks = server_pks(2);
+        let mut paired = ClientCohort::with_own_tables(cfg(2, 1), 31, &pks);
+        let mut started = ClientCohort::with_own_tables(cfg(2, 1), 31, &pks);
+        paired.join(6);
+        started.join(6);
+        for (a, b) in [(0, 1), (1, 0), (2, 2), (1, 3), (4, 1), (5, 4)] {
+            let got = paired.pair(a, b);
+            let (pk_a, pk_b) = (started.public_key(a), started.public_key(b));
+            let want = started
+                .start_conversation(a, pk_b)
+                .and_then(|()| started.start_conversation(b, pk_a));
+            assert_eq!(got.is_ok(), want.is_ok(), "pair({a}, {b})");
+            assert_eq!(got.is_ok(), (a, b) != (4, 1), "client 1 has two slots");
+        }
+        assert_eq!(paired.mutual_pairs(), started.mutual_pairs());
+        for index in 0..6 {
+            let peers = |c: &ClientCohort| -> Vec<Option<PublicKey>> {
+                c.slots[c.slot_range(index)]
+                    .iter()
+                    .map(|s| s.as_ref().map(|conv| conv.peer))
+                    .collect()
+            };
+            assert_eq!(peers(&paired), peers(&started), "client {index} slots");
+        }
+        for round in 0..2u64 {
+            assert_eq!(
+                paired.build_conversation_round(round).to_vecs(),
+                started.build_conversation_round(round).to_vecs(),
+                "round {round}"
+            );
         }
     }
 

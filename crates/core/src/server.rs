@@ -989,4 +989,78 @@ mod tests {
         let back_flat = flat0.backward_buf(8, replies_flat);
         assert_eq!(back_flat.to_vecs(), back_ref, "first-hop replies diverged");
     }
+
+    /// A batch with *every* onion malformed — garbage, a low-order
+    /// ephemeral key, a flipped ciphertext bit, a flipped tag bit, a
+    /// wrong length — is all substitutes (`substitute_into`: one
+    /// single-onion wrap each for the servers downstream): at every
+    /// position of a three-server chain and for both round kinds, the
+    /// flat path's output, recorded keys, shuffle and final round RNG
+    /// equal the per-`Vec` reference's, and the next hop peels it all.
+    #[test]
+    fn all_malformed_batch_substitutes_identically_on_both_paths() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let keypairs: Vec<Keypair> = (0..3).map(|_| Keypair::generate(&mut rng)).collect();
+        let pks: Vec<PublicKey> = keypairs.iter().map(|kp| kp.public).collect();
+        let mut config = test_config(2.0);
+        config.chain_len = 3;
+        let server = |position: usize| {
+            let downstream = pks[position + 1..].to_vec();
+            let keypair = keypairs[position].clone();
+            MixServer::new(position, 3, keypair, downstream, config.clone(), 9)
+        };
+
+        for kind in [RoundKind::Conversation, RoundKind::Dialing { num_drops: 2 }] {
+            for position in 0..3 {
+                let (mut flat, mut reference) = (server(position), server(position));
+                let round = 5 + position as u64;
+                let width = flat.incoming_width(kind);
+                let payload = vec![7u8; width - (3 - position) * onion::LAYER_OVERHEAD];
+                let valid = || onion::wrap(&mut rng.clone(), &pks[position..], round, &payload).0;
+                let mut low_order = valid();
+                low_order[..32].fill(0);
+                let mut bad_body = valid();
+                bad_body[40] ^= 1;
+                let mut bad_tag = valid();
+                bad_tag[width - 1] ^= 0x80;
+                let onions = vec![
+                    vec![0xFFu8; width],
+                    low_order,
+                    bad_body,
+                    bad_tag,
+                    vec![1u8, 2, 3],
+                ];
+
+                let (buf, mismatched) = RoundBuffer::from_vecs(&onions, width, width);
+                assert_eq!(mismatched, vec![4]);
+                let out_ref = reference.forward_reference(round, kind, onions);
+                let out_flat = flat.forward_buf(round, kind, buf);
+                let what = format!("{kind:?} at server {position}");
+                assert_eq!(out_flat.to_vecs(), out_ref, "{what}");
+                assert_eq!(
+                    (flat.malformed_replaced, reference.malformed_replaced),
+                    (5, 5)
+                );
+                let (mut a, mut b) = (
+                    flat.rounds.remove(&round).expect("flat state"),
+                    reference.rounds.remove(&round).expect("reference state"),
+                );
+                assert!(a
+                    .layer_keys
+                    .iter()
+                    .chain(&b.layer_keys)
+                    .all(Option::is_none));
+                assert_eq!(a.layer_keys.len(), b.layer_keys.len(), "{what}: keys");
+                assert_eq!(a.permutation, b.permutation, "{what}: shuffle");
+                assert_eq!(a.rng.next_u64(), b.rng.next_u64(), "{what}: round RNG");
+
+                if position < 2 {
+                    let mut next = server(position + 1);
+                    let peeled = next.forward(round, kind, out_ref);
+                    assert_eq!(next.malformed_replaced, 0, "{what}: substitutes peel");
+                    assert!(peeled.len() >= 5);
+                }
+            }
+        }
+    }
 }

@@ -25,21 +25,18 @@
 //! `x25519_base(k) == x25519(k, 9)` in tests — rather than pasted in, so
 //! a transcription error cannot silently corrupt keys.
 //!
-//! **Where the comb runs.** Everywhere a base is fixed: the tables
-//! serve every single-onion wrap ([`crate::onion::wrap_into_with`],
-//! [`crate::onion::wrap_noise_into`]: per-object clients, a server's
-//! substitute for a malformed onion), long-term keygen, and the bulk
-//! chunk wrap ([`crate::onion::wrap_chunk_in_place`]: cover traffic,
-//! cohort build). The walk exists twice over the same tables:
+//! **Where the comb runs.** Everywhere a base is fixed: long-term keygen
+//! and every onion wrap ([`crate::onion::wrap_chunk_in_place`] — cover
+//! traffic, cohort build — and the single-onion entry points, which are
+//! its one-slot case). The walk exists twice over the same tables:
 //! [`scalarmult_comb`], one scalar at a time over [`Fe`] (~12 µs with
 //! its inversion), and — on CPUs with AVX-512 IFMA —
 //! [`scalarmult_pending_oct`], eight independent `(table, scalar)`
 //! lanes in lockstep over [`Fe8`](crate::fe8::Fe8) (~2.3 µs a lane,
-//! against ~8 µs for a lane of the eight-wide *ladder*, which is why
-//! the chunk wrap no longer runs a variable-base algorithm on its
-//! fixed bases). The chunk wrap takes the eight-wide walk where it
-//! exists and the scalar one elsewhere; single-onion wraps always take
-//! the scalar one. Both feed the same batch resolver.
+//! against ~8 µs for a lane of the eight-wide *ladder*, which is why no
+//! wrap runs a variable-base algorithm on its fixed bases). The wraps
+//! and batched keygen take the eight-wide walk where it exists and the
+//! scalar one elsewhere; both feed the same batch resolver.
 //!
 //! Like the rest of this crate the table walk is not hardened
 //! constant-time (digit selection branches, in the eight-wide walk per

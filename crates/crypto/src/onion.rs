@@ -30,10 +30,10 @@
 //!
 //! | entry point | scalar multiplications |
 //! |---|---|
-//! | [`wrap`] | scalar ladder, allocating — the seed reference |
-//! | [`wrap_into`] | comb keygen, scalar-ladder DH, in place |
-//! | [`wrap_into_with`], [`wrap_noise_into`] | comb keygen and comb DH (per-server tables), one onion on the stack — the single-onion path: per-object clients, a server's substitutes |
-//! | [`wrap_chunk_in_place`] | **the bulk path**, a chunk of arena slots per call: comb keygen and comb DH over the same tables, eight lanes in lockstep on AVX-512 IFMA, one at a time elsewhere — cover traffic, cohort build, workload generators |
+//! | [`wrap`] | scalar ladder, allocating — the seed reference and the oracle every other wrap is tested against |
+//! | [`wrap_chunk_in_place`] | **the one wrap kernel**, a chunk of arena slots per call: comb keygen and comb DH over the per-server tables, eight lanes in lockstep on AVX-512 IFMA, one at a time elsewhere — cover traffic, cohort build, workload generators |
+//! | [`wrap_into_with`], [`wrap_noise_into`] | the `n = 1` chunk: one onion's `2 · chain_len` lanes share octets (chain 3 is one eight-wide walk) — per-object clients, a server's substitutes |
+//! | [`wrap_into`] | the same with no tables: comb keygen, scalar-ladder DH |
 //! | [`peel`], [`peel_in_place`] | scalar ladder, one onion |
 //! | [`peel_chunk_in_place`] | **the bulk path**: eight-wide ladder on AVX-512 IFMA, four-wide portable ladder elsewhere |
 //!
@@ -43,6 +43,12 @@
 //! fixed-base, so comb walks), resolve the deferred inversions in
 //! shared groups, and pick the eight-wide or the portable kernel by
 //! CPU detection alone ([`crate::x25519::ladder_backend`]).
+//!
+//! The lone peel is deliberately *not* the `n = 1` chunk peel. An onion
+//! has one multiplication per peel, so alone in an eight-wide ladder it
+//! pays for all eight lanes (≈ 64 µs against ≈ 44 µs on the scalar
+//! ladder), where a lone wrap fills its octet with its own layers; and
+//! no bulk caller peels singly, so a lane-count cutoff would buy nothing.
 
 use crate::aead;
 use crate::hkdf::hkdf;
@@ -233,7 +239,7 @@ pub fn wrap_into<R: RngCore + CryptoRng>(
     payload_len: usize,
 ) -> Vec<LayerKey> {
     // Transient untabled servers: the per-layer DH falls back to the
-    // ladder, everything else shares the stack-batched core.
+    // ladder, everything else shares the chunk core.
     let servers: Vec<PrecomputedServer> = server_pks
         .iter()
         .map(|pk| PrecomputedServer {
@@ -245,10 +251,11 @@ pub fn wrap_into<R: RngCore + CryptoRng>(
 }
 
 /// Like [`wrap_into`], but performing each layer's Diffie-Hellman through
-/// the servers' precomputed comb tables — the single-onion path, for
-/// callers that build one onion at a time against a chain they wrap for
-/// every round (bulk callers use [`wrap_chunk_in_place`]). Byte-identical
-/// output and RNG consumption.
+/// the servers' precomputed comb tables — the single-onion entry point,
+/// for callers that build one onion at a time against a chain they wrap
+/// for every round. It is [`wrap_chunk_in_place`] on a chunk of one slot
+/// (`buf`), fed the secrets [`draw_layer_secrets`] takes from `rng`:
+/// byte-identical output, layer keys and RNG consumption to [`wrap`].
 pub fn wrap_into_with<R: RngCore + CryptoRng>(
     rng: &mut R,
     servers: &[PrecomputedServer],
@@ -256,16 +263,16 @@ pub fn wrap_into_with<R: RngCore + CryptoRng>(
     buf: &mut [u8],
     payload_len: usize,
 ) -> Vec<LayerKey> {
-    let mut keys = [[0u8; 32]; MAX_CHAIN];
-    wrap_with_core(rng, servers, round, buf, payload_len, &mut keys);
-    keys[..servers.len()].iter().map(|k| LayerKey(*k)).collect()
+    let mut keys = vec![LayerKey([0u8; 32]); servers.len()];
+    wrap_one(rng, servers, round, buf, payload_len, Some(&mut keys));
+    keys
 }
 
 /// [`wrap_into_with`] for callers that discard the layer keys — a
 /// server's one-off cover onions (the substitute for a malformed
 /// request), which never see a reply. Runs entirely on the stack (zero
-/// heap allocations per onion); identical RNG consumption and output
-/// bytes.
+/// heap allocations per onion: one onion's lanes fit one resolver
+/// group); identical RNG consumption and output bytes.
 ///
 /// # Panics
 ///
@@ -278,8 +285,24 @@ pub fn wrap_noise_into<R: RngCore + CryptoRng>(
     buf: &mut [u8],
     payload_len: usize,
 ) {
-    let mut keys = [[0u8; 32]; MAX_CHAIN];
-    wrap_with_core(rng, servers, round, buf, payload_len, &mut keys);
+    wrap_one(rng, servers, round, buf, payload_len, None);
+}
+
+/// One onion as the `n = 1` chunk: its secrets drawn on the stack, `buf`
+/// the chunk's only slot.
+fn wrap_one<R: RngCore + CryptoRng>(
+    rng: &mut R,
+    servers: &[PrecomputedServer],
+    round: u64,
+    buf: &mut [u8],
+    payload_len: usize,
+    keys_out: Option<&mut [LayerKey]>,
+) {
+    let mut secrets = [[0u8; 32]; MAX_CHAIN];
+    let secrets = secrets.get_mut(..servers.len()).expect("chain too long");
+    draw_layer_secrets(rng, secrets);
+    let stride = buf.len();
+    wrap_chunk_in_place(servers, round, buf, stride, payload_len, secrets, keys_out);
 }
 
 /// Longest chain the stack-batched wrapping paths support (the paper
@@ -300,61 +323,7 @@ pub fn draw_layer_secrets<R: RngCore + CryptoRng>(rng: &mut R, out: &mut [[u8; 3
     }
 }
 
-/// Shared core of [`wrap_into_with`] / [`wrap_noise_into`], the
-/// single-onion path: draws all ephemeral secrets first
-/// ([`draw_layer_secrets`]), runs every layer's keygen and DH through
-/// the fixed-base comb tables with the field inversions deferred —
-/// 2·chain_len scalar multiplications share a single inversion, the
-/// whole batch on the stack — then seals through [`seal_layers`]. Layer
-/// keys are written to `keys_out[..servers.len()]`.
-fn wrap_with_core<R: RngCore + CryptoRng>(
-    rng: &mut R,
-    servers: &[PrecomputedServer],
-    round: u64,
-    buf: &mut [u8],
-    payload_len: usize,
-    keys_out: &mut [[u8; 32]; MAX_CHAIN],
-) {
-    let chain_len = servers.len();
-    assert!(chain_len <= MAX_CHAIN, "chain too long for stack batching");
-
-    let mut secrets = [[0u8; 32]; MAX_CHAIN];
-    draw_layer_secrets(rng, &mut secrets[..chain_len]);
-    let mut pending = [crate::edwards::PendingU::PLACEHOLDER; 2 * MAX_CHAIN];
-    comb_lanes(servers, 0, &secrets[..chain_len], &mut pending);
-    let mut resolved = [[0u8; 32]; 2 * MAX_CHAIN];
-    crate::x25519::resolve_pending_into(&pending[..2 * chain_len], &mut resolved[..2 * chain_len]);
-
-    let nonce = round_nonce(round, Direction::Request);
-    seal_layers(
-        servers,
-        &nonce,
-        &resolved[..2 * chain_len],
-        buf,
-        payload_len,
-        keys_out,
-    );
-}
-
-/// The comb arm of both wraps. `secrets` is a run of a slot-major
-/// secret list starting at its index `first`, so `secrets[k]` belongs
-/// to server `(first + k) % servers.len()`; `pending[2k]` becomes its
-/// keygen `secret · 9` and `pending[2k + 1]` its DH
-/// `secret · server_pk`, inversions deferred.
-fn comb_lanes(
-    servers: &[PrecomputedServer],
-    first: usize,
-    secrets: &[[u8; 32]],
-    pending: &mut [crate::edwards::PendingU],
-) {
-    for (k, secret) in secrets.iter().enumerate() {
-        let server = &servers[(first + k) % servers.len()];
-        pending[2 * k] = crate::x25519::x25519_base_pending(secret);
-        pending[2 * k + 1] = server.shared_with_pending(&SecretKey::from_bytes(*secret));
-    }
-}
-
-/// Shared tail of the single-onion and chunk wraps. `resolved` holds one
+/// The tail of the chunk wrap, once per slot. `resolved` holds one
 /// onion's scalar multiplications, `[2i]` the layer-`i` ephemeral public
 /// key and `[2i + 1]` its shared secret with `servers[i]`; this derives
 /// every layer key (HKDF, rejecting a degenerate secret) into
@@ -408,22 +377,21 @@ fn seal_layers(
 /// * where the CPU has AVX-512 IFMA (see
 ///   [`crate::x25519::ladder_backend`]) eight independent
 ///   `(scalar, table)` lanes at a time walk their tables in lockstep
-///   (~2.3 µs a lane); the lanes need share neither scalar nor table,
-///   and a partial last octet repeats its last pair and drops the
-///   spare lanes, exactly as the peel does;
-/// * elsewhere each multiplication walks its table alone (~9 µs), as
-///   in the single-onion wrap.
+///   (~2.3 µs a lane), a partial last octet padded as the peel's is;
+/// * elsewhere each multiplication walks its table alone (~9 µs).
 ///
 /// A server key with no table (a twist point, which honest servers
 /// never publish) takes the scalar ladder for its DH on both arms.
 /// Either way the inversions resolve in shared groups of
 /// [`crate::edwards`]'s resolver width, and HKDF, the degenerate-secret
-/// check and the in-place seal are [`seal_layers`], the single-onion
-/// path's own tail. The choice is CPU detection alone.
+/// check and the in-place seal are [`seal_layers`]. The choice is CPU
+/// detection alone.
 ///
 /// Layer keys are written to `keys_out` when given (slot-major,
 /// `servers.len()` per slot, ordered like `servers`); cover traffic
-/// passes `None`. The only heap use is one scratch vector per call.
+/// passes `None`. The only heap use is one scratch vector per call, and
+/// none when the call's lanes fit one resolver group (a single onion's
+/// always do).
 ///
 /// # Panics
 ///
@@ -455,7 +423,7 @@ pub fn wrap_chunk_in_place(
 /// [`wrap_chunk_in_place`] with the kernel choice explicit, so the
 /// equivalence tests can drive both arms on one host:
 /// [`LadderMode::Oct`] walks the comb tables eight lanes at a time,
-/// every other mode one at a time ([`comb_lanes`]).
+/// every other mode one at a time.
 #[allow(clippy::too_many_arguments)]
 fn wrap_chunk_core(
     servers: &[PrecomputedServer],
@@ -488,45 +456,46 @@ fn wrap_chunk_core(
 
     // Every scalar multiplication of the chunk, in lane order
     // (`2k` keygen, `2k + 1` DH of `secrets[k]`), one resolver group —
-    // four octets — at a time.
+    // four octets — at a time, on the stack when one group is all.
     const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
-    let mut resolved = vec![[0u8; 32]; 2 * secrets.len()];
+    let lanes = 2 * secrets.len();
+    let (mut one_group, mut many) = ([[0u8; 32]; GROUP], Vec::new());
+    let resolved = if lanes <= GROUP {
+        &mut one_group[..lanes]
+    } else {
+        many.resize(lanes, [0u8; 32]);
+        &mut many[..]
+    };
     for (g, out) in resolved.chunks_mut(GROUP).enumerate() {
-        let first = g * GROUP;
+        // Lane `i` of this group (which starts on an even lane, so `i`
+        // has its lane's parity): the secret and the server it meets.
+        let secret = |i: usize| &secrets[(g * GROUP + i) / 2];
+        let server = |i: usize| &servers[(g * GROUP + i) / 2 % chain_len];
+        let dh_alone = |i: usize| server(i).shared_with_pending(&SecretKey::from_bytes(*secret(i)));
         let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
+        let pending = &mut pending[..out.len()];
         match mode {
             #[cfg(target_arch = "x86_64")]
             LadderMode::Oct(ifma) => {
-                for oct in (0..out.len()).step_by(crate::fe8::LANES) {
-                    let live = (out.len() - oct).min(crate::fe8::LANES);
-                    let lane = |l: usize| first + oct + l.min(live - 1);
-                    let server = |l: usize| &servers[lane(l) / 2 % chain_len];
-                    let points = crate::x25519::x25519_comb_pending_oct(
-                        ifma,
-                        core::array::from_fn(|l| &secrets[lane(l) / 2]),
-                        core::array::from_fn(|l| match lane(l) % 2 {
-                            0 => None, // keygen: the base point's table
-                            _ => server(l).table.as_ref(),
-                        }),
-                    );
-                    pending[oct..oct + live].copy_from_slice(&points[..live]);
-                    // A server key with no table rode its DH lanes
-                    // against the base point; redo them as the comb
-                    // arm does.
-                    for l in (0..live).filter(|&l| lane(l) % 2 == 1 && server(l).table.is_none()) {
-                        let secret = SecretKey::from_bytes(secrets[lane(l) / 2]);
-                        pending[oct + l] = server(l).shared_with_pending(&secret);
-                    }
+                // Keygen lanes walk the base point's table (`None`).
+                let table = |i: usize| server(i).table.as_ref().filter(|_| i % 2 == 1);
+                crate::x25519::x25519_comb_pending_oct(ifma, |i| (secret(i), table(i)), pending);
+                // A server key with no table rode its DH lanes against
+                // the base point; redo them as the other arm does.
+                for i in (1..out.len()).step_by(2).filter(|&i| table(i).is_none()) {
+                    pending[i] = dh_alone(i);
                 }
             }
-            LadderMode::Quad | LadderMode::Scalar => comb_lanes(
-                servers,
-                first / 2,
-                &secrets[first / 2..(first + out.len()) / 2],
-                &mut pending,
-            ),
+            LadderMode::Quad | LadderMode::Scalar => {
+                for (i, lane) in pending.iter_mut().enumerate() {
+                    *lane = match i % 2 {
+                        0 => crate::x25519::x25519_base_pending(secret(i)),
+                        _ => dh_alone(i),
+                    };
+                }
+            }
         }
-        crate::x25519::resolve_pending_into(&pending[..out.len()], out);
+        crate::edwards::resolve_batch_into(pending, out);
     }
 
     let nonce = round_nonce(round, Direction::Request);
@@ -811,7 +780,7 @@ fn peel_chunk_core(
 
         // One shared inversion for the whole group.
         let mut shared = [[0u8; 32]; GROUP];
-        crate::x25519::resolve_pending_into(&pending[..group_len], &mut shared[..group_len]);
+        crate::edwards::resolve_batch_into(&pending[..group_len], &mut shared[..group_len]);
 
         // Pass 2: KDF + in-place AEAD open per admitted slot.
         for j in 0..group_len {
@@ -893,6 +862,30 @@ mod tests {
 
     fn chain(n: usize, rng: &mut StdRng) -> Vec<Keypair> {
         (0..n).map(|_| Keypair::generate(rng)).collect()
+    }
+
+    /// A server key on the curve's twist: the Edwards table cannot
+    /// represent it, so its `PrecomputedServer` has no table.
+    fn twist_key(rng: &mut StdRng) -> PublicKey {
+        use rand::RngCore;
+        loop {
+            let mut u = [0u8; 32];
+            rng.fill_bytes(&mut u);
+            if DhTable::new(&PublicKey(u)).is_none() {
+                return PublicKey(u);
+            }
+        }
+    }
+
+    /// Both arms of the chunk wrap where the CPU has the eight-wide one
+    /// (a SKIPPED line for `test` where it does not).
+    fn wrap_modes(test: &'static str) -> Vec<LadderMode> {
+        let mut modes = vec![LadderMode::Quad];
+        #[cfg(target_arch = "x86_64")]
+        modes.extend(crate::fe8::ifma_or_skip(test).map(LadderMode::Oct));
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = test;
+        modes
     }
 
     #[test]
@@ -1062,32 +1055,23 @@ mod tests {
 
     #[test]
     fn wrap_chunk_matches_per_slot_and_allocating_wrap() {
-        // Chunk wrap == per-slot `wrap_into_with` == allocating `wrap`,
-        // onion bytes and layer keys, for every count 0..=40 at chain
-        // lengths 1..=4 — lane totals 2·chain_len·count on and off the
-        // octet and the 32-lane resolver group — in a strided arena
-        // whose headroom must stay untouched, through both arms of the
-        // chunk wrap, and with the RNG left where `count` per-onion
-        // wraps leave it. A twist-point server key (no table) moves
-        // through the chain with `count` — every position, the whole
-        // of a one-server chain, and absent — so on the eight-wide arm
-        // its scalar-fallback DH lanes share octets with tabled DH
-        // lanes and base-point keygen lanes in every lane position.
+        // Chunk wrap == per-slot `wrap_into_with` == allocating `wrap` —
+        // the oracle both are held to, `wrap_into_with` being the chunk
+        // wrap's own one-slot case — onion bytes and layer keys, for
+        // every count 0..=40 at chain lengths 1..=4 — lane totals
+        // 2·chain_len·count on and off the octet and the 32-lane
+        // resolver group — in a strided arena whose headroom must stay
+        // untouched, through both arms of the chunk wrap, and with the
+        // RNG left where `count` per-onion wraps leave it. A
+        // twist-point server key (no table) moves through the chain
+        // with `count` — every position, the whole of a one-server
+        // chain, and absent — so on the eight-wide arm its
+        // scalar-fallback DH lanes share octets with tabled DH lanes
+        // and base-point keygen lanes in every lane position.
         use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(94);
-        let twist = loop {
-            let mut u = [0u8; 32];
-            rng.fill_bytes(&mut u);
-            // The Edwards table cannot represent twist points.
-            if DhTable::new(&PublicKey(u)).is_none() {
-                break PublicKey(u);
-            }
-        };
-        let test = "wrap_chunk_matches_per_slot_and_allocating_wrap";
-        #[cfg(target_arch = "x86_64")]
-        let oct = crate::fe8::ifma_or_skip(test).map(LadderMode::Oct);
-        #[cfg(not(target_arch = "x86_64"))]
-        let oct: Option<LadderMode> = None;
+        let twist = twist_key(&mut rng);
+        let modes = wrap_modes("wrap_chunk_matches_per_slot_and_allocating_wrap");
         let payload_len = 24;
         let round = 5;
 
@@ -1157,7 +1141,7 @@ mod tests {
                     arena.truncate((count - 1) * stride + width);
                 }
 
-                for mode in [Some(LadderMode::Quad), oct].into_iter().flatten() {
+                for &mode in &modes {
                     let mut wrapped = arena.clone();
                     let mut keys = vec![LayerKey([0u8; 32]); count * chain_len];
                     wrap_chunk_core(
@@ -1194,6 +1178,92 @@ mod tests {
                         mode,
                     );
                     assert_eq!(keyless, wrapped, "chain {chain_len} count {count} keyless");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_onion_wraps_are_the_one_slot_chunk() {
+        // One onion at every chain length 1..=MAX_CHAIN (16 servers =
+        // 32 lanes = exactly the one resolver group that resolves on
+        // the stack), a table-less twist-point server at every chain
+        // position and absent. The allocating `wrap` is the oracle for
+        // `wrap_into_with` (bytes, keys, RNG state), `wrap_noise_into`
+        // (bytes, RNG state) and both arms of `wrap_chunk_core` on a
+        // chunk of one slot; the slot's headroom stays untouched.
+        use rand::RngCore;
+        let mut rng = StdRng::seed_from_u64(97);
+        let mut spare = PrecomputedServer::new(twist_key(&mut rng));
+        let mut all: Vec<PrecomputedServer> = chain(MAX_CHAIN, &mut rng)
+            .iter()
+            .map(|kp| PrecomputedServer::new(kp.public))
+            .collect();
+        let modes = wrap_modes("single_onion_wraps_are_the_one_slot_chunk");
+        let (payload_len, round) = (24usize, 6u64);
+        let payload: Vec<u8> = (0..payload_len as u8).collect();
+
+        for chain_len in 1..=MAX_CHAIN {
+            for twist_at in 0..=chain_len {
+                let what = format!("chain {chain_len} twist at {twist_at}");
+                if twist_at < chain_len {
+                    core::mem::swap(&mut all[twist_at], &mut spare);
+                }
+                let servers = &all[..chain_len];
+                assert_eq!(
+                    servers.iter().filter(|s| s.table.is_none()).count(),
+                    usize::from(twist_at < chain_len)
+                );
+                let pks: Vec<PublicKey> = servers.iter().map(|s| s.public).collect();
+                let parent = StdRng::seed_from_u64((100 * chain_len + twist_at) as u64);
+
+                let mut rng_ref = parent.clone();
+                let (want, want_keys) = wrap(&mut rng_ref, &pks, round, &payload);
+                let want_keys: Vec<[u8; 32]> = want_keys.iter().map(|k| k.0).collect();
+                let after = rng_ref.next_u64();
+                let width = wrapped_len(payload_len, chain_len);
+                let mut slot = vec![0xEEu8; width + 9];
+                slot[32 * chain_len..][..payload_len].copy_from_slice(&payload);
+                let stride = slot.len();
+                let check = |buf: &[u8], how: &str| {
+                    assert_eq!(&buf[..width], &want[..], "{what}: {how}");
+                    assert!(buf[width..].iter().all(|&b| b == 0xEE), "{what}: headroom");
+                };
+
+                let (mut rng_keys, mut buf) = (parent.clone(), slot.clone());
+                let keys = wrap_into_with(&mut rng_keys, servers, round, &mut buf, payload_len);
+                check(&buf, "wrap_into_with");
+                let keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
+                assert_eq!(keys, want_keys, "{what}: wrap_into_with keys");
+                assert_eq!(rng_keys.next_u64(), after, "{what}: wrap_into_with RNG");
+
+                let (mut rng_noise, mut buf) = (parent.clone(), slot.clone());
+                wrap_noise_into(&mut rng_noise, servers, round, &mut buf, payload_len);
+                check(&buf, "wrap_noise_into");
+                assert_eq!(rng_noise.next_u64(), after, "{what}: wrap_noise_into RNG");
+
+                let mut secrets = vec![[0u8; 32]; chain_len];
+                draw_layer_secrets(&mut parent.clone(), &mut secrets);
+                for &mode in &modes {
+                    let mut buf = slot.clone();
+                    let mut keys = vec![LayerKey([0u8; 32]); chain_len];
+                    let keys_out = Some(&mut keys[..]);
+                    wrap_chunk_core(
+                        servers,
+                        round,
+                        &mut buf,
+                        stride,
+                        payload_len,
+                        &secrets,
+                        keys_out,
+                        mode,
+                    );
+                    check(&buf, "one-slot chunk");
+                    let keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
+                    assert_eq!(keys, want_keys, "{what}: one-slot chunk keys");
+                }
+                if twist_at < chain_len {
+                    core::mem::swap(&mut all[twist_at], &mut spare);
                 }
             }
         }

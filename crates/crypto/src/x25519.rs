@@ -5,7 +5,7 @@
 //! dominates server CPU time (paper §8.2), so its cost model is the basis
 //! for the throughput/latency extrapolations in the benchmark harness.
 
-use crate::edwards::PendingU;
+use crate::edwards::{resolve_batch_into, PendingU};
 use crate::fe4::{Fe4, LANES};
 #[cfg(target_arch = "x86_64")]
 use crate::fe8::{self, Fe8, Ifma};
@@ -176,23 +176,17 @@ impl DhTable {
     }
 
     /// `sk · pk` with the final field inversion deferred, for batch
-    /// resolution via [`resolve_pending`].
+    /// resolution via [`resolve_batch_into`].
     pub(crate) fn diffie_hellman_pending(&self, sk: &SecretKey) -> PendingU {
         self.inner.scalarmult_pending(&clamp(sk.0))
     }
 }
 
 /// `X25519(scalar, 9)` with the final field inversion deferred; resolve
-/// with [`resolve_pending`]. Crate-internal: the onion wrapper batches
+/// with [`resolve_batch_into`]. Crate-internal: the onion wrapper batches
 /// one onion's keygens and DHs into a single inversion.
 pub(crate) fn x25519_base_pending(scalar: &[u8; 32]) -> PendingU {
     crate::edwards::scalarmult_base_pending(&clamp(*scalar))
-}
-
-/// Resolves deferred scalar-multiplication results into `out` with one
-/// shared field inversion (Montgomery's trick).
-pub(crate) fn resolve_pending_into(pending: &[PendingU], out: &mut [[u8; 32]]) {
-    crate::edwards::resolve_batch_into(pending, out);
 }
 
 /// Clamps a scalar per RFC 7748 §5: clear the low 3 bits, clear bit 255,
@@ -221,12 +215,12 @@ pub fn x25519_base(scalar: &[u8; 32]) -> [u8; 32] {
 pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let pending = ladder(&clamp(*scalar), u);
     let mut out = [[0u8; 32]];
-    resolve_pending_into(&[pending], &mut out);
+    resolve_batch_into(&[pending], &mut out);
     out[0]
 }
 
 /// `X25519(scalar, u)` with the ladder's final field inversion deferred;
-/// resolve with [`resolve_pending_into`]. Crate-internal: the onion
+/// resolve with [`resolve_batch_into`]. Crate-internal: the onion
 /// peeler batches the inversion across a whole worker chunk of onions
 /// (Montgomery's trick), shaving ~one `Fe::invert` per onion off the
 /// peel hot path while producing bit-identical shared secrets.
@@ -235,7 +229,7 @@ pub(crate) fn x25519_pending(scalar: &[u8; 32], u: &[u8; 32]) -> PendingU {
 }
 
 /// Four `X25519(scalar, u)` ladders in lockstep with every inversion
-/// deferred; resolve with [`resolve_pending_into`]. Crate-internal: the
+/// deferred; resolve with [`resolve_batch_into`]. Crate-internal: the
 /// onion peeler's portable path (CPUs without AVX-512 IFMA) runs each
 /// worker chunk's variable-base DHs through this (the per-onion scalar
 /// is the server's one secret, so all four lanes share `scalar`), then
@@ -263,41 +257,80 @@ pub(crate) fn x25519_pending_oct(
     ladder8_on(ifma, core::array::from_fn(|l| &clamped[l]), us)
 }
 
-/// Eight fixed-base multiplications in lockstep on AVX-512 IFMA, every
-/// inversion deferred: lane `l` is `X25519(scalars[l], P_l)` for the
-/// key `tables[l]` was built from, or for the base point u = 9 where it
-/// is `None` — computed not by a ladder but by the eight-wide walk over
-/// the Edwards comb tables
+/// Fixed-base multiplications, eight in lockstep on AVX-512 IFMA, every
+/// inversion deferred: `pending[i]` becomes `X25519(scalar, P)` for
+/// `lane(i) = (scalar, table)`, `P` the key `table` was built from or,
+/// where it is `None`, the base point u = 9 — computed not by a ladder
+/// but by the eight-wide walk over the Edwards comb tables
 /// ([`crate::edwards::scalarmult_pending_oct`]; 64 mixed additions a
-/// lane against [`x25519_pending_oct`]'s 255 ladder steps). This is the
-/// chunk wrapper's path wherever an [`Ifma`] token can be had: each
-/// onion layer's fresh ephemeral secret once against `None` (its
-/// public key) and once against its server's table. Byte-identical to
-/// eight scalar [`x25519`] calls.
+/// lane against [`x25519_pending_oct`]'s 255 ladder steps). Lanes share
+/// neither scalar nor table; a partial last octet repeats its last lane
+/// and drops the spares. Wherever an [`Ifma`] token can be had this is
+/// the onion wrapper's path (each layer's ephemeral secret against
+/// `None` and against its server's table) and [`x25519_base_batch`]'s.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn x25519_comb_pending_oct(
+pub(crate) fn x25519_comb_pending_oct<'a>(
     ifma: Ifma,
-    scalars: [&[u8; 32]; fe8::LANES],
-    tables: [Option<&DhTable>; fe8::LANES],
-) -> [PendingU; fe8::LANES] {
-    let clamped: [[u8; 32]; fe8::LANES] = core::array::from_fn(|l| clamp(*scalars[l]));
+    lane: impl Fn(usize) -> (&'a [u8; 32], Option<&'a DhTable>),
+    pending: &mut [PendingU],
+) {
     let base = crate::edwards::PointTable::base();
-    crate::edwards::scalarmult_pending_oct(
-        ifma,
-        tables.map(|table| table.map_or(base, |table| &table.inner)),
-        core::array::from_fn(|l| &clamped[l]),
-    )
+    for (oct, out) in pending.chunks_mut(fe8::LANES).enumerate() {
+        let lanes: [_; fe8::LANES] =
+            core::array::from_fn(|l| lane(oct * fe8::LANES + l.min(out.len() - 1)));
+        let clamped = lanes.map(|(scalar, _)| clamp(*scalar));
+        let points = crate::edwards::scalarmult_pending_oct(
+            ifma,
+            lanes.map(|(_, table)| table.map_or(base, |table| &table.inner)),
+            core::array::from_fn(|l| &clamped[l]),
+        );
+        out.copy_from_slice(&points[..out.len()]);
+    }
+}
+
+/// Batched keygen, bit-identical to [`x25519_base`] element-wise: the
+/// eight-wide comb on AVX-512 IFMA CPUs, the scalar one elsewhere,
+/// [`crate::edwards::MAX_RESOLVE_BATCH`] keys to an inversion on both.
+#[must_use]
+pub fn x25519_base_batch(scalars: &[[u8; 32]]) -> Vec<[u8; 32]> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ifma) = Ifma::detect() {
+        let oct = |ks: &[[u8; 32]], out: &mut [PendingU]| {
+            x25519_comb_pending_oct(ifma, |i| (&ks[i], None), out);
+        };
+        return base_batch(scalars, oct);
+    }
+    base_batch(scalars, base_pending_each)
+}
+
+/// The scalar-comb arm of [`x25519_base_batch`].
+fn base_pending_each(scalars: &[[u8; 32]], pending: &mut [PendingU]) {
+    for (scalar, pending) in scalars.iter().zip(pending) {
+        *pending = x25519_base_pending(scalar);
+    }
+}
+
+/// [`x25519_base_batch`] with the arm explicit: `comb` fills one
+/// resolver group's pending keys.
+fn base_batch(scalars: &[[u8; 32]], comb: impl Fn(&[[u8; 32]], &mut [PendingU])) -> Vec<[u8; 32]> {
+    const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
+    let mut out = vec![[0u8; 32]; scalars.len()];
+    for (ks, out) in scalars.chunks(GROUP).zip(out.chunks_mut(GROUP)) {
+        let mut pending = [PendingU::PLACEHOLDER; GROUP];
+        comb(ks, &mut pending[..ks.len()]);
+        resolve_batch_into(&pending[..ks.len()], out);
+    }
+    out
 }
 
 /// Which kernel the batched paths run on this machine:
 /// `"avx512-ifma x8"` when the CPU has AVX-512F and IFMA — the onion
 /// peeler and [`x25519_batch`] then step eight ladders in lockstep and
-/// the bulk onion wrapper ([`crate::onion::wrap_chunk_in_place`])
-/// walks eight comb tables in lockstep — `"portable x4"` otherwise
-/// (four-wide ladders; bulk wrapping walks its comb tables one scalar
-/// at a time). The choice is made by CPU detection alone; binaries
-/// print this once at start-up so a log says which kernel produced its
-/// numbers.
+/// the onion wrapper ([`crate::onion::wrap_chunk_in_place`]) walks eight
+/// comb tables in lockstep — `"portable x4"` otherwise (four-wide
+/// ladders; wrapping walks its comb tables one scalar at a time). The
+/// choice is made by CPU detection alone; binaries print this once at
+/// start-up so a log says which kernel produced its numbers.
 #[must_use]
 pub fn ladder_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
@@ -337,7 +370,7 @@ pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
         .chunks(crate::edwards::MAX_RESOLVE_BATCH)
         .zip(out.chunks_mut(crate::edwards::MAX_RESOLVE_BATCH))
     {
-        resolve_pending_into(pending_chunk, out_chunk);
+        resolve_batch_into(pending_chunk, out_chunk);
     }
     out
 }
@@ -754,7 +787,7 @@ mod tests {
             core::array::from_fn(|l| &us[l]),
         );
         let mut out = [[0u8; 32]; 8];
-        resolve_pending_into(&pending, &mut out);
+        resolve_batch_into(&pending, &mut out);
         Some(out)
     }
 
@@ -888,6 +921,30 @@ mod tests {
             for i in 0..n {
                 assert_eq!(batch[i], x25519(&scalars[i], &us[i]), "n {n} lane {i}");
             }
+        }
+    }
+
+    #[test]
+    fn base_batch_matches_x25519_base_on_both_arms() {
+        // Sizes on and off the octet and the 32-key resolver group; the
+        // public entry runs the detected arm, `base_pending_each` the
+        // scalar comb everywhere.
+        let mut rng = StdRng::seed_from_u64(0xBA5E);
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 70] {
+            let scalars: Vec<[u8; 32]> = (0..n)
+                .map(|_| {
+                    let mut k = [0u8; 32];
+                    rng.fill_bytes(&mut k);
+                    k
+                })
+                .collect();
+            let want: Vec<[u8; 32]> = scalars.iter().map(x25519_base).collect();
+            assert_eq!(x25519_base_batch(&scalars), want, "n = {n}, detected arm");
+            assert_eq!(
+                base_batch(&scalars, base_pending_each),
+                want,
+                "n = {n}, scalar arm"
+            );
         }
     }
 

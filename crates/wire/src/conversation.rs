@@ -13,7 +13,7 @@ use crate::{
 use rand::{CryptoRng, RngCore};
 use vuvuzela_crypto::aead;
 use vuvuzela_crypto::hkdf::{hkdf_expand, hkdf_extract};
-use vuvuzela_crypto::x25519::{Keypair, PublicKey, SecretKey};
+use vuvuzela_crypto::x25519::{Keypair, PublicKey, SecretKey, SharedSecret};
 
 /// A dead-drop exchange request: deposit `sealed_message` in `drop` and
 /// retrieve whatever the partner deposited.
@@ -210,6 +210,18 @@ impl ConversationKeys {
     #[must_use]
     pub fn derive(my_secret: &SecretKey, my_public: &PublicKey, their_public: &PublicKey) -> Self {
         let shared = my_secret.diffie_hellman(their_public);
+        Self::from_shared(&shared, my_public, their_public)
+    }
+
+    /// The key-derivation tail of [`ConversationKeys::derive`], for a
+    /// caller that holds `DH(my_sk, their_pk)` already — one that owns
+    /// both endpoints computes it once and derives each side from it.
+    #[must_use]
+    pub fn from_shared(
+        shared: &SharedSecret,
+        my_public: &PublicKey,
+        their_public: &PublicKey,
+    ) -> Self {
         // Salt orders the two public keys canonically so both sides agree.
         let (lo, hi) = if my_public <= their_public {
             (my_public, their_public)
