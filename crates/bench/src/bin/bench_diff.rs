@@ -4,7 +4,7 @@
 //!
 //! Only **scale-free ratio metrics** are compared — every numeric leaf
 //! whose key contains `speedup` but not `measured`
-//! (`speedup_first_hop`, `speedup_peel_batched`, …), each a ratio of
+//! (`speedup_first_hop`, `speedup_peel_vs_per_slot`, …), each a ratio of
 //! two wall-clock measurements from the same run. Absolute rates
 //! (onions/sec, rounds/sec) depend on the machine a baseline was
 //! generated on and are meaningless to diff across hardware. The ratio
@@ -15,8 +15,8 @@
 //! the build while a real regression (a halved speedup) still does.
 //!
 //! The ratios also depend on **which x25519 kernels the CPU ran**:
-//! `speedup_peel_batched` is ~1.2 on the portable four-wide ladder and
-//! ~4 on the eight-wide AVX-512 IFMA one, and every other
+//! `speedup_peel_vs_per_slot` is ~1.1 on the portable scalar ladder and
+//! ~5 on the eight-wide AVX-512 IFMA one, and every other
 //! flat-versus-reference ratio moves with it. `bench_round_pipeline`
 //! records the kernel as a top-level `ladder_backend` string; when both
 //! files carry one and they differ, the ratios are reported as skipped
@@ -179,25 +179,25 @@ mod tests {
             "ladder_backend": backend,
             "onions_per_sec": 1e5,
             "measured_speedup": 0.1,
-            "peel": { "speedup_peel_batched": speedup },
+            "peel": { "speedup_peel_vs_per_slot": speedup },
         }))
     }
 
     #[test]
     fn only_unmeasured_speedup_leaves_are_collected() {
-        let metrics = artefact("portable x4", 1.2).metrics;
+        let metrics = artefact("portable", 1.2).metrics;
         assert_eq!(
             metrics,
-            vec![("/peel/speedup_peel_batched".to_string(), 1.2)]
+            vec![("/peel/speedup_peel_vs_per_slot".to_string(), 1.2)]
         );
     }
 
     #[test]
     fn fresh_below_the_tolerance_floor_fails() {
-        let baseline = artefact("portable x4", 4.0);
+        let baseline = artefact("portable", 4.0);
         // The floor at 35% is 2.6: on it passes, under it fails.
-        assert!(gate(&baseline, &artefact("portable x4", 2.6), 0.35).is_ok());
-        let err = gate(&baseline, &artefact("portable x4", 2.59), 0.35).expect_err("regressed");
+        assert!(gate(&baseline, &artefact("portable", 2.6), 0.35).is_ok());
+        let err = gate(&baseline, &artefact("portable", 2.59), 0.35).expect_err("regressed");
         assert!(err.contains("1/1 metric(s) regressed"), "{err}");
     }
 
@@ -206,15 +206,15 @@ mod tests {
         // A quarter of the baseline ratio, yet not comparable: the gate
         // passes without having compared anything.
         let baseline = artefact("avx512-ifma x8", 4.0);
-        assert!(gate(&baseline, &artefact("portable x4", 1.0), 0.35).is_ok());
+        assert!(gate(&baseline, &artefact("portable", 1.0), 0.35).is_ok());
     }
 
     #[test]
     fn no_comparable_metric_fails() {
         let empty = Artefact::of(&json!({ "onions_per_sec": 1e5 }));
-        let err = gate(&empty, &artefact("portable x4", 4.0), 0.35).expect_err("empty gate");
+        let err = gate(&empty, &artefact("portable", 4.0), 0.35).expect_err("empty gate");
         assert!(err.contains("no comparable"), "{err}");
         let renamed = Artefact::of(&json!({ "speedup_other": 2.0 }));
-        assert!(gate(&renamed, &artefact("portable x4", 4.0), 0.35).is_err());
+        assert!(gate(&renamed, &artefact("portable", 4.0), 0.35).is_err());
     }
 }

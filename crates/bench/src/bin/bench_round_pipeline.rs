@@ -23,11 +23,10 @@
 //! forward-pass time at the first — noising — server, the §8.2 unit of
 //! server work), heap allocations per onion (counting global allocator),
 //! and the full three-hop forward-pass time. A separate `peel` section
-//! isolates the onion-peeling stage itself and prices the lockstep
-//! Montgomery ladder this CPU runs (`ladder_backend` in the artefact:
-//! eight-wide AVX-512 IFMA or the portable four-wide `Fe4`) against
-//! both the scalar-ladder chunk path it replaced and the seed-era
-//! per-slot peel; a `wrap` section beside it prices the chunk wrap
+//! isolates the onion-peeling stage itself and prices the chunk peel
+//! on the ladder this CPU runs (`ladder_backend` in the artefact:
+//! eight-wide AVX-512 IFMA or the portable scalar ladder) against the
+//! seed-era per-slot peel; a `wrap` section beside it prices the chunk wrap
 //! (cover traffic, cohort build: the comb tables eight lanes at a time
 //! on that backend) in wrapped layers per second (see
 //! `vuvuzela_bench::peelstage`).

@@ -224,9 +224,9 @@ pub(crate) const WRAP_CHUNK_SLOTS: usize = 32;
 
 /// Onion-wraps `batch` slots `first..len` in place: each slot already
 /// holds its payload at offset `32 * chain.len()` (where
-/// [`onion::wrap_into`] expects it) and is sealed for the chain suffix,
-/// a chunk of [`WRAP_CHUNK_SLOTS`] slots per [`onion::wrap_chunk_in_place`]
-/// call, chunks in parallel. Seeds are drawn per slot from `rng` in slot
+/// [`onion::wrap_chunk_in_place`] expects it) and is sealed for the chain
+/// suffix, a chunk of [`WRAP_CHUNK_SLOTS`] slots per call, chunks in
+/// parallel. Seeds are drawn per slot from `rng` in slot
 /// order, exactly like [`wrap_payloads`] does for the allocating path —
 /// and none at all for an empty chain; each slot's child RNG then
 /// yields only that onion's layer secrets.

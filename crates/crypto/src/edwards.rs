@@ -98,9 +98,8 @@ impl PointTable {
         })
     }
 
-    /// The base point's own table (u = 9), for the lanes of
-    /// [`scalarmult_pending_oct`] that generate keys.
-    #[cfg(target_arch = "x86_64")]
+    /// The base point's own table (u = 9), for the lanes of a comb walk
+    /// that generate keys.
     pub(crate) fn base() -> &'static PointTable {
         &table().base
     }
@@ -475,12 +474,6 @@ pub(crate) fn scalarmult_base_u(clamped_scalar: &[u8; 32]) -> [u8; 32] {
     scalarmult_comb(&table.base.rows, &table.d2, clamped_scalar).montgomery_u()
 }
 
-/// Fixed-base scalar multiplication with the inversion deferred.
-pub(crate) fn scalarmult_base_pending(clamped_scalar: &[u8; 32]) -> PendingU {
-    let table = table();
-    scalarmult_comb(&table.base.rows, &table.d2, clamped_scalar).montgomery_pending()
-}
-
 fn add_digit(h: &Extended, row: &[Niels; 8], digit: i8) -> Extended {
     match digit.cmp(&0) {
         core::cmp::Ordering::Greater => h.add_niels(&row[digit as usize - 1]),
@@ -778,7 +771,7 @@ mod tests {
         }
         let pending: Vec<PendingU> = scalars
             .iter()
-            .map(|s| scalarmult_base_pending(&clamp(*s)))
+            .map(|s| PointTable::base().scalarmult_pending(&clamp(*s)))
             .collect();
         let batch = resolve_batch(&pending);
         for (p, (s, got)) in pending.iter().zip(scalars.iter().zip(batch.iter())) {
@@ -793,7 +786,7 @@ mod tests {
                 num: Fe::ONE,
                 den: Fe::ZERO,
             },
-            scalarmult_base_pending(&clamp(scalars[1])),
+            PointTable::base().scalarmult_pending(&clamp(scalars[1])),
         ];
         let resolved = resolve_batch(&mixed);
         assert_eq!(resolved[0], batch[0]);

@@ -5,20 +5,19 @@
 //! 2^51) of element `l`. Products come from `vpmadd52luq` /
 //! `vpmadd52huq`, which multiply the **low 52 bits** of each lane and
 //! add the low or the high 52 bits of the 104-bit product into a 64-bit
-//! accumulator — 8 limb products per instruction where the portable
-//! [`Fe4`](crate::fe4::Fe4) kernel issues one `mulx`. When the CPU
-//! has it, [`crate::x25519`] steps eight onions' Montgomery ladders in
-//! lockstep on this type (`Fe4` is the fallback everywhere else) and
-//! [`crate::edwards`] walks eight fixed-base comb tables in lockstep
-//! (the scalar walk over [`Fe`] is the fallback).
+//! accumulator — 8 limb products per instruction where the scalar
+//! [`Fe`] kernel issues one `mulx`. When the CPU has it,
+//! [`crate::x25519`] steps eight onions' Montgomery ladders in
+//! lockstep on this type and [`crate::edwards`] walks eight fixed-base
+//! comb tables in lockstep; the scalar ladder and the scalar walk over
+//! [`Fe`] are the fallback everywhere else, and the oracle here.
 //!
 //! # The carried invariant
 //!
-//! `Fe4` is lazy: its adds and subs do not carry, because a `u128`
-//! schoolbook product has headroom to spare. The IFMA multiplier has
-//! none — bits 52..63 of an operand are silently ignored — so the
-//! contract here is the opposite one, a single bound that every
-//! operation both requires and restores:
+//! A `u128` schoolbook product has headroom to spare for lazily
+//! carried operands. The IFMA multiplier has none — bits 52..63 of an
+//! operand are silently ignored — so the contract here is a single
+//! bound that every operation both requires and restores:
 //!
 //! > every limb of every `Fe8` is below **B = 2^51 + 2^17**.
 //!
@@ -79,8 +78,8 @@
 //! intrinsics inside `#[target_feature]` functions.
 
 #![allow(unsafe_code)]
-// The limb loops are explicit counted loops for the same reason as in
-// `fe4.rs`: they mirror the column structure of the schoolbook product.
+// The limb loops are explicit counted loops: they mirror the column
+// structure of the schoolbook product.
 #![allow(clippy::needless_range_loop)]
 
 use crate::field::Fe;
@@ -106,8 +105,14 @@ pub(crate) struct Ifma(());
 
 impl Ifma {
     /// Checks the CPU (std caches the CPUID result; this is one atomic
-    /// load).
+    /// load). Under `cfg(test)` a thread inside
+    /// `x25519::tests::on_each_arm`'s scalar pass is told there is no
+    /// IFMA.
     pub(crate) fn detect() -> Option<Ifma> {
+        #[cfg(test)]
+        if PORTABLE_ONLY.get() {
+            return None;
+        }
         (is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma"))
             .then_some(Ifma(()))
     }
@@ -288,6 +293,14 @@ impl Fe8 {
             b.0[i] = _mm512_mask_blend_epi64(swap, y, x);
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while `x25519::tests::on_each_arm` runs its scalar pass on
+    /// this thread; [`Ifma::detect`] then reports no IFMA.
+    pub(crate) static PORTABLE_ONLY: core::cell::Cell<bool> =
+        const { core::cell::Cell::new(false) };
 }
 
 /// `Ifma::detect` for tests of the eight-wide path, which must not pass

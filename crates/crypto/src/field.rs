@@ -6,15 +6,10 @@
 //! Montgomery ladder in [`crate::x25519`] does not branch on secret bits.
 //!
 //! Every operation here is eagerly carried: limbs re-enter the loose
-//! (< 2^52) range after each add/sub/mul. The batch-oriented sibling
-//! [`crate::fe4`] relaxes exactly that — it processes four elements in
-//! lockstep with *lazy* reduction (adds and subs don't carry at all, the
-//! bounds are re-established by the next multiplication), which is what
-//! makes the portable 4-wide Montgomery ladder cheaper than four scalar
-//! ladders. See the `fe4` module docs for the precise limb bounds (and
-//! `fe8.rs` for the eight-wide AVX-512 IFMA kernel the peel hot path
-//! prefers, which carries after every operation for a different
-//! reason).
+//! (< 2^52) range after each add/sub/mul. See `fe8.rs` for the
+//! eight-wide AVX-512 IFMA kernel the batched paths prefer where the
+//! CPU has it, which carries after every operation for a different
+//! reason; this type is its fallback and its oracle.
 
 /// Mask selecting the low 51 bits of a limb.
 const LOW_51: u64 = (1 << 51) - 1;
@@ -92,11 +87,9 @@ impl Fe {
     }
 
     /// One pass of carry propagation, bringing limbs below 2^51 (the top
-    /// carry folds back into limb 0 as ×19). Crate-visible so the
-    /// limb-sliced [`crate::fe4::Fe4`] lanes can re-enter the loose
-    /// representation.
+    /// carry folds back into limb 0 as ×19).
     #[must_use]
-    pub(crate) fn carry(self) -> Fe {
+    fn carry(self) -> Fe {
         let mut l = self.0;
         let mut c: u64;
         c = l[0] >> 51;

@@ -9,12 +9,13 @@
 //!
 //! * [`x25519`] — RFC 7748 X25519 over a 51-bit-limb field
 //!   implementation. The batched variable-base ladder (the onion
-//!   peeler's Diffie-Hellman, most of a server's CPU time) runs eight
-//!   wide on AVX-512 IFMA where the CPU has it and four wide in
-//!   portable Rust ([`fe4`]) elsewhere, and the bulk onion wrapper's
-//!   fixed-base comb walk eight wide or one at a time likewise; the
-//!   choice is made by CPU detection at run time, reported by
-//!   [`x25519::ladder_backend`], and changes no output byte.
+//!   peeler's Diffie-Hellman, most of a server's CPU time) and the
+//!   onion wrapper's fixed-base comb walk each have two arms: eight
+//!   lanes in lockstep on AVX-512 IFMA where the CPU has it, the scalar
+//!   kernel — which is also the oracle — one multiplication at a time
+//!   elsewhere. The choice is made by CPU detection at run time,
+//!   reported by [`x25519::ladder_backend`], and changes no output
+//!   byte.
 //! * [`chacha20`] / [`poly1305`] / [`aead`] — RFC 8439 ChaCha20-Poly1305.
 //! * [`sha256`] / [`hkdf`] — FIPS 180-4 SHA-256, RFC 2104 HMAC, RFC 5869
 //!   HKDF. The compression function runs on the x86 SHA extensions
@@ -52,7 +53,6 @@
 pub mod aead;
 pub mod chacha20;
 pub(crate) mod edwards;
-pub mod fe4;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod fe8;
 pub mod field;

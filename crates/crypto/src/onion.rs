@@ -22,37 +22,44 @@
 //!
 //! # Which path each entry point takes
 //!
-//! Every wrap below produces the same bytes and layer keys from the same
-//! ephemeral secrets (X25519 is a function; [`draw_layer_secrets`] is
-//! the one definition of the order the secrets are drawn in), and every
-//! peel the same results; they differ in who computes the scalar
+//! There is one chunk wrap and one chunk peel, each with two arms
+//! chosen by CPU detection alone ([`crate::x25519::ladder_backend`]),
+//! and the allocating seed pair they are tested against. Every wrap
+//! produces the same bytes and layer keys from the same ephemeral
+//! secrets (X25519 is a function; [`draw_layer_secrets`] is the one
+//! definition of the order the secrets are drawn in), and every peel
+//! the same results; they differ in who computes the scalar
 //! multiplications.
 //!
 //! | entry point | scalar multiplications |
 //! |---|---|
-//! | [`wrap`] | scalar ladder, allocating — the seed reference and the oracle every other wrap is tested against |
-//! | [`wrap_chunk_in_place`] | **the one wrap kernel**, a chunk of arena slots per call: comb keygen and comb DH over the per-server tables, eight lanes in lockstep on AVX-512 IFMA, one at a time elsewhere — cover traffic, cohort build, workload generators |
-//! | [`wrap_into_with`], [`wrap_noise_into`] | the `n = 1` chunk: one onion's `2 · chain_len` lanes share octets (chain 3 is one eight-wide walk) — per-object clients, a server's substitutes |
-//! | [`wrap_into`] | the same with no tables: comb keygen, scalar-ladder DH |
-//! | [`peel`], [`peel_in_place`] | scalar ladder, one onion |
-//! | [`peel_chunk_in_place`] | **the bulk path**: eight-wide ladder on AVX-512 IFMA, four-wide portable ladder elsewhere |
+//! | [`wrap`], [`peel`] | scalar ladder, allocating, one onion — the seed references: the oracle every test holds the chunk entries to, on each arm |
+//! | [`wrap_chunk_in_place`] | **the one wrap kernel**, a chunk of arena slots per call: comb keygen and comb DH over the per-server tables, eight lanes in lockstep on AVX-512 IFMA, the scalar comb walk elsewhere — cover traffic, cohort build, workload generators |
+//! | [`wrap_into_with`], [`wrap_noise_into`] | the `n = 1` chunk wrap: one onion's `2 · chain_len` lanes share octets (chain 3 is one eight-wide walk) — per-object clients, a server's substitutes |
+//! | [`peel_chunk_in_place`] | **the one peel kernel**, a chunk of arena slots per call: eight ladders in lockstep on AVX-512 IFMA, the scalar ladder elsewhere, the inversions shared across the chunk on both — every server hop |
 //!
 //! The chunk wrap sits beside the chunk peel: both take a run of
 //! fixed-stride slots, batch the scalar multiplications across onions
 //! (the peel's are variable-base, so ladders; the wrap's are
-//! fixed-base, so comb walks), resolve the deferred inversions in
-//! shared groups, and pick the eight-wide or the portable kernel by
-//! CPU detection alone ([`crate::x25519::ladder_backend`]).
+//! fixed-base, so comb walks) and resolve the deferred inversions in
+//! shared groups. Neither chooses a kernel itself:
+//! [`crate::x25519`] owns the two dispatches.
 //!
-//! The lone peel is deliberately *not* the `n = 1` chunk peel. An onion
-//! has one multiplication per peel, so alone in an eight-wide ladder it
-//! pays for all eight lanes (≈ 64 µs against ≈ 44 µs on the scalar
-//! ladder), where a lone wrap fills its octet with its own layers; and
-//! no bulk caller peels singly, so a lane-count cutoff would buy nothing.
+//! There is no single-onion in-place peel. An onion has one
+//! multiplication per peel, so alone in an eight-wide ladder it pays
+//! for all eight lanes (≈ 64 µs against ≈ 44 µs on the scalar ladder),
+//! where a lone wrap fills its octet with its own layers — and no
+//! production caller peels singly: a server peels its round's arena a
+//! worker chunk at a time. [`peel`] is kept for what the tests and
+//! the per-`Vec` reference server need, an oracle.
 
 use crate::aead;
+use crate::edwards::{resolve_batch_into, PendingU, MAX_RESOLVE_BATCH};
 use crate::hkdf::hkdf;
-use crate::x25519::{DhTable, Keypair, PublicKey, SecretKey, SharedSecret};
+use crate::x25519::{
+    x25519, x25519_comb_pending, x25519_ladder_pending, DhTable, PublicKey, SecretKey,
+    SharedSecret, BASE_POINT,
+};
 use crate::CryptoError;
 use rand::{CryptoRng, RngCore};
 
@@ -163,16 +170,6 @@ impl PrecomputedServer {
             public,
         }
     }
-
-    /// `eph_sk · server_pk` with its field inversion deferred, through
-    /// the table when available (ladder fallbacks resolve trivially:
-    /// their inversion already happened inside the ladder).
-    fn shared_with_pending(&self, eph_secret: &SecretKey) -> crate::edwards::PendingU {
-        match &self.table {
-            Some(table) => table.diffie_hellman_pending(eph_secret),
-            None => crate::edwards::PendingU::resolved(&eph_secret.diffie_hellman(&self.public).0),
-        }
-    }
 }
 
 /// Client side: onion-wraps `payload` for the given server chain.
@@ -181,11 +178,12 @@ impl PrecomputedServer {
 /// bytes and the per-layer keys (ordered like `server_pks`) needed to
 /// decrypt the reply with [`unwrap_reply_layers`].
 ///
-/// This is the **pre-refactor reference path**: ladder keygen, one heap
-/// allocation per layer. [`wrap_into`] / [`wrap_into_with`] produce
-/// byte-identical onions (equal RNG state) without the allocations and
-/// with table-accelerated scalar multiplication; the equivalence property
-/// tests and the round benchmarks hold the two sides against each other.
+/// This is the **seed reference path**: ladder keygen, ladder DH, one
+/// heap allocation per layer. [`wrap_into_with`] and
+/// [`wrap_chunk_in_place`] produce byte-identical onions (equal RNG
+/// state) without the allocations and with table-accelerated scalar
+/// multiplication; the equivalence property tests and the round
+/// benchmarks hold the two sides against each other.
 pub fn wrap<R: RngCore + CryptoRng>(
     rng: &mut R,
     server_pks: &[PublicKey],
@@ -197,10 +195,11 @@ pub fn wrap<R: RngCore + CryptoRng>(
     // Generate layer keys in forward order so `keys[i]` belongs to server i.
     let mut headers: Vec<(PublicKey, LayerKey)> = Vec::with_capacity(server_pks.len());
     for server_pk in server_pks {
-        let eph = Keypair::generate_reference(rng);
-        let key = derive_layer_key(&eph.secret, server_pk, &eph.public, server_pk)
+        let eph_secret = SecretKey::generate(rng);
+        let eph_public = PublicKey(x25519(eph_secret.as_bytes(), &BASE_POINT));
+        let key = derive_layer_key(&eph_secret, server_pk, &eph_public, server_pk)
             .expect("freshly generated ephemeral key cannot be low-order");
-        headers.push((eph.public, key.clone()));
+        headers.push((eph_public, key.clone()));
         keys.push(key);
     }
 
@@ -216,46 +215,27 @@ pub fn wrap<R: RngCore + CryptoRng>(
     (onion, keys)
 }
 
-/// Client side: onion-wraps a payload **in place**, without allocating.
+/// Client side: onion-wraps a payload **in place**, without allocating
+/// for the onion — the single-onion entry point, for callers that build
+/// one onion at a time against a chain they wrap for every round.
 ///
 /// The caller places the payload at
 /// `buf[32 * chain_len .. 32 * chain_len + payload_len]` and provides at
 /// least [`wrapped_len`]`(payload_len, chain_len)` bytes of buffer; on
-/// return the finished onion occupies `buf[..wrapped_len(..)]`. Output is
-/// byte-identical to [`wrap`] for the same RNG state (the allocating
-/// version is kept as the reference the property tests compare against).
+/// return the finished onion occupies `buf[..wrapped_len(..)]`. Each
+/// layer's Diffie-Hellman goes through its server's precomputed comb
+/// table: this is [`wrap_chunk_in_place`] on a chunk of one slot
+/// (`buf`), fed the secrets [`draw_layer_secrets`] takes from `rng` —
+/// byte-identical output, layer keys and RNG consumption to [`wrap`],
+/// the allocating reference the property tests compare against.
 ///
-/// Returns the per-layer keys, ordered like `server_pks`.
+/// Returns the per-layer keys, ordered like `servers`.
 ///
 /// # Panics
 ///
 /// Panics if `buf` is too short — a caller bug, since every round buffer
-/// reserves the full onion stride up front.
-pub fn wrap_into<R: RngCore + CryptoRng>(
-    rng: &mut R,
-    server_pks: &[PublicKey],
-    round: u64,
-    buf: &mut [u8],
-    payload_len: usize,
-) -> Vec<LayerKey> {
-    // Transient untabled servers: the per-layer DH falls back to the
-    // ladder, everything else shares the chunk core.
-    let servers: Vec<PrecomputedServer> = server_pks
-        .iter()
-        .map(|pk| PrecomputedServer {
-            public: *pk,
-            table: None,
-        })
-        .collect();
-    wrap_into_with(rng, &servers, round, buf, payload_len)
-}
-
-/// Like [`wrap_into`], but performing each layer's Diffie-Hellman through
-/// the servers' precomputed comb tables — the single-onion entry point,
-/// for callers that build one onion at a time against a chain they wrap
-/// for every round. It is [`wrap_chunk_in_place`] on a chunk of one slot
-/// (`buf`), fed the secrets [`draw_layer_secrets`] takes from `rng`:
-/// byte-identical output, layer keys and RNG consumption to [`wrap`].
+/// reserves the full onion stride up front — or the chain exceeds
+/// [`MAX_CHAIN`] servers.
 pub fn wrap_into_with<R: RngCore + CryptoRng>(
     rng: &mut R,
     servers: &[PrecomputedServer],
@@ -312,7 +292,7 @@ pub const MAX_CHAIN: usize = 16;
 /// Draws one onion's per-layer ephemeral secrets, `out[i]` for server
 /// `i` of the chain. This is the **single definition** of the wrapping
 /// RNG order: every wrap entry point — the allocating [`wrap`] draws the
-/// same bytes through [`Keypair::generate_reference`] — consumes exactly
+/// same bytes through [`SecretKey::generate`] — consumes exactly
 /// `32 · chain_len` bytes per onion, outermost layer first, so a bulk
 /// caller that draws with this and hands the secrets to
 /// [`wrap_chunk_in_place`] leaves its RNG where per-onion wrapping
@@ -364,10 +344,10 @@ fn seal_layers(
 /// Client / noising-server side: onion-wraps **every slot of a chunk**,
 /// in place — the bulk path beside [`peel_chunk_in_place`]. Slot `i`
 /// occupies `chunk[i * stride .. i * stride + wrapped_len]` with its
-/// payload already at offset `32 * servers.len()` (where [`wrap_into`]
-/// expects it); `secrets` holds the per-layer ephemeral secrets the
-/// caller drew with [`draw_layer_secrets`], slot-major,
-/// `servers.len()` per slot. Per slot the output bytes and layer keys
+/// payload already at offset `32 * servers.len()` (where
+/// [`wrap_into_with`] expects it); `secrets` holds the per-layer
+/// ephemeral secrets the caller drew with [`draw_layer_secrets`],
+/// slot-major, `servers.len()` per slot. Per slot the output bytes and layer keys
 /// are identical to [`wrap_into_with`] fed the same secrets from its
 /// RNG; what changes is who computes the `2 · chain_len · slots` scalar
 /// multiplications (each secret once against u = 9, once against its
@@ -385,7 +365,7 @@ fn seal_layers(
 /// Either way the inversions resolve in shared groups of
 /// [`crate::edwards`]'s resolver width, and HKDF, the degenerate-secret
 /// check and the in-place seal are [`seal_layers`]. The choice is CPU
-/// detection alone.
+/// detection alone, made inside `x25519::x25519_comb_pending`.
 ///
 /// Layer keys are written to `keys_out` when given (slot-major,
 /// `servers.len()` per slot, ordered like `servers`); cover traffic
@@ -406,34 +386,7 @@ pub fn wrap_chunk_in_place(
     stride: usize,
     payload_len: usize,
     secrets: &[[u8; 32]],
-    keys_out: Option<&mut [LayerKey]>,
-) {
-    wrap_chunk_core(
-        servers,
-        round,
-        chunk,
-        stride,
-        payload_len,
-        secrets,
-        keys_out,
-        LadderMode::detect(),
-    );
-}
-
-/// [`wrap_chunk_in_place`] with the kernel choice explicit, so the
-/// equivalence tests can drive both arms on one host:
-/// [`LadderMode::Oct`] walks the comb tables eight lanes at a time,
-/// every other mode one at a time.
-#[allow(clippy::too_many_arguments)]
-fn wrap_chunk_core(
-    servers: &[PrecomputedServer],
-    round: u64,
-    chunk: &mut [u8],
-    stride: usize,
-    payload_len: usize,
-    secrets: &[[u8; 32]],
     mut keys_out: Option<&mut [LayerKey]>,
-    mode: LadderMode,
 ) {
     let chain_len = servers.len();
     assert!(chain_len <= MAX_CHAIN, "chain too long for stack batching");
@@ -457,7 +410,7 @@ fn wrap_chunk_core(
     // Every scalar multiplication of the chunk, in lane order
     // (`2k` keygen, `2k + 1` DH of `secrets[k]`), one resolver group —
     // four octets — at a time, on the stack when one group is all.
-    const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
+    const GROUP: usize = MAX_RESOLVE_BATCH;
     let lanes = 2 * secrets.len();
     let (mut one_group, mut many) = ([[0u8; 32]; GROUP], Vec::new());
     let resolved = if lanes <= GROUP {
@@ -471,31 +424,17 @@ fn wrap_chunk_core(
         // has its lane's parity): the secret and the server it meets.
         let secret = |i: usize| &secrets[(g * GROUP + i) / 2];
         let server = |i: usize| &servers[(g * GROUP + i) / 2 % chain_len];
-        let dh_alone = |i: usize| server(i).shared_with_pending(&SecretKey::from_bytes(*secret(i)));
-        let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
+        // Keygen lanes walk the base point's table (`None`).
+        let table = |i: usize| server(i).table.as_ref().filter(|_| i % 2 == 1);
+        let mut pending = [PendingU::PLACEHOLDER; GROUP];
         let pending = &mut pending[..out.len()];
-        match mode {
-            #[cfg(target_arch = "x86_64")]
-            LadderMode::Oct(ifma) => {
-                // Keygen lanes walk the base point's table (`None`).
-                let table = |i: usize| server(i).table.as_ref().filter(|_| i % 2 == 1);
-                crate::x25519::x25519_comb_pending_oct(ifma, |i| (secret(i), table(i)), pending);
-                // A server key with no table rode its DH lanes against
-                // the base point; redo them as the other arm does.
-                for i in (1..out.len()).step_by(2).filter(|&i| table(i).is_none()) {
-                    pending[i] = dh_alone(i);
-                }
-            }
-            LadderMode::Quad | LadderMode::Scalar => {
-                for (i, lane) in pending.iter_mut().enumerate() {
-                    *lane = match i % 2 {
-                        0 => crate::x25519::x25519_base_pending(secret(i)),
-                        _ => dh_alone(i),
-                    };
-                }
-            }
+        x25519_comb_pending(|i| (secret(i), table(i)), pending);
+        // A server key with no table rode its DH lanes against the
+        // base point; they take the ladder.
+        for i in (1..out.len()).step_by(2).filter(|&i| table(i).is_none()) {
+            pending[i] = PendingU::resolved(&x25519(secret(i), server(i).public.as_bytes()));
         }
-        crate::edwards::resolve_batch_into(pending, out);
+        resolve_batch_into(pending, out);
     }
 
     let nonce = round_nonce(round, Direction::Request);
@@ -562,98 +501,32 @@ pub fn peel(
     Ok((key, inner))
 }
 
-/// Server side: peels one onion layer **in place**.
-///
-/// The layer occupies `slot[..width]`; on success the inner onion is
-/// moved to `slot[..width - LAYER_OVERHEAD]` and the layer key is
-/// returned. On failure the slot contents are unspecified but the same
-/// length, and nothing was decrypted (authentication runs first).
-///
-/// Byte-identical results to [`peel`], which is kept as the allocating
-/// reference.
-///
-/// # Errors
-///
-/// Same conditions as [`peel`].
-pub fn peel_in_place(
-    server_secret: &SecretKey,
-    server_public: &PublicKey,
-    round: u64,
-    slot: &mut [u8],
-    width: usize,
-) -> Result<(LayerKey, usize), CryptoError> {
-    if width < LAYER_OVERHEAD || slot.len() < width {
-        return Err(CryptoError::BadLength {
-            expected: LAYER_OVERHEAD,
-            got: width.min(slot.len()),
-        });
-    }
-    let mut eph_bytes = [0u8; 32];
-    eph_bytes.copy_from_slice(&slot[..32]);
-    let eph_pk = PublicKey::from_bytes(eph_bytes);
-    let key = derive_layer_key(server_secret, &eph_pk, &eph_pk, server_public)?;
-    let nonce = round_nonce(round, Direction::Request);
-    let inner_len = aead::open_in_place(&key.0, &nonce, &[], &mut slot[32..], width - 32)?;
-    // Slide the inner onion to the front of the slot so the next layer
-    // starts at offset 0 again.
-    slot.copy_within(32..32 + inner_len, 0);
-    Ok((key, inner_len))
-}
-
-/// Which Montgomery-ladder implementation a chunk peel drives, and —
-/// since the eight-wide field kernel is the same CPU feature — whether
-/// a chunk wrap walks its comb tables eight lanes at a time
-/// ([`LadderMode::Oct`]) or one. Production takes
-/// [`LadderMode::detect`]'s answer; the scalar ladder is the
-/// equivalence/benchmark reference.
-#[derive(Clone, Copy)]
-enum LadderMode {
-    /// Eight onions per `Fe8` ladder (peel) or eight scalar
-    /// multiplications per `Fe8` comb walk (wrap) on AVX-512 IFMA; a
-    /// partial last octet is padded, so no other kernel runs in this
-    /// mode.
-    #[cfg(target_arch = "x86_64")]
-    Oct(crate::fe8::Ifma),
-    /// Four onions per [`crate::fe4::Fe4`] ladder, scalar tail: the
-    /// portable fallback.
-    Quad,
-    /// One scalar ladder per onion (the pre-`Fe4` committed path).
-    Scalar,
-}
-
-impl LadderMode {
-    /// The fastest mode this CPU supports; nothing else selects it.
-    fn detect() -> LadderMode {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(ifma) = crate::fe8::Ifma::detect() {
-            return LadderMode::Oct(ifma);
-        }
-        LadderMode::Quad
-    }
-}
-
 /// Server side: peels one layer of **every onion in a chunk of slots**,
-/// in place. Slot `i` occupies `chunk[i * stride .. i * stride + width]`;
-/// per slot the semantics — success, error classification, and every
-/// output byte — are identical to calling [`peel_in_place`]. Two batch
-/// optimisations stack on the hot path:
+/// in place — the one peel kernel. Slot `i` occupies
+/// `chunk[i * stride .. i * stride + width]`; on success its inner
+/// onion is moved to the front of the slot (so the next layer starts at
+/// offset 0 again) and the layer key and inner length are returned; on
+/// failure the slot's contents are unspecified but the same length, and
+/// nothing was decrypted (authentication runs first). Per slot the
+/// semantics — success, error classification, and every output byte —
+/// are identical to [`peel`] on the slot's first `width` bytes (a slot
+/// the chunk or `stride` cuts short of `width` is
+/// [`CryptoError::BadLength`]). Two batch optimisations stack on the
+/// hot path:
 ///
-/// * the variable-base x25519 ladders step **several onions in
-///   lockstep**: eight per AVX-512 IFMA ladder where the CPU has it
-///   (see [`crate::x25519::ladder_backend`]), otherwise four over the
-///   limb-sliced [`crate::fe4::Fe4`] type with a scalar ladder for the
-///   `count % 4` tail;
-/// * each ladder's final field inversion is deferred and batched across
-///   the whole chunk (Montgomery's trick, sub-batched at
+/// * the variable-base x25519 ladders of a chunk run through
+///   `x25519::x25519_ladder_pending`: eight onions in lockstep per
+///   AVX-512 IFMA ladder where the CPU has it (see
+///   [`crate::x25519::ladder_backend`]), the scalar ladder behind
+///   [`peel`] otherwise;
+/// * on both arms each ladder's final field inversion is deferred and
+///   batched across the whole chunk (Montgomery's trick, sub-batched at
 ///   [`crate::edwards`]'s resolver width): `n` slots pay one
 ///   `Fe::invert` (~250 squarings) plus `3(n−1)` multiplications
 ///   instead of `n` inversions.
 ///
 /// This is the peel hot path's entry point: the worker pool hands each
 /// worker a chunk of contiguous slots rather than one slot at a time.
-/// [`peel_chunk_in_place_reference`] runs the same chunk protocol over
-/// the scalar ladder and is held byte-identical by the equivalence
-/// tests.
 ///
 /// Returns one result per slot, in slot order.
 pub fn peel_chunk_in_place(
@@ -664,139 +537,51 @@ pub fn peel_chunk_in_place(
     stride: usize,
     width: usize,
 ) -> Vec<Result<(LayerKey, usize), CryptoError>> {
-    peel_chunk_core(
-        server_secret,
-        server_public,
-        round,
-        chunk,
-        stride,
-        width,
-        LadderMode::detect(),
-    )
-}
-
-/// [`peel_chunk_in_place`] over the scalar (one-onion-at-a-time)
-/// Montgomery ladder — the committed pre-`Fe4` peel path, kept so the
-/// equivalence tests can hold the lockstep ladders to byte-identical
-/// outputs and the round benchmarks can price the batching honestly.
-pub fn peel_chunk_in_place_reference(
-    server_secret: &SecretKey,
-    server_public: &PublicKey,
-    round: u64,
-    chunk: &mut [u8],
-    stride: usize,
-    width: usize,
-) -> Vec<Result<(LayerKey, usize), CryptoError>> {
-    peel_chunk_core(
-        server_secret,
-        server_public,
-        round,
-        chunk,
-        stride,
-        width,
-        LadderMode::Scalar,
-    )
-}
-
-/// Shared chunk-peel engine behind every ladder mode.
-#[allow(clippy::too_many_arguments)]
-fn peel_chunk_core(
-    server_secret: &SecretKey,
-    server_public: &PublicKey,
-    round: u64,
-    chunk: &mut [u8],
-    stride: usize,
-    width: usize,
-    mode: LadderMode,
-) -> Vec<Result<(LayerKey, usize), CryptoError>> {
     assert!(stride > 0, "stride must be positive");
     let count = chunk.len().div_ceil(stride);
     let mut results: Vec<Result<(LayerKey, usize), CryptoError>> = Vec::with_capacity(count);
     let nonce = round_nonce(round, Direction::Request);
+    // What the chunk holds of slot `i`, and whether that is a layer.
+    let chunk_len = chunk.len();
+    let slot_len = |i: usize| (chunk_len - i * stride).min(stride);
+    let admitted = |i: usize| width >= LAYER_OVERHEAD && slot_len(i) >= width;
 
-    const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
-    const LANES: usize = crate::fe4::LANES;
-    for group_start in (0..count).step_by(GROUP) {
-        let group_len = (count - group_start).min(GROUP);
+    const GROUP: usize = MAX_RESOLVE_BATCH;
+    for group in (0..count).step_by(GROUP) {
+        let group = group..(group + GROUP).min(count);
 
         // Pass 1: length checks, gathering the admitted slots' ephemeral
         // keys so their ladders can run in lockstep.
-        let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
         let mut eph = [[0u8; 32]; GROUP];
-        let mut admitted = [false; GROUP];
-        let mut admitted_idx = [0usize; GROUP];
-        let mut admitted_len = 0usize;
-        for j in 0..group_len {
-            let start = (group_start + j) * stride;
-            let slot_len = (chunk.len() - start).min(stride);
-            if width < LAYER_OVERHEAD || slot_len < width {
-                continue; // reported as BadLength below, like peel_in_place
-            }
-            eph[j].copy_from_slice(&chunk[start..start + 32]);
-            admitted[j] = true;
-            admitted_idx[admitted_len] = j;
-            admitted_len += 1;
+        let mut n = 0;
+        for i in group.clone().filter(|&i| admitted(i)) {
+            eph[n].copy_from_slice(&chunk[i * stride..i * stride + 32]);
+            n += 1;
         }
 
-        // The ladders, inversions still deferred. The per-onion scalar
-        // is the server's one secret, so the lanes of a lockstep ladder
-        // differ only in their base point. Oct mode pads its last
-        // octet by repeating a point and drops the spare results; in
-        // quad mode full quads run in lockstep and the tail, like the
-        // whole reference mode, takes the scalar ladder.
-        let scalar_from = match mode {
-            LadderMode::Scalar => 0,
-            #[cfg(target_arch = "x86_64")]
-            LadderMode::Oct(ifma) => {
-                for oct in admitted_idx[..admitted_len].chunks(crate::fe8::LANES) {
-                    let out = crate::x25519::x25519_pending_oct(
-                        ifma,
-                        [server_secret.as_bytes(); crate::fe8::LANES],
-                        core::array::from_fn(|lane| &eph[oct[lane.min(oct.len() - 1)]]),
-                    );
-                    for (&j, p) in oct.iter().zip(out) {
-                        pending[j] = p;
-                    }
-                }
-                admitted_len
-            }
-            LadderMode::Quad => {
-                let full = admitted_len / LANES * LANES;
-                for quad in admitted_idx[..full].chunks_exact(LANES) {
-                    let out = crate::x25519::x25519_pending_quad(
-                        server_secret.as_bytes(),
-                        [&eph[quad[0]], &eph[quad[1]], &eph[quad[2]], &eph[quad[3]]],
-                    );
-                    for (lane, p) in out.into_iter().enumerate() {
-                        pending[quad[lane]] = p;
-                    }
-                }
-                full
-            }
-        };
-        for &j in &admitted_idx[scalar_from..admitted_len] {
-            pending[j] = crate::x25519::x25519_pending(server_secret.as_bytes(), &eph[j]);
-        }
-
-        // One shared inversion for the whole group.
+        // The ladders — the per-onion scalar is the server's one
+        // secret, so the lanes differ only in their base point — and
+        // one shared inversion for the whole group.
+        let mut pending = [PendingU::PLACEHOLDER; GROUP];
+        x25519_ladder_pending(|k| (server_secret.as_bytes(), &eph[k]), &mut pending[..n]);
         let mut shared = [[0u8; 32]; GROUP];
-        crate::edwards::resolve_batch_into(&pending[..group_len], &mut shared[..group_len]);
+        resolve_batch_into(&pending[..n], &mut shared[..n]);
 
         // Pass 2: KDF + in-place AEAD open per admitted slot.
-        for j in 0..group_len {
-            let start = (group_start + j) * stride;
-            let slot_len = (chunk.len() - start).min(stride);
-            if !admitted[j] {
+        let mut lanes = eph.iter().zip(&shared);
+        for i in group {
+            if !admitted(i) {
                 results.push(Err(CryptoError::BadLength {
                     expected: LAYER_OVERHEAD,
-                    got: width.min(slot_len),
+                    got: width.min(slot_len(i)),
                 }));
                 continue;
             }
-            let eph_pk = PublicKey::from_bytes(eph[j]);
-            let result = layer_key_from_shared(&SharedSecret(shared[j]), &eph_pk, server_public)
+            let (eph, shared) = lanes.next().expect("one lane per admitted slot");
+            let eph_pk = PublicKey::from_bytes(*eph);
+            let result = layer_key_from_shared(&SharedSecret(*shared), &eph_pk, server_public)
                 .and_then(|key| {
-                    let slot = &mut chunk[start..start + slot_len];
+                    let slot = &mut chunk[i * stride..i * stride + width];
                     let inner_len =
                         aead::open_in_place(&key.0, &nonce, &[], &mut slot[32..], width - 32)?;
                     slot.copy_within(32..32 + inner_len, 0);
@@ -857,6 +642,8 @@ pub fn unwrap_reply_layers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::x25519::tests::on_each_arm;
+    use crate::x25519::Keypair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -877,15 +664,65 @@ mod tests {
         }
     }
 
-    /// Both arms of the chunk wrap where the CPU has the eight-wide one
-    /// (a SKIPPED line for `test` where it does not).
-    fn wrap_modes(test: &'static str) -> Vec<LadderMode> {
-        let mut modes = vec![LadderMode::Quad];
-        #[cfg(target_arch = "x86_64")]
-        modes.extend(crate::fe8::ifma_or_skip(test).map(LadderMode::Oct));
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = test;
-        modes
+    /// One slot's peel as the tests compare it: the layer key and the
+    /// inner onion, or the refusal.
+    type Peeled = Result<([u8; 32], Vec<u8>), CryptoError>;
+
+    /// The oracle for a chunk peel: the allocating [`peel`] on each
+    /// slot's first `width` bytes. A slot the chunk cuts short of
+    /// `width` holds no layer at all, whatever its bytes would open to.
+    fn peel_each(
+        server: &Keypair,
+        round: u64,
+        chunk: &[u8],
+        stride: usize,
+        width: usize,
+    ) -> Vec<Peeled> {
+        chunk
+            .chunks(stride)
+            .map(|slot| {
+                if slot.len() < width {
+                    return Err(CryptoError::BadLength {
+                        expected: LAYER_OVERHEAD,
+                        got: slot.len(),
+                    });
+                }
+                peel(&server.secret, &server.public, round, &slot[..width])
+                    .map(|(key, inner)| (key.0, inner))
+            })
+            .collect()
+    }
+
+    /// [`peel_chunk_in_place`] on a copy of `chunk`, on whichever arm
+    /// the thread is pinned to: per slot what [`peel_each`] reports, and
+    /// the arena it left — whose bytes past `width` in every slot must
+    /// be the ones it was given.
+    fn peel_chunk(
+        server: &Keypair,
+        round: u64,
+        chunk: &[u8],
+        stride: usize,
+        width: usize,
+    ) -> (Vec<Peeled>, Vec<u8>) {
+        let mut arena = chunk.to_vec();
+        let results = peel_chunk_in_place(
+            &server.secret,
+            &server.public,
+            round,
+            &mut arena,
+            stride,
+            width,
+        );
+        for (slot, given) in arena.chunks(stride).zip(chunk.chunks(stride)) {
+            let headroom = width.min(slot.len())..;
+            assert_eq!(slot[headroom.clone()], given[headroom], "headroom");
+        }
+        let results = results
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.map(|(key, len)| (key.0, arena[i * stride..][..len].to_vec())))
+            .collect();
+        (results, arena)
     }
 
     #[test]
@@ -1004,31 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn wrap_into_matches_wrap_bytewise() {
-        for chain_len in 1..=4usize {
-            let mut rng = StdRng::seed_from_u64(100 + chain_len as u64);
-            let servers = chain(chain_len, &mut rng);
-            let pks: Vec<PublicKey> = servers.iter().map(|kp| kp.public).collect();
-            let payload = b"equivalence payload".to_vec();
-
-            // Identical RNG states feed both paths.
-            let mut rng_a = StdRng::seed_from_u64(7_000 + chain_len as u64);
-            let mut rng_b = rng_a.clone();
-            let (reference, ref_keys) = wrap(&mut rng_a, &pks, 9, &payload);
-
-            let mut buf = vec![0u8; wrapped_len(payload.len(), chain_len)];
-            buf[32 * chain_len..32 * chain_len + payload.len()].copy_from_slice(&payload);
-            let keys = wrap_into(&mut rng_b, &pks, 9, &mut buf, payload.len());
-
-            assert_eq!(buf, reference, "chain_len {chain_len}");
-            assert_eq!(keys.len(), ref_keys.len());
-            for (a, b) in keys.iter().zip(ref_keys.iter()) {
-                assert_eq!(a.0, b.0);
-            }
-        }
-    }
-
-    #[test]
     fn wrap_into_with_tables_matches_wrap_bytewise() {
         for chain_len in 1..=3usize {
             let mut rng = StdRng::seed_from_u64(400 + chain_len as u64);
@@ -1039,17 +851,19 @@ mod tests {
             let payload = b"table-accelerated".to_vec();
 
             let mut rng_a = StdRng::seed_from_u64(9_000 + chain_len as u64);
-            let mut rng_b = rng_a.clone();
+            let rng_b = rng_a.clone();
             let (reference, ref_keys) = wrap(&mut rng_a, &pks, 3, &payload);
 
-            let mut buf = vec![0u8; wrapped_len(payload.len(), chain_len)];
-            buf[32 * chain_len..32 * chain_len + payload.len()].copy_from_slice(&payload);
-            let keys = wrap_into_with(&mut rng_b, &precomp, 3, &mut buf, payload.len());
+            on_each_arm("wrap_into_with_tables_matches_wrap_bytewise", || {
+                let mut buf = vec![0u8; wrapped_len(payload.len(), chain_len)];
+                buf[32 * chain_len..32 * chain_len + payload.len()].copy_from_slice(&payload);
+                let keys = wrap_into_with(&mut rng_b.clone(), &precomp, 3, &mut buf, payload.len());
 
-            assert_eq!(buf, reference, "chain_len {chain_len}");
-            for (a, b) in keys.iter().zip(ref_keys.iter()) {
-                assert_eq!(a.0, b.0);
-            }
+                assert_eq!(buf, reference, "chain_len {chain_len}");
+                for (a, b) in keys.iter().zip(ref_keys.iter()) {
+                    assert_eq!(a.0, b.0);
+                }
+            });
         }
     }
 
@@ -1061,7 +875,7 @@ mod tests {
         // every count 0..=40 at chain lengths 1..=4 — lane totals
         // 2·chain_len·count on and off the octet and the 32-lane
         // resolver group — in a strided arena whose headroom must stay
-        // untouched, through both arms of the chunk wrap, and with the
+        // untouched, on both arms of the chunk wrap, and with the
         // RNG left where `count` per-onion wraps leave it. A
         // twist-point server key (no table) moves through the chain
         // with `count` — every position, the whole of a one-server
@@ -1071,7 +885,6 @@ mod tests {
         use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(94);
         let twist = twist_key(&mut rng);
-        let modes = wrap_modes("wrap_chunk_matches_per_slot_and_allocating_wrap");
         let payload_len = 24;
         let round = 5;
 
@@ -1105,30 +918,20 @@ mod tests {
                     .collect();
 
                 let mut rng_ref = parent.clone();
-                let mut rng_slot = parent.clone();
                 let mut want_keys: Vec<[u8; 32]> = Vec::new();
                 let mut want_onions: Vec<Vec<u8>> = Vec::new();
                 for payload in &payloads {
                     let (onion, keys) = wrap(&mut rng_ref, pks, round, payload);
-                    let mut buf = vec![0u8; width];
-                    buf[32 * chain_len..32 * chain_len + payload_len].copy_from_slice(payload);
-                    let slot_keys =
-                        wrap_into_with(&mut rng_slot, servers, round, &mut buf, payload_len);
-                    assert_eq!(buf, onion, "chain {chain_len} count {count}: per-slot");
-                    for (a, b) in keys.iter().zip(&slot_keys) {
-                        assert_eq!(a.0, b.0, "chain {chain_len} count {count}: per-slot key");
-                    }
                     want_keys.extend(keys.iter().map(|k| k.0));
                     want_onions.push(onion);
                 }
+                let after = rng_ref.next_u64();
 
                 let mut rng_chunk = parent.clone();
                 let mut secrets = vec![[0u8; 32]; count * chain_len];
                 for slot_secrets in secrets.chunks_mut(chain_len) {
                     draw_layer_secrets(&mut rng_chunk, slot_secrets);
                 }
-                let after = rng_ref.next_u64();
-                assert_eq!(rng_slot.next_u64(), after, "per-slot RNG state");
                 assert_eq!(rng_chunk.next_u64(), after, "chunk RNG state");
 
                 let mut arena = vec![0xEEu8; count * stride];
@@ -1141,33 +944,43 @@ mod tests {
                     arena.truncate((count - 1) * stride + width);
                 }
 
-                for &mode in &modes {
+                on_each_arm("wrap_chunk_matches_per_slot_and_allocating_wrap", || {
+                    let what = format!("chain {chain_len} count {count}");
+                    let mut rng_slot = parent.clone();
+                    let mut slot_keys: Vec<[u8; 32]> = Vec::new();
+                    for (payload, onion) in payloads.iter().zip(&want_onions) {
+                        let mut buf = vec![0u8; width];
+                        buf[32 * chain_len..32 * chain_len + payload_len].copy_from_slice(payload);
+                        let keys =
+                            wrap_into_with(&mut rng_slot, servers, round, &mut buf, payload_len);
+                        assert_eq!(&buf, onion, "{what}: per-slot");
+                        slot_keys.extend(keys.iter().map(|k| k.0));
+                    }
+                    assert_eq!(slot_keys, want_keys, "{what}: per-slot keys");
+                    assert_eq!(rng_slot.next_u64(), after, "{what}: per-slot RNG state");
+
                     let mut wrapped = arena.clone();
                     let mut keys = vec![LayerKey([0u8; 32]); count * chain_len];
-                    wrap_chunk_core(
+                    let keys_out = Some(&mut keys[..]);
+                    wrap_chunk_in_place(
                         servers,
                         round,
                         &mut wrapped,
                         stride,
                         payload_len,
                         &secrets,
-                        Some(&mut keys),
-                        mode,
+                        keys_out,
                     );
                     for (i, slot) in wrapped.chunks(stride).enumerate() {
-                        assert_eq!(
-                            &slot[..width],
-                            &want_onions[i][..],
-                            "chain {chain_len} count {count} slot {i}"
-                        );
+                        assert_eq!(&slot[..width], &want_onions[i][..], "{what} slot {i}");
                         assert!(slot[width..].iter().all(|&b| b == 0xEE), "headroom");
                     }
                     let got_keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
-                    assert_eq!(got_keys, want_keys, "chain {chain_len} count {count} keys");
+                    assert_eq!(got_keys, want_keys, "{what} keys");
 
                     // The key-less (cover traffic) form writes the same bytes.
                     let mut keyless = arena.clone();
-                    wrap_chunk_core(
+                    wrap_chunk_in_place(
                         servers,
                         round,
                         &mut keyless,
@@ -1175,10 +988,9 @@ mod tests {
                         payload_len,
                         &secrets,
                         None,
-                        mode,
                     );
-                    assert_eq!(keyless, wrapped, "chain {chain_len} count {count} keyless");
-                }
+                    assert_eq!(keyless, wrapped, "{what} keyless");
+                });
             }
         }
     }
@@ -1188,10 +1000,11 @@ mod tests {
         // One onion at every chain length 1..=MAX_CHAIN (16 servers =
         // 32 lanes = exactly the one resolver group that resolves on
         // the stack), a table-less twist-point server at every chain
-        // position and absent. The allocating `wrap` is the oracle for
-        // `wrap_into_with` (bytes, keys, RNG state), `wrap_noise_into`
-        // (bytes, RNG state) and both arms of `wrap_chunk_core` on a
-        // chunk of one slot; the slot's headroom stays untouched.
+        // position and absent. The allocating `wrap` is the oracle, on
+        // both arms, for `wrap_into_with` (bytes, keys, RNG state),
+        // `wrap_noise_into` (bytes, RNG state) and
+        // `wrap_chunk_in_place` on a chunk of one slot; the slot's
+        // headroom stays untouched.
         use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(97);
         let mut spare = PrecomputedServer::new(twist_key(&mut rng));
@@ -1199,7 +1012,6 @@ mod tests {
             .iter()
             .map(|kp| PrecomputedServer::new(kp.public))
             .collect();
-        let modes = wrap_modes("single_onion_wraps_are_the_one_slot_chunk");
         let (payload_len, round) = (24usize, 6u64);
         let payload: Vec<u8> = (0..payload_len as u8).collect();
 
@@ -1229,26 +1041,26 @@ mod tests {
                     assert_eq!(&buf[..width], &want[..], "{what}: {how}");
                     assert!(buf[width..].iter().all(|&b| b == 0xEE), "{what}: headroom");
                 };
-
-                let (mut rng_keys, mut buf) = (parent.clone(), slot.clone());
-                let keys = wrap_into_with(&mut rng_keys, servers, round, &mut buf, payload_len);
-                check(&buf, "wrap_into_with");
-                let keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
-                assert_eq!(keys, want_keys, "{what}: wrap_into_with keys");
-                assert_eq!(rng_keys.next_u64(), after, "{what}: wrap_into_with RNG");
-
-                let (mut rng_noise, mut buf) = (parent.clone(), slot.clone());
-                wrap_noise_into(&mut rng_noise, servers, round, &mut buf, payload_len);
-                check(&buf, "wrap_noise_into");
-                assert_eq!(rng_noise.next_u64(), after, "{what}: wrap_noise_into RNG");
-
                 let mut secrets = vec![[0u8; 32]; chain_len];
                 draw_layer_secrets(&mut parent.clone(), &mut secrets);
-                for &mode in &modes {
+
+                on_each_arm("single_onion_wraps_are_the_one_slot_chunk", || {
+                    let (mut rng_keys, mut buf) = (parent.clone(), slot.clone());
+                    let keys = wrap_into_with(&mut rng_keys, servers, round, &mut buf, payload_len);
+                    check(&buf, "wrap_into_with");
+                    let keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
+                    assert_eq!(keys, want_keys, "{what}: wrap_into_with keys");
+                    assert_eq!(rng_keys.next_u64(), after, "{what}: wrap_into_with RNG");
+
+                    let (mut rng_noise, mut buf) = (parent.clone(), slot.clone());
+                    wrap_noise_into(&mut rng_noise, servers, round, &mut buf, payload_len);
+                    check(&buf, "wrap_noise_into");
+                    assert_eq!(rng_noise.next_u64(), after, "{what}: wrap_noise_into RNG");
+
                     let mut buf = slot.clone();
                     let mut keys = vec![LayerKey([0u8; 32]); chain_len];
                     let keys_out = Some(&mut keys[..]);
-                    wrap_chunk_core(
+                    wrap_chunk_in_place(
                         servers,
                         round,
                         &mut buf,
@@ -1256,12 +1068,11 @@ mod tests {
                         payload_len,
                         &secrets,
                         keys_out,
-                        mode,
                     );
                     check(&buf, "one-slot chunk");
                     let keys: Vec<[u8; 32]> = keys.iter().map(|k| k.0).collect();
                     assert_eq!(keys, want_keys, "{what}: one-slot chunk keys");
-                }
+                });
                 if twist_at < chain_len {
                     core::mem::swap(&mut all[twist_at], &mut spare);
                 }
@@ -1336,25 +1147,33 @@ mod tests {
 
     #[test]
     fn peel_in_place_matches_peel() {
+        // One onion down a chain of three, each hop a chunk peel of the
+        // one slot in place, on each arm: key, length and inner bytes
+        // are `peel`'s at every hop.
         let mut rng = StdRng::seed_from_u64(31);
         let servers = chain(3, &mut rng);
         let pks: Vec<PublicKey> = servers.iter().map(|kp| kp.public).collect();
         let (onion_bytes, _) = wrap(&mut rng, &pks, 4, b"roundtrip me");
 
-        let mut flat = onion_bytes.clone();
-        let mut reference = onion_bytes;
-        let mut width = flat.len();
-        for kp in &servers {
-            let (ref_key, ref_inner) = peel(&kp.secret, &kp.public, 4, &reference).expect("peel");
-            let (key, new_width) =
-                peel_in_place(&kp.secret, &kp.public, 4, &mut flat, width).expect("peel_in_place");
-            assert_eq!(key.0, ref_key.0);
-            assert_eq!(new_width, ref_inner.len());
-            assert_eq!(&flat[..new_width], &ref_inner[..]);
-            width = new_width;
-            reference = ref_inner;
-        }
-        assert_eq!(&flat[..width], b"roundtrip me");
+        on_each_arm("peel_in_place_matches_peel", || {
+            let mut flat = onion_bytes.clone();
+            let mut reference = onion_bytes.clone();
+            let (stride, mut width) = (flat.len(), flat.len());
+            for kp in &servers {
+                let (ref_key, ref_inner) =
+                    peel(&kp.secret, &kp.public, 4, &reference).expect("peel");
+                let mut results =
+                    peel_chunk_in_place(&kp.secret, &kp.public, 4, &mut flat, stride, width);
+                assert_eq!(results.len(), 1);
+                let (key, new_width) = results.pop().expect("one slot").expect("chunk peel");
+                assert_eq!(key.0, ref_key.0);
+                assert_eq!(new_width, ref_inner.len());
+                assert_eq!(&flat[..new_width], &ref_inner[..]);
+                width = new_width;
+                reference = ref_inner;
+            }
+            assert_eq!(&flat[..width], b"roundtrip me");
+        });
     }
 
     #[test]
@@ -1364,12 +1183,22 @@ mod tests {
         let (mut onion_bytes, _) = wrap(&mut rng, &[server.public], 7, b"payload");
         let width = onion_bytes.len();
         onion_bytes[width - 1] ^= 1;
-        assert!(peel_in_place(&server.secret, &server.public, 7, &mut onion_bytes, width).is_err());
-        let mut short = [0u8; 10];
-        assert!(matches!(
-            peel_in_place(&server.secret, &server.public, 0, &mut short, 10),
-            Err(CryptoError::BadLength { .. })
-        ));
+        let refused = peel(&server.secret, &server.public, 7, &onion_bytes).map(|_| ());
+        assert_eq!(refused, Err(CryptoError::DecryptFailed));
+        let too_short = peel(&server.secret, &server.public, 0, &[0u8; 10]).map(|_| ());
+        assert!(matches!(too_short, Err(CryptoError::BadLength { .. })));
+        on_each_arm("peel_in_place_rejects_what_peel_rejects", || {
+            let (results, _) = peel_chunk(&server, 7, &onion_bytes, width, width);
+            assert_eq!(results, [Err(CryptoError::DecryptFailed)]);
+            // A width no layer fits, and a slot shorter than its width.
+            let (results, _) = peel_chunk(&server, 0, &[0u8; 10], 10, 10);
+            assert_eq!(results.len(), 1);
+            assert_eq!(results[0].clone().map(|_| ()), too_short);
+            let (results, _) = peel_chunk(&server, 7, &onion_bytes[..width - 1], width, width);
+            let got = width - 1;
+            let expected = LAYER_OVERHEAD;
+            assert_eq!(results, [Err(CryptoError::BadLength { expected, got })]);
+        });
     }
 
     #[test]
@@ -1392,8 +1221,9 @@ mod tests {
     fn peel_chunk_matches_per_slot_peel() {
         // A chunk mixing valid onions, corrupted onions, and a forged
         // low-order ephemeral must classify and transform every slot
-        // exactly like the per-slot path — across group boundaries (the
-        // batch resolver's width is 32, so 70 slots span three groups).
+        // exactly like the per-slot oracle, on each arm — across group
+        // boundaries (the batch resolver's width is 32, so 70 slots
+        // span three groups).
         let mut rng = StdRng::seed_from_u64(90);
         let server = Keypair::generate(&mut rng);
         let (sample, _) = wrap(&mut rng, &[server.public], 6, b"chunk me");
@@ -1402,7 +1232,6 @@ mod tests {
 
         let count = 70;
         let mut chunk = vec![0u8; count * stride];
-        let mut reference: Vec<Vec<u8>> = Vec::new();
         for i in 0..count {
             let onion = match i % 5 {
                 // Forged all-zero ephemeral: degenerate shared secret.
@@ -1416,38 +1245,29 @@ mod tests {
                 _ => wrap(&mut rng, &[server.public], 6, b"chunk me").0,
             };
             chunk[i * stride..i * stride + width].copy_from_slice(&onion);
-            reference.push(onion);
         }
 
-        let results =
-            peel_chunk_in_place(&server.secret, &server.public, 6, &mut chunk, stride, width);
-        assert_eq!(results.len(), count);
-        for (i, result) in results.iter().enumerate() {
-            let mut slot = reference[i].clone();
-            let expected = peel_in_place(&server.secret, &server.public, 6, &mut slot, width);
-            match (result, expected) {
-                (Ok((key, len)), Ok((ref_key, ref_len))) => {
-                    assert_eq!(key.0, ref_key.0, "slot {i} key");
-                    assert_eq!(*len, ref_len, "slot {i} length");
-                    assert_eq!(
-                        &chunk[i * stride..i * stride + len],
-                        &slot[..ref_len],
-                        "slot {i} payload"
-                    );
-                }
-                (Err(e), Err(ref_e)) => assert_eq!(*e, ref_e, "slot {i} error"),
-                (got, want) => panic!("slot {i}: {got:?} vs {want:?}"),
-            }
+        let want = peel_each(&server, 6, &chunk, stride, width);
+        assert_eq!(want.len(), count);
+        for (i, slot) in want.iter().enumerate() {
+            let refusal = match i % 5 {
+                3 => Some(CryptoError::DegenerateSharedSecret),
+                4 => Some(CryptoError::DecryptFailed),
+                _ => None,
+            };
+            assert_eq!(slot.as_ref().err(), refusal.as_ref(), "slot {i}");
         }
+        on_each_arm("peel_chunk_matches_per_slot_peel", || {
+            let (results, _) = peel_chunk(&server, 6, &chunk, stride, width);
+            assert_eq!(results, want);
+        });
     }
 
     #[test]
     fn peel_chunk_small_sizes_match_per_slot() {
-        // Chunks of 1–5 slots cover the padded single octet of the
-        // 8-wide ladder, or the empty-quad and 1–3-onion scalar-tail
-        // paths of the 4-wide one; every slot must match
-        // the per-slot reference bytewise, as must the scalar-ladder
-        // chunk reference.
+        // Chunks of 1–5 slots: on the eight-wide arm the padded single
+        // octet, on the scalar arm a resolver group of one to five;
+        // every slot must match the per-slot oracle bytewise.
         let mut rng = StdRng::seed_from_u64(91);
         let server = Keypair::generate(&mut rng);
         for count in 1..=5usize {
@@ -1455,68 +1275,32 @@ mod tests {
             let width = sample.len();
             let stride = width + 4;
             let mut chunk = vec![0u8; count * stride];
-            let mut slots: Vec<Vec<u8>> = Vec::new();
             for i in 0..count {
                 let (onion, _) = wrap(&mut rng, &[server.public], 11, b"tail case");
                 chunk[i * stride..i * stride + width].copy_from_slice(&onion);
-                slots.push(onion);
             }
-            let mut chunk_ref = chunk.clone();
-
-            let results = peel_chunk_in_place(
-                &server.secret,
-                &server.public,
-                11,
-                &mut chunk,
-                stride,
-                width,
-            );
-            let ref_results = peel_chunk_in_place_reference(
-                &server.secret,
-                &server.public,
-                11,
-                &mut chunk_ref,
-                stride,
-                width,
-            );
-            assert_eq!(results.len(), count, "count {count}");
-            assert_eq!(chunk, chunk_ref, "count {count}: ladder modes diverged");
-            for (i, (result, ref_result)) in results.iter().zip(&ref_results).enumerate() {
-                let (key, len) = result.as_ref().expect("valid onion");
-                let (ref_key, ref_len) = ref_result.as_ref().expect("valid onion");
-                assert_eq!((key.0, len), (ref_key.0, ref_len), "count {count} slot {i}");
-                let mut slot = slots[i].clone();
-                let (want_key, want_len) =
-                    peel_in_place(&server.secret, &server.public, 11, &mut slot, width)
-                        .expect("per-slot");
-                assert_eq!(key.0, want_key.0, "count {count} slot {i} key");
-                assert_eq!(*len, want_len, "count {count} slot {i} len");
-                assert_eq!(
-                    &chunk[i * stride..i * stride + len],
-                    &slot[..want_len],
-                    "count {count} slot {i} payload"
-                );
-            }
+            let want = peel_each(&server, 11, &chunk, stride, width);
+            assert_eq!(want.len(), count, "count {count}");
+            assert!(want.iter().all(|slot| slot.is_ok()), "valid onions");
+            on_each_arm("peel_chunk_small_sizes_match_per_slot", || {
+                let (results, _) = peel_chunk(&server, 11, &chunk, stride, width);
+                assert_eq!(results, want, "count {count}");
+            });
         }
     }
 
     #[test]
     fn peel_chunk_ladder_modes_agree_three_ways() {
-        // Oct == Quad == scalar reference, results and arena bytes, for
-        // every count 0..=40 (partial and full octets and quads, the
-        // 32-slot resolver group boundary), with tampered, low-order
-        // and — as the chunk's last slot — truncated slots interleaved
-        // among the valid ones.
+        // Eight-wide arm == scalar arm == per-slot `peel`, results and
+        // (between the arms) every arena byte, for every count 0..=40
+        // (partial and full octets, the 32-slot resolver group
+        // boundary), with tampered, low-order and — as the chunk's last
+        // slot — truncated slots interleaved among the valid ones.
         let mut rng = StdRng::seed_from_u64(93);
         let server = Keypair::generate(&mut rng);
         let (sample, _) = wrap(&mut rng, &[server.public], 13, b"three ways");
         let width = sample.len();
         let stride = width + 5;
-        #[cfg(target_arch = "x86_64")]
-        let oct = crate::fe8::ifma_or_skip("peel_chunk_ladder_modes_agree_three_ways")
-            .map(LadderMode::Oct);
-        #[cfg(not(target_arch = "x86_64"))]
-        let oct: Option<LadderMode> = None;
 
         for count in 0..=40usize {
             let mut chunk = vec![0u8; count * stride];
@@ -1536,34 +1320,20 @@ mod tests {
                 chunk.truncate((count - 1) * stride + width - 1);
             }
 
-            let run = |mode: LadderMode| {
-                let mut arena = chunk.clone();
-                let results = peel_chunk_core(
-                    &server.secret,
-                    &server.public,
-                    13,
-                    &mut arena,
-                    stride,
-                    width,
-                    mode,
-                );
-                let results: Vec<_> = results
-                    .into_iter()
-                    .map(|r| r.map(|(key, len)| (key.0, len)))
-                    .collect();
-                (results, arena)
-            };
-            let scalar = run(LadderMode::Scalar);
-            assert_eq!(scalar.0.len(), count);
-            assert_eq!(
-                run(LadderMode::Quad),
-                scalar,
-                "count {count}: Quad vs scalar"
+            let want = peel_each(&server, 13, &chunk, stride, width);
+            assert_eq!(want.len(), count);
+            let arenas = std::cell::RefCell::new(Vec::new());
+            on_each_arm("peel_chunk_ladder_modes_agree_three_ways", || {
+                let (results, arena) = peel_chunk(&server, 13, &chunk, stride, width);
+                assert_eq!(results, want, "count {count}: chunk vs per-slot");
+                arenas.borrow_mut().push(arena);
+            });
+            let arenas = arenas.into_inner();
+            assert!(
+                arenas.iter().all(|arena| *arena == arenas[0]),
+                "count {count}: the arms left different arenas"
             );
-            if let Some(oct) = oct {
-                assert_eq!(run(oct), scalar, "count {count}: Oct vs scalar");
-            }
-            let failures = scalar.0.iter().filter(|r| r.is_err()).count();
+            let failures = want.iter().filter(|r| r.is_err()).count();
             let expected = (0..count)
                 .filter(|i| {
                     matches!((i + count) % 7, 2 | 4 | 5) || (count % 3 == 1 && i + 1 == count)
@@ -1574,6 +1344,59 @@ mod tests {
                 "count {count}: every bad slot is refused"
             );
         }
+    }
+
+    #[test]
+    fn chain3_onion_known_answer() {
+        // Frozen at the commit before the four-wide ladder and the
+        // per-slot in-place peel were retired: one chain-3 onion from a
+        // fixed seed, wrapped by the one-slot chunk wrap and peeled hop
+        // by hop by the chunk peel. SHA-256 of the onion followed by
+        // its three layer keys, then of the slot after each hop. Any
+        // drift in either kernel, on either arm, fails here.
+        const WANT: [&str; 4] = [
+            "4d9b66adcaecc1bb0eaaf78eaba98c8d564eebc354132a320fd44c4c24f6fdd5",
+            "a50723e6fec569eb49ee91f781908a085a0125c86520be880a1d14f2e662d3b8",
+            "325da9241e7d66cee6153cef29f51314554d58647ff231400ee2f380c53a0a8d",
+            "abf4bafcddb38bbf3855e47b5e61b75dedbcf42aa44ffd4bb85d0b08d97e2682",
+        ];
+        let hex = crate::sha256::tests::hex;
+        let mut rng = StdRng::seed_from_u64(0x5EED_2015);
+        let servers = chain(3, &mut rng);
+        let precomp: Vec<PrecomputedServer> = servers
+            .iter()
+            .map(|kp| PrecomputedServer::new(kp.public))
+            .collect();
+        let (payload_len, round) = (240usize, 20_150_510u64);
+        on_each_arm("chain3_onion_known_answer", || {
+            let mut rng = rng.clone();
+            let mut slot = vec![0u8; wrapped_len(payload_len, 3)];
+            for (i, byte) in slot[96..].iter_mut().take(payload_len).enumerate() {
+                *byte = i as u8;
+            }
+            let keys = wrap_into_with(&mut rng, &precomp, round, &mut slot, payload_len);
+            let mut wrapped = slot.clone();
+            for key in &keys {
+                wrapped.extend_from_slice(&key.0);
+            }
+            assert_eq!(
+                &crate::sha256::sha256(&wrapped)[..],
+                &hex(WANT[0])[..],
+                "wrap"
+            );
+
+            let (stride, mut width) = (slot.len(), slot.len());
+            for (hop, kp) in servers.iter().enumerate() {
+                let mut results =
+                    peel_chunk_in_place(&kp.secret, &kp.public, round, &mut slot, stride, width);
+                let (key, inner_len) = results.pop().expect("one slot").expect("peel");
+                assert_eq!(key.0, keys[hop].0, "hop {hop} key");
+                width = inner_len;
+                let digest = crate::sha256::sha256(&slot[..width]);
+                assert_eq!(&digest[..], &hex(WANT[hop + 1])[..], "hop {hop}");
+            }
+            assert_eq!(width, payload_len);
+        });
     }
 
     #[test]
@@ -1598,22 +1421,14 @@ mod tests {
                     chunk[i * stride] = 1;
                 }
             }
-            let results = peel_chunk_in_place(
-                &server.secret,
-                &server.public,
-                12,
-                &mut chunk,
-                stride,
-                width,
-            );
-            assert_eq!(results.len(), count);
-            for (i, result) in results.iter().enumerate() {
+            on_each_arm("peel_chunk_all_low_order_batch", || {
+                let (results, _) = peel_chunk(&server, 12, &chunk, stride, width);
                 assert_eq!(
-                    result.as_ref().unwrap_err(),
-                    &CryptoError::DegenerateSharedSecret,
-                    "count {count} slot {i}"
+                    results,
+                    vec![Err(CryptoError::DegenerateSharedSecret); count],
+                    "count {count}"
                 );
-            }
+            });
         }
     }
 

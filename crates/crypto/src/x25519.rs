@@ -5,8 +5,7 @@
 //! dominates server CPU time (paper §8.2), so its cost model is the basis
 //! for the throughput/latency extrapolations in the benchmark harness.
 
-use crate::edwards::{resolve_batch_into, PendingU};
-use crate::fe4::{Fe4, LANES};
+use crate::edwards::{resolve_batch_into, PendingU, PointTable, MAX_RESOLVE_BATCH};
 #[cfg(target_arch = "x86_64")]
 use crate::fe8::{self, Fe8, Ifma};
 use crate::field::Fe;
@@ -134,17 +133,6 @@ impl Keypair {
         let public = secret.public_key();
         Keypair { secret, public }
     }
-
-    /// Generates a keypair deriving the public key through the general
-    /// Montgomery ladder instead of the fixed-base table. Bit-identical
-    /// keys and identical RNG consumption; pre-refactor cost. Used by the
-    /// reference onion path so benchmarks measure the seed
-    /// implementation's real price.
-    pub fn generate_reference<R: RngCore + CryptoRng>(rng: &mut R) -> Keypair {
-        let secret = SecretKey::generate(rng);
-        let public = PublicKey(x25519(&secret.0, &BASE_POINT));
-        Keypair { secret, public }
-    }
 }
 
 /// A precomputed Diffie-Hellman accelerator for one long-lived public
@@ -158,14 +146,14 @@ impl Keypair {
 /// quadratic twist (the Edwards form cannot represent them); callers fall
 /// back to [`SecretKey::diffie_hellman`], which handles both.
 pub struct DhTable {
-    inner: crate::edwards::PointTable,
+    inner: PointTable,
 }
 
 impl DhTable {
     /// Builds the table (≈1 ms; amortized over a key's lifetime).
     #[must_use]
     pub fn new(pk: &PublicKey) -> Option<DhTable> {
-        crate::edwards::PointTable::new(&pk.0).map(|inner| DhTable { inner })
+        PointTable::new(&pk.0).map(|inner| DhTable { inner })
     }
 
     /// `sk · pk`, bit-identical to [`SecretKey::diffie_hellman`] with the
@@ -174,19 +162,6 @@ impl DhTable {
     pub fn diffie_hellman(&self, sk: &SecretKey) -> SharedSecret {
         SharedSecret(self.inner.scalarmult_u(&clamp(sk.0)))
     }
-
-    /// `sk · pk` with the final field inversion deferred, for batch
-    /// resolution via [`resolve_batch_into`].
-    pub(crate) fn diffie_hellman_pending(&self, sk: &SecretKey) -> PendingU {
-        self.inner.scalarmult_pending(&clamp(sk.0))
-    }
-}
-
-/// `X25519(scalar, 9)` with the final field inversion deferred; resolve
-/// with [`resolve_batch_into`]. Crate-internal: the onion wrapper batches
-/// one onion's keygens and DHs into a single inversion.
-pub(crate) fn x25519_base_pending(scalar: &[u8; 32]) -> PendingU {
-    crate::edwards::scalarmult_base_pending(&clamp(*scalar))
 }
 
 /// Clamps a scalar per RFC 7748 §5: clear the low 3 bits, clear bit 255,
@@ -219,137 +194,150 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     out[0]
 }
 
-/// `X25519(scalar, u)` with the ladder's final field inversion deferred;
-/// resolve with [`resolve_batch_into`]. Crate-internal: the onion
-/// peeler batches the inversion across a whole worker chunk of onions
-/// (Montgomery's trick), shaving ~one `Fe::invert` per onion off the
-/// peel hot path while producing bit-identical shared secrets.
-pub(crate) fn x25519_pending(scalar: &[u8; 32], u: &[u8; 32]) -> PendingU {
-    ladder(&clamp(*scalar), u)
+/// Variable-base multiplications with every inversion deferred:
+/// `pending[i]` becomes `X25519(scalar, u)` for `lane(i) = (scalar, u)`;
+/// resolve with [`resolve_batch_into`]. This is the one place a ladder
+/// kernel is chosen, by CPU detection alone — the onion peeler (every
+/// lane the server's one secret, the points whatever arrived) and
+/// [`x25519_batch`] both come through it:
+///
+/// * with an [`Ifma`] token, eight lanes step [`ladder8`] in lockstep
+///   ([`in_octets`]);
+/// * otherwise each lane takes the scalar [`ladder`], the one behind
+///   [`x25519`].
+///
+/// Byte-identical to [`x25519`] lane by lane on both arms.
+pub(crate) fn x25519_ladder_pending<'a>(
+    lane: impl Fn(usize) -> (&'a [u8; 32], &'a [u8; 32]),
+    pending: &mut [PendingU],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ifma) = Ifma::detect() {
+        return in_octets(lane, pending, |lanes| {
+            let clamped = lanes.map(|(scalar, _)| clamp(*scalar));
+            ladder8_on(
+                ifma,
+                core::array::from_fn(|l| &clamped[l]),
+                lanes.map(|(_, u)| u),
+            )
+        });
+    }
+    for (i, out) in pending.iter_mut().enumerate() {
+        let (scalar, u) = lane(i);
+        *out = ladder(&clamp(*scalar), u);
+    }
 }
 
-/// Four `X25519(scalar, u)` ladders in lockstep with every inversion
-/// deferred; resolve with [`resolve_batch_into`]. Crate-internal: the
-/// onion peeler's portable path (CPUs without AVX-512 IFMA) runs each
-/// worker chunk's variable-base DHs through this (the per-onion scalar
-/// is the server's one secret, so all four lanes share `scalar`), then
-/// batches the final inversions across the whole chunk. Byte-identical
-/// to four scalar [`x25519`] calls.
-pub(crate) fn x25519_pending_quad(scalar: &[u8; 32], us: [&[u8; 32]; LANES]) -> [PendingU; LANES] {
-    let k = clamp(*scalar);
-    ladder4([&k; LANES], us)
-}
-
-/// Eight independent `X25519(scalars[l], us[l])` ladders in lockstep on
-/// AVX-512 IFMA, every inversion deferred — wherever an [`Ifma`] token
-/// can be had this is the onion peeler's path (all eight lanes carry
-/// the server's one secret; the points are whatever arrived) and
-/// [`x25519_batch`]'s. The chunk wrapper's multiplications are all
-/// fixed-base and take [`x25519_comb_pending_oct`] instead.
-/// Byte-identical to eight scalar [`x25519`] calls.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn x25519_pending_oct(
-    ifma: Ifma,
-    scalars: [&[u8; 32]; fe8::LANES],
-    us: [&[u8; 32]; fe8::LANES],
-) -> [PendingU; fe8::LANES] {
-    let clamped: [[u8; 32]; fe8::LANES] = core::array::from_fn(|l| clamp(*scalars[l]));
-    ladder8_on(ifma, core::array::from_fn(|l| &clamped[l]), us)
-}
-
-/// Fixed-base multiplications, eight in lockstep on AVX-512 IFMA, every
-/// inversion deferred: `pending[i]` becomes `X25519(scalar, P)` for
+/// Fixed-base multiplications with every inversion deferred:
+/// `pending[i]` becomes `X25519(scalar, P)` for
 /// `lane(i) = (scalar, table)`, `P` the key `table` was built from or,
 /// where it is `None`, the base point u = 9 — computed not by a ladder
-/// but by the eight-wide walk over the Edwards comb tables
-/// ([`crate::edwards::scalarmult_pending_oct`]; 64 mixed additions a
-/// lane against [`x25519_pending_oct`]'s 255 ladder steps). Lanes share
-/// neither scalar nor table; a partial last octet repeats its last lane
-/// and drops the spares. Wherever an [`Ifma`] token can be had this is
-/// the onion wrapper's path (each layer's ephemeral secret against
-/// `None` and against its server's table) and [`x25519_base_batch`]'s.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn x25519_comb_pending_oct<'a>(
-    ifma: Ifma,
+/// but by a walk over the Edwards comb tables (64 mixed additions a
+/// lane against a ladder's 255 steps). This is the one place a comb
+/// kernel is chosen, by CPU detection alone — the onion wrapper (each
+/// layer's ephemeral secret against `None` and against its server's
+/// table) and [`x25519_base_batch`] both come through it:
+///
+/// * with an [`Ifma`] token, eight lanes walk their tables in lockstep
+///   ([`crate::edwards::scalarmult_pending_oct`], [`in_octets`]),
+///   sharing neither scalar nor table;
+/// * otherwise each lane walks its table alone
+///   ([`PointTable::scalarmult_pending`]), the walk behind
+///   [`x25519_base`] and [`DhTable::diffie_hellman`].
+pub(crate) fn x25519_comb_pending<'a>(
     lane: impl Fn(usize) -> (&'a [u8; 32], Option<&'a DhTable>),
     pending: &mut [PendingU],
 ) {
-    let base = crate::edwards::PointTable::base();
+    let base = PointTable::base();
+    let rows = |table: Option<&'a DhTable>| table.map_or(base, |table| &table.inner);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ifma) = Ifma::detect() {
+        return in_octets(lane, pending, |lanes| {
+            let clamped = lanes.map(|(scalar, _)| clamp(*scalar));
+            crate::edwards::scalarmult_pending_oct(
+                ifma,
+                lanes.map(|(_, table)| rows(table)),
+                core::array::from_fn(|l| &clamped[l]),
+            )
+        });
+    }
+    for (i, out) in pending.iter_mut().enumerate() {
+        let (scalar, table) = lane(i);
+        *out = rows(table).scalarmult_pending(&clamp(*scalar));
+    }
+}
+
+/// The lane order of both eight-wide arms: `kernel` takes `lane(i)` for
+/// eight consecutive `i` and fills their `pending`; a partial last
+/// octet repeats its last lane and drops the spares.
+#[cfg(target_arch = "x86_64")]
+fn in_octets<T: Copy>(
+    lane: impl Fn(usize) -> T,
+    pending: &mut [PendingU],
+    kernel: impl Fn([T; fe8::LANES]) -> [PendingU; fe8::LANES],
+) {
     for (oct, out) in pending.chunks_mut(fe8::LANES).enumerate() {
-        let lanes: [_; fe8::LANES] =
-            core::array::from_fn(|l| lane(oct * fe8::LANES + l.min(out.len() - 1)));
-        let clamped = lanes.map(|(scalar, _)| clamp(*scalar));
-        let points = crate::edwards::scalarmult_pending_oct(
-            ifma,
-            lanes.map(|(_, table)| table.map_or(base, |table| &table.inner)),
-            core::array::from_fn(|l| &clamped[l]),
-        );
+        let last = oct * fe8::LANES + out.len() - 1;
+        let points = kernel(core::array::from_fn(|l| {
+            lane((oct * fe8::LANES + l).min(last))
+        }));
         out.copy_from_slice(&points[..out.len()]);
     }
 }
 
-/// Batched keygen, bit-identical to [`x25519_base`] element-wise: the
-/// eight-wide comb on AVX-512 IFMA CPUs, the scalar one elsewhere,
-/// [`crate::edwards::MAX_RESOLVE_BATCH`] keys to an inversion on both.
-#[must_use]
-pub fn x25519_base_batch(scalars: &[[u8; 32]]) -> Vec<[u8; 32]> {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(ifma) = Ifma::detect() {
-        let oct = |ks: &[[u8; 32]], out: &mut [PendingU]| {
-            x25519_comb_pending_oct(ifma, |i| (&ks[i], None), out);
-        };
-        return base_batch(scalars, oct);
-    }
-    base_batch(scalars, base_pending_each)
-}
-
-/// The scalar-comb arm of [`x25519_base_batch`].
-fn base_pending_each(scalars: &[[u8; 32]], pending: &mut [PendingU]) {
-    for (scalar, pending) in scalars.iter().zip(pending) {
-        *pending = x25519_base_pending(scalar);
-    }
-}
-
-/// [`x25519_base_batch`] with the arm explicit: `comb` fills one
-/// resolver group's pending keys.
-fn base_batch(scalars: &[[u8; 32]], comb: impl Fn(&[[u8; 32]], &mut [PendingU])) -> Vec<[u8; 32]> {
-    const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
-    let mut out = vec![[0u8; 32]; scalars.len()];
-    for (ks, out) in scalars.chunks(GROUP).zip(out.chunks_mut(GROUP)) {
-        let mut pending = [PendingU::PLACEHOLDER; GROUP];
-        comb(ks, &mut pending[..ks.len()]);
-        resolve_batch_into(&pending[..ks.len()], out);
+/// `n` u-coordinates, resolved one group of [`MAX_RESOLVE_BATCH`] to an
+/// inversion: `fill(start, pending)` computes those of the group that
+/// starts at `start`.
+fn resolved_in_groups(n: usize, fill: impl Fn(usize, &mut [PendingU])) -> Vec<[u8; 32]> {
+    let mut out = vec![[0u8; 32]; n];
+    for (g, out) in out.chunks_mut(MAX_RESOLVE_BATCH).enumerate() {
+        let mut pending = [PendingU::PLACEHOLDER; MAX_RESOLVE_BATCH];
+        let pending = &mut pending[..out.len()];
+        fill(g * MAX_RESOLVE_BATCH, pending);
+        resolve_batch_into(pending, out);
     }
     out
 }
 
+/// Batched keygen, bit-identical to [`x25519_base`] element-wise: the
+/// eight-wide comb on AVX-512 IFMA CPUs, the scalar one elsewhere
+/// ([`x25519_comb_pending`]), [`MAX_RESOLVE_BATCH`] keys to an
+/// inversion on both.
+#[must_use]
+pub fn x25519_base_batch(scalars: &[[u8; 32]]) -> Vec<[u8; 32]> {
+    resolved_in_groups(scalars.len(), |at, pending| {
+        x25519_comb_pending(|i| (&scalars[at + i], None), pending);
+    })
+}
+
 /// Which kernel the batched paths run on this machine:
 /// `"avx512-ifma x8"` when the CPU has AVX-512F and IFMA — the onion
-/// peeler and [`x25519_batch`] then step eight ladders in lockstep and
-/// the onion wrapper ([`crate::onion::wrap_chunk_in_place`]) walks eight
-/// comb tables in lockstep — `"portable x4"` otherwise (four-wide
-/// ladders; wrapping walks its comb tables one scalar at a time). The
-/// choice is made by CPU detection alone; binaries print this once at
-/// start-up so a log says which kernel produced its numbers.
+/// peeler ([`crate::onion::peel_chunk_in_place`]) and [`x25519_batch`]
+/// then step eight ladders in lockstep and the onion wrapper
+/// ([`crate::onion::wrap_chunk_in_place`]) and [`x25519_base_batch`]
+/// walk eight comb tables in lockstep — `"portable"` otherwise: the
+/// scalar ladder and the scalar comb walk, one multiplication at a
+/// time, which are also the oracle the eight-wide kernels are tested
+/// against. The choice is made by CPU detection alone; binaries print
+/// this once at start-up so a log says which kernel produced its
+/// numbers.
 #[must_use]
 pub fn ladder_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if Ifma::detect().is_some() {
         return "avx512-ifma x8";
     }
-    "portable x4"
+    "portable"
 }
 
 /// Batched X25519: computes `X25519(scalars[i], us[i])` for parallel
-/// slices of scalars and u-coordinates, stepping the Montgomery ladder
-/// eight-wide over `Fe8` on AVX-512 IFMA CPUs (a partial last octet is
-/// padded by repeating its last pair) and otherwise four-wide over
-/// [`crate::fe4::Fe4`] (scalar ladder for the `len % 4` tail), sharing
-/// the final field inversions across sub-batches of
-/// [`crate::edwards::MAX_RESOLVE_BATCH`] via Montgomery's trick.
-/// Bit-identical to calling [`x25519`] element-wise — low-order inputs
-/// yield the all-zero output in their lane without disturbing the rest
-/// of the batch.
+/// slices of scalars and u-coordinates — eight Montgomery ladders in
+/// lockstep on AVX-512 IFMA CPUs, the scalar ladder elsewhere
+/// ([`x25519_ladder_pending`]) — sharing the final field inversions
+/// across sub-batches of [`MAX_RESOLVE_BATCH`] via Montgomery's trick
+/// on both. Bit-identical to calling [`x25519`] element-wise —
+/// low-order inputs yield the all-zero output in their lane without
+/// disturbing the rest of the batch.
 ///
 /// # Panics
 ///
@@ -357,119 +345,9 @@ pub fn ladder_backend() -> &'static str {
 #[must_use]
 pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     assert_eq!(scalars.len(), us.len(), "parallel slices must match");
-    #[cfg(target_arch = "x86_64")]
-    let pending = match Ifma::detect() {
-        Some(ifma) => batch_pending_oct(ifma, scalars, us),
-        None => batch_pending_quad(scalars, us),
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let pending = batch_pending_quad(scalars, us);
-
-    let mut out = vec![[0u8; 32]; pending.len()];
-    for (pending_chunk, out_chunk) in pending
-        .chunks(crate::edwards::MAX_RESOLVE_BATCH)
-        .zip(out.chunks_mut(crate::edwards::MAX_RESOLVE_BATCH))
-    {
-        resolve_batch_into(pending_chunk, out_chunk);
-    }
-    out
-}
-
-/// The portable half of [`x25519_batch`]: full quads through
-/// [`ladder4`], the `len % 4` tail through the scalar [`ladder`].
-fn batch_pending_quad(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<PendingU> {
-    let n = scalars.len();
-    let mut pending = Vec::with_capacity(n);
-    for (ks, points) in scalars.chunks_exact(LANES).zip(us.chunks_exact(LANES)) {
-        let clamped: [[u8; 32]; LANES] = core::array::from_fn(|l| clamp(ks[l]));
-        pending.extend(ladder4(
-            core::array::from_fn(|l| &clamped[l]),
-            core::array::from_fn(|l| &points[l]),
-        ));
-    }
-    for (k, u) in scalars[n - n % LANES..].iter().zip(&us[n - n % LANES..]) {
-        pending.push(ladder(&clamp(*k), u));
-    }
-    pending
-}
-
-/// The IFMA half of [`x25519_batch`]: every pair goes through
-/// [`ladder8`]; the spare lanes of a partial last octet repeat its last
-/// pair and are discarded.
-#[cfg(target_arch = "x86_64")]
-fn batch_pending_oct(ifma: Ifma, scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<PendingU> {
-    let mut pending = Vec::with_capacity(scalars.len());
-    for (ks, points) in scalars.chunks(fe8::LANES).zip(us.chunks(fe8::LANES)) {
-        let last = ks.len() - 1;
-        let out = x25519_pending_oct(
-            ifma,
-            core::array::from_fn(|l| &ks[l.min(last)]),
-            core::array::from_fn(|l| &points[l.min(last)]),
-        );
-        pending.extend_from_slice(&out[..ks.len()]);
-    }
-    pending
-}
-
-/// The RFC 7748 Montgomery ladder stepped **four-wide**: one
-/// [`Fe4`] operation per formula line advances four independent
-/// `(scalar, u)` ladders at once. The arithmetic sequence per lane is
-/// exactly [`ladder`]'s — same formulas, same swap schedule — but the
-/// adds and subs between multiplications run carry-free under `Fe4`'s
-/// lazy-reduction contract (see [`crate::fe4`]), and the four
-/// multiplication chains interleave instead of serializing. Low-order
-/// inputs leave `z2 = 0` in their lane, resolving to zero exactly like
-/// the scalar path.
-fn ladder4(ks: [&[u8; 32]; LANES], us: [&[u8; 32]; LANES]) -> [PendingU; LANES] {
-    /// One full ladder step: conditional swap plus the differential
-    /// add-and-double formulas. Kept `inline(never)` deliberately — the
-    /// nine field operations fuse inside this one medium-sized function
-    /// (good scheduling, no 160-byte argument copies per op), while the
-    /// 255-iteration loop stays a tight call site instead of a
-    /// several-thousand-instruction body that overflows the µop cache.
-    /// Measured on the 1-core bench box this shape beats both
-    /// per-operation calls and full inlining into the loop.
-    #[inline(never)]
-    fn step(swap: &[u64; LANES], x1: &Fe4, x2: &mut Fe4, z2: &mut Fe4, x3: &mut Fe4, z3: &mut Fe4) {
-        Fe4::cswap(swap, x2, x3);
-        Fe4::cswap(swap, z2, z3);
-
-        let a = x2.add(z2);
-        let aa = a.square();
-        let b = x2.sub(z2);
-        let bb = b.square();
-        let e = aa.sub(&bb);
-        let c = x3.add(z3);
-        let d = x3.sub(z3);
-        let da = d.mul(&a);
-        let cb = c.mul(&b);
-        *x3 = da.add(&cb).square();
-        *z3 = x1.mul(&da.sub(&cb).square());
-        *x2 = aa.mul(&bb);
-        *z2 = e.mul(&e.mul_small_add(121_665, &aa));
-    }
-
-    let x1 = Fe4::from_fes(core::array::from_fn(|l| Fe::from_bytes(us[l])));
-
-    let mut x2 = Fe4::splat(Fe::ONE);
-    let mut z2 = Fe4::splat(Fe::ZERO);
-    let mut x3 = x1;
-    let mut z3 = Fe4::splat(Fe::ONE);
-    let mut swap = [0u64; LANES];
-
-    for t in (0..255).rev() {
-        let mut k_t = [0u64; LANES];
-        for (lane, k) in ks.iter().enumerate() {
-            k_t[lane] = u64::from((k[t / 8] >> (t % 8)) & 1);
-            swap[lane] ^= k_t[lane];
-        }
-        step(&swap, &x1, &mut x2, &mut z2, &mut x3, &mut z3);
-        swap = k_t;
-    }
-    Fe4::cswap(&swap, &mut x2, &mut x3);
-    Fe4::cswap(&swap, &mut z2, &mut z3);
-
-    core::array::from_fn(|l| PendingU::from_ratio(x2.lane(l), z2.lane(l)))
+    resolved_in_groups(scalars.len(), |at, pending| {
+        x25519_ladder_pending(|i| (&scalars[at + i], &us[at + i]), pending);
+    })
 }
 
 /// The one place safe code enters the AVX-512 IFMA ladder.
@@ -486,12 +364,11 @@ fn ladder8_on(
 }
 
 /// The RFC 7748 Montgomery ladder stepped **eight-wide** on AVX-512
-/// IFMA: [`ladder4`] formula for formula and swap for swap, over
-/// [`Fe8`] — whose operations each end carried (see [`crate::fe8`]),
-/// where `Fe4`'s adds and subs run lazy — with the conditional swap a
-/// per-lane `__mmask8` blend. The `(x2, z2)` endpoints leave as
-/// [`PendingU`]s exactly like the other ladders', so callers batch the
-/// inversions the same way.
+/// IFMA: the scalar [`ladder`] formula for formula and swap for swap,
+/// over [`Fe8`] (whose operations each end carried, see
+/// [`crate::fe8`]), with the conditional swap a per-lane `__mmask8`
+/// blend. The `(x2, z2)` endpoints leave as [`PendingU`]s exactly like
+/// the scalar ladder's, so callers batch the inversions the same way.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512ifma")]
 fn ladder8(ks: [&[u8; 32]; fe8::LANES], us: [&[u8; 32]; fe8::LANES]) -> [PendingU; fe8::LANES] {
@@ -579,10 +456,42 @@ fn ladder(k: &[u8; 32], u: &[u8; 32]) -> PendingU {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Runs `check` on each arm of the two dispatches
+    /// ([`x25519_ladder_pending`], [`x25519_comb_pending`]) through
+    /// whatever public entry it calls: first with this thread pinned to
+    /// the scalar ladder and the scalar comb, then — where the CPU has
+    /// AVX-512 IFMA, else a SKIPPED line — on the eight-wide kernels.
+    pub(crate) fn on_each_arm(test: &'static str, check: impl Fn()) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            struct Release;
+            impl Drop for Release {
+                fn drop(&mut self) {
+                    fe8::PORTABLE_ONLY.set(false);
+                }
+            }
+            let _release = Release;
+            fe8::PORTABLE_ONLY.set(true);
+            assert_eq!(ladder_backend(), "portable");
+            check();
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        check();
+        if ladder_backend() == "avx512-ifma x8" {
+            check();
+        } else {
+            crate::skipped_once(
+                test,
+                "avx512f+avx512ifma",
+                "the eight-wide kernels were not exercised",
+            );
+        }
+    }
 
     fn hex32(s: &str) -> [u8; 32] {
         let mut out = [0u8; 32];
@@ -697,78 +606,78 @@ mod tests {
         assert_eq!(sk.diffie_hellman(&zero_point).0, [0u8; 32]);
     }
 
+    /// `n` random `(scalar, u)` pairs.
+    fn random_pairs(rng: &mut StdRng, n: usize) -> (Vec<[u8; 32]>, Vec<[u8; 32]>) {
+        let mut scalars = vec![[0u8; 32]; n];
+        let mut us = vec![[0u8; 32]; n];
+        for i in 0..n {
+            rng.fill_bytes(&mut scalars[i]);
+            rng.fill_bytes(&mut us[i]);
+        }
+        (scalars, us)
+    }
+
     #[test]
     fn batch_matches_scalar_across_sizes_and_tails() {
-        // Sizes 1..=9 cover the empty-quad, exact-quad and 1–3-lane
-        // scalar-tail paths; every output must equal the scalar ladder's.
+        // Sizes 0..=9: an empty batch, a padded single octet, a full
+        // one, one lane over; every output must equal the scalar
+        // ladder's, on each arm.
         let mut rng = StdRng::seed_from_u64(11);
-        for n in 1usize..=9 {
-            let mut scalars = vec![[0u8; 32]; n];
-            let mut us = vec![[0u8; 32]; n];
-            for i in 0..n {
-                rng.fill_bytes(&mut scalars[i]);
-                rng.fill_bytes(&mut us[i]);
-            }
-            let batch = x25519_batch(&scalars, &us);
-            for i in 0..n {
-                assert_eq!(batch[i], x25519(&scalars[i], &us[i]), "n {n} lane {i}");
-            }
+        for n in 0usize..=9 {
+            let (scalars, us) = random_pairs(&mut rng, n);
+            let want: Vec<[u8; 32]> = scalars.iter().zip(&us).map(|(k, u)| x25519(k, u)).collect();
+            on_each_arm("batch_matches_scalar_across_sizes_and_tails", || {
+                assert_eq!(x25519_batch(&scalars, &us), want, "n {n}");
+            });
         }
-        assert!(x25519_batch(&[], &[]).is_empty());
     }
 
     #[test]
     fn batch_lanes_carry_rfc7748_vectors() {
         // The two RFC 7748 §5.2 vectors placed in every lane position of
-        // one quad, padded with random pairs.
+        // a batch of four, padded with random pairs.
         let [(s1, u1, w1), (s2, u2, w2)] = rfc7748_vectors();
         let mut rng = StdRng::seed_from_u64(12);
         for position in 0..4 {
-            let mut scalars = vec![[0u8; 32]; 4];
-            let mut us = vec![[0u8; 32]; 4];
-            for i in 0..4 {
-                rng.fill_bytes(&mut scalars[i]);
-                rng.fill_bytes(&mut us[i]);
-            }
+            let (mut scalars, mut us) = random_pairs(&mut rng, 4);
             scalars[position] = s1;
             us[position] = u1;
             scalars[(position + 2) % 4] = s2;
             us[(position + 2) % 4] = u2;
-            let batch = x25519_batch(&scalars, &us);
-            assert_eq!(batch[position], w1, "vector 1 in lane {position}");
-            assert_eq!(batch[(position + 2) % 4], w2, "vector 2 in lane {position}");
+            on_each_arm("batch_lanes_carry_rfc7748_vectors", || {
+                let batch = x25519_batch(&scalars, &us);
+                assert_eq!(batch[position], w1, "vector 1 in lane {position}");
+                assert_eq!(batch[(position + 2) % 4], w2, "vector 2 in lane {position}");
+            });
         }
     }
 
     #[test]
     fn batch_low_order_lanes_resolve_to_zero() {
         // Low-order u-coordinates (0 and 1) must produce the all-zero
-        // secret in their lane — including an all-low-order quad, the
+        // secret in their lane — including an all-low-order batch, the
         // inverse-of-zero edge the shared batch inversion must survive —
         // without corrupting honest lanes.
         let mut rng = StdRng::seed_from_u64(13);
-        let mut scalars = vec![[0u8; 32]; 6];
-        let mut us = vec![[0u8; 32]; 6];
-        for i in 0..6 {
-            rng.fill_bytes(&mut scalars[i]);
-            rng.fill_bytes(&mut us[i]);
-        }
+        let (scalars, mut us) = random_pairs(&mut rng, 6);
         us[1] = [0u8; 32]; // the identity
         us[3] = {
             let mut u = [0u8; 32];
             u[0] = 1; // order-4 point
             u
         };
-        let batch = x25519_batch(&scalars, &us);
-        for i in 0..6 {
-            assert_eq!(batch[i], x25519(&scalars[i], &us[i]), "lane {i}");
-        }
-        assert_eq!(batch[1], [0u8; 32]);
-        assert_eq!(batch[3], [0u8; 32]);
+        on_each_arm("batch_low_order_lanes_resolve_to_zero", || {
+            let batch = x25519_batch(&scalars, &us);
+            for i in 0..6 {
+                assert_eq!(batch[i], x25519(&scalars[i], &us[i]), "lane {i}");
+            }
+            assert_eq!(batch[1], [0u8; 32]);
+            assert_eq!(batch[3], [0u8; 32]);
 
-        let zeros = vec![[0u8; 32]; 4];
-        let all_low = x25519_batch(&scalars[..4], &zeros);
-        assert_eq!(all_low, vec![[0u8; 32]; 4], "all-low-order quad");
+            let zeros = vec![[0u8; 32]; 4];
+            let all_low = x25519_batch(&scalars[..4], &zeros);
+            assert_eq!(all_low, vec![[0u8; 32]; 4], "all-low-order batch");
+        });
     }
 
     /// Eight `(scalar, u)` pairs straight through the eight-wide
@@ -906,45 +815,29 @@ mod tests {
     #[test]
     fn batch_matches_scalar_around_octet_boundaries() {
         // Lengths around one, two and four octets (and the resolver's
-        // batch of 32): on an IFMA CPU these are the padded-last-octet
-        // cases, elsewhere quads plus scalar tails.
+        // batch of 32): on the eight-wide arm these are the
+        // padded-last-octet cases, on both the partial resolver group.
         let mut rng = StdRng::seed_from_u64(23);
         for n in [7usize, 8, 9, 15, 16, 17, 31, 32, 33, 41] {
-            let mut scalars = vec![[0u8; 32]; n];
-            let mut us = vec![[0u8; 32]; n];
-            for i in 0..n {
-                rng.fill_bytes(&mut scalars[i]);
-                rng.fill_bytes(&mut us[i]);
-            }
+            let (scalars, mut us) = random_pairs(&mut rng, n);
             us[n - 1] = [0u8; 32]; // the repeated padding point is low-order
-            let batch = x25519_batch(&scalars, &us);
-            for i in 0..n {
-                assert_eq!(batch[i], x25519(&scalars[i], &us[i]), "n {n} lane {i}");
-            }
+            let want: Vec<[u8; 32]> = scalars.iter().zip(&us).map(|(k, u)| x25519(k, u)).collect();
+            on_each_arm("batch_matches_scalar_around_octet_boundaries", || {
+                assert_eq!(x25519_batch(&scalars, &us), want, "n {n}");
+            });
         }
     }
 
     #[test]
     fn base_batch_matches_x25519_base_on_both_arms() {
-        // Sizes on and off the octet and the 32-key resolver group; the
-        // public entry runs the detected arm, `base_pending_each` the
-        // scalar comb everywhere.
+        // Sizes on and off the octet and the 32-key resolver group.
         let mut rng = StdRng::seed_from_u64(0xBA5E);
         for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 70] {
-            let scalars: Vec<[u8; 32]> = (0..n)
-                .map(|_| {
-                    let mut k = [0u8; 32];
-                    rng.fill_bytes(&mut k);
-                    k
-                })
-                .collect();
+            let (scalars, _) = random_pairs(&mut rng, n);
             let want: Vec<[u8; 32]> = scalars.iter().map(x25519_base).collect();
-            assert_eq!(x25519_base_batch(&scalars), want, "n = {n}, detected arm");
-            assert_eq!(
-                base_batch(&scalars, base_pending_each),
-                want,
-                "n = {n}, scalar arm"
-            );
+            on_each_arm("base_batch_matches_x25519_base_on_both_arms", || {
+                assert_eq!(x25519_base_batch(&scalars), want, "n = {n}");
+            });
         }
     }
 
@@ -956,10 +849,20 @@ mod tests {
         let oct = false;
         // CI runs this test with --nocapture to log what it covered.
         println!("x25519 ladder backend: {}", ladder_backend());
-        assert_eq!(
-            ladder_backend(),
-            if oct { "avx512-ifma x8" } else { "portable x4" }
-        );
+        let detected = if oct { "avx512-ifma x8" } else { "portable" };
+        assert_eq!(ladder_backend(), detected);
+        // The pin turns the name with the kernels, for its pass only.
+        let passes = std::cell::RefCell::new(Vec::new());
+        on_each_arm("ladder_backend_names_the_detected_kernel", || {
+            passes.borrow_mut().push(ladder_backend());
+        });
+        let want: &[&str] = if oct {
+            &["portable", "avx512-ifma x8"]
+        } else {
+            &["portable"]
+        };
+        assert_eq!(passes.into_inner(), want);
+        assert_eq!(ladder_backend(), detected);
     }
 
     #[test]
