@@ -416,9 +416,10 @@ impl Tap for StallLink {
 
 /// Kills the schedule when a specific round's forward batch crosses the
 /// tapped link — the "server aborts mid-round" deployment fault. The
-/// panic unwinds the pipeline stage that ran the tap; the streaming
-/// scheduler's abort flag then drains the surviving stages and the whole
-/// schedule fails (never hangs). Disarms itself *before* panicking so
+/// panic unwinds the node thread whose `send` ran the tap; that node
+/// hangs up both its links on the way out, the hang-up cascades through
+/// the surviving nodes to the feeder, and the whole schedule fails
+/// (never hangs). Disarms itself *before* panicking so
 /// batches drained during the abort cannot re-trigger it, and stays
 /// inert afterwards, so the deployment can keep the link (tap detached
 /// or not) for subsequent schedules.

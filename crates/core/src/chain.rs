@@ -8,10 +8,11 @@
 //! [`crate::pipeline::StreamingChain`] lifts exactly that restriction
 //! for *throughput* (hops overlap across in-flight rounds) while
 //! producing byte-identical per-round results; the synchronous chain
-//! stays as the reference path it is verified against. Both are drivers
-//! over the one round recipe in [`crate::engine::RoundEngine`]:
-//! [`Chain::run_round`] calls each hop's engine in turn, the streaming
-//! stages call theirs from one thread per hop.
+//! stays as the reference path it is verified against. Both run the one
+//! round recipe in [`crate::engine::RoundEngine`]: [`Chain::run_round`]
+//! calls each hop's engine in turn; the streaming chain lends the same
+//! servers and links to one [`crate::node::run_server_node`] loop per
+//! hop — the loop a deployment's server processes run.
 //!
 //! All of a round's harness-level randomness (noise substitutes for
 //! undecodable exchange payloads, the dead-drop store's coin flips) is
@@ -34,85 +35,49 @@ use vuvuzela_net::LinkId;
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
 
-/// What an in-process driver of [`RoundEngine`]s — [`Chain::run_round`]
-/// for a whole round, a streaming stage for its hop of a schedule —
-/// records on the way and hands to [`Chain::absorb`] afterwards.
-#[derive(Default)]
-pub(crate) struct StageReport {
-    /// Entries taps resized on the transfers this driver metered.
-    tap_resized: u64,
-    /// Per-round conversation observables the tail measured.
-    conversation_log: Vec<(u64, ConversationObservables)>,
-    dialing_log: Vec<(u64, DialingObservables)>,
-    /// The *last* dialing round's drops (a schedule's rounds reach the
-    /// tail in feed order, so this is the last one fed: the sequential
-    /// chain's overwrite semantics).
-    invitation_drops: Option<(u64, InvitationDrops)>,
+/// Moves a flat round buffer across a link: meters it, and only pays the
+/// per-message conversion when an adversary tap is actually attached
+/// (taps see and mutate `Vec<Vec<u8>>` batches, as the threat model's
+/// "monitor, block, delay, or inject" interface always has).
+///
+/// Returns the buffer that arrives at the far end. Entries the tap
+/// resized can no longer be valid onions, so the rebuild zero-fills
+/// their slots (downstream peeling replaces them with noise) and their
+/// count goes to the link ([`Link::tap_resized`]) — what
+/// [`vuvuzela_net::transport::batch_through_link`] does to a frame on
+/// the transport path, for an arena.
+pub(crate) fn transmit_buf(
+    link: &Link,
+    round: u64,
+    direction: Direction,
+    buf: RoundBuffer,
+) -> RoundBuffer {
+    let (buf, resized) = through_tap(link, round, direction, buf);
+    link.add_tap_resized(resized);
+    buf
 }
 
-impl StageReport {
-    /// Moves a flat round buffer across a link: meters it, and only
-    /// pays the per-message conversion when an adversary tap is actually
-    /// attached (taps see and mutate `Vec<Vec<u8>>` batches, as the
-    /// threat model's "monitor, block, delay, or inject" interface
-    /// always has).
-    ///
-    /// Returns the buffer that arrives at the far end. Entries the tap
-    /// resized can no longer be valid onions, so the rebuild zero-fills
-    /// their slots (downstream peeling replaces them with noise) and
-    /// their count is kept for [`Chain::tap_resized`].
-    pub(crate) fn transmit_buf(
-        &mut self,
-        link: &Link,
-        round: u64,
-        direction: Direction,
-        buf: RoundBuffer,
-    ) -> RoundBuffer {
-        link.record(
-            round,
-            direction,
-            buf.len() as u64,
-            (buf.len() * buf.width()) as u64,
-        );
-        if !link.has_tap() {
-            return buf;
-        }
-        let mut batch = buf.to_vecs();
-        link.tap_intercept(round, direction, &mut batch);
-        let (rebuilt, mismatched) = RoundBuffer::from_vecs(&batch, buf.stride(), buf.width());
-        self.tap_resized += mismatched.len() as u64;
-        rebuilt
+/// [`transmit_buf`] short of the count: what arrives, and how many
+/// entries the tap resized.
+fn through_tap(
+    link: &Link,
+    round: u64,
+    direction: Direction,
+    buf: RoundBuffer,
+) -> (RoundBuffer, u64) {
+    link.record(
+        round,
+        direction,
+        buf.len() as u64,
+        (buf.len() * buf.width()) as u64,
+    );
+    if !link.has_tap() {
+        return (buf, 0);
     }
-
-    /// Handles what an engine's forward pass produced at the hop behind
-    /// `link`: logs what a tail observed, retains a dialing round's
-    /// drops, meters a turnaround's backward leg, and says which way the
-    /// batch goes next — forward to the next hop, backward (the tail's
-    /// replies, already across its own link) to the hop before, or, a
-    /// dialing round having ended at the tail, nowhere.
-    pub(crate) fn route(
-        &mut self,
-        link: &Link,
-        step: EngineStep,
-    ) -> Option<(Direction, RoundBuffer)> {
-        match step {
-            EngineStep::Forward { buf, .. } => Some((Direction::Forward, buf)),
-            EngineStep::Turnaround {
-                round,
-                replies,
-                observables,
-            } => {
-                self.conversation_log.push((round, observables));
-                let replies = self.transmit_buf(link, round, Direction::Backward, replies);
-                Some((Direction::Backward, replies))
-            }
-            EngineStep::DialingComplete { round, drops, .. } => {
-                self.dialing_log.push((round, drops.observables()));
-                self.invitation_drops = Some((round, drops));
-                None
-            }
-        }
-    }
+    let mut batch = buf.to_vecs();
+    link.tap_intercept(round, direction, &mut batch);
+    let (rebuilt, mismatched) = RoundBuffer::from_vecs(&batch, buf.stride(), buf.width());
+    (rebuilt, mismatched.len() as u64)
 }
 
 /// The client batch feeding one round, in either of the two shapes the
@@ -192,7 +157,7 @@ pub(crate) fn admit_batch(
                 width,
                 "flat batch width must equal the round's onion width"
             );
-            StageReport::default().transmit_buf(client_link, round, Direction::Forward, buf)
+            through_tap(client_link, round, Direction::Forward, buf).0
         }
     }
 }
@@ -200,19 +165,20 @@ pub(crate) fn admit_batch(
 /// One round of a (possibly mixed) schedule: which protocol it runs,
 /// its round number, and the client batch feeding it. This is the unit
 /// both schedulers consume — [`Chain::run_round`] sequentially,
-/// [`crate::pipeline::StreamingChain::run_mixed_schedule`] overlapped.
+/// [`crate::pipeline::StreamingChain::run_mixed_schedule`] overlapped
+/// (there round numbers must strictly increase within a schedule).
 #[derive(Clone, Debug)]
 pub enum RoundSpec {
     /// A conversation round (Algorithm 2): forward and backward passes.
     Conversation {
-        /// Protocol round number (unique within a schedule).
+        /// Protocol round number (strictly increasing within a schedule).
         round: u64,
         /// Client request onions, already multiplexed by the entry.
         batch: Batch,
     },
     /// A forward-only dialing round (§5).
     Dialing {
-        /// Protocol round number (unique within a schedule).
+        /// Protocol round number (strictly increasing within a schedule).
         round: u64,
         /// Client dial-request onions.
         batch: Batch,
@@ -239,12 +205,6 @@ impl RoundSpec {
                 num_drops: *num_drops,
             },
         }
-    }
-
-    /// The wire-level protocol tag ([`vuvuzela_wire::RoundType`]).
-    #[must_use]
-    pub fn round_type(&self) -> vuvuzela_wire::RoundType {
-        self.kind().round_type()
     }
 
     /// Number of client requests feeding the round.
@@ -326,7 +286,8 @@ pub struct RoundTiming {
 ///
 /// Fields are `pub(crate)` so [`crate::pipeline::StreamingChain`] can
 /// drive the *same* deployment (same servers, links, seeds) through an
-/// overlapped schedule.
+/// overlapped schedule: it lends each server to a node loop and a
+/// handle on each link ([`Link`] is one) to that loop's endpoints.
 pub struct Chain {
     pub(crate) config: SystemConfig,
     pub(crate) servers: Vec<MixServer>,
@@ -344,14 +305,6 @@ pub struct Chain {
     pub(crate) dialing_log: Vec<(u64, DialingObservables)>,
     /// The most recent dialing round's drops, downloadable by clients.
     pub(crate) invitation_drops: Option<(u64, InvitationDrops)>,
-    /// Total entries adversary taps resized across flat-buffer
-    /// transfers — every hop link plus the entry→clients reply leg
-    /// (their slots were zero-filled on rebuild; see
-    /// [`StageReport::transmit_buf`]).
-    /// The clients→entry request leg is excluded: its entry sizes are
-    /// client-controlled, so a mismatch there cannot be attributed to a
-    /// tap.
-    pub(crate) tap_resized: u64,
 }
 
 impl Chain {
@@ -375,7 +328,6 @@ impl Chain {
             conversation_log: Vec::new(),
             dialing_log: Vec::new(),
             invitation_drops: None,
-            tap_resized: 0,
         }
     }
 
@@ -440,7 +392,6 @@ impl Chain {
     pub fn run_round(&mut self, spec: RoundSpec) -> RoundOutcome {
         let start = Instant::now();
         let mut timing = RoundTiming::default();
-        let mut report = StageReport::default();
         let (round, kind, batch) = spec.into_parts();
         let mut buf = admit_batch(&self.client_link, round, kind, self.config.chain_len, batch);
 
@@ -448,15 +399,24 @@ impl Chain {
         // round around or completes a dialing round.
         let mut turned = None;
         for (server, link) in self.servers.iter_mut().zip(&self.links) {
-            let arrived = report.transmit_buf(link, round, Direction::Forward, buf);
+            let arrived = transmit_buf(link, round, Direction::Forward, buf);
             let mut engine = RoundEngine::new(server, &self.config, self.seed);
-            match report.route(link, engine.forward(round, kind, arrived, &mut timing)) {
-                Some((Direction::Forward, next)) => buf = next,
-                Some((Direction::Backward, replies)) => {
-                    turned = Some(replies);
+            match engine.forward(round, kind, arrived, &mut timing) {
+                EngineStep::Forward { buf: next, .. } => buf = next,
+                EngineStep::Turnaround {
+                    replies,
+                    observables,
+                    ..
+                } => {
+                    self.conversation_log.push((round, observables));
+                    turned = Some(transmit_buf(link, round, Direction::Backward, replies));
                     break;
                 }
-                None => break,
+                EngineStep::DialingComplete { drops, .. } => {
+                    self.dialing_log.push((round, drops.observables()));
+                    self.invitation_drops = Some((round, drops));
+                    break;
+                }
             }
         }
 
@@ -468,26 +428,15 @@ impl Chain {
             for (server, link) in hops.zip(&self.links[..before_tail]).rev() {
                 let mut engine = RoundEngine::new(server, &self.config, self.seed);
                 replies = engine.backward(round, replies, &mut timing);
-                replies = report.transmit_buf(link, round, Direction::Backward, replies);
+                replies = transmit_buf(link, round, Direction::Backward, replies);
             }
-            report
-                .transmit_buf(&self.client_link, round, Direction::Backward, replies)
-                .to_vecs()
+            transmit_buf(&self.client_link, round, Direction::Backward, replies).to_vecs()
         });
-        self.absorb(report);
         timing.total = start.elapsed();
         match replies {
             Some(replies) => RoundOutcome::Conversation { replies, timing },
             None => RoundOutcome::Dialing { timing },
         }
-    }
-
-    /// Folds what a driver recorded into the deployment's logs.
-    pub(crate) fn absorb(&mut self, report: StageReport) {
-        self.tap_resized += report.tap_resized;
-        self.conversation_log.extend(report.conversation_log);
-        self.dialing_log.extend(report.dialing_log);
-        self.invitation_drops = report.invitation_drops.or(self.invitation_drops.take());
     }
 
     /// Downloads one invitation drop from the most recent dialing round,
@@ -593,7 +542,7 @@ impl Chain {
     /// downstream all the same).
     #[must_use]
     pub fn tap_resized(&self) -> u64 {
-        self.tap_resized
+        self.client_link.tap_resized() + self.links.iter().map(Link::tap_resized).sum::<u64>()
     }
 }
 

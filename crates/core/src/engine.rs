@@ -1,35 +1,33 @@
 //! The shared per-server **round engine**: one implementation of the
-//! round state machine, three drivers.
+//! round state machine, two drivers.
 //!
-//! The sequential [`crate::chain::Chain`] (one hop after the other on
-//! the calling thread), the in-process streaming pipeline
-//! ([`crate::pipeline::StreamingChain`], one OS thread per server) and
-//! the transport-driven wire nodes ([`crate::node`], one OS *process*
-//! per server) used to carry their own copy of the same per-server
-//! round loop: peel/noise/shuffle on the forward leg, the tail's
-//! dead-drop exchange or invitation deposit, the backward pass on
-//! conversation replies. This module is that loop, extracted once:
+//! What a server does with a round — peel/noise/shuffle on the forward
+//! leg, the tail's dead-drop exchange or invitation deposit, the
+//! backward pass on conversation replies — is written once, here, and
+//! driven from exactly two places (the engine is constructed nowhere
+//! else; CI checks it): [`crate::chain::Chain::run_round`], the
+//! sequential oracle every equivalence suite compares against, and
+//! [`crate::node::run_server_node`], the hop loop — a `vuvuzela-server`
+//! process over TCP, or one scoped thread per hop of the in-process
+//! [`crate::pipeline::StreamingChain`] over in-memory links.
 //!
 //! * [`RoundEngine`] wraps one [`MixServer`] (whose `rounds` table
 //!   already holds per-round state for any number of in-flight rounds
 //!   of both protocols) and turns each round-tagged input batch into
-//!   the *step* its runtime must perform next — forward the batch,
-//!   turn a conversation round around, or complete a forward-only
-//!   dialing round. The engine is transport-agnostic: the chain hands
-//!   a step's batch to the next hop's engine, the pipeline routes it
-//!   onto mpsc hand-off queues, the wire nodes onto
-//!   [`vuvuzela_net::Transport`] frames. Because every source of round
-//!   randomness is a pure function of `(seed, round)` (see
-//!   [`crate::pipeline`] module docs), the runtimes produce
-//!   byte-identical rounds by construction — there is no second copy
-//!   of the recipe left to drift.
-//! * [`AdmissionWindow`] is the bounded in-flight window both drivers
-//!   enforce, measured in weighted slots priced by
-//!   [`admission_weights`]: the streaming feeder and the wire client
-//!   driver *block* on a full window, the wire entry node *rejects*
-//!   (a peer pushing past the window is a protocol violation, and the
-//!   rejection is deterministic — it depends only on the admitted-minus
-//!   -completed ledger, never on timing).
+//!   the *step* its driver must perform next — forward the batch, turn
+//!   a conversation round around, or complete a forward-only dialing
+//!   round. The engine is transport-agnostic: the chain hands a step's
+//!   batch to the next hop's engine, the hop loop frames it onto its
+//!   link. Because every source of round randomness is a pure function
+//!   of `(seed, round)` (see [`crate::pipeline`] module docs), the
+//!   drivers produce byte-identical rounds by construction — there is
+//!   no second copy of the recipe left to drift.
+//! * [`AdmissionWindow`] is the bounded in-flight window, measured in
+//!   weighted slots priced by [`admission_weights`]: the feeder
+//!   ([`crate::node::feed_window`]) *blocks* on a full window, the wire
+//!   entry node *rejects* (a peer pushing past the window is a protocol
+//!   violation, and the rejection is deterministic — it depends only on
+//!   the admitted-minus-completed ledger, never on timing).
 
 use crate::chain::RoundTiming;
 use crate::config::SystemConfig;
@@ -93,8 +91,8 @@ pub enum EngineStep {
     },
 }
 
-/// One mix server's round state machine, shared by the streaming
-/// pipeline stages and the wire node runtime.
+/// One mix server's round state machine, shared by the sequential chain
+/// and the hop loop.
 ///
 /// The engine borrows the server for the duration of one schedule; the
 /// server's own `rounds` table is the per-round state store, so any
@@ -291,9 +289,9 @@ fn round_cost(config: &SystemConfig, kind: RoundKind, batch_len: usize) -> f64 {
 /// schedule containing a single round kind collapses to weight 1 per
 /// round — homogeneous schedules keep the plain round-counting window;
 /// weights only throttle genuinely mixed schedules, where the two
-/// protocols' per-round costs diverge by orders of magnitude. Both the
-/// streaming feeder and the wire client driver price their schedules
-/// with this one function, so the two runtimes throttle identically.
+/// protocols' per-round costs diverge by orders of magnitude. The one
+/// feeder ([`crate::node::feed_window`]) prices every schedule with
+/// this, in process and on the wire.
 #[must_use]
 pub fn admission_weights(
     config: &SystemConfig,
@@ -320,11 +318,11 @@ pub fn admission_weights(
 
 /// The bounded in-flight window, measured in weighted slots.
 ///
-/// One ledger, three drivers: the streaming feeder and the wire client
-/// driver ask [`AdmissionWindow::would_block`] and *wait* for a
-/// completion when it says so; the wire entry node asks the same
-/// question and *rejects* the round instead (a client pushing past the
-/// window violates the wire protocol). The progress guarantee is built
+/// One ledger, two users: the feeder asks
+/// [`AdmissionWindow::would_block`] and *waits* for a completion when it
+/// says so; the wire entry node asks the same question and *rejects*
+/// the round instead (a client pushing past the window violates the
+/// wire protocol). The progress guarantee is built
 /// into `would_block`: a round heavier than the whole window does not
 /// block an *empty* window, so heavy dialing rounds throttle admission
 /// but can never wedge it.

@@ -20,15 +20,16 @@
 //! * [`pipeline`] — the streaming round scheduler: the same deployment
 //!   with a weighted window of rounds in flight, hops overlapped across
 //!   rounds, conversation and dialing rounds mixed in one pipeline,
-//!   byte-identical per-round results.
+//!   byte-identical per-round results: the [`node`] hop loop on one
+//!   scoped thread per server, over in-memory links.
 //! * [`engine`] — the shared per-server round engine: the one
 //!   implementation of the forward/turnaround/backward state machine
-//!   and the weighted admission window, driven by both the streaming
-//!   pipeline stages and the wire node runtimes.
-//! * [`node`] — transport-driven node runtimes: one mix server or the
-//!   entry as its own process behind the [`vuvuzela_net::Transport`]
-//!   seam, byte-identical to the in-process chain; supports windowed
-//!   (pipelined) rounds over demuxed blocking links.
+//!   and the weighted admission window, driven by the sequential chain
+//!   and by the hop loop, nothing else.
+//! * [`node`] — the hop loop, the entry loop and the windowed feeder
+//!   behind the [`vuvuzela_net::Transport`] seam: what a deployment's
+//!   processes run over TCP and what [`pipeline`] runs in memory;
+//!   a node that stops hangs up on its neighbours.
 //! * [`client`] — the client state machine (Algorithm 1): real/fake
 //!   exchanges, message framing, retransmission, dialing and invitation
 //!   scanning.

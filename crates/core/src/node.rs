@@ -1,13 +1,15 @@
-//! Transport-backed node runtimes: the processes of a real deployment.
+//! The node loops: what every hop of every overlapped deployment runs.
 //!
 //! [`run_server_node`] and [`run_entry_node`] drive one mix server / the
-//! entry entirely through the [`vuvuzela_net::Transport`] seam, so the
-//! same loop runs over in-memory endpoints (tests, and the equivalence
-//! harness that pins them against [`crate::chain::Chain`]) and over the
-//! framed TCP backend (the `vuvuzela-server` / `vuvuzela-entry` bins,
-//! one OS process per node). The round recipe itself — peel, noise,
-//! shuffle, exchange/deposit, backward pass — lives in the shared
-//! [`crate::engine::RoundEngine`]; this module only moves frames.
+//! entry entirely through the [`vuvuzela_net::Transport`] seam, and
+//! [`feed_window`] is the client side that feeds them. The same loops
+//! run over the framed TCP backend (the `vuvuzela-server` / `-entry` /
+//! `-client` bins, one OS process per node) and over in-memory
+//! endpoints — which is all [`crate::pipeline::StreamingChain`] is: the
+//! hop loops on scoped threads, fed by the calling thread. The round
+//! recipe itself lives in the shared [`crate::engine::RoundEngine`];
+//! this module only moves frames, holds its peers to the protocol, and
+//! tells its caller what each pass cost ([`HopObserver`]).
 //!
 //! ## Wire protocol
 //!
@@ -21,30 +23,27 @@
 //! to conversation replies and relaying dialing completions untouched.
 //!
 //! The observables the compromised-last-server threat model exposes
-//! ([`ConversationObservables`], [`DialingObservables`]) ride the
-//! backward frame's opaque `trailer`, encoded as a [`RoundTrailer`]:
-//! intermediate hops forward the trailer byte-for-byte, so the entry
-//! (and ultimately the deployment client building the transcript) sees
-//! exactly what the tail measured.
+//! ride the backward frame's opaque `trailer`, encoded as a
+//! [`RoundTrailer`]: intermediate hops forward it byte-for-byte, so the
+//! feeder sees exactly what the tail measured.
 //!
 //! ## Windowed rounds
 //!
-//! Up to `chain_len` rounds may be in flight at once — the wire
-//! counterpart of [`crate::pipeline::StreamingChain`]'s in-process
-//! window, and the paper's §8.2 pipelining argument applied across
-//! process boundaries: the chain is sequential *within* a round, so
-//! throughput comes from overlapping consecutive rounds across hops.
-//! The entry enforces the window with
-//! [`crate::engine::AdmissionWindow`] and rejects a client pushing past
-//! it (deterministically — the decision depends only on the
-//! admitted-minus-completed ledger). Because links now carry
-//! interleaved rounds, each node demuxes its blocking transports
-//! through [`vuvuzela_net::Demux`] (one reader thread per link feeding
-//! one event queue), which keeps every socket's receive side drained —
-//! the deadlock-freedom argument for blocking sends. Frame order per
-//! link and direction follows [`vuvuzela_wire::sequence`]'s rules,
-//! asserted here with [`RoundSequencer`]s on the forward legs and
-//! admission-order matching on the backward legs.
+//! Up to `chain_len` rounds may be in flight at once (§8.2: the chain is
+//! sequential *within* a round, so throughput comes from overlapping
+//! consecutive rounds across hops). [`feed_window`] paces admission
+//! with [`crate::engine::AdmissionWindow`]; the entry enforces the same
+//! window and rejects a client pushing past it (deterministically — the
+//! decision depends only on the admitted-minus-completed ledger).
+//! Because links carry interleaved rounds, each node merges its links
+//! into one event queue through [`vuvuzela_net::Demux`], which keeps
+//! every socket's receive side drained — the deadlock-freedom argument
+//! for blocking sends. Frame order per link and direction follows
+//! [`vuvuzela_wire::sequence`]'s rules, asserted here with
+//! [`RoundSequencer`]s on the forward legs and admission-order matching
+//! on the backward legs.
+//!
+//! ## Shutdown, orderly and not
 //!
 //! Shutdown is a bidirectional [`Frame::Bye`] handshake: the client
 //! side sends the forward `Bye` after its last batch, each node relays
@@ -53,10 +52,18 @@
 //! and each node relays that upstream once every round it forwarded has
 //! come back — so a node returning its [`NodeStats`] has provably
 //! finished every admitted round.
+//!
+//! A node that stops any other way — protocol error, transport failure,
+//! a panic unwinding through it — hangs up both its links as it goes
+//! ([`Transport::hang_up`], from its [`Demux`]'s drop). Its neighbours'
+//! next `recv` fails with [`Error::Disconnected`] naming the link, they
+//! stop in turn, and the failure reaches both ends of the chain without
+//! a timer.
 
 use crate::chain::RoundTiming;
 use crate::config::SystemConfig;
-use crate::engine::{AdmissionWindow, EngineStep, RoundEngine};
+use crate::deaddrops::InvitationDrops;
+use crate::engine::{admission_weights, AdmissionWindow, EngineStep, RoundEngine};
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
@@ -152,6 +159,15 @@ impl RoundTrailer {
             None => Err("empty round trailer".to_string()),
         }
     }
+
+    /// The protocol whose rounds carry this trailer.
+    #[must_use]
+    pub fn round_type(&self) -> RoundType {
+        match self {
+            RoundTrailer::Conversation(_) => RoundType::Conversation,
+            RoundTrailer::Dialing(_) => RoundType::Dialing,
+        }
+    }
 }
 
 /// What one node processed before its orderly [`Frame::Bye`] shutdown.
@@ -194,8 +210,7 @@ fn round_kind(frame: &BatchFrame) -> RoundKind {
 fn frame_from_buf(
     link: LinkId,
     round: u64,
-    round_type: RoundType,
-    num_drops: u32,
+    kind: RoundKind,
     backward: bool,
     buf: RoundBuffer,
     trailer: Vec<u8>,
@@ -204,8 +219,8 @@ fn frame_from_buf(
     Frame::Batch(BatchFrame {
         link,
         round: RoundId(round),
-        round_type,
-        num_drops,
+        round_type: kind.round_type(),
+        num_drops: kind.num_drops(),
         backward,
         stride: stride as u32,
         width: width as u32,
@@ -215,8 +230,13 @@ fn frame_from_buf(
     })
 }
 
-/// Reconstructs the round arena a peer packed with [`frame_from_buf`].
-fn buf_from_frame(frame: BatchFrame) -> RoundBuffer {
+/// Reconstructs the round arena a peer packed into `frame`, zero-copy.
+///
+/// # Panics
+///
+/// On geometry [`RoundBuffer::from_raw`] refuses; a caller holds a
+/// peer's frame to the width and stride its hop expects first.
+pub(crate) fn buf_from_frame(frame: BatchFrame) -> RoundBuffer {
     RoundBuffer::from_raw(
         frame.payload,
         frame.stride as usize,
@@ -235,6 +255,13 @@ enum Side {
     Downstream,
 }
 
+/// What a server node hands its caller after every pass its engine
+/// runs, before the pass's frame leaves: the round, the piece of the
+/// round's [`RoundTiming`] this hop just measured, and — from the tail
+/// of a dialing round — the filled invitation drops. The node keeps
+/// none of it; the bins pass `&mut |_, _, _| {}`.
+pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) + 'a;
+
 /// Runs one mix server as a transport-driven node until the `Bye`
 /// handshake completes, any number of rounds in flight.
 ///
@@ -244,9 +271,10 @@ enum Side {
 /// when `server` was built (see [`crate::chain::build_server`]).
 /// `downstream` is `None` for the last server in the chain.
 ///
-/// A dialing round's [`crate::deaddrops::InvitationDrops`] are measured
-/// (the observables ride the completion trailer) and dropped — the CDN
-/// download path stays with the in-process deployments.
+/// However the node stops — handshake done, error, or a panic unwinding
+/// through it — it hangs up both links (by dropping its [`Demux`]) and
+/// leaves no reader thread behind. After an error `server` may still
+/// hold rounds in flight ([`MixServer::abort_all_rounds`]).
 ///
 /// # Errors
 ///
@@ -257,14 +285,15 @@ enum Side {
 /// whose replies are not this hop's reply width in slots with room for
 /// the reply layers still to come, a `Bye` with rounds still in flight).
 pub fn run_server_node(
-    mut server: MixServer,
+    server: &mut MixServer,
     config: &SystemConfig,
     seed: u64,
     upstream: Arc<dyn Transport>,
     downstream: Option<Arc<dyn Transport>>,
+    observer: &mut HopObserver<'_>,
 ) -> Result<NodeStats, Error> {
     let up_link = upstream.link_id();
-    let mut engine = RoundEngine::new(&mut server, config, seed);
+    let mut engine = RoundEngine::new(server, config, seed);
     let mut stats = NodeStats::default();
     let mut forward_seq = RoundSequencer::new();
     // Rounds forwarded downstream whose backward frame is still out;
@@ -307,20 +336,10 @@ pub fn run_server_node(
                 let mut timing = RoundTiming::default();
                 match engine.forward(round, kind, buf_from_frame(frame), &mut timing) {
                     EngineStep::Forward { round, kind, buf } => {
+                        observer(round, timing, None);
                         let down = downstream.as_ref().expect("non-tail has a downstream");
-                        let num_drops = match kind {
-                            RoundKind::Dialing { num_drops } => num_drops,
-                            RoundKind::Conversation => 0,
-                        };
-                        down.send(frame_from_buf(
-                            down.link_id(),
-                            round,
-                            round_type,
-                            num_drops,
-                            false,
-                            buf,
-                            Vec::new(),
-                        ))?;
+                        let link = down.link_id();
+                        down.send(frame_from_buf(link, round, kind, false, buf, Vec::new()))?;
                         pending.push_back((round, round_type));
                     }
                     EngineStep::Turnaround {
@@ -328,11 +347,11 @@ pub fn run_server_node(
                         replies,
                         observables,
                     } => {
+                        observer(round, timing, None);
                         upstream.send(frame_from_buf(
                             up_link,
                             round,
-                            RoundType::Conversation,
-                            0,
+                            RoundKind::Conversation,
                             true,
                             replies,
                             RoundTrailer::Conversation(observables).encode(),
@@ -344,6 +363,8 @@ pub fn run_server_node(
                         num_drops,
                         drops,
                     } => {
+                        let trailer = RoundTrailer::Dialing(drops.observables()).encode();
+                        observer(round, timing, Some(drops));
                         upstream.send(Frame::Batch(BatchFrame {
                             link: up_link,
                             round: RoundId(round),
@@ -354,7 +375,7 @@ pub fn run_server_node(
                             width: 0,
                             count: 0,
                             payload: Vec::new(),
-                            trailer: RoundTrailer::Dialing(drops.observables()).encode(),
+                            trailer,
                         }))?;
                         stats.bump(RoundType::Dialing);
                     }
@@ -418,11 +439,11 @@ pub fn run_server_node(
                         let trailer = back.trailer.clone();
                         let mut timing = RoundTiming::default();
                         let replies = engine.backward(round, buf_from_frame(back), &mut timing);
+                        observer(round, timing, None);
                         upstream.send(frame_from_buf(
                             up_link,
                             round,
-                            RoundType::Conversation,
-                            0,
+                            RoundKind::Conversation,
                             true,
                             replies,
                             trailer,
@@ -613,6 +634,81 @@ pub fn run_entry_node(
     ))
 }
 
+/// The client side of the windowed protocol: replays `schedule` —
+/// `(round, kind, client requests)`, round ids strictly increasing (the
+/// wire's sequencing rule 1) — against the chain behind `chain`, up to
+/// `depth` weighted slots ([`admission_weights`]) in flight.
+///
+/// While the [`AdmissionWindow`] has no room for the next round the
+/// feeder collects the *oldest* in-flight round's backward frame (they
+/// return in admission order). Then `admit(index)` builds the round's
+/// arena — only now, so at most a window of batches exists — plus
+/// whatever the caller wants back with the round, and the arena leaves
+/// as a forward [`BatchFrame`]. `collect` gets that state, the backward
+/// frame and its [`RoundTrailer`], which is of the round's own protocol.
+/// The forward [`Frame::Bye`] follows the last collected round.
+///
+/// Both drivers of the node loops feed through here: the deployment
+/// client (to the entry, over TCP) and
+/// [`crate::pipeline::StreamingChain`] (to hop 0, in memory).
+///
+/// # Errors
+///
+/// Transport failures, or [`Error::Protocol`] when the chain answers
+/// out of protocol (wrong round or round type, malformed trailer).
+///
+/// # Panics
+///
+/// Panics if `depth == 0` or a round id repeats while in flight.
+pub fn feed_window<S>(
+    config: &SystemConfig,
+    chain: &dyn Transport,
+    depth: usize,
+    schedule: &[(u64, RoundKind, usize)],
+    mut admit: impl FnMut(usize) -> (RoundBuffer, S),
+    mut collect: impl FnMut(S, BatchFrame, RoundTrailer),
+) -> Result<(), Error> {
+    let link = chain.link_id();
+    let shapes: Vec<(RoundKind, usize)> = schedule.iter().map(|&(_, kind, n)| (kind, n)).collect();
+    let weights = admission_weights(config, depth, &shapes);
+    let mut window = AdmissionWindow::new(depth);
+    let mut in_flight: VecDeque<(u64, RoundKind, S)> = VecDeque::new();
+    let mut next = 0;
+    while next < schedule.len() || !in_flight.is_empty() {
+        if next < schedule.len() && !window.would_block(weights[next]) {
+            let (round, kind, _) = schedule[next];
+            let (buf, state) = admit(next);
+            chain.send(frame_from_buf(link, round, kind, false, buf, Vec::new()))?;
+            window.admit(round, weights[next]);
+            in_flight.push_back((round, kind, state));
+            next += 1;
+            continue;
+        }
+        let (round, kind, state) = in_flight.pop_front().expect("a full window holds a round");
+        let round_type = kind.round_type();
+        let refuse = |what| protocol(link, format!("round {round} ({round_type:?}): {what}"));
+        let back = match chain.recv()? {
+            Frame::Batch(back)
+                if back.backward && back.round.0 == round && back.round_type == round_type =>
+            {
+                back
+            }
+            other => {
+                return Err(refuse(format!(
+                    "expected its backward frame, got {other:?}"
+                )))
+            }
+        };
+        let trailer = RoundTrailer::decode(&back.trailer).map_err(refuse)?;
+        if trailer.round_type() != round_type {
+            return Err(refuse("its trailer is the other protocol's".to_string()));
+        }
+        window.complete(round);
+        collect(state, back, trailer);
+    }
+    chain.send(Frame::Bye)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,10 +822,11 @@ mod tests {
             [Some(Arc::new(s0_down)), Some(Arc::new(s1_down)), None];
         let ups: [Arc<dyn Transport>; 3] = [Arc::new(s0_up), Arc::new(s1_up), Arc::new(s2_up)];
         for (position, (up, down)) in ups.into_iter().zip(downs).enumerate() {
-            let server = build_server(&config, seed, position);
+            let mut server = build_server(&config, seed, position);
             let cfg = config.clone();
             handles.push(std::thread::spawn(move || {
-                run_server_node(server, &cfg, seed, up, down).expect("server")
+                run_server_node(&mut server, &cfg, seed, up, down, &mut |_, _, _| {})
+                    .expect("server")
             }));
         }
 
@@ -802,10 +899,12 @@ mod tests {
         let config = tiny_config(2);
         let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
         let (down_near, down_far) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
-        let server = build_server(&config, 3, 0);
+        let mut server = build_server(&config, 3, 0);
         let (cfg, up) = (config.clone(), Arc::new(up_near));
         let down: Option<Arc<dyn Transport>> = Some(Arc::new(down_near));
-        let node = std::thread::spawn(move || run_server_node(server, &cfg, 3, up, down));
+        let node = std::thread::spawn(move || {
+            run_server_node(&mut server, &cfg, 3, up, down, &mut |_, _, _| {})
+        });
         let num_drops = u32::from(round_type == RoundType::Dialing);
         let kind = match round_type {
             RoundType::Conversation => RoundKind::Conversation,

@@ -5,168 +5,95 @@
 //! processing a round until the previous server finishes"* (§8.2) — so
 //! end-to-end **latency** is the sum of per-hop processing and, in the
 //! sequential harness, so is round **throughput**: at any moment every
-//! server but one sits idle. Latency is physics (a request really must
-//! traverse all hops, and §8.2's analysis of it is unchanged here), but
-//! the idleness is not: consecutive rounds are independent, so while
-//! server *i* runs round *r*'s forward pass, server *i−1* can already be
-//! peeling round *r+1*, and backward passes interleave symmetrically.
-//! A deployment also never runs one protocol in isolation: dialing
-//! rounds (§5) interleave with conversation rounds on the same mix
-//! chain, so the schedule the scheduler must sustain is heterogeneous.
+//! server but one sits idle. Latency is physics, but the idleness is
+//! not: consecutive rounds are independent, so while server *i* runs
+//! round *r*'s forward pass, server *i−1* can already be peeling round
+//! *r+1*, and backward passes interleave symmetrically. Dialing rounds
+//! (§5) interleave with conversation rounds on the same chain, so the
+//! schedule is heterogeneous.
 //!
-//! [`StreamingChain`] implements exactly that schedule. The model:
+//! [`StreamingChain`] runs that schedule on the loop a deployment ships:
+//! for the length of one schedule every server of the wrapped [`Chain`]
+//! is a [`crate::node::run_server_node`] on a scoped thread, wired to its
+//! neighbours by [`vuvuzela_net::memory_pair`] endpoints over the chain's
+//! own links, and the calling thread is hop 0's upstream peer, feeding
+//! through [`crate::node::feed_window`] like a deployment's client. Width
+//! and sequencing checks, trailers, the `Bye` handshake and the hang-up
+//! on failure are the node loop's, in process as over TCP. This module
+//! adds the in-process deployment around it: batches admitted across the
+//! clients link, whole-round [`RoundTiming`]s assembled from what each
+//! hop reports, observables logged and the last dialing round's drops
+//! kept on the [`Chain`].
 //!
-//! ## Stages
+//! ## Rounds on the links
 //!
-//! **One stage per server** — each mix server becomes a pipeline stage
-//! (an OS thread owning the server for the duration of a schedule)
-//! connected to its neighbours by round-tagged hand-off queues. A stage
-//! alternates between forward work arriving from upstream and backward
-//! work arriving from downstream, in arrival order. Crypto within a
-//! stage spreads over the shared [`vuvuzela_net::WorkerPool`] under the
-//! stage's own parallelism budget, so concurrent hops share the machine
-//! instead of oversubscribing it.
-//!
-//! ## Hand-offs
-//!
-//! **Round-tagged hand-offs** — every queued batch carries its
-//! [`vuvuzela_wire::RoundId`] *and* its [`RoundKind`]: the protocol
-//! tag (whose wire encoding is [`vuvuzela_wire::RoundType`], via
-//! [`RoundKind::round_type`]) plus dialing's drop count, because a
-//! server holds [`MixServer`] round state — mix permutation,
-//! layer keys, per-round RNG — for several rounds of *both* protocols at
-//! once and must select the right state and recipe per batch. Links
-//! attribute traffic per round ([`vuvuzela_net::Link::round_traffic`])
-//! and taps keep receiving the round id, so adversary interception
-//! semantics are unchanged: pipelining changes *when* bytes move, never
-//! *which round* they belong to. Conversation rounds turn around at the
-//! tail (dead-drop exchange, then the backward pass ripples home);
-//! dialing rounds are forward-only — the tail deposits into the
-//! invitation drops and sends a completion notice straight to the exit
-//! queue, and every stage discards a dialing round's reply state the
-//! moment it has forwarded it.
+//! Every frame carries its round id and protocol (plus dialing's drop
+//! count), because a server holds round state for several rounds of
+//! *both* protocols at once. Links attribute traffic per round
+//! ([`vuvuzela_net::Link::round_traffic`]) and taps keep receiving the
+//! round id: pipelining changes *when* bytes move, never *which round*
+//! they belong to. Conversation rounds turn around at the tail; dialing
+//! rounds are forward-only — the tail answers with a completion notice
+//! that carries no arena and is relayed home unmetered, and every server
+//! discards a dialing round's reply state once it has forwarded it.
 //!
 //! ## Admission: the weighted window
 //!
-//! **Weighted in-flight window** — the window is measured in *slots*,
-//! `max_in_flight` of them (default `chain_len`, the depth at which
-//! every server can be busy simultaneously). Rounds are not all the same
-//! size: a dialing round at the paper's µ = 13,000 noise per drop puts
-//! orders of magnitude more onions in flight than its client batch
-//! suggests, and admitting `chain_len` of them as if they were
-//! conversation rounds balloons the queues. So each round is priced by
-//! the dp planner's per-round-type noise budget
-//! ([`crate::noise::expected_noise_per_server`]):
-//!
-//! * a round's **cost** is its client batch plus every noising server's
-//!   expected cover traffic;
-//! * one **slot** is the mean cost of the schedule's conversation
-//!   rounds;
-//! * a round occupies `round(cost / slot)` slots, clamped to
-//!   `[1, max_in_flight]`;
-//! * a **homogeneous** schedule (one round kind only) collapses to
-//!   weight 1 per round — plain round counting, exactly the behaviour
-//!   `run_conversation_rounds` / `run_dialing_rounds` always had;
-//!   weights only throttle genuinely mixed schedules.
-//!
-//! The feeder admits a round while the occupied slots plus the round's
-//! weight fit the window — with one progress guarantee: a round heavier
-//! than the whole window is still admitted once the pipeline is empty,
-//! so heavy dialing rounds throttle admission but can never wedge it,
-//! and a burst of them cannot starve the pipeline into deadlock.
-//! Weights only shape *scheduling*; they cannot affect any round's
-//! bytes (see below).
+//! The window is `max_in_flight` *slots* (default `chain_len`, the depth
+//! at which every server can be busy). A dialing round at the paper's
+//! µ = 13,000 noise per drop puts orders of magnitude more onions in
+//! flight than its client batch suggests, so rounds are priced
+//! ([`crate::engine::admission_weights`]): a round's cost is its client
+//! batch plus every noising server's expected cover traffic, one slot is
+//! the mean cost of the schedule's conversation rounds, and a round
+//! occupies `round(cost / slot)` slots, clamped to `[1, max_in_flight]`.
+//! A homogeneous schedule collapses to weight 1 per round. A round
+//! heavier than the whole window is still admitted once the pipeline is
+//! empty, so heavy rounds throttle admission but never wedge it.
+//! Weights only shape *scheduling*, never a round's bytes.
 //!
 //! ## Why the bytes cannot change
 //!
 //! Every source of round randomness is a pure function of `(seed,
-//! round)`: servers capture a derived per-round RNG in their
-//! `RoundState` (see [`crate::server`]) and the chain-level exchange
-//! derives its own the same way. Processing order therefore cannot
-//! influence any round's noise, permutation, or filler — which is what
-//! the streaming-equivalence property tests assert: per-round replies,
-//! dead-drop observables, dialing drops, and per-round link traffic are
-//! byte-identical to running the sequential [`Chain`] over the same
-//! interleaved [`RoundSpec`] sequence, across ≥3 in-flight rounds with
-//! dialing rounds adjacent and separated.
+//! round)`: servers capture a derived per-round RNG in their round state
+//! (see [`crate::server`]) and the chain-level exchange derives its own
+//! the same way. Processing order therefore cannot influence any round's
+//! noise, permutation, or filler — which the streaming-equivalence
+//! property tests assert: per-round replies, observables, dialing drops
+//! and per-round link traffic are byte-identical to the sequential
+//! [`Chain`] over the same interleaved [`RoundSpec`] sequence.
 //!
-//! Sustained throughput of the streaming schedule is bounded by the
-//! slowest hop (plus the tail exchange) instead of the sum of hops; the
-//! repository benchmark (`benchmark/`) measures both schedulers on the
-//! same batches as `core.pipeline.speedup_vs_sequential`.
+//! ## When a schedule dies
+//!
+//! A node that stops — a panicking tap unwinding the thread whose `send`
+//! ran it, a protocol error — hangs up both its links, its neighbours'
+//! next `recv` fails with [`vuvuzela_net::Error::Disconnected`], and the
+//! failure cascades to the feeder, which hangs up in turn. Nothing
+//! polls: every thread is blocked on a queue the failure itself closes.
+//! [`StreamingChain::run_mixed_schedule`] joins every node, then panics
+//! (see [`Chain::abort_in_flight_rounds`] for what is left).
+//!
+//! Sustained throughput is bounded by the slowest hop instead of the sum
+//! of hops; `benchmark/` measures both schedulers on the same batches as
+//! `core.pipeline.speedup_vs_sequential`.
 
-use crate::chain::{admit_batch, Chain, RoundOutcome, RoundSpec, RoundTiming, StageReport};
+use crate::chain::{admit_batch, transmit_buf, Chain, RoundOutcome, RoundSpec, RoundTiming};
 use crate::config::SystemConfig;
-use crate::engine::{AdmissionWindow, RoundEngine};
-use crate::roundbuf::RoundBuffer;
-use crate::server::{MixServer, RoundKind};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::{Duration, Instant};
+use crate::node::{buf_from_frame, feed_window, run_server_node, RoundTrailer};
+use crate::server::RoundKind;
+use std::collections::HashMap;
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
 use vuvuzela_crypto::x25519::PublicKey;
 use vuvuzela_net::link::Direction;
+use vuvuzela_net::{memory_pair, Error, Transport};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
-use vuvuzela_wire::RoundId;
+use vuvuzela_wire::Frame;
 
-/// A round's batch in flight between two stages, tagged with the
-/// [`RoundId`] and round kind it belongs to and the timing it has
-/// accumulated so far.
-struct Tagged {
-    round: RoundId,
-    kind: RoundKind,
-    buf: RoundBuffer,
-    timing: RoundTiming,
-    /// When the round entered the pipeline (for end-to-end latency).
-    fed: Instant,
-}
-
-/// A hand-off between neighbouring stages.
-enum StageMsg {
-    /// Towards the last server (requests).
-    Forward(Tagged),
-    /// Towards the clients (responses) — or, for forward-only dialing
-    /// rounds, the tail's completion notice.
-    Backward(Tagged),
-}
-
-/// The fixed wiring of one pipeline stage (see [`pipeline_stage`]).
-struct StageCtx<'a> {
-    /// Chain position of this stage's server.
-    index: usize,
-    /// The deployment config ([`crate::engine::RoundEngine`] reads the
-    /// chain length, exchange shards and worker budget from it).
-    config: &'a SystemConfig,
-    /// Rounds the schedule feeds (forward passes to expect).
-    total: usize,
-    /// Conversation rounds in the schedule (backward passes a non-tail
-    /// stage expects; dialing rounds never come back).
-    total_conversation: usize,
-    /// Chain seed, for the tail's chain-level per-round RNG.
-    seed: u64,
-    /// The link feeding this stage's forward pass (and carrying its
-    /// backward output).
-    link: &'a vuvuzela_net::Link,
-    /// Downstream neighbour (`None` for the tail).
-    next_tx: Option<Sender<StageMsg>>,
-    /// Upstream neighbour — the exit queue for stage 0.
-    back_tx: Sender<StageMsg>,
-    /// The exit queue; the tail sends forward-only dialing completions
-    /// here directly.
-    done_tx: Sender<StageMsg>,
-    /// Raised by any stage that panics (or loses a peer); everyone else
-    /// polls it and drains, so one dead stage fails the schedule instead
-    /// of deadlocking the survivors.
-    abort: &'a AtomicBool,
-}
-
-/// The number of window slots each round of `specs` occupies under
-/// weighted admission (see the module docs). A thin [`RoundSpec`] view
-/// over [`crate::engine::admission_weights`] — the pricing itself lives
-/// in the engine, shared verbatim with the wire client driver, so both
-/// runtimes throttle mixed schedules identically. Exposed so tests can
-/// inspect the pricing the scheduler will use.
+/// The window slots each round of `specs` occupies (see the module
+/// docs): a [`RoundSpec`] view over [`crate::engine::admission_weights`],
+/// so tests can inspect the pricing the scheduler will use.
 #[must_use]
 pub fn admission_weights(config: &SystemConfig, window: usize, specs: &[RoundSpec]) -> Vec<usize> {
     let rounds: Vec<(RoundKind, usize)> = specs
@@ -255,11 +182,7 @@ impl StreamingChain {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate round ids within one schedule (each round
-    /// needs its own in-flight state) or if a stage thread dies (the
-    /// abort flag drains the remaining stages first, so a panicking
-    /// adversary tap or worker closure fails the schedule instead of
-    /// hanging it).
+    /// Same conditions as [`StreamingChain::run_mixed_schedule`].
     pub fn run_conversation_rounds(
         &mut self,
         rounds: Vec<(u64, Vec<Vec<u8>>)>,
@@ -290,7 +213,7 @@ impl StreamingChain {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`StreamingChain::run_conversation_rounds`].
+    /// Same conditions as [`StreamingChain::run_mixed_schedule`].
     pub fn run_dialing_rounds(
         &mut self,
         rounds: Vec<(u64, Vec<Vec<u8>>)>,
@@ -316,260 +239,171 @@ impl StreamingChain {
     }
 
     /// The unified scheduler: runs a heterogeneous sequence of
-    /// conversation and dialing rounds through one overlapped pipeline,
-    /// admitting rounds under the weighted window (see the module docs)
-    /// and returning per-round [`RoundOutcome`]s in input order — each
-    /// byte-identical to running the sequential [`Chain::run_round`]
-    /// over the same interleaved sequence.
+    /// conversation and dialing rounds through the server node loops,
+    /// fed under the weighted window (see the module docs), and returns
+    /// per-round [`RoundOutcome`]s in input order, each byte-identical
+    /// to the sequential [`Chain::run_round`] over the same sequence.
+    ///
+    /// Round ids must strictly increase within a schedule — the wire's
+    /// sequencing rule, which every hop holds its upstream to; a later
+    /// schedule may start anywhere.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`StreamingChain::run_conversation_rounds`].
+    /// Panics if round ids do not strictly increase (duplicate round ids
+    /// included), or if a node stops before the schedule completes — a
+    /// panicking adversary tap or worker closure fails the schedule
+    /// instead of hanging it. Every node thread has exited when the
+    /// panic leaves this function; the deployment recovers with
+    /// [`StreamingChain::abort_in_flight_rounds`].
     pub fn run_mixed_schedule(&mut self, specs: Vec<RoundSpec>) -> Vec<RoundOutcome> {
-        let order: Vec<u64> = specs.iter().map(RoundSpec::round).collect();
-        assert_distinct(&order);
-        let total = specs.len();
-        if total == 0 {
+        let schedule: Vec<(u64, RoundKind, usize)> = specs
+            .iter()
+            .map(|spec| (spec.round(), spec.kind(), spec.batch_len()))
+            .collect();
+        assert!(
+            schedule.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "round ids must strictly increase within a schedule (duplicate round ids, or a \
+             step back)"
+        );
+        if specs.is_empty() {
             return Vec::new();
         }
-        let n = self.chain.config.chain_len;
-        let seed = self.chain.seed;
-        let config = self.chain.config.clone();
         let window = self.max_in_flight;
-        let weights = admission_weights(&self.chain.config, window, &specs);
-        let total_conversation = specs
+        let Chain {
+            config,
+            servers,
+            links,
+            client_link,
+            seed,
+            conversation_log,
+            dialing_log,
+            invitation_drops,
+            ..
+        } = &mut self.chain;
+        let (config, client_link, seed) = (&*config, &*client_link, *seed);
+
+        // One in-memory link per hop over the chain's own `Link` (meters,
+        // per-round log, tap): far end upstream's, near end the hop's.
+        let (mut fars, nears): (Vec<_>, Vec<_>) = links
             .iter()
-            .filter(|spec| matches!(spec.kind(), RoundKind::Conversation))
-            .count();
+            .map(|link| memory_pair(Arc::new(link.clone())))
+            .unzip();
+        let feeder = fars.remove(0);
+        let downs = fars.into_iter().map(Some).chain([None]);
 
-        let links = &self.chain.links;
-        let client_link = &self.chain.client_link;
-
-        let mut stage_tx: Vec<Sender<StageMsg>> = Vec::with_capacity(n);
-        let mut stage_rx: Vec<Receiver<StageMsg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            stage_tx.push(tx);
-            stage_rx.push(rx);
-        }
-        let (out_tx, out_rx) = channel::<StageMsg>();
-        let abort = &AtomicBool::new(false);
-
-        let mut collected: HashMap<u64, RoundOutcome> = HashMap::new();
-        // The collector's own transfers (entry → clients), then one
-        // report per stage.
-        let mut reports = vec![StageReport::default()];
+        // What the hops report ([`crate::node::HopObserver`]): per round
+        // the timing pieces so far, and the last dialing round's drops
+        // (the chain's overwrite semantics). A hop reports a pass before
+        // the pass's frame leaves it, so pieces queue in the order the
+        // round visits the hops and are all there when its backward
+        // frame reaches the feeder.
+        let (report, reports) = mpsc::channel();
+        let mut timings: HashMap<u64, RoundTiming> = HashMap::new();
+        let mut last_drops = None;
+        let mut outcomes = Vec::with_capacity(specs.len());
+        let mut specs = specs.into_iter();
+        let mut failures: Vec<Error> = Vec::new();
+        let mut panicked = None;
 
         std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n);
-            let mut rx_iter = stage_rx.into_iter();
-            for (i, server) in self.chain.servers.iter_mut().enumerate() {
-                let rx = rx_iter.next().expect("one receiver per stage");
-                let ctx = StageCtx {
-                    index: i,
-                    config: &config,
-                    total,
-                    total_conversation,
-                    seed,
-                    link: &links[i],
-                    next_tx: stage_tx.get(i + 1).cloned(),
-                    // Backward flow for stage 0 goes straight to the
-                    // exit queue.
-                    back_tx: if i == 0 {
-                        out_tx.clone()
-                    } else {
-                        stage_tx[i - 1].clone()
-                    },
-                    done_tx: out_tx.clone(),
-                    abort,
-                };
-                handles.push(s.spawn(move || {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pipeline_stage(server, &ctx, &rx)
-                    }));
-                    match outcome {
-                        Ok(report) => report,
-                        Err(payload) => {
-                            ctx.abort.store(true, Ordering::Release);
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }));
-            }
-            // The stages hold all the senders they need; dropping the
-            // originals lets disconnects propagate when stages exit.
-            let feed_tx = stage_tx.remove(0);
-            drop(stage_tx);
-            drop(out_tx);
+            let nodes: Vec<_> = servers
+                .iter_mut()
+                .zip(nears.into_iter().zip(downs))
+                .map(|(server, (up, down))| {
+                    let report = report.clone();
+                    s.spawn(move || {
+                        let up: Arc<dyn Transport> = Arc::new(up);
+                        let down = down.map(|down| Arc::new(down) as Arc<dyn Transport>);
+                        let mut observe = |round, piece, drops| {
+                            // Nobody listens once the feeder has failed.
+                            let _ = report.send((round, piece, drops));
+                        };
+                        run_server_node(server, config, seed, up, down, &mut observe)
+                    })
+                })
+                .collect();
 
-            // The feeder/collector: admit rounds while the weighted
-            // window has room, collect finished rounds otherwise.
-            let collect_one = |exit: &mut StageReport,
-                               collected: &mut HashMap<u64, RoundOutcome>|
-             -> u64 {
-                let Some(StageMsg::Backward(mut tagged)) = recv_or_abort(&out_rx, abort) else {
-                    panic!("a pipeline stage died; schedule aborted");
-                };
-                let round = tagged.round.0;
-                let outcome = match tagged.kind {
-                    RoundKind::Conversation => {
-                        let replies =
-                            exit.transmit_buf(client_link, round, Direction::Backward, tagged.buf);
-                        tagged.timing.total = tagged.fed.elapsed();
-                        RoundOutcome::Conversation {
-                            replies: replies.to_vecs(),
-                            timing: tagged.timing,
+            // This thread is hop 0's upstream peer. Its end is dropped —
+            // hung up — however this block is left, a tap panicking
+            // under `send` included, so the nodes always finish.
+            let feeder = feeder;
+            let fed = feed_window(
+                config,
+                &feeder,
+                window,
+                &schedule,
+                |_| {
+                    let (round, kind, batch) = specs.next().expect("one spec a round").into_parts();
+                    let buf = admit_batch(client_link, round, kind, config.chain_len, batch);
+                    (buf, Instant::now())
+                },
+                |fed: Instant, back, trailer| {
+                    for (round, piece, drops) in reports.try_iter() {
+                        let timing: &mut RoundTiming = timings.entry(round).or_default();
+                        timing.forward.extend(piece.forward);
+                        timing.exchange += piece.exchange;
+                        timing.backward.extend(piece.backward);
+                        if let Some(drops) = drops {
+                            last_drops = Some((round, drops));
                         }
                     }
-                    RoundKind::Dialing { .. } => {
-                        tagged.timing.total = tagged.fed.elapsed();
-                        RoundOutcome::Dialing {
-                            timing: tagged.timing,
+                    let round = back.round.0;
+                    let mut timing = timings.remove(&round).unwrap_or_default();
+                    outcomes.push(match trailer {
+                        RoundTrailer::Conversation(observables) => {
+                            conversation_log.push((round, observables));
+                            let replies = buf_from_frame(back);
+                            let replies =
+                                transmit_buf(client_link, round, Direction::Backward, replies);
+                            timing.total = fed.elapsed();
+                            let replies = replies.to_vecs();
+                            RoundOutcome::Conversation { replies, timing }
                         }
-                    }
-                };
-                collected.insert(round, outcome);
-                round
-            };
-            let mut done = 0usize;
-            let mut admission = AdmissionWindow::new(window);
-            for (spec, weight) in specs.into_iter().zip(weights) {
-                // Admit while the weighted window has room; a round
-                // heavier than the whole window still enters once the
-                // pipeline is empty (the window's progress guarantee).
-                while admission.would_block(weight) {
-                    let finished = collect_one(&mut reports[0], &mut collected);
-                    admission
-                        .complete(finished)
-                        .expect("finished round was admitted");
-                    done += 1;
+                        RoundTrailer::Dialing(observables) => {
+                            dialing_log.push((round, observables));
+                            timing.total = fed.elapsed();
+                            RoundOutcome::Dialing { timing }
+                        }
+                    });
+                },
+            )
+            // Hop 0 answers the forward bye once every hop has finished.
+            .and_then(|()| match feeder.recv()? {
+                Frame::Bye => Ok(()),
+                other => Err(Error::Protocol {
+                    link: feeder.link_id(),
+                    reason: format!("expected the backward bye, got {other:?}"),
+                }),
+            });
+            drop(feeder);
+            failures.extend(fed.err());
+            for node in nodes {
+                match node.join() {
+                    Ok(Ok(_stats)) => {}
+                    Ok(Err(err)) => failures.push(err),
+                    Err(payload) => panicked = Some(payload),
                 }
-                let (round, kind, batch) = spec.into_parts();
-                let buf = admit_batch(client_link, round, kind, n, batch);
-                admission.admit(round, weight);
-                assert!(
-                    feed_tx
-                        .send(StageMsg::Forward(Tagged {
-                            round: RoundId(round),
-                            kind,
-                            buf,
-                            timing: RoundTiming::default(),
-                            fed: Instant::now(),
-                        }))
-                        .is_ok(),
-                    "a pipeline stage died; schedule aborted"
-                );
-            }
-            drop(feed_tx);
-            while done < total {
-                let _ = collect_one(&mut reports[0], &mut collected);
-                done += 1;
-            }
-            for handle in handles {
-                reports.push(handle.join().expect("stage thread panicked"));
             }
         });
 
-        for report in reports {
-            self.chain.absorb(report);
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
-        order
+        // Everyone downwind of a failure reports the hang-up it saw;
+        // name the failure itself.
+        if let Some(cause) = failures
             .iter()
-            .map(|round| collected.remove(round).expect("every round completed"))
-            .collect()
-    }
-}
-
-/// Blocks for the next message, polling the shared abort flag so a dead
-/// peer ends the wait. `None` means the schedule is aborting (flag set or
-/// all senders gone).
-fn recv_or_abort(rx: &Receiver<StageMsg>, abort: &AtomicBool) -> Option<StageMsg> {
-    loop {
-        if abort.load(Ordering::Acquire) {
-            return None;
+            .find(|err| !matches!(err, Error::Disconnected { .. }))
+            .or(failures.first())
+        {
+            panic!("schedule aborted: {cause}");
         }
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(msg) => return Some(msg),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return None,
+        if last_drops.is_some() {
+            *invitation_drops = last_drops;
         }
+        outcomes
     }
-}
-
-/// One pipeline stage: drives one [`RoundEngine`] over every round
-/// arriving from upstream — each processed under the batch's own tagged
-/// round kind — and its backward pass on every conversation round
-/// arriving from downstream, in arrival order. The engine runs the
-/// round recipe (forward pass, the tail's dead-drop exchange /
-/// invitation deposit, backward passes — the same state machine the
-/// wire node runtimes drive); the stage only meters the batch through
-/// its link and routes the engine's steps — handled by the
-/// [`StageReport`] the sequential chain uses too — onto the hand-off
-/// queues.
-fn pipeline_stage(
-    server: &mut MixServer,
-    ctx: &StageCtx<'_>,
-    rx: &Receiver<StageMsg>,
-) -> StageReport {
-    let mut engine = RoundEngine::new(server, ctx.config, ctx.seed);
-    let is_last = ctx.index + 1 == ctx.config.chain_len;
-    let mut report = StageReport::default();
-    let expect_backwards = if is_last { 0 } else { ctx.total_conversation };
-    let mut forwards = 0usize;
-    let mut backwards = 0usize;
-    while forwards < ctx.total || backwards < expect_backwards {
-        let Some(msg) = recv_or_abort(rx, ctx.abort) else {
-            return report; // schedule aborting; hand back what we have
-        };
-        let sent_ok = match msg {
-            StageMsg::Forward(mut tagged) => {
-                forwards += 1;
-                let round = tagged.round.0;
-                let buf = report.transmit_buf(ctx.link, round, Direction::Forward, tagged.buf);
-                let step = engine.forward(round, tagged.kind, buf, &mut tagged.timing);
-                match report.route(ctx.link, step) {
-                    Some((Direction::Forward, buf)) => {
-                        tagged.buf = buf;
-                        ctx.next_tx
-                            .as_ref()
-                            .expect("non-tail stage has a downstream")
-                            .send(StageMsg::Forward(tagged))
-                            .is_ok()
-                    }
-                    Some((Direction::Backward, replies)) => {
-                        tagged.buf = replies;
-                        ctx.back_tx.send(StageMsg::Backward(tagged)).is_ok()
-                    }
-                    None => {
-                        tagged.buf = RoundBuffer::new(1, 0);
-                        // Completion notice straight to the exit queue.
-                        ctx.done_tx.send(StageMsg::Backward(tagged)).is_ok()
-                    }
-                }
-            }
-            StageMsg::Backward(mut tagged) => {
-                backwards += 1;
-                let round = tagged.round.0;
-                let replies = engine.backward(round, tagged.buf, &mut tagged.timing);
-                tagged.buf = report.transmit_buf(ctx.link, round, Direction::Backward, replies);
-                ctx.back_tx.send(StageMsg::Backward(tagged)).is_ok()
-            }
-        };
-        if !sent_ok {
-            // Our peer is gone mid-schedule: flag the abort and drain.
-            ctx.abort.store(true, Ordering::Release);
-            return report;
-        }
-    }
-    report
-}
-
-fn assert_distinct(rounds: &[u64]) {
-    let mut seen = HashSet::new();
-    assert!(
-        rounds.iter().all(|r| seen.insert(*r)),
-        "duplicate round ids in one schedule"
-    );
 }
 
 #[cfg(test)]

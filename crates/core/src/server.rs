@@ -93,6 +93,16 @@ impl RoundKind {
             RoundKind::Dialing { .. } => vuvuzela_wire::RoundType::Dialing,
         }
     }
+
+    /// The round's invitation drop count as frames carry it: zero for a
+    /// conversation round.
+    #[must_use]
+    pub fn num_drops(self) -> u32 {
+        match self {
+            RoundKind::Conversation => 0,
+            RoundKind::Dialing { num_drops } => num_drops,
+        }
+    }
 }
 
 /// Per-round bookkeeping kept between the forward and backward passes.

@@ -10,6 +10,7 @@
 use crate::error::Error;
 use crate::meter::Meter;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vuvuzela_wire::LinkId;
 
@@ -82,7 +83,19 @@ impl Tap for RecordingTap {
 /// §2.3 observes per-round batches either way, and the per-round log is
 /// what lets tests assert that pipelined execution changes *when* bytes
 /// move, never *which round* they belong to.
+///
+/// [`Clone`] yields a second handle on the *same* link — same meters,
+/// per-round log and resize count, and the tap attached at the time —
+/// which is how a deployment lends its links to in-memory endpoints
+/// ([`crate::transport::memory_pair`]) for the length of a schedule.
+#[derive(Clone)]
 pub struct Link {
+    shared: Arc<Shared>,
+    tap: Option<Arc<Mutex<dyn Tap>>>,
+}
+
+/// What every handle on one link shares.
+struct Shared {
     id: LinkId,
     /// Rendered `id`, cached so [`Link::name`] can keep returning a
     /// borrowed `&str`.
@@ -95,7 +108,8 @@ pub struct Link {
     /// long-running simulations don't grow without limit (the aggregate
     /// meters remain exact forever).
     per_round: Mutex<std::collections::BTreeMap<(u64, bool), (u64, u64)>>,
-    tap: Option<Arc<Mutex<dyn Tap>>>,
+    /// Entries a tap resized in flight (see [`Link::tap_resized`]).
+    tap_resized: AtomicU64,
 }
 
 /// Maximum `(round, direction)` entries retained per link — far beyond
@@ -109,11 +123,14 @@ impl Link {
     #[must_use]
     pub fn new(id: LinkId) -> Link {
         Link {
-            id,
-            name: id.to_string(),
-            forward_meter: Arc::new(Meter::new()),
-            backward_meter: Arc::new(Meter::new()),
-            per_round: Mutex::new(std::collections::BTreeMap::new()),
+            shared: Arc::new(Shared {
+                id,
+                name: id.to_string(),
+                forward_meter: Arc::new(Meter::new()),
+                backward_meter: Arc::new(Meter::new()),
+                per_round: Mutex::new(std::collections::BTreeMap::new()),
+                tap_resized: AtomicU64::new(0),
+            }),
             tap: None,
         }
     }
@@ -135,7 +152,7 @@ impl Link {
     /// [`Error::TapOccupied`] when the link already has a tap.
     pub fn try_attach_tap(&mut self, tap: Arc<Mutex<dyn Tap>>) -> Result<(), Error> {
         if self.tap.is_some() {
-            return Err(Error::TapOccupied { link: self.id });
+            return Err(Error::TapOccupied { link: self.id() });
         }
         self.tap = Some(tap);
         Ok(())
@@ -167,11 +184,11 @@ impl Link {
     /// `round` in the per-round log as well as the aggregate meters.
     pub fn record(&self, round: u64, direction: Direction, messages: u64, bytes: u64) {
         let meter = match direction {
-            Direction::Forward => &self.forward_meter,
-            Direction::Backward => &self.backward_meter,
+            Direction::Forward => &self.shared.forward_meter,
+            Direction::Backward => &self.shared.backward_meter,
         };
         meter.record_batch(messages, bytes);
-        let mut per_round = self.per_round.lock();
+        let mut per_round = self.shared.per_round.lock();
         let entry = per_round
             .entry((round, matches!(direction, Direction::Backward)))
             .or_insert((0, 0));
@@ -187,7 +204,8 @@ impl Link {
     /// aggregate-meter increments.
     #[must_use]
     pub fn round_traffic(&self, round: u64, direction: Direction) -> (u64, u64) {
-        self.per_round
+        self.shared
+            .per_round
             .lock()
             .get(&(round, matches!(direction, Direction::Backward)))
             .copied()
@@ -201,7 +219,8 @@ impl Link {
     /// that point lookups via [`Link::round_traffic`] would miss.
     #[must_use]
     pub fn round_traffic_log(&self) -> Vec<((u64, Direction), (u64, u64))> {
-        self.per_round
+        self.shared
+            .per_round
             .lock()
             .iter()
             .map(|(&(round, backward), &counts)| {
@@ -227,7 +246,7 @@ impl Link {
     pub fn tap_intercept(&self, round: u64, direction: Direction, batch: &mut Vec<Vec<u8>>) {
         if let Some(tap) = &self.tap {
             let ctx = TapContext {
-                link: self.id,
+                link: self.id(),
                 round,
                 direction,
             };
@@ -238,31 +257,48 @@ impl Link {
     /// The link's typed identity.
     #[must_use]
     pub fn id(&self) -> LinkId {
-        self.id
+        self.shared.id
     }
 
     /// The link's diagnostic name (the rendered [`LinkId`]).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.shared.name
     }
 
     /// Meter for the request direction.
     #[must_use]
     pub fn forward_meter(&self) -> &Arc<Meter> {
-        &self.forward_meter
+        &self.shared.forward_meter
     }
 
     /// Meter for the response direction.
     #[must_use]
     pub fn backward_meter(&self) -> &Arc<Meter> {
-        &self.backward_meter
+        &self.shared.backward_meter
     }
 
     /// Total bytes both ways.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.forward_meter.bytes() + self.backward_meter.bytes()
+        self.shared.forward_meter.bytes() + self.shared.backward_meter.bytes()
+    }
+
+    /// Counts `entries` more as resized by the tap: whoever carries a
+    /// flat arena across the link and rebuilds it after the tap ran
+    /// reports how many entries came back at another size than the
+    /// arena's width (their slots were rebuilt zero-filled).
+    pub fn add_tap_resized(&self, entries: u64) {
+        self.shared
+            .tap_resized
+            .fetch_add(entries, Ordering::Relaxed);
+    }
+
+    /// Entries a tap truncated, extended or injected at a non-onion
+    /// size on this link so far.
+    #[must_use]
+    pub fn tap_resized(&self) -> u64 {
+        self.shared.tap_resized.load(Ordering::Relaxed)
     }
 }
 

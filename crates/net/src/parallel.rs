@@ -54,7 +54,7 @@ struct Call {
     pending: AtomicUsize,
     /// Threads currently working this call (the submitting caller counts
     /// as one). Workers join a call only while this is below
-    /// `max_strands`, so concurrent submissions — one per pipeline stage
+    /// `max_strands`, so concurrent submissions — one per server node
     /// — share the pool instead of the first call monopolising it.
     strands: AtomicUsize,
     /// The submitting stage's parallelism budget.
@@ -447,7 +447,7 @@ fn worker_loop(shared: &PoolShared) {
                 }
                 queue.retain(|c| !c.exhausted());
                 // First call with strand capacity left: concurrent
-                // submissions (one per active pipeline stage) each get at
+                // submissions (one per active server node) each get at
                 // most their own parallelism budget, so stages share the
                 // pool without one oversubscribing it.
                 if let Some(call) = queue.iter().find(|c| c.try_join()) {

@@ -20,7 +20,7 @@ use crate::error::Error;
 use crate::transport::Transport;
 use parking_lot::Mutex;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 use vuvuzela_wire::{Frame, FrameError, Hello, LinkId, MAX_FRAME_LEN};
 
@@ -157,6 +157,9 @@ pub struct TcpTransport {
     link: LinkId,
     reader: Mutex<BufReader<TcpStream>>,
     writer: Mutex<BufWriter<TcpStream>>,
+    /// A third handle on the socket, behind no lock, so
+    /// [`Transport::hang_up`] can shut it down under a blocked `recv`.
+    socket: TcpStream,
 }
 
 impl TcpTransport {
@@ -237,18 +240,21 @@ impl TcpTransport {
     /// # Errors
     ///
     /// [`Error::Io`] if the stream cannot be cloned into separate
-    /// read/write halves.
+    /// read, write and hang-up handles.
     pub fn from_stream(stream: TcpStream, link: LinkId) -> Result<TcpTransport, Error> {
         stream.set_nodelay(true).ok();
-        let write_half = stream.try_clone().map_err(|source| Error::Io {
-            link,
-            op: "clone",
-            source,
-        })?;
+        let clone = || {
+            stream.try_clone().map_err(|source| Error::Io {
+                link,
+                op: "clone",
+                source,
+            })
+        };
         Ok(TcpTransport {
             link,
-            reader: Mutex::new(BufReader::new(stream)),
-            writer: Mutex::new(BufWriter::new(write_half)),
+            reader: Mutex::new(BufReader::new(clone()?)),
+            writer: Mutex::new(BufWriter::new(clone()?)),
+            socket: stream,
         })
     }
 
@@ -284,6 +290,13 @@ impl Transport for TcpTransport {
 
     fn recv(&self) -> Result<Frame, Error> {
         read_frame(&mut *self.reader.lock(), self.link)
+    }
+
+    fn hang_up(&self) {
+        // Frames are flushed as they are sent, so everything sent so
+        // far reaches the peer ahead of the FIN. Shutting down a socket
+        // that is already down fails, harmlessly.
+        let _ = self.socket.shutdown(Shutdown::Both);
     }
 }
 
@@ -430,6 +443,37 @@ mod tests {
         assert!(matches!(client.recv(), Ok(Frame::Bye)));
         assert!(matches!(client.recv(), Err(Error::Disconnected { .. })));
         server.join().expect("server thread");
+    }
+
+    #[test]
+    fn hang_up_wakes_a_blocked_recv_and_ends_the_peers_stream() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let acceptor =
+            std::thread::spawn(move || TcpTransport::accept(&listener, LinkId::Hop(0), digest(7)));
+        let near = TcpTransport::connect(
+            addr,
+            LinkId::Hop(0),
+            digest(7),
+            &RetryPolicy::with_deadline(Duration::from_secs(10)),
+        )
+        .expect("connect");
+        let far = acceptor.join().expect("thread").expect("accept");
+
+        let near = std::sync::Arc::new(near);
+        let blocked = {
+            let near = std::sync::Arc::clone(&near);
+            std::thread::spawn(move || near.recv())
+        };
+        near.send(Frame::Bye).expect("send before the hang-up");
+        near.hang_up();
+        near.hang_up(); // idempotent
+        assert!(
+            matches!(blocked.join().expect("reader"), Err(Error::Disconnected { link }) if link == LinkId::Hop(0))
+        );
+        assert!(near.send(Frame::Bye).is_err());
+        assert!(matches!(far.recv(), Ok(Frame::Bye)));
+        assert!(matches!(far.recv(), Err(Error::Disconnected { .. })));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! against the trait, so the same node code runs
 //!
 //! * **in process** over [`MemoryEndpoint`] pairs, which carry frames
-//!   over std mpsc channels and route every batch through the same
+//!   over in-memory queues and route every batch through the same
 //!   byte-metered, tappable [`Link`] the simulator uses (meter first,
 //!   then tap — the adversary cannot hide traffic from our own
 //!   accounting), and
@@ -14,22 +14,28 @@
 //!   length-prefixed TCP backend.
 //!
 //! Both return the unified [`Error`]; the in-memory backend is
-//! infallible by construction for everything except a dropped peer,
-//! but its signatures stay honest about what a real wire can do.
+//! infallible by construction for everything except a peer that hung
+//! up, but its signatures stay honest about what a real wire can do.
 
 use crate::error::Error;
 use crate::link::{Direction, Link};
 use parking_lot::Mutex;
-use std::sync::mpsc;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use vuvuzela_wire::{BatchFrame, Frame, LinkId};
+
+/// Where [`Transport::deliver_to`] puts what a link receives: called
+/// with each frame, or with the error that ended the link; returns
+/// `true` once it wants no more.
+pub type Sink = Box<dyn FnMut(Result<Frame, Error>) -> bool + Send>;
 
 /// One end of one deployment link.
 ///
 /// `send`/`recv` take `&self` (backends use internal locking) so a node
 /// can hold its upstream and downstream ends without juggling mutable
 /// borrows, and reader threads can share an endpoint behind an `Arc`.
-pub trait Transport: Send + Sync {
+pub trait Transport: Send + Sync + 'static {
     /// Which deployment link this endpoint terminates.
     fn link_id(&self) -> LinkId;
 
@@ -37,8 +43,8 @@ pub trait Transport: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`Error::Disconnected`] when the peer is gone; TCP backends also
-    /// surface IO failures.
+    /// [`Error::Disconnected`] when either end has hung up; TCP backends
+    /// also surface IO failures.
     fn send(&self, frame: Frame) -> Result<(), Error>;
 
     /// Receives the next frame from the peer, blocking until one
@@ -46,18 +52,38 @@ pub trait Transport: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`Error::Disconnected`] at orderly end-of-stream; TCP backends
-    /// also surface IO and frame-decode failures.
+    /// [`Error::Disconnected`] at end-of-stream (either end hung up);
+    /// TCP backends also surface IO and frame-decode failures.
     fn recv(&self) -> Result<Frame, Error>;
+
+    /// Hangs the link up from this end, for good: the peer receives
+    /// what was already sent and then [`Error::Disconnected`], its
+    /// sends fail, and a `recv` blocked on this end in another thread
+    /// returns [`Error::Disconnected`]. Idempotent. A node hangs up
+    /// every link it terminates when it stops, however it stops, so
+    /// that its neighbours see a dead node instead of waiting for it.
+    fn hang_up(&self);
+
+    /// Hands everything this end receives from now on to `sink`, in
+    /// order, instead of to [`Transport::recv`] — how a node merges its
+    /// links into one queue ([`crate::Demux`]). A backend that blocks to
+    /// receive does so on a reader thread of its own and returns it;
+    /// the in-memory backend needs none, its peer's `send` calls the
+    /// sink.
+    fn deliver_to(self: Arc<Self>, mut sink: Sink) -> Option<JoinHandle<()>> {
+        Some(std::thread::spawn(move || while !sink(self.recv()) {}))
+    }
 }
 
 /// Runs a batch frame through a [`Link`]: meters it (attributed to its
 /// round and direction), and — only when an adversary tap is attached —
 /// pays the per-message conversion, lets the tap interfere, and
-/// rebuilds the flat payload with resized entries zero-filled, exactly
-/// like the in-process chain's `transmit_buf`. Returns how many entries
-/// the tap resized.
-pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> u64 {
+/// rebuilds the flat payload with resized entries zero-filled and
+/// counted on [`Link::tap_resized`], exactly like the in-process
+/// chain's `transmit_buf`. A frame without an arena (`stride == 0`: a
+/// dialing round's completion notice) is not a transfer and passes
+/// unmetered and untapped.
+pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
     let direction = if batch.backward {
         Direction::Backward
     } else {
@@ -66,14 +92,17 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> u64 {
     let round = batch.round.0;
     let width = batch.width as usize;
     let stride = batch.stride as usize;
+    if stride == 0 {
+        return;
+    }
     link.record(
         round,
         direction,
         u64::from(batch.count),
         (u64::from(batch.count)) * batch.width as u64,
     );
-    if !link.has_tap() || stride == 0 {
-        return 0;
+    if !link.has_tap() {
+        return;
     }
     let mut msgs: Vec<Vec<u8>> = batch
         .payload
@@ -92,18 +121,26 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> u64 {
     }
     batch.count = msgs.len() as u32;
     batch.payload = payload;
-    resized
+    link.add_tap_resized(resized);
 }
+
+/// One direction of an in-memory link: where the sending end puts a
+/// frame. `None` once either end has hung up, or the sink has had
+/// enough.
+type Inbox = Arc<Mutex<Option<Sink>>>;
 
 /// The in-memory backend: one end of a bidirectional in-process link.
 ///
 /// Created in pairs by [`memory_pair`]; both ends share one [`Link`],
 /// whose meters and optional tap see every batch frame either end
-/// sends.
+/// sends. Dropping an endpoint hangs it up.
 pub struct MemoryEndpoint {
     link: Arc<Link>,
-    tx: Mutex<mpsc::Sender<Frame>>,
-    rx: Mutex<mpsc::Receiver<Frame>>,
+    outbox: Inbox,
+    inbox: Inbox,
+    /// Where this end's inbox delivers until [`Transport::deliver_to`]
+    /// points it elsewhere: the queue behind `recv`.
+    queue: Mutex<Receiver<Result<Frame, Error>>>,
 }
 
 /// Creates the two ends of one in-memory link. Frames sent on either
@@ -111,27 +148,33 @@ pub struct MemoryEndpoint {
 /// tapped, when a tap is attached) on the shared `link` at send time.
 #[must_use]
 pub fn memory_pair(link: Arc<Link>) -> (MemoryEndpoint, MemoryEndpoint) {
-    let (a_tx, b_rx) = mpsc::channel();
-    let (b_tx, a_rx) = mpsc::channel();
+    let queued_inbox = || {
+        let (tx, rx) = channel();
+        let sink: Sink = Box::new(move |event| tx.send(event).is_err());
+        (Arc::new(Mutex::new(Some(sink))), Mutex::new(rx))
+    };
+    let ((a_inbox, a_queue), (b_inbox, b_queue)) = (queued_inbox(), queued_inbox());
     (
         MemoryEndpoint {
             link: link.clone(),
-            tx: Mutex::new(a_tx),
-            rx: Mutex::new(a_rx),
+            outbox: b_inbox.clone(),
+            inbox: a_inbox.clone(),
+            queue: a_queue,
         },
         MemoryEndpoint {
             link,
-            tx: Mutex::new(b_tx),
-            rx: Mutex::new(b_rx),
+            outbox: a_inbox,
+            inbox: b_inbox,
+            queue: b_queue,
         },
     )
 }
 
 impl MemoryEndpoint {
-    /// The shared link (metering, tap attachment).
-    #[must_use]
-    pub fn link(&self) -> &Arc<Link> {
-        &self.link
+    fn disconnected(&self) -> Error {
+        Error::Disconnected {
+            link: self.link.id(),
+        }
     }
 }
 
@@ -142,17 +185,46 @@ impl Transport for MemoryEndpoint {
 
     fn send(&self, mut frame: Frame) -> Result<(), Error> {
         if let Frame::Batch(batch) = &mut frame {
-            let _resized = batch_through_link(&self.link, batch);
+            batch_through_link(&self.link, batch);
         }
-        self.tx.lock().send(frame).map_err(|_| Error::Disconnected {
-            link: self.link.id(),
-        })
+        let mut outbox = self.outbox.lock();
+        let sink = outbox.as_mut().ok_or_else(|| self.disconnected())?;
+        if sink(Ok(frame)) {
+            *outbox = None;
+        }
+        Ok(())
     }
 
     fn recv(&self) -> Result<Frame, Error> {
-        self.rx.lock().recv().map_err(|_| Error::Disconnected {
-            link: self.link.id(),
-        })
+        let received = self.queue.lock().recv();
+        received.unwrap_or_else(|_| Err(self.disconnected()))
+    }
+
+    fn hang_up(&self) {
+        for direction in [&self.outbox, &self.inbox] {
+            if let Some(mut sink) = direction.lock().take() {
+                sink(Err(self.disconnected()));
+            }
+        }
+    }
+
+    fn deliver_to(self: Arc<Self>, mut sink: Sink) -> Option<JoinHandle<()>> {
+        // Under the inbox lock no frame can slip between what the queue
+        // already holds and what the sink gets from now on.
+        let mut inbox = self.inbox.lock();
+        let done = self.queue.lock().try_iter().any(&mut sink);
+        if done {
+            *inbox = None;
+        } else if inbox.is_some() {
+            *inbox = Some(sink);
+        }
+        None
+    }
+}
+
+impl Drop for MemoryEndpoint {
+    fn drop(&mut self) {
+        self.hang_up();
     }
 }
 
@@ -210,6 +282,62 @@ mod tests {
         assert!(matches!(up.recv(), Err(Error::Disconnected { .. })));
     }
 
+    #[test]
+    fn hang_up_delivers_what_was_sent_then_disconnects_both_ends() {
+        let (up, down) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
+        let up = Arc::new(up);
+        // A reader already blocked on the end that hangs up is woken.
+        let blocked = {
+            let up = Arc::clone(&up);
+            std::thread::spawn(move || up.recv())
+        };
+        up.send(Frame::Bye).expect("send before the hang-up");
+        up.hang_up();
+        up.hang_up(); // idempotent
+        let woken = blocked.join().expect("reader thread");
+        assert!(
+            matches!(woken, Err(Error::Disconnected { link }) if link == LinkId::Hop(1)),
+            "the blocked recv names the link: {woken:?}"
+        );
+        assert!(matches!(
+            up.send(Frame::Bye),
+            Err(Error::Disconnected { .. })
+        ));
+
+        // The peer still gets the frame sent before the hang-up, then
+        // end-of-stream in both directions.
+        assert!(matches!(down.recv(), Ok(Frame::Bye)));
+        assert!(matches!(down.recv(), Err(Error::Disconnected { .. })));
+        assert!(matches!(
+            down.send(Frame::Bye),
+            Err(Error::Disconnected { .. })
+        ));
+    }
+
+    #[test]
+    fn deliver_to_hands_over_what_is_queued_first_and_needs_no_thread() {
+        let (up, down) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
+        up.send(Frame::Batch(batch(1, false)))
+            .expect("queued for recv");
+        let (tx, delivered) = channel();
+        let down = Arc::new(down);
+        let reader = Arc::clone(&down).deliver_to(Box::new(move |event| {
+            let ended = event.is_err();
+            tx.send(event).expect("the test listens");
+            ended
+        }));
+        assert!(reader.is_none(), "the peer's send is the delivery");
+        up.send(Frame::Bye).expect("straight to the sink");
+        drop(up);
+        assert!(matches!(delivered.recv(), Ok(Ok(Frame::Batch(_)))));
+        assert!(matches!(delivered.recv(), Ok(Ok(Frame::Bye))));
+        assert!(matches!(
+            delivered.recv(),
+            Ok(Err(Error::Disconnected { .. }))
+        ));
+        assert!(delivered.recv().is_err(), "the sink is dropped at the end");
+    }
+
     /// A tap that truncates the batch and resizes one entry.
     struct Mangle;
     impl Tap for Mangle {
@@ -234,5 +362,22 @@ mod tests {
         assert_eq!(got.count, 2, "tap truncated the batch");
         assert_eq!(&got.payload[..3], &[0, 1, 2], "entry 0 intact");
         assert_eq!(&got.payload[4..7], &[0, 0, 0], "resized entry zeroed");
+        assert_eq!(up.link.tap_resized(), 1, "and counted on the link");
+    }
+
+    #[test]
+    fn a_completion_notice_is_not_a_transfer() {
+        let link = Arc::new(Link::new(LinkId::Hop(0)));
+        let (up, down) = memory_pair(link.clone());
+        let notice = BatchFrame {
+            stride: 0,
+            width: 0,
+            payload: Vec::new(),
+            ..batch(0, true)
+        };
+        down.send(Frame::Batch(notice)).expect("send");
+        assert!(matches!(up.recv(), Ok(Frame::Batch(b)) if b.count == 0));
+        assert_eq!(link.backward_meter().batches(), 0);
+        assert!(link.round_traffic_log().is_empty());
     }
 }

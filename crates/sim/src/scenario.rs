@@ -77,7 +77,7 @@ pub enum Step {
         millis: u64,
     },
     /// Arm a crash fault: the `round_offset`-th round of the *next*
-    /// [`Step::Run`] panics the pipeline stage downstream of chain link
+    /// [`Step::Run`] panics the node sending on chain link
     /// `link`, aborting that whole schedule (see the crate docs'
     /// round-abort semantics).
     CrashLink {
@@ -411,7 +411,7 @@ pub(crate) fn server_slowdown_base() -> Scenario {
 }
 
 /// A server aborts mid-schedule: the second round of a three-round
-/// schedule kills a pipeline stage, the whole schedule aborts, and the
+/// schedule kills a server node, the whole schedule aborts, and the
 /// deployment recovers — the queued message arrives via retransmission
 /// in the next schedule.
 fn server_fault() -> Scenario {

@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -28,11 +27,10 @@ use std::time::Duration;
 use serde_json::{json, Value};
 use vuvuzela_core::chain::{build_server, server_keypairs, Chain};
 use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
-use vuvuzela_core::engine::{admission_weights, AdmissionWindow};
-use vuvuzela_core::node::{run_entry_node, run_server_node, NodeStats, RoundTrailer};
+use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
 use vuvuzela_core::observables::{ConversationObservables, DialingObservables};
 use vuvuzela_core::server::RoundKind;
-use vuvuzela_core::SystemConfig;
+use vuvuzela_core::{RoundBuffer, SystemConfig};
 use vuvuzela_crypto::onion::{self, LayerKey};
 use vuvuzela_crypto::sha256::{sha256, Sha256};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
@@ -41,7 +39,7 @@ use vuvuzela_sim::transcript::{hex, Transcript};
 use vuvuzela_wire::conversation::ExchangeRequest;
 use vuvuzela_wire::deaddrop::DeadDropId;
 use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
-use vuvuzela_wire::{BatchFrame, Frame, RoundId, RoundType, SEALED_MESSAGE_LEN};
+use vuvuzela_wire::SEALED_MESSAGE_LEN;
 
 /// Default for [`DeploymentConfig::connect_timeout_ms`]: deployment
 /// processes start in arbitrary order, so peers retry refused
@@ -429,70 +427,6 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
     transcript.render()
 }
 
-fn protocol(link: LinkId, reason: String) -> Error {
-    Error::Protocol { link, reason }
-}
-
-/// One in-flight round on the client side: what was fed in, kept until
-/// its backward frame is collected.
-struct InFlightRound {
-    round: u64,
-    data: ClientRound,
-    num_drops: u32,
-}
-
-/// Receives the backward frame of the *oldest* in-flight round —
-/// backward frames return in admission order, so anything else is a
-/// protocol violation — and appends its transcript lines.
-fn collect_reply(
-    entry: &dyn Transport,
-    pending: &mut VecDeque<InFlightRound>,
-    window: &mut AdmissionWindow,
-    transcript: &mut Transcript,
-) -> Result<(), Error> {
-    let link = entry.link_id();
-    let InFlightRound {
-        round,
-        data,
-        num_drops,
-    } = pending.pop_front().expect("collect with a round in flight");
-    let back = match entry.recv()? {
-        Frame::Batch(back) if back.backward && back.round.0 == round => back,
-        other => {
-            return Err(protocol(
-                link,
-                format!("expected the backward frame of round {round}, got {other:?}"),
-            ))
-        }
-    };
-    let trailer = RoundTrailer::decode(&back.trailer)
-        .map_err(|reason| protocol(link, format!("round {round}: {reason}")))?;
-    match (back.round_type, trailer) {
-        (RoundType::Conversation, RoundTrailer::Conversation(obs)) => {
-            let stride = back.stride as usize;
-            let replies: Vec<Vec<u8>> = back
-                .payload
-                .chunks(stride.max(1))
-                .map(|chunk| chunk[..back.width as usize].to_vec())
-                .collect();
-            transcribe_conversation(transcript, round, &data, &replies, obs);
-        }
-        (RoundType::Dialing, RoundTrailer::Dialing(obs)) => {
-            transcribe_dialing(transcript, round, &data, num_drops, &obs);
-        }
-        (round_type, _) => {
-            return Err(protocol(
-                link,
-                format!("round {round}: trailer does not match round type {round_type:?}"),
-            ))
-        }
-    }
-    window
-        .complete(round)
-        .expect("collected round was admitted");
-    Ok(())
-}
-
 /// Replays the schedule against a live entry over any [`Transport`]
 /// (the TCP client bin, or in-memory endpoints in tests) and builds the
 /// client-side transcript.
@@ -500,7 +434,8 @@ fn collect_reply(
 /// `depth` is the admission-window size in weighted slots (clamped to
 /// `1..=chain_len`, the entry's own window): with `depth == 1` rounds
 /// run strictly sequentially; deeper windows keep several rounds in
-/// flight, priced by [`admission_weights`] so heavyweight rounds
+/// flight, fed by [`feed_window`] — the feeder the in-process
+/// [`vuvuzela_core::StreamingChain`] uses too — so heavyweight rounds
 /// consume more of the window. Backward frames return in admission
 /// order and rounds are transcribed as they are collected, so the
 /// transcript is byte-identical at every depth.
@@ -508,7 +443,7 @@ fn collect_reply(
 /// # Errors
 ///
 /// Transport failures, or [`Error::Protocol`] when the chain answers
-/// out of protocol (wrong round, malformed trailer, bad geometry).
+/// out of protocol (wrong round, malformed trailer).
 pub fn run_client(
     cfg: &DeploymentConfig,
     entry: &dyn Transport,
@@ -516,65 +451,51 @@ pub fn run_client(
 ) -> Result<String, Error> {
     let depth = depth.clamp(1, cfg.system.chain_len.max(1));
     let pks = cfg.server_public_keys();
-    let link = entry.link_id();
     let mut transcript = transcript_header(cfg);
-    let round_shapes: Vec<(RoundKind, usize)> = cfg
+    let schedule: Vec<(u64, RoundKind, usize)> = cfg
         .schedule
         .iter()
-        .map(|sched| match *sched {
-            ScheduleEntry::Conversation { pairs, singles } => {
-                (RoundKind::Conversation, (2 * pairs + singles) as usize)
-            }
-            ScheduleEntry::Dialing { dials, drops } => {
-                (RoundKind::Dialing { num_drops: drops }, dials as usize)
-            }
+        .zip(0u64..)
+        .map(|(sched, round)| match *sched {
+            ScheduleEntry::Conversation { pairs, singles } => (
+                round,
+                RoundKind::Conversation,
+                (2 * pairs + singles) as usize,
+            ),
+            ScheduleEntry::Dialing { dials, drops } => (
+                round,
+                RoundKind::Dialing { num_drops: drops },
+                dials as usize,
+            ),
         })
         .collect();
-    let weights = admission_weights(&cfg.system, depth, &round_shapes);
-    let mut window = AdmissionWindow::new(depth);
-    let mut pending: VecDeque<InFlightRound> = VecDeque::new();
-
-    for (index, sched) in cfg.schedule.iter().enumerate() {
-        let round = index as u64;
-        let weight = weights[index];
-        while window.would_block(weight) {
-            collect_reply(entry, &mut pending, &mut window, &mut transcript)?;
-        }
-        let data = build_client_round(cfg, &pks, round);
-        let (round_type, num_drops, kind) = match *sched {
-            ScheduleEntry::Conversation { .. } => {
-                (RoundType::Conversation, 0, RoundKind::Conversation)
+    feed_window(
+        &cfg.system,
+        entry,
+        depth,
+        &schedule,
+        |index| {
+            let (round, kind, _) = schedule[index];
+            let data = build_client_round(cfg, &pks, round);
+            let width = onion::wrapped_len(kind.payload_len(), cfg.system.chain_len);
+            let (buf, _) = RoundBuffer::from_vecs(&data.onions, width, width);
+            (buf, (kind.num_drops(), data))
+        },
+        |(num_drops, data), back, trailer| match trailer {
+            RoundTrailer::Conversation(obs) => {
+                let stride = back.stride as usize;
+                let replies: Vec<Vec<u8>> = back
+                    .payload
+                    .chunks(stride.max(1))
+                    .map(|chunk| chunk[..back.width as usize].to_vec())
+                    .collect();
+                transcribe_conversation(&mut transcript, back.round.0, &data, &replies, obs);
             }
-            ScheduleEntry::Dialing { drops, .. } => (
-                RoundType::Dialing,
-                drops,
-                RoundKind::Dialing { num_drops: drops },
-            ),
-        };
-        let width = onion::wrapped_len(kind.payload_len(), cfg.system.chain_len);
-        entry.send(Frame::Batch(BatchFrame {
-            link,
-            round: RoundId(round),
-            round_type,
-            num_drops,
-            backward: false,
-            stride: width as u32,
-            width: width as u32,
-            count: data.onions.len() as u32,
-            payload: data.onions.concat(),
-            trailer: Vec::new(),
-        }))?;
-        window.admit(round, weight);
-        pending.push_back(InFlightRound {
-            round,
-            data,
-            num_drops,
-        });
-    }
-    while !pending.is_empty() {
-        collect_reply(entry, &mut pending, &mut window, &mut transcript)?;
-    }
-    entry.send(Frame::Bye)?;
+            RoundTrailer::Dialing(obs) => {
+                transcribe_dialing(&mut transcript, back.round.0, &data, num_drops, &obs);
+            }
+        },
+    )?;
     transcript.push(format!("end rounds {}", cfg.schedule.len()));
     Ok(transcript.render())
 }
@@ -608,13 +529,20 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
     };
     let upstream: Arc<dyn Transport> =
         Arc::new(TcpTransport::accept(&listener, upstream_link, digest)?);
-    let server = build_server(&cfg.system, cfg.seed, position);
-    run_server_node(server, &cfg.system, cfg.seed, upstream, downstream)
+    let mut server = build_server(&cfg.system, cfg.seed, position);
+    run_server_node(
+        &mut server,
+        &cfg.system,
+        cfg.seed,
+        upstream,
+        downstream,
+        &mut |_, _, _| {},
+    )
 }
 
 /// Runs the entry over TCP: bind the client listener, connect to
 /// server 0, accept the client driver, relay rounds until its
-/// [`Frame::Bye`].
+/// [`vuvuzela_wire::Frame::Bye`].
 ///
 /// # Errors
 ///

@@ -1,4 +1,7 @@
-//! Property tests for the `transmit_buf` tap-resize path.
+//! Property tests for the tap-resize path, under both drivers of the
+//! round engine: the sequential [`Chain`] (arenas cross links through
+//! `transmit_buf`) and [`StreamingChain`] (the node loops; frames cross
+//! in-memory links through `batch_through_link`).
 //!
 //! Adversary taps receive in-flight batches by mutable reference and may
 //! truncate entries, extend them, or inject new ones ("monitor, block,
@@ -9,15 +12,17 @@
 //! and fails the peel), and the count of such entries is surfaced on
 //! [`Chain::tap_resized`]. These tests pin down that contract: alignment
 //! survives arbitrary resizing, every resized entry is counted, every
-//! zero-filled slot is replaced by substitute noise downstream, and the
-//! round still completes with one uniform reply per client.
+//! zero-filled slot is replaced by substitute noise downstream, the
+//! round still completes with one uniform reply per client — and the
+//! streaming driver yields the same replies, count and replacements as
+//! the sequential one for every generated op list.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use vuvuzela::core::{Chain, RoundBuffer, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::link::Direction;
@@ -105,6 +110,54 @@ impl Tap for ResizeTap {
     }
 }
 
+/// What one tapped round leaves behind, whichever driver ran it.
+#[derive(Debug, PartialEq)]
+struct Tapped {
+    replies: Vec<Vec<u8>>,
+    /// Entry sizes as the tap left them.
+    sizes_after: Vec<usize>,
+    tap_resized: u64,
+    /// Slots server 1 replaced with substitute noise.
+    malformed_replaced: u64,
+}
+
+/// Runs one conversation round through a two-server chain with `ops`
+/// applied to the first `direction` batch crossing links[1] (server 0 →
+/// server 1), on the sequential chain or the streaming one.
+fn tapped_round(
+    streaming: bool,
+    seed: u64,
+    round: u64,
+    batch: Vec<Vec<u8>>,
+    ops: &[ResizeOp],
+    direction: Direction,
+) -> Tapped {
+    let tap = Arc::new(Mutex::new(ResizeTap {
+        ops: ops.to_vec(),
+        direction,
+        sizes_after: None,
+    }));
+    let left_behind = |replies: Vec<Vec<u8>>, chain: &Chain| Tapped {
+        replies,
+        sizes_after: tap.lock().sizes_after.clone().expect("tap ran"),
+        tap_resized: chain.tap_resized(),
+        malformed_replaced: chain.server(1).malformed_replaced,
+    };
+    if streaming {
+        let mut chain = StreamingChain::new(config(2, 2.0), seed);
+        chain.chain_mut().link_mut(1).attach_tap(tap.clone());
+        let (replies, _) = chain
+            .run_conversation_rounds(vec![(round, batch)])
+            .remove(0);
+        left_behind(replies, chain.chain())
+    } else {
+        let mut chain = Chain::new(config(2, 2.0), seed);
+        chain.link_mut(1).attach_tap(tap.clone());
+        let (replies, _) = chain.run_conversation_round(round, batch);
+        left_behind(replies, &chain)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -118,8 +171,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let chain_len = 2;
-        let mut chain = Chain::new(config(chain_len, 2.0), seed);
-        let pks = chain.server_public_keys();
+        let pks = Chain::new(config(chain_len, 2.0), seed).server_public_keys();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7A9);
 
         let batch: Vec<Vec<u8>> = (0..clients)
@@ -133,31 +185,28 @@ proptest! {
         // already peeled.
         let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len - 1);
 
-        let tap = Arc::new(Mutex::new(ResizeTap {
-            ops: ops.clone(),
-            direction: Direction::Forward,
-            sizes_after: None,
-        }));
-        chain.link_mut(1).attach_tap(tap.clone());
-
-        let (replies, _) = chain.run_conversation_round(0, batch);
+        let ran = tapped_round(false, seed, 0, batch.clone(), &ops, Direction::Forward);
 
         // Alignment: one uniform-size reply per client, no matter what
         // the tap did mid-chain.
-        prop_assert_eq!(replies.len(), clients);
-        let sizes: std::collections::HashSet<usize> = replies.iter().map(Vec::len).collect();
+        prop_assert_eq!(ran.replies.len(), clients);
+        let sizes: std::collections::HashSet<usize> = ran.replies.iter().map(Vec::len).collect();
         prop_assert!(sizes.len() <= 1, "non-uniform replies: {:?}", sizes);
 
         // The surfaced count equals the number of entries whose post-tap
         // size cannot be a valid onion at this hop.
-        let sizes_after = tap.lock().sizes_after.clone().expect("tap ran");
-        let expected_resized = sizes_after.iter().filter(|&&len| len != width).count() as u64;
-        prop_assert_eq!(chain.tap_resized(), expected_resized, "sizes {:?}", sizes_after);
+        let expected_resized = ran.sizes_after.iter().filter(|&&len| len != width).count() as u64;
+        prop_assert_eq!(ran.tap_resized, expected_resized, "sizes {:?}", &ran.sizes_after);
 
         // Every zero-filled slot fails authentication downstream and is
         // replaced by substitute noise (well-sized injections fail too,
         // so the replacement count is at least the resized count).
-        prop_assert!(chain.server(1).malformed_replaced >= expected_resized);
+        prop_assert!(ran.malformed_replaced >= expected_resized);
+
+        // The node loops over an in-memory link: same rebuilt slots —
+        // hence the same replacements and replies — and the same count.
+        let streamed = tapped_round(true, seed, 0, batch, &ops, Direction::Forward);
+        prop_assert_eq!(streamed, ran);
     }
 
     /// Backward-path resizing: reply batches whose shape changed make
@@ -169,9 +218,7 @@ proptest! {
         ops in proptest::collection::vec(resize_op(), 1..5),
         seed in any::<u64>(),
     ) {
-        let chain_len = 2;
-        let mut chain = Chain::new(config(chain_len, 2.0), seed);
-        let pks = chain.server_public_keys();
+        let pks = Chain::new(config(2, 2.0), seed).server_public_keys();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB4C);
 
         let batch: Vec<Vec<u8>> = (0..clients)
@@ -181,25 +228,20 @@ proptest! {
             })
             .collect();
 
-        let tap = Arc::new(Mutex::new(ResizeTap {
-            ops,
-            direction: Direction::Backward,
-            sizes_after: None,
-        }));
-        chain.link_mut(1).attach_tap(tap.clone());
-
-        let (replies, _) = chain.run_conversation_round(1, batch);
-        prop_assert_eq!(replies.len(), clients);
-        let sizes: std::collections::HashSet<usize> = replies.iter().map(Vec::len).collect();
+        let ran = tapped_round(false, seed, 1, batch.clone(), &ops, Direction::Backward);
+        prop_assert_eq!(ran.replies.len(), clients);
+        let sizes: std::collections::HashSet<usize> = ran.replies.iter().map(Vec::len).collect();
         prop_assert!(sizes.len() <= 1, "non-uniform replies: {:?}", sizes);
 
         // Whatever the tap resized was counted (entries it left at the
         // correct reply width are not).
-        let sizes_after = tap.lock().sizes_after.clone().expect("tap ran");
         let reply_width = vuvuzela::wire::EXCHANGE_RESPONSE_LEN + onion::REPLY_LAYER_OVERHEAD;
         let expected_resized =
-            sizes_after.iter().filter(|&&len| len != reply_width).count() as u64;
-        prop_assert_eq!(chain.tap_resized(), expected_resized);
+            ran.sizes_after.iter().filter(|&&len| len != reply_width).count() as u64;
+        prop_assert_eq!(ran.tap_resized, expected_resized);
+
+        let streamed = tapped_round(true, seed, 1, batch, &ops, Direction::Backward);
+        prop_assert_eq!(streamed, ran);
     }
 }
 

@@ -74,11 +74,12 @@ fn run_memory(cfg: &DeploymentConfig, depth: usize) -> String {
         } else {
             None
         };
-        let server = build_server(&cfg.system, cfg.seed, position);
+        let mut server = build_server(&cfg.system, cfg.seed, position);
         let system = cfg.system.clone();
         let seed = cfg.seed;
         handles.push(std::thread::spawn(move || {
-            run_server_node(server, &system, seed, up, down).expect("server node");
+            run_server_node(&mut server, &system, seed, up, down, &mut |_, _, _| {})
+                .expect("server node");
         }));
     }
 
