@@ -7,12 +7,14 @@
 //! (§8.2), which makes end-to-end latency the sum of per-hop processing.
 //! [`crate::pipeline::StreamingChain`] lifts exactly that restriction
 //! for *throughput* (hops overlap across in-flight rounds) while
-//! producing byte-identical per-round results; the synchronous chain
-//! stays as the reference path it is verified against. Both run the one
-//! round recipe in [`crate::engine::RoundEngine`]: [`Chain::run_round`]
-//! calls each hop's engine in turn; the streaming chain lends the same
-//! servers and links to one [`crate::node::run_server_node`] loop per
-//! hop — the loop a deployment's server processes run.
+//! producing byte-identical per-round results. Both run the one hop
+//! protocol of [`crate::node`]: the streaming chain lends the servers and
+//! links to one [`crate::node::run_server_node`] loop per hop — the loop
+//! a deployment's server processes run — and [`Chain::run_round`] is the
+//! window-1 schedule of that loop's frame handler, carrying the round's
+//! one frame from hop to hop on the calling thread. Either way a batch
+//! crosses a link through [`batch_through_link`], and a finished round
+//! is completed by one `Collector`.
 //!
 //! All of a round's harness-level randomness (noise substitutes for
 //! undecodable exchange payloads, the dead-drop store's coin flips) is
@@ -21,64 +23,22 @@
 
 use crate::config::SystemConfig;
 use crate::deaddrops::InvitationDrops;
-use crate::engine::{EngineStep, RoundEngine};
+use crate::node::{buf_from_frame, frame_from_buf, RoundTrailer, ServerNode, Side};
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::link::{Direction, Link};
+use vuvuzela_net::transport::batch_through_link;
 use vuvuzela_net::LinkId;
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
-
-/// Moves a flat round buffer across a link: meters it, and only pays the
-/// per-message conversion when an adversary tap is actually attached
-/// (taps see and mutate `Vec<Vec<u8>>` batches, as the threat model's
-/// "monitor, block, delay, or inject" interface always has).
-///
-/// Returns the buffer that arrives at the far end. Entries the tap
-/// resized can no longer be valid onions, so the rebuild zero-fills
-/// their slots (downstream peeling replaces them with noise) and their
-/// count goes to the link ([`Link::tap_resized`]) — what
-/// [`vuvuzela_net::transport::batch_through_link`] does to a frame on
-/// the transport path, for an arena.
-pub(crate) fn transmit_buf(
-    link: &Link,
-    round: u64,
-    direction: Direction,
-    buf: RoundBuffer,
-) -> RoundBuffer {
-    let (buf, resized) = through_tap(link, round, direction, buf);
-    link.add_tap_resized(resized);
-    buf
-}
-
-/// [`transmit_buf`] short of the count: what arrives, and how many
-/// entries the tap resized.
-fn through_tap(
-    link: &Link,
-    round: u64,
-    direction: Direction,
-    buf: RoundBuffer,
-) -> (RoundBuffer, u64) {
-    link.record(
-        round,
-        direction,
-        buf.len() as u64,
-        (buf.len() * buf.width()) as u64,
-    );
-    if !link.has_tap() {
-        return (buf, 0);
-    }
-    let mut batch = buf.to_vecs();
-    link.tap_intercept(round, direction, &mut batch);
-    let (rebuilt, mismatched) = RoundBuffer::from_vecs(&batch, buf.stride(), buf.width());
-    (rebuilt, mismatched.len() as u64)
-}
+use vuvuzela_wire::{BatchFrame, Frame};
 
 /// The client batch feeding one round, in either of the two shapes the
 /// entry accepts: per-message vectors (individual clients, adversary
@@ -128,10 +88,10 @@ impl From<RoundBuffer> for Batch {
 /// clients→entry link, runs any attached tap, and produces the flat
 /// forward arena at the round's full onion width. Per-message batches
 /// pay the `Vec<Vec<u8>>` boundary exactly as before; flat cohort
-/// batches only pay it when a tap is actually attached. On this leg a
-/// size-mismatch count is dropped in both shapes: entry sizes are
-/// client-controlled, so a mismatch cannot be attributed to a tap (see
-/// [`Chain::tap_resized`]).
+/// batches cross as a frame ([`batch_through_link`]), so they only pay
+/// it when a tap is actually attached. On this leg a size-mismatch count
+/// is dropped in both shapes: entry sizes are client-controlled, so a
+/// mismatch cannot be attributed to a tap (see [`Chain::tap_resized`]).
 ///
 /// # Panics
 ///
@@ -157,7 +117,9 @@ pub(crate) fn admit_batch(
                 width,
                 "flat batch width must equal the round's onion width"
             );
-            through_tap(client_link, round, Direction::Forward, buf).0
+            let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
+            let _uncounted = batch_through_link(client_link, &mut frame);
+            buf_from_frame(frame)
         }
     }
 }
@@ -282,6 +244,93 @@ pub struct RoundTiming {
     pub total: Duration,
 }
 
+/// What a chain keeps of the rounds it completed: everything a
+/// compromised tail observed, and the most recent dialing round's drops.
+#[derive(Default)]
+pub(crate) struct RoundLog {
+    conversation: Vec<(u64, ConversationObservables)>,
+    dialing: Vec<(u64, DialingObservables)>,
+    /// Downloadable by clients ([`Chain::download_drop`]).
+    invitation_drops: Option<(u64, InvitationDrops)>,
+}
+
+/// The feeder's side of a schedule, whichever driver runs it: gathers
+/// what the hops report ([`crate::node::HopObserver`]) and completes each
+/// round whose backward frame comes home.
+pub(crate) struct Collector<'a> {
+    client_link: &'a Link,
+    log: &'a mut RoundLog,
+    /// Per round in flight, the timing pieces its hops reported so far.
+    /// A hop reports a pass before the pass's frame leaves it, so a
+    /// round's pieces are all in when its backward frame arrives.
+    timings: HashMap<u64, RoundTiming>,
+    /// The schedule's last dialing round's drops, kept by
+    /// [`Collector::finish`] (the chain's overwrite semantics).
+    last_drops: Option<(u64, InvitationDrops)>,
+}
+
+impl<'a> Collector<'a> {
+    pub(crate) fn new(client_link: &'a Link, log: &'a mut RoundLog) -> Collector<'a> {
+        Collector {
+            client_link,
+            log,
+            timings: HashMap::new(),
+            last_drops: None,
+        }
+    }
+
+    /// Takes what one hop reported after one pass.
+    pub(crate) fn observe(
+        &mut self,
+        round: u64,
+        piece: RoundTiming,
+        drops: Option<InvitationDrops>,
+    ) {
+        let timing = self.timings.entry(round).or_default();
+        timing.forward.extend(piece.forward);
+        timing.exchange += piece.exchange;
+        timing.backward.extend(piece.backward);
+        if let Some(drops) = drops {
+            self.last_drops = Some((round, drops));
+        }
+    }
+
+    /// Completes the round `back` answers, fed at `fed`: logs the tail's
+    /// observables, carries a conversation round's replies over the
+    /// clients link, and assembles its [`RoundTiming`].
+    pub(crate) fn complete(
+        &mut self,
+        mut back: BatchFrame,
+        trailer: RoundTrailer,
+        fed: Instant,
+    ) -> RoundOutcome {
+        let round = back.round.0;
+        let mut timing = self.timings.remove(&round).unwrap_or_default();
+        match trailer {
+            RoundTrailer::Conversation(observables) => {
+                self.log.conversation.push((round, observables));
+                let resized = batch_through_link(self.client_link, &mut back);
+                self.client_link.add_tap_resized(resized);
+                timing.total = fed.elapsed();
+                let replies = buf_from_frame(back).to_vecs();
+                RoundOutcome::Conversation { replies, timing }
+            }
+            RoundTrailer::Dialing(observables) => {
+                self.log.dialing.push((round, observables));
+                timing.total = fed.elapsed();
+                RoundOutcome::Dialing { timing }
+            }
+        }
+    }
+
+    /// Ends a schedule every round of which completed.
+    pub(crate) fn finish(self) {
+        if self.last_drops.is_some() {
+            self.log.invitation_drops = self.last_drops;
+        }
+    }
+}
+
 /// A full deployment: entry link, server chain, dead-drop stores, meters.
 ///
 /// Fields are `pub(crate)` so [`crate::pipeline::StreamingChain`] can
@@ -301,10 +350,7 @@ pub struct Chain {
     pub(crate) cdn_link: Link,
     /// Base seed for the chain-level per-round RNG.
     pub(crate) seed: u64,
-    pub(crate) conversation_log: Vec<(u64, ConversationObservables)>,
-    pub(crate) dialing_log: Vec<(u64, DialingObservables)>,
-    /// The most recent dialing round's drops, downloadable by clients.
-    pub(crate) invitation_drops: Option<(u64, InvitationDrops)>,
+    pub(crate) log: RoundLog,
 }
 
 impl Chain {
@@ -313,7 +359,7 @@ impl Chain {
     #[must_use]
     pub fn new(config: SystemConfig, seed: u64) -> Chain {
         config.validate();
-        let servers = build_servers(&config, seed);
+        let servers = servers_from(&config, seed, 0).collect();
         let links = (0..config.chain_len)
             .map(|i| Link::new(LinkId::Hop(i as u32)))
             .collect();
@@ -325,9 +371,7 @@ impl Chain {
             client_link: Link::new(LinkId::Clients),
             cdn_link: Link::new(LinkId::Cdn),
             seed,
-            conversation_log: Vec::new(),
-            dialing_log: Vec::new(),
-            invitation_drops: None,
+            log: RoundLog::default(),
         }
     }
 
@@ -378,72 +422,79 @@ impl Chain {
         }
     }
 
-    /// Runs one round of a (possibly mixed) schedule start to finish —
-    /// the strictly sequential driver over each hop's [`RoundEngine`],
-    /// and the reference the streaming scheduler's interleaved execution
-    /// is verified against, round descriptor by round descriptor.
+    /// Runs one round of a (possibly mixed) schedule start to finish: the
+    /// hop loop's window-1 schedule on the calling thread — one fresh
+    /// `ServerNode` per hop, the round's one frame carried across the
+    /// chain's links from handler to handler until hop 0 answers
+    /// upstream. No thread, transport or demux is involved.
     ///
-    /// The round runs end-to-end on a flat [`RoundBuffer`] arena; the
-    /// per-message vectors exist only at the client boundary. There,
-    /// per-message batches stay vectors through the entry, so a tap on
-    /// the client link observes clients' raw bytes (including any
-    /// malformed sizes) and the meter counts true lengths; cohort
-    /// batches arrive flat and stay flat.
+    /// Per-message batches stay vectors through the entry, so a tap on
+    /// the client link observes clients' raw bytes (including malformed
+    /// sizes) and the meter counts true lengths; past it the round runs
+    /// on a flat [`RoundBuffer`] arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a hop refuses the round's frame — a dialing round with
+    /// no drops; an adversary tap cannot provoke it.
     pub fn run_round(&mut self, spec: RoundSpec) -> RoundOutcome {
-        let start = Instant::now();
-        let mut timing = RoundTiming::default();
+        let fed = Instant::now();
         let (round, kind, batch) = spec.into_parts();
-        let mut buf = admit_batch(&self.client_link, round, kind, self.config.chain_len, batch);
+        let Chain {
+            config,
+            servers,
+            links,
+            client_link,
+            seed,
+            log,
+            ..
+        } = self;
+        let buf = admit_batch(client_link, round, kind, config.chain_len, batch);
+        let mut frame = frame_from_buf(links[0].id(), round, kind, false, buf, Vec::new());
+        let mut nodes: Vec<ServerNode> = servers
+            .iter_mut()
+            .enumerate()
+            .map(|(hop, server)| {
+                let down = links.get(hop + 1).map(Link::id);
+                ServerNode::new(server, config, *seed, links[hop].id(), down)
+            })
+            .collect();
+        let mut collector = Collector::new(client_link, log);
 
-        // Forward down the chain until the tail turns a conversation
-        // round around or completes a dialing round.
-        let mut turned = None;
-        for (server, link) in self.servers.iter_mut().zip(&self.links) {
-            let arrived = transmit_buf(link, round, Direction::Forward, buf);
-            let mut engine = RoundEngine::new(server, &self.config, self.seed);
-            match engine.forward(round, kind, arrived, &mut timing) {
-                EngineStep::Forward { buf: next, .. } => buf = next,
-                EngineStep::Turnaround {
-                    replies,
-                    observables,
-                    ..
-                } => {
-                    self.conversation_log.push((round, observables));
-                    turned = Some(transmit_buf(link, round, Direction::Backward, replies));
-                    break;
-                }
-                EngineStep::DialingComplete { drops, .. } => {
-                    self.dialing_log.push((round, drops.observables()));
-                    self.invitation_drops = Some((round, drops));
-                    break;
-                }
-            }
+        // The frame crosses `links[on]`: forward into hop `on`, backward
+        // out of it — home once it leaves hop 0.
+        let mut on = 0;
+        loop {
+            links[on].add_tap_resized(batch_through_link(&links[on], &mut frame));
+            let (hop, from) = match (frame.backward, on) {
+                (false, _) => (on, Side::Upstream),
+                (true, 0) => break,
+                (true, _) => (on - 1, Side::Downstream),
+            };
+            let mut observe = |round, piece, drops| collector.observe(round, piece, drops);
+            let answer = nodes[hop]
+                .on_frame(from, Frame::Batch(frame), &mut observe)
+                .unwrap_or_else(|err| panic!("round {round} aborted: {err}"));
+            let (to, Frame::Batch(next), _) = answer else {
+                unreachable!("a batch is answered with a batch")
+            };
+            on = match to {
+                Side::Upstream => hop,
+                Side::Downstream => hop + 1,
+            };
+            frame = next;
         }
-
-        // Backward through the hops before the tail (step 4; the tail's
-        // own pass ran in its turnaround), then entry → clients.
-        let replies = turned.map(|mut replies| {
-            let before_tail = self.servers.len() - 1;
-            let hops = self.servers[..before_tail].iter_mut();
-            for (server, link) in hops.zip(&self.links[..before_tail]).rev() {
-                let mut engine = RoundEngine::new(server, &self.config, self.seed);
-                replies = engine.backward(round, replies, &mut timing);
-                replies = transmit_buf(link, round, Direction::Backward, replies);
-            }
-            transmit_buf(&self.client_link, round, Direction::Backward, replies).to_vecs()
-        });
-        timing.total = start.elapsed();
-        match replies {
-            Some(replies) => RoundOutcome::Conversation { replies, timing },
-            None => RoundOutcome::Dialing { timing },
-        }
+        let trailer = RoundTrailer::decode(&frame.trailer).expect("the tail's own trailer");
+        let outcome = collector.complete(frame, trailer, fed);
+        collector.finish();
+        outcome
     }
 
     /// Downloads one invitation drop from the most recent dialing round,
     /// metering the transfer on the CDN link (§5.5). Returns `None` if no
     /// dialing round has completed or the index is invalid.
     pub fn download_drop(&mut self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
-        let (round, drops) = self.invitation_drops.as_ref()?;
+        let (round, drops) = self.log.invitation_drops.as_ref()?;
         let contents = drops.download(index)?.to_vec();
         let batch: Vec<Vec<u8>> = contents.iter().map(|inv| inv.0.clone()).collect();
         let _ = self.cdn_link.transmit(*round, Direction::Backward, batch);
@@ -453,20 +504,23 @@ impl Chain {
     /// Number of real drops in the most recent dialing round.
     #[must_use]
     pub fn current_num_drops(&self) -> Option<u32> {
-        self.invitation_drops.as_ref().map(|(_, d)| d.num_drops())
+        self.log
+            .invitation_drops
+            .as_ref()
+            .map(|(_, d)| d.num_drops())
     }
 
     /// Everything a compromised last server would have recorded about
     /// conversation rounds: per-round (m1, m2) histograms.
     #[must_use]
     pub fn conversation_observables(&self) -> &[(u64, ConversationObservables)] {
-        &self.conversation_log
+        &self.log.conversation
     }
 
     /// Per-round dialing observables (per-drop invitation counts).
     #[must_use]
     pub fn dialing_observables(&self) -> &[(u64, DialingObservables)] {
-        &self.dialing_log
+        &self.log.dialing
     }
 
     /// Mutable access to an inter-server link (0 = entry→server 0) for
@@ -565,20 +619,34 @@ pub fn server_keypairs(chain_len: usize, seed: u64) -> Vec<Keypair> {
 /// chain, streaming pipeline, transport-backed node).
 #[must_use]
 pub fn build_server(config: &SystemConfig, seed: u64, position: usize) -> MixServer {
+    servers_from(config, seed, position)
+        .next()
+        .expect("position in range")
+}
+
+/// The chain's servers from `first` on: the one recipe behind
+/// [`build_server`] and [`Chain::new`], keypairs derived once.
+fn servers_from(
+    config: &SystemConfig,
+    seed: u64,
+    first: usize,
+) -> impl Iterator<Item = MixServer> + '_ {
     let keypairs = server_keypairs(config.chain_len, seed);
     let publics: Vec<PublicKey> = keypairs.iter().map(|kp| kp.public).collect();
-    let keypair = keypairs
+    keypairs
         .into_iter()
-        .nth(position)
-        .expect("position in range");
-    MixServer::new(
-        position,
-        config.chain_len,
-        keypair,
-        publics[position + 1..].to_vec(),
-        config.clone(),
-        seed.wrapping_add(1 + position as u64),
-    )
+        .enumerate()
+        .skip(first)
+        .map(move |(position, keypair)| {
+            MixServer::new(
+                position,
+                config.chain_len,
+                keypair,
+                publics[position + 1..].to_vec(),
+                config.clone(),
+                seed.wrapping_add(1 + position as u64),
+            )
+        })
 }
 
 /// Replays the round RNG of the server at `position` in a chain seeded
@@ -591,26 +659,6 @@ pub fn build_server(config: &SystemConfig, seed: u64, position: usize) -> MixSer
 #[must_use]
 pub fn server_round_rng(seed: u64, position: usize, round: u64) -> StdRng {
     crate::server::round_rng(seed.wrapping_add(1 + position as u64), round)
-}
-
-/// All of a chain's servers (the in-process deployments).
-fn build_servers(config: &SystemConfig, seed: u64) -> Vec<MixServer> {
-    let keypairs = server_keypairs(config.chain_len, seed);
-    let publics: Vec<PublicKey> = keypairs.iter().map(|kp| kp.public).collect();
-    keypairs
-        .into_iter()
-        .enumerate()
-        .map(|(i, kp)| {
-            MixServer::new(
-                i,
-                config.chain_len,
-                kp,
-                publics[i + 1..].to_vec(),
-                config.clone(),
-                seed.wrapping_add(1 + i as u64),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,27 +1,28 @@
 //! The shared per-server **round engine**: one implementation of the
-//! round state machine, two drivers.
+//! round state machine, one driver.
 //!
 //! What a server does with a round — peel/noise/shuffle on the forward
 //! leg, the tail's dead-drop exchange or invitation deposit, the
 //! backward pass on conversation replies — is written once, here, and
-//! driven from exactly two places (the engine is constructed nowhere
-//! else; CI checks it): [`crate::chain::Chain::run_round`], the
-//! sequential oracle every equivalence suite compares against, and
-//! [`crate::node::run_server_node`], the hop loop — a `vuvuzela-server`
-//! process over TCP, or one scoped thread per hop of the in-process
-//! [`crate::pipeline::StreamingChain`] over in-memory links.
+//! driven from exactly one place (the engine is constructed nowhere
+//! else; CI checks it): the hop protocol of [`crate::node`], whose frame
+//! handler every runtime runs — a `vuvuzela-server` process over TCP,
+//! one scoped thread per hop of the in-process
+//! [`crate::pipeline::StreamingChain`] over in-memory links, and the
+//! sequential [`crate::chain::Chain::run_round`], its window-1 schedule
+//! on the calling thread.
 //!
 //! * [`RoundEngine`] wraps one [`MixServer`] (whose `rounds` table
 //!   already holds per-round state for any number of in-flight rounds
 //!   of both protocols) and turns each round-tagged input batch into
 //!   the *step* its driver must perform next — forward the batch, turn
 //!   a conversation round around, or complete a forward-only dialing
-//!   round. The engine is transport-agnostic: the chain hands a step's
-//!   batch to the next hop's engine, the hop loop frames it onto its
-//!   link. Because every source of round randomness is a pure function
-//!   of `(seed, round)` (see [`crate::pipeline`] module docs), the
-//!   drivers produce byte-identical rounds by construction — there is
-//!   no second copy of the recipe left to drift.
+//!   round. The engine is transport-agnostic: the hop protocol frames a
+//!   step's batch for the neighbour it is bound for. Because every
+//!   source of round randomness is a pure function of `(seed, round)`
+//!   (see [`crate::server`] module docs), every schedule produces
+//!   byte-identical rounds by construction — there is no second copy of
+//!   the recipe left to drift.
 //! * [`AdmissionWindow`] is the bounded in-flight window, measured in
 //!   weighted slots priced by [`admission_weights`]: the feeder
 //!   ([`crate::node::feed_window`]) *blocks* on a full window, the wire
@@ -91,8 +92,8 @@ pub enum EngineStep {
     },
 }
 
-/// One mix server's round state machine, shared by the sequential chain
-/// and the hop loop.
+/// One mix server's round state machine, driven by the hop protocol of
+/// [`crate::node`] in every runtime.
 ///
 /// The engine borrows the server for the duration of one schedule; the
 /// server's own `rounds` table is the per-round state store, so any
@@ -120,33 +121,11 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// Whether this server is the chain's tail (runs the exchange /
-    /// deposit instead of forwarding).
-    #[must_use]
-    pub fn is_tail(&self) -> bool {
-        self.server.is_last()
-    }
-
-    /// The onion width this server expects on its incoming forward leg
-    /// for a round of `kind` — protocol validation for wire inputs.
-    #[must_use]
-    pub fn incoming_width(&self, kind: RoundKind) -> usize {
-        self.server.incoming_width(kind)
-    }
-
-    /// The reply width this server expects on its incoming backward leg
-    /// — protocol validation for wire inputs, like
-    /// [`RoundEngine::incoming_width`].
-    #[must_use]
-    pub fn reply_width(&self) -> usize {
-        self.server.reply_width()
-    }
-
-    /// The least slot stride a reply arena arriving on that leg must
-    /// have (see [`MixServer::reply_stride`]).
-    #[must_use]
-    pub fn reply_stride(&self) -> usize {
-        self.server.reply_stride()
+    /// The server the engine drives, for the geometry a hop holds its
+    /// peers' frames to ([`MixServer::incoming_width`],
+    /// [`MixServer::reply_width`], [`MixServer::reply_stride`]).
+    pub(crate) fn server(&self) -> &MixServer {
+        self.server
     }
 
     /// Runs the forward pass for one round-tagged batch and says what
@@ -164,7 +143,7 @@ impl<'a> RoundEngine<'a> {
         let clock = Instant::now();
         let buf = self.server.forward_buf(round, kind, buf);
         timing.forward.push(clock.elapsed());
-        if !self.is_tail() {
+        if !self.server.is_last() {
             if matches!(kind, RoundKind::Dialing { .. }) {
                 // Forward-only: this hop keeps no reply state.
                 self.server.abort_round(round);

@@ -16,7 +16,8 @@
 //!   requests into a round and demultiplexes the results.
 //! * [`chain`] — a whole deployment wired together with metered,
 //!   tappable links; runs conversation and dialing rounds end to end,
-//!   strictly sequentially (the reference scheduler).
+//!   strictly sequentially: the [`node`] hop protocol's window-1
+//!   schedule, every hop's frame handler on the calling thread.
 //! * [`pipeline`] — the streaming round scheduler: the same deployment
 //!   with a weighted window of rounds in flight, hops overlapped across
 //!   rounds, conversation and dialing rounds mixed in one pipeline,
@@ -24,12 +25,13 @@
 //!   scoped thread per server, over in-memory links.
 //! * [`engine`] — the shared per-server round engine: the one
 //!   implementation of the forward/turnaround/backward state machine
-//!   and the weighted admission window, driven by the sequential chain
-//!   and by the hop loop, nothing else.
-//! * [`node`] — the hop loop, the entry loop and the windowed feeder
-//!   behind the [`vuvuzela_net::Transport`] seam: what a deployment's
-//!   processes run over TCP and what [`pipeline`] runs in memory;
-//!   a node that stops hangs up on its neighbours.
+//!   and the weighted admission window, driven by the hop protocol and
+//!   nothing else.
+//! * [`node`] — the hop protocol (one frame handler per server), the
+//!   hop and entry loops and the windowed feeder behind the
+//!   [`vuvuzela_net::Transport`] seam: what a deployment's processes run
+//!   over TCP, what [`pipeline`] runs in memory and what [`chain`] runs
+//!   hop by hop; a node that stops hangs up on its neighbours.
 //! * [`client`] — the client state machine (Algorithm 1): real/fake
 //!   exchanges, message framing, retransmission, dialing and invitation
 //!   scanning.

@@ -6,10 +6,15 @@
 //! run over the framed TCP backend (the `vuvuzela-server` / `-entry` /
 //! `-client` bins, one OS process per node) and over in-memory
 //! endpoints — which is all [`crate::pipeline::StreamingChain`] is: the
-//! hop loops on scoped threads, fed by the calling thread. The round
-//! recipe itself lives in the shared [`crate::engine::RoundEngine`];
-//! this module only moves frames, holds its peers to the protocol, and
-//! tells its caller what each pass cost ([`HopObserver`]).
+//! hop loops on scoped threads, fed by the calling thread. A server's
+//! side of the protocol is one frame handler (`ServerNode::on_frame`):
+//! [`run_server_node`] pumps it from its links, and the sequential
+//! [`crate::chain::Chain::run_round`] carries a round's one frame
+//! through each hop's handler itself — the same checks, steps and
+//! trailers at window 1, with no thread or transport. The round recipe
+//! itself lives in the shared [`crate::engine::RoundEngine`]; this
+//! module only moves frames, holds its peers to the protocol, and tells
+//! its caller what each pass cost ([`HopObserver`]).
 //!
 //! ## Wire protocol
 //!
@@ -195,28 +200,33 @@ fn protocol(link: LinkId, reason: impl Into<String>) -> Error {
     }
 }
 
-fn round_kind(frame: &BatchFrame) -> RoundKind {
-    match frame.round_type {
-        RoundType::Conversation => RoundKind::Conversation,
-        RoundType::Dialing => RoundKind::Dialing {
-            num_drops: frame.num_drops,
-        },
+/// The round kind a forward frame arriving on `link` announces. A
+/// dialing round needs at least one real drop (§5.4's `m`); one with
+/// none is refused here, before it can reach the tail's deposit.
+fn round_kind(link: LinkId, frame: &BatchFrame) -> Result<RoundKind, Error> {
+    match (frame.round_type, frame.num_drops) {
+        (RoundType::Conversation, _) => Ok(RoundKind::Conversation),
+        (RoundType::Dialing, 0) => Err(protocol(
+            link,
+            format!("round {} is a dialing round with no drops", frame.round.0),
+        )),
+        (RoundType::Dialing, num_drops) => Ok(RoundKind::Dialing { num_drops }),
     }
 }
 
 /// Packs a round arena into a batch frame addressed to `link`,
 /// preserving the arena's exact `(stride, width, len)` geometry so the
 /// receiver reconstructs a byte-identical [`RoundBuffer`].
-fn frame_from_buf(
+pub(crate) fn frame_from_buf(
     link: LinkId,
     round: u64,
     kind: RoundKind,
     backward: bool,
     buf: RoundBuffer,
     trailer: Vec<u8>,
-) -> Frame {
+) -> BatchFrame {
     let (payload, stride, width, len) = buf.into_raw();
-    Frame::Batch(BatchFrame {
+    BatchFrame {
         link,
         round: RoundId(round),
         round_type: kind.round_type(),
@@ -227,7 +237,7 @@ fn frame_from_buf(
         count: len as u32,
         payload,
         trailer,
-    })
+    }
 }
 
 /// Reconstructs the round arena a peer packed into `frame`, zero-copy.
@@ -245,9 +255,9 @@ pub(crate) fn buf_from_frame(frame: BatchFrame) -> RoundBuffer {
     )
 }
 
-/// Which neighbour a demuxed frame arrived from.
+/// Which neighbour a frame arrived from or is bound for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Side {
+pub(crate) enum Side {
     /// The upstream neighbour (clients for the entry, the previous hop
     /// for a server).
     Upstream,
@@ -262,8 +272,215 @@ enum Side {
 /// none of it; the bins pass `&mut |_, _, _| {}`.
 pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) + 'a;
 
+/// One mix server's side of the round protocol, one frame at a time:
+/// every check, step and trailer a hop applies, and nothing that moves
+/// frames. [`run_server_node`] runs it on whatever its links deliver;
+/// [`crate::chain::Chain::run_round`] carries a round's one frame from
+/// hop to hop itself — the window-1 schedule, on the calling thread.
+pub(crate) struct ServerNode<'a> {
+    engine: RoundEngine<'a>,
+    up_link: LinkId,
+    /// `None` for the chain's tail.
+    down_link: Option<LinkId>,
+    stats: NodeStats,
+    forward_seq: RoundSequencer,
+    /// Rounds forwarded downstream whose backward frame is still out;
+    /// backward frames must return in exactly this order (see the wire
+    /// crate's sequencing rules), each of its round's own protocol.
+    pending: VecDeque<(u64, RoundType)>,
+    upstream_done: bool,
+}
+
+impl<'a> ServerNode<'a> {
+    /// A node for `server`, between the links `up_link` and `down_link`
+    /// (`None` for the tail). `seed` is the *chain* seed shared by the
+    /// whole deployment (see [`run_server_node`]).
+    pub(crate) fn new(
+        server: &'a mut MixServer,
+        config: &SystemConfig,
+        seed: u64,
+        up_link: LinkId,
+        down_link: Option<LinkId>,
+    ) -> ServerNode<'a> {
+        ServerNode {
+            engine: RoundEngine::new(server, config, seed),
+            up_link,
+            down_link,
+            stats: NodeStats::default(),
+            forward_seq: RoundSequencer::new(),
+            pending: VecDeque::new(),
+            upstream_done: false,
+        }
+    }
+
+    fn down_link(&self) -> LinkId {
+        self.down_link
+            .expect("only a hop with a downstream hears from it")
+    }
+
+    /// Handles one frame from `from`, telling `observer` what each pass
+    /// cost before its frame leaves. Every frame is answered with exactly
+    /// one: returns the side it goes to, the frame, and whether the `Bye`
+    /// handshake is done (the node is finished).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] / [`Error::Frame`] when the frame breaks the
+    /// round protocol (see [`run_server_node`]).
+    pub(crate) fn on_frame(
+        &mut self,
+        from: Side,
+        frame: Frame,
+        observer: &mut HopObserver<'_>,
+    ) -> Result<(Side, Frame, bool), Error> {
+        let up_link = self.up_link;
+        let (to, answer) = match (from, frame) {
+            (Side::Upstream, Frame::Batch(frame)) => {
+                if frame.backward {
+                    return Err(protocol(up_link, "backward frame on the forward leg"));
+                }
+                self.forward_seq
+                    .observe(frame.round)
+                    .map_err(|source| Error::Frame {
+                        link: up_link,
+                        source,
+                    })?;
+                let (round, round_type) = (frame.round.0, frame.round_type);
+                let kind = round_kind(up_link, &frame)?;
+                let width = self.engine.server().incoming_width(kind);
+                if frame.width as usize != width {
+                    let got = frame.width;
+                    let what =
+                        format!("round {round} batch width {got} but this hop expects {width}");
+                    return Err(protocol(up_link, what));
+                }
+                let (buf, mut timing) = (buf_from_frame(frame), RoundTiming::default());
+                match self.engine.forward(round, kind, buf, &mut timing) {
+                    EngineStep::Forward { round, kind, buf } => {
+                        observer(round, timing, None);
+                        self.pending.push_back((round, round_type));
+                        let link = self.down_link();
+                        let forward = frame_from_buf(link, round, kind, false, buf, Vec::new());
+                        (Side::Downstream, forward)
+                    }
+                    EngineStep::Turnaround {
+                        round,
+                        replies,
+                        observables,
+                    } => {
+                        observer(round, timing, None);
+                        self.stats.bump(RoundType::Conversation);
+                        let trailer = RoundTrailer::Conversation(observables).encode();
+                        let kind = RoundKind::Conversation;
+                        let replies = frame_from_buf(up_link, round, kind, true, replies, trailer);
+                        (Side::Upstream, replies)
+                    }
+                    EngineStep::DialingComplete {
+                        round,
+                        num_drops,
+                        drops,
+                    } => {
+                        let trailer = RoundTrailer::Dialing(drops.observables()).encode();
+                        observer(round, timing, Some(drops));
+                        self.stats.bump(RoundType::Dialing);
+                        let completion = BatchFrame {
+                            link: up_link,
+                            round: RoundId(round),
+                            round_type: RoundType::Dialing,
+                            num_drops,
+                            backward: true,
+                            stride: 0,
+                            width: 0,
+                            count: 0,
+                            payload: Vec::new(),
+                            trailer,
+                        };
+                        (Side::Upstream, completion)
+                    }
+                }
+            }
+            (Side::Downstream, Frame::Batch(back)) => {
+                let down_link = self.down_link();
+                if !back.backward {
+                    return Err(protocol(down_link, "forward frame on the backward leg"));
+                }
+                let (round, round_type) = (back.round.0, back.round_type);
+                let expected = self.pending.pop_front();
+                if expected != Some((round, round_type)) {
+                    let what = match expected {
+                        Some((expected, expected_type)) => format!(
+                            "expected the {expected_type:?} backward frame of round {expected}, \
+                             got a {round_type:?} one for round {round}"
+                        ),
+                        None => format!("unsolicited backward frame for round {round}"),
+                    };
+                    return Err(protocol(down_link, what));
+                }
+                self.stats.bump(round_type);
+                if round_type == RoundType::Dialing {
+                    // A dialing completion: relay untouched (trailer and
+                    // all); the round was aborted on the forward pass.
+                    let relayed = BatchFrame {
+                        link: up_link,
+                        ..back
+                    };
+                    return Ok((Side::Upstream, Frame::Batch(relayed), false));
+                }
+                // The arena goes straight into the in-place reply wrap:
+                // refuse one this hop's layer, or a later hop's, would
+                // not fit in.
+                let server = self.engine.server();
+                let (width, stride) = (server.reply_width(), server.reply_stride());
+                if back.width as usize != width || (back.stride as usize) < stride {
+                    let what = format!(
+                        "round {round} replies of width {} in slots of {} but this hop expects \
+                         width {width} in slots of at least {stride}",
+                        back.width, back.stride
+                    );
+                    return Err(protocol(down_link, what));
+                }
+                let trailer = back.trailer.clone();
+                let (buf, mut timing) = (buf_from_frame(back), RoundTiming::default());
+                let replies = self.engine.backward(round, buf, &mut timing);
+                observer(round, timing, None);
+                let kind = RoundKind::Conversation;
+                let replies = frame_from_buf(up_link, round, kind, true, replies, trailer);
+                (Side::Upstream, replies)
+            }
+            (Side::Upstream, Frame::Bye) => {
+                self.upstream_done = true;
+                // A hop relays it and keeps draining the backward leg; the
+                // tail — FIFO means every admitted round is already turned
+                // around — answers the backward bye and finishes.
+                let to = self.down_link.map_or(Side::Upstream, |_| Side::Downstream);
+                return Ok((to, Frame::Bye, to == Side::Upstream));
+            }
+            (Side::Downstream, Frame::Bye) => {
+                if !self.upstream_done || !self.pending.is_empty() {
+                    let what = format!(
+                        "backward bye with {} rounds still in flight (forward bye seen: {})",
+                        self.pending.len(),
+                        self.upstream_done
+                    );
+                    return Err(protocol(self.down_link(), what));
+                }
+                return Ok((Side::Upstream, Frame::Bye, true));
+            }
+            (side, Frame::Hello(_)) => {
+                let link = match side {
+                    Side::Upstream => up_link,
+                    Side::Downstream => self.down_link(),
+                };
+                return Err(protocol(link, "unexpected hello mid-stream"));
+            }
+        };
+        Ok((to, Frame::Batch(answer), false))
+    }
+}
+
 /// Runs one mix server as a transport-driven node until the `Bye`
-/// handshake completes, any number of rounds in flight.
+/// handshake completes, any number of rounds in flight: the
+/// `ServerNode` frame handler, pumped by a [`Demux`] over both links.
 ///
 /// `seed` is the *chain* seed shared by the whole deployment (the tail
 /// derives the round's chain-level RNG from it, exactly like
@@ -280,10 +497,11 @@ pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) 
 ///
 /// Any transport failure, or a [`Error::Protocol`] / [`Error::Frame`]
 /// when a peer violates the round protocol (backward frame on the
-/// forward leg, out-of-order round ids, wrong onion width for this hop,
-/// a backward frame of another protocol than the round it answers or
-/// whose replies are not this hop's reply width in slots with room for
-/// the reply layers still to come, a `Bye` with rounds still in flight).
+/// forward leg, out-of-order round ids, a dialing round with no drops,
+/// wrong onion width for this hop, a backward frame of another protocol
+/// than the round it answers or whose replies are not this hop's reply
+/// width in slots with room for the reply layers still to come, a `Bye`
+/// with rounds still in flight).
 pub fn run_server_node(
     server: &mut MixServer,
     config: &SystemConfig,
@@ -292,16 +510,8 @@ pub fn run_server_node(
     downstream: Option<Arc<dyn Transport>>,
     observer: &mut HopObserver<'_>,
 ) -> Result<NodeStats, Error> {
-    let up_link = upstream.link_id();
-    let mut engine = RoundEngine::new(server, config, seed);
-    let mut stats = NodeStats::default();
-    let mut forward_seq = RoundSequencer::new();
-    // Rounds forwarded downstream whose backward frame is still out;
-    // backward frames must return in exactly this order (see the wire
-    // crate's sequencing rules), each of its round's own protocol.
-    let mut pending: VecDeque<(u64, RoundType)> = VecDeque::new();
-    let mut upstream_done = false;
-
+    let down_link = downstream.as_ref().map(|down| down.link_id());
+    let mut node = ServerNode::new(server, config, seed, upstream.link_id(), down_link);
     let mut links: Vec<(Side, Arc<dyn Transport>)> = vec![(Side::Upstream, Arc::clone(&upstream))];
     if let Some(down) = &downstream {
         links.push((Side::Downstream, Arc::clone(down)));
@@ -309,180 +519,20 @@ pub fn run_server_node(
     let demux = Demux::new(links);
 
     while let Some(event) = demux.recv() {
-        match (event.from, event.event?) {
-            (Side::Upstream, Frame::Batch(frame)) => {
-                if frame.backward {
-                    return Err(protocol(up_link, "backward frame on the forward leg"));
-                }
-                forward_seq
-                    .observe(frame.round)
-                    .map_err(|source| Error::Frame {
-                        link: up_link,
-                        source,
-                    })?;
-                let round = frame.round.0;
-                let round_type = frame.round_type;
-                let kind = round_kind(&frame);
-                if frame.width as usize != engine.incoming_width(kind) {
-                    return Err(protocol(
-                        up_link,
-                        format!(
-                            "round {round} batch width {} but this hop expects {}",
-                            frame.width,
-                            engine.incoming_width(kind)
-                        ),
-                    ));
-                }
-                let mut timing = RoundTiming::default();
-                match engine.forward(round, kind, buf_from_frame(frame), &mut timing) {
-                    EngineStep::Forward { round, kind, buf } => {
-                        observer(round, timing, None);
-                        let down = downstream.as_ref().expect("non-tail has a downstream");
-                        let link = down.link_id();
-                        down.send(frame_from_buf(link, round, kind, false, buf, Vec::new()))?;
-                        pending.push_back((round, round_type));
-                    }
-                    EngineStep::Turnaround {
-                        round,
-                        replies,
-                        observables,
-                    } => {
-                        observer(round, timing, None);
-                        upstream.send(frame_from_buf(
-                            up_link,
-                            round,
-                            RoundKind::Conversation,
-                            true,
-                            replies,
-                            RoundTrailer::Conversation(observables).encode(),
-                        ))?;
-                        stats.bump(RoundType::Conversation);
-                    }
-                    EngineStep::DialingComplete {
-                        round,
-                        num_drops,
-                        drops,
-                    } => {
-                        let trailer = RoundTrailer::Dialing(drops.observables()).encode();
-                        observer(round, timing, Some(drops));
-                        upstream.send(Frame::Batch(BatchFrame {
-                            link: up_link,
-                            round: RoundId(round),
-                            round_type: RoundType::Dialing,
-                            num_drops,
-                            backward: true,
-                            stride: 0,
-                            width: 0,
-                            count: 0,
-                            payload: Vec::new(),
-                            trailer,
-                        }))?;
-                        stats.bump(RoundType::Dialing);
-                    }
-                }
-            }
-            (Side::Upstream, Frame::Bye) => {
-                upstream_done = true;
-                match &downstream {
-                    // Relay and keep draining the backward leg.
-                    Some(down) => down.send(Frame::Bye)?,
-                    None => {
-                        // Tail: FIFO means every admitted round is
-                        // already turned around — answer the backward
-                        // bye and finish.
-                        upstream.send(Frame::Bye)?;
-                        return Ok(stats);
-                    }
-                }
-            }
-            (Side::Downstream, Frame::Batch(back)) => {
-                let down_link = downstream.as_ref().expect("tagged downstream").link_id();
-                if !back.backward {
-                    return Err(protocol(down_link, "forward frame on the backward leg"));
-                }
-                let round = back.round.0;
-                let round_type = back.round_type;
-                match pending.pop_front() {
-                    Some(expected) if expected == (round, round_type) => {}
-                    Some((expected, expected_type)) => {
-                        return Err(protocol(
-                            down_link,
-                            format!(
-                                "expected the {expected_type:?} backward frame of round \
-                                 {expected}, got a {round_type:?} one for round {round}"
-                            ),
-                        ))
-                    }
-                    None => {
-                        return Err(protocol(
-                            down_link,
-                            format!("unsolicited backward frame for round {round}"),
-                        ))
-                    }
-                }
-                match round_type {
-                    RoundType::Conversation => {
-                        // The arena goes straight into the in-place
-                        // reply wrap: refuse one this hop's layer, or a
-                        // later hop's, would not fit in.
-                        let (width, stride) = (engine.reply_width(), engine.reply_stride());
-                        if back.width as usize != width || (back.stride as usize) < stride {
-                            return Err(protocol(
-                                down_link,
-                                format!(
-                                    "round {round} replies of width {} in slots of {} but this \
-                                     hop expects width {width} in slots of at least {stride}",
-                                    back.width, back.stride
-                                ),
-                            ));
-                        }
-                        let trailer = back.trailer.clone();
-                        let mut timing = RoundTiming::default();
-                        let replies = engine.backward(round, buf_from_frame(back), &mut timing);
-                        observer(round, timing, None);
-                        upstream.send(frame_from_buf(
-                            up_link,
-                            round,
-                            RoundKind::Conversation,
-                            true,
-                            replies,
-                            trailer,
-                        ))?;
-                    }
-                    // A dialing completion: relay untouched (trailer and
-                    // all); the round was aborted on the forward pass.
-                    RoundType::Dialing => upstream.send(Frame::Batch(BatchFrame {
-                        link: up_link,
-                        ..back
-                    }))?,
-                }
-                stats.bump(round_type);
-            }
-            (Side::Downstream, Frame::Bye) => {
-                if !upstream_done || !pending.is_empty() {
-                    return Err(protocol(
-                        downstream.as_ref().expect("tagged downstream").link_id(),
-                        format!(
-                            "backward bye with {} rounds still in flight (forward bye seen: \
-                             {upstream_done})",
-                            pending.len()
-                        ),
-                    ));
-                }
-                upstream.send(Frame::Bye)?;
-                return Ok(stats);
-            }
-            (side, Frame::Hello(_)) => {
-                let link = match side {
-                    Side::Upstream => up_link,
-                    Side::Downstream => downstream.as_ref().expect("tagged downstream").link_id(),
-                };
-                return Err(protocol(link, "unexpected hello mid-stream"));
-            }
+        let (to, frame, finished) = node.on_frame(event.from, event.event?, observer)?;
+        match to {
+            Side::Upstream => upstream.send(frame)?,
+            Side::Downstream => downstream
+                .as_ref()
+                .expect("the handler answers downstream only where there is one")
+                .send(frame)?,
+        }
+        if finished {
+            return Ok(node.stats);
         }
     }
     Err(protocol(
-        up_link,
+        upstream.link_id(),
         "links closed before the bye handshake completed",
     ))
 }
@@ -541,7 +591,8 @@ pub fn run_entry_node(
                         source,
                     })?;
                 let round = frame.round.0;
-                let width = onion::wrapped_len(round_kind(&frame).payload_len(), config.chain_len);
+                let kind = round_kind(clients_link, &frame)?;
+                let width = onion::wrapped_len(kind.payload_len(), config.chain_len);
                 if frame.width as usize != width || frame.stride as usize != width {
                     return Err(protocol(
                         clients_link,
@@ -678,7 +729,8 @@ pub fn feed_window<S>(
         if next < schedule.len() && !window.would_block(weights[next]) {
             let (round, kind, _) = schedule[next];
             let (buf, state) = admit(next);
-            chain.send(frame_from_buf(link, round, kind, false, buf, Vec::new()))?;
+            let forward = frame_from_buf(link, round, kind, false, buf, Vec::new());
+            chain.send(Frame::Batch(forward))?;
             window.admit(round, weights[next]);
             in_flight.push_back((round, kind, state));
             next += 1;
@@ -982,6 +1034,70 @@ mod tests {
         assert_hop0_refuses(RoundType::Dialing, |forwarded| {
             (stride, REPLY_WIDTH, forwarded)
         });
+    }
+
+    /// A forward dialing frame for round 4 that claims no drops, at the
+    /// onion width of hop `position` of a two-server chain.
+    fn zero_drop_dialing(link: LinkId, position: usize) -> Frame {
+        let hops_left = 2 - position;
+        let width = onion::wrapped_len(vuvuzela_wire::DIAL_REQUEST_LEN, hops_left) as u32;
+        Frame::Batch(BatchFrame {
+            link,
+            round: RoundId(4),
+            round_type: RoundType::Dialing,
+            num_drops: 0,
+            backward: false,
+            stride: width,
+            width,
+            count: 0,
+            payload: Vec::new(),
+            trailer: Vec::new(),
+        })
+    }
+
+    fn assert_refuses_zero_drops(link: LinkId, returned: Result<NodeStats, Error>) {
+        match returned {
+            Err(Error::Protocol {
+                link: named,
+                reason,
+            }) => {
+                assert_eq!(named, link);
+                assert!(reason.contains("round 4"), "{reason}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn entry_refuses_a_dialing_round_with_no_drops() {
+        let config = tiny_config(2);
+        let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
+        let (entry_down, s0_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
+        // Without the check the entry relays the frame; a hop that has
+        // hung up turns that into a disconnect instead of a hang.
+        drop(s0_up);
+        client_end
+            .send(zero_drop_dialing(LinkId::Clients, 0))
+            .expect("send");
+        client_end.send(Frame::Bye).expect("send bye");
+        let returned = run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down));
+        assert_refuses_zero_drops(LinkId::Clients, returned);
+    }
+
+    #[test]
+    fn tail_refuses_a_dialing_round_with_no_drops() {
+        let config = tiny_config(2);
+        let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
+        let mut server = build_server(&config, 3, 1);
+        let node = std::thread::spawn(move || {
+            let up = Arc::new(up_near);
+            run_server_node(&mut server, &config, 3, up, None, &mut |_, _, _| {})
+        });
+        up_far
+            .send(zero_drop_dialing(LinkId::Hop(1), 1))
+            .expect("send");
+        let returned = node.join().expect("a peer's frame must not panic the tail");
+        assert_refuses_zero_drops(LinkId::Hop(1), returned);
     }
 
     #[test]

@@ -19,89 +19,43 @@
 //! own links, and the calling thread is hop 0's upstream peer, feeding
 //! through [`crate::node::feed_window`] like a deployment's client. Width
 //! and sequencing checks, trailers, the `Bye` handshake and the hang-up
-//! on failure are the node loop's, in process as over TCP. This module
-//! adds the in-process deployment around it: batches admitted across the
-//! clients link, whole-round [`RoundTiming`]s assembled from what each
-//! hop reports, observables logged and the last dialing round's drops
-//! kept on the [`Chain`].
+//! on failure are the node loop's, in process as over TCP (see
+//! [`crate::node`]). This module adds only the threads and links around
+//! it: batches are admitted and rounds completed exactly as the
+//! sequential [`Chain::run_round`] admits and completes its one round
+//! (`chain::admit_batch`, `chain::Collector`).
 //!
-//! ## Rounds on the links
+//! Every frame carries its round id and protocol, links attribute
+//! traffic per round ([`vuvuzela_net::Link::round_traffic`]) and taps
+//! keep receiving the round id: pipelining changes *when* bytes move,
+//! never *which round* they belong to. The window is `max_in_flight`
+//! *slots* (default `chain_len`, the depth at which every server can be
+//! busy), each round priced by [`crate::engine::admission_weights`] —
+//! weights shape scheduling, never a round's bytes. Because every source
+//! of round randomness is a pure function of `(seed, round)` (see
+//! [`crate::server`]), per-round replies, observables, dialing drops and
+//! per-round link traffic are byte-identical to the sequential [`Chain`]
+//! over the same [`RoundSpec`] sequence, which the streaming-equivalence
+//! tests and golden pins assert.
 //!
-//! Every frame carries its round id and protocol (plus dialing's drop
-//! count), because a server holds round state for several rounds of
-//! *both* protocols at once. Links attribute traffic per round
-//! ([`vuvuzela_net::Link::round_traffic`]) and taps keep receiving the
-//! round id: pipelining changes *when* bytes move, never *which round*
-//! they belong to. Conversation rounds turn around at the tail; dialing
-//! rounds are forward-only — the tail answers with a completion notice
-//! that carries no arena and is relayed home unmetered, and every server
-//! discards a dialing round's reply state once it has forwarded it.
-//!
-//! ## Admission: the weighted window
-//!
-//! The window is `max_in_flight` *slots* (default `chain_len`, the depth
-//! at which every server can be busy). A dialing round at the paper's
-//! µ = 13,000 noise per drop puts orders of magnitude more onions in
-//! flight than its client batch suggests, so rounds are priced
-//! ([`crate::engine::admission_weights`]): a round's cost is its client
-//! batch plus every noising server's expected cover traffic, one slot is
-//! the mean cost of the schedule's conversation rounds, and a round
-//! occupies `round(cost / slot)` slots, clamped to `[1, max_in_flight]`.
-//! A homogeneous schedule collapses to weight 1 per round. A round
-//! heavier than the whole window is still admitted once the pipeline is
-//! empty, so heavy rounds throttle admission but never wedge it.
-//! Weights only shape *scheduling*, never a round's bytes.
-//!
-//! ## Why the bytes cannot change
-//!
-//! Every source of round randomness is a pure function of `(seed,
-//! round)`: servers capture a derived per-round RNG in their round state
-//! (see [`crate::server`]) and the chain-level exchange derives its own
-//! the same way. Processing order therefore cannot influence any round's
-//! noise, permutation, or filler — which the streaming-equivalence
-//! property tests assert: per-round replies, observables, dialing drops
-//! and per-round link traffic are byte-identical to the sequential
-//! [`Chain`] over the same interleaved [`RoundSpec`] sequence.
-//!
-//! ## When a schedule dies
-//!
-//! A node that stops — a panicking tap unwinding the thread whose `send`
-//! ran it, a protocol error — hangs up both its links, its neighbours'
-//! next `recv` fails with [`vuvuzela_net::Error::Disconnected`], and the
-//! failure cascades to the feeder, which hangs up in turn. Nothing
-//! polls: every thread is blocked on a queue the failure itself closes.
-//! [`StreamingChain::run_mixed_schedule`] joins every node, then panics
-//! (see [`Chain::abort_in_flight_rounds`] for what is left).
-//!
+//! A node that stops hangs up both its links and the failure cascades to
+//! the feeder; [`StreamingChain::run_mixed_schedule`] joins every node,
+//! then panics (see [`Chain::abort_in_flight_rounds`] for what is left).
 //! Sustained throughput is bounded by the slowest hop instead of the sum
 //! of hops; `benchmark/` measures both schedulers on the same batches as
 //! `core.pipeline.speedup_vs_sequential`.
 
-use crate::chain::{admit_batch, transmit_buf, Chain, RoundOutcome, RoundSpec, RoundTiming};
+use crate::chain::{admit_batch, Chain, Collector, RoundOutcome, RoundSpec, RoundTiming};
 use crate::config::SystemConfig;
-use crate::node::{buf_from_frame, feed_window, run_server_node, RoundTrailer};
+use crate::node::{feed_window, run_server_node};
 use crate::server::RoundKind;
-use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use vuvuzela_crypto::x25519::PublicKey;
-use vuvuzela_net::link::Direction;
 use vuvuzela_net::{memory_pair, Error, Transport};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
 use vuvuzela_wire::Frame;
-
-/// The window slots each round of `specs` occupies (see the module
-/// docs): a [`RoundSpec`] view over [`crate::engine::admission_weights`],
-/// so tests can inspect the pricing the scheduler will use.
-#[must_use]
-pub fn admission_weights(config: &SystemConfig, window: usize, specs: &[RoundSpec]) -> Vec<usize> {
-    let rounds: Vec<(RoundKind, usize)> = specs
-        .iter()
-        .map(|spec| (spec.kind(), spec.batch_len()))
-        .collect();
-    crate::engine::admission_weights(config, window, &rounds)
-}
 
 /// A deployment driven by the streaming scheduler. Wraps the same
 /// [`Chain`] (same servers, links, seeds — construction is identical for
@@ -276,9 +230,7 @@ impl StreamingChain {
             links,
             client_link,
             seed,
-            conversation_log,
-            dialing_log,
-            invitation_drops,
+            log,
             ..
         } = &mut self.chain;
         let (config, client_link, seed) = (&*config, &*client_link, *seed);
@@ -292,15 +244,10 @@ impl StreamingChain {
         let feeder = fars.remove(0);
         let downs = fars.into_iter().map(Some).chain([None]);
 
-        // What the hops report ([`crate::node::HopObserver`]): per round
-        // the timing pieces so far, and the last dialing round's drops
-        // (the chain's overwrite semantics). A hop reports a pass before
-        // the pass's frame leaves it, so pieces queue in the order the
-        // round visits the hops and are all there when its backward
-        // frame reaches the feeder.
+        // What the hops report ([`crate::node::HopObserver`]) crosses to
+        // the feeder's collector, which drains it as rounds come home.
         let (report, reports) = mpsc::channel();
-        let mut timings: HashMap<u64, RoundTiming> = HashMap::new();
-        let mut last_drops = None;
+        let mut collector = Collector::new(client_link, log);
         let mut outcomes = Vec::with_capacity(specs.len());
         let mut specs = specs.into_iter();
         let mut failures: Vec<Error> = Vec::new();
@@ -340,32 +287,9 @@ impl StreamingChain {
                 },
                 |fed: Instant, back, trailer| {
                     for (round, piece, drops) in reports.try_iter() {
-                        let timing: &mut RoundTiming = timings.entry(round).or_default();
-                        timing.forward.extend(piece.forward);
-                        timing.exchange += piece.exchange;
-                        timing.backward.extend(piece.backward);
-                        if let Some(drops) = drops {
-                            last_drops = Some((round, drops));
-                        }
+                        collector.observe(round, piece, drops);
                     }
-                    let round = back.round.0;
-                    let mut timing = timings.remove(&round).unwrap_or_default();
-                    outcomes.push(match trailer {
-                        RoundTrailer::Conversation(observables) => {
-                            conversation_log.push((round, observables));
-                            let replies = buf_from_frame(back);
-                            let replies =
-                                transmit_buf(client_link, round, Direction::Backward, replies);
-                            timing.total = fed.elapsed();
-                            let replies = replies.to_vecs();
-                            RoundOutcome::Conversation { replies, timing }
-                        }
-                        RoundTrailer::Dialing(observables) => {
-                            dialing_log.push((round, observables));
-                            timing.total = fed.elapsed();
-                            RoundOutcome::Dialing { timing }
-                        }
-                    });
+                    outcomes.push(collector.complete(back, trailer, fed));
                 },
             )
             // Hop 0 answers the forward bye once every hop has finished.
@@ -399,9 +323,7 @@ impl StreamingChain {
         {
             panic!("schedule aborted: {cause}");
         }
-        if last_drops.is_some() {
-            *invitation_drops = last_drops;
-        }
+        collector.finish();
         outcomes
     }
 }
@@ -409,12 +331,22 @@ impl StreamingChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::admission_weights;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vuvuzela_crypto::onion;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
+    use vuvuzela_net::link::Direction;
     use vuvuzela_wire::conversation::ExchangeRequest;
     use vuvuzela_wire::dialing::DialRequest;
+
+    /// The `(kind, batch length)` shapes the feeder prices a schedule by.
+    fn shapes(specs: &[RoundSpec]) -> Vec<(RoundKind, usize)> {
+        specs
+            .iter()
+            .map(|spec| (spec.kind(), spec.batch_len()))
+            .collect()
+    }
 
     fn tiny_config(chain_len: usize) -> SystemConfig {
         SystemConfig {
@@ -637,7 +569,7 @@ mod tests {
                 batch: vec![Vec::new(); 4].into(),
             },
         ];
-        let weights = admission_weights(&config, 3, &specs);
+        let weights = admission_weights(&config, 3, &shapes(&specs));
         assert_eq!(weights[0], 1, "conversation rounds are the unit slot");
         assert_eq!(weights[2], 1);
         assert!(
@@ -661,7 +593,10 @@ mod tests {
                 num_drops: 3,
             },
         ];
-        assert_eq!(admission_weights(&config, 3, &dialing_only), vec![1, 1]);
+        assert_eq!(
+            admission_weights(&config, 3, &shapes(&dialing_only)),
+            vec![1, 1]
+        );
         let conversation_only = vec![
             RoundSpec::Conversation {
                 round: 0,
@@ -673,7 +608,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            admission_weights(&config, 3, &conversation_only),
+            admission_weights(&config, 3, &shapes(&conversation_only)),
             vec![1, 1]
         );
     }
@@ -712,7 +647,7 @@ mod tests {
                 batch: client_batch(&pks, 2, 2, &mut rng).into(),
             },
         ];
-        let weights = admission_weights(&config, 2, &specs);
+        let weights = admission_weights(&config, 2, &shapes(&specs));
         assert_eq!(weights[1], 2, "the dialing round fills the window");
 
         let outcomes = streaming.run_mixed_schedule(specs.clone());

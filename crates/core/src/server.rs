@@ -8,7 +8,7 @@
 //!   shuffle everything with a fresh secret permutation, and hand the
 //!   batch to the next hop (step 3a). The *last* server skips noise and
 //!   shuffling; its peeled payloads go to the dead-drop exchange
-//!   (step 3b) run by [`crate::chain::Chain`].
+//!   (step 3b), which the tail's [`crate::engine::RoundEngine`] runs.
 //! * **backward** — un-shuffle the replies (π⁻¹), discard the ones
 //!   belonging to its own noise, and encrypt each remaining reply under
 //!   the layer key captured on the way in (step 4).
@@ -294,7 +294,7 @@ impl MixServer {
         }
 
         if self.is_last() {
-            // Step 3b happens in the chain; remember keys for the replies.
+            // Step 3b happens in the engine; remember keys for the replies.
             self.rounds.insert(
                 round,
                 RoundState {
@@ -545,24 +545,6 @@ impl MixServer {
         })
     }
 
-    /// Compatibility wrapper over [`MixServer::forward_buf`] for callers
-    /// still holding per-onion `Vec`s (tests, attack harnesses). Converts
-    /// at the boundary; the round itself runs on the flat arena.
-    pub fn forward(&mut self, round: u64, kind: RoundKind, batch: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        let width = self.incoming_width(kind);
-        let (buf, _mismatched) = RoundBuffer::from_vecs(&batch, width, width);
-        self.forward_buf(round, kind, buf).to_vecs()
-    }
-
-    /// Compatibility wrapper over [`MixServer::backward_buf`]; see
-    /// [`MixServer::forward`].
-    pub fn backward(&mut self, round: u64, replies: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        let width = replies.first().map_or(0, Vec::len);
-        let stride = (width + onion::REPLY_LAYER_OVERHEAD).max(1);
-        let (buf, _mismatched) = RoundBuffer::from_vecs(&replies, stride, width);
-        self.backward_buf(round, buf).to_vecs()
-    }
-
     /// Abandons any state for `round` (e.g. when an adversary blackholes
     /// the round and no replies will ever come back).
     pub fn abort_round(&mut self, round: u64) {
@@ -749,6 +731,27 @@ mod tests {
         }
     }
 
+    /// [`MixServer::forward_buf`] on per-onion vectors, converted at the
+    /// boundary.
+    fn forward(
+        server: &mut MixServer,
+        round: u64,
+        kind: RoundKind,
+        batch: Vec<Vec<u8>>,
+    ) -> Vec<Vec<u8>> {
+        let width = server.incoming_width(kind);
+        let (buf, _mismatched) = RoundBuffer::from_vecs(&batch, width, width);
+        server.forward_buf(round, kind, buf).to_vecs()
+    }
+
+    /// [`MixServer::backward_buf`] on per-reply vectors; see [`forward`].
+    fn backward(server: &mut MixServer, round: u64, replies: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+        let width = replies.first().map_or(0, Vec::len);
+        let stride = (width + onion::REPLY_LAYER_OVERHEAD).max(1);
+        let (buf, _mismatched) = RoundBuffer::from_vecs(&replies, stride, width);
+        server.backward_buf(round, buf).to_vecs()
+    }
+
     fn two_server_chain(mu: f64) -> (MixServer, MixServer) {
         let mut rng = StdRng::seed_from_u64(42);
         let kp0 = Keypair::generate(&mut rng);
@@ -791,17 +794,17 @@ mod tests {
             .map(|p| onion::wrap(&mut rng, &chain_pks, 5, p).0)
             .collect();
 
-        let mid = s0.forward(5, RoundKind::Conversation, onions);
+        let mid = forward(&mut s0, 5, RoundKind::Conversation, onions);
         // 3 real + 2µ noise (µ=4 → 4 singles + 2 pairs = 8).
         assert_eq!(mid.len(), 3 + 8);
 
-        let last = s1.forward(5, RoundKind::Conversation, mid);
+        let last = forward(&mut s1, 5, RoundKind::Conversation, mid);
         assert_eq!(last.len(), 11, "last server does not add noise");
 
         // Echo each request back as its own reply.
-        let replies = s1.backward(5, last);
+        let replies = backward(&mut s1, 5, last);
         assert_eq!(replies.len(), 11);
-        let client_replies = s0.backward(5, replies);
+        let client_replies = backward(&mut s0, 5, replies);
         assert_eq!(client_replies.len(), 3, "noise replies stripped");
         // Sizes uniform.
         let sizes: std::collections::HashSet<usize> = client_replies.iter().map(Vec::len).collect();
@@ -834,9 +837,9 @@ mod tests {
             })
             .collect();
 
-        let mid = s0_off.forward(1, RoundKind::Conversation, onions);
+        let mid = forward(&mut s0_off, 1, RoundKind::Conversation, onions);
         assert_eq!(mid.len(), 64);
-        let peeled = s1.forward(1, RoundKind::Conversation, mid);
+        let peeled = forward(&mut s1, 1, RoundKind::Conversation, mid);
         let order: Vec<u8> = peeled
             .iter()
             .map(|p| ExchangeRequest::decode(p).expect("valid").sealed_message[0])
@@ -859,20 +862,25 @@ mod tests {
         let garbage = vec![0xFFu8; good.len()];
         let short = vec![1u8, 2, 3];
 
-        let mid = s0.forward(2, RoundKind::Conversation, vec![good, garbage, short]);
+        let mid = forward(
+            &mut s0,
+            2,
+            RoundKind::Conversation,
+            vec![good, garbage, short],
+        );
         assert_eq!(s0.malformed_replaced, 2);
         // Batch keeps its shape: 3 requests + 2µ noise.
         assert_eq!(mid.len(), 3 + 4);
         // Everything downstream still peels.
-        let peeled = s1.forward(2, RoundKind::Conversation, mid);
+        let peeled = forward(&mut s1, 2, RoundKind::Conversation, mid);
         assert_eq!(peeled.len(), 7);
         for p in &peeled {
             let _ = ExchangeRequest::decode(p).expect("all payloads valid downstream");
         }
 
         // Backward: the malformed clients get filler of uniform size.
-        let replies = s1.backward(2, peeled);
-        let back = s0.backward(2, replies);
+        let replies = backward(&mut s1, 2, peeled);
+        let back = backward(&mut s0, 2, replies);
         assert_eq!(back.len(), 3);
         assert_eq!(back[0].len(), back[1].len());
         assert_eq!(back[1].len(), back[2].len());
@@ -892,12 +900,12 @@ mod tests {
                 onion::wrap(&mut rng, &chain_pks, 6, &payload).0
             })
             .collect();
-        let mid = s0.forward(6, RoundKind::Conversation, onions);
-        let peeled = s1.forward(6, RoundKind::Conversation, mid);
-        let mut replies = s1.backward(6, peeled);
+        let mid = forward(&mut s0, 6, RoundKind::Conversation, onions);
+        let peeled = forward(&mut s1, 6, RoundKind::Conversation, mid);
+        let mut replies = backward(&mut s1, 6, peeled);
         replies.truncate(2); // adversary drops replies in flight
 
-        let out = s0.backward(6, replies);
+        let out = backward(&mut s0, 6, replies);
         assert_eq!(out.len(), 3, "one filler per upstream request");
         let sizes: std::collections::HashSet<usize> = out.iter().map(Vec::len).collect();
         assert_eq!(sizes.len(), 1, "uniform filler size");
@@ -913,7 +921,7 @@ mod tests {
     #[should_panic(expected = "backward() without matching forward()")]
     fn backward_without_forward_panics() {
         let (mut s0, _) = two_server_chain(1.0);
-        let _ = s0.backward(99, vec![]);
+        let _ = backward(&mut s0, 99, vec![]);
     }
 
     #[test]
@@ -923,7 +931,7 @@ mod tests {
         let chain_pks = [s0.public_key(), _s1.public_key()];
         let payload = ExchangeRequest::noise(&mut rng).encode();
         let onion0 = onion::wrap(&mut rng, &chain_pks, 3, &payload).0;
-        let _ = s0.forward(3, RoundKind::Conversation, vec![onion0]);
+        let _ = forward(&mut s0, 3, RoundKind::Conversation, vec![onion0]);
         s0.abort_round(3);
         assert!(s0.rounds.is_empty());
     }
@@ -936,10 +944,15 @@ mod tests {
         let payload = DialRequest::noop(&mut rng).encode();
         let onion0 = onion::wrap(&mut rng, &chain_pks, 4, &payload).0;
 
-        let mid = s0.forward(4, RoundKind::Dialing { num_drops: 3 }, vec![onion0]);
+        let mid = forward(
+            &mut s0,
+            4,
+            RoundKind::Dialing { num_drops: 3 },
+            vec![onion0],
+        );
         // 1 real + 3 drops × µ_dial(=2) noise.
         assert_eq!(mid.len(), 1 + 6);
-        let peeled = s1.forward(4, RoundKind::Dialing { num_drops: 3 }, mid);
+        let peeled = forward(&mut s1, 4, RoundKind::Dialing { num_drops: 3 }, mid);
         for p in &peeled {
             let _ = DialRequest::decode(p).expect("valid dial request");
         }
@@ -1066,7 +1079,7 @@ mod tests {
 
                 if position < 2 {
                     let mut next = server(position + 1);
-                    let peeled = next.forward(round, kind, out_ref);
+                    let peeled = forward(&mut next, round, kind, out_ref);
                     assert_eq!(next.malformed_replaced, 0, "{what}: substitutes peel");
                     assert!(peeled.len() >= 5);
                 }

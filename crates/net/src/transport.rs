@@ -78,12 +78,14 @@ pub trait Transport: Send + Sync + 'static {
 /// Runs a batch frame through a [`Link`]: meters it (attributed to its
 /// round and direction), and — only when an adversary tap is attached —
 /// pays the per-message conversion, lets the tap interfere, and
-/// rebuilds the flat payload with resized entries zero-filled and
-/// counted on [`Link::tap_resized`], exactly like the in-process
-/// chain's `transmit_buf`. A frame without an arena (`stride == 0`: a
-/// dialing round's completion notice) is not a transfer and passes
-/// unmetered and untapped.
-pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
+/// rebuilds the flat payload with resized entries zero-filled. Returns
+/// how many entries the tap resized; the caller decides whether they
+/// count on [`Link::tap_resized`] (every runtime of the chain crosses
+/// its links here, in process and over sockets). A frame without an
+/// arena (`stride == 0`: a dialing round's completion notice) is not a
+/// transfer and passes unmetered and untapped.
+#[must_use]
+pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> u64 {
     let direction = if batch.backward {
         Direction::Backward
     } else {
@@ -93,7 +95,7 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
     let width = batch.width as usize;
     let stride = batch.stride as usize;
     if stride == 0 {
-        return;
+        return 0;
     }
     link.record(
         round,
@@ -102,7 +104,7 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
         (u64::from(batch.count)) * batch.width as u64,
     );
     if !link.has_tap() {
-        return;
+        return 0;
     }
     let mut msgs: Vec<Vec<u8>> = batch
         .payload
@@ -121,7 +123,7 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
     }
     batch.count = msgs.len() as u32;
     batch.payload = payload;
-    link.add_tap_resized(resized);
+    resized
 }
 
 /// One direction of an in-memory link: where the sending end puts a
@@ -185,7 +187,8 @@ impl Transport for MemoryEndpoint {
 
     fn send(&self, mut frame: Frame) -> Result<(), Error> {
         if let Frame::Batch(batch) = &mut frame {
-            batch_through_link(&self.link, batch);
+            self.link
+                .add_tap_resized(batch_through_link(&self.link, batch));
         }
         let mut outbox = self.outbox.lock();
         let sink = outbox.as_mut().ok_or_else(|| self.disconnected())?;
@@ -263,7 +266,7 @@ mod tests {
         assert!(matches!(down.recv(), Ok(Frame::Bye)));
         assert!(matches!(up.recv(), Ok(Frame::Batch(b)) if b.backward));
 
-        // Metered like transmit_buf: count × logical width, per direction.
+        // Metered as count × logical width, per direction.
         assert_eq!(link.forward_meter().messages(), 2);
         assert_eq!(link.forward_meter().bytes(), 6);
         assert_eq!(link.backward_meter().bytes(), 3);

@@ -11,10 +11,11 @@
 //! batch is a pure function of `(seed, round)`, so the distributed run
 //! (`vuvuzela-launch`: entry + servers + client as separate OS
 //! processes over loopback TCP) and the in-process reference
-//! ([`run_reference`], the sequential [`Chain`]) must produce
-//! **byte-identical transcripts** — replies, dead-drop histograms and
-//! dialing counts included. `vuvuzela-launch --check` asserts exactly
-//! that, and CI runs it on every push.
+//! ([`run_reference`], the sequential [`Chain`]: the servers' own frame
+//! handler at window 1, without sockets, entry or client driver) must
+//! produce **byte-identical transcripts** — replies, dead-drop
+//! histograms and dialing counts included. `vuvuzela-launch --check`
+//! asserts exactly that, and CI runs it on every push.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};

@@ -455,3 +455,193 @@ fn tapped_link_sees_identical_per_round_batches() {
     assert_eq!(got, want, "per-round tap observations diverged");
     assert!(!got.is_empty(), "tap saw traffic");
 }
+
+/// Resizes round 2's batches on the link it is attached to: forward, it
+/// truncates the first entry and injects one of no onion's size;
+/// backward, it extends the second reply.
+struct GoldenTap;
+
+impl Tap for GoldenTap {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+        if ctx.round != 2 {
+            return;
+        }
+        match ctx.direction {
+            Direction::Forward => {
+                batch[0].truncate(40);
+                batch.push(vec![0xEE; 77]);
+            }
+            Direction::Backward => batch[1].extend([0xEE; 5]),
+        }
+    }
+}
+
+/// The fixed chain-3 schedule the golden pins are taken over: a
+/// conversation round with a real pair, two singles and one garbage
+/// entry; a dialing round into 2 drops carrying one real invitation; and
+/// a conversation round, cohort-shaped, that [`GoldenTap`] on link 1
+/// resizes both ways.
+fn golden_specs(pks: &[PublicKey]) -> Vec<RoundSpec> {
+    let mut rng = StdRng::seed_from_u64(0x601D);
+    let exchange = |round: u64, drop: u8, fill: u8, rng: &mut StdRng| {
+        let request = ExchangeRequest {
+            drop: vuvuzela::wire::deaddrop::DeadDropId([drop; 16]),
+            sealed_message: vec![fill; vuvuzela::wire::SEALED_MESSAGE_LEN],
+        };
+        onion::wrap(rng, pks, round, &request.encode()).0
+    };
+    let mut round0: Vec<Vec<u8>> = [(1, 0xA1), (1, 0xB2), (2, 0xC3), (3, 0xD4)]
+        .into_iter()
+        .map(|(drop, fill)| exchange(0, drop, fill, &mut rng))
+        .collect();
+    round0.insert(2, vec![0x5A; 500]);
+
+    let num_drops = 2;
+    let caller = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
+    let callee = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
+    let invitation = vuvuzela::wire::dialing::DialRequest {
+        drop: vuvuzela::wire::deaddrop::InvitationDropIndex::for_recipient(
+            &callee.public,
+            num_drops,
+        ),
+        invitation: vuvuzela::wire::dialing::SealedInvitation::seal(
+            &mut rng,
+            &caller.public,
+            &callee.public,
+        ),
+    };
+    let noop = vuvuzela::wire::dialing::DialRequest::noop(&mut rng);
+    let round1 = [invitation, noop]
+        .iter()
+        .map(|request| onion::wrap(&mut rng, pks, 1, &request.encode()).0)
+        .collect::<Vec<_>>();
+
+    let round2: Vec<Vec<u8>> = (0..3)
+        .map(|i| exchange(2, 10 + i, 0x10 * i, &mut rng))
+        .collect();
+    let width = round2[0].len();
+    let (round2, _) = vuvuzela::core::RoundBuffer::from_vecs(&round2, width, width);
+
+    vec![
+        RoundSpec::Conversation {
+            round: 0,
+            batch: round0.into(),
+        },
+        RoundSpec::Dialing {
+            round: 1,
+            batch: round1.into(),
+            num_drops,
+        },
+        RoundSpec::Conversation {
+            round: 2,
+            batch: round2.into(),
+        },
+    ]
+}
+
+/// SHA-256 over a sequence of length-prefixed fields.
+#[derive(Default)]
+struct Pin(Vec<u8>);
+
+impl Pin {
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn hex(&self) -> String {
+        vuvuzela::crypto::sha256::sha256(&self.0)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+}
+
+/// The five pins of one run of [`golden_specs`]: replies, observables
+/// logs, every link's per-round traffic log, the tap and malformed
+/// counters, the retained drops' contents.
+fn golden_pins(chain: &mut Chain, outcomes: &[RoundOutcome]) -> [String; 5] {
+    let mut replies = Pin::default();
+    for outcome in outcomes {
+        for reply in outcome.replies().unwrap_or_default() {
+            replies.bytes(reply);
+        }
+    }
+    let mut observables = Pin::default();
+    for (round, obs) in chain.conversation_observables() {
+        for v in [*round, obs.m1, obs.m2, obs.m_many, obs.total_requests] {
+            observables.u64(v);
+        }
+    }
+    for (round, obs) in chain.dialing_observables() {
+        observables.u64(*round);
+        observables.u64(obs.noop_writes);
+        for &count in &obs.counts {
+            observables.u64(count);
+        }
+    }
+    let mut links = Pin::default();
+    for link in std::iter::once(chain.client_link()).chain(chain.links()) {
+        for ((round, direction), (messages, bytes)) in link.round_traffic_log() {
+            let backward = u64::from(direction == Direction::Backward);
+            for v in [round, backward, messages, bytes] {
+                links.u64(v);
+            }
+        }
+    }
+    let mut counters = Pin::default();
+    counters.u64(chain.tap_resized());
+    for i in 0..chain.config().chain_len {
+        counters.u64(chain.server(i).malformed_replaced);
+    }
+    let mut drops = Pin::default();
+    for drop in 1..=chain.current_num_drops().expect("a dialing round ran") {
+        let index = vuvuzela::wire::deaddrop::InvitationDropIndex(drop);
+        for invitation in chain.download_drop(index).expect("drop exists") {
+            drops.bytes(&invitation.0);
+        }
+    }
+    [replies, observables, links, counters, drops].map(|pin| pin.hex())
+}
+
+/// Known answers for a whole chain round, taken on the sequential chain
+/// at the commit before it became the hop loop's window-1 schedule: the
+/// sequential chain and the streaming one at windows 1, 2 and 3 must all
+/// still produce exactly these bytes.
+#[test]
+fn golden_pins_for_a_mixed_chain3_schedule() {
+    const WANT: [&str; 5] = [
+        "9d5cb9aee6280f7bed94c1dca1bb646d4bf587e6ad63cf52aef61f015c7ce382",
+        "bc6cfeff53c44482ff35bd25d5fc6b07026bf34a5ff40006de52ac3fb2c870ff",
+        "024ca05ad7b363fef8391536c75b672cf6e1fad4740001b2e80635b64a4f5fa2",
+        "06ef96c79f8357f8c4de20d1e5d407cb6fd594d6b90ab09eec49a4306febac03",
+        "a74b31532cc60307b38330d5267e52bf2917f1471f6c29a085cbdb7563aff77d",
+    ];
+    let (seed, config) = (0x601D_2015, config(3, 3.0));
+    let pks = Chain::new(config.clone(), seed).server_public_keys();
+    let specs = golden_specs(&pks);
+    let tap = || Arc::new(Mutex::new(GoldenTap));
+
+    let mut sequential = Chain::new(config.clone(), seed);
+    sequential.link_mut(1).attach_tap(tap());
+    let outcomes: Vec<RoundOutcome> = specs
+        .iter()
+        .map(|spec| sequential.run_round(spec.clone()))
+        .collect();
+    assert_eq!(golden_pins(&mut sequential, &outcomes), WANT, "sequential");
+
+    for window in 1..=3 {
+        let mut streaming = StreamingChain::new(config.clone(), seed).with_max_in_flight(window);
+        streaming.chain_mut().link_mut(1).attach_tap(tap());
+        let outcomes = streaming.run_mixed_schedule(specs.clone());
+        assert_eq!(
+            golden_pins(streaming.chain_mut(), &outcomes),
+            WANT,
+            "streaming at window {window}"
+        );
+    }
+}

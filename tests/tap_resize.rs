@@ -1,7 +1,8 @@
 //! Property tests for the tap-resize path, under both drivers of the
-//! round engine: the sequential [`Chain`] (arenas cross links through
-//! `transmit_buf`) and [`StreamingChain`] (the node loops; frames cross
-//! in-memory links through `batch_through_link`).
+//! hop protocol: the sequential [`Chain`] (the hop handler on the
+//! calling thread, one round at a time) and [`StreamingChain`] (the node
+//! loops on threads over in-memory links). Either way every batch
+//! crosses a link through the one `batch_through_link`.
 //!
 //! Adversary taps receive in-flight batches by mutable reference and may
 //! truncate entries, extend them, or inject new ones ("monitor, block,
@@ -10,23 +11,26 @@
 //! matches the hop's onion width **cannot** be valid onions, so their
 //! slots are rebuilt zero-filled (an all-zero ephemeral key is low-order
 //! and fails the peel), and the count of such entries is surfaced on
-//! [`Chain::tap_resized`]. These tests pin down that contract: alignment
-//! survives arbitrary resizing, every resized entry is counted, every
-//! zero-filled slot is replaced by substitute noise downstream, the
-//! round still completes with one uniform reply per client — and the
-//! streaming driver yields the same replies, count and replacements as
-//! the sequential one for every generated op list.
+//! [`Chain::tap_resized`] — except on the clients→entry request leg,
+//! where sizes are client-controlled and a mismatch cannot be pinned on
+//! the tap. These tests pin down that contract: alignment survives
+//! arbitrary resizing, every resized entry is zero-filled and (past the
+//! entry) counted, every zero-filled slot is replaced by substitute
+//! noise downstream, the round still completes with one uniform reply
+//! per client — and the two drivers yield the same replies, slots, count
+//! and replacements for every generated op list.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use vuvuzela::core::{Chain, RoundBuffer, StreamingChain, SystemConfig};
+use vuvuzela::core::chain::Batch;
+use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::link::Direction;
-use vuvuzela::net::{Tap, TapContext};
+use vuvuzela::net::{RecordingTap, Tap, TapContext};
 use vuvuzela::wire::conversation::ExchangeRequest;
 use vuvuzela::wire::EXCHANGE_REQUEST_LEN;
 
@@ -110,6 +114,17 @@ impl Tap for ResizeTap {
     }
 }
 
+/// Which link the tap sits on, and what shape of client batch feeds the
+/// round.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Leg {
+    /// links[1] (server 0 → server 1); per-message client batch.
+    Hop1,
+    /// The clients link, where the entry admits a cohort-shaped
+    /// [`Batch::Flat`] arena.
+    ClientsFlat,
+}
+
 /// What one tapped round leaves behind, whichever driver ran it.
 #[derive(Debug, PartialEq)]
 struct Tapped {
@@ -117,13 +132,16 @@ struct Tapped {
     /// Entry sizes as the tap left them.
     sizes_after: Vec<usize>,
     tap_resized: u64,
-    /// Slots server 1 replaced with substitute noise.
+    /// Slots the server just past the tapped link replaced with
+    /// substitute noise.
     malformed_replaced: u64,
+    /// The forward batch as it crossed links[0] into server 0.
+    arrived_at_hop0: Vec<Vec<u8>>,
 }
 
 /// Runs one conversation round through a two-server chain with `ops`
-/// applied to the first `direction` batch crossing links[1] (server 0 →
-/// server 1), on the sequential chain or the streaming one.
+/// applied to the first `direction` batch crossing the `leg`'s link, on
+/// the sequential chain or the streaming one.
 fn tapped_round(
     streaming: bool,
     seed: u64,
@@ -131,30 +149,48 @@ fn tapped_round(
     batch: Vec<Vec<u8>>,
     ops: &[ResizeOp],
     direction: Direction,
+    leg: Leg,
 ) -> Tapped {
     let tap = Arc::new(Mutex::new(ResizeTap {
         ops: ops.to_vec(),
         direction,
         sizes_after: None,
     }));
-    let left_behind = |replies: Vec<Vec<u8>>, chain: &Chain| Tapped {
-        replies,
+    let hop0 = Arc::new(Mutex::new(RecordingTap::new()));
+    let batch: Batch = match leg {
+        Leg::Hop1 => batch.into(),
+        Leg::ClientsFlat => {
+            let width = batch[0].len();
+            RoundBuffer::from_vecs(&batch, width, width).0.into()
+        }
+    };
+    let attach = |chain: &mut Chain| {
+        match leg {
+            Leg::Hop1 => chain.link_mut(1).attach_tap(tap.clone()),
+            Leg::ClientsFlat => chain.client_link_mut().attach_tap(tap.clone()),
+        }
+        chain.link_mut(0).attach_tap(hop0.clone());
+    };
+    let left_behind = |replies: &[Vec<u8>], chain: &Chain| Tapped {
+        replies: replies.to_vec(),
         sizes_after: tap.lock().sizes_after.clone().expect("tap ran"),
         tap_resized: chain.tap_resized(),
-        malformed_replaced: chain.server(1).malformed_replaced,
+        malformed_replaced: chain
+            .server(usize::from(leg == Leg::Hop1))
+            .malformed_replaced,
+        arrived_at_hop0: hop0.lock().observations[0].1.clone(),
     };
+    let spec = RoundSpec::Conversation { round, batch };
     if streaming {
         let mut chain = StreamingChain::new(config(2, 2.0), seed);
-        chain.chain_mut().link_mut(1).attach_tap(tap.clone());
-        let (replies, _) = chain
-            .run_conversation_rounds(vec![(round, batch)])
-            .remove(0);
-        left_behind(replies, chain.chain())
+        attach(chain.chain_mut());
+        let outcome = chain.run_mixed_schedule(vec![spec]).remove(0);
+        left_behind(outcome.replies().expect("replies"), chain.chain())
     } else {
         let mut chain = Chain::new(config(2, 2.0), seed);
-        chain.link_mut(1).attach_tap(tap.clone());
-        let (replies, _) = chain.run_conversation_round(round, batch);
-        left_behind(replies, &chain)
+        attach(&mut chain);
+        let outcome = chain.run_round(spec);
+        left_behind(outcome.replies().expect("replies"), &chain)
     }
 }
 
@@ -162,13 +198,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Forward-path resizing: the rebuilt arena zero-fills every
-    /// mismatched entry, `tap_resized` counts exactly those, downstream
+    /// mismatched entry, `tap_resized` counts exactly those (none on the
+    /// clients link, where a flat cohort batch is admitted), downstream
     /// peeling replaces them with noise, and reply alignment holds.
     #[test]
     fn forward_resize_yields_counted_zero_filled_slots(
         clients in 1usize..5,
         ops in proptest::collection::vec(resize_op(), 0..6),
         seed in any::<u64>(),
+        on_clients_link in any::<bool>(),
     ) {
         let chain_len = 2;
         let pks = Chain::new(config(chain_len, 2.0), seed).server_public_keys();
@@ -181,22 +219,41 @@ proptest! {
             })
             .collect();
 
-        // The width expected on links[1] (server0 → server1): one layer
-        // already peeled.
-        let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len - 1);
+        // The width expected on the tapped link: the full onion on the
+        // clients link, one layer already peeled on links[1] (server0 →
+        // server1).
+        let (leg, width) = if on_clients_link {
+            (Leg::ClientsFlat, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len))
+        } else {
+            (Leg::Hop1, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len - 1))
+        };
 
-        let ran = tapped_round(false, seed, 0, batch.clone(), &ops, Direction::Forward);
+        let ran = tapped_round(false, seed, 0, batch.clone(), &ops, Direction::Forward, leg);
 
         // Alignment: one uniform-size reply per client, no matter what
-        // the tap did mid-chain.
-        prop_assert_eq!(ran.replies.len(), clients);
+        // the tap did mid-chain (per request the entry admitted, if the
+        // tap added some before it).
+        let requests = if on_clients_link { ran.sizes_after.len() } else { clients };
+        prop_assert_eq!(ran.replies.len(), requests);
         let sizes: std::collections::HashSet<usize> = ran.replies.iter().map(Vec::len).collect();
         prop_assert!(sizes.len() <= 1, "non-uniform replies: {:?}", sizes);
 
         // The surfaced count equals the number of entries whose post-tap
-        // size cannot be a valid onion at this hop.
+        // size cannot be a valid onion at this hop — past the entry; the
+        // request leg's sizes are the clients' own.
         let expected_resized = ran.sizes_after.iter().filter(|&&len| len != width).count() as u64;
-        prop_assert_eq!(ran.tap_resized, expected_resized, "sizes {:?}", &ran.sizes_after);
+        let counted = if on_clients_link { 0 } else { expected_resized };
+        prop_assert_eq!(ran.tap_resized, counted, "sizes {:?}", &ran.sizes_after);
+
+        // A resized request arrives at hop 0 as a zero-filled slot.
+        if on_clients_link {
+            prop_assert_eq!(ran.arrived_at_hop0.len(), ran.sizes_after.len());
+            for (slot, &len) in ran.arrived_at_hop0.iter().zip(&ran.sizes_after) {
+                if len != width {
+                    prop_assert_eq!(slot, &vec![0u8; width]);
+                }
+            }
+        }
 
         // Every zero-filled slot fails authentication downstream and is
         // replaced by substitute noise (well-sized injections fail too,
@@ -205,7 +262,7 @@ proptest! {
 
         // The node loops over an in-memory link: same rebuilt slots —
         // hence the same replacements and replies — and the same count.
-        let streamed = tapped_round(true, seed, 0, batch, &ops, Direction::Forward);
+        let streamed = tapped_round(true, seed, 0, batch, &ops, Direction::Forward, leg);
         prop_assert_eq!(streamed, ran);
     }
 
@@ -228,7 +285,7 @@ proptest! {
             })
             .collect();
 
-        let ran = tapped_round(false, seed, 1, batch.clone(), &ops, Direction::Backward);
+        let ran = tapped_round(false, seed, 1, batch.clone(), &ops, Direction::Backward, Leg::Hop1);
         prop_assert_eq!(ran.replies.len(), clients);
         let sizes: std::collections::HashSet<usize> = ran.replies.iter().map(Vec::len).collect();
         prop_assert!(sizes.len() <= 1, "non-uniform replies: {:?}", sizes);
@@ -240,7 +297,7 @@ proptest! {
             ran.sizes_after.iter().filter(|&&len| len != reply_width).count() as u64;
         prop_assert_eq!(ran.tap_resized, expected_resized);
 
-        let streamed = tapped_round(true, seed, 1, batch, &ops, Direction::Backward);
+        let streamed = tapped_round(true, seed, 1, batch, &ops, Direction::Backward, Leg::Hop1);
         prop_assert_eq!(streamed, ran);
     }
 }
