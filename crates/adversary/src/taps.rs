@@ -475,50 +475,64 @@ impl Tap for SizeRecorder {
 mod tests {
     use super::*;
     use vuvuzela_net::link::Direction;
-    use vuvuzela_net::{Link, LinkId};
+    use vuvuzela_net::LinkId;
 
     fn batch3() -> Vec<Vec<u8>> {
         vec![vec![0], vec![1], vec![2]]
     }
 
+    /// Hands `batch` to `tap` as round `round`'s transfer in `direction`
+    /// on the entry→server 0 link, and returns what the tap left of it.
+    fn pass(
+        tap: &mut dyn Tap,
+        round: u64,
+        direction: Direction,
+        mut batch: Vec<Vec<u8>>,
+    ) -> Vec<Vec<u8>> {
+        let ctx = TapContext {
+            link: LinkId::Hop(0),
+            round,
+            direction,
+        };
+        tap.intercept(&ctx, &mut batch);
+        batch
+    }
+
     #[test]
     fn keep_only_filters_forward_traffic() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(KeepOnly {
+        let mut tap = KeepOnly {
             indices: vec![0, 2],
             only_round: None,
-        })));
-        let out = link.transmit(0, Direction::Forward, batch3());
+        };
+        let out = pass(&mut tap, 0, Direction::Forward, batch3());
         assert_eq!(out, vec![vec![0], vec![2]]);
         // Backward traffic untouched.
-        let back = link.transmit(0, Direction::Backward, batch3());
+        let back = pass(&mut tap, 0, Direction::Backward, batch3());
         assert_eq!(back.len(), 3);
     }
 
     #[test]
     fn keep_only_respects_round_filter() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(KeepOnly {
+        let mut tap = KeepOnly {
             indices: vec![1],
             only_round: Some(5),
-        })));
-        assert_eq!(link.transmit(4, Direction::Forward, batch3()).len(), 3);
+        };
+        assert_eq!(pass(&mut tap, 4, Direction::Forward, batch3()).len(), 3);
         assert_eq!(
-            link.transmit(5, Direction::Forward, batch3()),
+            pass(&mut tap, 5, Direction::Forward, batch3()),
             vec![vec![1]]
         );
     }
 
     #[test]
     fn block_client_removes_one() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(BlockClient {
+        let mut tap = BlockClient {
             index: 1,
             from_round: Some(2),
             tombstone_only: false,
-        })));
-        assert_eq!(link.transmit(1, Direction::Forward, batch3()).len(), 3);
-        let out = link.transmit(2, Direction::Forward, batch3());
+        };
+        assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
+        let out = pass(&mut tap, 2, Direction::Forward, batch3());
         assert_eq!(out, vec![vec![0], vec![2]]);
     }
 
@@ -529,8 +543,7 @@ mod tests {
         // removal shift the second victim (index 3 would hit the
         // *fourth* remaining entry, i.e. original index 4). Tombstoning
         // keeps positions stable until the stack's single sweep.
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(TapStack::new(vec![
+        let mut tap = TapStack::new(vec![
             Box::new(BlockClient {
                 index: 1,
                 from_round: None,
@@ -541,9 +554,9 @@ mod tests {
                 from_round: None,
                 tombstone_only: true,
             }),
-        ]))));
+        ]);
         let batch: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i]).collect();
-        let out = link.transmit(0, Direction::Forward, batch);
+        let out = pass(&mut tap, 0, Direction::Forward, batch);
         assert_eq!(
             out,
             vec![vec![0], vec![2], vec![4]],
@@ -557,148 +570,136 @@ mod tests {
             indices: vec![2, 0], // unsorted: order must not matter
             only_round: None,
         };
-        let mut batch = batch3();
-        tap.intercept(
-            &TapContext {
-                link: LinkId::Hop(0),
-                round: 0,
-                direction: Direction::Forward,
-            },
-            &mut batch,
-        );
+        let batch = pass(&mut tap, 0, Direction::Forward, batch3());
         assert_eq!(batch, vec![vec![0], vec![2]]);
     }
 
     #[test]
     fn delay_tap_shifts_batches_by_one_round() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(DelayOneRound::new())));
+        let mut tap = DelayOneRound::new();
         // Round 0's batch is swallowed.
-        let out0 = link.transmit(0, Direction::Forward, vec![vec![0]]);
+        let out0 = pass(&mut tap, 0, Direction::Forward, vec![vec![0]]);
         assert!(out0.is_empty());
         // Round 1 receives round 0's traffic; round 1's is held.
-        let out1 = link.transmit(1, Direction::Forward, vec![vec![1]]);
+        let out1 = pass(&mut tap, 1, Direction::Forward, vec![vec![1]]);
         assert_eq!(out1, vec![vec![0]]);
-        let out2 = link.transmit(2, Direction::Forward, vec![vec![2]]);
+        let out2 = pass(&mut tap, 2, Direction::Forward, vec![vec![2]]);
         assert_eq!(out2, vec![vec![1]]);
         // Backward traffic is untouched.
-        let back = link.transmit(2, Direction::Backward, vec![vec![9]]);
+        let back = pass(&mut tap, 2, Direction::Backward, vec![vec![9]]);
         assert_eq!(back, vec![vec![9]]);
     }
 
     #[test]
     fn crash_on_round_fires_once_and_only_forward() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(CrashOnRound::new(2))));
+        let mut tap = CrashOnRound::new(2);
         // Other rounds and backward traffic pass untouched.
-        assert_eq!(link.transmit(1, Direction::Forward, batch3()).len(), 3);
-        assert_eq!(link.transmit(2, Direction::Backward, batch3()).len(), 3);
+        assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
+        assert_eq!(pass(&mut tap, 2, Direction::Backward, batch3()).len(), 3);
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            link.transmit(2, Direction::Forward, batch3())
+            pass(&mut tap, 2, Direction::Forward, batch3())
         }));
         assert!(boom.is_err(), "armed tap must panic on its round");
         // Disarmed: the same round drains through afterwards.
-        assert_eq!(link.transmit(2, Direction::Forward, batch3()).len(), 3);
+        assert_eq!(pass(&mut tap, 2, Direction::Forward, batch3()).len(), 3);
     }
 
     #[test]
     fn stall_link_changes_nothing_but_time() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(StallLink {
+        let mut tap = StallLink {
             delay: std::time::Duration::from_millis(1),
-        })));
-        assert_eq!(link.transmit(0, Direction::Forward, batch3()), batch3());
-        assert_eq!(link.transmit(0, Direction::Backward, batch3()), batch3());
+        };
+        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()), batch3());
+        assert_eq!(pass(&mut tap, 0, Direction::Backward, batch3()), batch3());
     }
 
     #[test]
     fn size_recorder_sees_sizes_only() {
-        let mut link = Link::new(LinkId::Hop(0));
-        let tap = std::sync::Arc::new(parking_lot_mutex(SizeRecorder::default()));
-        link.attach_tap(tap.clone());
-        let _ = link.transmit(9, Direction::Forward, vec![vec![0u8; 7], vec![0u8; 7]]);
-        let guard = tap.lock();
-        assert_eq!(guard.batches, vec![(9, true, vec![7, 7])]);
+        let mut tap = SizeRecorder::default();
+        let _ = pass(
+            &mut tap,
+            9,
+            Direction::Forward,
+            vec![vec![0u8; 7], vec![0u8; 7]],
+        );
+        assert_eq!(tap.batches, vec![(9, true, vec![7, 7])]);
     }
 
     #[test]
     fn drop_fraction_discards_deterministic_stride() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(DropFraction {
+        let mut tap = DropFraction {
             numerator: 1,
             denominator: 3,
             window: RoundWindow::from(2),
-        })));
+        };
         // Outside the window: untouched.
-        assert_eq!(link.transmit(1, Direction::Forward, batch3()).len(), 3);
+        assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
         // In the window: indices 0 and 3 dropped out of five.
         let batch: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i]).collect();
-        let out = link.transmit(2, Direction::Forward, batch);
+        let out = pass(&mut tap, 2, Direction::Forward, batch);
         assert_eq!(out, vec![vec![1], vec![2], vec![4]]);
         // Backward traffic untouched.
-        assert_eq!(link.transmit(2, Direction::Backward, batch3()).len(), 3);
+        assert_eq!(pass(&mut tap, 2, Direction::Backward, batch3()).len(), 3);
         // {1, 1} is a total blackout.
         let mut all = DropFraction {
             numerator: 1,
             denominator: 1,
             window: RoundWindow::ALL,
         };
-        let mut batch = batch3();
-        all.intercept(
-            &TapContext {
-                link: LinkId::Hop(0),
-                round: 9,
-                direction: Direction::Forward,
-            },
-            &mut batch,
-        );
-        assert!(batch.is_empty());
+        assert!(pass(&mut all, 9, Direction::Forward, batch3()).is_empty());
     }
 
     #[test]
     fn delay_batch_holds_and_merges_into_release_round() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(DelayBatch::new(
-            1, 3,
-        ))));
-        assert_eq!(link.transmit(0, Direction::Forward, batch3()).len(), 3);
+        let mut tap = DelayBatch::new(1, 3);
+        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()).len(), 3);
         // Round 1 is swallowed whole.
-        assert!(link.transmit(1, Direction::Forward, batch3()).is_empty());
+        assert!(pass(&mut tap, 1, Direction::Forward, batch3()).is_empty());
         // Round 2 (before the release round) passes untouched.
-        assert_eq!(link.transmit(2, Direction::Forward, batch3()).len(), 3);
+        assert_eq!(pass(&mut tap, 2, Direction::Forward, batch3()).len(), 3);
         // Round 3 carries its own batch plus the held one, merged.
-        let out = link.transmit(3, Direction::Forward, vec![vec![9]]);
+        let out = pass(&mut tap, 3, Direction::Forward, vec![vec![9]]);
         assert_eq!(out, vec![vec![9], vec![0], vec![1], vec![2]]);
         // Released exactly once.
-        assert_eq!(link.transmit(4, Direction::Forward, vec![vec![8]]).len(), 1);
+        assert_eq!(
+            pass(&mut tap, 4, Direction::Forward, vec![vec![8]]).len(),
+            1
+        );
     }
 
     #[test]
     fn replay_batch_copies_without_touching_the_original() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(ReplayBatch::new(
-            0, 2,
-        ))));
+        let mut tap = ReplayBatch::new(0, 2);
         // The captured round passes through unchanged.
-        assert_eq!(link.transmit(0, Direction::Forward, batch3()), batch3());
-        assert_eq!(link.transmit(1, Direction::Forward, vec![vec![7]]).len(), 1);
+        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()), batch3());
+        assert_eq!(
+            pass(&mut tap, 1, Direction::Forward, vec![vec![7]]).len(),
+            1
+        );
         // The replay round carries its own batch plus the copy.
-        let out = link.transmit(2, Direction::Forward, vec![vec![9]]);
+        let out = pass(&mut tap, 2, Direction::Forward, vec![vec![9]]);
         assert_eq!(out, vec![vec![9], vec![0], vec![1], vec![2]]);
         // Replayed exactly once.
-        assert_eq!(link.transmit(3, Direction::Forward, vec![vec![8]]).len(), 1);
+        assert_eq!(
+            pass(&mut tap, 3, Direction::Forward, vec![vec![8]]).len(),
+            1
+        );
     }
 
     #[test]
     fn inject_onions_adds_width_matched_garbage() {
-        let mut link = Link::new(LinkId::Hop(0));
-        link.attach_tap(std::sync::Arc::new(parking_lot_mutex(InjectOnions {
+        let mut tap = InjectOnions {
             count: 2,
             window: RoundWindow::only(1),
             seed: 42,
-        })));
-        assert_eq!(link.transmit(0, Direction::Forward, batch3()).len(), 3);
-        let out = link.transmit(1, Direction::Forward, vec![vec![5u8; 64], vec![6u8; 64]]);
+        };
+        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()).len(), 3);
+        let out = pass(
+            &mut tap,
+            1,
+            Direction::Forward,
+            vec![vec![5u8; 64], vec![6u8; 64]],
+        );
         assert_eq!(out.len(), 4);
         assert!(
             out.iter().all(|onion| onion.len() == 64),
@@ -706,21 +707,18 @@ mod tests {
         );
         assert_ne!(out[2], out[3], "garbage must differ per injected onion");
         // An empty batch gives no width to imitate: nothing injected.
-        assert!(link.transmit(1, Direction::Forward, Vec::new()).is_empty());
+        assert!(pass(&mut tap, 1, Direction::Forward, Vec::new()).is_empty());
         // Deterministic: the same (seed, round) reproduces the bytes.
         let mut twin = InjectOnions {
             count: 2,
             window: RoundWindow::only(1),
             seed: 42,
         };
-        let mut batch = vec![vec![5u8; 64], vec![6u8; 64]];
-        twin.intercept(
-            &TapContext {
-                link: LinkId::Hop(0),
-                round: 1,
-                direction: Direction::Forward,
-            },
-            &mut batch,
+        let batch = pass(
+            &mut twin,
+            1,
+            Direction::Forward,
+            vec![vec![5u8; 64], vec![6u8; 64]],
         );
         assert_eq!(batch[2..], out[2..]);
     }
@@ -732,9 +730,5 @@ mod tests {
         assert!(RoundWindow::ALL.contains(u64::MAX));
         assert!(RoundWindow::only(3).contains(3) && !RoundWindow::only(3).contains(4));
         assert!(RoundWindow::from(3).contains(u64::MAX) && !RoundWindow::from(3).contains(2));
-    }
-
-    fn parking_lot_mutex<T>(t: T) -> parking_lot::Mutex<T> {
-        parking_lot::Mutex::new(t)
     }
 }

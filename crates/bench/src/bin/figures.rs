@@ -28,7 +28,9 @@ use vuvuzela_bench::report::{secs, write_json, Table};
 use vuvuzela_bench::workload::{conversation_batch, dialing_batch};
 use vuvuzela_bench::CostModel;
 use vuvuzela_core::chain::RoundTiming;
-use vuvuzela_core::{Chain, SystemConfig};
+use vuvuzela_core::entry;
+use vuvuzela_core::server::RoundKind;
+use vuvuzela_core::{Chain, RoundBuffer, SystemConfig};
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::Keypair;
 use vuvuzela_dp::accounting::conversation_round;
@@ -159,12 +161,21 @@ fn system(chain_len: usize, noise_mode: NoiseMode, conv_mu: f64, dial_mu: f64) -
     }
 }
 
+/// Lays one round's onions into the arena the chain admits, as the
+/// entry does.
+fn admitted(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> RoundBuffer {
+    let mut batch = entry::round_arena(kind, chain_len);
+    let _layout = entry::multiplex(&mut batch, &[onions]);
+    batch
+}
+
 /// One conversation round by `users` paired clients through a fresh
 /// chain; `timing.total` is the round alone, without the client wrap.
 fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, Vec<Vec<u8>>, RoundTiming) {
     let mut chain = Chain::new(config, 1);
     let pks = chain.server_public_keys();
-    let batch = conversation_batch(users, 0, &pks, default_workers(), seed);
+    let onions = conversation_batch(users, 0, &pks, default_workers(), seed);
+    let batch = admitted(RoundKind::Conversation, pks.len(), onions);
     let (replies, timing) = chain.run_conversation_round(0, batch);
     (chain, replies, timing)
 }
@@ -173,7 +184,8 @@ fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, Vec<Vec<u8
 /// invitation into one of `drops` drops. Returns the round's wall-clock.
 fn dial_round(chain: &mut Chain, users: u64, dialers: u64, drops: u32, seed: u64) -> f64 {
     let pks = chain.server_public_keys();
-    let batch = dialing_batch(users, dialers, drops, 0, &pks, default_workers(), seed);
+    let onions = dialing_batch(users, dialers, drops, 0, &pks, default_workers(), seed);
+    let batch = admitted(RoundKind::Dialing { num_drops: drops }, pks.len(), onions);
     chain.run_dialing_round(0, batch, drops).total.as_secs_f64()
 }
 
@@ -247,10 +259,11 @@ fn observe_world(alice: &Keypair, partners: &[Keypair], action: Option<usize>) -
         }));
     }
 
-    let batch: Vec<Vec<u8>> = requests
+    let onions = requests
         .iter()
         .map(|r| onion::wrap(&mut rng, &pks, round, &r.encode()).0)
         .collect();
+    let batch = admitted(RoundKind::Conversation, pks.len(), onions);
     let _ = chain.run_conversation_round(round, batch);
     let (_, obs) = chain.conversation_observables()[0];
     (obs.m1, obs.m2)

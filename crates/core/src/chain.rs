@@ -40,18 +40,16 @@ use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
 use vuvuzela_wire::{BatchFrame, Frame};
 
-/// The client batch feeding one round, in either of the two shapes the
-/// entry accepts: per-message vectors (individual clients, adversary
-/// injection tests) or one flat [`RoundBuffer`] arena straight from a
-/// [`crate::cohort::ClientCohort`] builder — at a million clients the
-/// per-message boundary would cost one heap allocation per onion, so
-/// cohort batches stay flat end to end.
+/// The client batch feeding one round: one flat [`RoundBuffer`] arena
+/// whose slots are exactly the round's full onion width
+/// ([`onion::wrapped_len`] of the round kind's payload) — the one shape
+/// a deployment's entry admits off the wire. Every producer lays its
+/// onions into the arena as it builds them: a
+/// [`crate::cohort::ClientCohort`] wraps in place, per-object clients go
+/// through [`crate::entry::multiplex`].
 #[derive(Clone, Debug)]
 pub enum Batch {
-    /// Per-message onion vectors, already multiplexed by the entry.
-    Vecs(Vec<Vec<u8>>),
-    /// A flat arena whose width must equal the round's full onion
-    /// width ([`onion::wrapped_len`] of the round kind's payload).
+    /// The round's client requests, already multiplexed by the entry.
     Flat(RoundBuffer),
 }
 
@@ -59,10 +57,8 @@ impl Batch {
     /// Number of client requests in the batch.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            Batch::Vecs(batch) => batch.len(),
-            Batch::Flat(buf) => buf.len(),
-        }
+        let Batch::Flat(buf) = self;
+        buf.len()
     }
 
     /// Whether the batch holds no requests.
@@ -72,31 +68,25 @@ impl Batch {
     }
 }
 
-impl From<Vec<Vec<u8>>> for Batch {
-    fn from(batch: Vec<Vec<u8>>) -> Batch {
-        Batch::Vecs(batch)
-    }
-}
-
 impl From<RoundBuffer> for Batch {
     fn from(buf: RoundBuffer) -> Batch {
         Batch::Flat(buf)
     }
 }
 
-/// Admits one round's client batch at the entry: meters the aggregated
-/// clients→entry link, runs any attached tap, and produces the flat
-/// forward arena at the round's full onion width. Per-message batches
-/// pay the `Vec<Vec<u8>>` boundary exactly as before; flat cohort
-/// batches cross as a frame ([`batch_through_link`]), so they only pay
-/// it when a tap is actually attached. On this leg a size-mismatch count
-/// is dropped in both shapes: entry sizes are client-controlled, so a
-/// mismatch cannot be attributed to a tap (see [`Chain::tap_resized`]).
+/// Admits one round's client batch at the entry: the arena crosses the
+/// aggregated clients→entry link as a frame ([`batch_through_link`]:
+/// metered, and tapped when a tap is attached) and comes out as the
+/// round's forward arena. A tap's size-mismatch count is dropped on this
+/// leg: entry sizes are client-controlled, so a mismatch cannot be
+/// attributed to a tap (see [`Chain::tap_resized`]).
 ///
 /// # Panics
 ///
-/// Panics if a flat batch's width is not the round's onion width — a
-/// cohort builder bug, not client-controlled input.
+/// Panics unless the arena's width and stride are both the round's onion
+/// width — the geometry [`crate::node::run_entry_node`] holds a client
+/// frame to; a bug in the code that laid the arena out, not
+/// client-controlled input.
 pub(crate) fn admit_batch(
     client_link: &Link,
     round: u64,
@@ -105,23 +95,16 @@ pub(crate) fn admit_batch(
     batch: Batch,
 ) -> RoundBuffer {
     let width = onion::wrapped_len(kind.payload_len(), chain_len);
-    match batch {
-        Batch::Vecs(batch) => {
-            let batch = client_link.transmit(round, Direction::Forward, batch);
-            let (buf, _mismatched) = RoundBuffer::from_vecs(&batch, width, width);
-            buf
-        }
-        Batch::Flat(buf) => {
-            assert_eq!(
-                buf.width(),
-                width,
-                "flat batch width must equal the round's onion width"
-            );
-            let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
-            let _uncounted = batch_through_link(client_link, &mut frame);
-            buf_from_frame(frame)
-        }
-    }
+    let Batch::Flat(buf) = batch;
+    assert!(
+        buf.width() == width && buf.stride() == width,
+        "client batch geometry {}/{} but the round's onion width is {width}",
+        buf.width(),
+        buf.stride()
+    );
+    let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
+    let _uncounted = batch_through_link(client_link, &mut frame);
+    buf_from_frame(frame)
 }
 
 /// One round of a (possibly mixed) schedule: which protocol it runs,
@@ -428,15 +411,11 @@ impl Chain {
     /// chain's links from handler to handler until hop 0 answers
     /// upstream. No thread, transport or demux is involved.
     ///
-    /// Per-message batches stay vectors through the entry, so a tap on
-    /// the client link observes clients' raw bytes (including malformed
-    /// sizes) and the meter counts true lengths; past it the round runs
-    /// on a flat [`RoundBuffer`] arena.
-    ///
     /// # Panics
     ///
-    /// Panics if a hop refuses the round's frame — a dialing round with
-    /// no drops; an adversary tap cannot provoke it.
+    /// Panics if the batch's geometry is not the round's onion width (see
+    /// `admit_batch`), or a hop refuses the round's frame — a dialing
+    /// round with no drops; an adversary tap cannot provoke it.
     pub fn run_round(&mut self, spec: RoundSpec) -> RoundOutcome {
         let fed = Instant::now();
         let (round, kind, batch) = spec.into_parts();
@@ -496,8 +475,10 @@ impl Chain {
     pub fn download_drop(&mut self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
         let (round, drops) = self.log.invitation_drops.as_ref()?;
         let contents = drops.download(index)?.to_vec();
-        let batch: Vec<Vec<u8>> = contents.iter().map(|inv| inv.0.clone()).collect();
-        let _ = self.cdn_link.transmit(*round, Direction::Backward, batch);
+        let bytes = contents.iter().map(|inv| inv.0.len() as u64).sum();
+        let messages = contents.len() as u64;
+        self.cdn_link
+            .record(*round, Direction::Backward, messages, bytes);
         Some(contents)
     }
 
@@ -669,7 +650,7 @@ mod tests {
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
     use vuvuzela_wire::conversation::ExchangeRequest;
     use vuvuzela_wire::dialing::DialRequest;
-    use vuvuzela_wire::{EXCHANGE_RESPONSE_LEN, SEALED_MESSAGE_LEN};
+    use vuvuzela_wire::{EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN, SEALED_MESSAGE_LEN};
 
     fn tiny_config(chain_len: usize) -> SystemConfig {
         SystemConfig {
@@ -682,6 +663,15 @@ mod tests {
             retransmit_after: 2,
             exchange_shards: 4,
         }
+    }
+
+    /// Lays per-message onions into a `kind` round's arena over
+    /// `chain_len` servers, as the entry does: an entry of any other size
+    /// becomes a zero-filled slot.
+    fn arena(kind: RoundKind, chain_len: usize, onions: &[Vec<u8>]) -> RoundBuffer {
+        let mut batch = crate::entry::round_arena(kind, chain_len);
+        let _layout = crate::entry::multiplex(&mut batch, &[onions.to_vec()]);
+        batch
     }
 
     #[test]
@@ -703,7 +693,8 @@ mod tests {
         let (onion_a, keys_a) = make(0xAA, &mut rng);
         let (onion_b, keys_b) = make(0xBB, &mut rng);
 
-        let (replies, timing) = chain.run_conversation_round(0, vec![onion_a, onion_b]);
+        let (replies, timing) =
+            chain.run_conversation_round(0, arena(RoundKind::Conversation, 3, &[onion_a, onion_b]));
         assert_eq!(replies.len(), 2);
         assert_eq!(timing.forward.len(), 3);
         assert_eq!(timing.backward.len(), 3);
@@ -731,7 +722,8 @@ mod tests {
             sealed_message: vec![0x77; SEALED_MESSAGE_LEN],
         };
         let (onion0, keys) = onion::wrap(&mut rng, &pks, 3, &request.encode());
-        let (replies, _) = chain.run_conversation_round(3, vec![onion0]);
+        let (replies, _) =
+            chain.run_conversation_round(3, arena(RoundKind::Conversation, 2, &[onion0]));
         let reply = onion::unwrap_reply_layers(&keys, 3, &replies[0]).expect("unwraps");
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
         assert_ne!(reply, vec![0x77; EXCHANGE_RESPONSE_LEN], "not an echo");
@@ -740,7 +732,7 @@ mod tests {
     #[test]
     fn empty_round_still_carries_noise() {
         let mut chain = Chain::new(tiny_config(3), 3);
-        let (replies, _) = chain.run_conversation_round(0, vec![]);
+        let (replies, _) = chain.run_conversation_round(0, arena(RoundKind::Conversation, 3, &[]));
         assert!(replies.is_empty());
         let (_, obs) = chain.conversation_observables()[0];
         // Two noising servers × (4 singles + 2 pairs × 2 requests) = 16.
@@ -756,7 +748,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let request = ExchangeRequest::noise(&mut rng);
         let (onion0, keys) = onion::wrap(&mut rng, &pks, 0, &request.encode());
-        let (replies, _) = chain.run_conversation_round(0, vec![onion0]);
+        let (replies, _) =
+            chain.run_conversation_round(0, arena(RoundKind::Conversation, 1, &[onion0]));
         let reply = onion::unwrap_reply_layers(&keys, 0, &replies[0]).expect("unwraps");
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
     }
@@ -781,7 +774,11 @@ mod tests {
         };
         let (onion0, _) = onion::wrap(&mut rng, &pks, 10, &request.encode());
 
-        let timing = chain.run_dialing_round(10, vec![onion0], num_drops);
+        let timing = chain.run_dialing_round(
+            10,
+            arena(RoundKind::Dialing { num_drops }, 3, &[onion0]),
+            num_drops,
+        );
         assert_eq!(timing.forward.len(), 3);
 
         let contents = chain.download_drop(target).expect("drop exists");
@@ -812,9 +809,33 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let mut garbage = vec![0u8; 500];
         rng.fill_bytes(&mut garbage);
-        let (replies, _) = chain.run_conversation_round(0, vec![garbage, vec![], vec![1, 2, 3]]);
+        let batch = arena(
+            RoundKind::Conversation,
+            2,
+            &[garbage, vec![], vec![1, 2, 3]],
+        );
+        let (replies, _) = chain.run_conversation_round(0, batch);
         assert_eq!(replies.len(), 3, "alignment preserved under garbage");
         assert_eq!(chain.server(0).malformed_replaced, 3);
+        // The clients link carries what the wire entry's client leg
+        // carries: three slots at the onion width, whatever was in them.
+        let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2) as u64;
+        assert_eq!(
+            chain.client_link().round_traffic(0, Direction::Forward),
+            (3, 3 * width)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "client batch geometry")]
+    fn stride_padded_batch_is_refused_as_on_the_wire() {
+        // A cohort-width arena with stride headroom: `run_entry_node`
+        // refuses its frame, so the in-process entry refuses it too.
+        let mut chain = Chain::new(tiny_config(2), 13);
+        let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2);
+        let mut padded = RoundBuffer::new(width + 16, width);
+        padded.push_with(|_| {});
+        let _ = chain.run_conversation_round(0, padded);
     }
 
     #[test]
@@ -825,7 +846,7 @@ mod tests {
         let payload = ExchangeRequest::noise(&mut rng).encode();
         let (onion0, _) = onion::wrap(&mut rng, &pks, 0, &payload);
         let before = chain.total_server_bytes();
-        let _ = chain.run_conversation_round(0, vec![onion0]);
+        let _ = chain.run_conversation_round(0, arena(RoundKind::Conversation, 2, &[onion0]));
         assert!(chain.total_server_bytes() > before);
         // The server0→server1 link carries real + server0 noise.
         assert!(chain.links()[1].forward_meter().messages() > 1);

@@ -840,7 +840,8 @@ mod tests {
             };
             onion::wrap(&mut rng, &pks, 0, &request.encode())
         };
-        let conv_batch = vec![onion_a, onion_b, onion_c];
+        let mut conv_batch = crate::entry::round_arena(RoundKind::Conversation, 3);
+        let _layout = crate::entry::multiplex(&mut conv_batch, &[vec![onion_a, onion_b, onion_c]]);
 
         // One dial invitation into 2 drops.
         let caller = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
@@ -851,7 +852,9 @@ mod tests {
             invitation: SealedInvitation::seal(&mut rng, &caller.public, &callee.public),
         };
         let (dial_onion, _) = onion::wrap(&mut rng, &pks, 1, &dial_request.encode());
-        let dial_batch = vec![dial_onion];
+        let dial_kind = RoundKind::Dialing { num_drops };
+        let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
+        let _layout = crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
 
         // Reference: the sequential chain.
         let (ref_replies, _) = chain.run_conversation_round(0, conv_batch.clone());
@@ -882,29 +885,15 @@ mod tests {
             }));
         }
 
-        // Client side: feed the same two rounds as flat frames — both
+        // Client side: feed the same two rounds' arenas as frames — both
         // admitted before either reply is read (the window is 3).
-        let send_batch = |round: u64, round_type: RoundType, num_drops: u32, batch: &[Vec<u8>]| {
-            let width = batch[0].len();
-            let payload: Vec<u8> = batch.concat();
-            client_end
-                .send(Frame::Batch(BatchFrame {
-                    link: LinkId::Clients,
-                    round: RoundId(round),
-                    round_type,
-                    num_drops,
-                    backward: false,
-                    stride: width as u32,
-                    width: width as u32,
-                    count: batch.len() as u32,
-                    payload,
-                    trailer: Vec::new(),
-                }))
-                .expect("send batch");
+        let send_batch = |round: u64, kind: RoundKind, batch: RoundBuffer| {
+            let frame = frame_from_buf(LinkId::Clients, round, kind, false, batch, Vec::new());
+            client_end.send(Frame::Batch(frame)).expect("send batch");
         };
 
-        send_batch(0, RoundType::Conversation, 0, &conv_batch);
-        send_batch(1, RoundType::Dialing, num_drops, &dial_batch);
+        send_batch(0, RoundKind::Conversation, conv_batch);
+        send_batch(1, dial_kind, dial_batch);
 
         // Backward frames return in admission order: round 0's replies,
         // then round 1's completion.

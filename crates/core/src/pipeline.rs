@@ -45,7 +45,7 @@
 //! of hops; `benchmark/` measures both schedulers on the same batches as
 //! `core.pipeline.speedup_vs_sequential`.
 
-use crate::chain::{admit_batch, Chain, Collector, RoundOutcome, RoundSpec, RoundTiming};
+use crate::chain::{admit_batch, Chain, Collector, RoundOutcome, RoundSpec};
 use crate::config::SystemConfig;
 use crate::node::{feed_window, run_server_node};
 use crate::server::RoundKind;
@@ -128,75 +128,11 @@ impl StreamingChain {
         self.chain.abort_in_flight_rounds()
     }
 
-    /// Runs a schedule of conversation rounds with the hops overlapped
-    /// across the weighted in-flight window. Returns per-round
-    /// `(replies, timing)` in input order — byte-identical to calling
-    /// [`Chain::run_conversation_round`] once per round on an
-    /// identically seeded sequential chain.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`StreamingChain::run_mixed_schedule`].
-    pub fn run_conversation_rounds(
-        &mut self,
-        rounds: Vec<(u64, Vec<Vec<u8>>)>,
-    ) -> Vec<(Vec<Vec<u8>>, RoundTiming)> {
-        let specs = rounds
-            .into_iter()
-            .map(|(round, batch)| RoundSpec::Conversation {
-                round,
-                batch: batch.into(),
-            })
-            .collect();
-        self.run_mixed_schedule(specs)
-            .into_iter()
-            .map(|outcome| match outcome {
-                RoundOutcome::Conversation { replies, timing } => (replies, timing),
-                RoundOutcome::Dialing { .. } => {
-                    unreachable!("homogeneous conversation schedule")
-                }
-            })
-            .collect()
-    }
-
-    /// Runs a schedule of forward-only dialing rounds (§5) through the
-    /// overlapped pipeline; `num_drops` applies to every round. The last
-    /// round's invitation drops are retained for
-    /// [`StreamingChain::download_drop`]. Byte-identical results to the
-    /// sequential [`Chain::run_dialing_round`] per round.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`StreamingChain::run_mixed_schedule`].
-    pub fn run_dialing_rounds(
-        &mut self,
-        rounds: Vec<(u64, Vec<Vec<u8>>)>,
-        num_drops: u32,
-    ) -> Vec<RoundTiming> {
-        let specs = rounds
-            .into_iter()
-            .map(|(round, batch)| RoundSpec::Dialing {
-                round,
-                batch: batch.into(),
-                num_drops,
-            })
-            .collect();
-        self.run_mixed_schedule(specs)
-            .into_iter()
-            .map(|outcome| match outcome {
-                RoundOutcome::Dialing { timing } => timing,
-                RoundOutcome::Conversation { .. } => {
-                    unreachable!("homogeneous dialing schedule")
-                }
-            })
-            .collect()
-    }
-
-    /// The unified scheduler: runs a heterogeneous sequence of
-    /// conversation and dialing rounds through the server node loops,
-    /// fed under the weighted window (see the module docs), and returns
-    /// per-round [`RoundOutcome`]s in input order, each byte-identical
-    /// to the sequential [`Chain::run_round`] over the same sequence.
+    /// The scheduler: runs a heterogeneous sequence of conversation and
+    /// dialing rounds through the server node loops, fed under the
+    /// weighted window (see the module docs), and returns per-round
+    /// [`RoundOutcome`]s in input order, each byte-identical to the
+    /// sequential [`Chain::run_round`] over the same sequence.
     ///
     /// Round ids must strictly increase within a schedule — the wire's
     /// sequencing rule, which every hop holds its upstream to; a later
@@ -331,7 +267,10 @@ impl StreamingChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Batch;
     use crate::engine::admission_weights;
+    use crate::entry;
+    use crate::roundbuf::RoundBuffer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vuvuzela_crypto::onion;
@@ -361,32 +300,60 @@ mod tests {
         }
     }
 
+    /// Lays `onions` into a `kind` round's arena, as the entry does.
+    fn arena(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> Batch {
+        let mut batch = entry::round_arena(kind, chain_len);
+        let _layout = entry::multiplex(&mut batch, &[onions]);
+        Batch::Flat(batch)
+    }
+
+    /// `count` slots of nothing: a batch whose only property that matters
+    /// is its length.
+    fn slots(count: usize) -> Batch {
+        Batch::Flat(RoundBuffer::from_raw(vec![0; count], 1, 1, count))
+    }
+
     fn client_batch(
         pks: &[vuvuzela_crypto::x25519::PublicKey],
         round: u64,
         count: usize,
         rng: &mut StdRng,
-    ) -> Vec<Vec<u8>> {
-        (0..count)
+    ) -> Batch {
+        let onions = (0..count)
             .map(|_| {
                 let payload = ExchangeRequest::noise(rng).encode();
                 onion::wrap(rng, pks, round, &payload).0
             })
-            .collect()
+            .collect();
+        arena(RoundKind::Conversation, pks.len(), onions)
     }
 
     fn dial_batch(
         pks: &[vuvuzela_crypto::x25519::PublicKey],
         round: u64,
         count: usize,
+        num_drops: u32,
         rng: &mut StdRng,
-    ) -> Vec<Vec<u8>> {
-        (0..count)
+    ) -> Batch {
+        let onions = (0..count)
             .map(|_| {
                 let payload = DialRequest::noop(rng).encode();
                 onion::wrap(rng, pks, round, &payload).0
             })
-            .collect()
+            .collect();
+        arena(RoundKind::Dialing { num_drops }, pks.len(), onions)
+    }
+
+    fn conversation(round: u64, batch: Batch) -> RoundSpec {
+        RoundSpec::Conversation { round, batch }
+    }
+
+    fn dialing(round: u64, batch: Batch, num_drops: u32) -> RoundSpec {
+        RoundSpec::Dialing {
+            round,
+            batch,
+            num_drops,
+        }
     }
 
     #[test]
@@ -398,18 +365,19 @@ mod tests {
         assert_eq!(pks, sequential.server_public_keys());
 
         let mut rng = StdRng::seed_from_u64(5);
-        let rounds: Vec<(u64, Vec<Vec<u8>>)> = (0..3u64)
-            .map(|round| (round, client_batch(&pks, round, 4, &mut rng)))
+        let specs: Vec<RoundSpec> = (0..3u64)
+            .map(|round| conversation(round, client_batch(&pks, round, 4, &mut rng)))
             .collect();
 
-        let streamed = streaming.run_conversation_rounds(rounds.clone());
-        let mut expected = Vec::new();
-        for (round, batch) in rounds {
-            expected.push(sequential.run_conversation_round(round, batch));
-        }
-        assert_eq!(streamed.len(), expected.len());
-        for (round, ((got, _), (want, _))) in streamed.iter().zip(&expected).enumerate() {
-            assert_eq!(got, want, "round {round} replies diverged");
+        let streamed = streaming.run_mixed_schedule(specs.clone());
+        assert_eq!(streamed.len(), specs.len());
+        for (round, (spec, got)) in specs.into_iter().zip(&streamed).enumerate() {
+            let want = sequential.run_round(spec);
+            assert_eq!(
+                got.replies(),
+                want.replies(),
+                "round {round} replies diverged"
+            );
         }
 
         // Observables and per-round link accounting agree too.
@@ -447,16 +415,17 @@ mod tests {
                 drop: target,
                 invitation: SealedInvitation::seal(rng, &caller.public, &callee.public),
             };
-            vec![onion::wrap(rng, &pks, round, &request.encode()).0]
+            let onion = onion::wrap(rng, &pks, round, &request.encode()).0;
+            let batch = arena(RoundKind::Dialing { num_drops }, pks.len(), vec![onion]);
+            dialing(round, batch, num_drops)
         };
-        let rounds: Vec<(u64, Vec<Vec<u8>>)> = (10..13u64)
-            .map(|round| (round, make_round(round, &mut rng)))
+        let specs: Vec<RoundSpec> = (10..13u64)
+            .map(|round| make_round(round, &mut rng))
             .collect();
 
-        let timings = streaming.run_dialing_rounds(rounds.clone(), num_drops);
-        assert_eq!(timings.len(), 3);
-        for (round, batch) in rounds {
-            let _ = sequential.run_dialing_round(round, batch, num_drops);
+        assert_eq!(streaming.run_mixed_schedule(specs.clone()).len(), 3);
+        for spec in specs {
+            let _ = sequential.run_round(spec);
         }
 
         let mut got: Vec<_> = streaming.chain().dialing_observables().to_vec();
@@ -485,29 +454,11 @@ mod tests {
         // Conversation and dialing interleaved; dialing both adjacent
         // (rounds 1, 2) and separated (round 4).
         let specs: Vec<RoundSpec> = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: client_batch(&pks, 0, 3, &mut rng).into(),
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: dial_batch(&pks, 1, 2, &mut rng).into(),
-                num_drops,
-            },
-            RoundSpec::Dialing {
-                round: 2,
-                batch: dial_batch(&pks, 2, 1, &mut rng).into(),
-                num_drops,
-            },
-            RoundSpec::Conversation {
-                round: 3,
-                batch: client_batch(&pks, 3, 2, &mut rng).into(),
-            },
-            RoundSpec::Dialing {
-                round: 4,
-                batch: dial_batch(&pks, 4, 2, &mut rng).into(),
-                num_drops,
-            },
+            conversation(0, client_batch(&pks, 0, 3, &mut rng)),
+            dialing(1, dial_batch(&pks, 1, 2, num_drops, &mut rng), num_drops),
+            dialing(2, dial_batch(&pks, 2, 1, num_drops, &mut rng), num_drops),
+            conversation(3, client_batch(&pks, 3, 2, &mut rng)),
+            dialing(4, dial_batch(&pks, 4, 2, num_drops, &mut rng), num_drops),
         ];
 
         let outcomes = streaming.run_mixed_schedule(specs.clone());
@@ -555,19 +506,9 @@ mod tests {
             exchange_shards: 4,
         };
         let specs = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: vec![Vec::new(); 4].into(),
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: vec![Vec::new(); 4].into(),
-                num_drops: 1,
-            },
-            RoundSpec::Conversation {
-                round: 2,
-                batch: vec![Vec::new(); 4].into(),
-            },
+            conversation(0, slots(4)),
+            dialing(1, slots(4), 1),
+            conversation(2, slots(4)),
         ];
         let weights = admission_weights(&config, 3, &shapes(&specs));
         assert_eq!(weights[0], 1, "conversation rounds are the unit slot");
@@ -581,32 +522,12 @@ mod tests {
         // Homogeneous schedules collapse to plain round counting — even
         // with uneven batches or drop counts, so the homogeneous entry
         // points schedule exactly as they did before weighted admission.
-        let dialing_only = vec![
-            RoundSpec::Dialing {
-                round: 0,
-                batch: vec![Vec::new(); 4].into(),
-                num_drops: 1,
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: vec![Vec::new(); 400].into(),
-                num_drops: 3,
-            },
-        ];
+        let dialing_only = vec![dialing(0, slots(4), 1), dialing(1, slots(400), 3)];
         assert_eq!(
             admission_weights(&config, 3, &shapes(&dialing_only)),
             vec![1, 1]
         );
-        let conversation_only = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: vec![Vec::new(); 10].into(),
-            },
-            RoundSpec::Conversation {
-                round: 1,
-                batch: vec![Vec::new(); 500].into(),
-            },
-        ];
+        let conversation_only = vec![conversation(0, slots(10)), conversation(1, slots(500))];
         assert_eq!(
             admission_weights(&config, 3, &shapes(&conversation_only)),
             vec![1, 1]
@@ -633,19 +554,9 @@ mod tests {
         let pks = streaming.server_public_keys();
         let mut rng = StdRng::seed_from_u64(3);
         let specs = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: client_batch(&pks, 0, 2, &mut rng).into(),
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: dial_batch(&pks, 1, 1, &mut rng).into(),
-                num_drops: 1,
-            },
-            RoundSpec::Conversation {
-                round: 2,
-                batch: client_batch(&pks, 2, 2, &mut rng).into(),
-            },
+            conversation(0, client_batch(&pks, 0, 2, &mut rng)),
+            dialing(1, dial_batch(&pks, 1, 1, 1, &mut rng), 1),
+            conversation(2, client_batch(&pks, 2, 2, &mut rng)),
         ];
         let weights = admission_weights(&config, 2, &shapes(&specs));
         assert_eq!(weights[1], 2, "the dialing round fills the window");
@@ -660,8 +571,6 @@ mod tests {
     #[test]
     fn empty_schedule_is_a_noop() {
         let mut streaming = StreamingChain::new(tiny_config(2), 1);
-        assert!(streaming.run_conversation_rounds(Vec::new()).is_empty());
-        assert!(streaming.run_dialing_rounds(Vec::new(), 1).is_empty());
         assert!(streaming.run_mixed_schedule(Vec::new()).is_empty());
     }
 
@@ -669,7 +578,8 @@ mod tests {
     #[should_panic(expected = "duplicate round ids")]
     fn duplicate_rounds_rejected() {
         let mut streaming = StreamingChain::new(tiny_config(2), 1);
-        let _ = streaming.run_conversation_rounds(vec![(0, vec![]), (0, vec![])]);
+        let _ = streaming
+            .run_mixed_schedule(vec![conversation(0, slots(0)), conversation(0, slots(0))]);
     }
 
     #[test]
@@ -692,11 +602,11 @@ mod tests {
             .attach_tap(std::sync::Arc::new(parking_lot::Mutex::new(ExplodingTap)));
 
         let mut rng = StdRng::seed_from_u64(4);
-        let rounds: Vec<(u64, Vec<Vec<u8>>)> = (0..3u64)
-            .map(|round| (round, client_batch(&pks, round, 2, &mut rng)))
+        let specs: Vec<RoundSpec> = (0..3u64)
+            .map(|round| conversation(round, client_batch(&pks, round, 2, &mut rng)))
             .collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            streaming.run_conversation_rounds(rounds)
+            streaming.run_mixed_schedule(specs)
         }));
         assert!(outcome.is_err(), "schedule must fail, not hang");
     }
@@ -735,19 +645,9 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(29);
         let specs = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: client_batch(&pks, 0, 4, &mut rng).into(),
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: dial_batch(&pks, 1, 3, &mut rng).into(),
-                num_drops: 2,
-            },
-            RoundSpec::Conversation {
-                round: 2,
-                batch: client_batch(&pks, 2, 4, &mut rng).into(),
-            },
+            conversation(0, client_batch(&pks, 0, 4, &mut rng)),
+            dialing(1, dial_batch(&pks, 1, 3, 2, &mut rng), 2),
+            conversation(2, client_batch(&pks, 2, 4, &mut rng)),
         ];
         let outcomes = streaming.run_mixed_schedule(specs);
         assert_eq!(outcomes.len(), 3, "every tampered round must complete");
@@ -788,14 +688,20 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(37);
         let num_drops = 2;
-        let rounds: Vec<(u64, Vec<Vec<u8>>)> = (0..3u64)
-            .map(|round| (round, dial_batch(&pks, round, 2, &mut rng)))
+        let specs: Vec<RoundSpec> = (0..3u64)
+            .map(|round| {
+                dialing(
+                    round,
+                    dial_batch(&pks, round, 2, num_drops, &mut rng),
+                    num_drops,
+                )
+            })
             .collect();
-        let timings = streaming.run_dialing_rounds(rounds, num_drops);
-        assert_eq!(timings.len(), 3);
-        for (round, timing) in timings.iter().enumerate() {
+        let outcomes = streaming.run_mixed_schedule(specs);
+        assert_eq!(outcomes.len(), 3);
+        for (round, outcome) in outcomes.iter().enumerate() {
             assert!(
-                timing.backward.is_empty(),
+                outcome.timing().backward.is_empty(),
                 "dialing round {round} ran a backward stage under tampering"
             );
             for link in streaming.chain().links() {
@@ -819,13 +725,13 @@ mod tests {
         let mut sequential = Chain::new(tiny_config(1), seed);
         let pks = streaming.server_public_keys();
         let mut rng = StdRng::seed_from_u64(9);
-        let rounds: Vec<(u64, Vec<Vec<u8>>)> = (0..2u64)
-            .map(|round| (round, client_batch(&pks, round, 2, &mut rng)))
+        let specs: Vec<RoundSpec> = (0..2u64)
+            .map(|round| conversation(round, client_batch(&pks, round, 2, &mut rng)))
             .collect();
-        let streamed = streaming.run_conversation_rounds(rounds.clone());
-        for ((round, batch), (got, _)) in rounds.into_iter().zip(streamed) {
-            let (want, _) = sequential.run_conversation_round(round, batch);
-            assert_eq!(got, want, "round {round}");
+        let streamed = streaming.run_mixed_schedule(specs.clone());
+        for (round, (spec, got)) in specs.into_iter().zip(streamed).enumerate() {
+            let want = sequential.run_round(spec);
+            assert_eq!(got.replies(), want.replies(), "round {round}");
         }
     }
 
@@ -839,19 +745,9 @@ mod tests {
         let pks = streaming.server_public_keys();
         let mut rng = StdRng::seed_from_u64(19);
         let specs = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: client_batch(&pks, 0, 2, &mut rng).into(),
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: dial_batch(&pks, 1, 1, &mut rng).into(),
-                num_drops: 1,
-            },
-            RoundSpec::Conversation {
-                round: 2,
-                batch: client_batch(&pks, 2, 1, &mut rng).into(),
-            },
+            conversation(0, client_batch(&pks, 0, 2, &mut rng)),
+            dialing(1, dial_batch(&pks, 1, 1, 1, &mut rng), 1),
+            conversation(2, client_batch(&pks, 2, 1, &mut rng)),
         ];
         let outcomes = streaming.run_mixed_schedule(specs.clone());
         for (spec, got) in specs.into_iter().zip(outcomes) {

@@ -27,9 +27,13 @@
 //! Together with [`vuvuzela_net::WorkerPool::map_strides_mut`], which
 //! parallelises over exactly these slots, this is the zero-copy data
 //! plane of the round pipeline; [`crate::server::MixServer::forward_buf`]
-//! is its main consumer. Conversions to/from `Vec<Vec<u8>>` exist only
-//! for the client boundary, adversary taps and the pre-refactor
-//! reference path.
+//! is its main consumer. A round's client batch is an arena from the
+//! moment it is built: cohorts and the deployment client wrap onions
+//! straight into their slots, and per-object clients' onions are laid in
+//! once, by [`crate::entry::multiplex`]. `Vec<Vec<u8>>` views remain for
+//! the replies handed back to clients, adversary taps, and the per-`Vec`
+//! reference recipe ([`crate::server::MixServer::forward_reference`])
+//! the equivalence tests hold the arena path to.
 
 /// A round's batch as one flat arena; see the module docs.
 #[derive(Clone)]
@@ -151,12 +155,13 @@ impl RoundBuffer {
         &mut self.data[start..start + self.width]
     }
 
-    /// Appends a zeroed slot and lets `f` fill its `width` bytes.
-    pub fn push_with(&mut self, f: impl FnOnce(&mut [u8])) {
+    /// Appends a zeroed slot and lets `f` fill its `width` bytes,
+    /// returning what `f` returns.
+    pub fn push_with<T>(&mut self, f: impl FnOnce(&mut [u8]) -> T) -> T {
         self.data.resize(self.data.len() + self.stride, 0);
         self.len += 1;
         let i = self.len - 1;
-        f(self.slot_mut(i));
+        f(self.slot_mut(i))
     }
 
     /// Drops all slots past the first `n` (used to strip a server's own

@@ -14,6 +14,7 @@ use crate::chain::{Chain, RoundTiming};
 use crate::client::Client;
 use crate::config::SystemConfig;
 use crate::entry;
+use crate::server::RoundKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vuvuzela_crypto::x25519::Keypair;
@@ -233,7 +234,8 @@ impl TestNet {
             }
         }
 
-        let (batch, layout) = entry::multiplex(requests);
+        let mut batch = entry::round_arena(RoundKind::Conversation, self.config.chain_len);
+        let layout = entry::multiplex(&mut batch, &requests);
         let (replies, timing) = self.chain.run_conversation_round(round, batch);
         self.last_timing = timing;
         let per_client = entry::demultiplex(&layout, replies);
@@ -265,7 +267,8 @@ impl TestNet {
             }
         }
 
-        let (batch, _layout) = entry::multiplex(requests);
+        let mut batch = entry::round_arena(RoundKind::Dialing { num_drops }, self.config.chain_len);
+        let _layout = entry::multiplex(&mut batch, &requests);
         let timing = self.chain.run_dialing_round(round, batch, num_drops);
         self.last_timing = timing;
 

@@ -163,25 +163,11 @@ impl Link {
         self.tap = None;
     }
 
-    /// Transfers a batch across the link: meters it, lets the tap
-    /// interfere, and returns what arrives at the far end.
-    #[must_use]
-    pub fn transmit(
-        &self,
-        round: u64,
-        direction: Direction,
-        mut batch: Vec<Vec<u8>>,
-    ) -> Vec<Vec<u8>> {
-        let bytes: u64 = batch.iter().map(|m| m.len() as u64).sum();
-        self.record(round, direction, batch.len() as u64, bytes);
-        self.tap_intercept(round, direction, &mut batch);
-        batch
-    }
-
-    /// Meters a transfer without materialising per-message vectors — the
-    /// zero-copy round pipeline's entry point (its batches live in one
-    /// flat arena owned by the caller). The transfer is attributed to
-    /// `round` in the per-round log as well as the aggregate meters.
+    /// Meters a transfer of `messages` entries, `bytes` in all. The
+    /// transfer is attributed to `round` in the per-round log as well as
+    /// the aggregate meters. A batch frame crosses a link through
+    /// [`crate::transport::batch_through_link`], which meters here before
+    /// any tap runs.
     pub fn record(&self, round: u64, direction: Direction, messages: u64, bytes: u64) {
         let meter = match direction {
             Direction::Forward => &self.shared.forward_meter,
@@ -305,15 +291,40 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vuvuzela_wire::LinkId;
+    use crate::transport::batch_through_link;
+    use vuvuzela_wire::{BatchFrame, LinkId, RoundId, RoundType};
+
+    /// A batch of `entries` (all one width) for `round`.
+    fn frame(round: u64, direction: Direction, entries: &[&[u8]]) -> BatchFrame {
+        let width = entries.first().map_or(1, |entry| entry.len());
+        BatchFrame {
+            link: LinkId::Hop(0),
+            round: RoundId(round),
+            round_type: RoundType::Conversation,
+            num_drops: 0,
+            backward: direction == Direction::Backward,
+            stride: width as u32,
+            width: width as u32,
+            count: entries.len() as u32,
+            payload: entries.concat(),
+            trailer: Vec::new(),
+        }
+    }
+
+    /// Carries `entries` across `link` and returns what arrives.
+    fn carry(link: &Link, round: u64, direction: Direction, entries: &[&[u8]]) -> Vec<Vec<u8>> {
+        let mut batch = frame(round, direction, entries);
+        let _resized = batch_through_link(link, &mut batch);
+        let width = batch.width as usize;
+        batch.payload.chunks(width).map(<[u8]>::to_vec).collect()
+    }
 
     #[test]
     fn untapped_link_passes_through_and_meters() {
         let link = Link::new(LinkId::Hop(0));
-        let batch = vec![vec![1u8; 10], vec![2u8; 20]];
-        let out = link.transmit(0, Direction::Forward, batch.clone());
-        assert_eq!(out, batch);
-        assert_eq!(link.forward_meter().bytes(), 30);
+        let out = carry(&link, 0, Direction::Forward, &[&[1; 10], &[2; 10]]);
+        assert_eq!(out, vec![vec![1u8; 10], vec![2u8; 10]]);
+        assert_eq!(link.forward_meter().bytes(), 20);
         assert_eq!(link.forward_meter().messages(), 2);
         assert_eq!(link.backward_meter().bytes(), 0);
     }
@@ -323,9 +334,9 @@ mod tests {
         // Two rounds interleaved on the wire (as the streaming scheduler
         // produces) must still be attributable round by round.
         let link = Link::new(LinkId::Hop(0));
-        let _ = link.transmit(0, Direction::Forward, vec![vec![1u8; 10]]);
-        let _ = link.transmit(1, Direction::Forward, vec![vec![2u8; 20], vec![3u8; 20]]);
-        let _ = link.transmit(0, Direction::Backward, vec![vec![4u8; 5]]);
+        link.record(0, Direction::Forward, 1, 10);
+        link.record(1, Direction::Forward, 2, 40);
+        link.record(0, Direction::Backward, 1, 5);
         assert_eq!(link.round_traffic(0, Direction::Forward), (1, 10));
         assert_eq!(link.round_traffic(1, Direction::Forward), (2, 40));
         assert_eq!(link.round_traffic(0, Direction::Backward), (1, 5));
@@ -346,8 +357,8 @@ mod tests {
         let mut link = Link::new(LinkId::Hop(0));
         let tap = Arc::new(Mutex::new(RecordingTap::new()));
         link.attach_tap(tap.clone());
-        let _ = link.transmit(3, Direction::Forward, vec![vec![0u8; 5]]);
-        let _ = link.transmit(3, Direction::Backward, vec![vec![0u8; 7], vec![0u8; 7]]);
+        let _ = carry(&link, 3, Direction::Forward, &[&[0; 5]]);
+        let _ = carry(&link, 3, Direction::Backward, &[&[0; 7], &[0; 7]]);
 
         let guard = tap.lock();
         assert_eq!(guard.observations.len(), 2);
@@ -370,7 +381,7 @@ mod tests {
     fn blocking_tap_drops_traffic() {
         let mut link = Link::new(LinkId::Clients);
         link.attach_tap(Arc::new(Mutex::new(KeepFirstN(1))));
-        let out = link.transmit(0, Direction::Forward, vec![vec![1], vec![2], vec![3]]);
+        let out = carry(&link, 0, Direction::Forward, &[&[1], &[2], &[3]]);
         assert_eq!(out, vec![vec![1]]);
         // Metering happens before interference: the adversary cannot hide
         // traffic from our own accounting.
@@ -389,21 +400,16 @@ mod tests {
     fn injecting_tap_adds_traffic() {
         let mut link = Link::new(LinkId::Cdn);
         link.attach_tap(Arc::new(Mutex::new(Inject(vec![9, 9]))));
-        let out = link.transmit(0, Direction::Forward, vec![vec![1]]);
-        assert_eq!(out, vec![vec![1], vec![9, 9]]);
+        let out = carry(&link, 0, Direction::Forward, &[&[1, 1]]);
+        assert_eq!(out, vec![vec![1, 1], vec![9, 9]]);
     }
 
     #[test]
     fn detach_restores_passthrough() {
         let mut link = Link::new(LinkId::Cdn);
         link.attach_tap(Arc::new(Mutex::new(KeepFirstN(0))));
-        assert!(link
-            .transmit(0, Direction::Forward, vec![vec![1]])
-            .is_empty());
+        assert!(carry(&link, 0, Direction::Forward, &[&[1]]).is_empty());
         link.detach_tap();
-        assert_eq!(
-            link.transmit(1, Direction::Forward, vec![vec![1]]),
-            vec![vec![1]]
-        );
+        assert_eq!(carry(&link, 1, Direction::Forward, &[&[1]]), vec![vec![1]]);
     }
 }

@@ -28,6 +28,7 @@ use vuvuzela_core::cohort::{self, ClientCohort};
 use vuvuzela_core::config::SystemConfig;
 use vuvuzela_core::entry;
 use vuvuzela_core::pipeline::StreamingChain;
+use vuvuzela_core::server::RoundKind;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_dp::{PrivacyLedger, Protocol};
@@ -704,13 +705,14 @@ impl Simulator {
             + self.cohort.as_ref().map_or(0, ClientCohort::mutual_pairs);
         let seed = self.scenario.seed;
         let workers = self.config.workers;
+        let chain_len = self.config.chain_len;
 
         // Build every round's client batch up front (clients pipeline
         // requests; replies for the whole schedule arrive afterwards).
         // Per-object requests are built through the cohort module's
         // parallel builders — the same path for 2 clients or 2 million —
-        // and, when a cohort exists, appended to its flat arena so the
-        // chain admits one contiguous buffer.
+        // and appended to the round's one arena (the cohort's, when a
+        // cohort exists), which is what the chain admits.
         let mut specs: Vec<RoundSpec> = Vec::with_capacity(plans.len());
         let mut metas: Vec<RoundMeta> = Vec::with_capacity(plans.len());
         for plan in plans {
@@ -726,18 +728,15 @@ impl Simulator {
                         &server_pks,
                         workers,
                     );
-                    let (individual, layout) = entry::multiplex(requests);
-                    let (batch, cohort_requests) = match self.cohort.as_mut() {
+                    let (mut batch, cohort_requests) = match self.cohort.as_mut() {
                         Some(population) if !population.is_empty() => {
                             let cohort_requests = population.len() * self.config.conversation_slots;
-                            let mut buf = population.build_conversation_round(round);
-                            for onion in &individual {
-                                buf.push_with(|slot| slot.copy_from_slice(onion));
-                            }
-                            (Batch::Flat(buf), cohort_requests)
+                            (population.build_conversation_round(round), cohort_requests)
                         }
-                        _ => (Batch::Vecs(individual), 0),
+                        _ => (entry::round_arena(RoundKind::Conversation, chain_len), 0),
                     };
+                    let layout = entry::multiplex(&mut batch, &requests);
+                    let batch = Batch::Flat(batch);
                     specs.push(RoundSpec::Conversation { round, batch });
                     metas.push(RoundMeta::Conversation {
                         round,
@@ -765,16 +764,17 @@ impl Simulator {
                         &server_pks,
                         workers,
                     );
-                    let (batch, cohort_clients) = match self.cohort.as_mut() {
+                    let (mut batch, cohort_clients) = match self.cohort.as_mut() {
                         Some(population) if !population.is_empty() => {
-                            let mut buf = population.build_dialing_round(round);
-                            for onion in &individual {
-                                buf.push_with(|slot| slot.copy_from_slice(onion));
-                            }
-                            (Batch::Flat(buf), population.len())
+                            (population.build_dialing_round(round), population.len())
                         }
-                        _ => (Batch::Vecs(individual), 0),
+                        _ => (
+                            entry::round_arena(RoundKind::Dialing { num_drops }, chain_len),
+                            0,
+                        ),
                     };
+                    let _layout = entry::multiplex(&mut batch, &[individual]);
+                    let batch = Batch::Flat(batch);
                     specs.push(RoundSpec::Dialing {
                         round,
                         batch,

@@ -28,11 +28,12 @@ use std::time::Duration;
 use serde_json::{json, Value};
 use vuvuzela_core::chain::{build_server, server_keypairs, Chain};
 use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
+use vuvuzela_core::entry::round_arena;
 use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
 use vuvuzela_core::observables::{ConversationObservables, DialingObservables};
 use vuvuzela_core::server::RoundKind;
-use vuvuzela_core::{RoundBuffer, SystemConfig};
-use vuvuzela_crypto::onion::{self, LayerKey};
+use vuvuzela_core::{Client, RoundBuffer, SystemConfig};
+use vuvuzela_crypto::onion::{self, LayerKey, PrecomputedServer};
 use vuvuzela_crypto::sha256::{sha256, Sha256};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::{Error, LinkId, RetryPolicy, TcpTransport, Transport};
@@ -40,7 +41,7 @@ use vuvuzela_sim::transcript::{hex, Transcript};
 use vuvuzela_wire::conversation::ExchangeRequest;
 use vuvuzela_wire::deaddrop::DeadDropId;
 use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
-use vuvuzela_wire::SEALED_MESSAGE_LEN;
+use vuvuzela_wire::{DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN, SEALED_MESSAGE_LEN};
 
 /// Default for [`DeploymentConfig::connect_timeout_ms`]: deployment
 /// processes start in arbitrary order, so peers retry refused
@@ -72,6 +73,18 @@ pub enum ScheduleEntry {
 }
 
 impl ScheduleEntry {
+    /// The round's kind, and how many client onions it carries.
+    fn shape(self) -> (RoundKind, usize) {
+        match self {
+            ScheduleEntry::Conversation { pairs, singles } => {
+                (RoundKind::Conversation, (2 * pairs + singles) as usize)
+            }
+            ScheduleEntry::Dialing { dials, drops } => {
+                (RoundKind::Dialing { num_drops: drops }, dials as usize)
+            }
+        }
+    }
+
     fn to_json(self) -> Value {
         match self {
             ScheduleEntry::Conversation { pairs, singles } => json!({
@@ -257,8 +270,9 @@ pub fn load_config(path: &Path) -> Result<DeploymentConfig, String> {
 /// One scripted round's client-side state: the onions fed in, and what
 /// is needed to verify the replies.
 pub struct ClientRound {
-    /// Request onions, in feed order.
-    pub onions: Vec<Vec<u8>>,
+    /// Request onions, in feed order: the round's arena, its slots
+    /// exactly the round's onion width.
+    pub onions: RoundBuffer,
     /// Reply-layer keys per onion (conversation rounds only).
     pub keys: Vec<Vec<LayerKey>>,
     /// `pair_of[i] = Some(j)` when onions `i` and `j` share a dead drop.
@@ -269,16 +283,25 @@ pub struct ClientRound {
 
 /// Builds round `round`'s client batch — a pure function of the config
 /// seed and the round number, so the distributed client driver and the
-/// in-process reference feed byte-identical onions.
+/// in-process reference feed byte-identical onions. Each onion is wrapped
+/// in place, straight into its slot of the round's arena, over the
+/// chain's `tables` ([`Client::chain_tables`] of
+/// [`DeploymentConfig::server_public_keys`]).
 #[must_use]
-pub fn build_client_round(cfg: &DeploymentConfig, pks: &[PublicKey], round: u64) -> ClientRound {
+pub fn build_client_round(
+    cfg: &DeploymentConfig,
+    tables: &[PrecomputedServer],
+    round: u64,
+) -> ClientRound {
     let mut rng = StdRng::seed_from_u64((cfg.seed ^ CLIENT_RNG_DOMAIN).wrapping_add(round));
+    let entry = cfg.schedule[round as usize];
     let mut data = ClientRound {
-        onions: Vec::new(),
+        onions: round_arena(entry.shape().0, tables.len()),
         keys: Vec::new(),
         pair_of: Vec::new(),
         messages: Vec::new(),
     };
+    let header = 32 * tables.len();
     let push_exchange = |rng: &mut StdRng, data: &mut ClientRound, drop: DeadDropId| {
         let mut sealed_message = vec![0u8; SEALED_MESSAGE_LEN];
         rng.fill_bytes(&mut sealed_message);
@@ -286,12 +309,14 @@ pub fn build_client_round(cfg: &DeploymentConfig, pks: &[PublicKey], round: u64)
             drop,
             sealed_message: sealed_message.clone(),
         };
-        let (onion, keys) = onion::wrap(rng, pks, round, &request.encode());
-        data.onions.push(onion);
+        let keys = data.onions.push_with(|slot| {
+            request.encode_into(&mut slot[header..]);
+            onion::wrap_into_with(rng, tables, round, slot, EXCHANGE_REQUEST_LEN)
+        });
         data.keys.push(keys);
         data.messages.push(sealed_message);
     };
-    match cfg.schedule[round as usize] {
+    match entry {
         ScheduleEntry::Conversation { pairs, singles } => {
             for pair in 0..pairs {
                 let mut id = [0u8; 16];
@@ -321,8 +346,10 @@ pub fn build_client_round(cfg: &DeploymentConfig, pks: &[PublicKey], round: u64)
                     ),
                     invitation: SealedInvitation::seal(&mut rng, &caller.public, &callee.public),
                 };
-                let (onion, _) = onion::wrap(&mut rng, pks, round, &request.encode());
-                data.onions.push(onion);
+                data.onions.push_with(|slot| {
+                    request.encode_into(&mut slot[header..]);
+                    onion::wrap_into_with(&mut rng, tables, round, slot, DIAL_REQUEST_LEN)
+                });
                 data.pair_of.push(None);
             }
         }
@@ -402,11 +429,11 @@ fn transcribe_dialing(
 #[must_use]
 pub fn run_reference(cfg: &DeploymentConfig) -> String {
     let mut chain = Chain::new(cfg.system.clone(), cfg.seed);
-    let pks = chain.server_public_keys();
+    let tables = Client::chain_tables(&cfg.server_public_keys());
     let mut transcript = transcript_header(cfg);
     for (index, entry) in cfg.schedule.iter().enumerate() {
         let round = index as u64;
-        let data = build_client_round(cfg, &pks, round);
+        let data = build_client_round(cfg, &tables, round);
         match *entry {
             ScheduleEntry::Conversation { .. } => {
                 let (replies, _) = chain.run_conversation_round(round, data.onions.clone());
@@ -451,23 +478,15 @@ pub fn run_client(
     depth: usize,
 ) -> Result<String, Error> {
     let depth = depth.clamp(1, cfg.system.chain_len.max(1));
-    let pks = cfg.server_public_keys();
+    let tables = Client::chain_tables(&cfg.server_public_keys());
     let mut transcript = transcript_header(cfg);
     let schedule: Vec<(u64, RoundKind, usize)> = cfg
         .schedule
         .iter()
         .zip(0u64..)
-        .map(|(sched, round)| match *sched {
-            ScheduleEntry::Conversation { pairs, singles } => (
-                round,
-                RoundKind::Conversation,
-                (2 * pairs + singles) as usize,
-            ),
-            ScheduleEntry::Dialing { dials, drops } => (
-                round,
-                RoundKind::Dialing { num_drops: drops },
-                dials as usize,
-            ),
+        .map(|(sched, round)| {
+            let (kind, clients) = sched.shape();
+            (round, kind, clients)
         })
         .collect();
     feed_window(
@@ -477,10 +496,8 @@ pub fn run_client(
         &schedule,
         |index| {
             let (round, kind, _) = schedule[index];
-            let data = build_client_round(cfg, &pks, round);
-            let width = onion::wrapped_len(kind.payload_len(), cfg.system.chain_len);
-            let (buf, _) = RoundBuffer::from_vecs(&data.onions, width, width);
-            (buf, (kind.num_drops(), data))
+            let data = build_client_round(cfg, &tables, round);
+            (data.onions.clone(), (kind.num_drops(), data))
         },
         |(num_drops, data), back, trailer| match trailer {
             RoundTrailer::Conversation(obs) => {
@@ -1004,12 +1021,41 @@ mod tests {
     #[test]
     fn client_rounds_are_deterministic() {
         let cfg = smoke_config();
-        let pks = cfg.server_public_keys();
-        let a = build_client_round(&cfg, &pks, 0);
-        let b = build_client_round(&cfg, &pks, 0);
-        assert_eq!(a.onions, b.onions);
+        let tables = Client::chain_tables(&cfg.server_public_keys());
+        let a = build_client_round(&cfg, &tables, 0);
+        let b = build_client_round(&cfg, &tables, 0);
+        assert_eq!(a.onions.to_vecs(), b.onions.to_vecs());
         assert_eq!(a.messages, b.messages);
-        let c = build_client_round(&cfg, &pks, 2);
-        assert_ne!(a.onions, c.onions, "rounds draw distinct batches");
+        let c = build_client_round(&cfg, &tables, 2);
+        assert_ne!(
+            a.onions.to_vecs(),
+            c.onions.to_vecs(),
+            "rounds draw distinct batches"
+        );
+    }
+
+    #[test]
+    fn client_round_arenas_match_the_reference_wrap() {
+        // SHA-256 over the smoke schedule's round 0 (conversation) and
+        // round 1 (dialing): each round's onions concatenated, then its
+        // layer keys. Taken when the client built every onion with the
+        // allocating `onion::wrap`; the in-place wrap into the arena must
+        // reproduce its onions, keys and RNG draws exactly.
+        const WANT: &str = "3496bb8b40e7d38139f91321090460440dcdfcd48f6912d3ee101487fac73a49";
+        let cfg = smoke_config();
+        let tables = Client::chain_tables(&cfg.server_public_keys());
+        let mut hasher = Sha256::new();
+        for round in [0, 1] {
+            let data = build_client_round(&cfg, &tables, round);
+            let width = data.onions.width();
+            assert_eq!(data.onions.stride(), width, "slots are exactly one onion");
+            for i in 0..data.onions.len() {
+                hasher.update(data.onions.slot(i));
+            }
+            for key in data.keys.iter().flatten() {
+                hasher.update(&key.0);
+            }
+        }
+        assert_eq!(hex(&hasher.finalize()), WANT);
     }
 }

@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use vuvuzela::core::chain::Batch;
 use vuvuzela::core::cohort::{client_round_rng, key_rng, ClientCohort};
+use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{entry, Chain, Client, SystemConfig};
 use vuvuzela::crypto::x25519::Keypair;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -96,8 +97,9 @@ proptest! {
                 let mut rng = client_round_rng(cohort_seed, round, i as u64);
                 per_client.push(client.build_conversation_requests(&mut rng, round, &pks));
             }
-            let (flat, layout) = entry::multiplex(per_client);
-            prop_assert_eq!(buf.to_vecs(), flat.clone(), "round {} requests diverged", round);
+            let mut flat = entry::round_arena(RoundKind::Conversation, config.chain_len);
+            let layout = entry::multiplex(&mut flat, &per_client);
+            prop_assert_eq!(buf.to_vecs(), flat.to_vecs(), "round {} requests diverged", round);
 
             // Same chain seed ⇒ same noise schedule; replies agree.
             let (replies_a, _) = chain_a.run_conversation_round(round, Batch::Flat(buf));
@@ -165,8 +167,10 @@ proptest! {
         }
         prop_assert_eq!(buf.to_vecs(), reference.clone(), "dial requests diverged");
 
+        let mut flat = entry::round_arena(RoundKind::Dialing { num_drops }, config.chain_len);
+        let _layout = entry::multiplex(&mut flat, &[reference]);
         chain_a.run_dialing_round(round, Batch::Flat(buf), num_drops);
-        chain_b.run_dialing_round(round, reference, num_drops);
+        chain_b.run_dialing_round(round, flat, num_drops);
         prop_assert_eq!(chain_a.dialing_observables(), chain_b.dialing_observables());
     }
 }
@@ -219,8 +223,13 @@ fn cohort_matches_clients_at_chunk_edges() {
                         let mut rng = client_round_rng(cohort_seed, round, i as u64);
                         per_client.push(client.build_conversation_requests(&mut rng, round, &pks));
                     }
-                    let (flat, layout) = entry::multiplex(per_client);
-                    assert_eq!(buf.to_vecs(), flat, "{case} round {round} requests");
+                    let mut flat = entry::round_arena(RoundKind::Conversation, chain_len);
+                    let layout = entry::multiplex(&mut flat, &per_client);
+                    assert_eq!(
+                        buf.to_vecs(),
+                        flat.to_vecs(),
+                        "{case} round {round} requests"
+                    );
 
                     let (replies, _) = chain.run_conversation_round(round, Batch::Flat(buf));
                     cohort.handle_conversation_replies(round, &replies);

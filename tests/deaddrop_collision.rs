@@ -11,12 +11,22 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vuvuzela::core::{Chain, StreamingChain, SystemConfig};
+use vuvuzela::core::entry;
+use vuvuzela::core::server::RoundKind;
+use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::Keypair;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::wire::conversation::{ConversationKeys, ExchangeRequest};
 use vuvuzela::wire::MESSAGE_LEN;
+
+/// Lays per-message onions into a conversation round's arena for the
+/// chain-3 deployment, as the entry does.
+fn arena(onions: Vec<Vec<u8>>) -> RoundBuffer {
+    let mut batch = entry::round_arena(RoundKind::Conversation, 3);
+    let _layout = entry::multiplex(&mut batch, &[onions]);
+    batch
+}
 
 fn tiny_config() -> SystemConfig {
     SystemConfig {
@@ -80,10 +90,11 @@ proptest! {
         }
 
         // Sequential reference vs the streaming pipeline.
+        let batch = arena(batch);
         let (seq_replies, _) = sequential.run_conversation_round(round, batch.clone());
-        let mut streamed = streaming.run_conversation_rounds(vec![(round, batch)]);
-        let (stream_replies, _) = streamed.pop().expect("one round scheduled");
-        prop_assert_eq!(&seq_replies, &stream_replies);
+        let spec = RoundSpec::Conversation { round, batch: batch.into() };
+        let streamed = streaming.run_mixed_schedule(vec![spec]).remove(0);
+        prop_assert_eq!(Some(&seq_replies[..]), streamed.replies());
         let (_, seq_obs) = sequential.conversation_observables()[0];
         let (_, stream_obs) = streaming.chain().conversation_observables()[0];
         prop_assert_eq!(seq_obs, stream_obs);
@@ -141,16 +152,17 @@ proptest! {
         ];
         let round = 9u64;
         let drop = keys[0].drop_id(round);
-        let batch: Vec<Vec<u8>> = keys
-            .iter()
-            .map(|k| {
-                let request = ExchangeRequest {
-                    drop,
-                    sealed_message: k.seal_message(round, &[0xA5u8; MESSAGE_LEN]),
-                };
-                onion::wrap(&mut rng, &pks, round, &request.encode()).0
-            })
-            .collect();
+        let batch = arena(
+            keys.iter()
+                .map(|k| {
+                    let request = ExchangeRequest {
+                        drop,
+                        sealed_message: k.seal_message(round, &[0xA5u8; MESSAGE_LEN]),
+                    };
+                    onion::wrap(&mut rng, &pks, round, &request.encode()).0
+                })
+                .collect(),
+        );
 
         let mut reference: Option<(Vec<Vec<u8>>, _)> = None;
         for shards in [1usize, 2, 3, 7] {
@@ -186,13 +198,14 @@ proptest! {
         let keys_c = ConversationKeys::derive(&kp[2].secret, &kp[2].public, &kp[3].public);
         let collided = keys_a.drop_id(11);
 
-        let noise_round = |round: u64, rng: &mut StdRng, pks: &[_]| -> Vec<Vec<u8>> {
-            (0..3)
+        let noise_round = |round: u64, rng: &mut StdRng, pks: &[_]| {
+            let onions = (0..3)
                 .map(|_| {
                     let payload = ExchangeRequest::noise(rng).encode();
                     onion::wrap(rng, pks, round, &payload).0
                 })
-                .collect()
+                .collect();
+            RoundSpec::Conversation { round, batch: arena(onions).into() }
         };
         let collision_batch: Vec<Vec<u8>> = [&keys_a, &keys_c]
             .iter()
@@ -205,15 +218,16 @@ proptest! {
             })
             .collect();
 
-        let rounds = vec![
-            (10u64, noise_round(10, &mut rng, &pks)),
-            (11u64, collision_batch),
-            (12u64, noise_round(12, &mut rng, &pks)),
+        let specs = vec![
+            noise_round(10, &mut rng, &pks),
+            RoundSpec::Conversation { round: 11, batch: arena(collision_batch).into() },
+            noise_round(12, &mut rng, &pks),
         ];
-        let streamed = streaming.run_conversation_rounds(rounds.clone());
-        for ((round, batch), (got, _)) in rounds.into_iter().zip(streamed) {
-            let (want, _) = sequential.run_conversation_round(round, batch);
-            prop_assert_eq!(got, want, "round {} diverged", round);
+        let streamed = streaming.run_mixed_schedule(specs.clone());
+        for (spec, got) in specs.into_iter().zip(streamed) {
+            let round = spec.round();
+            let want = sequential.run_round(spec);
+            prop_assert_eq!(got.replies(), want.replies(), "round {} diverged", round);
         }
         let mut stream_obs: Vec<_> = streaming.chain().conversation_observables().to_vec();
         stream_obs.sort_by_key(|(r, _)| *r);

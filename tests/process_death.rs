@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use vuvuzela::core::node::RoundTrailer;
+use vuvuzela::core::Client;
 use vuvuzela::deploy::{self, DeploymentConfig};
 use vuvuzela::net::{LinkId, TcpTransport, Transport};
 use vuvuzela::wire::{BatchFrame, Frame, RoundId, RoundType};
@@ -23,21 +24,22 @@ const BOUND: Duration = Duration::from_secs(10);
 /// Round `round` of the smoke schedule (all but round 1 are conversation
 /// rounds) as the client driver would send it.
 fn conversation_frame(cfg: &DeploymentConfig, round: u64) -> (Frame, usize) {
-    let data = deploy::build_client_round(cfg, &cfg.server_public_keys(), round);
-    let width = data.onions[0].len() as u32;
+    let tables = Client::chain_tables(&cfg.server_public_keys());
+    let data = deploy::build_client_round(cfg, &tables, round);
+    let (payload, stride, width, count) = data.onions.into_raw();
     let frame = Frame::Batch(BatchFrame {
         link: LinkId::Clients,
         round: RoundId(round),
         round_type: RoundType::Conversation,
         num_drops: 0,
         backward: false,
-        stride: width,
-        width,
-        count: data.onions.len() as u32,
-        payload: data.onions.concat(),
+        stride: stride as u32,
+        width: width as u32,
+        count: count as u32,
+        payload,
         trailer: Vec::new(),
     });
-    (frame, data.onions.len())
+    (frame, count)
 }
 
 /// The spawned processes; whatever is still here when the test ends —

@@ -159,8 +159,9 @@ proptest! {
             .enumerate()
             .map(|(i, &n)| (0..n).map(|j| vec![i as u8, j as u8]).collect())
             .collect();
-        let (batch, layout) = vuvuzela::core::entry::multiplex(requests.clone());
-        let out = vuvuzela::core::entry::demultiplex(&layout, batch);
+        let mut batch = vuvuzela::core::RoundBuffer::new(2, 2);
+        let layout = vuvuzela::core::entry::multiplex(&mut batch, &requests);
+        let out = vuvuzela::core::entry::demultiplex(&layout, batch.to_vecs());
         for (client, (orig, got)) in requests.iter().zip(out.iter()).enumerate() {
             prop_assert_eq!(orig.len(), got.len(), "client {}", client);
             for (o, g) in orig.iter().zip(got.iter()) {

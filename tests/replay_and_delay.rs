@@ -10,11 +10,21 @@
 use parking_lot::Mutex;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::DelayOneRound;
+use vuvuzela::core::entry;
+use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::testkit::TestNet;
-use vuvuzela::core::{Chain, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::wire::conversation::ExchangeRequest;
+
+/// One onion laid into a `kind` round's arena for the chain-3
+/// deployment, as the entry does.
+fn arena(kind: RoundKind, onion: &[u8]) -> RoundBuffer {
+    let mut batch = entry::round_arena(kind, 3);
+    let _layout = entry::multiplex(&mut batch, &[vec![onion.to_vec()]]);
+    batch
+}
 
 fn quiet_config() -> SystemConfig {
     SystemConfig {
@@ -42,11 +52,11 @@ fn replayed_onions_are_rejected() {
     let (onion_bytes, _) = onion::wrap(&mut rng, &pks, 0, &payload);
 
     // Round 0: accepted.
-    let (_, _) = chain.run_conversation_round(0, vec![onion_bytes.clone()]);
+    let (_, _) = chain.run_conversation_round(0, arena(RoundKind::Conversation, &onion_bytes));
     assert_eq!(chain.server(0).malformed_replaced, 0);
 
     // Round 1: the identical bytes are cryptographically stale.
-    let (_, _) = chain.run_conversation_round(1, vec![onion_bytes]);
+    let (_, _) = chain.run_conversation_round(1, arena(RoundKind::Conversation, &onion_bytes));
     assert_eq!(
         chain.server(0).malformed_replaced,
         1,
@@ -102,8 +112,9 @@ fn replayed_dial_requests_are_rejected() {
 
     let payload = vuvuzela::wire::dialing::DialRequest::noop(&mut rng).encode();
     let (onion_bytes, _) = onion::wrap(&mut rng, &pks, 0, &payload);
-    let _ = chain.run_dialing_round(0, vec![onion_bytes.clone()], 1);
+    let kind = RoundKind::Dialing { num_drops: 1 };
+    let _ = chain.run_dialing_round(0, arena(kind, &onion_bytes), 1);
     assert_eq!(chain.server(0).malformed_replaced, 0);
-    let _ = chain.run_dialing_round(1, vec![onion_bytes], 1);
+    let _ = chain.run_dialing_round(1, arena(kind, &onion_bytes), 1);
     assert_eq!(chain.server(0).malformed_replaced, 1);
 }

@@ -15,7 +15,10 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use vuvuzela::core::chain::Batch;
+use vuvuzela::core::entry;
 use vuvuzela::core::pipeline::StreamingChain;
+use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{Chain, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::PublicKey;
@@ -37,24 +40,43 @@ fn config(chain_len: usize, mu: f64) -> SystemConfig {
     }
 }
 
-fn client_rounds(
-    pks: &[PublicKey],
-    rounds: usize,
-    clients: usize,
-    seed: u64,
-) -> Vec<(u64, Vec<Vec<u8>>)> {
+/// Lays per-message onions into a `kind` round's arena over `chain_len`
+/// servers, as the entry does.
+fn arena(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> Batch {
+    let mut batch = entry::round_arena(kind, chain_len);
+    let _layout = entry::multiplex(&mut batch, &[onions]);
+    Batch::Flat(batch)
+}
+
+fn client_rounds(pks: &[PublicKey], rounds: usize, clients: usize, seed: u64) -> Vec<RoundSpec> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC11E);
     (0..rounds as u64)
         .map(|round| {
-            let batch = (0..clients)
+            let onions = (0..clients)
                 .map(|_| {
                     let payload = ExchangeRequest::noise(&mut rng).encode();
                     onion::wrap(&mut rng, pks, round, &payload).0
                 })
                 .collect();
-            (round, batch)
+            let batch = arena(RoundKind::Conversation, pks.len(), onions);
+            RoundSpec::Conversation { round, batch }
         })
         .collect()
+}
+
+/// Runs `specs` on both chains: the streaming outcomes, then the
+/// sequential ones.
+fn run_both(
+    streaming: &mut StreamingChain,
+    sequential: &mut Chain,
+    specs: Vec<RoundSpec>,
+) -> (Vec<RoundOutcome>, Vec<RoundOutcome>) {
+    let streamed = streaming.run_mixed_schedule(specs.clone());
+    let expected = specs
+        .into_iter()
+        .map(|spec| sequential.run_round(spec))
+        .collect();
+    (streamed, expected)
 }
 
 proptest! {
@@ -76,16 +98,12 @@ proptest! {
         prop_assert_eq!(&pks, &sequential.server_public_keys());
 
         let schedule = client_rounds(&pks, rounds, clients, seed);
-        let streamed = streaming.run_conversation_rounds(schedule.clone());
-        let mut expected = Vec::new();
-        for (round, batch) in schedule {
-            expected.push(sequential.run_conversation_round(round, batch));
-        }
+        let (streamed, expected) = run_both(&mut streaming, &mut sequential, schedule);
 
         // Per-round replies, byte for byte.
         prop_assert_eq!(streamed.len(), expected.len());
-        for (round, ((got, _), (want, _))) in streamed.iter().zip(&expected).enumerate() {
-            prop_assert_eq!(got, want, "round {} replies diverged", round);
+        for (round, (got, want)) in streamed.iter().zip(&expected).enumerate() {
+            prop_assert_eq!(got.replies(), want.replies(), "round {} replies diverged", round);
         }
 
         // Dead-drop observables (sorted by round — completion order may
@@ -135,24 +153,23 @@ proptest! {
         let pks = streaming.server_public_keys();
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A1);
-        let schedule: Vec<(u64, Vec<Vec<u8>>)> = (0..rounds as u64)
+        let kind = RoundKind::Dialing { num_drops };
+        let schedule: Vec<RoundSpec> = (0..rounds as u64)
             .map(|round| {
-                let batch = (0..clients)
+                let onions = (0..clients)
                     .map(|_| {
                         let payload =
                             vuvuzela::wire::dialing::DialRequest::noop(&mut rng).encode();
                         onion::wrap(&mut rng, &pks, round, &payload).0
                     })
                     .collect();
-                (round, batch)
+                let batch = arena(kind, chain_len, onions);
+                RoundSpec::Dialing { round, batch, num_drops }
             })
             .collect();
 
-        let timings = streaming.run_dialing_rounds(schedule.clone(), num_drops);
-        prop_assert_eq!(timings.len(), rounds);
-        for (round, batch) in schedule {
-            let _ = sequential.run_dialing_round(round, batch, num_drops);
-        }
+        let (streamed, _) = run_both(&mut streaming, &mut sequential, schedule);
+        prop_assert_eq!(streamed.len(), rounds);
 
         let mut got = streaming.chain().dialing_observables().to_vec();
         got.sort_by_key(|(r, _)| *r);
@@ -185,7 +202,7 @@ fn mixed_specs(
         .map(|(round, &dialing)| {
             let round = round as u64;
             if dialing {
-                let batch: Vec<Vec<u8>> = (0..clients)
+                let onions = (0..clients)
                     .map(|_| {
                         let payload = vuvuzela::wire::dialing::DialRequest::noop(&mut rng).encode();
                         onion::wrap(&mut rng, pks, round, &payload).0
@@ -193,11 +210,11 @@ fn mixed_specs(
                     .collect();
                 RoundSpec::Dialing {
                     round,
-                    batch: batch.into(),
+                    batch: arena(RoundKind::Dialing { num_drops }, pks.len(), onions),
                     num_drops,
                 }
             } else {
-                let batch: Vec<Vec<u8>> = (0..clients)
+                let onions = (0..clients)
                     .map(|_| {
                         let payload = ExchangeRequest::noise(&mut rng).encode();
                         onion::wrap(&mut rng, pks, round, &payload).0
@@ -205,7 +222,7 @@ fn mixed_specs(
                     .collect();
                 RoundSpec::Conversation {
                     round,
-                    batch: batch.into(),
+                    batch: arena(RoundKind::Conversation, pks.len(), onions),
                 }
             }
         })
@@ -304,11 +321,7 @@ proptest! {
         let pks = streaming.server_public_keys();
 
         let specs = mixed_specs(&pks, &pattern, clients, num_drops, seed);
-        let outcomes = streaming.run_mixed_schedule(specs.clone());
-        let expected: Vec<RoundOutcome> = specs
-            .into_iter()
-            .map(|spec| sequential.run_round(spec))
-            .collect();
+        let (outcomes, expected) = run_both(&mut streaming, &mut sequential, specs);
         assert_mixed_equivalent(&mut streaming, &mut sequential, &outcomes, &expected, num_drops)?;
     }
 }
@@ -336,7 +349,11 @@ fn mixed_schedule_adjacent_and_separated_dialing() {
     // retained drops are non-trivially compared.
     let pattern = [false, true, true, false, false, true, false];
     let mut specs = mixed_specs(&pks, &pattern, 2, num_drops, seed);
-    let RoundSpec::Dialing { batch, .. } = &mut specs[5] else {
+    let RoundSpec::Dialing {
+        batch: Batch::Flat(batch),
+        ..
+    } = &mut specs[5]
+    else {
         panic!("round 5 is a dialing round");
     };
     let request = vuvuzela::wire::dialing::DialRequest {
@@ -347,16 +364,10 @@ fn mixed_schedule_adjacent_and_separated_dialing() {
             &callee.public,
         ),
     };
-    let vuvuzela::core::chain::Batch::Vecs(batch) = batch else {
-        panic!("mixed_specs builds Vecs batches");
-    };
-    batch.push(onion::wrap(&mut rng, &pks, 5, &request.encode()).0);
+    let onion = onion::wrap(&mut rng, &pks, 5, &request.encode()).0;
+    batch.push_with(|slot| slot.copy_from_slice(&onion));
 
-    let outcomes = streaming.run_mixed_schedule(specs.clone());
-    let expected: Vec<RoundOutcome> = specs
-        .into_iter()
-        .map(|spec| sequential.run_round(spec))
-        .collect();
+    let (outcomes, expected) = run_both(&mut streaming, &mut sequential, specs);
     assert_mixed_equivalent(
         &mut streaming,
         &mut sequential,
@@ -443,11 +454,9 @@ fn tapped_link_sees_identical_per_round_batches() {
     sequential.link_mut(1).attach_tap(seq_tap.clone());
 
     let schedule = client_rounds(&pks, 4, 3, seed);
-    let streamed = streaming.run_conversation_rounds(schedule.clone());
-    for (round, batch) in schedule {
-        let (want, _) = sequential.run_conversation_round(round, batch);
-        let (got, _) = &streamed[round as usize];
-        assert_eq!(got, &want, "round {round}");
+    let (streamed, expected) = run_both(&mut streaming, &mut sequential, schedule);
+    for (round, (got, want)) in streamed.iter().zip(&expected).enumerate() {
+        assert_eq!(got.replies(), want.replies(), "round {round}");
     }
 
     let got = &stream_tap.lock().seen;
@@ -478,9 +487,9 @@ impl Tap for GoldenTap {
 
 /// The fixed chain-3 schedule the golden pins are taken over: a
 /// conversation round with a real pair, two singles and one garbage
-/// entry; a dialing round into 2 drops carrying one real invitation; and
-/// a conversation round, cohort-shaped, that [`GoldenTap`] on link 1
-/// resizes both ways.
+/// entry (500 bytes, which the entry lays in as a zero-filled slot); a
+/// dialing round into 2 drops carrying one real invitation; and a
+/// conversation round that [`GoldenTap`] on link 1 resizes both ways.
 fn golden_specs(pks: &[PublicKey]) -> Vec<RoundSpec> {
     let mut rng = StdRng::seed_from_u64(0x601D);
     let exchange = |round: u64, drop: u8, fill: u8, rng: &mut StdRng| {
@@ -519,22 +528,21 @@ fn golden_specs(pks: &[PublicKey]) -> Vec<RoundSpec> {
     let round2: Vec<Vec<u8>> = (0..3)
         .map(|i| exchange(2, 10 + i, 0x10 * i, &mut rng))
         .collect();
-    let width = round2[0].len();
-    let (round2, _) = vuvuzela::core::RoundBuffer::from_vecs(&round2, width, width);
 
+    let conversation = |onions| arena(RoundKind::Conversation, pks.len(), onions);
     vec![
         RoundSpec::Conversation {
             round: 0,
-            batch: round0.into(),
+            batch: conversation(round0),
         },
         RoundSpec::Dialing {
             round: 1,
-            batch: round1.into(),
+            batch: arena(RoundKind::Dialing { num_drops }, pks.len(), round1),
             num_drops,
         },
         RoundSpec::Conversation {
             round: 2,
-            batch: round2.into(),
+            batch: conversation(round2),
         },
     ]
 }
@@ -611,13 +619,16 @@ fn golden_pins(chain: &mut Chain, outcomes: &[RoundOutcome]) -> [String; 5] {
 /// Known answers for a whole chain round, taken on the sequential chain
 /// at the commit before it became the hop loop's window-1 schedule: the
 /// sequential chain and the streaming one at windows 1, 2 and 3 must all
-/// still produce exactly these bytes.
+/// still produce exactly these bytes. The links pin was re-taken when
+/// client batches became arenas at the entry: round 0's garbage entry now
+/// crosses the clients link as a slot of the onion width, not its own 500
+/// bytes; the other four pins did not move.
 #[test]
 fn golden_pins_for_a_mixed_chain3_schedule() {
     const WANT: [&str; 5] = [
         "9d5cb9aee6280f7bed94c1dca1bb646d4bf587e6ad63cf52aef61f015c7ce382",
         "bc6cfeff53c44482ff35bd25d5fc6b07026bf34a5ff40006de52ac3fb2c870ff",
-        "024ca05ad7b363fef8391536c75b672cf6e1fad4740001b2e80635b64a4f5fa2",
+        "51b2cf1eaa9904d69c64692de72beff8a12f7776e08e374270d219705492a8c5",
         "06ef96c79f8357f8c4de20d1e5d407cb6fd594d6b90ab09eec49a4306febac03",
         "a74b31532cc60307b38330d5267e52bf2917f1471f6c29a085cbdb7563aff77d",
     ];

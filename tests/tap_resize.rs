@@ -1,8 +1,9 @@
 //! Property tests for the tap-resize path, under both drivers of the
 //! hop protocol: the sequential [`Chain`] (the hop handler on the
 //! calling thread, one round at a time) and [`StreamingChain`] (the node
-//! loops on threads over in-memory links). Either way every batch
-//! crosses a link through the one `batch_through_link`.
+//! loops on threads over in-memory links). Either way every batch — the
+//! round's client arena on the clients link included — crosses a link
+//! through the one `batch_through_link`.
 //!
 //! Adversary taps receive in-flight batches by mutable reference and may
 //! truncate entries, extend them, or inject new ones ("monitor, block,
@@ -26,6 +27,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use vuvuzela::core::chain::Batch;
+use vuvuzela::core::entry;
+use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -114,15 +117,13 @@ impl Tap for ResizeTap {
     }
 }
 
-/// Which link the tap sits on, and what shape of client batch feeds the
-/// round.
+/// Which link the tap sits on.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Leg {
-    /// links[1] (server 0 → server 1); per-message client batch.
+    /// links[1] (server 0 → server 1).
     Hop1,
-    /// The clients link, where the entry admits a cohort-shaped
-    /// [`Batch::Flat`] arena.
-    ClientsFlat,
+    /// The clients link, where the entry admits the round's arena.
+    Clients,
 }
 
 /// What one tapped round leaves behind, whichever driver ran it.
@@ -157,17 +158,13 @@ fn tapped_round(
         sizes_after: None,
     }));
     let hop0 = Arc::new(Mutex::new(RecordingTap::new()));
-    let batch: Batch = match leg {
-        Leg::Hop1 => batch.into(),
-        Leg::ClientsFlat => {
-            let width = batch[0].len();
-            RoundBuffer::from_vecs(&batch, width, width).0.into()
-        }
-    };
+    let mut arena = entry::round_arena(RoundKind::Conversation, 2);
+    let _layout = entry::multiplex(&mut arena, &[batch]);
+    let batch = Batch::Flat(arena);
     let attach = |chain: &mut Chain| {
         match leg {
             Leg::Hop1 => chain.link_mut(1).attach_tap(tap.clone()),
-            Leg::ClientsFlat => chain.client_link_mut().attach_tap(tap.clone()),
+            Leg::Clients => chain.client_link_mut().attach_tap(tap.clone()),
         }
         chain.link_mut(0).attach_tap(hop0.clone());
     };
@@ -199,7 +196,7 @@ proptest! {
 
     /// Forward-path resizing: the rebuilt arena zero-fills every
     /// mismatched entry, `tap_resized` counts exactly those (none on the
-    /// clients link, where a flat cohort batch is admitted), downstream
+    /// clients link, where the entry admits the round's arena), downstream
     /// peeling replaces them with noise, and reply alignment holds.
     #[test]
     fn forward_resize_yields_counted_zero_filled_slots(
@@ -223,7 +220,7 @@ proptest! {
         // clients link, one layer already peeled on links[1] (server0 →
         // server1).
         let (leg, width) = if on_clients_link {
-            (Leg::ClientsFlat, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len))
+            (Leg::Clients, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len))
         } else {
             (Leg::Hop1, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len - 1))
         };
