@@ -25,41 +25,3 @@ pub fn config_from(base: &SystemConfig) -> SystemConfig {
 pub fn default_config() -> SystemConfig {
     config_from(&SystemConfig::default())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vuvuzela_core::testkit::TestNet;
-
-    #[test]
-    fn no_noise_preserves_functionality() {
-        // Messages still flow; only the cover traffic is gone.
-        let mut net = TestNet::builder().config(default_config()).seed(3).build();
-        let alice = net.add_user("alice");
-        let bob = net.add_user("bob");
-        net.dial(alice, bob);
-        net.run_dialing_round();
-        net.accept_all_invitations();
-        net.queue_message(alice, bob, b"hi");
-        net.run_conversation_round();
-        assert_eq!(net.received(bob), vec![b"hi".to_vec()]);
-    }
-
-    #[test]
-    fn no_noise_leaks_exact_conversation_count() {
-        let mut net = TestNet::builder().config(default_config()).seed(4).build();
-        let alice = net.add_user("alice");
-        let bob = net.add_user("bob");
-        let _carol = net.add_user("carol");
-        net.dial(alice, bob);
-        net.run_dialing_round();
-        net.accept_all_invitations();
-        net.run_conversation_round();
-
-        let (_, obs) = net.chain().conversation_observables()[0];
-        // The adversary reads the truth straight off the histogram:
-        // exactly one conversation (m2 = 1), one lone user (m1 = 1).
-        assert_eq!(obs.m2, 1);
-        assert_eq!(obs.m1, 1);
-    }
-}

@@ -99,10 +99,10 @@ impl SystemConfig {
         })
     }
 
-    /// Deserializes from a JSON value, rejecting unknown fields and a
-    /// `chain_len` the onion wrapper cannot serve (a deployment file
-    /// must fail here, not inside the first noising server's first
-    /// round).
+    /// Deserializes from a JSON value, rejecting unknown fields, a
+    /// `chain_len` the onion wrapper cannot serve and a zero worker,
+    /// slot or shard count (a deployment file must fail here, not inside
+    /// the first noising server's first round).
     ///
     /// # Errors
     ///
@@ -130,6 +130,12 @@ impl SystemConfig {
                 "field \"chain_len\" must be between 1 and {MAX_CHAIN} (the longest chain \
                  the onion wrapper supports), got {chain_len}"
             ));
+        }
+        // `validate` asserts these on the first chain or server built.
+        for key in ["workers", "conversation_slots", "exchange_shards"] {
+            if get_u64(map, key)? == 0 {
+                return Err(format!("field {key:?} must be at least 1, got 0"));
+            }
         }
         Ok(SystemConfig {
             chain_len,

@@ -40,8 +40,6 @@
 //!   [`RoundBuffer`] arena, byte-identical to N individual clients.
 //! * [`observables`] — exactly what a compromised last server gets to
 //!   see; the interface the adversary crate consumes.
-//! * [`testkit`] — a high-level harness ([`testkit::TestNet`]) used by
-//!   tests, examples and benchmarks.
 //!
 //! ## Threat-model mapping
 //!
@@ -70,7 +68,6 @@ pub mod observables;
 pub mod pipeline;
 pub mod roundbuf;
 pub mod server;
-pub mod testkit;
 
 pub use chain::{Chain, RoundOutcome, RoundSpec};
 pub use client::Client;

@@ -14,6 +14,14 @@
 //! [`vuvuzela_core::StreamingChain`] mixed-schedule pipeline, the same
 //! adversary taps) and checks the paper's invariants after every round.
 //!
+//! [`simulator::Simulator`] is the repository's one harness for whole
+//! rounds over a client population: the scenario matrices below run
+//! whole scripts, and the integration tests, the examples and the
+//! no-noise baseline's tests drive it one [`scenario::Step`] at a time
+//! ([`simulator::Simulator::step`]), reading clients, observables and
+//! taps between steps — fail-fast when honest, in tolerant mode
+//! ([`simulator::Simulator::tolerate_violations`]) when they tamper.
+//!
 //! ## Scenario-script format
 //!
 //! A [`scenario::Scenario`] is a seeded, self-contained script: the

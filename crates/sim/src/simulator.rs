@@ -147,8 +147,12 @@ impl RoundMeta {
     }
 }
 
-/// The deployment simulator. Construct with [`Simulator::new`], consume
-/// with [`Simulator::run`].
+/// The deployment simulator, and the repository's one harness for
+/// driving whole rounds over a client population: tests, examples and
+/// baselines drive it step by step ([`Simulator::step`]), the scenario
+/// matrices run whole scripts ([`Simulator::run`],
+/// [`Simulator::run_collecting`]), and every round is invariant-checked
+/// either way.
 pub struct Simulator {
     scenario: Scenario,
     chain: StreamingChain,
@@ -174,7 +178,7 @@ pub struct Simulator {
     delivered: u64,
     /// `true` (the [`Simulator::run`] default): the first violation
     /// aborts the run as [`SimError::Invariant`]. `false`
-    /// ([`Simulator::run_collecting`]): violations are transcribed and
+    /// ([`Simulator::tolerate_violations`]): violations are transcribed and
     /// collected while the deployment keeps degrading gracefully.
     fail_fast: bool,
     violations: Vec<InvariantViolation>,
@@ -302,11 +306,24 @@ impl Simulator {
     /// On script misuse (see the module docs).
     #[must_use]
     pub fn run_collecting(mut self) -> (SimReport, Vec<InvariantViolation>) {
-        self.fail_fast = false;
+        self.tolerate_violations();
         self.execute()
             .expect("tolerant mode collects violations instead of failing");
         let violations = std::mem::take(&mut self.violations);
         (self.into_report(), violations)
+    }
+
+    /// Switches to the tolerant mode of [`Simulator::run_collecting`]
+    /// for every later [`Simulator::step`]: a violation is transcribed
+    /// and collected ([`Simulator::violations`]) instead of returned.
+    pub fn tolerate_violations(&mut self) {
+        self.fail_fast = false;
+    }
+
+    /// The violations tolerant mode has collected so far, in order.
+    #[must_use]
+    pub fn violations(&self) -> &[InvariantViolation] {
+        &self.violations
     }
 
     fn execute(&mut self) -> Result<(), SimError> {
@@ -438,6 +455,12 @@ impl Simulator {
         &self.clients[index].client
     }
 
+    /// Mutable access to a client, for what the script language cannot
+    /// express: ending a conversation, declining an invitation.
+    pub fn client_mut(&mut self, index: usize) -> &mut Client {
+        &mut self.clients[index].client
+    }
+
     /// Read access to the cohort, if a [`Step::Population`] created one.
     #[must_use]
     pub fn cohort(&self) -> Option<&ClientCohort> {
@@ -453,23 +476,32 @@ impl Simulator {
         self.cohort.as_mut()
     }
 
+    /// The underlying deployment: observables, links, meters, servers.
+    #[must_use]
+    pub fn chain(&self) -> &StreamingChain {
+        &self.chain
+    }
+
     /// Mutable access to the underlying deployment, for attaching
-    /// adversarial taps *before* [`Simulator::run`] — the way tests
-    /// prove the invariant checker catches real tampering (a tap that
-    /// drops requests mid-chain must fail the round it touches).
+    /// adversarial taps before [`Simulator::run`] or between steps —
+    /// the way tests prove the invariant checker catches real tampering
+    /// (a tap that drops requests mid-chain must fail the round it
+    /// touches).
     pub fn chain_mut(&mut self) -> &mut StreamingChain {
         &mut self.chain
     }
 
-    /// Applies one scripted step immediately. Tests use this to
-    /// interleave script steps with direct cohort access
-    /// ([`Simulator::cohort_mut`]) that the script language cannot
-    /// express; [`Simulator::run`] is the normal entry point.
+    /// Applies one scripted step immediately. Tests and examples use
+    /// this to interleave script steps with what the script language
+    /// cannot express: assertions between rounds, taps, direct client
+    /// and cohort access ([`Simulator::client_mut`],
+    /// [`Simulator::cohort_mut`]).
     ///
     /// # Errors
     ///
     /// [`SimError::Invariant`] the moment any per-round invariant
-    /// fails, exactly as during [`Simulator::run`].
+    /// fails, exactly as during [`Simulator::run`] — unless
+    /// [`Simulator::tolerate_violations`] switched to collecting them.
     ///
     /// # Panics
     ///

@@ -12,58 +12,73 @@
 //!
 //! Run: `cargo run --release --example multi_conversation`
 
-use vuvuzela::core::testkit::TestNet;
+use vuvuzela::net::Direction;
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
-fn main() {
-    let mut net = TestNet::builder()
-        .servers(3)
-        .noise_mu(30.0)
-        .slots(3)
-        .seed(5)
-        .build();
+fn main() -> Result<(), SimError> {
+    let mut scenario = Scenario::new("multi_conversation", 5);
+    scenario.conversation_mu = 30.0;
+    scenario.dialing_mu = 10.0;
+    scenario.dialing_b = Some(2.0);
+    scenario.slots = 3;
+    let mut sim = Simulator::new(scenario);
 
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    let carol = net.add_user("carol");
-    let dave = net.add_user("dave"); // fully idle: three fake slots
+    // Alice, Bob, Carol, and Dave, who stays fully idle: three fake slots.
+    let (alice, bob, carol) = (0, 1, 2);
+    sim.step(Step::Join(4))?;
 
     // One invitation goes out per dialing round (fixed rate, §5.2), so
     // dialing two partners takes two rounds.
-    net.dial(alice, bob);
-    net.dial(alice, carol);
-    net.run_dialing_round();
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    // Snapshot the client-link meter so the per-round arithmetic below
-    // covers conversation rounds only (dialing requests share the link).
-    let after_dialing = net.chain().client_link().forward_meter().messages();
+    sim.step(Step::Dial {
+        caller: alice,
+        callee: bob,
+    })?;
+    sim.step(Step::Dial {
+        caller: alice,
+        callee: carol,
+    })?;
+    sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
+    sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
+    sim.step(Step::AcceptAll)?;
 
-    net.queue_message(alice, bob, b"bob: the meeting moved to 3pm");
-    net.queue_message(alice, carol, b"carol: bring the slides");
-    net.queue_message(bob, alice, b"got it");
-    net.run_conversation_round();
-    net.run_conversation_round();
+    for (from, to, body) in [
+        (alice, bob, "bob: the meeting moved to 3pm"),
+        (alice, carol, "carol: bring the slides"),
+        (bob, alice, "got it"),
+    ] {
+        sim.step(Step::Queue {
+            from,
+            to,
+            body: body.as_bytes().to_vec(),
+        })?;
+    }
+    sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
+    sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
 
-    println!("bob received:   {:?}", strings(net.received(bob)));
-    println!("carol received: {:?}", strings(net.received(carol)));
-    println!("alice received: {:?}", strings(net.received(alice)));
-    assert_eq!(net.received(bob).len(), 1);
-    assert_eq!(net.received(carol).len(), 1);
-    assert_eq!(net.received(alice).len(), 1);
+    let received = |user: usize| -> Vec<String> {
+        sim.client(user)
+            .all_delivered()
+            .into_iter()
+            .map(|m| String::from_utf8_lossy(&m).into_owned())
+            .collect()
+    };
+    println!("bob received:   {:?}", received(bob));
+    println!("carol received: {:?}", received(carol));
+    println!("alice received: {:?}", received(alice));
+    assert_eq!(received(bob).len(), 1);
+    assert_eq!(received(carol).len(), 1);
+    assert_eq!(received(alice).len(), 1);
 
-    // Every client sent exactly 3 requests per round, busy or idle.
-    let per_round_requests = (net.chain().client_link().forward_meter().messages() - after_dialing)
-        / net.conversation_round();
-    println!(
-        "\nrequests per conversation round: {per_round_requests} \
-         (4 users × 3 slots, real or fake — indistinguishable)"
-    );
-    assert_eq!(per_round_requests, 12);
-    let _ = dave;
-}
-
-fn strings(msgs: Vec<Vec<u8>>) -> Vec<String> {
-    msgs.into_iter()
-        .map(|m| String::from_utf8_lossy(&m).into_owned())
-        .collect()
+    // Every client sent exactly 3 requests per round, busy or idle:
+    // rounds 2 and 3 are the conversation rounds.
+    let client_link = sim.chain().chain().client_link();
+    for round in [2, 3] {
+        let (requests, _) = client_link.round_traffic(round, Direction::Forward);
+        println!(
+            "requests in conversation round {round}: {requests} \
+             (4 users × 3 slots, real or fake — indistinguishable)"
+        );
+        assert_eq!(requests, 12);
+    }
+    Ok(())
 }

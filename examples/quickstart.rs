@@ -4,53 +4,63 @@
 //! mix servers (one honest server suffices for privacy), an untrusted
 //! entry, and two clients. Alice dials Bob through the dialing protocol,
 //! Bob accepts the invitation, and they exchange text messages through
-//! per-round dead drops.
+//! per-round dead drops. The simulator drives it step by step and checks
+//! every round's privacy invariants as it goes.
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use vuvuzela::core::testkit::TestNet;
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // A 3-server chain (paper §8.1) with deterministic cover traffic of
     // µ=50 per noising server — laptop-scale parameters; production uses
     // µ=300,000 (see SystemConfig::paper_scale()).
-    let mut net = TestNet::builder()
-        .servers(3)
-        .noise_mu(50.0)
-        .dialing_mu(10.0)
-        .seed(7)
-        .build();
+    let mut scenario = Scenario::new("quickstart", 7);
+    scenario.conversation_mu = 50.0;
+    scenario.dialing_mu = 10.0;
+    let mut sim = Simulator::new(scenario);
 
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
+    let (alice, bob) = (0, 1);
+    sim.step(Step::Join(2))?;
     println!("users connected: alice, bob (both clients always send — idle or not)");
 
     // --- Dialing (paper §5): Alice invites Bob to a conversation. ---
-    net.dial(alice, bob);
-    net.run_dialing_round();
+    sim.step(Step::Dial {
+        caller: alice,
+        callee: bob,
+    })?;
+    sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
     println!(
         "dialing round 0 complete; bob's invitations: {:?}",
-        net.client(bob)
+        sim.client(bob)
             .pending_invitations()
             .iter()
             .map(|pk| format!("{pk:?}"))
             .collect::<Vec<_>>()
     );
-    net.accept_all_invitations();
+    sim.step(Step::AcceptAll)?;
 
     // --- Conversation (paper §4): per-round dead-drop exchanges. ---
-    net.queue_message(alice, bob, b"hello, Bob! this line is metadata-private.");
-    net.queue_message(bob, alice, b"hi Alice, nobody can tell we're talking.");
-    net.run_conversation_round();
+    sim.step(Step::Queue {
+        from: alice,
+        to: bob,
+        body: b"hello, Bob! this line is metadata-private.".to_vec(),
+    })?;
+    sim.step(Step::Queue {
+        from: bob,
+        to: alice,
+        body: b"hi Alice, nobody can tell we're talking.".to_vec(),
+    })?;
+    sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
 
     for (user, name) in [(alice, "alice"), (bob, "bob")] {
-        for msg in net.received(user) {
+        for msg in sim.client(user).all_delivered() {
             println!("{name} received: {}", String::from_utf8_lossy(&msg));
         }
     }
 
     // What the (compromised) last server saw: only a noised histogram.
-    let (_, obs) = net.chain().conversation_observables()[0];
+    let (_, obs) = sim.chain().chain().conversation_observables()[0];
     println!(
         "\nlast server observed: m1={} single-access drops, m2={} double-access drops",
         obs.m1, obs.m2
@@ -59,4 +69,5 @@ fn main() {
         "(the real conversation contributes exactly 1 to m2; the other {} are cover traffic)",
         obs.m2 - 1
     );
+    Ok(())
 }

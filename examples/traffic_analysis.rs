@@ -5,7 +5,8 @@
 //! chain: a coalition controlling the first and last servers drops every
 //! request except Alice's and Bob's, then reads the dead-drop histogram.
 //! Without noise this is a perfect oracle; with noise the histogram is
-//! dominated by cover traffic.
+//! dominated by cover traffic. The simulator's invariant checker sees
+//! the tampering either way, and the example lists what it flagged.
 //!
 //! Part 2 evaluates all three attacks statistically (10,000+ trials at
 //! the observable level) and compares attacker accuracy with the
@@ -16,23 +17,23 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vuvuzela::adversary::attacks::{DisruptionAttack, IntersectionAttack};
 use vuvuzela::adversary::bounds::max_accuracy;
 use vuvuzela::adversary::model::ObservableModel;
 use vuvuzela::adversary::taps::KeepOnly;
-use vuvuzela::baseline::no_noise;
-use vuvuzela::core::testkit::TestNet;
-use vuvuzela::core::SystemConfig;
 use vuvuzela::dp::accounting::conversation_round;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("=== Part 1: disruption attack through the real chain ===\n");
     for (label, noised) in [("no-noise mixnet", false), ("Vuvuzela", true)] {
-        let m2 = run_disruption(noised, true);
-        let m2_idle = run_disruption(noised, false);
+        let (m2, flagged) = run_disruption(noised, true)?;
+        let (m2_idle, _) = run_disruption(noised, false)?;
         println!("{label:>16}: m2 with Alice↔Bob talking = {m2}, with Alice idle = {m2_idle}");
+        println!("{:>16}  (the invariant checker flagged: {flagged:?})", "");
         if !noised {
             println!(
                 "{:>16}  → the single-round histogram is a perfect conversation oracle",
@@ -75,48 +76,55 @@ fn main() {
         100.0 * ceiling
     );
     println!("\n50% = coin flip; the noise pushes a perfect oracle down to the DP bound.");
+    Ok(())
 }
 
 /// Runs one round with the disruption tap installed; returns the
-/// last-server m2 the attacking coalition observes.
-fn run_disruption(noised: bool, talking: bool) -> u64 {
-    let base = SystemConfig {
-        conversation_noise: NoiseDistribution::new(40.0, 8.0),
-        ..SystemConfig::default()
-    };
-    let config = if noised {
-        base
-    } else {
-        no_noise::config_from(&base)
-    };
-    let mut net = TestNet::builder().config(config).seed(21).build();
-
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    for i in 0..6 {
-        let u = net.add_user(format!("user{i}"));
-        let _ = u;
+/// last-server m2 the attacking coalition observes, and the invariants
+/// the checker flagged.
+fn run_disruption(noised: bool, talking: bool) -> Result<(u64, BTreeSet<&'static str>), SimError> {
+    // Deterministic noise of µ = 40, b = 8 — or none: the no-noise
+    // mixnet is the same deployment with its cover traffic off.
+    let mut scenario = Scenario::new("traffic_analysis", 21);
+    scenario.conversation_mu = 40.0;
+    scenario.conversation_b = Some(8.0);
+    scenario.dialing_mu = 10.0;
+    scenario.dialing_b = Some(2.0);
+    if !noised {
+        scenario.noise_mode = NoiseMode::Off;
     }
+    let mut sim = Simulator::new(scenario);
+
+    // Alice, Bob and six other users.
+    let (alice, bob) = (0, 1);
+    sim.step(Step::Join(8))?;
     if talking {
-        net.dial(alice, bob);
-        net.run_dialing_round();
-        net.accept_all_invitations();
+        sim.step(Step::Dial {
+            caller: alice,
+            callee: bob,
+        })?;
+        sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
+        sim.step(Step::AcceptAll)?;
     }
 
     // The compromised first server keeps only Alice's and Bob's requests
     // (clients 0 and 1 in batch order on the clients→entry link).
-    net.chain_mut()
+    sim.chain_mut()
+        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(KeepOnly {
-            indices: vec![0, 1],
+            indices: vec![alice, bob],
             only_round: None,
         })));
+    sim.tolerate_violations();
 
-    net.run_conversation_round();
-    let (_, obs) = *net
+    sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
+    let (_, obs) = *sim
+        .chain()
         .chain()
         .conversation_observables()
         .last()
         .expect("one round ran");
-    obs.m2
+    let flagged = sim.violations().iter().map(|v| v.invariant).collect();
+    Ok((obs.m2, flagged))
 }

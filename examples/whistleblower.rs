@@ -12,24 +12,27 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use vuvuzela::core::testkit::TestNet;
 use vuvuzela::dp::accounting::conversation_round;
 use vuvuzela::dp::planner::posterior_bound;
 use vuvuzela::net::RecordingTap;
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
-fn main() {
-    let mu = 50.0;
-    let mut net = TestNet::builder().servers(3).noise_mu(mu).seed(11).build();
-    let source = net.add_user("source");
-    let reporter = net.add_user("reporter");
-    let _bystander = net.add_user("bystander");
+fn main() -> Result<(), SimError> {
+    let mut scenario = Scenario::new("whistleblower", 11);
+    scenario.conversation_mu = 50.0;
+    scenario.dialing_mu = 10.0;
+    scenario.dialing_b = Some(2.0);
+    let mut sim = Simulator::new(scenario);
+    // The source, the reporter and a bystander.
+    let (source, reporter) = (0, 1);
+    sim.step(Step::Join(3))?;
 
     // Global passive adversary: a tap on every link.
     let taps: Vec<Arc<Mutex<RecordingTap>>> = (0..4)
         .map(|_| Arc::new(Mutex::new(RecordingTap::new())))
         .collect();
     {
-        let chain = net.chain_mut();
+        let chain = sim.chain_mut().chain_mut();
         chain.client_link_mut().attach_tap(taps[0].clone());
         for i in 0..3 {
             let tap: Arc<Mutex<dyn vuvuzela::net::Tap>> = taps[i + 1].clone();
@@ -38,17 +41,20 @@ fn main() {
     }
 
     // The source dials the reporter and leaks the story.
-    net.dial(source, reporter);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.queue_message(
-        source,
-        reporter,
-        b"meet tomorrow. documents attached rounds 2-9.",
-    );
-    net.run_conversation_round();
+    sim.step(Step::Dial {
+        caller: source,
+        callee: reporter,
+    })?;
+    sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
+    sim.step(Step::AcceptAll)?;
+    sim.step(Step::Queue {
+        from: source,
+        to: reporter,
+        body: b"meet tomorrow. documents attached rounds 2-9.".to_vec(),
+    })?;
+    sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
 
-    assert_eq!(net.received(reporter).len(), 1);
+    assert_eq!(sim.client(reporter).all_delivered().len(), 1);
     println!("reporter received the message.\n");
 
     // ---- Audit the adversary's view. ----
@@ -75,8 +81,8 @@ fn main() {
     );
 
     // The only leak: the noised (m1, m2) histogram, bounded by DP.
-    let (_, obs) = net.chain().conversation_observables()[0];
-    let dist = net.chain().config().conversation_noise;
+    let (_, obs) = sim.chain().chain().conversation_observables()[0];
+    let dist = sim.chain().config().conversation_noise;
     let round = conversation_round(dist.mu, dist.b);
     println!(
         "\nlast-server histogram: m1={}, m2={} (noise µ={} per server)",
@@ -97,4 +103,5 @@ fn main() {
         "\n(production parameters µ=300,000, b=13,800 give ε'=ln 2 over 250,000\n\
          messages — the reporter and source are covered for years of contact.)"
     );
+    Ok(())
 }

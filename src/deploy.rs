@@ -102,19 +102,29 @@ impl ScheduleEntry {
 
     fn from_json(value: &Value) -> Result<ScheduleEntry, String> {
         let map = expect_object(value, "schedule entry")?;
+        let count = |key: &str| {
+            let value = get_u64(map, key)?;
+            u32::try_from(value)
+                .map_err(|_| format!("field {key:?} must be at most {}, got {value}", u32::MAX))
+        };
         match require(map, "type")?.as_str() {
             Some("conversation") => {
                 reject_unknown(map, &["type", "pairs", "singles"], "conversation entry")?;
                 Ok(ScheduleEntry::Conversation {
-                    pairs: get_u64(map, "pairs")? as u32,
-                    singles: get_u64(map, "singles")? as u32,
+                    pairs: count("pairs")?,
+                    singles: count("singles")?,
                 })
             }
             Some("dialing") => {
                 reject_unknown(map, &["type", "dials", "drops"], "dialing entry")?;
+                // Every client derives its invitation drop modulo `drops`.
+                let drops = count("drops")?;
+                if drops == 0 {
+                    return Err("field \"drops\" must be at least 1, got 0".to_string());
+                }
                 Ok(ScheduleEntry::Dialing {
-                    dials: get_u64(map, "dials")? as u32,
-                    drops: get_u64(map, "drops")? as u32,
+                    dials: count("dials")?,
+                    drops,
                 })
             }
             Some(other) => Err(format!("unknown schedule entry type {other:?}")),
@@ -989,6 +999,45 @@ mod tests {
         cfg.server_addrs.pop();
         let parsed = DeploymentConfig::from_json(&cfg.to_json()).expect("the limit itself parses");
         assert_eq!(parsed.system.chain_len, onion::MAX_CHAIN);
+    }
+
+    #[test]
+    fn zero_workers_slots_or_shards_fail_at_parse_time() {
+        // `SystemConfig::validate` asserts each of these on the first
+        // chain or server built; the file must be refused before that.
+        for key in ["workers", "conversation_slots", "exchange_shards"] {
+            let mut value = smoke_config().to_json();
+            if let Value::Object(map) = &mut value {
+                if let Some(Value::Object(system)) = map.get_mut("system") {
+                    system.insert(key.to_string(), Value::from(0u64));
+                }
+            }
+            let err = DeploymentConfig::from_json(&value).expect_err("zero is refused");
+            assert!(err.contains(key), "names the field: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_invitation_drops_fail_at_parse_time() {
+        // A client building such a round would panic deriving its drop.
+        let mut cfg = smoke_config();
+        cfg.schedule[1] = ScheduleEntry::Dialing { dials: 2, drops: 0 };
+        let err = DeploymentConfig::from_json(&cfg.to_json()).expect_err("zero drops");
+        assert!(err.contains("drops"), "names the field: {err}");
+    }
+
+    #[test]
+    fn schedule_counts_above_u32_fail_at_parse_time() {
+        // 2³² + 1 pairs must not wrap to 1.
+        let mut value = smoke_config().to_json();
+        if let Value::Object(map) = &mut value {
+            if let Some(Value::Array(schedule)) = map.get_mut("schedule") {
+                schedule[0] =
+                    json!({"type": "conversation", "pairs": 4_294_967_297u64, "singles": 0});
+            }
+        }
+        let err = DeploymentConfig::from_json(&value).expect_err("a count past u32");
+        assert!(err.contains("pairs"), "names the field: {err}");
     }
 
     #[test]

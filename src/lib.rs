@@ -22,23 +22,31 @@
 //! ## Quickstart
 //!
 //! See `examples/quickstart.rs` for a complete two-user conversation over
-//! a three-server chain. The short version:
+//! a three-server chain. The short version, on the simulator
+//! ([`sim::Simulator`]), which checks every round against the paper's
+//! privacy invariants:
 //!
 //! ```
-//! use vuvuzela::core::testkit::TestNet;
+//! use vuvuzela::sim::{RoundPlan, Scenario, Simulator, Step};
 //!
 //! // A three-server chain with deterministic noise, two users.
-//! let mut net = TestNet::builder().servers(3).noise_mu(50.0).build();
-//! let alice = net.add_user("alice");
-//! let bob = net.add_user("bob");
+//! let mut scenario = Scenario::new("quickstart", 0x50_50);
+//! scenario.conversation_mu = 50.0;
+//! scenario.dialing_mu = 10.0;
+//! scenario.dialing_b = Some(2.0);
+//! let mut sim = Simulator::new(scenario);
+//! let (alice, bob) = (0, 1);
+//! sim.step(Step::Join(2))?;
 //!
 //! // Alice dials Bob; both enter the conversation; they exchange a round.
-//! net.dial(alice, bob);
-//! net.run_dialing_round();
-//! net.accept_all_invitations();
-//! net.queue_message(alice, bob, b"hello, Bob!");
-//! net.run_conversation_round();
-//! assert_eq!(net.received(bob), vec![b"hello, Bob!".to_vec()]);
+//! sim.step(Step::Dial { caller: alice, callee: bob })?;
+//! sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
+//! sim.step(Step::AcceptAll)?;
+//! let body = b"hello, Bob!".to_vec();
+//! sim.step(Step::Queue { from: alice, to: bob, body: body.clone() })?;
+//! sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
+//! assert_eq!(sim.client(bob).all_delivered(), vec![body]);
+//! # Ok::<(), vuvuzela::sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

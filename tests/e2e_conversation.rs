@@ -1,222 +1,237 @@
 //! End-to-end integration tests: full dial → converse lifecycles across
-//! the real chain, exercising every crate together.
+//! the real chain, exercising every crate together. Every round runs on
+//! the simulator with its invariant checker live.
 
-use vuvuzela::core::testkit::TestNet;
 use vuvuzela::dp::NoiseMode;
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
-fn net(servers: usize, seed: u64) -> TestNet {
-    TestNet::builder()
-        .servers(servers)
-        .noise_mu(8.0)
-        .dialing_mu(4.0)
-        .seed(seed)
-        .build()
+const ALICE: usize = 0;
+const BOB: usize = 1;
+const CAROL: usize = 2;
+
+/// A `servers`-long chain with deterministic noise (conversation µ = 8,
+/// dialing µ = 4) and `users` clients, indices `0..users`.
+fn net(servers: usize, seed: u64, users: usize) -> Result<Simulator, SimError> {
+    let mut scenario = Scenario::new("e2e_conversation", seed);
+    scenario.servers = servers;
+    scenario.conversation_mu = 8.0;
+    scenario.dialing_mu = 4.0;
+    let mut sim = Simulator::new(scenario);
+    sim.step(Step::Join(users))?;
+    Ok(sim)
+}
+
+/// Runs `rounds` rounds of one kind, one schedule each, so every
+/// client handles a round's replies before it builds the next round.
+fn run(sim: &mut Simulator, plan: RoundPlan, rounds: usize) -> Result<(), SimError> {
+    for _ in 0..rounds {
+        sim.step(Step::Run(vec![plan]))?;
+    }
+    Ok(())
+}
+
+/// `caller` dials `callee` in one dialing round; everyone accepts.
+fn connect(sim: &mut Simulator, caller: usize, callee: usize) -> Result<(), SimError> {
+    sim.step(Step::Dial { caller, callee })?;
+    run(sim, RoundPlan::Dialing, 1)?;
+    sim.step(Step::AcceptAll)
+}
+
+fn queue(sim: &mut Simulator, from: usize, to: usize, body: &[u8]) -> Result<(), SimError> {
+    sim.step(Step::Queue {
+        from,
+        to,
+        body: body.to_vec(),
+    })
 }
 
 #[test]
-fn full_lifecycle_dial_accept_converse() {
-    let mut net = net(3, 1);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
+fn full_lifecycle_dial_accept_converse() -> Result<(), SimError> {
+    let mut sim = net(3, 1, 2)?;
 
-    net.dial(alice, bob);
-    net.run_dialing_round();
+    sim.step(Step::Dial {
+        caller: ALICE,
+        callee: BOB,
+    })?;
+    run(&mut sim, RoundPlan::Dialing, 1)?;
     assert_eq!(
-        net.client(bob).pending_invitations().len(),
+        sim.client(BOB).pending_invitations().len(),
         1,
         "bob got exactly one invitation"
     );
-    net.accept_all_invitations();
+    sim.step(Step::AcceptAll)?;
 
-    net.queue_message(alice, bob, b"first");
-    net.run_conversation_round();
-    net.queue_message(bob, alice, b"second");
-    net.run_conversation_round();
+    queue(&mut sim, ALICE, BOB, b"first")?;
+    run(&mut sim, RoundPlan::Conversation, 1)?;
+    queue(&mut sim, BOB, ALICE, b"second")?;
+    run(&mut sim, RoundPlan::Conversation, 1)?;
 
-    assert_eq!(net.received(bob), vec![b"first".to_vec()]);
-    assert_eq!(net.received(alice), vec![b"second".to_vec()]);
+    assert_eq!(sim.client(BOB).all_delivered(), vec![b"first".to_vec()]);
+    assert_eq!(sim.client(ALICE).all_delivered(), vec![b"second".to_vec()]);
+    Ok(())
 }
 
 #[test]
-fn works_for_every_chain_length_paper_evaluates() {
+fn works_for_every_chain_length_paper_evaluates() -> Result<(), SimError> {
     // Figure 11 sweeps 1..6 servers; message flow must hold for each.
     for servers in 1..=6 {
-        let mut net = net(servers, servers as u64);
-        let alice = net.add_user("alice");
-        let bob = net.add_user("bob");
-        net.dial(alice, bob);
-        net.run_dialing_round();
-        net.accept_all_invitations();
-        net.queue_message(alice, bob, b"ping");
-        net.run_conversation_round();
+        let mut sim = net(servers, servers as u64, 2)?;
+        connect(&mut sim, ALICE, BOB)?;
+        queue(&mut sim, ALICE, BOB, b"ping")?;
+        run(&mut sim, RoundPlan::Conversation, 1)?;
         assert_eq!(
-            net.received(bob),
+            sim.client(BOB).all_delivered(),
             vec![b"ping".to_vec()],
             "chain length {servers}"
         );
     }
+    Ok(())
 }
 
 #[test]
-fn many_pairs_converse_simultaneously() {
-    let mut net = net(3, 7);
-    let users: Vec<_> = (0..10).map(|i| net.add_user(format!("user{i}"))).collect();
+fn many_pairs_converse_simultaneously() -> Result<(), SimError> {
+    let mut sim = net(3, 7, 10)?;
 
-    // 5 disjoint pairs.
-    for pair in users.chunks(2) {
-        net.dial(pair[0], pair[1]);
+    // 5 disjoint pairs: (0, 1), (2, 3), ... (8, 9).
+    for pair in 0..5 {
+        sim.step(Step::Dial {
+            caller: 2 * pair,
+            callee: 2 * pair + 1,
+        })?;
     }
-    net.run_dialing_round();
-    net.accept_all_invitations();
+    run(&mut sim, RoundPlan::Dialing, 1)?;
+    sim.step(Step::AcceptAll)?;
 
-    for (i, pair) in users.chunks(2).enumerate() {
-        net.queue_message(pair[0], pair[1], format!("msg-{i}").as_bytes());
+    for pair in 0..5 {
+        queue(
+            &mut sim,
+            2 * pair,
+            2 * pair + 1,
+            format!("msg-{pair}").as_bytes(),
+        )?;
     }
-    net.run_conversation_round();
+    run(&mut sim, RoundPlan::Conversation, 1)?;
 
-    for (i, pair) in users.chunks(2).enumerate() {
+    for pair in 0..5 {
         assert_eq!(
-            net.received(pair[1]),
-            vec![format!("msg-{i}").into_bytes()],
-            "pair {i}"
+            sim.client(2 * pair + 1).all_delivered(),
+            vec![format!("msg-{pair}").into_bytes()],
+            "pair {pair}"
         );
     }
+    Ok(())
 }
 
 #[test]
-fn long_conversation_stays_ordered_under_pipelining() {
-    let mut net = net(3, 9);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
+fn long_conversation_stays_ordered_under_pipelining() -> Result<(), SimError> {
+    let mut sim = net(3, 9, 2)?;
+    connect(&mut sim, ALICE, BOB)?;
 
     let messages: Vec<Vec<u8>> = (0..12u8).map(|i| vec![b'#', i]).collect();
     for m in &messages {
-        net.queue_message(alice, bob, m);
+        queue(&mut sim, ALICE, BOB, m)?;
     }
     // Window is 4: pipelined over several rounds.
-    for _ in 0..16 {
-        net.run_conversation_round();
-    }
-    assert_eq!(net.received(bob), messages);
+    run(&mut sim, RoundPlan::Conversation, 16)?;
+    assert_eq!(sim.client(BOB).all_delivered(), messages);
+    Ok(())
 }
 
 #[test]
-fn retransmission_survives_multi_round_outage() {
-    let mut net = net(3, 11);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
+fn retransmission_survives_multi_round_outage() -> Result<(), SimError> {
+    let mut sim = net(3, 11, 2)?;
+    connect(&mut sim, ALICE, BOB)?;
 
-    net.queue_message(alice, bob, b"resilient");
-    net.set_online(bob, false);
-    for _ in 0..5 {
-        net.run_conversation_round();
-    }
-    assert!(net.received(bob).is_empty());
-    net.set_online(bob, true);
-    for _ in 0..4 {
-        net.run_conversation_round();
-    }
-    assert_eq!(net.received(bob), vec![b"resilient".to_vec()]);
+    queue(&mut sim, ALICE, BOB, b"resilient")?;
+    sim.step(Step::SetOnline(BOB, false))?;
+    run(&mut sim, RoundPlan::Conversation, 5)?;
+    assert!(sim.client(BOB).all_delivered().is_empty());
+    sim.step(Step::SetOnline(BOB, true))?;
+    run(&mut sim, RoundPlan::Conversation, 4)?;
+    assert_eq!(sim.client(BOB).all_delivered(), vec![b"resilient".to_vec()]);
+    Ok(())
 }
 
 #[test]
-fn bidirectional_conversation_interleaves() {
-    let mut net = net(2, 13);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
+fn bidirectional_conversation_interleaves() -> Result<(), SimError> {
+    let mut sim = net(2, 13, 2)?;
+    connect(&mut sim, ALICE, BOB)?;
 
     for i in 0..4u8 {
-        net.queue_message(alice, bob, &[b'a', i]);
-        net.queue_message(bob, alice, &[b'b', i]);
+        queue(&mut sim, ALICE, BOB, &[b'a', i])?;
+        queue(&mut sim, BOB, ALICE, &[b'b', i])?;
     }
-    for _ in 0..6 {
-        net.run_conversation_round();
-    }
+    run(&mut sim, RoundPlan::Conversation, 6)?;
     assert_eq!(
-        net.received(bob),
+        sim.client(BOB).all_delivered(),
         (0..4u8).map(|i| vec![b'a', i]).collect::<Vec<_>>()
     );
     assert_eq!(
-        net.received(alice),
+        sim.client(ALICE).all_delivered(),
         (0..4u8).map(|i| vec![b'b', i]).collect::<Vec<_>>()
     );
+    Ok(())
 }
 
 #[test]
-fn dialing_multiple_rounds_reaches_multiple_callees() {
-    let mut net = net(3, 17);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    let carol = net.add_user("carol");
+fn dialing_multiple_rounds_reaches_multiple_callees() -> Result<(), SimError> {
+    let mut sim = net(3, 17, 3)?;
 
     // Alice only has one slot by default — ending one conversation frees
     // the slot for the next (§5: "a user may end one conversation to
     // make room for another").
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.queue_message(alice, bob, b"to bob");
-    net.run_conversation_round();
-    assert_eq!(net.received(bob), vec![b"to bob".to_vec()]);
+    connect(&mut sim, ALICE, BOB)?;
+    queue(&mut sim, ALICE, BOB, b"to bob")?;
+    run(&mut sim, RoundPlan::Conversation, 1)?;
+    assert_eq!(sim.client(BOB).all_delivered(), vec![b"to bob".to_vec()]);
 
-    let bob_pk = net.client(bob).public_key();
-    net.client_mut(alice)
+    let bob_pk = sim.client(BOB).public_key();
+    sim.client_mut(ALICE)
         .end_conversation(&bob_pk)
         .expect("end");
-    net.dial(alice, carol);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.queue_message(alice, carol, b"to carol");
-    net.run_conversation_round();
-    assert_eq!(net.received(carol), vec![b"to carol".to_vec()]);
+    connect(&mut sim, ALICE, CAROL)?;
+    queue(&mut sim, ALICE, CAROL, b"to carol")?;
+    run(&mut sim, RoundPlan::Conversation, 1)?;
+    assert_eq!(
+        sim.client(CAROL).all_delivered(),
+        vec![b"to carol".to_vec()]
+    );
+    Ok(())
 }
 
 #[test]
-fn sampled_noise_mode_also_delivers() {
+fn sampled_noise_mode_also_delivers() -> Result<(), SimError> {
     // Everything above uses deterministic noise; production samples.
-    let mut net = TestNet::builder()
-        .servers(3)
-        .noise_mu(8.0)
-        .dialing_mu(4.0)
-        .noise_mode(NoiseMode::Sampled)
-        .seed(19)
-        .build();
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.queue_message(alice, bob, b"sampled");
-    net.run_conversation_round();
-    assert_eq!(net.received(bob), vec![b"sampled".to_vec()]);
+    let mut scenario = Scenario::new("e2e_sampled", 19);
+    scenario.conversation_mu = 8.0;
+    scenario.dialing_mu = 4.0;
+    scenario.noise_mode = NoiseMode::Sampled;
+    let mut sim = Simulator::new(scenario);
+    sim.step(Step::Join(2))?;
+    connect(&mut sim, ALICE, BOB)?;
+    queue(&mut sim, ALICE, BOB, b"sampled")?;
+    run(&mut sim, RoundPlan::Conversation, 1)?;
+    assert_eq!(sim.client(BOB).all_delivered(), vec![b"sampled".to_vec()]);
+    Ok(())
 }
 
 #[test]
-fn declined_invitation_never_connects() {
-    let mut net = net(3, 23);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.dial(alice, bob);
-    net.run_dialing_round();
+fn declined_invitation_never_connects() -> Result<(), SimError> {
+    let mut sim = net(3, 23, 2)?;
+    sim.step(Step::Dial {
+        caller: ALICE,
+        callee: BOB,
+    })?;
+    run(&mut sim, RoundPlan::Dialing, 1)?;
 
-    let alice_pk = net.client(alice).public_key();
-    net.client_mut(bob).decline_invitation(&alice_pk);
+    let alice_pk = sim.client(ALICE).public_key();
+    sim.client_mut(BOB).decline_invitation(&alice_pk);
 
     // Alice (who pre-entered the conversation) sends into the void: Bob
     // never joins the drop, so nothing is delivered to him.
-    net.queue_message(alice, bob, b"hello?");
-    for _ in 0..3 {
-        net.run_conversation_round();
-    }
-    assert!(net.received(bob).is_empty());
-    assert!(net.received(alice).is_empty());
+    queue(&mut sim, ALICE, BOB, b"hello?")?;
+    run(&mut sim, RoundPlan::Conversation, 3)?;
+    assert!(sim.client(BOB).all_delivered().is_empty());
+    assert!(sim.client(ALICE).all_delivered().is_empty());
+    Ok(())
 }

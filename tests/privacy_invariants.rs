@@ -3,49 +3,84 @@
 //! and indistinguishability of the adversary's view across worlds.
 
 use parking_lot::Mutex;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::SizeRecorder;
-use vuvuzela::core::testkit::TestNet;
 use vuvuzela::net::Tap;
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
-fn tapped_net(seed: u64) -> (TestNet, Vec<Arc<Mutex<SizeRecorder>>>) {
-    let mut net = TestNet::builder()
-        .servers(3)
-        .noise_mu(6.0)
-        .dialing_mu(3.0)
-        .seed(seed)
-        .build();
-    let mut taps = Vec::new();
-    {
-        let chain = net.chain_mut();
-        let tap = Arc::new(Mutex::new(SizeRecorder::default()));
-        taps.push(tap.clone());
-        chain.client_link_mut().attach_tap(tap);
-        for i in 0..3 {
-            let tap = Arc::new(Mutex::new(SizeRecorder::default()));
-            taps.push(tap.clone());
-            let dyn_tap: Arc<Mutex<dyn Tap>> = tap.clone();
-            chain.link_mut(i).attach_tap(dyn_tap);
-        }
+const ALICE: usize = 0;
+const BOB: usize = 1;
+
+/// `scenario`'s deployment with `users` clients, indices `0..users`.
+fn net(scenario: Scenario, users: usize) -> Result<Simulator, SimError> {
+    let mut sim = Simulator::new(scenario);
+    sim.step(Step::Join(users))?;
+    Ok(sim)
+}
+
+/// Three servers with deterministic noise µ = `mu` per conversation
+/// round and the laptop-scale dialing noise (µ = 10, b = 2).
+fn deployment(mu: f64, seed: u64) -> Scenario {
+    let mut scenario = Scenario::new("privacy_invariants", seed);
+    scenario.conversation_mu = mu;
+    scenario.dialing_mu = 10.0;
+    scenario.dialing_b = Some(2.0);
+    scenario
+}
+
+/// One size recorder per link: the clients link first, then the hops.
+type Recorders = Vec<Arc<Mutex<SizeRecorder>>>;
+
+/// A deployment with conversation µ = 6 and dialing µ = 3, `users`
+/// clients, and a size recorder on every link.
+fn tapped_net(seed: u64, users: usize) -> Result<(Simulator, Recorders), SimError> {
+    let mut sim = net(Scenario::new("privacy_invariants_tapped", seed), users)?;
+    let taps: Recorders = (0..4)
+        .map(|_| Arc::new(Mutex::new(SizeRecorder::default())))
+        .collect();
+    let chain = sim.chain_mut().chain_mut();
+    chain.client_link_mut().attach_tap(taps[0].clone());
+    for (i, tap) in taps[1..].iter().enumerate() {
+        let dyn_tap: Arc<Mutex<dyn Tap>> = tap.clone();
+        chain.link_mut(i).attach_tap(dyn_tap);
     }
-    (net, taps)
+    Ok((sim, taps))
+}
+
+fn run(sim: &mut Simulator, plan: RoundPlan) -> Result<(), SimError> {
+    sim.step(Step::Run(vec![plan]))
+}
+
+/// Alice dials Bob in one dialing round; everyone accepts.
+fn connect(sim: &mut Simulator) -> Result<(), SimError> {
+    sim.step(Step::Dial {
+        caller: ALICE,
+        callee: BOB,
+    })?;
+    run(sim, RoundPlan::Dialing)?;
+    sim.step(Step::AcceptAll)
+}
+
+fn queue(sim: &mut Simulator, body: &[u8]) -> Result<(), SimError> {
+    sim.step(Step::Queue {
+        from: ALICE,
+        to: BOB,
+        body: body.to_vec(),
+    })
 }
 
 /// "Vuvuzela ensures that message sizes ... are independent of user
 /// activity" — every batch on every link is single-sized.
 #[test]
-fn all_link_traffic_is_uniform_size() {
-    let (mut net, taps) = tapped_net(1);
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    let _idle = net.add_user("idle");
+fn all_link_traffic_is_uniform_size() -> Result<(), SimError> {
+    // Alice, Bob and an idle user.
+    let (mut sim, taps) = tapped_net(1, 3)?;
 
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.queue_message(alice, bob, b"payload");
-    net.run_conversation_round();
-    net.run_conversation_round();
+    connect(&mut sim)?;
+    queue(&mut sim, b"payload")?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    run(&mut sim, RoundPlan::Conversation)?;
 
     for (i, tap) in taps.iter().enumerate() {
         let guard = tap.lock();
@@ -58,32 +93,34 @@ fn all_link_traffic_is_uniform_size() {
             );
         }
     }
+    Ok(())
 }
 
 /// The adversary's byte-level view is *identical in shape* whether the
 /// two users converse or idle: same batch counts, same sizes.
 #[test]
-fn traffic_shape_is_independent_of_conversations() {
-    let observe = |talking: bool, seed: u64| -> Vec<(u64, bool, Vec<usize>)> {
-        let (mut net, taps) = tapped_net(seed);
-        let alice = net.add_user("alice");
-        let bob = net.add_user("bob");
+fn traffic_shape_is_independent_of_conversations() -> Result<(), SimError> {
+    let observe = |talking: bool, seed: u64| -> Result<Vec<(u64, bool, Vec<usize>)>, SimError> {
+        let (mut sim, taps) = tapped_net(seed, 2)?;
         if talking {
-            net.dial(alice, bob);
+            sim.step(Step::Dial {
+                caller: ALICE,
+                callee: BOB,
+            })?;
         }
-        net.run_dialing_round();
-        net.accept_all_invitations();
+        run(&mut sim, RoundPlan::Dialing)?;
+        sim.step(Step::AcceptAll)?;
         if talking {
-            net.queue_message(alice, bob, b"secret");
+            queue(&mut sim, b"secret")?;
         }
-        net.run_conversation_round();
+        run(&mut sim, RoundPlan::Conversation)?;
         // Collapse all taps into one trace of (round, dir, sizes).
-        taps.iter().flat_map(|t| t.lock().batches.clone()).collect()
+        Ok(taps.iter().flat_map(|t| t.lock().batches.clone()).collect())
     };
 
     // Same seed ⇒ same noise; only Alice/Bob's actions differ.
-    let talking = observe(true, 42);
-    let idle = observe(false, 42);
+    let talking = observe(true, 42)?;
+    let idle = observe(false, 42)?;
     assert_eq!(talking.len(), idle.len(), "same number of transfers");
     for (a, b) in talking.iter().zip(idle.iter()) {
         assert_eq!(a.0, b.0, "round");
@@ -97,46 +134,43 @@ fn traffic_shape_is_independent_of_conversations() {
             a.1
         );
     }
+    Ok(())
 }
 
 /// Deterministic noise mode produces exactly the §8.2 accounting:
 /// each non-last server adds 2µ requests.
 #[test]
-fn noise_accounting_matches_paper() {
+fn noise_accounting_matches_paper() -> Result<(), SimError> {
     let mu = 10.0;
-    let mut net = TestNet::builder().servers(3).noise_mu(mu).seed(3).build();
-    let _u1 = net.add_user("u1");
-    let _u2 = net.add_user("u2");
-    net.run_conversation_round();
+    let mut sim = net(deployment(mu, 3), 2)?;
+    run(&mut sim, RoundPlan::Conversation)?;
 
-    let (_, obs) = net.chain().conversation_observables()[0];
+    let (_, obs) = sim.chain().chain().conversation_observables()[0];
     // 2 users + 2 noising servers × 2µ.
     assert_eq!(obs.total_requests, 2 + 2 * (2.0 * mu) as u64);
     // All noise: µ singles + µ/2 pairs per noising server; users idle → 2 lone.
     assert_eq!(obs.m1, 2 * (mu as u64) + 2);
     assert_eq!(obs.m2, 2 * (mu as u64 / 2));
     assert_eq!(obs.m_many, 0, "honest clients never collide");
+    Ok(())
 }
 
 /// The observable-level model used for attack statistics agrees exactly
 /// with the real chain under deterministic noise.
 #[test]
-fn observable_model_cross_validates_against_chain() {
+fn observable_model_cross_validates_against_chain() -> Result<(), SimError> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vuvuzela::adversary::model::{ObservableModel, RoundTruth};
     use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 
     let mu = 8.0;
-    let mut net = TestNet::builder().servers(3).noise_mu(mu).seed(5).build();
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    let _lone = net.add_user("lone");
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.run_conversation_round();
-    let (_, chain_obs) = *net
+    // Alice, Bob and a lone user.
+    let mut sim = net(deployment(mu, 5), 3)?;
+    connect(&mut sim)?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    let (_, chain_obs) = *sim
+        .chain()
         .chain()
         .conversation_observables()
         .last()
@@ -157,6 +191,7 @@ fn observable_model_cross_validates_against_chain() {
     );
     assert_eq!(chain_obs.m1, model_obs.m1);
     assert_eq!(chain_obs.m2, model_obs.m2);
+    Ok(())
 }
 
 /// And in `Sampled` mode the agreement is byte-identical, not just
@@ -166,7 +201,7 @@ fn observable_model_cross_validates_against_chain() {
 /// leftover-singleton path (the Algorithm 2 pairing fix) load-bearing —
 /// odd `n2` draws occur with probability ≈ ½ per server.
 #[test]
-fn observable_model_cross_validates_in_sampled_mode() {
+fn observable_model_cross_validates_in_sampled_mode() -> Result<(), SimError> {
     use rand::RngCore;
     use vuvuzela::adversary::model::{ObservableModel, RoundTruth};
     use vuvuzela::core::chain::server_round_rng;
@@ -193,20 +228,14 @@ fn observable_model_cross_validates_in_sampled_mode() {
     let mu = 7.0;
     let seed = 0xA11CE_u64;
     for round_seed in 0..8u64 {
-        let mut net = TestNet::builder()
-            .servers(3)
-            .noise_mu(mu)
-            .noise_mode(NoiseMode::Sampled)
-            .seed(seed.wrapping_add(round_seed))
-            .build();
-        let alice = net.add_user("alice");
-        let bob = net.add_user("bob");
-        let _lone = net.add_user("lone");
-        net.dial(alice, bob);
-        net.run_dialing_round();
-        net.accept_all_invitations();
-        net.run_conversation_round();
-        let (round, chain_obs) = *net
+        let mut scenario = deployment(mu, seed.wrapping_add(round_seed));
+        scenario.noise_mode = NoiseMode::Sampled;
+        // Alice, Bob and a lone user.
+        let mut sim = net(scenario, 3)?;
+        connect(&mut sim)?;
+        run(&mut sim, RoundPlan::Conversation)?;
+        let (round, chain_obs) = *sim
+            .chain()
             .chain()
             .conversation_observables()
             .last()
@@ -222,7 +251,7 @@ fn observable_model_cross_validates_in_sampled_mode() {
         }
         let model = ObservableModel {
             noising_servers: 2,
-            // Mirror the builder's b = max(µ/20, 0.5) derivation.
+            // Mirror the scenario's b = max(µ/20, 0.5) derivation.
             noise: NoiseDistribution::new(mu, (mu / 20.0).max(0.5)),
             mode: NoiseMode::Sampled,
         };
@@ -238,25 +267,22 @@ fn observable_model_cross_validates_in_sampled_mode() {
             "seed {round_seed}: chain and model disagree on shared noise"
         );
     }
+    Ok(())
 }
 
 /// Dialing: every drop gets noise from every server — even drops nobody
 /// wrote a real invitation to (§5.3).
 #[test]
-fn dialing_noise_covers_unused_drops() {
+fn dialing_noise_covers_unused_drops() -> Result<(), SimError> {
     let mu_dial = 5.0;
-    let mut net = TestNet::builder()
-        .servers(3)
-        .noise_mu(4.0)
-        .dialing_mu(mu_dial)
-        .invitation_drops(4)
-        .seed(7)
-        .build();
-    let _a = net.add_user("a");
-    let _b = net.add_user("b");
-    net.run_dialing_round(); // nobody dials
+    let mut scenario = Scenario::new("privacy_invariants_drops", 7);
+    scenario.conversation_mu = 4.0;
+    scenario.dialing_mu = mu_dial;
+    scenario.num_drops = 4;
+    let mut sim = net(scenario, 2)?;
+    run(&mut sim, RoundPlan::Dialing)?; // nobody dials
 
-    let (_, obs) = &net.chain().dialing_observables()[0];
+    let (_, obs) = &sim.chain().chain().dialing_observables()[0];
     assert_eq!(obs.counts.len(), 4);
     for (i, &count) in obs.counts.iter().enumerate() {
         assert_eq!(
@@ -267,13 +293,13 @@ fn dialing_noise_covers_unused_drops() {
     }
     // The two idle users wrote to the no-op drop.
     assert_eq!(obs.noop_writes, 2);
+    Ok(())
 }
 
 /// Garbage and truncated onions must never break the round for honest
 /// users (availability under client misbehaviour, §2.3).
 #[test]
-fn malformed_clients_cannot_break_honest_ones() {
-    use vuvuzela::net::Tap;
+fn malformed_clients_cannot_break_honest_ones() -> Result<(), SimError> {
     struct GarbageInjector;
     impl Tap for GarbageInjector {
         fn intercept(&mut self, ctx: &vuvuzela::net::TapContext, batch: &mut Vec<Vec<u8>>) {
@@ -284,52 +310,57 @@ fn malformed_clients_cannot_break_honest_ones() {
         }
     }
 
-    let mut net = TestNet::builder().servers(3).noise_mu(4.0).seed(9).build();
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.chain_mut()
+    let mut sim = net(deployment(4.0, 9), 2)?;
+    sim.chain_mut()
+        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(GarbageInjector)));
+    sim.tolerate_violations();
 
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
-    net.queue_message(alice, bob, b"still works");
-    net.run_conversation_round();
-    assert_eq!(net.received(bob), vec![b"still works".to_vec()]);
+    connect(&mut sim)?;
+    queue(&mut sim, b"still works")?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    assert_eq!(
+        sim.client(BOB).all_delivered(),
+        vec![b"still works".to_vec()]
+    );
+    // Each round's two extra entries fail authentication and come back
+    // as substituted noise: extra no-op dial writes and extra singles
+    // (the histograms), and two replies nobody asked for.
+    let tripped: BTreeSet<&str> = sim.violations().iter().map(|v| v.invariant).collect();
+    assert_eq!(
+        tripped,
+        BTreeSet::from(["noise-covered-deaddrops", "uniform-participation"])
+    );
+    Ok(())
 }
 
-/// `TestNet::set_online` audit (cover-traffic requirement, §3.2/§4.2):
-/// a client going offline is itself observable — the connected-client
-/// set is public — but it must not change the observable *stream* of
-/// its former partner or of idle bystanders. Before, during and after
-/// Bob's absence, Alice and the idle user each emit exactly one onion
-/// per round of exactly the same width; the only change on the wire is
+/// `Step::SetOnline` audit (cover-traffic requirement, §3.2/§4.2): a
+/// client going offline is itself observable — the connected-client set
+/// is public — but it must not change the observable *stream* of its
+/// former partner or of idle bystanders. Before, during and after Bob's
+/// absence, Alice and the idle user each emit exactly one onion per
+/// round of exactly the same width; the only change on the wire is
 /// Bob's entry disappearing.
 #[test]
-fn offline_peer_leaves_partner_stream_unchanged() {
-    let (mut net, taps) = tapped_net(11);
+fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
+    // Alice, Bob and an idle user.
+    let (mut sim, taps) = tapped_net(11, 3)?;
     let client_tap = taps[0].clone();
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    let _idle = net.add_user("idle");
 
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
+    connect(&mut sim)?;
     // Alice keeps a message in flight the whole time, so her slot is
     // maximally "active" — which must be invisible.
-    net.queue_message(alice, bob, b"before");
-    net.run_conversation_round();
-    net.run_conversation_round();
-    net.set_online(bob, false);
-    assert!(!net.is_online(bob));
-    net.queue_message(alice, bob, b"during"); // will retransmit into the void
-    net.run_conversation_round();
-    net.run_conversation_round();
-    net.set_online(bob, true);
-    net.run_conversation_round();
-    net.run_conversation_round();
+    queue(&mut sim, b"before")?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    sim.step(Step::SetOnline(BOB, false))?;
+    queue(&mut sim, b"during")?; // will retransmit into the void
+    run(&mut sim, RoundPlan::Conversation)?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    sim.step(Step::SetOnline(BOB, true))?;
+    run(&mut sim, RoundPlan::Conversation)?;
+    run(&mut sim, RoundPlan::Conversation)?;
 
     // The clients→entry tap saw every per-round forward batch. Batch
     // order is client order, so Alice is entry 0 in every round.
@@ -361,7 +392,8 @@ fn offline_peer_leaves_partner_stream_unchanged() {
     // The dead-drop histogram stays noise-covered through the
     // transition: totals change by exactly Bob's one request, and the
     // pair access silently becomes a single access.
-    let obs: Vec<_> = net
+    let obs: Vec<_> = sim
+        .chain()
         .chain()
         .conversation_observables()
         .iter()
@@ -380,7 +412,8 @@ fn offline_peer_leaves_partner_stream_unchanged() {
     // And the conversation itself survives the outage via retransmission.
     drop(guard);
     assert_eq!(
-        net.received(bob),
+        sim.client(BOB).all_delivered(),
         vec![b"before".to_vec(), b"during".to_vec()]
     );
+    Ok(())
 }

@@ -8,14 +8,15 @@
 //! use new keys for each individual message").
 
 use parking_lot::Mutex;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::DelayOneRound;
 use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::testkit::TestNet;
 use vuvuzela::core::{Chain, RoundBuffer, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
+use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 use vuvuzela::wire::conversation::ExchangeRequest;
 
 /// One onion laid into a `kind` round's arena for the chain-3
@@ -69,37 +70,61 @@ fn replayed_onions_are_rejected() {
 /// not to learning anything: conversations stall but the observables
 /// carry only noise.
 #[test]
-fn delay_is_equivalent_to_drop() {
-    let mut net = TestNet::builder().config(quiet_config()).seed(5).build();
-    let alice = net.add_user("alice");
-    let bob = net.add_user("bob");
-    net.dial(alice, bob);
-    net.run_dialing_round();
-    net.accept_all_invitations();
+fn delay_is_equivalent_to_drop() -> Result<(), SimError> {
+    // `quiet_config`'s deployment on the simulator: Alice and Bob.
+    let mut scenario = Scenario::new("delay_is_equivalent_to_drop", 5);
+    scenario.conversation_mu = 4.0;
+    scenario.conversation_b = Some(1.0);
+    scenario.dialing_mu = 2.0;
+    scenario.dialing_b = Some(1.0);
+    let mut sim = Simulator::new(scenario);
+    let (alice, bob) = (0, 1);
+    sim.step(Step::Join(2))?;
+    sim.step(Step::Dial {
+        caller: alice,
+        callee: bob,
+    })?;
+    sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
+    sim.step(Step::AcceptAll)?;
 
-    net.chain_mut()
+    sim.chain_mut()
+        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(DelayOneRound::new())));
+    sim.tolerate_violations();
 
-    net.queue_message(alice, bob, b"delayed into oblivion");
+    sim.step(Step::Queue {
+        from: alice,
+        to: bob,
+        body: b"delayed into oblivion".to_vec(),
+    })?;
     for _ in 0..4 {
-        net.run_conversation_round();
+        sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
     }
 
     // Nothing is ever delivered: each delayed batch arrives one round
     // stale and fails authentication at server 0.
-    assert!(net.received(bob).is_empty());
-    assert!(net.chain().server(0).malformed_replaced > 0);
+    assert!(sim.client(bob).all_delivered().is_empty());
+    let chain = sim.chain().chain();
+    assert!(chain.server(0).malformed_replaced > 0);
 
     // The observables during the delayed rounds contain exactly the
     // noise counts — no user exchange ever completes.
-    for (round, obs) in net.chain().conversation_observables().iter().skip(1) {
+    for (round, obs) in chain.conversation_observables().iter().skip(1) {
         assert_eq!(
             obs.m2,
             2 * 2, // 2 noising servers × µ/2 pairs (µ=4)
             "round {round}: only noise pairs visible"
         );
     }
+    // Every tampered round's histogram misses the pair; the first one
+    // also gets no replies back.
+    let tripped: BTreeSet<&str> = sim.violations().iter().map(|v| v.invariant).collect();
+    assert_eq!(
+        tripped,
+        BTreeSet::from(["noise-covered-deaddrops", "uniform-participation"])
+    );
+    Ok(())
 }
 
 /// Dialing rounds are equally replay-bound.
