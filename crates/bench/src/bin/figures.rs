@@ -165,7 +165,7 @@ fn system(chain_len: usize, noise_mode: NoiseMode, conv_mu: f64, dial_mu: f64) -
 /// entry does.
 fn admitted(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> RoundBuffer {
     let mut batch = entry::round_arena(kind, chain_len);
-    let _layout = entry::multiplex(&mut batch, &[onions]);
+    entry::multiplex(&mut batch, &[onions]);
     batch
 }
 

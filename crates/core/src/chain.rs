@@ -45,8 +45,8 @@ use vuvuzela_wire::{BatchFrame, Frame};
 /// ([`onion::wrapped_len`] of the round kind's payload) — the one shape
 /// a deployment's entry admits off the wire. Every producer lays its
 /// onions into the arena as it builds them: a
-/// [`crate::cohort::ClientCohort`] wraps in place, per-object clients go
-/// through [`crate::entry::multiplex`].
+/// [`crate::cohort::ClientCohort`] wraps in place, onions wrapped one at
+/// a time go through [`crate::entry::multiplex`].
 #[derive(Clone, Debug)]
 pub enum Batch {
     /// The round's client requests, already multiplexed by the entry.
@@ -556,7 +556,7 @@ impl Chain {
     /// forward state for which rounds depends on where the pipeline
     /// stopped. A recovering deployment calls this, has its clients
     /// expire the dead rounds' reply keys
-    /// ([`crate::client::Client::expire_pending`]), and schedules fresh
+    /// ([`crate::cohort::ClientCohort::expire_pending`]), and schedules fresh
     /// round numbers; client-level retransmission (§3.1) then re-carries
     /// any data the aborted rounds lost.
     pub fn abort_in_flight_rounds(&mut self) -> usize {
@@ -670,7 +670,7 @@ mod tests {
     /// becomes a zero-filled slot.
     fn arena(kind: RoundKind, chain_len: usize, onions: &[Vec<u8>]) -> RoundBuffer {
         let mut batch = crate::entry::round_arena(kind, chain_len);
-        let _layout = crate::entry::multiplex(&mut batch, &[onions.to_vec()]);
+        crate::entry::multiplex(&mut batch, &[onions.to_vec()]);
         batch
     }
 

@@ -1,44 +1,56 @@
-//! Struct-of-arrays client cohorts for million-client rounds.
+//! The Vuvuzela client (paper Algorithm 1, §3, §5), one struct-of-arrays
+//! population at a time.
 //!
-//! A [`ClientCohort`] holds N clients' long-term keys, conversation
-//! state and reply keys in flat parallel arrays instead of N
-//! [`Client`](crate::client::Client) objects. Each round it builds all
-//! requests directly into one [`RoundBuffer`] arena — no per-onion
-//! `Vec`, no per-client request list, no per-client key list —
-//! parallelised over [`vuvuzela_net::WorkerPool`] by chunk of
-//! consecutive clients, each chunk's onions wrapped together through
+//! A [`ClientCohort`] holds N members' long-term keys, conversation
+//! slots, dial queues and reply keys in flat parallel arrays. Every
+//! member has a fixed number of *conversation slots* (§9 "Multiple
+//! conversations": the count is fixed a priori so it leaks nothing; the
+//! paper's prototype uses one), and every conversation round each
+//! online member emits exactly one request per slot:
+//!
+//! * an **active** slot performs a real dead-drop exchange with its
+//!   partner (Algorithm 1 step 1a), carrying either a data message from
+//!   the send queue, a retransmission, or a keep-alive;
+//! * an **idle** slot performs a fake exchange against a random dead drop
+//!   (step 1b).
+//!
+//! On the wire the two are indistinguishable. Likewise every dialing
+//! round each online member sends exactly one invitation: the oldest in
+//! its dial queue, or a write to the no-op drop (§5.2). Offline members
+//! send nothing.
+//!
+//! Each round the cohort builds all requests directly into one
+//! [`RoundBuffer`] arena — no per-onion `Vec`, no per-member request
+//! list, no per-member key list — parallelised over
+//! [`vuvuzela_net::WorkerPool`] by chunk of consecutive senders, each
+//! chunk's onions wrapped together through
 //! [`onion::wrap_chunk_in_place`], and ingests the round's replies by
-//! client stripe. One shared set of per-server DH tables serves the
+//! member stripe. One shared set of per-server DH tables serves the
 //! whole cohort.
 //!
-//! The cohort is **byte-identical** to N individual `Client`s driven
-//! over the same derived RNG schedule: client `i`'s round randomness is
-//! [`client_round_rng`]`(seed, round, i)` and its keypair comes from
-//! the shared [`key_rng`]`(seed)` stream in join order. The
-//! `cohort_equivalence` integration test pins this, which is what makes
-//! the per-object `Client` the proptested reference and the cohort a
-//! pure representation change.
-//!
-//! Cohort identities never dial: every dialing round each member writes
-//! to the no-op drop (§5.2), so the cohort is pure cover traffic for
-//! the dialing protocol while still supporting real cohort-internal
-//! conversations (see [`ClientCohort::start_conversation`]).
+//! Bytes are a pure function of the schedule: a member's round
+//! randomness is [`client_round_rng`]`(seed, round, k)`, `k` its
+//! position among the round's online members, so worker count and
+//! scheduling order cannot change them; its keypair is the next draw of
+//! the [`key_rng`]`(seed)` stream ([`ClientCohort::join`]) or a secret
+//! the caller drew ([`ClientCohort::admit`]).
 
-use crate::client::{Client, ClientError, Conversation};
+use crate::client::{ClientError, Conversation};
 use crate::config::SystemConfig;
 use crate::noise::WRAP_CHUNK_SLOTS;
 use crate::roundbuf::RoundBuffer;
 use crate::server::round_rng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_crypto::onion::{self, LayerKey};
 use vuvuzela_crypto::x25519::{x25519_base_batch, PublicKey, SecretKey};
 use vuvuzela_net::WorkerPool;
 use vuvuzela_wire::conversation::{ConversationKeys, ExchangeRequest};
-use vuvuzela_wire::dialing::DialRequest;
-use vuvuzela_wire::message::FramedMessage;
+use vuvuzela_wire::deaddrop::InvitationDropIndex;
+use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
+use vuvuzela_wire::message::{FramedMessage, MAX_BODY_LEN};
 use vuvuzela_wire::{DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN, MESSAGE_LEN};
 
 /// splitmix64 finalisation, the same mixer [`round_rng`] uses.
@@ -48,19 +60,16 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The RNG for client `index`'s requests in `round`, as a pure function
-/// of `(seed, round, index)`. Worker count and scheduling order
-/// therefore cannot change any client's randomness — the foundation of
-/// the cohort's byte-equivalence with per-object clients, and usable
-/// directly by harnesses that drive individual [`Client`]s on the same
-/// schedule.
+/// The RNG for the `index`-th sender's requests in `round`, as a pure
+/// function of `(seed, round, index)`. Worker count and scheduling order
+/// therefore cannot change any member's randomness.
 #[must_use]
 pub fn client_round_rng(seed: u64, round: u64, index: u64) -> StdRng {
     let client_seed = splitmix64(seed ^ index.wrapping_mul(0xA24B_AED4_963E_E407));
     round_rng(client_seed, round)
 }
 
-/// The keypair-generation RNG for a cohort with the given seed. Client
+/// The keypair-generation RNG for a cohort with the given seed. Member
 /// `i`'s keypair is the `i`-th `Keypair::generate` drawn from this
 /// stream, regardless of how many [`ClientCohort::join`] calls grew the
 /// cohort.
@@ -69,30 +78,50 @@ pub fn key_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(seed ^ 0x6A09_E667_F3BC_C909))
 }
 
-/// Layer keys for one in-flight conversation round, flattened
-/// client-major: request `f`'s keys live at
+/// Reply keys for one in-flight conversation round: the members that
+/// sent, in request order, and their layer keys, flattened
+/// request-major: request `f`'s keys live at
 /// `[f * chain_len .. (f + 1) * chain_len]`.
 struct PendingBatch {
+    members: Vec<usize>,
     keys: Vec<LayerKey>,
 }
 
-/// One build-stage work item — a chunk of consecutive clients: the
-/// chunk's index, the clients' conversation slots, their stretch of the
-/// round arena, and their window of the round's layer-key arena.
-type BuildItem<'a> = (
+/// One member's conversation slots, with its index.
+type MemberSlots<'a> = (usize, &'a mut [Option<Box<Conversation>>]);
+
+/// One build-stage work item — a chunk of consecutive senders: the
+/// first one's position among the round's senders, the senders, their
+/// stretch of the round arena, and their window of the round's
+/// layer-key arena.
+type BuildItem<'a, 'b> = (
     usize,
-    &'a mut [Option<Box<Conversation>>],
-    &'a mut [u8],
-    &'a mut [LayerKey],
+    &'b mut [MemberSlots<'a>],
+    &'b mut [u8],
+    &'b mut [LayerKey],
 );
 
-/// One client's reply-ingestion work item: its conversation slots, its
+/// One member's reply-ingestion work item: its conversation slots, its
 /// replies, and the layer keys recorded at build time.
 type IngestItem<'a> = (
     &'a mut [Option<Box<Conversation>>],
     &'a [Vec<u8>],
     &'a [LayerKey],
 );
+
+/// The conversation slots of each member in `members` (ascending).
+fn member_slots<'a>(
+    slots: &'a mut [Option<Box<Conversation>>],
+    per: usize,
+    members: &[usize],
+) -> Vec<MemberSlots<'a>> {
+    let mut wanted = members.iter().peekable();
+    slots
+        .chunks_mut(per)
+        .enumerate()
+        .filter(|(i, _)| wanted.next_if_eq(&i).is_some())
+        .collect()
+}
 
 /// A struct-of-arrays population of Vuvuzela clients; see the module
 /// docs.
@@ -107,19 +136,23 @@ pub struct ClientCohort {
     secrets: Vec<SecretKey>,
     publics: Vec<PublicKey>,
     by_key: HashMap<PublicKey, usize>,
-    /// `conversation_slots` entries per client, client-major. Boxed so
+    online: Vec<bool>,
+    /// `conversation_slots` entries per member, member-major. Boxed so
     /// the idle (overwhelmingly common) case costs one pointer per
     /// slot.
     slots: Vec<Option<Box<Conversation>>>,
+    /// Queued invitations of the members that dialed, oldest first.
+    dial_queues: HashMap<usize, VecDeque<PublicKey>>,
+    /// Callers found in scanned invitation drops, per member, not yet
+    /// accepted or declined.
+    invitations: HashMap<usize, Vec<PublicKey>>,
     pending: HashMap<u64, PendingBatch>,
-    /// Pipeline window, mirroring [`Client::window`].
-    pub window: usize,
 }
 
 impl ClientCohort {
     /// Creates an empty cohort for a chain. `tables` must be the shared
     /// per-server DH tables for exactly `server_pks` (see
-    /// [`Client::chain_tables`]).
+    /// [`ClientCohort::chain_tables`]).
     ///
     /// # Panics
     ///
@@ -144,9 +177,11 @@ impl ClientCohort {
             secrets: Vec::new(),
             publics: Vec::new(),
             by_key: HashMap::new(),
+            online: Vec::new(),
             slots: Vec::new(),
+            dial_queues: HashMap::new(),
+            invitations: HashMap::new(),
             pending: HashMap::new(),
-            window: 4,
         }
     }
 
@@ -157,36 +192,55 @@ impl ClientCohort {
         seed: u64,
         server_pks: &[PublicKey],
     ) -> ClientCohort {
-        let tables = Client::chain_tables(server_pks);
+        let tables = ClientCohort::chain_tables(server_pks);
         ClientCohort::new(config, seed, server_pks, tables)
     }
 
-    /// Adds `count` fresh clients (idle, no conversations) to the
-    /// cohort. Keypairs continue the cohort's [`key_rng`] stream: the
-    /// secrets are drawn first, in `Keypair::generate`'s order, and
-    /// their public keys derived together
-    /// ([`x25519_base_batch`], eight at a time where the CPU can).
+    /// Builds one shareable set of per-server DH tables for a chain, so
+    /// that every cohort wrapping for it builds (and holds) them once.
+    #[must_use]
+    pub fn chain_tables(server_pks: &[PublicKey]) -> Arc<Vec<onion::PrecomputedServer>> {
+        Arc::new(
+            server_pks
+                .iter()
+                .map(|pk| onion::PrecomputedServer::new(*pk))
+                .collect(),
+        )
+    }
+
+    /// Adds `count` fresh members (online, idle, no conversations).
+    /// Their secrets continue the cohort's [`key_rng`] stream, drawn in
+    /// `Keypair::generate`'s order.
     pub fn join(&mut self, count: usize) {
-        let secrets: Vec<[u8; 32]> = (0..count)
-            .map(|_| *SecretKey::generate(&mut self.key_rng).as_bytes())
+        let secrets = (0..count)
+            .map(|_| SecretKey::generate(&mut self.key_rng))
             .collect();
-        for (secret, public) in secrets.iter().zip(x25519_base_batch(&secrets)) {
+        self.admit(secrets);
+    }
+
+    /// Adds one fresh member (online, idle, no conversations) per secret
+    /// key, in order, deriving the public keys together
+    /// ([`x25519_base_batch`], eight at a time where the CPU can).
+    pub fn admit(&mut self, secrets: Vec<SecretKey>) {
+        let scalars: Vec<[u8; 32]> = secrets.iter().map(|s| *s.as_bytes()).collect();
+        for (secret, public) in secrets.into_iter().zip(x25519_base_batch(&scalars)) {
             let public = PublicKey::from_bytes(public);
             self.by_key.insert(public, self.publics.len());
-            self.secrets.push(SecretKey::from_bytes(*secret));
+            self.secrets.push(secret);
             self.publics.push(public);
         }
+        self.online.resize(self.publics.len(), true);
         let slots = self.publics.len() * self.config.conversation_slots;
         self.slots.resize_with(slots, || None);
     }
 
-    /// Number of clients in the cohort.
+    /// Number of members in the cohort.
     #[must_use]
     pub fn len(&self) -> usize {
         self.publics.len()
     }
 
-    /// Whether the cohort holds no clients.
+    /// Whether the cohort holds no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.publics.is_empty()
@@ -198,15 +252,34 @@ impl ClientCohort {
         &self.config
     }
 
-    /// Client `index`'s long-term public key (its identity, §2.3).
+    /// Member `index`'s long-term public key (its identity, §2.3).
     #[must_use]
     pub fn public_key(&self, index: usize) -> PublicKey {
         self.publics[index]
     }
 
+    /// Takes member `index` on- or offline. An offline member sends
+    /// nothing, and its dial queue waits for it.
+    pub fn set_online(&mut self, index: usize, online: bool) {
+        self.online[index] = online;
+    }
+
+    /// Whether member `index` sends in the next round.
+    #[must_use]
+    pub fn is_online(&self, index: usize) -> bool {
+        self.online[index]
+    }
+
     fn slot_range(&self, index: usize) -> core::ops::Range<usize> {
         let per = self.config.conversation_slots;
         index * per..(index + 1) * per
+    }
+
+    fn conversations(&self, index: usize) -> impl Iterator<Item = &Conversation> {
+        self.slots[self.slot_range(index)]
+            .iter()
+            .flatten()
+            .map(|c| &**c)
     }
 
     fn slot_of(&self, index: usize, peer: &PublicKey) -> Option<usize> {
@@ -216,7 +289,7 @@ impl ClientCohort {
             .map(|p| index * self.config.conversation_slots + p)
     }
 
-    /// The slot a new conversation of client `index` with `peer` goes
+    /// The slot a new conversation of member `index` with `peer` goes
     /// in — its first free one — or `None` when the two already talk.
     fn free_slot_for(&self, index: usize, peer: &PublicKey) -> Result<Option<usize>, ClientError> {
         if self.slot_of(index, peer).is_some() {
@@ -227,8 +300,8 @@ impl ClientCohort {
         Ok(Some(range.start + free.ok_or(ClientError::AllSlotsBusy)?))
     }
 
-    /// Enters client `index` into a conversation with `peer` in its
-    /// first free slot (mirrors [`Client::start_conversation`]).
+    /// Enters member `index` into a conversation with `peer` in its
+    /// first free slot; idempotent when the two already talk.
     ///
     /// # Errors
     ///
@@ -238,19 +311,19 @@ impl ClientCohort {
             let keys = ConversationKeys::derive(&self.secrets[index], &self.publics[index], &peer);
             self.slots[slot] = Some(Box::new(Conversation::new(peer, keys)));
         }
-        Ok(()) // idempotent when already talking
+        Ok(())
     }
 
-    /// Starts a mutual conversation between cohort clients `a` and `b`:
-    /// what [`ClientCohort::start_conversation`] on each side does, the
+    /// Starts a mutual conversation between members `a` and `b`: what
+    /// [`ClientCohort::start_conversation`] on each side does, the
     /// pair's one Diffie-Hellman computed once (`a·B = b·A`) and both
     /// sides' keys derived from it.
     ///
     /// # Errors
     ///
     /// [`ClientError::AllSlotsBusy`] if either side has no free slot
-    /// (side `a` may keep the half-open slot, exactly as two individual
-    /// clients would).
+    /// (side `a` may keep the half-open slot, exactly as two
+    /// `start_conversation` calls would).
     pub fn pair(&mut self, a: usize, b: usize) -> Result<(), ClientError> {
         let mut shared = None;
         for (me, peer) in [(a, b), (b, a)] {
@@ -264,8 +337,21 @@ impl ClientCohort {
         Ok(())
     }
 
-    /// Queues a message from client `index` to its partner `peer`
-    /// (mirrors [`Client::queue_message`]).
+    /// Leaves member `index`'s conversation with `peer`, freeing its
+    /// slot.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::NoConversationWith`] if there is none.
+    pub fn end_conversation(&mut self, index: usize, peer: &PublicKey) -> Result<(), ClientError> {
+        let slot = self
+            .slot_of(index, peer)
+            .ok_or(ClientError::NoConversationWith)?;
+        self.slots[slot] = None;
+        Ok(())
+    }
+
+    /// Queues a message from member `index` to its partner `peer`.
     ///
     /// # Errors
     ///
@@ -278,9 +364,9 @@ impl ClientCohort {
         peer: &PublicKey,
         body: &[u8],
     ) -> Result<(), ClientError> {
-        if body.len() > vuvuzela_wire::message::MAX_BODY_LEN {
+        if body.len() > MAX_BODY_LEN {
             return Err(ClientError::MessageTooLong {
-                limit: vuvuzela_wire::message::MAX_BODY_LEN,
+                limit: MAX_BODY_LEN,
             });
         }
         let slot = self
@@ -294,7 +380,7 @@ impl ClientCohort {
         Ok(())
     }
 
-    /// Messages delivered so far to client `index` by its conversation
+    /// Messages delivered so far to member `index` by its conversation
     /// with `peer`, in order.
     #[must_use]
     pub fn delivered_from(&self, index: usize, peer: &PublicKey) -> Vec<Vec<u8>> {
@@ -304,18 +390,34 @@ impl ClientCohort {
             .unwrap_or_default()
     }
 
-    /// Cohort-internal mutual conversation pairs: unordered client
-    /// pairs `{i, j}` where each currently holds the other as a
+    /// Every message delivered to member `index`, across its
+    /// conversations in slot order.
+    #[must_use]
+    pub fn all_delivered(&self, index: usize) -> Vec<Vec<u8>> {
+        self.conversations(index)
+            .flat_map(|c| c.delivered.iter().map(<[u8]>::to_vec))
+            .collect()
+    }
+
+    /// The partners of member `index`'s active conversations, in slot
+    /// order.
+    #[must_use]
+    pub fn peers(&self, index: usize) -> Vec<PublicKey> {
+        self.conversations(index).map(|c| c.peer).collect()
+    }
+
+    /// Mutual conversation pairs among online members: unordered pairs
+    /// `{i, j}`, both online, where each currently holds the other as a
     /// partner. This is the cohort's contribution to a round's real
-    /// `m2` (§5.4); conversations with non-cohort keys are not counted.
+    /// `m2` (§5.4); conversations with keys outside the cohort are not
+    /// counted.
     #[must_use]
     pub fn mutual_pairs(&self) -> u64 {
-        let per = self.config.conversation_slots;
         let mut pairs = 0;
-        for (i, chunk) in self.slots.chunks(per).enumerate() {
-            for conversation in chunk.iter().flatten() {
+        for i in (0..self.len()).filter(|&i| self.online[i]) {
+            for conversation in self.conversations(i) {
                 if let Some(&j) = self.by_key.get(&conversation.peer) {
-                    if j > i && self.slot_of(j, &self.publics[i]).is_some() {
+                    if j > i && self.online[j] && self.slot_of(j, &self.publics[i]).is_some() {
                         pairs += 1;
                     }
                 }
@@ -324,134 +426,129 @@ impl ClientCohort {
         pairs
     }
 
-    /// Builds one conversation round's requests for the whole cohort —
-    /// exactly one onion per slot per client, real or fake, written
-    /// straight into a flat [`RoundBuffer`] (stride = onion width, no
-    /// per-onion allocation) in client-major slot order. Work is split
-    /// across `config.workers` pool workers by chunk of consecutive
-    /// clients ([`WRAP_CHUNK_SLOTS`] onions), each chunk in two passes:
-    /// pass A walks its clients in index order doing everything that
-    /// draws from a client's RNG — per slot the fake-partner draw (idle
-    /// slots), the payload seal and encode, then that onion's
-    /// [`onion::draw_layer_secrets`], the interleaving a per-object
-    /// client produces — and pass B wraps the whole chunk through
-    /// [`onion::wrap_chunk_in_place`], which writes the layer keys for
-    /// [`ClientCohort::handle_conversation_replies`] straight into the
-    /// chunk's window of the round's one flat key arena.
-    ///
-    /// Byte-identical to each client running
-    /// [`Client::build_conversation_requests`] with
-    /// [`client_round_rng`]`(seed, round, index)`.
+    fn online_members(&self) -> Vec<usize> {
+        (0..self.len()).filter(|&i| self.online[i]).collect()
+    }
+
+    /// Builds one conversation round's requests for every online member
+    /// — exactly one onion per slot, real or fake, written straight into
+    /// a flat [`RoundBuffer`] (stride = onion width, no per-onion
+    /// allocation) in member-major slot order. Work is split across
+    /// `config.workers` pool workers by chunk of consecutive senders
+    /// ([`WRAP_CHUNK_SLOTS`] onions), each chunk in two passes: pass A
+    /// walks its senders in order doing everything that draws from a
+    /// sender's RNG — per slot the fake-partner draw (idle slots), the
+    /// payload seal and encode, then that onion's
+    /// [`onion::draw_layer_secrets`] — and pass B wraps the whole chunk
+    /// through [`onion::wrap_chunk_in_place`], which writes the layer
+    /// keys for [`ClientCohort::handle_conversation_replies`] straight
+    /// into the chunk's window of the round's one flat key arena.
     pub fn build_conversation_round(&mut self, round: u64) -> RoundBuffer {
         let chain_len = self.server_pks.len();
         let slots_per = self.config.conversation_slots;
         let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len);
-        let n = self.publics.len();
-        let mut buf = RoundBuffer::with_capacity(width, width, n * slots_per);
-        for _ in 0..n * slots_per {
+        let members = self.online_members();
+        let requests = members.len() * slots_per;
+        let mut buf = RoundBuffer::with_capacity(width, width, requests);
+        for _ in 0..requests {
             buf.push_with(|_| {});
         }
-        let mut keys = vec![LayerKey([0u8; 32]); n * slots_per * chain_len];
+        let mut keys = vec![LayerKey([0u8; 32]); requests * chain_len];
 
         let retransmit_after = self.config.retransmit_after;
-        let window = self.window;
         let seed = self.seed;
         let tables: &[onion::PrecomputedServer] = &self.tables;
         let secrets = &self.secrets;
         let publics = &self.publics;
         let chunk_clients = (WRAP_CHUNK_SLOTS / slots_per).max(1);
         let chunk_onions = chunk_clients * slots_per;
-        let items: Vec<BuildItem<'_>> = self
-            .slots
-            .chunks_mut(chunk_onions)
+        let mut senders = member_slots(&mut self.slots, slots_per, &members);
+        let items: Vec<BuildItem<'_, '_>> = senders
+            .chunks_mut(chunk_clients)
             .zip(buf.arena_mut().chunks_mut(width * chunk_onions))
             .zip(keys.chunks_mut(chain_len * chunk_onions))
             .enumerate()
-            .map(|(c, ((slots, arena), keys))| (c, slots, arena, keys))
+            .map(|(c, ((senders, arena), keys))| (c * chunk_clients, senders, arena, keys))
             .collect();
 
-        WorkerPool::shared().map_vec(items, self.config.workers, |(c, slots, arena, keys)| {
-            let mut layer_secrets = vec![[0u8; 32]; slots.len() * chain_len];
-            let mut onions = arena
-                .chunks_mut(width)
-                .zip(layer_secrets.chunks_mut(chain_len));
-            for (j, client_slots) in slots.chunks_mut(slots_per).enumerate() {
-                let i = c * chunk_clients + j;
-                let mut rng = client_round_rng(seed, round, i as u64);
-                for slot in client_slots {
-                    let (onion_bytes, onion_secrets) = onions.next().expect("one onion per slot");
-                    let payload = &mut onion_bytes[32 * chain_len..];
-                    match slot {
-                        Some(conversation) => {
-                            // Algorithm 1 step 1a: real exchange.
-                            let frame = conversation.next_frame(round, retransmit_after, window);
-                            let sealed = conversation.keys.seal_message(round, &frame.encode());
-                            ExchangeRequest {
-                                drop: conversation.keys.drop_id(round),
-                                sealed_message: sealed,
+        WorkerPool::shared().map_vec(
+            items,
+            self.config.workers,
+            |(first, senders, arena, keys)| {
+                let mut layer_secrets = vec![[0u8; 32]; arena.len() / width * chain_len];
+                let mut onions = arena
+                    .chunks_mut(width)
+                    .zip(layer_secrets.chunks_mut(chain_len));
+                for (k, (i, their_slots)) in (first..).zip(senders.iter_mut()) {
+                    let i = *i;
+                    let mut rng = client_round_rng(seed, round, k as u64);
+                    for slot in their_slots.iter_mut() {
+                        let (onion_bytes, onion_secrets) =
+                            onions.next().expect("one onion per slot");
+                        let payload = &mut onion_bytes[32 * chain_len..];
+                        match slot {
+                            Some(conversation) => {
+                                // Algorithm 1 step 1a: real exchange.
+                                let frame = conversation.next_frame(round, retransmit_after);
+                                let sealed = conversation.keys.seal_message(round, &frame.encode());
+                                ExchangeRequest {
+                                    drop: conversation.keys.drop_id(round),
+                                    sealed_message: sealed,
+                                }
+                                .encode_into(payload);
                             }
-                            .encode_into(payload);
-                        }
-                        None => {
-                            // Step 1b: fake request against a random partner.
-                            let fake = ConversationKeys::fake(&mut rng, &secrets[i], &publics[i]);
-                            let sealed = fake.seal_message(round, &[0u8; MESSAGE_LEN]);
-                            ExchangeRequest {
-                                drop: fake.drop_id(round),
-                                sealed_message: sealed,
+                            None => {
+                                // Step 1b: fake request against a random partner.
+                                let fake =
+                                    ConversationKeys::fake(&mut rng, &secrets[i], &publics[i]);
+                                let sealed = fake.seal_message(round, &[0u8; MESSAGE_LEN]);
+                                ExchangeRequest {
+                                    drop: fake.drop_id(round),
+                                    sealed_message: sealed,
+                                }
+                                .encode_into(payload);
                             }
-                            .encode_into(payload);
                         }
+                        onion::draw_layer_secrets(&mut rng, onion_secrets);
                     }
-                    onion::draw_layer_secrets(&mut rng, onion_secrets);
                 }
-            }
-            // Step 2: onion wrap, the chunk at once, in place.
-            onion::wrap_chunk_in_place(
-                tables,
-                round,
-                arena,
-                width,
-                EXCHANGE_REQUEST_LEN,
-                &layer_secrets,
-                Some(keys),
-            );
-        });
-        self.pending.insert(round, PendingBatch { keys });
+                // Step 2: onion wrap, the chunk at once, in place.
+                onion::wrap_chunk_in_place(
+                    tables,
+                    round,
+                    arena,
+                    width,
+                    EXCHANGE_REQUEST_LEN,
+                    &layer_secrets,
+                    Some(keys),
+                );
+            },
+        );
+        self.pending.insert(round, PendingBatch { members, keys });
         buf
     }
 
     /// Processes one completed round's replies (Algorithm 1 step 3), in
-    /// the same client-major slot order the requests were built in,
-    /// parallelised by client stripe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replies` does not hold exactly one reply per request
-    /// the cohort sent for `round`; a no-op for unknown rounds.
+    /// the member-major slot order the requests were built in,
+    /// parallelised by member stripe; a no-op for unknown rounds. The
+    /// replies come back through the untrusted entry (§7), so a batch of
+    /// the wrong length is not an error: requests past its end lost
+    /// their replies, and replies past the last request are ignored.
     pub fn handle_conversation_replies(&mut self, round: u64, replies: &[Vec<u8>]) {
-        let Some(PendingBatch { keys }) = self.pending.remove(&round) else {
+        let Some(PendingBatch { members, keys }) = self.pending.remove(&round) else {
             return; // a round we never participated in (or already expired)
         };
         let chain_len = self.server_pks.len();
         let slots_per = self.config.conversation_slots;
-        assert_eq!(
-            replies.len(),
-            self.publics.len() * slots_per,
-            "one reply per cohort request"
-        );
-
-        let items: Vec<IngestItem<'_>> = self
-            .slots
-            .chunks_mut(slots_per)
+        let items: Vec<IngestItem<'_>> = member_slots(&mut self.slots, slots_per, &members)
+            .into_iter()
             .zip(replies.chunks(slots_per))
             .zip(keys.chunks(slots_per * chain_len))
-            .map(|((slots, replies), keys)| (slots, replies, keys))
+            .map(|(((_, slots), replies), keys)| (slots, replies, keys))
             .collect();
 
         WorkerPool::shared().map_vec(items, self.config.workers, |(slots, replies, keys)| {
-            for (f, (slot, reply)) in slots.iter_mut().zip(replies).enumerate() {
-                let keys = &keys[f * chain_len..(f + 1) * chain_len];
+            for ((slot, reply), keys) in slots.iter_mut().zip(replies).zip(keys.chunks(chain_len)) {
                 let Ok(sealed) = onion::unwrap_reply_layers(keys, round, reply) else {
                     continue; // tampered or misrouted reply
                 };
@@ -477,38 +574,73 @@ impl ClientCohort {
         self.pending.retain(|&r, _| r >= round);
     }
 
-    /// Builds one dialing round's requests: every cohort client writes
-    /// to the no-op drop (§5.2 — the cohort never dials, so its dialing
-    /// traffic is pure cover). One onion per client, straight into a
-    /// flat [`RoundBuffer`], in the same two passes per chunk of
-    /// clients as [`ClientCohort::build_conversation_round`] (the cover
-    /// path never sees a reply, so no keys are kept); byte-identical to
-    /// each client running [`Client::build_dial_request`] with an empty
-    /// dial queue over [`client_round_rng`].
-    pub fn build_dialing_round(&mut self, round: u64) -> RoundBuffer {
+    /// Rounds whose reply keys the cohort still holds.
+    #[cfg(test)]
+    pub(crate) fn pending_rounds(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Queues an invitation from member `index` to `peer` for its next
+    /// dialing round and pre-enters the conversation (§3: the caller
+    /// enters "in anticipation that user will reciprocate").
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::AllSlotsBusy`] if no slot is free for the
+    /// anticipated conversation; nothing is queued then.
+    pub fn dial(&mut self, index: usize, peer: PublicKey) -> Result<(), ClientError> {
+        self.start_conversation(index, peer)?;
+        self.dial_queues.entry(index).or_default().push_back(peer);
+        Ok(())
+    }
+
+    /// Builds one dialing round's requests: one onion per online member,
+    /// its oldest queued invitation sealed for the callee's drop among
+    /// `num_drops`, or a no-op write (§5.2). Straight into a flat
+    /// [`RoundBuffer`], in the same two passes per chunk of senders as
+    /// [`ClientCohort::build_conversation_round`]; the dialing protocol
+    /// has no replies, so no keys are kept.
+    pub fn build_dialing_round(&mut self, round: u64, num_drops: u32) -> RoundBuffer {
         let chain_len = self.server_pks.len();
         let width = onion::wrapped_len(DIAL_REQUEST_LEN, chain_len);
-        let n = self.publics.len();
-        let mut buf = RoundBuffer::with_capacity(width, width, n);
-        for _ in 0..n {
+        let members = self.online_members();
+        let mut buf = RoundBuffer::with_capacity(width, width, members.len());
+        for _ in 0..members.len() {
             buf.push_with(|_| {});
         }
+        let online = &self.online;
+        let dials: HashMap<usize, PublicKey> = self
+            .dial_queues
+            .iter_mut()
+            .filter(|(i, _)| online[**i])
+            .filter_map(|(&i, queue)| Some((i, queue.pop_front()?)))
+            .collect();
+        self.dial_queues.retain(|_, queue| !queue.is_empty());
+
         let seed = self.seed;
         let tables: &[onion::PrecomputedServer] = &self.tables;
-        let items: Vec<(usize, &mut [u8])> = buf
-            .arena_mut()
-            .chunks_mut(width * WRAP_CHUNK_SLOTS)
+        let publics = &self.publics;
+        let items: Vec<(usize, &[usize], &mut [u8])> = members
+            .chunks(WRAP_CHUNK_SLOTS)
+            .zip(buf.arena_mut().chunks_mut(width * WRAP_CHUNK_SLOTS))
             .enumerate()
+            .map(|(c, (senders, arena))| (c * WRAP_CHUNK_SLOTS, senders, arena))
             .collect();
-        WorkerPool::shared().map_vec(items, self.config.workers, |(c, arena)| {
-            let mut layer_secrets = vec![[0u8; 32]; arena.len() / width * chain_len];
-            for (j, (onion_bytes, onion_secrets)) in arena
+        WorkerPool::shared().map_vec(items, self.config.workers, |(first, senders, arena)| {
+            let mut layer_secrets = vec![[0u8; 32]; senders.len() * chain_len];
+            let onions = arena
                 .chunks_mut(width)
-                .zip(layer_secrets.chunks_mut(chain_len))
-                .enumerate()
-            {
-                let mut rng = client_round_rng(seed, round, (c * WRAP_CHUNK_SLOTS + j) as u64);
-                DialRequest::noop(&mut rng).encode_into(&mut onion_bytes[32 * chain_len..]);
+                .zip(layer_secrets.chunks_mut(chain_len));
+            for ((k, &i), (onion_bytes, onion_secrets)) in (first..).zip(senders).zip(onions) {
+                let mut rng = client_round_rng(seed, round, k as u64);
+                let request = match dials.get(&i) {
+                    Some(peer) => DialRequest {
+                        drop: InvitationDropIndex::for_recipient(peer, num_drops),
+                        invitation: SealedInvitation::seal(&mut rng, &publics[i], peer),
+                    },
+                    None => DialRequest::noop(&mut rng),
+                };
+                request.encode_into(&mut onion_bytes[32 * chain_len..]);
                 onion::draw_layer_secrets(&mut rng, onion_secrets);
             }
             onion::wrap_chunk_in_place(
@@ -523,46 +655,61 @@ impl ClientCohort {
         });
         buf
     }
-}
 
-/// Builds one conversation round's requests for a batch of individual
-/// [`Client`]s in parallel, each client `i` (by position in `clients`)
-/// drawing its randomness from [`client_round_rng`]`(seed, round, i)`.
-/// Returns each client's request list in input order — feed to
-/// [`crate::entry::multiplex`]. This is the harness-side sibling of
-/// [`ClientCohort::build_conversation_round`] for populations that need
-/// per-object clients (churn, dialing scripts) but not a serial build
-/// loop.
-pub fn build_client_requests_parallel(
-    clients: Vec<&mut Client>,
-    seed: u64,
-    round: u64,
-    server_pks: &[PublicKey],
-    workers: usize,
-) -> Vec<Vec<Vec<u8>>> {
-    let items: Vec<(usize, &mut Client)> = clients.into_iter().enumerate().collect();
-    WorkerPool::shared().map_vec(items, workers, |(i, client)| {
-        let mut rng = client_round_rng(seed, round, i as u64);
-        client.build_conversation_requests(&mut rng, round, server_pks)
-    })
-}
+    /// The invitation drop member `index` must download (derived from
+    /// its public key, §5.1 — the adversary knows it too).
+    #[must_use]
+    pub fn invitation_drop(&self, index: usize, num_drops: u32) -> InvitationDropIndex {
+        InvitationDropIndex::for_recipient(&self.publics[index], num_drops)
+    }
 
-/// Dialing-round sibling of [`build_client_requests_parallel`]: one
-/// dial request per client (real if queued, else a no-op write), built
-/// in parallel over the same per-client RNG schedule.
-pub fn build_dial_requests_parallel(
-    clients: Vec<&mut Client>,
-    seed: u64,
-    round: u64,
-    num_drops: u32,
-    server_pks: &[PublicKey],
-    workers: usize,
-) -> Vec<Vec<u8>> {
-    let items: Vec<(usize, &mut Client)> = clients.into_iter().enumerate().collect();
-    WorkerPool::shared().map_vec(items, workers, |(i, client)| {
-        let mut rng = client_round_rng(seed, round, i as u64);
-        client.build_dial_request(&mut rng, round, num_drops, server_pks)
-    })
+    /// Scans a downloaded invitation drop for member `index`,
+    /// trial-decrypting every entry (§5.1), and stores the callers
+    /// found; returns them.
+    pub fn scan_invitation_drop(
+        &mut self,
+        index: usize,
+        contents: &[SealedInvitation],
+    ) -> Vec<PublicKey> {
+        let (secret, public) = (&self.secrets[index], &self.publics[index]);
+        let mine: Vec<PublicKey> = contents
+            .iter()
+            .filter_map(|inv| inv.try_open(secret, public))
+            .collect();
+        if !mine.is_empty() {
+            self.invitations.entry(index).or_default().extend(&mine);
+        }
+        mine
+    }
+
+    /// Invitations member `index` has received and not yet accepted or
+    /// declined.
+    #[must_use]
+    pub fn pending_invitations(&self, index: usize) -> &[PublicKey] {
+        self.invitations.get(&index).map_or(&[], Vec::as_slice)
+    }
+
+    /// Accepts an invitation: member `index` enters a conversation with
+    /// the caller.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::AllSlotsBusy`] when no slot is free.
+    pub fn accept_invitation(
+        &mut self,
+        index: usize,
+        caller: PublicKey,
+    ) -> Result<(), ClientError> {
+        self.decline_invitation(index, &caller);
+        self.start_conversation(index, caller)
+    }
+
+    /// Declines (discards) an invitation to member `index`.
+    pub fn decline_invitation(&mut self, index: usize, caller: &PublicKey) {
+        if let Some(callers) = self.invitations.get_mut(&index) {
+            callers.retain(|pk| pk != caller);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -590,55 +737,10 @@ mod tests {
     }
 
     #[test]
-    fn cohort_requests_match_individual_clients() {
-        let pks = server_pks(2);
-        for workers in [1, 3] {
-            let mut cohort = ClientCohort::with_own_tables(cfg(2, workers), 7, &pks);
-            cohort.join(3);
-            cohort.join(2); // growth continues the same key stream
-            cohort.pair(0, 4).expect("pair");
-            cohort
-                .queue_message(0, &cohort.public_key(4), b"hello")
-                .expect("queue");
-
-            // The per-object reference population on the same schedule.
-            let mut krng = key_rng(7);
-            let tables = Client::chain_tables(&pks);
-            let mut clients: Vec<Client> = (0..5)
-                .map(|i| {
-                    let mut c = Client::new(
-                        format!("c{i}"),
-                        Keypair::generate(&mut krng),
-                        cfg(2, workers),
-                    );
-                    c.set_chain_tables(tables.clone(), &pks);
-                    c
-                })
-                .collect();
-            let pk4 = clients[4].public_key();
-            let pk0 = clients[0].public_key();
-            clients[0].start_conversation(pk4).expect("start");
-            clients[4].start_conversation(pk0).expect("start");
-            clients[0].queue_message(&pk4, b"hello").expect("queue");
-
-            assert_eq!(cohort.mutual_pairs(), 1);
-            for round in 0..2u64 {
-                let buf = cohort.build_conversation_round(round);
-                let mut reference = Vec::new();
-                for (i, client) in clients.iter_mut().enumerate() {
-                    let mut rng = client_round_rng(7, round, i as u64);
-                    reference.extend(client.build_conversation_requests(&mut rng, round, &pks));
-                }
-                assert_eq!(buf.to_vecs(), reference, "workers = {workers}");
-            }
-        }
-    }
-
-    #[test]
     fn join_keys_do_not_depend_on_how_the_cohort_grew() {
         // One `join`, uneven pieces (1, 3, 5, … — on and off the
         // eight-wide keygen's octet) and a `Keypair::generate` loop over
-        // the same stream give every client the same identity.
+        // the same stream give every member the same identity.
         let pks = server_pks(2);
         for n in [0usize, 1, 7, 8, 9, 33] {
             let mut whole = ClientCohort::with_own_tables(cfg(2, 1), 21, &pks);
@@ -658,7 +760,7 @@ mod tests {
             for i in 0..n {
                 let want = Keypair::generate(&mut krng);
                 for cohort in [&whole, &pieces] {
-                    assert_eq!(cohort.publics[i], want.public, "n = {n}, client {i}");
+                    assert_eq!(cohort.publics[i], want.public, "n = {n}, member {i}");
                     assert_eq!(cohort.secrets[i].as_bytes(), want.secret.as_bytes());
                     assert_eq!(cohort.by_key[&want.public], i);
                 }
@@ -685,7 +787,7 @@ mod tests {
                 .start_conversation(a, pk_b)
                 .and_then(|()| started.start_conversation(b, pk_a));
             assert_eq!(got.is_ok(), want.is_ok(), "pair({a}, {b})");
-            assert_eq!(got.is_ok(), (a, b) != (4, 1), "client 1 has two slots");
+            assert_eq!(got.is_ok(), (a, b) != (4, 1), "member 1 has two slots");
         }
         assert_eq!(paired.mutual_pairs(), started.mutual_pairs());
         for index in 0..6 {
@@ -695,7 +797,7 @@ mod tests {
                     .map(|s| s.as_ref().map(|conv| conv.peer))
                     .collect()
             };
-            assert_eq!(peers(&paired), peers(&started), "client {index} slots");
+            assert_eq!(peers(&paired), peers(&started), "member {index} slots");
         }
         for round in 0..2u64 {
             assert_eq!(
@@ -704,60 +806,5 @@ mod tests {
                 "round {round}"
             );
         }
-    }
-
-    #[test]
-    fn dialing_round_is_all_noops_and_matches_clients() {
-        let pks = server_pks(2);
-        let mut cohort = ClientCohort::with_own_tables(cfg(1, 2), 11, &pks);
-        cohort.join(4);
-        let buf = cohort.build_dialing_round(3);
-        assert_eq!(buf.len(), 4);
-
-        let mut krng = key_rng(11);
-        let tables = Client::chain_tables(&pks);
-        for i in 0..4u64 {
-            let mut client = Client::new("c", Keypair::generate(&mut krng), cfg(1, 2));
-            client.set_chain_tables(tables.clone(), &pks);
-            let mut rng = client_round_rng(11, 3, i);
-            let reference = client.build_dial_request(&mut rng, 3, 16, &pks);
-            assert_eq!(buf.slot(i as usize), &reference[..], "client {i}");
-        }
-    }
-
-    #[test]
-    fn parallel_builders_match_serial_loop() {
-        let pks = server_pks(2);
-        let tables = Client::chain_tables(&pks);
-        let make = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut c = Client::new("c", Keypair::generate(&mut rng), cfg(1, 4));
-            c.set_chain_tables(tables.clone(), &pks);
-            c
-        };
-        let mut a: Vec<Client> = (0..6).map(|i| make(100 + i)).collect();
-        let mut b: Vec<Client> = (0..6).map(|i| make(100 + i)).collect();
-
-        let parallel = build_client_requests_parallel(a.iter_mut().collect(), 5, 2, &pks, 4);
-        let serial: Vec<Vec<Vec<u8>>> = b
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut rng = client_round_rng(5, 2, i as u64);
-                c.build_conversation_requests(&mut rng, 2, &pks)
-            })
-            .collect();
-        assert_eq!(parallel, serial);
-
-        let parallel = build_dial_requests_parallel(a.iter_mut().collect(), 5, 3, 8, &pks, 4);
-        let serial: Vec<Vec<u8>> = b
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut rng = client_round_rng(5, 3, i as u64);
-                c.build_dial_request(&mut rng, 3, 8, &pks)
-            })
-            .collect();
-        assert_eq!(parallel, serial);
     }
 }

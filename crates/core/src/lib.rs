@@ -13,7 +13,7 @@
 //! * [`noise`] — cover-traffic generation (Algorithm 2 step 2) for both
 //!   protocols, including onion-wrapping noise for downstream servers.
 //! * [`entry`] — the untrusted entry server (§7): multiplexes client
-//!   requests into a round and demultiplexes the results.
+//!   requests into a round; replies come back in request order.
 //! * [`chain`] — a whole deployment wired together with metered,
 //!   tappable links; runs conversation and dialing rounds end to end,
 //!   strictly sequentially: the [`node`] hop protocol's window-1
@@ -32,12 +32,12 @@
 //!   [`vuvuzela_net::Transport`] seam: what a deployment's processes run
 //!   over TCP, what [`pipeline`] runs in memory and what [`chain`] runs
 //!   hop by hop; a node that stops hangs up on its neighbours.
-//! * [`client`] — the client state machine (Algorithm 1): real/fake
-//!   exchanges, message framing, retransmission, dialing and invitation
-//!   scanning.
-//! * [`cohort`] — struct-of-arrays client populations: N clients' state
-//!   in flat arrays, requests built in parallel straight into one
-//!   [`RoundBuffer`] arena, byte-identical to N individual clients.
+//! * [`cohort`] — the client (Algorithm 1), as struct-of-arrays
+//!   populations: real/fake exchanges, dialing and invitation scanning
+//!   for N members in flat arrays, requests built in parallel straight
+//!   into one [`RoundBuffer`] arena.
+//! * [`client`] — one conversation's state: message framing,
+//!   retransmission and acks.
 //! * [`observables`] — exactly what a compromised last server gets to
 //!   see; the interface the adversary crate consumes.
 //!
@@ -48,7 +48,7 @@
 //! | observe/tamper with any link | [`vuvuzela_net::link::Tap`] on any [`chain::Chain`] link |
 //! | compromise the last server | read [`chain::Chain::conversation_observables`] / [`chain::Chain::dialing_observables`] |
 //! | compromise a first/mixing server | a tap *before* it (pre-mix traffic is attributable) plus the observables |
-//! | control clients | construct [`client::Client`]s directly or inject via taps |
+//! | control clients | drive members of a [`cohort::ClientCohort`] directly or inject via taps |
 //! | see dead-drop access counts | [`observables::ConversationObservables`] |
 
 #![forbid(unsafe_code)]
@@ -70,8 +70,10 @@ pub mod roundbuf;
 pub mod server;
 
 pub use chain::{Chain, RoundOutcome, RoundSpec};
-pub use client::Client;
 pub use cohort::ClientCohort;
+/// The gated benchmark package reaches the DH-table builder as
+/// `vuvuzela_core::Client::chain_tables`; this alias keeps that path.
+pub use cohort::ClientCohort as Client;
 pub use config::SystemConfig;
 pub use pipeline::StreamingChain;
 pub use roundbuf::RoundBuffer;

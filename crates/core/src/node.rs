@@ -841,7 +841,7 @@ mod tests {
             onion::wrap(&mut rng, &pks, 0, &request.encode())
         };
         let mut conv_batch = crate::entry::round_arena(RoundKind::Conversation, 3);
-        let _layout = crate::entry::multiplex(&mut conv_batch, &[vec![onion_a, onion_b, onion_c]]);
+        crate::entry::multiplex(&mut conv_batch, &[vec![onion_a, onion_b, onion_c]]);
 
         // One dial invitation into 2 drops.
         let caller = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
@@ -854,7 +854,7 @@ mod tests {
         let (dial_onion, _) = onion::wrap(&mut rng, &pks, 1, &dial_request.encode());
         let dial_kind = RoundKind::Dialing { num_drops };
         let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
-        let _layout = crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
+        crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
 
         // Reference: the sequential chain.
         let (ref_replies, _) = chain.run_conversation_round(0, conv_batch.clone());

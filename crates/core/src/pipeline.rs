@@ -303,7 +303,7 @@ mod tests {
     /// Lays `onions` into a `kind` round's arena, as the entry does.
     fn arena(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> Batch {
         let mut batch = entry::round_arena(kind, chain_len);
-        let _layout = entry::multiplex(&mut batch, &[onions]);
+        entry::multiplex(&mut batch, &[onions]);
         Batch::Flat(batch)
     }
 

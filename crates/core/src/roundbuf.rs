@@ -29,8 +29,8 @@
 //! plane of the round pipeline; [`crate::server::MixServer::forward_buf`]
 //! is its main consumer. A round's client batch is an arena from the
 //! moment it is built: cohorts and the deployment client wrap onions
-//! straight into their slots, and per-object clients' onions are laid in
-//! once, by [`crate::entry::multiplex`]. `Vec<Vec<u8>>` views remain for
+//! straight into their slots, and onions wrapped one at a time are laid
+//! in once, by [`crate::entry::multiplex`]. `Vec<Vec<u8>>` views remain for
 //! the replies handed back to clients, adversary taps, and the per-`Vec`
 //! reference recipe ([`crate::server::MixServer::forward_reference`])
 //! the equivalence tests hold the arena path to.

@@ -35,7 +35,7 @@
 //! |---|---|
 //! | [`wrap`], [`peel`] | scalar ladder, allocating, one onion — the seed references: the oracle every test holds the chunk entries to, on each arm |
 //! | [`wrap_chunk_in_place`] | **the one wrap kernel**, a chunk of arena slots per call: comb keygen and comb DH over the per-server tables, eight lanes in lockstep on AVX-512 IFMA, the scalar comb walk elsewhere — cover traffic, cohort build, workload generators |
-//! | [`wrap_into_with`], [`wrap_noise_into`] | the `n = 1` chunk wrap: one onion's `2 · chain_len` lanes share octets (chain 3 is one eight-wide walk) — per-object clients, a server's substitutes |
+//! | [`wrap_into_with`], [`wrap_noise_into`] | the `n = 1` chunk wrap: one onion's `2 · chain_len` lanes share octets (chain 3 is one eight-wide walk) — the deployment client, a server's substitutes |
 //! | [`peel_chunk_in_place`] | **the one peel kernel**, a chunk of arena slots per call: eight ladders in lockstep on AVX-512 IFMA, the scalar ladder elsewhere, the inversions shared across the chunk on both — every server hop |
 //!
 //! The chunk wrap sits beside the chunk peel: both take a run of

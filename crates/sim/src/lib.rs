@@ -10,9 +10,11 @@
 //! stalling or aborting mid-round — which unit tests of individual
 //! components never exercise end to end. This crate scripts exactly
 //! those dynamics over the real system (the same
-//! [`vuvuzela_core::Client`]s, the same
+//! [`vuvuzela_core::ClientCohort`] client, the same
 //! [`vuvuzela_core::StreamingChain`] mixed-schedule pipeline, the same
 //! adversary taps) and checks the paper's invariants after every round.
+//! The scripted clients are members of one cohort and a
+//! [`scenario::Step::Population`]'s bulk cover clients of another.
 //!
 //! [`simulator::Simulator`] is the repository's one harness for whole
 //! rounds over a client population: the scenario matrices below run

@@ -1,6 +1,7 @@
 //! The deployment simulator: executes a [`Scenario`] over a real
-//! [`StreamingChain`] + [`Client`] population, emitting the canonical
-//! transcript and checking every invariant per round.
+//! [`StreamingChain`] and two [`ClientCohort`]s — the scripted clients
+//! and the bulk population — emitting the canonical transcript and
+//! checking every invariant per round.
 //!
 //! See the crate docs for the script format, the determinism contract
 //! and the round-abort semantics. Script *misuse* (dialing with no free
@@ -23,14 +24,12 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_adversary::taps::{CrashOnRound, SizeRecorder, StallLink};
 use vuvuzela_core::chain::{Batch, RoundOutcome, RoundSpec};
-use vuvuzela_core::client::Client;
-use vuvuzela_core::cohort::{self, ClientCohort};
+use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
-use vuvuzela_core::entry;
 use vuvuzela_core::pipeline::StreamingChain;
-use vuvuzela_core::server::RoundKind;
+use vuvuzela_core::RoundBuffer;
 use vuvuzela_crypto::onion;
-use vuvuzela_crypto::x25519::{Keypair, PublicKey};
+use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
 use vuvuzela_dp::{PrivacyLedger, Protocol};
 use vuvuzela_net::{LinkId, Tap};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
@@ -46,9 +45,9 @@ const LEDGER_D: f64 = 1e-5;
 /// is ≪ 1 — and runs are seeded, so a passing seed passes forever.
 const SAMPLED_TAIL_P: f64 = 1e-6;
 
-/// Domain separator for the cohort's RNG seed, so cohort clients and
-/// per-object clients driven off the same scenario seed never share a
-/// per-client randomness stream.
+/// Domain separator for the population's RNG seed, so population
+/// members and scripted clients driven off the same scenario seed never
+/// share a per-client randomness stream.
 const COHORT_SEED_XOR: u64 = 0x00C0_8087_C0C0_8087;
 
 /// Width multiplier for the end-of-run concentration window
@@ -101,13 +100,13 @@ pub struct SimReport {
     pub delivered: u64,
 }
 
-struct SimClient {
-    client: Client,
-    online: bool,
+/// What the simulator tracks about a scripted client beside its
+/// membership of the scripted cohort.
+struct Scripted {
     left: bool,
-    /// FIFO mirror of the client's internal dial queue, as callee
-    /// indices — lets the simulator predict which drop each dialing
-    /// round's real invitations target.
+    /// FIFO mirror of the member's dial queue, as callee indices — lets
+    /// the simulator predict which drop each dialing round's real
+    /// invitations target.
     dial_mirror: VecDeque<usize>,
 }
 
@@ -116,18 +115,17 @@ enum RoundMeta {
     Conversation {
         round: u64,
         participants: Vec<usize>,
-        layout: entry::RoundLayout,
         mutual_pairs: u64,
-        /// Requests the cohort contributed at the head of the batch
-        /// (`cohort clients × slots`); the per-object participants'
-        /// multiplexed requests follow.
+        /// Requests the population contributed at the head of the batch
+        /// (`population × slots`); the scripted participants' requests
+        /// follow.
         cohort_requests: usize,
     },
     Dialing {
         round: u64,
         participants: Vec<usize>,
         real_per_drop: Vec<u64>,
-        /// Cohort clients heading the batch, one no-op write each.
+        /// Population members heading the batch, one no-op write each.
         cohort_clients: usize,
     },
 }
@@ -157,14 +155,18 @@ pub struct Simulator {
     scenario: Scenario,
     chain: StreamingChain,
     config: SystemConfig,
-    clients: Vec<SimClient>,
-    /// The struct-of-arrays population, if the scenario has a
-    /// [`Step::Population`]: bulk cover clients whose requests head
-    /// every round's batch. Cohort clients are always online, never
-    /// dial and never churn; per-client steps cannot address them.
+    /// The scripted clients, addressed by the per-client steps. Their
+    /// round randomness is keyed by the scenario seed, their keys come
+    /// from `rng`.
+    clients: ClientCohort,
+    scripted: Vec<Scripted>,
+    /// The population, if the scenario has a [`Step::Population`]: bulk
+    /// cover clients whose requests head every round's batch. They are
+    /// always online, never dial and never churn; per-client steps
+    /// cannot address them.
     cohort: Option<ClientCohort>,
     by_key: HashMap<PublicKey, usize>,
-    tables: Option<Arc<Vec<onion::PrecomputedServer>>>,
+    tables: Arc<Vec<onion::PrecomputedServer>>,
     rng: StdRng,
     next_round: u64,
     ledger: PrivacyLedger,
@@ -211,6 +213,9 @@ impl Simulator {
             exchange_shards: scenario.exchange_shards,
         };
         let chain = StreamingChain::new(config.clone(), scenario.seed);
+        let server_pks = chain.server_public_keys();
+        let tables = ClientCohort::chain_tables(&server_pks);
+        let clients = ClientCohort::new(config.clone(), scenario.seed, &server_pks, tables.clone());
         // A ledger override models a mis-deployment: servers draw the
         // config's noise but the accounting charges (and the transcript
         // advertises) the claimed parameters.
@@ -258,10 +263,11 @@ impl Simulator {
             rng: StdRng::seed_from_u64(scenario.seed.wrapping_add(0x51u64)),
             chain,
             config,
-            clients: Vec::new(),
+            clients,
+            scripted: Vec::new(),
             cohort: None,
             by_key: HashMap::new(),
-            tables: None,
+            tables,
             next_round: 0,
             ledger,
             last_spent,
@@ -449,16 +455,18 @@ impl Simulator {
         }
     }
 
-    /// Read access to a client (assertions in tests).
+    /// Read access to the scripted clients (assertions in tests), one
+    /// cohort member per [`Step::Join`]ed client, by index.
     #[must_use]
-    pub fn client(&self, index: usize) -> &Client {
-        &self.clients[index].client
+    pub fn clients(&self) -> &ClientCohort {
+        &self.clients
     }
 
-    /// Mutable access to a client, for what the script language cannot
-    /// express: ending a conversation, declining an invitation.
-    pub fn client_mut(&mut self, index: usize) -> &mut Client {
-        &mut self.clients[index].client
+    /// Mutable access to the scripted clients, for what the script
+    /// language cannot express: ending a conversation, declining an
+    /// invitation.
+    pub fn clients_mut(&mut self) -> &mut ClientCohort {
+        &mut self.clients
     }
 
     /// Read access to the cohort, if a [`Step::Population`] created one.
@@ -494,7 +502,7 @@ impl Simulator {
     /// Applies one scripted step immediately. Tests and examples use
     /// this to interleave script steps with what the script language
     /// cannot express: assertions between rounds, taps, direct client
-    /// and cohort access ([`Simulator::client_mut`],
+    /// and cohort access ([`Simulator::clients_mut`],
     /// [`Simulator::cohort_mut`]).
     ///
     /// # Errors
@@ -514,44 +522,47 @@ impl Simulator {
         match step {
             Step::Join(n) => {
                 let first = self.clients.len();
-                for _ in 0..n {
-                    self.join_one();
+                let secrets = (0..n).map(|_| SecretKey::generate(&mut self.rng)).collect();
+                self.clients.admit(secrets);
+                for index in first..first + n {
+                    self.by_key.insert(self.clients.public_key(index), index);
+                    self.scripted.push(Scripted {
+                        left: false,
+                        dial_mirror: VecDeque::new(),
+                    });
                 }
                 self.transcript
                     .push(format!("event join clients {first}..{}", first + n));
             }
             Step::SetOnline(index, online) => {
-                assert!(!self.clients[index].left, "script bug: client {index} left");
-                self.clients[index].online = online;
+                assert!(
+                    !self.scripted[index].left,
+                    "script bug: client {index} left"
+                );
+                self.clients.set_online(index, online);
                 self.transcript
                     .push(format!("event online client {index} {online}"));
             }
             Step::Leave(index) => {
-                self.clients[index].online = false;
-                self.clients[index].left = true;
+                self.clients.set_online(index, false);
+                self.scripted[index].left = true;
                 self.transcript.push(format!("event leave client {index}"));
             }
             Step::Dial { caller, callee } => {
-                let pk = self.clients[callee].client.public_key();
-                self.clients[caller]
-                    .client
-                    .dial(pk)
+                let pk = self.clients.public_key(callee);
+                self.clients
+                    .dial(caller, pk)
                     .expect("script bug: caller has no free conversation slot");
-                self.clients[caller].dial_mirror.push_back(callee);
+                self.scripted[caller].dial_mirror.push_back(callee);
                 self.transcript
                     .push(format!("event dial caller {caller} callee {callee}"));
             }
             Step::AcceptAll => {
                 for index in 0..self.clients.len() {
-                    let pending: Vec<PublicKey> =
-                        self.clients[index].client.pending_invitations().to_vec();
+                    let pending = self.clients.pending_invitations(index).to_vec();
                     for caller_pk in pending {
                         let caller = self.by_key[&caller_pk];
-                        if self.clients[index]
-                            .client
-                            .accept_invitation(caller_pk)
-                            .is_ok()
-                        {
+                        if self.clients.accept_invitation(index, caller_pk).is_ok() {
                             self.transcript
                                 .push(format!("event accept client {index} caller {caller}"));
                         } else {
@@ -563,10 +574,9 @@ impl Simulator {
                 }
             }
             Step::Queue { from, to, body } => {
-                let pk = self.clients[to].client.public_key();
-                self.clients[from]
-                    .client
-                    .queue_message(&pk, &body)
+                let pk = self.clients.public_key(to);
+                self.clients
+                    .queue_message(from, &pk, &body)
                     .expect("script bug: no active conversation or body too long");
                 self.transcript.push(format!(
                     "event queue from {from} to {to} body {}",
@@ -602,16 +612,11 @@ impl Simulator {
             }
             Step::Population(n) => {
                 if self.cohort.is_none() {
-                    let server_pks = self.chain.server_public_keys();
-                    if self.tables.is_none() {
-                        self.tables = Some(Client::chain_tables(&server_pks));
-                    }
-                    let tables = self.tables.clone().expect("tables built above");
                     self.cohort = Some(ClientCohort::new(
                         self.config.clone(),
                         self.scenario.seed ^ COHORT_SEED_XOR,
-                        &server_pks,
-                        tables,
+                        &self.chain.server_public_keys(),
+                        self.tables.clone(),
                     ));
                 }
                 let cohort = self.cohort.as_mut().expect("created above");
@@ -625,51 +630,9 @@ impl Simulator {
         Ok(())
     }
 
-    /// The per-object participants as disjoint `&mut Client`s, in
-    /// participant order, for the parallel request builders.
-    fn selected_clients(&mut self, participants: &[usize]) -> Vec<&mut Client> {
-        let mut wanted = participants.iter().copied().peekable();
-        self.clients
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, sim_client)| {
-                if wanted.peek() == Some(&i) {
-                    wanted.next();
-                    Some(&mut sim_client.client)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    fn join_one(&mut self) {
-        let keypair = Keypair::generate(&mut self.rng);
-        let mut client = Client::new(
-            format!("client-{}", self.clients.len()),
-            keypair,
-            self.config.clone(),
-        );
-        let server_pks = self.chain.server_public_keys();
-        if self.tables.is_none() {
-            self.tables = Some(Client::chain_tables(&server_pks));
-        }
-        client.set_chain_tables(
-            self.tables.clone().expect("tables built above"),
-            &server_pks,
-        );
-        self.by_key.insert(client.public_key(), self.clients.len());
-        self.clients.push(SimClient {
-            client,
-            online: true,
-            left: false,
-            dial_mirror: VecDeque::new(),
-        });
-    }
-
     fn participants(&self) -> Vec<usize> {
         (0..self.clients.len())
-            .filter(|&i| self.clients[i].online && !self.clients[i].left)
+            .filter(|&i| self.clients.is_online(i))
             .collect()
     }
 
@@ -692,33 +655,23 @@ impl Simulator {
             });
     }
 
-    /// Pairs of participants in a mutual active conversation. Constant
-    /// across a schedule (conversation state only changes between
-    /// schedules), so callers compute it once per `Run`; peer sets are
-    /// snapshotted once to keep the pair scan allocation-free.
-    fn mutual_pairs(&self, participants: &[usize]) -> u64 {
-        let peers: Vec<(PublicKey, Vec<PublicKey>)> = participants
-            .iter()
-            .map(|&i| {
-                (
-                    self.clients[i].client.public_key(),
-                    self.clients[i].client.active_peers(),
-                )
-            })
-            .collect();
-        let mut pairs = 0u64;
-        for (pos, (pk_i, peers_i)) in peers.iter().enumerate() {
-            for (pk_j, peers_j) in &peers[pos + 1..] {
-                if peers_i.contains(pk_j) && peers_j.contains(pk_i) {
-                    pairs += 1;
-                }
-            }
+    /// One round's client batch, built by `build` for each cohort: the
+    /// population's requests head it, the scripted clients' follow.
+    /// Returns the batch and the population's share of it.
+    fn round_batch(&mut self, build: impl Fn(&mut ClientCohort) -> RoundBuffer) -> (Batch, usize) {
+        let scripted = build(&mut self.clients);
+        let Some(population) = self.cohort.as_mut() else {
+            return (Batch::Flat(scripted), 0);
+        };
+        let mut batch = build(population);
+        let share = batch.len();
+        for i in 0..scripted.len() {
+            batch.push_with(|slot| slot.copy_from_slice(scripted.slot(i)));
         }
-        pairs
+        (Batch::Flat(batch), share)
     }
 
     fn run_schedule(&mut self, plans: &[RoundPlan]) -> Result<(), SimError> {
-        let server_pks = self.chain.server_public_keys();
         let num_drops = self.scenario.num_drops;
         let participants = self.participants();
 
@@ -731,20 +684,14 @@ impl Simulator {
             None
         };
         // Mutual conversation state cannot change mid-schedule: one
-        // count serves every conversation round below. The cohort's
-        // internal pairs ride on top of the per-object count.
-        let mutual_pairs = self.mutual_pairs(&participants)
+        // count serves every conversation round below. The population's
+        // internal pairs ride on top of the scripted clients'.
+        let mutual_pairs = self.clients.mutual_pairs()
             + self.cohort.as_ref().map_or(0, ClientCohort::mutual_pairs);
-        let seed = self.scenario.seed;
-        let workers = self.config.workers;
-        let chain_len = self.config.chain_len;
 
         // Build every round's client batch up front (clients pipeline
-        // requests; replies for the whole schedule arrive afterwards).
-        // Per-object requests are built through the cohort module's
-        // parallel builders — the same path for 2 clients or 2 million —
-        // and appended to the round's one arena (the cohort's, when a
-        // cohort exists), which is what the chain admits.
+        // requests; replies for the whole schedule arrive afterwards),
+        // one arena per round, which is what the chain admits.
         let mut specs: Vec<RoundSpec> = Vec::with_capacity(plans.len());
         let mut metas: Vec<RoundMeta> = Vec::with_capacity(plans.len());
         for plan in plans {
@@ -752,28 +699,12 @@ impl Simulator {
             self.next_round += 1;
             match plan {
                 RoundPlan::Conversation => {
-                    let selected = self.selected_clients(&participants);
-                    let requests = cohort::build_client_requests_parallel(
-                        selected,
-                        seed,
-                        round,
-                        &server_pks,
-                        workers,
-                    );
-                    let (mut batch, cohort_requests) = match self.cohort.as_mut() {
-                        Some(population) if !population.is_empty() => {
-                            let cohort_requests = population.len() * self.config.conversation_slots;
-                            (population.build_conversation_round(round), cohort_requests)
-                        }
-                        _ => (entry::round_arena(RoundKind::Conversation, chain_len), 0),
-                    };
-                    let layout = entry::multiplex(&mut batch, &requests);
-                    let batch = Batch::Flat(batch);
+                    let (batch, cohort_requests) =
+                        self.round_batch(|cohort| cohort.build_conversation_round(round));
                     specs.push(RoundSpec::Conversation { round, batch });
                     metas.push(RoundMeta::Conversation {
                         round,
                         participants: participants.clone(),
-                        layout,
                         mutual_pairs,
                         cohort_requests,
                     });
@@ -781,32 +712,14 @@ impl Simulator {
                 RoundPlan::Dialing => {
                     let mut real_per_drop = vec![0u64; num_drops as usize];
                     for &id in &participants {
-                        if let Some(callee) = self.clients[id].dial_mirror.pop_front() {
-                            let pk = self.clients[callee].client.public_key();
+                        if let Some(callee) = self.scripted[id].dial_mirror.pop_front() {
+                            let pk = self.clients.public_key(callee);
                             let drop = InvitationDropIndex::for_recipient(&pk, num_drops);
                             real_per_drop[(drop.0 - 1) as usize] += 1;
                         }
                     }
-                    let selected = self.selected_clients(&participants);
-                    let individual = cohort::build_dial_requests_parallel(
-                        selected,
-                        seed,
-                        round,
-                        num_drops,
-                        &server_pks,
-                        workers,
-                    );
-                    let (mut batch, cohort_clients) = match self.cohort.as_mut() {
-                        Some(population) if !population.is_empty() => {
-                            (population.build_dialing_round(round), population.len())
-                        }
-                        _ => (
-                            entry::round_arena(RoundKind::Dialing { num_drops }, chain_len),
-                            0,
-                        ),
-                    };
-                    let _layout = entry::multiplex(&mut batch, &[individual]);
-                    let batch = Batch::Flat(batch);
+                    let (batch, cohort_clients) =
+                        self.round_batch(|cohort| cohort.build_dialing_round(round, num_drops));
                     specs.push(RoundSpec::Dialing {
                         round,
                         batch,
@@ -853,9 +766,7 @@ impl Simulator {
             self.chain.chain_mut().link_mut(link).detach_tap();
         }
         let _dropped = self.chain.abort_in_flight_rounds();
-        for sim_client in &mut self.clients {
-            sim_client.client.expire_pending(self.next_round);
-        }
+        self.clients.expire_pending(self.next_round);
         if let Some(population) = self.cohort.as_mut() {
             population.expire_pending(self.next_round);
         }
@@ -910,7 +821,6 @@ impl Simulator {
                     RoundMeta::Conversation {
                         round,
                         participants,
-                        layout,
                         mutual_pairs,
                         cohort_requests,
                     },
@@ -919,7 +829,6 @@ impl Simulator {
                     self.complete_conversation_round(
                         *round,
                         participants,
-                        layout,
                         *mutual_pairs,
                         *cohort_requests,
                         replies,
@@ -1000,7 +909,6 @@ impl Simulator {
         &mut self,
         round: u64,
         participants: &[usize],
-        layout: &entry::RoundLayout,
         mutual_pairs: u64,
         cohort_requests: usize,
         replies: Vec<Vec<u8>>,
@@ -1067,32 +975,16 @@ impl Simulator {
         }
 
         // Hand replies back and transcribe the deliveries they unlock.
-        // The cohort's replies head the batch (its requests did); the
-        // per-object participants' replies are demultiplexed from the
-        // tail. A batch an adversary shrank below the cohort's share is
-        // treated as dropped for the cohort (its reply keys expire) and
-        // as `None`s for everyone behind it.
-        let mut replies = replies;
-        let individual_replies = if cohort_requests > 0 && replies.len() >= cohort_requests {
-            let tail = replies.split_off(cohort_requests);
-            if let Some(population) = self.cohort.as_mut() {
-                population.handle_conversation_replies(round, &replies);
-            }
-            tail
-        } else if cohort_requests > 0 {
-            if let Some(population) = self.cohort.as_mut() {
-                population.expire_pending(round + 1);
-            }
-            Vec::new()
-        } else {
-            replies
-        };
-        let per_client = entry::demultiplex(layout, individual_replies);
-        for (&id, client_replies) in participants.iter().zip(per_client) {
-            self.clients[id]
-                .client
-                .handle_conversation_replies(round, client_replies);
+        // The population's replies head the batch (its requests did),
+        // the scripted clients' follow. Each cohort takes its stretch as
+        // it is: a batch an adversary shrank loses its tail replies.
+        let (population_replies, scripted_replies) =
+            replies.split_at(cohort_requests.min(replies.len()));
+        if let Some(population) = self.cohort.as_mut() {
+            population.handle_conversation_replies(round, population_replies);
         }
+        self.clients
+            .handle_conversation_replies(round, scripted_replies);
         let spent = self.charge(round, Protocol::Conversation)?;
         self.transcript.push(format!(
             "round {round} conversation participants {total_participants} submitted {} \
@@ -1106,9 +998,8 @@ impl Simulator {
             spent.delta
         ));
         for &id in participants {
-            let peers = self.clients[id].client.active_peers();
-            for pk in peers {
-                let msgs = self.clients[id].client.delivered_from(&pk);
+            for pk in self.clients.peers(id) {
+                let msgs = self.clients.delivered_from(id, &pk);
                 let seen = self.delivered_seen.entry((id, pk)).or_insert(0);
                 let from = self.by_key[&pk];
                 for body in &msgs[*seen..] {
@@ -1194,11 +1085,11 @@ impl Simulator {
     fn scan_invitations(&mut self, round: u64, participants: &[usize]) {
         let num_drops = self.scenario.num_drops;
         for &id in participants {
-            let drop = self.clients[id].client.invitation_drop(num_drops);
+            let drop = self.clients.invitation_drop(id, num_drops);
             let Some(contents) = self.chain.download_drop(drop) else {
                 continue;
             };
-            let found = self.clients[id].client.scan_invitation_drop(&contents);
+            let found = self.clients.scan_invitation_drop(id, &contents);
             if !found.is_empty() {
                 let mut callers: Vec<usize> = found.iter().map(|pk| self.by_key[pk]).collect();
                 callers.sort_unstable();

@@ -450,9 +450,9 @@ fn population_cohort_converses_internally() {
         cohort.delivered_from(2, &pk9),
         vec![b"cohort right back".to_vec()]
     );
-    let pk0 = sim.client(0).public_key();
+    let pk0 = sim.clients().public_key(0);
     assert_eq!(
-        sim.client(1).delivered_from(&pk0),
+        sim.clients().delivered_from(1, &pk0),
         vec![b"individual pair".to_vec()]
     );
 }

@@ -56,8 +56,8 @@ fn main() -> Result<(), SimError> {
     sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
 
     let received = |user: usize| -> Vec<String> {
-        sim.client(user)
-            .all_delivered()
+        sim.clients()
+            .all_delivered(user)
             .into_iter()
             .map(|m| String::from_utf8_lossy(&m).into_owned())
             .collect()

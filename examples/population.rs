@@ -1,13 +1,11 @@
 //! A million-client conversation round (§8 scale) on one machine.
 //!
-//! The paper's deployment target is millions of users per round; the
-//! per-object [`Client`](vuvuzela::core::Client) representation gets a
-//! harness nowhere near that (one heap object, one DH-table set and one
-//! request `Vec` per user). A [`ClientCohort`] holds the whole
-//! population in flat struct-of-arrays storage — one shared table set,
-//! requests built worker-striped straight into a single round arena —
-//! and stays byte-identical to the per-object reference (the
-//! `cohort_equivalence` test pins that).
+//! The paper's deployment target is millions of users per round. The
+//! client, a [`ClientCohort`], holds the whole population in flat
+//! struct-of-arrays storage — one shared DH-table set, requests built
+//! worker-striped straight into a single round arena — so a million
+//! users cost no heap object and no request `Vec` apiece (the
+//! `client_pins` test holds its bytes to known answers).
 //!
 //! This example joins 1,000,000 clients (a few of them in real
 //! conversations, the rest idle cover), runs one steady-state

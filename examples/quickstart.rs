@@ -32,8 +32,8 @@ fn main() -> Result<(), SimError> {
     sim.step(Step::Run(vec![RoundPlan::Dialing]))?;
     println!(
         "dialing round 0 complete; bob's invitations: {:?}",
-        sim.client(bob)
-            .pending_invitations()
+        sim.clients()
+            .pending_invitations(bob)
             .iter()
             .map(|pk| format!("{pk:?}"))
             .collect::<Vec<_>>()
@@ -54,7 +54,7 @@ fn main() -> Result<(), SimError> {
     sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
 
     for (user, name) in [(alice, "alice"), (bob, "bob")] {
-        for msg in sim.client(user).all_delivered() {
+        for msg in sim.clients().all_delivered(user) {
             println!("{name} received: {}", String::from_utf8_lossy(&msg));
         }
     }

@@ -54,7 +54,7 @@ fn main() -> Result<(), SimError> {
     })?;
     sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
 
-    assert_eq!(sim.client(reporter).all_delivered().len(), 1);
+    assert_eq!(sim.clients().all_delivered(reporter).len(), 1);
     println!("reporter received the message.\n");
 
     // ---- Audit the adversary's view. ----

@@ -32,7 +32,7 @@ use vuvuzela_core::entry::round_arena;
 use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
 use vuvuzela_core::observables::{ConversationObservables, DialingObservables};
 use vuvuzela_core::server::RoundKind;
-use vuvuzela_core::{Client, RoundBuffer, SystemConfig};
+use vuvuzela_core::{ClientCohort, RoundBuffer, SystemConfig};
 use vuvuzela_crypto::onion::{self, LayerKey, PrecomputedServer};
 use vuvuzela_crypto::sha256::{sha256, Sha256};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
@@ -295,7 +295,7 @@ pub struct ClientRound {
 /// seed and the round number, so the distributed client driver and the
 /// in-process reference feed byte-identical onions. Each onion is wrapped
 /// in place, straight into its slot of the round's arena, over the
-/// chain's `tables` ([`Client::chain_tables`] of
+/// chain's `tables` ([`ClientCohort::chain_tables`] of
 /// [`DeploymentConfig::server_public_keys`]).
 #[must_use]
 pub fn build_client_round(
@@ -439,7 +439,7 @@ fn transcribe_dialing(
 #[must_use]
 pub fn run_reference(cfg: &DeploymentConfig) -> String {
     let mut chain = Chain::new(cfg.system.clone(), cfg.seed);
-    let tables = Client::chain_tables(&cfg.server_public_keys());
+    let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
     let mut transcript = transcript_header(cfg);
     for (index, entry) in cfg.schedule.iter().enumerate() {
         let round = index as u64;
@@ -488,7 +488,7 @@ pub fn run_client(
     depth: usize,
 ) -> Result<String, Error> {
     let depth = depth.clamp(1, cfg.system.chain_len.max(1));
-    let tables = Client::chain_tables(&cfg.server_public_keys());
+    let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
     let mut transcript = transcript_header(cfg);
     let schedule: Vec<(u64, RoundKind, usize)> = cfg
         .schedule
@@ -1070,7 +1070,7 @@ mod tests {
     #[test]
     fn client_rounds_are_deterministic() {
         let cfg = smoke_config();
-        let tables = Client::chain_tables(&cfg.server_public_keys());
+        let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
         let a = build_client_round(&cfg, &tables, 0);
         let b = build_client_round(&cfg, &tables, 0);
         assert_eq!(a.onions.to_vecs(), b.onions.to_vecs());
@@ -1092,7 +1092,7 @@ mod tests {
         // reproduce its onions, keys and RNG draws exactly.
         const WANT: &str = "3496bb8b40e7d38139f91321090460440dcdfcd48f6912d3ee101487fac73a49";
         let cfg = smoke_config();
-        let tables = Client::chain_tables(&cfg.server_public_keys());
+        let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
         let mut hasher = Sha256::new();
         for round in [0, 1] {
             let data = build_client_round(&cfg, &tables, round);

@@ -45,7 +45,7 @@
 //! let body = b"hello, Bob!".to_vec();
 //! sim.step(Step::Queue { from: alice, to: bob, body: body.clone() })?;
 //! sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
-//! assert_eq!(sim.client(bob).all_delivered(), vec![body]);
+//! assert_eq!(sim.clients().all_delivered(bob), vec![body]);
 //! # Ok::<(), vuvuzela::sim::SimError>(())
 //! ```
 

@@ -252,10 +252,10 @@ fn blocking_one_user_does_not_break_others() -> Result<(), SimError> {
         run(&mut sim, RoundPlan::Conversation)?;
     }
     assert_eq!(
-        sim.client(DAVE).all_delivered(),
+        sim.clients().all_delivered(DAVE),
         vec![b"unaffected".to_vec()]
     );
-    assert!(sim.client(ALICE).all_delivered().is_empty());
+    assert!(sim.clients().all_delivered(ALICE).is_empty());
     Ok(())
 }
 
@@ -270,7 +270,7 @@ fn no_noise_preserves_functionality() -> Result<(), SimError> {
         body: b"hi".to_vec(),
     })?;
     run(&mut sim, RoundPlan::Conversation)?;
-    assert_eq!(sim.client(BOB).all_delivered(), vec![b"hi".to_vec()]);
+    assert_eq!(sim.clients().all_delivered(BOB), vec![b"hi".to_vec()]);
     Ok(())
 }
 

@@ -24,7 +24,7 @@ use vuvuzela::wire::MESSAGE_LEN;
 /// chain-3 deployment, as the entry does.
 fn arena(onions: Vec<Vec<u8>>) -> RoundBuffer {
     let mut batch = entry::round_arena(RoundKind::Conversation, 3);
-    let _layout = entry::multiplex(&mut batch, &[onions]);
+    entry::multiplex(&mut batch, &[onions]);
     batch
 }
 

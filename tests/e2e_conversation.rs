@@ -55,7 +55,7 @@ fn full_lifecycle_dial_accept_converse() -> Result<(), SimError> {
     })?;
     run(&mut sim, RoundPlan::Dialing, 1)?;
     assert_eq!(
-        sim.client(BOB).pending_invitations().len(),
+        sim.clients().pending_invitations(BOB).len(),
         1,
         "bob got exactly one invitation"
     );
@@ -66,8 +66,8 @@ fn full_lifecycle_dial_accept_converse() -> Result<(), SimError> {
     queue(&mut sim, BOB, ALICE, b"second")?;
     run(&mut sim, RoundPlan::Conversation, 1)?;
 
-    assert_eq!(sim.client(BOB).all_delivered(), vec![b"first".to_vec()]);
-    assert_eq!(sim.client(ALICE).all_delivered(), vec![b"second".to_vec()]);
+    assert_eq!(sim.clients().all_delivered(BOB), vec![b"first".to_vec()]);
+    assert_eq!(sim.clients().all_delivered(ALICE), vec![b"second".to_vec()]);
     Ok(())
 }
 
@@ -80,7 +80,7 @@ fn works_for_every_chain_length_paper_evaluates() -> Result<(), SimError> {
         queue(&mut sim, ALICE, BOB, b"ping")?;
         run(&mut sim, RoundPlan::Conversation, 1)?;
         assert_eq!(
-            sim.client(BOB).all_delivered(),
+            sim.clients().all_delivered(BOB),
             vec![b"ping".to_vec()],
             "chain length {servers}"
         );
@@ -114,7 +114,7 @@ fn many_pairs_converse_simultaneously() -> Result<(), SimError> {
 
     for pair in 0..5 {
         assert_eq!(
-            sim.client(2 * pair + 1).all_delivered(),
+            sim.clients().all_delivered(2 * pair + 1),
             vec![format!("msg-{pair}").into_bytes()],
             "pair {pair}"
         );
@@ -133,7 +133,7 @@ fn long_conversation_stays_ordered_under_pipelining() -> Result<(), SimError> {
     }
     // Window is 4: pipelined over several rounds.
     run(&mut sim, RoundPlan::Conversation, 16)?;
-    assert_eq!(sim.client(BOB).all_delivered(), messages);
+    assert_eq!(sim.clients().all_delivered(BOB), messages);
     Ok(())
 }
 
@@ -145,10 +145,13 @@ fn retransmission_survives_multi_round_outage() -> Result<(), SimError> {
     queue(&mut sim, ALICE, BOB, b"resilient")?;
     sim.step(Step::SetOnline(BOB, false))?;
     run(&mut sim, RoundPlan::Conversation, 5)?;
-    assert!(sim.client(BOB).all_delivered().is_empty());
+    assert!(sim.clients().all_delivered(BOB).is_empty());
     sim.step(Step::SetOnline(BOB, true))?;
     run(&mut sim, RoundPlan::Conversation, 4)?;
-    assert_eq!(sim.client(BOB).all_delivered(), vec![b"resilient".to_vec()]);
+    assert_eq!(
+        sim.clients().all_delivered(BOB),
+        vec![b"resilient".to_vec()]
+    );
     Ok(())
 }
 
@@ -163,11 +166,11 @@ fn bidirectional_conversation_interleaves() -> Result<(), SimError> {
     }
     run(&mut sim, RoundPlan::Conversation, 6)?;
     assert_eq!(
-        sim.client(BOB).all_delivered(),
+        sim.clients().all_delivered(BOB),
         (0..4u8).map(|i| vec![b'a', i]).collect::<Vec<_>>()
     );
     assert_eq!(
-        sim.client(ALICE).all_delivered(),
+        sim.clients().all_delivered(ALICE),
         (0..4u8).map(|i| vec![b'b', i]).collect::<Vec<_>>()
     );
     Ok(())
@@ -183,17 +186,17 @@ fn dialing_multiple_rounds_reaches_multiple_callees() -> Result<(), SimError> {
     connect(&mut sim, ALICE, BOB)?;
     queue(&mut sim, ALICE, BOB, b"to bob")?;
     run(&mut sim, RoundPlan::Conversation, 1)?;
-    assert_eq!(sim.client(BOB).all_delivered(), vec![b"to bob".to_vec()]);
+    assert_eq!(sim.clients().all_delivered(BOB), vec![b"to bob".to_vec()]);
 
-    let bob_pk = sim.client(BOB).public_key();
-    sim.client_mut(ALICE)
-        .end_conversation(&bob_pk)
+    let bob_pk = sim.clients().public_key(BOB);
+    sim.clients_mut()
+        .end_conversation(ALICE, &bob_pk)
         .expect("end");
     connect(&mut sim, ALICE, CAROL)?;
     queue(&mut sim, ALICE, CAROL, b"to carol")?;
     run(&mut sim, RoundPlan::Conversation, 1)?;
     assert_eq!(
-        sim.client(CAROL).all_delivered(),
+        sim.clients().all_delivered(CAROL),
         vec![b"to carol".to_vec()]
     );
     Ok(())
@@ -211,7 +214,7 @@ fn sampled_noise_mode_also_delivers() -> Result<(), SimError> {
     connect(&mut sim, ALICE, BOB)?;
     queue(&mut sim, ALICE, BOB, b"sampled")?;
     run(&mut sim, RoundPlan::Conversation, 1)?;
-    assert_eq!(sim.client(BOB).all_delivered(), vec![b"sampled".to_vec()]);
+    assert_eq!(sim.clients().all_delivered(BOB), vec![b"sampled".to_vec()]);
     Ok(())
 }
 
@@ -224,14 +227,14 @@ fn declined_invitation_never_connects() -> Result<(), SimError> {
     })?;
     run(&mut sim, RoundPlan::Dialing, 1)?;
 
-    let alice_pk = sim.client(ALICE).public_key();
-    sim.client_mut(BOB).decline_invitation(&alice_pk);
+    let alice_pk = sim.clients().public_key(ALICE);
+    sim.clients_mut().decline_invitation(BOB, &alice_pk);
 
     // Alice (who pre-entered the conversation) sends into the void: Bob
     // never joins the drop, so nothing is delivered to him.
     queue(&mut sim, ALICE, BOB, b"hello?")?;
     run(&mut sim, RoundPlan::Conversation, 3)?;
-    assert!(sim.client(BOB).all_delivered().is_empty());
-    assert!(sim.client(ALICE).all_delivered().is_empty());
+    assert!(sim.clients().all_delivered(BOB).is_empty());
+    assert!(sim.clients().all_delivered(ALICE).is_empty());
     Ok(())
 }

@@ -321,7 +321,7 @@ fn malformed_clients_cannot_break_honest_ones() -> Result<(), SimError> {
     queue(&mut sim, b"still works")?;
     run(&mut sim, RoundPlan::Conversation)?;
     assert_eq!(
-        sim.client(BOB).all_delivered(),
+        sim.clients().all_delivered(BOB),
         vec![b"still works".to_vec()]
     );
     // Each round's two extra entries fail authentication and come back
@@ -412,7 +412,7 @@ fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
     // And the conversation itself survives the outage via retransmission.
     drop(guard);
     assert_eq!(
-        sim.client(BOB).all_delivered(),
+        sim.clients().all_delivered(BOB),
         vec![b"before".to_vec(), b"during".to_vec()]
     );
     Ok(())

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use vuvuzela::core::node::RoundTrailer;
-use vuvuzela::core::Client;
+use vuvuzela::core::ClientCohort;
 use vuvuzela::deploy::{self, DeploymentConfig};
 use vuvuzela::net::{LinkId, TcpTransport, Transport};
 use vuvuzela::wire::{BatchFrame, Frame, RoundId, RoundType};
@@ -24,7 +24,7 @@ const BOUND: Duration = Duration::from_secs(10);
 /// Round `round` of the smoke schedule (all but round 1 are conversation
 /// rounds) as the client driver would send it.
 fn conversation_frame(cfg: &DeploymentConfig, round: u64) -> (Frame, usize) {
-    let tables = Client::chain_tables(&cfg.server_public_keys());
+    let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
     let data = deploy::build_client_round(cfg, &tables, round);
     let (payload, stride, width, count) = data.onions.into_raw();
     let frame = Frame::Batch(BatchFrame {

@@ -2,9 +2,12 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use vuvuzela::core::chain::Batch;
+use vuvuzela::core::{Chain, ClientCohort, SystemConfig};
 use vuvuzela::crypto::x25519::{Keypair, SecretKey};
 use vuvuzela::crypto::{aead, onion, sealedbox};
+use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::wire::conversation::{ConversationKeys, ExchangeRequest};
 use vuvuzela::wire::message::{FramedMessage, MAX_BODY_LEN};
 
@@ -149,7 +152,8 @@ proptest! {
         prop_assert_eq!(ExchangeRequest::decode(&request.encode()).expect("decodes"), request);
     }
 
-    /// Entry multiplex/demultiplex is the identity for arbitrary shapes.
+    /// Entry multiplex lays every request into the round's arena, in
+    /// client order, for arbitrary shapes.
     #[test]
     fn entry_mux_roundtrip(
         shape in proptest::collection::vec(0usize..4, 0..12),
@@ -160,13 +164,80 @@ proptest! {
             .map(|(i, &n)| (0..n).map(|j| vec![i as u8, j as u8]).collect())
             .collect();
         let mut batch = vuvuzela::core::RoundBuffer::new(2, 2);
-        let layout = vuvuzela::core::entry::multiplex(&mut batch, &requests);
-        let out = vuvuzela::core::entry::demultiplex(&layout, batch.to_vecs());
-        for (client, (orig, got)) in requests.iter().zip(out.iter()).enumerate() {
-            prop_assert_eq!(orig.len(), got.len(), "client {}", client);
-            for (o, g) in orig.iter().zip(got.iter()) {
-                prop_assert_eq!(Some(o), g.as_ref(), "client {}", client);
+        vuvuzela::core::entry::multiplex(&mut batch, &requests);
+        let flat: Vec<Vec<u8>> = requests.into_iter().flatten().collect();
+        prop_assert_eq!(batch.to_vecs(), flat);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Reply ingest takes whatever the untrusted entry hands back (§7):
+    /// any number of replies — missing ones lost, extra ones ignored —
+    /// carrying any bytes at any width. It never panics; every member
+    /// whose own reply came back intact receives its partner's message,
+    /// and nobody else receives anything.
+    #[test]
+    fn cohort_reply_ingest_takes_any_batch(
+        seed in any::<u64>(),
+        count in 0usize..16,
+        intact in proptest::collection::vec(any::<bool>(), 16),
+        full_width in proptest::collection::vec(any::<bool>(), 16),
+        widths in proptest::collection::vec(0usize..600, 16),
+    ) {
+        const MEMBERS: usize = 8;
+        let config = SystemConfig {
+            chain_len: 2,
+            conversation_noise: NoiseDistribution::new(1.0, 1.0),
+            dialing_noise: NoiseDistribution::new(1.0, 1.0),
+            noise_mode: NoiseMode::Off,
+            workers: 2,
+            conversation_slots: 1,
+            retransmit_after: 2,
+            exchange_shards: 2,
+        };
+        let mut chain = Chain::new(config.clone(), seed);
+        let mut cohort = ClientCohort::with_own_tables(config, seed, &chain.server_public_keys());
+        cohort.join(MEMBERS);
+        for a in (0..MEMBERS).step_by(2) {
+            cohort.pair(a, a + 1).expect("pair");
+            for (from, to) in [(a, a + 1), (a + 1, a)] {
+                let to = cohort.public_key(to);
+                cohort.queue_message(from, &to, &[from as u8]).expect("queue");
             }
+        }
+        let batch = Batch::Flat(cohort.build_conversation_round(0));
+        let (replies, _) = chain.run_conversation_round(0, batch);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let handed_back: Vec<Vec<u8>> = (0..count)
+            .map(|p| {
+                if p < MEMBERS && intact[p] {
+                    return replies[p].clone();
+                }
+                let width = if full_width[p] { replies[0].len() } else { widths[p] };
+                let mut garbage = vec![0u8; width];
+                rng.fill_bytes(&mut garbage);
+                garbage
+            })
+            .collect();
+        cohort.handle_conversation_replies(0, &handed_back);
+
+        for (member, &intact) in intact.iter().enumerate().take(MEMBERS) {
+            let partner = member ^ 1;
+            let want = if member < count && intact {
+                vec![vec![partner as u8]]
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(
+                cohort.delivered_from(member, &cohort.public_key(partner)),
+                want,
+                "member {} of {} replies",
+                member,
+                count
+            );
         }
     }
 }

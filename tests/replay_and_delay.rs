@@ -23,7 +23,7 @@ use vuvuzela::wire::conversation::ExchangeRequest;
 /// deployment, as the entry does.
 fn arena(kind: RoundKind, onion: &[u8]) -> RoundBuffer {
     let mut batch = entry::round_arena(kind, 3);
-    let _layout = entry::multiplex(&mut batch, &[vec![onion.to_vec()]]);
+    entry::multiplex(&mut batch, &[vec![onion.to_vec()]]);
     batch
 }
 
@@ -104,7 +104,7 @@ fn delay_is_equivalent_to_drop() -> Result<(), SimError> {
 
     // Nothing is ever delivered: each delayed batch arrives one round
     // stale and fails authentication at server 0.
-    assert!(sim.client(bob).all_delivered().is_empty());
+    assert!(sim.clients().all_delivered(bob).is_empty());
     let chain = sim.chain().chain();
     assert!(chain.server(0).malformed_replaced > 0);
 

@@ -44,7 +44,7 @@ fn config(chain_len: usize, mu: f64) -> SystemConfig {
 /// servers, as the entry does.
 fn arena(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> Batch {
     let mut batch = entry::round_arena(kind, chain_len);
-    let _layout = entry::multiplex(&mut batch, &[onions]);
+    entry::multiplex(&mut batch, &[onions]);
     Batch::Flat(batch)
 }
 

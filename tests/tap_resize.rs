@@ -159,7 +159,7 @@ fn tapped_round(
     }));
     let hop0 = Arc::new(Mutex::new(RecordingTap::new()));
     let mut arena = entry::round_arena(RoundKind::Conversation, 2);
-    let _layout = entry::multiplex(&mut arena, &[batch]);
+    entry::multiplex(&mut arena, &[batch]);
     let batch = Batch::Flat(arena);
     let attach = |chain: &mut Chain| {
         match leg {
