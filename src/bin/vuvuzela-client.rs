@@ -1,12 +1,13 @@
-//! The scripted client driver of a deployment: replays the schedule
-//! against a live entry and writes the resulting transcript.
+//! The clients of a deployment: one `ClientCohort` whose members the
+//! schedule takes online round by round (`deploy::ScriptedClients`),
+//! driven against a live entry; writes the resulting transcript.
 //!
 //! ```text
 //! vuvuzela-client --config deploy.json --out transcript.txt [--pipeline <depth>]
 //! ```
 //!
 //! `--pipeline` sets the admission-window depth: how many rounds the
-//! driver keeps in flight at once (default 1, i.e. strictly
+//! client keeps in flight at once (default 1, i.e. strictly
 //! sequential; clamped to the chain length). The transcript is
 //! byte-identical at every depth.
 

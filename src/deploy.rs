@@ -7,18 +7,19 @@
 //! canonical rendering, so two processes started with different configs
 //! fail at connect time instead of corrupting a round.
 //!
-//! The schedule is replayed by a *deterministic* client driver: every
-//! batch is a pure function of `(seed, round)`, so the distributed run
-//! (`vuvuzela-launch`: entry + servers + client as separate OS
-//! processes over loopback TCP) and the in-process reference
-//! ([`run_reference`], the sequential [`Chain`]: the servers' own frame
-//! handler at window 1, without sockets, entry or client driver) must
-//! produce **byte-identical transcripts** — replies, dead-drop
-//! histograms and dialing counts included. `vuvuzela-launch --check`
-//! asserts exactly that, and CI runs it on every push.
+//! The schedule is replayed by one scripted client, a [`ClientCohort`]
+//! ([`ScriptedClients`]) whose members each round takes on- or
+//! offline: every batch is a pure function of the config and the round
+//! number, so the distributed run (`vuvuzela-launch`: entry + servers +
+//! client as separate OS processes over loopback TCP) and the
+//! in-process reference ([`run_reference`], the sequential [`Chain`]:
+//! the servers' own frame handler at window 1, without sockets or
+//! entry) must produce **byte-identical transcripts** — reply hashes,
+//! delivered messages, dead-drop histograms and dialing counts
+//! included. `vuvuzela-launch --check` asserts exactly that, and CI
+//! runs it on every push.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use std::convert::Infallible;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -28,44 +29,40 @@ use std::time::Duration;
 use serde_json::{json, Value};
 use vuvuzela_core::chain::{build_server, server_keypairs, Chain};
 use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
-use vuvuzela_core::entry::round_arena;
 use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
-use vuvuzela_core::observables::{ConversationObservables, DialingObservables};
 use vuvuzela_core::server::RoundKind;
 use vuvuzela_core::{ClientCohort, RoundBuffer, SystemConfig};
-use vuvuzela_crypto::onion::{self, LayerKey, PrecomputedServer};
 use vuvuzela_crypto::sha256::{sha256, Sha256};
-use vuvuzela_crypto::x25519::{Keypair, PublicKey};
+use vuvuzela_crypto::x25519::PublicKey;
 use vuvuzela_net::{Error, LinkId, RetryPolicy, TcpTransport, Transport};
 use vuvuzela_sim::transcript::{hex, Transcript};
-use vuvuzela_wire::conversation::ExchangeRequest;
-use vuvuzela_wire::deaddrop::DeadDropId;
-use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
-use vuvuzela_wire::{DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN, SEALED_MESSAGE_LEN};
+use vuvuzela_wire::BatchFrame;
 
 /// Default for [`DeploymentConfig::connect_timeout_ms`]: deployment
 /// processes start in arbitrary order, so peers retry refused
 /// connections this long before giving up.
 pub const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 30_000;
 
-/// Domain separator for the client driver's per-round batch RNG,
-/// keeping it disjoint from the chain- and server-level streams.
+/// Domain separator for the scripted cohort's seed, keeping its streams
+/// disjoint from the chain- and server-level ones.
 const CLIENT_RNG_DOMAIN: u64 = 0xC11E_47B0_0000_0000;
 
-/// One scripted round of a deployment schedule.
+/// One scripted round of a deployment schedule, naming which members of
+/// the [`ScriptedClients`] cohort are online.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScheduleEntry {
-    /// A conversation round: `pairs` client pairs exchanging through
-    /// shared dead drops plus `singles` lone requests.
+    /// A conversation round: the first `pairs` pairs of talkers send a
+    /// message each, and the first `singles` idlers send cover.
     Conversation {
-        /// Client pairs that complete a real exchange.
+        /// Talking pairs online, each member with one new message.
         pairs: u32,
-        /// Lone clients whose requests meet no partner.
+        /// Idlers online, with no conversation (fake exchanges).
         singles: u32,
     },
-    /// A dialing round: `dials` real invitations into `drops` drops.
+    /// A dialing round: the first `dials` dialers each send an
+    /// invitation, into `drops` drops.
     Dialing {
-        /// Real invitations sent.
+        /// Dialers online, each with one invitation queued.
         dials: u32,
         /// Invitation dead drops this round (§5.4's `m`).
         drops: u32,
@@ -73,7 +70,8 @@ pub enum ScheduleEntry {
 }
 
 impl ScheduleEntry {
-    /// The round's kind, and how many client onions it carries.
+    /// The round's kind, and how many client onions it carries at one
+    /// conversation slot.
     fn shape(self) -> (RoundKind, usize) {
         match self {
             ScheduleEntry::Conversation { pairs, singles } => {
@@ -138,10 +136,10 @@ impl ScheduleEntry {
 pub struct DeploymentConfig {
     /// The protocol parameters every node shares.
     pub system: SystemConfig,
-    /// Chain seed: server keys, noise, and the scripted client batches
-    /// all derive from it.
+    /// Chain seed: server keys, noise, and the scripted clients' keys
+    /// and batches all derive from it.
     pub seed: u64,
-    /// TCP address the entry listens on for the client driver.
+    /// TCP address the entry listens on for the clients.
     pub entry_addr: String,
     /// TCP address each mix server listens on for its upstream peer
     /// (`server_addrs[i]` is server *i*; must match
@@ -277,113 +275,107 @@ pub fn load_config(path: &Path) -> Result<DeploymentConfig, String> {
     DeploymentConfig::from_json(&value).map_err(|err| format!("{}: {err}", path.display()))
 }
 
-/// One scripted round's client-side state: the onions fed in, and what
-/// is needed to verify the replies.
-pub struct ClientRound {
-    /// Request onions, in feed order: the round's arena, its slots
-    /// exactly the round's onion width.
-    pub onions: RoundBuffer,
-    /// Reply-layer keys per onion (conversation rounds only).
-    pub keys: Vec<Vec<LayerKey>>,
-    /// `pair_of[i] = Some(j)` when onions `i` and `j` share a dead drop.
-    pub pair_of: Vec<Option<usize>>,
-    /// The sealed message each conversation onion deposited.
-    pub messages: Vec<Vec<u8>>,
+/// The deployment's clients: one [`ClientCohort`] sized by the
+/// schedule's largest rounds — `2·max(pairs)` talkers (members `2p` and
+/// `2p + 1` converse), `max(singles)` idlers, then `max(dials)` dialers
+/// (each calls the next, the last the first). A round takes online the
+/// first `pairs` pairs and `singles` idlers, or the first `dials`
+/// dialers, and nobody else.
+pub struct ScriptedClients {
+    schedule: Vec<ScheduleEntry>,
+    cohort: ClientCohort,
+    first_idler: usize,
+    first_dialer: usize,
 }
 
-/// Builds round `round`'s client batch — a pure function of the config
-/// seed and the round number, so the distributed client driver and the
-/// in-process reference feed byte-identical onions. Each onion is wrapped
-/// in place, straight into its slot of the round's arena, over the
-/// chain's `tables` ([`ClientCohort::chain_tables`] of
-/// [`DeploymentConfig::server_public_keys`]).
-#[must_use]
-pub fn build_client_round(
-    cfg: &DeploymentConfig,
-    tables: &[PrecomputedServer],
-    round: u64,
-) -> ClientRound {
-    let mut rng = StdRng::seed_from_u64((cfg.seed ^ CLIENT_RNG_DOMAIN).wrapping_add(round));
-    let entry = cfg.schedule[round as usize];
-    let mut data = ClientRound {
-        onions: round_arena(entry.shape().0, tables.len()),
-        keys: Vec::new(),
-        pair_of: Vec::new(),
-        messages: Vec::new(),
-    };
-    let header = 32 * tables.len();
-    let push_exchange = |rng: &mut StdRng, data: &mut ClientRound, drop: DeadDropId| {
-        let mut sealed_message = vec![0u8; SEALED_MESSAGE_LEN];
-        rng.fill_bytes(&mut sealed_message);
-        let request = ExchangeRequest {
-            drop,
-            sealed_message: sealed_message.clone(),
-        };
-        let keys = data.onions.push_with(|slot| {
-            request.encode_into(&mut slot[header..]);
-            onion::wrap_into_with(rng, tables, round, slot, EXCHANGE_REQUEST_LEN)
-        });
-        data.keys.push(keys);
-        data.messages.push(sealed_message);
-    };
-    match entry {
-        ScheduleEntry::Conversation { pairs, singles } => {
-            for pair in 0..pairs {
-                let mut id = [0u8; 16];
-                rng.fill_bytes(&mut id);
-                let drop = DeadDropId(id);
-                push_exchange(&mut rng, &mut data, drop);
-                push_exchange(&mut rng, &mut data, drop);
-                let base = 2 * pair as usize;
-                data.pair_of.push(Some(base + 1));
-                data.pair_of.push(Some(base));
-            }
-            for _ in 0..singles {
-                let mut id = [0u8; 16];
-                rng.fill_bytes(&mut id);
-                push_exchange(&mut rng, &mut data, DeadDropId(id));
-                data.pair_of.push(None);
+impl ScriptedClients {
+    /// Builds the cohort for `cfg`'s schedule and pairs its talkers.
+    #[must_use]
+    pub fn new(cfg: &DeploymentConfig) -> ScriptedClients {
+        let (mut talkers, mut idlers, mut dialers) = (0, 0, 0);
+        for entry in &cfg.schedule {
+            match *entry {
+                ScheduleEntry::Conversation { pairs, singles } => {
+                    talkers = talkers.max(2 * pairs as usize);
+                    idlers = idlers.max(singles as usize);
+                }
+                ScheduleEntry::Dialing { dials, .. } => dialers = dialers.max(dials as usize),
             }
         }
-        ScheduleEntry::Dialing { dials, drops } => {
-            for _ in 0..dials {
-                let caller = Keypair::generate(&mut rng);
-                let callee = Keypair::generate(&mut rng);
-                let request = DialRequest {
-                    drop: vuvuzela_wire::deaddrop::InvitationDropIndex::for_recipient(
-                        &callee.public,
-                        drops,
-                    ),
-                    invitation: SealedInvitation::seal(&mut rng, &caller.public, &callee.public),
-                };
-                data.onions.push_with(|slot| {
-                    request.encode_into(&mut slot[header..]);
-                    onion::wrap_into_with(&mut rng, tables, round, slot, DIAL_REQUEST_LEN)
-                });
-                data.pair_of.push(None);
-            }
+        let seed = cfg.seed ^ CLIENT_RNG_DOMAIN;
+        let mut cohort =
+            ClientCohort::with_own_tables(cfg.system.clone(), seed, &cfg.server_public_keys());
+        cohort.join(talkers + idlers + dialers);
+        for a in (0..talkers).step_by(2) {
+            cohort.pair(a, a + 1).expect("fresh members");
+        }
+        ScriptedClients {
+            schedule: cfg.schedule.clone(),
+            cohort,
+            first_idler: talkers,
+            first_dialer: talkers + idlers,
         }
     }
-    data
+
+    /// Builds round `round`'s client batch, after taking its members
+    /// online and queuing a message `r{round} m{i}` from every talker `i`
+    /// among them, or an invitation from every dialer.
+    ///
+    /// # Panics
+    ///
+    /// If `round` is past the end of the schedule.
+    pub fn build_round(&mut self, round: u64) -> RoundBuffer {
+        let entry = self.schedule[round as usize];
+        let (idlers, dialers) = (self.first_idler, self.first_dialer);
+        let online = |i: usize| match entry {
+            ScheduleEntry::Conversation { pairs, singles } => {
+                i < 2 * pairs as usize || (idlers..idlers + singles as usize).contains(&i)
+            }
+            ScheduleEntry::Dialing { dials, .. } => {
+                (dialers..dialers + dials as usize).contains(&i)
+            }
+        };
+        for i in 0..self.cohort.len() {
+            self.cohort.set_online(i, online(i));
+            if online(i) && i < idlers {
+                let peer = self.cohort.public_key(i ^ 1);
+                let body = format!("r{round} m{i}");
+                self.cohort
+                    .queue_message(i, &peer, body.as_bytes())
+                    .expect("talkers are paired");
+            } else if online(i) && i >= dialers {
+                // The same callee every time, so the dial reuses its slot.
+                let callee = dialers + (i - dialers + 1) % (self.cohort.len() - dialers);
+                let callee = self.cohort.public_key(callee);
+                self.cohort.dial(i, callee).expect("one callee, one slot");
+            }
+        }
+        match entry {
+            ScheduleEntry::Conversation { .. } => self.cohort.build_conversation_round(round),
+            ScheduleEntry::Dialing { drops, .. } => self.cohort.build_dialing_round(round, drops),
+        }
+    }
 }
 
-/// Counts the paired exchanges whose replies decrypt to the partner's
-/// sealed message — the end-to-end correctness check of a round.
-fn verify_pairs(data: &ClientRound, round: u64, replies: &[Vec<u8>]) -> usize {
-    data.pair_of
-        .iter()
-        .enumerate()
-        .filter(|&(i, &pair)| {
-            pair.is_some_and(|j| {
-                i < replies.len()
-                    && onion::unwrap_reply_layers(&data.keys[i], round, &replies[i])
-                        .is_ok_and(|plain| plain == data.messages[j])
-            })
-        })
-        .count()
-}
+/// One round as it came back: its replies and the tail's trailer.
+type Carried = (Vec<Vec<u8>>, RoundTrailer);
 
-fn transcript_header(cfg: &DeploymentConfig) -> Transcript {
+/// The scripted-client driver [`run_reference`] and [`run_client`]
+/// share. `carry` gets a builder of round `index`'s client batch and
+/// returns every round, in order. The cohort sees no reply before every
+/// round is built, as in the simulator, so its bytes do not depend on
+/// how many rounds were in flight.
+fn drive<E>(
+    cfg: &DeploymentConfig,
+    carry: impl FnOnce(&mut dyn FnMut(usize) -> RoundBuffer) -> Result<Vec<Carried>, E>,
+) -> Result<String, E> {
+    let mut clients = ScriptedClients::new(cfg);
+    let mut sent = Vec::with_capacity(cfg.schedule.len());
+    let carried = carry(&mut |index| {
+        let batch = clients.build_round(index as u64);
+        sent.push(batch.len());
+        batch
+    })?;
     let mut transcript = Transcript::new();
     transcript.push(format!(
         "deploy digest {} seed {} chain {} rounds {}",
@@ -392,46 +384,43 @@ fn transcript_header(cfg: &DeploymentConfig) -> Transcript {
         cfg.system.chain_len,
         cfg.schedule.len()
     ));
-    transcript
-}
-
-fn transcribe_conversation(
-    transcript: &mut Transcript,
-    round: u64,
-    data: &ClientRound,
-    replies: &[Vec<u8>],
-    obs: ConversationObservables,
-) {
-    let mut hasher = Sha256::new();
-    for reply in replies {
-        hasher.update(reply);
+    let cohort = &mut clients.cohort;
+    let delivered = |c: &ClientCohort| {
+        (0..c.len())
+            .map(|i| c.all_delivered(i).len())
+            .sum::<usize>()
+    };
+    let rounds = (0u64..).zip(&cfg.schedule).zip(sent);
+    for (((round, entry), sent), (replies, trailer)) in rounds.zip(carried) {
+        match trailer {
+            RoundTrailer::Conversation(obs) => {
+                let mut hasher = Sha256::new();
+                replies.iter().for_each(|reply| hasher.update(reply));
+                let before = delivered(cohort);
+                cohort.handle_conversation_replies(round, &replies);
+                transcript.push(format!(
+                    "round {round} conversation clients {sent} replies {} sha256 {} delivered {}",
+                    replies.len(),
+                    hex(&hasher.finalize()),
+                    delivered(cohort) - before
+                ));
+                transcript.push(format!(
+                    "round {round} obs m1 {} m2 {} m_many {} total {}",
+                    obs.m1, obs.m2, obs.m_many, obs.total_requests
+                ));
+            }
+            RoundTrailer::Dialing(obs) => {
+                transcript.push(format!(
+                    "round {round} dialing clients {sent} drops {} counts {:?} noop {}",
+                    entry.shape().0.num_drops(),
+                    obs.counts,
+                    obs.noop_writes
+                ));
+            }
+        }
     }
-    transcript.push(format!(
-        "round {round} conversation clients {} replies {} sha256 {} verified {}",
-        data.onions.len(),
-        replies.len(),
-        hex(&hasher.finalize()),
-        verify_pairs(data, round, replies)
-    ));
-    transcript.push(format!(
-        "round {round} obs m1 {} m2 {} m_many {} total {}",
-        obs.m1, obs.m2, obs.m_many, obs.total_requests
-    ));
-}
-
-fn transcribe_dialing(
-    transcript: &mut Transcript,
-    round: u64,
-    data: &ClientRound,
-    drops: u32,
-    obs: &DialingObservables,
-) {
-    transcript.push(format!(
-        "round {round} dialing clients {} drops {drops} counts {:?} noop {}",
-        data.onions.len(),
-        obs.counts,
-        obs.noop_writes
-    ));
+    transcript.push(format!("end rounds {}", cfg.schedule.len()));
+    Ok(transcript.render())
 }
 
 /// Replays the schedule on the in-process sequential [`Chain`] — the
@@ -439,30 +428,25 @@ fn transcribe_dialing(
 #[must_use]
 pub fn run_reference(cfg: &DeploymentConfig) -> String {
     let mut chain = Chain::new(cfg.system.clone(), cfg.seed);
-    let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
-    let mut transcript = transcript_header(cfg);
-    for (index, entry) in cfg.schedule.iter().enumerate() {
-        let round = index as u64;
-        let data = build_client_round(cfg, &tables, round);
-        match *entry {
-            ScheduleEntry::Conversation { .. } => {
-                let (replies, _) = chain.run_conversation_round(round, data.onions.clone());
-                let (_, obs) = *chain
-                    .conversation_observables()
-                    .last()
-                    .expect("round just ran");
-                transcribe_conversation(&mut transcript, round, &data, &replies, obs);
+    let Ok(transcript) = drive(cfg, |build| -> Result<_, Infallible> {
+        let carried = (0u64..).zip(&cfg.schedule).map(|(round, entry)| {
+            let batch = build(round as usize);
+            match *entry {
+                ScheduleEntry::Conversation { .. } => {
+                    let (replies, _) = chain.run_conversation_round(round, batch);
+                    let (_, obs) = *chain.conversation_observables().last().expect("round ran");
+                    (replies, RoundTrailer::Conversation(obs))
+                }
+                ScheduleEntry::Dialing { drops, .. } => {
+                    chain.run_dialing_round(round, batch, drops);
+                    let (_, obs) = chain.dialing_observables().last().expect("round ran");
+                    (Vec::new(), RoundTrailer::Dialing(obs.clone()))
+                }
             }
-            ScheduleEntry::Dialing { drops, .. } => {
-                chain.run_dialing_round(round, data.onions.clone(), drops);
-                let (_, obs) = chain.dialing_observables().last().expect("round just ran");
-                let obs = obs.clone();
-                transcribe_dialing(&mut transcript, round, &data, drops, &obs);
-            }
-        }
-    }
-    transcript.push(format!("end rounds {}", cfg.schedule.len()));
-    transcript.render()
+        });
+        Ok(carried.collect())
+    });
+    transcript
 }
 
 /// Replays the schedule against a live entry over any [`Transport`]
@@ -475,8 +459,8 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
 /// flight, fed by [`feed_window`] — the feeder the in-process
 /// [`vuvuzela_core::StreamingChain`] uses too — so heavyweight rounds
 /// consume more of the window. Backward frames return in admission
-/// order and rounds are transcribed as they are collected, so the
-/// transcript is byte-identical at every depth.
+/// order, and the cohort sees no reply before every round is built, so
+/// the transcript is byte-identical at every depth.
 ///
 /// # Errors
 ///
@@ -488,44 +472,25 @@ pub fn run_client(
     depth: usize,
 ) -> Result<String, Error> {
     let depth = depth.clamp(1, cfg.system.chain_len.max(1));
-    let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
-    let mut transcript = transcript_header(cfg);
-    let schedule: Vec<(u64, RoundKind, usize)> = cfg
-        .schedule
-        .iter()
-        .zip(0u64..)
-        .map(|(sched, round)| {
-            let (kind, clients) = sched.shape();
+    let schedule: Vec<(u64, RoundKind, usize)> = (0u64..)
+        .zip(&cfg.schedule)
+        .map(|(round, entry)| {
+            let (kind, clients) = entry.shape();
             (round, kind, clients)
         })
         .collect();
-    feed_window(
-        &cfg.system,
-        entry,
-        depth,
-        &schedule,
-        |index| {
-            let (round, kind, _) = schedule[index];
-            let data = build_client_round(cfg, &tables, round);
-            (data.onions.clone(), (kind.num_drops(), data))
-        },
-        |(num_drops, data), back, trailer| match trailer {
-            RoundTrailer::Conversation(obs) => {
-                let stride = back.stride as usize;
-                let replies: Vec<Vec<u8>> = back
-                    .payload
-                    .chunks(stride.max(1))
-                    .map(|chunk| chunk[..back.width as usize].to_vec())
-                    .collect();
-                transcribe_conversation(&mut transcript, back.round.0, &data, &replies, obs);
-            }
-            RoundTrailer::Dialing(obs) => {
-                transcribe_dialing(&mut transcript, back.round.0, &data, num_drops, &obs);
-            }
-        },
-    )?;
-    transcript.push(format!("end rounds {}", cfg.schedule.len()));
-    Ok(transcript.render())
+    drive(cfg, |build| {
+        let mut carried = Vec::with_capacity(schedule.len());
+        let admit = |index| (build(index), ());
+        let collect = |(), back: BatchFrame, trailer| {
+            // A batch of no slots may come back with no stride.
+            let (stride, width) = ((back.stride as usize).max(1), back.width as usize);
+            let replies = RoundBuffer::from_raw(back.payload, stride, width, back.count as usize);
+            carried.push((replies.to_vecs(), trailer));
+        };
+        feed_window(&cfg.system, entry, depth, &schedule, admit, collect)?;
+        Ok(carried)
+    })
 }
 
 /// Runs mix server `position` over TCP: bind the upstream listener,
@@ -687,7 +652,8 @@ fn kill_all(children: &mut [(String, Child)]) {
 
 /// Spawns one full process set — servers tail-to-head, entry, client —
 /// against `resolved_path`, waits for every process, and returns the
-/// client transcript.
+/// client transcript. The first process to exit non-zero is named in
+/// the error, and the others are killed.
 fn run_process_set(
     cfg: &DeploymentConfig,
     bin: &dyn Fn(&str) -> PathBuf,
@@ -743,23 +709,26 @@ fn run_process_set(
     }
     spawn(&mut children, "vuvuzela-client".to_string(), &mut client)?;
 
-    let mut failure = None;
-    for (name, child) in &mut children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                failure = Some(format!("{name} exited with {status}"));
-                break;
-            }
-            Err(err) => {
-                failure = Some(format!("cannot wait for {name}: {err}"));
-                break;
-            }
+    // Poll every process rather than wait on each in turn: a node that
+    // fails at start-up can leave the others blocked for good (a server
+    // in `accept` has no timeout), so the first failure ends the set.
+    loop {
+        let failure = children
+            .iter_mut()
+            .find_map(|(name, child)| match child.try_wait() {
+                Ok(Some(s)) if !s.success() => Some(format!("{name} exited with {s}")),
+                Ok(_) => None,
+                Err(err) => Some(format!("cannot wait for {name}: {err}")),
+            });
+        if let Some(failure) = failure {
+            kill_all(&mut children);
+            return Err(failure);
         }
-    }
-    if let Some(failure) = failure {
-        kill_all(&mut children);
-        return Err(failure);
+        let succeeded = |child: &mut Child| matches!(child.try_wait(), Ok(Some(s)) if s.success());
+        if children.iter_mut().all(|(_, child)| succeeded(child)) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
     std::fs::read_to_string(transcript_path).map_err(|err| {
         format!(
@@ -928,6 +897,7 @@ pub fn smoke_config() -> DeploymentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vuvuzela_crypto::onion;
 
     #[test]
     fn committed_smoke_deployment_matches_builtin() {
@@ -1068,43 +1038,35 @@ mod tests {
     }
 
     #[test]
-    fn client_rounds_are_deterministic() {
-        let cfg = smoke_config();
-        let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
-        let a = build_client_round(&cfg, &tables, 0);
-        let b = build_client_round(&cfg, &tables, 0);
-        assert_eq!(a.onions.to_vecs(), b.onions.to_vecs());
-        assert_eq!(a.messages, b.messages);
-        let c = build_client_round(&cfg, &tables, 2);
-        assert_ne!(
-            a.onions.to_vecs(),
-            c.onions.to_vecs(),
-            "rounds draw distinct batches"
+    fn smoke_reference_matches_its_pin() {
+        // SHA-256 of the smoke deployment's reference transcript below
+        // its header (which names the resolved addresses): the cohort's
+        // onions, what the servers did with them, and what the replies
+        // delivered.
+        const WANT: &str = "c30f6226946403163e5df81f1129b9c3cb382f6f73959f96646767a2bf7eaf26";
+        let reference = run_reference(&smoke_config());
+        assert_eq!(
+            hex(&sha256(transcript_body(&reference).as_bytes())),
+            WANT,
+            "{reference}"
         );
     }
 
     #[test]
-    fn client_round_arenas_match_the_reference_wrap() {
-        // SHA-256 over the smoke schedule's round 0 (conversation) and
-        // round 1 (dialing): each round's onions concatenated, then its
-        // layer keys. Taken when the client built every onion with the
-        // allocating `onion::wrap`; the in-place wrap into the arena must
-        // reproduce its onions, keys and RNG draws exactly.
-        const WANT: &str = "3496bb8b40e7d38139f91321090460440dcdfcd48f6912d3ee101487fac73a49";
-        let cfg = smoke_config();
-        let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
-        let mut hasher = Sha256::new();
-        for round in [0, 1] {
-            let data = build_client_round(&cfg, &tables, round);
-            let width = data.onions.width();
-            assert_eq!(data.onions.stride(), width, "slots are exactly one onion");
-            for i in 0..data.onions.len() {
-                hasher.update(data.onions.slot(i));
-            }
-            for key in data.keys.iter().flatten() {
-                hasher.update(&key.0);
-            }
-        }
-        assert_eq!(hex(&hasher.finalize()), WANT);
+    fn smoke_tail_histograms_do_not_depend_on_the_client() {
+        // The lines the synthetic-onion client produced before the
+        // cohort replaced it. Server noise is a function of the seed and
+        // the round, and the cohort puts the same pairs and singles into
+        // the dead drops, so no count the tail sees may move.
+        let reference = run_reference(&smoke_config());
+        let obs: Vec<&str> = reference.lines().filter(|l| l.contains(" obs ")).collect();
+        assert_eq!(
+            obs,
+            [
+                "round 0 obs m1 10 m2 9 m_many 0 total 28",
+                "round 2 obs m1 15 m2 6 m_many 0 total 27",
+                "round 3 obs m1 11 m2 6 m_many 0 total 23",
+            ]
+        );
     }
 }

@@ -3,18 +3,20 @@
 //! an operator runs — loses its middle server to `kill` after one
 //! completed round. Nothing may wait on the dead process: the client's
 //! next `recv` fails, and every surviving process exits non-zero, naming
-//! a link on stderr, inside a stated bound.
+//! a link on stderr, inside a stated bound. And a node that dies at
+//! start-up, before any round, ends `vuvuzela-launch` with its name.
 //!
 //! The in-process variants (an erroring or panicking node thread over
 //! memory endpoints and loopback TCP) are `tests/node_hang_up.rs`.
 
 use std::io::Read;
-use std::path::PathBuf;
+use std::net::TcpListener;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use vuvuzela::core::node::RoundTrailer;
-use vuvuzela::core::ClientCohort;
-use vuvuzela::deploy::{self, DeploymentConfig};
+use vuvuzela::deploy::{self, LaunchOptions, ScriptedClients};
 use vuvuzela::net::{LinkId, TcpTransport, Transport};
 use vuvuzela::wire::{BatchFrame, Frame, RoundId, RoundType};
 
@@ -22,11 +24,9 @@ use vuvuzela::wire::{BatchFrame, Frame, RoundId, RoundType};
 const BOUND: Duration = Duration::from_secs(10);
 
 /// Round `round` of the smoke schedule (all but round 1 are conversation
-/// rounds) as the client driver would send it.
-fn conversation_frame(cfg: &DeploymentConfig, round: u64) -> (Frame, usize) {
-    let tables = ClientCohort::chain_tables(&cfg.server_public_keys());
-    let data = deploy::build_client_round(cfg, &tables, round);
-    let (payload, stride, width, count) = data.onions.into_raw();
+/// rounds) as the deployment's client builds it.
+fn conversation_frame(clients: &mut ScriptedClients, round: u64) -> (Frame, usize) {
+    let (payload, stride, width, count) = clients.build_round(round).into_raw();
     let frame = Frame::Batch(BatchFrame {
         link: LinkId::Clients,
         round: RoundId(round),
@@ -100,7 +100,8 @@ fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
 
     // One whole conversation round, so every process is past start-up
     // and holds live connections to its neighbours.
-    let (frame, requests) = conversation_frame(&cfg, 0);
+    let mut clients = ScriptedClients::new(&cfg);
+    let (frame, requests) = conversation_frame(&mut clients, 0);
     client.send(frame).expect("send round 0");
     match client.recv().expect("round 0 comes back") {
         Frame::Batch(back) => {
@@ -126,7 +127,7 @@ fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
 
     // The entry may already be gone when this is written; either way
     // the next thing the client reads is the failure.
-    let _ = client.send(conversation_frame(&cfg, 2).0);
+    let _ = client.send(conversation_frame(&mut clients, 2).0);
     let next = client.recv();
     assert!(next.is_err(), "the client must see the failure: {next:?}");
 
@@ -154,4 +155,31 @@ fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
             .any(|link| stderr.contains(&link.to_string()));
         assert!(names_a_link, "{name} must name a link on stderr:\n{stderr}");
     }
+}
+
+#[test]
+fn an_entry_that_cannot_bind_ends_the_launch_by_name() {
+    // Someone else holds the entry's port: the entry exits at once,
+    // while server 0 waits in `accept` for it and the client waits on
+    // the stranger's socket. The launcher must not wait with them.
+    let squatter = TcpListener::bind("127.0.0.1:0").expect("a free loopback port");
+    let mut cfg = deploy::smoke_config();
+    cfg.entry_addr = squatter.local_addr().expect("bound").to_string();
+    let opts = LaunchOptions {
+        check: false,
+        out_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("entry_cannot_bind"),
+        bin_dir: Path::new(env!("CARGO_BIN_EXE_vuvuzela-server"))
+            .parent()
+            .map(Path::to_path_buf),
+        pipeline: 1,
+    };
+    let (done, outcome) = mpsc::channel();
+    let launcher = std::thread::spawn(move || done.send(deploy::launch(cfg, &opts).map(|_| ())));
+    let outcome = outcome
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the launch ends within 20 s");
+    let _sent = launcher.join().expect("launcher thread");
+    let err = outcome.expect_err("a node failed");
+    assert!(err.contains("vuvuzela-entry"), "names the entry: {err}");
+    drop(squatter);
 }

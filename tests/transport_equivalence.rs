@@ -186,14 +186,17 @@ fn transcripts_react_to_seed_and_schedule() {
 }
 
 #[test]
-fn paired_exchanges_verify_in_every_round() {
-    let cfg = smoke();
-    let reference = deploy::run_reference(&cfg);
-    // smoke_config rounds: 2 pairs -> 4 verified, then 1 pair -> 2, then
-    // 0 pairs -> 0. Pin the counts so verification is known-effective.
-    assert!(reference.contains("verified 4"), "{reference}");
-    assert!(reference.contains("verified 2"), "{reference}");
-    assert!(reference.contains("verified 0"), "{reference}");
+fn paired_talkers_deliver_their_messages() {
+    let reference = deploy::run_reference(&smoke());
+    let delivered: Vec<&str> = reference
+        .lines()
+        .filter_map(|line| line.split(" delivered ").nth(1))
+        .collect();
+    // smoke_config rounds: two pairs each deliver both their messages.
+    // Round 2's pair retransmits round 0's messages, whose acks the
+    // cohort ingests only after the last round is built (duplicates,
+    // nothing new); round 3 has no pair.
+    assert_eq!(delivered, ["4", "0", "0"], "{reference}");
 }
 
 /// Drives a bare entry node (dummy never-replying downstream) with
