@@ -2,16 +2,17 @@
 //!
 //! The attacker's job: given two *adjacent worlds* — twin deployments
 //! identical except for one target user's behaviour (talking to their
-//! partner vs. sitting idle) — decide from a transcript's public
-//! statistics which world produced it. Differential privacy promises
-//! that no such distinguisher beats [`crate::bounds::max_advantage`]
-//! of the composed (ε′, δ′) the transcript itself reports.
+//! partner vs. sitting idle) — decide from a run's
+//! [`crate::AdversaryView`] which world produced it. Differential
+//! privacy promises that no such distinguisher beats
+//! [`crate::bounds::max_advantage`] of the composed (ε′, δ′) the view
+//! itself reports.
 //!
 //! The detector here is the strongest single-statistic attack on the
 //! dead-drop histogram: it sweeps every threshold over a scalar
 //! feature of each conversation round ([`pair_activity_feature`]) on
-//! *training* transcripts, keeps the orientation and cut that best
-//! separate the worlds, and is then scored on *held-out* transcripts.
+//! *training* runs, keeps the orientation and cut that best separate
+//! the worlds, and is then scored on *held-out* runs.
 //! Its held-out advantage, plus a Hoeffding slack for the finite
 //! sample, must stay under the bound on every honest deployment — and
 //! must *exceed* it when the cover noise is turned off or undersized,

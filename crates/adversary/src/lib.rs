@@ -15,7 +15,10 @@
 //!
 //! Every attack here consumes only the *legitimate observables*
 //! ([`vuvuzela_core::observables`]) plus link taps — the same information
-//! a real adversary would have. The point of the crate is Figure-2-style
+//! a real adversary would have. A whole run's worth of them — per-round
+//! participants and observables, tap batches, the composed (ε′, δ′) — is
+//! one typed record, [`AdversaryView`], which the simulator fills in and
+//! the graded [`detector`] reads. The point of the crate is Figure-2-style
 //! evidence: the attacks demolish a noiseless mixnet and are reduced to
 //! coin-flipping by Vuvuzela's cover traffic, with the residual advantage
 //! bounded by the (ε, δ) accounting.
@@ -28,7 +31,7 @@ pub mod bounds;
 pub mod detector;
 pub mod model;
 pub mod taps;
-pub mod transcript;
+pub mod view;
 
 pub use attacks::{DisruptionAttack, IntersectionAttack, StatisticalDisclosureAttack};
 pub use bounds::{hoeffding_slack, max_accuracy, max_advantage};
@@ -36,4 +39,4 @@ pub use detector::{
     pair_activity_feature, split_by_seed, DetectionGrade, DetectionOutcome, ThresholdDetector,
 };
 pub use model::ObservableModel;
-pub use transcript::TranscriptView;
+pub use view::{AdversaryView, RoundView, TapBatch};

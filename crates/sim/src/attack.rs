@@ -1,18 +1,17 @@
-//! The transcript-level traffic-analysis attack matrix: a trained
-//! distinguisher graded against the composed (ε′, δ′) bound.
+//! The traffic-analysis attack matrix: a trained distinguisher graded
+//! against the composed (ε′, δ′) bound.
 //!
 //! Each [`AttackCase`] defines a pair of *adjacent worlds* — twin
 //! scenarios identical in every step except one target user's
 //! behaviour: in the "talking" world client 0 dials client 1 and they
 //! hold an active conversation; in the "idle" world both sit as cover
 //! traffic. Both worlds run over many seeds; the adversary sees only
-//! the rendered transcripts, reconstructed through
-//! [`vuvuzela_adversary::TranscriptView`] (which discards the
-//! ground-truth lines). A [`ThresholdDetector`] trains on the first
-//! half of the seeds and is scored on the held-out second half, and
-//! the verdict compares its advantage against
-//! `max_advantage(ε′, δ′)` with the budget read from the transcript's
-//! own ledger lines plus a Hoeffding slack for the finite sample.
+//! each run's [`vuvuzela_adversary::AdversaryView`] (`SimReport::view`),
+//! which has no ground-truth field. A [`ThresholdDetector`] trains on
+//! the first half of the seeds and is scored on the held-out second
+//! half, and the verdict compares its advantage against
+//! `max_advantage(ε′, δ′)` with the budget the view reports plus a
+//! Hoeffding slack for the finite sample.
 //!
 //! The matrix is falsifiable in both directions:
 //!
@@ -24,8 +23,8 @@
 //!   proving the harness has the teeth to catch a broken deployment.
 
 use vuvuzela_adversary::detector::split_by_seed;
-use vuvuzela_adversary::{pair_activity_feature, ThresholdDetector, TranscriptView};
-use vuvuzela_dp::{ComposedPrivacy, NoiseDistribution, NoiseMode};
+use vuvuzela_adversary::{pair_activity_feature, ThresholdDetector};
+use vuvuzela_dp::{NoiseDistribution, NoiseMode};
 
 use crate::scenario::{LedgerNoise, RoundPlan, Scale, Scenario, Step};
 use crate::simulator::{run_scenario, SimError, SimReport};
@@ -110,9 +109,9 @@ pub struct AttackVerdict {
     pub threshold: i64,
     /// The trained orientation.
     pub talking_above: bool,
-    /// Composed ε′ read from the transcripts' ledger lines.
+    /// Composed ε′ the runs' adversary views report.
     pub epsilon: f64,
-    /// Composed δ′ read from the transcripts' ledger lines.
+    /// Composed δ′ the runs' adversary views report.
     pub delta: f64,
     /// `max_advantage(ε′, δ′)`.
     pub bound: f64,
@@ -294,28 +293,25 @@ pub fn twin_scenario(case: &AttackCase, seed: u64, talking: bool) -> Scenario {
 }
 
 /// Everything one world's seeded runs produce: per-seed feature
-/// vectors (one [`pair_activity_feature`] per conversation round),
-/// each transcript's composed budget, and the raw reports.
+/// vectors (one [`pair_activity_feature`] per conversation round) and
+/// the raw reports.
 struct WorldRuns {
     per_seed: Vec<Vec<i64>>,
-    budgets: Vec<ComposedPrivacy>,
     reports: Vec<SimReport>,
 }
 
 /// Runs every seeded twin of one world.
 fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
     let mut per_seed = Vec::with_capacity(case.seed_pairs);
-    let mut budgets = Vec::with_capacity(case.seed_pairs);
     let mut reports = Vec::with_capacity(case.seed_pairs);
     for i in 0..case.seed_pairs {
         let seed = case.base_seed.wrapping_add(i as u64);
         let report = run_scenario(&twin_scenario(case, seed, talking))?;
-        let view = TranscriptView::parse(&report.transcript.render())
-            .map_err(|e| SimError::Attack(format!("transcript parse: {e}")))?;
-        let features: Vec<i64> = view
+        let features: Vec<i64> = report
+            .view
             .conversation_rounds()
-            .filter_map(|r| r.counts)
-            .map(|c| pair_activity_feature(c.m1, c.m2))
+            .filter_map(|(_, observables)| observables)
+            .map(|o| pair_activity_feature(o.m1, o.m2))
             .collect();
         if features.len() != case.conversation_rounds {
             return Err(SimError::Attack(format!(
@@ -324,15 +320,10 @@ fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
                 features.len()
             )));
         }
-        budgets.push(view.composed_budget());
         per_seed.push(features);
         reports.push(report);
     }
-    Ok(WorldRuns {
-        per_seed,
-        budgets,
-        reports,
-    })
+    Ok(WorldRuns { per_seed, reports })
 }
 
 /// Runs one attack case end to end: both worlds over every seed, the
@@ -340,11 +331,12 @@ fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
 ///
 /// # Errors
 ///
-/// Propagates the first simulation or transcript-parse failure.
+/// Propagates the first simulation failure, or [`SimError::Attack`]
+/// for a run missing a conversation round's observables.
 ///
 /// # Panics
 ///
-/// Panics if the twin transcripts disagree on the composed budget —
+/// Panics if the twin runs disagree on the composed budget —
 /// adjacent worlds run the same round schedule, so their ledgers must
 /// match to the bit.
 pub fn run_attack_case(case: &AttackCase) -> Result<AttackOutcome, SimError> {
@@ -355,12 +347,13 @@ pub fn run_attack_case(case: &AttackCase) -> Result<AttackOutcome, SimError> {
     let mut talking = run_world(case, true)?;
     let mut idle = run_world(case, false)?;
 
-    let budget = talking.budgets[0];
-    for other in talking.budgets.iter().chain(&idle.budgets) {
+    let budget = talking.reports[0].view.budget;
+    for other in talking.reports.iter().chain(&idle.reports) {
+        let other = other.view.budget;
         assert!(
             (other.epsilon - budget.epsilon).abs() < 1e-12
                 && (other.delta - budget.delta).abs() < 1e-12,
-            "twin transcripts disagree on the composed budget: {budget:?} vs {other:?}"
+            "twin runs disagree on the composed budget: {budget:?} vs {other:?}"
         );
     }
 

@@ -1,7 +1,7 @@
-//! Runs the transcript-level attack matrix — a trained twin-world
-//! distinguisher graded against the composed (ε′, δ′) bound — and
-//! writes the JSON verdicts plus one sample twin-transcript pair per
-//! case to an output directory.
+//! Runs the attack matrix — a twin-world distinguisher trained on each
+//! run's adversary view and graded against the composed (ε′, δ′) bound
+//! that view reports — and writes the JSON verdicts plus one sample
+//! twin-transcript pair per case to an output directory.
 //!
 //! ```text
 //! sim_attack [--full] [OUT_DIR]

@@ -105,7 +105,8 @@
 //! 4. **Monotone privacy spend** — the composed (ε′, δ′) after round k
 //!    equals an independent Theorem-2 recomputation at k rounds
 //!    ([`vuvuzela_dp::PrivacyLedger`]) and strictly exceeds the spend at
-//!    k−1.
+//!    k−1. This one is checked on every charge, an aborted schedule's
+//!    rounds included.
 //! 5. **Fixed sizes under taps** — every batch an attached
 //!    [`vuvuzela_adversary::taps::SizeRecorder`] observed is
 //!    single-sized, with the exact width the round kind implies at that
@@ -152,15 +153,16 @@
 //!
 //! [`attack`] closes the loop on the (ε′, δ′) accounting: it runs
 //! *adjacent-world* twin scenarios (one target user talking vs. idle),
-//! hands the rendered transcripts to the
-//! [`vuvuzela_adversary::TranscriptView`] parser — which reconstructs
-//! only what a tapping adversary sees — trains a
-//! [`vuvuzela_adversary::ThresholdDetector`] on half the seeds, and
-//! asserts the held-out advantage against
-//! `max_advantage(ε′, δ′)` with the budget read from the transcript's
-//! own ledger lines. Honest sampled noise must stay under the bound;
-//! the noise-off and undersized-µ negative controls must *beat* it.
-//! `sim_attack` runs the matrix and writes a JSON verdict artefact.
+//! reads each run's [`vuvuzela_adversary::AdversaryView`] — the typed
+//! record the simulator fills in beside its transcript, holding only
+//! what a tapping adversary sees ([`simulator::SimReport::view`]) —
+//! trains a [`vuvuzela_adversary::ThresholdDetector`] on half the
+//! seeds, and asserts the held-out advantage against
+//! `max_advantage(ε′, δ′)` with the budget the view reports (the
+//! ledger's total, aborted rounds included). Honest sampled noise must
+//! stay under the bound; the noise-off and undersized-µ negative
+//! controls must *beat* it. `sim_attack` runs the matrix and writes a
+//! JSON verdict artefact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

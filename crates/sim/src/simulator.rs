@@ -23,6 +23,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_adversary::taps::{CrashOnRound, SizeRecorder, StallLink};
+use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
 use vuvuzela_core::chain::{Batch, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
@@ -31,7 +32,7 @@ use vuvuzela_core::RoundBuffer;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
 use vuvuzela_dp::{PrivacyLedger, Protocol};
-use vuvuzela_net::{LinkId, Tap};
+use vuvuzela_net::{Direction, LinkId, Tap};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::{RoundType, DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN};
 
@@ -61,8 +62,8 @@ const CONCENTRATION_K: f64 = 6.0;
 pub enum SimError {
     /// A per-round invariant did not hold.
     Invariant(InvariantViolation),
-    /// The attack harness could not use a run's transcript (parse
-    /// failure or missing observables) — see [`crate::attack`].
+    /// The attack harness could not use a run's adversary view (it
+    /// lacks observable rounds) — see [`crate::attack`].
     Attack(String),
 }
 
@@ -98,6 +99,9 @@ pub struct SimReport {
     pub schedules_aborted: u64,
     /// Messages delivered to clients across the whole run.
     pub delivered: u64,
+    /// What the adversary saw of the run: the transcript's public
+    /// records, typed.
+    pub view: AdversaryView,
 }
 
 /// What the simulator tracks about a scripted client beside its
@@ -170,8 +174,8 @@ pub struct Simulator {
     rng: StdRng,
     next_round: u64,
     ledger: PrivacyLedger,
-    last_spent: [vuvuzela_dp::ComposedPrivacy; 2],
     transcript: Transcript,
+    view: AdversaryView,
     recorders: Vec<(usize, Arc<Mutex<SizeRecorder>>)>,
     pending_crash: Option<(usize, u64)>,
     delivered_seen: HashMap<(usize, PublicKey), usize>,
@@ -224,10 +228,6 @@ impl Simulator {
             None => (config.conversation_noise, config.dialing_noise),
         };
         let ledger = PrivacyLedger::new(ledger_conversation, ledger_dialing, LEDGER_D);
-        let last_spent = [
-            ledger.spent(Protocol::Conversation),
-            ledger.spent(Protocol::Dialing),
-        ];
         let mut transcript = Transcript::new();
         transcript.push("vuvuzela-sim transcript v1".to_string());
         transcript.push(format!("scenario {}", scenario.name));
@@ -269,8 +269,12 @@ impl Simulator {
             by_key: HashMap::new(),
             tables,
             next_round: 0,
+            view: AdversaryView {
+                rounds: Vec::new(),
+                taps: Vec::new(),
+                budget: ledger.total_spent(),
+            },
             ledger,
-            last_spent,
             transcript,
             recorders: Vec::new(),
             pending_crash: None,
@@ -347,6 +351,7 @@ impl Simulator {
             self.rounds_completed, self.schedules_aborted
         ));
         let hash = self.transcript.sha256_hex();
+        self.view.budget = self.ledger.total_spent();
         SimReport {
             name: self.scenario.name.clone(),
             hash,
@@ -354,6 +359,7 @@ impl Simulator {
             schedules_aborted: self.schedules_aborted,
             delivered: self.delivered,
             transcript: self.transcript,
+            view: self.view,
         }
     }
 
@@ -748,7 +754,7 @@ impl Simulator {
 
         match outcome {
             Ok(outcomes) => self.process_completed(&metas, outcomes, crash_link)?,
-            Err(_panic) => self.process_abort(&metas, crash_link),
+            Err(_panic) => self.process_abort(&metas, crash_link)?,
         }
         Ok(())
     }
@@ -757,7 +763,11 @@ impl Simulator {
     /// yields nothing; servers and clients discard the dead rounds'
     /// state; the conservative ledger still charges every scheduled
     /// round. Nothing timing-dependent reaches the transcript.
-    fn process_abort(&mut self, metas: &[RoundMeta], crash_link: Option<usize>) {
+    fn process_abort(
+        &mut self,
+        metas: &[RoundMeta],
+        crash_link: Option<usize>,
+    ) -> Result<(), SimError> {
         self.schedules_aborted += 1;
         let rounds: Vec<String> = metas.iter().map(|m| m.round().to_string()).collect();
         self.transcript
@@ -776,11 +786,10 @@ impl Simulator {
                 RoundMeta::Conversation { .. } => Protocol::Conversation,
                 RoundMeta::Dialing { .. } => Protocol::Dialing,
             };
-            let spent = self.ledger.charge(protocol);
-            self.last_spent[protocol_slot(protocol)] = spent;
+            self.charge(meta.round(), protocol)?;
         }
-        let conversation = self.last_spent[protocol_slot(Protocol::Conversation)];
-        let dialing = self.last_spent[protocol_slot(Protocol::Dialing)];
+        let conversation = self.ledger.spent(Protocol::Conversation);
+        let dialing = self.ledger.spent(Protocol::Dialing);
         self.transcript.push(format!(
             "ledger conversation eps {:e} delta {:e} dialing eps {:e} delta {:e}",
             conversation.epsilon, conversation.delta, dialing.epsilon, dialing.delta
@@ -790,6 +799,7 @@ impl Simulator {
         for (_, recorder) in &self.recorders {
             recorder.lock().batches.clear();
         }
+        Ok(())
     }
 
     fn process_completed(
@@ -934,6 +944,11 @@ impl Simulator {
                      missing-observables eps {:e} delta {:e}",
                     spent.epsilon, spent.delta
                 ));
+                self.view.rounds.push(RoundView::Conversation {
+                    round,
+                    participants: total_participants as u64,
+                    observables: None,
+                });
                 return Ok(());
             }
         };
@@ -949,7 +964,7 @@ impl Simulator {
                 .chain
                 .chain()
                 .client_link()
-                .round_traffic(round, vuvuzela_net::Direction::Forward),
+                .round_traffic(round, Direction::Forward),
             onion_width,
             replies: replies_len,
         };
@@ -997,6 +1012,11 @@ impl Simulator {
             spent.epsilon,
             spent.delta
         ));
+        self.view.rounds.push(RoundView::Conversation {
+            round,
+            participants: total_participants as u64,
+            observables: Some(observables),
+        });
         for &id in participants {
             for pk in self.clients.peers(id) {
                 let msgs = self.clients.delivered_from(id, &pk);
@@ -1039,6 +1059,11 @@ impl Simulator {
                      missing-observables eps {:e} delta {:e}",
                     spent.epsilon, spent.delta
                 ));
+                self.view.rounds.push(RoundView::Dialing {
+                    round,
+                    participants: total_participants as u64,
+                    observables: None,
+                });
                 return Ok(());
             }
         };
@@ -1049,9 +1074,8 @@ impl Simulator {
             participants: total_participants as u64,
             real_per_drop,
             observables: &observables,
-            client_link_forward: client_link.round_traffic(round, vuvuzela_net::Direction::Forward),
-            client_link_backward: client_link
-                .round_traffic(round, vuvuzela_net::Direction::Backward),
+            client_link_forward: client_link.round_traffic(round, Direction::Forward),
+            client_link_backward: client_link.round_traffic(round, Direction::Backward),
             onion_width,
             backward_stages,
         };
@@ -1079,6 +1103,11 @@ impl Simulator {
             spent.epsilon,
             spent.delta
         ));
+        self.view.rounds.push(RoundView::Dialing {
+            round,
+            participants: total_participants as u64,
+            observables: Some(observables),
+        });
         Ok(())
     }
 
@@ -1107,8 +1136,8 @@ impl Simulator {
         round: u64,
         protocol: Protocol,
     ) -> Result<vuvuzela_dp::ComposedPrivacy, SimError> {
+        let previous = self.ledger.spent(protocol);
         let spent = self.ledger.charge(protocol);
-        let previous = self.last_spent[protocol_slot(protocol)];
         // The charge invariant recomputes the per-round (ε, δ) from the
         // noise the ledger *charges with* — the claimed parameters when
         // a ledger override is in play, the deployed ones otherwise.
@@ -1130,7 +1159,6 @@ impl Simulator {
             spent,
             previous,
         ))?;
-        self.last_spent[protocol_slot(protocol)] = spent;
         Ok(spent)
     }
 
@@ -1207,13 +1235,23 @@ impl Simulator {
             let checked = check_tap_sizes(link, &link_shapes, &batches);
             self.note(checked)?;
             for (round, forward, sizes) in &batches {
+                let (direction, name) = if *forward {
+                    (Direction::Forward, "forward")
+                } else {
+                    (Direction::Backward, "backward")
+                };
+                let tap = TapBatch {
+                    link: LinkId::Hop(link as u32),
+                    round: *round,
+                    direction,
+                    onions: sizes.len() as u64,
+                    width: sizes.first().copied().unwrap_or(0) as u64,
+                };
                 self.transcript.push(format!(
-                    "tap link {} round {round} {} onions {} width {}",
-                    LinkId::Hop(link as u32),
-                    if *forward { "forward" } else { "backward" },
-                    sizes.len(),
-                    sizes.first().copied().unwrap_or(0)
+                    "tap link {} round {round} {name} onions {} width {}",
+                    tap.link, tap.onions, tap.width
                 ));
+                self.view.taps.push(tap);
             }
         }
         self.recorders = recorders;
@@ -1229,13 +1267,6 @@ struct ScheduleShape {
     submitted: u64,
     noise_per_server_lo: u64,
     noise_per_server_hi: u64,
-}
-
-fn protocol_slot(protocol: Protocol) -> usize {
-    match protocol {
-        Protocol::Conversation => 0,
-        Protocol::Dialing => 1,
-    }
 }
 
 /// Convenience: build and run a scenario in one call.

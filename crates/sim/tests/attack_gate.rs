@@ -1,16 +1,25 @@
 //! The attack matrix's acceptance gates, asserted in both directions:
 //! the honest deployment stays under the composed (ε′, δ′) bound, and
 //! both negative controls — noise off, undersized µ — beat it. Plus
-//! the glue contracts: the transcript budget matches an independent
-//! dp-crate recomputation, and the strict parser handles real bundled
-//! transcripts.
+//! the glue contracts: the adversary view's budget matches an
+//! independent dp-crate recomputation (aborted rounds included), and
+//! the view of a real bundled run holds every completed round with the
+//! last server's own observables.
 
-use vuvuzela_adversary::TranscriptView;
 use vuvuzela_dp::accounting::combine;
 use vuvuzela_dp::{NoiseDistribution, PrivacyLedger, Protocol};
+use vuvuzela_net::LinkId;
 use vuvuzela_sim::{
-    attack_matrix, bundled_matrix, run_attack_case, run_scenario, AttackControl, Scale,
+    attack_matrix, bundled_matrix, run_attack_case, run_scenario, AttackControl, Scale, Scenario,
+    Simulator,
 };
+
+fn bundled(name: &str) -> Scenario {
+    bundled_matrix(Scale::Smoke)
+        .into_iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("bundled matrix has {name}"))
+}
 
 fn run_control(control: AttackControl) -> vuvuzela_sim::AttackVerdict {
     let case = attack_matrix(Scale::Smoke)
@@ -92,13 +101,11 @@ fn honest_budget() -> (f64, f64) {
 fn transcript_budget_matches_independent_dp_recomputation() {
     let case = &attack_matrix(Scale::Smoke)[0];
     let scenario = vuvuzela_sim::twin_scenario(case, 7, true);
-    let report = run_scenario(&scenario).expect("runs");
-    let view = TranscriptView::parse(&report.transcript.render()).expect("parses");
-    let budget = view.composed_budget();
+    let budget = run_scenario(&scenario).expect("runs").view.budget;
     let (eps, delta) = honest_budget();
     assert!(
         (budget.epsilon - eps).abs() < 1e-12,
-        "transcript ε′ {} vs recomputed {}",
+        "view ε′ {} vs recomputed {}",
         budget.epsilon,
         eps
     );
@@ -106,22 +113,65 @@ fn transcript_budget_matches_independent_dp_recomputation() {
 }
 
 #[test]
-fn parser_reconstructs_a_real_bundled_transcript() {
-    // The strict parser must accept every line the simulator emits for
-    // a full-featured scenario (taps, scans, deliveries, mixed
-    // schedules) while exposing only the adversary-visible fields.
-    let scenario = bundled_matrix(Scale::Smoke)
-        .into_iter()
-        .find(|s| s.name == "steady_state")
-        .expect("bundled matrix has steady_state");
-    let report = run_scenario(&scenario).expect("runs");
-    let view = TranscriptView::parse(&report.transcript.render()).expect("parses");
-    assert_eq!(view.scenario, "steady_state");
-    assert_eq!(view.servers, 3);
-    assert!(view.conversation_rounds().count() >= 5);
-    assert!(view.dialing_rounds().count() >= 2);
+fn aborted_rounds_are_charged_but_not_recorded() {
+    // server_fault: one dialing round, a three-round conversation
+    // schedule that aborts, then three conversation rounds that
+    // complete. The conservative ledger charges all six conversation
+    // rounds; the adversary view records only the three that completed.
+    let report = run_scenario(&bundled("server_fault")).expect("runs");
+    assert_eq!(report.schedules_aborted, 1);
+    let mut ledger = PrivacyLedger::new(
+        NoiseDistribution::new(6.0, 0.5),
+        NoiseDistribution::new(3.0, 0.5),
+        1e-5,
+    );
+    ledger.charge(Protocol::Dialing);
+    for _ in 0..6 {
+        ledger.charge(Protocol::Conversation);
+    }
+    assert_eq!(report.view.budget, ledger.total_spent());
+    assert_eq!(report.view.conversation_rounds().count(), 3);
+    assert_eq!(report.view.dialing_rounds().count(), 1);
+}
+
+#[test]
+fn view_records_every_completed_round_with_the_last_servers_observables() {
+    // A full-featured scenario (taps, scans, deliveries, mixed
+    // schedules): every completed round has one record, carrying
+    // exactly what the last server published for that round.
+    let mut scenario = bundled("steady_state");
+    let steps = std::mem::take(&mut scenario.steps);
+    let mut sim = Simulator::new(scenario);
+    for step in steps {
+        sim.step(step).expect("steady_state passes its invariants");
+    }
+    let chain = sim.chain().chain();
+    let conversation: Vec<_> = chain
+        .conversation_observables()
+        .iter()
+        .map(|(round, o)| (*round, Some(*o)))
+        .collect();
+    let dialing: Vec<_> = chain
+        .dialing_observables()
+        .iter()
+        .map(|(round, o)| (*round, Some(o.clone())))
+        .collect();
+    let report = sim.run().expect("no steps left");
+    let view = &report.view;
+    let recorded: Vec<_> = view
+        .conversation_rounds()
+        .map(|(round, o)| (round, o.copied()))
+        .collect();
+    assert_eq!(recorded, conversation);
+    let recorded: Vec<_> = view
+        .dialing_rounds()
+        .map(|(round, o)| (round, o.cloned()))
+        .collect();
+    assert_eq!(recorded, dialing);
+    assert_eq!(
+        (conversation.len() + dialing.len()) as u64,
+        report.rounds_completed
+    );
     assert!(!view.taps.is_empty(), "steady_state observes a link");
-    let budget = view.composed_budget();
-    assert!(budget.epsilon > 0.0 && budget.delta > 0.0);
-    assert_eq!(view.completed_rounds, Some(report.rounds_completed));
+    assert!(view.taps.iter().all(|t| t.link == LinkId::Hop(1)));
 }
