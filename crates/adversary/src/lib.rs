@@ -14,9 +14,10 @@
 //!   with the exchange counts over many rounds.
 //!
 //! Every attack here consumes only the *legitimate observables*
-//! ([`vuvuzela_core::observables`]) plus link taps — the same information
-//! a real adversary would have. A whole run's worth of them — per-round
-//! participants and observables, tap batches, the composed (ε′, δ′) — is
+//! ([`vuvuzela_core::observables`]) plus per-link batch counts and
+//! sizes — the same information a real adversary would have. A whole
+//! run's worth of them — per-round participants and observables, the
+//! observed links' batches, the composed (ε′, δ′) — is
 //! one typed record, [`AdversaryView`], which the simulator fills in and
 //! the graded [`detector`] reads. The point of the crate is Figure-2-style
 //! evidence: the attacks demolish a noiseless mixnet and are reduced to

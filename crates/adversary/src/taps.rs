@@ -1,16 +1,17 @@
-//! Reusable adversary taps for [`vuvuzela_net::link::Link`]s.
+//! Reusable tampering taps for [`vuvuzela_net::link::Link`]s.
 //!
-//! Passive taps ([`SizeRecorder`]) observe; tampering taps exercise the
-//! §2.3 active adversary, who "can monitor, block, delay, or inject
-//! traffic on any network link": [`DropFraction`] discards,
-//! [`DelayBatch`] holds a round's batch and releases it merged into a
-//! later round, [`ReplayBatch`] re-sends a copied batch, and
-//! [`InjectOnions`] pushes well-formed garbage. Every tampering tap is
-//! link-addressable (a tap is attached to one [`vuvuzela_net::Link`])
-//! and round-addressable (via a [`RoundWindow`] or explicit round
-//! fields). A [`TapStack`] composes several taps on one link — the
-//! "coalition multiplexes inside its own `Tap` implementation"
-//! convention from the `Link` docs.
+//! They exercise the §2.3 active adversary, who "can monitor, block,
+//! delay, or inject traffic on any network link": [`DropFraction`]
+//! discards, [`DelayBatch`] holds a round's batch and releases it merged
+//! into a later round, [`ReplayBatch`] re-sends a copied batch, and
+//! [`InjectOnions`] pushes well-formed garbage. Monitoring needs no tap:
+//! a link meters every batch into its own per-round log before its tap
+//! runs, and that log is what a passive observer of the link sees. Every
+//! tampering tap is link-addressable (a tap is attached to one
+//! [`vuvuzela_net::Link`]) and round-addressable (via a [`RoundWindow`]
+//! or explicit round fields). A [`TapStack`] composes several taps on one
+//! link — the "coalition multiplexes inside its own `Tap`
+//! implementation" convention from the `Link` docs.
 
 use vuvuzela_net::link::{Tap, TapContext};
 
@@ -453,24 +454,6 @@ impl Tap for CrashOnRound {
     }
 }
 
-/// Records only the *sizes* of everything in flight — a cheap global
-/// passive observer for asserting the fixed-size invariants.
-#[derive(Default)]
-pub struct SizeRecorder {
-    /// `(round, direction-is-forward, sizes)` per observed batch.
-    pub batches: Vec<(u64, bool, Vec<usize>)>,
-}
-
-impl Tap for SizeRecorder {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-        self.batches.push((
-            ctx.round,
-            matches!(ctx.direction, vuvuzela_net::Direction::Forward),
-            batch.iter().map(Vec::len).collect(),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,18 +594,6 @@ mod tests {
         };
         assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()), batch3());
         assert_eq!(pass(&mut tap, 0, Direction::Backward, batch3()), batch3());
-    }
-
-    #[test]
-    fn size_recorder_sees_sizes_only() {
-        let mut tap = SizeRecorder::default();
-        let _ = pass(
-            &mut tap,
-            9,
-            Direction::Forward,
-            vec![vec![0u8; 7], vec![0u8; 7]],
-        );
-        assert_eq!(tap.batches, vec![(9, true, vec![7, 7])]);
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub enum RoundView {
     },
 }
 
-/// One tap observation: a batch on a chain link.
+/// One observed batch on a chain link: what the link's per-round log
+/// recorded for one round in one direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TapBatch {
     /// The observed link.
@@ -65,8 +66,8 @@ pub struct TapBatch {
 pub struct AdversaryView {
     /// Every completed protocol round, in completion order.
     pub rounds: Vec<RoundView>,
-    /// Every tap-observed batch, in canonical `(round, forward-first)`
-    /// order per link.
+    /// Every batch on an observed link, in canonical `(round,
+    /// forward-first)` order per link.
     pub taps: Vec<TapBatch>,
     /// The whole run's composed budget: both protocols' Theorem-2
     /// spends, combined by basic composition

@@ -33,8 +33,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
-use vuvuzela_net::link::{Direction, Link};
-use vuvuzela_net::transport::batch_through_link;
+use vuvuzela_net::batch_through_link;
+use vuvuzela_net::link::Link;
 use vuvuzela_net::LinkId;
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
@@ -77,7 +77,7 @@ impl From<RoundBuffer> for Batch {
 /// Admits one round's client batch at the entry: the arena crosses the
 /// aggregated clients→entry link as a frame ([`batch_through_link`]:
 /// metered, and tapped when a tap is attached) and comes out as the
-/// round's forward arena. A tap's size-mismatch count is dropped on this
+/// round's forward arena. A tap's size mismatches are not counted on this
 /// leg: entry sizes are client-controlled, so a mismatch cannot be
 /// attributed to a tap (see [`Chain::tap_resized`]).
 ///
@@ -103,7 +103,7 @@ pub(crate) fn admit_batch(
         buf.stride()
     );
     let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
-    let _uncounted = batch_through_link(client_link, &mut frame);
+    batch_through_link(client_link, &mut frame);
     buf_from_frame(frame)
 }
 
@@ -292,8 +292,7 @@ impl<'a> Collector<'a> {
         match trailer {
             RoundTrailer::Conversation(observables) => {
                 self.log.conversation.push((round, observables));
-                let resized = batch_through_link(self.client_link, &mut back);
-                self.client_link.add_tap_resized(resized);
+                batch_through_link(self.client_link, &mut back);
                 timing.total = fed.elapsed();
                 let replies = buf_from_frame(back).to_vecs();
                 RoundOutcome::Conversation { replies, timing }
@@ -328,9 +327,6 @@ pub struct Chain {
     pub(crate) links: Vec<Link>,
     /// Aggregated clients→entry link.
     pub(crate) client_link: Link,
-    /// Meter standing in for the CDN that serves invitation-drop
-    /// downloads (§5.5).
-    pub(crate) cdn_link: Link,
     /// Base seed for the chain-level per-round RNG.
     pub(crate) seed: u64,
     pub(crate) log: RoundLog,
@@ -352,7 +348,6 @@ impl Chain {
             servers,
             links,
             client_link: Link::new(LinkId::Clients),
-            cdn_link: Link::new(LinkId::Cdn),
             seed,
             log: RoundLog::default(),
         }
@@ -444,7 +439,7 @@ impl Chain {
         // out of it — home once it leaves hop 0.
         let mut on = 0;
         loop {
-            links[on].add_tap_resized(batch_through_link(&links[on], &mut frame));
+            batch_through_link(&links[on], &mut frame);
             let (hop, from) = match (frame.backward, on) {
                 (false, _) => (on, Side::Upstream),
                 (true, 0) => break,
@@ -469,17 +464,12 @@ impl Chain {
         outcome
     }
 
-    /// Downloads one invitation drop from the most recent dialing round,
-    /// metering the transfer on the CDN link (§5.5). Returns `None` if no
-    /// dialing round has completed or the index is invalid.
-    pub fn download_drop(&mut self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
-        let (round, drops) = self.log.invitation_drops.as_ref()?;
-        let contents = drops.download(index)?.to_vec();
-        let bytes = contents.iter().map(|inv| inv.0.len() as u64).sum();
-        let messages = contents.len() as u64;
-        self.cdn_link
-            .record(*round, Direction::Backward, messages, bytes);
-        Some(contents)
+    /// Downloads one invitation drop from the most recent dialing round
+    /// (§5.5). Returns `None` if no dialing round has completed or the
+    /// index is invalid.
+    pub fn download_drop(&self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
+        let (_, drops) = self.log.invitation_drops.as_ref()?;
+        Some(drops.download(index)?.to_vec())
     }
 
     /// Number of real drops in the most recent dialing round.
@@ -527,14 +517,8 @@ impl Chain {
         &self.links
     }
 
-    /// The CDN link serving invitation downloads (metering).
-    #[must_use]
-    pub fn cdn_link(&self) -> &Link {
-        &self.cdn_link
-    }
-
-    /// Total bytes moved across all chain links (both directions),
-    /// excluding CDN downloads — the "server bandwidth" of §8.2.
+    /// Total bytes moved across the clients link and every chain link
+    /// (both directions) — the "server bandwidth" of §8.2.
     #[must_use]
     pub fn total_server_bytes(&self) -> u64 {
         self.client_link.total_bytes() + self.links.iter().map(Link::total_bytes).sum::<u64>()
@@ -648,6 +632,7 @@ mod tests {
     use rand::RngCore;
     use vuvuzela_crypto::onion;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
+    use vuvuzela_net::link::Direction;
     use vuvuzela_wire::conversation::ExchangeRequest;
     use vuvuzela_wire::dialing::DialRequest;
     use vuvuzela_wire::{EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN, SEALED_MESSAGE_LEN};
@@ -795,12 +780,6 @@ mod tests {
         let (_, obs) = &chain.dialing_observables()[0];
         assert_eq!(obs.counts.len(), 2);
         assert_eq!(obs.counts.iter().sum::<u64>(), 2 * 6 + 1);
-
-        // CDN metering saw the download.
-        assert_eq!(
-            chain.cdn_link().backward_meter().bytes(),
-            (contents.len() * vuvuzela_wire::SEALED_INVITATION_LEN) as u64
-        );
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod config;
 pub mod deaddrops;
 pub mod engine;
 pub mod entry;
-pub mod keystore;
 pub mod node;
 pub mod noise;
 pub mod observables;

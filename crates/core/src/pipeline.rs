@@ -116,7 +116,7 @@ impl StreamingChain {
 
     /// Downloads one invitation drop from the most recent dialing
     /// round (see [`Chain::download_drop`]).
-    pub fn download_drop(&mut self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
+    pub fn download_drop(&self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
         self.chain.download_drop(index)
     }
 
@@ -391,7 +391,7 @@ mod tests {
                         sl.round_traffic(round, direction),
                         ql.round_traffic(round, direction),
                         "link {} round {round}",
-                        sl.name()
+                        sl.id()
                     );
                 }
             }
@@ -709,7 +709,7 @@ mod tests {
                     link.round_traffic(round as u64, Direction::Backward),
                     (0, 0),
                     "dialing round {round} put backward traffic on {}",
-                    link.name()
+                    link.id()
                 );
             }
         }

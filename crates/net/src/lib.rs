@@ -11,9 +11,10 @@
 //!   bandwidth number the benches report (`link_bytes_per_onion` in
 //!   `benchmark/README.md`).
 //! * [`link`] — a [`link::Link`] carries batches of opaque ciphertexts
-//!   between hops and hands each batch to an optional [`link::Tap`],
-//!   which models the paper's §2.3 adversary: it can *monitor, block,
-//!   delay, or inject* traffic on any link.
+//!   between hops, logs per round and direction what crossed it (the
+//!   adversary's view of the link), and hands each batch to an optional
+//!   [`link::Tap`], which models the paper's §2.3 active adversary: it
+//!   can *block, delay, or inject* traffic on any link.
 //! * [`parallel`] — a persistent [`parallel::WorkerPool`] (spawned once,
 //!   reused across rounds) that spreads per-request Diffie-Hellman work
 //!   across cores, mirroring the 36-core parallelism of the paper's
@@ -34,7 +35,7 @@ pub mod transport;
 
 pub use demux::{Demux, DemuxEvent};
 pub use error::Error;
-pub use link::{Direction, Link, RecordingTap, Tap, TapContext};
+pub use link::{batch_through_link, Direction, Link, Tap, TapContext};
 pub use meter::Meter;
 pub use parallel::WorkerPool;
 pub use tcp::{RetryPolicy, TcpTransport};

@@ -1,18 +1,24 @@
 //! Observable, tamperable links between protocol hops.
 //!
-//! Every hop-to-hop transfer in the simulated deployment goes through a
-//! [`Link`]. A link meters traffic and exposes it to an optional [`Tap`]
-//! — the in-code embodiment of the paper's network adversary, who "can
-//! monitor, block, delay, or inject traffic on any network link" (§2.3).
-//! Taps receive the batch *by mutable reference* and may do anything to
-//! it; whatever remains is what the next hop sees.
+//! Every hop-to-hop transfer in an in-process deployment crosses a
+//! [`Link`] through [`batch_through_link`]. The link first writes the
+//! batch into its **per-round log** — per round and direction, how many
+//! fixed-size ciphertexts crossed, in how many bytes and how many
+//! transfers. That log is the one record of link traffic: the meters,
+//! the simulator's invariant checks and the adversary's view of the link
+//! (§4.1, §6.1) all read it. Only then does the batch reach the optional
+//! [`Tap`] — the in-code embodiment of the paper's network adversary, who
+//! "can monitor, block, delay, or inject traffic on any network link"
+//! (§2.3). Taps receive the batch *by mutable reference* and may do
+//! anything to it; whatever remains is what the next hop sees.
 
 use crate::error::Error;
 use crate::meter::Meter;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vuvuzela_wire::LinkId;
+use vuvuzela_wire::{BatchFrame, LinkId};
 
 /// Direction of a transfer over a link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,53 +42,27 @@ pub struct TapContext {
     pub direction: Direction,
 }
 
-/// An adversary's vantage point on one link.
+/// An adversary's active vantage point on one link.
 ///
-/// Implementations may record (passive global observer), delete or reorder
-/// entries (blocking), stash entries for later rounds (delaying), or push
-/// new entries (injection). Honest operation is simply having no tap.
+/// Implementations may delete or reorder entries (blocking), stash
+/// entries for later rounds (delaying), or push new entries (injection).
+/// Honest operation is simply having no tap; a passive observer needs
+/// none either, since the link's per-round log already holds what it
+/// would see.
 pub trait Tap: Send {
     /// Inspect and/or mutate a batch in flight.
     fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>);
 }
 
-/// A tap that copies everything it sees and tampers with nothing — the
-/// global *passive* adversary.
-#[derive(Default)]
-pub struct RecordingTap {
-    /// Every observed batch: (context, sizes and contents of each entry).
-    pub observations: Vec<(TapContext, Vec<Vec<u8>>)>,
-}
-
-impl RecordingTap {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> RecordingTap {
-        RecordingTap::default()
-    }
-
-    /// Total number of messages observed across all batches.
-    #[must_use]
-    pub fn total_messages(&self) -> usize {
-        self.observations.iter().map(|(_, b)| b.len()).sum()
-    }
-}
-
-impl Tap for RecordingTap {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-        self.observations.push((ctx.clone(), batch.clone()));
-    }
-}
-
 /// A byte-metered, tappable link between two hops.
 ///
 /// Besides the aggregate per-direction [`Meter`]s, a link keeps
-/// **per-round** byte/message counts. With the streaming scheduler
-/// several rounds are on the wire at once, so aggregate counters alone
-/// can no longer attribute traffic to a round — but the adversary of
-/// §2.3 observes per-round batches either way, and the per-round log is
-/// what lets tests assert that pipelined execution changes *when* bytes
-/// move, never *which round* they belong to.
+/// **per-round** counts. With the streaming scheduler several rounds are
+/// on the wire at once, so aggregate counters alone cannot attribute
+/// traffic to a round — but the adversary of §2.3 observes per-round
+/// batches either way, and the per-round log is what lets tests assert
+/// that pipelined execution changes *when* bytes move, never *which
+/// round* they belong to.
 ///
 /// [`Clone`] yields a second handle on the *same* link — same meters,
 /// per-round log and resize count, and the tap attached at the time —
@@ -94,20 +74,26 @@ pub struct Link {
     tap: Option<Arc<Mutex<dyn Tap>>>,
 }
 
+/// What one round moved over a link in one direction.
+#[derive(Clone, Copy, Default)]
+struct RoundTraffic {
+    messages: u64,
+    bytes: u64,
+    /// Batches that carried it: one for every honest round.
+    transfers: u64,
+}
+
 /// What every handle on one link shares.
 struct Shared {
     id: LinkId,
-    /// Rendered `id`, cached so [`Link::name`] can keep returning a
-    /// borrowed `&str`.
-    name: String,
     forward_meter: Arc<Meter>,
     backward_meter: Arc<Meter>,
-    /// `(messages, bytes)` per (round, direction), for round-attributed
-    /// accounting under overlapped rounds. Bounded: entries for the
-    /// oldest rounds are evicted past [`PER_ROUND_LOG_CAP`], so
-    /// long-running simulations don't grow without limit (the aggregate
-    /// meters remain exact forever).
-    per_round: Mutex<std::collections::BTreeMap<(u64, bool), (u64, u64)>>,
+    /// Traffic per (round, direction), for round-attributed accounting
+    /// under overlapped rounds. Bounded: entries for the oldest rounds
+    /// are evicted past [`PER_ROUND_LOG_CAP`], so long-running
+    /// simulations don't grow without limit (the aggregate meters remain
+    /// exact forever).
+    per_round: Mutex<BTreeMap<(u64, bool), RoundTraffic>>,
     /// Entries a tap resized in flight (see [`Link::tap_resized`]).
     tap_resized: AtomicU64,
 }
@@ -125,10 +111,9 @@ impl Link {
         Link {
             shared: Arc::new(Shared {
                 id,
-                name: id.to_string(),
                 forward_meter: Arc::new(Meter::new()),
                 backward_meter: Arc::new(Meter::new()),
-                per_round: Mutex::new(std::collections::BTreeMap::new()),
+                per_round: Mutex::new(BTreeMap::new()),
                 tap_resized: AtomicU64::new(0),
             }),
             tap: None,
@@ -163,12 +148,9 @@ impl Link {
         self.tap = None;
     }
 
-    /// Meters a transfer of `messages` entries, `bytes` in all. The
-    /// transfer is attributed to `round` in the per-round log as well as
-    /// the aggregate meters. A batch frame crosses a link through
-    /// [`crate::transport::batch_through_link`], which meters here before
-    /// any tap runs.
-    pub fn record(&self, round: u64, direction: Direction, messages: u64, bytes: u64) {
+    /// Meters one transfer of `messages` entries, `bytes` in all, into
+    /// the aggregate meters and the per-round log.
+    fn record(&self, round: u64, direction: Direction, messages: u64, bytes: u64) {
         let meter = match direction {
             Direction::Forward => &self.shared.forward_meter,
             Direction::Backward => &self.shared.backward_meter,
@@ -177,12 +159,22 @@ impl Link {
         let mut per_round = self.shared.per_round.lock();
         let entry = per_round
             .entry((round, matches!(direction, Direction::Backward)))
-            .or_insert((0, 0));
-        entry.0 += messages;
-        entry.1 += bytes;
+            .or_default();
+        entry.messages += messages;
+        entry.bytes += bytes;
+        entry.transfers += 1;
         while per_round.len() > PER_ROUND_LOG_CAP {
             per_round.pop_first();
         }
+    }
+
+    fn round_entry(&self, round: u64, direction: Direction) -> RoundTraffic {
+        self.shared
+            .per_round
+            .lock()
+            .get(&(round, matches!(direction, Direction::Backward)))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The `(messages, bytes)` this link carried for one round in one
@@ -190,12 +182,16 @@ impl Link {
     /// aggregate-meter increments.
     #[must_use]
     pub fn round_traffic(&self, round: u64, direction: Direction) -> (u64, u64) {
-        self.shared
-            .per_round
-            .lock()
-            .get(&(round, matches!(direction, Direction::Backward)))
-            .copied()
-            .unwrap_or((0, 0))
+        let entry = self.round_entry(round, direction);
+        (entry.messages, entry.bytes)
+    }
+
+    /// How many batches of one round crossed this link in one direction:
+    /// one for every round that crossed it honestly, zero for a round
+    /// that never reached it.
+    #[must_use]
+    pub fn round_transfers(&self, round: u64, direction: Direction) -> u64 {
+        self.round_entry(round, direction).transfers
     }
 
     /// A snapshot of the whole per-round log, in `(round, direction)`
@@ -209,47 +205,21 @@ impl Link {
             .per_round
             .lock()
             .iter()
-            .map(|(&(round, backward), &counts)| {
+            .map(|(&(round, backward), entry)| {
                 let direction = if backward {
                     Direction::Backward
                 } else {
                     Direction::Forward
                 };
-                ((round, direction), counts)
+                ((round, direction), (entry.messages, entry.bytes))
             })
             .collect()
-    }
-
-    /// Whether an adversary tap is attached (callers carrying flat
-    /// buffers only pay the per-message conversion when one is).
-    #[must_use]
-    pub fn has_tap(&self) -> bool {
-        self.tap.is_some()
-    }
-
-    /// Runs the attached tap (if any) over a batch. Metering is the
-    /// caller's responsibility via [`Link::record`].
-    pub fn tap_intercept(&self, round: u64, direction: Direction, batch: &mut Vec<Vec<u8>>) {
-        if let Some(tap) = &self.tap {
-            let ctx = TapContext {
-                link: self.id(),
-                round,
-                direction,
-            };
-            tap.lock().intercept(&ctx, batch);
-        }
     }
 
     /// The link's typed identity.
     #[must_use]
     pub fn id(&self) -> LinkId {
         self.shared.id
-    }
-
-    /// The link's diagnostic name (the rendered [`LinkId`]).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.shared.name
     }
 
     /// Meter for the request direction.
@@ -270,29 +240,78 @@ impl Link {
         self.shared.forward_meter.bytes() + self.shared.backward_meter.bytes()
     }
 
-    /// Counts `entries` more as resized by the tap: whoever carries a
-    /// flat arena across the link and rebuilds it after the tap ran
-    /// reports how many entries came back at another size than the
-    /// arena's width (their slots were rebuilt zero-filled).
-    pub fn add_tap_resized(&self, entries: u64) {
-        self.shared
-            .tap_resized
-            .fetch_add(entries, Ordering::Relaxed);
-    }
-
     /// Entries a tap truncated, extended or injected at a non-onion
-    /// size on this link so far.
+    /// size on this link so far (see [`batch_through_link`]).
     #[must_use]
     pub fn tap_resized(&self) -> u64 {
         self.shared.tap_resized.load(Ordering::Relaxed)
     }
 }
 
+/// Runs a batch frame through a [`Link`] — the one place every in-process
+/// runtime of the chain crosses a link. Meters it into the link's
+/// per-round log (attributed to its round and direction) before anything
+/// else, and — only when an adversary tap is attached — pays the
+/// per-message conversion, lets the tap interfere, and rebuilds the flat
+/// payload with resized entries zero-filled. Resized entries count on
+/// [`Link::tap_resized`], except on the clients' request leg: entry sizes
+/// there are client-controlled, so a mismatch cannot be pinned on the tap.
+/// A frame without an arena (`stride == 0`: a dialing round's completion
+/// notice) is not a transfer and passes unmetered and untapped.
+pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
+    let direction = if batch.backward {
+        Direction::Backward
+    } else {
+        Direction::Forward
+    };
+    let round = batch.round.0;
+    let width = batch.width as usize;
+    let stride = batch.stride as usize;
+    if stride == 0 {
+        return;
+    }
+    link.record(
+        round,
+        direction,
+        u64::from(batch.count),
+        u64::from(batch.count) * u64::from(batch.width),
+    );
+    let Some(tap) = &link.tap else {
+        return;
+    };
+    let mut msgs: Vec<Vec<u8>> = batch
+        .payload
+        .chunks(stride)
+        .map(|slot| slot[..width].to_vec())
+        .collect();
+    let ctx = TapContext {
+        link: link.id(),
+        round,
+        direction,
+    };
+    tap.lock().intercept(&ctx, &mut msgs);
+    let mut payload = vec![0u8; msgs.len() * stride];
+    let mut resized = 0;
+    for (i, msg) in msgs.iter().enumerate() {
+        if msg.len() == width {
+            payload[i * stride..i * stride + width].copy_from_slice(msg);
+        } else {
+            resized += 1;
+        }
+    }
+    batch.count = msgs.len() as u32;
+    batch.payload = payload;
+    if link.id() != LinkId::Clients || direction == Direction::Backward {
+        link.shared
+            .tap_resized
+            .fetch_add(resized, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::batch_through_link;
-    use vuvuzela_wire::{BatchFrame, LinkId, RoundId, RoundType};
+    use vuvuzela_wire::{RoundId, RoundType};
 
     /// A batch of `entries` (all one width) for `round`.
     fn frame(round: u64, direction: Direction, entries: &[&[u8]]) -> BatchFrame {
@@ -314,7 +333,7 @@ mod tests {
     /// Carries `entries` across `link` and returns what arrives.
     fn carry(link: &Link, round: u64, direction: Direction, entries: &[&[u8]]) -> Vec<Vec<u8>> {
         let mut batch = frame(round, direction, entries);
-        let _resized = batch_through_link(link, &mut batch);
+        batch_through_link(link, &mut batch);
         let width = batch.width as usize;
         batch.payload.chunks(width).map(<[u8]>::to_vec).collect()
     }
@@ -341,6 +360,8 @@ mod tests {
         assert_eq!(link.round_traffic(1, Direction::Forward), (2, 40));
         assert_eq!(link.round_traffic(0, Direction::Backward), (1, 5));
         assert_eq!(link.round_traffic(1, Direction::Backward), (0, 0));
+        assert_eq!(link.round_transfers(1, Direction::Forward), 1);
+        assert_eq!(link.round_transfers(1, Direction::Backward), 0);
         assert_eq!(link.forward_meter().bytes(), 50);
         assert_eq!(
             link.round_traffic_log(),
@@ -350,22 +371,6 @@ mod tests {
                 ((1, Direction::Forward), (2, 40)),
             ]
         );
-    }
-
-    #[test]
-    fn recording_tap_sees_everything() {
-        let mut link = Link::new(LinkId::Hop(0));
-        let tap = Arc::new(Mutex::new(RecordingTap::new()));
-        link.attach_tap(tap.clone());
-        let _ = carry(&link, 3, Direction::Forward, &[&[0; 5]]);
-        let _ = carry(&link, 3, Direction::Backward, &[&[0; 7], &[0; 7]]);
-
-        let guard = tap.lock();
-        assert_eq!(guard.observations.len(), 2);
-        assert_eq!(guard.total_messages(), 3);
-        assert_eq!(guard.observations[0].0.round, 3);
-        assert_eq!(guard.observations[0].0.direction, Direction::Forward);
-        assert_eq!(guard.observations[1].0.direction, Direction::Backward);
     }
 
     /// A blocking tap: models "block traffic from all clients except Alice
@@ -386,6 +391,7 @@ mod tests {
         // Metering happens before interference: the adversary cannot hide
         // traffic from our own accounting.
         assert_eq!(link.forward_meter().messages(), 3);
+        assert_eq!(link.round_traffic(0, Direction::Forward), (3, 3));
     }
 
     /// An injecting tap: models request injection.

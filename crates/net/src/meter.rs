@@ -41,13 +41,6 @@ impl Meter {
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
-
-    /// Resets all counters to zero (e.g. between sweep points).
-    pub fn reset(&self) {
-        self.bytes.store(0, Ordering::Relaxed);
-        self.messages.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Formats a byte count with binary-ish units the way the paper quotes
@@ -77,16 +70,6 @@ mod tests {
         assert_eq!(m.messages(), 15);
         assert_eq!(m.bytes(), 3840);
         assert_eq!(m.batches(), 2);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let m = Meter::new();
-        m.record_batch(1, 100);
-        m.reset();
-        assert_eq!(m.bytes(), 0);
-        assert_eq!(m.messages(), 0);
-        assert_eq!(m.batches(), 0);
     }
 
     #[test]

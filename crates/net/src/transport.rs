@@ -6,10 +6,10 @@
 //! against the trait, so the same node code runs
 //!
 //! * **in process** over [`MemoryEndpoint`] pairs, which carry frames
-//!   over in-memory queues and route every batch through the same
-//!   byte-metered, tappable [`Link`] the simulator uses (meter first,
-//!   then tap — the adversary cannot hide traffic from our own
-//!   accounting), and
+//!   over in-memory queues and carry every batch across the same
+//!   byte-metered, tappable [`Link`] the simulator uses
+//!   ([`batch_through_link`]: meter first, then tap — the adversary
+//!   cannot hide traffic from our own accounting), and
 //! * **across processes** over [`crate::tcp::TcpTransport`], the framed
 //!   length-prefixed TCP backend.
 //!
@@ -18,12 +18,12 @@
 //! up, but its signatures stay honest about what a real wire can do.
 
 use crate::error::Error;
-use crate::link::{Direction, Link};
+use crate::link::{batch_through_link, Link};
 use parking_lot::Mutex;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use vuvuzela_wire::{BatchFrame, Frame, LinkId};
+use vuvuzela_wire::{Frame, LinkId};
 
 /// Where [`Transport::deliver_to`] puts what a link receives: called
 /// with each frame, or with the error that ended the link; returns
@@ -73,57 +73,6 @@ pub trait Transport: Send + Sync + 'static {
     fn deliver_to(self: Arc<Self>, mut sink: Sink) -> Option<JoinHandle<()>> {
         Some(std::thread::spawn(move || while !sink(self.recv()) {}))
     }
-}
-
-/// Runs a batch frame through a [`Link`]: meters it (attributed to its
-/// round and direction), and — only when an adversary tap is attached —
-/// pays the per-message conversion, lets the tap interfere, and
-/// rebuilds the flat payload with resized entries zero-filled. Returns
-/// how many entries the tap resized; the caller decides whether they
-/// count on [`Link::tap_resized`] (every runtime of the chain crosses
-/// its links here, in process and over sockets). A frame without an
-/// arena (`stride == 0`: a dialing round's completion notice) is not a
-/// transfer and passes unmetered and untapped.
-#[must_use]
-pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> u64 {
-    let direction = if batch.backward {
-        Direction::Backward
-    } else {
-        Direction::Forward
-    };
-    let round = batch.round.0;
-    let width = batch.width as usize;
-    let stride = batch.stride as usize;
-    if stride == 0 {
-        return 0;
-    }
-    link.record(
-        round,
-        direction,
-        u64::from(batch.count),
-        (u64::from(batch.count)) * batch.width as u64,
-    );
-    if !link.has_tap() {
-        return 0;
-    }
-    let mut msgs: Vec<Vec<u8>> = batch
-        .payload
-        .chunks(stride)
-        .map(|slot| slot[..width].to_vec())
-        .collect();
-    link.tap_intercept(round, direction, &mut msgs);
-    let mut payload = vec![0u8; msgs.len() * stride];
-    let mut resized = 0;
-    for (i, msg) in msgs.iter().enumerate() {
-        if msg.len() == width {
-            payload[i * stride..i * stride + width].copy_from_slice(msg);
-        } else {
-            resized += 1;
-        }
-    }
-    batch.count = msgs.len() as u32;
-    batch.payload = payload;
-    resized
 }
 
 /// One direction of an in-memory link: where the sending end puts a
@@ -187,8 +136,7 @@ impl Transport for MemoryEndpoint {
 
     fn send(&self, mut frame: Frame) -> Result<(), Error> {
         if let Frame::Batch(batch) = &mut frame {
-            self.link
-                .add_tap_resized(batch_through_link(&self.link, batch));
+            batch_through_link(&self.link, batch);
         }
         let mut outbox = self.outbox.lock();
         let sink = outbox.as_mut().ok_or_else(|| self.disconnected())?;
@@ -234,8 +182,8 @@ impl Drop for MemoryEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{Tap, TapContext};
-    use vuvuzela_wire::{RoundId, RoundType};
+    use crate::link::{Direction, Tap, TapContext};
+    use vuvuzela_wire::{BatchFrame, RoundId, RoundType};
 
     fn batch(count: u32, backward: bool) -> BatchFrame {
         BatchFrame {

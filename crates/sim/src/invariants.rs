@@ -17,8 +17,10 @@
 //! inferred noise draw must sit within `k·σ/√n` of µ
 //! ([`check_noise_concentration`]).
 
+use vuvuzela_adversary::TapBatch;
 use vuvuzela_core::observables::{ConversationObservables, DialingObservables};
 use vuvuzela_dp::{compose, ComposedPrivacy, Protocol};
+use vuvuzela_net::Direction;
 
 /// A failed invariant: which one, in which round, and what diverged.
 #[derive(Clone, Debug)]
@@ -421,21 +423,18 @@ pub fn check_privacy_charge(
     Ok(())
 }
 
-/// One tap-observed batch, after canonical reordering: `(round,
-/// forward?, sizes)`.
-pub type TapBatch = (u64, bool, Vec<usize>);
-
-/// Checks invariant 5 for every batch a [`vuvuzela_adversary::taps::
-/// SizeRecorder`] saw on chain link `link` during one schedule: each
-/// batch is single-sized with exactly the width its round's kind
-/// implies at that chain position, each completed round crossed the
-/// link exactly once forward (and, for conversation rounds, once
-/// backward), and the batch is `submitted + link·noise` onions strong
-/// for an in-window per-server noise draw (exact in deterministic
-/// mode, where the shape's `lo == hi`).
+/// Checks invariant 5 on chain link `link` for one schedule. `taps`
+/// holds what the link's per-round log recorded for each completed
+/// round and direction that crossed it, and `transfers` counts the
+/// batches behind a record ([`vuvuzela_net::Link::round_transfers`]).
+/// Every batch carries exactly the width its round's kind implies at
+/// that chain position, each completed round crossed the link exactly
+/// once forward (and, for conversation rounds, once backward), and the
+/// batch is `submitted + link·noise` onions strong for an in-window
+/// per-server noise draw (exact in deterministic mode, where the shape's
+/// `lo == hi`).
 ///
-/// `rounds` maps each *completed* round id to `(is_conversation,
-/// submitted, forward_width, backward_width, noise_per_server)`.
+/// `rounds` maps each *completed* round id to its [`TapRoundShape`].
 ///
 /// # Errors
 ///
@@ -444,61 +443,60 @@ pub type TapBatch = (u64, bool, Vec<usize>);
 pub fn check_tap_sizes(
     link: usize,
     rounds: &std::collections::BTreeMap<u64, TapRoundShape>,
-    batches: &[TapBatch],
+    taps: &[TapBatch],
+    transfers: impl Fn(u64, Direction) -> u64,
 ) -> Result<(), InvariantViolation> {
-    use std::collections::BTreeMap;
-    let mut seen: BTreeMap<(u64, bool), u64> = BTreeMap::new();
-    for (round, forward, sizes) in batches {
-        let Some(shape) = rounds.get(round) else {
-            // Rounds outside the completed map (aborted schedules are
-            // purged before checking) are a harness bug.
+    for tap in taps {
+        let forward = tap.direction == Direction::Forward;
+        let Some(shape) = rounds.get(&tap.round) else {
+            // Only completed rounds are checked; anything else is a
+            // harness bug.
             return Err(violation(
-                *round,
+                tap.round,
                 "fixed-sizes-under-taps",
                 format!("tap on link {link} saw an unscheduled round"),
             ));
         };
-        *seen.entry((*round, *forward)).or_insert(0) += 1;
-        if !*forward && !shape.is_conversation {
+        if !forward && !shape.is_conversation {
             return Err(violation(
-                *round,
+                tap.round,
                 "dialing-forward-only",
                 format!("tap on link {link} saw backward traffic for a dialing round"),
             ));
         }
-        let want_width = if *forward {
+        let want_width = if forward {
             shape.forward_width
         } else {
             shape.backward_width
         };
         let want_lo = shape.submitted + link as u64 * shape.noise_per_server_lo;
         let want_hi = shape.submitted + link as u64 * shape.noise_per_server_hi;
-        let len = sizes.len() as u64;
-        if len < want_lo || len > want_hi {
+        if tap.onions < want_lo || tap.onions > want_hi {
             return Err(violation(
-                *round,
+                tap.round,
                 "fixed-sizes-under-taps",
                 format!(
-                    "link {link} {}: expected onion count in [{want_lo}, {want_hi}], saw {len}",
-                    direction_name(*forward),
+                    "link {link} {}: expected onion count in [{want_lo}, {want_hi}], saw {}",
+                    direction_name(forward),
+                    tap.onions
                 ),
             ));
         }
-        if sizes.iter().any(|&s| s as u64 != want_width) {
+        if tap.onions > 0 && tap.width != want_width {
             return Err(violation(
-                *round,
+                tap.round,
                 "fixed-sizes-under-taps",
                 format!(
-                    "link {link} {}: expected uniform size {want_width}, saw {:?}",
-                    direction_name(*forward),
-                    sizes.iter().collect::<std::collections::BTreeSet<_>>()
+                    "link {link} {}: expected uniform size {want_width}, saw {{{}}}",
+                    direction_name(forward),
+                    tap.width
                 ),
             ));
         }
     }
     // Every completed round crossed exactly once per direction it has.
     for (round, shape) in rounds {
-        if seen.get(&(*round, true)).copied().unwrap_or(0) != 1 {
+        if transfers(*round, Direction::Forward) != 1 {
             return Err(violation(
                 *round,
                 "fixed-sizes-under-taps",
@@ -506,7 +504,7 @@ pub fn check_tap_sizes(
             ));
         }
         let want_back = u64::from(shape.is_conversation);
-        if seen.get(&(*round, false)).copied().unwrap_or(0) != want_back {
+        if transfers(*round, Direction::Backward) != want_back {
             return Err(violation(
                 *round,
                 "fixed-sizes-under-taps",
@@ -634,6 +632,7 @@ pub fn check_noise_concentration(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vuvuzela_net::LinkId;
 
     #[test]
     fn deterministic_noise_recipe() {
@@ -763,26 +762,55 @@ mod tests {
                 noise_per_server_hi: 12,
             },
         );
-        let good = vec![(0, true, vec![100; 16]), (0, false, vec![50; 16])];
-        check_tap_sizes(1, &rounds, &good).expect("passes");
+        let batch = |direction, onions, width| TapBatch {
+            link: LinkId::Hop(1),
+            round: 0,
+            direction,
+            onions,
+            width,
+        };
+        let check = |rounds: &std::collections::BTreeMap<u64, TapRoundShape>, taps: &[TapBatch]| {
+            check_tap_sizes(1, rounds, taps, |round, direction| {
+                taps.iter()
+                    .filter(|tap| tap.round == round && tap.direction == direction)
+                    .count() as u64
+            })
+        };
+        let good = [
+            batch(Direction::Forward, 16, 100),
+            batch(Direction::Backward, 16, 50),
+        ];
+        check(&rounds, &good).expect("passes");
 
-        let mixed = vec![(0, true, vec![100, 100, 99, 100]), (0, false, vec![50; 16])];
-        assert!(check_tap_sizes(1, &rounds, &mixed).is_err());
+        let wide = [
+            batch(Direction::Forward, 16, 99),
+            batch(Direction::Backward, 16, 50),
+        ];
+        assert!(check(&rounds, &wide).is_err());
 
-        let missing = vec![(0, true, vec![100; 16])];
-        assert!(
-            check_tap_sizes(1, &rounds, &missing).is_err(),
-            "no backward batch"
-        );
+        let missing = [batch(Direction::Forward, 16, 100)];
+        assert!(check(&rounds, &missing).is_err(), "no backward batch");
+        let twice = [
+            batch(Direction::Forward, 16, 100),
+            batch(Direction::Forward, 16, 100),
+            batch(Direction::Backward, 16, 50),
+        ];
+        assert!(check(&rounds, &twice).is_err(), "two forward batches");
 
         // A non-degenerate noise window accepts any in-range count...
         rounds.get_mut(&0).unwrap().noise_per_server_lo = 10;
         rounds.get_mut(&0).unwrap().noise_per_server_hi = 14;
-        let low = vec![(0, true, vec![100; 14]), (0, false, vec![50; 14])];
-        check_tap_sizes(1, &rounds, &low).expect("in-window count passes");
+        let low = [
+            batch(Direction::Forward, 14, 100),
+            batch(Direction::Backward, 14, 50),
+        ];
+        check(&rounds, &low).expect("in-window count passes");
         // ...but not one outside it.
-        let thin = vec![(0, true, vec![100; 13]), (0, false, vec![50; 14])];
-        let err = check_tap_sizes(1, &rounds, &thin).expect_err("must fail");
+        let thin = [
+            batch(Direction::Forward, 13, 100),
+            batch(Direction::Backward, 14, 50),
+        ];
+        let err = check(&rounds, &thin).expect_err("must fail");
         assert_eq!(err.invariant, "fixed-sizes-under-taps");
     }
 

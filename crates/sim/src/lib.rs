@@ -52,15 +52,15 @@
 //! [`simulator::Simulator::run`] emits a canonical per-round
 //! [`transcript::Transcript`] — participants, submissions, dead-drop
 //! histograms, per-drop invitation counts, deliveries, invitation
-//! scans, tap-observed sizes, and the composed (ε′, δ′) spent — that is
+//! scans, observed link batches, and the composed (ε′, δ′) spent — that is
 //! **byte-identical for the same scenario** across runs, thread
 //! interleavings, and worker counts. This leans on the system's own
 //! guarantee (every round's bytes are a pure function of `(seed,
 //! round)`; the streaming scheduler is proptested byte-identical to the
 //! sequential chain), plus three simulator-side rules: nothing
-//! timing-dependent is ever recorded (no wall-clock durations), records
-//! gathered from concurrent stages are re-ordered into canonical
-//! `(round, direction)` order before rendering, and an **aborted**
+//! timing-dependent is ever recorded (no wall-clock durations), link
+//! traffic is read from each link's per-round log in canonical
+//! `(round, direction)` order, and an **aborted**
 //! schedule contributes only its planned round ids — which rounds were
 //! partially processed when a schedule dies *is* timing-dependent, so
 //! none of their partial effects are transcribed. The transcript hash
@@ -107,11 +107,13 @@
 //!    ([`vuvuzela_dp::PrivacyLedger`]) and strictly exceeds the spend at
 //!    k−1. This one is checked on every charge, an aborted schedule's
 //!    rounds included.
-//! 5. **Fixed sizes under taps** — every batch an attached
-//!    [`vuvuzela_adversary::taps::SizeRecorder`] observed is
-//!    single-sized, with the exact width the round kind implies at that
-//!    chain position, and an onion count inside the round's noise
-//!    window (exact in deterministic mode).
+//! 5. **Fixed sizes under taps** — on every link a
+//!    [`scenario::Step::Observe`] marked, the link's own per-round log
+//!    ([`vuvuzela_net::Link::round_traffic`]) shows each completed round
+//!    crossing exactly once forward (and once backward for conversation
+//!    rounds), at the exact width the round kind implies at that chain
+//!    position, with an onion count inside the round's noise window
+//!    (exact in deterministic mode).
 //! 6. **Noise concentration** (sampled mode only, end of run) — the
 //!    empirical mean of every noise draw family inferred from the
 //!    observables (conversation singles, conversation pairs, dialing

@@ -60,9 +60,12 @@ pub enum Step {
     /// [`crate::Simulator`] accessors, but they are not addressable by
     /// the per-client steps above.
     Population(usize),
-    /// Attach a passive size-recording tap to chain link `link`
-    /// (0 = entry→server 0); the invariant checker verifies every batch
-    /// it observes is single-sized with the exact expected width.
+    /// Mark chain link `link` (0 = entry→server 0) as observed: after
+    /// every completed schedule the simulator reads the link's
+    /// per-round log, checks that every batch it records has the exact
+    /// expected width and count, and hands the records to the
+    /// adversary's view. Takes no tap slot, so the link may also carry a
+    /// tampering tap; the log is written before the tap runs.
     Observe {
         /// Chain-link index to observe.
         link: usize,

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use vuvuzela_adversary::taps::{CrashOnRound, SizeRecorder, StallLink};
+use vuvuzela_adversary::taps::{CrashOnRound, StallLink};
 use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
 use vuvuzela_core::chain::{Batch, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
@@ -176,7 +176,8 @@ pub struct Simulator {
     ledger: PrivacyLedger,
     transcript: Transcript,
     view: AdversaryView,
-    recorders: Vec<(usize, Arc<Mutex<SizeRecorder>>)>,
+    /// Chain links a [`Step::Observe`] marked, in script order.
+    observed: Vec<usize>,
     pending_crash: Option<(usize, u64)>,
     delivered_seen: HashMap<(usize, PublicKey), usize>,
     rounds_completed: u64,
@@ -276,7 +277,7 @@ impl Simulator {
             },
             ledger,
             transcript,
-            recorders: Vec::new(),
+            observed: Vec::new(),
             pending_crash: None,
             delivered_seen: HashMap::new(),
             rounds_completed: 0,
@@ -590,10 +591,9 @@ impl Simulator {
                 ));
             }
             Step::Observe { link } => {
-                let tap = Arc::new(Mutex::new(SizeRecorder::default()));
-                let dyn_tap: Arc<Mutex<dyn Tap>> = tap.clone();
-                self.attach_exclusive_tap(link, dyn_tap);
-                self.recorders.push((link, tap));
+                if !self.observed.contains(&link) {
+                    self.observed.push(link);
+                }
                 self.transcript
                     .push(format!("event observe link {}", LinkId::Hop(link as u32)));
             }
@@ -644,9 +644,8 @@ impl Simulator {
 
     /// Attaches a tap, refusing to clobber one already on the link —
     /// [`vuvuzela_net::Link`] holds at most one tap, so a script that
-    /// stacks `Observe`/`StallLink`/`CrashLink` on the same link would
-    /// otherwise silently lose the earlier tap and fail the tap-count
-    /// invariant with a violation that is really harness mis-wiring.
+    /// stacks `StallLink`/`CrashLink` (or a tap of its own) on the same
+    /// link would otherwise silently lose the earlier tap.
     ///
     /// # Panics
     ///
@@ -794,11 +793,6 @@ impl Simulator {
             "ledger conversation eps {:e} delta {:e} dialing eps {:e} delta {:e}",
             conversation.epsilon, conversation.delta, dialing.epsilon, dialing.delta
         ));
-        // Tap observations of an aborted schedule are timing-dependent:
-        // discard them wholesale.
-        for (_, recorder) in &self.recorders {
-            recorder.lock().batches.clear();
-        }
         Ok(())
     }
 
@@ -1188,27 +1182,37 @@ impl Simulator {
             .map(|(_, obs)| obs)
     }
 
-    /// Drains every recorder, re-orders its observations canonically,
-    /// checks invariant 5, and transcribes one line per (link, round,
-    /// direction).
+    /// Reads every observed link's per-round log for the rounds the
+    /// schedule completed, checks invariant 5, and transcribes one line
+    /// per (link, round, direction) in canonical `(round, forward-first)`
+    /// order. An aborted schedule's rounds are never read: which of them
+    /// reached a link is timing-dependent.
     fn check_taps(
         &mut self,
         shapes: &BTreeMap<u64, ScheduleShape>,
         chain_len: u64,
     ) -> Result<(), SimError> {
-        // Taken (and restored) so `note` can borrow `self` inside the
-        // loop; a fail-fast error consumes the simulator anyway.
-        let recorders = std::mem::take(&mut self.recorders);
-        for (link, recorder) in &recorders {
-            let link = *link;
-            let mut batches: Vec<(u64, bool, Vec<usize>)> =
-                recorder.lock().batches.drain(..).collect();
-            // Stage concurrency makes arrival order timing-dependent;
-            // canonical order is (round, forward-first).
-            batches.sort_by_key(|(round, forward, _)| (*round, !*forward));
-            // Onion widths depend on the chain position being tapped:
+        for position in self.observed.clone() {
+            let link = self.chain.chain().links()[position].clone();
+            let mut taps = Vec::new();
+            for &round in shapes.keys() {
+                for direction in [Direction::Forward, Direction::Backward] {
+                    if link.round_transfers(round, direction) == 0 {
+                        continue;
+                    }
+                    let (onions, bytes) = link.round_traffic(round, direction);
+                    taps.push(TapBatch {
+                        link: link.id(),
+                        round,
+                        direction,
+                        onions,
+                        width: bytes.checked_div(onions).unwrap_or(0),
+                    });
+                }
+            }
+            // Onion widths depend on the chain position being observed:
             // `remaining` layers are still wrapped at this link.
-            let remaining = chain_len as usize - link;
+            let remaining = chain_len as usize - position;
             let link_shapes: BTreeMap<u64, TapRoundShape> = shapes
                 .iter()
                 .map(|(&round, shape)| {
@@ -1232,29 +1236,24 @@ impl Simulator {
                     )
                 })
                 .collect();
-            let checked = check_tap_sizes(link, &link_shapes, &batches);
-            self.note(checked)?;
-            for (round, forward, sizes) in &batches {
-                let (direction, name) = if *forward {
-                    (Direction::Forward, "forward")
-                } else {
-                    (Direction::Backward, "backward")
-                };
-                let tap = TapBatch {
-                    link: LinkId::Hop(link as u32),
-                    round: *round,
-                    direction,
-                    onions: sizes.len() as u64,
-                    width: sizes.first().copied().unwrap_or(0) as u64,
+            self.note(check_tap_sizes(
+                position,
+                &link_shapes,
+                &taps,
+                |round, direction| link.round_transfers(round, direction),
+            ))?;
+            for tap in taps {
+                let name = match tap.direction {
+                    Direction::Forward => "forward",
+                    Direction::Backward => "backward",
                 };
                 self.transcript.push(format!(
-                    "tap link {} round {round} {name} onions {} width {}",
-                    tap.link, tap.onions, tap.width
+                    "tap link {} round {} {name} onions {} width {}",
+                    tap.link, tap.round, tap.onions, tap.width
                 ));
                 self.view.taps.push(tap);
             }
         }
-        self.recorders = recorders;
         Ok(())
     }
 }

@@ -292,6 +292,73 @@ fn tampered_dialing_round_never_trips_forward_only() {
 }
 
 #[test]
+fn observer_on_the_tampered_link_sees_the_untampered_forward_batches() {
+    // `Observe` takes no tap slot: it reads the link's per-round log,
+    // which the link writes before its tap runs. So an observer on the
+    // very link a tamperer holds sees every forward batch as it arrived,
+    // identical to the untampered twin's.
+    use parking_lot::Mutex;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+    use vuvuzela_adversary::taps::{DropFraction, RoundWindow};
+    use vuvuzela_adversary::TapBatch;
+    use vuvuzela_net::{Direction, Tap};
+
+    let scenario = || {
+        let mut s = Scenario::new("observed_tamper", 0x0B5E);
+        s.steps.push(Step::Join(6));
+        s.steps.push(Step::Observe { link: 0 });
+        s.steps.push(Step::Run(vec![
+            RoundPlan::Conversation,
+            RoundPlan::Dialing,
+            RoundPlan::Conversation,
+        ]));
+        s
+    };
+    let twin = run_scenario(&scenario()).expect("the untampered twin passes");
+
+    let mut sim = vuvuzela_sim::Simulator::new(scenario());
+    let tap: Arc<Mutex<dyn Tap>> = Arc::new(Mutex::new(DropFraction {
+        numerator: 1,
+        denominator: 3,
+        window: RoundWindow::ALL,
+    }));
+    sim.chain_mut().chain_mut().link_mut(0).attach_tap(tap);
+    let (report, violations) = sim.run_collecting();
+
+    let forward = |report: &SimReport| -> Vec<TapBatch> {
+        report
+            .view
+            .taps
+            .iter()
+            .filter(|tap| tap.direction == Direction::Forward)
+            .copied()
+            .collect()
+    };
+    assert_eq!(forward(&twin).len(), 3, "one forward batch per round");
+    assert_eq!(forward(&report), forward(&twin));
+
+    // The dropped third thins the histograms and the replies; on link 0
+    // itself only the backward batch, which carries just the survivors'
+    // replies, leaves its window.
+    let tripped: BTreeSet<&str> = violations.iter().map(|v| v.invariant).collect();
+    assert_eq!(
+        tripped,
+        BTreeSet::from([
+            "fixed-sizes-under-taps",
+            "noise-covered-deaddrops",
+            "uniform-participation"
+        ])
+    );
+    for v in violations
+        .iter()
+        .filter(|v| v.invariant == "fixed-sizes-under-taps")
+    {
+        assert!(v.detail.contains("backward"), "{v}");
+    }
+}
+
+#[test]
 fn soak_cases_match_their_annotations() {
     // Spot-check the pinned survive/trip table across its corner
     // cases: the honest baseline, a per-round strategy, the

@@ -1,20 +1,18 @@
 //! The paper's motivating scenario (§1): a source talks to a reporter
 //! while a global adversary watches **every** network link.
 //!
-//! We attach a recording tap to every link in the deployment — the
-//! in-code version of "an adversary that observes all network traffic" —
-//! run a conversation, and then audit what the adversary captured:
+//! Every link in the deployment logs, per round and direction, what
+//! crossed it — exactly what "an adversary that observes all network
+//! traffic" captures. We run a conversation and then audit those logs:
 //! fixed-size ciphertexts, counts independent of who is talking, and a
 //! noised access histogram whose information leakage is bounded by
 //! differential privacy.
 //!
 //! Run: `cargo run --release --example whistleblower`
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::collections::BTreeSet;
 use vuvuzela::dp::accounting::conversation_round;
 use vuvuzela::dp::planner::posterior_bound;
-use vuvuzela::net::RecordingTap;
 use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
 fn main() -> Result<(), SimError> {
@@ -26,19 +24,6 @@ fn main() -> Result<(), SimError> {
     // The source, the reporter and a bystander.
     let (source, reporter) = (0, 1);
     sim.step(Step::Join(3))?;
-
-    // Global passive adversary: a tap on every link.
-    let taps: Vec<Arc<Mutex<RecordingTap>>> = (0..4)
-        .map(|_| Arc::new(Mutex::new(RecordingTap::new())))
-        .collect();
-    {
-        let chain = sim.chain_mut().chain_mut();
-        chain.client_link_mut().attach_tap(taps[0].clone());
-        for i in 0..3 {
-            let tap: Arc<Mutex<dyn vuvuzela::net::Tap>> = taps[i + 1].clone();
-            chain.link_mut(i).attach_tap(tap);
-        }
-    }
 
     // The source dials the reporter and leaks the story.
     sim.step(Step::Dial {
@@ -57,19 +42,20 @@ fn main() -> Result<(), SimError> {
     assert_eq!(sim.clients().all_delivered(reporter).len(), 1);
     println!("reporter received the message.\n");
 
-    // ---- Audit the adversary's view. ----
+    // ---- Audit the adversary's view: every link's per-round log. ----
     println!("adversary's captured view, link by link:");
-    for (i, tap) in taps.iter().enumerate() {
-        let guard = tap.lock();
-        for (ctx, batch) in &guard.observations {
-            let sizes: std::collections::BTreeSet<usize> = batch.iter().map(Vec::len).collect();
+    let chain = sim.chain().chain();
+    let links = std::iter::once(chain.client_link()).chain(chain.links());
+    for (i, link) in links.enumerate() {
+        for ((round, direction), (count, bytes)) in link.round_traffic_log() {
+            let sizes: BTreeSet<u64> = bytes.checked_div(count).into_iter().collect();
             println!(
                 "  link {} [{}] round {} {:?}: {} ciphertexts, distinct sizes {:?}",
                 i,
-                ctx.link,
-                ctx.round,
-                ctx.direction,
-                batch.len(),
+                link.id(),
+                round,
+                direction,
+                count,
                 sizes
             );
         }

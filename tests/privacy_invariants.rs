@@ -5,8 +5,7 @@
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use vuvuzela::adversary::taps::SizeRecorder;
-use vuvuzela::net::Tap;
+use vuvuzela::net::{Direction, Link, Tap};
 use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
 const ALICE: usize = 0;
@@ -29,23 +28,20 @@ fn deployment(mu: f64, seed: u64) -> Scenario {
     scenario
 }
 
-/// One size recorder per link: the clients link first, then the hops.
-type Recorders = Vec<Arc<Mutex<SizeRecorder>>>;
+/// A deployment with conversation µ = 6 and dialing µ = 3 and `users`
+/// clients.
+fn default_net(seed: u64, users: usize) -> Result<Simulator, SimError> {
+    net(Scenario::new("privacy_invariants_tapped", seed), users)
+}
 
-/// A deployment with conversation µ = 6 and dialing µ = 3, `users`
-/// clients, and a size recorder on every link.
-fn tapped_net(seed: u64, users: usize) -> Result<(Simulator, Recorders), SimError> {
-    let mut sim = net(Scenario::new("privacy_invariants_tapped", seed), users)?;
-    let taps: Recorders = (0..4)
-        .map(|_| Arc::new(Mutex::new(SizeRecorder::default())))
-        .collect();
-    let chain = sim.chain_mut().chain_mut();
-    chain.client_link_mut().attach_tap(taps[0].clone());
-    for (i, tap) in taps[1..].iter().enumerate() {
-        let dyn_tap: Arc<Mutex<dyn Tap>> = tap.clone();
-        chain.link_mut(i).attach_tap(dyn_tap);
-    }
-    Ok((sim, taps))
+/// Every link a global passive adversary watches: the clients link
+/// first, then the hops. Each link's per-round log is what it saw.
+fn links(sim: &Simulator) -> Vec<Link> {
+    let chain = sim.chain().chain();
+    std::iter::once(chain.client_link())
+        .chain(chain.links())
+        .cloned()
+        .collect()
 }
 
 fn run(sim: &mut Simulator, plan: RoundPlan) -> Result<(), SimError> {
@@ -75,22 +71,30 @@ fn queue(sim: &mut Simulator, body: &[u8]) -> Result<(), SimError> {
 #[test]
 fn all_link_traffic_is_uniform_size() -> Result<(), SimError> {
     // Alice, Bob and an idle user.
-    let (mut sim, taps) = tapped_net(1, 3)?;
+    let mut sim = default_net(1, 3)?;
 
     connect(&mut sim)?;
     queue(&mut sim, b"payload")?;
     run(&mut sim, RoundPlan::Conversation)?;
     run(&mut sim, RoundPlan::Conversation)?;
 
-    for (i, tap) in taps.iter().enumerate() {
-        let guard = tap.lock();
-        assert!(!guard.batches.is_empty(), "tap {i} saw traffic");
-        for (round, forward, sizes) in &guard.batches {
-            let distinct: std::collections::HashSet<usize> = sizes.iter().copied().collect();
+    for (i, link) in links(&sim).iter().enumerate() {
+        let log = link.round_traffic_log();
+        assert!(!log.is_empty(), "link {i} saw traffic");
+        for ((round, direction), (count, bytes)) in log {
             assert!(
-                distinct.len() <= 1,
-                "tap {i} round {round} forward={forward}: mixed sizes {distinct:?}"
+                count > 0 && bytes % count == 0,
+                "link {i} round {round} {direction:?}: {bytes} bytes over {count} ciphertexts"
             );
+        }
+        // Both conversation rounds crossed at one width per direction,
+        // the one carrying the payload and the idle one alike.
+        for direction in [Direction::Forward, Direction::Backward] {
+            let width = |round| {
+                let (count, bytes) = link.round_traffic(round, direction);
+                bytes / count
+            };
+            assert_eq!(width(1), width(2), "link {i} {direction:?}: widths differ");
         }
     }
     Ok(())
@@ -100,8 +104,9 @@ fn all_link_traffic_is_uniform_size() -> Result<(), SimError> {
 /// two users converse or idle: same batch counts, same sizes.
 #[test]
 fn traffic_shape_is_independent_of_conversations() -> Result<(), SimError> {
-    let observe = |talking: bool, seed: u64| -> Result<Vec<(u64, bool, Vec<usize>)>, SimError> {
-        let (mut sim, taps) = tapped_net(seed, 2)?;
+    type Log = Vec<((u64, Direction), (u64, u64))>;
+    let observe = |talking: bool, seed: u64| -> Result<Vec<Log>, SimError> {
+        let mut sim = default_net(seed, 2)?;
         if talking {
             sim.step(Step::Dial {
                 caller: ALICE,
@@ -114,26 +119,18 @@ fn traffic_shape_is_independent_of_conversations() -> Result<(), SimError> {
             queue(&mut sim, b"secret")?;
         }
         run(&mut sim, RoundPlan::Conversation)?;
-        // Collapse all taps into one trace of (round, dir, sizes).
-        Ok(taps.iter().flat_map(|t| t.lock().batches.clone()).collect())
+        // Every link's (round, direction) → (ciphertexts, bytes) log.
+        Ok(links(&sim).iter().map(Link::round_traffic_log).collect())
     };
 
     // Same seed ⇒ same noise; only Alice/Bob's actions differ.
     let talking = observe(true, 42)?;
     let idle = observe(false, 42)?;
-    assert_eq!(talking.len(), idle.len(), "same number of transfers");
-    for (a, b) in talking.iter().zip(idle.iter()) {
-        assert_eq!(a.0, b.0, "round");
-        assert_eq!(a.1, b.1, "direction");
-        assert_eq!(a.2.len(), b.2.len(), "batch size");
-        assert_eq!(
-            a.2.first(),
-            b.2.first(),
-            "message size (round {}, forward {})",
-            a.0,
-            a.1
-        );
-    }
+    assert!(talking.iter().all(|log| !log.is_empty()));
+    assert_eq!(
+        talking, idle,
+        "same transfers, batch sizes and message sizes on every link"
+    );
     Ok(())
 }
 
@@ -345,8 +342,7 @@ fn malformed_clients_cannot_break_honest_ones() -> Result<(), SimError> {
 #[test]
 fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
     // Alice, Bob and an idle user.
-    let (mut sim, taps) = tapped_net(11, 3)?;
-    let client_tap = taps[0].clone();
+    let mut sim = default_net(11, 3)?;
 
     connect(&mut sim)?;
     // Alice keeps a message in flight the whole time, so her slot is
@@ -362,31 +358,31 @@ fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
     run(&mut sim, RoundPlan::Conversation)?;
     run(&mut sim, RoundPlan::Conversation)?;
 
-    // The clients→entry tap saw every per-round forward batch. Batch
-    // order is client order, so Alice is entry 0 in every round.
-    let guard = client_tap.lock();
-    let forward: Vec<&(u64, bool, Vec<usize>)> = guard
-        .batches
-        .iter()
-        .filter(|(_, fwd, sizes)| *fwd && !sizes.is_empty())
+    // The clients→entry link logged every per-round forward batch.
+    let forward: Vec<(u64, (u64, u64))> = sim
+        .chain()
+        .chain()
+        .client_link()
+        .round_traffic_log()
+        .into_iter()
+        .filter(|((_, direction), (count, _))| *direction == Direction::Forward && *count > 0)
+        .map(|((round, _), traffic)| (round, traffic))
         .collect();
     // 1 dialing + 6 conversation rounds.
     assert_eq!(forward.len(), 7);
-    let conversation: Vec<_> = forward[1..].to_vec();
-    let width = conversation[0].2[0];
-    for (round, _, sizes) in &conversation {
-        assert!(
-            sizes.iter().all(|&s| s == width),
-            "round {round}: mixed sizes {sizes:?}"
-        );
+    let conversation = &forward[1..];
+    let (first_count, first_bytes) = conversation[0].1;
+    let width = first_bytes / first_count;
+    for (round, (count, bytes)) in conversation {
         assert_eq!(
-            sizes[0], width,
-            "round {round}: Alice's onion width changed"
+            *bytes,
+            count * width,
+            "round {round}: an onion width changed"
         );
     }
     // Exactly Bob's entry disappears while he is offline; Alice and
     // the idle user never change their per-round emission count.
-    let counts: Vec<usize> = conversation.iter().map(|(_, _, s)| s.len()).collect();
+    let counts: Vec<u64> = conversation.iter().map(|(_, (count, _))| *count).collect();
     assert_eq!(counts, vec![3, 3, 2, 2, 3, 3]);
 
     // The dead-drop histogram stays noise-covered through the
@@ -410,7 +406,6 @@ fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
     }
 
     // And the conversation itself survives the outage via retransmission.
-    drop(guard);
     assert_eq!(
         sim.clients().all_delivered(BOB),
         vec![b"before".to_vec(), b"during".to_vec()]

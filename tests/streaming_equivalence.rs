@@ -119,7 +119,7 @@ proptest! {
                     prop_assert_eq!(
                         sl.round_traffic(round, direction),
                         ql.round_traffic(round, direction),
-                        "link {} round {} {:?}", sl.name(), round, direction
+                        "link {} round {} {:?}", sl.id(), round, direction
                     );
                 }
             }
@@ -280,7 +280,7 @@ fn assert_mixed_equivalent(
             sl.round_traffic_log(),
             ql.round_traffic_log(),
             "link {} per-round log diverged",
-            sl.name()
+            sl.id()
         );
     }
     prop_assert_eq!(

@@ -33,7 +33,7 @@ use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, StreamingChain, SystemConfig
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::link::Direction;
-use vuvuzela::net::{RecordingTap, Tap, TapContext};
+use vuvuzela::net::{Tap, TapContext};
 use vuvuzela::wire::conversation::ExchangeRequest;
 use vuvuzela::wire::EXCHANGE_REQUEST_LEN;
 
@@ -117,6 +117,16 @@ impl Tap for ResizeTap {
     }
 }
 
+/// Copies every batch crossing the link it sits on, byte for byte.
+#[derive(Default)]
+struct Recorder(Vec<Vec<Vec<u8>>>);
+
+impl Tap for Recorder {
+    fn intercept(&mut self, _ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+        self.0.push(batch.clone());
+    }
+}
+
 /// Which link the tap sits on.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Leg {
@@ -157,7 +167,7 @@ fn tapped_round(
         direction,
         sizes_after: None,
     }));
-    let hop0 = Arc::new(Mutex::new(RecordingTap::new()));
+    let hop0 = Arc::new(Mutex::new(Recorder::default()));
     let mut arena = entry::round_arena(RoundKind::Conversation, 2);
     entry::multiplex(&mut arena, &[batch]);
     let batch = Batch::Flat(arena);
@@ -175,7 +185,7 @@ fn tapped_round(
         malformed_replaced: chain
             .server(usize::from(leg == Leg::Hop1))
             .malformed_replaced,
-        arrived_at_hop0: hop0.lock().observations[0].1.clone(),
+        arrived_at_hop0: hop0.lock().0[0].clone(),
     };
     let spec = RoundSpec::Conversation { round, batch };
     if streaming {
