@@ -100,7 +100,10 @@ fn reserve_an_eighth<T>(v: &mut Vec<T>, extra: usize) {
 /// One active conversation's reliability state.
 pub(crate) struct Conversation {
     pub(crate) peer: PublicKey,
-    pub(crate) keys: ConversationKeys,
+    /// `None` from the moment the conversation is entered until the
+    /// cohort's next batched key agreement derives them (see
+    /// [`crate::cohort`]): before then there is nothing to read.
+    pub(crate) keys: Option<ConversationKeys>,
     /// Next sequence number to assign to a fresh outgoing message.
     next_seq: u64,
     /// Bodies queued by the user but not yet assigned a round.
@@ -121,10 +124,11 @@ pub(crate) struct Conversation {
 pub(crate) const PIPELINE_WINDOW: usize = 4;
 
 impl Conversation {
-    pub(crate) fn new(peer: PublicKey, keys: ConversationKeys) -> Conversation {
+    /// A conversation with `peer` whose keys are yet to be agreed.
+    pub(crate) fn new(peer: PublicKey) -> Conversation {
         Conversation {
             peer,
-            keys,
+            keys: None,
             next_seq: 0,
             send_queue: VecDeque::new(),
             inflight: BTreeMap::new(),
@@ -200,6 +204,23 @@ impl Conversation {
             }
         }
     }
+
+    /// Whether this conversation holds the keys that the scalar
+    /// reference, [`ConversationKeys::derive`], gives the endpoint with
+    /// `my_secret` and `my_public` against its peer.
+    #[cfg(test)]
+    pub(crate) fn keyed_as_derived(
+        &self,
+        my_secret: &vuvuzela_crypto::x25519::SecretKey,
+        my_public: &PublicKey,
+    ) -> bool {
+        let want = ConversationKeys::derive(my_secret, my_public, &self.peer);
+        self.keys.as_ref().is_some_and(|keys| {
+            keys.role() == want.role()
+                && keys.drop_id(0) == want.drop_id(0)
+                && keys.seal_message(0, &[]) == want.seal_message(0, &[])
+        })
+    }
 }
 
 /// The client's behaviour, driven through `ClientCohort`: slot
@@ -261,12 +282,11 @@ mod tests {
         DialRequest::decode(&layer).expect("plain request")
     }
 
-    /// A fresh conversation between two random keypairs.
+    /// A fresh conversation with a random peer (its reliability state
+    /// only: the frame logic never reads the keys).
     fn conversation(seed: u64) -> Conversation {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (me, peer) = (Keypair::generate(&mut rng), Keypair::generate(&mut rng));
-        let keys = ConversationKeys::derive(&me.secret, &me.public, &peer.public);
-        Conversation::new(peer.public, keys)
+        Conversation::new(Keypair::generate(&mut rng).public)
     }
 
     #[test]
@@ -402,6 +422,29 @@ mod tests {
         assert_eq!(found, vec![alice]);
         assert_eq!(c.pending_invitations(BOB), &[alice]);
         assert!(c.pending_invitations(CAROL).is_empty());
+        c.accept_invitation(BOB, alice).expect("accept");
+        assert!(c.pending_invitations(BOB).is_empty());
+        assert_eq!(c.peers(BOB), vec![alice]);
+    }
+
+    #[test]
+    fn accept_with_busy_slots_keeps_the_invitation() {
+        // A member with no free slot cannot accept yet, but the
+        // invitation waits: once a slot frees up, accepting it works.
+        let mut rng = StdRng::seed_from_u64(25);
+        let (mut c, _) = cohort(27, 1);
+        let (alice, carol) = (c.public_key(ALICE), c.public_key(CAROL));
+        c.start_conversation(BOB, carol).expect("bob's one slot");
+        c.scan_invitation_drop(
+            BOB,
+            &[SealedInvitation::seal(&mut rng, &alice, &c.public_key(BOB))],
+        );
+        assert_eq!(
+            c.accept_invitation(BOB, alice),
+            Err(ClientError::AllSlotsBusy)
+        );
+        assert_eq!(c.pending_invitations(BOB), &[alice], "still pending");
+        c.end_conversation(BOB, &carol).expect("end");
         c.accept_invitation(BOB, alice).expect("accept");
         assert!(c.pending_invitations(BOB).is_empty());
         assert_eq!(c.peers(BOB), vec![alice]);

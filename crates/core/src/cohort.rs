@@ -19,6 +19,18 @@
 //! its dial queue, or a write to the no-op drop (§5.2). Offline members
 //! send nothing.
 //!
+//! Every X25519 of the conversation protocol goes through the batched
+//! kernels, eight lanes at a time where the CPU can ([`x25519_batch`],
+//! [`x25519_base_batch`]). Entering a conversation ([`ClientCohort::pair`],
+//! [`ClientCohort::start_conversation`], [`ClientCohort::dial`],
+//! [`ClientCohort::accept_invitation`]) takes the slot at once but only
+//! queues the Diffie-Hellman with the partner (§3); the next round build
+//! or reply ingest derives every queued key together. A fake exchange's
+//! random partner is drawn in pass A of the build and its two
+//! multiplications (the partner's keygen, then the DH) run per chunk,
+//! before the chunk is wrapped. Only the dialing protocol's sealed box
+//! (sealing a real invitation, scanning a drop) stays scalar.
+//!
 //! Each round the cohort builds all requests directly into one
 //! [`RoundBuffer`] arena — no per-onion `Vec`, no per-member request
 //! list, no per-member key list — parallelised over
@@ -45,7 +57,9 @@ use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_crypto::onion::{self, LayerKey};
-use vuvuzela_crypto::x25519::{x25519_base_batch, PublicKey, SecretKey};
+use vuvuzela_crypto::x25519::{
+    x25519_base_batch, x25519_batch, PublicKey, SecretKey, SharedSecret,
+};
 use vuvuzela_net::WorkerPool;
 use vuvuzela_wire::conversation::{ConversationKeys, ExchangeRequest};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
@@ -86,6 +100,19 @@ struct PendingBatch {
     members: Vec<usize>,
     keys: Vec<LayerKey>,
 }
+
+/// One deferred Diffie-Hellman: `member`'s secret against `peer`. Its
+/// shared secret keys each of `slots` still waiting for it: `member`'s
+/// own slot and, for a [`ClientCohort::pair`], the partner's
+/// (`a·B = b·A`, so a pair costs one lane).
+struct QueuedAgreement {
+    member: usize,
+    peer: PublicKey,
+    slots: [Option<usize>; 2],
+}
+
+/// Why no queued key can be missing where a build or an ingest reads it.
+const DERIVED: &str = "queued keys are derived at the top of every build and ingest";
 
 /// One member's conversation slots, with its index.
 type MemberSlots<'a> = (usize, &'a mut [Option<Box<Conversation>>]);
@@ -146,6 +173,9 @@ pub struct ClientCohort {
     /// Callers found in scanned invitation drops, per member, not yet
     /// accepted or declined.
     invitations: HashMap<usize, Vec<PublicKey>>,
+    /// Conversation keys entered since the last build or ingest, which
+    /// derives them ([`ClientCohort::derive_queued_keys`]).
+    queued: Vec<QueuedAgreement>,
     pending: HashMap<u64, PendingBatch>,
 }
 
@@ -181,6 +211,7 @@ impl ClientCohort {
             slots: Vec::new(),
             dial_queues: HashMap::new(),
             invitations: HashMap::new(),
+            queued: Vec::new(),
             pending: HashMap::new(),
         }
     }
@@ -300,24 +331,50 @@ impl ClientCohort {
         Ok(Some(range.start + free.ok_or(ClientError::AllSlotsBusy)?))
     }
 
+    /// Puts a conversation of member `index` with `peer`, its keys not
+    /// yet agreed, in the member's first free slot, and returns that
+    /// slot; `None` when the two already talk.
+    fn enter(&mut self, index: usize, peer: PublicKey) -> Result<Option<usize>, ClientError> {
+        let slot = self.free_slot_for(index, &peer)?;
+        if let Some(slot) = slot {
+            self.slots[slot] = Some(Box::new(Conversation::new(peer)));
+        }
+        Ok(slot)
+    }
+
+    /// Queues `member`'s key agreement with `peer` for the slots that
+    /// wait for it.
+    fn queue_agreement(&mut self, member: usize, peer: PublicKey, slots: [Option<usize>; 2]) {
+        if slots.iter().any(Option::is_some) {
+            self.queued.push(QueuedAgreement {
+                member,
+                peer,
+                slots,
+            });
+        }
+    }
+
     /// Enters member `index` into a conversation with `peer` in its
-    /// first free slot; idempotent when the two already talk.
+    /// first free slot; idempotent when the two already talk. The slot
+    /// is taken, and messages can be queued to `peer`, at once; the
+    /// conversation's keys are derived at the next round build (or
+    /// reply ingest), together with every other queued key, eight lanes
+    /// at a time.
     ///
     /// # Errors
     ///
     /// [`ClientError::AllSlotsBusy`] when every slot is taken.
     pub fn start_conversation(&mut self, index: usize, peer: PublicKey) -> Result<(), ClientError> {
-        if let Some(slot) = self.free_slot_for(index, &peer)? {
-            let keys = ConversationKeys::derive(&self.secrets[index], &self.publics[index], &peer);
-            self.slots[slot] = Some(Box::new(Conversation::new(peer, keys)));
-        }
+        let slot = self.enter(index, peer)?;
+        self.queue_agreement(index, peer, [slot, None]);
         Ok(())
     }
 
     /// Starts a mutual conversation between members `a` and `b`: what
-    /// [`ClientCohort::start_conversation`] on each side does, the
-    /// pair's one Diffie-Hellman computed once (`a·B = b·A`) and both
-    /// sides' keys derived from it.
+    /// [`ClientCohort::start_conversation`] on each side does, with the
+    /// pair's one Diffie-Hellman queued once (`a·B = b·A`) and both
+    /// sides' keys derived from it at the next round build, eight lanes
+    /// at a time.
     ///
     /// # Errors
     ///
@@ -325,16 +382,69 @@ impl ClientCohort {
     /// (side `a` may keep the half-open slot, exactly as two
     /// `start_conversation` calls would).
     pub fn pair(&mut self, a: usize, b: usize) -> Result<(), ClientError> {
-        let mut shared = None;
-        for (me, peer) in [(a, b), (b, a)] {
-            let (mine, theirs) = (self.publics[me], self.publics[peer]);
-            if let Some(slot) = self.free_slot_for(me, &theirs)? {
-                let shared = shared.get_or_insert_with(|| self.secrets[me].diffie_hellman(&theirs));
-                let keys = ConversationKeys::from_shared(shared, &mine, &theirs);
-                self.slots[slot] = Some(Box::new(Conversation::new(theirs, keys)));
-            }
+        let (pk_a, pk_b) = (self.publics[a], self.publics[b]);
+        let slot_a = self.enter(a, pk_b)?;
+        let slot_b = self.enter(b, pk_a);
+        self.queue_agreement(a, pk_b, [slot_a, slot_b.unwrap_or(None)]);
+        slot_b.map(|_| ())
+    }
+
+    /// Derives the keys of every queued agreement whose slot still waits
+    /// for it — one whose slot was freed, or reused by another peer, in
+    /// the meantime is skipped — in one [`x25519_batch`] call split by
+    /// chunk over `config.workers`, as the build is, each side keyed by
+    /// [`ConversationKeys::from_shared`].
+    fn derive_queued_keys(&mut self) {
+        if self.queued.is_empty() {
+            return;
         }
-        Ok(())
+        let per = self.config.conversation_slots;
+        let (slots, secrets, publics) = (&self.slots, &self.secrets, &self.publics);
+        // The partner key slot `slot` of agreement `q` is keyed against.
+        let partner = |q: &QueuedAgreement, slot: usize| {
+            if slot / per == q.member {
+                q.peer
+            } else {
+                publics[q.member]
+            }
+        };
+        let live: Vec<QueuedAgreement> = self
+            .queued
+            .drain(..)
+            .filter_map(|mut q| {
+                let waits = |slot: &usize| {
+                    slots[*slot]
+                        .as_ref()
+                        .is_some_and(|c| c.keys.is_none() && c.peer == partner(&q, *slot))
+                };
+                q.slots = q.slots.map(|slot| slot.filter(waits));
+                q.slots.iter().any(Option::is_some).then_some(q)
+            })
+            .collect();
+        let derived = WorkerPool::shared().map_vec(
+            live.chunks(WRAP_CHUNK_SLOTS).collect(),
+            self.config.workers,
+            |chunk: &[QueuedAgreement]| {
+                let scalars: Vec<[u8; 32]> = chunk
+                    .iter()
+                    .map(|q| *secrets[q.member].as_bytes())
+                    .collect();
+                let us: Vec<[u8; 32]> = chunk.iter().map(|q| q.peer.0).collect();
+                let mut keys = Vec::with_capacity(2 * chunk.len());
+                for (q, shared) in chunk.iter().zip(x25519_batch(&scalars, &us)) {
+                    for slot in q.slots.into_iter().flatten() {
+                        let mine = &publics[slot / per];
+                        let theirs = partner(q, slot);
+                        let shared = SharedSecret(shared);
+                        keys.push((slot, ConversationKeys::from_shared(&shared, mine, &theirs)));
+                    }
+                }
+                keys
+            },
+        );
+        for (slot, keys) in derived.into_iter().flatten() {
+            self.slots[slot].as_mut().expect("a waiting slot").keys = Some(keys);
+        }
     }
 
     /// Leaves member `index`'s conversation with `peer`, freeing its
@@ -433,17 +543,23 @@ impl ClientCohort {
     /// Builds one conversation round's requests for every online member
     /// — exactly one onion per slot, real or fake, written straight into
     /// a flat [`RoundBuffer`] (stride = onion width, no per-onion
-    /// allocation) in member-major slot order. Work is split across
-    /// `config.workers` pool workers by chunk of consecutive senders
-    /// ([`WRAP_CHUNK_SLOTS`] onions), each chunk in two passes: pass A
-    /// walks its senders in order doing everything that draws from a
-    /// sender's RNG — per slot the fake-partner draw (idle slots), the
-    /// payload seal and encode, then that onion's
-    /// [`onion::draw_layer_secrets`] — and pass B wraps the whole chunk
-    /// through [`onion::wrap_chunk_in_place`], which writes the layer
-    /// keys for [`ClientCohort::handle_conversation_replies`] straight
-    /// into the chunk's window of the round's one flat key arena.
+    /// allocation) in member-major slot order. First every queued
+    /// conversation key is derived ([`ClientCohort::derive_queued_keys`]).
+    /// Then work is split across `config.workers` pool workers by chunk
+    /// of consecutive senders ([`WRAP_CHUNK_SLOTS`] onions), each chunk
+    /// in two passes: pass A walks its senders in order doing everything
+    /// that draws from a sender's RNG — per slot the real payload's seal
+    /// and encode (active slots) or the fake partner's secret (idle
+    /// slots), then that onion's [`onion::draw_layer_secrets`] — and
+    /// pass B derives the chunk's fake partners' public keys
+    /// ([`x25519_base_batch`]) and the fake shared secrets
+    /// ([`x25519_batch`]), seals and encodes the fake payloads, and
+    /// wraps the whole chunk through [`onion::wrap_chunk_in_place`],
+    /// which writes the layer keys for
+    /// [`ClientCohort::handle_conversation_replies`] straight into the
+    /// chunk's window of the round's one flat key arena.
     pub fn build_conversation_round(&mut self, round: u64) -> RoundBuffer {
+        self.derive_queued_keys();
         let chain_len = self.server_pks.len();
         let slots_per = self.config.conversation_slots;
         let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len);
@@ -476,41 +592,55 @@ impl ClientCohort {
             self.config.workers,
             |(first, senders, arena, keys)| {
                 let mut layer_secrets = vec![[0u8; 32]; arena.len() / width * chain_len];
+                // Each idle slot's onion, sender and fake partner's secret.
+                let mut fakes: Vec<(usize, usize)> = Vec::new();
+                let mut fake_secrets: Vec<[u8; 32]> = Vec::new();
                 let mut onions = arena
                     .chunks_mut(width)
-                    .zip(layer_secrets.chunks_mut(chain_len));
+                    .zip(layer_secrets.chunks_mut(chain_len))
+                    .enumerate();
                 for (k, (i, their_slots)) in (first..).zip(senders.iter_mut()) {
-                    let i = *i;
                     let mut rng = client_round_rng(seed, round, k as u64);
                     for slot in their_slots.iter_mut() {
-                        let (onion_bytes, onion_secrets) =
+                        let (onion, (onion_bytes, onion_secrets)) =
                             onions.next().expect("one onion per slot");
-                        let payload = &mut onion_bytes[32 * chain_len..];
                         match slot {
                             Some(conversation) => {
                                 // Algorithm 1 step 1a: real exchange.
                                 let frame = conversation.next_frame(round, retransmit_after);
-                                let sealed = conversation.keys.seal_message(round, &frame.encode());
+                                let keys = conversation.keys.as_ref().expect(DERIVED);
                                 ExchangeRequest {
-                                    drop: conversation.keys.drop_id(round),
-                                    sealed_message: sealed,
+                                    drop: keys.drop_id(round),
+                                    sealed_message: keys.seal_message(round, &frame.encode()),
                                 }
-                                .encode_into(payload);
+                                .encode_into(&mut onion_bytes[32 * chain_len..]);
                             }
                             None => {
-                                // Step 1b: fake request against a random partner.
-                                let fake =
-                                    ConversationKeys::fake(&mut rng, &secrets[i], &publics[i]);
-                                let sealed = fake.seal_message(round, &[0u8; MESSAGE_LEN]);
-                                ExchangeRequest {
-                                    drop: fake.drop_id(round),
-                                    sealed_message: sealed,
-                                }
-                                .encode_into(payload);
+                                // Step 1b: a fake request against a random
+                                // partner, whose secret is drawn here.
+                                fakes.push((onion, *i));
+                                fake_secrets.push(*SecretKey::generate(&mut rng).as_bytes());
                             }
                         }
                         onion::draw_layer_secrets(&mut rng, onion_secrets);
                     }
+                }
+                // The fake exchanges' keygens and DHs, the chunk at once.
+                let fake_publics = x25519_base_batch(&fake_secrets);
+                let member_secrets: Vec<[u8; 32]> =
+                    fakes.iter().map(|&(_, i)| *secrets[i].as_bytes()).collect();
+                let shared = x25519_batch(&member_secrets, &fake_publics);
+                for ((&(onion, i), partner), shared) in fakes.iter().zip(fake_publics).zip(shared) {
+                    let fake = ConversationKeys::from_shared(
+                        &SharedSecret(shared),
+                        &publics[i],
+                        &PublicKey::from_bytes(partner),
+                    );
+                    ExchangeRequest {
+                        drop: fake.drop_id(round),
+                        sealed_message: fake.seal_message(round, &[0u8; MESSAGE_LEN]),
+                    }
+                    .encode_into(&mut arena[onion * width + 32 * chain_len..]);
                 }
                 // Step 2: onion wrap, the chunk at once, in place.
                 onion::wrap_chunk_in_place(
@@ -534,7 +664,10 @@ impl ClientCohort {
     /// replies come back through the untrusted entry (§7), so a batch of
     /// the wrong length is not an error: requests past its end lost
     /// their replies, and replies past the last request are ignored.
+    /// Conversations entered since the round was built have their keys
+    /// derived first ([`ClientCohort::derive_queued_keys`]).
     pub fn handle_conversation_replies(&mut self, round: u64, replies: &[Vec<u8>]) {
+        self.derive_queued_keys();
         let Some(PendingBatch { members, keys }) = self.pending.remove(&round) else {
             return; // a round we never participated in (or already expired)
         };
@@ -558,7 +691,8 @@ impl ClientCohort {
                 if let Some(conversation) = slot {
                     // A decrypt failure means the partner was absent
                     // this round (server filler) — normal, not an error.
-                    if let Ok(padded) = conversation.keys.open_message(round, &sealed) {
+                    let keys = conversation.keys.as_ref().expect(DERIVED);
+                    if let Ok(padded) = keys.open_message(round, &sealed) {
                         if let Ok(frame) = FramedMessage::decode(&padded) {
                             conversation.receive_frame(frame);
                         }
@@ -582,7 +716,9 @@ impl ClientCohort {
 
     /// Queues an invitation from member `index` to `peer` for its next
     /// dialing round and pre-enters the conversation (§3: the caller
-    /// enters "in anticipation that user will reciprocate").
+    /// enters "in anticipation that user will reciprocate"), whose keys
+    /// are derived at the next conversation round build, eight lanes at
+    /// a time, as [`ClientCohort::start_conversation`]'s are.
     ///
     /// # Errors
     ///
@@ -690,18 +826,21 @@ impl ClientCohort {
     }
 
     /// Accepts an invitation: member `index` enters a conversation with
-    /// the caller.
+    /// the caller ([`ClientCohort::start_conversation`]), and the
+    /// invitation stops pending.
     ///
     /// # Errors
     ///
-    /// [`ClientError::AllSlotsBusy`] when no slot is free.
+    /// [`ClientError::AllSlotsBusy`] when no slot is free; the invitation
+    /// then stays pending, to accept once a slot frees up.
     pub fn accept_invitation(
         &mut self,
         index: usize,
         caller: PublicKey,
     ) -> Result<(), ClientError> {
+        self.start_conversation(index, caller)?;
         self.decline_invitation(index, &caller);
-        self.start_conversation(index, caller)
+        Ok(())
     }
 
     /// Declines (discards) an invitation to member `index`.
@@ -768,29 +907,69 @@ mod tests {
         }
     }
 
+    /// `pair(a, b)` on `paired`, the two `start_conversation` calls it
+    /// stands for on `started`: the same result. Returns whether it is
+    /// `Ok`.
+    fn pair_both(
+        paired: &mut ClientCohort,
+        started: &mut ClientCohort,
+        a: usize,
+        b: usize,
+    ) -> bool {
+        let got = paired.pair(a, b);
+        let (pk_a, pk_b) = (started.public_key(a), started.public_key(b));
+        let want = started
+            .start_conversation(a, pk_b)
+            .and_then(|()| started.start_conversation(b, pk_a));
+        assert_eq!(got, want, "pair({a}, {b})");
+        got.is_ok()
+    }
+
+    /// Whether every conversation in `cohort` holds the keys the scalar
+    /// reference derives for it.
+    fn keyed_as_derived(cohort: &ClientCohort) -> bool {
+        (0..cohort.len()).all(|i| {
+            cohort
+                .conversations(i)
+                .all(|c| c.keyed_as_derived(&cohort.secrets[i], &cohort.publics[i]))
+        })
+    }
+
     #[test]
     fn pair_is_start_conversation_on_both_sides() {
-        // `pair` (one DH, both sides derived from it) against two
-        // `start_conversation` calls (a DH each): the same results and
-        // the same round bytes through a fresh pair, a repeated one, a
-        // self-pair, and a peer with no free slot, which leaves side
-        // `a` half-open either way.
+        // `pair` (one lane for both sides) against two
+        // `start_conversation` calls (a lane each), every key agreement
+        // deferred to the next build or ingest: the same results, slots
+        // and round bytes, and every key the scalar reference's. The
+        // inputs: a fresh pair, a repeated one, a self-pair, a peer with
+        // no free slot (side `a` stays half-open either way), a pair
+        // ended and its slot reused by another peer before any build,
+        // `dial` and `accept_invitation` starts, and a pair made between
+        // a round's build and that round's ingest.
         let pks = server_pks(2);
         let mut paired = ClientCohort::with_own_tables(cfg(2, 1), 31, &pks);
         let mut started = ClientCohort::with_own_tables(cfg(2, 1), 31, &pks);
-        paired.join(6);
-        started.join(6);
-        for (a, b) in [(0, 1), (1, 0), (2, 2), (1, 3), (4, 1), (5, 4)] {
-            let got = paired.pair(a, b);
-            let (pk_a, pk_b) = (started.public_key(a), started.public_key(b));
-            let want = started
-                .start_conversation(a, pk_b)
-                .and_then(|()| started.start_conversation(b, pk_a));
-            assert_eq!(got.is_ok(), want.is_ok(), "pair({a}, {b})");
-            assert_eq!(got.is_ok(), (a, b) != (4, 1), "member 1 has two slots");
+        paired.join(8);
+        started.join(8);
+        let pk: Vec<PublicKey> = (0..8).map(|i| paired.public_key(i)).collect();
+        for (a, b) in [(0, 1), (1, 0), (2, 2), (1, 3), (4, 1), (5, 4), (6, 7)] {
+            let ok = pair_both(&mut paired, &mut started, a, b);
+            assert_eq!(ok, (a, b) != (4, 1), "member 1 has two slots");
+        }
+        let mut rng = StdRng::seed_from_u64(32);
+        let invitation = SealedInvitation::seal(&mut rng, &pk[2], &pk[7]);
+        for c in [&mut paired, &mut started] {
+            // 6 leaves 7 before any build, and 0 takes the slot of 6
+            // whose key was queued against 7.
+            c.end_conversation(6, &pk[7]).expect("end");
+            c.start_conversation(6, pk[0]).expect("reuse the slot");
+            c.dial(3, pk[6]).expect("dial");
+            c.scan_invitation_drop(7, std::slice::from_ref(&invitation));
+            c.accept_invitation(7, pk[2]).expect("accept");
+            assert!(c.slots.iter().flatten().all(|conv| conv.keys.is_none()));
         }
         assert_eq!(paired.mutual_pairs(), started.mutual_pairs());
-        for index in 0..6 {
+        for index in 0..8 {
             let peers = |c: &ClientCohort| -> Vec<Option<PublicKey>> {
                 c.slots[c.slot_range(index)]
                     .iter()
@@ -805,6 +984,17 @@ mod tests {
                 started.build_conversation_round(round).to_vecs(),
                 "round {round}"
             );
+            assert!(keyed_as_derived(&paired) && keyed_as_derived(&started));
+            if round == 0 {
+                assert!(pair_both(&mut paired, &mut started, 2, 5));
+                for c in [&mut paired, &mut started] {
+                    c.handle_conversation_replies(round, &[]);
+                    assert!(
+                        c.queued.is_empty() && keyed_as_derived(c),
+                        "keyed at ingest"
+                    );
+                }
+            }
         }
     }
 }

@@ -156,6 +156,7 @@ pub fn conversation_noise_into<R: RngCore + CryptoRng>(
     let payload_offset = 32 * remaining_chain.len();
 
     let first_noise = batch.len();
+    batch.reserve_exact((singles + 2 * pairs) as usize);
     for _ in 0..singles {
         batch.push_with(|slot| {
             ExchangeRequest::noise_into(rng, None, &mut slot[payload_offset..]);
@@ -199,8 +200,11 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
     let first_noise = batch.len();
     let mut total = 0u64;
     for drop in 1..=num_drops {
+        // Each drop's count is drawn after the previous drop's noise, so
+        // the arena is reserved a drop at a time.
         let count = dist.sample_count(rng, mode);
         total += count;
+        batch.reserve_exact(count as usize);
         for _ in 0..count {
             batch.push_with(|slot| {
                 DialRequest::noise_into(

@@ -164,6 +164,14 @@ impl RoundBuffer {
         f(self.slot_mut(i))
     }
 
+    /// Makes room for exactly `slots` more slots. A caller that knows
+    /// how many it will push calls this first, so that growing one slot
+    /// at a time cannot leave the arena at up to twice what it holds
+    /// (`Vec` doubles).
+    pub fn reserve_exact(&mut self, slots: usize) {
+        self.data.reserve_exact(slots * self.stride);
+    }
+
     /// Drops all slots past the first `n` (used to strip a server's own
     /// noise replies after un-shuffling).
     pub fn truncate(&mut self, n: usize) {
