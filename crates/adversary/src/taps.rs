@@ -9,9 +9,7 @@
 //! runs, and that log is what a passive observer of the link sees. Every
 //! tampering tap is link-addressable (a tap is attached to one
 //! [`vuvuzela_net::Link`]) and round-addressable (via a [`RoundWindow`]
-//! or explicit round fields). A [`TapStack`] composes several taps on one
-//! link — the "coalition multiplexes inside its own `Tap`
-//! implementation" convention from the `Link` docs.
+//! or explicit round fields).
 
 use vuvuzela_net::link::{Tap, TapContext};
 
@@ -91,32 +89,13 @@ impl Tap for KeepOnly {
 }
 
 /// Blocks every request from one client index — "block network traffic
-/// from Alice" (§2.1).
-///
-/// ## Index stability under composed taps
-///
-/// `Vec::remove` shifts every later entry down, so a second blocking
-/// tap on the same link (or any tap addressing the same forward batch
-/// by original position) would hit the wrong victim. The fix is to
-/// block by *stable identity within the round*: the victim's slot is
-/// cleared in place — positions never move while taps are still
-/// running — and the zero-length tombstone is swept afterwards.
-/// Standalone (`tombstone_only: false`, the only mode a lone tap
-/// needs), the sweep happens at the end of this tap's own `intercept`,
-/// which is observationally identical to the old `remove`. Inside a
-/// [`TapStack`], construct with `tombstone_only: true`: every blocking
-/// tap then resolves its index against the *original* batch layout and
-/// the stack performs one sweep after all members ran. Onions are
-/// never legitimately zero-length, so tombstones are unambiguous.
+/// from Alice" (§2.1): the victim's entry is removed from the forward
+/// batch.
 pub struct BlockClient {
-    /// The batch index of the victim on the tapped link, in the batch
-    /// layout *before* any blocking this round.
+    /// The batch index of the victim on the tapped link.
     pub index: usize,
     /// Apply only from this round on (`None` = always).
     pub from_round: Option<u64>,
-    /// Leave the cleared slot in place for an enclosing [`TapStack`]
-    /// to sweep, instead of sweeping here.
-    pub tombstone_only: bool,
 }
 
 impl Tap for BlockClient {
@@ -129,46 +108,9 @@ impl Tap for BlockClient {
                 return;
             }
         }
-        if let Some(entry) = batch.get_mut(self.index) {
-            entry.clear();
+        if self.index < batch.len() {
+            batch.remove(self.index);
         }
-        if !self.tombstone_only {
-            sweep_tombstones(batch);
-        }
-    }
-}
-
-/// Removes the zero-length tombstones blocking taps leave behind.
-fn sweep_tombstones(batch: &mut Vec<Vec<u8>>) {
-    batch.retain(|entry| !entry.is_empty());
-}
-
-/// Runs several taps over the same link in order, then sweeps the
-/// tombstones position-stable blockers ([`BlockClient`] with
-/// `tombstone_only: true`) left behind — the coalition combinator the
-/// [`vuvuzela_net::Link`] one-tap-per-link contract points to. Because
-/// slots only vanish in the final sweep, every member addresses the
-/// round's original batch layout.
-#[derive(Default)]
-pub struct TapStack {
-    /// The member taps, run front to back.
-    pub taps: Vec<Box<dyn Tap>>,
-}
-
-impl TapStack {
-    /// A coalition of the given taps.
-    #[must_use]
-    pub fn new(taps: Vec<Box<dyn Tap>>) -> TapStack {
-        TapStack { taps }
-    }
-}
-
-impl Tap for TapStack {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-        for tap in &mut self.taps {
-            tap.intercept(ctx, batch);
-        }
-        sweep_tombstones(batch);
     }
 }
 
@@ -512,39 +454,10 @@ mod tests {
         let mut tap = BlockClient {
             index: 1,
             from_round: Some(2),
-            tombstone_only: false,
         };
         assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
         let out = pass(&mut tap, 2, Direction::Forward, batch3());
         assert_eq!(out, vec![vec![0], vec![2]]);
-    }
-
-    #[test]
-    fn two_blockers_on_one_link_hit_their_original_indices() {
-        // Regression for the index-shift hazard: composing two blocking
-        // taps with bare `Vec::remove` semantics would let the first
-        // removal shift the second victim (index 3 would hit the
-        // *fourth* remaining entry, i.e. original index 4). Tombstoning
-        // keeps positions stable until the stack's single sweep.
-        let mut tap = TapStack::new(vec![
-            Box::new(BlockClient {
-                index: 1,
-                from_round: None,
-                tombstone_only: true,
-            }),
-            Box::new(BlockClient {
-                index: 3,
-                from_round: None,
-                tombstone_only: true,
-            }),
-        ]);
-        let batch: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i]).collect();
-        let out = pass(&mut tap, 0, Direction::Forward, batch);
-        assert_eq!(
-            out,
-            vec![vec![0], vec![2], vec![4]],
-            "exactly original indices 1 and 3 must vanish"
-        );
     }
 
     #[test]

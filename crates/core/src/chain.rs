@@ -23,6 +23,7 @@
 
 use crate::config::SystemConfig;
 use crate::deaddrops::InvitationDrops;
+use crate::entry::check_client_batch;
 use crate::node::{buf_from_frame, frame_from_buf, RoundTrailer, ServerNode, Side};
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
@@ -31,7 +32,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::batch_through_link;
 use vuvuzela_net::link::Link;
@@ -42,9 +42,9 @@ use vuvuzela_wire::{BatchFrame, Frame};
 
 /// The client batch feeding one round: one flat [`RoundBuffer`] arena
 /// whose slots are exactly the round's full onion width
-/// ([`onion::wrapped_len`] of the round kind's payload) — the one shape
-/// a deployment's entry admits off the wire. Every producer lays its
-/// onions into the arena as it builds them: a
+/// ([`vuvuzela_crypto::onion::wrapped_len`] of the round kind's
+/// payload) — the one shape a deployment's entry admits off the wire.
+/// Every producer lays its onions into the arena as it builds them: a
 /// [`crate::cohort::ClientCohort`] wraps in place, onions wrapped one at
 /// a time go through [`crate::entry::multiplex`].
 #[derive(Clone, Debug)]
@@ -83,10 +83,9 @@ impl From<RoundBuffer> for Batch {
 ///
 /// # Panics
 ///
-/// Panics unless the arena's width and stride are both the round's onion
-/// width — the geometry [`crate::node::run_entry_node`] holds a client
-/// frame to; a bug in the code that laid the arena out, not
-/// client-controlled input.
+/// Panics unless the arena keeps [`crate::entry::check_client_batch`],
+/// the rule the wire entry holds a client frame to; a bug in the code
+/// that laid the arena out, not client-controlled input.
 pub(crate) fn admit_batch(
     client_link: &Link,
     round: u64,
@@ -94,14 +93,10 @@ pub(crate) fn admit_batch(
     chain_len: usize,
     batch: Batch,
 ) -> RoundBuffer {
-    let width = onion::wrapped_len(kind.payload_len(), chain_len);
     let Batch::Flat(buf) = batch;
-    assert!(
-        buf.width() == width && buf.stride() == width,
-        "client batch geometry {}/{} but the round's onion width is {width}",
-        buf.width(),
-        buf.stride()
-    );
+    if let Err(what) = check_client_batch(round, kind, chain_len, buf.width(), buf.stride()) {
+        panic!("{what}");
+    }
     let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
     batch_through_link(client_link, &mut frame);
     buf_from_frame(frame)

@@ -25,10 +25,9 @@
 //!   the recipe left to drift.
 //! * [`AdmissionWindow`] is the bounded in-flight window, measured in
 //!   weighted slots priced by [`admission_weights`]: the feeder
-//!   ([`crate::node::feed_window`]) *blocks* on a full window, the wire
-//!   entry node *rejects* (a peer pushing past the window is a protocol
-//!   violation, and the rejection is deterministic — it depends only on
-//!   the admitted-minus-completed ledger, never on timing).
+//!   ([`crate::node::feed_window`]) *blocks* on a full window. The wire
+//!   entry needs no ledger of its own: it counts the rounds it relayed
+//!   and has not seen answered, and *rejects* one past `chain_len`.
 
 use crate::chain::RoundTiming;
 use crate::config::SystemConfig;
@@ -297,11 +296,8 @@ pub fn admission_weights(
 
 /// The bounded in-flight window, measured in weighted slots.
 ///
-/// One ledger, two users: the feeder asks
-/// [`AdmissionWindow::would_block`] and *waits* for a completion when it
-/// says so; the wire entry node asks the same question and *rejects*
-/// the round instead (a client pushing past the window violates the
-/// wire protocol). The progress guarantee is built
+/// The feeder asks [`AdmissionWindow::would_block`] and *waits* for a
+/// completion when it says so. The progress guarantee is built
 /// into `would_block`: a round heavier than the whole window does not
 /// block an *empty* window, so heavy dialing rounds throttle admission
 /// but can never wedge it.

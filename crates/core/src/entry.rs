@@ -11,14 +11,22 @@
 //! and no shuffling, and a malicious entry server is just another network
 //! adversary (it can drop/delay/inject, all of which the taps model).
 //!
+//! On the wire the entry runs as a relay of the one node handler
+//! ([`crate::node::run_entry_node`]): a hop with no round engine, which
+//! applies every hop's sequencing and handshake rules and relays each
+//! frame without reading it. In process, [`crate::chain::Chain`] and
+//! [`crate::pipeline::StreamingChain`] admit a round's batch at the
+//! clients link themselves. Both hold the batch to one geometry rule,
+//! the one function below.
+//!
 //! A round's requests have one size, so the entry lays them into one
 //! arena: the round's client batch, the same geometry a deployment's
-//! entry receives as one frame off the wire
-//! ([`crate::node::run_entry_node`]). Clients wrap their onions in place
-//! into it (a [`crate::cohort::ClientCohort`], the deployment client);
-//! onions wrapped one at a time are copied in by [`multiplex`], once.
-//! The replies come back in request order, so a client finds its own by
-//! position ([`crate::cohort::ClientCohort::handle_conversation_replies`]).
+//! entry receives as one frame off the wire. Clients wrap their onions
+//! in place into it (a [`crate::cohort::ClientCohort`], the deployment
+//! client); onions wrapped one at a time are copied in by [`multiplex`],
+//! once. The replies come back in request order, so a client finds its
+//! own by position
+//! ([`crate::cohort::ClientCohort::handle_conversation_replies`]).
 
 use crate::roundbuf::RoundBuffer;
 use crate::server::RoundKind;
@@ -31,6 +39,32 @@ use vuvuzela_crypto::onion;
 pub fn round_arena(kind: RoundKind, chain_len: usize) -> RoundBuffer {
     let width = onion::wrapped_len(kind.payload_len(), chain_len);
     RoundBuffer::new(width, width)
+}
+
+/// The one geometry rule for a round's client batch: slots of exactly
+/// the round's onion width over `chain_len` servers, width and stride
+/// alike (see [`round_arena`]). The wire entry refuses a frame that
+/// breaks it as a protocol error; the in-process chains panic, since
+/// their batch was laid out by code, not sent by a peer.
+///
+/// # Errors
+///
+/// The refusal, naming `round` and the geometry it got.
+pub(crate) fn check_client_batch(
+    round: u64,
+    kind: RoundKind,
+    chain_len: usize,
+    width: usize,
+    stride: usize,
+) -> Result<(), String> {
+    let onion_width = onion::wrapped_len(kind.payload_len(), chain_len);
+    if width == onion_width && stride == onion_width {
+        return Ok(());
+    }
+    Err(format!(
+        "round {round} client batch geometry {width}/{stride} but the round's onion width is \
+         {onion_width}"
+    ))
 }
 
 /// Multiplexes per-client request lists into the round's arena, one slot

@@ -13,7 +13,9 @@
 //! * [`noise`] — cover-traffic generation (Algorithm 2 step 2) for both
 //!   protocols, including onion-wrapping noise for downstream servers.
 //! * [`entry`] — the untrusted entry server (§7): multiplexes client
-//!   requests into a round; replies come back in request order.
+//!   requests into a round, and holds a round's client batch to its one
+//!   geometry rule; replies come back in request order. On the wire the
+//!   entry runs as a relay of the [`node`] handler.
 //! * [`chain`] — a whole deployment wired together with metered,
 //!   tappable links; runs conversation and dialing rounds end to end,
 //!   strictly sequentially: the [`node`] hop protocol's window-1
@@ -27,8 +29,8 @@
 //!   implementation of the forward/turnaround/backward state machine
 //!   and the weighted admission window, driven by the hop protocol and
 //!   nothing else.
-//! * [`node`] — the hop protocol (one frame handler per server), the
-//!   hop and entry loops and the windowed feeder behind the
+//! * [`node`] — the hop protocol (one frame handler per node, the entry
+//!   a relay of it), the one node loop and the windowed feeder behind the
 //!   [`vuvuzela_net::Transport`] seam: what a deployment's processes run
 //!   over TCP, what [`pipeline`] runs in memory and what [`chain`] runs
 //!   hop by hop; a node that stops hangs up on its neighbours.

@@ -1,14 +1,18 @@
-//! The node loops: what every hop of every overlapped deployment runs.
+//! The node loop: what every node of every overlapped deployment runs.
 //!
-//! [`run_server_node`] and [`run_entry_node`] drive one mix server / the
-//! entry entirely through the [`vuvuzela_net::Transport`] seam, and
-//! [`feed_window`] is the client side that feeds them. The same loops
-//! run over the framed TCP backend (the `vuvuzela-server` / `-entry` /
-//! `-client` bins, one OS process per node) and over in-memory
-//! endpoints — which is all [`crate::pipeline::StreamingChain`] is: the
-//! hop loops on scoped threads, fed by the calling thread. A server's
-//! side of the protocol is one frame handler (`ServerNode::on_frame`):
-//! [`run_server_node`] pumps it from its links, and the sequential
+//! A node's side of the round protocol is one frame handler
+//! (`ServerNode::on_frame`), and one private pump drives it from the
+//! node's two links through the [`vuvuzela_net::Transport`] seam.
+//! [`run_server_node`] runs a mix server that way, and [`run_entry_node`]
+//! runs the untrusted entry (§7) as a *relay* of the same handler: a
+//! node with no [`crate::engine::RoundEngine`], which holds client
+//! batches to their round's onion width and relays every frame,
+//! relabelled, without reading it. [`feed_window`] is the client side
+//! that feeds either. The one loop runs over the framed TCP backend (the
+//! `vuvuzela-server` / `-entry` / `-client` bins, one OS process per
+//! node) and over in-memory endpoints — which is all
+//! [`crate::pipeline::StreamingChain`] is: the server loops on scoped
+//! threads, fed by the calling thread. The sequential
 //! [`crate::chain::Chain::run_round`] carries a round's one frame
 //! through each hop's handler itself — the same checks, steps and
 //! trailers at window 1, with no thread or transport. The round recipe
@@ -25,7 +29,8 @@
 //! turns the round around: a backward frame carrying the replies (or a
 //! zero-count *completion* frame for forward-only dialing rounds) walks
 //! the chain back to the entry, each server applying its backward pass
-//! to conversation replies and relaying dialing completions untouched.
+//! to conversation replies and relaying dialing completions untouched,
+//! and the entry relaying both to the client side.
 //!
 //! The observables the compromised-last-server threat model exposes
 //! ride the backward frame's opaque `trailer`, encoded as a
@@ -37,16 +42,17 @@
 //! Up to `chain_len` rounds may be in flight at once (§8.2: the chain is
 //! sequential *within* a round, so throughput comes from overlapping
 //! consecutive rounds across hops). [`feed_window`] paces admission
-//! with [`crate::engine::AdmissionWindow`]; the entry enforces the same
-//! window and rejects a client pushing past it (deterministically — the
-//! decision depends only on the admitted-minus-completed ledger).
+//! with [`crate::engine::AdmissionWindow`]; the entry refuses a client
+//! batch that would put more than `chain_len` rounds in flight
+//! (deterministically — the decision depends only on the rounds relayed
+//! and not yet answered, never on timing).
 //! Because links carry interleaved rounds, each node merges its links
 //! into one event queue through [`vuvuzela_net::Demux`], which keeps
 //! every socket's receive side drained — the deadlock-freedom argument
 //! for blocking sends. Frame order per link and direction follows
 //! [`vuvuzela_wire::sequence`]'s rules, asserted here with
 //! [`RoundSequencer`]s on the forward legs and admission-order matching
-//! on the backward legs.
+//! of `(round, protocol)` on the backward legs.
 //!
 //! ## Shutdown, orderly and not
 //!
@@ -54,9 +60,10 @@
 //! side sends the forward `Bye` after its last batch, each node relays
 //! it downstream (FIFO guarantees no batch is abandoned behind it), the
 //! tail answers with the backward `Bye` after its last backward frame,
-//! and each node relays that upstream once every round it forwarded has
-//! come back — so a node returning its [`NodeStats`] has provably
-//! finished every admitted round.
+//! and each node — the entry included — relays that upstream once every
+//! round it forwarded has come back, so a node returning its
+//! [`NodeStats`] has provably finished every admitted round, and the
+//! client side sees the backward `Bye` last.
 //!
 //! A node that stops any other way — protocol error, transport failure,
 //! a panic unwinding through it — hangs up both its links as it goes
@@ -69,12 +76,12 @@ use crate::chain::RoundTiming;
 use crate::config::SystemConfig;
 use crate::deaddrops::InvitationDrops;
 use crate::engine::{admission_weights, AdmissionWindow, EngineStep, RoundEngine};
+use crate::entry;
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vuvuzela_crypto::onion;
 use vuvuzela_net::{Demux, Error, Transport};
 use vuvuzela_wire::{BatchFrame, Frame, LinkId, RoundId, RoundSequencer, RoundType};
 
@@ -272,13 +279,20 @@ pub(crate) enum Side {
 /// none of it; the bins pass `&mut |_, _, _| {}`.
 pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) + 'a;
 
-/// One mix server's side of the round protocol, one frame at a time:
-/// every check, step and trailer a hop applies, and nothing that moves
-/// frames. [`run_server_node`] runs it on whatever its links deliver;
-/// [`crate::chain::Chain::run_round`] carries a round's one frame from
-/// hop to hop itself — the window-1 schedule, on the calling thread.
+/// One node's side of the round protocol, one frame at a time: every
+/// check, step and trailer a hop applies, and nothing that moves frames.
+/// A mix server's node drives its [`RoundEngine`]; the entry's node has
+/// none and relays (§7: it "handles only opaque bytes"). The one pump
+/// behind [`run_server_node`] and [`run_entry_node`] runs it on whatever
+/// its links deliver; [`crate::chain::Chain::run_round`] carries a
+/// round's one frame from hop to hop itself — the window-1 schedule, on
+/// the calling thread.
 pub(crate) struct ServerNode<'a> {
-    engine: RoundEngine<'a>,
+    /// `None` for the entry, which relays.
+    engine: Option<RoundEngine<'a>>,
+    /// The chain's length: the entry's client-batch geometry and how
+    /// many rounds it lets into the chain at once.
+    chain_len: usize,
     up_link: LinkId,
     /// `None` for the chain's tail.
     down_link: Option<LinkId>,
@@ -303,7 +317,21 @@ impl<'a> ServerNode<'a> {
         down_link: Option<LinkId>,
     ) -> ServerNode<'a> {
         ServerNode {
-            engine: RoundEngine::new(server, config, seed),
+            engine: Some(RoundEngine::new(server, config, seed)),
+            ..ServerNode::relay(config, up_link, down_link)
+        }
+    }
+
+    /// The entry's node between the clients link `up_link` and hop 0's
+    /// `down_link`: the hop's checks and handshake, no engine.
+    pub(crate) fn relay(
+        config: &SystemConfig,
+        up_link: LinkId,
+        down_link: Option<LinkId>,
+    ) -> ServerNode<'a> {
+        ServerNode {
+            engine: None,
+            chain_len: config.chain_len,
             up_link,
             down_link,
             stats: NodeStats::default(),
@@ -326,7 +354,7 @@ impl<'a> ServerNode<'a> {
     /// # Errors
     ///
     /// [`Error::Protocol`] / [`Error::Frame`] when the frame breaks the
-    /// round protocol (see [`run_server_node`]).
+    /// round protocol (see [`run_server_node`] and [`run_entry_node`]).
     pub(crate) fn on_frame(
         &mut self,
         from: Side,
@@ -347,7 +375,30 @@ impl<'a> ServerNode<'a> {
                     })?;
                 let (round, round_type) = (frame.round.0, frame.round_type);
                 let kind = round_kind(up_link, &frame)?;
-                let width = self.engine.server().incoming_width(kind);
+                let Some(engine) = self.engine.as_mut() else {
+                    let (width, stride) = (frame.width as usize, frame.stride as usize);
+                    entry::check_client_batch(round, kind, self.chain_len, width, stride)
+                        .map_err(|what| protocol(up_link, what))?;
+                    // The client driver paces itself (it blocks before
+                    // sending), so one more round than the chain holds
+                    // is a misbehaving peer, not backpressure.
+                    let window = self.chain_len.max(1);
+                    if self.pending.len() >= window {
+                        let in_flight = self.pending.len();
+                        let what = format!(
+                            "round {round} exceeds the admission window ({in_flight} of \
+                             {window} rounds in flight)"
+                        );
+                        return Err(protocol(up_link, what));
+                    }
+                    self.pending.push_back((round, round_type));
+                    let relayed = BatchFrame {
+                        link: self.down_link(),
+                        ..frame
+                    };
+                    return Ok((Side::Downstream, Frame::Batch(relayed), false));
+                };
+                let width = engine.server().incoming_width(kind);
                 if frame.width as usize != width {
                     let got = frame.width;
                     let what =
@@ -355,7 +406,7 @@ impl<'a> ServerNode<'a> {
                     return Err(protocol(up_link, what));
                 }
                 let (buf, mut timing) = (buf_from_frame(frame), RoundTiming::default());
-                match self.engine.forward(round, kind, buf, &mut timing) {
+                match engine.forward(round, kind, buf, &mut timing) {
                     EngineStep::Forward { round, kind, buf } => {
                         observer(round, timing, None);
                         self.pending.push_back((round, round_type));
@@ -417,19 +468,21 @@ impl<'a> ServerNode<'a> {
                     return Err(protocol(down_link, what));
                 }
                 self.stats.bump(round_type);
-                if round_type == RoundType::Dialing {
-                    // A dialing completion: relay untouched (trailer and
-                    // all); the round was aborted on the forward pass.
+                let conversation = round_type == RoundType::Conversation;
+                let Some(engine) = self.engine.as_mut().filter(|_| conversation) else {
+                    // The entry's every backward frame, and a hop's
+                    // dialing completion (the round was aborted on the
+                    // forward pass): relay untouched, trailer and all.
                     let relayed = BatchFrame {
                         link: up_link,
                         ..back
                     };
                     return Ok((Side::Upstream, Frame::Batch(relayed), false));
-                }
+                };
                 // The arena goes straight into the in-place reply wrap:
                 // refuse one this hop's layer, or a later hop's, would
                 // not fit in.
-                let server = self.engine.server();
+                let server = engine.server();
                 let (width, stride) = (server.reply_width(), server.reply_stride());
                 if back.width as usize != width || (back.stride as usize) < stride {
                     let what = format!(
@@ -441,7 +494,7 @@ impl<'a> ServerNode<'a> {
                 }
                 let trailer = back.trailer.clone();
                 let (buf, mut timing) = (buf_from_frame(back), RoundTiming::default());
-                let replies = self.engine.backward(round, buf, &mut timing);
+                let replies = engine.backward(round, buf, &mut timing);
                 observer(round, timing, None);
                 let kind = RoundKind::Conversation;
                 let replies = frame_from_buf(up_link, round, kind, true, replies, trailer);
@@ -511,7 +564,49 @@ pub fn run_server_node(
     observer: &mut HopObserver<'_>,
 ) -> Result<NodeStats, Error> {
     let down_link = downstream.as_ref().map(|down| down.link_id());
-    let mut node = ServerNode::new(server, config, seed, upstream.link_id(), down_link);
+    let node = ServerNode::new(server, config, seed, upstream.link_id(), down_link);
+    pump(node, upstream, downstream, observer)
+}
+
+/// Runs the untrusted entry as a transport-driven node until the `Bye`
+/// handshake completes, admitting up to `chain_len` rounds in flight:
+/// the relay `ServerNode`, pumped like a server's.
+///
+/// The entry holds each client batch to the round's full onion width
+/// ([`crate::entry`]'s geometry rule), re-frames it onto hop 0, relays
+/// each round's backward frame (replies or dialing completion, trailer
+/// included) back to the client side verbatim, in admission order, and
+/// answers the client's forward `Bye` with the backward one. A client
+/// batch arriving while `chain_len` rounds are in flight is a *protocol
+/// error*, not backpressure — the client driver owns pacing (it blocks
+/// before sending), so an over-admitting peer is misbehaving, and the
+/// rejection is deterministic because it depends only on the frames
+/// relayed and answered, never on timing.
+///
+/// # Errors
+///
+/// Any transport failure, or [`Error::Protocol`] / [`Error::Frame`]
+/// when the client batch geometry is not the round's onion width, the
+/// admission window is exceeded, round ids go out of order, or a peer
+/// breaks the round protocol as it would a server's (see
+/// [`run_server_node`]).
+pub fn run_entry_node(
+    config: &SystemConfig,
+    clients: Arc<dyn Transport>,
+    downstream: Arc<dyn Transport>,
+) -> Result<NodeStats, Error> {
+    let node = ServerNode::relay(config, clients.link_id(), Some(downstream.link_id()));
+    pump(node, clients, Some(downstream), &mut |_, _, _| {})
+}
+
+/// The node loop: pumps `node`'s handler with what its links deliver,
+/// merged by one [`Demux`], until the `Bye` handshake completes.
+fn pump(
+    mut node: ServerNode<'_>,
+    upstream: Arc<dyn Transport>,
+    downstream: Option<Arc<dyn Transport>>,
+    observer: &mut HopObserver<'_>,
+) -> Result<NodeStats, Error> {
     let mut links: Vec<(Side, Arc<dyn Transport>)> = vec![(Side::Upstream, Arc::clone(&upstream))];
     if let Some(down) = &downstream {
         links.push((Side::Downstream, Arc::clone(down)));
@@ -537,154 +632,6 @@ pub fn run_server_node(
     ))
 }
 
-/// Runs the untrusted entry as a transport-driven node until the `Bye`
-/// handshake completes, admitting up to `chain_len` rounds in flight.
-///
-/// The entry validates each client batch's geometry against the round's
-/// full onion width, re-frames it onto hop 0, and relays each round's
-/// backward frame (replies or dialing completion, trailer included)
-/// back to the client side verbatim, in admission order. A client batch
-/// arriving while the admission window is full is a *protocol error*,
-/// not backpressure — the client driver owns pacing (it blocks before
-/// sending), so an over-admitting peer is misbehaving, and the
-/// rejection is deterministic because the window ledger depends only on
-/// the frames admitted and completed, never on timing.
-///
-/// # Errors
-///
-/// Any transport failure, or [`Error::Protocol`] / [`Error::Frame`]
-/// when the client batch geometry is not the round's onion width, the
-/// admission window is exceeded, round ids go out of order, or a peer
-/// breaks the round protocol.
-pub fn run_entry_node(
-    config: &SystemConfig,
-    clients: Arc<dyn Transport>,
-    downstream: Arc<dyn Transport>,
-) -> Result<NodeStats, Error> {
-    let clients_link = clients.link_id();
-    let down_link = downstream.link_id();
-    let mut stats = NodeStats::default();
-    let window_slots = config.chain_len.max(1);
-    let mut window = AdmissionWindow::new(window_slots);
-    let mut forward_seq = RoundSequencer::new();
-    let mut pending: VecDeque<u64> = VecDeque::new();
-    let mut client_done = false;
-
-    let demux = Demux::new([
-        (Side::Upstream, Arc::clone(&clients)),
-        (Side::Downstream, Arc::clone(&downstream)),
-    ]);
-
-    while let Some(event) = demux.recv() {
-        match (event.from, event.event?) {
-            (Side::Upstream, Frame::Batch(frame)) => {
-                if frame.backward {
-                    return Err(protocol(
-                        clients_link,
-                        "backward frame on the client request leg",
-                    ));
-                }
-                forward_seq
-                    .observe(frame.round)
-                    .map_err(|source| Error::Frame {
-                        link: clients_link,
-                        source,
-                    })?;
-                let round = frame.round.0;
-                let kind = round_kind(clients_link, &frame)?;
-                let width = onion::wrapped_len(kind.payload_len(), config.chain_len);
-                if frame.width as usize != width || frame.stride as usize != width {
-                    return Err(protocol(
-                        clients_link,
-                        format!(
-                            "round {round} client batch geometry {}/{} but the round's onion \
-                             width is {width}",
-                            frame.width, frame.stride
-                        ),
-                    ));
-                }
-                if window.would_block(1) {
-                    return Err(protocol(
-                        clients_link,
-                        format!(
-                            "round {round} exceeds the admission window ({} of {window_slots} \
-                             rounds in flight)",
-                            window.in_flight()
-                        ),
-                    ));
-                }
-                window.admit(round, 1);
-                pending.push_back(round);
-                downstream.send(Frame::Batch(BatchFrame {
-                    link: down_link,
-                    ..frame
-                }))?;
-            }
-            (Side::Upstream, Frame::Bye) => {
-                client_done = true;
-                downstream.send(Frame::Bye)?;
-            }
-            (Side::Downstream, Frame::Batch(back)) => {
-                if !back.backward {
-                    return Err(protocol(down_link, "forward frame on the backward leg"));
-                }
-                let round = back.round.0;
-                match pending.front() {
-                    Some(&expected) if expected == round => {
-                        pending.pop_front();
-                        window.complete(round);
-                    }
-                    Some(&expected) => {
-                        return Err(protocol(
-                            down_link,
-                            format!(
-                                "expected the backward frame of round {expected}, got round \
-                                 {round}"
-                            ),
-                        ))
-                    }
-                    None => {
-                        return Err(protocol(
-                            down_link,
-                            format!("unsolicited backward frame for round {round}"),
-                        ))
-                    }
-                }
-                let round_type = back.round_type;
-                clients.send(Frame::Batch(BatchFrame {
-                    link: clients_link,
-                    ..back
-                }))?;
-                stats.bump(round_type);
-            }
-            (Side::Downstream, Frame::Bye) => {
-                if !client_done || window.in_flight() > 0 {
-                    return Err(protocol(
-                        down_link,
-                        format!(
-                            "backward bye with {} rounds still in flight (client bye seen: \
-                             {client_done})",
-                            window.in_flight()
-                        ),
-                    ));
-                }
-                return Ok(stats);
-            }
-            (side, Frame::Hello(_)) => {
-                let link = match side {
-                    Side::Upstream => clients_link,
-                    Side::Downstream => down_link,
-                };
-                return Err(protocol(link, "unexpected hello mid-stream"));
-            }
-        }
-    }
-    Err(protocol(
-        clients_link,
-        "links closed before the bye handshake completed",
-    ))
-}
-
 /// The client side of the windowed protocol: replays `schedule` —
 /// `(round, kind, client requests)`, round ids strictly increasing (the
 /// wire's sequencing rule 1) — against the chain behind `chain`, up to
@@ -697,16 +644,19 @@ pub fn run_entry_node(
 /// whatever the caller wants back with the round, and the arena leaves
 /// as a forward [`BatchFrame`]. `collect` gets that state, the backward
 /// frame and its [`RoundTrailer`], which is of the round's own protocol.
-/// The forward [`Frame::Bye`] follows the last collected round.
+/// The forward [`Frame::Bye`] follows the last collected round, and the
+/// feeder returns once the node it feeds answers with the backward one:
+/// every node behind it has then finished.
 ///
-/// Both drivers of the node loops feed through here: the deployment
+/// Both drivers of the node loop feed through here: the deployment
 /// client (to the entry, over TCP) and
 /// [`crate::pipeline::StreamingChain`] (to hop 0, in memory).
 ///
 /// # Errors
 ///
 /// Transport failures, or [`Error::Protocol`] when the chain answers
-/// out of protocol (wrong round or round type, malformed trailer).
+/// out of protocol (wrong round or round type, malformed trailer, no
+/// backward `Bye` after the last round).
 ///
 /// # Panics
 ///
@@ -758,7 +708,14 @@ pub fn feed_window<S>(
         window.complete(round);
         collect(state, back, trailer);
     }
-    chain.send(Frame::Bye)
+    chain.send(Frame::Bye)?;
+    match chain.recv()? {
+        Frame::Bye => Ok(()),
+        other => Err(protocol(
+            link,
+            format!("expected the backward bye, got {other:?}"),
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -767,6 +724,7 @@ mod tests {
     use crate::chain::{build_server, Chain};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use vuvuzela_crypto::onion;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
     use vuvuzela_net::link::Link;
     use vuvuzela_net::transport::memory_pair;
@@ -919,6 +877,8 @@ mod tests {
         assert_eq!(trailer, RoundTrailer::Dialing(ref_dial_obs));
 
         client_end.send(Frame::Bye).expect("bye");
+        // The entry answers the forward bye once every hop has finished.
+        assert!(matches!(client_end.recv(), Ok(Frame::Bye)));
         for handle in handles {
             let stats = handle.join().expect("node thread");
             assert_eq!(
@@ -1111,6 +1071,66 @@ mod tests {
         let err = run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down))
             .expect_err("wrong width must be rejected");
         assert!(matches!(err, Error::Protocol { .. }), "got {err}");
+    }
+
+    /// A hand-driven hop 0 answers conversation round 0 with a dialing
+    /// completion: the entry holds its backward leg to each round's
+    /// protocol, as every hop does, and refuses it by name.
+    #[test]
+    fn entry_refuses_a_backward_frame_of_the_other_protocol() {
+        let config = tiny_config(2);
+        let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
+        let (entry_down, s0_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
+        let entry = std::thread::spawn(move || {
+            run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down))
+        });
+        let width = onion::wrapped_len(RoundKind::Conversation.payload_len(), 2) as u32;
+        let batch = BatchFrame {
+            link: LinkId::Clients,
+            round: RoundId(0),
+            round_type: RoundType::Conversation,
+            num_drops: 0,
+            backward: false,
+            stride: width,
+            width,
+            count: 0,
+            payload: Vec::new(),
+            trailer: Vec::new(),
+        };
+        client_end.send(Frame::Batch(batch)).expect("send batch");
+        let forwarded = match s0_up.recv().expect("forwarded batch") {
+            Frame::Batch(forwarded) => forwarded,
+            other => panic!("expected the forwarded batch, got {other:?}"),
+        };
+        let observables = DialingObservables {
+            counts: vec![0],
+            noop_writes: 0,
+        };
+        let completion = BatchFrame {
+            round_type: RoundType::Dialing,
+            num_drops: 1,
+            backward: true,
+            stride: 0,
+            width: 0,
+            trailer: RoundTrailer::Dialing(observables).encode(),
+            ..forwarded
+        };
+        s0_up
+            .send(Frame::Batch(completion))
+            .expect("send the completion");
+        // Both peers hang up behind the completion, so an entry that
+        // relays it stops on a disconnect instead of waiting forever.
+        drop((s0_up, client_end));
+        match entry
+            .join()
+            .expect("a peer's frame must not panic the entry")
+        {
+            Err(Error::Protocol { link, reason }) => {
+                assert_eq!(link, LinkId::Hop(0));
+                assert!(reason.contains("round 0"), "{reason}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     /// The entry's windowed admission rejects the (window+1)th in-flight

@@ -55,7 +55,6 @@ use vuvuzela_crypto::x25519::PublicKey;
 use vuvuzela_net::{memory_pair, Error, Transport};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
-use vuvuzela_wire::Frame;
 
 /// A deployment driven by the streaming scheduler. Wraps the same
 /// [`Chain`] (same servers, links, seeds — construction is identical for
@@ -227,15 +226,7 @@ impl StreamingChain {
                     }
                     outcomes.push(collector.complete(back, trailer, fed));
                 },
-            )
-            // Hop 0 answers the forward bye once every hop has finished.
-            .and_then(|()| match feeder.recv()? {
-                Frame::Bye => Ok(()),
-                other => Err(Error::Protocol {
-                    link: feeder.link_id(),
-                    reason: format!("expected the backward bye, got {other:?}"),
-                }),
-            });
+            );
             drop(feeder);
             failures.extend(fed.err());
             for node in nodes {

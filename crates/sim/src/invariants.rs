@@ -4,9 +4,9 @@
 //! argument (the crate docs enumerate them). The core checks are
 //! *bounded*: every noise-dependent count must land in an inclusive
 //! `[lo, hi]` window. Under deterministic noise mode (`⌈µ⌉` exactly
-//! per draw) the windows collapse to equalities — the historical exact
-//! checks [`check_conversation_round`] / [`check_dialing_round`] are
-//! thin wrappers passing degenerate bounds — so any drift (a client
+//! per draw) the windows collapse to equalities, the recipe of
+//! [`deterministic_conversation_noise`] / [`deterministic_dialing_noise`]
+//! passed as degenerate bounds — so any drift (a client
 //! silently skipping a round, noise not covering a histogram, a
 //! dialing round growing a backward pass, a privacy charge out of
 //! schedule) fails the simulation immediately with the round it
@@ -80,13 +80,6 @@ pub fn deterministic_dialing_noise(mu: f64) -> u64 {
     mu.ceil() as u64
 }
 
-/// Total onions one noising server injects into a conversation round.
-#[must_use]
-pub fn conversation_noise_onions(mu: f64) -> u64 {
-    let (singles, pairs) = deterministic_conversation_noise(mu);
-    singles + 2 * pairs
-}
-
 /// Everything needed to check one completed conversation round.
 #[derive(Clone, Copy)]
 pub struct ConversationRoundCheck<'a> {
@@ -107,43 +100,6 @@ pub struct ConversationRoundCheck<'a> {
     pub onion_width: u64,
     /// Replies handed back to the entry for this round.
     pub replies: u64,
-}
-
-/// Checks invariants 1 (uniform participation) and 2 (noise-covered
-/// dead drops) for a conversation round in deterministic noise mode:
-/// degenerate-bound wrapper over [`check_conversation_round_bounded`].
-///
-/// # Errors
-///
-/// The first violated invariant, with expected-vs-got detail.
-pub fn check_conversation_round(
-    chain_len: u64,
-    conversation_mu: f64,
-    c: &ConversationRoundCheck<'_>,
-) -> Result<(), InvariantViolation> {
-    let (singles, pairs) = deterministic_conversation_noise(conversation_mu);
-    check_conversation_round_bounded(chain_len, (singles, singles), (pairs, pairs), c)
-}
-
-/// Checks invariants 1 and 2 for a conversation round with inclusive
-/// per-noising-server draw bounds: `singles = [lo, hi]` on each
-/// server's singleton count (n1 plus the odd-n2 leftover), `pairs =
-/// [lo, hi]` on each ⌊n2/2⌋ pair count. Participation
-/// (submission count, onion width, reply count) stays exact — it is
-/// noise-free arithmetic — while the histogram decomposition is checked
-/// against the windows; deterministic mode passes `lo == hi`.
-///
-/// # Errors
-///
-/// The first violated invariant, with expected-vs-got detail.
-pub fn check_conversation_round_bounded(
-    chain_len: u64,
-    singles: (u64, u64),
-    pairs: (u64, u64),
-    c: &ConversationRoundCheck<'_>,
-) -> Result<(), InvariantViolation> {
-    check_conversation_participation(c)?;
-    check_conversation_histogram(chain_len, singles, pairs, c)
 }
 
 /// Invariant 1 alone for a conversation round: every online client
@@ -256,39 +212,6 @@ pub struct DialingRoundCheck<'a> {
     pub backward_stages: u64,
 }
 
-/// Checks invariants 1–3 for a dialing round in deterministic noise
-/// mode: degenerate-bound wrapper over [`check_dialing_round_bounded`].
-///
-/// # Errors
-///
-/// The first violated invariant, with expected-vs-got detail.
-pub fn check_dialing_round(
-    chain_len: u64,
-    dialing_mu: f64,
-    c: &DialingRoundCheck<'_>,
-) -> Result<(), InvariantViolation> {
-    let noise = deterministic_dialing_noise(dialing_mu);
-    check_dialing_round_bounded(chain_len, (noise, noise), c)
-}
-
-/// Checks invariants 1–3 for a dialing round with an inclusive per-
-/// server per-drop draw window `per_draw = [lo, hi]`: uniform
-/// participation and forward-only execution stay exact, while each
-/// drop's count must land in `real + chain_len·[lo, hi]` (every server,
-/// including the last, draws once per drop — §5.3).
-///
-/// # Errors
-///
-/// The first violated invariant, with expected-vs-got detail.
-pub fn check_dialing_round_bounded(
-    chain_len: u64,
-    per_draw: (u64, u64),
-    c: &DialingRoundCheck<'_>,
-) -> Result<(), InvariantViolation> {
-    check_dialing_participation(c)?;
-    check_dialing_counts(chain_len, per_draw, c)
-}
-
 /// Invariants 1 and 3 alone for a dialing round: uniform participation
 /// on the client link and forward-only execution. Split out for the
 /// same reason as [`check_conversation_participation`].
@@ -322,7 +245,9 @@ pub fn check_dialing_participation(c: &DialingRoundCheck<'_>) -> Result<(), Inva
 }
 
 /// Invariant 2 alone for a dialing round: per-drop counts and no-op
-/// writes against the per-server draw window.
+/// writes against the per-server per-drop draw window `per_draw = [lo,
+/// hi]`. Each drop's count must land in `real + chain_len·[lo, hi]`
+/// (every server, including the last, draws once per drop — §5.3).
 ///
 /// # Errors
 ///
@@ -640,8 +565,10 @@ mod tests {
         // Odd ⌈µ⌉: n2 = 5 pairs into ⌊5/2⌋ = 2 drops and the leftover
         // request becomes a 6th singleton; total onions stay n1 + n2.
         assert_eq!(deterministic_conversation_noise(5.0), (6, 2));
-        assert_eq!(conversation_noise_onions(6.0), 12);
-        assert_eq!(conversation_noise_onions(5.0), 10);
+        for (mu, onions) in [(6.0, 12), (5.0, 10)] {
+            let (singles, pairs) = deterministic_conversation_noise(mu);
+            assert_eq!(singles + 2 * pairs, onions);
+        }
         assert_eq!(deterministic_dialing_noise(3.0), 3);
     }
 
@@ -665,14 +592,18 @@ mod tests {
             onion_width: 500,
             replies: 10,
         };
-        check_conversation_round(3, 6.0, &check).expect("exact decomposition passes");
+        let (singles, pairs) = deterministic_conversation_noise(6.0);
+        let histogram =
+            |c: &_| check_conversation_histogram(3, (singles, singles), (pairs, pairs), c);
+        check_conversation_participation(&check).expect("exact participation passes");
+        histogram(&check).expect("exact decomposition passes");
 
         // One missing submission fails invariant 1.
         let short = ConversationRoundCheck {
             client_link_forward: (9, 9 * 500),
             ..check
         };
-        let err = check_conversation_round(3, 6.0, &short).expect_err("must fail");
+        let err = check_conversation_participation(&short).expect_err("must fail");
         assert_eq!(err.invariant, "uniform-participation");
 
         // A histogram off by one fails invariant 2.
@@ -684,7 +615,7 @@ mod tests {
             observables: &skew,
             ..check
         };
-        let err = check_conversation_round(3, 6.0, &bad).expect_err("must fail");
+        let err = histogram(&bad).expect_err("must fail");
         assert_eq!(err.invariant, "noise-covered-deaddrops");
     }
 
@@ -704,13 +635,15 @@ mod tests {
             onion_width: 300,
             backward_stages: 0,
         };
-        check_dialing_round(3, 3.0, &check).expect("passes");
+        let noise = deterministic_dialing_noise(3.0);
+        check_dialing_participation(&check).expect("passes");
+        check_dialing_counts(3, (noise, noise), &check).expect("passes");
 
         let backward = DialingRoundCheck {
             client_link_backward: (1, 300),
             ..check
         };
-        let err = check_dialing_round(3, 3.0, &backward).expect_err("must fail");
+        let err = check_dialing_participation(&backward).expect_err("must fail");
         assert_eq!(err.invariant, "dialing-forward-only");
 
         let uncovered = DialingObservables {
@@ -721,7 +654,7 @@ mod tests {
             observables: &uncovered,
             ..check
         };
-        let err = check_dialing_round(3, 3.0, &bad).expect_err("must fail");
+        let err = check_dialing_counts(3, (noise, noise), &bad).expect_err("must fail");
         assert_eq!(err.invariant, "noise-covered-deaddrops");
     }
 
@@ -834,19 +767,18 @@ mod tests {
             onion_width: 500,
             replies: 10,
         };
-        check_conversation_round_bounded(3, (4, 8), (2, 5), &check).expect("in-window passes");
+        check_conversation_participation(&check).expect("in-window passes");
+        check_conversation_histogram(3, (4, 8), (2, 5), &check).expect("in-window passes");
         // The same histogram fails a singles window above the draws
         // (m1 = 18 < base 6 + 2 noising servers x lo 7).
-        let err =
-            check_conversation_round_bounded(3, (7, 8), (2, 5), &check).expect_err("must fail");
+        let err = check_conversation_histogram(3, (7, 8), (2, 5), &check).expect_err("must fail");
         assert_eq!(err.invariant, "noise-covered-deaddrops");
         // Participation stays exact even with loose windows.
         let short = ConversationRoundCheck {
             replies: 9,
             ..check
         };
-        let err =
-            check_conversation_round_bounded(3, (0, 100), (0, 100), &short).expect_err("must fail");
+        let err = check_conversation_participation(&short).expect_err("must fail");
         assert_eq!(err.invariant, "uniform-participation");
     }
 
@@ -867,15 +799,16 @@ mod tests {
             backward_stages: 0,
         };
         // 3 servers x per-draw window [2, 4] → drop windows [6, 12].
-        check_dialing_round_bounded(3, (2, 4), &check).expect("in-window passes");
-        let err = check_dialing_round_bounded(3, (3, 4), &check).expect_err("must fail");
+        check_dialing_participation(&check).expect("in-window passes");
+        check_dialing_counts(3, (2, 4), &check).expect("in-window passes");
+        let err = check_dialing_counts(3, (3, 4), &check).expect_err("must fail");
         assert_eq!(err.invariant, "noise-covered-deaddrops");
         // Forward-only is exact regardless of the window.
         let backward = DialingRoundCheck {
             backward_stages: 1,
             ..check
         };
-        let err = check_dialing_round_bounded(3, (0, 100), &backward).expect_err("must fail");
+        let err = check_dialing_participation(&backward).expect_err("must fail");
         assert_eq!(err.invariant, "dialing-forward-only");
     }
 

@@ -20,9 +20,11 @@
 //!   streaming scheduler's in-process hand-offs, plus an opaque
 //!   `trailer` intermediate hops forward untouched (the tail uses it to
 //!   ship per-round observables to the entry).
-//! * [`Frame::Bye`] — orderly termination: the entry sends it after the
-//!   last forward batch, each server relays it, and the tail turns it
-//!   around; FIFO ordering guarantees no batch is abandoned behind it.
+//! * [`Frame::Bye`] — orderly termination: the client driver sends it
+//!   after the last forward batch, the entry and each server relay it,
+//!   the tail turns it around, and the entry answers the client driver
+//!   with the backward one; FIFO ordering guarantees no batch is
+//!   abandoned behind it.
 
 use crate::linkid::LinkId;
 use crate::round::{RoundId, RoundType};

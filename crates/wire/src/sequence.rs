@@ -17,11 +17,13 @@
 //!    that repeats or goes backwards is a protocol violation
 //!    ([`crate::FrameError::OutOfOrder`]), not congestion.
 //! 2. **One `Bye` terminates each direction, after its last batch.**
-//!    The entry sends the forward `Bye` after the final forward batch;
-//!    each server relays it downstream once its own forwards are out.
-//!    The tail answers with the backward `Bye` after its final
-//!    backward batch, and each server relays it upstream only once
-//!    every round it forwarded has come back. FIFO ordering therefore
+//!    The client driver sends the forward `Bye` after the final
+//!    forward batch; the entry and each server relay it downstream
+//!    once their own forwards are out. The tail answers with the
+//!    backward `Bye` after its final backward batch, and each server,
+//!    then the entry, relays it upstream only once every round it
+//!    forwarded has come back, so the client driver hears the entry
+//!    answer its `Bye` last. FIFO ordering therefore
 //!    guarantees no batch is abandoned behind a `Bye`, and a frame
 //!    *after* one is a violation.
 //! 3. **Cross-link order is unconstrained.** A node terminating two

@@ -534,8 +534,11 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
 }
 
 /// Runs the entry over TCP: bind the client listener, connect to
-/// server 0, accept the client driver, relay rounds until its
-/// [`vuvuzela_wire::Frame::Bye`].
+/// server 0, accept the client driver, and relay rounds until the `Bye`
+/// handshake completes — the client driver's forward
+/// [`vuvuzela_wire::Frame::Bye`] relayed down the chain, the backward
+/// one relayed back to it. The entry is the relay mode of the node loop
+/// every server runs ([`run_entry_node`]).
 ///
 /// # Errors
 ///

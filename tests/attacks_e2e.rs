@@ -198,7 +198,6 @@ fn blocking_attack_reveals_conversation_without_noise() -> Result<(), SimError> 
         BlockClient {
             index: ALICE, // alice is client 0 on the aggregated link
             from_round: Some(2),
-            tombstone_only: false,
         },
     );
     run(&mut sim, RoundPlan::Conversation)?; // round 2: alice blocked
