@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use vuvuzela_crypto::x25519::PublicKey;
 use vuvuzela_wire::conversation::ConversationKeys;
-use vuvuzela_wire::message::{FramedMessage, MessageKind};
+use vuvuzela_wire::message::{FramedMessage, MessageKind, MAX_BODY_LEN};
 
 /// Client-facing errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,24 +60,31 @@ pub(crate) struct Inflight {
 #[derive(Default)]
 pub(crate) struct MessageLog {
     bytes: Vec<u8>,
-    /// End offset in `bytes` of each message.
-    ends: Vec<usize>,
+    /// Length of each message, in order: 2 bytes a message, where an
+    /// end offset would take 8.
+    lens: Vec<u16>,
 }
+
+// A delivered body is one frame's, so its length always fits.
+const _: () = assert!(MAX_BODY_LEN <= u16::MAX as usize);
 
 impl MessageLog {
     fn push(&mut self, body: &[u8]) {
+        let len = u16::try_from(body.len()).expect("a delivered body fits in one frame");
         reserve_an_eighth(&mut self.bytes, body.len());
-        reserve_an_eighth(&mut self.ends, 1);
+        reserve_an_eighth(&mut self.lens, 1);
         self.bytes.extend_from_slice(body);
-        self.ends.push(self.bytes.len());
+        self.lens.push(len);
     }
 
     /// The messages, oldest first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        let starts = core::iter::once(0).chain(self.ends.iter().copied());
-        starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.bytes[start..end])
+        let mut start = 0;
+        self.lens.iter().map(move |&len| {
+            let body = &self.bytes[start..start + usize::from(len)];
+            start += body.len();
+            body
+        })
     }
 
     /// The messages as owned vectors, oldest first.

@@ -3,18 +3,23 @@
 //! [`ConversationDrops`] implements Algorithm 2 step 3b: match up the
 //! round's exchange requests per dead drop; pairs swap their sealed
 //! messages, singletons get indistinguishable random filler. Drops are
-//! ephemeral — the table lives for exactly one round (§3.1).
+//! ephemeral — the table lives for exactly one round (§3.1). The tail
+//! runs it arena to arena ([`ConversationDrops::exchange_arena`]: peeled
+//! requests in, reply slots out); the per-request
+//! [`ConversationDrops::exchange`] is the oracle it is pinned to.
 //!
 //! [`InvitationDrops`] implements the dialing side (§5): `m` large drops
 //! accumulating sealed invitations (real + noise), downloadable in bulk.
 
 use crate::observables::{ConversationObservables, DialingObservables};
+use crate::roundbuf::RoundBuffer;
 use rand::{CryptoRng, RngCore};
 use std::collections::HashMap;
 use vuvuzela_net::parallel::WorkerPool;
 use vuvuzela_wire::conversation::{ExchangeRequest, ExchangeResponse};
 use vuvuzela_wire::deaddrop::{DeadDropId, InvitationDropIndex};
 use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
+use vuvuzela_wire::{DEAD_DROP_ID_LEN, EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN};
 
 /// The shard (out of `shards`) owning `drop`: a range partition over the
 /// ID's leading 64 bits, `shard = ⌊key · shards / 2⁶⁴⌋`. Shard boundaries
@@ -38,7 +43,9 @@ pub fn shard_of_drop(drop: &DeadDropId, shards: usize) -> usize {
 pub struct ConversationDrops;
 
 impl ConversationDrops {
-    /// Performs all exchanges for a round (Algorithm 2 step 3b).
+    /// Performs all exchanges for a round (Algorithm 2 step 3b), one
+    /// request at a time: the oracle [`ConversationDrops::exchange_arena`]
+    /// is held to.
     ///
     /// Returns one response per request, **in request order**, plus the
     /// observables the adversary would read off the table.
@@ -97,38 +104,68 @@ impl ConversationDrops {
         (responses, observables)
     }
 
-    /// [`ConversationDrops::exchange`] over `shards` independent drop-map
-    /// shards, pairing each shard on a worker strand. Byte-identical
-    /// output and RNG consumption for every `(shards, workers)` choice —
-    /// including to the unsharded reference — because:
+    /// [`ConversationDrops::exchange`] from arena to arena, the tail's
+    /// one exchange: peeled requests in, one reply per request out, in
+    /// request order, in slots of `reply_stride` bytes (the chain's reply
+    /// reservation, [`crate::server::MixServer::reply_stride`]), with the
+    /// drops paired over `shards` shards on worker strands. Replies,
+    /// observables and RNG consumption equal the oracle's for every
+    /// `(shards, workers)`, because:
     ///
-    /// * the filler pre-fill draws from `rng` in canonical request order
-    ///   **before** any shard runs (identical consumption to the
-    ///   reference, whose pairing loop never touches the RNG);
-    /// * each drop lives in exactly one shard ([`shard_of_drop`]), so the
-    ///   shards' pairing overwrites touch disjoint response slots and the
-    ///   per-shard histograms merge by plain summation;
-    /// * within a shard, a drop's response content depends only on its
-    ///   own accessor list (in request order), never on map iteration
-    ///   order — the same argument that already makes the reference
-    ///   deterministic.
-    pub fn exchange_sharded<R: RngCore + CryptoRng>(
+    /// * a batch not of request width decodes nowhere, so it is replaced
+    ///   first by noise requests drawn in slot order — the substitutes
+    ///   the oracle's caller draws;
+    /// * the filler is drawn into the reply slots in request order before
+    ///   any shard runs, as `ExchangeResponse::empty` draws it;
+    /// * each drop lives in one shard ([`shard_of_drop`]), so the shards'
+    ///   pairings touch disjoint slots and their histograms add up;
+    /// * a drop's replies depend only on its own accessor list (in
+    ///   request order), never on map iteration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards == 0` or `reply_stride` cannot hold a reply.
+    pub fn exchange_arena<R: RngCore + CryptoRng>(
         rng: &mut R,
-        requests: &[ExchangeRequest],
+        requests: &RoundBuffer,
+        reply_stride: usize,
         shards: usize,
         workers: usize,
-    ) -> (Vec<ExchangeResponse>, ConversationObservables) {
+    ) -> (RoundBuffer, ConversationObservables) {
         assert!(shards >= 1, "need at least one shard");
-        // Filler everywhere first, in canonical order (see above).
-        let mut responses: Vec<ExchangeResponse> = (0..requests.len())
-            .map(|_| ExchangeResponse::empty(rng))
-            .collect();
+        let substitutes;
+        let requests = if requests.width() == EXCHANGE_REQUEST_LEN {
+            requests
+        } else {
+            let mut noise = RoundBuffer::with_capacity(
+                EXCHANGE_REQUEST_LEN,
+                EXCHANGE_REQUEST_LEN,
+                requests.len(),
+            );
+            for _ in 0..requests.len() {
+                noise.push_with(|slot| ExchangeRequest::noise_into(rng, None, slot));
+            }
+            substitutes = noise;
+            &substitutes
+        };
+        let mut replies =
+            RoundBuffer::with_capacity(reply_stride, EXCHANGE_RESPONSE_LEN, requests.len());
+        for _ in 0..requests.len() {
+            replies.push_with(|slot| rng.fill_bytes(slot));
+        }
 
         // Partition request indices by the shard owning their drop;
         // within a shard, indices stay in request order.
+        let drop_of = |index: usize| {
+            DeadDropId(
+                requests.slot(index)[..DEAD_DROP_ID_LEN]
+                    .try_into()
+                    .expect("a request opens with its drop id"),
+            )
+        };
         let mut shard_indices: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (index, request) in requests.iter().enumerate() {
-            shard_indices[shard_of_drop(&request.drop, shards)].push(index);
+        for index in 0..requests.len() {
+            shard_indices[shard_of_drop(&drop_of(index), shards)].push(index);
         }
 
         // Pair up each shard's drops on the pool: the heavy part (hash
@@ -139,22 +176,20 @@ impl ConversationDrops {
             let mut by_drop: HashMap<DeadDropId, Vec<usize>> =
                 HashMap::with_capacity(indices.len());
             for &index in &indices {
-                by_drop.entry(requests[index].drop).or_default().push(index);
+                by_drop.entry(drop_of(index)).or_default().push(index);
             }
             let mut histogram = ConversationObservables::default();
             let mut swaps: Vec<(usize, usize)> = Vec::new();
             for accessors in by_drop.values() {
                 match accessors.len() {
-                    1 => histogram.m1 += 1,
-                    2 => {
-                        histogram.m2 += 1;
-                        swaps.push((accessors[0], accessors[1]));
+                    1 => {
+                        histogram.m1 += 1;
+                        continue;
                     }
-                    _ => {
-                        histogram.m_many += 1;
-                        swaps.push((accessors[0], accessors[1]));
-                    }
+                    2 => histogram.m2 += 1,
+                    _ => histogram.m_many += 1,
                 }
+                swaps.push((accessors[0], accessors[1]));
             }
             (histogram, swaps)
         });
@@ -163,20 +198,17 @@ impl ConversationDrops {
             total_requests: requests.len() as u64,
             ..Default::default()
         };
+        let sealed = |index: usize| &requests.slot(index)[DEAD_DROP_ID_LEN..];
         for (histogram, swaps) in per_shard {
             observables.m1 += histogram.m1;
             observables.m2 += histogram.m2;
             observables.m_many += histogram.m_many;
             for (a, b) in swaps {
-                responses[a] = ExchangeResponse {
-                    sealed_message: requests[b].sealed_message.clone(),
-                };
-                responses[b] = ExchangeResponse {
-                    sealed_message: requests[a].sealed_message.clone(),
-                };
+                replies.slot_mut(a).copy_from_slice(sealed(b));
+                replies.slot_mut(b).copy_from_slice(sealed(a));
             }
         }
-        (responses, observables)
+        (replies, observables)
     }
 }
 
@@ -260,6 +292,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use vuvuzela_crypto::onion;
     use vuvuzela_wire::SEALED_MESSAGE_LEN;
 
     fn request(drop_byte: u8, fill: u8) -> ExchangeRequest {
@@ -384,6 +417,56 @@ mod tests {
         }
     }
 
+    /// The requests as the tail's peeled arena.
+    fn arena(requests: &[ExchangeRequest]) -> RoundBuffer {
+        let mut buf = RoundBuffer::new(EXCHANGE_REQUEST_LEN, EXCHANGE_REQUEST_LEN);
+        for request in requests {
+            buf.push_with(|slot| request.encode_into(slot));
+        }
+        buf
+    }
+
+    /// A three-server chain's reply reservation.
+    const REPLY_STRIDE: usize = EXCHANGE_RESPONSE_LEN + 3 * onion::REPLY_LAYER_OVERHEAD;
+
+    /// Holds the arena exchange on `batch` to the oracle, byte for byte —
+    /// the reply arena (reservation included), the observables and the
+    /// RNG state after — for every shard and worker count. The oracle's
+    /// requests are what the tail decodes from `batch`, with a locally
+    /// drawn noise request for every slot that does not decode.
+    fn assert_arena_matches_oracle(batch: &RoundBuffer, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let requests: Vec<ExchangeRequest> = (0..batch.len())
+            .map(|i| {
+                ExchangeRequest::decode(batch.slot(i))
+                    .unwrap_or_else(|_| ExchangeRequest::noise(&mut rng))
+            })
+            .collect();
+        let (responses, want_obs) = ConversationDrops::exchange(&mut rng, &requests);
+        let want_next = rng.next_u64();
+        let mut want = RoundBuffer::new(REPLY_STRIDE, EXCHANGE_RESPONSE_LEN);
+        for response in &responses {
+            want.push_with(|slot| slot.copy_from_slice(&response.sealed_message));
+        }
+        let want = want.into_raw();
+        for shards in [1usize, 2, 3, 4, 7] {
+            for workers in [1usize, 2, 4] {
+                let at = format!("shards {shards} workers {workers}");
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (replies, obs) = ConversationDrops::exchange_arena(
+                    &mut rng,
+                    batch,
+                    REPLY_STRIDE,
+                    shards,
+                    workers,
+                );
+                assert_eq!(replies.into_raw(), want, "{at}");
+                assert_eq!(obs, want_obs, "{at}");
+                assert_eq!(rng.next_u64(), want_next, "{at}: RNG state after");
+            }
+        }
+    }
+
     #[test]
     fn sharded_exchange_matches_reference_for_every_shard_count() {
         // A mixed round: pairs, singles, an adversarial triple, plus
@@ -402,51 +485,65 @@ mod tests {
         requests.push(request_with_key(0, 9));
         requests.push(request_with_key(u64::MAX, 10));
         requests.push(request_with_key(u64::MAX, 10)); // pairs with the previous
+        assert_arena_matches_oracle(&arena(&requests), 21);
+    }
 
-        let (want_responses, want_obs) = {
-            let mut rng = StdRng::seed_from_u64(21);
-            ConversationDrops::exchange(&mut rng, &requests)
+    #[test]
+    fn arena_exchange_matches_the_oracle_in_every_case() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let random = |rng: &mut StdRng, n: usize| -> Vec<ExchangeRequest> {
+            (0..n).map(|_| ExchangeRequest::noise(rng)).collect()
         };
-        for shards in [1usize, 2, 3, 7] {
-            for workers in [1usize, 2, 4] {
-                let mut rng = StdRng::seed_from_u64(21);
-                let (responses, obs) =
-                    ConversationDrops::exchange_sharded(&mut rng, &requests, shards, workers);
-                assert_eq!(
-                    responses, want_responses,
-                    "shards {shards} workers {workers}"
-                );
-                assert_eq!(obs, want_obs, "shards {shards} workers {workers}");
-            }
+        // Empty round, all singletons.
+        assert_arena_matches_oracle(&arena(&[]), 1);
+        assert_arena_matches_oracle(&arena(&random(&mut rng, 40)), 2);
+        // Every request paired, pairs spread over the ID space.
+        let pairs: Vec<ExchangeRequest> = random(&mut rng, 20)
+            .into_iter()
+            .flat_map(|r| {
+                let mut twin = r.clone();
+                twin.sealed_message[0] ^= 1;
+                [r, twin]
+            })
+            .collect();
+        assert_arena_matches_oracle(&arena(&pairs), 3);
+        // A drop with four accessors among singletons and a pair.
+        let mut crowded = random(&mut rng, 6);
+        for fill in 1..=4 {
+            crowded.push(request(7, fill));
         }
+        crowded.extend([request(8, 5), request(8, 6)]);
+        assert_arena_matches_oracle(&arena(&crowded), 4);
+        // A batch one layer short of peeled: no slot decodes, so every
+        // request is a substitute.
+        let width = EXCHANGE_REQUEST_LEN + 32;
+        let mut wrong = RoundBuffer::new(width, width);
+        for i in 0..9u8 {
+            wrong.push_with(|slot| slot.fill(i));
+        }
+        assert_arena_matches_oracle(&wrong, 5);
     }
 
     #[test]
     fn in_shard_collision_keeps_the_pairing_rule() {
         // Three accessors forced onto one drop (hence one shard): the
         // first two exchange, the third gets filler, m_many flags the
-        // drop — the reference guarantees, under sharding.
+        // drop — the oracle's guarantees, under sharding.
         let mut rng = StdRng::seed_from_u64(31);
-        let requests = vec![
-            request_with_key(7, 1),
-            request_with_key(7, 1),
-            request_with_key(7, 1),
-        ];
-        // All three share one drop ID (same key, same fill byte).
-        let requests: Vec<ExchangeRequest> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut r)| {
-                r.sealed_message = vec![i as u8 + 1; SEALED_MESSAGE_LEN];
+        let requests: Vec<ExchangeRequest> = (0..3u8)
+            .map(|i| {
+                let mut r = request_with_key(7, 1);
+                r.sealed_message = vec![i + 1; SEALED_MESSAGE_LEN];
                 r
             })
             .collect();
-        let (responses, obs) = ConversationDrops::exchange_sharded(&mut rng, &requests, 7, 2);
+        let (replies, obs) =
+            ConversationDrops::exchange_arena(&mut rng, &arena(&requests), REPLY_STRIDE, 7, 2);
         assert_eq!(obs.m_many, 1);
-        assert_eq!(responses[0].sealed_message, vec![2; SEALED_MESSAGE_LEN]);
-        assert_eq!(responses[1].sealed_message, vec![1; SEALED_MESSAGE_LEN]);
-        assert_ne!(responses[2].sealed_message, vec![1; SEALED_MESSAGE_LEN]);
-        assert_ne!(responses[2].sealed_message, vec![2; SEALED_MESSAGE_LEN]);
+        assert_eq!(replies.slot(0), vec![2; SEALED_MESSAGE_LEN].as_slice());
+        assert_eq!(replies.slot(1), vec![1; SEALED_MESSAGE_LEN].as_slice());
+        assert_ne!(replies.slot(2), vec![1; SEALED_MESSAGE_LEN].as_slice());
+        assert_ne!(replies.slot(2), vec![2; SEALED_MESSAGE_LEN].as_slice());
     }
 
     #[test]

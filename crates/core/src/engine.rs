@@ -39,7 +39,6 @@ use crate::server::{round_rng, MixServer, RoundKind};
 use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::time::Instant;
-use vuvuzela_wire::conversation::ExchangeRequest;
 use vuvuzela_wire::dialing::DialRequest;
 
 /// Domain separator distinguishing the chain-level per-round RNG (drop
@@ -152,13 +151,15 @@ impl<'a> RoundEngine<'a> {
         match kind {
             RoundKind::Conversation => {
                 let clock = Instant::now();
+                // Arena to arena: the reply slots reserve the whole
+                // chain's reply layers, so every hop's wrap fits in place.
                 let mut rng = chain_round_rng(self.seed, round);
-                let (replies, observables) = exchange_conversation(
+                let (replies, observables) = ConversationDrops::exchange_arena(
                     &mut rng,
+                    &buf,
                     self.server.reply_stride(),
                     self.exchange_shards,
                     self.workers,
-                    &buf,
                 );
                 timing.exchange = clock.elapsed();
                 let clock = Instant::now();
@@ -199,37 +200,6 @@ impl<'a> RoundEngine<'a> {
         timing.backward.push(clock.elapsed());
         replies
     }
-}
-
-/// The last server's dead-drop exchange for one conversation round
-/// (Algorithm 2 step 3b): decodes the fully peeled requests (undecodable
-/// payloads become locally generated noise), exchanges through the drop
-/// table, and packs the responses into a reply buffer that reserves the
-/// whole chain's reply-layer overhead up front so every hop's in-place
-/// wrap fits in its slot.
-fn exchange_conversation(
-    rng: &mut StdRng,
-    reply_stride: usize,
-    shards: usize,
-    workers: usize,
-    buf: &RoundBuffer,
-) -> (RoundBuffer, ConversationObservables) {
-    let requests: Vec<ExchangeRequest> = (0..buf.len())
-        .map(|i| {
-            ExchangeRequest::decode(buf.slot(i)).unwrap_or_else(|_| ExchangeRequest::noise(rng))
-        })
-        .collect();
-    let (responses, observables) =
-        ConversationDrops::exchange_sharded(rng, &requests, shards, workers);
-    let mut replies = RoundBuffer::with_capacity(
-        reply_stride,
-        vuvuzela_wire::EXCHANGE_RESPONSE_LEN,
-        responses.len(),
-    );
-    for response in &responses {
-        replies.push_with(|slot| slot.copy_from_slice(&response.sealed_message));
-    }
-    (replies, observables)
 }
 
 /// The tail of one dialing round: deposits every peeled request into a

@@ -450,7 +450,7 @@ impl<'a> ServerNode<'a> {
                     }
                 }
             }
-            (Side::Downstream, Frame::Batch(back)) => {
+            (Side::Downstream, Frame::Batch(mut back)) => {
                 let down_link = self.down_link();
                 if !back.backward {
                     return Err(protocol(down_link, "forward frame on the backward leg"));
@@ -492,7 +492,7 @@ impl<'a> ServerNode<'a> {
                     );
                     return Err(protocol(down_link, what));
                 }
-                let trailer = back.trailer.clone();
+                let trailer = std::mem::take(&mut back.trailer);
                 let (buf, mut timing) = (buf_from_frame(back), RoundTiming::default());
                 let replies = engine.backward(round, buf, &mut timing);
                 observer(round, timing, None);
@@ -727,7 +727,7 @@ mod tests {
     use vuvuzela_crypto::onion;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
     use vuvuzela_net::link::Link;
-    use vuvuzela_net::transport::memory_pair;
+    use vuvuzela_net::transport::{memory_pair, MemoryEndpoint};
     use vuvuzela_wire::conversation::ExchangeRequest;
     use vuvuzela_wire::deaddrop::{DeadDropId, InvitationDropIndex};
     use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
@@ -888,6 +888,130 @@ mod tests {
                     dialing_rounds: 1,
                 }
             );
+        }
+    }
+
+    /// Every forward frame that leaves a hop is compact (`stride ==
+    /// width`: the socket carries no dead bytes), and every backward
+    /// conversation frame keeps the chain's reply reservation (`stride ==
+    /// reply_stride`), which the in-place reply wraps need. Three server
+    /// nodes run on memory links whose far ends this thread holds; it
+    /// carries every frame from hop to hop itself and measures it.
+    #[test]
+    fn forward_frames_are_compact_and_replies_keep_their_reservation() {
+        let config = tiny_config(3);
+        let seed = 23;
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut chain = Chain::new(config.clone(), seed);
+        let pks = chain.server_public_keys();
+        let onions: Vec<Vec<u8>> = [1u8, 1, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(i, drop)| {
+                let request = ExchangeRequest {
+                    drop: DeadDropId([drop; 16]),
+                    sealed_message: vec![i as u8; SEALED_MESSAGE_LEN],
+                };
+                onion::wrap(&mut rng, &pks, 0, &request.encode()).0
+            })
+            .collect();
+        let mut conv_batch = crate::entry::round_arena(RoundKind::Conversation, 3);
+        crate::entry::multiplex(&mut conv_batch, &[onions]);
+        let dial_kind = RoundKind::Dialing { num_drops: 2 };
+        let noop = DialRequest::noop(&mut rng).encode();
+        let dial_onion = onion::wrap(&mut rng, &pks, 1, &noop).0;
+        let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
+        crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
+        let (want_replies, _) = chain.run_conversation_round(0, conv_batch.clone());
+
+        let (mut up_fars, mut down_fars, mut handles) = (Vec::new(), Vec::new(), Vec::new());
+        for position in 0..3u32 {
+            let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(position))));
+            let down_near: Option<Arc<dyn Transport>> = (position < 2).then(|| {
+                let (near, far) = memory_pair(Arc::new(Link::new(LinkId::Hop(position + 1))));
+                down_fars.push(far);
+                Arc::new(near) as Arc<dyn Transport>
+            });
+            up_fars.push(up_far);
+            let mut server = build_server(&config, seed, position as usize);
+            let cfg = config.clone();
+            handles.push(std::thread::spawn(move || {
+                run_server_node(
+                    &mut server,
+                    &cfg,
+                    seed,
+                    Arc::new(up_near),
+                    down_near,
+                    &mut |_, _, _| {},
+                )
+                .expect("server")
+            }));
+        }
+        let carry = |from: &MemoryEndpoint, to: Option<&MemoryEndpoint>| -> Frame {
+            let frame = from.recv().expect("a frame");
+            if let Some(to) = to {
+                to.send(frame.clone()).expect("carried on");
+            }
+            frame
+        };
+        let batch = |frame: Frame| match frame {
+            Frame::Batch(batch) => batch,
+            other => panic!("expected a batch, got {other:?}"),
+        };
+        let reply_stride = build_server(&config, seed, 0).reply_stride() as u32;
+
+        for (round, kind, arena) in [
+            (0, RoundKind::Conversation, conv_batch),
+            (1, dial_kind, dial_batch),
+        ] {
+            let client = frame_from_buf(LinkId::Hop(0), round, kind, false, arena, Vec::new());
+            up_fars[0].send(Frame::Batch(client)).expect("client batch");
+            for hop in 0..2 {
+                let forward = batch(carry(&down_fars[hop], Some(&up_fars[hop + 1])));
+                assert!(forward.count > 0 && !forward.backward);
+                assert_eq!(forward.stride, forward.width, "round {round} hop {hop}");
+                assert_eq!(
+                    forward.payload.len(),
+                    (forward.count * forward.width) as usize
+                );
+            }
+            let mut back = batch(carry(&up_fars[2], Some(&down_fars[1])));
+            for hop in (0..2).rev() {
+                let stride = if kind == RoundKind::Conversation {
+                    reply_stride
+                } else {
+                    0
+                };
+                assert_eq!(back.stride, stride, "round {round} from hop {}", hop + 1);
+                back = batch(carry(
+                    &up_fars[hop],
+                    hop.checked_sub(1).map(|h| &down_fars[h]),
+                ));
+            }
+            if kind == RoundKind::Conversation {
+                assert_eq!(back.stride, reply_stride, "round {round} from hop 0");
+                assert_eq!(buf_from_frame(back).to_vecs(), want_replies);
+            }
+        }
+
+        up_fars[0].send(Frame::Bye).expect("bye");
+        for hop in 0..2 {
+            assert!(matches!(
+                carry(&down_fars[hop], Some(&up_fars[hop + 1])),
+                Frame::Bye
+            ));
+        }
+        assert!(matches!(
+            carry(&up_fars[2], Some(&down_fars[1])),
+            Frame::Bye
+        ));
+        assert!(matches!(
+            carry(&up_fars[1], Some(&down_fars[0])),
+            Frame::Bye
+        ));
+        assert!(matches!(carry(&up_fars[0], None), Frame::Bye));
+        for handle in handles {
+            handle.join().expect("node thread");
         }
     }
 

@@ -13,13 +13,17 @@
 //! └──────┴──────┴──────┴──────┴──────┴──────┴──────┴──────┴─ …
 //! ```
 //!
-//! * `stride` is fixed at construction: the largest size a slot will ever
-//!   need this round (the full onion on the forward path; response +
-//!   whole-chain reply overhead on the backward path).
+//! * `stride` is the slot size. On the forward path it equals `width`
+//!   from hop to hop: a client batch is built at the onion width, a
+//!   server peels every slot in place (shrinking `width` by
+//!   [`onion::LAYER_OVERHEAD`]) and then closes the gaps the peel left
+//!   ([`RoundBuffer::compact`]), so the batch it sends on holds no dead
+//!   bytes. On the backward path it is fixed by the tail: response +
+//!   whole-chain reply overhead, the reservation every hop's in-place
+//!   reply wrap needs.
 //! * `width` is the current logical message size, uniform across slots.
-//!   Peeling a layer shrinks `width` by [`onion::LAYER_OVERHEAD`] without
-//!   moving slots; wrapping a reply layer grows it by
-//!   [`onion::REPLY_LAYER_OVERHEAD`] into the reserved headroom.
+//!   Wrapping a reply layer grows it by [`onion::REPLY_LAYER_OVERHEAD`]
+//!   into the reserved headroom.
 //! * the mix permutation is applied by [`RoundBuffer::permute`] — an
 //!   in-place cycle walk with one `stride`-sized scratch slot — instead
 //!   of cloning every payload.
@@ -172,13 +176,33 @@ impl RoundBuffer {
         self.data.reserve_exact(slots * self.stride);
     }
 
-    /// Drops all slots past the first `n` (used to strip a server's own
-    /// noise replies after un-shuffling).
+    /// Drops all slots past the first `n` and gives their memory back
+    /// (used to strip a server's own noise replies after un-shuffling, so
+    /// the hops upstream do not carry a downstream-sized allocation).
     pub fn truncate(&mut self, n: usize) {
         if n < self.len {
             self.len = n;
             self.data.truncate(n * self.stride);
+            self.data.shrink_to_fit();
         }
+    }
+
+    /// Closes the gap between each slot's `width` bytes and its `stride`,
+    /// moving the slots down in place: afterwards `stride == width` and
+    /// the arena is `len * width` bytes. A server compacts right after its
+    /// peel, so the forward batch it sends on carries no dead bytes. A
+    /// zero-width buffer keeps its stride (a slot needs one).
+    pub fn compact(&mut self) {
+        let (stride, width) = (self.stride, self.width);
+        if width == stride || width == 0 {
+            return;
+        }
+        for i in 1..self.len {
+            self.data
+                .copy_within(i * stride..i * stride + width, i * width);
+        }
+        self.data.truncate(self.len * width);
+        self.stride = width;
     }
 
     /// The whole arena (all slots at full `stride`), for parallel
@@ -366,6 +390,44 @@ mod tests {
         assert_eq!(buf.to_vecs().len(), 2);
         buf.truncate(5); // growing truncate is a no-op
         assert_eq!(buf.len(), 2);
+    }
+
+    #[test]
+    fn compact_preserves_slots_and_is_idempotent() {
+        let mut buf = filled(64, 48, 5);
+        buf.slot_mut(4).copy_from_slice(&[0xEE; 48]);
+        buf.set_width(20);
+        let want = buf.to_vecs();
+        buf.compact();
+        assert_eq!((buf.stride(), buf.width(), buf.len()), (20, 20, 5));
+        assert_eq!(buf.to_vecs(), want);
+        let (data, ..) = buf.clone().into_raw();
+        assert_eq!(data.len(), 5 * 20, "no dead bytes left");
+        buf.compact();
+        assert_eq!((buf.stride(), &buf.to_vecs()), (20, &want));
+        // A compact buffer grows like any other.
+        buf.push_with(|slot| slot.fill(9));
+        assert_eq!(buf.slot(5), [9u8; 20].as_slice());
+        assert_eq!(buf.slot(3), want[3].as_slice());
+    }
+
+    #[test]
+    fn compact_empty_and_one_slot_buffers() {
+        let mut empty = RoundBuffer::new(64, 40);
+        empty.compact();
+        assert_eq!((empty.stride(), empty.width(), empty.len()), (40, 40, 0));
+        assert_eq!(empty.into_raw().0.len(), 0);
+
+        let mut one = filled(64, 48, 1);
+        one.set_width(30);
+        one.compact();
+        assert_eq!((one.stride(), one.len()), (30, 1));
+        assert_eq!(one.to_vecs(), vec![vec![0u8; 30]]);
+
+        let mut zero_width = filled(8, 8, 2);
+        zero_width.set_width(0);
+        zero_width.compact();
+        assert_eq!((zero_width.stride(), zero_width.len()), (8, 2));
     }
 
     #[test]

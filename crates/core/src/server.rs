@@ -240,11 +240,13 @@ impl MixServer {
     }
 
     /// Forward pass on the flat round arena: peel every layer in place in
-    /// parallel, replace malformed entries with substitute noise, append
-    /// cover traffic, and apply the secret shuffle by index remapping.
+    /// parallel, compact the arena ([`RoundBuffer::compact`]), replace
+    /// malformed entries with substitute noise, append cover traffic, and
+    /// apply the secret shuffle by index remapping.
     ///
     /// Returns the batch for the next hop — or, for the last server, the
-    /// fully peeled request payloads in arrival order.
+    /// fully peeled request payloads in arrival order — with
+    /// `stride == width`.
     pub fn forward_buf(
         &mut self,
         round: u64,
@@ -277,6 +279,9 @@ impl MixServer {
             },
         );
         batch.set_width(width - onion::LAYER_OVERHEAD);
+        // Close the gap the peel left in every slot: the batch this hop
+        // sends on (and its noise) is `width` bytes a slot, not `stride`.
+        batch.compact();
 
         // Replace malformed entries (sequential: rare, and it draws from
         // the round RNG whose order must be deterministic).
@@ -380,7 +385,8 @@ impl MixServer {
         }
         // This server's own noise replies sit past the original incoming
         // prefix after un-shuffling; injected extras past it are dropped
-        // the same way the reference path's `take(incoming_len)` does.
+        // the same way the reference path's `take(incoming_len)` does,
+        // and their memory with them.
         replies.truncate(state.incoming_len);
 
         // Wrap in parallel, in place; invalid slots get filler derived

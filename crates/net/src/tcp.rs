@@ -2,9 +2,14 @@
 //!
 //! Each deployment link maps to one TCP connection carrying
 //! length-prefixed [`Frame`]s: a 4-byte little-endian body length
-//! (rejected above [`MAX_FRAME_LEN`] *before* the body is read, so a
-//! corrupt peer cannot force a giant allocation) followed by the frame
-//! body. No tokio in the vendored-shim environment — connections block,
+//! followed by the frame body. The body is streamed through the one
+//! codec, `vuvuzela_wire::frame`'s writer and reader: a batch's payload
+//! goes from the sending hop's round arena onto the socket, and from the
+//! socket into the `Vec` that becomes the receiving hop's arena, with no
+//! body buffer on either side. The reader refuses a prefix above
+//! [`MAX_FRAME_LEN`] before reading on, and allocates nothing the prefix
+//! has not admitted, so a corrupt peer cannot force a giant allocation.
+//! No tokio in the vendored-shim environment — connections block,
 //! and a node that terminates two links funnels them into one event
 //! stream with a reader thread per connection (see the core node
 //! runtime), the "small std-thread reactor" the design allows.
@@ -22,35 +27,36 @@ use parking_lot::Mutex;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-use vuvuzela_wire::{Frame, FrameError, Hello, LinkId, MAX_FRAME_LEN};
+use vuvuzela_wire::{Frame, Hello, LinkId, ReadError, MAX_FRAME_LEN};
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame, streaming its body through
+/// [`Frame::write_to`].
 ///
 /// # Errors
 ///
 /// IO failures, attributed to `link`.
 pub fn write_frame<W: Write>(w: &mut W, link: LinkId, frame: &Frame) -> Result<(), Error> {
-    let body = frame.encode();
-    debug_assert!(body.len() <= MAX_FRAME_LEN, "sender-side oversized frame");
+    let len = frame.encoded_len();
+    debug_assert!(len <= MAX_FRAME_LEN, "sender-side oversized frame");
     let io = |source| Error::Io {
         link,
         op: "write",
         source,
     };
-    w.write_all(&(body.len() as u32).to_le_bytes())
-        .map_err(io)?;
-    w.write_all(&body).map_err(io)?;
+    w.write_all(&(len as u32).to_le_bytes()).map_err(io)?;
+    frame.write_to(w).map_err(io)?;
     w.flush().map_err(io)
 }
 
-/// Reads one length-prefixed frame, enforcing [`MAX_FRAME_LEN`] on the
-/// prefix before touching the body.
+/// Reads one length-prefixed frame, streaming its body through
+/// [`Frame::read_from`], which enforces [`MAX_FRAME_LEN`] on the prefix
+/// before reading on.
 ///
 /// # Errors
 ///
 /// [`Error::Disconnected`] on clean EOF at a frame boundary,
 /// [`Error::Frame`] for oversized or undecodable frames, [`Error::Io`]
-/// for everything else.
+/// for everything else (a body that ends early included).
 pub fn read_frame<R: Read>(r: &mut R, link: LinkId) -> Result<Frame, Error> {
     let mut prefix = [0u8; 4];
     if let Err(source) = r.read_exact(&mut prefix) {
@@ -65,21 +71,14 @@ pub fn read_frame<R: Read>(r: &mut R, link: LinkId) -> Result<Frame, Error> {
         });
     }
     let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(Error::Frame {
+    Frame::read_from(r, len).map_err(|err| match err {
+        ReadError::Io(source) => Error::Io {
             link,
-            source: FrameError::Oversized { len: len as u64 },
-        });
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|source| Error::Io {
-        link,
-        op: "read",
-        source,
-    })?;
-    Frame::decode(&body)
-        .map(Ok)
-        .unwrap_or_else(|source| Err(Error::Frame { link, source }))
+            op: "read",
+            source,
+        },
+        ReadError::Frame(source) => Error::Frame { link, source },
+    })
 }
 
 /// Retry schedule for [`TcpTransport::connect`]: jittered exponential
@@ -304,7 +303,7 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use vuvuzela_wire::{BatchFrame, RoundId, RoundType};
+    use vuvuzela_wire::{BatchFrame, FrameError, RoundId, RoundType};
 
     fn digest(fill: u8) -> [u8; 32] {
         [fill; 32]

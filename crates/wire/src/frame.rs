@@ -2,11 +2,16 @@
 //!
 //! Every message on a wire link is one *frame*: a fixed header (magic,
 //! version, frame type) followed by the frame body. On a socket, frames
-//! travel behind an outer 4-byte little-endian length prefix (written
-//! and enforced by the transport's IO layer, which rejects prefixes
-//! beyond [`MAX_FRAME_LEN`] *before* reading the body); the codec here
-//! is pure bytes-in/bytes-out so it can be property-tested without
-//! sockets.
+//! travel behind an outer 4-byte little-endian length prefix, written
+//! by the transport's IO layer.
+//!
+//! Frames are **streamed**: [`Frame::write_to`] writes a batch's header,
+//! then its payload and trailer from their own buffers, and
+//! [`Frame::read_from`] reads the payload straight into the `Vec` that
+//! becomes the receiving hop's round arena, allocating nothing the
+//! length prefix has not admitted. [`Frame::encode`] and
+//! [`Frame::decode`] are the same writer and reader over a `Vec` and a
+//! slice, so there is one parser, property-tested without sockets.
 //!
 //! Three frame types exist:
 //!
@@ -19,7 +24,13 @@
 //!   tagged with the round number and protocol exactly like the
 //!   streaming scheduler's in-process hand-offs, plus an opaque
 //!   `trailer` intermediate hops forward untouched (the tail uses it to
-//!   ship per-round observables to the entry).
+//!   ship per-round observables to the entry). Forward frames are
+//!   compact (`stride == width`: a client batch is, and every hop
+//!   closes the gap its peel leaves), so the bytes on the socket are the
+//!   bytes the link meters count plus the frame's header. Backward
+//!   conversation frames keep the chain's reply reservation (`stride`
+//!   is the tail's reply width plus every hop's reply layer), because
+//!   each hop wraps its layer in place.
 //! * [`Frame::Bye`] — orderly termination: the client driver sends it
 //!   after the last forward batch, the entry and each server relay it,
 //!   the tail turns it around, and the entry answers the client driver
@@ -28,6 +39,7 @@
 
 use crate::linkid::LinkId;
 use crate::round::{RoundId, RoundType};
+use std::io::{self, Read, Write};
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"VUVU";
@@ -35,9 +47,9 @@ pub const FRAME_MAGIC: [u8; 4] = *b"VUVU";
 /// Frame format version this codec speaks.
 pub const FRAME_VERSION: u16 = 1;
 
-/// Upper bound on one frame's encoded size. A transport must reject a
-/// length prefix above this *before* allocating or reading the body, so
-/// a corrupt or hostile peer cannot make a server allocate gigabytes.
+/// Upper bound on one frame's encoded size. [`Frame::read_from`] rejects
+/// a length prefix above this *before* allocating or reading the body,
+/// so a corrupt or hostile peer cannot make a server allocate gigabytes.
 /// 64 MiB comfortably holds the paper-scale batches (~1M requests ×
 /// ~350-byte onions ship in several rounds, each far below this).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
@@ -159,25 +171,60 @@ impl core::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Why [`Frame::read_from`] stopped: the byte source failed, or the
+/// bytes it gave are not a frame.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The source failed before the frame was complete.
+    Io(std::io::Error),
+    /// The bytes are not a valid frame.
+    Frame(FrameError),
+}
+
+impl From<FrameError> for ReadError {
+    fn from(err: FrameError) -> ReadError {
+        ReadError::Frame(err)
+    }
+}
+
 impl Frame {
     /// Encodes the frame body (everything behind the transport's outer
-    /// length prefix).
+    /// length prefix): [`Frame::write_to`] into a `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Frame::write_to`].
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
+    }
+
+    /// Streams the frame body to `w`: the header, then a batch's payload
+    /// and trailer straight from their own buffers, never copied into a
+    /// body buffer first.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `w` fails with.
     ///
     /// # Panics
     ///
     /// Panics if a batch frame's geometry is inconsistent
     /// (`payload.len() != count * stride`, `width > stride`, or slots of
     /// zero stride) — that is a sender-side bug, never remote input.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut head = Vec::with_capacity(PREAMBLE_LEN + HELLO_LEN.max(BATCH_HEADER_LEN));
+        head.extend_from_slice(&FRAME_MAGIC);
+        head.extend_from_slice(&FRAME_VERSION.to_le_bytes());
         match self {
             Frame::Hello(hello) => {
-                out.push(TYPE_HELLO);
-                out.extend_from_slice(&hello.link.code().to_le_bytes());
-                out.extend_from_slice(&hello.config_digest);
+                head.push(TYPE_HELLO);
+                head.extend_from_slice(&hello.link.code().to_le_bytes());
+                head.extend_from_slice(&hello.config_digest);
+                w.write_all(&head)
             }
             Frame::Batch(batch) => {
                 assert!(
@@ -193,89 +240,113 @@ impl Frame {
                     batch.stride > 0 || batch.count == 0,
                     "slots of a non-empty batch need a stride"
                 );
-                out.push(TYPE_BATCH);
-                out.extend_from_slice(&batch.link.code().to_le_bytes());
-                out.extend_from_slice(&batch.round.encode());
-                out.extend_from_slice(&batch.round_type.encode());
-                out.push(u8::from(batch.backward));
-                out.extend_from_slice(&batch.num_drops.to_le_bytes());
-                out.extend_from_slice(&batch.stride.to_le_bytes());
-                out.extend_from_slice(&batch.width.to_le_bytes());
-                out.extend_from_slice(&batch.count.to_le_bytes());
-                out.extend_from_slice(&(batch.payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(&batch.payload);
-                out.extend_from_slice(&(batch.trailer.len() as u32).to_le_bytes());
-                out.extend_from_slice(&batch.trailer);
+                head.push(TYPE_BATCH);
+                head.extend_from_slice(&batch.link.code().to_le_bytes());
+                head.extend_from_slice(&batch.round.encode());
+                head.extend_from_slice(&batch.round_type.encode());
+                head.push(u8::from(batch.backward));
+                for field in [batch.num_drops, batch.stride, batch.width, batch.count] {
+                    head.extend_from_slice(&field.to_le_bytes());
+                }
+                head.extend_from_slice(&(batch.payload.len() as u32).to_le_bytes());
+                w.write_all(&head)?;
+                w.write_all(&batch.payload)?;
+                w.write_all(&(batch.trailer.len() as u32).to_le_bytes())?;
+                w.write_all(&batch.trailer)
             }
-            Frame::Bye => out.push(TYPE_BYE),
+            Frame::Bye => {
+                head.push(TYPE_BYE);
+                w.write_all(&head)
+            }
         }
-        out
     }
 
-    /// Exact size [`Frame::encode`] will produce.
+    /// Exact size [`Frame::write_to`] will produce.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        7 + match self {
-            Frame::Hello(_) => 8 + 32,
-            Frame::Batch(b) => 8 + 8 + 1 + 1 + 4 * 4 + 4 + b.payload.len() + 4 + b.trailer.len(),
-            Frame::Bye => 0,
-        }
+        PREAMBLE_LEN
+            + match self {
+                Frame::Hello(_) => HELLO_LEN,
+                Frame::Batch(b) => BATCH_HEADER_LEN + b.payload.len() + 4 + b.trailer.len(),
+                Frame::Bye => 0,
+            }
     }
 
     /// Decodes one frame from exactly `buf` (trailing bytes are an
-    /// error — the outer length prefix already delimits frames).
+    /// error — the outer length prefix already delimits frames):
+    /// [`Frame::read_from`] over the slice.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`]; never panics, whatever the input.
-    pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() > MAX_FRAME_LEN {
-            return Err(FrameError::Oversized {
-                len: buf.len() as u64,
-            });
+    pub fn decode(mut buf: &[u8]) -> Result<Frame, FrameError> {
+        let len = buf.len();
+        Frame::read_from(&mut buf, len).map_err(|err| match err {
+            ReadError::Frame(err) => err,
+            // Every read is held to `len` first, so the slice never
+            // runs dry under one.
+            ReadError::Io(_) => FrameError::Truncated,
+        })
+    }
+
+    /// Reads one frame body of `len` bytes (the transport's length
+    /// prefix) from `r`: the fixed-size header field by field, then a
+    /// batch's payload straight into the `Vec` the receiving hop's arena
+    /// is built from. A `len` over [`MAX_FRAME_LEN`] is refused before
+    /// any read, a batch's geometry before its payload is read, and a
+    /// payload or trailer longer than what is left of `len` as
+    /// [`FrameError::Truncated`] before its buffer is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Frame`] when the bytes are not one frame of exactly
+    /// `len` bytes; [`ReadError::Io`] when `r` fails or ends first.
+    pub fn read_from<R: Read>(r: &mut R, len: usize) -> Result<Frame, ReadError> {
+        if len > MAX_FRAME_LEN {
+            return Err(FrameError::Oversized { len: len as u64 }.into());
         }
-        let mut r = Reader { buf, pos: 0 };
-        if r.take(4)? != FRAME_MAGIC {
-            return Err(FrameError::BadMagic);
+        let mut body = Body { r, remaining: len };
+        if body.array::<4>()? != FRAME_MAGIC {
+            return Err(FrameError::BadMagic.into());
         }
-        let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
+        let version = u16::from_le_bytes(body.array()?);
         if version != FRAME_VERSION {
-            return Err(FrameError::UnsupportedVersion(version));
+            return Err(FrameError::UnsupportedVersion(version).into());
         }
-        let frame = match r.take(1)?[0] {
+        let frame = match body.array::<1>()?[0] {
             TYPE_HELLO => {
-                let link = r.link()?;
-                let config_digest: [u8; 32] = r.take(32)?.try_into().expect("32 bytes");
+                let link = body.link()?;
+                let config_digest = body.array()?;
                 Frame::Hello(Hello {
                     link,
                     config_digest,
                 })
             }
             TYPE_BATCH => {
-                let link = r.link()?;
-                let round = RoundId::decode(r.take(8)?).map_err(|_| FrameError::Truncated)?;
-                let round_type_byte = r.take(1)?[0];
+                let link = body.link()?;
+                let round = RoundId(u64::from_le_bytes(body.array()?));
+                let [round_type_byte] = body.array()?;
                 let round_type = RoundType::decode(&[round_type_byte])
                     .map_err(|_| FrameError::BadRoundType(round_type_byte))?;
-                let backward = match r.take(1)?[0] {
+                let backward = match body.array::<1>()?[0] {
                     0 => false,
                     1 => true,
-                    b => return Err(FrameError::BadFlag(b)),
+                    b => return Err(FrameError::BadFlag(b).into()),
                 };
-                let num_drops = r.u32()?;
-                let stride = r.u32()?;
-                let width = r.u32()?;
-                let count = r.u32()?;
-                let payload_len = r.u32()? as usize;
-                let payload = r.take(payload_len)?.to_vec();
-                let trailer_len = r.u32()? as usize;
-                let trailer = r.take(trailer_len)?.to_vec();
+                let num_drops = body.u32()?;
+                let stride = body.u32()?;
+                let width = body.u32()?;
+                let count = body.u32()?;
+                let payload_len = body.u32()? as usize;
                 if width > stride
                     || (stride == 0 && count > 0)
-                    || payload.len() as u64 != u64::from(count) * u64::from(stride)
+                    || payload_len as u64 != u64::from(count) * u64::from(stride)
                 {
-                    return Err(FrameError::BadGeometry);
+                    return Err(FrameError::BadGeometry.into());
                 }
+                let payload = body.bytes(payload_len)?;
+                let trailer_len = body.u32()? as usize;
+                let trailer = body.bytes(trailer_len)?;
                 Frame::Batch(BatchFrame {
                     link,
                     round,
@@ -290,41 +361,75 @@ impl Frame {
                 })
             }
             TYPE_BYE => Frame::Bye,
-            t => return Err(FrameError::BadFrameType(t)),
+            t => return Err(FrameError::BadFrameType(t).into()),
         };
-        if r.pos != buf.len() {
-            return Err(FrameError::TrailingBytes);
+        if body.remaining != 0 {
+            // The prefix promised more than the frame holds. Read the rest
+            // (into no buffer) first, so a source that ends short of the
+            // promise fails as it would have mid-frame.
+            let promised = body.remaining as u64;
+            let read =
+                io::copy(&mut body.r.take(promised), &mut io::sink()).map_err(ReadError::Io)?;
+            if read < promised {
+                return Err(ReadError::Io(io::ErrorKind::UnexpectedEof.into()));
+            }
+            return Err(FrameError::TrailingBytes.into());
         }
         Ok(frame)
     }
 }
 
-/// A bounds-checked byte cursor (decode never indexes raw).
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Magic, version and frame type: what opens every frame body.
+const PREAMBLE_LEN: usize = 4 + 2 + 1;
+
+/// A hello's link and config digest, behind the preamble.
+const HELLO_LEN: usize = 8 + 32;
+
+/// A batch frame's fixed header behind the preamble: link, round, round
+/// type, direction flag, then drop count, stride, width, count and
+/// payload length.
+const BATCH_HEADER_LEN: usize = 8 + 8 + 1 + 1 + 5 * 4;
+
+/// A frame body being read from `r`, which the length prefix promised
+/// holds `remaining` more bytes of it. No read may go past the promise.
+struct Body<'a, R> {
+    r: &'a mut R,
+    remaining: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self.pos.checked_add(n).ok_or(FrameError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(FrameError::Truncated);
+impl<R: Read> Body<'_, R> {
+    fn fill(&mut self, out: &mut [u8]) -> Result<(), ReadError> {
+        if out.len() > self.remaining {
+            return Err(FrameError::Truncated.into());
         }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        self.remaining -= out.len();
+        self.r.read_exact(out).map_err(ReadError::Io)
     }
 
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        let mut out = [0u8; N];
+        self.fill(&mut out)?;
+        Ok(out)
     }
 
-    fn link(&mut self) -> Result<LinkId, FrameError> {
-        let code = u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"));
-        LinkId::from_code(code).ok_or(FrameError::BadLink(code))
+    fn u32(&mut self) -> Result<u32, ReadError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn link(&mut self) -> Result<LinkId, ReadError> {
+        let code = u64::from_le_bytes(self.array()?);
+        Ok(LinkId::from_code(code).ok_or(FrameError::BadLink(code))?)
+    }
+
+    /// The next `n` bytes in a buffer of their own, allocated only once
+    /// the promise covers them.
+    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ReadError> {
+        if n > self.remaining {
+            return Err(FrameError::Truncated.into());
+        }
+        let mut out = vec![0u8; n];
+        self.fill(&mut out)?;
+        Ok(out)
     }
 }
 

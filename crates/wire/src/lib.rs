@@ -41,7 +41,7 @@ pub mod message;
 pub mod round;
 pub mod sequence;
 
-pub use frame::{BatchFrame, Frame, FrameError, Hello, FRAME_VERSION, MAX_FRAME_LEN};
+pub use frame::{BatchFrame, Frame, FrameError, Hello, ReadError, FRAME_VERSION, MAX_FRAME_LEN};
 pub use linkid::LinkId;
 pub use round::{RoundId, RoundType};
 pub use sequence::RoundSequencer;

@@ -1,8 +1,13 @@
 //! Property tests over the wire frame codec and the framed TCP reader:
 //! arbitrary frames round-trip, truncation never panics, and oversized
-//! length prefixes are rejected before any body is read.
+//! length prefixes are rejected before any body is read. The streaming
+//! reader is held to the slice decoder on every truncation and
+//! single-byte corruption, and to allocating nothing its length prefix
+//! has not admitted.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 use vuvuzela::net::tcp::{read_frame, write_frame};
 use vuvuzela::net::{Error, LinkId};
@@ -147,4 +152,203 @@ proptest! {
             Err(Error::Frame { source: FrameError::Oversized { .. }, .. })
         ));
     }
+}
+
+/// The largest single allocation this thread has asked for since the
+/// last [`largest_allocation_since`] — how the tests below see that the
+/// streaming reader allocates nothing the length prefix has not admitted.
+struct LargestAllocation;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// wrapper only records sizes in a thread-local `Cell`, which allocates
+// nothing.
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+/// Runs `f` and returns the largest allocation it made on this thread.
+fn largest_allocation_since<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// `body` behind a length prefix claiming `len` bytes.
+fn wire(len: usize, body: &[u8]) -> Vec<u8> {
+    let mut wire = (len as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// `read_frame` on `body` behind its own length must give exactly what
+/// `Frame::decode` gives on `body`: the same frame, or the same error.
+fn assert_reader_agrees_with_decode(body: &[u8], what: &str) {
+    let read = read_frame(&mut Cursor::new(wire(body.len(), body)), LinkId::Hop(1));
+    match (read, Frame::decode(body)) {
+        (Ok(read), Ok(decoded)) => assert_eq!(read, decoded, "{what}"),
+        (Err(Error::Frame { source, .. }), Err(decoded)) => assert_eq!(source, decoded, "{what}"),
+        (read, decoded) => panic!("{what}: read_frame gave {read:?}, decode gave {decoded:?}"),
+    }
+}
+
+/// A batch frame with room between width and stride, and a trailer,
+/// plus the other two frame types.
+fn sample_frames() -> [Frame; 4] {
+    let batch = |stride: usize, width: usize, count: usize| {
+        Frame::Batch(BatchFrame {
+            link: LinkId::Hop(1),
+            round: RoundId(0x0102_0304),
+            round_type: RoundType::Dialing,
+            num_drops: 3,
+            backward: true,
+            stride: stride as u32,
+            width: width as u32,
+            count: count as u32,
+            payload: (0..stride * count).map(|b| b as u8).collect(),
+            trailer: vec![0xC3; 5],
+        })
+    };
+    [
+        batch(8, 6, 3),
+        batch(0, 0, 0),
+        Frame::Hello(Hello {
+            link: LinkId::Hop(2),
+            config_digest: [0x5A; 32],
+        }),
+        Frame::Bye,
+    ]
+}
+
+/// Every truncation of a length-prefixed frame: inside the prefix the
+/// stream just ended (a disconnect); past it, the source ended before
+/// the promised body did (an IO error). And every truncated body behind
+/// a prefix that admits only what is left is what decode says of it.
+#[test]
+fn every_truncation_through_the_streaming_reader_is_typed() {
+    for frame in sample_frames() {
+        let body = frame.encode();
+        let full = wire(body.len(), &body);
+        for cut in 0..full.len() {
+            let read = read_frame(&mut Cursor::new(&full[..cut]), LinkId::Hop(1));
+            match read {
+                Err(Error::Disconnected { .. }) if cut < 4 => {}
+                Err(Error::Io { .. }) if cut >= 4 => {}
+                other => panic!("{frame:?} cut at {cut}: {other:?}"),
+            }
+        }
+        for cut in 0..body.len() {
+            assert_reader_agrees_with_decode(&body[..cut], &format!("{frame:?} body cut at {cut}"));
+        }
+        assert_reader_agrees_with_decode(&body, "whole body");
+    }
+}
+
+/// Every single-byte corruption of a length-prefixed frame: in the body
+/// the reader agrees with decode (opaque payload and trailer bytes still
+/// decode, anything else is the same `FrameError`); in the prefix it is
+/// a typed frame or IO error. Nothing panics.
+#[test]
+fn every_single_byte_corruption_through_the_streaming_reader_is_typed() {
+    for frame in sample_frames() {
+        let body = frame.encode();
+        for at in 0..4 + body.len() {
+            for xor in [0x01u8, 0x80, 0xFF] {
+                let mut full = wire(body.len(), &body);
+                full[at] ^= xor;
+                if at >= 4 {
+                    assert_reader_agrees_with_decode(&full[4..], &format!("byte {at} ^ {xor:#x}"));
+                    continue;
+                }
+                match read_frame(&mut Cursor::new(&full), LinkId::Hop(1)) {
+                    Err(Error::Frame { .. } | Error::Io { .. }) => {}
+                    other => panic!("prefix byte {at} ^ {xor:#x}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A batch header whose payload length (consistent with its geometry)
+/// runs past what the prefix admits is refused as truncated before the
+/// payload is read or allocated; an oversized prefix before anything.
+#[test]
+fn payload_beyond_the_prefix_is_refused_before_allocation() {
+    let payload_len = 32 << 20;
+    let frame = Frame::Batch(BatchFrame {
+        link: LinkId::Hop(0),
+        round: RoundId(7),
+        round_type: RoundType::Conversation,
+        num_drops: 0,
+        backward: false,
+        stride: 1 << 10,
+        width: 1 << 10,
+        count: (payload_len >> 10) as u32,
+        payload: vec![0; payload_len],
+        trailer: Vec::new(),
+    });
+    let mut body = frame.encode();
+    drop(frame);
+    let header_len = body.len() - payload_len - 4;
+    body.truncate(header_len + 64);
+    let mut source = Cursor::new(wire(header_len + 64, &body));
+    let (read, largest) = largest_allocation_since(|| read_frame(&mut source, LinkId::Hop(0)));
+    assert!(
+        matches!(
+            read,
+            Err(Error::Frame {
+                source: FrameError::Truncated,
+                ..
+            })
+        ),
+        "{read:?}"
+    );
+    assert_eq!(
+        source.position(),
+        (4 + header_len) as u64,
+        "nothing past the header is read"
+    );
+    assert!(largest < 4096, "largest allocation {largest} bytes");
+
+    let mut source = Cursor::new(wire(MAX_FRAME_LEN + 1, &body));
+    let (read, largest) = largest_allocation_since(|| read_frame(&mut source, LinkId::Hop(0)));
+    assert!(
+        matches!(
+            read,
+            Err(Error::Frame {
+                source: FrameError::Oversized { .. },
+                ..
+            })
+        ),
+        "{read:?}"
+    );
+    assert_eq!(source.position(), 4, "nothing past the prefix is read");
+    assert!(largest < 4096, "largest allocation {largest} bytes");
 }
