@@ -17,7 +17,8 @@
 //!   shuffle by cloning every payload;
 //! * **flat** — in-place peel over one arena, noise wrapped in place with
 //!   comb-table keygen and precomputed per-server DH tables, shuffle by
-//!   index remapping, all scheduled on the persistent worker pool.
+//!   index remapping, each arena pass fanned out over cores by chunk of
+//!   slots (`WorkerPool::map_vec` on scoped threads).
 //!
 //! Reported per pass: wall-clock seconds, onions/sec (incoming onions ÷
 //! forward-pass time at the first — noising — server, the §8.2 unit of

@@ -399,7 +399,12 @@ impl Chain {
     /// hop loop's window-1 schedule on the calling thread — one fresh
     /// `ServerNode` per hop, the round's one frame carried across the
     /// chain's links from handler to handler until hop 0 answers
-    /// upstream. No thread, transport or demux is involved.
+    /// upstream. No thread, transport or demux is involved. It keeps
+    /// this carry loop rather than running the threaded node loops at
+    /// window 1: on `conv_cover` that routing raised `peak_rss_mib` from
+    /// 11.1 to 16.5–18.6 MiB and `round_latency_p50_s` from 0.25 to
+    /// 0.29–0.32 s, and cost about 15% of `onions_per_s` (a prototype,
+    /// 3 pairs of 8 s runs on a 2-vCPU host).
     ///
     /// # Panics
     ///

@@ -34,7 +34,7 @@
 //! Each round the cohort builds all requests directly into one
 //! [`RoundBuffer`] arena — no per-onion `Vec`, no per-member request
 //! list, no per-member key list — parallelised over
-//! [`vuvuzela_net::WorkerPool`] by chunk of consecutive senders, each
+//! [`vuvuzela_net::WorkerPool::map_vec`] by chunk of consecutive senders, each
 //! chunk's onions wrapped together through
 //! [`onion::wrap_chunk_in_place`], and ingests the round's replies by
 //! member stripe. One shared set of per-server DH tables serves the
@@ -545,7 +545,7 @@ impl ClientCohort {
     /// a flat [`RoundBuffer`] (stride = onion width, no per-onion
     /// allocation) in member-major slot order. First every queued
     /// conversation key is derived ([`ClientCohort::derive_queued_keys`]).
-    /// Then work is split across `config.workers` pool workers by chunk
+    /// Then work is split across `config.workers` threads by chunk
     /// of consecutive senders ([`WRAP_CHUNK_SLOTS`] onions), each chunk
     /// in two passes: pass A walks its senders in order doing everything
     /// that draws from a sender's RNG — per slot the real payload's seal

@@ -28,7 +28,9 @@ pub struct SystemConfig {
     /// deterministic noise "to not let noise affect the clarity of the
     /// graphs" (§8.1); production uses sampling.
     pub noise_mode: NoiseMode,
-    /// Worker threads per server for parallel cryptography.
+    /// The most threads one fan-out call of a server's or client's
+    /// cryptography runs on, the caller included, capped at the core
+    /// count.
     pub workers: usize,
     /// Conversation slots per client per round (§9 "Multiple
     /// conversations": a fixed a-priori maximum; the paper's prototype

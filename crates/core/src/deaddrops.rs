@@ -168,7 +168,7 @@ impl ConversationDrops {
             shard_indices[shard_of_drop(&drop_of(index), shards)].push(index);
         }
 
-        // Pair up each shard's drops on the pool: the heavy part (hash
+        // Pair up each shard's drops across cores: the heavy part (hash
         // map build + accessor grouping) runs in parallel; the outputs —
         // a histogram and a swap list over disjoint slots — merge
         // deterministically below.

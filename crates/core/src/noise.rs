@@ -24,7 +24,6 @@ use rand::{CryptoRng, RngCore, SeedableRng};
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::PublicKey;
 use vuvuzela_dp::{NoiseDistribution, NoiseMode};
-use vuvuzela_net::parallel::parallel_map;
 use vuvuzela_net::WorkerPool;
 use vuvuzela_wire::conversation::ExchangeRequest;
 use vuvuzela_wire::deaddrop::{DeadDropId, InvitationDropIndex};
@@ -223,7 +222,7 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
 /// (here and in [`crate::cohort`]): the granularity at which a worker
 /// batches onions' fixed-base scalar multiplications into eight-lane
 /// comb walks (a chain-3 chunk is 192 lanes: 24 full octets, six
-/// shared inversions), and the unit the pool schedules.
+/// shared inversions), and one item of the `WorkerPool::map_vec` fan-out.
 pub(crate) const WRAP_CHUNK_SLOTS: usize = 32;
 
 /// Onion-wraps `batch` slots `first..len` in place: each slot already
@@ -256,26 +255,17 @@ fn wrap_slots_in_place<R: RngCore + CryptoRng>(
         .collect();
 
     let stride = batch.stride();
-    let arena = batch.arena_mut();
-    let region = &mut arena[first * stride..];
-    WorkerPool::shared().map_stride_chunks_mut(
-        region,
-        stride,
-        WRAP_CHUNK_SLOTS,
-        workers,
-        |first_slot, window| {
-            let slots = window.len().div_ceil(stride);
-            let mut secrets = vec![[0u8; 32]; slots * chain.len()];
-            for (seed, slot_secrets) in seeds[first_slot..]
-                .iter()
-                .zip(secrets.chunks_mut(chain.len()))
-            {
-                onion::draw_layer_secrets(&mut StdRng::from_seed(*seed), slot_secrets);
-            }
-            onion::wrap_chunk_in_place(chain, round, window, stride, payload_len, &secrets, None);
-            vec![(); slots]
-        },
-    );
+    let chunks = batch.arena_mut()[first * stride..]
+        .chunks_mut(stride * WRAP_CHUNK_SLOTS)
+        .zip(seeds.chunks(WRAP_CHUNK_SLOTS))
+        .collect();
+    WorkerPool::shared().map_vec(chunks, workers, |(window, seeds): (&mut [u8], _)| {
+        let mut secrets = vec![[0u8; 32]; seeds.len() * chain.len()];
+        for (seed, slot_secrets) in seeds.iter().zip(secrets.chunks_mut(chain.len())) {
+            onion::draw_layer_secrets(&mut StdRng::from_seed(*seed), slot_secrets);
+        }
+        onion::wrap_chunk_in_place(chain, round, window, stride, payload_len, &secrets, None);
+    });
 }
 
 /// The expected cover traffic a single noising server adds to one round
@@ -349,7 +339,7 @@ pub fn wrap_payloads<R: RngCore + CryptoRng>(
             (seed, p)
         })
         .collect();
-    parallel_map(seeded, workers, |(seed, payload)| {
+    WorkerPool::shared().map_vec(seeded, workers, |(seed, payload)| {
         let mut child = StdRng::from_seed(seed);
         let (onion, _keys) = onion::wrap(&mut child, chain, round, &payload);
         onion

@@ -28,9 +28,10 @@
 //!   in-place cycle walk with one `stride`-sized scratch slot — instead
 //!   of cloning every payload.
 //!
-//! Together with [`vuvuzela_net::WorkerPool::map_strides_mut`], which
-//! parallelises over exactly these slots, this is the zero-copy data
-//! plane of the round pipeline; [`crate::server::MixServer::forward_buf`]
+//! Together with [`vuvuzela_net::WorkerPool::map_vec`], which takes the
+//! arena's `chunks_mut` windows of whole slots as its items, this is the
+//! zero-copy data plane of the round pipeline;
+//! [`crate::server::MixServer::forward_buf`]
 //! is its main consumer. A round's client batch is an arena from the
 //! moment it is built: cohorts and the deployment client wrap onions
 //! straight into their slots, and onions wrapped one at a time are laid

@@ -19,9 +19,9 @@
 //! and replies wrapped **in place** (the peel batches its field
 //! inversions across each worker chunk of onions), the shuffle is
 //! applied by index remapping instead of cloning payloads, and the
-//! per-slot crypto spreads over the persistent
-//! [`vuvuzela_net::WorkerPool`]. The original per-`Vec` implementation
-//! is retained as [`MixServer::forward_reference`] /
+//! arena's chunks of slots spread over cores through
+//! [`vuvuzela_net::WorkerPool::map_vec`]. The original per-`Vec`
+//! implementation is retained as [`MixServer::forward_reference`] /
 //! [`MixServer::backward_reference`]: it consumes the round RNG in
 //! exactly the same order, which the pipeline-equivalence property tests
 //! assert byte for byte, and it is the baseline the round benchmarks
@@ -55,7 +55,6 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 use vuvuzela_crypto::onion::{self, LayerKey};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
-use vuvuzela_net::parallel::parallel_map;
 use vuvuzela_net::WorkerPool;
 use vuvuzela_wire::conversation::ExchangeRequest;
 use vuvuzela_wire::dialing::DialRequest;
@@ -266,18 +265,15 @@ impl MixServer {
         let secret = self.keypair.secret.clone();
         let public = self.keypair.public;
         let stride = batch.stride();
-        let layer_keys: Vec<Option<LayerKey>> = WorkerPool::shared().map_stride_chunks_mut(
-            batch.arena_mut(),
-            stride,
-            PEEL_CHUNK_SLOTS,
-            self.config.workers,
-            |_, chunk| {
+        let chunks = batch.arena_mut().chunks_mut(stride * CHUNK_SLOTS).collect();
+        let layer_keys: Vec<Option<LayerKey>> = WorkerPool::shared()
+            .map_vec(chunks, self.config.workers, |chunk: &mut [u8]| {
                 onion::peel_chunk_in_place(&secret, &public, round, chunk, stride, width)
-                    .into_iter()
-                    .map(|r| r.ok().map(|(key, _)| key))
-                    .collect()
-            },
-        );
+            })
+            .into_iter()
+            .flatten()
+            .map(|r| r.ok().map(|(key, _)| key))
+            .collect();
         batch.set_width(width - onion::LAYER_OVERHEAD);
         // Close the gap the peel left in every slot: the batch this hop
         // sends on (and its noise) is `width` bytes a slot, not `stride`.
@@ -397,18 +393,22 @@ impl MixServer {
         state.rng.fill_bytes(&mut filler_seed);
         let keys = &state.layer_keys;
         let stride = replies.stride();
-        WorkerPool::shared().map_strides_mut(
-            replies.arena_mut(),
-            stride,
-            self.config.workers,
-            |i, slot| match keys.get(i).and_then(Option::as_ref) {
-                Some(key) => {
-                    let sealed = onion::wrap_reply_in_place(key, round, slot, reply_size);
-                    debug_assert_eq!(sealed, out_size);
+        let chunks = replies
+            .arena_mut()
+            .chunks_mut(stride * CHUNK_SLOTS)
+            .enumerate()
+            .collect();
+        WorkerPool::shared().map_vec(chunks, self.config.workers, |(c, chunk)| {
+            for (i, slot) in (c * CHUNK_SLOTS..).zip(chunk.chunks_mut(stride)) {
+                match keys.get(i).and_then(Option::as_ref) {
+                    Some(key) => {
+                        let sealed = onion::wrap_reply_in_place(key, round, slot, reply_size);
+                        debug_assert_eq!(sealed, out_size);
+                    }
+                    None => filler_bytes(&filler_seed, i, &mut slot[..out_size]),
                 }
-                None => filler_bytes(&filler_seed, i, &mut slot[..out_size]),
-            },
-        );
+            }
+        });
         replies.set_width(out_size);
         replies
     }
@@ -433,7 +433,7 @@ impl MixServer {
         let secret = self.keypair.secret.clone();
         let public = self.keypair.public;
         let peeled: Vec<Option<(LayerKey, Vec<u8>)>> =
-            parallel_map(batch, self.config.workers, |layer| {
+            WorkerPool::shared().map_vec(batch, self.config.workers, |layer| {
                 if layer.len() != width {
                     // The flat path can only carry uniform sizes; classify
                     // mismatches identically here.
@@ -541,7 +541,7 @@ impl MixServer {
             .enumerate()
             .map(|(i, (key, reply))| (i, key, reply))
             .collect();
-        parallel_map(tasks, self.config.workers, |(i, key, reply)| match key {
+        WorkerPool::shared().map_vec(tasks, self.config.workers, |(i, key, reply)| match key {
             Some(key) => onion::wrap_reply_layer(&key, round, &reply),
             None => {
                 let mut filler = vec![0u8; out_size];
@@ -659,10 +659,10 @@ impl MixServer {
     }
 }
 
-/// Slots per worker chunk on the peel hot path — matched to the batch
-/// resolver's width in `vuvuzela_crypto` so each chunk's field
-/// inversions collapse into one.
-const PEEL_CHUNK_SLOTS: usize = 32;
+/// Slots per fan-out item on the arena passes (the peel and the reply
+/// wrap) — matched to the batch resolver's width in `vuvuzela_crypto`
+/// so each peeled chunk's field inversions collapse into one.
+const CHUNK_SLOTS: usize = 32;
 
 /// Writes a replacement for a malformed request into `slot`: a fresh
 /// noise request wrapped for the remaining chain (or plain at the last

@@ -15,14 +15,12 @@
 //!   adversary's view of the link), and hands each batch to an optional
 //!   [`link::Tap`], which models the paper's §2.3 active adversary: it
 //!   can *block, delay, or inject* traffic on any link.
-//! * [`parallel`] — a persistent [`parallel::WorkerPool`] (spawned once,
-//!   reused across rounds) that spreads per-request Diffie-Hellman work
-//!   across cores, mirroring the 36-core parallelism of the paper's
-//!   prototype without paying thread spawn/join on every round.
+//! * [`parallel`] — [`parallel::WorkerPool::map_vec`], the one
+//!   order-preserving fan-out on scoped threads, which spreads
+//!   per-request Diffie-Hellman work across cores as the paper's
+//!   36-core servers do.
 
-// `parallel` contains the workspace's only unsafe code (the pool's
-// scoped-execution core); everything else in this crate must stay safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod demux;
