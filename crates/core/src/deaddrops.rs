@@ -4,8 +4,9 @@
 //! round's exchange requests per dead drop; pairs swap their sealed
 //! messages, singletons get indistinguishable random filler. Drops are
 //! ephemeral — the table lives for exactly one round (§3.1). The tail
-//! runs it arena to arena ([`ConversationDrops::exchange_arena`]: peeled
-//! requests in, reply slots out); the per-request
+//! runs it in place ([`ConversationDrops::exchange_arena`]: the peeled
+//! request arena becomes the reply arena, so the round's widest buffer
+//! is held once); the per-request
 //! [`ConversationDrops::exchange`] is the oracle it is pinned to.
 //!
 //! [`InvitationDrops`] implements the dialing side (§5): `m` large drops
@@ -104,54 +105,69 @@ impl ConversationDrops {
         (responses, observables)
     }
 
-    /// [`ConversationDrops::exchange`] from arena to arena, the tail's
-    /// one exchange: peeled requests in, one reply per request out, in
-    /// request order, in slots of `reply_stride` bytes (the chain's reply
-    /// reservation, [`crate::server::MixServer::reply_stride`]), with the
-    /// drops paired over `shards` shards on worker strands. Replies,
-    /// observables and RNG consumption equal the oracle's for every
-    /// `(shards, workers)`, because:
+    /// [`ConversationDrops::exchange`] in place, the tail's one exchange:
+    /// the peeled request arena goes in and comes back as the reply
+    /// arena — one reply per request, in request order, in slots of
+    /// `reply_stride` bytes (the chain's reply reservation,
+    /// [`crate::server::MixServer::reply_stride`]) — with the drops paired
+    /// over `shards` shards on worker strands. No second arena is
+    /// allocated: the tail's arena arrives with one onion layer on each
+    /// request (`EXCHANGE_REQUEST_LEN + LAYER_OVERHEAD` = 320 bytes a
+    /// slot), its peel's compaction keeps that capacity, and that holds
+    /// `reply_stride` (256 + 16 per server) for chains of up to four
+    /// servers; a longer chain's arena grows once, in place or by one
+    /// reallocation.
     ///
-    /// * a batch not of request width decodes nowhere, so it is replaced
-    ///   first by noise requests drawn in slot order — the substitutes
-    ///   the oracle's caller draws;
-    /// * the filler is drawn into the reply slots in request order before
-    ///   any shard runs, as `ExchangeResponse::empty` draws it;
-    /// * each drop lives in one shard ([`shard_of_drop`]), so the shards'
-    ///   pairings touch disjoint slots and their histograms add up;
-    /// * a drop's replies depend only on its own accessor list (in
-    ///   request order), never on map iteration order.
+    /// Replies, reservation bytes, observables and RNG consumption equal
+    /// the oracle's for every `(shards, workers)`, because:
+    ///
+    /// 1. a batch not of request width decodes nowhere, so it is replaced
+    ///    first by noise requests drawn in slot order — the substitutes
+    ///    the oracle's caller draws; a batch of request width is
+    ///    compacted, so its slots sit `EXCHANGE_REQUEST_LEN` apart;
+    /// 2. each drop lives in one shard ([`shard_of_drop`]), so the shards'
+    ///    pairings touch disjoint slots and their histograms add up, and
+    ///    a drop's pairing depends only on its own accessor list (in
+    ///    request order), never on map iteration order. Pairing draws no
+    ///    randomness, so each matched pair swaps its sealed messages
+    ///    inside the request slots before any filler is drawn;
+    /// 3. the slots are widened to `reply_stride` from the last one down
+    ///    (slot `i`'s message moves to `i × reply_stride`, past every
+    ///    slot not yet moved), and each slot's reservation past the reply
+    ///    is zeroed, as the oracle's fresh slots are. This is a privacy
+    ///    condition, not only an equality: the reservation crosses every
+    ///    backward link, and stale request bytes there would show peeled
+    ///    drop ids to a link observer;
+    /// 4. the filler is drawn for every slot in request order, as
+    ///    `ExchangeResponse::empty` draws it, and kept only in the slots
+    ///    no pair matched.
     ///
     /// # Panics
     ///
-    /// Panics when `shards == 0` or `reply_stride` cannot hold a reply.
+    /// Panics when `shards == 0` or `reply_stride` is narrower than a
+    /// request (no chain's is: it is the reply plus one reply layer per
+    /// server).
     pub fn exchange_arena<R: RngCore + CryptoRng>(
         rng: &mut R,
-        requests: &RoundBuffer,
+        mut requests: RoundBuffer,
         reply_stride: usize,
         shards: usize,
         workers: usize,
     ) -> (RoundBuffer, ConversationObservables) {
         assert!(shards >= 1, "need at least one shard");
-        let substitutes;
-        let requests = if requests.width() == EXCHANGE_REQUEST_LEN {
-            requests
+        assert!(
+            reply_stride >= EXCHANGE_REQUEST_LEN,
+            "a reply slot must hold a request slot"
+        );
+        let len = requests.len();
+        if requests.width() == EXCHANGE_REQUEST_LEN {
+            requests.compact();
         } else {
-            let mut noise = RoundBuffer::with_capacity(
-                EXCHANGE_REQUEST_LEN,
-                EXCHANGE_REQUEST_LEN,
-                requests.len(),
-            );
-            for _ in 0..requests.len() {
-                noise.push_with(|slot| ExchangeRequest::noise_into(rng, None, slot));
+            drop(requests);
+            requests = RoundBuffer::with_capacity(EXCHANGE_REQUEST_LEN, EXCHANGE_REQUEST_LEN, len);
+            for _ in 0..len {
+                requests.push_with(|slot| ExchangeRequest::noise_into(rng, None, slot));
             }
-            substitutes = noise;
-            &substitutes
-        };
-        let mut replies =
-            RoundBuffer::with_capacity(reply_stride, EXCHANGE_RESPONSE_LEN, requests.len());
-        for _ in 0..requests.len() {
-            replies.push_with(|slot| rng.fill_bytes(slot));
         }
 
         // Partition request indices by the shard owning their drop;
@@ -164,7 +180,7 @@ impl ConversationDrops {
             )
         };
         let mut shard_indices: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for index in 0..requests.len() {
+        for index in 0..len {
             shard_indices[shard_of_drop(&drop_of(index), shards)].push(index);
         }
 
@@ -195,19 +211,47 @@ impl ConversationDrops {
         });
 
         let mut observables = ConversationObservables {
-            total_requests: requests.len() as u64,
+            total_requests: len as u64,
             ..Default::default()
         };
-        let sealed = |index: usize| &requests.slot(index)[DEAD_DROP_ID_LEN..];
+        let (mut arena, ..) = requests.into_raw();
+        let sealed = |index: usize| {
+            index * EXCHANGE_REQUEST_LEN + DEAD_DROP_ID_LEN..(index + 1) * EXCHANGE_REQUEST_LEN
+        };
+        let mut matched = vec![false; len];
         for (histogram, swaps) in per_shard {
             observables.m1 += histogram.m1;
             observables.m2 += histogram.m2;
             observables.m_many += histogram.m_many;
             for (a, b) in swaps {
-                replies.slot_mut(a).copy_from_slice(sealed(b));
-                replies.slot_mut(b).copy_from_slice(sealed(a));
+                // Accessor lists are in request order: `a < b`.
+                let (head, tail) = arena.split_at_mut(b * EXCHANGE_REQUEST_LEN);
+                head[sealed(a)].swap_with_slice(&mut tail[sealed(0)]);
+                matched[a] = true;
+                matched[b] = true;
             }
         }
+
+        // Widen in place, last slot first: slot `i`'s message lands at
+        // `i × reply_stride`, past every slot not yet moved, and the
+        // reservation after it is zeroed, since it crosses the links.
+        arena.resize(len * reply_stride, 0);
+        for index in (0..len).rev() {
+            let reply = index * reply_stride;
+            arena.copy_within(sealed(index), reply);
+            arena[reply + EXCHANGE_RESPONSE_LEN..reply + reply_stride].fill(0);
+        }
+        // Filler for every slot in request order; matched slots drop it.
+        let mut discarded = [0u8; EXCHANGE_RESPONSE_LEN];
+        for (index, &matched) in matched.iter().enumerate() {
+            let reply = index * reply_stride;
+            rng.fill_bytes(if matched {
+                &mut discarded
+            } else {
+                &mut arena[reply..reply + EXCHANGE_RESPONSE_LEN]
+            });
+        }
+        let replies = RoundBuffer::from_raw(arena, reply_stride, EXCHANGE_RESPONSE_LEN, len);
         (replies, observables)
     }
 }
@@ -455,7 +499,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let (replies, obs) = ConversationDrops::exchange_arena(
                     &mut rng,
-                    batch,
+                    batch.clone(),
                     REPLY_STRIDE,
                     shards,
                     workers,
@@ -514,6 +558,18 @@ mod tests {
         }
         crowded.extend([request(8, 5), request(8, 6)]);
         assert_arena_matches_oracle(&arena(&crowded), 4);
+        // The shape a tail's peel leaves before compacting: each slot
+        // still one onion layer wide.
+        let stride = EXCHANGE_REQUEST_LEN + onion::LAYER_OVERHEAD;
+        let mut peeled = RoundBuffer::new(stride, stride);
+        for request in &pairs[..12] {
+            peeled.push_with(|slot| {
+                slot.fill(0xEE);
+                request.encode_into(slot);
+            });
+        }
+        peeled.set_width(EXCHANGE_REQUEST_LEN);
+        assert_arena_matches_oracle(&peeled, 6);
         // A batch one layer short of peeled: no slot decodes, so every
         // request is a substitute.
         let width = EXCHANGE_REQUEST_LEN + 32;
@@ -538,7 +594,7 @@ mod tests {
             })
             .collect();
         let (replies, obs) =
-            ConversationDrops::exchange_arena(&mut rng, &arena(&requests), REPLY_STRIDE, 7, 2);
+            ConversationDrops::exchange_arena(&mut rng, arena(&requests), REPLY_STRIDE, 7, 2);
         assert_eq!(obs.m_many, 1);
         assert_eq!(replies.slot(0), vec![2; SEALED_MESSAGE_LEN].as_slice());
         assert_eq!(replies.slot(1), vec![1; SEALED_MESSAGE_LEN].as_slice());

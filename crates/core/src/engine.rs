@@ -151,12 +151,13 @@ impl<'a> RoundEngine<'a> {
         match kind {
             RoundKind::Conversation => {
                 let clock = Instant::now();
-                // Arena to arena: the reply slots reserve the whole
-                // chain's reply layers, so every hop's wrap fits in place.
+                // In place: the peeled arena becomes the reply arena,
+                // its slots widened to reserve the whole chain's reply
+                // layers, so every hop's wrap fits in place too.
                 let mut rng = chain_round_rng(self.seed, round);
                 let (replies, observables) = ConversationDrops::exchange_arena(
                     &mut rng,
-                    &buf,
+                    buf,
                     self.server.reply_stride(),
                     self.exchange_shards,
                     self.workers,

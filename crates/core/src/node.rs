@@ -894,9 +894,10 @@ mod tests {
     /// Every forward frame that leaves a hop is compact (`stride ==
     /// width`: the socket carries no dead bytes), and every backward
     /// conversation frame keeps the chain's reply reservation (`stride ==
-    /// reply_stride`), which the in-place reply wraps need. Three server
-    /// nodes run on memory links whose far ends this thread holds; it
-    /// carries every frame from hop to hop itself and measures it.
+    /// reply_stride`), which the in-place reply wraps need, with every
+    /// byte past the reply's width zero. Three server nodes run on memory
+    /// links whose far ends this thread holds; it carries every frame
+    /// from hop to hop itself and measures it.
     #[test]
     fn forward_frames_are_compact_and_replies_keep_their_reservation() {
         let config = tiny_config(3);
@@ -959,6 +960,17 @@ mod tests {
             other => panic!("expected a batch, got {other:?}"),
         };
         let reply_stride = build_server(&config, seed, 0).reply_stride() as u32;
+        // Bytes past a reply's width cross the link too: they must be
+        // zero, never a stale request byte such as a peeled drop id.
+        let assert_reservation_zeroed = |back: &BatchFrame, at: &str| {
+            let (stride, width) = (back.stride as usize, back.width as usize);
+            for (i, slot) in back.payload.chunks(stride).enumerate() {
+                assert!(
+                    slot[width..].iter().all(|&b| b == 0),
+                    "{at}: slot {i} reservation"
+                );
+            }
+        };
 
         for (round, kind, arena) in [
             (0, RoundKind::Conversation, conv_batch),
@@ -983,6 +995,12 @@ mod tests {
                     0
                 };
                 assert_eq!(back.stride, stride, "round {round} from hop {}", hop + 1);
+                if kind == RoundKind::Conversation {
+                    assert_reservation_zeroed(
+                        &back,
+                        &format!("round {round} from hop {}", hop + 1),
+                    );
+                }
                 back = batch(carry(
                     &up_fars[hop],
                     hop.checked_sub(1).map(|h| &down_fars[h]),
@@ -990,6 +1008,7 @@ mod tests {
             }
             if kind == RoundKind::Conversation {
                 assert_eq!(back.stride, reply_stride, "round {round} from hop 0");
+                assert_reservation_zeroed(&back, &format!("round {round} from hop 0"));
                 assert_eq!(buf_from_frame(back).to_vecs(), want_replies);
             }
         }

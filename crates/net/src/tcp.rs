@@ -27,17 +27,25 @@ use parking_lot::Mutex;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-use vuvuzela_wire::{Frame, Hello, LinkId, ReadError, MAX_FRAME_LEN};
+use vuvuzela_wire::{Frame, FrameError, Hello, LinkId, ReadError, MAX_FRAME_LEN};
 
 /// Writes one length-prefixed frame, streaming its body through
-/// [`Frame::write_to`].
+/// [`Frame::write_to`]. A frame over [`MAX_FRAME_LEN`], which the peer's
+/// reader would refuse (and whose length a `u32` prefix may not even
+/// hold), is refused before any byte is written.
 ///
 /// # Errors
 ///
-/// IO failures, attributed to `link`.
+/// [`Error::Frame`] with [`FrameError::Oversized`] for a frame over
+/// [`MAX_FRAME_LEN`]; IO failures. Both are attributed to `link`.
 pub fn write_frame<W: Write>(w: &mut W, link: LinkId, frame: &Frame) -> Result<(), Error> {
     let len = frame.encoded_len();
-    debug_assert!(len <= MAX_FRAME_LEN, "sender-side oversized frame");
+    if len > MAX_FRAME_LEN {
+        return Err(Error::Frame {
+            link,
+            source: FrameError::Oversized { len: len as u64 },
+        });
+    }
     let io = |source| Error::Io {
         link,
         op: "write",

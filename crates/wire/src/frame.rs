@@ -49,9 +49,13 @@ pub const FRAME_VERSION: u16 = 1;
 
 /// Upper bound on one frame's encoded size. [`Frame::read_from`] rejects
 /// a length prefix above this *before* allocating or reading the body,
-/// so a corrupt or hostile peer cannot make a server allocate gigabytes.
-/// 64 MiB comfortably holds the paper-scale batches (~1M requests ×
-/// ~350-byte onions ship in several rounds, each far below this).
+/// so a corrupt or hostile peer cannot make a server allocate gigabytes,
+/// and the sender's framing refuses to write a frame above it. 64 MiB
+/// holds every batch the simulated and loopback deployments send, but
+/// not a paper-scale one: at the §8.1 operating point (~1M users plus
+/// noise) the widest hop's arena is ≈ 0.85 GB, so a wire run at that
+/// scale must split a round's batch over several frames or raise this
+/// cap.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// The connection handshake body.

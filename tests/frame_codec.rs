@@ -3,15 +3,26 @@
 //! length prefixes are rejected before any body is read. The streaming
 //! reader is held to the slice decoder on every truncation and
 //! single-byte corruption, and to allocating nothing its length prefix
-//! has not admitted.
+//! has not admitted; the writer refuses an oversized frame before its
+//! first byte. The same counting allocator shows that the tail's
+//! dead-drop exchange turns its request arena into the reply arena
+//! instead of allocating a second one.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Cursor;
+use vuvuzela::core::deaddrops::ConversationDrops;
+use vuvuzela::core::RoundBuffer;
+use vuvuzela::crypto::onion;
 use vuvuzela::net::tcp::{read_frame, write_frame};
 use vuvuzela::net::{Error, LinkId};
-use vuvuzela::wire::{BatchFrame, Frame, FrameError, Hello, RoundId, RoundType, MAX_FRAME_LEN};
+use vuvuzela::wire::{
+    BatchFrame, Frame, FrameError, Hello, RoundId, RoundType, DEAD_DROP_ID_LEN,
+    EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN, MAX_FRAME_LEN,
+};
 
 fn link_from(selector: u8, index: u32) -> LinkId {
     match selector % 4 {
@@ -351,4 +362,77 @@ fn payload_beyond_the_prefix_is_refused_before_allocation() {
     );
     assert_eq!(source.position(), 4, "nothing past the prefix is read");
     assert!(largest < 4096, "largest allocation {largest} bytes");
+}
+
+/// A frame over [`MAX_FRAME_LEN`] is one its peer's reader must refuse,
+/// and above 4 GiB its `u32` length prefix would wrap: the writer refuses
+/// it before writing anything. The payload's zeroed pages are never
+/// touched.
+#[test]
+fn oversized_frame_is_refused_before_any_byte_is_written() {
+    let count = MAX_FRAME_LEN + 1;
+    let frame = Frame::Batch(BatchFrame {
+        link: LinkId::Hop(1),
+        round: RoundId(3),
+        round_type: RoundType::Conversation,
+        num_drops: 0,
+        backward: false,
+        stride: 1,
+        width: 1,
+        count: count as u32,
+        payload: vec![0; count],
+        trailer: Vec::new(),
+    });
+    let mut sink = Vec::new();
+    let written = write_frame(&mut sink, LinkId::Hop(1), &frame);
+    assert!(
+        matches!(
+            written,
+            Err(Error::Frame {
+                link: LinkId::Hop(1),
+                source: FrameError::Oversized { len },
+            }) if len == frame.encoded_len() as u64
+        ),
+        "{written:?}"
+    );
+    assert!(sink.is_empty(), "{} bytes written", sink.len());
+}
+
+/// The tail's dead-drop exchange answers in the request arena itself.
+/// On 4 096 requests laid out as the tail's peel leaves them (one onion
+/// layer wide a slot, then compacted), with the shard count every
+/// config uses, the largest allocation on the calling thread stays
+/// below a quarter of the reply arena.
+#[test]
+fn tail_exchange_allocates_no_reply_arena() {
+    let requests = 4096;
+    let stride = EXCHANGE_REQUEST_LEN + onion::LAYER_OVERHEAD;
+    let reply_stride = EXCHANGE_RESPONSE_LEN + 3 * onion::REPLY_LAYER_OVERHEAD;
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut arena = RoundBuffer::with_capacity(stride, stride, requests);
+    for _ in 0..requests {
+        arena.push_with(|slot| rng.fill_bytes(slot));
+    }
+    // Every other request shares its predecessor's drop, so the
+    // exchange swaps as well as fills.
+    for i in (1..requests).step_by(2) {
+        let drop = arena.slot(i - 1)[..DEAD_DROP_ID_LEN].to_vec();
+        arena.slot_mut(i)[..DEAD_DROP_ID_LEN].copy_from_slice(&drop);
+    }
+    arena.set_width(EXCHANGE_REQUEST_LEN);
+    arena.compact();
+
+    let ((replies, observables), largest) = largest_allocation_since(|| {
+        ConversationDrops::exchange_arena(&mut rng, arena, reply_stride, 4, 1)
+    });
+    assert_eq!(observables.m2, requests as u64 / 2);
+    assert_eq!(
+        (replies.len(), replies.stride(), replies.width()),
+        (requests, reply_stride, EXCHANGE_RESPONSE_LEN)
+    );
+    assert!(
+        largest < requests * reply_stride / 4,
+        "largest allocation {largest} bytes for a {}-byte reply arena",
+        requests * reply_stride
+    );
 }
