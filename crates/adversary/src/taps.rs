@@ -149,7 +149,7 @@ impl Tap for DropFraction {
 /// a later round's batch — the cross-round delay the §2.3 adversary can
 /// inflict. Held state lives inside the tap, so the delay spans
 /// schedules (the tap stays attached to its link across
-/// `run_mixed_schedule` calls).
+/// `StreamingChain::run` calls).
 ///
 /// Against Vuvuzela the released onions buy the adversary nothing:
 /// every layer is bound to its round, so delayed requests fail
@@ -357,12 +357,13 @@ impl Tap for StallLink {
     }
 }
 
-/// Kills the schedule when a specific round's forward batch crosses the
-/// tapped link — the "server aborts mid-round" deployment fault. The
-/// panic unwinds the node thread whose `send` ran the tap; that node
-/// hangs up both its links on the way out, the hang-up cascades through
-/// the surviving nodes to the feeder, and the whole schedule fails
-/// (never hangs). Disarms itself *before* panicking so
+/// Hangs up the tapped link when a specific round's forward batch
+/// crosses it — the "server aborts mid-round" deployment fault, in
+/// process exactly what the wire shows when a peer's process dies. The
+/// sender's `send` fails with [`vuvuzela_net::Error::Disconnected`] on
+/// the link; its node stops and hangs up both its links, the hang-up
+/// cascades through the surviving nodes to the feeder, and the runtime
+/// returns an `Abort` (never hangs). Disarms itself as it hangs up, so
 /// batches drained during the abort cannot re-trigger it, and stays
 /// inert afterwards, so the deployment can keep the link (tap detached
 /// or not) for subsequent schedules.
@@ -382,17 +383,14 @@ impl CrashOnRound {
 }
 
 impl Tap for CrashOnRound {
-    fn intercept(&mut self, ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {
-        if self.armed
+    fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {}
+
+    fn hangs_up(&mut self, ctx: &TapContext) -> bool {
+        let fires = self.armed
             && ctx.round == self.round
-            && matches!(ctx.direction, vuvuzela_net::Direction::Forward)
-        {
-            self.armed = false;
-            panic!(
-                "injected server fault on {} at round {}",
-                ctx.link, ctx.round
-            );
-        }
+            && matches!(ctx.direction, vuvuzela_net::Direction::Forward);
+        self.armed &= !fires;
+        fires
     }
 }
 
@@ -489,15 +487,23 @@ mod tests {
     #[test]
     fn crash_on_round_fires_once_and_only_forward() {
         let mut tap = CrashOnRound::new(2);
-        // Other rounds and backward traffic pass untouched.
-        assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
-        assert_eq!(pass(&mut tap, 2, Direction::Backward, batch3()).len(), 3);
-        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pass(&mut tap, 2, Direction::Forward, batch3())
-        }));
-        assert!(boom.is_err(), "armed tap must panic on its round");
+        let mut hangs_up = |round, direction| {
+            let ctx = TapContext {
+                link: LinkId::Hop(1),
+                round,
+                direction,
+            };
+            tap.hangs_up(&ctx)
+        };
+        // Other rounds and backward traffic pass.
+        assert!(!hangs_up(1, Direction::Forward));
+        assert!(!hangs_up(2, Direction::Backward));
+        assert!(hangs_up(2, Direction::Forward), "armed: its round hangs up");
         // Disarmed: the same round drains through afterwards.
-        assert_eq!(pass(&mut tap, 2, Direction::Forward, batch3()).len(), 3);
+        assert!(!hangs_up(2, Direction::Forward));
+        assert!(!hangs_up(3, Direction::Forward));
+        // What does cross is never touched.
+        assert_eq!(pass(&mut tap, 2, Direction::Forward, batch3()), batch3());
     }
 
     #[test]

@@ -176,7 +176,9 @@ fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, Vec<Vec<u8
     let pks = chain.server_public_keys();
     let onions = conversation_batch(users, 0, &pks, default_workers(), seed);
     let batch = admitted(RoundKind::Conversation, pks.len(), onions);
-    let (replies, timing) = chain.run_conversation_round(0, batch);
+    let (replies, timing) = chain
+        .run_conversation_round(0, batch)
+        .expect("an untapped chain completes every round");
     (chain, replies, timing)
 }
 
@@ -186,7 +188,11 @@ fn dial_round(chain: &mut Chain, users: u64, dialers: u64, drops: u32, seed: u64
     let pks = chain.server_public_keys();
     let onions = dialing_batch(users, dialers, drops, 0, &pks, default_workers(), seed);
     let batch = admitted(RoundKind::Dialing { num_drops: drops }, pks.len(), onions);
-    chain.run_dialing_round(0, batch, drops).total.as_secs_f64()
+    chain
+        .run_dialing_round(0, batch, drops)
+        .expect("an untapped chain completes every round")
+        .total
+        .as_secs_f64()
 }
 
 /// Figure 6: the (∆m1, ∆m2) sensitivity table. One noise-free round
@@ -264,7 +270,9 @@ fn observe_world(alice: &Keypair, partners: &[Keypair], action: Option<usize>) -
         .map(|r| onion::wrap(&mut rng, &pks, round, &r.encode()).0)
         .collect();
     let batch = admitted(RoundKind::Conversation, pks.len(), onions);
-    let _ = chain.run_conversation_round(round, batch);
+    chain
+        .run_conversation_round(round, batch)
+        .expect("an untapped chain completes every round");
     let (_, obs) = chain.conversation_observables()[0];
     (obs.m1, obs.m2)
 }

@@ -10,11 +10,13 @@
 //! producing byte-identical per-round results. Both run the one hop
 //! protocol of [`crate::node`]: the streaming chain lends the servers and
 //! links to one [`crate::node::run_server_node`] loop per hop — the loop
-//! a deployment's server processes run — and [`Chain::run_round`] is the
-//! window-1 schedule of that loop's frame handler, carrying the round's
+//! a deployment's server processes run — and [`Chain::run`] is the
+//! window-1 schedule of that loop's frame handler, carrying each round's
 //! one frame from hop to hop on the calling thread. Either way a batch
-//! crosses a link through [`batch_through_link`], and a finished round
-//! is completed by one `Collector`.
+//! crosses a link through [`batch_through_link`], a finished round is
+//! completed by one `Collector`, and a round that cannot finish — a hop
+//! refuses its frame, or a link hangs up under it — ends the run with an
+//! [`Abort`], the value the wire's [`vuvuzela_net::Error`] becomes.
 //!
 //! All of a round's harness-level randomness (noise substitutes for
 //! undecodable exchange payloads, the dead-drop store's coin flips) is
@@ -35,7 +37,7 @@ use std::time::{Duration, Instant};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::batch_through_link;
 use vuvuzela_net::link::Link;
-use vuvuzela_net::LinkId;
+use vuvuzela_net::{Error, LinkId};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
 use vuvuzela_wire::{BatchFrame, Frame};
@@ -81,6 +83,10 @@ impl From<RoundBuffer> for Batch {
 /// leg: entry sizes are client-controlled, so a mismatch cannot be
 /// attributed to a tap (see [`Chain::tap_resized`]).
 ///
+/// # Errors
+///
+/// [`Error::Disconnected`] when a tap hangs the clients link up.
+///
 /// # Panics
 ///
 /// Panics unless the arena keeps [`crate::entry::check_client_batch`],
@@ -92,21 +98,21 @@ pub(crate) fn admit_batch(
     kind: RoundKind,
     chain_len: usize,
     batch: Batch,
-) -> RoundBuffer {
+) -> Result<RoundBuffer, Error> {
     let Batch::Flat(buf) = batch;
     if let Err(what) = check_client_batch(round, kind, chain_len, buf.width(), buf.stride()) {
         panic!("{what}");
     }
     let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
-    batch_through_link(client_link, &mut frame);
-    buf_from_frame(frame)
+    batch_through_link(client_link, &mut frame)?;
+    Ok(buf_from_frame(frame))
 }
 
 /// One round of a (possibly mixed) schedule: which protocol it runs,
 /// its round number, and the client batch feeding it. This is the unit
-/// both schedulers consume — [`Chain::run_round`] sequentially,
-/// [`crate::pipeline::StreamingChain::run_mixed_schedule`] overlapped
-/// (there round numbers must strictly increase within a schedule).
+/// both schedulers consume — [`Chain::run`] sequentially,
+/// [`crate::pipeline::StreamingChain::run`] overlapped (there round
+/// numbers must strictly increase within a schedule).
 #[derive(Clone, Debug)]
 pub enum RoundSpec {
     /// A conversation round (Algorithm 2): forward and backward passes.
@@ -207,6 +213,48 @@ impl RoundOutcome {
     }
 }
 
+/// How a run ends when a round cannot finish, in both in-process
+/// runtimes: the failure, as the wire's nodes report it, and the rounds
+/// it took down. Recover with [`Chain::abort_in_flight_rounds`].
+#[derive(Debug)]
+pub struct Abort {
+    /// What ended the run: the first failure that is not a hang-up, or
+    /// else the first hang-up — everyone downwind of a failure reports
+    /// the hang-up it saw, and this names the failure itself.
+    pub cause: Error,
+    /// The rounds admitted at the entry but not completed, ascending.
+    pub rounds: Vec<u64>,
+}
+
+impl Abort {
+    /// The abort of `rounds` after `failures`, in the order they were
+    /// gathered: picks the cause both runtimes name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `failures` is empty: nothing failed.
+    pub(crate) fn new(mut failures: Vec<Error>, rounds: Vec<u64>) -> Abort {
+        let named = failures
+            .iter()
+            .position(|err| !matches!(err, Error::Disconnected { .. }))
+            .unwrap_or(0);
+        let cause = failures.swap_remove(named);
+        Abort { cause, rounds }
+    }
+}
+
+impl std::fmt::Display for Abort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "rounds {:?} aborted: {}", self.rounds, self.cause)
+    }
+}
+
+impl std::error::Error for Abort {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.cause)
+    }
+}
+
 /// Wall-clock timing of one conversation round, per stage.
 #[derive(Clone, Debug, Default)]
 pub struct RoundTiming {
@@ -276,18 +324,23 @@ impl<'a> Collector<'a> {
     /// Completes the round `back` answers, fed at `fed`: logs the tail's
     /// observables, carries a conversation round's replies over the
     /// clients link, and assembles its [`RoundTiming`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Disconnected`] when a tap hangs the clients link up
+    /// under the replies.
     pub(crate) fn complete(
         &mut self,
         mut back: BatchFrame,
         trailer: RoundTrailer,
         fed: Instant,
-    ) -> RoundOutcome {
+    ) -> Result<RoundOutcome, Error> {
         let round = back.round.0;
         let mut timing = self.timings.remove(&round).unwrap_or_default();
-        match trailer {
+        Ok(match trailer {
             RoundTrailer::Conversation(observables) => {
                 self.log.conversation.push((round, observables));
-                batch_through_link(self.client_link, &mut back);
+                batch_through_link(self.client_link, &mut back)?;
                 timing.total = fed.elapsed();
                 let replies = buf_from_frame(back).to_vecs();
                 RoundOutcome::Conversation { replies, timing }
@@ -297,7 +350,7 @@ impl<'a> Collector<'a> {
                 timing.total = fed.elapsed();
                 RoundOutcome::Dialing { timing }
             }
-        }
+        })
     }
 
     /// Ends a schedule every round of which completed.
@@ -363,55 +416,97 @@ impl Chain {
     /// Runs one conversation round over an already-multiplexed batch of
     /// client onions. Returns per-request replies (in batch order) and
     /// stage timings.
+    ///
+    /// # Errors
+    ///
+    /// The round's [`Abort`], as [`Chain::run`] returns it.
     pub fn run_conversation_round(
         &mut self,
         round: u64,
         batch: impl Into<Batch>,
-    ) -> (Vec<Vec<u8>>, RoundTiming) {
+    ) -> Result<(Vec<Vec<u8>>, RoundTiming), Abort> {
         let batch = batch.into();
-        match self.run_round(RoundSpec::Conversation { round, batch }) {
-            RoundOutcome::Conversation { replies, timing } => (replies, timing),
-            RoundOutcome::Dialing { .. } => unreachable!("outcome matches its spec"),
+        match self
+            .run(vec![RoundSpec::Conversation { round, batch }])?
+            .pop()
+        {
+            Some(RoundOutcome::Conversation { replies, timing }) => Ok((replies, timing)),
+            _ => unreachable!("one outcome, matching its spec"),
         }
     }
 
     /// Runs one dialing round (forward-only; §5). The resulting
     /// invitation drops are retained for [`Chain::download_drop`].
+    ///
+    /// # Errors
+    ///
+    /// The round's [`Abort`], as [`Chain::run`] returns it.
     pub fn run_dialing_round(
         &mut self,
         round: u64,
         batch: impl Into<Batch>,
         num_drops: u32,
-    ) -> RoundTiming {
+    ) -> Result<RoundTiming, Abort> {
         let batch = batch.into();
         let spec = RoundSpec::Dialing {
             round,
             batch,
             num_drops,
         };
-        match self.run_round(spec) {
-            RoundOutcome::Dialing { timing } => timing,
-            RoundOutcome::Conversation { .. } => unreachable!("outcome matches its spec"),
+        match self.run(vec![spec])?.pop() {
+            Some(RoundOutcome::Dialing { timing }) => Ok(timing),
+            _ => unreachable!("one outcome, matching its spec"),
         }
     }
 
-    /// Runs one round of a (possibly mixed) schedule start to finish: the
-    /// hop loop's window-1 schedule on the calling thread — one fresh
-    /// `ServerNode` per hop, the round's one frame carried across the
-    /// chain's links from handler to handler until hop 0 answers
-    /// upstream. No thread, transport or demux is involved. It keeps
-    /// this carry loop rather than running the threaded node loops at
-    /// window 1: on `conv_cover` that routing raised `peak_rss_mib` from
-    /// 11.1 to 16.5–18.6 MiB and `round_latency_p50_s` from 0.25 to
-    /// 0.29–0.32 s, and cost about 15% of `onions_per_s` (a prototype,
-    /// 3 pairs of 8 s runs on a 2-vCPU host).
+    /// Runs a (possibly mixed) schedule one round at a time, start to
+    /// finish: the hop loop's window-1 schedule on the calling thread —
+    /// per round one fresh `ServerNode` per hop, the round's one frame
+    /// carried across the chain's links from handler to handler until
+    /// hop 0 answers upstream. No thread, transport or demux is
+    /// involved. It keeps this carry loop rather than running the
+    /// threaded node loops at window 1: on `conv_cover` that routing
+    /// raised `peak_rss_mib` from 11.1 to 16.5–18.6 MiB and
+    /// `round_latency_p50_s` from 0.25 to 0.29–0.32 s, and cost about 15%
+    /// of `onions_per_s` (a prototype, 3 pairs of 8 s runs on a 2-vCPU
+    /// host). Returns the per-round [`RoundOutcome`]s in input order.
+    ///
+    /// # Errors
+    ///
+    /// An [`Abort`] of the one round that could not finish — a hop
+    /// refused its frame (a dialing round with no drops), or a tap hung a
+    /// link up under it ([`vuvuzela_net::Tap::hangs_up`]). No later spec
+    /// is admitted.
     ///
     /// # Panics
     ///
-    /// Panics if the batch's geometry is not the round's onion width (see
-    /// `admit_batch`), or a hop refuses the round's frame — a dialing
-    /// round with no drops; an adversary tap cannot provoke it.
+    /// Panics if a batch's geometry is not its round's onion width (see
+    /// `admit_batch`), or a tap panics: bugs, not aborts.
+    pub fn run(&mut self, specs: Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort> {
+        specs
+            .into_iter()
+            .map(|spec| {
+                let round = spec.round();
+                self.carry(spec)
+                    .map_err(|cause| Abort::new(vec![cause], vec![round]))
+            })
+            .collect()
+    }
+
+    /// [`Chain::run`] of one round, panicking on its [`Abort`]. It exists
+    /// only because `benchmark/` calls it; new code calls `run`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the abort's text, and wherever `run` panics.
     pub fn run_round(&mut self, spec: RoundSpec) -> RoundOutcome {
+        self.run(vec![spec])
+            .unwrap_or_else(|abort| panic!("{abort}"))
+            .remove(0)
+    }
+
+    /// Carries one round's frame from hop to hop (see [`Chain::run`]).
+    fn carry(&mut self, spec: RoundSpec) -> Result<RoundOutcome, Error> {
         let fed = Instant::now();
         let (round, kind, batch) = spec.into_parts();
         let Chain {
@@ -423,7 +518,7 @@ impl Chain {
             log,
             ..
         } = self;
-        let buf = admit_batch(client_link, round, kind, config.chain_len, batch);
+        let buf = admit_batch(client_link, round, kind, config.chain_len, batch)?;
         let mut frame = frame_from_buf(links[0].id(), round, kind, false, buf, Vec::new());
         let mut nodes: Vec<ServerNode> = servers
             .iter_mut()
@@ -439,17 +534,16 @@ impl Chain {
         // out of it — home once it leaves hop 0.
         let mut on = 0;
         loop {
-            batch_through_link(&links[on], &mut frame);
+            batch_through_link(&links[on], &mut frame)?;
             let (hop, from) = match (frame.backward, on) {
                 (false, _) => (on, Side::Upstream),
                 (true, 0) => break,
                 (true, _) => (on - 1, Side::Downstream),
             };
             let mut observe = |round, piece, drops| collector.observe(round, piece, drops);
-            let answer = nodes[hop]
-                .on_frame(from, Frame::Batch(frame), &mut observe)
-                .unwrap_or_else(|err| panic!("round {round} aborted: {err}"));
-            let (to, Frame::Batch(next), _) = answer else {
+            let (to, Frame::Batch(next), _) =
+                nodes[hop].on_frame(from, Frame::Batch(frame), &mut observe)?
+            else {
                 unreachable!("a batch is answered with a batch")
             };
             on = match to {
@@ -459,9 +553,9 @@ impl Chain {
             frame = next;
         }
         let trailer = RoundTrailer::decode(&frame.trailer).expect("the tail's own trailer");
-        let outcome = collector.complete(frame, trailer, fed);
+        let outcome = collector.complete(frame, trailer, fed)?;
         collector.finish();
-        outcome
+        Ok(outcome)
     }
 
     /// Downloads one invitation drop from the most recent dialing round
@@ -534,15 +628,15 @@ impl Chain {
     /// total number of `(server, round)` states dropped.
     ///
     /// This defines the deployment's **round-abort semantics** after a
-    /// failed schedule: when a streaming schedule panics mid-flight
-    /// (server fault, adversary tap), the rounds it admitted are dead —
-    /// no replies will ever reach clients, and which servers still hold
-    /// forward state for which rounds depends on where the pipeline
-    /// stopped. A recovering deployment calls this, has its clients
-    /// expire the dead rounds' reply keys
-    /// ([`crate::cohort::ClientCohort::expire_pending`]), and schedules fresh
-    /// round numbers; client-level retransmission (§3.1) then re-carries
-    /// any data the aborted rounds lost.
+    /// failed schedule: when a run returns an [`Abort`] (a hop refused a
+    /// frame, a link hung up under a crashed server), the rounds it
+    /// names are dead — no replies will ever reach clients, and which
+    /// servers still hold forward state for which rounds depends on
+    /// where the pipeline stopped. A recovering deployment calls this,
+    /// has its clients expire the dead rounds' reply keys
+    /// ([`crate::cohort::ClientCohort::expire_pending`]), and schedules
+    /// fresh round numbers; client-level retransmission (§3.1) then
+    /// re-carries any data the aborted rounds lost.
     pub fn abort_in_flight_rounds(&mut self) -> usize {
         self.servers
             .iter_mut()
@@ -678,8 +772,9 @@ mod tests {
         let (onion_a, keys_a) = make(0xAA, &mut rng);
         let (onion_b, keys_b) = make(0xBB, &mut rng);
 
-        let (replies, timing) =
-            chain.run_conversation_round(0, arena(RoundKind::Conversation, 3, &[onion_a, onion_b]));
+        let (replies, timing) = chain
+            .run_conversation_round(0, arena(RoundKind::Conversation, 3, &[onion_a, onion_b]))
+            .expect("round completes");
         assert_eq!(replies.len(), 2);
         assert_eq!(timing.forward.len(), 3);
         assert_eq!(timing.backward.len(), 3);
@@ -707,8 +802,9 @@ mod tests {
             sealed_message: vec![0x77; SEALED_MESSAGE_LEN],
         };
         let (onion0, keys) = onion::wrap(&mut rng, &pks, 3, &request.encode());
-        let (replies, _) =
-            chain.run_conversation_round(3, arena(RoundKind::Conversation, 2, &[onion0]));
+        let (replies, _) = chain
+            .run_conversation_round(3, arena(RoundKind::Conversation, 2, &[onion0]))
+            .expect("round completes");
         let reply = onion::unwrap_reply_layers(&keys, 3, &replies[0]).expect("unwraps");
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
         assert_ne!(reply, vec![0x77; EXCHANGE_RESPONSE_LEN], "not an echo");
@@ -717,7 +813,9 @@ mod tests {
     #[test]
     fn empty_round_still_carries_noise() {
         let mut chain = Chain::new(tiny_config(3), 3);
-        let (replies, _) = chain.run_conversation_round(0, arena(RoundKind::Conversation, 3, &[]));
+        let (replies, _) = chain
+            .run_conversation_round(0, arena(RoundKind::Conversation, 3, &[]))
+            .expect("round completes");
         assert!(replies.is_empty());
         let (_, obs) = chain.conversation_observables()[0];
         // Two noising servers × (4 singles + 2 pairs × 2 requests) = 16.
@@ -733,8 +831,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let request = ExchangeRequest::noise(&mut rng);
         let (onion0, keys) = onion::wrap(&mut rng, &pks, 0, &request.encode());
-        let (replies, _) =
-            chain.run_conversation_round(0, arena(RoundKind::Conversation, 1, &[onion0]));
+        let (replies, _) = chain
+            .run_conversation_round(0, arena(RoundKind::Conversation, 1, &[onion0]))
+            .expect("round completes");
         let reply = onion::unwrap_reply_layers(&keys, 0, &replies[0]).expect("unwraps");
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
     }
@@ -759,11 +858,13 @@ mod tests {
         };
         let (onion0, _) = onion::wrap(&mut rng, &pks, 10, &request.encode());
 
-        let timing = chain.run_dialing_round(
-            10,
-            arena(RoundKind::Dialing { num_drops }, 3, &[onion0]),
-            num_drops,
-        );
+        let timing = chain
+            .run_dialing_round(
+                10,
+                arena(RoundKind::Dialing { num_drops }, 3, &[onion0]),
+                num_drops,
+            )
+            .expect("round completes");
         assert_eq!(timing.forward.len(), 3);
 
         let contents = chain.download_drop(target).expect("drop exists");
@@ -793,7 +894,9 @@ mod tests {
             2,
             &[garbage, vec![], vec![1, 2, 3]],
         );
-        let (replies, _) = chain.run_conversation_round(0, batch);
+        let (replies, _) = chain
+            .run_conversation_round(0, batch)
+            .expect("round completes");
         assert_eq!(replies.len(), 3, "alignment preserved under garbage");
         assert_eq!(chain.server(0).malformed_replaced, 3);
         // The clients link carries what the wire entry's client leg
@@ -806,6 +909,39 @@ mod tests {
     }
 
     #[test]
+    fn refused_round_aborts_the_run_and_admits_nothing_after_it() {
+        let mut chain = Chain::new(tiny_config(2), 14);
+        let no_drops = RoundKind::Dialing { num_drops: 0 };
+        let specs = vec![
+            RoundSpec::Conversation {
+                round: 0,
+                batch: arena(RoundKind::Conversation, 2, &[]).into(),
+            },
+            RoundSpec::Dialing {
+                round: 1,
+                batch: arena(no_drops, 2, &[]).into(),
+                num_drops: 0,
+            },
+            RoundSpec::Conversation {
+                round: 2,
+                batch: arena(RoundKind::Conversation, 2, &[]).into(),
+            },
+        ];
+        let abort = chain.run(specs).expect_err("hop 0 refuses no drops");
+        assert_eq!(abort.rounds, vec![1]);
+        assert!(
+            matches!(abort.cause, Error::Protocol { link, .. } if link == LinkId::Hop(0)),
+            "{abort}"
+        );
+        let completed: Vec<u64> = chain
+            .conversation_observables()
+            .iter()
+            .map(|(round, _)| *round)
+            .collect();
+        assert_eq!(completed, vec![0], "round 2 is never admitted");
+    }
+
+    #[test]
     #[should_panic(expected = "client batch geometry")]
     fn stride_padded_batch_is_refused_as_on_the_wire() {
         // A cohort-width arena with stride headroom: `run_entry_node`
@@ -814,7 +950,9 @@ mod tests {
         let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2);
         let mut padded = RoundBuffer::new(width + 16, width);
         padded.push_with(|_| {});
-        let _ = chain.run_conversation_round(0, padded);
+        let _ = chain
+            .run_conversation_round(0, padded)
+            .expect("round completes");
     }
 
     #[test]
@@ -825,7 +963,9 @@ mod tests {
         let payload = ExchangeRequest::noise(&mut rng).encode();
         let (onion0, _) = onion::wrap(&mut rng, &pks, 0, &payload);
         let before = chain.total_server_bytes();
-        let _ = chain.run_conversation_round(0, arena(RoundKind::Conversation, 2, &[onion0]));
+        let _ = chain
+            .run_conversation_round(0, arena(RoundKind::Conversation, 2, &[onion0]))
+            .expect("round completes");
         assert!(chain.total_server_bytes() > before);
         // The server0→server1 link carries real + server0 noise.
         assert!(chain.links()[1].forward_meter().messages() > 1);

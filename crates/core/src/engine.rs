@@ -9,7 +9,7 @@
 //! handler every runtime runs — a `vuvuzela-server` process over TCP,
 //! one scoped thread per hop of the in-process
 //! [`crate::pipeline::StreamingChain`] over in-memory links, and the
-//! sequential [`crate::chain::Chain::run_round`], its window-1 schedule
+//! sequential [`crate::chain::Chain::run`], its window-1 schedule
 //! on the calling thread.
 //!
 //! * [`RoundEngine`] wraps one [`MixServer`] (whose `rounds` table

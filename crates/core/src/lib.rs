@@ -19,7 +19,8 @@
 //! * [`chain`] — a whole deployment wired together with metered,
 //!   tappable links; runs conversation and dialing rounds end to end,
 //!   strictly sequentially: the [`node`] hop protocol's window-1
-//!   schedule, every hop's frame handler on the calling thread.
+//!   schedule, every hop's frame handler on the calling thread. A round
+//!   that cannot finish ends the run with an [`Abort`], in both runtimes.
 //! * [`pipeline`] — the streaming round scheduler: the same deployment
 //!   with a weighted window of rounds in flight, hops overlapped across
 //!   rounds, conversation and dialing rounds mixed in one pipeline,
@@ -70,7 +71,7 @@ pub mod pipeline;
 pub mod roundbuf;
 pub mod server;
 
-pub use chain::{Chain, RoundOutcome, RoundSpec};
+pub use chain::{Abort, Chain, RoundOutcome, RoundSpec};
 pub use cohort::ClientCohort;
 /// The gated benchmark package reaches the DH-table builder as
 /// `vuvuzela_core::Client::chain_tables`; this alias keeps that path.

@@ -13,7 +13,7 @@
 //! node) and over in-memory endpoints — which is all
 //! [`crate::pipeline::StreamingChain`] is: the server loops on scoped
 //! threads, fed by the calling thread. The sequential
-//! [`crate::chain::Chain::run_round`] carries a round's one frame
+//! [`crate::chain::Chain::run`] carries a round's one frame
 //! through each hop's handler itself — the same checks, steps and
 //! trailers at window 1, with no thread or transport. The round recipe
 //! itself lives in the shared [`crate::engine::RoundEngine`]; this
@@ -284,7 +284,7 @@ pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) 
 /// A mix server's node drives its [`RoundEngine`]; the entry's node has
 /// none and relays (§7: it "handles only opaque bytes"). The one pump
 /// behind [`run_server_node`] and [`run_entry_node`] runs it on whatever
-/// its links deliver; [`crate::chain::Chain::run_round`] carries a
+/// its links deliver; [`crate::chain::Chain::run`] carries a
 /// round's one frame from hop to hop itself — the window-1 schedule, on
 /// the calling thread.
 pub(crate) struct ServerNode<'a> {
@@ -815,8 +815,12 @@ mod tests {
         crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
 
         // Reference: the sequential chain.
-        let (ref_replies, _) = chain.run_conversation_round(0, conv_batch.clone());
-        chain.run_dialing_round(1, dial_batch.clone(), num_drops);
+        let (ref_replies, _) = chain
+            .run_conversation_round(0, conv_batch.clone())
+            .expect("round completes");
+        chain
+            .run_dialing_round(1, dial_batch.clone(), num_drops)
+            .expect("round completes");
         let (_, ref_conv_obs) = chain.conversation_observables()[0];
         let (_, ref_dial_obs) = chain.dialing_observables()[0].clone();
 
@@ -923,7 +927,9 @@ mod tests {
         let dial_onion = onion::wrap(&mut rng, &pks, 1, &noop).0;
         let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
         crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
-        let (want_replies, _) = chain.run_conversation_round(0, conv_batch.clone());
+        let (want_replies, _) = chain
+            .run_conversation_round(0, conv_batch.clone())
+            .expect("round completes");
 
         let (mut up_fars, mut down_fars, mut handles) = (Vec::new(), Vec::new(), Vec::new());
         for position in 0..3u32 {

@@ -22,7 +22,7 @@
 //! on failure are the node loop's, in process as over TCP (see
 //! [`crate::node`]). This module adds only the threads and links around
 //! it: batches are admitted and rounds completed exactly as the
-//! sequential [`Chain::run_round`] admits and completes its one round
+//! sequential [`Chain::run`] admits and completes each round
 //! (`chain::admit_batch`, `chain::Collector`).
 //!
 //! Every frame carries its round id and protocol, links attribute
@@ -39,16 +39,21 @@
 //! tests and golden pins assert.
 //!
 //! A node that stops hangs up both its links and the failure cascades to
-//! the feeder; [`StreamingChain::run_mixed_schedule`] joins every node,
-//! then panics (see [`Chain::abort_in_flight_rounds`] for what is left).
-//! Sustained throughput is bounded by the slowest hop instead of the sum
-//! of hops; `benchmark/` measures both schedulers on the same batches as
-//! `core.pipeline.speedup_vs_sequential`.
+//! the feeder; [`StreamingChain::run`] joins every node, then returns an
+//! [`Abort`] naming the rounds that died (see
+//! [`Chain::abort_in_flight_rounds`] for what is left). A link a tap
+//! hangs up ([`vuvuzela_net::Tap::hangs_up`]) fails its sender's `send`,
+//! which stops a node the same way. A node thread that *panics* is a
+//! bug, and its panic propagates. Sustained throughput is bounded by the
+//! slowest hop instead of the sum of hops; `benchmark/` measures both
+//! schedulers on the same batches as `core.pipeline.speedup_vs_sequential`.
 
-use crate::chain::{admit_batch, Chain, Collector, RoundOutcome, RoundSpec};
+use crate::chain::{admit_batch, Abort, Chain, Collector, RoundOutcome, RoundSpec};
 use crate::config::SystemConfig;
 use crate::node::{feed_window, run_server_node};
+use crate::roundbuf::RoundBuffer;
 use crate::server::RoundKind;
+use std::cell::OnceCell;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use vuvuzela_crypto::x25519::PublicKey;
@@ -131,21 +136,29 @@ impl StreamingChain {
     /// dialing rounds through the server node loops, fed under the
     /// weighted window (see the module docs), and returns per-round
     /// [`RoundOutcome`]s in input order, each byte-identical to the
-    /// sequential [`Chain::run_round`] over the same sequence.
+    /// sequential [`Chain::run`] over the same sequence.
     ///
     /// Round ids must strictly increase within a schedule — the wire's
     /// sequencing rule, which every hop holds its upstream to; a later
     /// schedule may start anywhere.
     ///
+    /// # Errors
+    ///
+    /// An [`Abort`] when a node stops before the schedule completes — it
+    /// refused a frame, or a tap hung a link up under a batch
+    /// ([`vuvuzela_net::Tap::hangs_up`]). Its `rounds` are those admitted
+    /// but not completed. Every node thread has exited when it is
+    /// returned; the deployment recovers with
+    /// [`StreamingChain::abort_in_flight_rounds`].
+    ///
     /// # Panics
     ///
     /// Panics if round ids do not strictly increase (duplicate round ids
-    /// included), or if a node stops before the schedule completes — a
-    /// panicking adversary tap or worker closure fails the schedule
-    /// instead of hanging it. Every node thread has exited when the
-    /// panic leaves this function; the deployment recovers with
-    /// [`StreamingChain::abort_in_flight_rounds`].
-    pub fn run_mixed_schedule(&mut self, specs: Vec<RoundSpec>) -> Vec<RoundOutcome> {
+    /// included), a batch's geometry is not its round's onion width, or a
+    /// tap or worker closure panics — bugs, not aborts: a node thread's
+    /// panic propagates with its own payload once every node has exited,
+    /// never hanging the schedule.
+    pub fn run(&mut self, specs: Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort> {
         let schedule: Vec<(u64, RoundKind, usize)> = specs
             .iter()
             .map(|spec| (spec.round(), spec.kind(), spec.batch_len()))
@@ -156,7 +169,7 @@ impl StreamingChain {
              step back)"
         );
         if specs.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let window = self.max_in_flight;
         let Chain {
@@ -184,7 +197,11 @@ impl StreamingChain {
         let (report, reports) = mpsc::channel();
         let mut collector = Collector::new(client_link, log);
         let mut outcomes = Vec::with_capacity(specs.len());
+        let mut admitted = Vec::new();
         let mut specs = specs.into_iter();
+        // The feeder is the entry too: when the clients link hangs up
+        // under it, it hangs up on hop 0, as a deployment's entry would.
+        let mut clients_failure = OnceCell::new();
         let mut failures: Vec<Error> = Vec::new();
         let mut panicked = None;
 
@@ -210,6 +227,10 @@ impl StreamingChain {
             // hung up — however this block is left, a tap panicking
             // under `send` included, so the nodes always finish.
             let feeder = feeder;
+            let fail = |err| {
+                let _ = clients_failure.set(err);
+                feeder.hang_up();
+            };
             let fed = feed_window(
                 config,
                 &feeder,
@@ -217,17 +238,34 @@ impl StreamingChain {
                 &schedule,
                 |_| {
                     let (round, kind, batch) = specs.next().expect("one spec a round").into_parts();
-                    let buf = admit_batch(client_link, round, kind, config.chain_len, batch);
-                    (buf, Instant::now())
+                    if clients_failure.get().is_none() {
+                        admitted.push(round);
+                        match admit_batch(client_link, round, kind, config.chain_len, batch) {
+                            Ok(buf) => return (buf, Instant::now()),
+                            Err(err) => fail(err),
+                        }
+                    }
+                    // Nothing crosses a hung-up link: `feed_window`
+                    // stops at this arena's `send`.
+                    (RoundBuffer::new(1, 1), Instant::now())
                 },
                 |fed: Instant, back, trailer| {
+                    // Replies that come home after the clients link
+                    // died never reach their clients: not completed.
+                    if clients_failure.get().is_some() {
+                        return;
+                    }
                     for (round, piece, drops) in reports.try_iter() {
                         collector.observe(round, piece, drops);
                     }
-                    outcomes.push(collector.complete(back, trailer, fed));
+                    match collector.complete(back, trailer, fed) {
+                        Ok(outcome) => outcomes.push(outcome),
+                        Err(err) => fail(err),
+                    }
                 },
             );
             drop(feeder);
+            failures.extend(clients_failure.take());
             failures.extend(fed.err());
             for node in nodes {
                 match node.join() {
@@ -241,17 +279,23 @@ impl StreamingChain {
         if let Some(payload) = panicked {
             std::panic::resume_unwind(payload);
         }
-        // Everyone downwind of a failure reports the hang-up it saw;
-        // name the failure itself.
-        if let Some(cause) = failures
-            .iter()
-            .find(|err| !matches!(err, Error::Disconnected { .. }))
-            .or(failures.first())
-        {
-            panic!("schedule aborted: {cause}");
+        if failures.is_empty() {
+            collector.finish();
+            return Ok(outcomes);
         }
-        collector.finish();
-        outcomes
+        // Rounds complete in admission order.
+        let unfinished = admitted.split_off(outcomes.len());
+        Err(Abort::new(failures, unfinished))
+    }
+
+    /// [`StreamingChain::run`], panicking on its [`Abort`]. It exists only
+    /// because `benchmark/` calls it; new code calls `run`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the abort's text, and wherever `run` panics.
+    pub fn run_mixed_schedule(&mut self, specs: Vec<RoundSpec>) -> Vec<RoundOutcome> {
+        self.run(specs).unwrap_or_else(|abort| panic!("{abort}"))
     }
 }
 
@@ -360,10 +404,10 @@ mod tests {
             .map(|round| conversation(round, client_batch(&pks, round, 4, &mut rng)))
             .collect();
 
-        let streamed = streaming.run_mixed_schedule(specs.clone());
-        assert_eq!(streamed.len(), specs.len());
-        for (round, (spec, got)) in specs.into_iter().zip(&streamed).enumerate() {
-            let want = sequential.run_round(spec);
+        let streamed = streaming.run(specs.clone()).expect("schedule completes");
+        let expected = sequential.run(specs).expect("rounds complete");
+        assert_eq!(streamed.len(), expected.len());
+        for (round, (got, want)) in streamed.iter().zip(&expected).enumerate() {
             assert_eq!(
                 got.replies(),
                 want.replies(),
@@ -414,10 +458,8 @@ mod tests {
             .map(|round| make_round(round, &mut rng))
             .collect();
 
-        assert_eq!(streaming.run_mixed_schedule(specs.clone()).len(), 3);
-        for spec in specs {
-            let _ = sequential.run_round(spec);
-        }
+        assert_eq!(streaming.run(specs.clone()).expect("completes").len(), 3);
+        sequential.run(specs).expect("rounds complete");
 
         let mut got: Vec<_> = streaming.chain().dialing_observables().to_vec();
         got.sort_by_key(|(r, _)| *r);
@@ -452,11 +494,8 @@ mod tests {
             dialing(4, dial_batch(&pks, 4, 2, num_drops, &mut rng), num_drops),
         ];
 
-        let outcomes = streaming.run_mixed_schedule(specs.clone());
-        let expected: Vec<RoundOutcome> = specs
-            .into_iter()
-            .map(|spec| sequential.run_round(spec))
-            .collect();
+        let outcomes = streaming.run(specs.clone()).expect("schedule completes");
+        let expected = sequential.run(specs).expect("rounds complete");
 
         assert_eq!(outcomes.len(), expected.len());
         for (got, want) in outcomes.iter().zip(&expected) {
@@ -552,9 +591,9 @@ mod tests {
         let weights = admission_weights(&config, 2, &shapes(&specs));
         assert_eq!(weights[1], 2, "the dialing round fills the window");
 
-        let outcomes = streaming.run_mixed_schedule(specs.clone());
-        for (spec, got) in specs.into_iter().zip(outcomes) {
-            let want = sequential.run_round(spec);
+        let outcomes = streaming.run(specs.clone()).expect("schedule completes");
+        let expected = sequential.run(specs).expect("rounds complete");
+        for (got, want) in outcomes.iter().zip(&expected) {
             assert_eq!(got.replies(), want.replies());
         }
     }
@@ -562,22 +601,26 @@ mod tests {
     #[test]
     fn empty_schedule_is_a_noop() {
         let mut streaming = StreamingChain::new(tiny_config(2), 1);
-        assert!(streaming.run_mixed_schedule(Vec::new()).is_empty());
+        assert!(streaming
+            .run(Vec::new())
+            .expect("nothing to fail")
+            .is_empty());
     }
 
     #[test]
     #[should_panic(expected = "duplicate round ids")]
     fn duplicate_rounds_rejected() {
         let mut streaming = StreamingChain::new(tiny_config(2), 1);
-        let _ = streaming
-            .run_mixed_schedule(vec![conversation(0, slots(0)), conversation(0, slots(0))]);
+        let _ = streaming.run(vec![conversation(0, slots(0)), conversation(0, slots(0))]);
     }
 
     #[test]
+    #[should_panic(expected = "tap exploded")]
     fn panicking_tap_fails_schedule_instead_of_hanging() {
-        // An adversary tap (or any stage-side closure) that panics must
-        // abort the whole schedule with a panic — never deadlock the
-        // feeder or the surviving stages.
+        // An adversary tap (or any stage-side closure) that panics is a
+        // bug: its panic must propagate out of `run` with its own payload
+        // — never deadlock the feeder or the surviving stages, and never
+        // turn into an `Abort`.
         struct ExplodingTap;
         impl vuvuzela_net::Tap for ExplodingTap {
             fn intercept(&mut self, _ctx: &vuvuzela_net::TapContext, _batch: &mut Vec<Vec<u8>>) {
@@ -596,10 +639,7 @@ mod tests {
         let specs: Vec<RoundSpec> = (0..3u64)
             .map(|round| conversation(round, client_batch(&pks, round, 2, &mut rng)))
             .collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            streaming.run_mixed_schedule(specs)
-        }));
-        assert!(outcome.is_err(), "schedule must fail, not hang");
+        let _ = streaming.run(specs);
     }
 
     #[test]
@@ -640,7 +680,7 @@ mod tests {
             dialing(1, dial_batch(&pks, 1, 3, 2, &mut rng), 2),
             conversation(2, client_batch(&pks, 2, 4, &mut rng)),
         ];
-        let outcomes = streaming.run_mixed_schedule(specs);
+        let outcomes = streaming.run(specs).expect("schedule completes");
         assert_eq!(outcomes.len(), 3, "every tampered round must complete");
         assert!(outcomes[0].replies().is_some());
         assert!(outcomes[1].replies().is_none());
@@ -688,7 +728,7 @@ mod tests {
                 )
             })
             .collect();
-        let outcomes = streaming.run_mixed_schedule(specs);
+        let outcomes = streaming.run(specs).expect("schedule completes");
         assert_eq!(outcomes.len(), 3);
         for (round, outcome) in outcomes.iter().enumerate() {
             assert!(
@@ -719,9 +759,9 @@ mod tests {
         let specs: Vec<RoundSpec> = (0..2u64)
             .map(|round| conversation(round, client_batch(&pks, round, 2, &mut rng)))
             .collect();
-        let streamed = streaming.run_mixed_schedule(specs.clone());
-        for (round, (spec, got)) in specs.into_iter().zip(streamed).enumerate() {
-            let want = sequential.run_round(spec);
+        let streamed = streaming.run(specs.clone()).expect("schedule completes");
+        let expected = sequential.run(specs).expect("rounds complete");
+        for (round, (got, want)) in streamed.iter().zip(&expected).enumerate() {
             assert_eq!(got.replies(), want.replies(), "round {round}");
         }
     }
@@ -740,9 +780,9 @@ mod tests {
             dialing(1, dial_batch(&pks, 1, 1, 1, &mut rng), 1),
             conversation(2, client_batch(&pks, 2, 1, &mut rng)),
         ];
-        let outcomes = streaming.run_mixed_schedule(specs.clone());
-        for (spec, got) in specs.into_iter().zip(outcomes) {
-            let want = sequential.run_round(spec);
+        let outcomes = streaming.run(specs.clone()).expect("schedule completes");
+        let expected = sequential.run(specs).expect("rounds complete");
+        for (got, want) in outcomes.iter().zip(&expected) {
             assert_eq!(got.replies(), want.replies());
         }
     }

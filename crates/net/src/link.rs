@@ -10,7 +10,9 @@
 //! [`Tap`] — the in-code embodiment of the paper's network adversary, who
 //! "can monitor, block, delay, or inject traffic on any network link"
 //! (§2.3). Taps receive the batch *by mutable reference* and may do
-//! anything to it; whatever remains is what the next hop sees.
+//! anything to it; whatever remains is what the next hop sees. Or the
+//! tap hangs the link up ([`Tap::hangs_up`]), and the transfer fails as
+//! a crashed peer process fails a socket: [`Error::Disconnected`].
 
 use crate::error::Error;
 use crate::meter::Meter;
@@ -52,6 +54,14 @@ pub struct TapContext {
 pub trait Tap: Send {
     /// Inspect and/or mutate a batch in flight.
     fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>);
+
+    /// Whether the link dies under this batch — a crashed peer process.
+    /// Asked after the batch is logged and before [`Tap::intercept`]; on
+    /// `true` the batch goes nowhere and [`batch_through_link`] fails
+    /// with [`Error::Disconnected`]. No tap hangs up unless it says so.
+    fn hangs_up(&mut self, _ctx: &TapContext) -> bool {
+        false
+    }
 }
 
 /// A byte-metered, tappable link between two hops.
@@ -258,7 +268,12 @@ impl Link {
 /// there are client-controlled, so a mismatch cannot be pinned on the tap.
 /// A frame without an arena (`stride == 0`: a dialing round's completion
 /// notice) is not a transfer and passes unmetered and untapped.
-pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
+///
+/// # Errors
+///
+/// [`Error::Disconnected`] naming the link when the tap hangs it up
+/// ([`Tap::hangs_up`]): the batch is logged, but nothing crosses.
+pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> Result<(), Error> {
     let direction = if batch.backward {
         Direction::Backward
     } else {
@@ -268,7 +283,7 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
     let width = batch.width as usize;
     let stride = batch.stride as usize;
     if stride == 0 {
-        return;
+        return Ok(());
     }
     link.record(
         round,
@@ -277,18 +292,21 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
         u64::from(batch.count) * u64::from(batch.width),
     );
     let Some(tap) = &link.tap else {
-        return;
+        return Ok(());
     };
-    let mut msgs: Vec<Vec<u8>> = batch
-        .payload
-        .chunks(stride)
-        .map(|slot| slot[..width].to_vec())
-        .collect();
     let ctx = TapContext {
         link: link.id(),
         round,
         direction,
     };
+    if tap.lock().hangs_up(&ctx) {
+        return Err(Error::Disconnected { link: link.id() });
+    }
+    let mut msgs: Vec<Vec<u8>> = batch
+        .payload
+        .chunks(stride)
+        .map(|slot| slot[..width].to_vec())
+        .collect();
     tap.lock().intercept(&ctx, &mut msgs);
     let mut payload = vec![0u8; msgs.len() * stride];
     let mut resized = 0;
@@ -306,6 +324,7 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) {
             .tap_resized
             .fetch_add(resized, Ordering::Relaxed);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -333,7 +352,7 @@ mod tests {
     /// Carries `entries` across `link` and returns what arrives.
     fn carry(link: &Link, round: u64, direction: Direction, entries: &[&[u8]]) -> Vec<Vec<u8>> {
         let mut batch = frame(round, direction, entries);
-        batch_through_link(link, &mut batch);
+        batch_through_link(link, &mut batch).expect("no tap here hangs up");
         let width = batch.width as usize;
         batch.payload.chunks(width).map(<[u8]>::to_vec).collect()
     }
@@ -408,6 +427,30 @@ mod tests {
         link.attach_tap(Arc::new(Mutex::new(Inject(vec![9, 9]))));
         let out = carry(&link, 0, Direction::Forward, &[&[1, 1]]);
         assert_eq!(out, vec![vec![1, 1], vec![9, 9]]);
+    }
+
+    /// A crashed peer: hangs up under every batch, and fails the test if
+    /// a batch still reaches `intercept`.
+    struct HangUp;
+    impl Tap for HangUp {
+        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {
+            panic!("a hung-up batch is not intercepted");
+        }
+
+        fn hangs_up(&mut self, _ctx: &TapContext) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn hanging_up_tap_disconnects_after_logging() {
+        let mut link = Link::new(LinkId::Hop(2));
+        link.attach_tap(Arc::new(Mutex::new(HangUp)));
+        let mut batch = frame(4, Direction::Forward, &[&[1, 1], &[2, 2]]);
+        let err = batch_through_link(&link, &mut batch).expect_err("the tap hangs up");
+        assert!(matches!(err, Error::Disconnected { link } if link == LinkId::Hop(2)));
+        // The adversary saw the batch before the link died.
+        assert_eq!(link.round_traffic(4, Direction::Forward), (2, 4));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! Both return the unified [`Error`]; the in-memory backend is
 //! infallible by construction for everything except a peer that hung
-//! up, but its signatures stay honest about what a real wire can do.
+//! up — a tap that hangs the link up ([`crate::Tap::hangs_up`]) is one —
+//! but its signatures stay honest about what a real wire can do.
 
 use crate::error::Error;
 use crate::link::{batch_through_link, Link};
@@ -135,8 +136,18 @@ impl Transport for MemoryEndpoint {
     }
 
     fn send(&self, mut frame: Frame) -> Result<(), Error> {
+        // Nothing crosses a link that is already hung up, not even into
+        // its log.
+        if self.outbox.lock().is_none() {
+            return Err(self.disconnected());
+        }
         if let Frame::Batch(batch) = &mut frame {
-            batch_through_link(&self.link, batch);
+            // A tap that hangs the link up is a peer process dying under
+            // the batch: both ends see what a socket's end would.
+            if let Err(err) = batch_through_link(&self.link, batch) {
+                self.hang_up();
+                return Err(err);
+            }
         }
         let mut outbox = self.outbox.lock();
         let sink = outbox.as_mut().ok_or_else(|| self.disconnected())?;
@@ -314,6 +325,39 @@ mod tests {
         assert_eq!(&got.payload[..3], &[0, 1, 2], "entry 0 intact");
         assert_eq!(&got.payload[4..7], &[0, 0, 0], "resized entry zeroed");
         assert_eq!(up.link.tap_resized(), 1, "and counted on the link");
+    }
+
+    /// A peer process that dies under round 5's forward batch.
+    struct CrashOnFive;
+    impl Tap for CrashOnFive {
+        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {}
+
+        fn hangs_up(&mut self, ctx: &TapContext) -> bool {
+            ctx.round == 5 && ctx.direction == Direction::Forward
+        }
+    }
+
+    #[test]
+    fn hanging_up_tap_ends_the_link_like_a_dead_peer() {
+        let mut link = Link::new(LinkId::Hop(1));
+        link.attach_tap(Arc::new(parking_lot::Mutex::new(CrashOnFive)));
+        let link = Arc::new(link);
+        let (up, down) = memory_pair(Arc::clone(&link));
+        up.send(Frame::Bye).expect("a bye is no batch");
+        let sent = up.send(Frame::Batch(batch(2, false)));
+        assert!(
+            matches!(sent, Err(Error::Disconnected { link }) if link == LinkId::Hop(1)),
+            "the sender sees the hang-up: {sent:?}"
+        );
+        // The peer gets what crossed before, then end-of-stream.
+        assert!(matches!(down.recv(), Ok(Frame::Bye)));
+        assert!(matches!(down.recv(), Err(Error::Disconnected { .. })));
+        // A dead link carries nothing more, not even into its log.
+        assert!(matches!(
+            up.send(Frame::Batch(batch(1, false))),
+            Err(Error::Disconnected { .. })
+        ));
+        assert_eq!(link.round_transfers(5, Direction::Forward), 1);
     }
 
     #[test]

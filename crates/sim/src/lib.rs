@@ -37,7 +37,7 @@
 //! [`scenario::Step::CrashLink`] — or run protocol rounds:
 //! [`scenario::Step::Run`] submits a heterogeneous batch of
 //! conversation/dialing rounds through **one**
-//! [`vuvuzela_core::StreamingChain::run_mixed_schedule`] call, so the
+//! [`vuvuzela_core::StreamingChain::run`] call, so the
 //! scripted rounds genuinely overlap in flight. Population steps apply
 //! *between* schedules, never mid-schedule — a client is online or
 //! offline for whole rounds, matching the round-synchronous protocol.
@@ -69,9 +69,10 @@
 //!
 //! ## Round-abort semantics
 //!
-//! A schedule that panics mid-flight (an injected
-//! [`vuvuzela_adversary::taps::CrashOnRound`] fault, or any stage
-//! death) aborts **as a unit**: no round of the schedule returns
+//! A schedule whose run returns a [`vuvuzela_core::Abort`] mid-flight
+//! (an injected [`vuvuzela_adversary::taps::CrashOnRound`] fault hangs
+//! up a link, as a dead server process would, or a hop refuses a frame)
+//! aborts **as a unit**: no round of the schedule returns
 //! replies, clients expire the dead rounds' reply keys, every server
 //! discards all in-flight round state
 //! ([`vuvuzela_core::Chain::abort_in_flight_rounds`]), and the
@@ -80,7 +81,9 @@
 //! rounds lost; queued invitations consumed by an aborted dialing round
 //! are gone and must be re-dialed. The (ε′, δ′) ledger still charges
 //! every *scheduled* round — partial rounds may have put observable
-//! traffic on the wire, so the accounting is conservative.
+//! traffic on the wire, so the accounting is conservative. A panic (a
+//! tap or worker closure that panics) is a bug, not an abort: it
+//! propagates out of the simulator.
 //!
 //! ## Invariant list
 //!

@@ -49,7 +49,7 @@ pub enum Step {
         body: Vec<u8>,
     },
     /// Run one streaming schedule: all listed rounds go through a
-    /// single `run_mixed_schedule` call and overlap in flight.
+    /// single `StreamingChain::run` call and overlap in flight.
     Run(Vec<RoundPlan>),
     /// Add this many fresh clients as a struct-of-arrays
     /// [`vuvuzela_core::cohort::ClientCohort`]: they build requests in
@@ -80,9 +80,9 @@ pub enum Step {
         millis: u64,
     },
     /// Arm a crash fault: the `round_offset`-th round of the *next*
-    /// [`Step::Run`] panics the node sending on chain link
-    /// `link`, aborting that whole schedule (see the crate docs'
-    /// round-abort semantics).
+    /// [`Step::Run`] hangs up chain link `link` under its forward
+    /// batch, as a dead server process would, aborting that whole
+    /// schedule (see the crate docs' round-abort semantics).
     CrashLink {
         /// Chain-link index the fault fires on.
         link: usize,

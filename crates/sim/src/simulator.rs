@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_adversary::taps::{CrashOnRound, StallLink};
 use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
-use vuvuzela_core::chain::{Batch, RoundOutcome, RoundSpec};
+use vuvuzela_core::chain::{Abort, Batch, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
 use vuvuzela_core::pipeline::StreamingChain;
@@ -747,26 +747,31 @@ impl Simulator {
         self.transcript
             .push(format!("schedule rounds [{}]", plan_line.join(",")));
 
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.chain.run_mixed_schedule(specs)
-        }));
-
-        match outcome {
-            Ok(outcomes) => self.process_completed(&metas, outcomes, crash_link)?,
-            Err(_panic) => self.process_abort(&metas, crash_link)?,
+        match self.chain.run(specs) {
+            Ok(outcomes) => self.process_completed(&metas, outcomes, crash_link),
+            Err(abort) => self.process_abort(&metas, crash_link, &abort),
         }
-        Ok(())
     }
 
     /// Round-abort semantics (see the crate docs): the whole schedule
     /// yields nothing; servers and clients discard the dead rounds'
     /// state; the conservative ledger still charges every scheduled
-    /// round. Nothing timing-dependent reaches the transcript.
+    /// round. Nothing timing-dependent reaches the transcript: which
+    /// rounds `abort` names depends on where the pipeline stopped, so
+    /// the transcript lists every scheduled round.
     fn process_abort(
         &mut self,
         metas: &[RoundMeta],
         crash_link: Option<usize>,
+        abort: &Abort,
     ) -> Result<(), SimError> {
+        debug_assert!(
+            abort
+                .rounds
+                .iter()
+                .all(|round| metas.iter().any(|meta| meta.round() == *round)),
+            "{abort} names a round outside its schedule"
+        );
         self.schedules_aborted += 1;
         let rounds: Vec<String> = metas.iter().map(|m| m.round().to_string()).collect();
         self.transcript
@@ -809,7 +814,7 @@ impl Simulator {
         );
         if let Some(link) = crash_link {
             // The fault was armed but its round drained before the
-            // panic could land — not expected for bundled scenarios,
+            // hang-up could land — not expected for bundled scenarios,
             // but defined: detach and continue.
             self.chain.chain_mut().link_mut(link).detach_tap();
         }

@@ -78,7 +78,9 @@ fn main() {
     );
 
     let start = Instant::now();
-    let (replies, timing) = chain.run_conversation_round(round, Batch::Flat(buf));
+    let (replies, timing) = chain
+        .run_conversation_round(round, Batch::Flat(buf))
+        .expect("an untapped chain completes every round");
     let round_secs = start.elapsed().as_secs_f64();
     println!(
         "chain round: {:.1} s total (exchange {:.1} s over 4 shards), {} replies",

@@ -19,7 +19,6 @@
 //! included. `vuvuzela-launch --check` asserts exactly that, and CI
 //! runs it on every push.
 
-use std::convert::Infallible;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -27,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde_json::{json, Value};
-use vuvuzela_core::chain::{build_server, server_keypairs, Chain};
+use vuvuzela_core::chain::{build_server, server_keypairs, Abort, Chain};
 use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
 use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
 use vuvuzela_core::server::RoundKind;
@@ -425,28 +424,33 @@ fn drive<E>(
 
 /// Replays the schedule on the in-process sequential [`Chain`] — the
 /// reference transcript every distributed run is diffed against.
+///
+/// # Panics
+///
+/// Panics if a round aborts, which is a bug: the reference chain has no
+/// tap, and a validated schedule has no round a hop refuses.
 #[must_use]
 pub fn run_reference(cfg: &DeploymentConfig) -> String {
     let mut chain = Chain::new(cfg.system.clone(), cfg.seed);
-    let Ok(transcript) = drive(cfg, |build| -> Result<_, Infallible> {
+    drive(cfg, |build| {
         let carried = (0u64..).zip(&cfg.schedule).map(|(round, entry)| {
             let batch = build(round as usize);
-            match *entry {
+            Ok(match *entry {
                 ScheduleEntry::Conversation { .. } => {
-                    let (replies, _) = chain.run_conversation_round(round, batch);
+                    let (replies, _) = chain.run_conversation_round(round, batch)?;
                     let (_, obs) = *chain.conversation_observables().last().expect("round ran");
                     (replies, RoundTrailer::Conversation(obs))
                 }
                 ScheduleEntry::Dialing { drops, .. } => {
-                    chain.run_dialing_round(round, batch, drops);
+                    chain.run_dialing_round(round, batch, drops)?;
                     let (_, obs) = chain.dialing_observables().last().expect("round ran");
                     (Vec::new(), RoundTrailer::Dialing(obs.clone()))
                 }
-            }
+            })
         });
-        Ok(carried.collect())
-    });
-    transcript
+        carried.collect::<Result<_, Abort>>()
+    })
+    .expect("the reference chain runs every validated round")
 }
 
 /// Replays the schedule against a live entry over any [`Transport`]

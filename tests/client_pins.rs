@@ -87,7 +87,9 @@ fn grid_case(n: usize, slots: usize, chain_len: usize, pin: &mut Pin) {
     for round in 0..2u64 {
         let buf = cohort.build_conversation_round(round);
         pin.arena(&buf);
-        let (replies, _) = chain.run_conversation_round(round, Batch::Flat(buf));
+        let (replies, _) = chain
+            .run_conversation_round(round, Batch::Flat(buf))
+            .expect("round completes");
         cohort.handle_conversation_replies(round, &replies);
     }
     for &(a, b) in &pairs {

@@ -91,9 +91,11 @@ proptest! {
 
         // Sequential reference vs the streaming pipeline.
         let batch = arena(batch);
-        let (seq_replies, _) = sequential.run_conversation_round(round, batch.clone());
+        let (seq_replies, _) = sequential
+            .run_conversation_round(round, batch.clone())
+            .expect("round completes");
         let spec = RoundSpec::Conversation { round, batch: batch.into() };
-        let streamed = streaming.run_mixed_schedule(vec![spec]).remove(0);
+        let streamed = streaming.run(vec![spec]).expect("schedule completes").remove(0);
         prop_assert_eq!(Some(&seq_replies[..]), streamed.replies());
         let (_, seq_obs) = sequential.conversation_observables()[0];
         let (_, stream_obs) = streaming.chain().conversation_observables()[0];
@@ -169,7 +171,9 @@ proptest! {
             let mut config = base.clone();
             config.exchange_shards = shards;
             let mut chain = Chain::new(config, seed);
-            let (replies, _) = chain.run_conversation_round(round, batch.clone());
+            let (replies, _) = chain
+                .run_conversation_round(round, batch.clone())
+                .expect("round completes");
             let (_, obs) = chain.conversation_observables()[0];
             prop_assert_eq!(obs.m_many, 1, "shards = {}", shards);
             match &reference {
@@ -223,11 +227,10 @@ proptest! {
             RoundSpec::Conversation { round: 11, batch: arena(collision_batch).into() },
             noise_round(12, &mut rng, &pks),
         ];
-        let streamed = streaming.run_mixed_schedule(specs.clone());
-        for (spec, got) in specs.into_iter().zip(streamed) {
-            let round = spec.round();
-            let want = sequential.run_round(spec);
-            prop_assert_eq!(got.replies(), want.replies(), "round {} diverged", round);
+        let streamed = streaming.run(specs.clone()).expect("schedule completes");
+        let expected = sequential.run(specs.clone()).expect("rounds complete");
+        for ((spec, got), want) in specs.iter().zip(&streamed).zip(&expected) {
+            prop_assert_eq!(got.replies(), want.replies(), "round {} diverged", spec.round());
         }
         let mut stream_obs: Vec<_> = streaming.chain().conversation_observables().to_vec();
         stream_obs.sort_by_key(|(r, _)| *r);

@@ -208,7 +208,7 @@ proptest! {
             }
         }
         let batch = Batch::Flat(cohort.build_conversation_round(0));
-        let (replies, _) = chain.run_conversation_round(0, batch);
+        let (replies, _) = chain.run_conversation_round(0, batch).expect("round completes");
 
         let mut rng = StdRng::seed_from_u64(seed);
         let handed_back: Vec<Vec<u8>> = (0..count)

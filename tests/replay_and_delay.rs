@@ -53,11 +53,15 @@ fn replayed_onions_are_rejected() {
     let (onion_bytes, _) = onion::wrap(&mut rng, &pks, 0, &payload);
 
     // Round 0: accepted.
-    let (_, _) = chain.run_conversation_round(0, arena(RoundKind::Conversation, &onion_bytes));
+    chain
+        .run_conversation_round(0, arena(RoundKind::Conversation, &onion_bytes))
+        .expect("round completes");
     assert_eq!(chain.server(0).malformed_replaced, 0);
 
     // Round 1: the identical bytes are cryptographically stale.
-    let (_, _) = chain.run_conversation_round(1, arena(RoundKind::Conversation, &onion_bytes));
+    chain
+        .run_conversation_round(1, arena(RoundKind::Conversation, &onion_bytes))
+        .expect("round completes");
     assert_eq!(
         chain.server(0).malformed_replaced,
         1,
@@ -138,8 +142,12 @@ fn replayed_dial_requests_are_rejected() {
     let payload = vuvuzela::wire::dialing::DialRequest::noop(&mut rng).encode();
     let (onion_bytes, _) = onion::wrap(&mut rng, &pks, 0, &payload);
     let kind = RoundKind::Dialing { num_drops: 1 };
-    let _ = chain.run_dialing_round(0, arena(kind, &onion_bytes), 1);
+    chain
+        .run_dialing_round(0, arena(kind, &onion_bytes), 1)
+        .expect("round completes");
     assert_eq!(chain.server(0).malformed_replaced, 0);
-    let _ = chain.run_dialing_round(1, arena(kind, &onion_bytes), 1);
+    chain
+        .run_dialing_round(1, arena(kind, &onion_bytes), 1)
+        .expect("round completes");
     assert_eq!(chain.server(0).malformed_replaced, 1);
 }

@@ -7,7 +7,9 @@
 //! dead-drop observables, dialing drops, per-round link traffic, and
 //! tap-visible batches must all agree for equal seeds — across chain
 //! lengths, batch sizes, noise levels, schedules of ≥3 overlapped
-//! rounds, and *mixed* conversation+dialing interleavings.
+//! rounds, and *mixed* conversation+dialing interleavings. A crashed
+//! server ends a run the same way in both: an `Abort`, after which the
+//! deployment recovers to the bytes of a fresh one.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -15,6 +17,7 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use vuvuzela::adversary::taps::CrashOnRound;
 use vuvuzela::core::chain::Batch;
 use vuvuzela::core::entry;
 use vuvuzela::core::pipeline::StreamingChain;
@@ -24,7 +27,7 @@ use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::PublicKey;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::link::Direction;
-use vuvuzela::net::{Tap, TapContext};
+use vuvuzela::net::{Error, LinkId, Tap, TapContext};
 use vuvuzela::wire::conversation::ExchangeRequest;
 
 fn config(chain_len: usize, mu: f64) -> SystemConfig {
@@ -71,11 +74,8 @@ fn run_both(
     sequential: &mut Chain,
     specs: Vec<RoundSpec>,
 ) -> (Vec<RoundOutcome>, Vec<RoundOutcome>) {
-    let streamed = streaming.run_mixed_schedule(specs.clone());
-    let expected = specs
-        .into_iter()
-        .map(|spec| sequential.run_round(spec))
-        .collect();
+    let streamed = streaming.run(specs.clone()).expect("schedule completes");
+    let expected = sequential.run(specs).expect("rounds complete");
     (streamed, expected)
 }
 
@@ -387,9 +387,11 @@ fn mixed_schedule_adjacent_and_separated_dialing() {
     assert_eq!(mine, vec![caller.public]);
 }
 
-/// A panicking stage mid-mixed-schedule must abort the schedule (with a
-/// panic) instead of deadlocking feeder or stages.
+/// A panicking stage mid-mixed-schedule is a bug, not an abort: its
+/// panic propagates out of `run` with its own payload instead of
+/// deadlocking feeder or stages.
 #[test]
+#[should_panic(expected = "tap exploded")]
 fn panicking_stage_mid_mixed_schedule_aborts() {
     struct ExplodingTap {
         intercepts: u32,
@@ -413,10 +415,132 @@ fn panicking_stage_mid_mixed_schedule_aborts() {
 
     let pattern = [false, true, false, true, true, false];
     let specs = mixed_specs(&pks, &pattern, 2, 2, seed);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        streaming.run_mixed_schedule(specs)
-    }));
-    assert!(outcome.is_err(), "mixed schedule must fail, not hang");
+    let _ = streaming.run(specs);
+}
+
+/// Asserts a deployment that recovered from an abort ran `outcomes`
+/// (rounds `first..`) exactly as `fresh`, a new deployment on the same
+/// seed, ran `want`: replies, and the tail's observables of those rounds.
+fn assert_recovered(
+    recovered: &Chain,
+    outcomes: &[RoundOutcome],
+    fresh: &Chain,
+    want: &[RoundOutcome],
+    first: u64,
+) {
+    assert_eq!(outcomes.len(), want.len());
+    for (got, want) in outcomes.iter().zip(want) {
+        assert_eq!(got.replies(), want.replies(), "replies after recovery");
+    }
+    let mut conversation: Vec<_> = recovered
+        .conversation_observables()
+        .iter()
+        .filter(|(round, _)| *round >= first)
+        .cloned()
+        .collect();
+    conversation.sort_by_key(|(round, _)| *round);
+    assert_eq!(&conversation[..], fresh.conversation_observables());
+    let mut dialing: Vec<_> = recovered
+        .dialing_observables()
+        .iter()
+        .filter(|(round, _)| *round >= first)
+        .cloned()
+        .collect();
+    dialing.sort_by_key(|(round, _)| *round);
+    assert_eq!(&dialing[..], fresh.dialing_observables());
+}
+
+/// Hangs the clients link up under round `.0`'s replies, once: the
+/// entry dying after the round's tail has run.
+struct HangUpReplies(Option<u64>);
+
+impl Tap for HangUpReplies {
+    fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {}
+
+    fn hangs_up(&mut self, ctx: &TapContext) -> bool {
+        let fires = self.0 == Some(ctx.round) && ctx.direction == Direction::Backward;
+        if fires {
+            self.0 = None;
+        }
+        fires
+    }
+}
+
+/// A server that crashes mid-schedule — [`CrashOnRound`] hanging up a
+/// link under round 2's forward batch, on the clients link and on each
+/// of the three hop links, or the clients link hung up under round 2's
+/// replies — ends the run with an `Abort` in both runtimes, never a
+/// panic or a hang. After `abort_in_flight_rounds` the same deployment
+/// runs fresh round ids byte-identically to a new one: round randomness
+/// is a pure function of `(seed, round)`.
+#[test]
+fn crashed_link_aborts_both_runtimes_and_they_recover() {
+    let (seed, num_drops, crash) = (505, 2, 2);
+    let config = config(3, 2.0);
+    let pks = Chain::new(config.clone(), seed).server_public_keys();
+    // Rounds 0..6 are the schedule the crash aborts; 6..10 the fresh
+    // round ids the deployment recovers on.
+    let pattern = [
+        false, true, false, false, true, false, false, true, false, false,
+    ];
+    let mut schedule = mixed_specs(&pks, &pattern, 2, num_drops, seed);
+    let recovery = schedule.split_off(6);
+    let mut fresh = Chain::new(config.clone(), seed);
+    let want = fresh.run(recovery.clone()).expect("fresh rounds complete");
+
+    // (link, whether the hang-up comes under the replies)
+    let cases = [
+        (LinkId::Clients, false),
+        (LinkId::Hop(0), false),
+        (LinkId::Hop(1), false),
+        (LinkId::Hop(2), false),
+        (LinkId::Clients, true),
+    ];
+    for (link, replies) in cases {
+        let crash_on = |chain: &mut Chain| {
+            let tap: Arc<Mutex<dyn Tap>> = if replies {
+                Arc::new(Mutex::new(HangUpReplies(Some(crash))))
+            } else {
+                Arc::new(Mutex::new(CrashOnRound::new(crash)))
+            };
+            match link {
+                LinkId::Hop(hop) => chain.link_mut(hop as usize).attach_tap(tap),
+                _ => chain.client_link_mut().attach_tap(tap),
+            }
+        };
+
+        let mut sequential = Chain::new(config.clone(), seed);
+        crash_on(&mut sequential);
+        let abort = sequential
+            .run(schedule.clone())
+            .expect_err("the crash aborts the run");
+        assert_eq!(abort.rounds, vec![crash], "{link}: {abort}");
+        assert!(
+            matches!(abort.cause, Error::Disconnected { link: cut } if cut == link),
+            "{link}: {abort}"
+        );
+        sequential.abort_in_flight_rounds();
+        let outcomes = sequential.run(recovery.clone()).expect("recovers");
+        assert_recovered(&sequential, &outcomes, &fresh, &want, 6);
+
+        let mut streaming = StreamingChain::new(config.clone(), seed).with_max_in_flight(3);
+        crash_on(streaming.chain_mut());
+        let abort = streaming
+            .run(schedule.clone())
+            .expect_err("the crash aborts the schedule");
+        assert!(abort.rounds.contains(&crash), "{link}: {abort}");
+        assert!(
+            abort.rounds.windows(2).all(|pair| pair[0] < pair[1]),
+            "{link}: {abort}"
+        );
+        assert!(
+            abort.rounds.iter().all(|&round| round < 6),
+            "{link}: {abort}"
+        );
+        streaming.abort_in_flight_rounds();
+        let outcomes = streaming.run(recovery.clone()).expect("recovers");
+        assert_recovered(streaming.chain(), &outcomes, &fresh, &want, 6);
+    }
 }
 
 /// A tap that records per-(round, direction) so interleaving-sensitive
@@ -639,16 +763,13 @@ fn golden_pins_for_a_mixed_chain3_schedule() {
 
     let mut sequential = Chain::new(config.clone(), seed);
     sequential.link_mut(1).attach_tap(tap());
-    let outcomes: Vec<RoundOutcome> = specs
-        .iter()
-        .map(|spec| sequential.run_round(spec.clone()))
-        .collect();
+    let outcomes = sequential.run(specs.clone()).expect("rounds complete");
     assert_eq!(golden_pins(&mut sequential, &outcomes), WANT, "sequential");
 
     for window in 1..=3 {
         let mut streaming = StreamingChain::new(config.clone(), seed).with_max_in_flight(window);
         streaming.chain_mut().link_mut(1).attach_tap(tap());
-        let outcomes = streaming.run_mixed_schedule(specs.clone());
+        let outcomes = streaming.run(specs.clone()).expect("schedule completes");
         assert_eq!(
             golden_pins(streaming.chain_mut(), &outcomes),
             WANT,

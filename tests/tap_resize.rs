@@ -191,12 +191,12 @@ fn tapped_round(
     if streaming {
         let mut chain = StreamingChain::new(config(2, 2.0), seed);
         attach(chain.chain_mut());
-        let outcome = chain.run_mixed_schedule(vec![spec]).remove(0);
+        let outcome = chain.run(vec![spec]).expect("schedule completes").remove(0);
         left_behind(outcome.replies().expect("replies"), chain.chain())
     } else {
         let mut chain = Chain::new(config(2, 2.0), seed);
         attach(&mut chain);
-        let outcome = chain.run_round(spec);
+        let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
         left_behind(outcome.replies().expect("replies"), &chain)
     }
 }
