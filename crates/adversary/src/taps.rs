@@ -9,9 +9,10 @@
 //! runs, and that log is what a passive observer of the link sees. Every
 //! tampering tap is link-addressable (a tap is attached to one
 //! [`vuvuzela_net::Link`]) and round-addressable (via a [`RoundWindow`]
-//! or explicit round fields).
+//! or explicit round fields). Each edits the frame's arena in place
+//! ([`Slots`]); held entries are the tap's own copies.
 
-use vuvuzela_net::link::{Tap, TapContext};
+use vuvuzela_net::link::{Slots, Tap, TapContext};
 
 /// An inclusive round range restricting when a tampering tap acts —
 /// the "round-addressable" half of the taps' addressing contract (the
@@ -60,7 +61,7 @@ impl RoundWindow {
 /// disruption attack's "throws away all requests except those from Alice
 /// and Bob". Meaningful on the clients→entry or entry→server-0 link,
 /// where batch order still identifies clients. Kept entries stay in
-/// batch order; the filter runs in place without cloning any onion.
+/// batch order; the filter runs in place without copying any onion out.
 pub struct KeepOnly {
     /// Indices (into the forward batch) to let through.
     pub indices: Vec<usize>,
@@ -70,7 +71,7 @@ pub struct KeepOnly {
 }
 
 impl Tap for KeepOnly {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if !matches!(ctx.direction, vuvuzela_net::Direction::Forward) {
             return;
         }
@@ -79,12 +80,7 @@ impl Tap for KeepOnly {
                 return;
             }
         }
-        let mut index = 0;
-        batch.retain(|_| {
-            let keep = self.indices.contains(&index);
-            index += 1;
-            keep
-        });
+        batch.retain(|index| self.indices.contains(&index));
     }
 }
 
@@ -99,7 +95,7 @@ pub struct BlockClient {
 }
 
 impl Tap for BlockClient {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if !matches!(ctx.direction, vuvuzela_net::Direction::Forward) {
             return;
         }
@@ -108,9 +104,7 @@ impl Tap for BlockClient {
                 return;
             }
         }
-        if self.index < batch.len() {
-            batch.remove(self.index);
-        }
+        batch.retain(|index| index != self.index);
     }
 }
 
@@ -129,40 +123,38 @@ pub struct DropFraction {
 }
 
 impl Tap for DropFraction {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if !matches!(ctx.direction, vuvuzela_net::Direction::Forward)
             || !self.window.contains(ctx.round)
         {
             return;
         }
         assert!(self.denominator > 0, "DropFraction denominator must be > 0");
-        let mut index = 0u32;
-        batch.retain(|_| {
-            let keep = index % self.denominator >= self.numerator;
-            index = index.wrapping_add(1);
-            keep
-        });
+        batch.retain(|index| index as u32 % self.denominator >= self.numerator);
     }
 }
 
-/// Holds one round's entire forward batch and releases it *merged into*
-/// a later round's batch — the cross-round delay the §2.3 adversary can
-/// inflict. Held state lives inside the tap, so the delay spans
-/// schedules (the tap stays attached to its link across
-/// `StreamingChain::run` calls).
+/// Holds the forward batch of every round in `window` and releases it
+/// `lag` rounds later, merged *into* that round's batch — the §2.3
+/// cross-round delay. On a forward transfer of round `r` the tap
+/// collects the held batches whose capture round plus `lag` is at most
+/// `r` (in capture order), then takes the current batch if `window`
+/// contains `r`, then appends what it collected after whatever the
+/// current batch still holds. Held state lives inside the tap, so the
+/// delay spans schedules.
 ///
 /// Against Vuvuzela the released onions buy the adversary nothing:
 /// every layer is bound to its round, so delayed requests fail
 /// authentication downstream and are replaced by noise — a delayed
 /// round degrades exactly like a dropped one (clients retransmit).
+/// Released into a round of another width, they are resized entries.
 pub struct DelayBatch {
-    /// The round whose forward batch is captured.
-    pub hold_round: u64,
-    /// The first round at or after which the captured batch is merged
-    /// back in (strictly greater than `hold_round`).
-    pub release_round: u64,
-    held: Vec<Vec<u8>>,
-    captured: bool,
+    /// The rounds whose forward batch is held.
+    pub window: RoundWindow,
+    /// How many rounds a held batch waits before it is released.
+    pub lag: u64,
+    /// Held batches with their capture rounds, in capture order.
+    held: Vec<(u64, Vec<Vec<u8>>)>,
 }
 
 impl DelayBatch {
@@ -178,25 +170,43 @@ impl DelayBatch {
             release_round > hold_round,
             "release round {release_round} must follow hold round {hold_round}"
         );
+        DelayBatch::over(RoundWindow::only(hold_round), release_round - hold_round)
+    }
+
+    /// Delays the batch of every round in `window` by `lag` rounds
+    /// (`over(RoundWindow::ALL, 1)` shifts all traffic by one round).
+    /// Panics unless `lag >= 1`.
+    #[must_use]
+    pub fn over(window: RoundWindow, lag: u64) -> DelayBatch {
+        assert!(lag >= 1, "a delay lags by at least one round");
         DelayBatch {
-            hold_round,
-            release_round,
+            window,
+            lag,
             held: Vec::new(),
-            captured: false,
         }
     }
 }
 
+/// Copies every entry of `batch` out of the frame.
+fn entries(batch: &Slots<'_>) -> Vec<Vec<u8>> {
+    (0..batch.len()).map(|i| batch.get(i).to_vec()).collect()
+}
+
 impl Tap for DelayBatch {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if !matches!(ctx.direction, vuvuzela_net::Direction::Forward) {
             return;
         }
-        if ctx.round == self.hold_round && !self.captured {
-            self.held = std::mem::take(batch);
-            self.captured = true;
-        } else if ctx.round >= self.release_round && !self.held.is_empty() {
-            batch.append(&mut self.held);
+        let (released, held): (Vec<_>, Vec<_>) = std::mem::take(&mut self.held)
+            .into_iter()
+            .partition(|(capture, _)| capture.saturating_add(self.lag) <= ctx.round);
+        self.held = held;
+        if self.window.contains(ctx.round) {
+            self.held.push((ctx.round, entries(batch)));
+            batch.retain(|_| false);
+        }
+        for entry in released.iter().flat_map(|(_, entries)| entries) {
+            batch.push(entry);
         }
     }
 }
@@ -235,25 +245,26 @@ impl ReplayBatch {
 }
 
 impl Tap for ReplayBatch {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if !matches!(ctx.direction, vuvuzela_net::Direction::Forward) {
             return;
         }
         if ctx.round == self.capture_round {
-            self.copied = batch.clone();
+            self.copied = entries(batch);
         } else if ctx.round == self.replay_round {
-            batch.append(&mut self.copied);
+            for entry in std::mem::take(&mut self.copied) {
+                batch.push(&entry);
+            }
         }
     }
 }
 
 /// Injects well-formed garbage onions: entries of exactly the width the
-/// tapped link carries (copied from the batch in flight), filled with
+/// tapped link carries (the batch in flight's width), filled with
 /// seeded pseudo-random bytes. The sizes pass every stage's shape
 /// checks, but the payloads fail authentication at the next server and
 /// are substituted with noise — inflating the round's observable totals
-/// without wedging anything. An empty batch gives no width to imitate,
-/// so nothing is injected into it.
+/// without wedging anything. Nothing is injected into an empty batch.
 pub struct InjectOnions {
     /// Garbage onions injected per forward transfer in the window.
     pub count: usize,
@@ -264,15 +275,18 @@ pub struct InjectOnions {
 }
 
 impl Tap for InjectOnions {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if !matches!(ctx.direction, vuvuzela_net::Direction::Forward)
             || !self.window.contains(ctx.round)
         {
             return;
         }
-        let Some(width) = batch.first().map(Vec::len) else {
+        // Nothing goes into an empty batch, though the view knows its
+        // width: the soak's `inject` transcripts are pinned with this rule.
+        if batch.is_empty() {
             return;
-        };
+        }
+        let width = batch.width();
         for injected in 0..self.count {
             // splitmix64 over (seed, round, index): deterministic
             // garbage, different every round and every onion.
@@ -290,50 +304,8 @@ impl Tap for InjectOnions {
                 let take = (width - onion.len()).min(8);
                 onion.extend_from_slice(&z.to_le_bytes()[..take]);
             }
-            batch.push(onion);
+            batch.push(&onion);
         }
-    }
-}
-
-/// Delays traffic by one round: requests captured in round r are removed
-/// and re-injected into round r+1 — the §1 "adversaries that can
-/// actively disrupt traffic (e.g., inject delays)" capability.
-///
-/// Against Vuvuzela this buys nothing: onion layers are bound to their
-/// round (per-round nonces), so replayed requests fail authentication at
-/// the next server and are replaced by noise. The `delay_is_equivalent_
-/// to_drop` integration test pins that property down.
-#[derive(Default)]
-pub struct DelayOneRound {
-    held: Vec<(u64, Vec<Vec<u8>>)>,
-}
-
-impl DelayOneRound {
-    /// Creates an empty delaying tap.
-    #[must_use]
-    pub fn new() -> DelayOneRound {
-        DelayOneRound::default()
-    }
-}
-
-impl Tap for DelayOneRound {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-        if !matches!(ctx.direction, vuvuzela_net::Direction::Forward) {
-            return;
-        }
-        // Release anything captured in an earlier round.
-        let mut released = Vec::new();
-        self.held.retain(|(round, entries)| {
-            if *round < ctx.round {
-                released.extend(entries.iter().cloned());
-                false
-            } else {
-                true
-            }
-        });
-        // Capture the current batch, substitute the released one.
-        let captured = std::mem::replace(batch, released);
-        self.held.push((ctx.round, captured));
     }
 }
 
@@ -350,7 +322,7 @@ pub struct StallLink {
 }
 
 impl Tap for StallLink {
-    fn intercept(&mut self, ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, _batch: &mut Slots<'_>) {
         if matches!(ctx.direction, vuvuzela_net::Direction::Forward) {
             std::thread::sleep(self.delay);
         }
@@ -383,7 +355,7 @@ impl CrashOnRound {
 }
 
 impl Tap for CrashOnRound {
-    fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {}
+    fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Slots<'_>) {}
 
     fn hangs_up(&mut self, ctx: &TapContext) -> bool {
         let fires = self.armed
@@ -397,103 +369,133 @@ impl Tap for CrashOnRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vuvuzela_net::link::Direction;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+    use vuvuzela_net::link::{batch_through_link, Direction, Link};
     use vuvuzela_net::LinkId;
+    use vuvuzela_wire::{BatchFrame, RoundId, RoundType};
 
     fn batch3() -> Vec<Vec<u8>> {
         vec![vec![0], vec![1], vec![2]]
     }
 
-    /// Hands `batch` to `tap` as round `round`'s transfer in `direction`
-    /// on the entry→server 0 link, and returns what the tap left of it.
-    fn pass(
-        tap: &mut dyn Tap,
+    fn shared<T: Tap>(tap: T) -> Arc<Mutex<T>> {
+        Arc::new(Mutex::new(tap))
+    }
+
+    /// Carries `batch` (entries of one width) across an entry→server 0
+    /// link under `tap` and returns what the tap left of it.
+    fn pass<T: Tap + 'static>(
+        tap: &Arc<Mutex<T>>,
         round: u64,
         direction: Direction,
-        mut batch: Vec<Vec<u8>>,
+        batch: Vec<Vec<u8>>,
     ) -> Vec<Vec<u8>> {
-        let ctx = TapContext {
+        let mut link = Link::new(LinkId::Hop(0));
+        link.attach_tap(tap.clone());
+        let width = batch.first().map_or(1, Vec::len);
+        let mut frame = BatchFrame {
             link: LinkId::Hop(0),
-            round,
-            direction,
+            round: RoundId(round),
+            round_type: RoundType::Conversation,
+            num_drops: 0,
+            backward: direction == Direction::Backward,
+            stride: width as u32,
+            width: width as u32,
+            count: batch.len() as u32,
+            payload: batch.concat(),
+            trailer: Vec::new(),
         };
-        tap.intercept(&ctx, &mut batch);
-        batch
+        batch_through_link(&link, &mut frame).expect("no tap here hangs up");
+        frame.payload.chunks(width).map(<[u8]>::to_vec).collect()
     }
 
     #[test]
     fn keep_only_filters_forward_traffic() {
-        let mut tap = KeepOnly {
+        let tap = shared(KeepOnly {
             indices: vec![0, 2],
             only_round: None,
-        };
-        let out = pass(&mut tap, 0, Direction::Forward, batch3());
+        });
+        let out = pass(&tap, 0, Direction::Forward, batch3());
         assert_eq!(out, vec![vec![0], vec![2]]);
         // Backward traffic untouched.
-        let back = pass(&mut tap, 0, Direction::Backward, batch3());
+        let back = pass(&tap, 0, Direction::Backward, batch3());
         assert_eq!(back.len(), 3);
     }
 
     #[test]
     fn keep_only_respects_round_filter() {
-        let mut tap = KeepOnly {
+        let tap = shared(KeepOnly {
             indices: vec![1],
             only_round: Some(5),
-        };
-        assert_eq!(pass(&mut tap, 4, Direction::Forward, batch3()).len(), 3);
-        assert_eq!(
-            pass(&mut tap, 5, Direction::Forward, batch3()),
-            vec![vec![1]]
-        );
+        });
+        assert_eq!(pass(&tap, 4, Direction::Forward, batch3()).len(), 3);
+        assert_eq!(pass(&tap, 5, Direction::Forward, batch3()), vec![vec![1]]);
     }
 
     #[test]
     fn block_client_removes_one() {
-        let mut tap = BlockClient {
+        let tap = shared(BlockClient {
             index: 1,
             from_round: Some(2),
-        };
-        assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
-        let out = pass(&mut tap, 2, Direction::Forward, batch3());
+        });
+        assert_eq!(pass(&tap, 1, Direction::Forward, batch3()).len(), 3);
+        let out = pass(&tap, 2, Direction::Forward, batch3());
         assert_eq!(out, vec![vec![0], vec![2]]);
     }
 
     #[test]
     fn keep_only_runs_in_place_preserving_batch_order() {
-        let mut tap = KeepOnly {
+        let tap = shared(KeepOnly {
             indices: vec![2, 0], // unsorted: order must not matter
             only_round: None,
-        };
-        let batch = pass(&mut tap, 0, Direction::Forward, batch3());
+        });
+        let batch = pass(&tap, 0, Direction::Forward, batch3());
         assert_eq!(batch, vec![vec![0], vec![2]]);
     }
 
+    /// Every round, lag one: each round's batch swaps for the last one's.
     #[test]
     fn delay_tap_shifts_batches_by_one_round() {
-        let mut tap = DelayOneRound::new();
+        let tap = shared(DelayBatch::over(RoundWindow::ALL, 1));
         // Round 0's batch is swallowed.
-        let out0 = pass(&mut tap, 0, Direction::Forward, vec![vec![0]]);
-        assert!(out0.is_empty());
+        assert!(pass(&tap, 0, Direction::Forward, vec![vec![0]]).is_empty());
         // Round 1 receives round 0's traffic; round 1's is held.
-        let out1 = pass(&mut tap, 1, Direction::Forward, vec![vec![1]]);
+        let out1 = pass(&tap, 1, Direction::Forward, vec![vec![1]]);
         assert_eq!(out1, vec![vec![0]]);
-        let out2 = pass(&mut tap, 2, Direction::Forward, vec![vec![2]]);
+        let out2 = pass(&tap, 2, Direction::Forward, vec![vec![2]]);
         assert_eq!(out2, vec![vec![1]]);
         // Backward traffic is untouched.
-        let back = pass(&mut tap, 2, Direction::Backward, vec![vec![9]]);
+        let back = pass(&tap, 2, Direction::Backward, vec![vec![9]]);
         assert_eq!(back, vec![vec![9]]);
+    }
+
+    /// One round, lag two: its batch follows the release round's own.
+    #[test]
+    fn delay_batch_holds_and_merges_into_release_round() {
+        let tap = shared(DelayBatch::new(1, 3));
+        assert_eq!(pass(&tap, 0, Direction::Forward, batch3()).len(), 3);
+        // Round 1 is swallowed whole.
+        assert!(pass(&tap, 1, Direction::Forward, batch3()).is_empty());
+        // Round 2 (before the release round) passes untouched.
+        assert_eq!(pass(&tap, 2, Direction::Forward, batch3()).len(), 3);
+        // Round 3 carries its own batch plus the held one, merged.
+        let out = pass(&tap, 3, Direction::Forward, vec![vec![9]]);
+        assert_eq!(out, vec![vec![9], vec![0], vec![1], vec![2]]);
+        // Released exactly once.
+        assert_eq!(pass(&tap, 4, Direction::Forward, vec![vec![8]]).len(), 1);
     }
 
     #[test]
     fn crash_on_round_fires_once_and_only_forward() {
-        let mut tap = CrashOnRound::new(2);
-        let mut hangs_up = |round, direction| {
+        let tap = shared(CrashOnRound::new(2));
+        let hangs_up = |round, direction| {
             let ctx = TapContext {
                 link: LinkId::Hop(1),
                 round,
                 direction,
             };
-            tap.hangs_up(&ctx)
+            tap.lock().hangs_up(&ctx)
         };
         // Other rounds and backward traffic pass.
         assert!(!hangs_up(1, Direction::Forward));
@@ -503,113 +505,78 @@ mod tests {
         assert!(!hangs_up(2, Direction::Forward));
         assert!(!hangs_up(3, Direction::Forward));
         // What does cross is never touched.
-        assert_eq!(pass(&mut tap, 2, Direction::Forward, batch3()), batch3());
+        assert_eq!(pass(&tap, 2, Direction::Forward, batch3()), batch3());
     }
 
     #[test]
     fn stall_link_changes_nothing_but_time() {
-        let mut tap = StallLink {
+        let tap = shared(StallLink {
             delay: std::time::Duration::from_millis(1),
-        };
-        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()), batch3());
-        assert_eq!(pass(&mut tap, 0, Direction::Backward, batch3()), batch3());
+        });
+        assert_eq!(pass(&tap, 0, Direction::Forward, batch3()), batch3());
+        assert_eq!(pass(&tap, 0, Direction::Backward, batch3()), batch3());
     }
 
     #[test]
     fn drop_fraction_discards_deterministic_stride() {
-        let mut tap = DropFraction {
+        let tap = shared(DropFraction {
             numerator: 1,
             denominator: 3,
             window: RoundWindow::from(2),
-        };
+        });
         // Outside the window: untouched.
-        assert_eq!(pass(&mut tap, 1, Direction::Forward, batch3()).len(), 3);
+        assert_eq!(pass(&tap, 1, Direction::Forward, batch3()).len(), 3);
         // In the window: indices 0 and 3 dropped out of five.
         let batch: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i]).collect();
-        let out = pass(&mut tap, 2, Direction::Forward, batch);
+        let out = pass(&tap, 2, Direction::Forward, batch);
         assert_eq!(out, vec![vec![1], vec![2], vec![4]]);
         // Backward traffic untouched.
-        assert_eq!(pass(&mut tap, 2, Direction::Backward, batch3()).len(), 3);
+        assert_eq!(pass(&tap, 2, Direction::Backward, batch3()).len(), 3);
         // {1, 1} is a total blackout.
-        let mut all = DropFraction {
+        let all = shared(DropFraction {
             numerator: 1,
             denominator: 1,
             window: RoundWindow::ALL,
-        };
-        assert!(pass(&mut all, 9, Direction::Forward, batch3()).is_empty());
-    }
-
-    #[test]
-    fn delay_batch_holds_and_merges_into_release_round() {
-        let mut tap = DelayBatch::new(1, 3);
-        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()).len(), 3);
-        // Round 1 is swallowed whole.
-        assert!(pass(&mut tap, 1, Direction::Forward, batch3()).is_empty());
-        // Round 2 (before the release round) passes untouched.
-        assert_eq!(pass(&mut tap, 2, Direction::Forward, batch3()).len(), 3);
-        // Round 3 carries its own batch plus the held one, merged.
-        let out = pass(&mut tap, 3, Direction::Forward, vec![vec![9]]);
-        assert_eq!(out, vec![vec![9], vec![0], vec![1], vec![2]]);
-        // Released exactly once.
-        assert_eq!(
-            pass(&mut tap, 4, Direction::Forward, vec![vec![8]]).len(),
-            1
-        );
+        });
+        assert!(pass(&all, 9, Direction::Forward, batch3()).is_empty());
     }
 
     #[test]
     fn replay_batch_copies_without_touching_the_original() {
-        let mut tap = ReplayBatch::new(0, 2);
+        let tap = shared(ReplayBatch::new(0, 2));
         // The captured round passes through unchanged.
-        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()), batch3());
-        assert_eq!(
-            pass(&mut tap, 1, Direction::Forward, vec![vec![7]]).len(),
-            1
-        );
+        assert_eq!(pass(&tap, 0, Direction::Forward, batch3()), batch3());
+        assert_eq!(pass(&tap, 1, Direction::Forward, vec![vec![7]]).len(), 1);
         // The replay round carries its own batch plus the copy.
-        let out = pass(&mut tap, 2, Direction::Forward, vec![vec![9]]);
+        let out = pass(&tap, 2, Direction::Forward, vec![vec![9]]);
         assert_eq!(out, vec![vec![9], vec![0], vec![1], vec![2]]);
         // Replayed exactly once.
-        assert_eq!(
-            pass(&mut tap, 3, Direction::Forward, vec![vec![8]]).len(),
-            1
-        );
+        assert_eq!(pass(&tap, 3, Direction::Forward, vec![vec![8]]).len(), 1);
     }
 
     #[test]
     fn inject_onions_adds_width_matched_garbage() {
-        let mut tap = InjectOnions {
-            count: 2,
-            window: RoundWindow::only(1),
-            seed: 42,
+        let inject = || {
+            shared(InjectOnions {
+                count: 2,
+                window: RoundWindow::only(1),
+                seed: 42,
+            })
         };
-        assert_eq!(pass(&mut tap, 0, Direction::Forward, batch3()).len(), 3);
-        let out = pass(
-            &mut tap,
-            1,
-            Direction::Forward,
-            vec![vec![5u8; 64], vec![6u8; 64]],
-        );
+        let tap = inject();
+        assert_eq!(pass(&tap, 0, Direction::Forward, batch3()).len(), 3);
+        let two = || vec![vec![5u8; 64], vec![6u8; 64]];
+        let out = pass(&tap, 1, Direction::Forward, two());
         assert_eq!(out.len(), 4);
         assert!(
             out.iter().all(|onion| onion.len() == 64),
             "injected onions must match the link's width"
         );
         assert_ne!(out[2], out[3], "garbage must differ per injected onion");
-        // An empty batch gives no width to imitate: nothing injected.
-        assert!(pass(&mut tap, 1, Direction::Forward, Vec::new()).is_empty());
+        // An empty batch stays empty.
+        assert!(pass(&tap, 1, Direction::Forward, Vec::new()).is_empty());
         // Deterministic: the same (seed, round) reproduces the bytes.
-        let mut twin = InjectOnions {
-            count: 2,
-            window: RoundWindow::only(1),
-            seed: 42,
-        };
-        let batch = pass(
-            &mut twin,
-            1,
-            Direction::Forward,
-            vec![vec![5u8; 64], vec![6u8; 64]],
-        );
+        let batch = pass(&inject(), 1, Direction::Forward, two());
         assert_eq!(batch[2..], out[2..]);
     }
 

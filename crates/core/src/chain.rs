@@ -645,10 +645,11 @@ impl Chain {
     }
 
     /// Total in-flight entries adversary taps resized (truncated,
-    /// extended, or injected with a non-onion size) on flat-buffer
-    /// transfers: every inter-hop link plus the entry→clients reply
-    /// leg. Each such entry's slot was rebuilt zero-filled, which
-    /// downstream peeling replaces with noise. Tampering on the
+    /// extended, or injected with a non-onion size) while editing a
+    /// frame's arena in place: every inter-hop link plus the
+    /// entry→clients reply leg. Each such entry's slot was zero-filled
+    /// by the link's `Slots` view, which downstream peeling replaces
+    /// with noise. Tampering on the
     /// clients→entry request leg is *not* counted — entry sizes there
     /// are client-controlled, so a size mismatch cannot be attributed
     /// to the tap (the entries are still zero-filled and replaced

@@ -310,7 +310,7 @@ mod tests {
     use rand::SeedableRng;
     use vuvuzela_crypto::onion;
     use vuvuzela_dp::{NoiseDistribution, NoiseMode};
-    use vuvuzela_net::link::Direction;
+    use vuvuzela_net::link::{Direction, Slots};
     use vuvuzela_wire::conversation::ExchangeRequest;
     use vuvuzela_wire::dialing::DialRequest;
 
@@ -623,7 +623,7 @@ mod tests {
         // turn into an `Abort`.
         struct ExplodingTap;
         impl vuvuzela_net::Tap for ExplodingTap {
-            fn intercept(&mut self, _ctx: &vuvuzela_net::TapContext, _batch: &mut Vec<Vec<u8>>) {
+            fn intercept(&mut self, _ctx: &vuvuzela_net::TapContext, _batch: &mut Slots<'_>) {
                 panic!("tap exploded");
             }
         }
@@ -651,18 +651,14 @@ mod tests {
         // tampering trips; this test pins the liveness floor in core.)
         struct DropAndInject;
         impl vuvuzela_net::Tap for DropAndInject {
-            fn intercept(&mut self, ctx: &vuvuzela_net::TapContext, batch: &mut Vec<Vec<u8>>) {
+            fn intercept(&mut self, ctx: &vuvuzela_net::TapContext, batch: &mut Slots<'_>) {
                 if ctx.direction != Direction::Forward {
                     return;
                 }
-                let mut keep = false;
-                batch.retain(|_| {
-                    keep = !keep;
-                    keep
-                });
-                if let Some(width) = batch.first().map(Vec::len) {
-                    batch.push(vec![0xAB; width]);
-                    batch.push(vec![0xCD; width]);
+                batch.retain(|i| i % 2 == 0);
+                if !batch.is_empty() {
+                    batch.push(&vec![0xAB; batch.width()]);
+                    batch.push(&vec![0xCD; batch.width()]);
                 }
             }
         }
@@ -701,10 +697,12 @@ mod tests {
         // forward-only whatever the adversary feeds the chain.
         struct DoubleForward;
         impl vuvuzela_net::Tap for DoubleForward {
-            fn intercept(&mut self, ctx: &vuvuzela_net::TapContext, batch: &mut Vec<Vec<u8>>) {
+            fn intercept(&mut self, ctx: &vuvuzela_net::TapContext, batch: &mut Slots<'_>) {
                 if ctx.direction == Direction::Forward {
-                    let copy = batch.clone();
-                    batch.extend(copy);
+                    for i in 0..batch.len() {
+                        let copy = batch.get(i).to_vec();
+                        batch.push(&copy);
+                    }
                 }
             }
         }

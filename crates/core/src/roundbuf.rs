@@ -35,10 +35,13 @@
 //! is its main consumer. A round's client batch is an arena from the
 //! moment it is built: cohorts and the deployment client wrap onions
 //! straight into their slots, and onions wrapped one at a time are laid
-//! in once, by [`crate::entry::multiplex`]. `Vec<Vec<u8>>` views remain for
-//! the replies handed back to clients, adversary taps, and the per-`Vec`
-//! reference recipe ([`crate::server::MixServer::forward_reference`])
-//! the equivalence tests hold the arena path to.
+//! in once, by [`crate::entry::multiplex`]; adversary taps edit it in
+//! place on the links (`vuvuzela_net::Slots`). `Vec<Vec<u8>>` views
+//! remain for the replies handed back to clients and for the per-`Vec`
+//! oracles: the reference recipe
+//! ([`crate::server::MixServer::forward_reference`]) the equivalence
+//! tests hold the arena path to, and [`RoundBuffer::from_vecs`], which
+//! the tap resize tests hold the links' view to.
 
 /// A round's batch as one flat arena; see the module docs.
 #[derive(Clone)]
@@ -86,11 +89,12 @@ impl RoundBuffer {
         buf
     }
 
-    /// Builds a buffer from per-message vectors (the client / tap
-    /// boundary). Messages that are not exactly `width` bytes cannot be
-    /// valid onions; their slots are zero-filled, which downstream
-    /// processing rejects as malformed (an all-zero ephemeral key is
-    /// low-order), and their indices are returned.
+    /// Builds a buffer from per-message vectors: the per-`Vec` oracle of
+    /// the tap resize rule that `vuvuzela_net::Slots` applies in place.
+    /// Messages that are not exactly `width` bytes cannot be valid
+    /// onions; their slots are zero-filled, which downstream processing
+    /// rejects as malformed (an all-zero ephemeral key is low-order), and
+    /// their indices are returned.
     pub fn from_vecs(msgs: &[Vec<u8>], stride: usize, width: usize) -> (RoundBuffer, Vec<usize>) {
         let mut buf = RoundBuffer::with_capacity(stride, width, msgs.len());
         let mut mismatched = Vec::new();
@@ -105,8 +109,8 @@ impl RoundBuffer {
         (buf, mismatched)
     }
 
-    /// Copies the batch out into per-message vectors (client boundary and
-    /// adversary taps only — allocates one `Vec` per slot).
+    /// Copies the batch out into per-message vectors (the reply boundary
+    /// and tests only — allocates one `Vec` per slot).
     #[must_use]
     pub fn to_vecs(&self) -> Vec<Vec<u8>> {
         (0..self.len).map(|i| self.slot(i).to_vec()).collect()

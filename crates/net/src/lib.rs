@@ -33,7 +33,7 @@ pub mod transport;
 
 pub use demux::{Demux, DemuxEvent};
 pub use error::Error;
-pub use link::{batch_through_link, Direction, Link, Tap, TapContext};
+pub use link::{batch_through_link, Direction, Link, Slots, Tap, TapContext};
 pub use meter::Meter;
 pub use parallel::WorkerPool;
 pub use tcp::{RetryPolicy, TcpTransport};

@@ -9,10 +9,11 @@
 //! (§4.1, §6.1) all read it. Only then does the batch reach the optional
 //! [`Tap`] — the in-code embodiment of the paper's network adversary, who
 //! "can monitor, block, delay, or inject traffic on any network link"
-//! (§2.3). Taps receive the batch *by mutable reference* and may do
-//! anything to it; whatever remains is what the next hop sees. Or the
-//! tap hangs the link up ([`Tap::hangs_up`]), and the transfer fails as
-//! a crashed peer process fails a socket: [`Error::Disconnected`].
+//! (§2.3). A tap edits the batch frame's own arena in place, slot by
+//! slot, through a [`Slots`] view: it may drop, overwrite or append
+//! entries, and whatever remains is what the next hop sees. Or the tap
+//! hangs the link up ([`Tap::hangs_up`]), and the transfer fails as a
+//! crashed peer process fails a socket: [`Error::Disconnected`].
 
 use crate::error::Error;
 use crate::meter::Meter;
@@ -44,16 +45,96 @@ pub struct TapContext {
     pub direction: Direction,
 }
 
+/// One batch in flight as a tap sees it: the frame's own arena, slot by
+/// slot, without its `(count, width, stride)` layout.
+///
+/// The view holds the one resize rule: an entry given to [`Slots::set`]
+/// or [`Slots::push`] whose length is not `width` cannot be a valid
+/// onion, so its slot becomes zeros, headroom included (an all-zero
+/// ephemeral key is low-order and fails the peel), and counts as
+/// resized. Slots the tap leaves alone are not copied. Indexing past the
+/// last slot panics.
+pub struct Slots<'a> {
+    batch: &'a mut BatchFrame,
+    /// Entries given to `set` or `push` at a length other than `width`.
+    resized: u64,
+}
+
+impl Slots<'_> {
+    /// Number of slots.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.batch.count as usize
+    }
+
+    /// Whether the batch holds no slots.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.batch.count == 0
+    }
+
+    /// The size every entry of this batch has.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.batch.width as usize
+    }
+
+    /// Slot `i`'s `width` bytes.
+    #[must_use]
+    pub fn get(&self, i: usize) -> &[u8] {
+        let start = i * self.batch.stride as usize;
+        &self.batch.payload[start..start + self.width()]
+    }
+
+    /// Keeps the slots whose index `keep` accepts, compacted in place in
+    /// batch order.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let stride = self.batch.stride as usize;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if keep(i) {
+                if kept != i {
+                    let from = i * stride..(i + 1) * stride;
+                    self.batch.payload.copy_within(from, kept * stride);
+                }
+                kept += 1;
+            }
+        }
+        self.batch.payload.truncate(kept * stride);
+        self.batch.count = kept as u32;
+    }
+
+    /// Overwrites slot `i` with `entry`, or with zeros if it is resized.
+    pub fn set(&mut self, i: usize, entry: &[u8]) {
+        let (stride, width) = (self.batch.stride as usize, self.width());
+        let slot = &mut self.batch.payload[i * stride..(i + 1) * stride];
+        if entry.len() == width {
+            slot[..width].copy_from_slice(entry);
+        } else {
+            slot.fill(0);
+            self.resized += 1;
+        }
+    }
+
+    /// Appends `entry` as a new slot, under [`Slots::set`]'s rule.
+    pub fn push(&mut self, entry: &[u8]) {
+        let payload = &mut self.batch.payload;
+        payload.resize(payload.len() + self.batch.stride as usize, 0);
+        self.batch.count += 1;
+        self.set(self.len() - 1, entry);
+    }
+}
+
 /// An adversary's active vantage point on one link.
 ///
-/// Implementations may delete or reorder entries (blocking), stash
-/// entries for later rounds (delaying), or push new entries (injection).
-/// Honest operation is simply having no tap; a passive observer needs
-/// none either, since the link's per-round log already holds what it
-/// would see.
+/// Implementations may delete entries (blocking), stash entries for
+/// later rounds (delaying), or push new entries (injection), all through
+/// the [`Slots`] view of the frame's arena. Honest operation is simply
+/// having no tap; a passive observer needs none either, since the link's
+/// per-round log already holds what it would see.
 pub trait Tap: Send {
-    /// Inspect and/or mutate a batch in flight.
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>);
+    /// Inspect and/or edit a batch in flight.
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>);
 
     /// Whether the link dies under this batch — a crashed peer process.
     /// Asked after the batch is logged and before [`Tap::intercept`]; on
@@ -261,9 +342,9 @@ impl Link {
 /// Runs a batch frame through a [`Link`] — the one place every in-process
 /// runtime of the chain crosses a link. Meters it into the link's
 /// per-round log (attributed to its round and direction) before anything
-/// else, and — only when an adversary tap is attached — pays the
-/// per-message conversion, lets the tap interfere, and rebuilds the flat
-/// payload with resized entries zero-filled. Resized entries count on
+/// else, and — only when an adversary tap is attached — lets the tap
+/// edit the frame's arena in place through a [`Slots`] view, which
+/// zero-fills resized entries. Resized entries count on
 /// [`Link::tap_resized`], except on the clients' request leg: entry sizes
 /// there are client-controlled, so a mismatch cannot be pinned on the tap.
 /// A frame without an arena (`stride == 0`: a dialing round's completion
@@ -280,9 +361,7 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> Result<(), Err
         Direction::Forward
     };
     let round = batch.round.0;
-    let width = batch.width as usize;
-    let stride = batch.stride as usize;
-    if stride == 0 {
+    if batch.stride == 0 {
         return Ok(());
     }
     link.record(
@@ -302,27 +381,12 @@ pub fn batch_through_link(link: &Link, batch: &mut BatchFrame) -> Result<(), Err
     if tap.lock().hangs_up(&ctx) {
         return Err(Error::Disconnected { link: link.id() });
     }
-    let mut msgs: Vec<Vec<u8>> = batch
-        .payload
-        .chunks(stride)
-        .map(|slot| slot[..width].to_vec())
-        .collect();
-    tap.lock().intercept(&ctx, &mut msgs);
-    let mut payload = vec![0u8; msgs.len() * stride];
-    let mut resized = 0;
-    for (i, msg) in msgs.iter().enumerate() {
-        if msg.len() == width {
-            payload[i * stride..i * stride + width].copy_from_slice(msg);
-        } else {
-            resized += 1;
-        }
-    }
-    batch.count = msgs.len() as u32;
-    batch.payload = payload;
+    let mut slots = Slots { batch, resized: 0 };
+    tap.lock().intercept(&ctx, &mut slots);
     if link.id() != LinkId::Clients || direction == Direction::Backward {
         link.shared
             .tap_resized
-            .fetch_add(resized, Ordering::Relaxed);
+            .fetch_add(slots.resized, Ordering::Relaxed);
     }
     Ok(())
 }
@@ -396,8 +460,8 @@ mod tests {
     /// and Bob" (§2.1).
     struct KeepFirstN(usize);
     impl Tap for KeepFirstN {
-        fn intercept(&mut self, _ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-            batch.truncate(self.0);
+        fn intercept(&mut self, _ctx: &TapContext, batch: &mut Slots<'_>) {
+            batch.retain(|i| i < self.0);
         }
     }
 
@@ -416,8 +480,8 @@ mod tests {
     /// An injecting tap: models request injection.
     struct Inject(Vec<u8>);
     impl Tap for Inject {
-        fn intercept(&mut self, _ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-            batch.push(self.0.clone());
+        fn intercept(&mut self, _ctx: &TapContext, batch: &mut Slots<'_>) {
+            batch.push(&self.0);
         }
     }
 
@@ -433,7 +497,7 @@ mod tests {
     /// a batch still reaches `intercept`.
     struct HangUp;
     impl Tap for HangUp {
-        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {
+        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Slots<'_>) {
             panic!("a hung-up batch is not intercepted");
         }
 

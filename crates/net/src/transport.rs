@@ -8,8 +8,8 @@
 //! * **in process** over [`MemoryEndpoint`] pairs, which carry frames
 //!   over in-memory queues and carry every batch across the same
 //!   byte-metered, tappable [`Link`] the simulator uses
-//!   ([`batch_through_link`]: meter first, then tap — the adversary
-//!   cannot hide traffic from our own accounting), and
+//!   ([`batch_through_link`]: meter first, then a tap edits the arena in
+//!   place — the adversary cannot hide traffic from our accounting), and
 //! * **across processes** over [`crate::tcp::TcpTransport`], the framed
 //!   length-prefixed TCP backend.
 //!
@@ -193,7 +193,7 @@ impl Drop for MemoryEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{Direction, Tap, TapContext};
+    use crate::link::{Direction, Slots, Tap, TapContext};
     use vuvuzela_wire::{BatchFrame, RoundId, RoundType};
 
     fn batch(count: u32, backward: bool) -> BatchFrame {
@@ -303,11 +303,11 @@ mod tests {
     /// A tap that truncates the batch and resizes one entry.
     struct Mangle;
     impl Tap for Mangle {
-        fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+        fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
             assert_eq!(ctx.link, LinkId::Hop(0));
             assert_eq!(ctx.round, 5);
-            batch.truncate(2);
-            batch[1] = vec![7; 99];
+            batch.retain(|i| i < 2);
+            batch.set(1, &[7; 99]);
         }
     }
 
@@ -330,7 +330,7 @@ mod tests {
     /// A peer process that dies under round 5's forward batch.
     struct CrashOnFive;
     impl Tap for CrashOnFive {
-        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {}
+        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Slots<'_>) {}
 
         fn hangs_up(&mut self, ctx: &TapContext) -> bool {
             ctx.round == 5 && ctx.direction == Direction::Forward

@@ -5,7 +5,7 @@
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use vuvuzela::net::{Direction, Link, Tap};
+use vuvuzela::net::{Direction, Link, Slots, Tap};
 use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 
 const ALICE: usize = 0;
@@ -299,10 +299,10 @@ fn dialing_noise_covers_unused_drops() -> Result<(), SimError> {
 fn malformed_clients_cannot_break_honest_ones() -> Result<(), SimError> {
     struct GarbageInjector;
     impl Tap for GarbageInjector {
-        fn intercept(&mut self, ctx: &vuvuzela::net::TapContext, batch: &mut Vec<Vec<u8>>) {
+        fn intercept(&mut self, ctx: &vuvuzela::net::TapContext, batch: &mut Slots<'_>) {
             if matches!(ctx.direction, vuvuzela::net::Direction::Forward) {
-                batch.push(vec![0xFF; 100]); // junk "request"
-                batch.push(Vec::new());
+                batch.push(&[0xFF; 100]); // junk "request"
+                batch.push(&[]);
             }
         }
     }

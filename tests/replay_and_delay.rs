@@ -10,14 +10,16 @@
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use vuvuzela::adversary::taps::DelayOneRound;
+use vuvuzela::adversary::taps::{DelayBatch, RoundWindow};
 use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{Chain, RoundBuffer, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
+use vuvuzela::net::{batch_through_link, Link, LinkId};
 use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 use vuvuzela::wire::conversation::ExchangeRequest;
+use vuvuzela::wire::{BatchFrame, RoundId, RoundType, DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN};
 
 /// One onion laid into a `kind` round's arena for the chain-3
 /// deployment, as the entry does.
@@ -94,7 +96,7 @@ fn delay_is_equivalent_to_drop() -> Result<(), SimError> {
     sim.chain_mut()
         .chain_mut()
         .client_link_mut()
-        .attach_tap(Arc::new(Mutex::new(DelayOneRound::new())));
+        .attach_tap(Arc::new(Mutex::new(DelayBatch::over(RoundWindow::ALL, 1))));
     sim.tolerate_violations();
 
     sim.step(Step::Queue {
@@ -150,4 +152,42 @@ fn replayed_dial_requests_are_rejected() {
         .run_dialing_round(1, arena(kind, &onion_bytes), 1)
         .expect("round completes");
     assert_eq!(chain.server(0).malformed_replaced, 1);
+}
+
+/// A held batch released into a round of another width: round 0's
+/// conversation requests, delayed into dialing round 1, arrive as
+/// zero-filled slots of the dialing width after that round's own entry.
+/// Past the entry each one counts on `tap_resized`; on the clients'
+/// request leg, where sizes are client-controlled, none does.
+#[test]
+fn delayed_batch_merged_across_widths_is_zero_filled() {
+    for (id, layers, counted) in [(LinkId::Hop(1), 2, 2), (LinkId::Clients, 3, 0)] {
+        let mut link = Link::new(id);
+        link.attach_tap(Arc::new(Mutex::new(DelayBatch::new(0, 1))));
+        let through = |round, round_type, payload_len, count: usize| {
+            let width = onion::wrapped_len(payload_len, layers);
+            let mut batch = BatchFrame {
+                link: id,
+                round: RoundId(round),
+                round_type,
+                num_drops: 0,
+                backward: false,
+                stride: width as u32,
+                width: width as u32,
+                count: count as u32,
+                payload: vec![0xA5; count * width],
+                trailer: Vec::new(),
+            };
+            batch_through_link(&link, &mut batch).expect("no hang-up");
+            (batch, width)
+        };
+        let (held, _) = through(0, RoundType::Conversation, EXCHANGE_REQUEST_LEN, 2);
+        assert_eq!((held.count, held.payload.len()), (0, 0), "{id}: held");
+        let (merged, width) = through(1, RoundType::Dialing, DIAL_REQUEST_LEN, 1);
+        assert_eq!(merged.count, 3, "{id}: own entry, then the released two");
+        assert_eq!(merged.payload.len(), 3 * width);
+        assert!(merged.payload[..width].iter().all(|&b| b == 0xA5));
+        assert!(merged.payload[width..].iter().all(|&b| b == 0), "{id}");
+        assert_eq!(link.tap_resized(), counted, "{id}");
+    }
 }

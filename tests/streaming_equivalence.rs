@@ -27,7 +27,7 @@ use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::PublicKey;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::link::Direction;
-use vuvuzela::net::{Error, LinkId, Tap, TapContext};
+use vuvuzela::net::{Error, LinkId, Slots, Tap, TapContext};
 use vuvuzela::wire::conversation::ExchangeRequest;
 
 fn config(chain_len: usize, mu: f64) -> SystemConfig {
@@ -397,7 +397,7 @@ fn panicking_stage_mid_mixed_schedule_aborts() {
         intercepts: u32,
     }
     impl Tap for ExplodingTap {
-        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {
+        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Slots<'_>) {
             self.intercepts += 1;
             if self.intercepts >= 3 {
                 panic!("tap exploded mid-schedule");
@@ -455,7 +455,7 @@ fn assert_recovered(
 struct HangUpReplies(Option<u64>);
 
 impl Tap for HangUpReplies {
-    fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Vec<Vec<u8>>) {}
+    fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Slots<'_>) {}
 
     fn hangs_up(&mut self, ctx: &TapContext) -> bool {
         let fires = self.0 == Some(ctx.round) && ctx.direction == Direction::Backward;
@@ -551,11 +551,11 @@ struct RoundKeyedTap {
 }
 
 impl Tap for RoundKeyedTap {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         self.seen
             .entry((ctx.round, matches!(ctx.direction, Direction::Backward)))
             .or_default()
-            .push(batch.clone());
+            .push((0..batch.len()).map(|i| batch.get(i).to_vec()).collect());
     }
 }
 
@@ -595,16 +595,17 @@ fn tapped_link_sees_identical_per_round_batches() {
 struct GoldenTap;
 
 impl Tap for GoldenTap {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
         if ctx.round != 2 {
             return;
         }
         match ctx.direction {
             Direction::Forward => {
-                batch[0].truncate(40);
-                batch.push(vec![0xEE; 77]);
+                let truncated = batch.get(0)[..40].to_vec();
+                batch.set(0, &truncated);
+                batch.push(&[0xEE; 77]);
             }
-            Direction::Backward => batch[1].extend([0xEE; 5]),
+            Direction::Backward => batch.set(1, &[batch.get(1), &[0xEE; 5]].concat()),
         }
     }
 }

@@ -1,54 +1,31 @@
-//! Property tests for the tap-resize path, under both drivers of the
-//! hop protocol: the sequential [`Chain`] (the hop handler on the
-//! calling thread, one round at a time) and [`StreamingChain`] (the node
-//! loops on threads over in-memory links). Either way every batch — the
-//! round's client arena on the clients link included — crosses a link
-//! through the one `batch_through_link`.
+//! The tap resize rule, pinned against the per-`Vec` oracle.
 //!
-//! Adversary taps receive in-flight batches by mutable reference and may
-//! truncate entries, extend them, or inject new ones ("monitor, block,
-//! delay, or inject", §2.3). The flat round pipeline rebuilds the batch
-//! into its fixed-stride arena afterwards: entries whose size no longer
-//! matches the hop's onion width **cannot** be valid onions, so their
-//! slots are rebuilt zero-filled (an all-zero ephemeral key is low-order
-//! and fails the peel), and the count of such entries is surfaced on
-//! [`Chain::tap_resized`] — except on the clients→entry request leg,
-//! where sizes are client-controlled and a mismatch cannot be pinned on
-//! the tap. These tests pin down that contract: alignment survives
-//! arbitrary resizing, every resized entry is zero-filled and (past the
-//! entry) counted, every zero-filled slot is replaced by substitute
-//! noise downstream, the round still completes with one uniform reply
-//! per client — and the two drivers yield the same replies, slots, count
-//! and replacements for every generated op list.
+//! An adversary tap edits a batch frame's arena in place through the
+//! link's `Slots` view ("monitor, block, delay, or inject", §2.3). An
+//! entry it sets or pushes at a size other than the hop's onion width
+//! cannot be a valid onion: its slot becomes zeros across the whole
+//! stride, and it counts on [`Link::tap_resized`] — except on the
+//! clients→entry request leg, where sizes are client-controlled. The
+//! proptest holds `batch_through_link` to the oracle,
+//! [`RoundBuffer::from_vecs`], on bare links. What resized slots do
+//! downstream is pinned by `streaming_equivalence`'s golden pins (a tap
+//! on a hop link) and, for the clients leg, by one two-driver round.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use vuvuzela::core::chain::Batch;
 use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, StreamingChain, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
-use vuvuzela::dp::{NoiseDistribution, NoiseMode};
+use vuvuzela::dp::NoiseDistribution;
 use vuvuzela::net::link::Direction;
-use vuvuzela::net::{Tap, TapContext};
+use vuvuzela::net::{batch_through_link, Link, LinkId, Slots, Tap, TapContext};
 use vuvuzela::wire::conversation::ExchangeRequest;
-use vuvuzela::wire::EXCHANGE_REQUEST_LEN;
-
-fn config(chain_len: usize, mu: f64) -> SystemConfig {
-    SystemConfig {
-        chain_len,
-        conversation_noise: NoiseDistribution::new(mu, 1.0),
-        dialing_noise: NoiseDistribution::new(1.0, 1.0),
-        noise_mode: NoiseMode::Deterministic,
-        workers: 2,
-        conversation_slots: 1,
-        retransmit_after: 2,
-        exchange_shards: 4,
-    }
-}
+use vuvuzela::wire::{BatchFrame, RoundId, RoundType};
 
 /// One size-tampering action against a batch in flight.
 #[derive(Clone, Debug)]
@@ -75,6 +52,7 @@ fn resize_op() -> impl Strategy<Value = ResizeOp> {
     })
 }
 
+/// The model: `ops` on per-message vectors.
 fn apply_ops(ops: &[ResizeOp], batch: &mut Vec<Vec<u8>>) {
     for op in ops {
         match *op {
@@ -100,213 +78,160 @@ fn apply_ops(ops: &[ResizeOp], batch: &mut Vec<Vec<u8>>) {
     }
 }
 
-/// Applies a fixed op list to the first batch it sees in the configured
-/// direction (one round per test run), remembering the resulting sizes.
+/// Runs the model over every `direction` batch and writes the result
+/// back through the view: `set` the slots it had, `push` the rest.
 struct ResizeTap {
     ops: Vec<ResizeOp>,
     direction: Direction,
-    sizes_after: Option<Vec<usize>>,
 }
 
 impl Tap for ResizeTap {
-    fn intercept(&mut self, ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-        if ctx.direction == self.direction && self.sizes_after.is_none() {
-            apply_ops(&self.ops, batch);
-            self.sizes_after = Some(batch.iter().map(Vec::len).collect());
+    fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>) {
+        if ctx.direction != self.direction {
+            return;
         }
-    }
-}
-
-/// Copies every batch crossing the link it sits on, byte for byte.
-#[derive(Default)]
-struct Recorder(Vec<Vec<Vec<u8>>>);
-
-impl Tap for Recorder {
-    fn intercept(&mut self, _ctx: &TapContext, batch: &mut Vec<Vec<u8>>) {
-        self.0.push(batch.clone());
-    }
-}
-
-/// Which link the tap sits on.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Leg {
-    /// links[1] (server 0 → server 1).
-    Hop1,
-    /// The clients link, where the entry admits the round's arena.
-    Clients,
-}
-
-/// What one tapped round leaves behind, whichever driver ran it.
-#[derive(Debug, PartialEq)]
-struct Tapped {
-    replies: Vec<Vec<u8>>,
-    /// Entry sizes as the tap left them.
-    sizes_after: Vec<usize>,
-    tap_resized: u64,
-    /// Slots the server just past the tapped link replaced with
-    /// substitute noise.
-    malformed_replaced: u64,
-    /// The forward batch as it crossed links[0] into server 0.
-    arrived_at_hop0: Vec<Vec<u8>>,
-}
-
-/// Runs one conversation round through a two-server chain with `ops`
-/// applied to the first `direction` batch crossing the `leg`'s link, on
-/// the sequential chain or the streaming one.
-fn tapped_round(
-    streaming: bool,
-    seed: u64,
-    round: u64,
-    batch: Vec<Vec<u8>>,
-    ops: &[ResizeOp],
-    direction: Direction,
-    leg: Leg,
-) -> Tapped {
-    let tap = Arc::new(Mutex::new(ResizeTap {
-        ops: ops.to_vec(),
-        direction,
-        sizes_after: None,
-    }));
-    let hop0 = Arc::new(Mutex::new(Recorder::default()));
-    let mut arena = entry::round_arena(RoundKind::Conversation, 2);
-    entry::multiplex(&mut arena, &[batch]);
-    let batch = Batch::Flat(arena);
-    let attach = |chain: &mut Chain| {
-        match leg {
-            Leg::Hop1 => chain.link_mut(1).attach_tap(tap.clone()),
-            Leg::Clients => chain.client_link_mut().attach_tap(tap.clone()),
+        let had = batch.len();
+        let mut entries: Vec<Vec<u8>> = (0..had).map(|i| batch.get(i).to_vec()).collect();
+        apply_ops(&self.ops, &mut entries);
+        for (i, entry) in entries.iter().enumerate() {
+            if i < had {
+                batch.set(i, entry);
+            } else {
+                batch.push(entry);
+            }
         }
-        chain.link_mut(0).attach_tap(hop0.clone());
-    };
-    let left_behind = |replies: &[Vec<u8>], chain: &Chain| Tapped {
-        replies: replies.to_vec(),
-        sizes_after: tap.lock().sizes_after.clone().expect("tap ran"),
-        tap_resized: chain.tap_resized(),
-        malformed_replaced: chain
-            .server(usize::from(leg == Leg::Hop1))
-            .malformed_replaced,
-        arrived_at_hop0: hop0.lock().0[0].clone(),
-    };
-    let spec = RoundSpec::Conversation { round, batch };
-    if streaming {
-        let mut chain = StreamingChain::new(config(2, 2.0), seed);
-        attach(chain.chain_mut());
-        let outcome = chain.run(vec![spec]).expect("schedule completes").remove(0);
-        left_behind(outcome.replies().expect("replies"), chain.chain())
-    } else {
-        let mut chain = Chain::new(config(2, 2.0), seed);
-        attach(&mut chain);
-        let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
-        left_behind(outcome.replies().expect("replies"), &chain)
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Forward-path resizing: the rebuilt arena zero-fills every
-    /// mismatched entry, `tap_resized` counts exactly those (none on the
-    /// clients link, where the entry admits the round's arena), downstream
-    /// peeling replaces them with noise, and reply alignment holds.
+    /// A tap's edits on a bare link leave exactly what the oracle
+    /// builds from the model's vectors: the same count, the same `width`
+    /// bytes in every slot, and zeros across the whole stride of every
+    /// resized slot (past the width of every pushed one). Untouched
+    /// slots keep their headroom. `tap_resized` counts the oracle's
+    /// mismatches, except on the clients' request leg; the per-round
+    /// log holds the batch as it arrived, before the tap.
     #[test]
-    fn forward_resize_yields_counted_zero_filled_slots(
-        clients in 1usize..5,
+    fn tap_edits_match_the_per_vec_oracle(
+        count in 0usize..5,
+        width in 1usize..48,
+        headroom in 0usize..17,
         ops in proptest::collection::vec(resize_op(), 0..6),
         seed in any::<u64>(),
         on_clients_link in any::<bool>(),
+        backward in any::<bool>(),
     ) {
-        let chain_len = 2;
-        let pks = Chain::new(config(chain_len, 2.0), seed).server_public_keys();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A9);
+        let stride = width + headroom;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let payload: Vec<u8> = (0..count * stride).map(|_| rng.gen()).collect();
+        let mut model: Vec<Vec<u8>> =
+            payload.chunks(stride).map(|slot| slot[..width].to_vec()).collect();
+        apply_ops(&ops, &mut model);
+        let (oracle, mismatched) = RoundBuffer::from_vecs(&model, stride, width);
 
-        let batch: Vec<Vec<u8>> = (0..clients)
-            .map(|_| {
-                let payload = ExchangeRequest::noise(&mut rng).encode();
-                onion::wrap(&mut rng, &pks, 0, &payload).0
-            })
-            .collect();
-
-        // The width expected on the tapped link: the full onion on the
-        // clients link, one layer already peeled on links[1] (server0 →
-        // server1).
-        let (leg, width) = if on_clients_link {
-            (Leg::Clients, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len))
-        } else {
-            (Leg::Hop1, onion::wrapped_len(EXCHANGE_REQUEST_LEN, chain_len - 1))
+        let direction = if backward { Direction::Backward } else { Direction::Forward };
+        let id = if on_clients_link { LinkId::Clients } else { LinkId::Hop(1) };
+        let mut link = Link::new(id);
+        link.attach_tap(Arc::new(Mutex::new(ResizeTap { ops, direction })));
+        let mut frame = BatchFrame {
+            link: id,
+            round: RoundId(7),
+            round_type: RoundType::Conversation,
+            num_drops: 0,
+            backward,
+            stride: stride as u32,
+            width: width as u32,
+            count: count as u32,
+            payload: payload.clone(),
+            trailer: Vec::new(),
         };
+        batch_through_link(&link, &mut frame).expect("the tap does not hang up");
 
-        let ran = tapped_round(false, seed, 0, batch.clone(), &ops, Direction::Forward, leg);
-
-        // Alignment: one uniform-size reply per client, no matter what
-        // the tap did mid-chain (per request the entry admitted, if the
-        // tap added some before it).
-        let requests = if on_clients_link { ran.sizes_after.len() } else { clients };
-        prop_assert_eq!(ran.replies.len(), requests);
-        let sizes: std::collections::HashSet<usize> = ran.replies.iter().map(Vec::len).collect();
-        prop_assert!(sizes.len() <= 1, "non-uniform replies: {:?}", sizes);
-
-        // The surfaced count equals the number of entries whose post-tap
-        // size cannot be a valid onion at this hop — past the entry; the
-        // request leg's sizes are the clients' own.
-        let expected_resized = ran.sizes_after.iter().filter(|&&len| len != width).count() as u64;
-        let counted = if on_clients_link { 0 } else { expected_resized };
-        prop_assert_eq!(ran.tap_resized, counted, "sizes {:?}", &ran.sizes_after);
-
-        // A resized request arrives at hop 0 as a zero-filled slot.
-        if on_clients_link {
-            prop_assert_eq!(ran.arrived_at_hop0.len(), ran.sizes_after.len());
-            for (slot, &len) in ran.arrived_at_hop0.iter().zip(&ran.sizes_after) {
-                if len != width {
-                    prop_assert_eq!(slot, &vec![0u8; width]);
-                }
+        prop_assert_eq!(frame.count as usize, oracle.len());
+        prop_assert_eq!(frame.payload.len(), oracle.len() * stride);
+        for (i, slot) in frame.payload.chunks(stride).enumerate() {
+            prop_assert_eq!(&slot[..width], oracle.slot(i), "slot {}", i);
+            let headroom = &slot[width..];
+            if i >= count || mismatched.contains(&i) {
+                prop_assert!(headroom.iter().all(|&b| b == 0), "slot {} headroom", i);
+            } else {
+                prop_assert_eq!(headroom, &payload[i * stride + width..(i + 1) * stride]);
             }
         }
-
-        // Every zero-filled slot fails authentication downstream and is
-        // replaced by substitute noise (well-sized injections fail too,
-        // so the replacement count is at least the resized count).
-        prop_assert!(ran.malformed_replaced >= expected_resized);
-
-        // The node loops over an in-memory link: same rebuilt slots —
-        // hence the same replacements and replies — and the same count.
-        let streamed = tapped_round(true, seed, 0, batch, &ops, Direction::Forward, leg);
-        prop_assert_eq!(streamed, ran);
+        let counted = if on_clients_link && !backward { 0 } else { mismatched.len() as u64 };
+        prop_assert_eq!(link.tap_resized(), counted);
+        prop_assert_eq!(
+            link.round_traffic(7, direction),
+            (count as u64, (count * width) as u64)
+        );
     }
+}
 
-    /// Backward-path resizing: reply batches whose shape changed make
-    /// the upstream server emit uniform filler for every client rather
-    /// than misrouting plaintext; resized entries are still counted.
-    #[test]
-    fn backward_resize_keeps_alignment(
-        clients in 1usize..5,
-        ops in proptest::collection::vec(resize_op(), 1..5),
-        seed in any::<u64>(),
-    ) {
-        let pks = Chain::new(config(2, 2.0), seed).server_public_keys();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB4C);
-
-        let batch: Vec<Vec<u8>> = (0..clients)
-            .map(|_| {
-                let payload = ExchangeRequest::noise(&mut rng).encode();
-                onion::wrap(&mut rng, &pks, 1, &payload).0
-            })
-            .collect();
-
-        let ran = tapped_round(false, seed, 1, batch.clone(), &ops, Direction::Backward, Leg::Hop1);
-        prop_assert_eq!(ran.replies.len(), clients);
-        let sizes: std::collections::HashSet<usize> = ran.replies.iter().map(Vec::len).collect();
-        prop_assert!(sizes.len() <= 1, "non-uniform replies: {:?}", sizes);
-
-        // Whatever the tap resized was counted (entries it left at the
-        // correct reply width are not).
-        let reply_width = vuvuzela::wire::EXCHANGE_RESPONSE_LEN + onion::REPLY_LAYER_OVERHEAD;
-        let expected_resized =
-            ran.sizes_after.iter().filter(|&&len| len != reply_width).count() as u64;
-        prop_assert_eq!(ran.tap_resized, expected_resized);
-
-        let streamed = tapped_round(true, seed, 1, batch, &ops, Direction::Backward, Leg::Hop1);
-        prop_assert_eq!(streamed, ran);
+fn config() -> SystemConfig {
+    SystemConfig {
+        chain_len: 2,
+        conversation_noise: NoiseDistribution::new(2.0, 1.0),
+        dialing_noise: NoiseDistribution::new(1.0, 1.0),
+        workers: 2,
+        ..SystemConfig::default()
     }
+}
+
+/// Downstream of the clients leg, which the golden pins do not tap:
+/// the entry admits every request a tap left (one truncated, one
+/// extended, one injected at no onion's size), server 0 replaces the
+/// three zero-filled slots with noise, every request gets one reply of
+/// the one reply size, nothing is counted — and both drivers agree.
+#[test]
+fn clients_leg_resize_runs_alike_on_both_drivers() {
+    let seed = 0xC11E;
+    let pks = Chain::new(config(), seed).server_public_keys();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let onions: Vec<Vec<u8>> = (0..3)
+        .map(|_| {
+            let payload = ExchangeRequest::noise(&mut rng).encode();
+            onion::wrap(&mut rng, &pks, 0, &payload).0
+        })
+        .collect();
+    let spec = || {
+        let mut arena = entry::round_arena(RoundKind::Conversation, 2);
+        entry::multiplex(&mut arena, std::slice::from_ref(&onions));
+        let batch = Batch::Flat(arena);
+        vec![RoundSpec::Conversation { round: 0, batch }]
+    };
+    let tap = || {
+        let (index, new_len, extra, size) = (0, 100, 7, 77);
+        let ops = vec![
+            ResizeOp::Truncate { index, new_len },
+            ResizeOp::Extend { index: 1, extra },
+            ResizeOp::Inject { size },
+        ];
+        let direction = Direction::Forward;
+        Arc::new(Mutex::new(ResizeTap { ops, direction }))
+    };
+    // (replies, tap_resized, slots server 0 replaced with noise)
+    let tapped = |outcomes: Vec<RoundOutcome>, chain: &Chain| {
+        let replies = outcomes[0].replies().expect("replies").to_vec();
+        (
+            replies,
+            chain.tap_resized(),
+            chain.server(0).malformed_replaced,
+        )
+    };
+
+    let mut sequential = Chain::new(config(), seed);
+    sequential.client_link_mut().attach_tap(tap());
+    let ran = tapped(sequential.run(spec()).expect("completes"), &sequential);
+    assert_eq!(ran.0.len(), 4, "one reply per admitted request");
+    assert!(ran.0.windows(2).all(|w| w[0].len() == w[1].len()));
+    assert_eq!((ran.1, ran.2), (0, 3), "uncounted, and replaced by noise");
+
+    let mut streaming = StreamingChain::new(config(), seed);
+    streaming.chain_mut().client_link_mut().attach_tap(tap());
+    let outcomes = streaming.run(spec()).expect("completes");
+    assert_eq!(tapped(outcomes, streaming.chain()), ran);
 }
 
 /// The rebuild invariant at the unit level: a resized entry's slot comes
