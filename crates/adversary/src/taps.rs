@@ -312,10 +312,13 @@ impl Tap for InjectOnions {
 /// Slows a link down without touching any bytes: sleeps for a fixed
 /// wall-clock interval on every forward transfer — the "server stalling
 /// mid-round" deployment fault (a slow disk, a GC pause, a congested
-/// uplink). Against the streaming scheduler this perturbs *when* batches
-/// move and how rounds overlap, but must never change *what* any round
-/// computes; the deployment simulator's slowdown scenario pins that down
-/// by asserting a byte-identical transcript with and without the stall.
+/// uplink). Between threads or processes this perturbs *when* batches
+/// move and how rounds overlap. In process it costs wall time only:
+/// `Chain::run` runs every hop on the calling thread and draws its
+/// interleaving from the chain seed, so a sleep cannot move it. Either
+/// way it must never change *what* any round computes; the deployment
+/// simulator's slowdown scenario pins that down by asserting a
+/// byte-identical transcript with and without the stall.
 pub struct StallLink {
     /// How long each forward transfer stalls.
     pub delay: std::time::Duration,
@@ -332,10 +335,10 @@ impl Tap for StallLink {
 /// Hangs up the tapped link when a specific round's forward batch
 /// crosses it — the "server aborts mid-round" deployment fault, in
 /// process exactly what the wire shows when a peer's process dies. The
-/// sender's `send` fails with [`vuvuzela_net::Error::Disconnected`] on
-/// the link; its node stops and hangs up both its links, the hang-up
-/// cascades through the surviving nodes to the feeder, and the runtime
-/// returns an `Abort` (never hangs). Disarms itself as it hangs up, so
+/// crossing fails with [`vuvuzela_net::Error::Disconnected`] on the
+/// link, and the runtime returns an `Abort` (never hangs): `Chain::run`
+/// at once, a node loop once the hang-up has cascaded through the
+/// surviving nodes to the feeder. Disarms itself as it hangs up, so
 /// batches drained during the abort cannot re-trigger it, and stays
 /// inert afterwards, so the deployment can keep the link (tap detached
 /// or not) for subsequent schedules.

@@ -1,11 +1,11 @@
 //! Comparison systems for Vuvuzela's evaluation.
 //!
-//! The paper positions Vuvuzela against two families (§1, §10):
+//! The paper positions Vuvuzela against two families (§1, §10). The
+//! scalable but analyzable one — a mixnet without principled cover
+//! traffic — is Vuvuzela's own pipeline with noise off
+//! (`NoiseMode::Off` in its `SystemConfig`), so it needs no
+//! module here. The other:
 //!
-//! * **scalable but analyzable** — mixnets/onion routing without
-//!   principled cover traffic. [`no_noise`] configures Vuvuzela's own
-//!   pipeline with noise off: same crypto, same mixing, no differential
-//!   privacy. The attack suite demolishes it.
 //! * **private but unscalable** — Dissent/Riposte-style systems built on
 //!   broadcast, with per-round cost superlinear in users. [`broadcast`]
 //!   implements that strawman; the scaling benches show its O(n²) total
@@ -19,5 +19,4 @@
 #![warn(missing_docs)]
 
 pub mod broadcast;
-pub mod no_noise;
 pub mod single_server;

@@ -1,37 +1,40 @@
 //! A complete Vuvuzela deployment: entry, chain, links, dead drops.
 //!
 //! [`Chain`] wires the [`crate::server::MixServer`]s together with
-//! byte-metered, tappable [`vuvuzela_net::Link`]s and drives whole rounds
-//! synchronously — mirroring the paper's observation that "one server
-//! cannot start processing a round until the previous server finishes"
-//! (§8.2), which makes end-to-end latency the sum of per-hop processing.
-//! [`crate::pipeline::StreamingChain`] lifts exactly that restriction
-//! for *throughput* (hops overlap across in-flight rounds) while
-//! producing byte-identical per-round results. Both run the one hop
-//! protocol of [`crate::node`]: the streaming chain lends the servers and
-//! links to one [`crate::node::run_server_node`] loop per hop — the loop
-//! a deployment's server processes run — and [`Chain::run`] is the
-//! window-1 schedule of that loop's frame handler, carrying each round's
-//! one frame from hop to hop on the calling thread. Either way a batch
-//! crosses a link through [`batch_through_link`], a finished round is
-//! completed by one `Collector`, and a round that cannot finish — a hop
-//! refuses its frame, or a link hangs up under it — ends the run with an
-//! [`Abort`], the value the wire's [`vuvuzela_net::Error`] becomes.
+//! byte-metered, tappable [`vuvuzela_net::Link`]s and runs schedules of
+//! rounds on the calling thread. The paper's chain is sequential within
+//! a round — "one server cannot start processing a round until the
+//! previous server finishes" (§8.2) — but consecutive rounds are
+//! independent, so [`Chain::run`] keeps a window of them in flight, as
+//! the entry admits them, and a seeded scheduler picks which frame moves
+//! next. Each move is one call of the hop protocol's frame handler
+//! ([`crate::node`]), the handler a deployment's server processes run
+//! in their node loops, so one schedule is one replayable interleaving
+//! of the deployment's own steps. [`crate::pipeline::StreamingChain`] is
+//! its threaded twin: the same handlers in one node loop per hop, on
+//! scoped threads over in-memory links, where the OS scheduler picks the
+//! interleaving. Either way a batch crosses a link through
+//! [`batch_through_link`], a finished round is completed by one
+//! `Collector`, and a round that cannot finish — a hop refuses its
+//! frame, or a link hangs up under it — ends the run with an [`Abort`],
+//! the value the wire's [`vuvuzela_net::Error`] becomes.
 //!
 //! All of a round's harness-level randomness (noise substitutes for
 //! undecodable exchange payloads, the dead-drop store's coin flips) is
-//! drawn from a per-round RNG derived from the chain seed, so the two
-//! schedulers agree no matter how rounds interleave.
+//! drawn from a per-round RNG derived from the chain seed, so every
+//! interleaving — any window, any scheduler draw, either runtime —
+//! computes the same bytes.
 
 use crate::config::SystemConfig;
 use crate::deaddrops::InvitationDrops;
+use crate::engine::{admission_weights, schedule_rng, AdmissionWindow};
 use crate::entry::check_client_batch;
 use crate::node::{buf_from_frame, frame_from_buf, RoundTrailer, ServerNode, Side};
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
@@ -110,9 +113,9 @@ pub(crate) fn admit_batch(
 
 /// One round of a (possibly mixed) schedule: which protocol it runs,
 /// its round number, and the client batch feeding it. This is the unit
-/// both schedulers consume — [`Chain::run`] sequentially,
-/// [`crate::pipeline::StreamingChain::run`] overlapped (there round
-/// numbers must strictly increase within a schedule).
+/// both in-process runtimes consume, [`Chain::run`] and its threaded
+/// twin [`crate::pipeline::StreamingChain::run`]; round numbers must
+/// strictly increase within one call.
 #[derive(Clone, Debug)]
 pub enum RoundSpec {
     /// A conversation round (Algorithm 2): forward and backward passes.
@@ -361,6 +364,31 @@ impl<'a> Collector<'a> {
     }
 }
 
+/// A frame waiting to cross `links[on]` in [`Chain::run`]'s schedule,
+/// and when its round was admitted.
+struct Crossing {
+    on: usize,
+    frame: BatchFrame,
+    fed: Instant,
+}
+
+/// The frame [`Chain::run`] delivers next, as an index into `queued`
+/// (frames in the order they were queued): the head of one non-empty
+/// `(link, direction)` FIFO, drawn uniformly, with no draw when only one
+/// FIFO holds frames. `None` when nothing is in flight.
+fn pick(queued: &[Crossing], rng: &mut StdRng) -> Option<usize> {
+    let fifo = |crossing: &Crossing| (crossing.on, crossing.frame.backward);
+    let mut heads = (0..queued.len()).filter(|&i| {
+        queued[..i]
+            .iter()
+            .all(|earlier| fifo(earlier) != fifo(&queued[i]))
+    });
+    match heads.clone().count() {
+        0 | 1 => heads.next(),
+        count => heads.nth(rng.gen_range(0..count)),
+    }
+}
+
 /// A full deployment: entry link, server chain, dead-drop stores, meters.
 ///
 /// Fields are `pub(crate)` so [`crate::pipeline::StreamingChain`] can
@@ -459,38 +487,124 @@ impl Chain {
         }
     }
 
-    /// Runs a (possibly mixed) schedule one round at a time, start to
-    /// finish: the hop loop's window-1 schedule on the calling thread —
-    /// per round one fresh `ServerNode` per hop, the round's one frame
-    /// carried across the chain's links from handler to handler until
-    /// hop 0 answers upstream. No thread, transport or demux is
-    /// involved. It keeps this carry loop rather than running the
-    /// threaded node loops at window 1: on `conv_cover` that routing
-    /// raised `peak_rss_mib` from 11.1 to 16.5–18.6 MiB and
+    /// Runs a (possibly mixed) schedule on the calling thread and returns
+    /// the per-round [`RoundOutcome`]s in input order: a discrete-event
+    /// schedule of the hop loop's frame handler, one `ServerNode` per hop.
+    /// Up to `chain_len` weighted slots of rounds are in flight (the
+    /// entry's own limit: [`crate::engine::admission_weights`], held by an
+    /// [`crate::engine::AdmissionWindow`]), with one FIFO of frames per
+    /// link and direction. Each step admits every round that fits onto
+    /// `links[0]`, delivers the head of one non-empty FIFO across its link
+    /// into the receiving hop's handler (or home, off hop 0), and queues
+    /// the answer on the link it leaves by. An RNG seeded from the chain
+    /// seed alone draws the FIFO, so the same chain replays the same
+    /// interleaving; no round's bytes depend on it, and per link and
+    /// direction frames keep round order, so taps and hops see what one
+    /// spec per call shows them. One spec is the carry loop: one frame in
+    /// flight, hop to hop, no draw. No thread, transport or demux is
+    /// involved: routing rounds through the threaded node loops raised
+    /// `conv_cover`'s `peak_rss_mib` from 11.1 to 16.5–18.6 MiB and
     /// `round_latency_p50_s` from 0.25 to 0.29–0.32 s, and cost about 15%
-    /// of `onions_per_s` (a prototype, 3 pairs of 8 s runs on a 2-vCPU
-    /// host). Returns the per-round [`RoundOutcome`]s in input order.
+    /// of `onions_per_s` (a prototype at window 1, 3 pairs of 8 s runs on
+    /// a 2-vCPU host).
+    ///
+    /// Round ids must strictly increase within one call — the wire's
+    /// sequencing rule; a later call may start anywhere.
     ///
     /// # Errors
     ///
-    /// An [`Abort`] of the one round that could not finish — a hop
-    /// refused its frame (a dialing round with no drops), or a tap hung a
-    /// link up under it ([`vuvuzela_net::Tap::hangs_up`]). No later spec
-    /// is admitted.
+    /// The first failure — a hop refused its frame (a dialing round with
+    /// no drops), or a tap hung a link up ([`vuvuzela_net::Tap::hangs_up`])
+    /// — ends the call, admitting nothing more, with an [`Abort`] of every
+    /// round admitted and not completed.
     ///
     /// # Panics
     ///
-    /// Panics if a batch's geometry is not its round's onion width (see
-    /// `admit_batch`), or a tap panics: bugs, not aborts.
+    /// Panics if round ids do not strictly increase, a batch's geometry is
+    /// not its round's onion width (see `admit_batch`), or a tap panics:
+    /// bugs, not aborts.
     pub fn run(&mut self, specs: Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort> {
-        specs
-            .into_iter()
-            .map(|spec| {
-                let round = spec.round();
-                self.carry(spec)
-                    .map_err(|cause| Abort::new(vec![cause], vec![round]))
+        assert!(
+            specs.windows(2).all(|w| w[0].round() < w[1].round()),
+            "round ids must strictly increase within a schedule (duplicate round ids, or a \
+             step back)"
+        );
+        let Chain {
+            config,
+            servers,
+            links,
+            client_link,
+            seed,
+            log,
+        } = self;
+        let (config, client_link, seed) = (&*config, &*client_link, *seed);
+        let shapes: Vec<_> = specs.iter().map(|s| (s.kind(), s.batch_len())).collect();
+        let weights = admission_weights(config, config.chain_len, &shapes);
+        let mut window = AdmissionWindow::new(config.chain_len);
+        let (mut admitted, mut outcomes) = (Vec::new(), Vec::with_capacity(specs.len()));
+        let mut specs = specs.into_iter().zip(weights).peekable();
+        let mut nodes: Vec<ServerNode> = servers
+            .iter_mut()
+            .enumerate()
+            .map(|(hop, server)| {
+                let down = links.get(hop + 1).map(Link::id);
+                ServerNode::new(server, config, seed, links[hop].id(), down)
             })
-            .collect()
+            .collect();
+        let mut collector = Collector::new(client_link, log);
+        let (mut rng, mut queued) = (schedule_rng(seed), Vec::with_capacity(config.chain_len));
+
+        let mut schedule = || -> Result<(), Error> {
+            loop {
+                while let Some((spec, weight)) = specs.next_if(|(_, w)| !window.would_block(*w)) {
+                    let fed = Instant::now();
+                    let (round, kind, batch) = spec.into_parts();
+                    admitted.push(round);
+                    window.admit(round, weight);
+                    let buf = admit_batch(client_link, round, kind, config.chain_len, batch)?;
+                    let frame = frame_from_buf(links[0].id(), round, kind, false, buf, Vec::new());
+                    queued.push(Crossing { on: 0, frame, fed });
+                }
+                let Some(next) = pick(&queued, &mut rng) else {
+                    return Ok(());
+                };
+                let Crossing { on, mut frame, fed } = queued.remove(next);
+                batch_through_link(&links[on], &mut frame)?;
+                // Forward into hop `on`, backward out of it: home once it
+                // leaves hop 0.
+                let (hop, from) = match (frame.backward, on) {
+                    (false, _) => (on, Side::Upstream),
+                    (true, 0) => {
+                        let round = frame.round.0;
+                        let trailer =
+                            RoundTrailer::decode(&frame.trailer).expect("the tail's own trailer");
+                        outcomes.push(collector.complete(frame, trailer, fed)?);
+                        window.complete(round);
+                        continue;
+                    }
+                    (true, _) => (on - 1, Side::Downstream),
+                };
+                let mut observe = |round, piece, drops| collector.observe(round, piece, drops);
+                let (to, Frame::Batch(frame), _) =
+                    nodes[hop].on_frame(from, Frame::Batch(frame), &mut observe)?
+                else {
+                    unreachable!("a batch is answered with a batch")
+                };
+                let on = match to {
+                    Side::Upstream => hop,
+                    Side::Downstream => hop + 1,
+                };
+                queued.push(Crossing { on, frame, fed });
+            }
+        };
+        match schedule() {
+            Ok(()) => {
+                collector.finish();
+                Ok(outcomes)
+            }
+            // Rounds complete in admission order.
+            Err(err) => Err(Abort::new(vec![err], admitted.split_off(outcomes.len()))),
+        }
     }
 
     /// [`Chain::run`] of one round, panicking on its [`Abort`]. It exists
@@ -503,59 +617,6 @@ impl Chain {
         self.run(vec![spec])
             .unwrap_or_else(|abort| panic!("{abort}"))
             .remove(0)
-    }
-
-    /// Carries one round's frame from hop to hop (see [`Chain::run`]).
-    fn carry(&mut self, spec: RoundSpec) -> Result<RoundOutcome, Error> {
-        let fed = Instant::now();
-        let (round, kind, batch) = spec.into_parts();
-        let Chain {
-            config,
-            servers,
-            links,
-            client_link,
-            seed,
-            log,
-            ..
-        } = self;
-        let buf = admit_batch(client_link, round, kind, config.chain_len, batch)?;
-        let mut frame = frame_from_buf(links[0].id(), round, kind, false, buf, Vec::new());
-        let mut nodes: Vec<ServerNode> = servers
-            .iter_mut()
-            .enumerate()
-            .map(|(hop, server)| {
-                let down = links.get(hop + 1).map(Link::id);
-                ServerNode::new(server, config, *seed, links[hop].id(), down)
-            })
-            .collect();
-        let mut collector = Collector::new(client_link, log);
-
-        // The frame crosses `links[on]`: forward into hop `on`, backward
-        // out of it — home once it leaves hop 0.
-        let mut on = 0;
-        loop {
-            batch_through_link(&links[on], &mut frame)?;
-            let (hop, from) = match (frame.backward, on) {
-                (false, _) => (on, Side::Upstream),
-                (true, 0) => break,
-                (true, _) => (on - 1, Side::Downstream),
-            };
-            let mut observe = |round, piece, drops| collector.observe(round, piece, drops);
-            let (to, Frame::Batch(next), _) =
-                nodes[hop].on_frame(from, Frame::Batch(frame), &mut observe)?
-            else {
-                unreachable!("a batch is answered with a batch")
-            };
-            on = match to {
-                Side::Upstream => hop,
-                Side::Downstream => hop + 1,
-            };
-            frame = next;
-        }
-        let trailer = RoundTrailer::decode(&frame.trailer).expect("the tail's own trailer");
-        let outcome = collector.complete(frame, trailer, fed)?;
-        collector.finish();
-        Ok(outcome)
     }
 
     /// Downloads one invitation drop from the most recent dialing round
@@ -909,11 +970,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn refused_round_aborts_the_run_and_admits_nothing_after_it() {
-        let mut chain = Chain::new(tiny_config(2), 14);
+    /// Rounds 0 and 2 are conversations; round 1 dials into no drops,
+    /// which hop 0 refuses.
+    fn refused_schedule() -> Vec<RoundSpec> {
         let no_drops = RoundKind::Dialing { num_drops: 0 };
-        let specs = vec![
+        vec![
             RoundSpec::Conversation {
                 round: 0,
                 batch: arena(RoundKind::Conversation, 2, &[]).into(),
@@ -927,19 +988,44 @@ mod tests {
                 round: 2,
                 batch: arena(RoundKind::Conversation, 2, &[]).into(),
             },
-        ];
-        let abort = chain.run(specs).expect_err("hop 0 refuses no drops");
+        ]
+    }
+
+    fn completed(chain: &Chain) -> Vec<u64> {
+        chain
+            .conversation_observables()
+            .iter()
+            .map(|(round, _)| *round)
+            .collect()
+    }
+
+    #[test]
+    fn refused_round_aborts_the_run_and_admits_nothing_after_it() {
+        // One spec per call is window 1: the caller stops at the abort.
+        let mut chain = Chain::new(tiny_config(2), 14);
+        let abort = refused_schedule()
+            .into_iter()
+            .find_map(|spec| chain.run(vec![spec]).err())
+            .expect("hop 0 refuses no drops");
         assert_eq!(abort.rounds, vec![1]);
         assert!(
             matches!(abort.cause, Error::Protocol { link, .. } if link == LinkId::Hop(0)),
             "{abort}"
         );
-        let completed: Vec<u64> = chain
-            .conversation_observables()
-            .iter()
-            .map(|(round, _)| *round)
-            .collect();
-        assert_eq!(completed, vec![0], "round 2 is never admitted");
+        assert_eq!(completed(&chain), vec![0], "round 2 is never admitted");
+
+        // The whole schedule in one call, window 2: round 0 is still in
+        // flight when hop 0 refuses round 1, and round 2 never fits in.
+        let mut chain = Chain::new(tiny_config(2), 14);
+        let abort = chain
+            .run(refused_schedule())
+            .expect_err("hop 0 refuses no drops");
+        assert_eq!(abort.rounds, vec![0, 1]);
+        assert_eq!(
+            abort.cause.to_string(),
+            "protocol violation on entry->server0: round 1 is a dialing round with no drops"
+        );
+        assert_eq!(completed(&chain), Vec::<u64>::new());
     }
 
     #[test]

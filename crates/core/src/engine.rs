@@ -7,10 +7,9 @@
 //! driven from exactly one place (the engine is constructed nowhere
 //! else; CI checks it): the hop protocol of [`crate::node`], whose frame
 //! handler every runtime runs — a `vuvuzela-server` process over TCP,
-//! one scoped thread per hop of the in-process
-//! [`crate::pipeline::StreamingChain`] over in-memory links, and the
-//! sequential [`crate::chain::Chain::run`], its window-1 schedule
-//! on the calling thread.
+//! [`crate::chain::Chain::run`]'s seeded schedule of it on the calling
+//! thread, and one scoped thread per hop of its threaded twin
+//! [`crate::pipeline::StreamingChain`] over in-memory links.
 //!
 //! * [`RoundEngine`] wraps one [`MixServer`] (whose `rounds` table
 //!   already holds per-round state for any number of in-flight rounds
@@ -24,8 +23,8 @@
 //!   byte-identical rounds by construction — there is no second copy of
 //!   the recipe left to drift.
 //! * [`AdmissionWindow`] is the bounded in-flight window, measured in
-//!   weighted slots priced by [`admission_weights`]: the feeder
-//!   ([`crate::node::feed_window`]) *blocks* on a full window. The wire
+//!   weighted slots priced by [`admission_weights`]: both feeders
+//!   ([`crate::node::feed_window`], `Chain::run`) wait on a full one. The wire
 //!   entry needs no ledger of its own: it counts the rounds it relayed
 //!   and has not seen answered, and *rejects* one past `chain_len`.
 
@@ -37,6 +36,7 @@ use crate::observables::ConversationObservables;
 use crate::roundbuf::RoundBuffer;
 use crate::server::{round_rng, MixServer, RoundKind};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Instant;
 use vuvuzela_wire::dialing::DialRequest;
@@ -49,6 +49,17 @@ const CHAIN_RNG_DOMAIN: u64 = 0x5EED_C4A1_4000_0000;
 /// `(chain seed, round)`, so every runtime's tail draws the same.
 fn chain_round_rng(seed: u64, round: u64) -> StdRng {
     round_rng(seed ^ CHAIN_RNG_DOMAIN, round)
+}
+
+/// Domain separator for the RNG [`crate::chain::Chain::run`]'s scheduler
+/// draws its deliveries from. It is never a round RNG, so no round's
+/// bytes depend on it.
+const SCHEDULE_RNG_DOMAIN: u64 = 0x5EED_5C4E_D000_0000;
+
+/// The scheduler's RNG for one [`crate::chain::Chain::run`] call: a pure
+/// function of the chain seed, so a schedule replays its interleaving.
+pub(crate) fn schedule_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ SCHEDULE_RNG_DOMAIN)
 }
 
 /// What a server's runtime must do with the batch the engine just
@@ -238,9 +249,9 @@ fn round_cost(config: &SystemConfig, kind: RoundKind, batch_len: usize) -> f64 {
 /// schedule containing a single round kind collapses to weight 1 per
 /// round — homogeneous schedules keep the plain round-counting window;
 /// weights only throttle genuinely mixed schedules, where the two
-/// protocols' per-round costs diverge by orders of magnitude. The one
-/// feeder ([`crate::node::feed_window`]) prices every schedule with
-/// this, in process and on the wire.
+/// protocols' per-round costs diverge by orders of magnitude. Both
+/// feeders ([`crate::node::feed_window`], [`crate::chain::Chain::run`])
+/// price every schedule with this, in process and on the wire.
 #[must_use]
 pub fn admission_weights(
     config: &SystemConfig,
@@ -267,7 +278,7 @@ pub fn admission_weights(
 
 /// The bounded in-flight window, measured in weighted slots.
 ///
-/// The feeder asks [`AdmissionWindow::would_block`] and *waits* for a
+/// A feeder asks [`AdmissionWindow::would_block`] and *waits* for a
 /// completion when it says so. The progress guarantee is built
 /// into `would_block`: a round heavier than the whole window does not
 /// block an *empty* window, so heavy dialing rounds throttle admission

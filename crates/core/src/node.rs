@@ -12,11 +12,11 @@
 //! `vuvuzela-server` / `-entry` / `-client` bins, one OS process per
 //! node) and over in-memory endpoints — which is all
 //! [`crate::pipeline::StreamingChain`] is: the server loops on scoped
-//! threads, fed by the calling thread. The sequential
-//! [`crate::chain::Chain::run`] carries a round's one frame
-//! through each hop's handler itself — the same checks, steps and
-//! trailers at window 1, with no thread or transport. The round recipe
-//! itself lives in the shared [`crate::engine::RoundEngine`]; this
+//! threads, fed by the calling thread: the threaded twin of
+//! [`crate::chain::Chain::run`], which calls each hop's handler itself,
+//! rounds in flight in the one interleaving its seeded scheduler picks —
+//! the same checks, steps and trailers, with no thread or transport.
+//! The round recipe itself lives in the shared [`crate::engine::RoundEngine`]; this
 //! module only moves frames, holds its peers to the protocol, and tells
 //! its caller what each pass cost ([`HopObserver`]).
 //!
@@ -284,9 +284,9 @@ pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) 
 /// A mix server's node drives its [`RoundEngine`]; the entry's node has
 /// none and relays (§7: it "handles only opaque bytes"). The one pump
 /// behind [`run_server_node`] and [`run_entry_node`] runs it on whatever
-/// its links deliver; [`crate::chain::Chain::run`] carries a
-/// round's one frame from hop to hop itself — the window-1 schedule, on
-/// the calling thread.
+/// its links deliver; [`crate::chain::Chain::run`] delivers each hop its
+/// frames itself, on the calling thread, in the order its seeded
+/// scheduler draws.
 pub(crate) struct ServerNode<'a> {
     /// `None` for the entry, which relays.
     engine: Option<RoundEngine<'a>>,

@@ -12,18 +12,18 @@
 //! (§5) interleave with conversation rounds on the same chain, so the
 //! schedule is heterogeneous.
 //!
-//! [`StreamingChain`] runs that schedule on the loop a deployment ships:
-//! for the length of one schedule every server of the wrapped [`Chain`]
-//! is a [`crate::node::run_server_node`] on a scoped thread, wired to its
-//! neighbours by [`vuvuzela_net::memory_pair`] endpoints over the chain's
-//! own links, and the calling thread is hop 0's upstream peer, feeding
-//! through [`crate::node::feed_window`] like a deployment's client. Width
-//! and sequencing checks, trailers, the `Bye` handshake and the hang-up
-//! on failure are the node loop's, in process as over TCP (see
-//! [`crate::node`]). This module adds only the threads and links around
-//! it: batches are admitted and rounds completed exactly as the
-//! sequential [`Chain::run`] admits and completes each round
-//! (`chain::admit_batch`, `chain::Collector`).
+//! [`StreamingChain`] is [`Chain::run`]'s threaded twin, kept only for
+//! the benchmark's `mixed_stream` and the golden pins: the OS scheduler
+//! picks its interleaving, so a run cannot be replayed. For one schedule
+//! every server of the wrapped [`Chain`] is a
+//! [`crate::node::run_server_node`] on a scoped thread over
+//! [`vuvuzela_net::memory_pair`] endpoints on the chain's own links, and
+//! the calling thread feeds hop 0 through [`crate::node::feed_window`]
+//! like a deployment's client. Checks, trailers, the `Bye` handshake and
+//! the hang-up on failure are the node loop's, in process as over TCP
+//! (see [`crate::node`]); batches are admitted and rounds completed
+//! exactly as [`Chain::run`] does it (`chain::admit_batch`,
+//! `chain::Collector`).
 //!
 //! Every frame carries its round id and protocol, links attribute
 //! traffic per round ([`vuvuzela_net::Link::round_traffic`]) and taps
@@ -34,9 +34,9 @@
 //! weights shape scheduling, never a round's bytes. Because every source
 //! of round randomness is a pure function of `(seed, round)` (see
 //! [`crate::server`]), per-round replies, observables, dialing drops and
-//! per-round link traffic are byte-identical to the sequential [`Chain`]
-//! over the same [`RoundSpec`] sequence, which the streaming-equivalence
-//! tests and golden pins assert.
+//! per-round link traffic are byte-identical to [`Chain::run`] over the
+//! same [`RoundSpec`] sequence, which the streaming-equivalence tests and
+//! golden pins assert.
 //!
 //! A node that stops hangs up both its links and the failure cascades to
 //! the feeder; [`StreamingChain::run`] joins every node, then returns an

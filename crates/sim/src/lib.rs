@@ -11,8 +11,9 @@
 //! components never exercise end to end. This crate scripts exactly
 //! those dynamics over the real system (the same
 //! [`vuvuzela_core::ClientCohort`] client, the same
-//! [`vuvuzela_core::StreamingChain`] mixed-schedule pipeline, the same
-//! adversary taps) and checks the paper's invariants after every round.
+//! [`vuvuzela_core::Chain`] and its windowed, seeded schedule of the hop
+//! protocol, the same adversary taps) and checks the paper's invariants
+//! after every round.
 //! The scripted clients are members of one cohort and a
 //! [`scenario::Step::Population`]'s bulk cover clients of another.
 //!
@@ -37,7 +38,7 @@
 //! [`scenario::Step::CrashLink`] — or run protocol rounds:
 //! [`scenario::Step::Run`] submits a heterogeneous batch of
 //! conversation/dialing rounds through **one**
-//! [`vuvuzela_core::StreamingChain::run`] call, so the
+//! [`vuvuzela_core::Chain::run`] call, so the
 //! scripted rounds genuinely overlap in flight. Population steps apply
 //! *between* schedules, never mid-schedule — a client is online or
 //! offline for whole rounds, matching the round-synchronous protocol.
@@ -53,19 +54,21 @@
 //! [`transcript::Transcript`] — participants, submissions, dead-drop
 //! histograms, per-drop invitation counts, deliveries, invitation
 //! scans, observed link batches, and the composed (ε′, δ′) spent — that is
-//! **byte-identical for the same scenario** across runs, thread
-//! interleavings, and worker counts. This leans on the system's own
-//! guarantee (every round's bytes are a pure function of `(seed,
-//! round)`; the streaming scheduler is proptested byte-identical to the
-//! sequential chain), plus three simulator-side rules: nothing
+//! **byte-identical for the same scenario** across runs and worker
+//! counts. Every schedule runs as one seeded interleaving on the calling
+//! thread ([`vuvuzela_core::Chain::run`]), so a run replays exactly, and
+//! the transcript does not even depend on that interleaving: every
+//! round's bytes are a pure function of `(seed, round)`, and the windowed
+//! schedule is proptested byte-identical to one round per call. Three
+//! simulator-side rules keep it so: nothing
 //! timing-dependent is ever recorded (no wall-clock durations), link
 //! traffic is read from each link's per-round log in canonical
 //! `(round, direction)` order, and an **aborted**
 //! schedule contributes only its planned round ids — which rounds were
-//! partially processed when a schedule dies *is* timing-dependent, so
-//! none of their partial effects are transcribed. The transcript hash
-//! ([`transcript::Transcript::sha256_hex`]) is what CI pins across two
-//! runs of the bundled scenario matrix.
+//! partially processed when a schedule dies depends on the interleaving
+//! and the window, so none of their partial effects are transcribed.
+//! The transcript hash ([`transcript::Transcript::sha256_hex`]) is what
+//! CI pins across two runs of the bundled scenario matrix.
 //!
 //! ## Round-abort semantics
 //!

@@ -48,8 +48,8 @@ pub enum Step {
         /// Message body (≤ the fixed per-round capacity).
         body: Vec<u8>,
     },
-    /// Run one streaming schedule: all listed rounds go through a
-    /// single `StreamingChain::run` call and overlap in flight.
+    /// Run one schedule: all listed rounds go through a single
+    /// `Chain::run` call and overlap in flight.
     Run(Vec<RoundPlan>),
     /// Add this many fresh clients as a struct-of-arrays
     /// [`vuvuzela_core::cohort::ClientCohort`]: they build requests in
@@ -71,8 +71,10 @@ pub enum Step {
         link: usize,
     },
     /// Attach a stall tap to chain link `link`: every forward transfer
-    /// sleeps `millis`, modelling a slow server. Must not change any
-    /// round's bytes (the slowdown scenario's twin-run test pins this).
+    /// sleeps `millis`, modelling a slow server. In process that costs
+    /// wall time only — the schedule's interleaving comes from the chain
+    /// seed, not the clock — and it must not change any round's bytes
+    /// (the slowdown scenario's twin-run test pins this).
     StallLink {
         /// Chain-link index to stall.
         link: usize,
@@ -379,7 +381,7 @@ fn idle_cover() -> Scenario {
 }
 
 /// A server stalls 3 ms per forward hop mid-chain while a mixed
-/// schedule streams past it. Timing changes; bytes must not — the
+/// schedule passes it. Timing changes; bytes must not — the
 /// integration tests run the stall-free twin and assert identical
 /// round records.
 fn server_slowdown() -> Scenario {

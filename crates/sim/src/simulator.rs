@@ -1,7 +1,9 @@
 //! The deployment simulator: executes a [`Scenario`] over a real
-//! [`StreamingChain`] and two [`ClientCohort`]s — the scripted clients
-//! and the bulk population — emitting the canonical transcript and
-//! checking every invariant per round.
+//! [`Chain`] and two [`ClientCohort`]s — the scripted clients and the
+//! bulk population — emitting the canonical transcript and checking
+//! every invariant per round. Each `Run` step is one [`Chain::run`]
+//! call: a window of rounds in flight on the calling thread, in the
+//! one interleaving the chain seed picks.
 //!
 //! See the crate docs for the script format, the determinism contract
 //! and the round-abort semantics. Script *misuse* (dialing with no free
@@ -24,10 +26,9 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_adversary::taps::{CrashOnRound, StallLink};
 use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
-use vuvuzela_core::chain::{Abort, Batch, RoundOutcome, RoundSpec};
+use vuvuzela_core::chain::{Abort, Batch, Chain, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
-use vuvuzela_core::pipeline::StreamingChain;
 use vuvuzela_core::RoundBuffer;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
@@ -157,7 +158,7 @@ impl RoundMeta {
 /// either way.
 pub struct Simulator {
     scenario: Scenario,
-    chain: StreamingChain,
+    chain: Chain,
     config: SystemConfig,
     /// The scripted clients, addressed by the per-client steps. Their
     /// round randomness is keyed by the scenario seed, their keys come
@@ -217,7 +218,7 @@ impl Simulator {
             retransmit_after: scenario.retransmit_after,
             exchange_shards: scenario.exchange_shards,
         };
-        let chain = StreamingChain::new(config.clone(), scenario.seed);
+        let chain = Chain::new(config.clone(), scenario.seed);
         let server_pks = chain.server_public_keys();
         let tables = ClientCohort::chain_tables(&server_pks);
         let clients = ClientCohort::new(config.clone(), scenario.seed, &server_pks, tables.clone());
@@ -493,7 +494,7 @@ impl Simulator {
 
     /// The underlying deployment: observables, links, meters, servers.
     #[must_use]
-    pub fn chain(&self) -> &StreamingChain {
+    pub fn chain(&self) -> &Chain {
         &self.chain
     }
 
@@ -502,7 +503,7 @@ impl Simulator {
     /// the way tests prove the invariant checker catches real tampering
     /// (a tap that drops requests mid-chain must fail the round it
     /// touches).
-    pub fn chain_mut(&mut self) -> &mut StreamingChain {
+    pub fn chain_mut(&mut self) -> &mut Chain {
         &mut self.chain
     }
 
@@ -652,7 +653,6 @@ impl Simulator {
     /// On script misuse: the link is already tapped.
     fn attach_exclusive_tap(&mut self, link: usize, tap: Arc<Mutex<dyn Tap>>) {
         self.chain
-            .chain_mut()
             .link_mut(link)
             .try_attach_tap(tap)
             .unwrap_or_else(|err| {
@@ -756,9 +756,9 @@ impl Simulator {
     /// Round-abort semantics (see the crate docs): the whole schedule
     /// yields nothing; servers and clients discard the dead rounds'
     /// state; the conservative ledger still charges every scheduled
-    /// round. Nothing timing-dependent reaches the transcript: which
-    /// rounds `abort` names depends on where the pipeline stopped, so
-    /// the transcript lists every scheduled round.
+    /// round. Nothing schedule-dependent reaches the transcript: which
+    /// rounds `abort` names depends on where the window stood, so the
+    /// transcript lists every scheduled round.
     fn process_abort(
         &mut self,
         metas: &[RoundMeta],
@@ -777,7 +777,7 @@ impl Simulator {
         self.transcript
             .push(format!("schedule aborted rounds [{}]", rounds.join(",")));
         if let Some(link) = crash_link {
-            self.chain.chain_mut().link_mut(link).detach_tap();
+            self.chain.link_mut(link).detach_tap();
         }
         let _dropped = self.chain.abort_in_flight_rounds();
         self.clients.expire_pending(self.next_round);
@@ -816,7 +816,7 @@ impl Simulator {
             // The fault was armed but its round drained before the
             // hang-up could land — not expected for bundled scenarios,
             // but defined: detach and continue.
-            self.chain.chain_mut().link_mut(link).detach_tap();
+            self.chain.link_mut(link).detach_tap();
         }
         let chain_len = self.config.chain_len as u64;
         let (conv_singles, conv_pairs) = self.conversation_noise_bounds();
@@ -900,7 +900,7 @@ impl Simulator {
 
         // Clean drain: no server may retain any round state.
         for i in 0..self.config.chain_len {
-            let in_flight = self.chain.chain().server(i).in_flight_rounds();
+            let in_flight = self.chain.server(i).in_flight_rounds();
             if in_flight != 0 {
                 self.note(Err(InvariantViolation {
                     round: None,
@@ -961,7 +961,6 @@ impl Simulator {
             observables: &observables,
             client_link_forward: self
                 .chain
-                .chain()
                 .client_link()
                 .round_traffic(round, Direction::Forward),
             onion_width,
@@ -1067,7 +1066,7 @@ impl Simulator {
             }
         };
         let onion_width = onion::wrapped_len(DIAL_REQUEST_LEN, self.config.chain_len) as u64;
-        let client_link = self.chain.chain().client_link();
+        let client_link = self.chain.client_link();
         let check = DialingRoundCheck {
             round,
             participants: total_participants as u64,
@@ -1166,7 +1165,6 @@ impl Simulator {
         round: u64,
     ) -> Option<&vuvuzela_core::observables::ConversationObservables> {
         self.chain
-            .chain()
             .conversation_observables()
             .iter()
             .rev()
@@ -1179,7 +1177,6 @@ impl Simulator {
         round: u64,
     ) -> Option<&vuvuzela_core::observables::DialingObservables> {
         self.chain
-            .chain()
             .dialing_observables()
             .iter()
             .rev()
@@ -1198,7 +1195,7 @@ impl Simulator {
         chain_len: u64,
     ) -> Result<(), SimError> {
         for position in self.observed.clone() {
-            let link = self.chain.chain().links()[position].clone();
+            let link = self.chain.links()[position].clone();
             let mut taps = Vec::new();
             for &round in shapes.keys() {
                 for direction in [Direction::Forward, Direction::Backward] {

@@ -198,10 +198,7 @@ pub fn soak_case(base: Scenario, strategy: AdversaryStrategy) -> SoakCase {
 pub fn run_soak_case(case: &SoakCase) -> SoakOutcome {
     let mut sim = Simulator::new(case.scenario.clone());
     if let Some(tap) = case.strategy.build_tap() {
-        sim.chain_mut()
-            .chain_mut()
-            .link_mut(ADVERSARY_LINK)
-            .attach_tap(tap);
+        sim.chain_mut().link_mut(ADVERSARY_LINK).attach_tap(tap);
     }
     let (report, violations) = sim.run_collecting();
     let tripped: BTreeSet<&'static str> = violations.iter().map(|v| v.invariant).collect();

@@ -145,7 +145,7 @@ fn view_records_every_completed_round_with_the_last_servers_observables() {
     for step in steps {
         sim.step(step).expect("steady_state passes its invariants");
     }
-    let chain = sim.chain().chain();
+    let chain = sim.chain();
     let conversation: Vec<_> = chain
         .conversation_observables()
         .iter()

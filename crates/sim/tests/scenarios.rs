@@ -234,7 +234,7 @@ fn invariant_checker_catches_real_tampering() {
         indices: (0..7).collect(), // drops the 8th request
         only_round: None,
     }));
-    sim.chain_mut().chain_mut().link_mut(0).attach_tap(tap);
+    sim.chain_mut().link_mut(0).attach_tap(tap);
     let err = sim.run().expect_err("tampering must violate an invariant");
     let msg = err.to_string();
     // The deleted onion surfaces either as a short reply batch
@@ -271,7 +271,7 @@ fn tampered_dialing_round_never_trips_forward_only() {
         denominator: 2,
         window: RoundWindow::only(1), // round 1 is the dialing round
     }));
-    sim.chain_mut().chain_mut().link_mut(0).attach_tap(tap);
+    sim.chain_mut().link_mut(0).attach_tap(tap);
     let (report, violations) = sim.run_collecting();
     assert_eq!(report.schedules_aborted, 0, "tampering must not wedge");
     assert!(
@@ -323,7 +323,7 @@ fn observer_on_the_tampered_link_sees_the_untampered_forward_batches() {
         denominator: 3,
         window: RoundWindow::ALL,
     }));
-    sim.chain_mut().chain_mut().link_mut(0).attach_tap(tap);
+    sim.chain_mut().link_mut(0).attach_tap(tap);
     let (report, violations) = sim.run_collecting();
 
     let forward = |report: &SimReport| -> Vec<TapBatch> {

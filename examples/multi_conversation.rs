@@ -71,7 +71,7 @@ fn main() -> Result<(), SimError> {
 
     // Every client sent exactly 3 requests per round, busy or idle:
     // rounds 2 and 3 are the conversation rounds.
-    let client_link = sim.chain().chain().client_link();
+    let client_link = sim.chain().client_link();
     for round in [2, 3] {
         let (requests, _) = client_link.round_traffic(round, Direction::Forward);
         println!(

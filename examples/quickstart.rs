@@ -60,7 +60,7 @@ fn main() -> Result<(), SimError> {
     }
 
     // What the (compromised) last server saw: only a noised histogram.
-    let (_, obs) = sim.chain().chain().conversation_observables()[0];
+    let (_, obs) = sim.chain().conversation_observables()[0];
     println!(
         "\nlast server observed: m1={} single-access drops, m2={} double-access drops",
         obs.m1, obs.m2

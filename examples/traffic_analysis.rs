@@ -110,7 +110,6 @@ fn run_disruption(noised: bool, talking: bool) -> Result<(u64, BTreeSet<&'static
     // The compromised first server keeps only Alice's and Bob's requests
     // (clients 0 and 1 in batch order on the clients→entry link).
     sim.chain_mut()
-        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(KeepOnly {
             indices: vec![alice, bob],
@@ -120,7 +119,6 @@ fn run_disruption(noised: bool, talking: bool) -> Result<(u64, BTreeSet<&'static
 
     sim.step(Step::Run(vec![RoundPlan::Conversation]))?;
     let (_, obs) = *sim
-        .chain()
         .chain()
         .conversation_observables()
         .last()

@@ -44,7 +44,7 @@ fn main() -> Result<(), SimError> {
 
     // ---- Audit the adversary's view: every link's per-round log. ----
     println!("adversary's captured view, link by link:");
-    let chain = sim.chain().chain();
+    let chain = sim.chain();
     let links = std::iter::once(chain.client_link()).chain(chain.links());
     for (i, link) in links.enumerate() {
         for ((round, direction), (count, bytes)) in link.round_traffic_log() {
@@ -67,7 +67,7 @@ fn main() -> Result<(), SimError> {
     );
 
     // The only leak: the noised (m1, m2) histogram, bounded by DP.
-    let (_, obs) = sim.chain().chain().conversation_observables()[0];
+    let (_, obs) = sim.chain().conversation_observables()[0];
     let dist = sim.chain().config().conversation_noise;
     let round = conversation_round(dist.mu, dist.b);
     println!(

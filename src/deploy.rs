@@ -422,8 +422,8 @@ fn drive<E>(
     Ok(transcript.render())
 }
 
-/// Replays the schedule on the in-process sequential [`Chain`] — the
-/// reference transcript every distributed run is diffed against.
+/// Replays the schedule on the in-process [`Chain`], one round per call
+/// — the reference transcript every distributed run is diffed against.
 ///
 /// # Panics
 ///
@@ -460,9 +460,9 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
 /// `depth` is the admission-window size in weighted slots (clamped to
 /// `1..=chain_len`, the entry's own window): with `depth == 1` rounds
 /// run strictly sequentially; deeper windows keep several rounds in
-/// flight, fed by [`feed_window`] — the feeder the in-process
-/// [`vuvuzela_core::StreamingChain`] uses too — so heavyweight rounds
-/// consume more of the window. Backward frames return in admission
+/// flight, fed by [`feed_window`] under the same weighted window the
+/// in-process [`Chain::run`] keeps, so heavyweight rounds consume more
+/// of the window. Backward frames return in admission
 /// order, and the cohort sees no reply before every round is built, so
 /// the transcript is byte-identical at every depth.
 ///

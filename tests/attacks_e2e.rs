@@ -70,7 +70,6 @@ fn connect(sim: &mut Simulator, caller: usize, callee: usize) -> Result<(), SimE
 /// collecting: every later round is tampered with.
 fn tamper(sim: &mut Simulator, tap: impl Tap + 'static) {
     sim.chain_mut()
-        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(tap)));
     sim.tolerate_violations();
@@ -83,7 +82,6 @@ fn tripped(sim: &Simulator) -> BTreeSet<&'static str> {
 
 fn last_m2(sim: &Simulator) -> u64 {
     sim.chain()
-        .chain()
         .conversation_observables()
         .last()
         .expect("round ran")
@@ -202,7 +200,7 @@ fn blocking_attack_reveals_conversation_without_noise() -> Result<(), SimError> 
     );
     run(&mut sim, RoundPlan::Conversation)?; // round 2: alice blocked
 
-    let obs = sim.chain().chain().conversation_observables();
+    let obs = sim.chain().conversation_observables();
     let m2_online = obs[0].1.m2;
     let m2_blocked = obs[1].1.m2;
     assert_eq!(m2_online, 1);
@@ -280,7 +278,7 @@ fn no_noise_leaks_exact_conversation_count() -> Result<(), SimError> {
     connect(&mut sim, ALICE, BOB)?;
     run(&mut sim, RoundPlan::Conversation)?;
 
-    let (_, obs) = sim.chain().chain().conversation_observables()[0];
+    let (_, obs) = sim.chain().conversation_observables()[0];
     // The adversary reads the truth straight off the histogram:
     // exactly one conversation (m2 = 1), one lone user (m1 = 1).
     assert_eq!(obs.m2, 1);

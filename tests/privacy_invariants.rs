@@ -37,7 +37,7 @@ fn default_net(seed: u64, users: usize) -> Result<Simulator, SimError> {
 /// Every link a global passive adversary watches: the clients link
 /// first, then the hops. Each link's per-round log is what it saw.
 fn links(sim: &Simulator) -> Vec<Link> {
-    let chain = sim.chain().chain();
+    let chain = sim.chain();
     std::iter::once(chain.client_link())
         .chain(chain.links())
         .cloned()
@@ -142,7 +142,7 @@ fn noise_accounting_matches_paper() -> Result<(), SimError> {
     let mut sim = net(deployment(mu, 3), 2)?;
     run(&mut sim, RoundPlan::Conversation)?;
 
-    let (_, obs) = sim.chain().chain().conversation_observables()[0];
+    let (_, obs) = sim.chain().conversation_observables()[0];
     // 2 users + 2 noising servers × 2µ.
     assert_eq!(obs.total_requests, 2 + 2 * (2.0 * mu) as u64);
     // All noise: µ singles + µ/2 pairs per noising server; users idle → 2 lone.
@@ -167,7 +167,6 @@ fn observable_model_cross_validates_against_chain() -> Result<(), SimError> {
     connect(&mut sim)?;
     run(&mut sim, RoundPlan::Conversation)?;
     let (_, chain_obs) = *sim
-        .chain()
         .chain()
         .conversation_observables()
         .last()
@@ -233,7 +232,6 @@ fn observable_model_cross_validates_in_sampled_mode() -> Result<(), SimError> {
         run(&mut sim, RoundPlan::Conversation)?;
         let (round, chain_obs) = *sim
             .chain()
-            .chain()
             .conversation_observables()
             .last()
             .expect("round");
@@ -279,7 +277,7 @@ fn dialing_noise_covers_unused_drops() -> Result<(), SimError> {
     let mut sim = net(scenario, 2)?;
     run(&mut sim, RoundPlan::Dialing)?; // nobody dials
 
-    let (_, obs) = &sim.chain().chain().dialing_observables()[0];
+    let (_, obs) = &sim.chain().dialing_observables()[0];
     assert_eq!(obs.counts.len(), 4);
     for (i, &count) in obs.counts.iter().enumerate() {
         assert_eq!(
@@ -309,7 +307,6 @@ fn malformed_clients_cannot_break_honest_ones() -> Result<(), SimError> {
 
     let mut sim = net(deployment(4.0, 9), 2)?;
     sim.chain_mut()
-        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(GarbageInjector)));
     sim.tolerate_violations();
@@ -361,7 +358,6 @@ fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
     // The clients→entry link logged every per-round forward batch.
     let forward: Vec<(u64, (u64, u64))> = sim
         .chain()
-        .chain()
         .client_link()
         .round_traffic_log()
         .into_iter()
@@ -389,7 +385,6 @@ fn offline_peer_leaves_partner_stream_unchanged() -> Result<(), SimError> {
     // transition: totals change by exactly Bob's one request, and the
     // pair access silently becomes a single access.
     let obs: Vec<_> = sim
-        .chain()
         .chain()
         .conversation_observables()
         .iter()

@@ -94,7 +94,6 @@ fn delay_is_equivalent_to_drop() -> Result<(), SimError> {
     sim.step(Step::AcceptAll)?;
 
     sim.chain_mut()
-        .chain_mut()
         .client_link_mut()
         .attach_tap(Arc::new(Mutex::new(DelayBatch::over(RoundWindow::ALL, 1))));
     sim.tolerate_violations();
@@ -111,7 +110,7 @@ fn delay_is_equivalent_to_drop() -> Result<(), SimError> {
     // Nothing is ever delivered: each delayed batch arrives one round
     // stale and fails authentication at server 0.
     assert!(sim.clients().all_delivered(bob).is_empty());
-    let chain = sim.chain().chain();
+    let chain = sim.chain();
     assert!(chain.server(0).malformed_replaced > 0);
 
     // The observables during the delayed rounds contain exactly the

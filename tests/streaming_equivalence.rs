@@ -1,9 +1,10 @@
-//! Property tests: the streaming round scheduler is byte-identical to
-//! the sequential chain.
+//! Property tests: the threaded round scheduler is byte-identical to
+//! the chain run one round at a time.
 //!
 //! [`StreamingChain`] overlaps hops across a weighted window of
-//! in-flight rounds; nothing observable may change relative to running
-//! the same rounds one at a time through [`Chain`]: per-round replies,
+//! in-flight rounds on one thread per node; nothing observable may change
+//! relative to feeding the same rounds to [`Chain`] one per call (window
+//! 1, one frame in flight): per-round replies,
 //! dead-drop observables, dialing drops, per-round link traffic, and
 //! tap-visible batches must all agree for equal seeds — across chain
 //! lengths, batch sizes, noise levels, schedules of ≥3 overlapped
@@ -68,15 +69,22 @@ fn client_rounds(pks: &[PublicKey], rounds: usize, clients: usize, seed: u64) ->
 }
 
 /// Runs `specs` on both chains: the streaming outcomes, then the
-/// sequential ones.
+/// sequential ones, one spec per call.
 fn run_both(
     streaming: &mut StreamingChain,
     sequential: &mut Chain,
     specs: Vec<RoundSpec>,
 ) -> (Vec<RoundOutcome>, Vec<RoundOutcome>) {
     let streamed = streaming.run(specs.clone()).expect("schedule completes");
-    let expected = sequential.run(specs).expect("rounds complete");
-    (streamed, expected)
+    (streamed, one_per_call(sequential, specs))
+}
+
+/// Feeds `specs` to `chain` one per call: window 1, the carry loop.
+fn one_per_call(chain: &mut Chain, specs: Vec<RoundSpec>) -> Vec<RoundOutcome> {
+    specs
+        .into_iter()
+        .map(|spec| chain.run(vec![spec]).expect("round completes").remove(0))
+        .collect()
 }
 
 proptest! {
@@ -470,9 +478,12 @@ impl Tap for HangUpReplies {
 /// link under round 2's forward batch, on the clients link and on each
 /// of the three hop links, or the clients link hung up under round 2's
 /// replies — ends the run with an `Abort` in both runtimes, never a
-/// panic or a hang. After `abort_in_flight_rounds` the same deployment
-/// runs fresh round ids byte-identically to a new one: round randomness
-/// is a pure function of `(seed, round)`.
+/// panic or a hang. Fed one spec per call, `Chain` loses the crashed
+/// round alone; given the whole schedule, it loses exactly the rounds
+/// its seeded schedule had admitted and not completed. After
+/// `abort_in_flight_rounds` the same deployment runs fresh round ids
+/// byte-identically to a new one: round randomness is a pure function
+/// of `(seed, round)`.
 #[test]
 fn crashed_link_aborts_both_runtimes_and_they_recover() {
     let (seed, num_drops, crash) = (505, 2, 2);
@@ -488,15 +499,16 @@ fn crashed_link_aborts_both_runtimes_and_they_recover() {
     let mut fresh = Chain::new(config.clone(), seed);
     let want = fresh.run(recovery.clone()).expect("fresh rounds complete");
 
-    // (link, whether the hang-up comes under the replies)
-    let cases = [
-        (LinkId::Clients, false),
-        (LinkId::Hop(0), false),
-        (LinkId::Hop(1), false),
-        (LinkId::Hop(2), false),
-        (LinkId::Clients, true),
+    // (link, whether the hang-up comes under the replies, the rounds the
+    // whole-schedule call aborts)
+    let cases: [(LinkId, bool, &[u64]); 5] = [
+        (LinkId::Clients, false, &[0, 1, 2]),
+        (LinkId::Hop(0), false, &[0, 1, 2]),
+        (LinkId::Hop(1), false, &[0, 1, 2]),
+        (LinkId::Hop(2), false, &[1, 2, 3]),
+        (LinkId::Clients, true, &[2, 3, 4]),
     ];
-    for (link, replies) in cases {
+    for (link, replies, windowed_rounds) in cases {
         let crash_on = |chain: &mut Chain| {
             let tap: Arc<Mutex<dyn Tap>> = if replies {
                 Arc::new(Mutex::new(HangUpReplies(Some(crash))))
@@ -511,9 +523,11 @@ fn crashed_link_aborts_both_runtimes_and_they_recover() {
 
         let mut sequential = Chain::new(config.clone(), seed);
         crash_on(&mut sequential);
-        let abort = sequential
-            .run(schedule.clone())
-            .expect_err("the crash aborts the run");
+        let abort = schedule
+            .iter()
+            .cloned()
+            .find_map(|spec| sequential.run(vec![spec]).err())
+            .expect("the crash aborts the run");
         assert_eq!(abort.rounds, vec![crash], "{link}: {abort}");
         assert!(
             matches!(abort.cause, Error::Disconnected { link: cut } if cut == link),
@@ -522,6 +536,20 @@ fn crashed_link_aborts_both_runtimes_and_they_recover() {
         sequential.abort_in_flight_rounds();
         let outcomes = sequential.run(recovery.clone()).expect("recovers");
         assert_recovered(&sequential, &outcomes, &fresh, &want, 6);
+
+        let mut windowed = Chain::new(config.clone(), seed);
+        crash_on(&mut windowed);
+        let abort = windowed
+            .run(schedule.clone())
+            .expect_err("the crash aborts the schedule");
+        assert_eq!(abort.rounds, windowed_rounds, "{link}: {abort}");
+        assert_eq!(
+            abort.cause.to_string(),
+            format!("peer on {link} disconnected")
+        );
+        windowed.abort_in_flight_rounds();
+        let outcomes = windowed.run(recovery.clone()).expect("recovers");
+        assert_recovered(&windowed, &outcomes, &fresh, &want, 6);
 
         let mut streaming = StreamingChain::new(config.clone(), seed).with_max_in_flight(3);
         crash_on(streaming.chain_mut());
@@ -742,12 +770,14 @@ fn golden_pins(chain: &mut Chain, outcomes: &[RoundOutcome]) -> [String; 5] {
 }
 
 /// Known answers for a whole chain round, taken on the sequential chain
-/// at the commit before it became the hop loop's window-1 schedule: the
-/// sequential chain and the streaming one at windows 1, 2 and 3 must all
-/// still produce exactly these bytes. The links pin was re-taken when
-/// client batches became arenas at the entry: round 0's garbage entry now
-/// crosses the clients link as a slot of the onion width, not its own 500
-/// bytes; the other four pins did not move.
+/// at the commit before it became the hop loop's window-1 schedule:
+/// `Chain` fed one spec per call (window 1) and given the whole schedule
+/// in one call (window 3, its seeded interleaving), and the streaming
+/// chain at windows 1, 2 and 3, must all still produce exactly these
+/// bytes. The links pin was re-taken when client batches became arenas
+/// at the entry: round 0's garbage entry now crosses the clients link as
+/// a slot of the onion width, not its own 500 bytes; the other four pins
+/// did not move.
 #[test]
 fn golden_pins_for_a_mixed_chain3_schedule() {
     const WANT: [&str; 5] = [
@@ -764,8 +794,17 @@ fn golden_pins_for_a_mixed_chain3_schedule() {
 
     let mut sequential = Chain::new(config.clone(), seed);
     sequential.link_mut(1).attach_tap(tap());
-    let outcomes = sequential.run(specs.clone()).expect("rounds complete");
-    assert_eq!(golden_pins(&mut sequential, &outcomes), WANT, "sequential");
+    let outcomes = one_per_call(&mut sequential, specs.clone());
+    assert_eq!(
+        golden_pins(&mut sequential, &outcomes),
+        WANT,
+        "one spec per call"
+    );
+
+    let mut windowed = Chain::new(config.clone(), seed);
+    windowed.link_mut(1).attach_tap(tap());
+    let outcomes = windowed.run(specs.clone()).expect("rounds complete");
+    assert_eq!(golden_pins(&mut windowed, &outcomes), WANT, "one call");
 
     for window in 1..=3 {
         let mut streaming = StreamingChain::new(config.clone(), seed).with_max_in_flight(window);
