@@ -27,10 +27,9 @@ use vuvuzela_baseline::broadcast;
 use vuvuzela_bench::report::{secs, write_json, Table};
 use vuvuzela_bench::workload::{conversation_batch, dialing_batch};
 use vuvuzela_bench::CostModel;
-use vuvuzela_core::chain::RoundTiming;
 use vuvuzela_core::entry;
 use vuvuzela_core::server::RoundKind;
-use vuvuzela_core::{Chain, RoundBuffer, SystemConfig};
+use vuvuzela_core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::Keypair;
 use vuvuzela_dp::accounting::conversation_round;
@@ -170,16 +169,18 @@ fn admitted(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> RoundBuf
 }
 
 /// One conversation round by `users` paired clients through a fresh
-/// chain; `timing.total` is the round alone, without the client wrap.
-fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, Vec<Vec<u8>>, RoundTiming) {
+/// chain; its `timing().total` is the round alone, without the client
+/// wrap.
+fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, RoundOutcome) {
     let mut chain = Chain::new(config, 1);
     let pks = chain.server_public_keys();
     let onions = conversation_batch(users, 0, &pks, default_workers(), seed);
-    let batch = admitted(RoundKind::Conversation, pks.len(), onions);
-    let (replies, timing) = chain
-        .run_conversation_round(0, batch)
-        .expect("an untapped chain completes every round");
-    (chain, replies, timing)
+    let batch = admitted(RoundKind::Conversation, pks.len(), onions).into();
+    let outcome = chain
+        .run(vec![RoundSpec::Conversation { round: 0, batch }])
+        .expect("an untapped chain completes every round")
+        .remove(0);
+    (chain, outcome)
 }
 
 /// One dialing round on `chain`: `dialers` of `users` send a real
@@ -187,10 +188,16 @@ fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, Vec<Vec<u8
 fn dial_round(chain: &mut Chain, users: u64, dialers: u64, drops: u32, seed: u64) -> f64 {
     let pks = chain.server_public_keys();
     let onions = dialing_batch(users, dialers, drops, 0, &pks, default_workers(), seed);
-    let batch = admitted(RoundKind::Dialing { num_drops: drops }, pks.len(), onions);
+    let batch = admitted(RoundKind::Dialing { num_drops: drops }, pks.len(), onions).into();
+    let spec = RoundSpec::Dialing {
+        round: 0,
+        batch,
+        num_drops: drops,
+    };
     chain
-        .run_dialing_round(0, batch, drops)
-        .expect("an untapped chain completes every round")
+        .run(vec![spec])
+        .expect("an untapped chain completes every round")[0]
+        .timing()
         .total
         .as_secs_f64()
 }
@@ -269,9 +276,9 @@ fn observe_world(alice: &Keypair, partners: &[Keypair], action: Option<usize>) -
         .iter()
         .map(|r| onion::wrap(&mut rng, &pks, round, &r.encode()).0)
         .collect();
-    let batch = admitted(RoundKind::Conversation, pks.len(), onions);
+    let batch = admitted(RoundKind::Conversation, pks.len(), onions).into();
     chain
-        .run_conversation_round(round, batch)
+        .run(vec![RoundSpec::Conversation { round, batch }])
         .expect("an untapped chain completes every round");
     let (_, obs) = chain.conversation_observables()[0];
     (obs.m1, obs.m2)
@@ -403,7 +410,8 @@ fn fig9_conv_latency(setup: &Setup) -> Value {
     for mu in [1_000.0, 2_000.0, 3_000.0] {
         for &users in setup.users_scaled() {
             let config = system(3, NoiseMode::Deterministic, mu, 1.0);
-            let (_, _, timing) = conv_round(config, users, users ^ mu as u64);
+            let (_, outcome) = conv_round(config, users, users ^ mu as u64);
+            let timing = outcome.timing();
             let measured = timing.total.as_secs_f64();
             let forward: f64 = timing.forward.iter().map(|d| d.as_secs_f64()).sum();
 
@@ -523,7 +531,8 @@ fn fig11_chain_scaling(setup: &Setup) -> Value {
 
     for n in 1..=longest {
         let config = system(n, NoiseMode::Deterministic, mu, 1.0);
-        let measured = conv_round(config, users, n as u64).2.total.as_secs_f64();
+        let (_, outcome) = conv_round(config, users, n as u64);
+        let measured = outcome.timing().total.as_secs_f64();
         measurements.push(measured);
         let dh_only = local.predict_conversation_secs(users, mu, n);
         let scaled = paper.with_overhead(measured / dh_only);
@@ -572,7 +581,8 @@ fn tab_bandwidth(_: &Setup) -> Value {
     // --- Small real deployment to validate the closed forms. ---
     let users: u64 = 500;
     let config = system(3, NoiseMode::Deterministic, 200.0, 50.0);
-    let (mut chain, replies, _) = conv_round(config, users, 9);
+    let (mut chain, outcome) = conv_round(config, users, 9);
+    let replies = outcome.replies().expect("a conversation round");
 
     let expected_request = (EXCHANGE_REQUEST_LEN + 3 * onion::LAYER_OVERHEAD) as u64;
     let expected_reply = (SEALED_MESSAGE_LEN + 3 * onion::REPLY_LAYER_OVERHEAD) as u64;
@@ -792,7 +802,8 @@ fn abl_noise_placement(_: &Setup) -> Value {
     ] {
         let config = system(chain_len, NoiseMode::Deterministic, mu, 1.0);
         let noise = config.conversation_noise;
-        let measured = conv_round(config, users, 5).2.total.as_secs_f64();
+        let (_, outcome) = conv_round(config, users, 5);
+        let measured = outcome.timing().total.as_secs_f64();
 
         // Privacy per round from ONE honest server's noise, in the best
         // case that the honest server is a noising one: concentrated,

@@ -441,52 +441,6 @@ impl Chain {
         &self.config
     }
 
-    /// Runs one conversation round over an already-multiplexed batch of
-    /// client onions. Returns per-request replies (in batch order) and
-    /// stage timings.
-    ///
-    /// # Errors
-    ///
-    /// The round's [`Abort`], as [`Chain::run`] returns it.
-    pub fn run_conversation_round(
-        &mut self,
-        round: u64,
-        batch: impl Into<Batch>,
-    ) -> Result<(Vec<Vec<u8>>, RoundTiming), Abort> {
-        let batch = batch.into();
-        match self
-            .run(vec![RoundSpec::Conversation { round, batch }])?
-            .pop()
-        {
-            Some(RoundOutcome::Conversation { replies, timing }) => Ok((replies, timing)),
-            _ => unreachable!("one outcome, matching its spec"),
-        }
-    }
-
-    /// Runs one dialing round (forward-only; §5). The resulting
-    /// invitation drops are retained for [`Chain::download_drop`].
-    ///
-    /// # Errors
-    ///
-    /// The round's [`Abort`], as [`Chain::run`] returns it.
-    pub fn run_dialing_round(
-        &mut self,
-        round: u64,
-        batch: impl Into<Batch>,
-        num_drops: u32,
-    ) -> Result<RoundTiming, Abort> {
-        let batch = batch.into();
-        let spec = RoundSpec::Dialing {
-            round,
-            batch,
-            num_drops,
-        };
-        match self.run(vec![spec])?.pop() {
-            Some(RoundOutcome::Dialing { timing }) => Ok(timing),
-            _ => unreachable!("one outcome, matching its spec"),
-        }
-    }
-
     /// Runs a (possibly mixed) schedule on the calling thread and returns
     /// the per-round [`RoundOutcome`]s in input order: a discrete-event
     /// schedule of the hop loop's frame handler, one `ServerNode` per hop.
@@ -815,6 +769,15 @@ mod tests {
         batch
     }
 
+    /// One conversation round, as one spec handed to [`Chain::run`].
+    fn converse(chain: &mut Chain, round: u64, batch: RoundBuffer) -> RoundOutcome {
+        let spec = RoundSpec::Conversation {
+            round,
+            batch: batch.into(),
+        };
+        chain.run(vec![spec]).expect("round completes").remove(0)
+    }
+
     #[test]
     fn conversation_round_roundtrips_an_exchange() {
         let mut chain = Chain::new(tiny_config(3), 1);
@@ -834,12 +797,12 @@ mod tests {
         let (onion_a, keys_a) = make(0xAA, &mut rng);
         let (onion_b, keys_b) = make(0xBB, &mut rng);
 
-        let (replies, timing) = chain
-            .run_conversation_round(0, arena(RoundKind::Conversation, 3, &[onion_a, onion_b]))
-            .expect("round completes");
+        let batch = arena(RoundKind::Conversation, 3, &[onion_a, onion_b]);
+        let outcome = converse(&mut chain, 0, batch);
+        let replies = outcome.replies().expect("a conversation round");
         assert_eq!(replies.len(), 2);
-        assert_eq!(timing.forward.len(), 3);
-        assert_eq!(timing.backward.len(), 3);
+        assert_eq!(outcome.timing().forward.len(), 3);
+        assert_eq!(outcome.timing().backward.len(), 3);
 
         let a_reply = onion::unwrap_reply_layers(&keys_a, 0, &replies[0]).expect("a unwraps");
         let b_reply = onion::unwrap_reply_layers(&keys_b, 0, &replies[1]).expect("b unwraps");
@@ -864,9 +827,8 @@ mod tests {
             sealed_message: vec![0x77; SEALED_MESSAGE_LEN],
         };
         let (onion0, keys) = onion::wrap(&mut rng, &pks, 3, &request.encode());
-        let (replies, _) = chain
-            .run_conversation_round(3, arena(RoundKind::Conversation, 2, &[onion0]))
-            .expect("round completes");
+        let outcome = converse(&mut chain, 3, arena(RoundKind::Conversation, 2, &[onion0]));
+        let replies = outcome.replies().expect("a conversation round");
         let reply = onion::unwrap_reply_layers(&keys, 3, &replies[0]).expect("unwraps");
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
         assert_ne!(reply, vec![0x77; EXCHANGE_RESPONSE_LEN], "not an echo");
@@ -875,10 +837,8 @@ mod tests {
     #[test]
     fn empty_round_still_carries_noise() {
         let mut chain = Chain::new(tiny_config(3), 3);
-        let (replies, _) = chain
-            .run_conversation_round(0, arena(RoundKind::Conversation, 3, &[]))
-            .expect("round completes");
-        assert!(replies.is_empty());
+        let outcome = converse(&mut chain, 0, arena(RoundKind::Conversation, 3, &[]));
+        assert_eq!(outcome.replies().map(<[_]>::len), Some(0));
         let (_, obs) = chain.conversation_observables()[0];
         // Two noising servers × (4 singles + 2 pairs × 2 requests) = 16.
         assert_eq!(obs.total_requests, 16);
@@ -893,9 +853,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let request = ExchangeRequest::noise(&mut rng);
         let (onion0, keys) = onion::wrap(&mut rng, &pks, 0, &request.encode());
-        let (replies, _) = chain
-            .run_conversation_round(0, arena(RoundKind::Conversation, 1, &[onion0]))
-            .expect("round completes");
+        let outcome = converse(&mut chain, 0, arena(RoundKind::Conversation, 1, &[onion0]));
+        let replies = outcome.replies().expect("a conversation round");
         let reply = onion::unwrap_reply_layers(&keys, 0, &replies[0]).expect("unwraps");
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
     }
@@ -920,14 +879,13 @@ mod tests {
         };
         let (onion0, _) = onion::wrap(&mut rng, &pks, 10, &request.encode());
 
-        let timing = chain
-            .run_dialing_round(
-                10,
-                arena(RoundKind::Dialing { num_drops }, 3, &[onion0]),
-                num_drops,
-            )
-            .expect("round completes");
-        assert_eq!(timing.forward.len(), 3);
+        let spec = RoundSpec::Dialing {
+            round: 10,
+            batch: arena(RoundKind::Dialing { num_drops }, 3, &[onion0]).into(),
+            num_drops,
+        };
+        let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
+        assert_eq!(outcome.timing().forward.len(), 3);
 
         let contents = chain.download_drop(target).expect("drop exists");
         // 1 real + 3 servers × µ_dial(=2) noise.
@@ -956,10 +914,12 @@ mod tests {
             2,
             &[garbage, vec![], vec![1, 2, 3]],
         );
-        let (replies, _) = chain
-            .run_conversation_round(0, batch)
-            .expect("round completes");
-        assert_eq!(replies.len(), 3, "alignment preserved under garbage");
+        let outcome = converse(&mut chain, 0, batch);
+        assert_eq!(
+            outcome.replies().map(<[_]>::len),
+            Some(3),
+            "alignment preserved under garbage"
+        );
         assert_eq!(chain.server(0).malformed_replaced, 3);
         // The clients link carries what the wire entry's client leg
         // carries: three slots at the onion width, whatever was in them.
@@ -1037,9 +997,7 @@ mod tests {
         let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2);
         let mut padded = RoundBuffer::new(width + 16, width);
         padded.push_with(|_| {});
-        let _ = chain
-            .run_conversation_round(0, padded)
-            .expect("round completes");
+        converse(&mut chain, 0, padded);
     }
 
     #[test]
@@ -1050,9 +1008,7 @@ mod tests {
         let payload = ExchangeRequest::noise(&mut rng).encode();
         let (onion0, _) = onion::wrap(&mut rng, &pks, 0, &payload);
         let before = chain.total_server_bytes();
-        let _ = chain
-            .run_conversation_round(0, arena(RoundKind::Conversation, 2, &[onion0]))
-            .expect("round completes");
+        converse(&mut chain, 0, arena(RoundKind::Conversation, 2, &[onion0]));
         assert!(chain.total_server_bytes() > before);
         // The server0→server1 link carries real + server0 noise.
         assert!(chain.links()[1].forward_meter().messages() > 1);

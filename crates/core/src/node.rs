@@ -721,7 +721,7 @@ pub fn feed_window<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{build_server, Chain};
+    use crate::chain::{build_server, Chain, RoundSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vuvuzela_crypto::onion;
@@ -770,8 +770,9 @@ mod tests {
     /// The full in-memory deployment: entry + 3 server nodes as threads
     /// over [`memory_pair`] endpoints, fed a mixed schedule by a client
     /// thread *pipelined* (both rounds admitted before either reply is
-    /// read), must be byte-identical to the sequential [`Chain`] on the
-    /// same seed — replies, conversation observables, dialing counts.
+    /// read), must be byte-identical to the same schedule on [`Chain::run`]
+    /// with the same seed — replies, conversation observables, dialing
+    /// counts.
     #[test]
     fn memory_nodes_match_sequential_chain() {
         let config = tiny_config(3);
@@ -814,13 +815,20 @@ mod tests {
         let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
         crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
 
-        // Reference: the sequential chain.
-        let (ref_replies, _) = chain
-            .run_conversation_round(0, conv_batch.clone())
-            .expect("round completes");
-        chain
-            .run_dialing_round(1, dial_batch.clone(), num_drops)
-            .expect("round completes");
+        // Reference: both rounds as one schedule on the chain.
+        let specs = vec![
+            RoundSpec::Conversation {
+                round: 0,
+                batch: conv_batch.clone().into(),
+            },
+            RoundSpec::Dialing {
+                round: 1,
+                batch: dial_batch.clone().into(),
+                num_drops,
+            },
+        ];
+        let outcomes = chain.run(specs).expect("schedule completes");
+        let ref_replies = outcomes[0].replies().expect("a conversation round");
         let (_, ref_conv_obs) = chain.conversation_observables()[0];
         let (_, ref_dial_obs) = chain.dialing_observables()[0].clone();
 
@@ -927,9 +935,12 @@ mod tests {
         let dial_onion = onion::wrap(&mut rng, &pks, 1, &noop).0;
         let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
         crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
-        let (want_replies, _) = chain
-            .run_conversation_round(0, conv_batch.clone())
-            .expect("round completes");
+        let spec = RoundSpec::Conversation {
+            round: 0,
+            batch: conv_batch.clone().into(),
+        };
+        let outcomes = chain.run(vec![spec]).expect("round completes");
+        let want_replies = outcomes[0].replies().expect("a conversation round");
 
         let (mut up_fars, mut down_fars, mut handles) = (Vec::new(), Vec::new(), Vec::new());
         for position in 0..3u32 {

@@ -200,9 +200,10 @@ pub enum Scale {
     Full,
 }
 
-/// The repository's bundled scenario matrix: ≥ 6 deployment dynamics
-/// over the streaming mixed-schedule pipeline, every one invariant-
-/// checked per round and transcript-hash-stable per seed.
+/// The repository's bundled scenario matrix: ≥ 6 deployment dynamics,
+/// each run on `Chain`'s seeded windowed schedule on the calling thread,
+/// every one invariant-checked per round and transcript-hash-stable per
+/// seed.
 #[must_use]
 pub fn bundled_matrix(scale: Scale) -> Vec<Scenario> {
     let population = match scale {

@@ -1,7 +1,8 @@
 //! The bundled scenario matrix as integration tests: every scenario
-//! runs through the streaming mixed-schedule pipeline with the
-//! invariant checker live, and every transcript must be byte-identical
-//! across two runs of the same seed (the determinism contract).
+//! runs on `Chain`'s seeded windowed schedule on the calling thread with
+//! the invariant checker live, and every transcript must be
+//! byte-identical across two runs of the same seed (the determinism
+//! contract).
 
 use vuvuzela_adversary::RoundView;
 use vuvuzela_sim::transcript::hex;

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use vuvuzela::core::chain::Batch;
+use vuvuzela::core::chain::RoundSpec;
 use vuvuzela::core::cohort::ClientCohort;
 use vuvuzela::core::{Chain, SystemConfig};
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -78,19 +78,25 @@ fn main() {
     );
 
     let start = Instant::now();
-    let (replies, timing) = chain
-        .run_conversation_round(round, Batch::Flat(buf))
-        .expect("an untapped chain completes every round");
+    let spec = RoundSpec::Conversation {
+        round,
+        batch: buf.into(),
+    };
+    let outcome = chain
+        .run(vec![spec])
+        .expect("an untapped chain completes every round")
+        .remove(0);
+    let replies = outcome.replies().expect("a conversation round");
     let round_secs = start.elapsed().as_secs_f64();
     println!(
         "chain round: {:.1} s total (exchange {:.1} s over 4 shards), {} replies",
         round_secs,
-        timing.exchange.as_secs_f64(),
+        outcome.timing().exchange.as_secs_f64(),
         replies.len()
     );
 
     let start = Instant::now();
-    cohort.handle_conversation_replies(round, &replies);
+    cohort.handle_conversation_replies(round, replies);
     let ingest_secs = start.elapsed().as_secs_f64();
     println!("ingested every reply in {ingest_secs:.1} s");
 

@@ -3,13 +3,12 @@
 //! driven against a live entry; writes the resulting transcript.
 //!
 //! ```text
-//! vuvuzela-client --config deploy.json --out transcript.txt [--pipeline <depth>]
+//! vuvuzela-client --config deploy.json --out transcript.txt
 //! ```
 //!
-//! `--pipeline` sets the admission-window depth: how many rounds the
-//! client keeps in flight at once (default 1, i.e. strictly
-//! sequential; clamped to the chain length). The transcript is
-//! byte-identical at every depth.
+//! The client keeps the entry's window of `chain_len` rounds in flight,
+//! the limit the entry enforces; the transcript is byte-identical to the
+//! in-process reference's, which runs one round at a time.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,39 +16,27 @@ use vuvuzela::crypto::sha256::sha256;
 use vuvuzela::deploy;
 use vuvuzela::sim::transcript::hex;
 
-fn parse_args() -> Result<(PathBuf, Option<PathBuf>, usize), String> {
+fn parse_args() -> Result<(PathBuf, Option<PathBuf>), String> {
     let mut config = None;
     let mut out = None;
-    let mut pipeline = 1;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--config" => config = Some(PathBuf::from(args.next().ok_or("--config needs a path")?)),
             "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a path")?)),
-            "--pipeline" => {
-                pipeline = args
-                    .next()
-                    .ok_or("--pipeline needs a window depth")?
-                    .parse::<usize>()
-                    .map_err(|err| format!("--pipeline: {err}"))?;
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok((
-        config.ok_or(
-            "usage: vuvuzela-client --config <deploy.json> \
-             [--out <transcript.txt>] [--pipeline <depth>]",
-        )?,
+        config.ok_or("usage: vuvuzela-client --config <deploy.json> [--out <transcript.txt>]")?,
         out,
-        pipeline,
     ))
 }
 
 fn run() -> Result<(), String> {
-    let (config_path, out, pipeline) = parse_args()?;
+    let (config_path, out) = parse_args()?;
     let cfg = deploy::load_config(&config_path)?;
-    let transcript = deploy::run_client_tcp(&cfg, pipeline).map_err(|err| err.to_string())?;
+    let transcript = deploy::run_client_tcp(&cfg).map_err(|err| err.to_string())?;
     match out {
         Some(path) => std::fs::write(&path, &transcript)
             .map_err(|err| format!("cannot write {}: {err}", path.display()))?,

@@ -2,15 +2,12 @@
 //! (optionally) diffs its transcript against the in-process reference.
 //!
 //! ```text
-//! vuvuzela-launch --config deploy.json --check --out-dir target/deploy-out \
-//!     [--pipeline <depth>]
+//! vuvuzela-launch --config deploy.json --check --out-dir target/deploy-out
 //! ```
 //!
-//! `--pipeline <depth>` additionally runs a second process set whose
-//! client keeps `depth` rounds in flight (clamped to the chain
-//! length); its transcript must match the sequential run round for
-//! round, and `--check` also diffs it against the in-process
-//! reference.
+//! One process set runs the schedule, its client keeping the entry's
+//! window of `chain_len` rounds in flight; `--check` diffs its
+//! transcript byte for byte against the in-process reference.
 //!
 //! With no `--config`, a built-in smoke deployment (3 servers,
 //! ephemeral loopback ports, a mixed 4-round schedule) is used.
@@ -27,7 +24,6 @@ struct Args {
     dump_config: bool,
     out_dir: PathBuf,
     bin_dir: Option<PathBuf>,
-    pipeline: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -37,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         dump_config: false,
         out_dir: PathBuf::from("target/deploy-out"),
         bin_dir: None,
-        pipeline: 1,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -53,13 +48,6 @@ fn parse_args() -> Result<Args, String> {
             "--bin-dir" => {
                 parsed.bin_dir = Some(PathBuf::from(args.next().ok_or("--bin-dir needs a path")?));
             }
-            "--pipeline" => {
-                parsed.pipeline = args
-                    .next()
-                    .ok_or("--pipeline needs a window depth")?
-                    .parse::<usize>()
-                    .map_err(|err| format!("--pipeline: {err}"))?;
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -73,9 +61,7 @@ fn run() -> Result<(), String> {
         None => deploy::smoke_config(),
     };
     if args.dump_config {
-        let rendered = vuvuzela::serde_json::to_string_pretty(&cfg.to_json())
-            .map_err(|err| format!("render config: {err}"))?;
-        println!("{rendered}");
+        println!("{}", cfg.render());
         return Ok(());
     }
     let rounds = cfg.schedule.len();
@@ -85,19 +71,13 @@ fn run() -> Result<(), String> {
             check: args.check,
             out_dir: args.out_dir.clone(),
             bin_dir: args.bin_dir,
-            pipeline: args.pipeline,
         },
     )?;
     println!("vuvuzela-launch: {rounds} rounds over loopback TCP");
-    if report.pipelined.is_some() {
-        println!(
-            "vuvuzela-launch: pipelined (depth {}) run round-for-round identical to the \
-             sequential run",
-            report.pipeline_depth
-        );
-    }
     if report.reference.is_some() {
-        println!("vuvuzela-launch: transcripts are byte-identical to the in-process reference");
+        println!(
+            "vuvuzela-launch: distributed.txt is byte-identical to the in-process reference.txt"
+        );
     }
     println!("vuvuzela-launch: artefacts in {}", args.out_dir.display());
     Ok(())

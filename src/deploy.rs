@@ -11,10 +11,11 @@
 //! ([`ScriptedClients`]) whose members each round takes on- or
 //! offline: every batch is a pure function of the config and the round
 //! number, so the distributed run (`vuvuzela-launch`: entry + servers +
-//! client as separate OS processes over loopback TCP) and the
-//! in-process reference ([`run_reference`], the sequential [`Chain`]:
-//! the servers' own frame handler at window 1, without sockets or
-//! entry) must produce **byte-identical transcripts** — reply hashes,
+//! client as separate OS processes over loopback TCP, the client keeping
+//! the entry's window of `chain_len` rounds in flight) and the in-process
+//! reference ([`run_reference`]: one round per [`Chain::run`], the
+//! servers' own frame handler without sockets or entry) must produce
+//! **byte-identical transcripts** — reply hashes,
 //! delivered messages, dead-drop histograms and dialing counts
 //! included. `vuvuzela-launch --check` asserts exactly that, and CI
 //! runs it on every push.
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde_json::{json, Value};
-use vuvuzela_core::chain::{build_server, server_keypairs, Abort, Chain};
+use vuvuzela_core::chain::{build_server, server_keypairs, Abort, Chain, RoundOutcome, RoundSpec};
 use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
 use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
 use vuvuzela_core::server::RoundKind;
@@ -70,12 +71,14 @@ pub enum ScheduleEntry {
 
 impl ScheduleEntry {
     /// The round's kind, and how many client onions it carries at one
-    /// conversation slot.
+    /// conversation slot (counted in `usize`: `2·pairs + singles` can
+    /// pass `u32::MAX`).
     fn shape(self) -> (RoundKind, usize) {
         match self {
-            ScheduleEntry::Conversation { pairs, singles } => {
-                (RoundKind::Conversation, (2 * pairs + singles) as usize)
-            }
+            ScheduleEntry::Conversation { pairs, singles } => (
+                RoundKind::Conversation,
+                2 * pairs as usize + singles as usize,
+            ),
             ScheduleEntry::Dialing { dials, drops } => {
                 (RoundKind::Dialing { num_drops: drops }, dials as usize)
             }
@@ -234,13 +237,18 @@ impl DeploymentConfig {
         })
     }
 
+    /// The canonical rendering: pretty-printed [`DeploymentConfig::to_json`],
+    /// what the launcher writes to `resolved.json`.
+    #[must_use]
+    pub fn render(&self) -> String {
+        serde_json::to_string_pretty(&self.to_json()).expect("a JSON value always renders")
+    }
+
     /// The SHA-256 digest of the canonical config rendering, exchanged
     /// in every TCP handshake so mismatched processes fail fast.
     #[must_use]
     pub fn digest(&self) -> [u8; 32] {
-        let rendered = serde_json::to_string_pretty(&self.to_json())
-            .expect("deployment config always renders");
-        sha256(rendered.as_bytes())
+        sha256(self.render().as_bytes())
     }
 
     /// The connect-retry policy every process in this deployment uses:
@@ -422,8 +430,10 @@ fn drive<E>(
     Ok(transcript.render())
 }
 
-/// Replays the schedule on the in-process [`Chain`], one round per call
-/// — the reference transcript every distributed run is diffed against.
+/// Replays the schedule on the in-process [`Chain`], one round per
+/// [`Chain::run`] call — the reference transcript every distributed run
+/// is diffed against. A call per round holds one round's arenas at a
+/// time, not the whole schedule's.
 ///
 /// # Panics
 ///
@@ -434,15 +444,21 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
     let mut chain = Chain::new(cfg.system.clone(), cfg.seed);
     drive(cfg, |build| {
         let carried = (0u64..).zip(&cfg.schedule).map(|(round, entry)| {
-            let batch = build(round as usize);
-            Ok(match *entry {
-                ScheduleEntry::Conversation { .. } => {
-                    let (replies, _) = chain.run_conversation_round(round, batch)?;
+            let batch = build(round as usize).into();
+            let spec = match *entry {
+                ScheduleEntry::Conversation { .. } => RoundSpec::Conversation { round, batch },
+                ScheduleEntry::Dialing { drops, .. } => RoundSpec::Dialing {
+                    round,
+                    batch,
+                    num_drops: drops,
+                },
+            };
+            Ok(match chain.run(vec![spec])?.remove(0) {
+                RoundOutcome::Conversation { replies, .. } => {
                     let (_, obs) = *chain.conversation_observables().last().expect("round ran");
                     (replies, RoundTrailer::Conversation(obs))
                 }
-                ScheduleEntry::Dialing { drops, .. } => {
-                    chain.run_dialing_round(round, batch, drops)?;
+                RoundOutcome::Dialing { .. } => {
                     let (_, obs) = chain.dialing_observables().last().expect("round ran");
                     (Vec::new(), RoundTrailer::Dialing(obs.clone()))
                 }
@@ -457,25 +473,18 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
 /// (the TCP client bin, or in-memory endpoints in tests) and builds the
 /// client-side transcript.
 ///
-/// `depth` is the admission-window size in weighted slots (clamped to
-/// `1..=chain_len`, the entry's own window): with `depth == 1` rounds
-/// run strictly sequentially; deeper windows keep several rounds in
-/// flight, fed by [`feed_window`] under the same weighted window the
+/// [`feed_window`] keeps the entry's own window in flight: `chain_len`
+/// weighted slots, the limit the entry enforces and the one the
 /// in-process [`Chain::run`] keeps, so heavyweight rounds consume more
-/// of the window. Backward frames return in admission
-/// order, and the cohort sees no reply before every round is built, so
-/// the transcript is byte-identical at every depth.
+/// of it. Backward frames return in admission order, and the cohort sees
+/// no reply before every round is built, so the transcript is
+/// byte-identical to [`run_reference`]'s one round at a time.
 ///
 /// # Errors
 ///
 /// Transport failures, or [`Error::Protocol`] when the chain answers
 /// out of protocol (wrong round, malformed trailer).
-pub fn run_client(
-    cfg: &DeploymentConfig,
-    entry: &dyn Transport,
-    depth: usize,
-) -> Result<String, Error> {
-    let depth = depth.clamp(1, cfg.system.chain_len.max(1));
+pub fn run_client(cfg: &DeploymentConfig, entry: &dyn Transport) -> Result<String, Error> {
     let schedule: Vec<(u64, RoundKind, usize)> = (0u64..)
         .zip(&cfg.schedule)
         .map(|(round, entry)| {
@@ -492,7 +501,8 @@ pub fn run_client(
             let replies = RoundBuffer::from_raw(back.payload, stride, width, back.count as usize);
             carried.push((replies.to_vecs(), trailer));
         };
-        feed_window(&cfg.system, entry, depth, &schedule, admit, collect)?;
+        let window = cfg.system.chain_len;
+        feed_window(&cfg.system, entry, window, &schedule, admit, collect)?;
         Ok(carried)
     })
 }
@@ -566,21 +576,21 @@ pub fn serve_entry(cfg: &DeploymentConfig) -> Result<NodeStats, Error> {
     run_entry_node(&cfg.system, clients, downstream)
 }
 
-/// Runs the scripted client driver over TCP against a live entry, with
-/// a `depth`-round admission window (see [`run_client`]).
+/// Runs the scripted client driver over TCP against a live entry (see
+/// [`run_client`]).
 ///
 /// # Errors
 ///
 /// Connect/handshake failures and any protocol violation from
 /// [`run_client`].
-pub fn run_client_tcp(cfg: &DeploymentConfig, depth: usize) -> Result<String, Error> {
+pub fn run_client_tcp(cfg: &DeploymentConfig) -> Result<String, Error> {
     let entry = TcpTransport::connect(
         cfg.entry_addr.as_str(),
         LinkId::Clients,
         cfg.digest(),
         &cfg.connect_retry(),
     )?;
-    run_client(cfg, &entry, depth)
+    run_client(cfg, &entry)
 }
 
 /// Rewrites every `:0` address to a concrete free loopback port
@@ -620,19 +630,14 @@ pub fn resolve_ephemeral_ports(cfg: &mut DeploymentConfig) -> Result<(), String>
 /// Options for [`launch`].
 pub struct LaunchOptions {
     /// Also run the in-process reference and fail on any transcript
-    /// difference (for the pipelined run too, when `pipeline > 1`).
+    /// difference.
     pub check: bool,
-    /// Where transcripts, the resolved config, and the bench artefact
-    /// are written.
+    /// Where the transcripts and the resolved config are written.
     pub out_dir: PathBuf,
     /// Directory holding the `vuvuzela-server` / `vuvuzela-entry` /
     /// `vuvuzela-client` bins; defaults to the launcher's own
     /// directory.
     pub bin_dir: Option<PathBuf>,
-    /// Client admission-window depth for an *additional* pipelined
-    /// process set run after the sequential one (clamped to
-    /// `1..=chain_len`); `0` or `1` means sequential only.
-    pub pipeline: usize,
 }
 
 /// What [`launch`] produced.
@@ -642,12 +647,6 @@ pub struct LaunchReport {
     pub distributed: String,
     /// The reference transcript, when `--check` ran.
     pub reference: Option<String>,
-    /// The pipelined run's transcript (also written to
-    /// `distributed_pipelined.txt`), when `pipeline > 1`.
-    pub pipelined: Option<String>,
-    /// The clamped window depth the pipelined run used (1 when no
-    /// pipelined run happened).
-    pub pipeline_depth: usize,
 }
 
 fn kill_all(children: &mut [(String, Child)]) {
@@ -657,7 +656,7 @@ fn kill_all(children: &mut [(String, Child)]) {
     }
 }
 
-/// Spawns one full process set — servers tail-to-head, entry, client —
+/// Spawns the process set — servers tail-to-head, entry, client —
 /// against `resolved_path`, waits for every process, and returns the
 /// client transcript. The first process to exit non-zero is named in
 /// the error, and the others are killed.
@@ -666,7 +665,6 @@ fn run_process_set(
     bin: &dyn Fn(&str) -> PathBuf,
     resolved_path: &Path,
     transcript_path: &Path,
-    depth: usize,
 ) -> Result<String, String> {
     let mut children: Vec<(String, Child)> = Vec::new();
     let spawn = |children: &mut Vec<(String, Child)>,
@@ -705,16 +703,15 @@ fn run_process_set(
             .arg("--config")
             .arg(resolved_path),
     )?;
-    let mut client = Command::new(bin("vuvuzela-client"));
-    client
-        .arg("--config")
-        .arg(resolved_path)
-        .arg("--out")
-        .arg(transcript_path);
-    if depth > 1 {
-        client.arg("--pipeline").arg(depth.to_string());
-    }
-    spawn(&mut children, "vuvuzela-client".to_string(), &mut client)?;
+    spawn(
+        &mut children,
+        "vuvuzela-client".to_string(),
+        Command::new(bin("vuvuzela-client"))
+            .arg("--config")
+            .arg(resolved_path)
+            .arg("--out")
+            .arg(transcript_path),
+    )?;
 
     // Poll every process rather than wait on each in turn: a node that
     // fails at start-up can leave the others blocked for good (a server
@@ -745,46 +742,26 @@ fn run_process_set(
     })
 }
 
-/// Strips the transcript header (whose digest covers the deployment's
-/// concrete addresses) so runs on different ports remain comparable.
-fn transcript_body(transcript: &str) -> &str {
-    transcript
-        .split_once('\n')
-        .map_or(transcript, |(_, body)| body)
-}
-
 /// Launches one deployment as separate OS processes — `chain_len`
 /// `vuvuzela-server`s, one `vuvuzela-entry`, one `vuvuzela-client` —
 /// replays the schedule, and writes `distributed.txt`,
 /// `reference.txt` (with `check`) and `resolved.json` into the out dir.
-///
-/// With `pipeline > 1` a second process set replays the same schedule
-/// with a pipelined client window (`distributed_pipelined.txt`). Its
-/// `:0` addresses are re-resolved to fresh ports — rebinding the
-/// sequential run's listeners immediately can trip over `TIME_WAIT` —
-/// so its transcript header carries a different config digest; the
-/// body (every round line) must still match the sequential run
-/// byte-for-byte, and with `check` the pipelined transcript is also
-/// diffed in full against its own sequential in-process reference.
 ///
 /// # Errors
 ///
 /// Spawn failures, a non-zero child exit, or (with `check`) a
 /// transcript mismatch.
 pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchReport, String> {
-    let unresolved = cfg.clone();
     resolve_ephemeral_ports(&mut cfg)?;
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|err| format!("cannot create {}: {err}", opts.out_dir.display()))?;
-    let write_resolved = |name: &str, cfg: &DeploymentConfig| -> Result<PathBuf, String> {
+    let write = |name: &str, contents: &str| -> Result<PathBuf, String> {
         let path = opts.out_dir.join(name);
-        let rendered =
-            serde_json::to_string_pretty(&cfg.to_json()).expect("deployment config always renders");
-        std::fs::write(&path, rendered + "\n")
+        std::fs::write(&path, contents)
             .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
         Ok(path)
     };
-    let resolved_path = write_resolved("resolved.json", &cfg)?;
+    let resolved_path = write("resolved.json", &(cfg.render() + "\n"))?;
 
     let bin_dir = match &opts.bin_dir {
         Some(dir) => dir.clone(),
@@ -797,69 +774,27 @@ pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchR
     let bin = |name: &str| bin_dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
 
     let transcript_path = opts.out_dir.join("distributed.txt");
-    let distributed = run_process_set(&cfg, &bin, &resolved_path, &transcript_path, 1)?;
-
-    let depth = opts.pipeline.clamp(1, cfg.system.chain_len.max(1));
-    let pipelined_run = if depth > 1 {
-        let mut pcfg = unresolved;
-        resolve_ephemeral_ports(&mut pcfg)?;
-        let presolved_path = write_resolved("resolved_pipelined.json", &pcfg)?;
-        let ptranscript_path = opts.out_dir.join("distributed_pipelined.txt");
-        let transcript = run_process_set(&pcfg, &bin, &presolved_path, &ptranscript_path, depth)?;
-        if transcript_body(&transcript) != transcript_body(&distributed) {
-            return Err(format!(
-                "pipelined transcript body diverged from the sequential run: {} vs {}",
-                ptranscript_path.display(),
-                transcript_path.display(),
-            ));
-        }
-        Some((pcfg, transcript))
-    } else {
-        None
-    };
+    let distributed = run_process_set(&cfg, &bin, &resolved_path, &transcript_path)?;
 
     let reference = if opts.check {
         let reference = run_reference(&cfg);
-        let reference_path = opts.out_dir.join("reference.txt");
-        std::fs::write(&reference_path, &reference)
-            .map_err(|err| format!("cannot write {}: {err}", reference_path.display()))?;
-        Some(reference)
-    } else {
-        None
-    };
-
-    if let Some(reference) = &reference {
-        if *reference != distributed {
+        let reference_path = write("reference.txt", &reference)?;
+        if reference != distributed {
             return Err(format!(
                 "transcript mismatch: {} differs from {} (distributed sha256 {}, reference {})",
                 transcript_path.display(),
-                opts.out_dir.join("reference.txt").display(),
+                reference_path.display(),
                 hex(&sha256(distributed.as_bytes())),
                 hex(&sha256(reference.as_bytes())),
             ));
         }
-        if let Some((pcfg, ptranscript)) = &pipelined_run {
-            let preference = run_reference(pcfg);
-            let preference_path = opts.out_dir.join("reference_pipelined.txt");
-            std::fs::write(&preference_path, &preference)
-                .map_err(|err| format!("cannot write {}: {err}", preference_path.display()))?;
-            if preference != *ptranscript {
-                return Err(format!(
-                    "pipelined transcript mismatch: {} differs from {} \
-                     (distributed sha256 {}, reference {})",
-                    opts.out_dir.join("distributed_pipelined.txt").display(),
-                    preference_path.display(),
-                    hex(&sha256(ptranscript.as_bytes())),
-                    hex(&sha256(preference.as_bytes())),
-                ));
-            }
-        }
-    }
+        Some(reference)
+    } else {
+        None
+    };
     Ok(LaunchReport {
         distributed,
         reference,
-        pipelined: pipelined_run.map(|(_, transcript)| transcript),
-        pipeline_depth: depth,
     })
 }
 
@@ -906,6 +841,14 @@ mod tests {
     use super::*;
     use vuvuzela_crypto::onion;
 
+    /// Strips the transcript header, whose digest covers the deployment's
+    /// concrete addresses, so a pin does not depend on the ports.
+    fn transcript_body(transcript: &str) -> &str {
+        transcript
+            .split_once('\n')
+            .map_or(transcript, |(_, body)| body)
+    }
+
     #[test]
     fn committed_smoke_deployment_matches_builtin() {
         // `deploy/smoke.json` is what CI's deploy-smoke job launches;
@@ -950,6 +893,21 @@ mod tests {
         }
         let err = DeploymentConfig::from_json(&value).expect_err("nested typo");
         assert!(err.contains("pair"), "{err}");
+    }
+
+    #[test]
+    fn schedule_counts_up_to_u32_max_size_their_round_without_overflow() {
+        // Both counts parse up to u32::MAX, and the client prices every
+        // round by its onion count before it builds the cohort: the count
+        // must not wrap (nor, with overflow checks, panic).
+        let entry = ScheduleEntry::Conversation {
+            pairs: u32::MAX,
+            singles: u32::MAX,
+        };
+        assert_eq!(
+            entry.shape(),
+            (RoundKind::Conversation, 3 * u32::MAX as usize)
+        );
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! the member's position among the round's online members). The cohort
 //! must still produce exactly these bytes.
 
-use vuvuzela::core::chain::Batch;
-use vuvuzela::core::{Chain, ClientCohort, RoundBuffer, SystemConfig};
+use vuvuzela::core::{Chain, ClientCohort, RoundBuffer, RoundSpec, SystemConfig};
 use vuvuzela::crypto::x25519::PublicKey;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 
@@ -87,10 +86,12 @@ fn grid_case(n: usize, slots: usize, chain_len: usize, pin: &mut Pin) {
     for round in 0..2u64 {
         let buf = cohort.build_conversation_round(round);
         pin.arena(&buf);
-        let (replies, _) = chain
-            .run_conversation_round(round, Batch::Flat(buf))
-            .expect("round completes");
-        cohort.handle_conversation_replies(round, &replies);
+        let spec = RoundSpec::Conversation {
+            round,
+            batch: buf.into(),
+        };
+        let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
+        cohort.handle_conversation_replies(round, outcome.replies().expect("conversation"));
     }
     for &(a, b) in &pairs {
         let delivered = cohort.delivered_from(b, &cohort.public_key(a));

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, StreamingChain, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::Keypair;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -90,13 +90,11 @@ proptest! {
         }
 
         // Sequential reference vs the streaming pipeline.
-        let batch = arena(batch);
-        let (seq_replies, _) = sequential
-            .run_conversation_round(round, batch.clone())
-            .expect("round completes");
-        let spec = RoundSpec::Conversation { round, batch: batch.into() };
+        let spec = RoundSpec::Conversation { round, batch: arena(batch).into() };
+        let seq = sequential.run(vec![spec.clone()]).expect("round completes").remove(0);
         let streamed = streaming.run(vec![spec]).expect("schedule completes").remove(0);
-        prop_assert_eq!(Some(&seq_replies[..]), streamed.replies());
+        let seq_replies = seq.replies().expect("a conversation round");
+        prop_assert_eq!(Some(seq_replies), streamed.replies());
         let (_, seq_obs) = sequential.conversation_observables()[0];
         let (_, stream_obs) = streaming.chain().conversation_observables()[0];
         prop_assert_eq!(seq_obs, stream_obs);
@@ -166,20 +164,20 @@ proptest! {
                 .collect(),
         );
 
-        let mut reference: Option<(Vec<Vec<u8>>, _)> = None;
+        let mut reference: Option<(RoundOutcome, _)> = None;
         for shards in [1usize, 2, 3, 7] {
             let mut config = base.clone();
             config.exchange_shards = shards;
             let mut chain = Chain::new(config, seed);
-            let (replies, _) = chain
-                .run_conversation_round(round, batch.clone())
-                .expect("round completes");
+            let spec = RoundSpec::Conversation { round, batch: batch.clone().into() };
+            let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
             let (_, obs) = chain.conversation_observables()[0];
             prop_assert_eq!(obs.m_many, 1, "shards = {}", shards);
             match &reference {
-                None => reference = Some((replies, obs)),
-                Some((want_replies, want_obs)) => {
-                    prop_assert_eq!(&replies, want_replies, "shards = {} replies", shards);
+                None => reference = Some((outcome, obs)),
+                Some((want, want_obs)) => {
+                    let replies = outcome.replies();
+                    prop_assert_eq!(replies, want.replies(), "shards = {} replies", shards);
                     prop_assert_eq!(&obs, want_obs, "shards = {} observables", shards);
                 }
             }

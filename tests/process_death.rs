@@ -75,8 +75,7 @@ fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("process_death");
     std::fs::create_dir_all(&dir).expect("scratch directory");
     let config = dir.join("resolved.json");
-    let rendered = vuvuzela::serde_json::to_string_pretty(&cfg.to_json()).expect("config renders");
-    std::fs::write(&config, rendered).expect("write the resolved config");
+    std::fs::write(&config, cfg.render()).expect("write the resolved config");
 
     // Servers tail to head, then the entry — the launcher's order.
     let server_bin = env!("CARGO_BIN_EXE_vuvuzela-server");
@@ -171,7 +170,6 @@ fn an_entry_that_cannot_bind_ends_the_launch_by_name() {
         bin_dir: Path::new(env!("CARGO_BIN_EXE_vuvuzela-server"))
             .parent()
             .map(Path::to_path_buf),
-        pipeline: 1,
     };
     let (done, outcome) = mpsc::channel();
     let launcher = std::thread::spawn(move || done.send(deploy::launch(cfg, &opts).map(|_| ())));

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use vuvuzela::core::chain::Batch;
-use vuvuzela::core::{Chain, ClientCohort, SystemConfig};
+use vuvuzela::core::{Chain, ClientCohort, RoundSpec, SystemConfig};
 use vuvuzela::crypto::x25519::{Keypair, SecretKey};
 use vuvuzela::crypto::{aead, onion, sealedbox};
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -207,8 +206,10 @@ proptest! {
                 cohort.queue_message(from, &to, &[from as u8]).expect("queue");
             }
         }
-        let batch = Batch::Flat(cohort.build_conversation_round(0));
-        let (replies, _) = chain.run_conversation_round(0, batch).expect("round completes");
+        let batch = cohort.build_conversation_round(0).into();
+        let spec = RoundSpec::Conversation { round: 0, batch };
+        let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
+        let replies = outcome.replies().expect("a conversation round");
 
         let mut rng = StdRng::seed_from_u64(seed);
         let handed_back: Vec<Vec<u8>> = (0..count)

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use vuvuzela::adversary::taps::{DelayBatch, RoundWindow};
 use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::{Chain, RoundBuffer, SystemConfig};
+use vuvuzela::core::{Chain, RoundSpec, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::{batch_through_link, Link, LinkId};
@@ -21,12 +21,22 @@ use vuvuzela::sim::{RoundPlan, Scenario, SimError, Simulator, Step};
 use vuvuzela::wire::conversation::ExchangeRequest;
 use vuvuzela::wire::{BatchFrame, RoundId, RoundType, DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN};
 
-/// One onion laid into a `kind` round's arena for the chain-3
-/// deployment, as the entry does.
-fn arena(kind: RoundKind, onion: &[u8]) -> RoundBuffer {
-    let mut batch = entry::round_arena(kind, 3);
-    entry::multiplex(&mut batch, &[vec![onion.to_vec()]]);
-    batch
+/// Runs round `round` of `kind` on `chain` over one onion, laid into
+/// the chain-3 deployment's arena as the entry does: one spec per
+/// [`Chain::run`] call, so the caller sees each round's effect alone.
+fn run_one_onion(chain: &mut Chain, round: u64, kind: RoundKind, onion: &[u8]) {
+    let mut arena = entry::round_arena(kind, 3);
+    entry::multiplex(&mut arena, &[vec![onion.to_vec()]]);
+    let batch = arena.into();
+    let spec = match kind {
+        RoundKind::Conversation => RoundSpec::Conversation { round, batch },
+        RoundKind::Dialing { num_drops } => RoundSpec::Dialing {
+            round,
+            batch,
+            num_drops,
+        },
+    };
+    chain.run(vec![spec]).expect("round completes");
 }
 
 fn quiet_config() -> SystemConfig {
@@ -55,15 +65,11 @@ fn replayed_onions_are_rejected() {
     let (onion_bytes, _) = onion::wrap(&mut rng, &pks, 0, &payload);
 
     // Round 0: accepted.
-    chain
-        .run_conversation_round(0, arena(RoundKind::Conversation, &onion_bytes))
-        .expect("round completes");
+    run_one_onion(&mut chain, 0, RoundKind::Conversation, &onion_bytes);
     assert_eq!(chain.server(0).malformed_replaced, 0);
 
     // Round 1: the identical bytes are cryptographically stale.
-    chain
-        .run_conversation_round(1, arena(RoundKind::Conversation, &onion_bytes))
-        .expect("round completes");
+    run_one_onion(&mut chain, 1, RoundKind::Conversation, &onion_bytes);
     assert_eq!(
         chain.server(0).malformed_replaced,
         1,
@@ -143,13 +149,9 @@ fn replayed_dial_requests_are_rejected() {
     let payload = vuvuzela::wire::dialing::DialRequest::noop(&mut rng).encode();
     let (onion_bytes, _) = onion::wrap(&mut rng, &pks, 0, &payload);
     let kind = RoundKind::Dialing { num_drops: 1 };
-    chain
-        .run_dialing_round(0, arena(kind, &onion_bytes), 1)
-        .expect("round completes");
+    run_one_onion(&mut chain, 0, kind, &onion_bytes);
     assert_eq!(chain.server(0).malformed_replaced, 0);
-    chain
-        .run_dialing_round(1, arena(kind, &onion_bytes), 1)
-        .expect("round completes");
+    run_one_onion(&mut chain, 1, kind, &onion_bytes);
     assert_eq!(chain.server(0).malformed_replaced, 1);
 }
 

@@ -2,14 +2,15 @@
 //! must produce **byte-identical transcripts** across all three
 //! execution modes —
 //!
-//! 1. the in-process sequential [`vuvuzela::core::Chain`]
+//! 1. the in-process [`vuvuzela::core::Chain`], one round at a time
 //!    (`deploy::run_reference`),
 //! 2. transport-driven nodes over in-memory endpoints
 //!    ([`vuvuzela::net::memory_pair`]),
 //! 3. transport-driven nodes over loopback TCP (ephemeral ports, one
-//!    thread per node standing in for the per-process bins) — at
-//!    window depth 1 (sequential) and pipelined depths up to
-//!    `chain_len`.
+//!    thread per node standing in for the per-process bins),
+//!
+//! the last two fed by `deploy::run_client` at the entry's window of
+//! `chain_len` rounds.
 //!
 //! The separate-OS-process variant of (3) is exercised by
 //! `vuvuzela-launch --check` in CI's deploy-smoke job.
@@ -30,7 +31,7 @@ fn smoke() -> DeploymentConfig {
     deploy::smoke_config()
 }
 
-/// The smoke deployment with two extra rounds so pipelined windows see
+/// The smoke deployment with two extra rounds so the entry's window sees
 /// a conversation/dialing interleaving deeper than the window itself.
 fn mixed() -> DeploymentConfig {
     let mut cfg = smoke();
@@ -45,7 +46,7 @@ fn mixed() -> DeploymentConfig {
 
 /// Mode 2: nodes over in-memory endpoints, client driven by the same
 /// `deploy::run_client` the TCP bin uses.
-fn run_memory(cfg: &DeploymentConfig, depth: usize) -> String {
+fn run_memory(cfg: &DeploymentConfig) -> String {
     let chain_len = cfg.system.chain_len;
     let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
     // For hop i, `send_ends[i]` goes to the upstream node (entry or
@@ -83,7 +84,7 @@ fn run_memory(cfg: &DeploymentConfig, depth: usize) -> String {
         }));
     }
 
-    let transcript = deploy::run_client(cfg, &client_end, depth).expect("memory client");
+    let transcript = deploy::run_client(cfg, &client_end).expect("memory client");
     for handle in handles {
         handle.join().expect("node thread");
     }
@@ -92,7 +93,7 @@ fn run_memory(cfg: &DeploymentConfig, depth: usize) -> String {
 
 /// Mode 3: nodes over loopback TCP with ephemeral ports, one thread per
 /// node running exactly the code the bins run.
-fn run_loopback_tcp(cfg: &DeploymentConfig, depth: usize) -> String {
+fn run_loopback_tcp(cfg: &DeploymentConfig) -> String {
     let cfg = cfg.clone();
     let mut handles = Vec::new();
     for position in (0..cfg.system.chain_len).rev() {
@@ -107,7 +108,7 @@ fn run_loopback_tcp(cfg: &DeploymentConfig, depth: usize) -> String {
             deploy::serve_entry(&cfg).expect("entry");
         }));
     }
-    let transcript = deploy::run_client_tcp(&cfg, depth).expect("tcp client");
+    let transcript = deploy::run_client_tcp(&cfg).expect("tcp client");
     for handle in handles {
         handle.join().expect("node thread");
     }
@@ -125,34 +126,39 @@ fn all_three_transports_produce_identical_transcripts() {
         reference.contains("round 0 conversation"),
         "reference transcript covers the schedule:\n{reference}"
     );
-
-    let memory = run_memory(&cfg, 1);
     assert_eq!(
-        memory, reference,
-        "in-memory transport diverged from the sequential chain"
+        run_memory(&cfg),
+        reference,
+        "in-memory transport diverged from the reference"
     );
-
-    let tcp = run_loopback_tcp(&cfg, 1);
     assert_eq!(
-        tcp, reference,
-        "loopback TCP transport diverged from the sequential chain"
+        run_loopback_tcp(&cfg),
+        reference,
+        "loopback TCP transport diverged from the reference"
     );
 }
 
 #[test]
 fn pipelined_tcp_matches_sequential_reference_at_every_depth() {
-    // One fresh port resolution per depth: back-to-back runs must not
-    // rebind the previous run's listeners (TIME_WAIT), so each run
-    // gets its own concrete config and its own reference transcript.
-    let chain_len = mixed().system.chain_len;
-    for depth in [1, 2, chain_len] {
+    // The entry's window is `chain_len` rounds, so each chain length
+    // is one window depth. One fresh port resolution per run:
+    // back-to-back runs must not rebind the previous run's listeners
+    // (TIME_WAIT), so each run gets its own concrete config and its own
+    // reference transcript.
+    for chain_len in [1, 2, mixed().system.chain_len] {
         let mut cfg = mixed();
+        cfg.system.chain_len = chain_len;
+        cfg.server_addrs.truncate(chain_len);
         deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
         let reference = deploy::run_reference(&cfg);
-        let tcp = run_loopback_tcp(&cfg, depth);
+        assert!(
+            reference.contains("round 4 dialing"),
+            "reference transcript covers the schedule:\n{reference}"
+        );
         assert_eq!(
-            tcp, reference,
-            "pipelined TCP at depth {depth} diverged from the sequential reference"
+            run_loopback_tcp(&cfg),
+            reference,
+            "TCP at a window of {chain_len} rounds diverged from the sequential reference"
         );
     }
 }
@@ -162,9 +168,9 @@ fn pipelined_memory_matches_sequential_reference() {
     let mut cfg = mixed();
     deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
     let reference = deploy::run_reference(&cfg);
-    let memory = run_memory(&cfg, cfg.system.chain_len);
     assert_eq!(
-        memory, reference,
+        run_memory(&cfg),
+        reference,
         "pipelined in-memory transport diverged from the sequential reference"
     );
 }
