@@ -11,13 +11,15 @@
 //! ([`crate::node`]), the handler a deployment's server processes run
 //! in their node loops, so one schedule is one replayable interleaving
 //! of the deployment's own steps. [`crate::pipeline::StreamingChain`] is
-//! its threaded twin: the same handlers in one node loop per hop, on
+//! its threaded twin: the same handlers in one node loop per node, on
 //! scoped threads over in-memory links, where the OS scheduler picks the
-//! interleaving. Either way a batch crosses a link through
-//! [`batch_through_link`], a finished round is completed by one
-//! `Collector`, and a round that cannot finish — a hop refuses its
-//! frame, or a link hangs up under it — ends the run with an [`Abort`],
-//! the value the wire's [`vuvuzela_net::Error`] becomes.
+//! interleaving. Either way the entry is the deployment's own relay node
+//! and the tail keeps its dialing drops ([`MixServer::invitation_drops`]);
+//! a batch crosses a link through [`batch_through_link`], a round home
+//! across the clients link is completed by one `Collector`, and a round
+//! that cannot finish — a node refuses its frame, or a link hangs up
+//! under it — ends the run with an [`Abort`], the value the wire's
+//! [`vuvuzela_net::Error`] becomes.
 //!
 //! All of a round's harness-level randomness (noise substitutes for
 //! undecodable exchange payloads, the dead-drop store's coin flips) is
@@ -26,10 +28,8 @@
 //! computes the same bytes.
 
 use crate::config::SystemConfig;
-use crate::deaddrops::InvitationDrops;
 use crate::engine::{admission_weights, schedule_rng, AdmissionWindow};
-use crate::entry::check_client_batch;
-use crate::node::{buf_from_frame, frame_from_buf, RoundTrailer, ServerNode, Side};
+use crate::node::{buf_from_frame, frame_from_buf, HopObserver, RoundTrailer, ServerNode, Side};
 use crate::observables::{ConversationObservables, DialingObservables};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
@@ -77,38 +77,6 @@ impl From<RoundBuffer> for Batch {
     fn from(buf: RoundBuffer) -> Batch {
         Batch::Flat(buf)
     }
-}
-
-/// Admits one round's client batch at the entry: the arena crosses the
-/// aggregated clients→entry link as a frame ([`batch_through_link`]:
-/// metered, and tapped when a tap is attached) and comes out as the
-/// round's forward arena. A tap's size mismatches are not counted on this
-/// leg: entry sizes are client-controlled, so a mismatch cannot be
-/// attributed to a tap (see [`Chain::tap_resized`]).
-///
-/// # Errors
-///
-/// [`Error::Disconnected`] when a tap hangs the clients link up.
-///
-/// # Panics
-///
-/// Panics unless the arena keeps [`crate::entry::check_client_batch`],
-/// the rule the wire entry holds a client frame to; a bug in the code
-/// that laid the arena out, not client-controlled input.
-pub(crate) fn admit_batch(
-    client_link: &Link,
-    round: u64,
-    kind: RoundKind,
-    chain_len: usize,
-    batch: Batch,
-) -> Result<RoundBuffer, Error> {
-    let Batch::Flat(buf) = batch;
-    if let Err(what) = check_client_batch(round, kind, chain_len, buf.width(), buf.stride()) {
-        panic!("{what}");
-    }
-    let mut frame = frame_from_buf(client_link.id(), round, kind, false, buf, Vec::new());
-    batch_through_link(client_link, &mut frame)?;
-    Ok(buf_from_frame(frame))
 }
 
 /// One round of a (possibly mixed) schedule: which protocol it runs,
@@ -274,94 +242,78 @@ pub struct RoundTiming {
 }
 
 /// What a chain keeps of the rounds it completed: everything a
-/// compromised tail observed, and the most recent dialing round's drops.
+/// compromised tail observed.
 #[derive(Default)]
 pub(crate) struct RoundLog {
     conversation: Vec<(u64, ConversationObservables)>,
     dialing: Vec<(u64, DialingObservables)>,
-    /// Downloadable by clients ([`Chain::download_drop`]).
-    invitation_drops: Option<(u64, InvitationDrops)>,
 }
 
 /// The feeder's side of a schedule, whichever driver runs it: gathers
-/// what the hops report ([`crate::node::HopObserver`]) and completes each
-/// round whose backward frame comes home.
+/// what the hops report ([`HopObserver`]) and completes each round whose
+/// backward frame has come home across the clients link.
 pub(crate) struct Collector<'a> {
-    client_link: &'a Link,
     log: &'a mut RoundLog,
     /// Per round in flight, the timing pieces its hops reported so far.
     /// A hop reports a pass before the pass's frame leaves it, so a
     /// round's pieces are all in when its backward frame arrives.
     timings: HashMap<u64, RoundTiming>,
-    /// The schedule's last dialing round's drops, kept by
-    /// [`Collector::finish`] (the chain's overwrite semantics).
-    last_drops: Option<(u64, InvitationDrops)>,
 }
 
 impl<'a> Collector<'a> {
-    pub(crate) fn new(client_link: &'a Link, log: &'a mut RoundLog) -> Collector<'a> {
+    pub(crate) fn new(log: &'a mut RoundLog) -> Collector<'a> {
         Collector {
-            client_link,
             log,
             timings: HashMap::new(),
-            last_drops: None,
         }
     }
 
     /// Takes what one hop reported after one pass.
-    pub(crate) fn observe(
-        &mut self,
-        round: u64,
-        piece: RoundTiming,
-        drops: Option<InvitationDrops>,
-    ) {
+    pub(crate) fn observe(&mut self, round: u64, piece: RoundTiming) {
         let timing = self.timings.entry(round).or_default();
         timing.forward.extend(piece.forward);
         timing.exchange += piece.exchange;
         timing.backward.extend(piece.backward);
-        if let Some(drops) = drops {
-            self.last_drops = Some((round, drops));
-        }
     }
 
-    /// Completes the round `back` answers, fed at `fed`: logs the tail's
-    /// observables, carries a conversation round's replies over the
-    /// clients link, and assembles its [`RoundTiming`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Disconnected`] when a tap hangs the clients link up
-    /// under the replies.
+    /// Completes the round `back` answers, fed at `fed`, once it has
+    /// crossed the clients link home: logs the tail's observables and
+    /// assembles its outcome.
     pub(crate) fn complete(
         &mut self,
-        mut back: BatchFrame,
+        back: BatchFrame,
         trailer: RoundTrailer,
         fed: Instant,
-    ) -> Result<RoundOutcome, Error> {
+    ) -> RoundOutcome {
         let round = back.round.0;
         let mut timing = self.timings.remove(&round).unwrap_or_default();
-        Ok(match trailer {
+        timing.total = fed.elapsed();
+        match trailer {
             RoundTrailer::Conversation(observables) => {
                 self.log.conversation.push((round, observables));
-                batch_through_link(self.client_link, &mut back)?;
-                timing.total = fed.elapsed();
                 let replies = buf_from_frame(back).to_vecs();
                 RoundOutcome::Conversation { replies, timing }
             }
             RoundTrailer::Dialing(observables) => {
                 self.log.dialing.push((round, observables));
-                timing.total = fed.elapsed();
                 RoundOutcome::Dialing { timing }
             }
-        })
-    }
-
-    /// Ends a schedule every round of which completed.
-    pub(crate) fn finish(self) {
-        if self.last_drops.is_some() {
-            self.log.invitation_drops = self.last_drops;
         }
     }
+}
+
+/// Steps `node` with a batch from `from`: where its answer goes, and the
+/// answer, a batch too.
+fn step(
+    node: &mut ServerNode<'_>,
+    from: Side,
+    frame: BatchFrame,
+    observe: &mut HopObserver<'_>,
+) -> Result<(Side, BatchFrame), Error> {
+    let (to, Frame::Batch(frame), _) = node.on_frame(from, Frame::Batch(frame), observe)? else {
+        unreachable!("a batch is answered with a batch")
+    };
+    Ok((to, frame))
 }
 
 /// A frame waiting to cross `links[on]` in [`Chain::run`]'s schedule,
@@ -443,14 +395,17 @@ impl Chain {
 
     /// Runs a (possibly mixed) schedule on the calling thread and returns
     /// the per-round [`RoundOutcome`]s in input order: a discrete-event
-    /// schedule of the hop loop's frame handler, one `ServerNode` per hop.
-    /// Up to `chain_len` weighted slots of rounds are in flight (the
-    /// entry's own limit: [`crate::engine::admission_weights`], held by an
+    /// schedule of the node loop's frame handler, one `ServerNode` per
+    /// hop and the entry's relay node. Up to `chain_len` weighted slots
+    /// of rounds are in flight (the entry's own limit:
+    /// [`crate::engine::admission_weights`], held by an
     /// [`crate::engine::AdmissionWindow`]), with one FIFO of frames per
     /// link and direction. Each step admits every round that fits onto
-    /// `links[0]`, delivers the head of one non-empty FIFO across its link
-    /// into the receiving hop's handler (or home, off hop 0), and queues
-    /// the answer on the link it leaves by. An RNG seeded from the chain
+    /// `links[0]` through the entry, delivers the head of one non-empty
+    /// FIFO across its link into the receiving node's handler (home
+    /// through the entry, off `links[0]`), and queues the answer on the
+    /// link it leaves by; the entry steps inline, so the clients link has
+    /// no FIFO. An RNG seeded from the chain
     /// seed alone draws the FIFO, so the same chain replays the same
     /// interleaving; no round's bytes depend on it, and per link and
     /// direction frames keep round order, so taps and hops see what one
@@ -467,15 +422,15 @@ impl Chain {
     ///
     /// # Errors
     ///
-    /// The first failure — a hop refused its frame (a dialing round with
-    /// no drops), or a tap hung a link up ([`vuvuzela_net::Tap::hangs_up`])
-    /// — ends the call, admitting nothing more, with an [`Abort`] of every
-    /// round admitted and not completed.
+    /// The first failure — a node refused its frame (the entry a batch
+    /// off its round's onion width, [`crate::entry::check_client_batch`],
+    /// or a dialing round with no drops), or a tap hung a link up
+    /// ([`vuvuzela_net::Tap::hangs_up`]) — ends the call, admitting nothing
+    /// more, with an [`Abort`] of every round admitted and not completed.
     ///
     /// # Panics
     ///
-    /// Panics if round ids do not strictly increase, a batch's geometry is
-    /// not its round's onion width (see `admit_batch`), or a tap panics:
+    /// Panics if round ids do not strictly increase, or a tap panics:
     /// bugs, not aborts.
     pub fn run(&mut self, specs: Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort> {
         assert!(
@@ -497,6 +452,7 @@ impl Chain {
         let mut window = AdmissionWindow::new(config.chain_len);
         let (mut admitted, mut outcomes) = (Vec::new(), Vec::with_capacity(specs.len()));
         let mut specs = specs.into_iter().zip(weights).peekable();
+        let mut entry = ServerNode::relay(config, client_link.id(), Some(links[0].id()));
         let mut nodes: Vec<ServerNode> = servers
             .iter_mut()
             .enumerate()
@@ -505,18 +461,20 @@ impl Chain {
                 ServerNode::new(server, config, seed, links[hop].id(), down)
             })
             .collect();
-        let mut collector = Collector::new(client_link, log);
+        let mut collector = Collector::new(log);
         let (mut rng, mut queued) = (schedule_rng(seed), Vec::with_capacity(config.chain_len));
 
         let mut schedule = || -> Result<(), Error> {
             loop {
                 while let Some((spec, weight)) = specs.next_if(|(_, w)| !window.would_block(*w)) {
                     let fed = Instant::now();
-                    let (round, kind, batch) = spec.into_parts();
+                    let (round, kind, Batch::Flat(buf)) = spec.into_parts();
                     admitted.push(round);
                     window.admit(round, weight);
-                    let buf = admit_batch(client_link, round, kind, config.chain_len, batch)?;
-                    let frame = frame_from_buf(links[0].id(), round, kind, false, buf, Vec::new());
+                    let mut frame =
+                        frame_from_buf(client_link.id(), round, kind, false, buf, vec![]);
+                    batch_through_link(client_link, &mut frame)?;
+                    let (_, frame) = step(&mut entry, Side::Upstream, frame, &mut |_, _| {})?;
                     queued.push(Crossing { on: 0, frame, fed });
                 }
                 let Some(next) = pick(&queued, &mut rng) else {
@@ -524,26 +482,23 @@ impl Chain {
                 };
                 let Crossing { on, mut frame, fed } = queued.remove(next);
                 batch_through_link(&links[on], &mut frame)?;
-                // Forward into hop `on`, backward out of it: home once it
-                // leaves hop 0.
+                // Forward into hop `on`; backward out of it, or home.
                 let (hop, from) = match (frame.backward, on) {
                     (false, _) => (on, Side::Upstream),
                     (true, 0) => {
-                        let round = frame.round.0;
+                        let (_, mut home) =
+                            step(&mut entry, Side::Downstream, frame, &mut |_, _| {})?;
+                        batch_through_link(client_link, &mut home)?;
+                        window.complete(home.round.0);
                         let trailer =
-                            RoundTrailer::decode(&frame.trailer).expect("the tail's own trailer");
-                        outcomes.push(collector.complete(frame, trailer, fed)?);
-                        window.complete(round);
+                            RoundTrailer::decode(&home.trailer).expect("the tail's own trailer");
+                        outcomes.push(collector.complete(home, trailer, fed));
                         continue;
                     }
                     (true, _) => (on - 1, Side::Downstream),
                 };
-                let mut observe = |round, piece, drops| collector.observe(round, piece, drops);
-                let (to, Frame::Batch(frame), _) =
-                    nodes[hop].on_frame(from, Frame::Batch(frame), &mut observe)?
-                else {
-                    unreachable!("a batch is answered with a batch")
-                };
+                let mut observe = |round, piece| collector.observe(round, piece);
+                let (to, frame) = step(&mut nodes[hop], from, frame, &mut observe)?;
                 let on = match to {
                     Side::Upstream => hop,
                     Side::Downstream => hop + 1,
@@ -551,14 +506,9 @@ impl Chain {
                 queued.push(Crossing { on, frame, fed });
             }
         };
-        match schedule() {
-            Ok(()) => {
-                collector.finish();
-                Ok(outcomes)
-            }
-            // Rounds complete in admission order.
-            Err(err) => Err(Abort::new(vec![err], admitted.split_off(outcomes.len()))),
-        }
+        // Rounds complete in admission order.
+        schedule().map_err(|err| Abort::new(vec![err], admitted.split_off(outcomes.len())))?;
+        Ok(outcomes)
     }
 
     /// [`Chain::run`] of one round, panicking on its [`Abort`]. It exists
@@ -573,21 +523,21 @@ impl Chain {
             .remove(0)
     }
 
-    /// Downloads one invitation drop from the most recent dialing round
-    /// (§5.5). Returns `None` if no dialing round has completed or the
-    /// index is invalid.
+    /// Downloads one invitation drop (§5.5) of the most recent dialing
+    /// round the tail completed ([`MixServer::invitation_drops`]), even in
+    /// a schedule that later aborted. Returns `None` if there is none or
+    /// the index is invalid.
     pub fn download_drop(&self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
-        let (_, drops) = self.log.invitation_drops.as_ref()?;
+        let (_, drops) = self.servers.last()?.invitation_drops()?;
         Some(drops.download(index)?.to_vec())
     }
 
-    /// Number of real drops in the most recent dialing round.
+    /// Number of real drops in the tail's most recent dialing round (see
+    /// [`Chain::download_drop`]).
     #[must_use]
     pub fn current_num_drops(&self) -> Option<u32> {
-        self.log
-            .invitation_drops
-            .as_ref()
-            .map(|(_, d)| d.num_drops())
+        let (_, drops) = self.servers.last()?.invitation_drops()?;
+        Some(drops.num_drops())
     }
 
     /// Everything a compromised last server would have recorded about
@@ -859,42 +809,50 @@ mod tests {
         assert_eq!(reply.len(), EXCHANGE_RESPONSE_LEN);
     }
 
+    /// A dialing round carrying one real invitation: the spec, the callee's
+    /// drop, and a check that a drop holds just that one for the callee.
+    fn dial(
+        chain: &Chain,
+        round: u64,
+        num_drops: u32,
+        rng: &mut StdRng,
+    ) -> (
+        RoundSpec,
+        InvitationDropIndex,
+        impl Fn(&[SealedInvitation]) -> bool,
+    ) {
+        let caller = Keypair::generate(rng);
+        let callee = Keypair::generate(rng);
+        let drop = InvitationDropIndex::for_recipient(&callee.public, num_drops);
+        let invitation = SealedInvitation::seal(rng, &caller.public, &callee.public);
+        let request = DialRequest { drop, invitation }.encode();
+        let (onion0, _) = onion::wrap(rng, &chain.server_public_keys(), round, &request);
+        let kind = RoundKind::Dialing { num_drops };
+        let batch = arena(kind, chain.config().chain_len, &[onion0]).into();
+        let opens = move |contents: &[SealedInvitation]| {
+            let opened = contents.iter();
+            let opened = opened.filter_map(|inv| inv.try_open(&callee.secret, &callee.public));
+            opened.collect::<Vec<_>>() == [caller.public]
+        };
+        let spec = RoundSpec::Dialing {
+            round,
+            batch,
+            num_drops,
+        };
+        (spec, drop, opens)
+    }
+
     #[test]
     fn dialing_round_delivers_invitations() {
         let mut chain = Chain::new(tiny_config(3), 7);
-        let pks = chain.server_public_keys();
-        let mut rng = StdRng::seed_from_u64(8);
-
-        let caller = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
-        let callee = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
-        let num_drops = 2;
-        let target = InvitationDropIndex::for_recipient(&callee.public, num_drops);
-        let request = DialRequest {
-            drop: target,
-            invitation: vuvuzela_wire::dialing::SealedInvitation::seal(
-                &mut rng,
-                &caller.public,
-                &callee.public,
-            ),
-        };
-        let (onion0, _) = onion::wrap(&mut rng, &pks, 10, &request.encode());
-
-        let spec = RoundSpec::Dialing {
-            round: 10,
-            batch: arena(RoundKind::Dialing { num_drops }, 3, &[onion0]).into(),
-            num_drops,
-        };
+        let (spec, target, opens) = dial(&chain, 10, 2, &mut StdRng::seed_from_u64(8));
         let outcome = chain.run(vec![spec]).expect("round completes").remove(0);
         assert_eq!(outcome.timing().forward.len(), 3);
 
         let contents = chain.download_drop(target).expect("drop exists");
         // 1 real + 3 servers × µ_dial(=2) noise.
         assert_eq!(contents.len(), 1 + 6);
-        let mine: Vec<_> = contents
-            .iter()
-            .filter_map(|inv| inv.try_open(&callee.secret, &callee.public))
-            .collect();
-        assert_eq!(mine, vec![caller.public]);
+        assert!(opens(&contents), "the callee's invitation, once");
 
         // Observables: every drop got 3µ noise; the target also got the
         // real invitation.
@@ -931,7 +889,7 @@ mod tests {
     }
 
     /// Rounds 0 and 2 are conversations; round 1 dials into no drops,
-    /// which hop 0 refuses.
+    /// which the entry refuses.
     fn refused_schedule() -> Vec<RoundSpec> {
         let no_drops = RoundKind::Dialing { num_drops: 0 };
         vec![
@@ -966,38 +924,71 @@ mod tests {
         let abort = refused_schedule()
             .into_iter()
             .find_map(|spec| chain.run(vec![spec]).err())
-            .expect("hop 0 refuses no drops");
+            .expect("the entry refuses no drops");
         assert_eq!(abort.rounds, vec![1]);
         assert!(
-            matches!(abort.cause, Error::Protocol { link, .. } if link == LinkId::Hop(0)),
+            matches!(abort.cause, Error::Protocol { link, .. } if link == LinkId::Clients),
             "{abort}"
         );
         assert_eq!(completed(&chain), vec![0], "round 2 is never admitted");
 
         // The whole schedule in one call, window 2: round 0 is still in
-        // flight when hop 0 refuses round 1, and round 2 never fits in.
+        // flight when the entry refuses round 1, and round 2 never fits in.
         let mut chain = Chain::new(tiny_config(2), 14);
         let abort = chain
             .run(refused_schedule())
-            .expect_err("hop 0 refuses no drops");
+            .expect_err("the entry refuses no drops");
         assert_eq!(abort.rounds, vec![0, 1]);
         assert_eq!(
             abort.cause.to_string(),
-            "protocol violation on entry->server0: round 1 is a dialing round with no drops"
+            "protocol violation on clients->entry: round 1 is a dialing round with no drops"
         );
         assert_eq!(completed(&chain), Vec::<u64>::new());
     }
 
     #[test]
-    #[should_panic(expected = "client batch geometry")]
     fn stride_padded_batch_is_refused_as_on_the_wire() {
         // A cohort-width arena with stride headroom: `run_entry_node`
-        // refuses its frame, so the in-process entry refuses it too.
-        let mut chain = Chain::new(tiny_config(2), 13);
+        // refuses its frame, and both in-process runtimes step that node.
         let width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2);
-        let mut padded = RoundBuffer::new(width + 16, width);
-        padded.push_with(|_| {});
-        converse(&mut chain, 0, padded);
+        let padded = || {
+            let mut padded = RoundBuffer::new(width + 16, width);
+            padded.push_with(|_| {});
+            let batch = padded.into();
+            vec![RoundSpec::Conversation { round: 0, batch }]
+        };
+        let mut chain = Chain::new(tiny_config(2), 13);
+        let mut streaming = crate::pipeline::StreamingChain::new(tiny_config(2), 13);
+        for run in [chain.run(padded()), streaming.run(padded())] {
+            let abort = run.expect_err("the entry refuses the batch");
+            assert_eq!(abort.rounds, vec![0]);
+            let Error::Protocol { link, reason } = &abort.cause else {
+                panic!("expected a protocol error: {abort}")
+            };
+            assert_eq!(*link, LinkId::Clients);
+            assert!(reason.contains("client batch geometry"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn drops_the_tail_kept_outlive_a_later_abort() {
+        // One server, so window 1: dialing round 0 completes at the tail
+        // before the entry refuses round 1. The tail keeps round 0's
+        // drops, and clients download them, although the schedule aborted.
+        let mut chain = Chain::new(tiny_config(1), 15);
+        let (dialing, target, opens) = dial(&chain, 0, 2, &mut StdRng::seed_from_u64(16));
+        let batch = arena(RoundKind::Dialing { num_drops: 0 }, 1, &[]).into();
+        let refused = RoundSpec::Dialing {
+            round: 1,
+            batch,
+            num_drops: 0,
+        };
+        let abort = chain.run(vec![dialing, refused]).expect_err("no drops");
+        assert_eq!(abort.rounds, vec![1], "{abort}");
+        let kept = chain.server(0).invitation_drops().map(|(round, _)| round);
+        assert_eq!(kept, Some(0));
+        assert_eq!(chain.current_num_drops(), Some(2));
+        assert!(opens(&chain.download_drop(target).expect("round 0's drop")));
     }
 
     #[test]

@@ -88,9 +88,9 @@ pub enum EngineStep {
     },
     /// Tail dialing completion: the invitations are deposited and the
     /// round's reply state discarded (dialing is forward-only). The
-    /// runtime decides whether to retain the drops (in-process CDN
-    /// download path) or only their observables (the wire completion
-    /// notice's trailer).
+    /// tail's node keeps the drops on its server, in every runtime
+    /// ([`MixServer::invitation_drops`]), and sends their observables
+    /// home in the completion notice's trailer.
     DialingComplete {
         /// Round that completed.
         round: u64,
@@ -130,10 +130,10 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// The server the engine drives, for the geometry a hop holds its
-    /// peers' frames to ([`MixServer::incoming_width`],
-    /// [`MixServer::reply_width`], [`MixServer::reply_stride`]).
-    pub(crate) fn server(&self) -> &MixServer {
+    /// The server the engine drives: the geometry a hop holds its peers'
+    /// frames to ([`MixServer::incoming_width`], [`MixServer::reply_width`],
+    /// [`MixServer::reply_stride`]), and the tail's drop store.
+    pub(crate) fn server_mut(&mut self) -> &mut MixServer {
         self.server
     }
 

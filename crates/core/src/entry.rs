@@ -11,13 +11,14 @@
 //! and no shuffling, and a malicious entry server is just another network
 //! adversary (it can drop/delay/inject, all of which the taps model).
 //!
-//! On the wire the entry runs as a relay of the one node handler
+//! The entry runs as a relay of the one node handler
 //! ([`crate::node::run_entry_node`]): a hop with no round engine, which
-//! applies every hop's sequencing and handshake rules and relays each
-//! frame without reading it. In process, [`crate::chain::Chain`] and
-//! [`crate::pipeline::StreamingChain`] admit a round's batch at the
-//! clients link themselves. Both hold the batch to one geometry rule,
-//! the one function below.
+//! applies every hop's sequencing and handshake rules, holds each client
+//! batch to one geometry rule (the one function below), and relays each
+//! frame without reading it. Every runtime steps that node — the
+//! `vuvuzela-entry` bin, [`crate::pipeline::StreamingChain`] and
+//! [`crate::chain::Chain::run`] — so an in-process client batch, tapped
+//! or not, meets exactly the checks a wire one does.
 //!
 //! A round's requests have one size, so the entry lays them into one
 //! arena: the round's client batch, the same geometry a deployment's
@@ -43,9 +44,9 @@ pub fn round_arena(kind: RoundKind, chain_len: usize) -> RoundBuffer {
 
 /// The one geometry rule for a round's client batch: slots of exactly
 /// the round's onion width over `chain_len` servers, width and stride
-/// alike (see [`round_arena`]). The wire entry refuses a frame that
-/// breaks it as a protocol error; the in-process chains panic, since
-/// their batch was laid out by code, not sent by a peer.
+/// alike (see [`round_arena`]). Only the entry's node applies it, in
+/// every runtime: a frame that breaks it is a protocol error, in process
+/// the cause of the run's [`crate::chain::Abort`].
 ///
 /// # Errors
 ///

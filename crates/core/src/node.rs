@@ -8,17 +8,18 @@
 //! node with no [`crate::engine::RoundEngine`], which holds client
 //! batches to their round's onion width and relays every frame,
 //! relabelled, without reading it. [`feed_window`] is the client side
-//! that feeds either. The one loop runs over the framed TCP backend (the
-//! `vuvuzela-server` / `-entry` / `-client` bins, one OS process per
-//! node) and over in-memory endpoints — which is all
-//! [`crate::pipeline::StreamingChain`] is: the server loops on scoped
-//! threads, fed by the calling thread: the threaded twin of
-//! [`crate::chain::Chain::run`], which calls each hop's handler itself,
-//! rounds in flight in the one interleaving its seeded scheduler picks —
-//! the same checks, steps and trailers, with no thread or transport.
-//! The round recipe itself lives in the shared [`crate::engine::RoundEngine`]; this
-//! module only moves frames, holds its peers to the protocol, and tells
-//! its caller what each pass cost ([`HopObserver`]).
+//! that feeds the entry. The one loop runs over the framed TCP backend
+//! (the `vuvuzela-server` / `-entry` / `-client` bins, one OS process
+//! per node) and over in-memory endpoints — which is all
+//! [`crate::pipeline::StreamingChain`] is: the entry's and the servers'
+//! loops on scoped threads, fed by the calling thread: the threaded twin
+//! of [`crate::chain::Chain::run`], which calls each node's handler
+//! itself, the entry's included, rounds in flight in the one
+//! interleaving its seeded scheduler picks — the same checks, steps and
+//! trailers, with no thread or transport. The round recipe itself lives
+//! in the shared [`crate::engine::RoundEngine`]; this module only moves
+//! frames, holds its peers to the protocol, leaves the tail's drops on
+//! its server, and tells its caller what each pass cost ([`HopObserver`]).
 //!
 //! ## Wire protocol
 //!
@@ -74,7 +75,6 @@
 
 use crate::chain::RoundTiming;
 use crate::config::SystemConfig;
-use crate::deaddrops::InvitationDrops;
 use crate::engine::{admission_weights, AdmissionWindow, EngineStep, RoundEngine};
 use crate::entry;
 use crate::observables::{ConversationObservables, DialingObservables};
@@ -273,20 +273,19 @@ pub(crate) enum Side {
 }
 
 /// What a server node hands its caller after every pass its engine
-/// runs, before the pass's frame leaves: the round, the piece of the
-/// round's [`RoundTiming`] this hop just measured, and — from the tail
-/// of a dialing round — the filled invitation drops. The node keeps
-/// none of it; the bins pass `&mut |_, _, _| {}`.
-pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming, Option<InvitationDrops>) + 'a;
+/// runs, before the pass's frame leaves: the round and the piece of the
+/// round's [`RoundTiming`] this hop just measured — timing only, as a
+/// dialing round's drops stay on the tail ([`MixServer::invitation_drops`]).
+pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming) + 'a;
 
 /// One node's side of the round protocol, one frame at a time: every
 /// check, step and trailer a hop applies, and nothing that moves frames.
 /// A mix server's node drives its [`RoundEngine`]; the entry's node has
 /// none and relays (§7: it "handles only opaque bytes"). The one pump
 /// behind [`run_server_node`] and [`run_entry_node`] runs it on whatever
-/// its links deliver; [`crate::chain::Chain::run`] delivers each hop its
-/// frames itself, on the calling thread, in the order its seeded
-/// scheduler draws.
+/// its links deliver; [`crate::chain::Chain::run`] delivers each node its
+/// frames itself, the entry's included, on the calling thread, in the
+/// order its seeded scheduler draws.
 pub(crate) struct ServerNode<'a> {
     /// `None` for the entry, which relays.
     engine: Option<RoundEngine<'a>>,
@@ -398,7 +397,7 @@ impl<'a> ServerNode<'a> {
                     };
                     return Ok((Side::Downstream, Frame::Batch(relayed), false));
                 };
-                let width = engine.server().incoming_width(kind);
+                let width = engine.server_mut().incoming_width(kind);
                 if frame.width as usize != width {
                     let got = frame.width;
                     let what =
@@ -408,7 +407,7 @@ impl<'a> ServerNode<'a> {
                 let (buf, mut timing) = (buf_from_frame(frame), RoundTiming::default());
                 match engine.forward(round, kind, buf, &mut timing) {
                     EngineStep::Forward { round, kind, buf } => {
-                        observer(round, timing, None);
+                        observer(round, timing);
                         self.pending.push_back((round, round_type));
                         let link = self.down_link();
                         let forward = frame_from_buf(link, round, kind, false, buf, Vec::new());
@@ -419,7 +418,7 @@ impl<'a> ServerNode<'a> {
                         replies,
                         observables,
                     } => {
-                        observer(round, timing, None);
+                        observer(round, timing);
                         self.stats.bump(RoundType::Conversation);
                         let trailer = RoundTrailer::Conversation(observables).encode();
                         let kind = RoundKind::Conversation;
@@ -432,7 +431,8 @@ impl<'a> ServerNode<'a> {
                         drops,
                     } => {
                         let trailer = RoundTrailer::Dialing(drops.observables()).encode();
-                        observer(round, timing, Some(drops));
+                        observer(round, timing);
+                        engine.server_mut().invitation_drops = Some((round, drops));
                         self.stats.bump(RoundType::Dialing);
                         let completion = BatchFrame {
                             link: up_link,
@@ -482,7 +482,7 @@ impl<'a> ServerNode<'a> {
                 // The arena goes straight into the in-place reply wrap:
                 // refuse one this hop's layer, or a later hop's, would
                 // not fit in.
-                let server = engine.server();
+                let server = engine.server_mut();
                 let (width, stride) = (server.reply_width(), server.reply_stride());
                 if back.width as usize != width || (back.stride as usize) < stride {
                     let what = format!(
@@ -495,7 +495,7 @@ impl<'a> ServerNode<'a> {
                 let trailer = std::mem::take(&mut back.trailer);
                 let (buf, mut timing) = (buf_from_frame(back), RoundTiming::default());
                 let replies = engine.backward(round, buf, &mut timing);
-                observer(round, timing, None);
+                observer(round, timing);
                 let kind = RoundKind::Conversation;
                 let replies = frame_from_buf(up_link, round, kind, true, replies, trailer);
                 (Side::Upstream, replies)
@@ -596,7 +596,7 @@ pub fn run_entry_node(
     downstream: Arc<dyn Transport>,
 ) -> Result<NodeStats, Error> {
     let node = ServerNode::relay(config, clients.link_id(), Some(downstream.link_id()));
-    pump(node, clients, Some(downstream), &mut |_, _, _| {})
+    pump(node, clients, Some(downstream), &mut |_, _| {})
 }
 
 /// The node loop: pumps `node`'s handler with what its links deliver,
@@ -648,9 +648,9 @@ fn pump(
 /// feeder returns once the node it feeds answers with the backward one:
 /// every node behind it has then finished.
 ///
-/// Both drivers of the node loop feed through here: the deployment
-/// client (to the entry, over TCP) and
-/// [`crate::pipeline::StreamingChain`] (to hop 0, in memory).
+/// Both drivers of the node loop feed the entry through here: the
+/// deployment client over TCP, and [`crate::pipeline::StreamingChain`]
+/// in memory.
 ///
 /// # Errors
 ///
@@ -772,7 +772,7 @@ mod tests {
     /// thread *pipelined* (both rounds admitted before either reply is
     /// read), must be byte-identical to the same schedule on [`Chain::run`]
     /// with the same seed — replies, conversation observables, dialing
-    /// counts.
+    /// counts, and the invitation drops the tail keeps.
     #[test]
     fn memory_nodes_match_sequential_chain() {
         let config = tiny_config(3);
@@ -838,20 +838,20 @@ mod tests {
         let (s0_down, s1_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
         let (s1_down, s2_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(2))));
 
-        let mut handles = Vec::new();
         let cfg = config.clone();
-        handles.push(std::thread::spawn(move || {
+        let entry = std::thread::spawn(move || {
             run_entry_node(&cfg, Arc::new(entry_client_end), Arc::new(entry_down)).expect("entry")
-        }));
+        });
         let downs: [Option<Arc<dyn Transport>>; 3] =
             [Some(Arc::new(s0_down)), Some(Arc::new(s1_down)), None];
         let ups: [Arc<dyn Transport>; 3] = [Arc::new(s0_up), Arc::new(s1_up), Arc::new(s2_up)];
+        let mut servers = Vec::new();
         for (position, (up, down)) in ups.into_iter().zip(downs).enumerate() {
             let mut server = build_server(&config, seed, position);
             let cfg = config.clone();
-            handles.push(std::thread::spawn(move || {
-                run_server_node(&mut server, &cfg, seed, up, down, &mut |_, _, _| {})
-                    .expect("server")
+            servers.push(std::thread::spawn(move || {
+                let stats = run_server_node(&mut server, &cfg, seed, up, down, &mut |_, _| {});
+                (stats.expect("server"), server)
             }));
         }
 
@@ -891,15 +891,23 @@ mod tests {
         client_end.send(Frame::Bye).expect("bye");
         // The entry answers the forward bye once every hop has finished.
         assert!(matches!(client_end.recv(), Ok(Frame::Bye)));
-        for handle in handles {
-            let stats = handle.join().expect("node thread");
-            assert_eq!(
-                stats,
-                NodeStats {
-                    conversation_rounds: 1,
-                    dialing_rounds: 1,
-                }
-            );
+        let both = NodeStats {
+            conversation_rounds: 1,
+            dialing_rounds: 1,
+        };
+        assert_eq!(entry.join().expect("entry thread"), both);
+        let servers: Vec<_> = servers
+            .into_iter()
+            .map(|node| node.join().expect("server thread"))
+            .collect();
+        assert!(servers.iter().all(|(stats, _)| *stats == both));
+
+        // The memory tail kept round 1's drops, as the chain's tail did.
+        let (kept, drops) = servers[2].1.invitation_drops().expect("kept drops");
+        assert_eq!(kept, 1);
+        for index in (0..=num_drops + 1).map(InvitationDropIndex) {
+            let got = drops.download(index).map(<[_]>::to_vec);
+            assert_eq!(got, chain.download_drop(index), "{index:?}");
         }
     }
 
@@ -960,7 +968,7 @@ mod tests {
                     seed,
                     Arc::new(up_near),
                     down_near,
-                    &mut |_, _, _| {},
+                    &mut |_, _| {},
                 )
                 .expect("server")
             }));
@@ -1064,7 +1072,7 @@ mod tests {
         let (cfg, up) = (config.clone(), Arc::new(up_near));
         let down: Option<Arc<dyn Transport>> = Some(Arc::new(down_near));
         let node = std::thread::spawn(move || {
-            run_server_node(&mut server, &cfg, 3, up, down, &mut |_, _, _| {})
+            run_server_node(&mut server, &cfg, 3, up, down, &mut |_, _| {})
         });
         let num_drops = u32::from(round_type == RoundType::Dialing);
         let kind = match round_type {
@@ -1200,7 +1208,7 @@ mod tests {
         let mut server = build_server(&config, 3, 1);
         let node = std::thread::spawn(move || {
             let up = Arc::new(up_near);
-            run_server_node(&mut server, &config, 3, up, None, &mut |_, _, _| {})
+            run_server_node(&mut server, &config, 3, up, None, &mut |_, _| {})
         });
         up_far
             .send(zero_drop_dialing(LinkId::Hop(1), 1))

@@ -15,22 +15,23 @@
 //! [`StreamingChain`] is [`Chain::run`]'s threaded twin, kept only for
 //! the benchmark's `mixed_stream` and the golden pins: the OS scheduler
 //! picks its interleaving, so a run cannot be replayed. For one schedule
-//! every server of the wrapped [`Chain`] is a
-//! [`crate::node::run_server_node`] on a scoped thread over
-//! [`vuvuzela_net::memory_pair`] endpoints on the chain's own links, and
-//! the calling thread feeds hop 0 through [`crate::node::feed_window`]
-//! like a deployment's client. Checks, trailers, the `Bye` handshake and
+//! the entry is a [`crate::node::run_entry_node`] and every server of
+//! the wrapped [`Chain`] a [`crate::node::run_server_node`], each on a
+//! scoped thread over [`vuvuzela_net::memory_pair`] endpoints on the
+//! chain's own links, the clients link too, and the calling thread feeds
+//! the entry through [`crate::node::feed_window`] like a deployment's
+//! client. Checks, trailers, the tail's drops, the `Bye` handshake and
 //! the hang-up on failure are the node loop's, in process as over TCP
-//! (see [`crate::node`]); batches are admitted and rounds completed
-//! exactly as [`Chain::run`] does it (`chain::admit_batch`,
-//! `chain::Collector`).
+//! (see [`crate::node`]); rounds complete as in [`Chain::run`]
+//! (`chain::Collector`).
 //!
 //! Every frame carries its round id and protocol, links attribute
 //! traffic per round ([`vuvuzela_net::Link::round_traffic`]) and taps
 //! keep receiving the round id: pipelining changes *when* bytes move,
 //! never *which round* they belong to. The window is `max_in_flight`
-//! *slots* (default `chain_len`, the depth at which every server can be
-//! busy), each round priced by [`crate::engine::admission_weights`] —
+//! *slots* (default, and at most, `chain_len`: the depth at which every
+//! server can be busy, and the entry's limit), each round priced by
+//! [`crate::engine::admission_weights`] —
 //! weights shape scheduling, never a round's bytes. Because every source
 //! of round randomness is a pure function of `(seed, round)` (see
 //! [`crate::server`]), per-round replies, observables, dialing drops and
@@ -48,12 +49,10 @@
 //! slowest hop instead of the sum of hops; `benchmark/` measures both
 //! schedulers on the same batches as `core.pipeline.speedup_vs_sequential`.
 
-use crate::chain::{admit_batch, Abort, Chain, Collector, RoundOutcome, RoundSpec};
+use crate::chain::{Abort, Batch, Chain, Collector, RoundOutcome, RoundSpec};
 use crate::config::SystemConfig;
-use crate::node::{feed_window, run_server_node};
-use crate::roundbuf::RoundBuffer;
+use crate::node::{feed_window, run_entry_node, run_server_node};
 use crate::server::RoundKind;
-use std::cell::OnceCell;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use vuvuzela_crypto::x25519::PublicKey;
@@ -87,10 +86,16 @@ impl StreamingChain {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0`.
+    /// Panics unless `1 <= window <= chain_len`: the entry refuses a round
+    /// past `chain_len` in flight.
     #[must_use]
     pub fn with_max_in_flight(mut self, window: usize) -> StreamingChain {
-        assert!(window > 0, "need at least one round in flight");
+        let most = self.chain.config.chain_len;
+        let what = "at least one round in flight, and no more than the entry admits";
+        assert!(
+            (1..=most).contains(&window),
+            "window {window}: {what} ({most})"
+        );
         self.max_in_flight = window;
         self
     }
@@ -133,9 +138,9 @@ impl StreamingChain {
     }
 
     /// The scheduler: runs a heterogeneous sequence of conversation and
-    /// dialing rounds through the server node loops, fed under the
-    /// weighted window (see the module docs), and returns per-round
-    /// [`RoundOutcome`]s in input order, each byte-identical to the
+    /// dialing rounds through the entry's and the servers' node loops,
+    /// fed under the weighted window (see the module docs), and returns
+    /// per-round [`RoundOutcome`]s in input order, each byte-identical to the
     /// sequential [`Chain::run`] over the same sequence.
     ///
     /// Round ids must strictly increase within a schedule — the wire's
@@ -145,19 +150,18 @@ impl StreamingChain {
     /// # Errors
     ///
     /// An [`Abort`] when a node stops before the schedule completes — it
-    /// refused a frame, or a tap hung a link up under a batch
-    /// ([`vuvuzela_net::Tap::hangs_up`]). Its `rounds` are those admitted
-    /// but not completed. Every node thread has exited when it is
-    /// returned; the deployment recovers with
+    /// refused a frame (as in [`Chain::run`]), or a tap hung a link up
+    /// under a batch ([`vuvuzela_net::Tap::hangs_up`]). Its `rounds` are
+    /// those admitted but not completed. Every node thread has exited when
+    /// it is returned; the deployment recovers with
     /// [`StreamingChain::abort_in_flight_rounds`].
     ///
     /// # Panics
     ///
     /// Panics if round ids do not strictly increase (duplicate round ids
-    /// included), a batch's geometry is not its round's onion width, or a
-    /// tap or worker closure panics — bugs, not aborts: a node thread's
-    /// panic propagates with its own payload once every node has exited,
-    /// never hanging the schedule.
+    /// included), or a tap or worker closure panics — bugs, not aborts: a
+    /// node thread's panic propagates with its own payload once every node
+    /// has exited, never hanging the schedule.
     pub fn run(&mut self, specs: Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort> {
         let schedule: Vec<(u64, RoundKind, usize)> = specs
             .iter()
@@ -179,93 +183,72 @@ impl StreamingChain {
             client_link,
             seed,
             log,
-            ..
         } = &mut self.chain;
-        let (config, client_link, seed) = (&*config, &*client_link, *seed);
+        let (config, seed) = (&*config, *seed);
 
-        // One in-memory link per hop over the chain's own `Link` (meters,
-        // per-round log, tap): far end upstream's, near end the hop's.
+        // One in-memory link per link of the chain over its own `Link`
+        // (meters, per-round log, tap): far end upstream's, near end the
+        // downstream node's.
+        let (feeder, clients) = memory_pair(Arc::new(client_link.clone()));
         let (mut fars, nears): (Vec<_>, Vec<_>) = links
             .iter()
             .map(|link| memory_pair(Arc::new(link.clone())))
             .unzip();
-        let feeder = fars.remove(0);
+        let entry_down = fars.remove(0);
         let downs = fars.into_iter().map(Some).chain([None]);
 
         // What the hops report ([`crate::node::HopObserver`]) crosses to
         // the feeder's collector, which drains it as rounds come home.
         let (report, reports) = mpsc::channel();
-        let mut collector = Collector::new(client_link, log);
+        let mut collector = Collector::new(log);
         let mut outcomes = Vec::with_capacity(specs.len());
         let mut admitted = Vec::new();
         let mut specs = specs.into_iter();
-        // The feeder is the entry too: when the clients link hangs up
-        // under it, it hangs up on hop 0, as a deployment's entry would.
-        let mut clients_failure = OnceCell::new();
         let mut failures: Vec<Error> = Vec::new();
         let mut panicked = None;
 
         std::thread::scope(|s| {
-            let nodes: Vec<_> = servers
-                .iter_mut()
-                .zip(nears.into_iter().zip(downs))
-                .map(|(server, (up, down))| {
+            let entry =
+                s.spawn(move || run_entry_node(config, Arc::new(clients), Arc::new(entry_down)));
+            let servers = servers.iter_mut().zip(nears.into_iter().zip(downs));
+            let nodes: Vec<_> = std::iter::once(entry)
+                .chain(servers.map(|(server, (up, down))| {
                     let report = report.clone();
                     s.spawn(move || {
                         let up: Arc<dyn Transport> = Arc::new(up);
                         let down = down.map(|down| Arc::new(down) as Arc<dyn Transport>);
-                        let mut observe = |round, piece, drops| {
+                        let mut observe = |round, piece| {
                             // Nobody listens once the feeder has failed.
-                            let _ = report.send((round, piece, drops));
+                            let _ = report.send((round, piece));
                         };
                         run_server_node(server, config, seed, up, down, &mut observe)
                     })
-                })
+                }))
                 .collect();
 
-            // This thread is hop 0's upstream peer. Its end is dropped —
-            // hung up — however this block is left, a tap panicking
+            // This thread is the entry's client side. Its end is dropped
+            // — hung up — however this block is left, a tap panicking
             // under `send` included, so the nodes always finish.
             let feeder = feeder;
-            let fail = |err| {
-                let _ = clients_failure.set(err);
-                feeder.hang_up();
-            };
             let fed = feed_window(
                 config,
                 &feeder,
                 window,
                 &schedule,
                 |_| {
-                    let (round, kind, batch) = specs.next().expect("one spec a round").into_parts();
-                    if clients_failure.get().is_none() {
-                        admitted.push(round);
-                        match admit_batch(client_link, round, kind, config.chain_len, batch) {
-                            Ok(buf) => return (buf, Instant::now()),
-                            Err(err) => fail(err),
-                        }
-                    }
-                    // Nothing crosses a hung-up link: `feed_window`
-                    // stops at this arena's `send`.
-                    (RoundBuffer::new(1, 1), Instant::now())
+                    let spec = specs.next().expect("one spec a round");
+                    let (round, _, Batch::Flat(buf)) = spec.into_parts();
+                    admitted.push(round);
+                    (buf, Instant::now())
                 },
                 |fed: Instant, back, trailer| {
-                    // Replies that come home after the clients link
-                    // died never reach their clients: not completed.
-                    if clients_failure.get().is_some() {
-                        return;
+                    for (round, piece) in reports.try_iter() {
+                        collector.observe(round, piece);
                     }
-                    for (round, piece, drops) in reports.try_iter() {
-                        collector.observe(round, piece, drops);
-                    }
-                    match collector.complete(back, trailer, fed) {
-                        Ok(outcome) => outcomes.push(outcome),
-                        Err(err) => fail(err),
-                    }
+                    outcomes.push(collector.complete(back, trailer, fed));
                 },
             );
             drop(feeder);
-            failures.extend(clients_failure.take());
             failures.extend(fed.err());
             for node in nodes {
                 match node.join() {
@@ -280,7 +263,6 @@ impl StreamingChain {
             std::panic::resume_unwind(payload);
         }
         if failures.is_empty() {
-            collector.finish();
             return Ok(outcomes);
         }
         // Rounds complete in admission order.
@@ -608,6 +590,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no more than the entry admits")]
+    fn window_wider_than_the_entry_admits_is_refused() {
+        let _ = StreamingChain::new(tiny_config(2), 1).with_max_in_flight(3);
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate round ids")]
     fn duplicate_rounds_rejected() {
         let mut streaming = StreamingChain::new(tiny_config(2), 1);
@@ -769,7 +757,7 @@ mod tests {
         // chain_len = 1: the tail is also stage 0, so conversation
         // turnarounds and dialing completion notices both exit directly.
         let seed = 61;
-        let mut streaming = StreamingChain::new(tiny_config(1), seed).with_max_in_flight(3);
+        let mut streaming = StreamingChain::new(tiny_config(1), seed);
         let mut sequential = Chain::new(tiny_config(1), seed);
         let pks = streaming.server_public_keys();
         let mut rng = StdRng::seed_from_u64(19);

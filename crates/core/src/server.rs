@@ -48,6 +48,7 @@
 //! attack without leaking which entries were dropped.
 
 use crate::config::SystemConfig;
+use crate::deaddrops::InvitationDrops;
 use crate::noise::{self, NoiseBatch};
 use crate::roundbuf::RoundBuffer;
 use rand::rngs::StdRng;
@@ -152,6 +153,8 @@ pub struct MixServer {
     /// Base seed for per-round RNG derivation ([`round_rng`]).
     seed: u64,
     rounds: HashMap<u64, RoundState>,
+    /// See [`MixServer::invitation_drops`]; the tail's node fills it.
+    pub(crate) invitation_drops: Option<(u64, InvitationDrops)>,
     /// Cumulative count of requests this server replaced because they
     /// failed to authenticate (diagnostic; also exercised by tests).
     pub malformed_replaced: u64,
@@ -192,8 +195,18 @@ impl MixServer {
             config,
             seed,
             rounds: HashMap::new(),
+            invitation_drops: None,
             malformed_replaced: 0,
         }
+    }
+
+    /// The last dialing round this server completed as the tail, and its
+    /// filled drops, which clients download (§5.5); an abort leaves them.
+    /// `None` before the first, and on every other server.
+    #[must_use]
+    pub fn invitation_drops(&self) -> Option<(u64, &InvitationDrops)> {
+        let (round, drops) = self.invitation_drops.as_ref()?;
+        Some((*round, drops))
     }
 
     /// This server's long-term public key (known to all clients, §2.3).

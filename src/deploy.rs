@@ -543,7 +543,7 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
         cfg.seed,
         upstream,
         downstream,
-        &mut |_, _, _| {},
+        &mut |_, _| {},
     )
 }
 

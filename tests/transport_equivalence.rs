@@ -79,7 +79,7 @@ fn run_memory(cfg: &DeploymentConfig) -> String {
         let system = cfg.system.clone();
         let seed = cfg.seed;
         handles.push(std::thread::spawn(move || {
-            run_server_node(&mut server, &system, seed, up, down, &mut |_, _, _| {})
+            run_server_node(&mut server, &system, seed, up, down, &mut |_, _| {})
                 .expect("server node");
         }));
     }
