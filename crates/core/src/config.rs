@@ -2,7 +2,7 @@
 //!
 //! [`SystemConfig`] is the one config surface every execution mode
 //! shares: the in-process chain, the streaming pipeline, the simulator,
-//! and the deployment bins. The bins read it from a JSON deployment
+//! and the deployment program. Its roles read it from a JSON deployment
 //! file, so the struct round-trips through `serde_json` values with
 //! **strict** field checking — an unknown key is a config-file typo and
 //! must be rejected, not silently ignored.
@@ -102,9 +102,10 @@ impl SystemConfig {
     }
 
     /// Deserializes from a JSON value, rejecting unknown fields, a
-    /// `chain_len` the onion wrapper cannot serve and a zero worker,
-    /// slot or shard count (a deployment file must fail here, not inside
-    /// the first noising server's first round).
+    /// `chain_len` the onion wrapper cannot serve, a zero worker, slot
+    /// or shard count, and noise with a negative or infinite µ or a b
+    /// that is not finite and positive (a deployment file must fail
+    /// here, not inside the first noising server's first round).
     ///
     /// # Errors
     ///
@@ -191,6 +192,15 @@ fn noise_from_json(value: &Value) -> Result<NoiseDistribution, String> {
     reject_unknown(map, &["mu", "b"], "noise distribution")?;
     let mu = require(map, "mu")?.as_f64().ok_or("mu must be a number")?;
     let b = require(map, "b")?.as_f64().ok_or("b must be a number")?;
+    // `NoiseDistribution::new` asserts these; a file must fail here.
+    if !(mu.is_finite() && mu >= 0.0) {
+        return Err(format!(
+            "field \"mu\" must be finite and non-negative, got {mu}"
+        ));
+    }
+    if !(b.is_finite() && b > 0.0) {
+        return Err(format!("field \"b\" must be finite and positive, got {b}"));
+    }
     Ok(NoiseDistribution::new(mu, b))
 }
 

@@ -6,7 +6,7 @@
 //! backward pass on conversation replies — is written once, here, and
 //! driven from exactly one place (the engine is constructed nowhere
 //! else; CI checks it): the hop protocol of [`crate::node`], whose frame
-//! handler every runtime runs — a `vuvuzela-server` process over TCP,
+//! handler every runtime runs — a `vuvuzela server` process over TCP,
 //! [`crate::chain::Chain::run`]'s seeded schedule of it on the calling
 //! thread, and one scoped thread per hop of its threaded twin
 //! [`crate::pipeline::StreamingChain`] over in-memory links.

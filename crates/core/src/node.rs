@@ -9,7 +9,7 @@
 //! batches to their round's onion width and relays every frame,
 //! relabelled, without reading it. [`feed_window`] is the client side
 //! that feeds the entry. The one loop runs over the framed TCP backend
-//! (the `vuvuzela-server` / `-entry` / `-client` bins, one OS process
+//! (the `vuvuzela server`, `entry` and `client` roles, one OS process
 //! per node) and over in-memory endpoints — which is all
 //! [`crate::pipeline::StreamingChain`] is: the entry's and the servers'
 //! loops on scoped threads, fed by the calling thread: the threaded twin

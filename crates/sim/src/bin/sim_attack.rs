@@ -25,26 +25,10 @@
 //! a negative control (noise off, undersized µ) *failing to beat* the
 //! bound it falsely claims.
 
-use vuvuzela_sim::{attack_matrix, run_attack_case, Scale};
+use vuvuzela_sim::{attack_matrix, run_attack_case};
 
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut out_dir: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--full" {
-            scale = Scale::Full;
-        } else if arg.starts_with("--") {
-            eprintln!("sim_attack: unknown flag {arg}\nusage: sim_attack [--full] [OUT_DIR]");
-            std::process::exit(2);
-        } else if out_dir.is_some() {
-            eprintln!("sim_attack: more than one OUT_DIR\nusage: sim_attack [--full] [OUT_DIR]");
-            std::process::exit(2);
-        } else {
-            out_dir = Some(arg);
-        }
-    }
-    let out_dir = out_dir.unwrap_or_else(|| String::from("sim_results/attack"));
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    let (scale, out_dir) = vuvuzela_sim::bin_args("sim_attack", "sim_results/attack");
 
     let mut verdicts = Vec::new();
     let mut failed = false;

@@ -21,26 +21,10 @@
 //! Exit status is non-zero if any invariant fails or any transcript is
 //! unstable.
 
-use vuvuzela_sim::{bundled_matrix, run_scenario, Scale};
+use vuvuzela_sim::{bundled_matrix, run_scenario};
 
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut out_dir: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--full" {
-            scale = Scale::Full;
-        } else if arg.starts_with("--") {
-            eprintln!("sim_matrix: unknown flag {arg}\nusage: sim_matrix [--full] [OUT_DIR]");
-            std::process::exit(2);
-        } else if out_dir.is_some() {
-            eprintln!("sim_matrix: more than one OUT_DIR\nusage: sim_matrix [--full] [OUT_DIR]");
-            std::process::exit(2);
-        } else {
-            out_dir = Some(arg);
-        }
-    }
-    let out_dir = out_dir.unwrap_or_else(|| String::from("sim_results/matrix"));
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    let (scale, out_dir) = vuvuzela_sim::bin_args("sim_matrix", "sim_results/matrix");
 
     let mut manifest = String::new();
     let mut failed = false;

@@ -22,26 +22,10 @@
 //! Exit status is non-zero if any case trips an undeclared invariant,
 //! survives a declared one, or renders an unstable transcript.
 
-use vuvuzela_sim::{run_soak_case, soak_matrix, Scale};
+use vuvuzela_sim::{run_soak_case, soak_matrix};
 
 fn main() {
-    let mut scale = Scale::Smoke;
-    let mut out_dir: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--full" {
-            scale = Scale::Full;
-        } else if arg.starts_with("--") {
-            eprintln!("sim_soak: unknown flag {arg}\nusage: sim_soak [--full] [OUT_DIR]");
-            std::process::exit(2);
-        } else if out_dir.is_some() {
-            eprintln!("sim_soak: more than one OUT_DIR\nusage: sim_soak [--full] [OUT_DIR]");
-            std::process::exit(2);
-        } else {
-            out_dir = Some(arg);
-        }
-    }
-    let out_dir = out_dir.unwrap_or_else(|| String::from("sim_results/soak"));
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    let (scale, out_dir) = vuvuzela_sim::bin_args("sim_soak", "sim_results/soak");
 
     let mut manifest = String::new();
     let mut failed = false;

@@ -190,3 +190,36 @@ pub use scenario::{bundled_matrix, LedgerNoise, RoundPlan, Scale, Scenario, Step
 pub use simulator::{run_scenario, SimError, SimReport, Simulator};
 pub use soak::{run_soak_case, soak_matrix, AdversaryStrategy, SoakCase, SoakOutcome};
 pub use transcript::Transcript;
+
+/// The command line of the `sim_matrix`, `sim_soak` and `sim_attack`
+/// bins, `[--full] [OUT_DIR]`: the scale (`--full` is [`Scale::Full`],
+/// else [`Scale::Smoke`]) and the output directory, `default_out`
+/// unless one is given, created before this returns. Any other argument
+/// prints the usage on stderr and exits with status 2.
+///
+/// # Panics
+///
+/// If the output directory cannot be created.
+#[must_use]
+pub fn bin_args(bin: &str, default_out: &str) -> (Scale, String) {
+    let usage = |problem: String| {
+        eprintln!("{bin}: {problem}\nusage: {bin} [--full] [OUT_DIR]");
+        std::process::exit(2)
+    };
+    let mut scale = Scale::Smoke;
+    let mut out_dir: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        if arg == "--full" {
+            scale = Scale::Full;
+        } else if arg.starts_with("--") {
+            usage(format!("unknown flag {arg}"));
+        } else if out_dir.is_some() {
+            usage("more than one OUT_DIR".to_string());
+        } else {
+            out_dir = Some(arg);
+        }
+    }
+    let out_dir = out_dir.unwrap_or_else(|| default_out.to_string());
+    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    (scale, out_dir)
+}

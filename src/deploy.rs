@@ -1,4 +1,4 @@
-//! Real-deployment plumbing for the `vuvuzela-*` bins.
+//! Real-deployment plumbing for the `vuvuzela` program's roles.
 //!
 //! A deployment is described by one JSON file ([`DeploymentConfig`]):
 //! the shared [`SystemConfig`], the chain seed, one TCP address per
@@ -10,19 +10,18 @@
 //! The schedule is replayed by one scripted client, a [`ClientCohort`]
 //! ([`ScriptedClients`]) whose members each round takes on- or
 //! offline: every batch is a pure function of the config and the round
-//! number, so the distributed run (`vuvuzela-launch`: entry + servers +
+//! number, so the distributed run (`vuvuzela launch`: entry + servers +
 //! client as separate OS processes over loopback TCP, the client keeping
 //! the entry's window of `chain_len` rounds in flight) and the in-process
 //! reference ([`run_reference`]: one round per [`Chain::run`], the
 //! servers' own frame handler without sockets or entry) must produce
 //! **byte-identical transcripts** — reply hashes,
 //! delivered messages, dead-drop histograms and dialing counts
-//! included. `vuvuzela-launch --check` asserts exactly that, and CI
+//! included. `vuvuzela launch --check` asserts exactly that, and CI
 //! runs it on every push.
 
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,7 +132,7 @@ impl ScheduleEntry {
     }
 }
 
-/// Everything the `vuvuzela-*` bins need to run one deployment.
+/// Everything the `vuvuzela` roles need to run one deployment.
 #[derive(Clone, Debug)]
 pub struct DeploymentConfig {
     /// The protocol parameters every node shares.
@@ -470,8 +469,8 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
 }
 
 /// Replays the schedule against a live entry over any [`Transport`]
-/// (the TCP client bin, or in-memory endpoints in tests) and builds the
-/// client-side transcript.
+/// (`vuvuzela client` over TCP, or in-memory endpoints in tests) and
+/// builds the client-side transcript.
 ///
 /// [`feed_window`] keeps the entry's own window in flight: `chain_len`
 /// weighted slots, the limit the entry enforces and the one the
@@ -627,213 +626,20 @@ pub fn resolve_ephemeral_ports(cfg: &mut DeploymentConfig) -> Result<(), String>
     Ok(())
 }
 
-/// Options for [`launch`].
-pub struct LaunchOptions {
-    /// Also run the in-process reference and fail on any transcript
-    /// difference.
-    pub check: bool,
-    /// Where the transcripts and the resolved config are written.
-    pub out_dir: PathBuf,
-    /// Directory holding the `vuvuzela-server` / `vuvuzela-entry` /
-    /// `vuvuzela-client` bins; defaults to the launcher's own
-    /// directory.
-    pub bin_dir: Option<PathBuf>,
-}
-
-/// What [`launch`] produced.
-pub struct LaunchReport {
-    /// The distributed run's transcript (also written to
-    /// `distributed.txt`).
-    pub distributed: String,
-    /// The reference transcript, when `--check` ran.
-    pub reference: Option<String>,
-}
-
-fn kill_all(children: &mut [(String, Child)]) {
-    for (_, child) in children.iter_mut() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-}
-
-/// Spawns the process set — servers tail-to-head, entry, client —
-/// against `resolved_path`, waits for every process, and returns the
-/// client transcript. The first process to exit non-zero is named in
-/// the error, and the others are killed.
-fn run_process_set(
-    cfg: &DeploymentConfig,
-    bin: &dyn Fn(&str) -> PathBuf,
-    resolved_path: &Path,
-    transcript_path: &Path,
-) -> Result<String, String> {
-    let mut children: Vec<(String, Child)> = Vec::new();
-    let spawn = |children: &mut Vec<(String, Child)>,
-                 name: String,
-                 command: &mut Command|
-     -> Result<(), String> {
-        match command.spawn() {
-            Ok(child) => {
-                children.push((name, child));
-                Ok(())
-            }
-            Err(err) => {
-                kill_all(children);
-                Err(format!("cannot spawn {name}: {err}"))
-            }
-        }
-    };
-    // Servers first (tail to head so downstream listeners exist early,
-    // although the connect retry loop tolerates any order), then the
-    // entry, then the client driver.
-    for position in (0..cfg.system.chain_len).rev() {
-        spawn(
-            &mut children,
-            format!("vuvuzela-server {position}"),
-            Command::new(bin("vuvuzela-server"))
-                .arg("--config")
-                .arg(resolved_path)
-                .arg("--position")
-                .arg(position.to_string()),
-        )?;
-    }
-    spawn(
-        &mut children,
-        "vuvuzela-entry".to_string(),
-        Command::new(bin("vuvuzela-entry"))
-            .arg("--config")
-            .arg(resolved_path),
-    )?;
-    spawn(
-        &mut children,
-        "vuvuzela-client".to_string(),
-        Command::new(bin("vuvuzela-client"))
-            .arg("--config")
-            .arg(resolved_path)
-            .arg("--out")
-            .arg(transcript_path),
-    )?;
-
-    // Poll every process rather than wait on each in turn: a node that
-    // fails at start-up can leave the others blocked for good (a server
-    // in `accept` has no timeout), so the first failure ends the set.
-    loop {
-        let failure = children
-            .iter_mut()
-            .find_map(|(name, child)| match child.try_wait() {
-                Ok(Some(s)) if !s.success() => Some(format!("{name} exited with {s}")),
-                Ok(_) => None,
-                Err(err) => Some(format!("cannot wait for {name}: {err}")),
-            });
-        if let Some(failure) = failure {
-            kill_all(&mut children);
-            return Err(failure);
-        }
-        let succeeded = |child: &mut Child| matches!(child.try_wait(), Ok(Some(s)) if s.success());
-        if children.iter_mut().all(|(_, child)| succeeded(child)) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    std::fs::read_to_string(transcript_path).map_err(|err| {
-        format!(
-            "client wrote no transcript at {}: {err}",
-            transcript_path.display()
-        )
-    })
-}
-
-/// Launches one deployment as separate OS processes — `chain_len`
-/// `vuvuzela-server`s, one `vuvuzela-entry`, one `vuvuzela-client` —
-/// replays the schedule, and writes `distributed.txt`,
-/// `reference.txt` (with `check`) and `resolved.json` into the out dir.
+/// The committed smoke deployment, `deploy/smoke.json`: 3 servers, low
+/// noise, ephemeral loopback ports, a mixed 4-round schedule. It is
+/// what `vuvuzela launch` runs without `--config`, and what CI's
+/// deploy-smoke job launches.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Spawn failures, a non-zero child exit, or (with `check`) a
-/// transcript mismatch.
-pub fn launch(mut cfg: DeploymentConfig, opts: &LaunchOptions) -> Result<LaunchReport, String> {
-    resolve_ephemeral_ports(&mut cfg)?;
-    std::fs::create_dir_all(&opts.out_dir)
-        .map_err(|err| format!("cannot create {}: {err}", opts.out_dir.display()))?;
-    let write = |name: &str, contents: &str| -> Result<PathBuf, String> {
-        let path = opts.out_dir.join(name);
-        std::fs::write(&path, contents)
-            .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-        Ok(path)
-    };
-    let resolved_path = write("resolved.json", &(cfg.render() + "\n"))?;
-
-    let bin_dir = match &opts.bin_dir {
-        Some(dir) => dir.clone(),
-        None => std::env::current_exe()
-            .map_err(|err| format!("cannot locate the launcher binary: {err}"))?
-            .parent()
-            .ok_or("the launcher binary has no parent directory")?
-            .to_path_buf(),
-    };
-    let bin = |name: &str| bin_dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-
-    let transcript_path = opts.out_dir.join("distributed.txt");
-    let distributed = run_process_set(&cfg, &bin, &resolved_path, &transcript_path)?;
-
-    let reference = if opts.check {
-        let reference = run_reference(&cfg);
-        let reference_path = write("reference.txt", &reference)?;
-        if reference != distributed {
-            return Err(format!(
-                "transcript mismatch: {} differs from {} (distributed sha256 {}, reference {})",
-                transcript_path.display(),
-                reference_path.display(),
-                hex(&sha256(distributed.as_bytes())),
-                hex(&sha256(reference.as_bytes())),
-            ));
-        }
-        Some(reference)
-    } else {
-        None
-    };
-    Ok(LaunchReport {
-        distributed,
-        reference,
-    })
-}
-
-/// A small deployment suitable for smoke tests: 3 servers, low noise,
-/// ephemeral loopback ports, a mixed 4-round schedule.
+/// If the committed file does not parse, which this module's tests rule
+/// out.
 #[must_use]
 pub fn smoke_config() -> DeploymentConfig {
-    use vuvuzela_dp::{NoiseDistribution, NoiseMode};
-    DeploymentConfig {
-        system: SystemConfig {
-            chain_len: 3,
-            conversation_noise: NoiseDistribution::new(6.0, 2.0),
-            dialing_noise: NoiseDistribution::new(3.0, 1.0),
-            noise_mode: NoiseMode::Sampled,
-            workers: 2,
-            conversation_slots: 1,
-            retransmit_after: 2,
-            exchange_shards: 4,
-        },
-        seed: 42,
-        entry_addr: "127.0.0.1:0".to_string(),
-        server_addrs: vec!["127.0.0.1:0".to_string(); 3],
-        schedule: vec![
-            ScheduleEntry::Conversation {
-                pairs: 2,
-                singles: 1,
-            },
-            ScheduleEntry::Dialing { dials: 2, drops: 4 },
-            ScheduleEntry::Conversation {
-                pairs: 1,
-                singles: 0,
-            },
-            ScheduleEntry::Conversation {
-                pairs: 0,
-                singles: 2,
-            },
-        ],
-        connect_timeout_ms: DEFAULT_CONNECT_TIMEOUT_MS,
-    }
+    let value = serde_json::from_str(include_str!("../deploy/smoke.json"))
+        .expect("deploy/smoke.json is JSON");
+    DeploymentConfig::from_json(&value).expect("deploy/smoke.json is a deployment")
 }
 
 #[cfg(test)]
@@ -847,16 +653,6 @@ mod tests {
         transcript
             .split_once('\n')
             .map_or(transcript, |(_, body)| body)
-    }
-
-    #[test]
-    fn committed_smoke_deployment_matches_builtin() {
-        // `deploy/smoke.json` is what CI's deploy-smoke job launches;
-        // regenerate it with `vuvuzela-launch --dump-config` if
-        // `smoke_config` changes.
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("deploy/smoke.json");
-        let committed = load_config(&path).expect("committed smoke deployment parses");
-        assert_eq!(committed.digest(), smoke_config().digest());
     }
 
     #[test]
@@ -949,6 +745,37 @@ mod tests {
             }
             let err = DeploymentConfig::from_json(&value).expect_err("zero is refused");
             assert!(err.contains(key), "names the field: {err}");
+        }
+    }
+
+    #[test]
+    fn noise_out_of_range_fails_at_parse_time() {
+        // `NoiseDistribution::new` asserts µ ≥ 0 and b > 0: every process
+        // loads the file, so each would panic instead of naming the field.
+        // `1e999` parses to an infinite double.
+        let infinite: Value = serde_json::from_str("1e999").expect("a JSON number");
+        for noise in ["conversation_noise", "dialing_noise"] {
+            for (key, bad) in [
+                ("mu", Value::from(-1.0)),
+                ("mu", infinite.clone()),
+                ("b", Value::from(0.0)),
+                ("b", Value::from(-2.0)),
+                ("b", infinite.clone()),
+            ] {
+                let mut value = smoke_config().to_json();
+                if let Value::Object(map) = &mut value {
+                    if let Some(Value::Object(system)) = map.get_mut("system") {
+                        if let Some(Value::Object(dist)) = system.get_mut(noise) {
+                            dist.insert(key.to_string(), bad);
+                        }
+                    }
+                }
+                let err = DeploymentConfig::from_json(&value).expect_err("out of range");
+                assert!(
+                    err.contains(&format!("\"{key}\"")),
+                    "names the field: {err}"
+                );
+            }
         }
     }
 

@@ -1,10 +1,12 @@
 //! Real process death: a deployment launched as separate OS processes
-//! over loopback TCP — the `vuvuzela-server` and `vuvuzela-entry` bins
-//! an operator runs — loses its middle server to `kill` after one
+//! over loopback TCP — `vuvuzela server` and `vuvuzela entry`, the
+//! roles an operator runs — loses its middle server to `kill` after one
 //! completed round. Nothing may wait on the dead process: the client's
 //! next `recv` fails, and every surviving process exits non-zero, naming
 //! a link on stderr, inside a stated bound. And a node that dies at
-//! start-up, before any round, ends `vuvuzela-launch` with its name.
+//! start-up, before any round, ends `vuvuzela launch` with its name.
+//! A live process set also pins what `vuvuzela client` prints: without
+//! `--out`, its stdout is the transcript and nothing else.
 //!
 //! The in-process variants (an erroring or panicking node thread over
 //! memory endpoints and loopback TCP) are `tests/node_hang_up.rs`.
@@ -13,10 +15,9 @@ use std::io::Read;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use vuvuzela::core::node::RoundTrailer;
-use vuvuzela::deploy::{self, LaunchOptions, ScriptedClients};
+use vuvuzela::deploy::{self, DeploymentConfig, ScriptedClients};
 use vuvuzela::net::{LinkId, TcpTransport, Transport};
 use vuvuzela::wire::{BatchFrame, Frame, RoundId, RoundType};
 
@@ -55,39 +56,50 @@ impl Drop for Spawned {
     }
 }
 
-fn spawn(bin: &str, config: &PathBuf, position: Option<usize>) -> Child {
-    let mut command = Command::new(bin);
-    command.arg("--config").arg(config);
-    if let Some(position) = position {
-        command.arg("--position").arg(position.to_string());
-    }
+/// The deployment program in `role`, reading `config`.
+fn vuvuzela(role: &str, config: &Path) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_vuvuzela"));
+    command.arg(role).arg("--config").arg(config);
     command
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap_or_else(|err| panic!("cannot spawn {bin}: {err}"))
+}
+
+/// The smoke deployment with its ports resolved, written to a file of
+/// its own under `name`.
+fn resolved_smoke(name: &str) -> (DeploymentConfig, PathBuf) {
+    let mut cfg = deploy::smoke_config();
+    deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let config = dir.join("resolved.json");
+    std::fs::write(&config, cfg.render()).expect("write the resolved config");
+    (cfg, config)
+}
+
+/// Starts the servers tail to head, then the entry — the launcher's
+/// order — each with its stderr piped.
+fn start_chain(cfg: &DeploymentConfig, config: &Path) -> Spawned {
+    let mut processes = Spawned(Vec::new());
+    let mut start = |name: String, mut command: Command| {
+        let child = command
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|err| panic!("cannot spawn {name}: {err}"));
+        processes.0.push((name, child));
+    };
+    for position in (0..cfg.system.chain_len).rev() {
+        let mut server = vuvuzela("server", config);
+        server.arg("--position").arg(position.to_string());
+        start(format!("vuvuzela server {position}"), server);
+    }
+    start("vuvuzela entry".to_string(), vuvuzela("entry", config));
+    processes
 }
 
 #[test]
 fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
-    let mut cfg = deploy::smoke_config();
-    deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("process_death");
-    std::fs::create_dir_all(&dir).expect("scratch directory");
-    let config = dir.join("resolved.json");
-    std::fs::write(&config, cfg.render()).expect("write the resolved config");
-
-    // Servers tail to head, then the entry — the launcher's order.
-    let server_bin = env!("CARGO_BIN_EXE_vuvuzela-server");
-    let mut processes = Spawned(Vec::new());
-    for position in (0..cfg.system.chain_len).rev() {
-        let child = spawn(server_bin, &config, Some(position));
-        processes
-            .0
-            .push((format!("vuvuzela-server {position}"), child));
-    }
-    let entry = spawn(env!("CARGO_BIN_EXE_vuvuzela-entry"), &config, None);
-    processes.0.push(("vuvuzela-entry".to_string(), entry));
+    let (cfg, config) = resolved_smoke("process_death");
+    let mut processes = start_chain(&cfg, &config);
 
     let client = TcpTransport::connect(
         cfg.entry_addr.as_str(),
@@ -117,7 +129,7 @@ fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
     let victim = processes
         .0
         .iter()
-        .position(|(name, _)| name == "vuvuzela-server 1")
+        .position(|(name, _)| name == "vuvuzela server 1")
         .expect("server 1 was started");
     let (_, mut killed) = processes.0.remove(victim);
     killed.kill().expect("kill server 1");
@@ -164,20 +176,56 @@ fn an_entry_that_cannot_bind_ends_the_launch_by_name() {
     let squatter = TcpListener::bind("127.0.0.1:0").expect("a free loopback port");
     let mut cfg = deploy::smoke_config();
     cfg.entry_addr = squatter.local_addr().expect("bound").to_string();
-    let opts = LaunchOptions {
-        check: false,
-        out_dir: PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("entry_cannot_bind"),
-        bin_dir: Path::new(env!("CARGO_BIN_EXE_vuvuzela-server"))
-            .parent()
-            .map(Path::to_path_buf),
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("entry_cannot_bind");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let config = dir.join("deploy.json");
+    std::fs::write(&config, cfg.render()).expect("write the config");
+    let mut launcher = Spawned(Vec::new());
+    let child = vuvuzela("launch", &config)
+        .arg("--out-dir")
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the launcher");
+    launcher.0.push(("vuvuzela launch".to_string(), child));
+    let (_, child) = &mut launcher.0[0];
+    let started = Instant::now();
+    let status = loop {
+        match child.try_wait().expect("poll the launcher") {
+            Some(status) => break status,
+            None if started.elapsed() > Duration::from_secs(20) => {
+                panic!("the launch did not end within 20 s");
+            }
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
     };
-    let (done, outcome) = mpsc::channel();
-    let launcher = std::thread::spawn(move || done.send(deploy::launch(cfg, &opts).map(|_| ())));
-    let outcome = outcome
-        .recv_timeout(Duration::from_secs(20))
-        .expect("the launch ends within 20 s");
-    let _sent = launcher.join().expect("launcher thread");
-    let err = outcome.expect_err("a node failed");
-    assert!(err.contains("vuvuzela-entry"), "names the entry: {err}");
+    assert!(!status.success(), "a node failed: {status}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr was piped")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let named = stderr
+        .lines()
+        .any(|line| line.starts_with("vuvuzela launch: vuvuzela entry"));
+    assert!(named, "names the entry:\n{stderr}");
     drop(squatter);
+}
+
+#[test]
+fn a_client_without_out_prints_the_transcript_alone() {
+    // The client's summary line goes to stderr, so `> transcript.txt`
+    // captures exactly what `--out transcript.txt` writes.
+    let (cfg, config) = resolved_smoke("client_stdout");
+    let _chain = start_chain(&cfg, &config);
+    let client = vuvuzela("client", &config)
+        .stderr(Stdio::null())
+        .output()
+        .expect("run the client");
+    assert!(client.status.success(), "client: {}", client.status);
+    let stdout = String::from_utf8(client.stdout).expect("a UTF-8 transcript");
+    assert_eq!(stdout, deploy::run_reference(&cfg));
 }

@@ -7,13 +7,13 @@
 //! 2. transport-driven nodes over in-memory endpoints
 //!    ([`vuvuzela::net::memory_pair`]),
 //! 3. transport-driven nodes over loopback TCP (ephemeral ports, one
-//!    thread per node standing in for the per-process bins),
+//!    thread per node standing in for the per-process roles),
 //!
 //! the last two fed by `deploy::run_client` at the entry's window of
 //! `chain_len` rounds.
 //!
 //! The separate-OS-process variant of (3) is exercised by
-//! `vuvuzela-launch --check` in CI's deploy-smoke job.
+//! `vuvuzela launch --check` in CI's deploy-smoke job.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -92,7 +92,7 @@ fn run_memory(cfg: &DeploymentConfig) -> String {
 }
 
 /// Mode 3: nodes over loopback TCP with ephemeral ports, one thread per
-/// node running exactly the code the bins run.
+/// node running exactly the code the program's roles run.
 fn run_loopback_tcp(cfg: &DeploymentConfig) -> String {
     let cfg = cfg.clone();
     let mut handles = Vec::new();
