@@ -10,13 +10,8 @@
 //!   broadcast, with per-round cost superlinear in users. [`broadcast`]
 //!   implements that strawman; the scaling benches show its O(n²) total
 //!   bytes against Vuvuzela's O(n).
-//!
-//! [`single_server`] additionally implements the §2.1 strawman (one
-//! trusted server, no mixing, no noise) whose observable dead-drop access
-//! patterns motivate the whole design (Figure 4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod broadcast;
-pub mod single_server;

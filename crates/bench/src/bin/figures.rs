@@ -1,6 +1,6 @@
 //! The paper's evaluation figures and tables (§6, §8): one function
 //! each, returning the artefact written to `bench_results/<name>.json`,
-//! over one shared deployment config, calibration and report setup.
+//! over one shared deployment config, cost model and report setup.
 //!
 //! Run: `cargo run --release -p vuvuzela-bench --bin figures --
 //! [--quick] <name>…|all`. A name selects the figure called that or
@@ -10,9 +10,10 @@
 //!
 //! The latency figures run the real protocol at 1:100 or 1:300 of the
 //! paper's scale, measure end-to-end wall-clock per round, and
-//! extrapolate to the paper's 36-core servers with the calibrated
-//! [`CostModel`] — the §8.2 arithmetic behind the paper's own lower
-//! bound. Noise is deterministic (⌈µ⌉ per server), as in §8.1.
+//! extrapolate to the paper's 36-core servers with [`CostModel`] — the
+//! §8.2 arithmetic behind the paper's own lower bound, priced at this
+//! host's chunk-kernel probes. Noise is deterministic (⌈µ⌉ per server),
+//! as in §8.1.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,8 +88,8 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// What the figures share: the reduced-grid flag and this host's
-/// calibrated cost model (a ≈ 15 ms measurement).
+/// What the figures share: the reduced-grid flag and this host's cost
+/// model (a ≈ 0.3 s probe of 1024 onions).
 struct Setup {
     quick: bool,
     model: CostModel,
@@ -96,10 +97,11 @@ struct Setup {
 
 impl Setup {
     fn new(quick: bool) -> Setup {
-        let model = CostModel::calibrate();
+        let model = CostModel::probe(1024, 3);
         println!(
-            "calibration: {:.0} DH ops/s/core × {} cores (paper hardware: 340,000 ops/s total)",
-            model.dh_ops_per_sec_core, model.cores
+            "kernel probes: {:.0} peels/s/core, {:.0} layers/s/core × {} cores \
+             (paper hardware: 340,000 DH ops/s total)",
+            model.peels_per_sec_core, model.layers_per_sec_core, model.cores
         );
         Setup { quick, model }
     }
@@ -403,7 +405,8 @@ fn fig8_dial_privacy(_: &Setup) -> Value {
 /// almost as much as the 10K-user one.
 fn fig9_conv_latency(setup: &Setup) -> Value {
     const SCALE: u64 = 100;
-    let (local, paper) = (setup.model.with_overhead(1.0), CostModel::paper_hardware());
+    let local = setup.model.with_overhead(1.0);
+    let paper = CostModel::paper_hardware();
     let mut sheet = Sheet::default();
     let mut overheads = Vec::new();
 
@@ -415,7 +418,7 @@ fn fig9_conv_latency(setup: &Setup) -> Value {
             let measured = timing.total.as_secs_f64();
             let forward: f64 = timing.forward.iter().map(|d| d.as_secs_f64()).sum();
 
-            // Pure-DH model time at our scale, to expose the end-to-end
+            // Kernel-floor time at our scale, to expose the end-to-end
             // overhead factor the paper reports as ≈2×; then the paper's
             // hardware at 100× the size under that measured overhead.
             let dh_only = local.predict_conversation_secs(users, mu, 3);
@@ -457,7 +460,8 @@ fn fig9_conv_latency(setup: &Setup) -> Value {
 
     json!({
         "scale": SCALE, "points": sheet.rows, "mean_overhead": mean_overhead,
-        "calibration_dh_ops_per_sec_core": local.dh_ops_per_sec_core,
+        "probe_peels_per_sec_core": local.peels_per_sec_core,
+        "probe_layers_per_sec_core": local.layers_per_sec_core,
     })
 }
 
@@ -469,7 +473,8 @@ fn fig10_dial_latency(setup: &Setup) -> Value {
     const DIAL_FRACTION: f64 = 0.05;
     const DROPS: u32 = 1;
     let mu = PAPER_DIAL_MU / SCALE as f64;
-    let (local, paper) = (setup.model.with_overhead(1.0), CostModel::paper_hardware());
+    let local = setup.model.with_overhead(1.0);
+    let paper = CostModel::paper_hardware();
     let mut sheet = Sheet::default();
     let mut overheads = Vec::new();
 
@@ -525,7 +530,8 @@ fn fig11_chain_scaling(setup: &Setup) -> Value {
     let users: u64 = 1_000_000 / SCALE;
     let mu: f64 = PAPER_MU / SCALE as f64;
     let longest = if setup.quick { 4 } else { 6 };
-    let (local, paper) = (setup.model.with_overhead(1.0), CostModel::paper_hardware());
+    let local = setup.model.with_overhead(1.0);
+    let paper = CostModel::paper_hardware();
     let mut sheet = Sheet::default();
     let mut measurements = Vec::new();
 
@@ -728,7 +734,8 @@ fn tab_throughput(setup: &Setup) -> Value {
 
     json!({
         "headlines": headline.rows, "scaling": scaling.rows, "crossover_users": crossover,
-        "local_dh_ops_per_sec_core": local.dh_ops_per_sec_core,
+        "local_peels_per_sec_core": local.peels_per_sec_core,
+        "local_layers_per_sec_core": local.layers_per_sec_core,
     })
 }
 

@@ -1,4 +1,4 @@
-//! Calibrated cost model for paper-scale extrapolation.
+//! The kernel-floor cost model: §8.2's arithmetic, priced per kernel.
 //!
 //! §8.2 of the paper derives a latency lower bound from first principles:
 //! "with two million users, each server must perform one Diffie-Hellman
@@ -7,57 +7,80 @@
 //! (3.2·10⁶ × 3)/(3.4·10⁵) ≈ 28 seconds", and reports the full system
 //! "within 2× of the cost of the inevitable cryptographic operations".
 //!
-//! [`CostModel`] reproduces exactly that arithmetic with *our* measured
-//! X25519 throughput, plus a finer per-stage count that also bills the
-//! noise-wrapping DH work. The figure binaries calibrate the model's
-//! overhead factor against real scaled rounds and then extrapolate.
+//! [`CostModel`] reproduces exactly that arithmetic, plus a finer
+//! per-hop count ([`CostModel::hop_ops`]) that splits the round's
+//! X25519 work into the two kernels that do it: onions peeled and onion
+//! layers wrapped (cover traffic). Each kernel has its own per-core
+//! rate, measured on this host by the chunk probes of
+//! [`crate::peelstage`]. This is the one place the kernel floor is
+//! priced: `bench_round_pipeline` gates its forward pass against it,
+//! and the figures extrapolate with it.
 
-use std::time::Instant;
-use vuvuzela_crypto::x25519;
+use std::iter::Sum;
+
+use crate::peelstage::Probe;
+
+/// The X25519 kernel work of (part of) a round.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct KernelOps {
+    /// Onions peeled: one variable-base DH each.
+    pub peels: f64,
+    /// Onion layers wrapped: one fixed-base keygen and one DH against a
+    /// server's precomputed table each.
+    pub layers: f64,
+}
+
+impl Sum for KernelOps {
+    fn sum<I: Iterator<Item = KernelOps>>(iter: I) -> KernelOps {
+        iter.fold(KernelOps::default(), |sum, ops| KernelOps {
+            peels: sum.peels + ops.peels,
+            layers: sum.layers + ops.layers,
+        })
+    }
+}
 
 /// A machine's cryptographic capability for Vuvuzela purposes.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
-    /// X25519 operations per second on one core.
-    pub dh_ops_per_sec_core: f64,
+    /// Onions one core peels per second.
+    pub peels_per_sec_core: f64,
+    /// Onion layers one core wraps per second.
+    pub layers_per_sec_core: f64,
     /// Cores assumed per server.
     pub cores: usize,
-    /// Multiplier for everything that is not DH (serialization, AEAD,
-    /// shuffling, allocation). The paper observes ≈2× end to end;
-    /// calibrate with [`CostModel::with_overhead`] against measured
-    /// rounds.
+    /// Multiplier for everything that is not the kernels (AEAD outside
+    /// them, shuffling, noise draws, fan-out). The paper observes ≈2×
+    /// end to end; set a measured one with [`CostModel::with_overhead`].
     pub overhead: f64,
 }
 
 impl CostModel {
-    /// Measures this machine's single-core X25519 throughput.
+    /// This host's kernels, priced by the chunk-peel and chunk-wrap
+    /// probes over `onions` onions, best of `iterations` each (the wrap
+    /// at the paper's chain length, 3), on `default_workers()` cores, at
+    /// the paper's 2× overhead.
+    ///
+    /// # Panics
+    ///
+    /// If a probed kernel disagrees with its oracle (see [`Probe`]).
     #[must_use]
-    pub fn calibrate() -> CostModel {
-        let scalar = [7u8; 32];
-        let mut u = [9u8; 32];
-        for _ in 0..20 {
-            u = x25519::x25519(&scalar, &u);
-        }
-        let iterations = 300u32;
-        let start = Instant::now();
-        for _ in 0..iterations {
-            u = x25519::x25519(&scalar, &u);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        std::hint::black_box(u);
+    pub fn probe(onions: usize, iterations: usize) -> CostModel {
+        let best = |probe: Probe| (0..iterations).map(|_| probe.rate()).fold(0.0, f64::max);
         CostModel {
-            dh_ops_per_sec_core: f64::from(iterations) / elapsed,
+            peels_per_sec_core: best(Probe::peel(onions)),
+            layers_per_sec_core: best(Probe::wrap(onions, 3)),
             cores: vuvuzela_net::parallel::default_workers(),
-            overhead: 2.0, // paper's observed factor until calibrated
+            overhead: 2.0,
         }
     }
 
     /// The paper's reference hardware: 340,000 DH ops/sec on a 36-core
-    /// c4.8xlarge (§8.2).
+    /// c4.8xlarge (§8.2), the same rate for either kernel.
     #[must_use]
     pub fn paper_hardware() -> CostModel {
         CostModel {
-            dh_ops_per_sec_core: 340_000.0 / 36.0,
+            peels_per_sec_core: 340_000.0 / 36.0,
+            layers_per_sec_core: 340_000.0 / 36.0,
             cores: 36,
             overhead: 2.0,
         }
@@ -67,12 +90,6 @@ impl CostModel {
     #[must_use]
     pub fn with_overhead(self, overhead: f64) -> CostModel {
         CostModel { overhead, ..self }
-    }
-
-    /// Total DH throughput of one server.
-    #[must_use]
-    pub fn dh_ops_per_sec(&self) -> f64 {
-        self.dh_ops_per_sec_core * self.cores as f64
     }
 
     /// Messages reaching the last server in a conversation round:
@@ -86,50 +103,64 @@ impl CostModel {
     /// DH per message of the round, servers run strictly in sequence.
     #[must_use]
     pub fn paper_lower_bound_secs(&self, users: u64, mu: f64, servers: usize) -> f64 {
-        Self::round_messages(users, mu, servers) * servers as f64 / self.dh_ops_per_sec()
+        Self::round_messages(users, mu, servers) * servers as f64
+            / (self.peels_per_sec_core * self.cores as f64)
     }
 
-    /// Detailed DH count across the whole chain for one conversation
-    /// round, including the wrapping of noise onions that the paper's
-    /// coarse bound folds into its "one op per message":
-    ///
-    /// * server `i` peels `users + 2µ·i` onions,
-    /// * server `i < n−1` wraps `2µ` noise onions with `n−1−i` layers.
+    /// The kernel work of each server of a `servers`-server chain in a
+    /// round that `users` onions enter and to which every server but
+    /// the last adds `noise` cover onions: server `i` peels
+    /// `users + noise·i` onions and wraps its noise with `servers − 1 − i`
+    /// layers each.
     #[must_use]
-    pub fn conversation_dh_ops(users: u64, mu: f64, servers: usize) -> f64 {
-        let n = servers;
-        let mut ops = 0.0;
-        for i in 0..n {
-            ops += users as f64 + 2.0 * mu * i as f64; // peels
-            if i + 1 < n {
-                ops += 2.0 * mu * (n - 1 - i) as f64; // noise wraps
-            }
-        }
-        ops
+    pub fn hop_ops(users: u64, noise: f64, servers: usize) -> Vec<KernelOps> {
+        (0..servers)
+            .map(|i| KernelOps {
+                peels: users as f64 + noise * i as f64,
+                layers: if i + 1 < servers {
+                    noise * (servers - 1 - i) as f64
+                } else {
+                    0.0
+                },
+            })
+            .collect()
     }
 
-    /// Predicted end-to-end conversation latency: detailed DH work,
-    /// sequential servers, times the overhead factor.
+    /// The kernel work of a whole conversation round: 2µ cover onions
+    /// per noising server.
+    #[must_use]
+    pub fn conversation_ops(users: u64, mu: f64, servers: usize) -> KernelOps {
+        Self::hop_ops(users, 2.0 * mu, servers).into_iter().sum()
+    }
+
+    /// The kernel work of a whole dialing round: `drops · µ` cover
+    /// invitations per noising server.
+    #[must_use]
+    pub fn dialing_ops(users: u64, mu: f64, drops: u32, servers: usize) -> KernelOps {
+        Self::hop_ops(users, f64::from(drops) * mu, servers)
+            .into_iter()
+            .sum()
+    }
+
+    /// Seconds `ops` take at this model's kernel rates on all its
+    /// cores, with nothing else in the way.
+    #[must_use]
+    pub fn kernel_floor_secs(&self, ops: KernelOps) -> f64 {
+        (ops.peels / self.peels_per_sec_core + ops.layers / self.layers_per_sec_core)
+            / self.cores as f64
+    }
+
+    /// Predicted end-to-end conversation latency: the round's kernel
+    /// floor, sequential servers, times the overhead factor.
     #[must_use]
     pub fn predict_conversation_secs(&self, users: u64, mu: f64, servers: usize) -> f64 {
-        Self::conversation_dh_ops(users, mu, servers) / self.dh_ops_per_sec() * self.overhead
+        self.kernel_floor_secs(Self::conversation_ops(users, mu, servers)) * self.overhead
     }
 
-    /// Predicted dialing-round latency: each server peels
-    /// `users + m·µ·i` invitations and wraps `m·µ` noise each
-    /// (`m` = drops).
+    /// Predicted dialing-round latency, likewise.
     #[must_use]
     pub fn predict_dialing_secs(&self, users: u64, mu: f64, drops: u32, servers: usize) -> f64 {
-        let per_server_noise = f64::from(drops) * mu;
-        let n = servers;
-        let mut ops = 0.0;
-        for i in 0..n {
-            ops += users as f64 + per_server_noise * i as f64;
-            if i + 1 < n {
-                ops += per_server_noise * (n - 1 - i) as f64;
-            }
-        }
-        ops / self.dh_ops_per_sec() * self.overhead
+        self.kernel_floor_secs(Self::dialing_ops(users, mu, drops, servers)) * self.overhead
     }
 
     /// Messages per second at a given scale (§1's "68,000 messages per
@@ -193,7 +224,7 @@ mod tests {
         let marginal = at_2m - at_1m;
         let per_user = marginal / 1_000_000.0;
         // Marginal cost per added user ≈ servers × overhead / rate.
-        let want = 3.0 * 2.0 / model.dh_ops_per_sec();
+        let want = 3.0 * 2.0 / (model.peels_per_sec_core * model.cores as f64);
         assert!((per_user - want).abs() / want < 1e-9);
     }
 
@@ -219,12 +250,27 @@ mod tests {
     }
 
     #[test]
-    fn calibration_measures_something_sane() {
-        let model = CostModel::calibrate();
-        assert!(
-            model.dh_ops_per_sec_core > 100.0,
-            "implausibly slow: {} ops/s",
-            model.dh_ops_per_sec_core
+    fn the_round_pipeline_bench_does_60k_peels_and_30k_layers() {
+        // µ = 5 000 deterministic, 10 000 clients, chain 3: hop 0 peels
+        // 10k and wraps its 10k noise twice, hop 1 peels 20k and wraps
+        // 10k once, the tail peels 30k.
+        let hops = CostModel::hop_ops(10_000, 2.0 * 5_000.0, 3);
+        let layers: Vec<f64> = hops.iter().map(|hop| hop.layers).collect();
+        assert_eq!(layers, [20_000.0, 10_000.0, 0.0]);
+        assert_eq!(
+            CostModel::conversation_ops(10_000, 5_000.0, 3),
+            KernelOps {
+                peels: 60_000.0,
+                layers: 30_000.0,
+            }
         );
+    }
+
+    #[test]
+    fn calibration_measures_something_sane() {
+        let model = CostModel::probe(16, 1);
+        for rate in [model.peels_per_sec_core, model.layers_per_sec_core] {
+            assert!(rate > 100.0, "implausibly slow: {rate} ops/s");
+        }
     }
 }

@@ -82,8 +82,9 @@ use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use vuvuzela_crypto::onion;
 use vuvuzela_net::{Demux, Error, Transport};
-use vuvuzela_wire::{BatchFrame, Frame, LinkId, RoundId, RoundSequencer, RoundType};
+use vuvuzela_wire::{BatchFrame, Frame, LinkId, RoundId, RoundSequencer, RoundType, MAX_FRAME_LEN};
 
 /// The tail's per-round observables, encoded into the backward frame's
 /// opaque trailer and relayed untouched by every intermediate hop.
@@ -207,15 +208,34 @@ fn protocol(link: LinkId, reason: impl Into<String>) -> Error {
     }
 }
 
+/// The most drops a dialing round under `config` may announce: the
+/// cover traffic they ask of a hop — dialing µ per drop, counted as at
+/// least one onion, at the chain's full dialing onion width — must fit
+/// one frame ([`MAX_FRAME_LEN`]), or the round could not be forwarded.
+fn max_drops(config: &SystemConfig) -> u64 {
+    let width = onion::wrapped_len(vuvuzela_wire::DIAL_REQUEST_LEN, config.chain_len);
+    let per_drop = config.dialing_noise.mu.max(1.0) * width as f64;
+    (MAX_FRAME_LEN as f64 / per_drop) as u64
+}
+
 /// The round kind a forward frame arriving on `link` announces. A
-/// dialing round needs at least one real drop (§5.4's `m`); one with
-/// none is refused here, before it can reach the tail's deposit.
-fn round_kind(link: LinkId, frame: &BatchFrame) -> Result<RoundKind, Error> {
+/// dialing round needs at least one real drop (§5.4's `m`), and at most
+/// `max_drops` ([`max_drops`]); one outside is refused here, before any
+/// noise draw, drop table or deposit is sized by it.
+fn round_kind(link: LinkId, frame: &BatchFrame, max_drops: u64) -> Result<RoundKind, Error> {
+    let round = frame.round.0;
     match (frame.round_type, frame.num_drops) {
         (RoundType::Conversation, _) => Ok(RoundKind::Conversation),
         (RoundType::Dialing, 0) => Err(protocol(
             link,
-            format!("round {} is a dialing round with no drops", frame.round.0),
+            format!("round {round} is a dialing round with no drops"),
+        )),
+        (RoundType::Dialing, num_drops) if u64::from(num_drops) > max_drops => Err(protocol(
+            link,
+            format!(
+                "round {round} is a dialing round with {num_drops} drops, over the \
+                 {max_drops} whose cover traffic fits one frame"
+            ),
         )),
         (RoundType::Dialing, num_drops) => Ok(RoundKind::Dialing { num_drops }),
     }
@@ -292,6 +312,8 @@ pub(crate) struct ServerNode<'a> {
     /// The chain's length: the entry's client-batch geometry and how
     /// many rounds it lets into the chain at once.
     chain_len: usize,
+    /// The most drops a dialing round may announce ([`max_drops`]).
+    max_drops: u64,
     up_link: LinkId,
     /// `None` for the chain's tail.
     down_link: Option<LinkId>,
@@ -331,6 +353,7 @@ impl<'a> ServerNode<'a> {
         ServerNode {
             engine: None,
             chain_len: config.chain_len,
+            max_drops: max_drops(config),
             up_link,
             down_link,
             stats: NodeStats::default(),
@@ -373,7 +396,7 @@ impl<'a> ServerNode<'a> {
                         source,
                     })?;
                 let (round, round_type) = (frame.round.0, frame.round_type);
-                let kind = round_kind(up_link, &frame)?;
+                let kind = round_kind(up_link, &frame, self.max_drops)?;
                 let Some(engine) = self.engine.as_mut() else {
                     let (width, stride) = (frame.width as usize, frame.stride as usize);
                     entry::check_client_batch(round, kind, self.chain_len, width, stride)
@@ -1153,16 +1176,21 @@ mod tests {
         });
     }
 
-    /// A forward dialing frame for round 4 that claims no drops, at the
-    /// onion width of hop `position` of a two-server chain.
-    fn zero_drop_dialing(link: LinkId, position: usize) -> Frame {
+    /// The drop counts no dialing round may announce: none, and far more
+    /// than any frame could carry the cover traffic of (the tail would
+    /// otherwise size its noise and drop table by it).
+    const BAD_DROP_COUNTS: [u32; 2] = [0, u32::MAX];
+
+    /// A forward dialing frame for round 4 that claims `num_drops`
+    /// drops, at the onion width of hop `position` of a two-server chain.
+    fn bad_drops_dialing(link: LinkId, position: usize, num_drops: u32) -> Frame {
         let hops_left = 2 - position;
         let width = onion::wrapped_len(vuvuzela_wire::DIAL_REQUEST_LEN, hops_left) as u32;
         Frame::Batch(BatchFrame {
             link,
             round: RoundId(4),
             round_type: RoundType::Dialing,
-            num_drops: 0,
+            num_drops,
             backward: false,
             stride: width,
             width,
@@ -1172,7 +1200,7 @@ mod tests {
         })
     }
 
-    fn assert_refuses_zero_drops(link: LinkId, returned: Result<NodeStats, Error>) {
+    fn assert_refuses_the_drops(link: LinkId, returned: Result<NodeStats, Error>) {
         match returned {
             Err(Error::Protocol {
                 link: named,
@@ -1180,41 +1208,64 @@ mod tests {
             }) => {
                 assert_eq!(named, link);
                 assert!(reason.contains("round 4"), "{reason}");
+                assert!(reason.contains("drops"), "{reason}");
             }
             other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 
     #[test]
-    fn entry_refuses_a_dialing_round_with_no_drops() {
+    fn the_drop_cap_is_the_most_cover_traffic_one_frame_carries() {
         let config = tiny_config(2);
-        let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
-        let (entry_down, s0_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
-        // Without the check the entry relays the frame; a hop that has
-        // hung up turns that into a disconnect instead of a hang.
-        drop(s0_up);
-        client_end
-            .send(zero_drop_dialing(LinkId::Clients, 0))
-            .expect("send");
-        client_end.send(Frame::Bye).expect("send bye");
-        let returned = run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down));
-        assert_refuses_zero_drops(LinkId::Clients, returned);
+        let cap = max_drops(&config);
+        let width = onion::wrapped_len(vuvuzela_wire::DIAL_REQUEST_LEN, 2) as u64;
+        let per_drop = config.dialing_noise.mu as u64 * width;
+        assert!(cap * per_drop <= MAX_FRAME_LEN as u64);
+        assert!((cap + 1) * per_drop > MAX_FRAME_LEN as u64);
+        let announcing = |num_drops| match bad_drops_dialing(LinkId::Clients, 0, num_drops) {
+            Frame::Batch(frame) => round_kind(LinkId::Clients, &frame, cap),
+            _ => unreachable!("a batch frame"),
+        };
+        let at_cap = u32::try_from(cap).expect("cap fits a frame field");
+        assert!(announcing(at_cap).is_ok());
+        assert!(announcing(at_cap + 1).is_err());
+    }
+
+    #[test]
+    fn entry_refuses_a_dialing_round_with_no_drops() {
+        for num_drops in BAD_DROP_COUNTS {
+            let config = tiny_config(2);
+            let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
+            let (entry_down, s0_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
+            // Without the check the entry relays the frame; a hop that has
+            // hung up turns that into a disconnect instead of a hang.
+            drop(s0_up);
+            client_end
+                .send(bad_drops_dialing(LinkId::Clients, 0, num_drops))
+                .expect("send");
+            client_end.send(Frame::Bye).expect("send bye");
+            let returned =
+                run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down));
+            assert_refuses_the_drops(LinkId::Clients, returned);
+        }
     }
 
     #[test]
     fn tail_refuses_a_dialing_round_with_no_drops() {
-        let config = tiny_config(2);
-        let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
-        let mut server = build_server(&config, 3, 1);
-        let node = std::thread::spawn(move || {
-            let up = Arc::new(up_near);
-            run_server_node(&mut server, &config, 3, up, None, &mut |_, _| {})
-        });
-        up_far
-            .send(zero_drop_dialing(LinkId::Hop(1), 1))
-            .expect("send");
-        let returned = node.join().expect("a peer's frame must not panic the tail");
-        assert_refuses_zero_drops(LinkId::Hop(1), returned);
+        for num_drops in BAD_DROP_COUNTS {
+            let config = tiny_config(2);
+            let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
+            let mut server = build_server(&config, 3, 1);
+            let node = std::thread::spawn(move || {
+                let up = Arc::new(up_near);
+                run_server_node(&mut server, &config, 3, up, None, &mut |_, _| {})
+            });
+            up_far
+                .send(bad_drops_dialing(LinkId::Hop(1), 1, num_drops))
+                .expect("send");
+            let returned = node.join().expect("a peer's frame must not panic the tail");
+            assert_refuses_the_drops(LinkId::Hop(1), returned);
+        }
     }
 
     #[test]

@@ -431,8 +431,7 @@ impl MixServer {
     /// reference implementation — it consumes the server RNG in exactly
     /// the same order as [`MixServer::forward_buf`], so equal seeds must
     /// give byte-identical batches (asserted by the pipeline-equivalence
-    /// tests), and it is the baseline the round benchmarks compare
-    /// against.
+    /// tests and, at 10,000 onions, by `bench_round_pipeline`).
     pub fn forward_reference(
         &mut self,
         round: u64,
