@@ -20,15 +20,17 @@
 //!
 //! The chunk-peel and chunk-wrap probes of `vuvuzela_bench::peelstage`
 //! price them, on whichever kernels this CPU runs (`ladder_backend`):
-//! five rounds of one timed pass and one single-core pass of each probe,
-//! interleaved so that the bests come from the same stretch of a shared
-//! host's time. `CostModel::kernel_floor_secs` at the best probe rates,
-//! divided by the workers, is `kernel_floor_secs`;
-//! `overhead_vs_kernel_floor` is the best pass divided by it — the
-//! paper's "within 2× of the inevitable cryptographic operations" on
-//! this host. Both sides run the same kernels, so the ratio transfers
-//! across CPUs; a kernel slowdown that moves the probes and the pass
-//! together does not move it.
+//! five rounds of one timed pass and one pass of each probe, interleaved
+//! so that the bests come from the same stretch of a shared host's time.
+//! Each probe fans its chunks out on the pass's workers through the
+//! pass's own `WorkerPool::map_vec`, so SMT siblings and a busy host
+//! slow both sides alike. `CostModel::kernel_floor_secs` at the best
+//! probe rates is `kernel_floor_secs`; `overhead_vs_kernel_floor` is the
+//! best pass divided by it — the paper's "within 2× of the inevitable
+//! cryptographic operations" on this host. Both sides run the same
+//! kernels on the same workers, so the ratio transfers across CPUs; a
+//! kernel slowdown that moves the probes and the pass together does not
+//! move it.
 //!
 //! After writing `BENCH_round_pipeline.json` at the workspace root, the
 //! bin exits non-zero if the ratio falls outside
@@ -170,11 +172,14 @@ fn run_reference(seed: u64, batch: &[Vec<u8>]) -> Vec<Vec<u8>> {
 
 /// §8.2 puts the whole system within ~2× of its unavoidable
 /// cryptographic work; the forward pass must sit within these multiples
-/// of its kernel floor. Below 1 the floor is mispriced: the pass cannot
-/// beat the kernels it runs. Above 1.5 something besides the kernels
-/// costs half as much again — tighter than the paper's 2, which one
-/// extra peel per onion at every hop (≈ 1.84) would still pass.
-const OVERHEAD_BOUNDS: RangeInclusive<f64> = 1.0..=1.5;
+/// of its kernel floor. The pass cannot beat the kernels it runs, but
+/// it sits within a few percent of them, so run-to-run noise alone
+/// reads 0.96–1.12 on a shared 2-vCPU host; below 0.8 the floor is
+/// mispriced (portable-kernel probes against an IFMA pass read ≈ 0.2).
+/// Above 1.5 something besides the kernels costs half as much again —
+/// tighter than the paper's 2, which one extra peel per onion at every
+/// hop (≈ 1.8) would still pass.
+const OVERHEAD_BOUNDS: RangeInclusive<f64> = 0.8..=1.5;
 /// The zero-copy claim: the arena path allocates per hop and per
 /// worker chunk, never per onion.
 const MAX_ALLOCS_PER_ONION: f64 = 1.0;
@@ -242,8 +247,8 @@ fn main() -> ExitCode {
         let (pass, _) = run_flat(seed, &batch);
         println!("pass {i}: {:.3}s", pass.secs);
         passes.push(pass);
-        peels_per_sec = peels_per_sec.max(peel.rate());
-        layers_per_sec = layers_per_sec.max(wrap.rate());
+        peels_per_sec = peels_per_sec.max(peel.rate(workers));
+        layers_per_sec = layers_per_sec.max(wrap.rate(workers));
     }
     let flat = passes
         .into_iter()
@@ -322,17 +327,17 @@ mod tests {
 
     #[test]
     fn a_ratio_inside_the_bounds_passes() {
-        for ratio in [1.0, 1.13, 1.5] {
+        for ratio in [0.8, 1.0, 1.13, 1.5] {
             assert_eq!(gate(ratio, 0.33), Ok(()));
         }
     }
 
     #[test]
     fn a_ratio_outside_the_bounds_or_nan_fails_by_name() {
-        for ratio in [0.99, 1.51, f64::NAN] {
+        for ratio in [0.79, 1.51, f64::NAN] {
             let err = gate(ratio, 0.33).expect_err("outside the bounds");
             assert!(err.contains("overhead_vs_kernel_floor"), "{err}");
-            assert!(err.contains("[1, 1.5]"), "{err}");
+            assert!(err.contains("[0.8, 1.5]"), "{err}");
         }
     }
 

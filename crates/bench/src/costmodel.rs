@@ -42,9 +42,9 @@ impl Sum for KernelOps {
 /// A machine's cryptographic capability for Vuvuzela purposes.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
-    /// Onions one core peels per second.
+    /// Onions one core peels per second while every core peels.
     pub peels_per_sec_core: f64,
-    /// Onion layers one core wraps per second.
+    /// Onion layers one core wraps per second while every core wraps.
     pub layers_per_sec_core: f64,
     /// Cores assumed per server.
     pub cores: usize,
@@ -56,20 +56,25 @@ pub struct CostModel {
 
 impl CostModel {
     /// This host's kernels, priced by the chunk-peel and chunk-wrap
-    /// probes over `onions` onions, best of `iterations` each (the wrap
-    /// at the paper's chain length, 3), on `default_workers()` cores, at
-    /// the paper's 2× overhead.
+    /// probes over `onions` onions on all `default_workers()` cores,
+    /// best of `iterations` each (the wrap at the paper's chain length,
+    /// 3), at the paper's 2× overhead.
     ///
     /// # Panics
     ///
     /// If a probed kernel disagrees with its oracle (see [`Probe`]).
     #[must_use]
     pub fn probe(onions: usize, iterations: usize) -> CostModel {
-        let best = |probe: Probe| (0..iterations).map(|_| probe.rate()).fold(0.0, f64::max);
+        let cores = vuvuzela_net::parallel::default_workers();
+        let best = |probe: Probe| {
+            (0..iterations)
+                .map(|_| probe.rate(cores))
+                .fold(0.0, f64::max)
+        };
         CostModel {
             peels_per_sec_core: best(Probe::peel(onions)),
             layers_per_sec_core: best(Probe::wrap(onions, 3)),
-            cores: vuvuzela_net::parallel::default_workers(),
+            cores,
             overhead: 2.0,
         }
     }
@@ -126,22 +131,6 @@ impl CostModel {
             .collect()
     }
 
-    /// The kernel work of a whole conversation round: 2µ cover onions
-    /// per noising server.
-    #[must_use]
-    pub fn conversation_ops(users: u64, mu: f64, servers: usize) -> KernelOps {
-        Self::hop_ops(users, 2.0 * mu, servers).into_iter().sum()
-    }
-
-    /// The kernel work of a whole dialing round: `drops · µ` cover
-    /// invitations per noising server.
-    #[must_use]
-    pub fn dialing_ops(users: u64, mu: f64, drops: u32, servers: usize) -> KernelOps {
-        Self::hop_ops(users, f64::from(drops) * mu, servers)
-            .into_iter()
-            .sum()
-    }
-
     /// Seconds `ops` take at this model's kernel rates on all its
     /// cores, with nothing else in the way.
     #[must_use]
@@ -151,16 +140,22 @@ impl CostModel {
     }
 
     /// Predicted end-to-end conversation latency: the round's kernel
-    /// floor, sequential servers, times the overhead factor.
+    /// floor (2µ cover onions per noising server), sequential servers,
+    /// times the overhead factor.
     #[must_use]
     pub fn predict_conversation_secs(&self, users: u64, mu: f64, servers: usize) -> f64 {
-        self.kernel_floor_secs(Self::conversation_ops(users, mu, servers)) * self.overhead
+        let ops = Self::hop_ops(users, 2.0 * mu, servers).into_iter().sum();
+        self.kernel_floor_secs(ops) * self.overhead
     }
 
-    /// Predicted dialing-round latency, likewise.
+    /// Predicted dialing-round latency, likewise (`drops · µ` cover
+    /// invitations per noising server).
     #[must_use]
     pub fn predict_dialing_secs(&self, users: u64, mu: f64, drops: u32, servers: usize) -> f64 {
-        self.kernel_floor_secs(Self::dialing_ops(users, mu, drops, servers)) * self.overhead
+        let ops = Self::hop_ops(users, f64::from(drops) * mu, servers)
+            .into_iter()
+            .sum();
+        self.kernel_floor_secs(ops) * self.overhead
     }
 
     /// Messages per second at a given scale (§1's "68,000 messages per
@@ -258,7 +253,7 @@ mod tests {
         let layers: Vec<f64> = hops.iter().map(|hop| hop.layers).collect();
         assert_eq!(layers, [20_000.0, 10_000.0, 0.0]);
         assert_eq!(
-            CostModel::conversation_ops(10_000, 5_000.0, 3),
+            hops.into_iter().sum::<KernelOps>(),
             KernelOps {
                 peels: 60_000.0,
                 layers: 30_000.0,

@@ -1,6 +1,6 @@
 //! The two kernel probes that price the kernel floor
-//! ([`CostModel`](crate::CostModel)): single-core rates of the chunk
-//! kernels every round runs.
+//! ([`CostModel`](crate::CostModel)): per-core rates of the chunk
+//! kernels every round runs, with every worker busy.
 //!
 //! * [`Probe::peel`] — onions per second through
 //!   `onion::peel_chunk_in_place`, what every mix hop runs per worker
@@ -15,8 +15,11 @@
 //!
 //! Each probe builds its input and asserts its kernel byte-identical to
 //! the oracle (`onion::peel` per onion; the one-onion-at-a-time wrap)
-//! once; then every [`Probe::rate`] is one timed single-threaded pass,
-//! so a caller can interleave them with what it prices them against.
+//! once. Every [`Probe::rate`] is then one timed pass, fanned out in
+//! 32-slot chunks through `WorkerPool::map_vec` on as many
+//! workers as the round it prices, so that what slows the round's
+//! workers together (SMT siblings, a busy host) slows the probe alike;
+//! a caller can interleave them with what it prices them against.
 
 use std::time::Instant;
 
@@ -24,22 +27,26 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::Keypair;
+use vuvuzela_net::WorkerPool;
 
 /// Payload size wrapped into each probe onion (a realistic
 /// conversation-message scale; the exact value only shifts the AEAD
 /// share of the timings).
 const PAYLOAD_LEN: usize = 240;
 
-/// Slots per [`onion::wrap_chunk_in_place`] call in [`Probe::wrap`]:
-/// the chunk the bulk callers (noise generation, cohort build) hand it.
-const WRAP_CHUNK_SLOTS: usize = 32;
+/// Slots per kernel call, one item of the fan-out: the chunk
+/// `MixServer::forward_buf` peels and the bulk wrap paths (noise
+/// generation, cohort build) wrap on one worker.
+const CHUNK_SLOTS: usize = 32;
 
-/// One kernel pass over an arena, in place.
-type Pass = Box<dyn Fn(&mut [u8])>;
+/// One kernel call over the `i`th chunk of an arena, in place.
+type Pass = Box<dyn Fn(usize, &mut [u8]) + Sync>;
 
 /// One kernel over a prepared, checked arena.
 pub struct Probe {
     arena: Vec<u8>,
+    /// Bytes of the arena per kernel call: [`CHUNK_SLOTS`] slots.
+    chunk: usize,
     /// Kernel operations one pass does: onions peeled or layers wrapped.
     ops: usize,
     pass: Pass,
@@ -66,19 +73,20 @@ impl Probe {
             slot.copy_from_slice(&o);
         }
 
+        let oracle = server.clone();
+        let pass = move |_: usize, chunk: &mut [u8]| {
+            onion::peel_chunk_in_place(&server.secret, &server.public, round, chunk, width, width)
+        };
         let mut peeled = arena.clone();
-        let got = onion::peel_chunk_in_place(
-            &server.secret,
-            &server.public,
-            round,
-            &mut peeled,
-            width,
-            width,
-        );
+        let got: Vec<_> = peeled
+            .chunks_mut(CHUNK_SLOTS * width)
+            .enumerate()
+            .flat_map(|(i, chunk)| pass(i, chunk))
+            .collect();
         for (i, (got, slot)) in got.iter().zip(arena.chunks(width)).enumerate() {
             let (key, len) = got.as_ref().expect("valid onion");
             let (want_key, inner) =
-                onion::peel(&server.secret, &server.public, round, slot).expect("valid onion");
+                onion::peel(&oracle.secret, &oracle.public, round, slot).expect("valid onion");
             assert_eq!(key.0, want_key.0, "slot {i} key");
             assert_eq!(
                 peeled[i * width..][..*len],
@@ -89,16 +97,10 @@ impl Probe {
 
         Probe {
             arena,
+            chunk: CHUNK_SLOTS * width,
             ops: onions,
-            pass: Box::new(move |a| {
-                let _ = onion::peel_chunk_in_place(
-                    &server.secret,
-                    &server.public,
-                    round,
-                    a,
-                    width,
-                    width,
-                );
+            pass: Box::new(move |i, chunk| {
+                let _ = pass(i, chunk);
             }),
         }
     }
@@ -132,42 +134,46 @@ impl Probe {
         for slot in singly.chunks_mut(width) {
             onion::wrap_noise_into(&mut secrets_rng, &servers, round, slot, PAYLOAD_LEN);
         }
-        let pass = move |a: &mut [u8]| {
-            for (chunk, chunk_secrets) in a
-                .chunks_mut(WRAP_CHUNK_SLOTS * width)
-                .zip(secrets.chunks(WRAP_CHUNK_SLOTS * chain_len))
-            {
-                onion::wrap_chunk_in_place(
-                    &servers,
-                    round,
-                    chunk,
-                    width,
-                    PAYLOAD_LEN,
-                    chunk_secrets,
-                    None,
-                );
-            }
+        let pass = move |i: usize, chunk: &mut [u8]| {
+            let first = i * CHUNK_SLOTS * chain_len;
+            let chunk_secrets = &secrets[first..][..chunk.len() / width * chain_len];
+            onion::wrap_chunk_in_place(
+                &servers,
+                round,
+                chunk,
+                width,
+                PAYLOAD_LEN,
+                chunk_secrets,
+                None,
+            );
         };
         let mut chunked = arena.clone();
-        pass(&mut chunked);
+        for (i, chunk) in chunked.chunks_mut(CHUNK_SLOTS * width).enumerate() {
+            pass(i, chunk);
+        }
         assert_eq!(chunked, singly, "chunk and single-onion wraps diverged");
 
         Probe {
             arena,
+            chunk: CHUNK_SLOTS * width,
             ops: onions * chain_len,
             pass: Box::new(pass),
         }
     }
 
-    /// Kernel operations per second in one timed pass over a fresh copy
-    /// of the arena (the copy untimed).
+    /// Kernel operations per second per worker in one timed pass over a
+    /// fresh copy of the arena (the copy untimed), its chunks fanned out
+    /// on `workers` workers as a round's are.
     #[must_use]
-    pub fn rate(&self) -> f64 {
+    pub fn rate(&self, workers: usize) -> f64 {
         let mut copy = self.arena.clone();
+        let chunks: Vec<_> = copy.chunks_mut(self.chunk).enumerate().collect();
         let start = Instant::now();
-        (self.pass)(std::hint::black_box(&mut copy));
+        WorkerPool::shared().map_vec(chunks, workers, |(i, chunk)| {
+            (self.pass)(i, std::hint::black_box(chunk));
+        });
         let secs = start.elapsed().as_secs_f64();
         std::hint::black_box(copy);
-        self.ops as f64 / secs
+        self.ops as f64 / secs / workers as f64
     }
 }
