@@ -5,7 +5,7 @@
 //! discards, [`DelayBatch`] holds a round's batch and releases it merged
 //! into a later round, [`ReplayBatch`] re-sends a copied batch, and
 //! [`InjectOnions`] pushes well-formed garbage. Monitoring needs no tap:
-//! a link meters every batch into its own per-round log before its tap
+//! a link records every batch in its own per-round log before its tap
 //! runs, and that log is what a passive observer of the link sees. Every
 //! tampering tap is link-addressable (a tap is attached to one
 //! [`vuvuzela_net::Link`]) and round-addressable (via a [`RoundWindow`]

@@ -13,9 +13,9 @@
 //! benchmark plots this against Vuvuzela's linear cost.
 
 use rand::{CryptoRng, RngCore};
+use std::sync::atomic::{AtomicU64, Ordering};
 use vuvuzela_crypto::sealedbox;
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
-use vuvuzela_net::Meter;
 
 /// Sealed broadcast slot size: a 240-byte payload in a sealed box.
 pub const SLOT_LEN: usize = sealedbox::sealed_len(240);
@@ -25,11 +25,11 @@ pub const SLOT_LEN: usize = sealedbox::sealed_len(240);
 #[derive(Default)]
 pub struct BroadcastServer {
     /// Bytes uploaded + downloaded through the server.
-    pub meter: Meter,
+    bytes: AtomicU64,
 }
 
 impl BroadcastServer {
-    /// Creates a server with zeroed meters.
+    /// Creates a server that has moved no bytes yet.
     #[must_use]
     pub fn new() -> BroadcastServer {
         BroadcastServer::default()
@@ -42,18 +42,18 @@ impl BroadcastServer {
     /// the client count, because each client must download all of it.
     pub fn run_round(&self, slots: Vec<Vec<u8>>) -> Vec<u8> {
         let n = slots.len() as u64;
-        let upload: u64 = slots.iter().map(|s| s.len() as u64).sum();
-        self.meter.record_batch(n, upload);
         let bundle: Vec<u8> = slots.concat();
-        // Every client downloads the whole bundle: n × n × SLOT_LEN.
-        self.meter.record_batch(n * n, bundle.len() as u64 * n);
+        // Every client uploads its slot and downloads the whole bundle:
+        // n × SLOT_LEN up, n × n × SLOT_LEN down.
+        let moved = bundle.len() as u64 * (1 + n);
+        self.bytes.fetch_add(moved, Ordering::Relaxed);
         bundle
     }
 
     /// Total bytes the server moved so far.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.meter.bytes()
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 

@@ -8,10 +8,15 @@
 //! smaller scales (§8.2); cover ≈ 1× real traffic here is the modest end
 //! of that regime.
 //!
-//! The pass is the flat `RoundBuffer` path every runtime runs
-//! (`MixServer::forward_buf` at each hop, fanned out over
-//! `default_workers()` cores). It is checked once, untimed, byte for
-//! byte against the per-`Vec` oracle `MixServer::forward_reference`.
+//! The round is built as the deployment builds one: the servers come
+//! from `chain::build_server`, and the 10,000 client onions from a
+//! `ClientCohort` whose members are paired and each send their partner
+//! a message (§8.1; `vuvuzela_bench::workload`). The pass is the flat
+//! `RoundBuffer` path every runtime runs (`MixServer::forward_buf` at
+//! each hop, fanned out over `default_workers()` cores), each time on a
+//! copy of the cohort's arena made before the clock starts. It is
+//! checked once, untimed, byte for byte against the per-`Vec` oracle
+//! `MixServer::forward_reference`.
 //! The same check pass counts the kernel work each hop did from the
 //! arena lengths going into and out of `forward_buf`: hop *i* peels its
 //! input and wraps its noise (output minus input) with
@@ -44,17 +49,15 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use vuvuzela_bench::costmodel::KernelOps;
 use vuvuzela_bench::peelstage::Probe;
 use vuvuzela_bench::report::workspace_root;
-use vuvuzela_bench::workload::conversation_batch;
+use vuvuzela_bench::workload::talking_cohort;
 use vuvuzela_bench::CostModel;
+use vuvuzela_core::chain::build_server;
 use vuvuzela_core::roundbuf::RoundBuffer;
 use vuvuzela_core::server::{MixServer, RoundKind};
 use vuvuzela_core::SystemConfig;
-use vuvuzela_crypto::x25519::Keypair;
 use vuvuzela_dp::{NoiseDistribution, NoiseMode};
 
 /// `System` allocator wrapper counting every allocation (not bytes —
@@ -103,25 +106,11 @@ fn config() -> SystemConfig {
     }
 }
 
-fn build_servers(seed: u64) -> Vec<MixServer> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let keypairs: Vec<Keypair> = (0..CHAIN_LEN)
-        .map(|_| Keypair::generate(&mut rng))
-        .collect();
-    let publics: Vec<_> = keypairs.iter().map(|kp| kp.public).collect();
-    keypairs
-        .into_iter()
-        .enumerate()
-        .map(|(i, kp)| {
-            MixServer::new(
-                i,
-                CHAIN_LEN,
-                kp,
-                publics[i + 1..].to_vec(),
-                config(),
-                seed.wrapping_add(1 + i as u64),
-            )
-        })
+/// The chain's servers, fresh: what a deployment seeded with `seed`
+/// runs.
+fn servers(seed: u64) -> Vec<MixServer> {
+    (0..CHAIN_LEN)
+        .map(|position| build_server(&config(), seed, position))
         .collect()
 }
 
@@ -133,13 +122,11 @@ struct FlatPass {
     hops: Vec<KernelOps>,
 }
 
-/// Runs the flat forward pass through every hop, returning the pass and
-/// the tail's output.
-fn run_flat(seed: u64, batch: &[Vec<u8>]) -> (FlatPass, RoundBuffer) {
-    let mut servers = build_servers(seed);
-    let width = servers[0].incoming_width(RoundKind::Conversation);
-    let (mut buf, mismatched) = RoundBuffer::from_vecs(batch, width, width);
-    assert!(mismatched.is_empty(), "benchmark batch must be well-formed");
+/// Runs the flat forward pass of a copy of `batch` through every hop,
+/// returning the pass and the tail's output.
+fn run_flat(seed: u64, batch: &RoundBuffer) -> (FlatPass, RoundBuffer) {
+    let mut servers = servers(seed);
+    let mut buf = batch.clone();
     let mut hops = Vec::with_capacity(CHAIN_LEN);
     let alloc0 = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
@@ -162,10 +149,10 @@ fn run_flat(seed: u64, batch: &[Vec<u8>]) -> (FlatPass, RoundBuffer) {
 }
 
 /// The per-`Vec` oracle's output for the same servers and batch.
-fn run_reference(seed: u64, batch: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    build_servers(seed)
+fn run_reference(seed: u64, batch: &RoundBuffer) -> Vec<Vec<u8>> {
+    servers(seed)
         .iter_mut()
-        .fold(batch.to_vec(), |onions, server| {
+        .fold(batch.to_vecs(), |onions, server| {
             server.forward_reference(ROUND, RoundKind::Conversation, onions)
         })
 }
@@ -211,11 +198,8 @@ fn main() -> ExitCode {
     let seed = 42;
     let workers = vuvuzela_net::parallel::default_workers();
     println!("building {ONIONS}-onion workload (chain {CHAIN_LEN}, mu {MU})...");
-    let pks: Vec<_> = build_servers(seed)
-        .iter()
-        .map(MixServer::public_key)
-        .collect();
-    let batch = conversation_batch(ONIONS, ROUND, &pks, workers, 7);
+    let pks: Vec<_> = servers(seed).iter().map(MixServer::public_key).collect();
+    let batch = talking_cohort(&config(), 7, &pks, ONIONS as usize).build_conversation_round(ROUND);
 
     // Correctness first, untimed: the flat pass is the oracle's, and
     // its counted work is the model's.

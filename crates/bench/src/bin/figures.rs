@@ -13,7 +13,17 @@
 //! extrapolate to the paper's 36-core servers with [`CostModel`] — the
 //! §8.2 arithmetic behind the paper's own lower bound, priced at this
 //! host's chunk-kernel probes. Noise is deterministic (⌈µ⌉ per server),
-//! as in §8.1.
+//! as in §8.1. Their rounds are built as the deployment builds one: a
+//! [`Chain`] of `chain::build_server`'s servers, and a
+//! [`vuvuzela_core::ClientCohort`] whose members pair up and each send
+//! their partner a message ([`vuvuzela_bench::workload`]); every
+//! conversation round timed must deliver every message.
+//!
+//! Each number of `fig9`–`fig11`, `tab_throughput` and
+//! `abl_noise_placement` says where it comes from: its artefact key
+//! starts, and its column header ends, with `measured` (on this host),
+//! `extrapolated` (through [`CostModel`]) or `closed form`; a run's
+//! parameters and the paper's own figures carry no label.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,25 +35,21 @@ use vuvuzela_adversary::attacks::{
 use vuvuzela_adversary::bounds::max_accuracy;
 use vuvuzela_adversary::model::ObservableModel;
 use vuvuzela_baseline::broadcast;
-use vuvuzela_bench::report::{secs, write_json, Table};
-use vuvuzela_bench::workload::{conversation_batch, dialing_batch};
+use vuvuzela_bench::report::{human_bytes, secs, write_json, Table};
+use vuvuzela_bench::workload::{assert_delivered, dialing_cohort, talking_cohort};
 use vuvuzela_bench::CostModel;
-use vuvuzela_core::entry;
-use vuvuzela_core::server::RoundKind;
-use vuvuzela_core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, SystemConfig};
+use vuvuzela_core::{Chain, ClientCohort, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela_crypto::onion;
-use vuvuzela_crypto::x25519::Keypair;
 use vuvuzela_dp::accounting::conversation_round;
 use vuvuzela_dp::planner::{
     drop_download_invitations, max_protected_rounds, optimal_num_drops, posterior_bound,
     privacy_series, total_noise_invitations, PrivacyPoint, PrivacyTarget,
 };
 use vuvuzela_dp::{NoiseDistribution, NoiseMode, Protocol};
-use vuvuzela_net::meter::human_bytes;
 use vuvuzela_net::parallel::default_workers;
-use vuvuzela_wire::conversation::{ConversationKeys, ExchangeRequest};
+use vuvuzela_net::Direction;
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
-use vuvuzela_wire::{EXCHANGE_REQUEST_LEN, MESSAGE_LEN, SEALED_INVITATION_LEN, SEALED_MESSAGE_LEN};
+use vuvuzela_wire::{EXCHANGE_REQUEST_LEN, SEALED_INVITATION_LEN, SEALED_MESSAGE_LEN};
 
 /// Every figure, by the name of the artefact it produces.
 type Figure = fn(&Setup) -> Value;
@@ -162,35 +168,31 @@ fn system(chain_len: usize, noise_mode: NoiseMode, conv_mu: f64, dial_mu: f64) -
     }
 }
 
-/// Lays one round's onions into the arena the chain admits, as the
-/// entry does.
-fn admitted(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> RoundBuffer {
-    let mut batch = entry::round_arena(kind, chain_len);
-    entry::multiplex(&mut batch, &[onions]);
-    batch
-}
-
-/// One conversation round by `users` paired clients through a fresh
-/// chain; its `timing().total` is the round alone, without the client
-/// wrap.
+/// One conversation round by `users` talking members of a cohort
+/// through a fresh chain; its `timing().total` is the round alone,
+/// without the cohort's build or its reply ingest, after which every
+/// talker must hold its partner's message.
 fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, RoundOutcome) {
     let mut chain = Chain::new(config, 1);
     let pks = chain.server_public_keys();
-    let onions = conversation_batch(users, 0, &pks, default_workers(), seed);
-    let batch = admitted(RoundKind::Conversation, pks.len(), onions).into();
+    let mut cohort = talking_cohort(chain.config(), seed, &pks, users as usize);
+    let batch = cohort.build_conversation_round(0).into();
     let outcome = chain
         .run(vec![RoundSpec::Conversation { round: 0, batch }])
         .expect("an untapped chain completes every round")
         .remove(0);
+    let replies = outcome.replies().expect("a conversation round");
+    assert_delivered(&mut cohort, 0, replies);
     (chain, outcome)
 }
 
-/// One dialing round on `chain`: `dialers` of `users` send a real
-/// invitation into one of `drops` drops. Returns the round's wall-clock.
+/// One dialing round on `chain`: `dialers` of `users` members of a
+/// cohort each call another member, whose drop among `drops` the
+/// invitation goes to. Returns the round's wall-clock.
 fn dial_round(chain: &mut Chain, users: u64, dialers: u64, drops: u32, seed: u64) -> f64 {
     let pks = chain.server_public_keys();
-    let onions = dialing_batch(users, dialers, drops, 0, &pks, default_workers(), seed);
-    let batch = admitted(RoundKind::Dialing { num_drops: drops }, pks.len(), onions).into();
+    let mut cohort = dialing_cohort(chain.config(), seed, &pks, users as usize, dialers as usize);
+    let batch = cohort.build_dialing_round(0, drops).into();
     let spec = RoundSpec::Dialing {
         round: 0,
         batch,
@@ -211,12 +213,9 @@ fn dial_round(chain: &mut Chain, users: u64, dialers: u64, drops: u32, seed: u64
 /// adjacency requires (§6.2). An action is the partner Alice exchanges
 /// with, `None` for idle.
 fn fig6_sensitivity(_: &Setup) -> Value {
-    // Population: alice + b, c (always attempt an exchange with Alice) +
-    // x, y (never do; they run fake exchanges like idle users).
-    let mut rng = StdRng::seed_from_u64(42);
-    let alice = Keypair::generate(&mut rng);
-    let partners: Vec<Keypair> = (0..4).map(|_| Keypair::generate(&mut rng)).collect();
-    let (b, c, x, y) = (Some(0), Some(1), Some(2), Some(3));
+    // Members: Alice, then b, c (always attempt an exchange with Alice)
+    // and x, y (never do; they run fake exchanges like idle users).
+    let (b, c, x, y) = (Some(1), Some(2), Some(3), Some(4));
     let names = ["idle", "conv b", "conv c", "conv x", "conv y"];
     let cover_stories = names.into_iter().zip([None, b, c, x, y]);
     let real_actions = [None, b, x];
@@ -224,11 +223,11 @@ fn fig6_sensitivity(_: &Setup) -> Value {
     let mut table = Table::new(&["cover \\ real", "idle", "conv b", "conv x"]);
     let mut matrix = Vec::new();
     for (cover_name, cover) in cover_stories {
-        let (m1_cover, m2_cover) = observe_world(&alice, &partners, cover);
+        let (m1_cover, m2_cover) = observe_world(cover);
         let mut cells = vec![cover_name.to_string()];
         let mut row_json = Vec::new();
         for real in real_actions {
-            let (m1_real, m2_real) = observe_world(&alice, &partners, real);
+            let (m1_real, m2_real) = observe_world(real);
             let dm1 = m1_real as i64 - m1_cover as i64;
             let dm2 = m2_real as i64 - m2_cover as i64;
             cells.push(format!("{dm1:+}, {dm2:+}"));
@@ -246,41 +245,30 @@ fn fig6_sensitivity(_: &Setup) -> Value {
     json!({ "matrix": matrix })
 }
 
-/// Runs one noise-free round where Alice takes `action` and returns
-/// (m1, m2). Chain and seeds are fixed so only Alice's action varies
-/// between worlds.
-fn observe_world(alice: &Keypair, partners: &[Keypair], action: Option<usize>) -> (u64, u64) {
+/// Runs one noise-free round where Alice (member 0 of a five-member
+/// cohort) enters a conversation with member `action`, or stays idle,
+/// and returns (m1, m2). Members 1 and 2 talk to Alice whatever she
+/// does, one-sidedly as [`ClientCohort::start_conversation`] is;
+/// members 3 and 4 stay idle. Chain and seeds are fixed so only Alice's
+/// action varies between worlds.
+fn observe_world(action: Option<usize>) -> (u64, u64) {
     let mut chain = Chain::new(system(3, NoiseMode::Off, 1.0, 1.0), 7);
     let pks = chain.server_public_keys();
-    let mut rng = StdRng::seed_from_u64(1234);
-    let round = 0u64;
-    let request = |keys: ConversationKeys| ExchangeRequest {
-        drop: keys.drop_id(round),
-        sealed_message: keys.seal_message(round, &[0u8; MESSAGE_LEN]),
-    };
-
-    let (secret, public) = (&alice.secret, &alice.public);
-    let mut requests = vec![request(match action {
-        None => ConversationKeys::fake(&mut rng, secret, public),
-        Some(i) => ConversationKeys::derive(secret, public, &partners[i].public),
-    })];
-    // b and c always attempt the exchange with Alice; x and y never
-    // reciprocate: they run fake exchanges.
-    for (i, partner) in partners.iter().enumerate() {
-        requests.push(request(if i < 2 {
-            ConversationKeys::derive(&partner.secret, &partner.public, public)
-        } else {
-            ConversationKeys::fake(&mut rng, &partner.secret, &partner.public)
-        }));
+    let mut cohort = ClientCohort::with_own_tables(chain.config().clone(), 42, &pks);
+    cohort.join(5);
+    let alice = cohort.public_key(0);
+    let mut talks = vec![(1, alice), (2, alice)];
+    if let Some(member) = action {
+        talks.push((0, cohort.public_key(member)));
     }
-
-    let onions = requests
-        .iter()
-        .map(|r| onion::wrap(&mut rng, &pks, round, &r.encode()).0)
-        .collect();
-    let batch = admitted(RoundKind::Conversation, pks.len(), onions).into();
+    for (member, peer) in talks {
+        cohort
+            .start_conversation(member, peer)
+            .expect("one conversation, one slot");
+    }
+    let batch = cohort.build_conversation_round(0).into();
     chain
-        .run(vec![RoundSpec::Conversation { round, batch }])
+        .run(vec![RoundSpec::Conversation { round: 0, batch }])
         .expect("an untapped chain completes every round");
     let (_, obs) = chain.conversation_observables()[0];
     (obs.m1, obs.m2)
@@ -421,8 +409,8 @@ fn fig9_conv_latency(setup: &Setup) -> Value {
             // Kernel-floor time at our scale, to expose the end-to-end
             // overhead factor the paper reports as ≈2×; then the paper's
             // hardware at 100× the size under that measured overhead.
-            let dh_only = local.predict_conversation_secs(users, mu, 3);
-            let overhead = measured / dh_only;
+            let floor = local.predict_conversation_secs(users, mu, 3);
+            let overhead = measured / floor;
             overheads.push(overhead);
             let scaled = paper.with_overhead(overhead);
             let paper_est = scaled.predict_conversation_secs(users * SCALE, mu * SCALE as f64, 3);
@@ -430,11 +418,11 @@ fn fig9_conv_latency(setup: &Setup) -> Value {
             sheet.row(&[
                 ("users (x100)", "users_scaled", json!(users), users.to_string()),
                 ("mu (x100)", "mu_scaled", json!(mu), format!("{mu:.0}")),
-                ("measured", "measured_secs", json!(measured), secs(measured)),
-                ("model", "dh_model_secs", json!(dh_only), secs(dh_only)),
-                ("overhead", "overhead", json!(overhead), format!("{overhead:.2}x")),
-                ("paper-scale est.", "paper_scale_est_secs", json!(paper_est), secs(paper_est)),
-                ("", "total_forward_secs", json!(forward), String::new()),
+                ("round [measured]", "measured_secs", json!(measured), secs(measured)),
+                ("kernel floor [extrapolated]", "extrapolated_floor_secs", json!(floor), secs(floor)),
+                ("overhead [measured]", "measured_overhead", json!(overhead), format!("{overhead:.2}x")),
+                ("paper scale [extrapolated]", "extrapolated_paper_scale_secs", json!(paper_est), secs(paper_est)),
+                ("", "measured_forward_secs", json!(forward), String::new()),
             ]);
         }
     }
@@ -442,12 +430,12 @@ fn fig9_conv_latency(setup: &Setup) -> Value {
     sheet.print("Figure 9 (1:100 scale): conversation latency vs online users");
     let mean_overhead = overheads.iter().sum::<f64>() / overheads.len() as f64;
     println!(
-        "\nmean end-to-end overhead over pure DH cost: {mean_overhead:.2}x \
+        "\nmean end-to-end overhead over the kernel floor [measured]: {mean_overhead:.2}x \
          (paper: \"within 2x of the inevitable cryptographic operations\")"
     );
 
     let paper = paper.with_overhead(mean_overhead);
-    let mut headline = Table::new(&["configuration", "paper reports", "our model"]);
+    let mut headline = Table::new(&["configuration", "paper reports", "ours [extrapolated]"]);
     for (configuration, reported, users) in [
         ("1M users, mu=300K", "37 s", 1_000_000),
         ("2M users, mu=300K", "55 s", 2_000_000),
@@ -483,8 +471,8 @@ fn fig10_dial_latency(setup: &Setup) -> Value {
         let mut chain = Chain::new(system(3, NoiseMode::Deterministic, 1.0, mu), 1);
         let measured = dial_round(&mut chain, users, dialers, DROPS, users);
 
-        let dh_only = local.predict_dialing_secs(users, mu, DROPS, 3);
-        let overhead = measured / dh_only;
+        let floor = local.predict_dialing_secs(users, mu, DROPS, 3);
+        let overhead = measured / floor;
         overheads.push(overhead);
         let scaled = paper.with_overhead(overhead);
         let paper_est = scaled.predict_dialing_secs(users * SCALE, PAPER_DIAL_MU, DROPS, 3);
@@ -492,10 +480,10 @@ fn fig10_dial_latency(setup: &Setup) -> Value {
         sheet.row(&[
             ("users (x100)", "users_scaled", json!(users), users.to_string()),
             ("dialers", "dialers", json!(dialers), dialers.to_string()),
-            ("measured", "measured_secs", json!(measured), secs(measured)),
-            ("model", "dh_model_secs", json!(dh_only), secs(dh_only)),
-            ("overhead", "overhead", json!(overhead), format!("{overhead:.2}x")),
-            ("paper-scale est.", "paper_scale_est_secs", json!(paper_est), secs(paper_est)),
+            ("round [measured]", "measured_secs", json!(measured), secs(measured)),
+            ("kernel floor [extrapolated]", "extrapolated_floor_secs", json!(floor), secs(floor)),
+            ("overhead [measured]", "measured_overhead", json!(overhead), format!("{overhead:.2}x")),
+            ("paper scale [extrapolated]", "extrapolated_paper_scale_secs", json!(paper_est), secs(paper_est)),
         ]);
     }
     sheet.print("Figure 10 (1:100 scale): dialing latency vs online users (5% dialing)");
@@ -511,7 +499,7 @@ fn fig10_dial_latency(setup: &Setup) -> Value {
     println!(
         "\nconcurrent-conversation contention fitted at 10 users: {contention:.1} s\n\
          paper endpoints: 13 s at 10 users, 50 s at 2M users\n\
-         our model:       13.0 s (fitted) at 10 users, {} (predicted) at 2M users",
+         ours [extrapolated]: 13.0 s (fitted) at 10 users, {} (predicted) at 2M users",
         secs(paper_secs(2_000_000) + contention),
     );
 
@@ -540,21 +528,21 @@ fn fig11_chain_scaling(setup: &Setup) -> Value {
         let (_, outcome) = conv_round(config, users, n as u64);
         let measured = outcome.timing().total.as_secs_f64();
         measurements.push(measured);
-        let dh_only = local.predict_conversation_secs(users, mu, n);
-        let scaled = paper.with_overhead(measured / dh_only);
+        let floor = local.predict_conversation_secs(users, mu, n);
+        let scaled = paper.with_overhead(measured / floor);
         let paper_est = scaled.predict_conversation_secs(1_000_000, PAPER_MU, n);
         #[rustfmt::skip]
         sheet.row(&[
             ("servers", "servers", json!(n), n.to_string()),
-            ("measured", "measured_secs", json!(measured), secs(measured)),
-            ("model", "dh_model_secs", json!(dh_only), secs(dh_only)),
-            ("paper-scale est.", "paper_scale_est_secs", json!(paper_est), secs(paper_est)),
+            ("round [measured]", "measured_secs", json!(measured), secs(measured)),
+            ("kernel floor [extrapolated]", "extrapolated_floor_secs", json!(floor), secs(floor)),
+            ("paper scale [extrapolated]", "extrapolated_paper_scale_secs", json!(paper_est), secs(paper_est)),
         ]);
     }
 
     sheet.print("Figure 11 (1:300 scale): latency vs servers, 1M-user equivalent");
     println!(
-        "\nshape: 1→{longest} servers grew latency {:.1}x \
+        "\nshape: 1→{longest} servers grew latency {:.1}x [measured] \
          (linear would be {:.1}x, quadratic {:.1}x)",
         measurements[longest - 1] / measurements[0],
         longest as f64,
@@ -567,7 +555,7 @@ fn fig11_chain_scaling(setup: &Setup) -> Value {
 /// Total bytes one conversation round moves across the three chain
 /// links, both directions, at the paper's µ: link `hop` carries the
 /// users' requests plus the noise of every server before it, and an
-/// equal number of replies — counted like the link meters do.
+/// equal number of replies — counted as the links count them.
 fn chain_bytes_per_round(users: u64) -> u64 {
     (0..3usize)
         .map(|hop| {
@@ -580,9 +568,9 @@ fn chain_bytes_per_round(users: u64) -> u64 {
 }
 
 /// Bandwidth table (§1, §8.2, §8.3 in-text numbers). Method: run a
-/// small real deployment, read the byte meters, verify they match the
-/// closed-form per-message sizes, then evaluate the closed forms at
-/// paper scale.
+/// small real deployment, read its client link's traffic record, verify
+/// it matches the closed-form per-message sizes, then evaluate the
+/// closed forms at paper scale.
 fn tab_bandwidth(_: &Setup) -> Value {
     // --- Small real deployment to validate the closed forms. ---
     let users: u64 = 500;
@@ -592,12 +580,12 @@ fn tab_bandwidth(_: &Setup) -> Value {
 
     let expected_request = (EXCHANGE_REQUEST_LEN + 3 * onion::LAYER_OVERHEAD) as u64;
     let expected_reply = (SEALED_MESSAGE_LEN + 3 * onion::REPLY_LAYER_OVERHEAD) as u64;
-    let sent = chain.client_link().forward_meter().bytes();
-    let received = chain.client_link().backward_meter().bytes();
+    let (_, sent) = chain.client_link().round_traffic(0, Direction::Forward);
+    let (_, received) = chain.client_link().round_traffic(0, Direction::Backward);
     assert_eq!(sent, users * expected_request, "request closed form");
     assert_eq!(received, users * expected_reply, "reply closed form");
     let (request_size, reply_size) = (sent / users, replies[0].len() as u64);
-    assert_eq!(reply_size, expected_reply, "replies are as wide as metered");
+    assert_eq!(reply_size, expected_reply, "replies are as wide as counted");
 
     // Dialing: run a round and download one drop.
     dial_round(&mut chain, users, 25, 1, 10);
@@ -618,7 +606,7 @@ fn tab_bandwidth(_: &Setup) -> Value {
     for (quantity, measured, closed_form) in rows {
         validation.row(&[quantity.into(), measured, closed_form]);
     }
-    validation.print("Meter validation at small scale (3-server chain)");
+    validation.print("Link-traffic validation at small scale (3-server chain)");
 
     // --- Paper scale (1M users, µ=300K, µ_dial=13K, 5% dialing). ---
     let n_users = 1_000_000f64;
@@ -687,13 +675,13 @@ fn tab_throughput(setup: &Setup) -> Value {
         headline.row(&[
             ("metric", "metric", json!(name), name.into()),
             ("paper reports", "paper", json!(claim), claim.into()),
-            ("model (paper hw)", "paper_hw_secs", json!(hw), secs(hw)),
-            ("model (this host)", "this_host_secs", json!(host), secs(host)),
+            ("paper hw [extrapolated]", "extrapolated_paper_hw_secs", json!(hw), secs(hw)),
+            ("this host [extrapolated]", "extrapolated_this_host_secs", json!(host), secs(host)),
         ]);
     }
     headline.print("Headline latencies (overhead 2x, as the paper observes)");
 
-    let mut tp = Table::new(&["users", "paper msgs/sec", "model msgs/sec"]);
+    let mut tp = Table::new(&["users", "paper msgs/sec", "msgs/sec [extrapolated]"]);
     for (label, reported, users) in [("1M", "68,000", 1_000_000), ("2M", "84,000", 2_000_000)] {
         let ours = paper.throughput_msgs_per_sec(users, PAPER_MU, 3);
         tp.row(&[label.into(), reported.into(), format!("{ours:.0}")]);
@@ -701,7 +689,7 @@ fn tab_throughput(setup: &Setup) -> Value {
     tp.print("Conversation throughput");
 
     println!(
-        "\n§8.2 DH lower bound @2M users: paper ≈28 s, our arithmetic {} \
+        "\n§8.2 DH lower bound @2M users: paper ≈28 s, ours {} [extrapolated] \
          (3.2M msgs × 3 servers / 340K ops/s)",
         secs(paper.paper_lower_bound_secs(2_000_000, PAPER_MU, 3))
     );
@@ -718,8 +706,8 @@ fn tab_throughput(setup: &Setup) -> Value {
         #[rustfmt::skip]
         scaling.row(&[
             ("users", "users", json!(n), n.to_string()),
-            ("Vuvuzela bytes/round (O(n))", "vuvuzela_bytes", json!(v), human_bytes(v as f64)),
-            ("broadcast bytes/round (O(n^2))", "broadcast_bytes", json!(b), human_bytes(b as f64)),
+            ("Vuvuzela bytes/round O(n) [closed form]", "closed_form_vuvuzela_bytes", json!(v), human_bytes(v as f64)),
+            ("broadcast bytes/round O(n^2) [closed form]", "closed_form_broadcast_bytes", json!(b), human_bytes(b as f64)),
             ("winner", "", Value::Null, winner.into()),
         ]);
     }
@@ -822,8 +810,8 @@ fn abl_noise_placement(_: &Setup) -> Value {
             ("layout", "layout", json!(label), label.into()),
             ("noising servers", "chain_len", json!(chain_len), noising),
             ("per-server mu", "mu", json!(mu), format!("{mu:.0}")),
-            ("measured round", "measured_secs", json!(measured), secs(measured)),
-            ("honest-server eps/round", "eps_per_round", json!(eps), format!("{eps:.4}")),
+            ("round [measured]", "measured_secs", json!(measured), secs(measured)),
+            ("honest-server eps/round [closed form]", "closed_form_eps_per_round", json!(eps), format!("{eps:.4}")),
         ]);
     }
 
@@ -932,6 +920,38 @@ mod tests {
             assert_eq!(write_json(name, &artefact), path);
             let written = std::fs::read_to_string(path).expect("artefact written");
             assert_eq!(serde_json::from_str(&written).ok(), Some(artefact));
+        }
+    }
+
+    /// Figure 6's (∆m1, ∆m2) per cover story (rows) and real action
+    /// (idle, conv b, conv x), as the real chain counts them, each
+    /// inside the sensitivities Theorem 1 noises against: |∆m1| ≤ 2 and
+    /// |∆m2| ≤ 1.
+    #[test]
+    fn fig6_matrix_is_pinned_within_the_papers_bounds() {
+        let setup = Setup {
+            quick: true,
+            model: CostModel::paper_hardware(),
+        };
+        let artefact = fig6_sensitivity(&setup);
+        let (still, pair, unpair) = ((0, 0), (-2, 1), (2, -1));
+        let expected = [
+            ("idle", [still, pair, still]),
+            ("conv b", [unpair, still, unpair]),
+            ("conv c", [unpair, still, unpair]),
+            ("conv x", [still, pair, still]),
+            ("conv y", [still, pair, still]),
+        ];
+        let rows = artefact["matrix"].as_array().expect("a matrix");
+        assert_eq!(rows.len(), expected.len());
+        for (row, (cover, cells)) in rows.iter().zip(expected) {
+            assert_eq!(row["cover"].as_str(), Some(cover));
+            for (cell, want) in row["cells"].as_array().expect("cells").iter().zip(cells) {
+                let got = (cell["dm1"].as_i64(), cell["dm2"].as_i64());
+                let got = (got.0.expect("dm1"), got.1.expect("dm2"));
+                assert!(got.0.abs() <= 2 && got.1.abs() <= 1, "{cover}: {got:?}");
+                assert_eq!(got, want, "{cover}");
+            }
         }
     }
 }

@@ -13,8 +13,13 @@
 //! * [`peelstage`] — the chunk-peel and chunk-wrap probes behind it;
 //! * [`report`] — table printing and JSON dumping so every run leaves a
 //!   machine-readable artefact under `bench_results/`;
-//! * [`workload`] — synthetic client-batch generators shared by the
-//!   latency sweeps.
+//! * [`workload`] — the rounds' clients: a `ClientCohort`, the one
+//!   client the deployment and the simulator run, whose members pair up
+//!   and each send their partner a message (§8.1), or dial.
+//!
+//! Both bins build every round as the deployment does: servers from
+//! `chain::build_server` (through `Chain::new` in the figures), client
+//! onions from a [`workload`] cohort.
 //!
 //! # Round-pipeline benchmark methodology
 //!

@@ -103,6 +103,21 @@ pub fn secs(s: f64) -> String {
     }
 }
 
+/// Formats a byte count the way the paper quotes them (KB/MB/GB as
+/// powers of 10, matching "166 MB/sec" etc.).
+#[must_use]
+pub fn human_bytes(bytes: f64) -> String {
+    if bytes >= 1e9 {
+        format!("{:.2} GB", bytes / 1e9)
+    } else if bytes >= 1e6 {
+        format!("{:.2} MB", bytes / 1e6)
+    } else if bytes >= 1e3 {
+        format!("{:.2} KB", bytes / 1e3)
+    } else {
+        format!("{bytes:.0} B")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,5 +145,13 @@ mod tests {
     fn secs_formatting() {
         assert_eq!(secs(37.0), "37.0 s");
         assert_eq!(secs(0.5), "500 ms");
+    }
+
+    #[test]
+    fn human_units() {
+        assert_eq!(human_bytes(12.0), "12 B");
+        assert_eq!(human_bytes(12_000.0), "12.00 KB");
+        assert_eq!(human_bytes(166_000_000.0), "166.00 MB");
+        assert_eq!(human_bytes(12_000_000_000.0), "12.00 GB");
     }
 }

@@ -1,152 +1,179 @@
-//! Synthetic client workloads for the latency sweeps.
+//! The clients of the latency sweeps and the kernel-floor gate: a
+//! [`ClientCohort`], the one client the deployment and the simulator
+//! run, set up as §8.1's simulated users.
 //!
 //! §8.1: "Every simulated user sends a message each conversation round to
 //! another user (although Vuvuzela's performance is the same regardless
-//! of whether users are actively communicating or are idle)." We generate
-//! user request batches the same way: paired users exchanging on shared
-//! dead drops, onion-wrapped in parallel.
+//! of whether users are actively communicating or are idle)." So
+//! consecutive members are paired and each queues one message for its
+//! partner; an odd member left over has no partner and runs a fake
+//! exchange. In a dialing round (§8.1 has 5% of users dial) each dialer
+//! calls the member after it, and everyone else writes to the no-op
+//! drop.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-use vuvuzela_core::noise::wrap_payloads_precomputed;
+use vuvuzela_core::{ClientCohort, SystemConfig};
 use vuvuzela_crypto::x25519::PublicKey;
-use vuvuzela_wire::conversation::ExchangeRequest;
-use vuvuzela_wire::deaddrop::{DeadDropId, InvitationDropIndex};
-use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
 
-/// Builds a conversation-round batch for `users` clients: consecutive
-/// pairs share a dead drop (everyone is talking, as in §8.1), with an
-/// odd user left lone. Returns onions ready for the chain.
+/// `members` members of one cohort for the chain `server_pks`, paired
+/// two by two, each with one message queued for its partner.
+///
+/// # Panics
+///
+/// If `config` is invalid or `server_pks` empty, as
+/// [`ClientCohort::new`] does.
 #[must_use]
-pub fn conversation_batch(
-    users: u64,
-    round: u64,
-    server_pks: &[PublicKey],
-    workers: usize,
+pub fn talking_cohort(
+    config: &SystemConfig,
     seed: u64,
-) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut payloads = Vec::with_capacity(users as usize);
-    let mut pair_drop = DeadDropId([0u8; 16]);
-    for i in 0..users {
-        if i % 2 == 0 {
-            pair_drop = DeadDropId::random(&mut rng);
+    server_pks: &[PublicKey],
+    members: usize,
+) -> ClientCohort {
+    let mut cohort = ClientCohort::with_own_tables(config.clone(), seed, server_pks);
+    cohort.join(members);
+    for a in (0..members - members % 2).step_by(2) {
+        cohort.pair(a, a + 1).expect("fresh members");
+        for (from, to) in [(a, a + 1), (a + 1, a)] {
+            let peer = cohort.public_key(to);
+            cohort
+                .queue_message(from, &peer, &message(from))
+                .expect("a paired member");
         }
-        let mut request = ExchangeRequest::noise(&mut rng);
-        request.drop = pair_drop;
-        payloads.push(request.encode());
     }
-    wrap_payloads_precomputed(&mut rng, payloads, server_pks, round, workers)
+    cohort
 }
 
-/// Builds a dialing-round batch: `dialers` real invitations spread over
-/// `num_drops` drops, the rest no-ops (§8.1 uses 5% dialers).
+/// `members` members of one cohort for the chain `server_pks`, the
+/// first `dialers` of which have each dialled the member after them.
+///
+/// # Panics
+///
+/// If `dialers > members`, or as [`ClientCohort::new`] does.
 #[must_use]
-pub fn dialing_batch(
-    users: u64,
-    dialers: u64,
-    num_drops: u32,
-    round: u64,
-    server_pks: &[PublicKey],
-    workers: usize,
+pub fn dialing_cohort(
+    config: &SystemConfig,
     seed: u64,
-) -> Vec<Vec<u8>> {
-    assert!(dialers <= users);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut payloads = Vec::with_capacity(users as usize);
-    for i in 0..users {
-        let request = if i < dialers {
-            // A random-byte "invitation" is indistinguishable from a real
-            // sealed one and costs the same everywhere.
-            DialRequest {
-                drop: InvitationDropIndex(1 + (i % u64::from(num_drops)) as u32),
-                invitation: SealedInvitation::noise(&mut rng),
-            }
-        } else {
-            DialRequest::noop(&mut rng)
-        };
-        payloads.push(request.encode());
+    server_pks: &[PublicKey],
+    members: usize,
+    dialers: usize,
+) -> ClientCohort {
+    assert!(dialers <= members, "dialers are members");
+    let mut cohort = ClientCohort::with_own_tables(config.clone(), seed, server_pks);
+    cohort.join(members);
+    for caller in 0..dialers {
+        let callee = cohort.public_key((caller + 1) % members);
+        cohort.dial(caller, callee).expect("one call, one slot");
     }
-    wrap_payloads_precomputed(&mut rng, payloads, server_pks, round, workers)
+    cohort
 }
 
-/// A deterministic jumble of bytes for adversarial-input fuzzing.
-#[must_use]
-pub fn garbage_batch(count: usize, max_len: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|i| {
-            let len = i * 7919 % (max_len + 1);
-            let mut bytes = vec![0u8; len];
-            rng.fill_bytes(&mut bytes);
-            bytes
-        })
-        .collect()
+/// Hands conversation round `round`'s replies back to a
+/// [`talking_cohort`] and asserts that every paired member received
+/// its partner's message: a round that delivers nothing would time
+/// nothing the paper measures.
+///
+/// # Panics
+///
+/// If a paired member's partner's message did not arrive.
+pub fn assert_delivered(cohort: &mut ClientCohort, round: u64, replies: &[Vec<u8>]) {
+    cohort.handle_conversation_replies(round, replies);
+    let talkers = cohort.len() - cohort.len() % 2;
+    for member in 0..talkers {
+        let partner = member ^ 1;
+        assert_eq!(
+            cohort.delivered_from(member, &cohort.public_key(partner)),
+            [message(partner)],
+            "member {member} did not receive member {partner}'s message"
+        );
+    }
+}
+
+/// What member `index` of a [`talking_cohort`] says to its partner.
+fn message(index: usize) -> Vec<u8> {
+    format!("m{index}").into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vuvuzela_crypto::x25519::Keypair;
+    use vuvuzela_core::server::RoundKind;
+    use vuvuzela_core::{Chain, RoundSpec};
+    use vuvuzela_dp::{NoiseDistribution, NoiseMode};
+    use vuvuzela_wire::deaddrop::InvitationDropIndex;
 
-    fn pks(n: usize) -> Vec<PublicKey> {
-        let mut rng = StdRng::seed_from_u64(0);
-        (0..n).map(|_| Keypair::generate(&mut rng).public).collect()
+    /// A noiseless three-server chain, so a round's observables and
+    /// drops hold the clients' traffic alone.
+    fn chain() -> (SystemConfig, Chain) {
+        let config = SystemConfig {
+            chain_len: 3,
+            conversation_noise: NoiseDistribution::new(1.0, 1.0),
+            dialing_noise: NoiseDistribution::new(1.0, 1.0),
+            noise_mode: NoiseMode::Off,
+            workers: 2,
+            conversation_slots: 1,
+            retransmit_after: 2,
+            exchange_shards: 4,
+        };
+        (config.clone(), Chain::new(config, 3))
+    }
+
+    /// Runs one conversation round of `members` talking members and
+    /// returns the tail's (m1, m2) after checking every delivery.
+    fn converse(members: usize) -> (u64, u64) {
+        let (config, mut chain) = chain();
+        let mut cohort = talking_cohort(&config, 1, &chain.server_public_keys(), members);
+        let batch = cohort.build_conversation_round(0).into();
+        let outcome = chain
+            .run(vec![RoundSpec::Conversation { round: 0, batch }])
+            .expect("an untapped chain completes every round")
+            .remove(0);
+        assert_delivered(&mut cohort, 0, outcome.replies().expect("conversation"));
+        let (_, obs) = chain.conversation_observables()[0];
+        (obs.m1, obs.m2)
     }
 
     #[test]
     fn conversation_batch_pairs_users() {
-        // Without wrapping (empty chain) we can inspect the payloads.
-        let batch = conversation_batch(6, 0, &[], 1, 1);
-        let drops: Vec<DeadDropId> = batch
-            .iter()
-            .map(|b| ExchangeRequest::decode(b).expect("valid").drop)
-            .collect();
-        assert_eq!(drops[0], drops[1]);
-        assert_eq!(drops[2], drops[3]);
-        assert_eq!(drops[4], drops[5]);
-        assert_ne!(drops[0], drops[2]);
+        // Six members: three pairs, each on a drop of its own.
+        assert_eq!(converse(6), (0, 3));
     }
 
     #[test]
     fn odd_user_is_lone() {
-        let batch = conversation_batch(3, 0, &[], 1, 2);
-        let drops: Vec<DeadDropId> = batch
-            .iter()
-            .map(|b| ExchangeRequest::decode(b).expect("valid").drop)
-            .collect();
-        assert_eq!(drops[0], drops[1]);
-        assert_ne!(drops[2], drops[0]);
+        // The third member's fake exchange is a drop accessed once.
+        assert_eq!(converse(3), (1, 1));
     }
 
     #[test]
     fn wrapped_batch_has_uniform_size() {
-        let server_pks = pks(3);
-        let batch = conversation_batch(4, 0, &server_pks, 2, 3);
-        let sizes: std::collections::HashSet<usize> = batch.iter().map(Vec::len).collect();
-        assert_eq!(sizes.len(), 1);
+        // The cohort's arena is what the chain's first hop admits: one
+        // width, no headroom. The kernel-floor gate hands it to the
+        // first hop directly, past the entry that would check it.
+        let (config, chain) = chain();
+        let mut cohort = talking_cohort(&config, 2, &chain.server_public_keys(), 5);
+        let batch = cohort.build_conversation_round(0);
+        let width = chain.server(0).incoming_width(RoundKind::Conversation);
+        assert_eq!(
+            (batch.len(), batch.width(), batch.stride()),
+            (5, width, width)
+        );
     }
 
     #[test]
     fn dialing_batch_mixes_real_and_noop() {
-        let batch = dialing_batch(10, 2, 4, 0, &[], 1, 4);
-        let mut real = 0;
-        let mut noop = 0;
-        for b in &batch {
-            let request = DialRequest::decode(b).expect("valid");
-            if request.drop.is_noop() {
-                noop += 1;
-            } else {
-                real += 1;
-            }
-        }
-        assert_eq!((real, noop), (2, 8));
-    }
-
-    #[test]
-    fn garbage_is_varied() {
-        let batch = garbage_batch(10, 100, 5);
-        let lens: std::collections::HashSet<usize> = batch.iter().map(Vec::len).collect();
-        assert!(lens.len() > 3);
+        let (config, mut chain) = chain();
+        let mut cohort = dialing_cohort(&config, 4, &chain.server_public_keys(), 10, 2);
+        let batch = cohort.build_dialing_round(0, 4).into();
+        let spec = RoundSpec::Dialing {
+            round: 0,
+            batch,
+            num_drops: 4,
+        };
+        chain.run(vec![spec]).expect("an untapped chain completes");
+        let real: usize = (1..=4)
+            .filter_map(|drop| chain.download_drop(InvitationDropIndex(drop)))
+            .map(|contents| contents.len())
+            .sum();
+        let (_, obs) = chain.dialing_observables()[0].clone();
+        assert_eq!((real, obs.noop_writes), (2, 8));
     }
 }

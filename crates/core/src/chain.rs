@@ -1,7 +1,7 @@
 //! A complete Vuvuzela deployment: entry, chain, links, dead drops.
 //!
 //! [`Chain`] wires the [`crate::server::MixServer`]s together with
-//! byte-metered, tappable [`vuvuzela_net::Link`]s and runs schedules of
+//! byte-counting, tappable [`vuvuzela_net::Link`]s and runs schedules of
 //! rounds on the calling thread. The paper's chain is sequential within
 //! a round — "one server cannot start processing a round until the
 //! previous server finishes" (§8.2) — but consecutive rounds are
@@ -341,7 +341,8 @@ fn pick(queued: &[Crossing], rng: &mut StdRng) -> Option<usize> {
     }
 }
 
-/// A full deployment: entry link, server chain, dead-drop stores, meters.
+/// A full deployment: entry link, server chain, dead-drop stores, links'
+/// traffic records.
 ///
 /// Fields are `pub(crate)` so [`crate::pipeline::StreamingChain`] can
 /// drive the *same* deployment (same servers, links, seeds) through an
@@ -564,13 +565,13 @@ impl Chain {
         &mut self.client_link
     }
 
-    /// The clients→entry link (metering).
+    /// The clients→entry link (its traffic record and tap).
     #[must_use]
     pub fn client_link(&self) -> &Link {
         &self.client_link
     }
 
-    /// The inter-server links (metering).
+    /// The inter-server links (their traffic records and taps).
     #[must_use]
     pub fn links(&self) -> &[Link] {
         &self.links
@@ -1002,6 +1003,6 @@ mod tests {
         converse(&mut chain, 0, arena(RoundKind::Conversation, 2, &[onion0]));
         assert!(chain.total_server_bytes() > before);
         // The server0→server1 link carries real + server0 noise.
-        assert!(chain.links()[1].forward_meter().messages() > 1);
+        assert!(chain.links()[1].round_traffic(0, Direction::Forward).0 > 1);
     }
 }

@@ -16,7 +16,7 @@
 //!   requests into a round, and holds a round's client batch to its one
 //!   geometry rule; replies come back in request order. On the wire the
 //!   entry runs as a relay of the [`node`] handler.
-//! * [`chain`] — a whole deployment wired together with metered,
+//! * [`chain`] — a whole deployment wired together with byte-counting,
 //!   tappable links; runs conversation and dialing rounds end to end,
 //!   strictly sequentially: the [`node`] hop protocol's window-1
 //!   schedule, every hop's frame handler on the calling thread. A round

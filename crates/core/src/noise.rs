@@ -316,11 +316,10 @@ pub fn dialing_noise_counts<R: RngCore + CryptoRng>(
 /// wrapping (one X25519 per layer per payload) spreads across `workers`
 /// threads.
 ///
-/// This is deliberately kept at seed-implementation cost: it is what
+/// This is the per-`Vec` oracle of the noise wrap: what
 /// [`crate::server::MixServer::forward_reference`]'s noise path runs,
-/// and the round benchmarks measure the zero-copy pipeline against it.
-/// Callers that just need onions fast (workload generators) should use
-/// [`wrap_payloads_precomputed`], which is byte-identical.
+/// and what the equivalence tests hold the in-place noise path to. No
+/// runtime wraps through it.
 pub fn wrap_payloads<R: RngCore + CryptoRng>(
     rng: &mut R,
     payloads: Vec<Vec<u8>>,
@@ -344,43 +343,6 @@ pub fn wrap_payloads<R: RngCore + CryptoRng>(
         let (onion, _keys) = onion::wrap(&mut child, chain, round, &payload);
         onion
     })
-}
-
-/// [`wrap_payloads`] at production speed: the payloads laid out in one
-/// flat arena and wrapped through [`wrap_slots_in_place`], the cover
-/// traffic's own chunked path — byte-identical output and RNG
-/// consumption to the reference version for equal parent RNG states
-/// (asserted by this module's tests). This is the workload generators'
-/// path: building a benchmark client population no longer pays ladder
-/// keygen or per-layer allocations.
-///
-/// # Panics
-///
-/// Panics if the payloads differ in length — a round's requests have
-/// exactly one size.
-pub fn wrap_payloads_precomputed<R: RngCore + CryptoRng>(
-    rng: &mut R,
-    payloads: Vec<Vec<u8>>,
-    chain: &[PublicKey],
-    round: u64,
-    workers: usize,
-) -> Vec<Vec<u8>> {
-    if chain.is_empty() || payloads.is_empty() {
-        return payloads;
-    }
-    let payload_len = payloads[0].len();
-    let precomp: Vec<onion::PrecomputedServer> = chain
-        .iter()
-        .map(|pk| onion::PrecomputedServer::new(*pk))
-        .collect();
-    let width = onion::wrapped_len(payload_len, chain.len());
-    let mut batch = RoundBuffer::with_capacity(width, width, payloads.len());
-    for payload in &payloads {
-        assert_eq!(payload.len(), payload_len, "payloads share one size");
-        batch.push_with(|slot| slot[32 * chain.len()..][..payload_len].copy_from_slice(payload));
-    }
-    wrap_slots_in_place(rng, &mut batch, 0, &precomp, round, workers);
-    batch.to_vecs()
 }
 
 #[cfg(test)]
@@ -498,23 +460,6 @@ mod tests {
         }
         assert_eq!(per_drop.len(), 3);
         assert!(per_drop.values().all(|&c| c == 4));
-    }
-
-    #[test]
-    fn precomputed_wrap_payloads_is_byte_identical() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let s1 = Keypair::generate(&mut rng);
-        let s2 = Keypair::generate(&mut rng);
-        let chain = [s1.public, s2.public];
-        let payloads: Vec<Vec<u8>> = (0..5)
-            .map(|_| ExchangeRequest::noise(&mut rng).encode())
-            .collect();
-
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let mut rng_b = rng_a.clone();
-        let reference = wrap_payloads(&mut rng_a, payloads.clone(), &chain, 4, 2);
-        let fast = wrap_payloads_precomputed(&mut rng_b, payloads, &chain, 4, 2);
-        assert_eq!(reference, fast);
     }
 
     /// A parent seed whose sampled `(n1, n2)` draws total exactly

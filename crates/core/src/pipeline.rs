@@ -63,7 +63,7 @@ use vuvuzela_wire::dialing::SealedInvitation;
 /// A deployment driven by the streaming scheduler. Wraps the same
 /// [`Chain`] (same servers, links, seeds — construction is identical for
 /// equal `(config, seed)`), so everything a sequential chain exposes —
-/// observables, meters, taps, drop downloads — is available through
+/// observables, link traffic, taps, drop downloads — is available through
 /// [`StreamingChain::chain`] / [`StreamingChain::chain_mut`].
 pub struct StreamingChain {
     chain: Chain,
@@ -100,7 +100,7 @@ impl StreamingChain {
         self
     }
 
-    /// The underlying deployment: observables, links, meters, servers.
+    /// The underlying deployment: observables, links, servers.
     #[must_use]
     pub fn chain(&self) -> &Chain {
         &self.chain
@@ -187,7 +187,7 @@ impl StreamingChain {
         let (config, seed) = (&*config, *seed);
 
         // One in-memory link per link of the chain over its own `Link`
-        // (meters, per-round log, tap): far end upstream's, near end the
+        // (traffic record, tap): far end upstream's, near end the
         // downstream node's.
         let (feeder, clients) = memory_pair(Arc::new(client_link.clone()));
         let (mut fars, nears): (Vec<_>, Vec<_>) = links

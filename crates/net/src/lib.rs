@@ -7,13 +7,12 @@
 //! of the encrypted requests in a round" (§8.1). This crate therefore
 //! models the network as explicit, observable *links* rather than sockets:
 //!
-//! * [`meter`] — per-link byte/message counters, the source of every
-//!   bandwidth number the benches report (`link_bytes_per_onion` in
-//!   `benchmark/README.md`).
 //! * [`link`] — a [`link::Link`] carries batches of opaque ciphertexts
 //!   between hops, logs per round and direction what crossed it (the
-//!   adversary's view of the link), and hands each batch to an optional
-//!   [`link::Tap`], which models the paper's §2.3 active adversary: it
+//!   adversary's view of the link) and totals it per direction (the
+//!   source of every bandwidth number the benches report,
+//!   `link_bytes_per_onion` in `benchmark/README.md`), and hands each
+//!   batch to an optional [`link::Tap`], which models the paper's §2.3 active adversary: it
 //!   can *block, delay, or inject* traffic on any link.
 //! * [`parallel`] — [`parallel::WorkerPool::map_vec`], the one
 //!   order-preserving fan-out on scoped threads, which spreads
@@ -26,7 +25,6 @@
 pub mod demux;
 pub mod error;
 pub mod link;
-pub mod meter;
 pub mod parallel;
 pub mod tcp;
 pub mod transport;
@@ -34,7 +32,6 @@ pub mod transport;
 pub use demux::{Demux, DemuxEvent};
 pub use error::Error;
 pub use link::{batch_through_link, Direction, Link, Slots, Tap, TapContext};
-pub use meter::Meter;
 pub use parallel::WorkerPool;
 pub use tcp::{RetryPolicy, TcpTransport};
 pub use transport::{memory_pair, MemoryEndpoint, Transport};

@@ -4,19 +4,19 @@
 //! [`Link`] through [`batch_through_link`]. The link first writes the
 //! batch into its **per-round log** — per round and direction, how many
 //! fixed-size ciphertexts crossed, in how many bytes and how many
-//! transfers. That log is the one record of link traffic: the meters,
-//! the simulator's invariant checks and the adversary's view of the link
-//! (§4.1, §6.1) all read it. Only then does the batch reach the optional
-//! [`Tap`] — the in-code embodiment of the paper's network adversary, who
-//! "can monitor, block, delay, or inject traffic on any network link"
-//! (§2.3). A tap edits the batch frame's own arena in place, slot by
+//! transfers — and into the per-direction totals beside it. That record
+//! is the one record of link traffic: the byte counts the benches
+//! report, the simulator's invariant checks and the adversary's view of
+//! the link (§4.1, §6.1) all read it. Only then does the batch reach the
+//! optional [`Tap`] — the in-code embodiment of the paper's network
+//! adversary, who "can monitor, block, delay, or inject traffic on any
+//! network link" (§2.3). A tap edits the batch frame's own arena in place, slot by
 //! slot, through a [`Slots`] view: it may drop, overwrite or append
 //! entries, and whatever remains is what the next hop sees. Or the tap
 //! hangs the link up ([`Tap::hangs_up`]), and the transfer fails as a
 //! crashed peer process fails a socket: [`Error::Disconnected`].
 
 use crate::error::Error;
-use crate::meter::Meter;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,17 +145,17 @@ pub trait Tap: Send {
     }
 }
 
-/// A byte-metered, tappable link between two hops.
+/// A byte-counting, tappable link between two hops.
 ///
-/// Besides the aggregate per-direction [`Meter`]s, a link keeps
-/// **per-round** counts. With the streaming scheduler several rounds are
-/// on the wire at once, so aggregate counters alone cannot attribute
+/// Besides its per-direction totals ([`Link::total_bytes`]), a link
+/// keeps **per-round** counts. With the streaming scheduler several
+/// rounds are on the wire at once, so totals alone cannot attribute
 /// traffic to a round — but the adversary of §2.3 observes per-round
 /// batches either way, and the per-round log is what lets tests assert
 /// that pipelined execution changes *when* bytes move, never *which
 /// round* they belong to.
 ///
-/// [`Clone`] yields a second handle on the *same* link — same meters,
+/// [`Clone`] yields a second handle on the *same* link — same totals,
 /// per-round log and resize count, and the tap attached at the time —
 /// which is how a deployment lends its links to in-memory endpoints
 /// ([`crate::transport::memory_pair`]) for the length of a schedule.
@@ -165,7 +165,8 @@ pub struct Link {
     tap: Option<Arc<Mutex<dyn Tap>>>,
 }
 
-/// What one round moved over a link in one direction.
+/// What one round, or the link's whole life, moved over a link in one
+/// direction.
 #[derive(Clone, Copy, Default)]
 struct RoundTraffic {
     messages: u64,
@@ -177,16 +178,30 @@ struct RoundTraffic {
 /// What every handle on one link shares.
 struct Shared {
     id: LinkId,
-    forward_meter: Arc<Meter>,
-    backward_meter: Arc<Meter>,
-    /// Traffic per (round, direction), for round-attributed accounting
-    /// under overlapped rounds. Bounded: entries for the oldest rounds
-    /// are evicted past [`PER_ROUND_LOG_CAP`], so long-running
-    /// simulations don't grow without limit (the aggregate meters remain
-    /// exact forever).
-    per_round: Mutex<BTreeMap<(u64, bool), RoundTraffic>>,
+    traffic: Mutex<Traffic>,
     /// Entries a tap resized in flight (see [`Link::tap_resized`]).
     tap_resized: AtomicU64,
+}
+
+/// A link's record of what crossed it, under one lock.
+#[derive(Default)]
+struct Traffic {
+    /// Per (round, direction), for round-attributed accounting under
+    /// overlapped rounds. Bounded: entries for the oldest rounds are
+    /// evicted past [`PER_ROUND_LOG_CAP`], so long-running simulations
+    /// don't grow without limit.
+    per_round: BTreeMap<(u64, bool), RoundTraffic>,
+    /// Per direction (forward, backward), since the link was made:
+    /// never evicted, so they stay exact however long the link lives.
+    totals: [RoundTraffic; 2],
+}
+
+impl RoundTraffic {
+    fn add(&mut self, messages: u64, bytes: u64) {
+        self.messages += messages;
+        self.bytes += bytes;
+        self.transfers += 1;
+    }
 }
 
 /// Maximum `(round, direction)` entries retained per link — far beyond
@@ -202,9 +217,7 @@ impl Link {
         Link {
             shared: Arc::new(Shared {
                 id,
-                forward_meter: Arc::new(Meter::new()),
-                backward_meter: Arc::new(Meter::new()),
-                per_round: Mutex::new(BTreeMap::new()),
+                traffic: Mutex::new(Traffic::default()),
                 tap_resized: AtomicU64::new(0),
             }),
             tap: None,
@@ -239,21 +252,17 @@ impl Link {
         self.tap = None;
     }
 
-    /// Meters one transfer of `messages` entries, `bytes` in all, into
-    /// the aggregate meters and the per-round log.
+    /// Records one transfer of `messages` entries, `bytes` in all, in
+    /// the per-round log and the direction's total.
     fn record(&self, round: u64, direction: Direction, messages: u64, bytes: u64) {
-        let meter = match direction {
-            Direction::Forward => &self.shared.forward_meter,
-            Direction::Backward => &self.shared.backward_meter,
-        };
-        meter.record_batch(messages, bytes);
-        let mut per_round = self.shared.per_round.lock();
-        let entry = per_round
-            .entry((round, matches!(direction, Direction::Backward)))
-            .or_default();
-        entry.messages += messages;
-        entry.bytes += bytes;
-        entry.transfers += 1;
+        let backward = matches!(direction, Direction::Backward);
+        let mut traffic = self.shared.traffic.lock();
+        traffic.totals[usize::from(backward)].add(messages, bytes);
+        let per_round = &mut traffic.per_round;
+        per_round
+            .entry((round, backward))
+            .or_default()
+            .add(messages, bytes);
         while per_round.len() > PER_ROUND_LOG_CAP {
             per_round.pop_first();
         }
@@ -261,16 +270,17 @@ impl Link {
 
     fn round_entry(&self, round: u64, direction: Direction) -> RoundTraffic {
         self.shared
-            .per_round
+            .traffic
             .lock()
+            .per_round
             .get(&(round, matches!(direction, Direction::Backward)))
             .copied()
             .unwrap_or_default()
     }
 
     /// The `(messages, bytes)` this link carried for one round in one
-    /// direction — stable under overlapped rounds, unlike the order of
-    /// aggregate-meter increments.
+    /// direction — stable under overlapped rounds, unlike the order in
+    /// which the totals grow.
     #[must_use]
     pub fn round_traffic(&self, round: u64, direction: Direction) -> (u64, u64) {
         let entry = self.round_entry(round, direction);
@@ -293,8 +303,9 @@ impl Link {
     #[must_use]
     pub fn round_traffic_log(&self) -> Vec<((u64, Direction), (u64, u64))> {
         self.shared
-            .per_round
+            .traffic
             .lock()
+            .per_round
             .iter()
             .map(|(&(round, backward), entry)| {
                 let direction = if backward {
@@ -313,22 +324,12 @@ impl Link {
         self.shared.id
     }
 
-    /// Meter for the request direction.
-    #[must_use]
-    pub fn forward_meter(&self) -> &Arc<Meter> {
-        &self.shared.forward_meter
-    }
-
-    /// Meter for the response direction.
-    #[must_use]
-    pub fn backward_meter(&self) -> &Arc<Meter> {
-        &self.shared.backward_meter
-    }
-
-    /// Total bytes both ways.
+    /// Total bytes both ways since the link was made, every round
+    /// counted, however many the per-round log has evicted.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.shared.forward_meter.bytes() + self.shared.backward_meter.bytes()
+        let totals = self.shared.traffic.lock().totals;
+        totals[0].bytes + totals[1].bytes
     }
 
     /// Entries a tap truncated, extended or injected at a non-onion
@@ -340,15 +341,15 @@ impl Link {
 }
 
 /// Runs a batch frame through a [`Link`] — the one place every in-process
-/// runtime of the chain crosses a link. Meters it into the link's
-/// per-round log (attributed to its round and direction) before anything
-/// else, and — only when an adversary tap is attached — lets the tap
+/// runtime of the chain crosses a link. Records it in the link's
+/// per-round log (attributed to its round and direction) and totals
+/// before anything else, and — only when an adversary tap is attached — lets the tap
 /// edit the frame's arena in place through a [`Slots`] view, which
 /// zero-fills resized entries. Resized entries count on
 /// [`Link::tap_resized`], except on the clients' request leg: entry sizes
 /// there are client-controlled, so a mismatch cannot be pinned on the tap.
 /// A frame without an arena (`stride == 0`: a dialing round's completion
-/// notice) is not a transfer and passes unmetered and untapped.
+/// notice) is not a transfer and passes unrecorded and untapped.
 ///
 /// # Errors
 ///
@@ -426,9 +427,9 @@ mod tests {
         let link = Link::new(LinkId::Hop(0));
         let out = carry(&link, 0, Direction::Forward, &[&[1; 10], &[2; 10]]);
         assert_eq!(out, vec![vec![1u8; 10], vec![2u8; 10]]);
-        assert_eq!(link.forward_meter().bytes(), 20);
-        assert_eq!(link.forward_meter().messages(), 2);
-        assert_eq!(link.backward_meter().bytes(), 0);
+        assert_eq!(link.round_traffic(0, Direction::Forward), (2, 20));
+        assert_eq!(link.round_traffic(0, Direction::Backward), (0, 0));
+        assert_eq!(link.total_bytes(), 20);
     }
 
     #[test]
@@ -445,7 +446,7 @@ mod tests {
         assert_eq!(link.round_traffic(1, Direction::Backward), (0, 0));
         assert_eq!(link.round_transfers(1, Direction::Forward), 1);
         assert_eq!(link.round_transfers(1, Direction::Backward), 0);
-        assert_eq!(link.forward_meter().bytes(), 50);
+        assert_eq!(link.total_bytes(), 55);
         assert_eq!(
             link.round_traffic_log(),
             vec![
@@ -454,6 +455,21 @@ mod tests {
                 ((1, Direction::Forward), (2, 40)),
             ]
         );
+    }
+
+    #[test]
+    fn totals_outlive_the_per_round_log() {
+        // More rounds than the log keeps: the oldest rounds' entries go,
+        // their bytes stay in the totals.
+        let link = Link::new(LinkId::Hop(0));
+        let rounds = PER_ROUND_LOG_CAP as u64 + 10;
+        for round in 0..rounds {
+            link.record(round, Direction::Forward, 2, 20);
+            link.record(round, Direction::Backward, 2, 6);
+        }
+        assert_eq!(link.round_traffic_log().len(), PER_ROUND_LOG_CAP);
+        assert_eq!(link.round_traffic(0, Direction::Forward), (0, 0));
+        assert_eq!(link.total_bytes(), rounds * 26);
     }
 
     /// A blocking tap: models "block traffic from all clients except Alice
@@ -471,10 +487,10 @@ mod tests {
         link.attach_tap(Arc::new(Mutex::new(KeepFirstN(1))));
         let out = carry(&link, 0, Direction::Forward, &[&[1], &[2], &[3]]);
         assert_eq!(out, vec![vec![1]]);
-        // Metering happens before interference: the adversary cannot hide
-        // traffic from our own accounting.
-        assert_eq!(link.forward_meter().messages(), 3);
+        // Recording happens before interference: the adversary cannot
+        // hide traffic from our own accounting.
         assert_eq!(link.round_traffic(0, Direction::Forward), (3, 3));
+        assert_eq!(link.total_bytes(), 3);
     }
 
     /// An injecting tap: models request injection.

@@ -7,8 +7,8 @@
 //!
 //! * **in process** over [`MemoryEndpoint`] pairs, which carry frames
 //!   over in-memory queues and carry every batch across the same
-//!   byte-metered, tappable [`Link`] the simulator uses
-//!   ([`batch_through_link`]: meter first, then a tap edits the arena in
+//!   byte-counting, tappable [`Link`] the simulator uses
+//!   ([`batch_through_link`]: record first, then a tap edits the arena in
 //!   place — the adversary cannot hide traffic from our accounting), and
 //! * **across processes** over [`crate::tcp::TcpTransport`], the framed
 //!   length-prefixed TCP backend.
@@ -84,7 +84,7 @@ type Inbox = Arc<Mutex<Option<Sink>>>;
 /// The in-memory backend: one end of a bidirectional in-process link.
 ///
 /// Created in pairs by [`memory_pair`]; both ends share one [`Link`],
-/// whose meters and optional tap see every batch frame either end
+/// whose traffic record and optional tap see every batch frame either end
 /// sends. Dropping an endpoint hangs it up.
 pub struct MemoryEndpoint {
     link: Arc<Link>,
@@ -96,7 +96,7 @@ pub struct MemoryEndpoint {
 }
 
 /// Creates the two ends of one in-memory link. Frames sent on either
-/// end arrive at the other in order; batch frames are metered (and
+/// end arrive at the other in order; batch frames are recorded (and
 /// tapped, when a tap is attached) on the shared `link` at send time.
 #[must_use]
 pub fn memory_pair(link: Arc<Link>) -> (MemoryEndpoint, MemoryEndpoint) {
@@ -225,11 +225,10 @@ mod tests {
         assert!(matches!(down.recv(), Ok(Frame::Bye)));
         assert!(matches!(up.recv(), Ok(Frame::Batch(b)) if b.backward));
 
-        // Metered as count × logical width, per direction.
-        assert_eq!(link.forward_meter().messages(), 2);
-        assert_eq!(link.forward_meter().bytes(), 6);
-        assert_eq!(link.backward_meter().bytes(), 3);
+        // Recorded as count × logical width, per direction.
         assert_eq!(link.round_traffic(5, Direction::Forward), (2, 6));
+        assert_eq!(link.round_traffic(5, Direction::Backward), (1, 3));
+        assert_eq!(link.total_bytes(), 9);
     }
 
     #[test]
@@ -372,7 +371,8 @@ mod tests {
         };
         down.send(Frame::Batch(notice)).expect("send");
         assert!(matches!(up.recv(), Ok(Frame::Batch(b)) if b.count == 0));
-        assert_eq!(link.backward_meter().batches(), 0);
+        assert_eq!(link.round_transfers(5, Direction::Backward), 0);
         assert!(link.round_traffic_log().is_empty());
+        assert_eq!(link.total_bytes(), 0);
     }
 }

@@ -492,7 +492,7 @@ impl Simulator {
         self.cohort.as_mut()
     }
 
-    /// The underlying deployment: observables, links, meters, servers.
+    /// The underlying deployment: observables, links, servers.
     #[must_use]
     pub fn chain(&self) -> &Chain {
         &self.chain
