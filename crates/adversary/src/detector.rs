@@ -10,14 +10,15 @@
 //!
 //! The detector here is the strongest single-statistic attack on the
 //! dead-drop histogram: it sweeps every threshold over a scalar
-//! feature of each conversation round ([`pair_activity_feature`]) on
-//! *training* runs, keeps the orientation and cut that best separate
-//! the worlds, and is then scored on *held-out* runs.
-//! Its held-out advantage, plus a Hoeffding slack for the finite
-//! sample, must stay under the bound on every honest deployment — and
-//! must *exceed* it when the cover noise is turned off or undersized,
-//! which is what makes the harness falsifiable rather than
-//! vacuously green.
+//! feature of each conversation round ([`pair_activity_feature`], of
+//! the histogram less any noise the attacker owns:
+//! [`subtract_owned_noise`]) on *training* runs, keeps the orientation
+//! and cut that best separate the worlds, and is then scored on
+//! *held-out* runs. Its held-out advantage, plus a Hoeffding slack for
+//! the finite sample, must stay under the bound while one noising
+//! server is honest — and must *exceed* it when the cover noise is
+//! turned off, undersized or wholly owned by the attacker, which is
+//! what makes the harness falsifiable rather than vacuously green.
 
 use crate::bounds::{hoeffding_slack, max_advantage};
 
@@ -27,11 +28,31 @@ use crate::bounds::{hoeffding_slack, max_advantage};
 /// mutual dead drop: versus the idle world the round's histogram
 /// shifts by `m2 + 1, m1 − 2`. The contrast `2·m2 − m1` moves by +4
 /// per round — the largest shift available from the (m1, m2) pair —
-/// while honest Laplace noise perturbs it with scale ~√5·b. Returned
-/// as `i64` since the contrast can go negative.
+/// while honest Laplace noise perturbs it with scale ~√5·b. Over
+/// `i64`, since the contrast — and the histogram left once an attacker
+/// subtracts the noise it owns ([`subtract_owned_noise`]) — can go
+/// negative.
 #[must_use]
-pub fn pair_activity_feature(m1: u64, m2: u64) -> i64 {
-    2 * (m2 as i64) - (m1 as i64)
+pub fn pair_activity_feature(m1: i64, m2: i64) -> i64 {
+    2 * m2 - m1
+}
+
+/// The histogram left to an attacker that owns some noising servers
+/// (§2.3): `(m1 − Σ singles, m2 − Σ pairs)` over each owned server's
+/// own `(singles, pairs)` draw (`MixServer::conversation_noise`), so
+/// only the other servers' noise still hides the pair. With nothing
+/// owned it is `(m1, m2)`.
+#[must_use]
+pub fn subtract_owned_noise(
+    m1: u64,
+    m2: u64,
+    owned: impl IntoIterator<Item = (u64, u64)>,
+) -> (i64, i64) {
+    owned
+        .into_iter()
+        .fold((m1 as i64, m2 as i64), |(m1, m2), (singles, pairs)| {
+            (m1 - singles as i64, m2 - pairs as i64)
+        })
 }
 
 /// A trained threshold rule over [`pair_activity_feature`] values.
@@ -226,6 +247,15 @@ mod tests {
         let idle = pair_activity_feature(412, 203);
         let talking = pair_activity_feature(410, 204);
         assert_eq!(talking - idle, 4);
+    }
+
+    #[test]
+    fn owned_noise_comes_off_the_histogram() {
+        assert_eq!(subtract_owned_noise(412, 203, []), (412, 203));
+        let owned = [(10, 3), (5, 2)];
+        assert_eq!(subtract_owned_noise(412, 203, owned), (397, 198));
+        // An owned draw can exceed what a tampered histogram shows.
+        assert_eq!(subtract_owned_noise(0, 0, owned), (-15, -5));
     }
 
     #[test]

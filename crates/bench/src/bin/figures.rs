@@ -19,21 +19,18 @@
 //! their partner a message ([`vuvuzela_bench::workload`]); every
 //! conversation round timed must deliver every message.
 //!
-//! Each number of `fig9`–`fig11`, `tab_throughput` and
-//! `abl_noise_placement` says where it comes from: its artefact key
-//! starts, and its column header ends, with `measured` (on this host),
-//! `extrapolated` (through [`CostModel`]) or `closed form`; a run's
-//! parameters and the paper's own figures carry no label.
+//! Each number of `fig9`–`fig11`, `tab_throughput`,
+//! `abl_noise_placement` and `tab_posterior` says where it comes from:
+//! its artefact key starts, and its column header ends, with `measured`
+//! (on this host), `extrapolated` (through [`CostModel`]) or `closed
+//! form`; a run's parameters and the paper's own figures carry no label.
+//!
+//! No figure measures an attack: attack accuracy is measured on the
+//! running system by `vuvuzela-sim`'s `sim_attack`, and `tab_posterior`
+//! is §6.4's closed-form posterior table.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde_json::{json, Value};
 use std::process::ExitCode;
-use vuvuzela_adversary::attacks::{
-    DisruptionAttack, IntersectionAttack, StatisticalDisclosureAttack,
-};
-use vuvuzela_adversary::bounds::max_accuracy;
-use vuvuzela_adversary::model::ObservableModel;
 use vuvuzela_baseline::broadcast;
 use vuvuzela_bench::report::{human_bytes, secs, write_json, Table};
 use vuvuzela_bench::workload::{assert_delivered, dialing_cohort, talking_cohort};
@@ -64,7 +61,7 @@ const FIGURES: [(&str, Figure); 11] = [
     ("tab_throughput", tab_throughput),
     ("abl_drop_tuning", abl_drop_tuning),
     ("abl_noise_placement", abl_noise_placement),
-    ("attack_demo", attack_demo),
+    ("tab_posterior", tab_posterior),
 ];
 
 /// The paper's conversation noise (§8.1) and dialing noise per drop.
@@ -828,74 +825,26 @@ fn abl_noise_placement(_: &Setup) -> Value {
     json!({ "users": users, "results": sheet.rows })
 }
 
-/// Attack demonstration (§2.1, §4.2, Figure 2): three traffic-analysis
-/// attacks against the no-noise mixnet and against Vuvuzela's noise —
-/// empirical accuracy beside the DP ceiling — plus the §6.4 posterior
-/// table.
-fn attack_demo(_: &Setup) -> Value {
-    let mut rng = StdRng::seed_from_u64(2015);
-    let trials = 4_000;
-    // The no-noise mixnet, then Vuvuzela.
-    let models = [
-        (NoiseDistribution::new(1.0, 1.0), NoiseMode::Off),
-        (NoiseDistribution::new(1_000.0, 50.0), NoiseMode::Sampled),
-    ]
-    .map(|(noise, mode)| ObservableModel {
-        noising_servers: 2,
-        noise,
-        mode,
-    });
-    let round = conversation_round(1_000.0, 50.0);
-    let bound = max_accuracy(round.epsilon, round.delta);
-
-    let attack = IntersectionAttack { window: 5 };
-    let intersection = models.map(|m| attack.evaluate(&mut rng, &m, 5, trials));
-    let disruption = models.map(|m| DisruptionAttack::evaluate(&mut rng, &m, trials));
-    let disclosure =
-        models.map(|m| StatisticalDisclosureAttack::evaluate(&mut rng, &m, 40, trials / 10));
-
-    let mut table = Table::new(&[
-        "attack",
-        "no-noise accuracy",
-        "Vuvuzela accuracy",
-        "DP ceiling (1 round)",
-    ]);
-    let ceiling = format!("{bound:.3}");
-    #[rustfmt::skip]
-    let rows = [
-        ("intersection (offline diff)", intersection, ceiling.as_str()),
-        ("disruption (keep Alice+Bob)", disruption, ceiling.as_str()),
-        ("statistical disclosure (40 rounds)", disclosure, "n/a (multi-round)"),
-    ];
-    for (name, accuracy, ceiling) in rows {
-        let [plain, noised] = accuracy.map(|a| format!("{a:.3}"));
-        table.row(&[name.into(), plain, noised, ceiling.into()]);
-    }
-    table.print("Attack accuracy: no-noise mixnet vs Vuvuzela (µ=1000, b=50 per server)");
-    println!(
-        "\n1.0 = adversary always right, 0.5 = coin flip. Vuvuzela's noise\n\
-         reduces every attack to ≈0.5, within the DP ceiling."
-    );
-
-    // §6.4 posterior-belief table.
+/// The §6.4 posterior-belief table, in closed form: an adversary's
+/// belief that Alice is talking after observing an ε-DP round, against
+/// the paper's rounded figures. Attack accuracy on the running system
+/// is `vuvuzela-sim`'s `sim_attack`.
+fn tab_posterior(_: &Setup) -> Value {
     let ln2 = core::f64::consts::LN_2;
     let ln3 = 3.0f64.ln();
-    let mut posterior = Table::new(&["prior", "ε", "posterior (paper)", "posterior (ours)"]);
+    let mut sheet = Sheet::default();
     for (prior, eps, paper) in [(0.50, ln2, "67%"), (0.50, ln3, "75%"), (0.01, ln3, "3%")] {
-        posterior.row(&[
-            format!("{:.0}%", prior * 100.0),
-            format!("{eps:.3}"),
-            paper.into(),
-            format!("{:.1}%", posterior_bound(prior, eps) * 100.0),
+        let posterior = posterior_bound(prior, eps);
+        #[rustfmt::skip]
+        sheet.row(&[
+            ("prior", "prior", json!(prior), format!("{:.0}%", prior * 100.0)),
+            ("ε", "epsilon", json!(eps), format!("{eps:.3}")),
+            ("posterior (paper)", "paper", json!(paper), paper.into()),
+            ("posterior [closed form]", "closed_form_posterior", json!(posterior), format!("{:.1}%", posterior * 100.0)),
         ]);
     }
-    posterior.print("§6.4 posterior beliefs after observing Vuvuzela");
-
-    let pair = |[plain, noised]: [f64; 2]| json!({ "no_noise": plain, "vuvuzela": noised });
-    json!({
-        "trials": trials, "dp_ceiling_one_round": bound, "intersection": pair(intersection),
-        "disruption": pair(disruption), "disclosure": pair(disclosure),
-    })
+    sheet.print("§6.4 posterior beliefs after observing Vuvuzela");
+    json!({ "rows": sheet.rows })
 }
 
 #[cfg(test)]

@@ -680,8 +680,10 @@ fn servers_from(
 /// [`build_server`] wires into every [`MixServer`]. In an honest
 /// conversation round the first two 64-bit words this RNG yields are
 /// exactly the uniforms behind that server's `n1`/`n2` Laplace noise
-/// draws, which lets cross-validation tests and attack harnesses replay
-/// a deployment's noise streams without running the chain.
+/// draws — the `(n1 + n2 % 2, n2 / 2)` that
+/// [`MixServer::conversation_noise`] logs — which lets tests and
+/// measurement harnesses replay a deployment's noise streams without
+/// running the chain.
 #[must_use]
 pub fn server_round_rng(seed: u64, position: usize, round: u64) -> StdRng {
     crate::server::round_rng(seed.wrapping_add(1 + position as u64), round)

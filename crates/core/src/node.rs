@@ -1402,4 +1402,47 @@ mod tests {
             .expect_err("repeat must be rejected");
         assert!(matches!(err, Error::Frame { .. }), "got {err}");
     }
+
+    /// A chain that answers with another round's backward batch is
+    /// refused with the frame's header, not its bytes: a 1 MiB payload
+    /// must not become a multi-megabyte error.
+    #[test]
+    fn feed_window_refuses_a_wrong_round_in_a_line() {
+        let config = tiny_config(2);
+        let (feeder, chain) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
+        let answer = std::thread::spawn(move || {
+            let forward = match chain.recv().expect("forward batch") {
+                Frame::Batch(forward) => forward,
+                other => panic!("expected the forward batch, got {other:?}"),
+            };
+            let back = BatchFrame {
+                round: RoundId(forward.round.0 + 1),
+                backward: true,
+                stride: 256,
+                width: 256,
+                count: 4096,
+                payload: vec![0xAB; 1 << 20],
+                ..forward
+            };
+            chain
+                .send(Frame::Batch(back))
+                .expect("send the wrong round");
+            chain
+        });
+        let width = onion::wrapped_len(RoundKind::Conversation.payload_len(), 2);
+        let err = feed_window(
+            &config,
+            &feeder,
+            1,
+            &[(0, RoundKind::Conversation, 0)],
+            |_| (RoundBuffer::new(width, width), ()),
+            |(), _, _| panic!("no round may complete"),
+        )
+        .expect_err("a wrong round is refused");
+        drop(answer.join().expect("chain thread"));
+        assert!(matches!(err, Error::Protocol { .. }), "got {err}");
+        let shown = err.to_string();
+        assert!(shown.len() < 1024, "{} bytes of error", shown.len());
+        assert!(shown.contains("payload_len: 1048576"), "{shown}");
+    }
 }

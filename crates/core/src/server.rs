@@ -53,7 +53,7 @@ use crate::noise::{self, NoiseBatch};
 use crate::roundbuf::RoundBuffer;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use vuvuzela_crypto::onion::{self, LayerKey};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::WorkerPool;
@@ -155,6 +155,8 @@ pub struct MixServer {
     rounds: HashMap<u64, RoundState>,
     /// See [`MixServer::invitation_drops`]; the tail's node fills it.
     pub(crate) invitation_drops: Option<(u64, InvitationDrops)>,
+    /// See [`MixServer::conversation_noise`].
+    conversation_noise: BTreeMap<u64, (u64, u64)>,
     /// Cumulative count of requests this server replaced because they
     /// failed to authenticate (diagnostic; also exercised by tests).
     pub malformed_replaced: u64,
@@ -196,6 +198,7 @@ impl MixServer {
             seed,
             rounds: HashMap::new(),
             invitation_drops: None,
+            conversation_noise: BTreeMap::new(),
             malformed_replaced: 0,
         }
     }
@@ -207,6 +210,26 @@ impl MixServer {
     pub fn invitation_drops(&self) -> Option<(u64, &InvitationDrops)> {
         let (round, drops) = self.invitation_drops.as_ref()?;
         Some((*round, drops))
+    }
+
+    /// The `(singles, pairs)` of cover traffic this server drew for a
+    /// conversation round it noised ([`noise::conversation_noise_into`]),
+    /// or `None` for a round it did not noise (the tail never does, nor
+    /// does a dialing round) or one evicted from the log, which keeps the
+    /// newest 4 096 rounds; an abort leaves it. This is an operator
+    /// secret, the one the DP argument hides: nothing prints or
+    /// transcribes it, and the attack harness hands it only to an
+    /// attacker that owns this server.
+    #[must_use]
+    pub fn conversation_noise(&self, round: u64) -> Option<(u64, u64)> {
+        self.conversation_noise.get(&round).copied()
+    }
+
+    fn log_conversation_noise(&mut self, round: u64, draws: (u64, u64)) {
+        self.conversation_noise.insert(round, draws);
+        while self.conversation_noise.len() > NOISE_LOG_CAP {
+            self.conversation_noise.pop_first();
+        }
     }
 
     /// This server's long-term public key (known to all clients, §2.3).
@@ -645,7 +668,7 @@ impl MixServer {
     ) {
         match kind {
             RoundKind::Conversation => {
-                noise::conversation_noise_into(
+                let draws = noise::conversation_noise_into(
                     rng,
                     batch,
                     &self.downstream_precomp,
@@ -654,6 +677,7 @@ impl MixServer {
                     self.config.noise_mode,
                     self.config.workers,
                 );
+                self.log_conversation_noise(round, draws);
             }
             RoundKind::Dialing { num_drops } => {
                 noise::dialing_noise_into(
@@ -670,6 +694,11 @@ impl MixServer {
         }
     }
 }
+
+/// Conversation rounds whose noise draws a server keeps
+/// ([`MixServer::conversation_noise`]) — as many as a `Link` keeps of its
+/// per-round traffic, far beyond any in-flight window.
+const NOISE_LOG_CAP: usize = 4096;
 
 /// Slots per fan-out item on the arena passes (the peel and the reply
 /// wrap) — matched to the batch resolver's width in `vuvuzela_crypto`
@@ -1103,5 +1132,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A noising server logs the very `(singles, pairs)` its conversation
+    /// noise returned; the tail and a dialing round log nothing; the log
+    /// evicts its oldest round past the cap.
+    #[test]
+    fn the_noise_log_keeps_what_each_noised_conversation_round_drew() {
+        let mut config = test_config(7.0);
+        config.noise_mode = NoiseMode::Sampled;
+        let mut rng = StdRng::seed_from_u64(42);
+        let (kp0, kp1) = (Keypair::generate(&mut rng), Keypair::generate(&mut rng));
+        let mut s0 = MixServer::new(0, 2, kp0, vec![kp1.public], config.clone(), 11);
+        let mut s1 = MixServer::new(1, 2, kp1, vec![], config.clone(), 12);
+
+        let mid = forward(&mut s0, 5, RoundKind::Conversation, Vec::new());
+        let width = s0.incoming_width(RoundKind::Conversation) - onion::LAYER_OVERHEAD;
+        let drawn = noise::conversation_noise_into(
+            &mut round_rng(11, 5),
+            &mut RoundBuffer::new(width, width),
+            &s0.downstream_precomp,
+            5,
+            config.conversation_noise,
+            config.noise_mode,
+            config.workers,
+        );
+        assert_eq!(s0.conversation_noise(5), Some(drawn));
+        assert_eq!(mid.len() as u64, drawn.0 + 2 * drawn.1);
+        forward(&mut s1, 5, RoundKind::Conversation, mid);
+        assert_eq!(s1.conversation_noise(5), None, "the tail adds no noise");
+        forward(&mut s0, 6, RoundKind::Dialing { num_drops: 1 }, Vec::new());
+        assert_eq!(s0.conversation_noise(6), None, "dialing noise is per drop");
+
+        for round in 100..100 + NOISE_LOG_CAP as u64 {
+            s0.log_conversation_noise(round, (round, 0));
+        }
+        assert_eq!(s0.conversation_noise.len(), NOISE_LOG_CAP);
+        assert_eq!(
+            s0.conversation_noise(5),
+            None,
+            "the oldest round is evicted"
+        );
+        assert_eq!(s0.conversation_noise(100), Some((100, 0)));
     }
 }

@@ -527,4 +527,38 @@ mod tests {
         }
         assert!(client.is_err());
     }
+
+    /// A peer that sends a batch where its hello is due is refused with
+    /// the frame's header, not its bytes: a 1 MiB payload must not
+    /// become a multi-megabyte error before any digest is checked.
+    #[test]
+    fn a_batch_instead_of_a_hello_is_refused_in_a_line() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server =
+            std::thread::spawn(move || TcpTransport::accept(&listener, LinkId::Hop(0), digest(1)));
+        let batch = BatchFrame {
+            link: LinkId::Hop(0),
+            round: RoundId(0),
+            round_type: RoundType::Conversation,
+            num_drops: 0,
+            backward: false,
+            stride: 256,
+            width: 256,
+            count: 4096,
+            payload: vec![0xAB; 1 << 20],
+            trailer: Vec::new(),
+        };
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut stream, LinkId::Hop(0), &Frame::Batch(batch)).expect("send batch");
+        match server.join().expect("thread") {
+            Err(err @ Error::Handshake { .. }) => {
+                let shown = err.to_string();
+                assert!(shown.len() < 1024, "{} bytes of error", shown.len());
+                assert!(shown.contains("payload_len: 1048576"), "{shown}");
+            }
+            Err(other) => panic!("expected handshake failure, got {other}"),
+            Ok(_) => panic!("handshake unexpectedly succeeded"),
+        }
+    }
 }

@@ -5,29 +5,46 @@
 //! scenarios identical in every step except one target user's
 //! behaviour: in the "talking" world client 0 dials client 1 and they
 //! hold an active conversation; in the "idle" world both sit as cover
-//! traffic. Both worlds run over many seeds; the adversary sees only
-//! each run's [`vuvuzela_adversary::AdversaryView`] (`SimReport::view`),
-//! which has no ground-truth field. A [`ThresholdDetector`] trains on
-//! the first half of the seeds and is scored on the held-out second
-//! half, and the verdict compares its advantage against
+//! traffic. Both worlds run over many seeds on the real chain. The
+//! attacker owns the tail, so it reads each run's
+//! [`vuvuzela_adversary::AdversaryView`] (`SimReport::view`), which has
+//! no ground-truth field, and it knows the noise draws of the noising
+//! servers the case says it owns ([`AttackCase::compromised`], read
+//! from `SimReport::noise_draws`). Each conversation round's feature is
+//! [`pair_activity_feature`] of the histogram less the owned servers'
+//! cover ([`subtract_owned_noise`]). A case may also have its
+//! compromised first server drop every request but the target pair's
+//! ([`AttackCase::disrupt`], §4.2's disruption attack). A
+//! [`ThresholdDetector`] trains on the first half of the seeds and is
+//! scored on the held-out second half, and the verdict compares its
+//! advantage against
 //! `max_advantage(ε′, δ′)` with the budget the view reports plus a
 //! Hoeffding slack for the finite sample.
 //!
 //! The matrix is falsifiable in both directions:
 //!
-//! * the **honest** case (correctly sized sampled noise) must come in
-//!   *under* the bound — `advantage + slack ≤ max_advantage(ε′, δ′)`;
+//! * the **honest** cases (correctly sized sampled noise, at least one
+//!   noising server the attacker does not own, with or without the
+//!   disruption) must come in *under* the bound —
+//!   `advantage + slack ≤ max_advantage(ε′, δ′)`. `honest_hop0` and
+//!   `honest_hop1` are the paper's adversary in a three-server chain:
+//!   every server but one noising server compromised (§2.3);
 //! * the **noise-off** and **undersized-µ** negative controls claim
 //!   the same budget while drawing no (or far too little) cover
-//!   traffic, and the *same* detector must *beat* the claimed bound —
-//!   proving the harness has the teeth to catch a broken deployment.
+//!   traffic, and the **all-compromised** control owns every noising
+//!   server, so no honest noise is left; the *same* detector must *beat*
+//!   the claimed bound in each — proving the harness has the teeth to
+//!   catch a broken deployment.
 
+use parking_lot::Mutex;
+use std::sync::Arc;
 use vuvuzela_adversary::detector::split_by_seed;
-use vuvuzela_adversary::{pair_activity_feature, ThresholdDetector};
+use vuvuzela_adversary::taps::KeepOnly;
+use vuvuzela_adversary::{pair_activity_feature, subtract_owned_noise, ThresholdDetector};
 use vuvuzela_dp::{NoiseDistribution, NoiseMode};
 
 use crate::scenario::{LedgerNoise, RoundPlan, Scale, Scenario, Step};
-use crate::simulator::{run_scenario, SimError, SimReport};
+use crate::simulator::{run_scenario, SimError, SimReport, Simulator};
 
 /// Grading confidence for the Hoeffding slack: each gate's verdict
 /// holds except with probability ≤ α over the sampling noise.
@@ -47,6 +64,10 @@ pub enum AttackControl {
     /// parameters require (the [`Scenario::ledger_noise`] override) —
     /// the detector must beat the claimed bound.
     UndersizedMu,
+    /// Correctly sized sampled noise, but the attacker owns every
+    /// noising server and subtracts all of it: no honest server is left
+    /// for the theorem to rest on, and the detector must beat the bound.
+    AllCompromised,
 }
 
 impl AttackControl {
@@ -57,6 +78,7 @@ impl AttackControl {
             AttackControl::Honest => "honest",
             AttackControl::NoiseOff => "noise_off",
             AttackControl::UndersizedMu => "undersized_mu",
+            AttackControl::AllCompromised => "all_compromised",
         }
     }
 }
@@ -88,6 +110,16 @@ pub struct AttackCase {
     pub noise_mode: NoiseMode,
     /// The claimed ledger override, for [`AttackControl::UndersizedMu`].
     pub ledger_noise: Option<LedgerNoise>,
+    /// The noising servers the attacker owns, by chain position: their
+    /// noise draws come off each round's histogram. The tail is always
+    /// owned (it reads the observables); `&[]` is a passive attacker
+    /// that knows no server's noise.
+    pub compromised: &'static [usize],
+    /// §4.2's disruption attack: the forward-batch positions a
+    /// compromised first server keeps on link 0 (entry→server 0) in
+    /// every round of both worlds, dropping the rest; `None` leaves
+    /// every link alone.
+    pub disrupt: Option<&'static [usize]>,
 }
 
 /// The JSON-serialisable verdict of one attack case.
@@ -95,7 +127,8 @@ pub struct AttackCase {
 pub struct AttackVerdict {
     /// Case name.
     pub name: String,
-    /// Control kind (`honest`, `noise_off`, `undersized_mu`).
+    /// Control kind (`honest`, `noise_off`, `undersized_mu`,
+    /// `all_compromised`).
     pub control: String,
     /// The gate direction this case is asserted against.
     pub expect_within_bound: bool,
@@ -184,8 +217,10 @@ fn honest_dialing_noise() -> NoiseDistribution {
     NoiseDistribution::new(160.0, 32.0)
 }
 
-/// The bundled attack matrix: one honest case and the two negative
-/// controls the acceptance gate demands.
+/// The bundled attack matrix: the passive honest case and its two
+/// negative controls, then the paper's adversary — every server but
+/// one noising server compromised, with and without the disruption
+/// attack — and its control that owns every noising server.
 #[must_use]
 pub fn attack_matrix(scale: Scale) -> Vec<AttackCase> {
     let honest_pairs = match scale {
@@ -209,6 +244,8 @@ pub fn attack_matrix(scale: Scale) -> Vec<AttackCase> {
             dialing_noise: honest_dialing_noise(),
             noise_mode: NoiseMode::Sampled,
             ledger_noise: None,
+            compromised: &[],
+            disrupt: None,
         },
         AttackCase {
             name: "noise_off_control",
@@ -224,6 +261,8 @@ pub fn attack_matrix(scale: Scale) -> Vec<AttackCase> {
             dialing_noise: honest_dialing_noise(),
             noise_mode: NoiseMode::Off,
             ledger_noise: None,
+            compromised: &[],
+            disrupt: None,
         },
         AttackCase {
             name: "undersized_mu_control",
@@ -244,8 +283,66 @@ pub fn attack_matrix(scale: Scale) -> Vec<AttackCase> {
                 conversation: honest_conversation_noise(),
                 dialing: honest_dialing_noise(),
             }),
+            compromised: &[],
+            disrupt: None,
+        },
+        // The paper's adversary: it owns servers 1 and 2, so server 0's
+        // noise alone covers the pair.
+        AttackCase {
+            name: "honest_hop0",
+            base_seed: 0x0B00,
+            compromised: &[1],
+            ..owned_noise_case(honest_pairs)
+        },
+        // Servers 0 and 2 owned: server 1's noise alone.
+        AttackCase {
+            name: "honest_hop1",
+            base_seed: 0x0C00,
+            compromised: &[0],
+            ..owned_noise_case(honest_pairs)
+        },
+        // Every noising server owned, so no honest noise is left.
+        AttackCase {
+            name: "all_compromised_control",
+            control: AttackControl::AllCompromised,
+            expect_within_bound: false,
+            base_seed: 0x0A11,
+            compromised: &[0, 1],
+            ..owned_noise_case(control_pairs)
+        },
+        // §4.2: the owned first server keeps only clients 0 and 1 (the
+        // target pair, first in batch order) in every round, dialing
+        // included, and the owned tail reads what is left. Server 1's
+        // noise must still cover the pair.
+        AttackCase {
+            name: "disruption_honest_hop1",
+            base_seed: 0x0D15,
+            compromised: &[0],
+            disrupt: Some(&[0, 1]),
+            ..owned_noise_case(honest_pairs)
         },
     ]
+}
+
+/// The honest case's deployment (µ = 200, b = 40, claiming its
+/// budget) as the paper's attacker meets it, for a case to name, seed
+/// and give its owned servers.
+fn owned_noise_case(seed_pairs: usize) -> AttackCase {
+    AttackCase {
+        name: "",
+        control: AttackControl::Honest,
+        expect_within_bound: true,
+        base_seed: 0,
+        seed_pairs,
+        population: 8,
+        conversation_rounds: 4,
+        conversation_noise: honest_conversation_noise(),
+        dialing_noise: honest_dialing_noise(),
+        noise_mode: NoiseMode::Sampled,
+        ledger_noise: None,
+        compromised: &[],
+        disrupt: None,
+    }
 }
 
 /// Builds one world of a case's twin pair. Both worlds share the seed
@@ -306,12 +403,32 @@ fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
     let mut reports = Vec::with_capacity(case.seed_pairs);
     for i in 0..case.seed_pairs {
         let seed = case.base_seed.wrapping_add(i as u64);
-        let report = run_scenario(&twin_scenario(case, seed, talking))?;
+        let scenario = twin_scenario(case, seed, talking);
+        let report = match case.disrupt {
+            None => run_scenario(&scenario)?,
+            // The disruption trips the participation invariants, so its
+            // worlds run in tolerant mode, as a soak case does.
+            Some(keep) => {
+                let mut sim = Simulator::new(scenario);
+                sim.chain_mut()
+                    .link_mut(0)
+                    .attach_tap(Arc::new(Mutex::new(KeepOnly {
+                        indices: keep.to_vec(),
+                        only_round: None,
+                    })));
+                sim.run_collecting().0
+            }
+        };
         let features: Vec<i64> = report
             .view
             .conversation_rounds()
-            .filter_map(|(_, observables)| observables)
-            .map(|o| pair_activity_feature(o.m1, o.m2))
+            .filter_map(|(round, observables)| Some((round, observables?)))
+            .map(|(round, o)| {
+                let draws = &report.noise_draws[&round];
+                let owned = case.compromised.iter().map(|&i| draws[i]);
+                let (m1, m2) = subtract_owned_noise(o.m1, o.m2, owned);
+                pair_activity_feature(m1, m2)
+            })
             .collect();
         if features.len() != case.conversation_rounds {
             return Err(SimError::Attack(format!(

@@ -1,7 +1,16 @@
 //! Runs the attack matrix — a twin-world distinguisher trained on each
-//! run's adversary view and graded against the composed (ε′, δ′) bound
-//! that view reports — and writes the JSON verdicts plus one sample
+//! run's adversary view, less the noise of the servers the case's
+//! attacker owns, and graded against the composed (ε′, δ′) bound that
+//! view reports — and writes the JSON verdicts plus one sample
 //! twin-transcript pair per case to an output directory.
+//!
+//! The cases: `honest_sampled` (a passive attacker), its negative
+//! controls `noise_off_control` and `undersized_mu_control`, then the
+//! paper's attacker that owns every server but one (§2.3):
+//! `honest_hop0` and `honest_hop1` (the one honest server is that
+//! noising hop), `disruption_honest_hop1` (§4.2: the owned first server
+//! also drops every request but the target pair's) and its control
+//! `all_compromised_control`, which owns both noising servers.
 //!
 //! ```text
 //! sim_attack [--full] [OUT_DIR]
@@ -20,10 +29,10 @@
 //! * `transcript_<case>_talking.txt` / `transcript_<case>_idle.txt` —
 //!   the first held-out seed's twin pair, for inspection.
 //!
-//! Exit status is non-zero if any case fails its gate: the honest
-//! deployment's held-out advantage (plus slack) escaping the bound, or
-//! a negative control (noise off, undersized µ) *failing to beat* the
-//! bound it falsely claims.
+//! Exit status is non-zero if any case fails its gate: an honest
+//! case's held-out advantage (plus slack) escaping the bound, or a
+//! negative control (noise off, undersized µ, every noising server
+//! owned) *failing to beat* the bound it falsely claims.
 
 use vuvuzela_sim::{attack_matrix, run_attack_case};
 

@@ -164,13 +164,16 @@
 //! reads each run's [`vuvuzela_adversary::AdversaryView`] — the typed
 //! record the simulator fills in beside its transcript, holding only
 //! what a tapping adversary sees ([`simulator::SimReport::view`]) —
+//! plus the noise draws of the servers a case's attacker owns
+//! ([`simulator::SimReport::noise_draws`], kept out of the view) —
 //! trains a [`vuvuzela_adversary::ThresholdDetector`] on half the
 //! seeds, and asserts the held-out advantage against
 //! `max_advantage(ε′, δ′)` with the budget the view reports (the
 //! ledger's total, aborted rounds included). Honest sampled noise must
-//! stay under the bound; the noise-off and undersized-µ negative
-//! controls must *beat* it. `sim_attack` runs the matrix and writes a
-//! JSON verdict artefact.
+//! stay under the bound while one noising server is honest, the §4.2
+//! disruption attack included; the noise-off, undersized-µ and
+//! all-compromised negative controls must *beat* it. `sim_attack` runs
+//! the matrix and writes a JSON verdict artefact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

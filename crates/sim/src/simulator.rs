@@ -103,6 +103,12 @@ pub struct SimReport {
     /// What the adversary saw of the run: the transcript's public
     /// records, typed.
     pub view: AdversaryView,
+    /// Each noising server's `(singles, pairs)` draw for every completed
+    /// conversation round, by round, in chain order — read from
+    /// `MixServer::conversation_noise`. Operator secrets, kept out of
+    /// `view` and the transcript: the attack harness hands an attacker
+    /// the draws of the servers it owns.
+    pub noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
 }
 
 /// What the simulator tracks about a scripted client beside its
@@ -177,6 +183,7 @@ pub struct Simulator {
     ledger: PrivacyLedger,
     transcript: Transcript,
     view: AdversaryView,
+    noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
     /// Chain links a [`Step::Observe`] marked, in script order.
     observed: Vec<usize>,
     pending_crash: Option<(usize, u64)>,
@@ -276,6 +283,7 @@ impl Simulator {
                 taps: Vec::new(),
                 budget: ledger.total_spent(),
             },
+            noise_draws: BTreeMap::new(),
             ledger,
             transcript,
             observed: Vec::new(),
@@ -362,6 +370,7 @@ impl Simulator {
             delivered: self.delivered,
             transcript: self.transcript,
             view: self.view,
+            noise_draws: self.noise_draws,
         }
     }
 
@@ -926,6 +935,15 @@ impl Simulator {
         let replies_len = replies.len() as u64;
         let cohort_clients = cohort_requests / self.config.conversation_slots.max(1);
         let total_participants = cohort_clients + participants.len();
+        let draws = (0..self.config.chain_len - 1)
+            .map(|i| {
+                self.chain
+                    .server(i)
+                    .conversation_noise(round)
+                    .expect("a completed conversation round crossed every noising server")
+            })
+            .collect();
+        self.noise_draws.insert(round, draws);
         let observables = match self.find_conversation_observables(round) {
             Some(obs) => *obs,
             None => {

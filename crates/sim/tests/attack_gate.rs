@@ -1,17 +1,19 @@
 //! The attack matrix's acceptance gates, asserted in both directions:
-//! the honest deployment stays under the composed (ε′, δ′) bound, and
-//! both negative controls — noise off, undersized µ — beat it. Plus
-//! the glue contracts: the adversary view's budget matches an
-//! independent dp-crate recomputation (aborted rounds included), and
-//! the view of a real bundled run holds every completed round with the
-//! last server's own observables.
+//! the honest deployment stays under the composed (ε′, δ′) bound — to a
+//! passive attacker, and to one that owns every server but one noising
+//! server, with or without the §4.2 disruption — and the negative
+//! controls — noise off, undersized µ, every noising server owned —
+//! beat it. Plus the glue contracts: the adversary view's budget
+//! matches an independent dp-crate recomputation (aborted rounds
+//! included), and the view of a real bundled run holds every completed
+//! round with the last server's own observables.
 
 use vuvuzela_dp::accounting::combine;
 use vuvuzela_dp::{NoiseDistribution, PrivacyLedger, Protocol};
 use vuvuzela_net::LinkId;
 use vuvuzela_sim::{
-    attack_matrix, bundled_matrix, run_attack_case, run_scenario, AttackControl, Scale, Scenario,
-    Simulator,
+    attack_matrix, bundled_matrix, run_attack_case, run_scenario, AttackCase, AttackControl, Scale,
+    Scenario, Simulator,
 };
 
 fn bundled(name: &str) -> Scenario {
@@ -19,6 +21,13 @@ fn bundled(name: &str) -> Scenario {
         .into_iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("bundled matrix has {name}"))
+}
+
+fn case(name: &str) -> AttackCase {
+    attack_matrix(Scale::Smoke)
+        .into_iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("attack matrix has {name}"))
 }
 
 fn run_control(control: AttackControl) -> vuvuzela_sim::AttackVerdict {
@@ -75,6 +84,73 @@ fn undersized_mu_control_beats_the_claimed_bound() {
     assert!(v.passed);
     // The claimed budget (not the actual tiny noise) sets the bound.
     assert!((v.epsilon - honest_budget().0).abs() < 1e-9);
+}
+
+/// The attacker that owns both noising servers sees the target pair
+/// exactly once it subtracts their noise, and the same runs read
+/// passively — the histogram as the tail shows it — stay within the
+/// bound: the subtraction is what gives this control its teeth.
+#[test]
+fn all_compromised_control_beats_the_bound_only_with_the_owned_noise() {
+    let owned = case("all_compromised_control");
+    assert_eq!(owned.compromised, &[0, 1]);
+    let v = run_attack_case(&owned).expect("case runs").verdict;
+    assert!(!v.expect_within_bound);
+    assert!(
+        v.exceeds_bound && v.passed,
+        "owned-noise advantage {} must exceed bound {}",
+        v.advantage,
+        v.bound
+    );
+    let passive = AttackCase {
+        compromised: &[],
+        ..owned
+    };
+    let v = run_attack_case(&passive).expect("case runs").verdict;
+    assert!(
+        v.within_bound,
+        "passive advantage {} + slack {} must be ≤ bound {}",
+        v.advantage, v.slack, v.bound
+    );
+}
+
+/// The paper's adversary — every server but one noising server owned,
+/// the §4.2 disruption included — stays within the bound at a reduced
+/// seed count.
+fn paper_adversary_stays_within_the_bound(name: &str) {
+    let reduced = AttackCase {
+        seed_pairs: 16,
+        ..case(name)
+    };
+    assert_eq!(reduced.compromised.len(), 1, "one noising server is honest");
+    let v = run_attack_case(&reduced).expect("case runs").verdict;
+    assert!(v.expect_within_bound);
+    assert!(
+        v.within_bound && v.passed,
+        "{name}: advantage {} + slack {} must be ≤ bound {} (ε′={}, δ′={})",
+        v.advantage,
+        v.slack,
+        v.bound,
+        v.epsilon,
+        v.delta
+    );
+    assert_eq!(v.trials, 8 * 4 * 2);
+}
+
+#[test]
+fn honest_hop0_stays_within_the_composed_bound() {
+    paper_adversary_stays_within_the_bound("honest_hop0");
+}
+
+#[test]
+fn honest_hop1_stays_within_the_composed_bound() {
+    paper_adversary_stays_within_the_bound("honest_hop1");
+}
+
+#[test]
+fn disruption_with_an_honest_hop1_stays_within_the_composed_bound() {
+    assert_eq!(case("disruption_honest_hop1").disrupt, Some(&[0, 1][..]));
+    paper_adversary_stays_within_the_bound("disruption_honest_hop1");
 }
 
 /// Independent recomputation of the honest composed budget: 4

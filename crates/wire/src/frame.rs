@@ -68,7 +68,7 @@ pub struct Hello {
 }
 
 /// One round batch crossing a link.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BatchFrame {
     /// The link this batch crosses.
     pub link: LinkId,
@@ -90,6 +90,26 @@ pub struct BatchFrame {
     pub payload: Vec<u8>,
     /// Opaque bytes intermediate hops must forward untouched.
     pub trailer: Vec<u8>,
+}
+
+/// Prints the header and the lengths of `payload` and `trailer`, never
+/// their bytes: a batch holds up to [`MAX_FRAME_LEN`] bytes of a peer's
+/// onions, and an error naming a peer's frame must stay a line long.
+impl core::fmt::Debug for BatchFrame {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("BatchFrame")
+            .field("link", &self.link)
+            .field("round", &self.round)
+            .field("round_type", &self.round_type)
+            .field("num_drops", &self.num_drops)
+            .field("backward", &self.backward)
+            .field("stride", &self.stride)
+            .field("width", &self.width)
+            .field("count", &self.count)
+            .field("payload_len", &self.payload.len())
+            .field("trailer_len", &self.trailer.len())
+            .finish()
+    }
 }
 
 /// A decoded frame.

@@ -152,59 +152,22 @@ fn noise_accounting_matches_paper() -> Result<(), SimError> {
     Ok(())
 }
 
-/// The observable-level model used for attack statistics agrees exactly
-/// with the real chain under deterministic noise.
+/// In `Sampled` mode each noising server's logged draw
+/// (`MixServer::conversation_noise`, what an attacker owning it knows)
+/// is the very one its round RNG's first two words give: `n1` then
+/// `n2`, so `(n1 + n2 % 2, n2 / 2)` — which is what lets a harness
+/// replay a deployment's noise through `server_round_rng` without
+/// running the chain. The logged draws plus the ground truth are the
+/// tail's histogram. An odd µ makes the leftover-singleton path (the
+/// Algorithm 2 pairing fix) load-bearing — odd `n2` draws occur with
+/// probability ≈ ½ per server.
 #[test]
-fn observable_model_cross_validates_against_chain() -> Result<(), SimError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use vuvuzela::adversary::model::{ObservableModel, RoundTruth};
-    use vuvuzela::dp::{NoiseDistribution, NoiseMode};
-
-    let mu = 8.0;
-    // Alice, Bob and a lone user.
-    let mut sim = net(deployment(mu, 5), 3)?;
-    connect(&mut sim)?;
-    run(&mut sim, RoundPlan::Conversation)?;
-    let (_, chain_obs) = *sim
-        .chain()
-        .conversation_observables()
-        .last()
-        .expect("round");
-
-    let model = ObservableModel {
-        noising_servers: 2,
-        noise: NoiseDistribution::new(mu, 1.0),
-        mode: NoiseMode::Deterministic,
-    };
-    let mut rng = StdRng::seed_from_u64(0);
-    let model_obs = model.sample(
-        &mut rng,
-        RoundTruth {
-            talking_pairs: 1,
-            lone_users: 1,
-        },
-    );
-    assert_eq!(chain_obs.m1, model_obs.m1);
-    assert_eq!(chain_obs.m2, model_obs.m2);
-    Ok(())
-}
-
-/// And in `Sampled` mode the agreement is byte-identical, not just
-/// distributional: feeding the model the very words each noising server
-/// consumed for its `n1`/`n2` draws (its round RNG's first two) must
-/// reproduce the chain's observables exactly. An odd µ makes the
-/// leftover-singleton path (the Algorithm 2 pairing fix) load-bearing —
-/// odd `n2` draws occur with probability ≈ ½ per server.
-#[test]
-fn observable_model_cross_validates_in_sampled_mode() -> Result<(), SimError> {
+fn sampled_noise_log_replays_from_the_server_round_rng() -> Result<(), SimError> {
     use rand::RngCore;
-    use vuvuzela::adversary::model::{ObservableModel, RoundTruth};
     use vuvuzela::core::chain::server_round_rng;
     use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 
-    /// Replays a recorded word stream — the shared noise stream between
-    /// the real deployment and the model.
+    /// Replays a recorded word stream.
     struct Replay(std::vec::IntoIter<u64>);
     impl RngCore for Replay {
         fn next_u32(&mut self) -> u32 {
@@ -222,6 +185,8 @@ fn observable_model_cross_validates_in_sampled_mode() -> Result<(), SimError> {
     }
 
     let mu = 7.0;
+    // Mirror the scenario's b = max(µ/20, 0.5) derivation.
+    let noise = NoiseDistribution::new(mu, (mu / 20.0).max(0.5));
     let seed = 0xA11CE_u64;
     for round_seed in 0..8u64 {
         let mut scenario = deployment(mu, seed.wrapping_add(round_seed));
@@ -230,37 +195,30 @@ fn observable_model_cross_validates_in_sampled_mode() -> Result<(), SimError> {
         let mut sim = net(scenario, 3)?;
         connect(&mut sim)?;
         run(&mut sim, RoundPlan::Conversation)?;
-        let (round, chain_obs) = *sim
+        let (round, obs) = *sim
             .chain()
             .conversation_observables()
             .last()
             .expect("round");
 
-        // Noising servers are every position but the last; each consumes
-        // its n1 then n2 uniform as the first two words of its round RNG.
-        let mut words = Vec::new();
+        // Noising servers are every position but the last.
+        let (mut m1, mut m2) = (1, 1);
         for position in 0..2 {
             let mut rng = server_round_rng(seed.wrapping_add(round_seed), position, round);
-            words.push(rng.next_u64());
-            words.push(rng.next_u64());
+            let mut words = Replay(vec![rng.next_u64(), rng.next_u64()].into_iter());
+            let n1 = noise.sample_count(&mut words, NoiseMode::Sampled);
+            let n2 = noise.sample_count(&mut words, NoiseMode::Sampled);
+            let replayed = (n1 + n2 % 2, n2 / 2);
+            assert_eq!(
+                sim.chain().server(position).conversation_noise(round),
+                Some(replayed),
+                "seed {round_seed}: server {position}'s log and its round RNG disagree"
+            );
+            m1 += replayed.0;
+            m2 += replayed.1;
         }
-        let model = ObservableModel {
-            noising_servers: 2,
-            // Mirror the scenario's b = max(µ/20, 0.5) derivation.
-            noise: NoiseDistribution::new(mu, (mu / 20.0).max(0.5)),
-            mode: NoiseMode::Sampled,
-        };
-        let model_obs = model.sample(
-            &mut Replay(words.into_iter()),
-            RoundTruth {
-                talking_pairs: 1,
-                lone_users: 1,
-            },
-        );
-        assert_eq!(
-            chain_obs, model_obs,
-            "seed {round_seed}: chain and model disagree on shared noise"
-        );
+        assert_eq!(sim.chain().server(2).conversation_noise(round), None);
+        assert_eq!((obs.m1, obs.m2), (m1, m2), "seed {round_seed}");
     }
     Ok(())
 }
