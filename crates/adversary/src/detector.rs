@@ -39,7 +39,8 @@ pub fn pair_activity_feature(m1: i64, m2: i64) -> i64 {
 
 /// The histogram left to an attacker that owns some noising servers
 /// (§2.3): `(m1 − Σ singles, m2 − Σ pairs)` over each owned server's
-/// own `(singles, pairs)` draw (`MixServer::conversation_noise`), so
+/// own `(singles, pairs)` draw (the `Operator` part of its forward
+/// pass in the round record, `vuvuzela_core::record`), so
 /// only the other servers' noise still hides the pair. With nothing
 /// owned it is `(m1, m2)`.
 #[must_use]

@@ -132,7 +132,7 @@ fn run_flat(seed: u64, batch: &RoundBuffer) -> (FlatPass, RoundBuffer) {
     let start = Instant::now();
     for (i, server) in servers.iter_mut().enumerate() {
         let incoming = buf.len();
-        buf = server.forward_buf(ROUND, RoundKind::Conversation, buf);
+        buf = server.forward_buf(ROUND, RoundKind::Conversation, buf).0;
         hops.push(KernelOps {
             peels: incoming as f64,
             layers: ((buf.len() - incoming) * (CHAIN_LEN - 1 - i)) as f64,

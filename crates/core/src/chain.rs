@@ -15,8 +15,10 @@
 //! scoped threads over in-memory links, where the OS scheduler picks the
 //! interleaving. Either way the entry is the deployment's own relay node
 //! and the tail keeps its dialing drops ([`MixServer::invitation_drops`]);
-//! a batch crosses a link through [`batch_through_link`], a round home
-//! across the clients link is completed by one `Collector`, and a round
+//! a batch crosses a link through [`batch_through_link`], every node's
+//! passes reach one `Collector` as [`RoundEvent`]s, which completes a
+//! round home across the clients link and keeps its events in the
+//! chain's record ([`Chain::round_record`]), and a round
 //! that cannot finish — a node refuses its frame, or a link hangs up
 //! under it — ends the run with an [`Abort`], the value the wire's
 //! [`vuvuzela_net::Error`] becomes.
@@ -31,11 +33,12 @@ use crate::config::SystemConfig;
 use crate::engine::{admission_weights, schedule_rng, AdmissionWindow};
 use crate::node::{buf_from_frame, frame_from_buf, HopObserver, RoundTrailer, ServerNode, Side};
 use crate::observables::{ConversationObservables, DialingObservables};
+use crate::record::{NodeId, Phase, RoundEvent};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::batch_through_link;
@@ -226,7 +229,9 @@ impl std::error::Error for Abort {
     }
 }
 
-/// Wall-clock timing of one conversation round, per stage.
+/// Wall-clock timing of one conversation round, per stage: a fold over
+/// the round's [`RoundEvent`]s (`RoundTiming::from_events`), apart from
+/// `total`, which the feeder measures.
 #[derive(Clone, Debug, Default)]
 pub struct RoundTiming {
     /// Per-server forward-pass time (peel + noise + shuffle), in chain
@@ -241,44 +246,77 @@ pub struct RoundTiming {
     pub total: Duration,
 }
 
+impl RoundTiming {
+    /// One round's stage timings from its events: the servers' forward
+    /// passes in chain order, the tail's exchange, their backward passes
+    /// tail first; `total` is left at zero.
+    pub(crate) fn from_events<'a>(events: impl IntoIterator<Item = &'a RoundEvent>) -> RoundTiming {
+        let mut passes: Vec<(Phase, NodeId, Duration)> = events
+            .into_iter()
+            .map(|event| (event.public.phase, event.public.node, event.public.duration))
+            .collect();
+        passes.sort_by_key(|&(phase, node, _)| (phase, node));
+        let durations = |phase| {
+            passes
+                .iter()
+                .filter(move |pass| pass.0 == phase)
+                .map(|pass| pass.2)
+        };
+        RoundTiming {
+            forward: durations(Phase::Forward).collect(),
+            exchange: durations(Phase::Exchange).sum(),
+            backward: durations(Phase::Backward).rev().collect(),
+            total: Duration::ZERO,
+        }
+    }
+}
+
+/// How many completed rounds' events a chain's record keeps
+/// ([`Chain::round_record`]) — as many as a `Link` keeps of its per-round
+/// traffic, far beyond any in-flight window.
+const RECORD_ROUNDS: usize = 4096;
+
 /// What a chain keeps of the rounds it completed: everything a
-/// compromised tail observed.
+/// compromised tail observed, and the round record.
 #[derive(Default)]
 pub(crate) struct RoundLog {
     conversation: Vec<(u64, ConversationObservables)>,
     dialing: Vec<(u64, DialingObservables)>,
+    /// The newest [`RECORD_ROUNDS`] completed rounds' events, in the
+    /// order the rounds completed.
+    events: VecDeque<(u64, Vec<RoundEvent>)>,
 }
 
 /// The feeder's side of a schedule, whichever driver runs it: gathers
-/// what the hops report ([`HopObserver`]) and completes each round whose
+/// every node's events ([`HopObserver`]) and completes each round whose
 /// backward frame has come home across the clients link.
 pub(crate) struct Collector<'a> {
     log: &'a mut RoundLog,
-    /// Per round in flight, the timing pieces its hops reported so far.
-    /// A hop reports a pass before the pass's frame leaves it, so a
-    /// round's pieces are all in when its backward frame arrives.
-    timings: HashMap<u64, RoundTiming>,
+    /// Per round in flight, the events its nodes reported so far. A
+    /// node reports a pass before the pass's frame leaves it, so a
+    /// round's events are all in when its backward frame arrives.
+    events: HashMap<u64, Vec<RoundEvent>>,
 }
 
 impl<'a> Collector<'a> {
     pub(crate) fn new(log: &'a mut RoundLog) -> Collector<'a> {
         Collector {
             log,
-            timings: HashMap::new(),
+            events: HashMap::new(),
         }
     }
 
-    /// Takes what one hop reported after one pass.
-    pub(crate) fn observe(&mut self, round: u64, piece: RoundTiming) {
-        let timing = self.timings.entry(round).or_default();
-        timing.forward.extend(piece.forward);
-        timing.exchange += piece.exchange;
-        timing.backward.extend(piece.backward);
+    /// Takes what one node reported of one pass.
+    pub(crate) fn observe(&mut self, event: RoundEvent) {
+        self.events
+            .entry(event.public.round)
+            .or_default()
+            .push(event);
     }
 
     /// Completes the round `back` answers, fed at `fed`, once it has
-    /// crossed the clients link home: logs the tail's observables and
-    /// assembles its outcome.
+    /// crossed the clients link home: logs the tail's observables and the
+    /// round's events, and assembles its outcome.
     pub(crate) fn complete(
         &mut self,
         back: BatchFrame,
@@ -286,8 +324,13 @@ impl<'a> Collector<'a> {
         fed: Instant,
     ) -> RoundOutcome {
         let round = back.round.0;
-        let mut timing = self.timings.remove(&round).unwrap_or_default();
+        let events = self.events.remove(&round).unwrap_or_default();
+        let mut timing = RoundTiming::from_events(&events);
         timing.total = fed.elapsed();
+        if self.log.events.len() == RECORD_ROUNDS {
+            self.log.events.pop_front();
+        }
+        self.log.events.push_back((round, events));
         match trailer {
             RoundTrailer::Conversation(observables) => {
                 self.log.conversation.push((round, observables));
@@ -475,7 +518,8 @@ impl Chain {
                     let mut frame =
                         frame_from_buf(client_link.id(), round, kind, false, buf, vec![]);
                     batch_through_link(client_link, &mut frame)?;
-                    let (_, frame) = step(&mut entry, Side::Upstream, frame, &mut |_, _| {})?;
+                    let mut observe = |event| collector.observe(event);
+                    let (_, frame) = step(&mut entry, Side::Upstream, frame, &mut observe)?;
                     queued.push(Crossing { on: 0, frame, fed });
                 }
                 let Some(next) = pick(&queued, &mut rng) else {
@@ -487,8 +531,9 @@ impl Chain {
                 let (hop, from) = match (frame.backward, on) {
                     (false, _) => (on, Side::Upstream),
                     (true, 0) => {
+                        let mut observe = |event| collector.observe(event);
                         let (_, mut home) =
-                            step(&mut entry, Side::Downstream, frame, &mut |_, _| {})?;
+                            step(&mut entry, Side::Downstream, frame, &mut observe)?;
                         batch_through_link(client_link, &mut home)?;
                         window.complete(home.round.0);
                         let trailer =
@@ -498,7 +543,7 @@ impl Chain {
                     }
                     (true, _) => (on - 1, Side::Downstream),
                 };
-                let mut observe = |round, piece| collector.observe(round, piece);
+                let mut observe = |event| collector.observe(event);
                 let (to, frame) = step(&mut nodes[hop], from, frame, &mut observe)?;
                 let on = match to {
                     Side::Upstream => hop,
@@ -552,6 +597,22 @@ impl Chain {
     #[must_use]
     pub fn dialing_observables(&self) -> &[(u64, DialingObservables)] {
         &self.log.dialing
+    }
+
+    /// The round record of a completed round: every pass each node ran
+    /// for it, the entry's relays included, in the order the passes were
+    /// reported. Empty for a round that did not complete, or one older
+    /// than the newest 4 096 completed. The events' [`crate::record::Operator`]
+    /// parts are the servers' secret noise draws: the attack harness
+    /// hands them only to an attacker that owns the server.
+    #[must_use]
+    pub fn round_record(&self, round: u64) -> &[RoundEvent] {
+        self.log
+            .events
+            .iter()
+            .rev()
+            .find(|(completed, _)| *completed == round)
+            .map_or(&[], |(_, events)| events.as_slice())
     }
 
     /// Mutable access to an inter-server link (0 = entry→server 0) for
@@ -680,8 +741,8 @@ fn servers_from(
 /// [`build_server`] wires into every [`MixServer`]. In an honest
 /// conversation round the first two 64-bit words this RNG yields are
 /// exactly the uniforms behind that server's `n1`/`n2` Laplace noise
-/// draws — the `(n1 + n2 % 2, n2 / 2)` that
-/// [`MixServer::conversation_noise`] logs — which lets tests and
+/// draws — the `(n1 + n2 % 2, n2 / 2)` that its forward pass reports as
+/// its [`crate::record::Operator`] draw ([`Chain::round_record`]) — which lets tests and
 /// measurement harnesses replay a deployment's noise streams without
 /// running the chain.
 #[must_use]

@@ -300,13 +300,16 @@ impl InvitationDrops {
     /// Adds `count` noise invitations to every real drop — the last
     /// server's own cover traffic (§5.3: "every server (including the
     /// last one) must add a random number of noise invitations to every
-    /// invitation dead drop").
+    /// invitation dead drop"), keyed as sealed ones are
+    /// ([`SealedInvitation::key_noise`], a batch per drop).
     pub fn add_noise<R: RngCore + CryptoRng>(&mut self, rng: &mut R, counts: &[u64]) {
         assert_eq!(counts.len(), self.drops.len(), "one count per drop");
         for (drop, &count) in self.drops.iter_mut().zip(counts.iter()) {
+            let first = drop.len();
             for _ in 0..count {
                 drop.push(SealedInvitation::noise(rng));
             }
+            SealedInvitation::key_noise(drop[first..].iter_mut().map(|inv| &mut inv.0[..]));
         }
     }
 
@@ -640,5 +643,31 @@ mod tests {
         let mut drops = InvitationDrops::new(3);
         drops.add_noise(&mut rng, &[5, 7, 2]);
         assert_eq!(drops.observables().counts, vec![5, 7, 2]);
+    }
+
+    /// The tail's noise invitations, as a drop publishes them, start with
+    /// a real X25519 public key like a sealed invitation (bit 255 clear,
+    /// `x25519_base` of the 32 bytes drawn for it); the rest is the
+    /// draw's. Raw draws set bit 255 on about half of 4 096 entries.
+    #[test]
+    fn published_tail_noise_carries_public_keys() {
+        use rand::RngCore;
+        use vuvuzela_crypto::x25519::x25519_base;
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut replay = rng.clone();
+        let mut drops = InvitationDrops::new(2);
+        drops.add_noise(&mut rng, &[2048, 2048]);
+        for index in [1, 2].map(InvitationDropIndex) {
+            let published = drops.download(index).expect("a real drop");
+            assert_eq!(published.len(), 2048);
+            for invitation in published {
+                let mut drawn = [0u8; vuvuzela_wire::SEALED_INVITATION_LEN];
+                replay.fill_bytes(&mut drawn);
+                let secret: [u8; 32] = drawn[..32].try_into().expect("32 bytes");
+                assert_eq!(invitation.0[31] & 0x80, 0, "bit 255 of the key");
+                assert_eq!(invitation.0[..32], x25519_base(&secret));
+                assert_eq!(invitation.0[32..], drawn[32..]);
+            }
+        }
     }
 }

@@ -33,6 +33,7 @@ use crate::config::SystemConfig;
 use crate::deaddrops::{ConversationDrops, InvitationDrops};
 use crate::noise::expected_noise_per_server;
 use crate::observables::ConversationObservables;
+use crate::record::Operator;
 use crate::roundbuf::RoundBuffer;
 use crate::server::{round_rng, MixServer, RoundKind};
 use rand::rngs::StdRng;
@@ -74,6 +75,8 @@ pub enum EngineStep {
         kind: RoundKind,
         /// The batch to forward.
         buf: RoundBuffer,
+        /// The cover traffic this hop drew ([`MixServer::forward_buf`]).
+        noise: Option<Operator>,
     },
     /// Tail conversation turnaround: the dead-drop exchange ran, the
     /// tail's backward pass is applied — hand the replies to the
@@ -98,6 +101,8 @@ pub enum EngineStep {
         num_drops: u32,
         /// The filled invitation drops.
         drops: InvitationDrops,
+        /// The noise invitations the tail put straight into each drop.
+        noise: Operator,
     },
 }
 
@@ -150,14 +155,19 @@ impl<'a> RoundEngine<'a> {
         timing: &mut RoundTiming,
     ) -> EngineStep {
         let clock = Instant::now();
-        let buf = self.server.forward_buf(round, kind, buf);
+        let (buf, noise) = self.server.forward_buf(round, kind, buf);
         timing.forward.push(clock.elapsed());
         if !self.server.is_last() {
             if matches!(kind, RoundKind::Dialing { .. }) {
                 // Forward-only: this hop keeps no reply state.
                 self.server.abort_round(round);
             }
-            return EngineStep::Forward { round, kind, buf };
+            return EngineStep::Forward {
+                round,
+                kind,
+                buf,
+                noise,
+            };
         }
         match kind {
             RoundKind::Conversation => {
@@ -186,13 +196,15 @@ impl<'a> RoundEngine<'a> {
             RoundKind::Dialing { num_drops } => {
                 let clock = Instant::now();
                 let mut rng = chain_round_rng(self.seed, round);
-                let drops = deposit_dialing(&mut rng, self.server, round, num_drops, &buf);
+                let (drops, per_drop) =
+                    deposit_dialing(&mut rng, self.server, round, num_drops, &buf);
                 timing.exchange = clock.elapsed();
                 self.server.abort_round(round);
                 EngineStep::DialingComplete {
                     round,
                     num_drops,
                     drops,
+                    noise: Operator::Dialing { per_drop },
                 }
             }
         }
@@ -216,14 +228,15 @@ impl<'a> RoundEngine<'a> {
 
 /// The tail of one dialing round: deposits every peeled request into a
 /// fresh invitation-drop table (undecodable payloads become no-op
-/// writes) and adds the last server's direct per-drop noise.
+/// writes) and adds the last server's direct per-drop noise, whose
+/// counts it returns too.
 fn deposit_dialing(
     rng: &mut StdRng,
     last_server: &mut MixServer,
     round: u64,
     num_drops: u32,
     buf: &RoundBuffer,
-) -> InvitationDrops {
+) -> (InvitationDrops, Vec<u64>) {
     let mut drops = InvitationDrops::new(num_drops);
     for i in 0..buf.len() {
         let request = DialRequest::decode(buf.slot(i)).unwrap_or_else(|_| DialRequest::noop(rng));
@@ -231,7 +244,7 @@ fn deposit_dialing(
     }
     let counts = last_server.dialing_noise_counts(round, num_drops);
     drops.add_noise(rng, &counts);
-    drops
+    (drops, counts)
 }
 
 /// A round's admission cost: the expected number of onions it puts in

@@ -43,6 +43,10 @@
 //!   retransmission and acks.
 //! * [`observables`] — exactly what a compromised last server gets to
 //!   see; the interface the adversary crate consumes.
+//! * [`record`] — the round record: one event per pass a node runs, its
+//!   public part (timing, onions, bytes) typed apart from the operator's
+//!   secret noise draw; timing, node counters and the node roles' log
+//!   lines are its projections.
 //!
 //! ## Threat-model mapping
 //!
@@ -50,7 +54,7 @@
 //! |---|---|
 //! | observe/tamper with any link | [`vuvuzela_net::link::Tap`] on any [`chain::Chain`] link |
 //! | compromise the last server | read [`chain::Chain::conversation_observables`] / [`chain::Chain::dialing_observables`] |
-//! | compromise a first/mixing server | a tap *before* it (pre-mix traffic is attributable) plus the observables |
+//! | compromise a first/mixing server | a tap *before* it (pre-mix traffic is attributable) plus the observables, and its [`record::Operator`] noise draws ([`chain::Chain::round_record`]) |
 //! | control clients | drive members of a [`cohort::ClientCohort`] directly or inject via taps |
 //! | see dead-drop access counts | [`observables::ConversationObservables`] |
 
@@ -68,6 +72,7 @@ pub mod node;
 pub mod noise;
 pub mod observables;
 pub mod pipeline;
+pub mod record;
 pub mod roundbuf;
 pub mod server;
 

@@ -19,7 +19,8 @@
 //! trailers, with no thread or transport. The round recipe itself lives
 //! in the shared [`crate::engine::RoundEngine`]; this module only moves
 //! frames, holds its peers to the protocol, leaves the tail's drops on
-//! its server, and tells its caller what each pass cost ([`HopObserver`]).
+//! its server, and tells its caller what each pass did: one
+//! [`RoundEvent`] per pass ([`HopObserver`], [`crate::record`]).
 //!
 //! ## Wire protocol
 //!
@@ -78,10 +79,12 @@ use crate::config::SystemConfig;
 use crate::engine::{admission_weights, AdmissionWindow, EngineStep, RoundEngine};
 use crate::entry;
 use crate::observables::{ConversationObservables, DialingObservables};
+use crate::record::{NodeId, Operator, Phase, Public, RoundEvent, Traffic};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vuvuzela_crypto::onion;
 use vuvuzela_net::{Demux, Error, Transport};
 use vuvuzela_wire::{BatchFrame, Frame, LinkId, RoundId, RoundSequencer, RoundType, MAX_FRAME_LEN};
@@ -183,7 +186,8 @@ impl RoundTrailer {
     }
 }
 
-/// What one node processed before its orderly [`Frame::Bye`] shutdown.
+/// What one node processed before its orderly [`Frame::Bye`] shutdown:
+/// a fold over the node's own [`RoundEvent`]s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Conversation rounds completed.
@@ -193,10 +197,15 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    fn bump(&mut self, round_type: RoundType) {
-        match round_type {
-            RoundType::Conversation => self.conversation_rounds += 1,
-            RoundType::Dialing => self.dialing_rounds += 1,
+    /// Folds in one of the node's events. A round is done at a node
+    /// with the node's one pass whose frame goes back toward the
+    /// clients ([`Public::backward`]).
+    fn count(&mut self, event: &Public) {
+        if event.backward {
+            match event.protocol {
+                RoundType::Conversation => self.conversation_rounds += 1,
+                RoundType::Dialing => self.dialing_rounds += 1,
+            }
         }
     }
 }
@@ -292,11 +301,67 @@ pub(crate) enum Side {
     Downstream,
 }
 
-/// What a server node hands its caller after every pass its engine
-/// runs, before the pass's frame leaves: the round and the piece of the
-/// round's [`RoundTiming`] this hop just measured — timing only, as a
-/// dialing round's drops stay on the tail ([`MixServer::invitation_drops`]).
-pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming) + 'a;
+/// What a node hands its caller after every pass it runs, before the
+/// pass's frame leaves: the pass's [`RoundEvent`]. A dialing round's
+/// drops stay on the tail ([`MixServer::invitation_drops`]).
+pub type HopObserver<'a> = dyn FnMut(RoundEvent) + 'a;
+
+/// The onions and bytes a batch frame carries, as a link counts them.
+fn traffic(frame: &BatchFrame) -> Traffic {
+    Traffic {
+        onions: u64::from(frame.count),
+        bytes: u64::from(frame.count) * u64::from(frame.width),
+    }
+}
+
+/// The time a pass the engine ran measured: its one entry of `passes`.
+fn elapsed(passes: &[Duration]) -> Duration {
+    passes.iter().sum()
+}
+
+/// The events of the passes one frame sets off at a node, on their way
+/// to its observer: the first pass read the frame, and each one after
+/// it was handed its input by the pass before.
+struct Passes<'o, 'a> {
+    next: Public,
+    observer: &'o mut HopObserver<'a>,
+}
+
+impl<'o, 'a> Passes<'o, 'a> {
+    fn new(node: NodeId, frame: &BatchFrame, observer: &'o mut HopObserver<'a>) -> Self {
+        let next = Public {
+            round: frame.round.0,
+            node,
+            protocol: frame.round_type,
+            phase: Phase::Relay,
+            backward: false,
+            duration: Duration::ZERO,
+            received: traffic(frame),
+            sent: Traffic::default(),
+        };
+        Passes { next, observer }
+    }
+
+    /// One pass: what it did, how long it took, the frame it sent, if
+    /// any, and the cover traffic it drew.
+    fn emit(
+        &mut self,
+        phase: Phase,
+        duration: Duration,
+        sent: Option<&BatchFrame>,
+        operator: Option<Operator>,
+    ) {
+        let public = Public {
+            phase,
+            duration,
+            backward: sent.is_some_and(|frame| frame.backward),
+            sent: sent.map_or_else(Traffic::default, traffic),
+            ..self.next
+        };
+        self.next.received = Traffic::default();
+        (self.observer)(RoundEvent { public, operator });
+    }
+}
 
 /// One node's side of the round protocol, one frame at a time: every
 /// check, step and trailer a hop applies, and nothing that moves frames.
@@ -309,6 +374,8 @@ pub type HopObserver<'a> = dyn FnMut(u64, RoundTiming) + 'a;
 pub(crate) struct ServerNode<'a> {
     /// `None` for the entry, which relays.
     engine: Option<RoundEngine<'a>>,
+    /// Which node this is, as its events name it.
+    id: NodeId,
     /// The chain's length: the entry's client-batch geometry and how
     /// many rounds it lets into the chain at once.
     chain_len: usize,
@@ -317,7 +384,6 @@ pub(crate) struct ServerNode<'a> {
     up_link: LinkId,
     /// `None` for the chain's tail.
     down_link: Option<LinkId>,
-    stats: NodeStats,
     forward_seq: RoundSequencer,
     /// Rounds forwarded downstream whose backward frame is still out;
     /// backward frames must return in exactly this order (see the wire
@@ -338,6 +404,7 @@ impl<'a> ServerNode<'a> {
         down_link: Option<LinkId>,
     ) -> ServerNode<'a> {
         ServerNode {
+            id: NodeId::Hop(server.position()),
             engine: Some(RoundEngine::new(server, config, seed)),
             ..ServerNode::relay(config, up_link, down_link)
         }
@@ -352,11 +419,11 @@ impl<'a> ServerNode<'a> {
     ) -> ServerNode<'a> {
         ServerNode {
             engine: None,
+            id: NodeId::Entry,
             chain_len: config.chain_len,
             max_drops: max_drops(config),
             up_link,
             down_link,
-            stats: NodeStats::default(),
             forward_seq: RoundSequencer::new(),
             pending: VecDeque::new(),
             upstream_done: false,
@@ -368,8 +435,8 @@ impl<'a> ServerNode<'a> {
             .expect("only a hop with a downstream hears from it")
     }
 
-    /// Handles one frame from `from`, telling `observer` what each pass
-    /// cost before its frame leaves. Every frame is answered with exactly
+    /// Handles one frame from `from`, handing `observer` one event per
+    /// pass before its frame leaves. Every frame is answered with exactly
     /// one: returns the side it goes to, the frame, and whether the `Bye`
     /// handshake is done (the node is finished).
     ///
@@ -383,7 +450,7 @@ impl<'a> ServerNode<'a> {
         frame: Frame,
         observer: &mut HopObserver<'_>,
     ) -> Result<(Side, Frame, bool), Error> {
-        let up_link = self.up_link;
+        let (start, up_link, node) = (Instant::now(), self.up_link, self.id);
         let (to, answer) = match (from, frame) {
             (Side::Upstream, Frame::Batch(frame)) => {
                 if frame.backward {
@@ -397,6 +464,7 @@ impl<'a> ServerNode<'a> {
                     })?;
                 let (round, round_type) = (frame.round.0, frame.round_type);
                 let kind = round_kind(up_link, &frame, self.max_drops)?;
+                let mut passes = Passes::new(node, &frame, observer);
                 let Some(engine) = self.engine.as_mut() else {
                     let (width, stride) = (frame.width as usize, frame.stride as usize);
                     entry::check_client_batch(round, kind, self.chain_len, width, stride)
@@ -418,6 +486,7 @@ impl<'a> ServerNode<'a> {
                         link: self.down_link(),
                         ..frame
                     };
+                    passes.emit(Phase::Relay, start.elapsed(), Some(&relayed), None);
                     return Ok((Side::Downstream, Frame::Batch(relayed), false));
                 };
                 let width = engine.server_mut().incoming_width(kind);
@@ -428,12 +497,19 @@ impl<'a> ServerNode<'a> {
                     return Err(protocol(up_link, what));
                 }
                 let (buf, mut timing) = (buf_from_frame(frame), RoundTiming::default());
-                match engine.forward(round, kind, buf, &mut timing) {
-                    EngineStep::Forward { round, kind, buf } => {
-                        observer(round, timing);
-                        self.pending.push_back((round, round_type));
+                let step = engine.forward(round, kind, buf, &mut timing);
+                let forwarded = elapsed(&timing.forward);
+                match step {
+                    EngineStep::Forward {
+                        round,
+                        kind,
+                        buf,
+                        noise,
+                    } => {
                         let link = self.down_link();
                         let forward = frame_from_buf(link, round, kind, false, buf, Vec::new());
+                        passes.emit(Phase::Forward, forwarded, Some(&forward), noise);
+                        self.pending.push_back((round, round_type));
                         (Side::Downstream, forward)
                     }
                     EngineStep::Turnaround {
@@ -441,22 +517,23 @@ impl<'a> ServerNode<'a> {
                         replies,
                         observables,
                     } => {
-                        observer(round, timing);
-                        self.stats.bump(RoundType::Conversation);
                         let trailer = RoundTrailer::Conversation(observables).encode();
                         let kind = RoundKind::Conversation;
                         let replies = frame_from_buf(up_link, round, kind, true, replies, trailer);
+                        passes.emit(Phase::Forward, forwarded, None, None);
+                        passes.emit(Phase::Exchange, timing.exchange, None, None);
+                        let backward = elapsed(&timing.backward);
+                        passes.emit(Phase::Backward, backward, Some(&replies), None);
                         (Side::Upstream, replies)
                     }
                     EngineStep::DialingComplete {
                         round,
                         num_drops,
                         drops,
+                        noise,
                     } => {
                         let trailer = RoundTrailer::Dialing(drops.observables()).encode();
-                        observer(round, timing);
                         engine.server_mut().invitation_drops = Some((round, drops));
-                        self.stats.bump(RoundType::Dialing);
                         let completion = BatchFrame {
                             link: up_link,
                             round: RoundId(round),
@@ -469,6 +546,9 @@ impl<'a> ServerNode<'a> {
                             payload: Vec::new(),
                             trailer,
                         };
+                        passes.emit(Phase::Forward, forwarded, None, None);
+                        let deposit = Some(noise);
+                        passes.emit(Phase::Exchange, timing.exchange, Some(&completion), deposit);
                         (Side::Upstream, completion)
                     }
                 }
@@ -490,7 +570,7 @@ impl<'a> ServerNode<'a> {
                     };
                     return Err(protocol(down_link, what));
                 }
-                self.stats.bump(round_type);
+                let mut passes = Passes::new(node, &back, observer);
                 let conversation = round_type == RoundType::Conversation;
                 let Some(engine) = self.engine.as_mut().filter(|_| conversation) else {
                     // The entry's every backward frame, and a hop's
@@ -500,6 +580,7 @@ impl<'a> ServerNode<'a> {
                         link: up_link,
                         ..back
                     };
+                    passes.emit(Phase::Relay, start.elapsed(), Some(&relayed), None);
                     return Ok((Side::Upstream, Frame::Batch(relayed), false));
                 };
                 // The arena goes straight into the in-place reply wrap:
@@ -518,9 +599,14 @@ impl<'a> ServerNode<'a> {
                 let trailer = std::mem::take(&mut back.trailer);
                 let (buf, mut timing) = (buf_from_frame(back), RoundTiming::default());
                 let replies = engine.backward(round, buf, &mut timing);
-                observer(round, timing);
                 let kind = RoundKind::Conversation;
                 let replies = frame_from_buf(up_link, round, kind, true, replies, trailer);
+                passes.emit(
+                    Phase::Backward,
+                    elapsed(&timing.backward),
+                    Some(&replies),
+                    None,
+                );
                 (Side::Upstream, replies)
             }
             (Side::Upstream, Frame::Bye) => {
@@ -593,7 +679,8 @@ pub fn run_server_node(
 
 /// Runs the untrusted entry as a transport-driven node until the `Bye`
 /// handshake completes, admitting up to `chain_len` rounds in flight:
-/// the relay `ServerNode`, pumped like a server's.
+/// the relay `ServerNode`, pumped like a server's, handing `observer` a
+/// [`Phase::Relay`] event for every frame it relays.
 ///
 /// The entry holds each client batch to the round's full onion width
 /// ([`crate::entry`]'s geometry rule), re-frames it onto hop 0, relays
@@ -617,13 +704,16 @@ pub fn run_entry_node(
     config: &SystemConfig,
     clients: Arc<dyn Transport>,
     downstream: Arc<dyn Transport>,
+    observer: &mut HopObserver<'_>,
 ) -> Result<NodeStats, Error> {
     let node = ServerNode::relay(config, clients.link_id(), Some(downstream.link_id()));
-    pump(node, clients, Some(downstream), &mut |_, _| {})
+    pump(node, clients, Some(downstream), observer)
 }
 
 /// The node loop: pumps `node`'s handler with what its links deliver,
-/// merged by one [`Demux`], until the `Bye` handshake completes.
+/// merged by one [`Demux`], until the `Bye` handshake completes, and
+/// folds the node's events into its [`NodeStats`] on their way to
+/// `observer`.
 fn pump(
     mut node: ServerNode<'_>,
     upstream: Arc<dyn Transport>,
@@ -635,9 +725,14 @@ fn pump(
         links.push((Side::Downstream, Arc::clone(down)));
     }
     let demux = Demux::new(links);
+    let mut stats = NodeStats::default();
+    let mut observe = |event: RoundEvent| {
+        stats.count(&event.public);
+        observer(event);
+    };
 
     while let Some(event) = demux.recv() {
-        let (to, frame, finished) = node.on_frame(event.from, event.event?, observer)?;
+        let (to, frame, finished) = node.on_frame(event.from, event.event?, &mut observe)?;
         match to {
             Side::Upstream => upstream.send(frame)?,
             Side::Downstream => downstream
@@ -646,7 +741,7 @@ fn pump(
                 .send(frame)?,
         }
         if finished {
-            return Ok(node.stats);
+            return Ok(stats);
         }
     }
     Err(protocol(
@@ -863,7 +958,13 @@ mod tests {
 
         let cfg = config.clone();
         let entry = std::thread::spawn(move || {
-            run_entry_node(&cfg, Arc::new(entry_client_end), Arc::new(entry_down)).expect("entry")
+            run_entry_node(
+                &cfg,
+                Arc::new(entry_client_end),
+                Arc::new(entry_down),
+                &mut |_| {},
+            )
+            .expect("entry")
         });
         let downs: [Option<Arc<dyn Transport>>; 3] =
             [Some(Arc::new(s0_down)), Some(Arc::new(s1_down)), None];
@@ -873,7 +974,7 @@ mod tests {
             let mut server = build_server(&config, seed, position);
             let cfg = config.clone();
             servers.push(std::thread::spawn(move || {
-                let stats = run_server_node(&mut server, &cfg, seed, up, down, &mut |_, _| {});
+                let stats = run_server_node(&mut server, &cfg, seed, up, down, &mut |_| {});
                 (stats.expect("server"), server)
             }));
         }
@@ -991,7 +1092,7 @@ mod tests {
                     seed,
                     Arc::new(up_near),
                     down_near,
-                    &mut |_, _| {},
+                    &mut |_| {},
                 )
                 .expect("server")
             }));
@@ -1095,7 +1196,7 @@ mod tests {
         let (cfg, up) = (config.clone(), Arc::new(up_near));
         let down: Option<Arc<dyn Transport>> = Some(Arc::new(down_near));
         let node = std::thread::spawn(move || {
-            run_server_node(&mut server, &cfg, 3, up, down, &mut |_, _| {})
+            run_server_node(&mut server, &cfg, 3, up, down, &mut |_| {})
         });
         let num_drops = u32::from(round_type == RoundType::Dialing);
         let kind = match round_type {
@@ -1244,8 +1345,12 @@ mod tests {
                 .send(bad_drops_dialing(LinkId::Clients, 0, num_drops))
                 .expect("send");
             client_end.send(Frame::Bye).expect("send bye");
-            let returned =
-                run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down));
+            let returned = run_entry_node(
+                &config,
+                Arc::new(entry_client_end),
+                Arc::new(entry_down),
+                &mut |_| {},
+            );
             assert_refuses_the_drops(LinkId::Clients, returned);
         }
     }
@@ -1258,7 +1363,7 @@ mod tests {
             let mut server = build_server(&config, 3, 1);
             let node = std::thread::spawn(move || {
                 let up = Arc::new(up_near);
-                run_server_node(&mut server, &config, 3, up, None, &mut |_, _| {})
+                run_server_node(&mut server, &config, 3, up, None, &mut |_| {})
             });
             up_far
                 .send(bad_drops_dialing(LinkId::Hop(1), 1, num_drops))
@@ -1287,8 +1392,13 @@ mod tests {
                 trailer: Vec::new(),
             }))
             .expect("send");
-        let err = run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down))
-            .expect_err("wrong width must be rejected");
+        let err = run_entry_node(
+            &config,
+            Arc::new(entry_client_end),
+            Arc::new(entry_down),
+            &mut |_| {},
+        )
+        .expect_err("wrong width must be rejected");
         assert!(matches!(err, Error::Protocol { .. }), "got {err}");
     }
 
@@ -1301,7 +1411,12 @@ mod tests {
         let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
         let (entry_down, s0_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
         let entry = std::thread::spawn(move || {
-            run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down))
+            run_entry_node(
+                &config,
+                Arc::new(entry_client_end),
+                Arc::new(entry_down),
+                &mut |_| {},
+            )
         });
         let width = onion::wrapped_len(RoundKind::Conversation.payload_len(), 2) as u32;
         let batch = BatchFrame {
@@ -1381,8 +1496,13 @@ mod tests {
         for round in 0..=config.chain_len as u64 {
             client_end.send(batch(round)).expect("send");
         }
-        let err = run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down))
-            .expect_err("window must reject");
+        let err = run_entry_node(
+            &config,
+            Arc::new(entry_client_end),
+            Arc::new(entry_down),
+            &mut |_| {},
+        )
+        .expect_err("window must reject");
         match err {
             Error::Protocol { reason, .. } => {
                 assert!(reason.contains("admission window"), "got: {reason}")
@@ -1398,8 +1518,13 @@ mod tests {
         let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
         client_end.send(batch(3)).expect("send");
         client_end.send(batch(3)).expect("send repeat");
-        let err = run_entry_node(&config, Arc::new(entry_client_end), Arc::new(entry_down))
-            .expect_err("repeat must be rejected");
+        let err = run_entry_node(
+            &config,
+            Arc::new(entry_client_end),
+            Arc::new(entry_down),
+            &mut |_| {},
+        )
+        .expect_err("repeat must be rejected");
         assert!(matches!(err, Error::Frame { .. }), "got {err}");
     }
 

@@ -105,6 +105,7 @@ pub fn dialing_noise<R: RngCore + CryptoRng>(
     for drop in 1..=num_drops {
         let count = dist.sample_count(rng, mode);
         total += count;
+        let first = payloads.len();
         for _ in 0..count {
             let request = DialRequest {
                 drop: InvitationDropIndex(drop),
@@ -112,6 +113,7 @@ pub fn dialing_noise<R: RngCore + CryptoRng>(
             };
             payloads.push(request.encode());
         }
+        SealedInvitation::key_noise(payloads[first..].iter_mut().map(|p| &mut p[4..]));
     }
     NoiseBatch {
         onions: wrap_payloads(rng, payloads, remaining_chain, round, workers),
@@ -177,8 +179,8 @@ pub fn conversation_noise_into<R: RngCore + CryptoRng>(
 }
 
 /// Zero-copy variant of [`dialing_noise`]; see
-/// [`conversation_noise_into`] for the contract. Returns the total noise
-/// count.
+/// [`conversation_noise_into`] for the contract. Returns the noise count
+/// of each drop, drop 1 first.
 #[allow(clippy::too_many_arguments)] // mirrors `dialing_noise` plus the buffer
 pub fn dialing_noise_into<R: RngCore + CryptoRng>(
     rng: &mut R,
@@ -189,20 +191,22 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
     dist: NoiseDistribution,
     mode: NoiseMode,
     workers: usize,
-) -> u64 {
+) -> Vec<u64> {
     assert_eq!(
         batch.width(),
         vuvuzela_wire::DIAL_REQUEST_LEN + remaining_chain.len() * onion::LAYER_OVERHEAD,
         "noise onions must match the batch's current width"
     );
     let payload_offset = 32 * remaining_chain.len();
+    let invitation = payload_offset + 4..payload_offset + vuvuzela_wire::DIAL_REQUEST_LEN;
     let first_noise = batch.len();
-    let mut total = 0u64;
+    let mut per_drop = Vec::with_capacity(num_drops as usize);
     for drop in 1..=num_drops {
         // Each drop's count is drawn after the previous drop's noise, so
         // the arena is reserved a drop at a time.
         let count = dist.sample_count(rng, mode);
-        total += count;
+        per_drop.push(count);
+        let first = batch.len();
         batch.reserve_exact(count as usize);
         for _ in 0..count {
             batch.push_with(|slot| {
@@ -213,9 +217,12 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
                 );
             });
         }
+        let stride = batch.stride();
+        let slots = batch.arena_mut().chunks_mut(stride).skip(first);
+        SealedInvitation::key_noise(slots.map(|slot| &mut slot[invitation.clone()]));
     }
     wrap_slots_in_place(rng, batch, first_noise, remaining_chain, round, workers);
-    total
+    per_drop
 }
 
 /// Slots per [`onion::wrap_chunk_in_place`] call on the bulk wrap paths
@@ -549,7 +556,7 @@ mod tests {
                     mode,
                     workers,
                 );
-                assert_eq!(added, reference.singles);
+                assert_eq!(added.iter().sum::<u64>(), reference.singles);
                 assert_eq!(
                     batch.to_vecs(),
                     reference.onions,
@@ -558,6 +565,41 @@ mod tests {
                 assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "parent RNG state");
             }
         }
+    }
+
+    /// A noising server's dialing noise, as the tail will publish it
+    /// (peeled: here with no server left to wrap for), starts each
+    /// invitation with a real X25519 public key (bit 255 clear,
+    /// `x25519_base` of the 32 bytes drawn for it) and keeps the rest of
+    /// the draw, in the same RNG stream. Raw draws set bit 255 on about
+    /// half of 4 096 entries.
+    #[test]
+    fn published_dialing_noise_carries_public_keys() {
+        use vuvuzela_crypto::x25519::x25519_base;
+        let (dist, mode) = (
+            NoiseDistribution::new(2048.0, 1.0),
+            NoiseMode::Deterministic,
+        );
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut replay = rng.clone();
+        let width = vuvuzela_wire::DIAL_REQUEST_LEN;
+        let mut batch = RoundBuffer::new(width, width);
+        let per_drop = dialing_noise_into(&mut rng, &mut batch, &[], 0, 2, dist, mode, 2);
+        assert_eq!(per_drop, [2048, 2048]);
+        let mut slots = (0..batch.len()).map(|i| batch.slot(i));
+        for (drop, count) in (1u32..).zip(per_drop) {
+            assert_eq!(dist.sample_count(&mut replay, mode), count);
+            for slot in slots.by_ref().take(count as usize) {
+                let mut drawn = [0u8; vuvuzela_wire::SEALED_INVITATION_LEN];
+                replay.fill_bytes(&mut drawn);
+                let secret: [u8; 32] = drawn[..32].try_into().expect("32 bytes");
+                assert_eq!(slot[..4], drop.to_le_bytes());
+                assert_eq!(slot[4 + 31] & 0x80, 0, "bit 255 of the key");
+                assert_eq!(slot[4..36], x25519_base(&secret));
+                assert_eq!(slot[36..], drawn[32..]);
+            }
+        }
+        assert_eq!(rng.next_u64(), replay.next_u64(), "the same RNG stream");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! the entry through [`crate::node::feed_window`] like a deployment's
 //! client. Checks, trailers, the tail's drops, the `Bye` handshake and
 //! the hang-up on failure are the node loop's, in process as over TCP
-//! (see [`crate::node`]); rounds complete as in [`Chain::run`]
-//! (`chain::Collector`).
+//! (see [`crate::node`]); every node's events cross to the feeder, and
+//! rounds complete as in [`Chain::run`] (`chain::Collector`).
 //!
 //! Every frame carries its round id and protocol, links attribute
 //! traffic per round ([`vuvuzela_net::Link::round_traffic`]) and taps
@@ -197,9 +197,11 @@ impl StreamingChain {
         let entry_down = fars.remove(0);
         let downs = fars.into_iter().map(Some).chain([None]);
 
-        // What the hops report ([`crate::node::HopObserver`]) crosses to
+        // What the nodes report ([`crate::node::HopObserver`]) crosses to
         // the feeder's collector, which drains it as rounds come home.
         let (report, reports) = mpsc::channel();
+        // Nobody listens once the feeder has failed.
+        let observer = |report: mpsc::Sender<_>| move |event| drop(report.send(event));
         let mut collector = Collector::new(log);
         let mut outcomes = Vec::with_capacity(specs.len());
         let mut admitted = Vec::new();
@@ -208,19 +210,18 @@ impl StreamingChain {
         let mut panicked = None;
 
         std::thread::scope(|s| {
-            let entry =
-                s.spawn(move || run_entry_node(config, Arc::new(clients), Arc::new(entry_down)));
+            let mut observe = observer(report.clone());
+            let entry = s.spawn(move || {
+                let (clients, down) = (Arc::new(clients), Arc::new(entry_down));
+                run_entry_node(config, clients, down, &mut observe)
+            });
             let servers = servers.iter_mut().zip(nears.into_iter().zip(downs));
             let nodes: Vec<_> = std::iter::once(entry)
                 .chain(servers.map(|(server, (up, down))| {
-                    let report = report.clone();
+                    let mut observe = observer(report.clone());
                     s.spawn(move || {
                         let up: Arc<dyn Transport> = Arc::new(up);
                         let down = down.map(|down| Arc::new(down) as Arc<dyn Transport>);
-                        let mut observe = |round, piece| {
-                            // Nobody listens once the feeder has failed.
-                            let _ = report.send((round, piece));
-                        };
                         run_server_node(server, config, seed, up, down, &mut observe)
                     })
                 }))
@@ -242,8 +243,8 @@ impl StreamingChain {
                     (buf, Instant::now())
                 },
                 |fed: Instant, back, trailer| {
-                    for (round, piece) in reports.try_iter() {
-                        collector.observe(round, piece);
+                    for event in reports.try_iter() {
+                        collector.observe(event);
                     }
                     outcomes.push(collector.complete(back, trailer, fed));
                 },

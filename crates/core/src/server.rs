@@ -50,10 +50,11 @@
 use crate::config::SystemConfig;
 use crate::deaddrops::InvitationDrops;
 use crate::noise::{self, NoiseBatch};
+use crate::record::Operator;
 use crate::roundbuf::RoundBuffer;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use vuvuzela_crypto::onion::{self, LayerKey};
 use vuvuzela_crypto::x25519::{Keypair, PublicKey};
 use vuvuzela_net::WorkerPool;
@@ -155,8 +156,6 @@ pub struct MixServer {
     rounds: HashMap<u64, RoundState>,
     /// See [`MixServer::invitation_drops`]; the tail's node fills it.
     pub(crate) invitation_drops: Option<(u64, InvitationDrops)>,
-    /// See [`MixServer::conversation_noise`].
-    conversation_noise: BTreeMap<u64, (u64, u64)>,
     /// Cumulative count of requests this server replaced because they
     /// failed to authenticate (diagnostic; also exercised by tests).
     pub malformed_replaced: u64,
@@ -198,7 +197,6 @@ impl MixServer {
             seed,
             rounds: HashMap::new(),
             invitation_drops: None,
-            conversation_noise: BTreeMap::new(),
             malformed_replaced: 0,
         }
     }
@@ -210,26 +208,6 @@ impl MixServer {
     pub fn invitation_drops(&self) -> Option<(u64, &InvitationDrops)> {
         let (round, drops) = self.invitation_drops.as_ref()?;
         Some((*round, drops))
-    }
-
-    /// The `(singles, pairs)` of cover traffic this server drew for a
-    /// conversation round it noised ([`noise::conversation_noise_into`]),
-    /// or `None` for a round it did not noise (the tail never does, nor
-    /// does a dialing round) or one evicted from the log, which keeps the
-    /// newest 4 096 rounds; an abort leaves it. This is an operator
-    /// secret, the one the DP argument hides: nothing prints or
-    /// transcribes it, and the attack harness hands it only to an
-    /// attacker that owns this server.
-    #[must_use]
-    pub fn conversation_noise(&self, round: u64) -> Option<(u64, u64)> {
-        self.conversation_noise.get(&round).copied()
-    }
-
-    fn log_conversation_noise(&mut self, round: u64, draws: (u64, u64)) {
-        self.conversation_noise.insert(round, draws);
-        while self.conversation_noise.len() > NOISE_LOG_CAP {
-            self.conversation_noise.pop_first();
-        }
     }
 
     /// This server's long-term public key (known to all clients, §2.3).
@@ -281,13 +259,14 @@ impl MixServer {
     ///
     /// Returns the batch for the next hop — or, for the last server, the
     /// fully peeled request payloads in arrival order — with
-    /// `stride == width`.
+    /// `stride == width`, and the cover traffic this server drew for it
+    /// (`None` at the tail, which adds none here).
     pub fn forward_buf(
         &mut self,
         round: u64,
         kind: RoundKind,
         mut batch: RoundBuffer,
-    ) -> RoundBuffer {
+    ) -> (RoundBuffer, Option<Operator>) {
         let incoming_len = batch.len();
         let width = batch.width();
         debug_assert_eq!(width, self.incoming_width(kind), "unexpected onion width");
@@ -342,12 +321,12 @@ impl MixServer {
                     rng,
                 },
             );
-            return batch;
+            return (batch, None);
         }
 
         // Step 2: cover traffic for the rest of the chain, generated
         // straight into the arena.
-        self.generate_noise_into(&mut rng, round, kind, &mut batch);
+        let noise = self.generate_noise_into(&mut rng, round, kind, &mut batch);
 
         // Step 3a: secret shuffle of real + noise requests, by index
         // remapping — no payload clones.
@@ -364,7 +343,7 @@ impl MixServer {
                 rng,
             },
         );
-        batch
+        (batch, Some(noise))
     }
 
     /// Backward pass (step 4) on the flat arena: un-shuffle by inverse
@@ -659,16 +638,18 @@ impl MixServer {
         }
     }
 
+    /// Appends this round's cover traffic to `batch` and says what it
+    /// drew.
     fn generate_noise_into(
-        &mut self,
+        &self,
         rng: &mut StdRng,
         round: u64,
         kind: RoundKind,
         batch: &mut RoundBuffer,
-    ) {
+    ) -> Operator {
         match kind {
             RoundKind::Conversation => {
-                let draws = noise::conversation_noise_into(
+                let (singles, pairs) = noise::conversation_noise_into(
                     rng,
                     batch,
                     &self.downstream_precomp,
@@ -677,10 +658,10 @@ impl MixServer {
                     self.config.noise_mode,
                     self.config.workers,
                 );
-                self.log_conversation_noise(round, draws);
+                Operator::Conversation { singles, pairs }
             }
-            RoundKind::Dialing { num_drops } => {
-                noise::dialing_noise_into(
+            RoundKind::Dialing { num_drops } => Operator::Dialing {
+                per_drop: noise::dialing_noise_into(
                     rng,
                     batch,
                     &self.downstream_precomp,
@@ -689,16 +670,11 @@ impl MixServer {
                     self.config.dialing_noise,
                     self.config.noise_mode,
                     self.config.workers,
-                );
-            }
+                ),
+            },
         }
     }
 }
-
-/// Conversation rounds whose noise draws a server keeps
-/// ([`MixServer::conversation_noise`]) — as many as a `Link` keeps of its
-/// per-round traffic, far beyond any in-flight window.
-const NOISE_LOG_CAP: usize = 4096;
 
 /// Slots per fan-out item on the arena passes (the peel and the reply
 /// wrap) — matched to the batch resolver's width in `vuvuzela_crypto`
@@ -788,7 +764,7 @@ mod tests {
     ) -> Vec<Vec<u8>> {
         let width = server.incoming_width(kind);
         let (buf, _mismatched) = RoundBuffer::from_vecs(&batch, width, width);
-        server.forward_buf(round, kind, buf).to_vecs()
+        server.forward_buf(round, kind, buf).0.to_vecs()
     }
 
     /// [`MixServer::backward_buf`] on per-reply vectors; see [`forward`].
@@ -1029,12 +1005,12 @@ mod tests {
         let (buf, _) = RoundBuffer::from_vecs(&onions, width, width);
 
         let mid_ref = ref0.forward_reference(8, RoundKind::Conversation, onions);
-        let mid_flat = flat0.forward_buf(8, RoundKind::Conversation, buf);
+        let (mid_flat, _) = flat0.forward_buf(8, RoundKind::Conversation, buf);
         assert_eq!(mid_flat.to_vecs(), mid_ref, "first hop diverged");
 
         let (mid_buf, _) = RoundBuffer::from_vecs(&mid_ref, mid_flat.width(), mid_flat.width());
         let last_ref = ref1.forward_reference(8, RoundKind::Conversation, mid_ref);
-        let last_flat = flat1.forward_buf(8, RoundKind::Conversation, mid_buf);
+        let (last_flat, _) = flat1.forward_buf(8, RoundKind::Conversation, mid_buf);
         assert_eq!(last_flat.to_vecs(), last_ref, "second hop diverged");
         assert_eq!(flat0.malformed_replaced, ref0.malformed_replaced);
 
@@ -1104,7 +1080,7 @@ mod tests {
                 let (buf, mismatched) = RoundBuffer::from_vecs(&onions, width, width);
                 assert_eq!(mismatched, vec![4]);
                 let out_ref = reference.forward_reference(round, kind, onions);
-                let out_flat = flat.forward_buf(round, kind, buf);
+                let (out_flat, _) = flat.forward_buf(round, kind, buf);
                 let what = format!("{kind:?} at server {position}");
                 assert_eq!(out_flat.to_vecs(), out_ref, "{what}");
                 assert_eq!(
@@ -1134,11 +1110,11 @@ mod tests {
         }
     }
 
-    /// A noising server logs the very `(singles, pairs)` its conversation
-    /// noise returned; the tail and a dialing round log nothing; the log
-    /// evicts its oldest round past the cap.
+    /// A noising server's forward pass returns the very `(singles,
+    /// pairs)` its conversation noise drew, and a dialing round's count
+    /// per drop; the tail draws nothing.
     #[test]
-    fn the_noise_log_keeps_what_each_noised_conversation_round_drew() {
+    fn forward_buf_returns_the_cover_traffic_it_drew() {
         let mut config = test_config(7.0);
         config.noise_mode = NoiseMode::Sampled;
         let mut rng = StdRng::seed_from_u64(42);
@@ -1146,33 +1122,31 @@ mod tests {
         let mut s0 = MixServer::new(0, 2, kp0, vec![kp1.public], config.clone(), 11);
         let mut s1 = MixServer::new(1, 2, kp1, vec![], config.clone(), 12);
 
-        let mid = forward(&mut s0, 5, RoundKind::Conversation, Vec::new());
-        let width = s0.incoming_width(RoundKind::Conversation) - onion::LAYER_OVERHEAD;
-        let drawn = noise::conversation_noise_into(
+        let width = s0.incoming_width(RoundKind::Conversation);
+        let (mid, noise) =
+            s0.forward_buf(5, RoundKind::Conversation, RoundBuffer::new(width, width));
+        let inner = width - onion::LAYER_OVERHEAD;
+        let (singles, pairs) = noise::conversation_noise_into(
             &mut round_rng(11, 5),
-            &mut RoundBuffer::new(width, width),
+            &mut RoundBuffer::new(inner, inner),
             &s0.downstream_precomp,
             5,
             config.conversation_noise,
             config.noise_mode,
             config.workers,
         );
-        assert_eq!(s0.conversation_noise(5), Some(drawn));
-        assert_eq!(mid.len() as u64, drawn.0 + 2 * drawn.1);
-        forward(&mut s1, 5, RoundKind::Conversation, mid);
-        assert_eq!(s1.conversation_noise(5), None, "the tail adds no noise");
-        forward(&mut s0, 6, RoundKind::Dialing { num_drops: 1 }, Vec::new());
-        assert_eq!(s0.conversation_noise(6), None, "dialing noise is per drop");
+        assert_eq!(noise, Some(Operator::Conversation { singles, pairs }));
+        assert_eq!(mid.len() as u64, singles + 2 * pairs);
+        let (_, noise) = s1.forward_buf(5, RoundKind::Conversation, mid);
+        assert_eq!(noise, None, "the tail adds no noise");
 
-        for round in 100..100 + NOISE_LOG_CAP as u64 {
-            s0.log_conversation_noise(round, (round, 0));
-        }
-        assert_eq!(s0.conversation_noise.len(), NOISE_LOG_CAP);
-        assert_eq!(
-            s0.conversation_noise(5),
-            None,
-            "the oldest round is evicted"
-        );
-        assert_eq!(s0.conversation_noise(100), Some((100, 0)));
+        let kind = RoundKind::Dialing { num_drops: 3 };
+        let width = s0.incoming_width(kind);
+        let (mid, noise) = s0.forward_buf(6, kind, RoundBuffer::new(width, width));
+        let Some(Operator::Dialing { per_drop }) = noise else {
+            panic!("dialing noise is per drop: {noise:?}")
+        };
+        assert_eq!(per_drop.len(), 3);
+        assert_eq!(mid.len() as u64, per_drop.iter().sum::<u64>());
     }
 }

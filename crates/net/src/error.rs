@@ -56,6 +56,12 @@ pub enum Error {
         /// The contested link.
         link: LinkId,
     },
+    /// The peer kept this end waiting past its deadline: a frame it owed
+    /// did not arrive, or it took no more of a frame being sent.
+    Deadline {
+        /// The link whose peer stalled.
+        link: LinkId,
+    },
 }
 
 impl Error {
@@ -68,7 +74,8 @@ impl Error {
             | Error::Disconnected { link }
             | Error::Handshake { link, .. }
             | Error::Protocol { link, .. }
-            | Error::TapOccupied { link } => *link,
+            | Error::TapOccupied { link }
+            | Error::Deadline { link } => *link,
         }
     }
 }
@@ -84,6 +91,7 @@ impl core::fmt::Display for Error {
             Error::Handshake { link, reason } => write!(f, "handshake failed on {link}: {reason}"),
             Error::Protocol { link, reason } => write!(f, "protocol violation on {link}: {reason}"),
             Error::TapOccupied { link } => write!(f, "link {link} already has a tap"),
+            Error::Deadline { link } => write!(f, "deadline passed waiting on the peer on {link}"),
         }
     }
 }

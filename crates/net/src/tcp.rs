@@ -20,11 +20,37 @@
 //! answering with its own. Mis-wired processes (wrong port, wrong
 //! config file, wrong chain position) therefore fail at connect time
 //! with a named mismatch instead of corrupting a round.
+//!
+//! ## The deadline
+//!
+//! An end waits on its peer at most its *deadline* (the connect
+//! policy's, [`RetryPolicy::deadline`]; a deployment's
+//! `connect_timeout_ms`) wherever the peer owes it something, and
+//! fails with [`Error::Deadline`] naming the link:
+//!
+//! * a write the peer takes no more of (the socket's write timeout,
+//!   always set);
+//! * the rest of a frame whose first byte has arrived;
+//! * the next frame, on the end that connected, while frames it sent
+//!   are unanswered. The initiator is the link's upstream end, and the
+//!   wire answers every frame it sends upstream-to-downstream with
+//!   exactly one ([`vuvuzela_wire::sequence`]): each forward batch with
+//!   its backward frame, the `Bye` with the `Bye`, the `Hello` with the
+//!   `Hello`. Each answer is due within the deadline of the wait for
+//!   it beginning.
+//!
+//! Nothing else is owed, so an idle node — an acceptor between frames,
+//! an initiator with every frame answered — waits without bound. Linux
+//! reads a socket's receive timeout once, when a read begins, so a
+//! frame that becomes owed during a read already blocked would never
+//! see a timeout set after it: the wait for a frame's first byte is
+//! therefore cut into reads of at most the deadline, each re-checking
+//! what is owed.
 
 use crate::error::Error;
 use crate::transport::Transport;
 use parking_lot::Mutex;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 use vuvuzela_wire::{Frame, FrameError, Hello, LinkId, ReadError, MAX_FRAME_LEN};
@@ -167,6 +193,33 @@ pub struct TcpTransport {
     /// A third handle on the socket, behind no lock, so
     /// [`Transport::hang_up`] can shut it down under a blocked `recv`.
     socket: TcpStream,
+    /// How long this end waits on its peer (see the module docs).
+    deadline: Duration,
+    /// On the end that connected, the frames it sent that are not
+    /// answered yet; `None` on the end that accepted, which is owed
+    /// nothing.
+    owed: Option<Mutex<Owed>>,
+}
+
+/// Frames an initiator is owed, and since when it has waited for the
+/// next.
+struct Owed {
+    frames: u64,
+    since: Instant,
+}
+
+/// Whether an IO error is a socket timeout expiring.
+fn timed_out(err: &std::io::Error) -> bool {
+    matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// A transfer that failed because the socket's timeout expired is the
+/// deadline's.
+fn deadline_if_timed_out(err: Error) -> Error {
+    match err {
+        Error::Io { link, source, .. } if timed_out(&source) => Error::Deadline { link },
+        other => other,
+    }
 }
 
 impl TcpTransport {
@@ -206,7 +259,7 @@ impl TcpTransport {
                 }
             }
         };
-        let transport = TcpTransport::from_stream(stream, link)?;
+        let transport = TcpTransport::wrap(stream, link, policy.deadline, true)?;
         transport.send(Frame::Hello(Hello {
             link,
             config_digest,
@@ -217,7 +270,8 @@ impl TcpTransport {
 
     /// Accepts one connection on `listener` and performs the [`Hello`]
     /// exchange as acceptor: the initiator speaks first, this end
-    /// verifies and answers.
+    /// verifies and answers. Its deadline is the default policy's;
+    /// [`TcpTransport::with_deadline`] sets another.
     ///
     /// # Errors
     ///
@@ -233,7 +287,8 @@ impl TcpTransport {
             op: "accept",
             source,
         })?;
-        let transport = TcpTransport::from_stream(stream, link)?;
+        let deadline = RetryPolicy::default().deadline;
+        let transport = TcpTransport::wrap(stream, link, deadline, false)?;
         transport.expect_hello(config_digest)?;
         transport.send(Frame::Hello(Hello {
             link,
@@ -242,13 +297,24 @@ impl TcpTransport {
         Ok(transport)
     }
 
-    /// Wraps an established stream (no handshake).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] if the stream cannot be cloned into separate
-    /// read, write and hang-up handles.
-    pub fn from_stream(stream: TcpStream, link: LinkId) -> Result<TcpTransport, Error> {
+    /// This end, waiting on its peer at most `deadline` from now on
+    /// (see the module docs).
+    #[must_use]
+    pub fn with_deadline(mut self, deadline: Duration) -> TcpTransport {
+        // The socket refuses a zero timeout.
+        self.deadline = deadline.max(Duration::from_millis(1));
+        self.socket.set_write_timeout(Some(self.deadline)).ok();
+        self
+    }
+
+    /// Wraps an established stream (no handshake); `initiator` says
+    /// whether this end connected, and so is owed answers.
+    fn wrap(
+        stream: TcpStream,
+        link: LinkId,
+        deadline: Duration,
+        initiator: bool,
+    ) -> Result<TcpTransport, Error> {
         stream.set_nodelay(true).ok();
         let clone = || {
             stream.try_clone().map_err(|source| Error::Io {
@@ -257,12 +323,51 @@ impl TcpTransport {
                 source,
             })
         };
-        Ok(TcpTransport {
+        let owed = Owed {
+            frames: 0,
+            since: Instant::now(),
+        };
+        let transport = TcpTransport {
             link,
             reader: Mutex::new(BufReader::new(clone()?)),
             writer: Mutex::new(BufWriter::new(clone()?)),
             socket: stream,
-        })
+            deadline,
+            owed: initiator.then(|| Mutex::new(owed)),
+        };
+        Ok(transport.with_deadline(deadline))
+    }
+
+    /// How long the next frame may still take: `None` when none is owed.
+    fn owed_within(&self) -> Option<Duration> {
+        let owed = self.owed.as_ref()?.lock();
+        (owed.frames > 0).then(|| self.deadline.saturating_sub(owed.since.elapsed()))
+    }
+
+    /// Waits until the next frame's first byte is buffered, at most the
+    /// deadline once a frame is owed.
+    fn await_frame(&self, reader: &mut BufReader<TcpStream>) -> Result<(), Error> {
+        let link = self.link;
+        loop {
+            let wait = match self.owed_within() {
+                Some(left) if left.is_zero() => return Err(Error::Deadline { link }),
+                Some(left) => left,
+                None => self.deadline,
+            };
+            reader.get_ref().set_read_timeout(Some(wait)).ok();
+            match reader.fill_buf() {
+                Ok([]) => return Err(Error::Disconnected { link }),
+                Ok(_) => return Ok(()),
+                Err(err) if timed_out(&err) || err.kind() == ErrorKind::Interrupted => {}
+                Err(source) => {
+                    return Err(Error::Io {
+                        link,
+                        op: "read",
+                        source,
+                    })
+                }
+            }
+        }
     }
 
     /// Reads one frame and verifies it is the peer's matching [`Hello`].
@@ -292,11 +397,29 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, frame: Frame) -> Result<(), Error> {
-        write_frame(&mut *self.writer.lock(), self.link, &frame)
+        if let Some(owed) = &self.owed {
+            // Counted before the write, so an answer cannot come first.
+            let mut owed = owed.lock();
+            if owed.frames == 0 {
+                owed.since = Instant::now();
+            }
+            owed.frames += 1;
+        }
+        write_frame(&mut *self.writer.lock(), self.link, &frame).map_err(deadline_if_timed_out)
     }
 
     fn recv(&self) -> Result<Frame, Error> {
-        read_frame(&mut *self.reader.lock(), self.link)
+        let mut reader = self.reader.lock();
+        self.await_frame(&mut reader)?;
+        // The frame has begun: the peer owes its rest.
+        reader.get_ref().set_read_timeout(Some(self.deadline)).ok();
+        let frame = read_frame(&mut *reader, self.link).map_err(deadline_if_timed_out)?;
+        if let Some(owed) = &self.owed {
+            let mut owed = owed.lock();
+            owed.frames = owed.frames.saturating_sub(1);
+            owed.since = Instant::now();
+        }
+        Ok(frame)
     }
 
     fn hang_up(&self) {

@@ -19,7 +19,9 @@
 //! scored on the held-out second half, and the verdict compares its
 //! advantage against
 //! `max_advantage(ε′, δ′)` with the budget the view reports plus a
-//! Hoeffding slack for the finite sample.
+//! Hoeffding slack for the finite sample. The outcome keeps every run's
+//! histograms and draws, so the same runs grade against any other owned
+//! set ([`AttackOutcome::regrade`]) without running again.
 //!
 //! The matrix is falsifiable in both directions:
 //!
@@ -41,7 +43,7 @@ use std::sync::Arc;
 use vuvuzela_adversary::detector::split_by_seed;
 use vuvuzela_adversary::taps::KeepOnly;
 use vuvuzela_adversary::{pair_activity_feature, subtract_owned_noise, ThresholdDetector};
-use vuvuzela_dp::{NoiseDistribution, NoiseMode};
+use vuvuzela_dp::{ComposedPrivacy, NoiseDistribution, NoiseMode};
 
 use crate::scenario::{LedgerNoise, RoundPlan, Scale, Scenario, Step};
 use crate::simulator::{run_scenario, SimError, SimReport, Simulator};
@@ -182,6 +184,17 @@ impl AttackVerdict {
     }
 }
 
+/// One conversation round of one run as the attacker grades it: the
+/// tail's histogram, and each noising server's `(singles, pairs)` draw
+/// in chain order (`SimReport::noise_draws`), of which it subtracts the
+/// ones it owns.
+#[derive(Clone, Debug)]
+struct ObservedRound {
+    m1: u64,
+    m2: u64,
+    draws: Vec<(u64, u64)>,
+}
+
 /// One executed attack case: the verdict plus a sample twin-transcript
 /// pair (the first held-out seed) for artefact inspection.
 #[derive(Debug)]
@@ -192,6 +205,12 @@ pub struct AttackOutcome {
     pub sample_talking: SimReport,
     /// The idle-world report of the same seed.
     pub sample_idle: SimReport,
+    /// Every talking-world run's conversation rounds, by seed.
+    talking: Vec<Vec<ObservedRound>>,
+    /// The same for the idle world.
+    idle: Vec<Vec<ObservedRound>>,
+    /// The composed budget every run reports.
+    budget: ComposedPrivacy,
 }
 
 impl AttackOutcome {
@@ -199,6 +218,14 @@ impl AttackOutcome {
     #[must_use]
     pub fn passed(&self) -> bool {
         self.verdict.passed
+    }
+
+    /// The verdict these same runs of `case` earn against an attacker
+    /// that owns the noising servers `compromised` instead of the
+    /// case's own.
+    #[must_use]
+    pub fn regrade(&self, case: &AttackCase, compromised: &[usize]) -> AttackVerdict {
+        grade(case, compromised, &self.talking, &self.idle, self.budget)
     }
 }
 
@@ -389,11 +416,10 @@ pub fn twin_scenario(case: &AttackCase, seed: u64, talking: bool) -> Scenario {
     s
 }
 
-/// Everything one world's seeded runs produce: per-seed feature
-/// vectors (one [`pair_activity_feature`] per conversation round) and
-/// the raw reports.
+/// Everything one world's seeded runs produce: per seed, its
+/// conversation rounds, and the raw reports.
 struct WorldRuns {
-    per_seed: Vec<Vec<i64>>,
+    per_seed: Vec<Vec<ObservedRound>>,
     reports: Vec<SimReport>,
 }
 
@@ -419,28 +445,79 @@ fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
                 sim.run_collecting().0
             }
         };
-        let features: Vec<i64> = report
+        let rounds: Vec<ObservedRound> = report
             .view
             .conversation_rounds()
             .filter_map(|(round, observables)| Some((round, observables?)))
-            .map(|(round, o)| {
-                let draws = &report.noise_draws[&round];
-                let owned = case.compromised.iter().map(|&i| draws[i]);
-                let (m1, m2) = subtract_owned_noise(o.m1, o.m2, owned);
-                pair_activity_feature(m1, m2)
+            .map(|(round, o)| ObservedRound {
+                m1: o.m1,
+                m2: o.m2,
+                draws: report.noise_draws[&round].clone(),
             })
             .collect();
-        if features.len() != case.conversation_rounds {
+        if rounds.len() != case.conversation_rounds {
             return Err(SimError::Attack(format!(
                 "seed {seed}: expected {} observable conversation rounds, got {}",
                 case.conversation_rounds,
-                features.len()
+                rounds.len()
             )));
         }
-        per_seed.push(features);
+        per_seed.push(rounds);
         reports.push(report);
     }
     Ok(WorldRuns { per_seed, reports })
+}
+
+/// Each run's [`pair_activity_feature`] per conversation round, of the
+/// histogram less the `compromised` servers' draws.
+fn features(per_seed: &[Vec<ObservedRound>], compromised: &[usize]) -> Vec<Vec<i64>> {
+    let feature = |round: &ObservedRound| {
+        let owned = compromised.iter().map(|&i| round.draws[i]);
+        let (m1, m2) = subtract_owned_noise(round.m1, round.m2, owned);
+        pair_activity_feature(m1, m2)
+    };
+    let run = |rounds: &Vec<ObservedRound>| rounds.iter().map(feature).collect();
+    per_seed.iter().map(run).collect()
+}
+
+/// Trains the detector on the first half of each world's seeds, scores
+/// it on the held-out half, and grades it against `budget`: the verdict
+/// of `case`'s runs for an attacker owning `compromised`.
+fn grade(
+    case: &AttackCase,
+    compromised: &[usize],
+    talking: &[Vec<ObservedRound>],
+    idle: &[Vec<ObservedRound>],
+    budget: ComposedPrivacy,
+) -> AttackVerdict {
+    let (train_talking, test_talking) = split_by_seed(&features(talking, compromised));
+    let (train_idle, test_idle) = split_by_seed(&features(idle, compromised));
+    let detector = ThresholdDetector::train(&train_talking, &train_idle);
+    let outcome = detector.evaluate(&test_talking, &test_idle);
+    let grade = outcome.grade(budget.epsilon, budget.delta, ATTACK_ALPHA);
+
+    let passed = if case.expect_within_bound {
+        grade.within_bound
+    } else {
+        grade.exceeds_bound
+    };
+    AttackVerdict {
+        name: case.name.to_string(),
+        control: case.control.name().to_string(),
+        expect_within_bound: case.expect_within_bound,
+        trials: outcome.trials,
+        accuracy: outcome.accuracy,
+        advantage: outcome.advantage,
+        threshold: detector.threshold,
+        talking_above: detector.talking_above,
+        epsilon: budget.epsilon,
+        delta: budget.delta,
+        bound: grade.bound,
+        slack: grade.slack,
+        within_bound: grade.within_bound,
+        exceeds_bound: grade.exceeds_bound,
+        passed,
+    }
 }
 
 /// Runs one attack case end to end: both worlds over every seed, the
@@ -474,34 +551,13 @@ pub fn run_attack_case(case: &AttackCase) -> Result<AttackOutcome, SimError> {
         );
     }
 
-    let (train_talking, test_talking) = split_by_seed(&talking.per_seed);
-    let (train_idle, test_idle) = split_by_seed(&idle.per_seed);
-    let detector = ThresholdDetector::train(&train_talking, &train_idle);
-    let outcome = detector.evaluate(&test_talking, &test_idle);
-    let grade = outcome.grade(budget.epsilon, budget.delta, ATTACK_ALPHA);
-
-    let passed = if case.expect_within_bound {
-        grade.within_bound
-    } else {
-        grade.exceeds_bound
-    };
-    let verdict = AttackVerdict {
-        name: case.name.to_string(),
-        control: case.control.name().to_string(),
-        expect_within_bound: case.expect_within_bound,
-        trials: outcome.trials,
-        accuracy: outcome.accuracy,
-        advantage: outcome.advantage,
-        threshold: detector.threshold,
-        talking_above: detector.talking_above,
-        epsilon: budget.epsilon,
-        delta: budget.delta,
-        bound: grade.bound,
-        slack: grade.slack,
-        within_bound: grade.within_bound,
-        exceeds_bound: grade.exceeds_bound,
-        passed,
-    };
+    let verdict = grade(
+        case,
+        case.compromised,
+        &talking.per_seed,
+        &idle.per_seed,
+        budget,
+    );
     // Keep the first held-out seed's twin pair as the inspectable
     // artefact.
     let held_out = case.seed_pairs / 2;
@@ -509,5 +565,8 @@ pub fn run_attack_case(case: &AttackCase) -> Result<AttackOutcome, SimError> {
         verdict,
         sample_talking: talking.reports.swap_remove(held_out),
         sample_idle: idle.reports.swap_remove(held_out),
+        talking: talking.per_seed,
+        idle: idle.per_seed,
+        budget,
     })
 }

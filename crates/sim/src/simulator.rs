@@ -29,6 +29,7 @@ use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
 use vuvuzela_core::chain::{Abort, Batch, Chain, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
+use vuvuzela_core::record::{NodeId, Operator};
 use vuvuzela_core::RoundBuffer;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
@@ -104,8 +105,9 @@ pub struct SimReport {
     /// records, typed.
     pub view: AdversaryView,
     /// Each noising server's `(singles, pairs)` draw for every completed
-    /// conversation round, by round, in chain order — read from
-    /// `MixServer::conversation_noise`. Operator secrets, kept out of
+    /// conversation round, by round, in chain order — the
+    /// [`Operator`] parts of the chain's round record
+    /// (`Chain::round_record`). Operator secrets, kept out of
     /// `view` and the transcript: the attack harness hands an attacker
     /// the draws of the servers it owns.
     pub noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
@@ -935,15 +937,25 @@ impl Simulator {
         let replies_len = replies.len() as u64;
         let cohort_clients = cohort_requests / self.config.conversation_slots.max(1);
         let total_participants = cohort_clients + participants.len();
-        let draws = (0..self.config.chain_len - 1)
-            .map(|i| {
-                self.chain
-                    .server(i)
-                    .conversation_noise(round)
-                    .expect("a completed conversation round crossed every noising server")
+        let mut draws: Vec<(NodeId, (u64, u64))> = self
+            .chain
+            .round_record(round)
+            .iter()
+            .filter_map(|event| match event.operator {
+                Some(Operator::Conversation { singles, pairs }) => {
+                    Some((event.public.node, (singles, pairs)))
+                }
+                _ => None,
             })
             .collect();
-        self.noise_draws.insert(round, draws);
+        draws.sort_unstable();
+        assert_eq!(
+            draws.len(),
+            self.config.chain_len - 1,
+            "a completed conversation round crossed every noising server"
+        );
+        self.noise_draws
+            .insert(round, draws.into_iter().map(|(_, draw)| draw).collect());
         let observables = match self.find_conversation_observables(round) {
             Some(obs) => *obs,
             None => {

@@ -88,13 +88,15 @@ fn undersized_mu_control_beats_the_claimed_bound() {
 
 /// The attacker that owns both noising servers sees the target pair
 /// exactly once it subtracts their noise, and the same runs read
-/// passively — the histogram as the tail shows it — stay within the
-/// bound: the subtraction is what gives this control its teeth.
+/// passively — the histogram as the tail shows it, regraded without
+/// running again — stay within the bound: the subtraction is what gives
+/// this control its teeth.
 #[test]
 fn all_compromised_control_beats_the_bound_only_with_the_owned_noise() {
     let owned = case("all_compromised_control");
     assert_eq!(owned.compromised, &[0, 1]);
-    let v = run_attack_case(&owned).expect("case runs").verdict;
+    let outcome = run_attack_case(&owned).expect("case runs");
+    let v = &outcome.verdict;
     assert!(!v.expect_within_bound);
     assert!(
         v.exceeds_bound && v.passed,
@@ -102,11 +104,12 @@ fn all_compromised_control_beats_the_bound_only_with_the_owned_noise() {
         v.advantage,
         v.bound
     );
-    let passive = AttackCase {
-        compromised: &[],
-        ..owned
-    };
-    let v = run_attack_case(&passive).expect("case runs").verdict;
+    assert_eq!(
+        outcome.regrade(&owned, owned.compromised).to_json(),
+        v.to_json(),
+        "regrading with the case's own set is the verdict"
+    );
+    let v = outcome.regrade(&owned, &[]);
     assert!(
         v.within_bound,
         "passive advantage {} + slack {} must be ≤ bound {}",

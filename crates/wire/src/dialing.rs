@@ -9,7 +9,7 @@ use crate::deaddrop::InvitationDropIndex;
 use crate::{expect_len, WireError, DIAL_REQUEST_LEN, INVITATION_LEN, SEALED_INVITATION_LEN};
 use rand::{CryptoRng, RngCore};
 use vuvuzela_crypto::sealedbox;
-use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
+use vuvuzela_crypto::x25519::{x25519_base_batch, PublicKey, SecretKey};
 
 /// A sealed invitation: 80 opaque bytes only the intended recipient can
 /// open (and only by trial decryption).
@@ -32,12 +32,40 @@ impl SealedInvitation {
         SealedInvitation(sealedbox::seal(rng, recipient_pk, caller_pk.as_bytes()))
     }
 
-    /// Builds a noise invitation: random bytes, indistinguishable from a
-    /// sealed invitation (Algorithm 2 step 2 applied to dialing, §5.3).
+    /// Draws an invitation's worth of random bytes. Published noise —
+    /// what a drop holds besides real invitations (§5.3) — must then go
+    /// through [`SealedInvitation::key_noise`], or its first 32 bytes give
+    /// it away. A client's no-op write keeps them as drawn: the tail
+    /// counts no-op writes and discards them, so nobody downloads them.
     pub fn noise<R: RngCore + CryptoRng>(rng: &mut R) -> SealedInvitation {
         let mut bytes = vec![0u8; SEALED_INVITATION_LEN];
         rng.fill_bytes(&mut bytes);
         SealedInvitation(bytes)
+    }
+
+    /// Makes drawn noise invitations look sealed, in place, with one
+    /// batch of base-point multiplications for them all.
+    ///
+    /// A sealed invitation starts with an ephemeral X25519 public key
+    /// ([`sealedbox::seal`]): bit 255 clear, on the curve, in the
+    /// prime-order subgroup. Uniform random bytes are none of these with
+    /// probability ≈ 97%, so noise left as drawn is picked out entry by
+    /// entry. Here each invitation's first 32 bytes, drawn at random,
+    /// are the secret and become the public key of it; the other bytes,
+    /// like a sealed box's ciphertext, stay random.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an invitation is shorter than a public key.
+    pub fn key_noise<'a>(invitations: impl Iterator<Item = &'a mut [u8]>) {
+        let mut keys: Vec<&mut [u8]> = invitations.map(|inv| &mut inv[..32]).collect();
+        let secrets: Vec<[u8; 32]> = keys
+            .iter()
+            .map(|key| (**key).try_into().expect("32 bytes"))
+            .collect();
+        for (key, public) in keys.iter_mut().zip(x25519_base_batch(&secrets)) {
+            key.copy_from_slice(&public);
+        }
     }
 
     /// Attempts to open this invitation as `recipient`; returns the
@@ -97,7 +125,9 @@ impl DialRequest {
 
     /// Writes an encoded noise dial request for `drop` straight into
     /// `out` without allocating; RNG-stream-compatible with constructing
-    /// a [`SealedInvitation::noise`] request and encoding it.
+    /// a [`SealedInvitation::noise`] request and encoding it. Its
+    /// invitation, `out[4..]`, is drawn noise: key it
+    /// ([`SealedInvitation::key_noise`]) before it can reach a drop.
     pub fn noise_into<R: RngCore + CryptoRng>(
         rng: &mut R,
         drop: InvitationDropIndex,

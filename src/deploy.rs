@@ -28,7 +28,9 @@ use std::time::Duration;
 use serde_json::{json, Value};
 use vuvuzela_core::chain::{build_server, server_keypairs, Abort, Chain, RoundOutcome, RoundSpec};
 use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
-use vuvuzela_core::node::{feed_window, run_entry_node, run_server_node, NodeStats, RoundTrailer};
+use vuvuzela_core::node::{
+    feed_window, run_entry_node, run_server_node, HopObserver, NodeStats, RoundTrailer,
+};
 use vuvuzela_core::server::RoundKind;
 use vuvuzela_core::{ClientCohort, RoundBuffer, SystemConfig};
 use vuvuzela_crypto::sha256::{sha256, Sha256};
@@ -39,7 +41,8 @@ use vuvuzela_wire::BatchFrame;
 
 /// Default for [`DeploymentConfig::connect_timeout_ms`]: deployment
 /// processes start in arbitrary order, so peers retry refused
-/// connections this long before giving up.
+/// connections this long before giving up, and wait this long for a
+/// peer that owes them a frame.
 pub const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 30_000;
 
 /// Domain separator for the scripted cohort's seed, keeping its streams
@@ -149,9 +152,13 @@ pub struct DeploymentConfig {
     pub server_addrs: Vec<String>,
     /// The scripted rounds, replayed in order as rounds `0..n`.
     pub schedule: Vec<ScheduleEntry>,
-    /// How long (milliseconds) connecting processes retry a refused
-    /// connection before giving up; retries back off exponentially with
-    /// per-link jitter. Optional in the JSON file, defaulting to
+    /// How long (milliseconds) a process waits on a peer: connecting
+    /// processes retry a refused connection this long (backing off
+    /// exponentially with per-link jitter), and a node fails with
+    /// [`Error::Deadline`] when a peer keeps it waiting longer for a
+    /// frame it owes — a round's answer, the rest of a frame, or taking
+    /// a frame being sent (see [`vuvuzela_net::tcp`]). An idle node
+    /// waits without bound. Optional in the JSON file, defaulting to
     /// [`DEFAULT_CONNECT_TIMEOUT_MS`].
     pub connect_timeout_ms: u64,
 }
@@ -251,7 +258,8 @@ impl DeploymentConfig {
     }
 
     /// The connect-retry policy every process in this deployment uses:
-    /// jittered exponential backoff up to the configured deadline.
+    /// jittered exponential backoff up to the configured deadline, which
+    /// the connections it makes then wait on their peers by.
     #[must_use]
     pub fn connect_retry(&self) -> RetryPolicy {
         RetryPolicy::with_deadline(Duration::from_millis(self.connect_timeout_ms))
@@ -515,6 +523,19 @@ pub fn run_client(cfg: &DeploymentConfig, entry: &dyn Transport) -> Result<Strin
 /// Bind/connect/handshake failures and any protocol violation from
 /// [`run_server_node`].
 pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats, Error> {
+    serve_server_observed(cfg, position, &mut |_| {})
+}
+
+/// [`serve_server`], handing `observer` the node's round record.
+///
+/// # Errors
+///
+/// As [`serve_server`].
+pub fn serve_server_observed(
+    cfg: &DeploymentConfig,
+    position: usize,
+    observer: &mut HopObserver<'_>,
+) -> Result<NodeStats, Error> {
     let digest = cfg.digest();
     let retry = cfg.connect_retry();
     let upstream_link = LinkId::Hop(position as u32);
@@ -533,8 +554,8 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
     } else {
         None
     };
-    let upstream: Arc<dyn Transport> =
-        Arc::new(TcpTransport::accept(&listener, upstream_link, digest)?);
+    let upstream = TcpTransport::accept(&listener, upstream_link, digest)?;
+    let upstream: Arc<dyn Transport> = Arc::new(upstream.with_deadline(retry.deadline));
     let mut server = build_server(&cfg.system, cfg.seed, position);
     run_server_node(
         &mut server,
@@ -542,7 +563,7 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
         cfg.seed,
         upstream,
         downstream,
-        &mut |_, _| {},
+        observer,
     )
 }
 
@@ -558,7 +579,20 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
 /// Bind/connect/handshake failures and any protocol violation from
 /// [`run_entry_node`].
 pub fn serve_entry(cfg: &DeploymentConfig) -> Result<NodeStats, Error> {
+    serve_entry_observed(cfg, &mut |_| {})
+}
+
+/// [`serve_entry`], handing `observer` the entry's round record.
+///
+/// # Errors
+///
+/// As [`serve_entry`].
+pub fn serve_entry_observed(
+    cfg: &DeploymentConfig,
+    observer: &mut HopObserver<'_>,
+) -> Result<NodeStats, Error> {
     let digest = cfg.digest();
+    let retry = cfg.connect_retry();
     let listener = TcpListener::bind(&cfg.entry_addr).map_err(|source| Error::Io {
         link: LinkId::Clients,
         op: "bind",
@@ -568,11 +602,11 @@ pub fn serve_entry(cfg: &DeploymentConfig) -> Result<NodeStats, Error> {
         cfg.server_addrs[0].as_str(),
         LinkId::Hop(0),
         digest,
-        &cfg.connect_retry(),
+        &retry,
     )?);
-    let clients: Arc<dyn Transport> =
-        Arc::new(TcpTransport::accept(&listener, LinkId::Clients, digest)?);
-    run_entry_node(&cfg.system, clients, downstream)
+    let clients = TcpTransport::accept(&listener, LinkId::Clients, digest)?;
+    let clients: Arc<dyn Transport> = Arc::new(clients.with_deadline(retry.deadline));
+    run_entry_node(&cfg.system, clients, downstream, observer)
 }
 
 /// Runs the scripted client driver over TCP against a live entry (see

@@ -10,23 +10,30 @@
 //!
 //! `server` runs one mix server of the chain and `entry` the untrusted
 //! entry; both name their x25519 and SHA-256 backends on stderr at
-//! start-up. `client` runs the deployment's clients (one cohort, keeping
-//! the entry's window of `chain_len` rounds in flight) and writes the
-//! transcript to `--out`, or else to stdout, which then carries nothing
-//! else.
+//! start-up, and write their round record to stdout: one JSON line per
+//! pass, its public part alone (`vuvuzela_core::record`). `client` runs
+//! the deployment's clients (one cohort, keeping the entry's window of
+//! `chain_len` rounds in flight) and writes the transcript to `--out`,
+//! or else to stdout, which then carries nothing else.
 //!
 //! `launch` runs a whole deployment on this box: it resolves the `:0`
 //! ports once and spawns this same executable once per process — the
 //! servers tail to head, the entry, the client — so a process set is
 //! always one build. The first process to exit non-zero ends the launch,
-//! named, with the others killed. `--check` then diffs the transcript
-//! byte for byte against the in-process reference. With no `--config`
-//! it launches the committed smoke deployment (`deploy/smoke.json`);
-//! `--dump-config` prints the deployment as JSON and exits.
+//! named, with the others killed. Each node's record goes to
+//! `server-<i>.jsonl` / `entry.jsonl` in the out dir, and the launch
+//! prints each node's busy seconds per phase from it. `--check` then
+//! diffs the transcript byte for byte against the in-process reference.
+//! With no `--config` it launches the committed smoke deployment
+//! (`deploy/smoke.json`); `--dump-config` prints the deployment as JSON
+//! and exits.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode};
 use std::time::Duration;
+use vuvuzela::core::record::{NodeId, Phase, RoundEvent};
 use vuvuzela::crypto::sha256::sha256;
 use vuvuzela::deploy::{self, DeploymentConfig};
 use vuvuzela::sim::transcript::hex;
@@ -117,15 +124,23 @@ fn run(args: &Args) -> Result<(), String> {
             let sha = vuvuzela::crypto::sha256::backend();
             let line = format!("{name}: x25519 ladder backend {ladder}, sha256 backend {sha}\n");
             eprint!("{line}");
-            let stats = match args.position {
-                Some(position) => deploy::serve_server(&cfg, position),
-                None => deploy::serve_entry(&cfg),
+            // The record's public part, one line a pass: the operator's
+            // noise draws have no rendering to print.
+            let mut stdout = std::io::stdout().lock();
+            let mut unwritten = None;
+            let mut record = |event: RoundEvent| {
+                if unwritten.is_none() {
+                    unwritten = writeln!(stdout, "{}", event.public.to_json_line()).err();
+                }
             };
-            let stats = stats.map_err(|err| err.to_string())?;
-            println!(
-                "{name}: done ({} conversation, {} dialing rounds)",
-                stats.conversation_rounds, stats.dialing_rounds
-            );
+            let served = match args.position {
+                Some(position) => deploy::serve_server_observed(&cfg, position, &mut record),
+                None => deploy::serve_entry_observed(&cfg, &mut record),
+            };
+            served.map_err(|err| err.to_string())?;
+            if let Some(err) = unwritten {
+                return Err(format!("cannot write the round record: {err}"));
+            }
         }
         "client" => {
             let transcript = deploy::run_client_tcp(&cfg).map_err(|err| err.to_string())?;
@@ -168,7 +183,7 @@ fn launch(mut cfg: DeploymentConfig, args: &Args) -> Result<(), String> {
     };
     let resolved_path = write("resolved.json", &(cfg.render() + "\n"))?;
     let transcript_path = out_dir.join("distributed.txt");
-    let distributed = run_process_set(&cfg, &resolved_path, &transcript_path)?;
+    let distributed = run_process_set(&cfg, &resolved_path, &out_dir)?;
     if args.check {
         let reference = deploy::run_reference(&cfg);
         let reference_path = write("reference.txt", &reference)?;
@@ -186,6 +201,10 @@ fn launch(mut cfg: DeploymentConfig, args: &Args) -> Result<(), String> {
         "vuvuzela launch: {} rounds over loopback TCP",
         cfg.schedule.len()
     );
+    for node in nodes(&cfg) {
+        let record = busy(&out_dir.join(record_file(node)))?;
+        println!("vuvuzela launch: {node} {record}");
+    }
     if args.check {
         println!(
             "vuvuzela launch: distributed.txt is byte-identical to the in-process reference.txt"
@@ -202,15 +221,61 @@ fn kill_all(children: &mut [(String, Child)]) {
     }
 }
 
+/// The deployment's nodes in start order: the servers tail to head,
+/// then the entry.
+fn nodes(cfg: &DeploymentConfig) -> impl Iterator<Item = NodeId> {
+    (0..cfg.system.chain_len)
+        .rev()
+        .map(NodeId::Hop)
+        .chain([NodeId::Entry])
+}
+
+/// The file in the out dir a node's round record goes to.
+fn record_file(node: NodeId) -> String {
+    match node {
+        NodeId::Entry => "entry.jsonl".to_string(),
+        NodeId::Hop(position) => format!("server-{position}.jsonl"),
+    }
+}
+
+/// A node's busy seconds per phase, summed over its round record.
+fn busy(record: &Path) -> Result<String, String> {
+    let shown = record.display();
+    let text =
+        std::fs::read_to_string(record).map_err(|err| format!("cannot read {shown}: {err}"))?;
+    let mut seconds = [0.0; Phase::ALL.len()];
+    for line in text.lines() {
+        let event = serde_json::from_str(line).map_err(|err| format!("{shown}: {err}"))?;
+        let field = |key| match &event {
+            serde_json::Value::Object(map) => map.get(key),
+            _ => None,
+        };
+        let phase = field("phase").and_then(serde_json::Value::as_str);
+        let slot = Phase::ALL.iter().position(|p| Some(p.name()) == phase);
+        let secs = field("seconds").and_then(serde_json::Value::as_f64);
+        let (Some(slot), Some(secs)) = (slot, secs) else {
+            return Err(format!("{shown}: not a round event: {line}"));
+        };
+        seconds[slot] += secs;
+    }
+    let phases = Phase::ALL.iter().zip(seconds);
+    let phases: Vec<String> = phases
+        .map(|(p, s)| format!("{} {s:.6}", p.name()))
+        .collect();
+    Ok(format!("busy seconds: {}", phases.join(", ")))
+}
+
 /// Spawns the process set — servers tail-to-head, entry, client, each
 /// this executable in its role — against `resolved_path`, waits for
-/// every process, and returns the client transcript. The first process
-/// to exit non-zero is named in the error, and the others are killed.
+/// every process, and returns the client transcript. Each node's stdout,
+/// its round record, goes to its file in `out_dir`. The first process to
+/// exit non-zero is named in the error, and the others are killed.
 fn run_process_set(
     cfg: &DeploymentConfig,
     resolved_path: &Path,
-    transcript_path: &Path,
+    out_dir: &Path,
 ) -> Result<String, String> {
+    let transcript_path = out_dir.join("distributed.txt");
     let exe = std::env::current_exe()
         .map_err(|err| format!("cannot locate the running executable: {err}"))?;
     let role = |role: &str| {
@@ -222,14 +287,23 @@ fn run_process_set(
     // although the connect retry loop tolerates any order), then the
     // entry, then the client driver.
     let mut processes = Vec::new();
-    for position in (0..cfg.system.chain_len).rev() {
-        let mut server = role("server");
-        server.arg("--position").arg(position.to_string());
-        processes.push((format!("vuvuzela server {position}"), server));
+    for node in nodes(cfg) {
+        let path = out_dir.join(record_file(node));
+        let record = File::create(&path)
+            .map_err(|err| format!("cannot create {}: {err}", path.display()))?;
+        let mut command = match node {
+            NodeId::Entry => role("entry"),
+            NodeId::Hop(position) => {
+                let mut server = role("server");
+                server.arg("--position").arg(position.to_string());
+                server
+            }
+        };
+        command.stdout(record);
+        processes.push((format!("vuvuzela {node}"), command));
     }
-    processes.push(("vuvuzela entry".to_string(), role("entry")));
     let mut client = role("client");
-    client.arg("--out").arg(transcript_path);
+    client.arg("--out").arg(&transcript_path);
     processes.push(("vuvuzela client".to_string(), client));
 
     let mut children: Vec<(String, Child)> = Vec::new();
@@ -264,7 +338,7 @@ fn run_process_set(
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    std::fs::read_to_string(transcript_path).map_err(|err| {
+    std::fs::read_to_string(&transcript_path).map_err(|err| {
         format!(
             "client wrote no transcript at {}: {err}",
             transcript_path.display()

@@ -92,7 +92,7 @@ fn start_chain(
         let (system, done) = (system.clone(), done.clone());
         std::thread::spawn(move || {
             let mut server = build_server(&system, 9, position);
-            let result = run_server_node(&mut server, &system, 9, up, down, &mut |_, _| {
+            let result = run_server_node(&mut server, &system, 9, up, down, &mut |_| {
                 assert!(panicking_hop != Some(position), "injected node fault");
             });
             let _ = done.send((position, result));

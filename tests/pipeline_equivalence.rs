@@ -96,7 +96,7 @@ proptest! {
         let (mut buf, _) = RoundBuffer::from_vecs(&onions, width, width);
         let mut vecs = onions;
         for (hop, (f, r)) in flat.iter_mut().zip(reference.iter_mut()).enumerate() {
-            buf = f.forward_buf(round, RoundKind::Conversation, buf);
+            buf = f.forward_buf(round, RoundKind::Conversation, buf).0;
             vecs = r.forward_reference(round, RoundKind::Conversation, vecs);
             prop_assert_eq!(buf.to_vecs(), vecs.clone(), "forward hop {} diverged", hop);
             prop_assert_eq!(f.malformed_replaced, r.malformed_replaced, "hop {}", hop);
@@ -148,7 +148,7 @@ proptest! {
         let width = onion::wrapped_len(vuvuzela::wire::DIAL_REQUEST_LEN, chain_len);
         let (mut buf, _) = RoundBuffer::from_vecs(&vecs, width, width);
         for (hop, (f, r)) in flat.iter_mut().zip(reference.iter_mut()).enumerate() {
-            buf = f.forward_buf(round, kind, buf);
+            buf = f.forward_buf(round, kind, buf).0;
             vecs = r.forward_reference(round, kind, vecs);
             prop_assert_eq!(buf.to_vecs(), vecs.clone(), "dialing hop {} diverged", hop);
         }

@@ -152,19 +152,20 @@ fn noise_accounting_matches_paper() -> Result<(), SimError> {
     Ok(())
 }
 
-/// In `Sampled` mode each noising server's logged draw
-/// (`MixServer::conversation_noise`, what an attacker owning it knows)
-/// is the very one its round RNG's first two words give: `n1` then
-/// `n2`, so `(n1 + n2 % 2, n2 / 2)` — which is what lets a harness
-/// replay a deployment's noise through `server_round_rng` without
-/// running the chain. The logged draws plus the ground truth are the
-/// tail's histogram. An odd µ makes the leftover-singleton path (the
+/// In `Sampled` mode each noising server's draw in the round record
+/// (the `Operator` part of its forward pass, `Chain::round_record`: what
+/// an attacker owning it knows) is the very one its round RNG's first
+/// two words give: `n1` then `n2`, so `(n1 + n2 % 2, n2 / 2)` — which is
+/// what lets a harness replay a deployment's noise through
+/// `server_round_rng` without running the chain. The recorded draws
+/// plus the ground truth are the tail's histogram. An odd µ makes the leftover-singleton path (the
 /// Algorithm 2 pairing fix) load-bearing — odd `n2` draws occur with
 /// probability ≈ ½ per server.
 #[test]
 fn sampled_noise_log_replays_from_the_server_round_rng() -> Result<(), SimError> {
     use rand::RngCore;
     use vuvuzela::core::chain::server_round_rng;
+    use vuvuzela::core::record::{NodeId, Operator, Phase};
     use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 
     /// Replays a recorded word stream.
@@ -201,6 +202,16 @@ fn sampled_noise_log_replays_from_the_server_round_rng() -> Result<(), SimError>
             .last()
             .expect("round");
 
+        let record = sim.chain().round_record(round);
+        let drawn = |position| {
+            let forward = record.iter().find(|event| {
+                event.public.node == NodeId::Hop(position) && event.public.phase == Phase::Forward
+            });
+            forward
+                .expect("every server ran a forward pass")
+                .operator
+                .clone()
+        };
         // Noising servers are every position but the last.
         let (mut m1, mut m2) = (1, 1);
         for position in 0..2 {
@@ -209,15 +220,16 @@ fn sampled_noise_log_replays_from_the_server_round_rng() -> Result<(), SimError>
             let n1 = noise.sample_count(&mut words, NoiseMode::Sampled);
             let n2 = noise.sample_count(&mut words, NoiseMode::Sampled);
             let replayed = (n1 + n2 % 2, n2 / 2);
+            let (singles, pairs) = replayed;
             assert_eq!(
-                sim.chain().server(position).conversation_noise(round),
-                Some(replayed),
-                "seed {round_seed}: server {position}'s log and its round RNG disagree"
+                drawn(position),
+                Some(Operator::Conversation { singles, pairs }),
+                "seed {round_seed}: server {position}'s record and its round RNG disagree"
             );
             m1 += replayed.0;
             m2 += replayed.1;
         }
-        assert_eq!(sim.chain().server(2).conversation_noise(round), None);
+        assert_eq!(drawn(2), None, "the tail draws no conversation noise");
         assert_eq!((obs.m1, obs.m2), (m1, m2), "seed {round_seed}");
     }
     Ok(())

@@ -3,10 +3,14 @@
 //! roles an operator runs — loses its middle server to `kill` after one
 //! completed round. Nothing may wait on the dead process: the client's
 //! next `recv` fails, and every surviving process exits non-zero, naming
-//! a link on stderr, inside a stated bound. And a node that dies at
-//! start-up, before any round, ends `vuvuzela launch` with its name.
-//! A live process set also pins what `vuvuzela client` prints: without
-//! `--out`, its stdout is the transcript and nothing else.
+//! a link on stderr, inside a stated bound. A server that stops without
+//! dying (`SIGSTOP`) keeps its sockets open, so only the deadline can end
+//! the others; they must exit inside the deadline plus slack. And a
+//! node that dies at start-up, before any round, ends `vuvuzela launch`
+//! with its name. A live process set also pins what the roles print:
+//! without `--out`, the client's stdout is the transcript and nothing
+//! else, and a node's is its round record, with no operator secret in
+//! it.
 //!
 //! The in-process variants (an erroring or panicking node thread over
 //! memory endpoints and loopback TCP) are `tests/node_hang_up.rs`.
@@ -14,7 +18,7 @@
 use std::io::Read;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 use vuvuzela::core::node::RoundTrailer;
 use vuvuzela::deploy::{self, DeploymentConfig, ScriptedClients};
@@ -66,7 +70,12 @@ fn vuvuzela(role: &str, config: &Path) -> Command {
 /// The smoke deployment with its ports resolved, written to a file of
 /// its own under `name`.
 fn resolved_smoke(name: &str) -> (DeploymentConfig, PathBuf) {
-    let mut cfg = deploy::smoke_config();
+    resolved(name, deploy::smoke_config())
+}
+
+/// `cfg` with its ports resolved, written to a file of its own under
+/// `name`.
+fn resolved(name: &str, mut cfg: DeploymentConfig) -> (DeploymentConfig, PathBuf) {
     deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::create_dir_all(&dir).expect("scratch directory");
@@ -143,28 +152,150 @@ fn killing_a_mid_chain_server_ends_every_other_process_by_name() {
     assert!(next.is_err(), "the client must see the failure: {next:?}");
 
     for (name, child) in &mut processes.0 {
-        let status = loop {
-            match child.try_wait().expect("poll the child") {
-                Some(status) => break status,
-                None if died.elapsed() > BOUND => {
-                    panic!("{name} still running {BOUND:?} after server 1 died");
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
+        let stderr = exits_naming_a_link(&cfg, name, child, died, BOUND);
+        assert!(!stderr.is_empty());
+    }
+}
+
+/// Waits for `child` to exit, at most `bound` after `since`, and holds
+/// it to failing by name: non-zero, a link named on stderr. Returns
+/// what it printed there.
+fn exits_naming_a_link(
+    cfg: &DeploymentConfig,
+    name: &str,
+    child: &mut Child,
+    since: Instant,
+    bound: Duration,
+) -> String {
+    let status: ExitStatus = loop {
+        match child.try_wait().expect("poll the child") {
+            Some(status) => break status,
+            None if since.elapsed() > bound => {
+                panic!("{name} still running {bound:?} after its peer failed");
             }
-        };
-        assert!(!status.success(), "{name} must exit non-zero, got {status}");
-        let mut stderr = String::new();
-        child
-            .stderr
-            .take()
-            .expect("stderr was piped")
-            .read_to_string(&mut stderr)
-            .expect("read stderr");
-        let names_a_link = (0..cfg.system.chain_len as u32)
-            .map(LinkId::Hop)
-            .chain([LinkId::Clients])
-            .any(|link| stderr.contains(&link.to_string()));
-        assert!(names_a_link, "{name} must name a link on stderr:\n{stderr}");
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    assert!(!status.success(), "{name} must exit non-zero, got {status}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr was piped")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let names_a_link = (0..cfg.system.chain_len as u32)
+        .map(LinkId::Hop)
+        .chain([LinkId::Clients])
+        .any(|link| stderr.contains(&link.to_string()));
+    assert!(names_a_link, "{name} must name a link on stderr:\n{stderr}");
+    stderr
+}
+
+/// Sends `signal` (`STOP`, `CONT`) to `child`.
+fn signal(child: &Child, signal: &str) {
+    let status = Command::new("kill")
+        .arg(format!("-{signal}"))
+        .arg(child.id().to_string())
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -{signal}: {status}");
+}
+
+#[test]
+fn a_stopped_tail_ends_every_other_process_by_the_deadline() {
+    // A short deadline, so the survivors give up soon.
+    let deadline = Duration::from_secs(2);
+    let mut cfg = deploy::smoke_config();
+    cfg.connect_timeout_ms = deadline.as_millis() as u64;
+    let (cfg, config) = resolved("stopped_tail", cfg);
+    let mut processes = start_chain(&cfg, &config);
+    let client = TcpTransport::connect(
+        cfg.entry_addr.as_str(),
+        LinkId::Clients,
+        cfg.digest(),
+        &cfg.connect_retry(),
+    )
+    .expect("connect to the entry");
+    let mut clients = ScriptedClients::new(&cfg);
+    let (frame, _) = conversation_frame(&mut clients, 0);
+    client.send(frame).expect("send round 0");
+    assert!(matches!(client.recv(), Ok(Frame::Batch(back)) if back.round.0 == 0));
+
+    // The tail stops, its sockets open: no hang-up reaches anyone. The
+    // next round is then owed on every link down to it.
+    let tail = processes
+        .0
+        .iter()
+        .position(|(name, _)| name == "vuvuzela server 2")
+        .expect("the tail was started");
+    // Killed and reaped on the way out, however the test ends.
+    let stopped = Spawned(vec![processes.0.remove(tail)]);
+    signal(&stopped.0[0].1, "STOP");
+    let since = Instant::now();
+    client
+        .send(conversation_frame(&mut clients, 2).0)
+        .expect("the entry is still up");
+
+    let bound = deadline + Duration::from_secs(8);
+    let mut deadlines = 0;
+    for (name, child) in &mut processes.0 {
+        let stderr = exits_naming_a_link(&cfg, name, child, since, bound);
+        deadlines += usize::from(stderr.contains("deadline passed"));
+    }
+    assert!(deadlines > 0, "some survivor names the deadline");
+    // The entry is gone, so this cannot wait.
+    let next = client.recv();
+    assert!(next.is_err(), "the client must see the failure: {next:?}");
+    signal(&stopped.0[0].1, "CONT");
+}
+
+#[test]
+fn the_nodes_records_carry_no_operator_part() {
+    // A checked launch of the smoke deployment, dialing round included:
+    // every node writes one JSON line per pass, its public part alone.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("node_records");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let launch = vuvuzela("launch", Path::new("deploy/smoke.json"))
+        .arg("--out-dir")
+        .arg(&dir)
+        .stderr(Stdio::null())
+        .output()
+        .expect("run the launch");
+    assert!(launch.status.success(), "launch: {}", launch.status);
+    let public = [
+        "backward",
+        "bytes_in",
+        "bytes_out",
+        "node",
+        "onions_in",
+        "onions_out",
+        "phase",
+        "protocol",
+        "round",
+        "seconds",
+    ];
+    let mut phases = std::collections::BTreeSet::new();
+    for file in ["entry", "server-0", "server-1", "server-2"] {
+        let path = dir.join(format!("{file}.jsonl"));
+        let record = std::fs::read_to_string(&path).expect("the node's record");
+        assert!(!record.is_empty(), "{file} wrote no record");
+        for line in record.lines() {
+            let Ok(serde_json::Value::Object(event)) = serde_json::from_str(line) else {
+                panic!("{file}: not a JSON object: {line}");
+            };
+            let keys: Vec<&str> = event.keys().map(String::as_str).collect();
+            assert_eq!(keys, public, "{file}: {line}");
+            phases.insert(event["phase"].as_str().map(str::to_string));
+        }
+    }
+    // The noising servers' forward passes and the tail's deposit drew
+    // noise, and none of it shows.
+    assert_eq!(phases.len(), 4, "{phases:?}");
+    let stdout = String::from_utf8(launch.stdout).expect("UTF-8");
+    for node in ["entry", "server 0", "server 1", "server 2"] {
+        let busy = format!("vuvuzela launch: {node} busy seconds: relay ");
+        assert!(stdout.contains(&busy), "{node}:\n{stdout}");
     }
 }
 

@@ -17,11 +17,13 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::CrashOnRound;
 use vuvuzela::core::chain::Batch;
 use vuvuzela::core::entry;
 use vuvuzela::core::pipeline::StreamingChain;
+use vuvuzela::core::record::{NodeId, Phase, Traffic};
 use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{Chain, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela::crypto::onion;
@@ -775,7 +777,11 @@ fn golden_pins(chain: &mut Chain, outcomes: &[RoundOutcome]) -> [String; 5] {
 /// bytes. The links pin was re-taken when client batches became arenas
 /// at the entry: round 0's garbage entry now crosses the clients link as
 /// a slot of the onion width, not its own 500 bytes; the other four pins
-/// did not move.
+/// did not move. The drops pin was re-taken when published noise
+/// invitations began to carry a real public key (`SealedInvitation::
+/// key_noise`): the drops hold the same invitations, drawn from the same
+/// RNG stream, but each noise invitation's first 32 bytes changed; the
+/// other four pins did not move.
 #[test]
 fn golden_pins_for_a_mixed_chain3_schedule() {
     const WANT: [&str; 5] = [
@@ -783,7 +789,7 @@ fn golden_pins_for_a_mixed_chain3_schedule() {
         "bc6cfeff53c44482ff35bd25d5fc6b07026bf34a5ff40006de52ac3fb2c870ff",
         "51b2cf1eaa9904d69c64692de72beff8a12f7776e08e374270d219705492a8c5",
         "06ef96c79f8357f8c4de20d1e5d407cb6fd594d6b90ab09eec49a4306febac03",
-        "a74b31532cc60307b38330d5267e52bf2917f1471f6c29a085cbdb7563aff77d",
+        "d5feab7edfa16c6aced0ffa032233e27f194585ff5284796bd397e9e3cdde0a6",
     ];
     let (seed, config) = (0x601D_2015, config(3, 3.0));
     let pks = Chain::new(config.clone(), seed).server_public_keys();
@@ -813,5 +819,78 @@ fn golden_pins_for_a_mixed_chain3_schedule() {
             WANT,
             "streaming at window {window}"
         );
+    }
+}
+
+/// The round record accounts for every byte the links count: for each
+/// round, link and direction of the golden mixed chain-3 schedule, what
+/// the sending node's event says it sent, and what the receiving node's
+/// event says it read, equal `Link::round_traffic` — on `Chain::run` and
+/// on `StreamingChain::run`. (The clients link's far end is the feeder,
+/// no node: the entry reads its forward frames and sends its backward
+/// ones.)
+#[test]
+fn the_round_record_reconciles_with_every_links_traffic() {
+    let (seed, config) = (0x601D_2015, config(3, 3.0));
+    let pks = Chain::new(config.clone(), seed).server_public_keys();
+    let specs = golden_specs(&pks);
+    let mut sequential = Chain::new(config.clone(), seed);
+    sequential.run(specs.clone()).expect("rounds complete");
+    let mut streaming = StreamingChain::new(config, seed);
+    streaming.run(specs.clone()).expect("schedule completes");
+
+    // Keyed by link and whether the frames went backward.
+    type Tally = HashMap<(LinkId, bool), (u64, u64)>;
+    let add = |tally: &mut Tally, key, traffic: Traffic| {
+        let entry = tally.entry(key).or_default();
+        entry.0 += traffic.onions;
+        entry.1 += traffic.bytes;
+    };
+    for (runtime, chain) in [
+        ("Chain", &sequential),
+        ("StreamingChain", streaming.chain()),
+    ] {
+        for round in specs.iter().map(RoundSpec::round) {
+            let record = chain.round_record(round);
+            assert!(!record.is_empty(), "{runtime}: round {round} has a record");
+            let (mut sent, mut read) = (Tally::new(), Tally::new());
+            for event in record {
+                let public = &event.public;
+                let (up, down) = match public.node {
+                    NodeId::Entry => (LinkId::Clients, LinkId::Hop(0)),
+                    NodeId::Hop(i) => (LinkId::Hop(i as u32), LinkId::Hop(i as u32 + 1)),
+                };
+                let to = if public.backward {
+                    (up, true)
+                } else {
+                    (down, false)
+                };
+                let backward_leg = public.phase == Phase::Backward
+                    || (public.phase == Phase::Relay && public.backward);
+                let from = if backward_leg {
+                    (down, true)
+                } else {
+                    (up, false)
+                };
+                add(&mut sent, to, public.sent);
+                add(&mut read, from, public.received);
+            }
+            for link in std::iter::once(chain.client_link()).chain(chain.links()) {
+                for direction in [Direction::Forward, Direction::Backward] {
+                    let key = (link.id(), direction == Direction::Backward);
+                    let want = link.round_traffic(round, direction);
+                    let what = format!("{runtime}: round {round} {} {direction:?}", link.id());
+                    let clients = link.id() == LinkId::Clients;
+                    if !(clients && direction == Direction::Forward) {
+                        let got = sent.get(&key).copied().unwrap_or_default();
+                        assert_eq!(got, want, "sent on {what}");
+                    }
+                    if !(clients && direction == Direction::Backward) {
+                        let got = read.get(&key).copied().unwrap_or_default();
+                        assert_eq!(got, want, "read off {what}");
+                    }
+                }
+            }
+        }
     }
 }

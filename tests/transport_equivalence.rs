@@ -10,15 +10,18 @@
 //!    thread per node standing in for the per-process roles),
 //!
 //! the last two fed by `deploy::run_client` at the entry's window of
-//! `chain_len` rounds.
+//! `chain_len` rounds. The last two also keep every node's round record,
+//! and its public part, durations aside, must be identical between them.
 //!
 //! The separate-OS-process variant of (3) is exercised by
 //! `vuvuzela launch --check` in CI's deploy-smoke job.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use vuvuzela::core::chain::build_server;
 use vuvuzela::core::node::{run_entry_node, run_server_node};
+use vuvuzela::core::record::{NodeId, Public, RoundEvent};
 use vuvuzela::core::server::RoundKind;
 use vuvuzela::crypto::onion;
 use vuvuzela::deploy::{self, DeploymentConfig, ScheduleEntry};
@@ -44,9 +47,35 @@ fn mixed() -> DeploymentConfig {
     cfg
 }
 
+/// A run's round record as comparable lines: each event's public part,
+/// duration zeroed, sorted (nodes run concurrently, so only each node's
+/// own events keep an order, and that one depends on arrival too).
+fn public_record(events: mpsc::Receiver<RoundEvent>) -> Vec<String> {
+    let mut lines: Vec<String> = events
+        .try_iter()
+        .map(|event| {
+            let public = Public {
+                duration: Duration::ZERO,
+                ..event.public
+            };
+            format!("{public:?}")
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// An observer that forwards a node's events down `tx`.
+fn recorder(tx: &mpsc::Sender<RoundEvent>) -> impl FnMut(RoundEvent) {
+    let tx = tx.clone();
+    move |event| tx.send(event).expect("the test keeps the receiver")
+}
+
 /// Mode 2: nodes over in-memory endpoints, client driven by the same
-/// `deploy::run_client` the TCP bin uses.
-fn run_memory(cfg: &DeploymentConfig) -> String {
+/// `deploy::run_client` the TCP bin uses. Returns the transcript and the
+/// round record ([`public_record`]).
+fn run_memory(cfg: &DeploymentConfig) -> (String, Vec<String>) {
+    let (tx, events) = mpsc::channel();
     let chain_len = cfg.system.chain_len;
     let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
     // For hop i, `send_ends[i]` goes to the upstream node (entry or
@@ -63,8 +92,9 @@ fn run_memory(cfg: &DeploymentConfig) -> String {
     let entry_down = send_ends.remove(0);
     let entry_clients: Arc<dyn Transport> = Arc::new(entry_client_end);
     let cfg_entry = cfg.system.clone();
+    let mut observe = recorder(&tx);
     handles.push(std::thread::spawn(move || {
-        run_entry_node(&cfg_entry, entry_clients, entry_down).expect("entry node");
+        run_entry_node(&cfg_entry, entry_clients, entry_down, &mut observe).expect("entry node");
     }));
     for position in 0..chain_len {
         let up = recv_ends.remove(0);
@@ -78,8 +108,9 @@ fn run_memory(cfg: &DeploymentConfig) -> String {
         let mut server = build_server(&cfg.system, cfg.seed, position);
         let system = cfg.system.clone();
         let seed = cfg.seed;
+        let mut observe = recorder(&tx);
         handles.push(std::thread::spawn(move || {
-            run_server_node(&mut server, &system, seed, up, down, &mut |_, _| {})
+            run_server_node(&mut server, &system, seed, up, down, &mut observe)
                 .expect("server node");
         }));
     }
@@ -88,31 +119,33 @@ fn run_memory(cfg: &DeploymentConfig) -> String {
     for handle in handles {
         handle.join().expect("node thread");
     }
-    transcript
+    (transcript, public_record(events))
 }
 
 /// Mode 3: nodes over loopback TCP with ephemeral ports, one thread per
-/// node running exactly the code the program's roles run.
-fn run_loopback_tcp(cfg: &DeploymentConfig) -> String {
+/// node running exactly the code the program's roles run. Returns the
+/// transcript and the round record ([`public_record`]).
+fn run_loopback_tcp(cfg: &DeploymentConfig) -> (String, Vec<String>) {
     let cfg = cfg.clone();
+    let (tx, events) = mpsc::channel();
     let mut handles = Vec::new();
     for position in (0..cfg.system.chain_len).rev() {
-        let cfg = cfg.clone();
+        let (cfg, mut observe) = (cfg.clone(), recorder(&tx));
         handles.push(std::thread::spawn(move || {
-            deploy::serve_server(&cfg, position).expect("server");
+            deploy::serve_server_observed(&cfg, position, &mut observe).expect("server");
         }));
     }
     {
-        let cfg = cfg.clone();
+        let (cfg, mut observe) = (cfg.clone(), recorder(&tx));
         handles.push(std::thread::spawn(move || {
-            deploy::serve_entry(&cfg).expect("entry");
+            deploy::serve_entry_observed(&cfg, &mut observe).expect("entry");
         }));
     }
     let transcript = deploy::run_client_tcp(&cfg).expect("tcp client");
     for handle in handles {
         handle.join().expect("node thread");
     }
-    transcript
+    (transcript, public_record(events))
 }
 
 #[test]
@@ -126,16 +159,29 @@ fn all_three_transports_produce_identical_transcripts() {
         reference.contains("round 0 conversation"),
         "reference transcript covers the schedule:\n{reference}"
     );
+    let (memory, memory_record) = run_memory(&cfg);
     assert_eq!(
-        run_memory(&cfg),
-        reference,
+        memory, reference,
         "in-memory transport diverged from the reference"
     );
+    let (tcp, tcp_record) = run_loopback_tcp(&cfg);
     assert_eq!(
-        run_loopback_tcp(&cfg),
-        reference,
+        tcp, reference,
         "loopback TCP transport diverged from the reference"
     );
+    assert_eq!(
+        memory_record, tcp_record,
+        "the round record's public part differs between the node loops"
+    );
+    // The entry relays each round both ways, and every server reports.
+    let rounds = cfg.schedule.len();
+    let entry = format!("node: {:?}", NodeId::Entry);
+    let relays = memory_record.iter().filter(|line| line.contains(&entry));
+    assert_eq!(relays.count(), 2 * rounds, "{memory_record:#?}");
+    for position in 0..cfg.system.chain_len {
+        let server = format!("node: {:?}", NodeId::Hop(position));
+        assert!(memory_record.iter().any(|line| line.contains(&server)));
+    }
 }
 
 #[test]
@@ -156,7 +202,7 @@ fn pipelined_tcp_matches_sequential_reference_at_every_depth() {
             "reference transcript covers the schedule:\n{reference}"
         );
         assert_eq!(
-            run_loopback_tcp(&cfg),
+            run_loopback_tcp(&cfg).0,
             reference,
             "TCP at a window of {chain_len} rounds diverged from the sequential reference"
         );
@@ -169,7 +215,7 @@ fn pipelined_memory_matches_sequential_reference() {
     deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
     let reference = deploy::run_reference(&cfg);
     assert_eq!(
-        run_memory(&cfg),
+        run_memory(&cfg).0,
         reference,
         "pipelined in-memory transport diverged from the sequential reference"
     );
@@ -230,7 +276,7 @@ fn overfill_entry(chain_len: usize, extra: usize) -> Error {
     let entry_down: Arc<dyn Transport> = Arc::new(entry_down);
     let entry = {
         let system = system.clone();
-        std::thread::spawn(move || run_entry_node(&system, entry_clients, entry_down))
+        std::thread::spawn(move || run_entry_node(&system, entry_clients, entry_down, &mut |_| {}))
     };
 
     let width = onion::wrapped_len(RoundKind::Conversation.payload_len(), chain_len) as u32;
