@@ -10,10 +10,10 @@
 //! next. Each move is one call of the hop protocol's frame handler
 //! ([`crate::node`]), the handler a deployment's server processes run
 //! in their node loops, so one schedule is one replayable interleaving
-//! of the deployment's own steps. [`crate::pipeline::StreamingChain`] is
-//! its threaded twin: the same handlers in one node loop per node, on
-//! scoped threads over in-memory links, where the OS scheduler picks the
-//! interleaving. Either way the entry is the deployment's own relay node
+//! of the deployment's own steps. [`crate::pipeline`]'s runner is its
+//! threaded twin: the same handlers in one node loop per node, on scoped
+//! threads over loopback TCP or in-memory links, where the OS scheduler
+//! picks the interleaving. Either way the entry is the deployment's own relay node
 //! and the tail keeps its dialing drops ([`MixServer::invitation_drops`]);
 //! a batch crosses a link through [`batch_through_link`], every node's
 //! passes reach one `Collector` as [`RoundEvent`]s, which completes a
@@ -387,7 +387,7 @@ fn pick(queued: &[Crossing], rng: &mut StdRng) -> Option<usize> {
 /// A full deployment: entry link, server chain, dead-drop stores, links'
 /// traffic records.
 ///
-/// Fields are `pub(crate)` so [`crate::pipeline::StreamingChain`] can
+/// Fields are `pub(crate)` so [`crate::pipeline`]'s threaded runner can
 /// drive the *same* deployment (same servers, links, seeds) through an
 /// overlapped schedule: it lends each server to a node loop and a
 /// handle on each link ([`Link`] is one) to that loop's endpoints.
@@ -467,7 +467,7 @@ impl Chain {
     /// # Errors
     ///
     /// The first failure — a node refused its frame (the entry a batch
-    /// off its round's onion width, [`crate::entry::check_client_batch`],
+    /// off its round's onion width, `entry::check_client_batch`,
     /// or a dialing round with no drops), or a tap hung a link up
     /// ([`vuvuzela_net::Tap::hangs_up`]) — ends the call, admitting nothing
     /// more, with an [`Abort`] of every round admitted and not completed.

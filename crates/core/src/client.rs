@@ -1,7 +1,7 @@
 //! One conversation slot's state (paper Algorithm 1, §3.1) and the
 //! client's errors. The client itself is
 //! [`ClientCohort`](crate::cohort::ClientCohort); every member's active
-//! slot holds one [`Conversation`].
+//! slot holds one `Conversation`.
 //!
 //! Reliability: Vuvuzela "deals with these issues through retransmission
 //! at a higher level (in the client itself)" (§3.1). The framing in

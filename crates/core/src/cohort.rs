@@ -174,7 +174,7 @@ pub struct ClientCohort {
     /// accepted or declined.
     invitations: HashMap<usize, Vec<PublicKey>>,
     /// Conversation keys entered since the last build or ingest, which
-    /// derives them ([`ClientCohort::derive_queued_keys`]).
+    /// derives them (`ClientCohort::derive_queued_keys`).
     queued: Vec<QueuedAgreement>,
     pending: HashMap<u64, PendingBatch>,
 }
@@ -544,9 +544,9 @@ impl ClientCohort {
     /// — exactly one onion per slot, real or fake, written straight into
     /// a flat [`RoundBuffer`] (stride = onion width, no per-onion
     /// allocation) in member-major slot order. First every queued
-    /// conversation key is derived ([`ClientCohort::derive_queued_keys`]).
+    /// conversation key is derived (`ClientCohort::derive_queued_keys`).
     /// Then work is split across `config.workers` threads by chunk
-    /// of consecutive senders ([`WRAP_CHUNK_SLOTS`] onions), each chunk
+    /// of consecutive senders (`WRAP_CHUNK_SLOTS` onions), each chunk
     /// in two passes: pass A walks its senders in order doing everything
     /// that draws from a sender's RNG — per slot the real payload's seal
     /// and encode (active slots) or the fake partner's secret (idle
@@ -665,7 +665,7 @@ impl ClientCohort {
     /// the wrong length is not an error: requests past its end lost
     /// their replies, and replies past the last request are ignored.
     /// Conversations entered since the round was built have their keys
-    /// derived first ([`ClientCohort::derive_queued_keys`]).
+    /// derived first (`ClientCohort::derive_queued_keys`).
     pub fn handle_conversation_replies(&mut self, round: u64, replies: &[Vec<u8>]) {
         self.derive_queued_keys();
         let Some(PendingBatch { members, keys }) = self.pending.remove(&round) else {

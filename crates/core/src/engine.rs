@@ -8,8 +8,8 @@
 //! else; CI checks it): the hop protocol of [`crate::node`], whose frame
 //! handler every runtime runs — a `vuvuzela server` process over TCP,
 //! [`crate::chain::Chain::run`]'s seeded schedule of it on the calling
-//! thread, and one scoped thread per hop of its threaded twin
-//! [`crate::pipeline::StreamingChain`] over in-memory links.
+//! thread, and one scoped thread per hop of its threaded twin in
+//! [`crate::pipeline`], over loopback TCP or in-memory links.
 //!
 //! * [`RoundEngine`] wraps one [`MixServer`] (whose `rounds` table
 //!   already holds per-round state for any number of in-flight rounds

@@ -16,7 +16,7 @@
 //! applies every hop's sequencing and handshake rules, holds each client
 //! batch to one geometry rule (the one function below), and relays each
 //! frame without reading it. Every runtime steps that node — the
-//! `vuvuzela entry` process, [`crate::pipeline::StreamingChain`] and
+//! `vuvuzela entry` process, [`crate::pipeline`]'s threaded runner and
 //! [`crate::chain::Chain::run`] — so an in-process client batch, tapped
 //! or not, meets exactly the checks a wire one does.
 //!

@@ -10,10 +10,12 @@
 //! relabelled, without reading it. [`feed_window`] is the client side
 //! that feeds the entry. The one loop runs over the framed TCP backend
 //! (the `vuvuzela server`, `entry` and `client` roles, one OS process
-//! per node) and over in-memory endpoints — which is all
-//! [`crate::pipeline::StreamingChain`] is: the entry's and the servers'
-//! loops on scoped threads, fed by the calling thread: the threaded twin
-//! of [`crate::chain::Chain::run`], which calls each node's handler
+//! per node), and on scoped threads fed by the calling thread in
+//! [`crate::pipeline`]'s one threaded runner — over loopback TCP
+//! ([`crate::pipeline::run_over_loopback`], the simulator's wire twin)
+//! or over in-memory endpoints ([`crate::pipeline::StreamingChain`]):
+//! the threaded twin of [`crate::chain::Chain::run`], which calls each
+//! node's handler
 //! itself, the entry's included, rounds in flight in the one
 //! interleaving its seeded scheduler picks — the same checks, steps and
 //! trailers, with no thread or transport. The round recipe itself lives
@@ -767,8 +769,7 @@ fn pump(
 /// every node behind it has then finished.
 ///
 /// Both drivers of the node loop feed the entry through here: the
-/// deployment client over TCP, and [`crate::pipeline::StreamingChain`]
-/// in memory.
+/// deployment client, and [`crate::pipeline`]'s threaded runner.
 ///
 /// # Errors
 ///
@@ -847,8 +848,8 @@ mod tests {
     use vuvuzela_net::link::Link;
     use vuvuzela_net::transport::{memory_pair, MemoryEndpoint};
     use vuvuzela_wire::conversation::ExchangeRequest;
-    use vuvuzela_wire::deaddrop::{DeadDropId, InvitationDropIndex};
-    use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
+    use vuvuzela_wire::deaddrop::DeadDropId;
+    use vuvuzela_wire::dialing::DialRequest;
     use vuvuzela_wire::SEALED_MESSAGE_LEN;
 
     fn tiny_config(chain_len: usize) -> SystemConfig {
@@ -885,167 +886,54 @@ mod tests {
         assert!(RoundTrailer::decode(&[9]).is_err());
     }
 
-    /// The full in-memory deployment: entry + 3 server nodes as threads
-    /// over [`memory_pair`] endpoints, fed a mixed schedule by a client
-    /// thread *pipelined* (both rounds admitted before either reply is
-    /// read), must be byte-identical to the same schedule on [`Chain::run`]
-    /// with the same seed — replies, conversation observables, dialing
-    /// counts, and the invitation drops the tail keeps.
-    #[test]
-    fn memory_nodes_match_sequential_chain() {
-        let config = tiny_config(3);
-        let seed = 21;
-        let mut rng = StdRng::seed_from_u64(77);
+    /// One end of an in-memory link that measures every batch it sends
+    /// (see the test below) and counts them in `.2`.
+    struct Measuring(MemoryEndpoint, u32, Arc<std::sync::atomic::AtomicUsize>);
 
-        // Two clients exchanging through a shared drop, plus a loner.
-        let mut chain = Chain::new(config.clone(), seed);
-        let pks = chain.server_public_keys();
-        let drop = DeadDropId([4u8; 16]);
-        let wrap_exchange = |fill: u8, rng: &mut StdRng| {
-            let request = ExchangeRequest {
-                drop,
-                sealed_message: vec![fill; SEALED_MESSAGE_LEN],
-            };
-            onion::wrap(rng, &pks, 0, &request.encode())
-        };
-        let (onion_a, _) = wrap_exchange(0xAA, &mut rng);
-        let (onion_b, _) = wrap_exchange(0xBB, &mut rng);
-        let (onion_c, _) = {
-            let request = ExchangeRequest {
-                drop: DeadDropId([5u8; 16]),
-                sealed_message: vec![0xCC; SEALED_MESSAGE_LEN],
-            };
-            onion::wrap(&mut rng, &pks, 0, &request.encode())
-        };
-        let mut conv_batch = crate::entry::round_arena(RoundKind::Conversation, 3);
-        crate::entry::multiplex(&mut conv_batch, &[vec![onion_a, onion_b, onion_c]]);
-
-        // One dial invitation into 2 drops.
-        let caller = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
-        let callee = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
-        let num_drops = 2;
-        let dial_request = DialRequest {
-            drop: InvitationDropIndex::for_recipient(&callee.public, num_drops),
-            invitation: SealedInvitation::seal(&mut rng, &caller.public, &callee.public),
-        };
-        let (dial_onion, _) = onion::wrap(&mut rng, &pks, 1, &dial_request.encode());
-        let dial_kind = RoundKind::Dialing { num_drops };
-        let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
-        crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
-
-        // Reference: both rounds as one schedule on the chain.
-        let specs = vec![
-            RoundSpec::Conversation {
-                round: 0,
-                batch: conv_batch.clone().into(),
-            },
-            RoundSpec::Dialing {
-                round: 1,
-                batch: dial_batch.clone().into(),
-                num_drops,
-            },
-        ];
-        let outcomes = chain.run(specs).expect("schedule completes");
-        let ref_replies = outcomes[0].replies().expect("a conversation round");
-        let (_, ref_conv_obs) = chain.conversation_observables()[0];
-        let (_, ref_dial_obs) = chain.dialing_observables()[0].clone();
-
-        // The same deployment as four transport-driven nodes.
-        let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
-        let (entry_down, s0_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(0))));
-        let (s0_down, s1_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(1))));
-        let (s1_down, s2_up) = memory_pair(Arc::new(Link::new(LinkId::Hop(2))));
-
-        let cfg = config.clone();
-        let entry = std::thread::spawn(move || {
-            run_entry_node(
-                &cfg,
-                Arc::new(entry_client_end),
-                Arc::new(entry_down),
-                &mut |_| {},
-            )
-            .expect("entry")
-        });
-        let downs: [Option<Arc<dyn Transport>>; 3] =
-            [Some(Arc::new(s0_down)), Some(Arc::new(s1_down)), None];
-        let ups: [Arc<dyn Transport>; 3] = [Arc::new(s0_up), Arc::new(s1_up), Arc::new(s2_up)];
-        let mut servers = Vec::new();
-        for (position, (up, down)) in ups.into_iter().zip(downs).enumerate() {
-            let mut server = build_server(&config, seed, position);
-            let cfg = config.clone();
-            servers.push(std::thread::spawn(move || {
-                let stats = run_server_node(&mut server, &cfg, seed, up, down, &mut |_| {});
-                (stats.expect("server"), server)
-            }));
+    impl Transport for Measuring {
+        fn link_id(&self) -> LinkId {
+            self.0.link_id()
         }
 
-        // Client side: feed the same two rounds' arenas as frames — both
-        // admitted before either reply is read (the window is 3).
-        let send_batch = |round: u64, kind: RoundKind, batch: RoundBuffer| {
-            let frame = frame_from_buf(LinkId::Clients, round, kind, false, batch, Vec::new());
-            client_end.send(Frame::Batch(frame)).expect("send batch");
-        };
+        fn send(&self, frame: Frame) -> Result<(), Error> {
+            if let Frame::Batch(batch) = &frame {
+                let (stride, width) = (batch.stride as usize, batch.width as usize);
+                let at = format!("round {} on {}", batch.round.0, batch.link);
+                if !batch.backward {
+                    assert!(batch.count > 0 && stride == width, "{at}");
+                    assert_eq!(batch.payload.len(), batch.count as usize * width, "{at}");
+                } else if batch.round_type == RoundType::Conversation {
+                    assert_eq!(batch.stride, self.1, "{at}");
+                    for (i, slot) in batch.payload.chunks(stride).enumerate() {
+                        assert!(slot[width..].iter().all(|&b| b == 0), "{at}: slot {i}");
+                    }
+                } else {
+                    assert_eq!(stride, 0, "{at}: a completion notice");
+                }
+                self.2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.0.send(frame)
+        }
 
-        send_batch(0, RoundKind::Conversation, conv_batch);
-        send_batch(1, dial_kind, dial_batch);
+        fn recv(&self) -> Result<Frame, Error> {
+            self.0.recv()
+        }
 
-        // Backward frames return in admission order: round 0's replies,
-        // then round 1's completion.
-        let back = match client_end.recv().expect("conversation replies") {
-            Frame::Batch(back) => back,
-            other => panic!("expected replies, got {other:?}"),
-        };
-        assert_eq!(back.round.0, 0);
-        let trailer = RoundTrailer::decode(&back.trailer).expect("trailer");
-        assert_eq!(trailer, RoundTrailer::Conversation(ref_conv_obs));
-        assert_eq!(
-            buf_from_frame(back).to_vecs(),
-            ref_replies,
-            "distributed replies must be byte-identical to the chain's"
-        );
-
-        let completion = match client_end.recv().expect("dialing completion") {
-            Frame::Batch(back) => back,
-            other => panic!("expected completion, got {other:?}"),
-        };
-        assert_eq!((completion.round.0, completion.count), (1, 0));
-        let trailer = RoundTrailer::decode(&completion.trailer).expect("trailer");
-        assert_eq!(trailer, RoundTrailer::Dialing(ref_dial_obs));
-
-        client_end.send(Frame::Bye).expect("bye");
-        // The entry answers the forward bye once every hop has finished.
-        assert!(matches!(client_end.recv(), Ok(Frame::Bye)));
-        let both = NodeStats {
-            conversation_rounds: 1,
-            dialing_rounds: 1,
-        };
-        assert_eq!(entry.join().expect("entry thread"), both);
-        let servers: Vec<_> = servers
-            .into_iter()
-            .map(|node| node.join().expect("server thread"))
-            .collect();
-        assert!(servers.iter().all(|(stats, _)| *stats == both));
-
-        // The memory tail kept round 1's drops, as the chain's tail did.
-        let (kept, drops) = servers[2].1.invitation_drops().expect("kept drops");
-        assert_eq!(kept, 1);
-        for index in (0..=num_drops + 1).map(InvitationDropIndex) {
-            let got = drops.download(index).map(<[_]>::to_vec);
-            assert_eq!(got, chain.download_drop(index), "{index:?}");
+        fn hang_up(&self) {
+            self.0.hang_up();
         }
     }
 
-    /// Every forward frame that leaves a hop is compact (`stride ==
+    /// Every forward frame that leaves a node is compact (`stride ==
     /// width`: the socket carries no dead bytes), and every backward
     /// conversation frame keeps the chain's reply reservation (`stride ==
     /// reply_stride`), which the in-place reply wraps need, with every
-    /// byte past the reply's width zero. Three server nodes run on memory
-    /// links whose far ends this thread holds; it carries every frame
-    /// from hop to hop itself and measures it.
+    /// byte past the reply's width zero — never a stale request byte such
+    /// as a peeled drop id. The node loops run on the threaded runner
+    /// over links that measure what each end sends.
     #[test]
     fn forward_frames_are_compact_and_replies_keep_their_reservation() {
-        let config = tiny_config(3);
-        let seed = 23;
+        let (config, seed) = (tiny_config(3), 23);
         let mut rng = StdRng::seed_from_u64(78);
         let mut chain = Chain::new(config.clone(), seed);
         let pks = chain.server_public_keys();
@@ -1062,125 +950,36 @@ mod tests {
             .collect();
         let mut conv_batch = crate::entry::round_arena(RoundKind::Conversation, 3);
         crate::entry::multiplex(&mut conv_batch, &[onions]);
-        let dial_kind = RoundKind::Dialing { num_drops: 2 };
+        let num_drops = 2;
         let noop = DialRequest::noop(&mut rng).encode();
         let dial_onion = onion::wrap(&mut rng, &pks, 1, &noop).0;
-        let mut dial_batch = crate::entry::round_arena(dial_kind, 3);
+        let mut dial_batch = crate::entry::round_arena(RoundKind::Dialing { num_drops }, 3);
         crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
-        let spec = RoundSpec::Conversation {
-            round: 0,
-            batch: conv_batch.clone().into(),
-        };
-        let outcomes = chain.run(vec![spec]).expect("round completes");
-        let want_replies = outcomes[0].replies().expect("a conversation round");
+        let specs = vec![
+            RoundSpec::Conversation {
+                round: 0,
+                batch: conv_batch.into(),
+            },
+            RoundSpec::Dialing {
+                round: 1,
+                batch: dial_batch.into(),
+                num_drops,
+            },
+        ];
+        let want = Chain::new(config.clone(), seed).run(specs.clone());
 
-        let (mut up_fars, mut down_fars, mut handles) = (Vec::new(), Vec::new(), Vec::new());
-        for position in 0..3u32 {
-            let (up_far, up_near) = memory_pair(Arc::new(Link::new(LinkId::Hop(position))));
-            let down_near: Option<Arc<dyn Transport>> = (position < 2).then(|| {
-                let (near, far) = memory_pair(Arc::new(Link::new(LinkId::Hop(position + 1))));
-                down_fars.push(far);
-                Arc::new(near) as Arc<dyn Transport>
-            });
-            up_fars.push(up_far);
-            let mut server = build_server(&config, seed, position as usize);
-            let cfg = config.clone();
-            handles.push(std::thread::spawn(move || {
-                run_server_node(
-                    &mut server,
-                    &cfg,
-                    seed,
-                    Arc::new(up_near),
-                    down_near,
-                    &mut |_| {},
-                )
-                .expect("server")
-            }));
-        }
-        let carry = |from: &MemoryEndpoint, to: Option<&MemoryEndpoint>| -> Frame {
-            let frame = from.recv().expect("a frame");
-            if let Some(to) = to {
-                to.send(frame.clone()).expect("carried on");
-            }
-            frame
-        };
-        let batch = |frame: Frame| match frame {
-            Frame::Batch(batch) => batch,
-            other => panic!("expected a batch, got {other:?}"),
-        };
         let reply_stride = build_server(&config, seed, 0).reply_stride() as u32;
-        // Bytes past a reply's width cross the link too: they must be
-        // zero, never a stale request byte such as a peeled drop id.
-        let assert_reservation_zeroed = |back: &BatchFrame, at: &str| {
-            let (stride, width) = (back.stride as usize, back.width as usize);
-            for (i, slot) in back.payload.chunks(stride).enumerate() {
-                assert!(
-                    slot[width..].iter().all(|&b| b == 0),
-                    "{at}: slot {i} reservation"
-                );
-            }
+        let measured = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let measuring = |link: &Link| {
+            let (up, down) = memory_pair(Arc::new(link.clone()));
+            let end = |end| Measuring(end, reply_stride, Arc::clone(&measured));
+            Ok((end(up), end(down)))
         };
-
-        for (round, kind, arena) in [
-            (0, RoundKind::Conversation, conv_batch),
-            (1, dial_kind, dial_batch),
-        ] {
-            let client = frame_from_buf(LinkId::Hop(0), round, kind, false, arena, Vec::new());
-            up_fars[0].send(Frame::Batch(client)).expect("client batch");
-            for hop in 0..2 {
-                let forward = batch(carry(&down_fars[hop], Some(&up_fars[hop + 1])));
-                assert!(forward.count > 0 && !forward.backward);
-                assert_eq!(forward.stride, forward.width, "round {round} hop {hop}");
-                assert_eq!(
-                    forward.payload.len(),
-                    (forward.count * forward.width) as usize
-                );
-            }
-            let mut back = batch(carry(&up_fars[2], Some(&down_fars[1])));
-            for hop in (0..2).rev() {
-                let stride = if kind == RoundKind::Conversation {
-                    reply_stride
-                } else {
-                    0
-                };
-                assert_eq!(back.stride, stride, "round {round} from hop {}", hop + 1);
-                if kind == RoundKind::Conversation {
-                    assert_reservation_zeroed(
-                        &back,
-                        &format!("round {round} from hop {}", hop + 1),
-                    );
-                }
-                back = batch(carry(
-                    &up_fars[hop],
-                    hop.checked_sub(1).map(|h| &down_fars[h]),
-                ));
-            }
-            if kind == RoundKind::Conversation {
-                assert_eq!(back.stride, reply_stride, "round {round} from hop 0");
-                assert_reservation_zeroed(&back, &format!("round {round} from hop 0"));
-                assert_eq!(buf_from_frame(back).to_vecs(), want_replies);
-            }
-        }
-
-        up_fars[0].send(Frame::Bye).expect("bye");
-        for hop in 0..2 {
-            assert!(matches!(
-                carry(&down_fars[hop], Some(&up_fars[hop + 1])),
-                Frame::Bye
-            ));
-        }
-        assert!(matches!(
-            carry(&up_fars[2], Some(&down_fars[1])),
-            Frame::Bye
-        ));
-        assert!(matches!(
-            carry(&up_fars[1], Some(&down_fars[0])),
-            Frame::Bye
-        ));
-        assert!(matches!(carry(&up_fars[0], None), Frame::Bye));
-        for handle in handles {
-            handle.join().expect("node thread");
-        }
+        let got = crate::pipeline::run_nodes(&mut chain, 3, specs, measuring).expect("completes");
+        assert_eq!(got[0].replies(), want.expect("completes")[0].replies());
+        // Each round forward over four links; the conversation back over
+        // four, the dialing round's notice too.
+        assert_eq!(measured.load(std::sync::atomic::Ordering::Relaxed), 16);
     }
 
     /// Runs hop 0 of a two-server chain up to the forward frame of a

@@ -12,18 +12,24 @@
 //! (§5) interleave with conversation rounds on the same chain, so the
 //! schedule is heterogeneous.
 //!
-//! [`StreamingChain`] is [`Chain::run`]'s threaded twin, kept only for
-//! the benchmark's `mixed_stream` and the golden pins: the OS scheduler
-//! picks its interleaving, so a run cannot be replayed. For one schedule
-//! the entry is a [`crate::node::run_entry_node`] and every server of
-//! the wrapped [`Chain`] a [`crate::node::run_server_node`], each on a
-//! scoped thread over [`vuvuzela_net::memory_pair`] endpoints on the
-//! chain's own links, the clients link too, and the calling thread feeds
-//! the entry through [`crate::node::feed_window`] like a deployment's
-//! client. Checks, trailers, the tail's drops, the `Bye` handshake and
-//! the hang-up on failure are the node loop's, in process as over TCP
-//! (see [`crate::node`]); every node's events cross to the feeder, and
-//! rounds complete as in [`Chain::run`] (`chain::Collector`).
+//! The node loops run on threads in one place, this module's runner:
+//! the entry is a [`crate::node::run_entry_node`] and every server of a
+//! [`Chain`] a [`crate::node::run_server_node`], each on a scoped thread
+//! over a pair of ends on each of the chain's own links, the clients
+//! link too, and the calling thread feeds the entry through
+//! [`crate::node::feed_window`] like a deployment's client. Checks,
+//! trailers, the tail's drops, the `Bye` handshake and the hang-up on
+//! failure are the node loop's (see [`crate::node`]); every node's events
+//! cross to the feeder, and rounds complete as in [`Chain::run`]
+//! (`chain::Collector`). The OS scheduler picks the interleaving, so a
+//! run cannot be replayed. Two callers pick the ends:
+//!
+//! * [`run_over_loopback`] — loopback TCP sockets
+//!   ([`vuvuzela_net::loopback_pair`]) at the entry's window: the wire
+//!   twin the simulator runs every scenario's second run on;
+//! * [`StreamingChain`] — [`vuvuzela_net::memory_pair`] endpoints at a
+//!   window of its choosing, kept only for the benchmark's
+//!   `mixed_stream` and the golden pins.
 //!
 //! Every frame carries its round id and protocol, links attribute
 //! traffic per round ([`vuvuzela_net::Link::round_traffic`]) and taps
@@ -36,11 +42,11 @@
 //! of round randomness is a pure function of `(seed, round)` (see
 //! [`crate::server`]), per-round replies, observables, dialing drops and
 //! per-round link traffic are byte-identical to [`Chain::run`] over the
-//! same [`RoundSpec`] sequence, which the streaming-equivalence tests and
-//! golden pins assert.
+//! same [`RoundSpec`] sequence, which the streaming-equivalence tests,
+//! the golden pins and the simulator's wire twin assert.
 //!
 //! A node that stops hangs up both its links and the failure cascades to
-//! the feeder; [`StreamingChain::run`] joins every node, then returns an
+//! the feeder; the runner joins every node, then returns an
 //! [`Abort`] naming the rounds that died (see
 //! [`Chain::abort_in_flight_rounds`] for what is left). A link a tap
 //! hangs up ([`vuvuzela_net::Tap::hangs_up`]) fails its sender's `send`,
@@ -55,8 +61,7 @@ use crate::node::{feed_window, run_entry_node, run_server_node};
 use crate::server::RoundKind;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
-use vuvuzela_crypto::x25519::PublicKey;
-use vuvuzela_net::{memory_pair, Error, Transport};
+use vuvuzela_net::{loopback_pair, memory_pair, Error, Link, Transport};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
 use vuvuzela_wire::dialing::SealedInvitation;
 
@@ -111,35 +116,16 @@ impl StreamingChain {
         &mut self.chain
     }
 
-    /// The chain's public keys, in onion-wrapping order.
-    #[must_use]
-    pub fn server_public_keys(&self) -> Vec<PublicKey> {
-        self.chain.server_public_keys()
-    }
-
-    /// The deployment configuration.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        self.chain.config()
-    }
-
     /// Downloads one invitation drop from the most recent dialing
     /// round (see [`Chain::download_drop`]).
     pub fn download_drop(&self, index: InvitationDropIndex) -> Option<Vec<SealedInvitation>> {
         self.chain.download_drop(index)
     }
 
-    /// Recovers from an aborted schedule: discards every server's
-    /// in-flight round state so the next schedule starts clean (see
-    /// [`Chain::abort_in_flight_rounds`] for the full abort semantics).
-    /// Returns the number of `(server, round)` states dropped.
-    pub fn abort_in_flight_rounds(&mut self) -> usize {
-        self.chain.abort_in_flight_rounds()
-    }
-
     /// The scheduler: runs a heterogeneous sequence of conversation and
-    /// dialing rounds through the entry's and the servers' node loops,
-    /// fed under the weighted window (see the module docs), and returns
+    /// dialing rounds through the entry's and the servers' node loops
+    /// over in-memory links, fed under the weighted window (see the
+    /// module docs), and returns
     /// per-round [`RoundOutcome`]s in input order, each byte-identical to the
     /// sequential [`Chain::run`] over the same sequence.
     ///
@@ -154,7 +140,7 @@ impl StreamingChain {
     /// under a batch ([`vuvuzela_net::Tap::hangs_up`]). Its `rounds` are
     /// those admitted but not completed. Every node thread has exited when
     /// it is returned; the deployment recovers with
-    /// [`StreamingChain::abort_in_flight_rounds`].
+    /// [`Chain::abort_in_flight_rounds`].
     ///
     /// # Panics
     ///
@@ -163,112 +149,8 @@ impl StreamingChain {
     /// node thread's panic propagates with its own payload once every node
     /// has exited, never hanging the schedule.
     pub fn run(&mut self, specs: Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort> {
-        let schedule: Vec<(u64, RoundKind, usize)> = specs
-            .iter()
-            .map(|spec| (spec.round(), spec.kind(), spec.batch_len()))
-            .collect();
-        assert!(
-            schedule.windows(2).all(|pair| pair[0].0 < pair[1].0),
-            "round ids must strictly increase within a schedule (duplicate round ids, or a \
-             step back)"
-        );
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let window = self.max_in_flight;
-        let Chain {
-            config,
-            servers,
-            links,
-            client_link,
-            seed,
-            log,
-        } = &mut self.chain;
-        let (config, seed) = (&*config, *seed);
-
-        // One in-memory link per link of the chain over its own `Link`
-        // (traffic record, tap): far end upstream's, near end the
-        // downstream node's.
-        let (feeder, clients) = memory_pair(Arc::new(client_link.clone()));
-        let (mut fars, nears): (Vec<_>, Vec<_>) = links
-            .iter()
-            .map(|link| memory_pair(Arc::new(link.clone())))
-            .unzip();
-        let entry_down = fars.remove(0);
-        let downs = fars.into_iter().map(Some).chain([None]);
-
-        // What the nodes report ([`crate::node::HopObserver`]) crosses to
-        // the feeder's collector, which drains it as rounds come home.
-        let (report, reports) = mpsc::channel();
-        // Nobody listens once the feeder has failed.
-        let observer = |report: mpsc::Sender<_>| move |event| drop(report.send(event));
-        let mut collector = Collector::new(log);
-        let mut outcomes = Vec::with_capacity(specs.len());
-        let mut admitted = Vec::new();
-        let mut specs = specs.into_iter();
-        let mut failures: Vec<Error> = Vec::new();
-        let mut panicked = None;
-
-        std::thread::scope(|s| {
-            let mut observe = observer(report.clone());
-            let entry = s.spawn(move || {
-                let (clients, down) = (Arc::new(clients), Arc::new(entry_down));
-                run_entry_node(config, clients, down, &mut observe)
-            });
-            let servers = servers.iter_mut().zip(nears.into_iter().zip(downs));
-            let nodes: Vec<_> = std::iter::once(entry)
-                .chain(servers.map(|(server, (up, down))| {
-                    let mut observe = observer(report.clone());
-                    s.spawn(move || {
-                        let up: Arc<dyn Transport> = Arc::new(up);
-                        let down = down.map(|down| Arc::new(down) as Arc<dyn Transport>);
-                        run_server_node(server, config, seed, up, down, &mut observe)
-                    })
-                }))
-                .collect();
-
-            // This thread is the entry's client side. Its end is dropped
-            // — hung up — however this block is left, a tap panicking
-            // under `send` included, so the nodes always finish.
-            let feeder = feeder;
-            let fed = feed_window(
-                config,
-                &feeder,
-                window,
-                &schedule,
-                |_| {
-                    let spec = specs.next().expect("one spec a round");
-                    let (round, _, Batch::Flat(buf)) = spec.into_parts();
-                    admitted.push(round);
-                    (buf, Instant::now())
-                },
-                |fed: Instant, back, trailer| {
-                    for event in reports.try_iter() {
-                        collector.observe(event);
-                    }
-                    outcomes.push(collector.complete(back, trailer, fed));
-                },
-            );
-            drop(feeder);
-            failures.extend(fed.err());
-            for node in nodes {
-                match node.join() {
-                    Ok(Ok(_stats)) => {}
-                    Ok(Err(err)) => failures.push(err),
-                    Err(payload) => panicked = Some(payload),
-                }
-            }
-        });
-
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-        if failures.is_empty() {
-            return Ok(outcomes);
-        }
-        // Rounds complete in admission order.
-        let unfinished = admitted.split_off(outcomes.len());
-        Err(Abort::new(failures, unfinished))
+        let memory = |link: &Link| Ok(memory_pair(Arc::new(link.clone())));
+        run_nodes(&mut self.chain, self.max_in_flight, specs, memory)
     }
 
     /// [`StreamingChain::run`], panicking on its [`Abort`]. It exists only
@@ -280,6 +162,154 @@ impl StreamingChain {
     pub fn run_mixed_schedule(&mut self, specs: Vec<RoundSpec>) -> Vec<RoundOutcome> {
         self.run(specs).unwrap_or_else(|abort| panic!("{abort}"))
     }
+}
+
+/// [`Chain::run`] over the wire: the entry's and the servers' node
+/// loops on scoped threads, every link of `chain` — the clients link
+/// too — one loopback TCP socket ([`vuvuzela_net::loopback_pair`]) whose
+/// ends send each batch through the chain's own [`Link`], fed at the
+/// entry's window of `chain_len` rounds. Outcomes, the chain's logs and
+/// its round record come out as [`Chain::run`]'s over the same specs:
+/// every round's bytes are a function of `(seed, round)` alone, so only
+/// *when* frames move differs, and the OS scheduler picks that.
+///
+/// # Errors
+///
+/// As [`StreamingChain::run`], and an [`Abort`] of no rounds when a
+/// loopback socket cannot be set up.
+///
+/// # Panics
+///
+/// As [`StreamingChain::run`].
+pub fn run_over_loopback(
+    chain: &mut Chain,
+    specs: Vec<RoundSpec>,
+) -> Result<Vec<RoundOutcome>, Abort> {
+    let window = chain.config.chain_len;
+    run_nodes(chain, window, specs, loopback_pair)
+}
+
+/// The threaded runner both [`StreamingChain::run`] and
+/// [`run_over_loopback`] are: `pair` makes both ends of each of the
+/// chain's links (upstream end first), the entry and every server of
+/// `chain` run their node loops on scoped threads over them, and the
+/// calling thread feeds the entry through [`feed_window`] at `window`
+/// weighted slots, completing rounds as they come home.
+pub(crate) fn run_nodes<E: Transport>(
+    chain: &mut Chain,
+    window: usize,
+    specs: Vec<RoundSpec>,
+    mut pair: impl FnMut(&Link) -> Result<(E, E), Error>,
+) -> Result<Vec<RoundOutcome>, Abort> {
+    let schedule: Vec<(u64, RoundKind, usize)> = specs
+        .iter()
+        .map(|spec| (spec.round(), spec.kind(), spec.batch_len()))
+        .collect();
+    assert!(
+        schedule.windows(2).all(|pair| pair[0].0 < pair[1].0),
+        "round ids must strictly increase within a schedule (duplicate round ids, or a \
+         step back)"
+    );
+    if specs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let Chain {
+        config,
+        servers,
+        links,
+        client_link,
+        seed,
+        log,
+    } = chain;
+    let (config, seed) = (&*config, *seed);
+
+    // One pair of ends per link of the chain over its own `Link` (traffic
+    // record, tap): the upstream end the upstream node's, the other the
+    // downstream node's.
+    let ends = std::iter::once(&*client_link)
+        .chain(links.iter())
+        .map(&mut pair)
+        .collect::<Result<Vec<_>, _>>();
+    let mut ends = ends
+        .map_err(|err| Abort::new(vec![err], Vec::new()))?
+        .into_iter();
+    let (feeder, clients) = ends.next().expect("the clients link");
+    let (mut fars, nears): (Vec<_>, Vec<_>) = ends.unzip();
+    let entry_down = fars.remove(0);
+    let downs = fars.into_iter().map(Some).chain([None]);
+
+    // What the nodes report ([`crate::node::HopObserver`]) crosses to
+    // the feeder's collector, which drains it as rounds come home.
+    let (report, reports) = mpsc::channel();
+    // Nobody listens once the feeder has failed.
+    let observer = |report: mpsc::Sender<_>| move |event| drop(report.send(event));
+    let mut collector = Collector::new(log);
+    let mut outcomes = Vec::with_capacity(specs.len());
+    let mut admitted = Vec::new();
+    let mut specs = specs.into_iter();
+    let mut failures: Vec<Error> = Vec::new();
+    let mut panicked = None;
+
+    std::thread::scope(|s| {
+        let mut observe = observer(report.clone());
+        let entry = s.spawn(move || {
+            let (clients, down) = (Arc::new(clients), Arc::new(entry_down));
+            run_entry_node(config, clients, down, &mut observe)
+        });
+        let servers = servers.iter_mut().zip(nears.into_iter().zip(downs));
+        let nodes: Vec<_> = std::iter::once(entry)
+            .chain(servers.map(|(server, (up, down))| {
+                let mut observe = observer(report.clone());
+                s.spawn(move || {
+                    let up: Arc<dyn Transport> = Arc::new(up);
+                    let down = down.map(|down| Arc::new(down) as Arc<dyn Transport>);
+                    run_server_node(server, config, seed, up, down, &mut observe)
+                })
+            }))
+            .collect();
+
+        // This thread is the entry's client side. Its end is dropped
+        // — hung up — however this block is left, a tap panicking
+        // under `send` included, so the nodes always finish.
+        let feeder = feeder;
+        let fed = feed_window(
+            config,
+            &feeder,
+            window,
+            &schedule,
+            |_| {
+                let spec = specs.next().expect("one spec a round");
+                let (round, _, Batch::Flat(buf)) = spec.into_parts();
+                admitted.push(round);
+                (buf, Instant::now())
+            },
+            |fed: Instant, back, trailer| {
+                for event in reports.try_iter() {
+                    collector.observe(event);
+                }
+                outcomes.push(collector.complete(back, trailer, fed));
+            },
+        );
+        drop(feeder);
+        failures.extend(fed.err());
+        for node in nodes {
+            match node.join() {
+                Ok(Ok(_stats)) => {}
+                Ok(Err(err)) => failures.push(err),
+                Err(payload) => panicked = Some(payload),
+            }
+        }
+    });
+
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
+    if failures.is_empty() {
+        return Ok(outcomes);
+    }
+    // Rounds complete in admission order.
+    let unfinished = admitted.split_off(outcomes.len());
+    Err(Abort::new(failures, unfinished))
 }
 
 #[cfg(test)]
@@ -379,7 +409,7 @@ mod tests {
         let seed = 11;
         let mut streaming = StreamingChain::new(tiny_config(3), seed);
         let mut sequential = Chain::new(tiny_config(3), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         assert_eq!(pks, sequential.server_public_keys());
 
         let mut rng = StdRng::seed_from_u64(5);
@@ -421,7 +451,7 @@ mod tests {
         let seed = 23;
         let mut streaming = StreamingChain::new(tiny_config(2), seed);
         let mut sequential = Chain::new(tiny_config(2), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         let mut rng = StdRng::seed_from_u64(7);
 
         let caller = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
@@ -463,7 +493,7 @@ mod tests {
         let seed = 41;
         let mut streaming = StreamingChain::new(tiny_config(3), seed).with_max_in_flight(3);
         let mut sequential = Chain::new(tiny_config(3), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         let mut rng = StdRng::seed_from_u64(13);
         let num_drops = 2;
 
@@ -564,7 +594,7 @@ mod tests {
         let seed = 51;
         let mut streaming = StreamingChain::new(config.clone(), seed).with_max_in_flight(2);
         let mut sequential = Chain::new(config.clone(), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         let mut rng = StdRng::seed_from_u64(3);
         let specs = vec![
             conversation(0, client_batch(&pks, 0, 2, &mut rng)),
@@ -618,7 +648,7 @@ mod tests {
         }
 
         let mut streaming = StreamingChain::new(tiny_config(3), 3);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         streaming
             .chain_mut()
             .link_mut(1)
@@ -653,7 +683,7 @@ mod tests {
         }
 
         let mut streaming = StreamingChain::new(tiny_config(3), 17).with_max_in_flight(3);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         streaming
             .chain_mut()
             .link_mut(0)
@@ -698,7 +728,7 @@ mod tests {
 
         let chain_len = 2;
         let mut streaming = StreamingChain::new(tiny_config(chain_len), 53);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         streaming
             .chain_mut()
             .link_mut(0)
@@ -741,7 +771,7 @@ mod tests {
         let seed = 31;
         let mut streaming = StreamingChain::new(tiny_config(1), seed);
         let mut sequential = Chain::new(tiny_config(1), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         let mut rng = StdRng::seed_from_u64(9);
         let specs: Vec<RoundSpec> = (0..2u64)
             .map(|round| conversation(round, client_batch(&pks, round, 2, &mut rng)))
@@ -760,7 +790,7 @@ mod tests {
         let seed = 61;
         let mut streaming = StreamingChain::new(tiny_config(1), seed);
         let mut sequential = Chain::new(tiny_config(1), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         let mut rng = StdRng::seed_from_u64(19);
         let specs = vec![
             conversation(0, client_batch(&pks, 0, 2, &mut rng)),

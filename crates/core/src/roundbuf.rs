@@ -16,13 +16,13 @@
 //! * `stride` is the slot size. On the forward path it equals `width`
 //!   from hop to hop: a client batch is built at the onion width, a
 //!   server peels every slot in place (shrinking `width` by
-//!   [`onion::LAYER_OVERHEAD`]) and then closes the gaps the peel left
+//!   [`vuvuzela_crypto::onion::LAYER_OVERHEAD`]) and then closes the gaps the peel left
 //!   ([`RoundBuffer::compact`]), so the batch it sends on holds no dead
 //!   bytes. On the backward path it is fixed by the tail: response +
 //!   whole-chain reply overhead, the reservation every hop's in-place
 //!   reply wrap needs.
 //! * `width` is the current logical message size, uniform across slots.
-//!   Wrapping a reply layer grows it by [`onion::REPLY_LAYER_OVERHEAD`]
+//!   Wrapping a reply layer grows it by [`vuvuzela_crypto::onion::REPLY_LAYER_OVERHEAD`]
 //!   into the reserved headroom.
 //! * the mix permutation is applied by [`RoundBuffer::permute`] — an
 //!   in-place cycle walk with one `stride`-sized scratch slot — instead

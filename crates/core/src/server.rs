@@ -15,7 +15,7 @@
 //!
 //! The production data path ([`MixServer::forward_buf`] /
 //! [`MixServer::backward_buf`]) runs on the flat
-//! [`RoundBuffer`](crate::roundbuf::RoundBuffer) arena: layers are peeled
+//! [`RoundBuffer`] arena: layers are peeled
 //! and replies wrapped **in place** (the peel batches its field
 //! inversions across each worker chunk of onions), the shuffle is
 //! applied by index remapping instead of cloning payloads, and the
@@ -33,7 +33,7 @@
 //! permutation, substitute requests for malformed input, reply filler —
 //! is drawn from a **per-round RNG** derived as a pure function of the
 //! server's seed and the round number, and carried in that round's
-//! [`RoundState`]. No server-resident RNG is consumed across rounds, so
+//! `RoundState`. No server-resident RNG is consumed across rounds, so
 //! the bytes a round produces are independent of *when* it is processed
 //! relative to other rounds. This is the invariant that lets the
 //! streaming scheduler ([`crate::pipeline`]) hold several rounds in

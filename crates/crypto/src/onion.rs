@@ -363,8 +363,8 @@ fn seal_layers(
 /// A server key with no table (a twist point, which honest servers
 /// never publish) takes the scalar ladder for its DH on both arms.
 /// Either way the inversions resolve in shared groups of
-/// [`crate::edwards`]'s resolver width, and HKDF, the degenerate-secret
-/// check and the in-place seal are [`seal_layers`]. The choice is CPU
+/// the `edwards` module's resolver width, and HKDF, the degenerate-secret
+/// check and the in-place seal are `seal_layers`. The choice is CPU
 /// detection alone, made inside `x25519::x25519_comb_pending`.
 ///
 /// Layer keys are written to `keys_out` when given (slot-major,
@@ -521,7 +521,7 @@ pub fn peel(
 ///   [`peel`] otherwise;
 /// * on both arms each ladder's final field inversion is deferred and
 ///   batched across the whole chunk (Montgomery's trick, sub-batched at
-///   [`crate::edwards`]'s resolver width): `n` slots pay one
+///   the `edwards` module's resolver width): `n` slots pay one
 ///   `Fe::invert` (~250 squarings) plus `3(n−1)` multiplications
 ///   instead of `n` inversions.
 ///

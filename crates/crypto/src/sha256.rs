@@ -23,7 +23,7 @@
 //!
 //! One block: *calling* a `#[target_feature]` function from code
 //! compiled without the feature, in `compress_on`. It is made checkable
-//! the way [`crate::fe8`]'s `Ifma` does it: `ShaNi` is a zero-sized
+//! the way `fe8`'s `Ifma` does it: `ShaNi` is a zero-sized
 //! token whose only constructor is the CPUID check, so code holding one
 //! may enter the kernel. The kernel itself is safe Rust over value
 //! intrinsics; no pointer is dereferenced.

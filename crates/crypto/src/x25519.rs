@@ -176,7 +176,7 @@ fn clamp(mut k: [u8; 32]) -> [u8; 32] {
 
 /// Fixed-base X25519: computes `X25519(scalar, 9)` (public-key
 /// derivation / ephemeral keygen) via the precomputed Edwards comb table
-/// in [`crate::edwards`] — ~3× fewer field multiplications than running
+/// in the `edwards` module — ~3× fewer field multiplications than running
 /// the general [`x25519`] ladder against the base point. Bit-identical
 /// results to `x25519(scalar, &BASE_POINT)`.
 #[must_use]
@@ -301,7 +301,7 @@ fn resolved_in_groups(n: usize, fill: impl Fn(usize, &mut [PendingU])) -> Vec<[u
 
 /// Batched keygen, bit-identical to [`x25519_base`] element-wise: the
 /// eight-wide comb on AVX-512 IFMA CPUs, the scalar one elsewhere
-/// ([`x25519_comb_pending`]), [`MAX_RESOLVE_BATCH`] keys to an
+/// (`x25519_comb_pending`), `MAX_RESOLVE_BATCH` keys to an
 /// inversion on both.
 #[must_use]
 pub fn x25519_base_batch(scalars: &[[u8; 32]]) -> Vec<[u8; 32]> {
@@ -333,8 +333,8 @@ pub fn ladder_backend() -> &'static str {
 /// Batched X25519: computes `X25519(scalars[i], us[i])` for parallel
 /// slices of scalars and u-coordinates — eight Montgomery ladders in
 /// lockstep on AVX-512 IFMA CPUs, the scalar ladder elsewhere
-/// ([`x25519_ladder_pending`]) — sharing the final field inversions
-/// across sub-batches of [`MAX_RESOLVE_BATCH`] via Montgomery's trick
+/// (`x25519_ladder_pending`) — sharing the final field inversions
+/// across sub-batches of `MAX_RESOLVE_BATCH` via Montgomery's trick
 /// on both. Bit-identical to calling [`x25519`] element-wise —
 /// low-order inputs yield the all-zero output in their lane without
 /// disturbing the rest of the batch.

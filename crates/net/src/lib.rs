@@ -33,6 +33,6 @@ pub use demux::{Demux, DemuxEvent};
 pub use error::Error;
 pub use link::{batch_through_link, Direction, Link, Slots, Tap, TapContext};
 pub use parallel::WorkerPool;
-pub use tcp::{RetryPolicy, TcpTransport};
+pub use tcp::{loopback_pair, RetryPolicy, TcpTransport};
 pub use transport::{memory_pair, MemoryEndpoint, Transport};
 pub use vuvuzela_wire::LinkId;

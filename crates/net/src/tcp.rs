@@ -46,8 +46,18 @@
 //! see a timeout set after it: the wait for a frame's first byte is
 //! therefore cut into reads of at most the deadline, each re-checking
 //! what is owed.
+//!
+//! ## In process
+//!
+//! [`loopback_pair`] makes both ends of one link over a loopback socket
+//! in the calling process, each carrying a handle on the link's [`Link`]:
+//! every batch either end sends crosses [`batch_through_link`] first, as
+//! over the in-memory backend, so the link's traffic record and tap see
+//! what goes onto the socket, and a tap that hangs the link up shuts the
+//! socket down.
 
 use crate::error::Error;
+use crate::link::{batch_through_link, Link};
 use crate::transport::Transport;
 use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -199,6 +209,9 @@ pub struct TcpTransport {
     /// answered yet; `None` on the end that accepted, which is owed
     /// nothing.
     owed: Option<Mutex<Owed>>,
+    /// The link every batch sent crosses first, on an in-process pair
+    /// ([`loopback_pair`]); `None` between processes.
+    through: Option<Link>,
 }
 
 /// Frames an initiator is owed, and since when it has waited for the
@@ -334,6 +347,7 @@ impl TcpTransport {
             socket: stream,
             deadline,
             owed: initiator.then(|| Mutex::new(owed)),
+            through: None,
         };
         Ok(transport.with_deadline(deadline))
     }
@@ -396,7 +410,15 @@ impl Transport for TcpTransport {
         self.link
     }
 
-    fn send(&self, frame: Frame) -> Result<(), Error> {
+    fn send(&self, mut frame: Frame) -> Result<(), Error> {
+        if let (Some(link), Frame::Batch(batch)) = (&self.through, &mut frame) {
+            // A tap that hangs the link up is the peer dying under the
+            // batch: the socket goes down, as a dead process's would.
+            if let Err(err) = batch_through_link(link, batch) {
+                self.hang_up();
+                return Err(err);
+            }
+        }
         if let Some(owed) = &self.owed {
             // Counted before the write, so an answer cannot come first.
             let mut owed = owed.lock();
@@ -430,9 +452,43 @@ impl Transport for TcpTransport {
     }
 }
 
+/// Both ends of `link` over one loopback socket in this process: binds
+/// an ephemeral port, connects (the first end, upstream, is the
+/// initiator, as in a deployment) and accepts. No [`Hello`] is
+/// exchanged — nothing in one process can be mis-wired — and each end
+/// sends every batch through `link` first (see the module docs). Each
+/// end's deadline is the default policy's.
+///
+/// # Errors
+///
+/// Bind, connect or accept failures, attributed to the link.
+pub fn loopback_pair(link: &Link) -> Result<(TcpTransport, TcpTransport), Error> {
+    let id = link.id();
+    let io = |op| {
+        move |source| Error::Io {
+            link: id,
+            op,
+            source,
+        }
+    };
+    let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io("bind"))?;
+    let addr = listener.local_addr().map_err(io("bind"))?;
+    // The kernel completes the connection into the listener's backlog.
+    let upstream = TcpStream::connect(addr).map_err(io("connect"))?;
+    let (downstream, _) = listener.accept().map_err(io("accept"))?;
+    let deadline = RetryPolicy::default().deadline;
+    let end = |stream, initiator| -> Result<TcpTransport, Error> {
+        let mut end = TcpTransport::wrap(stream, id, deadline, initiator)?;
+        end.through = Some(link.clone());
+        Ok(end)
+    };
+    Ok((end(upstream, true)?, end(downstream, false)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{Direction, Slots, Tap, TapContext};
     use std::io::Cursor;
     use vuvuzela_wire::{BatchFrame, FrameError, RoundId, RoundType};
 
@@ -683,5 +739,52 @@ mod tests {
             Err(other) => panic!("expected handshake failure, got {other}"),
             Ok(_) => panic!("handshake unexpectedly succeeded"),
         }
+    }
+
+    /// A tap that keeps a batch's first entry, and hangs the link up
+    /// under round 7.
+    struct FirstOnlyThenHangUp;
+    impl Tap for FirstOnlyThenHangUp {
+        fn intercept(&mut self, _ctx: &TapContext, batch: &mut Slots<'_>) {
+            batch.retain(|i| i == 0);
+        }
+
+        fn hangs_up(&mut self, ctx: &TapContext) -> bool {
+            ctx.round == 7
+        }
+    }
+
+    #[test]
+    fn a_loopback_pair_records_and_taps_every_batch_before_the_socket() {
+        let mut link = Link::new(LinkId::Hop(1));
+        link.attach_tap(std::sync::Arc::new(Mutex::new(FirstOnlyThenHangUp)));
+        let (up, down) = loopback_pair(&link).expect("loopback pair");
+        let batch = |round, count: u32| {
+            Frame::Batch(BatchFrame {
+                link: LinkId::Hop(1),
+                round: RoundId(round),
+                round_type: RoundType::Conversation,
+                num_drops: 0,
+                backward: false,
+                stride: 4,
+                width: 4,
+                count,
+                payload: (0..count as u8 * 4).collect(),
+                trailer: Vec::new(),
+            })
+        };
+
+        up.send(batch(3, 3)).expect("send");
+        let Ok(Frame::Batch(got)) = down.recv() else {
+            panic!("expected the batch");
+        };
+        // The record holds what was sent, the socket what the tap left.
+        assert_eq!(link.round_traffic(3, Direction::Forward), (3, 12));
+        assert_eq!((got.count, &got.payload[..]), (1, &[0u8, 1, 2, 3][..]));
+
+        // A tap that hangs up fails the send and ends the peer's stream.
+        let sent = up.send(batch(7, 2));
+        assert!(matches!(sent, Err(Error::Disconnected { link }) if link == LinkId::Hop(1)));
+        assert!(matches!(down.recv(), Err(Error::Disconnected { .. })));
     }
 }

@@ -12,16 +12,20 @@
 //!   of CPU). Default is [`vuvuzela_sim::Scale::Smoke`], the reduced
 //!   matrix CI runs.
 //!
-//! Every scenario is executed **twice in-process** and the two
-//! transcripts are asserted byte-identical before anything is written —
-//! the same-seed determinism contract. CI additionally runs the whole
-//! binary twice and diffs the output directories, pinning stability
-//! across processes.
+//! Every scenario runs twice: in process ([`vuvuzela_sim::run_scenario`],
+//! `Chain::run`'s seeded schedule) and over the wire
+//! ([`vuvuzela_sim::run_scenario_over_wire`]: the node loops on threads
+//! over loopback TCP, the taps on the sockets' links). The wire twin's
+//! transcript must be byte-identical, and every completed round's public
+//! record equal ([`vuvuzela_sim::SimReport::twin_mismatch`]), before
+//! anything is written. The in-process run is what is written; CI runs
+//! the whole binary twice and diffs the output directories, pinning its
+//! determinism across processes.
 //!
-//! Exit status is non-zero if any invariant fails or any transcript is
-//! unstable.
+//! Exit status is non-zero if any invariant fails or a wire twin
+//! differs.
 
-use vuvuzela_sim::{bundled_matrix, run_scenario};
+use vuvuzela_sim::{bundled_matrix, run_scenario, run_scenario_over_wire};
 
 fn main() {
     let (scale, out_dir) = vuvuzela_sim::bin_args("sim_matrix", "sim_results/matrix");
@@ -38,9 +42,9 @@ fn main() {
                 continue;
             }
         };
-        let second = run_scenario(&scenario).expect("second run of a passing scenario");
-        if first.transcript.render() != second.transcript.render() {
-            eprintln!("[sim-matrix] {name}: NON-DETERMINISTIC TRANSCRIPT");
+        let wire = run_scenario_over_wire(&scenario).expect("the wire twin of a passing scenario");
+        if let Some(what) = first.twin_mismatch(&wire) {
+            eprintln!("[sim-matrix] {name}: THE WIRE TWIN'S {what} DIFFERS");
             failed = true;
             continue;
         }

@@ -15,14 +15,18 @@
 //! Every case runs in tolerant mode: tampered rounds degrade instead
 //! of wedging, and the tripped invariants are graded against the
 //! case's survive/trip annotation ([`vuvuzela_sim::soak::
-//! expected_trips`]). Each case is executed **twice in-process** and
-//! the two transcripts asserted byte-identical — tampering must not
-//! break the determinism contract.
+//! expected_trips`]). Each case runs twice: in process and over the
+//! wire ([`vuvuzela_sim::run_soak_case_over_wire`]: the node loops on
+//! threads over loopback TCP, the tampering tap on the socket's link).
+//! The wire twin must trip exactly the invariants the in-process run
+//! trips, and render the same transcript with the same public round
+//! record ([`vuvuzela_sim::SimReport::twin_mismatch`]). The in-process
+//! run is what is written.
 //!
 //! Exit status is non-zero if any case trips an undeclared invariant,
-//! survives a declared one, or renders an unstable transcript.
+//! survives a declared one, or its wire twin differs.
 
-use vuvuzela_sim::{run_soak_case, soak_matrix};
+use vuvuzela_sim::{run_soak_case, run_soak_case_over_wire, soak_matrix};
 
 fn main() {
     let (scale, out_dir) = vuvuzela_sim::bin_args("sim_soak", "sim_results/soak");
@@ -32,9 +36,10 @@ fn main() {
     for case in soak_matrix(scale) {
         let outcome = run_soak_case(&case);
         let name = &outcome.name;
-        let twin = run_soak_case(&case);
-        if outcome.report.transcript.render() != twin.report.transcript.render() {
-            eprintln!("[sim-soak] {name}: NON-DETERMINISTIC TRANSCRIPT");
+        let wire = run_soak_case_over_wire(&case);
+        let trips = (wire.tripped != outcome.tripped).then_some("tripped set");
+        if let Some(what) = trips.or_else(|| outcome.report.twin_mismatch(&wire.report)) {
+            eprintln!("[sim-soak] {name}: THE WIRE TWIN'S {what} DIFFERS");
             failed = true;
             continue;
         }

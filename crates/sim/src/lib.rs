@@ -70,6 +70,22 @@
 //! The transcript hash ([`transcript::Transcript::sha256_hex`]) is what
 //! CI pins across two runs of the bundled scenario matrix.
 //!
+//! ## The wire twin
+//!
+//! The same contract makes the transcript independent of the runtime.
+//! [`simulator::Simulator::over_wire`] carries every schedule through
+//! the deployment's node loops instead — the entry and each server on a
+//! thread of its own, every link (the clients link too) a loopback TCP
+//! socket whose ends send each batch through the chain's own link, so
+//! taps, faults and the traffic record sit on the sockets
+//! ([`vuvuzela_core::pipeline::run_over_loopback`]). Everything else the
+//! simulator reads stays on the same `Chain`. `sim_matrix`, `sim_soak`
+//! and the scenario tests run every scenario a second time that way
+//! ([`run_scenario_over_wire`], [`soak::run_soak_case_over_wire`]) and
+//! require a byte-identical transcript, the same tripped invariants and
+//! an equal public round record for every completed round
+//! ([`simulator::SimReport::twin_mismatch`]).
+//!
 //! ## Round-abort semantics
 //!
 //! A schedule whose run returns a [`vuvuzela_core::Abort`] mid-flight
@@ -190,8 +206,10 @@ pub use attack::{
     AttackVerdict, ATTACK_ALPHA,
 };
 pub use scenario::{bundled_matrix, LedgerNoise, RoundPlan, Scale, Scenario, Step};
-pub use simulator::{run_scenario, SimError, SimReport, Simulator};
-pub use soak::{run_soak_case, soak_matrix, AdversaryStrategy, SoakCase, SoakOutcome};
+pub use simulator::{run_scenario, run_scenario_over_wire, SimError, SimReport, Simulator};
+pub use soak::{
+    run_soak_case, run_soak_case_over_wire, soak_matrix, AdversaryStrategy, SoakCase, SoakOutcome,
+};
 pub use transcript::Transcript;
 
 /// The command line of the `sim_matrix`, `sim_soak` and `sim_attack`

@@ -3,7 +3,9 @@
 //! bulk population — emitting the canonical transcript and checking
 //! every invariant per round. Each `Run` step is one [`Chain::run`]
 //! call: a window of rounds in flight on the calling thread, in the
-//! one interleaving the chain seed picks.
+//! one interleaving the chain seed picks — or, in the wire twin
+//! ([`Simulator::over_wire`]), one schedule through the node loops over
+//! loopback TCP.
 //!
 //! See the crate docs for the script format, the determinism contract
 //! and the round-abort semantics. Script *misuse* (dialing with no free
@@ -29,7 +31,8 @@ use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
 use vuvuzela_core::chain::{Abort, Batch, Chain, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
-use vuvuzela_core::record::{NodeId, Operator};
+use vuvuzela_core::pipeline::run_over_loopback;
+use vuvuzela_core::record::{NodeId, Operator, Public};
 use vuvuzela_core::RoundBuffer;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
@@ -111,7 +114,32 @@ pub struct SimReport {
     /// `view` and the transcript: the attack harness hands an attacker
     /// the draws of the servers it owns.
     pub noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
+    /// Every completed round's record, public parts only, each pass's
+    /// duration zeroed and the passes sorted by node, phase and
+    /// direction: what the two runtimes must agree on, wall time aside
+    /// ([`SimReport::twin_mismatch`]).
+    pub record: BTreeMap<u64, Vec<Public>>,
 }
+
+impl SimReport {
+    /// What differs between this report and `twin`'s, the same scenario
+    /// run over the other runtime ([`Simulator::over_wire`]): the
+    /// transcript, or else the public round record of some completed
+    /// round; `None` when both agree byte for byte.
+    #[must_use]
+    pub fn twin_mismatch(&self, twin: &SimReport) -> Option<&'static str> {
+        if self.transcript.render() != twin.transcript.render() {
+            Some("transcript")
+        } else if self.record != twin.record {
+            Some("round record")
+        } else {
+            None
+        }
+    }
+}
+
+/// What carries a schedule: [`Chain::run`] or [`run_over_loopback`].
+type Runner = fn(&mut Chain, Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort>;
 
 /// What the simulator tracks about a scripted client beside its
 /// membership of the scripted cohort.
@@ -167,6 +195,7 @@ impl RoundMeta {
 pub struct Simulator {
     scenario: Scenario,
     chain: Chain,
+    runner: Runner,
     config: SystemConfig,
     /// The scripted clients, addressed by the per-client steps. Their
     /// round randomness is keyed by the scenario seed, their keys come
@@ -186,6 +215,7 @@ pub struct Simulator {
     transcript: Transcript,
     view: AdversaryView,
     noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
+    record: BTreeMap<u64, Vec<Public>>,
     /// Chain links a [`Step::Observe`] marked, in script order.
     observed: Vec<usize>,
     pending_crash: Option<(usize, u64)>,
@@ -273,6 +303,7 @@ impl Simulator {
         Simulator {
             rng: StdRng::seed_from_u64(scenario.seed.wrapping_add(0x51u64)),
             chain,
+            runner: Chain::run,
             config,
             clients,
             scripted: Vec::new(),
@@ -286,6 +317,7 @@ impl Simulator {
                 budget: ledger.total_spent(),
             },
             noise_draws: BTreeMap::new(),
+            record: BTreeMap::new(),
             ledger,
             transcript,
             observed: Vec::new(),
@@ -299,6 +331,17 @@ impl Simulator {
             soak: NoiseSoakStats::default(),
             scenario,
         }
+    }
+
+    /// This simulator with every later schedule carried over the wire
+    /// ([`run_over_loopback`]): the deployment's node loops on threads
+    /// over loopback TCP, where [`Chain::run`] steps them in one seeded
+    /// interleaving on the calling thread. Taps, observables, the round
+    /// record and the abort recovery stay on the same [`Chain`].
+    #[must_use]
+    pub fn over_wire(mut self) -> Simulator {
+        self.runner = run_over_loopback;
+        self
     }
 
     /// Executes every step of the scenario, failing fast.
@@ -373,6 +416,7 @@ impl Simulator {
             transcript: self.transcript,
             view: self.view,
             noise_draws: self.noise_draws,
+            record: self.record,
         }
     }
 
@@ -758,7 +802,7 @@ impl Simulator {
         self.transcript
             .push(format!("schedule rounds [{}]", plan_line.join(",")));
 
-        match self.chain.run(specs) {
+        match (self.runner)(&mut self.chain, specs) {
             Ok(outcomes) => self.process_completed(&metas, outcomes, crash_link),
             Err(abort) => self.process_abort(&metas, crash_link, &abort),
         }
@@ -901,6 +945,17 @@ impl Simulator {
                 }
             }
             self.rounds_completed += 1;
+            let mut passes: Vec<Public> = self
+                .chain
+                .round_record(meta.round())
+                .iter()
+                .map(|event| Public {
+                    duration: std::time::Duration::ZERO,
+                    ..event.public
+                })
+                .collect();
+            passes.sort_by_key(|public| (public.node, public.phase, public.backward));
+            self.record.insert(meta.round(), passes);
         }
 
         // Invitation scans: only the schedule's last dialing round's
@@ -1307,4 +1362,14 @@ struct ScheduleShape {
 /// See [`Simulator::run`].
 pub fn run_scenario(scenario: &Scenario) -> Result<SimReport, SimError> {
     Simulator::new(scenario.clone()).run()
+}
+
+/// [`run_scenario`] over the wire ([`Simulator::over_wire`]): the
+/// determinism twin of an in-process run.
+///
+/// # Errors
+///
+/// As [`run_scenario`].
+pub fn run_scenario_over_wire(scenario: &Scenario) -> Result<SimReport, SimError> {
+    Simulator::new(scenario.clone()).over_wire().run()
 }

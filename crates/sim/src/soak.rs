@@ -196,7 +196,17 @@ pub fn soak_case(base: Scenario, strategy: AdversaryStrategy) -> SoakCase {
 /// wedge — and grades the tripped invariants against the annotation.
 #[must_use]
 pub fn run_soak_case(case: &SoakCase) -> SoakOutcome {
-    let mut sim = Simulator::new(case.scenario.clone());
+    grade(case, Simulator::new(case.scenario.clone()))
+}
+
+/// [`run_soak_case`] over the wire ([`Simulator::over_wire`]): the
+/// tampering taps sit on the loopback sockets' links.
+#[must_use]
+pub fn run_soak_case_over_wire(case: &SoakCase) -> SoakOutcome {
+    grade(case, Simulator::new(case.scenario.clone()).over_wire())
+}
+
+fn grade(case: &SoakCase, mut sim: Simulator) -> SoakOutcome {
     if let Some(tap) = case.strategy.build_tap() {
         sim.chain_mut().link_mut(ADVERSARY_LINK).attach_tap(tap);
     }

@@ -1,15 +1,19 @@
 //! The bundled scenario matrix as integration tests: every scenario
 //! runs on `Chain`'s seeded windowed schedule on the calling thread with
-//! the invariant checker live, and every transcript must be
-//! byte-identical across two runs of the same seed (the determinism
+//! the invariant checker live, and again over the wire (the node loops
+//! on threads over loopback TCP), whose transcript and public round
+//! record must be byte-identical to the first run's (the determinism
 //! contract).
 
 use vuvuzela_adversary::RoundView;
 use vuvuzela_sim::transcript::hex;
-use vuvuzela_sim::{bundled_matrix, run_scenario, RoundPlan, Scale, Scenario, SimReport, Step};
+use vuvuzela_sim::{
+    bundled_matrix, run_scenario, run_scenario_over_wire, RoundPlan, Scale, Scenario, SimReport,
+    Step,
+};
 
-/// Runs a bundled scenario twice, asserting invariant success and a
-/// byte-identical transcript, and returns the first report.
+/// Runs a bundled scenario in process and over the wire, asserting
+/// invariant success and identical twins, and returns the first report.
 fn run_deterministic(name: &str) -> SimReport {
     let scenario = bundled_matrix(Scale::Smoke)
         .into_iter()
@@ -17,13 +21,13 @@ fn run_deterministic(name: &str) -> SimReport {
         .unwrap_or_else(|| panic!("no bundled scenario named {name}"));
     let first =
         run_scenario(&scenario).unwrap_or_else(|err| panic!("{name}: invariant failure: {err}"));
-    let second = run_scenario(&scenario).expect("second run of a passing scenario");
+    let wire = run_scenario_over_wire(&scenario).expect("the wire twin of a passing scenario");
     assert_eq!(
-        first.transcript.render(),
-        second.transcript.render(),
-        "{name}: same seed must give a byte-identical transcript"
+        first.twin_mismatch(&wire),
+        None,
+        "{name}: the wire twin differs"
     );
-    assert_eq!(first.hash, second.hash);
+    assert!(!first.record.is_empty() && first.hash == wire.hash);
     first
 }
 
@@ -398,9 +402,9 @@ fn soak_cases_match_their_annotations() {
 #[test]
 fn soak_runs_are_deterministic_under_tampering() {
     // Tampering (including violation lines) must not break the
-    // byte-identical transcript contract.
+    // byte-identical transcript contract, whichever runtime carries it.
     use vuvuzela_sim::soak::soak_case;
-    use vuvuzela_sim::{run_soak_case, AdversaryStrategy};
+    use vuvuzela_sim::{run_soak_case, run_soak_case_over_wire, AdversaryStrategy};
 
     let base = bundled_matrix(Scale::Smoke)
         .into_iter()
@@ -408,13 +412,43 @@ fn soak_runs_are_deterministic_under_tampering() {
         .expect("bundled scenario");
     let case = soak_case(base, AdversaryStrategy::Inject);
     let a = run_soak_case(&case);
-    let b = run_soak_case(&case);
+    let b = run_soak_case_over_wire(&case);
     assert_eq!(
-        a.report.transcript.render(),
-        b.report.transcript.render(),
+        a.report.twin_mismatch(&b.report),
+        None,
         "tampered transcript is timing-dependent"
     );
-    assert_eq!(a.report.hash, b.report.hash);
+    assert_eq!((a.report.hash, a.tripped), (b.report.hash, b.tripped));
+}
+
+#[test]
+fn the_wire_twin_taps_its_sockets_on_the_node_threads() {
+    // `Chain::run` runs every tap on the calling thread; the wire twin
+    // runs each where its sending node loop runs, one thread per node.
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+    use std::thread::{self, ThreadId};
+    use vuvuzela_net::{Slots, Tap, TapContext};
+    use vuvuzela_sim::Simulator;
+
+    struct Threads(Vec<ThreadId>);
+    impl Tap for Threads {
+        fn intercept(&mut self, _ctx: &TapContext, _batch: &mut Slots<'_>) {
+            self.0.push(thread::current().id());
+        }
+    }
+    let mut sim = Simulator::new(Scenario::new("wire_threads", 7)).over_wire();
+    let threads = Arc::new(Mutex::new(Threads(Vec::new())));
+    sim.chain_mut().link_mut(1).attach_tap(threads.clone());
+    sim.step(Step::Join(2)).expect("join");
+    sim.step(Step::Run(vec![RoundPlan::Conversation, RoundPlan::Dialing]))
+        .expect("two rounds");
+    let seen = &threads.lock().0;
+    // Both rounds forward by server 0, the conversation back by server 1.
+    assert_eq!(seen.len(), 3, "{seen:?}");
+    assert!(!seen.contains(&thread::current().id()));
+    let senders: std::collections::HashSet<_> = seen.iter().collect();
+    assert_eq!(senders.len(), 2, "{seen:?}");
 }
 
 #[test]
@@ -443,7 +477,7 @@ fn population_step_is_deterministic_and_invariant_checked() {
         RoundPlan::Dialing,
     ]));
     let a = run_scenario(&s).expect("population scenario passes invariants");
-    let b = run_scenario(&s).expect("second run");
+    let b = run_scenario_over_wire(&s).expect("the wire twin");
     assert_eq!(
         a.transcript.render(),
         b.transcript.render(),

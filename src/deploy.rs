@@ -31,6 +31,7 @@ use vuvuzela_core::config::{expect_object, get_u64, reject_unknown, require};
 use vuvuzela_core::node::{
     feed_window, run_entry_node, run_server_node, HopObserver, NodeStats, RoundTrailer,
 };
+use vuvuzela_core::record::NodeId;
 use vuvuzela_core::server::RoundKind;
 use vuvuzela_core::{ClientCohort, RoundBuffer, SystemConfig};
 use vuvuzela_crypto::sha256::{sha256, Sha256};
@@ -514,6 +515,26 @@ pub fn run_client(cfg: &DeploymentConfig, entry: &dyn Transport) -> Result<Strin
     })
 }
 
+/// Binds the listener `node` serves on: the entry's client address, or
+/// server *i*'s upstream one. Binding before serving lets a caller that
+/// starts several nodes in one process hold every port before any peer
+/// connects.
+///
+/// # Errors
+///
+/// The bind failure, attributed to the link the listener serves.
+pub fn listen(cfg: &DeploymentConfig, node: NodeId) -> Result<TcpListener, Error> {
+    let (addr, link) = match node {
+        NodeId::Entry => (&cfg.entry_addr, LinkId::Clients),
+        NodeId::Hop(position) => (&cfg.server_addrs[position], LinkId::Hop(position as u32)),
+    };
+    TcpListener::bind(addr.as_str()).map_err(|source| Error::Io {
+        link,
+        op: "bind",
+        source,
+    })
+}
+
 /// Runs mix server `position` over TCP: bind the upstream listener,
 /// connect downstream (retrying while peers start up), accept the
 /// upstream peer, then hand the connections to the node runtime.
@@ -523,27 +544,24 @@ pub fn run_client(cfg: &DeploymentConfig, entry: &dyn Transport) -> Result<Strin
 /// Bind/connect/handshake failures and any protocol violation from
 /// [`run_server_node`].
 pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats, Error> {
-    serve_server_observed(cfg, position, &mut |_| {})
+    let listener = listen(cfg, NodeId::Hop(position))?;
+    serve_server_observed(cfg, position, listener, &mut |_| {})
 }
 
-/// [`serve_server`], handing `observer` the node's round record.
+/// [`serve_server`] on an upstream `listener` already bound
+/// ([`listen`]), handing `observer` the node's round record.
 ///
 /// # Errors
 ///
-/// As [`serve_server`].
+/// As [`serve_server`], binding aside.
 pub fn serve_server_observed(
     cfg: &DeploymentConfig,
     position: usize,
+    listener: TcpListener,
     observer: &mut HopObserver<'_>,
 ) -> Result<NodeStats, Error> {
     let digest = cfg.digest();
     let retry = cfg.connect_retry();
-    let upstream_link = LinkId::Hop(position as u32);
-    let listener = TcpListener::bind(&cfg.server_addrs[position]).map_err(|source| Error::Io {
-        link: upstream_link,
-        op: "bind",
-        source,
-    })?;
     let downstream: Option<Arc<dyn Transport>> = if position + 1 < cfg.system.chain_len {
         Some(Arc::new(TcpTransport::connect(
             cfg.server_addrs[position + 1].as_str(),
@@ -554,7 +572,7 @@ pub fn serve_server_observed(
     } else {
         None
     };
-    let upstream = TcpTransport::accept(&listener, upstream_link, digest)?;
+    let upstream = TcpTransport::accept(&listener, LinkId::Hop(position as u32), digest)?;
     let upstream: Arc<dyn Transport> = Arc::new(upstream.with_deadline(retry.deadline));
     let mut server = build_server(&cfg.system, cfg.seed, position);
     run_server_node(
@@ -579,25 +597,23 @@ pub fn serve_server_observed(
 /// Bind/connect/handshake failures and any protocol violation from
 /// [`run_entry_node`].
 pub fn serve_entry(cfg: &DeploymentConfig) -> Result<NodeStats, Error> {
-    serve_entry_observed(cfg, &mut |_| {})
+    let listener = listen(cfg, NodeId::Entry)?;
+    serve_entry_observed(cfg, listener, &mut |_| {})
 }
 
-/// [`serve_entry`], handing `observer` the entry's round record.
+/// [`serve_entry`] on a client `listener` already bound ([`listen`]),
+/// handing `observer` the entry's round record.
 ///
 /// # Errors
 ///
-/// As [`serve_entry`].
+/// As [`serve_entry`], binding aside.
 pub fn serve_entry_observed(
     cfg: &DeploymentConfig,
+    listener: TcpListener,
     observer: &mut HopObserver<'_>,
 ) -> Result<NodeStats, Error> {
     let digest = cfg.digest();
     let retry = cfg.connect_retry();
-    let listener = TcpListener::bind(&cfg.entry_addr).map_err(|source| Error::Io {
-        link: LinkId::Clients,
-        op: "bind",
-        source,
-    })?;
     let downstream: Arc<dyn Transport> = Arc::new(TcpTransport::connect(
         cfg.server_addrs[0].as_str(),
         LinkId::Hop(0),
@@ -638,7 +654,9 @@ pub fn run_client_tcp(cfg: &DeploymentConfig) -> Result<String, Error> {
 /// an ephemeral port in that window (a concurrently starting
 /// deployment, say) may be given one of them; that node then fails to
 /// bind — or its peer connects to the stranger. Deployments that must
-/// not lose that race name their ports.
+/// not lose that race name their ports; a caller that starts every node
+/// in one process closes it by binding each node's listener ([`listen`])
+/// before it starts any node.
 ///
 /// # Errors
 ///

@@ -133,9 +133,13 @@ fn run(args: &Args) -> Result<(), String> {
                     unwritten = writeln!(stdout, "{}", event.public.to_json_line()).err();
                 }
             };
+            let node = args.position.map_or(NodeId::Entry, NodeId::Hop);
+            let listener = deploy::listen(&cfg, node).map_err(|err| err.to_string())?;
             let served = match args.position {
-                Some(position) => deploy::serve_server_observed(&cfg, position, &mut record),
-                None => deploy::serve_entry_observed(&cfg, &mut record),
+                Some(position) => {
+                    deploy::serve_server_observed(&cfg, position, listener, &mut record)
+                }
+                None => deploy::serve_entry_observed(&cfg, listener, &mut record),
             };
             served.map_err(|err| err.to_string())?;
             if let Some(err) = unwritten {

@@ -55,7 +55,7 @@ proptest! {
         let mut sequential = Chain::new(config.clone(), seed);
         let mut streaming = StreamingChain::new(config, seed);
         let pks = sequential.server_public_keys();
-        prop_assert_eq!(&pks, &streaming.server_public_keys());
+        prop_assert_eq!(&pks, &streaming.chain().server_public_keys());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD04_C011);
 
         // Two pairs: (0 ↔ 1) and (2 ↔ 3).

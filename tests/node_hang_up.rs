@@ -10,7 +10,6 @@
 //! alive, so no peer ever saw a disconnect. The separate-OS-process
 //! variant (a killed server) is `tests/process_death.rs`.
 
-use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +20,7 @@ use vuvuzela::crypto::onion;
 use vuvuzela::deploy;
 use vuvuzela::net::link::Link;
 use vuvuzela::net::transport::memory_pair;
-use vuvuzela::net::{Error, LinkId, RetryPolicy, TcpTransport, Transport};
+use vuvuzela::net::{loopback_pair, Error, LinkId, Transport};
 use vuvuzela::wire::{BatchFrame, Frame, RoundId, RoundType, EXCHANGE_REQUEST_LEN};
 
 /// How long every surviving node gets to notice and return. Nothing on
@@ -39,15 +38,9 @@ fn memory_ends(i: u32) -> Ends {
     (Arc::new(far), Arc::new(near))
 }
 
-/// The same over one loopback TCP connection, handshake done.
+/// The same over one loopback TCP connection.
 fn tcp_ends(i: u32) -> Ends {
-    let link = LinkId::Hop(i);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let acceptor = std::thread::spawn(move || TcpTransport::accept(&listener, link, [0; 32]));
-    let policy = RetryPolicy::with_deadline(Duration::from_secs(10));
-    let far = TcpTransport::connect(addr, link, [0; 32], &policy).expect("connect");
-    let near = acceptor.join().expect("acceptor").expect("accept");
+    let (far, near) = loopback_pair(&Link::new(LinkId::Hop(i))).expect("loopback pair");
     (Arc::new(far), Arc::new(near))
 }
 

@@ -104,7 +104,7 @@ proptest! {
     ) {
         let mut streaming = StreamingChain::new(config(chain_len, f64::from(mu)), seed);
         let mut sequential = Chain::new(config(chain_len, f64::from(mu)), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
         prop_assert_eq!(&pks, &sequential.server_public_keys());
 
         let schedule = client_rounds(&pks, rounds, clients, seed);
@@ -160,7 +160,7 @@ proptest! {
         let num_drops = 2u32;
         let mut streaming = StreamingChain::new(config(chain_len, 2.0), seed);
         let mut sequential = Chain::new(config(chain_len, 2.0), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A1);
         let kind = RoundKind::Dialing { num_drops };
@@ -303,7 +303,7 @@ fn assert_mixed_equivalent(
     );
 
     // No round state leaks once the schedule drains.
-    for i in 0..streaming.config().chain_len {
+    for i in 0..streaming.chain().config().chain_len {
         prop_assert_eq!(streaming.chain().server(i).in_flight_rounds(), 0);
     }
     Ok(())
@@ -326,7 +326,7 @@ proptest! {
         let num_drops = 2u32;
         let mut streaming = StreamingChain::new(config(chain_len, 2.0), seed);
         let mut sequential = Chain::new(config(chain_len, 2.0), seed);
-        let pks = streaming.server_public_keys();
+        let pks = streaming.chain().server_public_keys();
 
         let specs = mixed_specs(&pks, &pattern, clients, num_drops, seed);
         let (outcomes, expected) = run_both(&mut streaming, &mut sequential, specs);
@@ -344,7 +344,7 @@ fn mixed_schedule_adjacent_and_separated_dialing() {
     let num_drops = 2u32;
     let mut streaming = StreamingChain::new(config(3, 3.0), seed).with_max_in_flight(3);
     let mut sequential = Chain::new(config(3, 3.0), seed);
-    let pks = streaming.server_public_keys();
+    let pks = streaming.chain().server_public_keys();
     let mut rng = StdRng::seed_from_u64(99);
 
     let caller = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
@@ -415,7 +415,7 @@ fn panicking_stage_mid_mixed_schedule_aborts() {
 
     let seed = 404;
     let mut streaming = StreamingChain::new(config(3, 2.0), seed).with_max_in_flight(3);
-    let pks = streaming.server_public_keys();
+    let pks = streaming.chain().server_public_keys();
     streaming
         .chain_mut()
         .link_mut(1)
@@ -565,7 +565,7 @@ fn crashed_link_aborts_both_runtimes_and_they_recover() {
             abort.rounds.iter().all(|&round| round < 6),
             "{link}: {abort}"
         );
-        streaming.abort_in_flight_rounds();
+        streaming.chain_mut().abort_in_flight_rounds();
         let outcomes = streaming.run(recovery.clone()).expect("recovers");
         assert_recovered(streaming.chain(), &outcomes, &fresh, &want, 6);
     }
@@ -595,7 +595,7 @@ fn tapped_link_sees_identical_per_round_batches() {
     let seed = 77;
     let mut streaming = StreamingChain::new(config(3, 2.0), seed);
     let mut sequential = Chain::new(config(3, 2.0), seed);
-    let pks = streaming.server_public_keys();
+    let pks = streaming.chain().server_public_keys();
 
     let stream_tap = Arc::new(Mutex::new(RoundKeyedTap::default()));
     let seq_tap = Arc::new(Mutex::new(RoundKeyedTap::default()));

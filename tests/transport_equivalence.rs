@@ -1,27 +1,20 @@
 //! Transport-equivalence pins: the same scripted deployment schedule
-//! must produce **byte-identical transcripts** across all three
-//! execution modes —
+//! must produce **byte-identical transcripts** over loopback TCP (one
+//! thread per node, running exactly the code the program's roles run,
+//! fed by `deploy::run_client` at the entry's window of `chain_len`
+//! rounds) and in the in-process [`vuvuzela::core::Chain`], one round at
+//! a time (`deploy::run_reference`).
 //!
-//! 1. the in-process [`vuvuzela::core::Chain`], one round at a time
-//!    (`deploy::run_reference`),
-//! 2. transport-driven nodes over in-memory endpoints
-//!    ([`vuvuzela::net::memory_pair`]),
-//! 3. transport-driven nodes over loopback TCP (ephemeral ports, one
-//!    thread per node standing in for the per-process roles),
-//!
-//! the last two fed by `deploy::run_client` at the entry's window of
-//! `chain_len` rounds. The last two also keep every node's round record,
-//! and its public part, durations aside, must be identical between them.
-//!
-//! The separate-OS-process variant of (3) is exercised by
+//! In-memory node loops are `StreamingChain`'s, pinned by the golden
+//! schedules; the simulator's wire twin holds every scenario's round
+//! record equal between `Chain::run` and the node loops over loopback
+//! TCP. The separate-OS-process variant is exercised by
 //! `vuvuzela launch --check` in CI's deploy-smoke job.
 
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
-use vuvuzela::core::chain::build_server;
-use vuvuzela::core::node::{run_entry_node, run_server_node};
-use vuvuzela::core::record::{NodeId, Public, RoundEvent};
+use vuvuzela::core::node::run_entry_node;
+use vuvuzela::core::record::{NodeId, RoundEvent};
 use vuvuzela::core::server::RoundKind;
 use vuvuzela::crypto::onion;
 use vuvuzela::deploy::{self, DeploymentConfig, ScheduleEntry};
@@ -47,111 +40,46 @@ fn mixed() -> DeploymentConfig {
     cfg
 }
 
-/// A run's round record as comparable lines: each event's public part,
-/// duration zeroed, sorted (nodes run concurrently, so only each node's
-/// own events keep an order, and that one depends on arrival too).
-fn public_record(events: mpsc::Receiver<RoundEvent>) -> Vec<String> {
-    let mut lines: Vec<String> = events
-        .try_iter()
-        .map(|event| {
-            let public = Public {
-                duration: Duration::ZERO,
-                ..event.public
-            };
-            format!("{public:?}")
+/// Nodes over loopback TCP, one thread per node running exactly the code
+/// the program's roles run, every listener bound before any node starts.
+/// Returns the transcript and every node's round record.
+fn run_loopback_tcp(cfg: &DeploymentConfig) -> (String, Vec<RoundEvent>) {
+    let (tx, events) = mpsc::channel();
+    let nodes = (0..cfg.system.chain_len).rev().map(NodeId::Hop);
+    let listeners: Vec<_> = (nodes.chain([NodeId::Entry]))
+        .map(|node| {
+            (
+                node,
+                deploy::listen(cfg, node).expect("a free loopback port"),
+            )
         })
         .collect();
-    lines.sort();
-    lines
-}
-
-/// An observer that forwards a node's events down `tx`.
-fn recorder(tx: &mpsc::Sender<RoundEvent>) -> impl FnMut(RoundEvent) {
-    let tx = tx.clone();
-    move |event| tx.send(event).expect("the test keeps the receiver")
-}
-
-/// Mode 2: nodes over in-memory endpoints, client driven by the same
-/// `deploy::run_client` the TCP bin uses. Returns the transcript and the
-/// round record ([`public_record`]).
-fn run_memory(cfg: &DeploymentConfig) -> (String, Vec<String>) {
-    let (tx, events) = mpsc::channel();
-    let chain_len = cfg.system.chain_len;
-    let (client_end, entry_client_end) = memory_pair(Arc::new(Link::new(LinkId::Clients)));
-    // For hop i, `send_ends[i]` goes to the upstream node (entry or
-    // server i-1) and `recv_ends[i]` to server i.
-    let mut send_ends: Vec<Arc<dyn Transport>> = Vec::new();
-    let mut recv_ends: Vec<Arc<dyn Transport>> = Vec::new();
-    for i in 0..chain_len {
-        let (a, b) = memory_pair(Arc::new(Link::new(LinkId::Hop(i as u32))));
-        send_ends.push(Arc::new(a));
-        recv_ends.push(Arc::new(b));
-    }
-
-    let mut handles = Vec::new();
-    let entry_down = send_ends.remove(0);
-    let entry_clients: Arc<dyn Transport> = Arc::new(entry_client_end);
-    let cfg_entry = cfg.system.clone();
-    let mut observe = recorder(&tx);
-    handles.push(std::thread::spawn(move || {
-        run_entry_node(&cfg_entry, entry_clients, entry_down, &mut observe).expect("entry node");
-    }));
-    for position in 0..chain_len {
-        let up = recv_ends.remove(0);
-        // After removing the entry's end, `send_ends[0]` is hop
-        // `position + 1`'s sending side.
-        let down = if position + 1 < chain_len {
-            Some(send_ends.remove(0))
-        } else {
-            None
-        };
-        let mut server = build_server(&cfg.system, cfg.seed, position);
-        let system = cfg.system.clone();
-        let seed = cfg.seed;
-        let mut observe = recorder(&tx);
-        handles.push(std::thread::spawn(move || {
-            run_server_node(&mut server, &system, seed, up, down, &mut observe)
-                .expect("server node");
-        }));
-    }
-
-    let transcript = deploy::run_client(cfg, &client_end).expect("memory client");
+    let handles: Vec<_> = (listeners.into_iter())
+        .map(|(node, listener)| {
+            let (cfg, tx) = (cfg.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let mut observe = |event| tx.send(event).expect("the test keeps the receiver");
+                match node {
+                    NodeId::Hop(i) => {
+                        deploy::serve_server_observed(&cfg, i, listener, &mut observe)
+                    }
+                    NodeId::Entry => deploy::serve_entry_observed(&cfg, listener, &mut observe),
+                }
+                .expect("node")
+            })
+        })
+        .collect();
+    let transcript = deploy::run_client_tcp(cfg).expect("tcp client");
     for handle in handles {
         handle.join().expect("node thread");
     }
-    (transcript, public_record(events))
-}
-
-/// Mode 3: nodes over loopback TCP with ephemeral ports, one thread per
-/// node running exactly the code the program's roles run. Returns the
-/// transcript and the round record ([`public_record`]).
-fn run_loopback_tcp(cfg: &DeploymentConfig) -> (String, Vec<String>) {
-    let cfg = cfg.clone();
-    let (tx, events) = mpsc::channel();
-    let mut handles = Vec::new();
-    for position in (0..cfg.system.chain_len).rev() {
-        let (cfg, mut observe) = (cfg.clone(), recorder(&tx));
-        handles.push(std::thread::spawn(move || {
-            deploy::serve_server_observed(&cfg, position, &mut observe).expect("server");
-        }));
-    }
-    {
-        let (cfg, mut observe) = (cfg.clone(), recorder(&tx));
-        handles.push(std::thread::spawn(move || {
-            deploy::serve_entry_observed(&cfg, &mut observe).expect("entry");
-        }));
-    }
-    let transcript = deploy::run_client_tcp(&cfg).expect("tcp client");
-    for handle in handles {
-        handle.join().expect("node thread");
-    }
-    (transcript, public_record(events))
+    (transcript, events.try_iter().collect())
 }
 
 #[test]
-fn all_three_transports_produce_identical_transcripts() {
-    // Resolve `:0` ports once so all three modes share one concrete
-    // config (the digest in the transcript header covers addresses).
+fn loopback_tcp_matches_the_reference_transcript() {
+    // Resolve `:0` ports once so both runs share one concrete config
+    // (the digest in the transcript header covers addresses).
     let mut cfg = smoke();
     deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
     let reference = deploy::run_reference(&cfg);
@@ -159,29 +87,15 @@ fn all_three_transports_produce_identical_transcripts() {
         reference.contains("round 0 conversation"),
         "reference transcript covers the schedule:\n{reference}"
     );
-    let (memory, memory_record) = run_memory(&cfg);
-    assert_eq!(
-        memory, reference,
-        "in-memory transport diverged from the reference"
-    );
-    let (tcp, tcp_record) = run_loopback_tcp(&cfg);
+    let (tcp, record) = run_loopback_tcp(&cfg);
     assert_eq!(
         tcp, reference,
         "loopback TCP transport diverged from the reference"
     );
-    assert_eq!(
-        memory_record, tcp_record,
-        "the round record's public part differs between the node loops"
-    );
     // The entry relays each round both ways, and every server reports.
-    let rounds = cfg.schedule.len();
-    let entry = format!("node: {:?}", NodeId::Entry);
-    let relays = memory_record.iter().filter(|line| line.contains(&entry));
-    assert_eq!(relays.count(), 2 * rounds, "{memory_record:#?}");
-    for position in 0..cfg.system.chain_len {
-        let server = format!("node: {:?}", NodeId::Hop(position));
-        assert!(memory_record.iter().any(|line| line.contains(&server)));
-    }
+    let passes = |node| record.iter().filter(|e| e.public.node == node).count();
+    assert_eq!(passes(NodeId::Entry), 2 * cfg.schedule.len(), "{record:#?}");
+    assert!((0..cfg.system.chain_len).all(|i| passes(NodeId::Hop(i)) > 0));
 }
 
 #[test]
@@ -207,18 +121,6 @@ fn pipelined_tcp_matches_sequential_reference_at_every_depth() {
             "TCP at a window of {chain_len} rounds diverged from the sequential reference"
         );
     }
-}
-
-#[test]
-fn pipelined_memory_matches_sequential_reference() {
-    let mut cfg = mixed();
-    deploy::resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
-    let reference = deploy::run_reference(&cfg);
-    assert_eq!(
-        run_memory(&cfg).0,
-        reference,
-        "pipelined in-memory transport diverged from the sequential reference"
-    );
 }
 
 #[test]
