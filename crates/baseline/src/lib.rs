@@ -8,8 +8,8 @@
 //!
 //! * **private but unscalable** — Dissent/Riposte-style systems built on
 //!   broadcast, with per-round cost superlinear in users. [`broadcast`]
-//!   implements that strawman; the scaling benches show its O(n²) total
-//!   bytes against Vuvuzela's O(n).
+//!   gives that strawman's per-round bytes in closed form; the scaling
+//!   table shows its O(n²) total bytes against Vuvuzela's O(n).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,28 +16,9 @@
 //! priced: `bench_round_pipeline` gates its forward pass against it,
 //! and the figures extrapolate with it.
 
-use std::iter::Sum;
+use vuvuzela_core::record::KernelOps;
 
 use crate::peelstage::Probe;
-
-/// The X25519 kernel work of (part of) a round.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct KernelOps {
-    /// Onions peeled: one variable-base DH each.
-    pub peels: f64,
-    /// Onion layers wrapped: one fixed-base keygen and one DH against a
-    /// server's precomputed table each.
-    pub layers: f64,
-}
-
-impl Sum for KernelOps {
-    fn sum<I: Iterator<Item = KernelOps>>(iter: I) -> KernelOps {
-        iter.fold(KernelOps::default(), |sum, ops| KernelOps {
-            peels: sum.peels + ops.peels,
-            layers: sum.layers + ops.layers,
-        })
-    }
-}
 
 /// A machine's cryptographic capability for Vuvuzela purposes.
 #[derive(Clone, Copy, Debug)]
@@ -114,19 +95,14 @@ impl CostModel {
 
     /// The kernel work of each server of a `servers`-server chain in a
     /// round that `users` onions enter and to which every server but
-    /// the last adds `noise` cover onions: server `i` peels
-    /// `users + noise·i` onions and wraps its noise with `servers − 1 − i`
-    /// layers each.
+    /// the last adds `noise` cover onions: the round record's formula
+    /// ([`KernelOps::forward_pass`]) applied to that planned traffic.
     #[must_use]
-    pub fn hop_ops(users: u64, noise: f64, servers: usize) -> Vec<KernelOps> {
+    pub fn hop_ops(users: u64, noise: u64, servers: usize) -> Vec<KernelOps> {
         (0..servers)
-            .map(|i| KernelOps {
-                peels: users as f64 + noise * i as f64,
-                layers: if i + 1 < servers {
-                    noise * (servers - 1 - i) as f64
-                } else {
-                    0.0
-                },
+            .map(|i| {
+                let received = users + noise * i as u64;
+                KernelOps::forward_pass(i, servers, received, received + noise)
             })
             .collect()
     }
@@ -135,7 +111,7 @@ impl CostModel {
     /// cores, with nothing else in the way.
     #[must_use]
     pub fn kernel_floor_secs(&self, ops: KernelOps) -> f64 {
-        (ops.peels / self.peels_per_sec_core + ops.layers / self.layers_per_sec_core)
+        (ops.peels as f64 / self.peels_per_sec_core + ops.layers as f64 / self.layers_per_sec_core)
             / self.cores as f64
     }
 
@@ -144,7 +120,9 @@ impl CostModel {
     /// times the overhead factor.
     #[must_use]
     pub fn predict_conversation_secs(&self, users: u64, mu: f64, servers: usize) -> f64 {
-        let ops = Self::hop_ops(users, 2.0 * mu, servers).into_iter().sum();
+        let ops = Self::hop_ops(users, (2.0 * mu).round() as u64, servers)
+            .into_iter()
+            .sum();
         self.kernel_floor_secs(ops) * self.overhead
     }
 
@@ -152,7 +130,7 @@ impl CostModel {
     /// invitations per noising server).
     #[must_use]
     pub fn predict_dialing_secs(&self, users: u64, mu: f64, drops: u32, servers: usize) -> f64 {
-        let ops = Self::hop_ops(users, f64::from(drops) * mu, servers)
+        let ops = Self::hop_ops(users, (f64::from(drops) * mu).round() as u64, servers)
             .into_iter()
             .sum();
         self.kernel_floor_secs(ops) * self.overhead
@@ -249,14 +227,14 @@ mod tests {
         // µ = 5 000 deterministic, 10 000 clients, chain 3: hop 0 peels
         // 10k and wraps its 10k noise twice, hop 1 peels 20k and wraps
         // 10k once, the tail peels 30k.
-        let hops = CostModel::hop_ops(10_000, 2.0 * 5_000.0, 3);
-        let layers: Vec<f64> = hops.iter().map(|hop| hop.layers).collect();
-        assert_eq!(layers, [20_000.0, 10_000.0, 0.0]);
+        let hops = CostModel::hop_ops(10_000, 2 * 5_000, 3);
+        let layers: Vec<u64> = hops.iter().map(|hop| hop.layers).collect();
+        assert_eq!(layers, [20_000, 10_000, 0]);
         assert_eq!(
             hops.into_iter().sum::<KernelOps>(),
             KernelOps {
-                peels: 60_000.0,
-                layers: 30_000.0,
+                peels: 60_000,
+                layers: 30_000,
             }
         );
     }

@@ -48,6 +48,10 @@
 //!   because one extra peel per onion at every hop would read ≈ 1.8
 //!   and still pass at 2. The same check holds the pass under one heap
 //!   allocation per onion (the zero-copy claim);
+//! * **the whole round must be its record** (`round_vs_record`): the
+//!   round run whole on `Chain::run`, over the sum of its record's
+//!   pass durations, in [1, 1.01] — below 1 the record's fold counts a
+//!   pass twice, above 1.01 a hundredth of the round is unexplained;
 //! * **µ = 5,000 deterministic** — the paper's µ = 300,000 (§8.1) scaled
 //!   1:60. µ is a fixed privacy parameter (it does *not* shrink with the
 //!   user count), which is why cover traffic dominates server cost at

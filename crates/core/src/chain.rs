@@ -33,7 +33,7 @@ use crate::config::SystemConfig;
 use crate::engine::{admission_weights, schedule_rng, AdmissionWindow};
 use crate::node::{buf_from_frame, frame_from_buf, HopObserver, RoundTrailer, ServerNode, Side};
 use crate::observables::{ConversationObservables, DialingObservables};
-use crate::record::{NodeId, Phase, RoundEvent};
+use crate::record::{Fold, NodeId, Phase, RoundEvent};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use rand::rngs::StdRng;
@@ -229,9 +229,9 @@ impl std::error::Error for Abort {
     }
 }
 
-/// Wall-clock timing of one conversation round, per stage: a fold over
-/// the round's [`RoundEvent`]s (`RoundTiming::from_events`), apart from
-/// `total`, which the feeder measures.
+/// Wall-clock timing of one conversation round, per stage: a projection
+/// of the [`Fold`] of the round's events, apart from `total`, which the
+/// feeder measures.
 #[derive(Clone, Debug, Default)]
 pub struct RoundTiming {
     /// Per-server forward-pass time (peel + noise + shuffle), in chain
@@ -244,31 +244,6 @@ pub struct RoundTiming {
     pub backward: Vec<Duration>,
     /// Total end-to-end time for the round.
     pub total: Duration,
-}
-
-impl RoundTiming {
-    /// One round's stage timings from its events: the servers' forward
-    /// passes in chain order, the tail's exchange, their backward passes
-    /// tail first; `total` is left at zero.
-    pub(crate) fn from_events<'a>(events: impl IntoIterator<Item = &'a RoundEvent>) -> RoundTiming {
-        let mut passes: Vec<(Phase, NodeId, Duration)> = events
-            .into_iter()
-            .map(|event| (event.public.phase, event.public.node, event.public.duration))
-            .collect();
-        passes.sort_by_key(|&(phase, node, _)| (phase, node));
-        let durations = |phase| {
-            passes
-                .iter()
-                .filter(move |pass| pass.0 == phase)
-                .map(|pass| pass.2)
-        };
-        RoundTiming {
-            forward: durations(Phase::Forward).collect(),
-            exchange: durations(Phase::Exchange).sum(),
-            backward: durations(Phase::Backward).rev().collect(),
-            total: Duration::ZERO,
-        }
-    }
 }
 
 /// How many completed rounds' events a chain's record keeps
@@ -292,6 +267,7 @@ pub(crate) struct RoundLog {
 /// backward frame has come home across the clients link.
 pub(crate) struct Collector<'a> {
     log: &'a mut RoundLog,
+    chain_len: usize,
     /// Per round in flight, the events its nodes reported so far. A
     /// node reports a pass before the pass's frame leaves it, so a
     /// round's events are all in when its backward frame arrives.
@@ -299,9 +275,10 @@ pub(crate) struct Collector<'a> {
 }
 
 impl<'a> Collector<'a> {
-    pub(crate) fn new(log: &'a mut RoundLog) -> Collector<'a> {
+    pub(crate) fn new(log: &'a mut RoundLog, chain_len: usize) -> Collector<'a> {
         Collector {
             log,
+            chain_len,
             events: HashMap::new(),
         }
     }
@@ -325,8 +302,19 @@ impl<'a> Collector<'a> {
     ) -> RoundOutcome {
         let round = back.round.0;
         let events = self.events.remove(&round).unwrap_or_default();
-        let mut timing = RoundTiming::from_events(&events);
-        timing.total = fed.elapsed();
+        let fold = &Fold::of(self.chain_len, events.iter().map(|event| &event.public));
+        let busy = |phase| {
+            (0..self.chain_len)
+                .map(move |hop| fold.get(NodeId::Hop(hop), phase))
+                .filter(|tally| tally.passes > 0)
+                .map(|tally| tally.busy)
+        };
+        let timing = RoundTiming {
+            forward: busy(Phase::Forward).collect(),
+            exchange: busy(Phase::Exchange).sum(),
+            backward: busy(Phase::Backward).rev().collect(),
+            total: fed.elapsed(),
+        };
         if self.log.events.len() == RECORD_ROUNDS {
             self.log.events.pop_front();
         }
@@ -505,7 +493,7 @@ impl Chain {
                 ServerNode::new(server, config, seed, links[hop].id(), down)
             })
             .collect();
-        let mut collector = Collector::new(log);
+        let mut collector = Collector::new(log, config.chain_len);
         let (mut rng, mut queued) = (schedule_rng(seed), Vec::with_capacity(config.chain_len));
 
         let mut schedule = || -> Result<(), Error> {

@@ -81,7 +81,7 @@ use crate::config::SystemConfig;
 use crate::engine::{admission_weights, AdmissionWindow, EngineStep, RoundEngine};
 use crate::entry;
 use crate::observables::{ConversationObservables, DialingObservables};
-use crate::record::{NodeId, Operator, Phase, Public, RoundEvent, Traffic};
+use crate::record::{Fold, NodeId, Operator, Phase, Public, RoundEvent, Traffic};
 use crate::roundbuf::RoundBuffer;
 use crate::server::{MixServer, RoundKind};
 use std::collections::VecDeque;
@@ -189,27 +189,13 @@ impl RoundTrailer {
 }
 
 /// What one node processed before its orderly [`Frame::Bye`] shutdown:
-/// a fold over the node's own [`RoundEvent`]s.
+/// the rounds of the [`Fold`] of the node's own [`RoundEvent`]s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Conversation rounds completed.
     pub conversation_rounds: u64,
     /// Dialing rounds completed.
     pub dialing_rounds: u64,
-}
-
-impl NodeStats {
-    /// Folds in one of the node's events. A round is done at a node
-    /// with the node's one pass whose frame goes back toward the
-    /// clients ([`Public::backward`]).
-    fn count(&mut self, event: &Public) {
-        if event.backward {
-            match event.protocol {
-                RoundType::Conversation => self.conversation_rounds += 1,
-                RoundType::Dialing => self.dialing_rounds += 1,
-            }
-        }
-    }
 }
 
 fn protocol(link: LinkId, reason: impl Into<String>) -> Error {
@@ -727,9 +713,9 @@ fn pump(
         links.push((Side::Downstream, Arc::clone(down)));
     }
     let demux = Demux::new(links);
-    let mut stats = NodeStats::default();
+    let mut fold = Fold::new(node.chain_len);
     let mut observe = |event: RoundEvent| {
-        stats.count(&event.public);
+        fold.add(&event.public);
         observer(event);
     };
 
@@ -743,7 +729,7 @@ fn pump(
                 .send(frame)?,
         }
         if finished {
-            return Ok(stats);
+            return Ok(fold.total().rounds);
         }
     }
     Err(protocol(

@@ -243,7 +243,7 @@ pub(crate) fn run_nodes<E: Transport>(
     let (report, reports) = mpsc::channel();
     // Nobody listens once the feeder has failed.
     let observer = |report: mpsc::Sender<_>| move |event| drop(report.send(event));
-    let mut collector = Collector::new(log);
+    let mut collector = Collector::new(log, config.chain_len);
     let mut outcomes = Vec::with_capacity(specs.len());
     let mut admitted = Vec::new();
     let mut specs = specs.into_iter();

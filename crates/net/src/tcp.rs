@@ -54,7 +54,8 @@
 //! every batch either end sends crosses [`batch_through_link`] first, as
 //! over the in-memory backend, so the link's traffic record and tap see
 //! what goes onto the socket, and a tap that hangs the link up shuts the
-//! socket down.
+//! socket down. The ends share their hang-up, as a memory pair's do:
+//! once either has hung up, neither sends, nor records, a batch.
 
 use crate::error::Error;
 use crate::link::{batch_through_link, Link};
@@ -62,6 +63,8 @@ use crate::transport::Transport;
 use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vuvuzela_wire::{Frame, FrameError, Hello, LinkId, ReadError, MAX_FRAME_LEN};
 
@@ -212,6 +215,8 @@ pub struct TcpTransport {
     /// The link every batch sent crosses first, on an in-process pair
     /// ([`loopback_pair`]); `None` between processes.
     through: Option<Link>,
+    /// Whether this end has hung up; on an in-process pair, either end.
+    hung_up: Arc<AtomicBool>,
 }
 
 /// Frames an initiator is owed, and since when it has waited for the
@@ -348,6 +353,7 @@ impl TcpTransport {
             deadline,
             owed: initiator.then(|| Mutex::new(owed)),
             through: None,
+            hung_up: Arc::default(),
         };
         Ok(transport.with_deadline(deadline))
     }
@@ -411,6 +417,10 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, mut frame: Frame) -> Result<(), Error> {
+        // Nothing crosses a link already hung up, not even into its log.
+        if self.hung_up.load(Ordering::SeqCst) {
+            return Err(Error::Disconnected { link: self.link });
+        }
         if let (Some(link), Frame::Batch(batch)) = (&self.through, &mut frame) {
             // A tap that hangs the link up is the peer dying under the
             // batch: the socket goes down, as a dead process's would.
@@ -448,6 +458,7 @@ impl Transport for TcpTransport {
         // Frames are flushed as they are sent, so everything sent so
         // far reaches the peer ahead of the FIN. Shutting down a socket
         // that is already down fails, harmlessly.
+        self.hung_up.store(true, Ordering::SeqCst);
         let _ = self.socket.shutdown(Shutdown::Both);
     }
 }
@@ -477,9 +488,11 @@ pub fn loopback_pair(link: &Link) -> Result<(TcpTransport, TcpTransport), Error>
     let upstream = TcpStream::connect(addr).map_err(io("connect"))?;
     let (downstream, _) = listener.accept().map_err(io("accept"))?;
     let deadline = RetryPolicy::default().deadline;
+    let hung_up = Arc::new(AtomicBool::new(false));
     let end = |stream, initiator| -> Result<TcpTransport, Error> {
         let mut end = TcpTransport::wrap(stream, id, deadline, initiator)?;
         end.through = Some(link.clone());
+        end.hung_up = Arc::clone(&hung_up);
         Ok(end)
     };
     Ok((end(upstream, true)?, end(downstream, false)?))
@@ -786,5 +799,59 @@ mod tests {
         let sent = up.send(batch(7, 2));
         assert!(matches!(sent, Err(Error::Disconnected { link }) if link == LinkId::Hop(1)));
         assert!(matches!(down.recv(), Err(Error::Disconnected { .. })));
+    }
+
+    /// After either end of a pair has hung up, a batch sent on either
+    /// end is refused and its link records nothing — over loopback TCP
+    /// as over memory.
+    #[test]
+    fn a_send_after_either_end_hangs_up_is_refused_and_unrecorded() {
+        let batch = |round| {
+            Frame::Batch(BatchFrame {
+                link: LinkId::Hop(1),
+                round: RoundId(round),
+                round_type: RoundType::Conversation,
+                num_drops: 0,
+                backward: true,
+                stride: 4,
+                width: 4,
+                count: 1,
+                payload: vec![9; 4],
+                trailer: Vec::new(),
+            })
+        };
+        type Pair = (Box<dyn Transport>, Box<dyn Transport>);
+        let memory = |link: &Link| -> Pair {
+            let (up, down) = crate::transport::memory_pair(Arc::new(link.clone()));
+            (Box::new(up), Box::new(down))
+        };
+        let loopback = |link: &Link| -> Pair {
+            let (up, down) = loopback_pair(link).expect("loopback pair");
+            (Box::new(up), Box::new(down))
+        };
+        let backends = [
+            ("memory", memory as fn(&Link) -> Pair),
+            ("loopback", loopback),
+        ];
+        for (backend, pair) in backends {
+            for hang_up_upstream in [true, false] {
+                let link = Link::new(LinkId::Hop(1));
+                let (up, down) = pair(&link);
+                let (quits, sends) = if hang_up_upstream {
+                    (&up, &down)
+                } else {
+                    (&down, &up)
+                };
+                quits.hang_up();
+                let sent = sends.send(batch(9));
+                assert!(
+                    matches!(sent, Err(Error::Disconnected { link }) if link == LinkId::Hop(1)),
+                    "{backend}, upstream hung up: {hang_up_upstream}: {sent:?}"
+                );
+                for direction in [Direction::Forward, Direction::Backward] {
+                    assert_eq!(link.round_traffic(9, direction), (0, 0), "{backend}");
+                }
+            }
+        }
     }
 }

@@ -13,10 +13,10 @@
 //! | [`crypto`] | From-scratch X25519, ChaCha20-Poly1305, SHA-256, HKDF, onion encryption, sealed boxes |
 //! | [`dp`] | Truncated Laplace noise, (ε, δ) accounting, advanced composition, noise planner |
 //! | [`wire`] | Fixed-size message formats, dead-drop IDs, encode/decode |
-//! | [`net`] | Simulated byte-metered network with adversary taps |
-//! | [`core`] | Clients, the server chain, conversation + dialing protocols |
-//! | [`adversary`] | Traffic-analysis attacks and the observables they see |
-//! | [`baseline`] | Comparison systems: no-noise mixnet, broadcast messenger, single trusted server |
+//! | [`net`] | Links with traffic records and adversary taps, in-memory and TCP transports, the node demux, the worker fan-out |
+//! | [`core`] | Clients, the server chain, conversation + dialing protocols, the round record |
+//! | [`adversary`] | The traffic-analysis adversary's view, its graded detector, active taps and the DP ceiling on its advantage |
+//! | [`baseline`] | The broadcast messenger's per-round bytes, in closed form |
 //! | [`sim`] | Deterministic deployment simulator: scripted churn, server faults, invariant checking |
 //!
 //! ## Quickstart

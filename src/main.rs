@@ -22,7 +22,8 @@
 //! always one build. The first process to exit non-zero ends the launch,
 //! named, with the others killed. Each node's record goes to
 //! `server-<i>.jsonl` / `entry.jsonl` in the out dir, and the launch
-//! prints each node's busy seconds per phase from it. `--check` then
+//! reads it back and prints each node's busy seconds per phase, and each
+//! server's kernel work, from it. `--check` then
 //! diffs the transcript byte for byte against the in-process reference.
 //! With no `--config` it launches the committed smoke deployment
 //! (`deploy/smoke.json`); `--dump-config` prints the deployment as JSON
@@ -33,7 +34,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode};
 use std::time::Duration;
-use vuvuzela::core::record::{NodeId, Phase, RoundEvent};
+use vuvuzela::core::record::{Fold, KernelOps, NodeId, Phase, Public, RoundEvent};
 use vuvuzela::crypto::sha256::sha256;
 use vuvuzela::deploy::{self, DeploymentConfig};
 use vuvuzela::sim::transcript::hex;
@@ -206,7 +207,7 @@ fn launch(mut cfg: DeploymentConfig, args: &Args) -> Result<(), String> {
         cfg.schedule.len()
     );
     for node in nodes(&cfg) {
-        let record = busy(&out_dir.join(record_file(node)))?;
+        let record = summary(&out_dir.join(record_file(node)), node, cfg.system.chain_len)?;
         println!("vuvuzela launch: {node} {record}");
     }
     if args.check {
@@ -242,31 +243,29 @@ fn record_file(node: NodeId) -> String {
     }
 }
 
-/// A node's busy seconds per phase, summed over its round record.
-fn busy(record: &Path) -> Result<String, String> {
+/// A node's busy seconds per phase, and a server's kernel work: the
+/// [`Fold`] of the round record the node wrote to `record`.
+fn summary(record: &Path, node: NodeId, chain_len: usize) -> Result<String, String> {
     let shown = record.display();
     let text =
         std::fs::read_to_string(record).map_err(|err| format!("cannot read {shown}: {err}"))?;
-    let mut seconds = [0.0; Phase::ALL.len()];
+    let mut fold = Fold::new(chain_len);
     for line in text.lines() {
-        let event = serde_json::from_str(line).map_err(|err| format!("{shown}: {err}"))?;
-        let field = |key| match &event {
-            serde_json::Value::Object(map) => map.get(key),
-            _ => None,
-        };
-        let phase = field("phase").and_then(serde_json::Value::as_str);
-        let slot = Phase::ALL.iter().position(|p| Some(p.name()) == phase);
-        let secs = field("seconds").and_then(serde_json::Value::as_f64);
-        let (Some(slot), Some(secs)) = (slot, secs) else {
-            return Err(format!("{shown}: not a round event: {line}"));
-        };
-        seconds[slot] += secs;
+        let event = Public::from_json_line(line)
+            .ok_or_else(|| format!("{shown}: not a round event: {line}"))?;
+        fold.add(&event);
     }
-    let phases = Phase::ALL.iter().zip(seconds);
-    let phases: Vec<String> = phases
-        .map(|(p, s)| format!("{} {s:.6}", p.name()))
+    let busy = |phase: Phase| fold.get(node, phase).busy.as_secs_f64();
+    let phases: Vec<String> = Phase::ALL
+        .iter()
+        .map(|&phase| format!("{} {:.6}", phase.name(), busy(phase)))
         .collect();
-    Ok(format!("busy seconds: {}", phases.join(", ")))
+    let KernelOps { peels, layers } = fold.total().work;
+    let work = match node {
+        NodeId::Entry => String::new(),
+        NodeId::Hop(_) => format!("; kernel work: {peels} peels, {layers} layers"),
+    };
+    Ok(format!("busy seconds: {}{work}", phases.join(", ")))
 }
 
 /// Spawns the process set — servers tail-to-head, entry, client, each
