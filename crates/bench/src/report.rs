@@ -83,14 +83,12 @@ pub fn write_json(name: &str, value: &serde_json::Value) -> PathBuf {
     path
 }
 
-/// The workspace root (resolved via `CARGO_MANIFEST_DIR` when run via
-/// cargo, else the current directory) — where the committed `BENCH_*`
-/// artefacts live.
+/// The workspace root, two levels above this crate's manifest as it
+/// was compiled, wherever the binary runs from — where the committed
+/// `BENCH_*` artefacts live.
 #[must_use]
 pub fn workspace_root() -> PathBuf {
-    std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."))
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Formats seconds the way the paper's figures label them.

@@ -52,9 +52,9 @@ use vuvuzela_wire::{BatchFrame, Frame};
 /// whose slots are exactly the round's full onion width
 /// ([`vuvuzela_crypto::onion::wrapped_len`] of the round kind's
 /// payload) — the one shape a deployment's entry admits off the wire.
-/// Every producer lays its onions into the arena as it builds them: a
-/// [`crate::cohort::ClientCohort`] wraps in place, onions wrapped one at
-/// a time go through [`crate::entry::multiplex`].
+/// A [`crate::cohort::ClientCohort`] wraps its onions in place into
+/// it; tests lay onions wrapped one at a time in with
+/// [`RoundBuffer::from_vecs`].
 #[derive(Clone, Debug)]
 pub enum Batch {
     /// The round's client requests, already multiplexed by the entry.
@@ -763,12 +763,11 @@ mod tests {
     }
 
     /// Lays per-message onions into a `kind` round's arena over
-    /// `chain_len` servers, as the entry does: an entry of any other size
-    /// becomes a zero-filled slot.
+    /// `chain_len` servers: an entry of any other size becomes a
+    /// zero-filled slot.
     fn arena(kind: RoundKind, chain_len: usize, onions: &[Vec<u8>]) -> RoundBuffer {
-        let mut batch = crate::entry::round_arena(kind, chain_len);
-        crate::entry::multiplex(&mut batch, &[onions.to_vec()]);
-        batch
+        let width = onion::wrapped_len(kind.payload_len(), chain_len);
+        RoundBuffer::from_vecs(onions, width, width).0
     }
 
     /// One conversation round, as one spec handed to [`Chain::run`].

@@ -28,8 +28,10 @@
 //! or reply ingest derives every queued key together. A fake exchange's
 //! random partner is drawn in pass A of the build and its two
 //! multiplications (the partner's keygen, then the DH) run per chunk,
-//! before the chunk is wrapped. Only the dialing protocol's sealed box
-//! (sealing a real invitation, scanning a drop) stays scalar.
+//! before the chunk is wrapped. A drop scan
+//! ([`ClientCohort::scan_invitation_drop`]) computes every entry's
+//! shared secret through the same batch before it opens any box. Only
+//! sealing a real invitation stays scalar.
 //!
 //! Each round the cohort builds all requests directly into one
 //! [`RoundBuffer`] arena — no per-onion `Vec`, no per-member request
@@ -57,6 +59,7 @@ use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vuvuzela_crypto::onion::{self, LayerKey};
+use vuvuzela_crypto::sealedbox;
 use vuvuzela_crypto::x25519::{
     x25519_base_batch, x25519_batch, PublicKey, SecretKey, SharedSecret,
 };
@@ -801,17 +804,38 @@ impl ClientCohort {
 
     /// Scans a downloaded invitation drop for member `index`,
     /// trial-decrypting every entry (§5.1), and stores the callers
-    /// found; returns them.
+    /// found; returns them, in drop order. Every entry's shared secret
+    /// with the member's one secret key comes from one [`x25519_batch`]
+    /// call per chunk, split over `config.workers` as the build is; then
+    /// each box is opened ([`SealedInvitation::open_with_shared`]). An
+    /// entry too short to be a sealed box costs no multiplication.
     pub fn scan_invitation_drop(
         &mut self,
         index: usize,
         contents: &[SealedInvitation],
     ) -> Vec<PublicKey> {
-        let (secret, public) = (&self.secrets[index], &self.publics[index]);
-        let mine: Vec<PublicKey> = contents
+        let (secret, public) = (*self.secrets[index].as_bytes(), &self.publics[index]);
+        let sealed: Vec<&SealedInvitation> = contents
             .iter()
-            .filter_map(|inv| inv.try_open(secret, public))
+            .filter(|inv| inv.0.len() >= sealedbox::OVERHEAD)
             .collect();
+        let opened = WorkerPool::shared().map_vec(
+            sealed.chunks(WRAP_CHUNK_SLOTS).collect(),
+            self.config.workers,
+            |chunk: &[&SealedInvitation]| {
+                let us: Vec<[u8; 32]> = chunk
+                    .iter()
+                    .map(|inv| inv.0[..32].try_into().expect("32 bytes"))
+                    .collect();
+                let shared = x25519_batch(&vec![secret; chunk.len()], &us);
+                chunk
+                    .iter()
+                    .zip(&shared)
+                    .filter_map(|(inv, shared)| inv.open_with_shared(shared, public))
+                    .collect::<Vec<PublicKey>>()
+            },
+        );
+        let mine: Vec<PublicKey> = opened.into_iter().flatten().collect();
         if !mine.is_empty() {
             self.invitations.entry(index).or_default().extend(&mine);
         }

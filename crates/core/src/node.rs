@@ -934,13 +934,14 @@ mod tests {
                 onion::wrap(&mut rng, &pks, 0, &request.encode()).0
             })
             .collect();
-        let mut conv_batch = crate::entry::round_arena(RoundKind::Conversation, 3);
-        crate::entry::multiplex(&mut conv_batch, &[onions]);
+        let width = |kind: RoundKind| onion::wrapped_len(kind.payload_len(), 3);
+        let conv_width = width(RoundKind::Conversation);
+        let conv_batch = RoundBuffer::from_vecs(&onions, conv_width, conv_width).0;
         let num_drops = 2;
         let noop = DialRequest::noop(&mut rng).encode();
         let dial_onion = onion::wrap(&mut rng, &pks, 1, &noop).0;
-        let mut dial_batch = crate::entry::round_arena(RoundKind::Dialing { num_drops }, 3);
-        crate::entry::multiplex(&mut dial_batch, &[vec![dial_onion]]);
+        let dial_width = width(RoundKind::Dialing { num_drops });
+        let dial_batch = RoundBuffer::from_vecs(&[dial_onion], dial_width, dial_width).0;
         let specs = vec![
             RoundSpec::Conversation {
                 round: 0,

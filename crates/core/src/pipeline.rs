@@ -317,7 +317,6 @@ mod tests {
     use super::*;
     use crate::chain::Batch;
     use crate::engine::admission_weights;
-    use crate::entry;
     use crate::roundbuf::RoundBuffer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -348,11 +347,10 @@ mod tests {
         }
     }
 
-    /// Lays `onions` into a `kind` round's arena, as the entry does.
+    /// Lays `onions` into a `kind` round's arena.
     fn arena(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> Batch {
-        let mut batch = entry::round_arena(kind, chain_len);
-        entry::multiplex(&mut batch, &[onions]);
-        Batch::Flat(batch)
+        let width = onion::wrapped_len(kind.payload_len(), chain_len);
+        Batch::Flat(RoundBuffer::from_vecs(&onions, width, width).0)
     }
 
     /// `count` slots of nothing: a batch whose only property that matters

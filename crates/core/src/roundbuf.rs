@@ -34,8 +34,8 @@
 //! [`crate::server::MixServer::forward_buf`]
 //! is its main consumer. A round's client batch is an arena from the
 //! moment it is built: cohorts and the deployment client wrap onions
-//! straight into their slots, and onions wrapped one at a time are laid
-//! in once, by [`crate::entry::multiplex`]; adversary taps edit it in
+//! straight into their slots, and tests lay onions wrapped one at a time
+//! in once, by [`RoundBuffer::from_vecs`]; adversary taps edit it in
 //! place on the links (`vuvuzela_net::Slots`). `Vec<Vec<u8>>` views
 //! remain for the replies handed back to clients and for the per-`Vec`
 //! oracles: the reference recipe

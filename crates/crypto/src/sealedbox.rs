@@ -62,7 +62,9 @@ pub fn seal<R: RngCore + CryptoRng>(
     out
 }
 
-/// Attempts to open a sealed box with the recipient's secret key.
+/// Attempts to open a sealed box with the recipient's secret key: the
+/// Diffie-Hellman with the box's ephemeral key, then
+/// [`open_with_shared`].
 ///
 /// # Errors
 ///
@@ -76,6 +78,33 @@ pub fn open(
     recipient_public: &PublicKey,
     boxed: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
+    let shared = recipient_secret.diffie_hellman(&ephemeral_key(boxed)?);
+    open_with_shared(&shared.0, recipient_public, boxed)
+}
+
+/// Opens a sealed box with `shared`, the X25519 of the recipient's
+/// secret key and the box's first 32 bytes (its ephemeral public key),
+/// computed by the caller: a scan of many boxes batches those
+/// multiplications. [`open`] is this after one scalar multiplication.
+///
+/// # Errors
+///
+/// As [`open`].
+pub fn open_with_shared(
+    shared: &[u8; 32],
+    recipient_public: &PublicKey,
+    boxed: &[u8],
+) -> Result<Vec<u8>, CryptoError> {
+    let key = derive_key(shared, &ephemeral_key(boxed)?, recipient_public)?;
+    aead::open(&key, &NONCE, &[], &boxed[32..])
+}
+
+/// The box's ephemeral public key: its first 32 bytes.
+///
+/// # Errors
+///
+/// [`CryptoError::BadLength`] when the box is shorter than [`OVERHEAD`].
+fn ephemeral_key(boxed: &[u8]) -> Result<PublicKey, CryptoError> {
     if boxed.len() < OVERHEAD {
         return Err(CryptoError::BadLength {
             expected: OVERHEAD,
@@ -84,10 +113,7 @@ pub fn open(
     }
     let mut eph_bytes = [0u8; 32];
     eph_bytes.copy_from_slice(&boxed[..32]);
-    let eph_pk = PublicKey::from_bytes(eph_bytes);
-    let shared = recipient_secret.diffie_hellman(&eph_pk);
-    let key = derive_key(&shared.0, &eph_pk, recipient_public)?;
-    aead::open(&key, &NONCE, &[], &boxed[32..])
+    Ok(PublicKey::from_bytes(eph_bytes))
 }
 
 /// The sealed size of a plaintext of the given length.

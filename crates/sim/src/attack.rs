@@ -1,31 +1,32 @@
 //! The traffic-analysis attack matrix: a trained distinguisher graded
 //! against the composed (ε′, δ′) bound.
 //!
-//! Each [`AttackCase`] defines a pair of *adjacent worlds* — twin
+//! Each [`AttackDeployment`] defines a pair of *adjacent worlds* — twin
 //! scenarios identical in every step except one target user's
 //! behaviour: in the "talking" world client 0 dials client 1 and they
 //! hold an active conversation; in the "idle" world both sit as cover
-//! traffic. Both worlds run over many seeds on the real chain. The
-//! attacker owns the tail, so it reads each run's
+//! traffic. Both worlds run once over many seeds on the real chain
+//! ([`run_deployment`]), and every [`Attacker`] of the deployment is
+//! graded on those same runs ([`AttackOutcome::grade`]). An attacker
+//! owns the tail, so it reads each run's
 //! [`vuvuzela_adversary::AdversaryView`] (`SimReport::view`), which has
 //! no ground-truth field, and it knows the noise draws of the noising
-//! servers the case says it owns ([`AttackCase::compromised`], read
-//! from `SimReport::noise_draws`). Each conversation round's feature is
+//! servers it owns ([`Attacker::compromised`], read from
+//! `SimReport::noise_draws`). Each conversation round's feature is
 //! [`pair_activity_feature`] of the histogram less the owned servers'
-//! cover ([`subtract_owned_noise`]). A case may also have its
+//! cover ([`subtract_owned_noise`]). A deployment may also have its
 //! compromised first server drop every request but the target pair's
-//! ([`AttackCase::disrupt`], §4.2's disruption attack). A
+//! ([`AttackDeployment::disrupt`], §4.2's disruption attack). A
 //! [`ThresholdDetector`] trains on the first half of the seeds and is
 //! scored on the held-out second half, and the verdict compares its
 //! advantage against
 //! `max_advantage(ε′, δ′)` with the budget the view reports plus a
-//! Hoeffding slack for the finite sample. The outcome keeps every run's
-//! histograms and draws, so the same runs grade against any other owned
-//! set ([`AttackOutcome::regrade`]) without running again.
+//! Hoeffding slack for the finite sample. A new detector or owned set is
+//! one more attacker on an existing deployment: it costs no new run.
 //!
 //! The matrix is falsifiable in both directions:
 //!
-//! * the **honest** cases (correctly sized sampled noise, at least one
+//! * the **honest** rows (correctly sized sampled noise, at least one
 //!   noising server the attacker does not own, with or without the
 //!   disruption) must come in *under* the bound —
 //!   `advantage + slack ≤ max_advantage(ε′, δ′)`. `honest_hop0` and
@@ -34,9 +35,9 @@
 //! * the **noise-off** and **undersized-µ** negative controls claim
 //!   the same budget while drawing no (or far too little) cover
 //!   traffic, and the **all-compromised** control owns every noising
-//!   server, so no honest noise is left; the *same* detector must *beat*
-//!   the claimed bound in each — proving the harness has the teeth to
-//!   catch a broken deployment.
+//!   server of the honest deployment, so no honest noise is left; the
+//!   *same* detector must *beat* the claimed bound in each — proving the
+//!   harness has the teeth to catch a broken deployment.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -52,7 +53,7 @@ use crate::simulator::{run_scenario, SimError, SimReport, Simulator};
 /// holds except with probability ≤ α over the sampling noise.
 pub const ATTACK_ALPHA: f64 = 0.01;
 
-/// What a case models about the deployment's noise.
+/// What a row models about the deployment's noise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttackControl {
     /// Correctly sized sampled noise: the DP theorem applies and the
@@ -85,16 +86,38 @@ impl AttackControl {
     }
 }
 
-/// One twin-world attack experiment.
-#[derive(Clone, Debug)]
-pub struct AttackCase {
-    /// Case name (artefact prefix).
+/// One attacker graded on a deployment's runs: one row of the matrix.
+#[derive(Clone, Copy, Debug)]
+pub struct Attacker {
+    /// Row name (artefact key).
     pub name: &'static str,
-    /// Which deployment defect (if any) the case models.
+    /// Which deployment defect (if any) the row models.
     pub control: AttackControl,
+    /// The noising servers the attacker owns, by chain position: their
+    /// noise draws come off each round's histogram. The tail is always
+    /// owned (it reads the observables); `&[]` is a passive attacker
+    /// that knows no server's noise.
+    pub compromised: &'static [usize],
     /// `true`: passes iff the detector stays within the bound.
     /// `false`: passes iff the detector exceeds it.
     pub expect_within_bound: bool,
+}
+
+/// A row of the bundled matrix: an honest row must stay within the
+/// bound, and every control must beat it.
+fn attacker(name: &'static str, control: AttackControl, compromised: &'static [usize]) -> Attacker {
+    Attacker {
+        name,
+        control,
+        compromised,
+        expect_within_bound: control == AttackControl::Honest,
+    }
+}
+
+/// One twin-world deployment, run once over its seeds, and the
+/// attackers graded on those runs.
+#[derive(Clone, Debug)]
+pub struct AttackDeployment {
     /// First seed; seed pair i runs both worlds at `base_seed + i`.
     pub base_seed: u64,
     /// Seeded twin runs per world. The first half trains, the second
@@ -112,27 +135,34 @@ pub struct AttackCase {
     pub noise_mode: NoiseMode,
     /// The claimed ledger override, for [`AttackControl::UndersizedMu`].
     pub ledger_noise: Option<LedgerNoise>,
-    /// The noising servers the attacker owns, by chain position: their
-    /// noise draws come off each round's histogram. The tail is always
-    /// owned (it reads the observables); `&[]` is a passive attacker
-    /// that knows no server's noise.
-    pub compromised: &'static [usize],
     /// §4.2's disruption attack: the forward-batch positions a
     /// compromised first server keeps on link 0 (entry→server 0) in
     /// every round of both worlds, dropping the rest; `None` leaves
     /// every link alone.
     pub disrupt: Option<&'static [usize]>,
+    /// The rows graded on these runs, at least one. The first names the
+    /// deployment: its scenarios and its sample transcripts.
+    pub attackers: Vec<Attacker>,
 }
 
-/// The JSON-serialisable verdict of one attack case.
+impl AttackDeployment {
+    /// The deployment's name: its first attacker's.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.attackers[0].name
+    }
+}
+
+/// The JSON-serialisable verdict of one attacker on one deployment's
+/// runs: one row of the matrix.
 #[derive(Clone, Debug)]
 pub struct AttackVerdict {
-    /// Case name.
+    /// Row name.
     pub name: String,
     /// Control kind (`honest`, `noise_off`, `undersized_mu`,
     /// `all_compromised`).
     pub control: String,
-    /// The gate direction this case is asserted against.
+    /// The gate direction this row is asserted against.
     pub expect_within_bound: bool,
     /// Held-out trials (rounds × seeds × 2 worlds).
     pub trials: usize,
@@ -156,7 +186,7 @@ pub struct AttackVerdict {
     pub within_bound: bool,
     /// `advantage > bound`.
     pub exceeds_bound: bool,
-    /// The gate in this case's expected direction.
+    /// The gate in this row's expected direction.
     pub passed: bool,
 }
 
@@ -195,12 +225,11 @@ struct ObservedRound {
     draws: Vec<(u64, u64)>,
 }
 
-/// One executed attack case: the verdict plus a sample twin-transcript
-/// pair (the first held-out seed) for artefact inspection.
+/// One deployment's runs: both worlds over every seed, ready to grade
+/// against any attacker, plus a sample twin-transcript pair (the first
+/// held-out seed) for artefact inspection.
 #[derive(Debug)]
 pub struct AttackOutcome {
-    /// The graded verdict.
-    pub verdict: AttackVerdict,
     /// The talking-world report of the first held-out seed.
     pub sample_talking: SimReport,
     /// The idle-world report of the same seed.
@@ -214,18 +243,51 @@ pub struct AttackOutcome {
 }
 
 impl AttackOutcome {
-    /// Whether the case's gate held in its expected direction.
+    /// The verdict of `attacker` on these runs. Each conversation
+    /// round's feature is [`pair_activity_feature`] of the histogram less
+    /// the noise of the servers the attacker owns; the detector trains on
+    /// the first half of each world's seeds, is scored on the held-out
+    /// half, and is graded against the runs' composed budget.
     #[must_use]
-    pub fn passed(&self) -> bool {
-        self.verdict.passed
-    }
+    pub fn grade(&self, attacker: &Attacker) -> AttackVerdict {
+        let feature = |round: &ObservedRound| {
+            let owned = attacker.compromised.iter().map(|&i| round.draws[i]);
+            let (m1, m2) = subtract_owned_noise(round.m1, round.m2, owned);
+            pair_activity_feature(m1, m2)
+        };
+        let features = |per_seed: &[Vec<ObservedRound>]| -> Vec<Vec<i64>> {
+            let run = |rounds: &Vec<ObservedRound>| rounds.iter().map(feature).collect();
+            per_seed.iter().map(run).collect()
+        };
+        let (train_talking, test_talking) = split_by_seed(&features(&self.talking));
+        let (train_idle, test_idle) = split_by_seed(&features(&self.idle));
+        let detector = ThresholdDetector::train(&train_talking, &train_idle);
+        let outcome = detector.evaluate(&test_talking, &test_idle);
+        let budget = self.budget;
+        let grade = outcome.grade(budget.epsilon, budget.delta, ATTACK_ALPHA);
 
-    /// The verdict these same runs of `case` earn against an attacker
-    /// that owns the noising servers `compromised` instead of the
-    /// case's own.
-    #[must_use]
-    pub fn regrade(&self, case: &AttackCase, compromised: &[usize]) -> AttackVerdict {
-        grade(case, compromised, &self.talking, &self.idle, self.budget)
+        let passed = if attacker.expect_within_bound {
+            grade.within_bound
+        } else {
+            grade.exceeds_bound
+        };
+        AttackVerdict {
+            name: attacker.name.to_string(),
+            control: attacker.control.name().to_string(),
+            expect_within_bound: attacker.expect_within_bound,
+            trials: outcome.trials,
+            accuracy: outcome.accuracy,
+            advantage: outcome.advantage,
+            threshold: detector.threshold,
+            talking_above: detector.talking_above,
+            epsilon: budget.epsilon,
+            delta: budget.delta,
+            bound: grade.bound,
+            slack: grade.slack,
+            within_bound: grade.within_bound,
+            exceeds_bound: grade.exceeds_bound,
+            passed,
+        }
     }
 }
 
@@ -244,12 +306,13 @@ fn honest_dialing_noise() -> NoiseDistribution {
     NoiseDistribution::new(160.0, 32.0)
 }
 
-/// The bundled attack matrix: the passive honest case and its two
-/// negative controls, then the paper's adversary — every server but
-/// one noising server compromised, with and without the disruption
-/// attack — and its control that owns every noising server.
+/// The bundled attack matrix: the honest deployment graded against the
+/// passive attacker, the paper's adversary (every server but one
+/// noising server compromised) and its control that owns every noising
+/// server; the two negative-control deployments; and the disruption
+/// attack on the honest deployment.
 #[must_use]
-pub fn attack_matrix(scale: Scale) -> Vec<AttackCase> {
+pub fn attack_matrix(scale: Scale) -> Vec<AttackDeployment> {
     let honest_pairs = match scale {
         Scale::Smoke => 24,
         Scale::Full => 80,
@@ -258,136 +321,93 @@ pub fn attack_matrix(scale: Scale) -> Vec<AttackCase> {
         Scale::Smoke => 30,
         Scale::Full => 60,
     };
-    vec![
-        AttackCase {
-            name: "honest_sampled",
-            control: AttackControl::Honest,
-            expect_within_bound: true,
-            base_seed: 0xA77AC4,
-            seed_pairs: honest_pairs,
-            population: 8,
-            conversation_rounds: 4,
-            conversation_noise: honest_conversation_noise(),
-            dialing_noise: honest_dialing_noise(),
-            noise_mode: NoiseMode::Sampled,
-            ledger_noise: None,
-            compromised: &[],
-            disrupt: None,
-        },
-        AttackCase {
-            name: "noise_off_control",
-            control: AttackControl::NoiseOff,
-            expect_within_bound: false,
-            base_seed: 0x0FF,
-            seed_pairs: control_pairs,
-            population: 8,
-            conversation_rounds: 4,
-            // Same configured budget as the honest case — the ledger
-            // charges it even though Off mode sends nothing.
-            conversation_noise: honest_conversation_noise(),
-            dialing_noise: honest_dialing_noise(),
-            noise_mode: NoiseMode::Off,
-            ledger_noise: None,
-            compromised: &[],
-            disrupt: None,
-        },
-        AttackCase {
-            name: "undersized_mu_control",
-            control: AttackControl::UndersizedMu,
-            expect_within_bound: false,
-            base_seed: 0x5A11,
-            seed_pairs: control_pairs,
-            population: 8,
-            conversation_rounds: 4,
-            // Servers actually draw µ = 1.5, b = 0.1 — real sampled
-            // noise from the real mechanism, but ~100× too little for
-            // the claimed budget: the claimed bound allows advantage
-            // ≈ 0.32 and this noise leaves the detector ≈ 0.48.
-            conversation_noise: NoiseDistribution::new(1.5, 0.1),
-            dialing_noise: NoiseDistribution::new(1.5, 0.1),
-            noise_mode: NoiseMode::Sampled,
-            ledger_noise: Some(LedgerNoise {
-                conversation: honest_conversation_noise(),
-                dialing: honest_dialing_noise(),
-            }),
-            compromised: &[],
-            disrupt: None,
-        },
-        // The paper's adversary: it owns servers 1 and 2, so server 0's
-        // noise alone covers the pair.
-        AttackCase {
-            name: "honest_hop0",
-            base_seed: 0x0B00,
-            compromised: &[1],
-            ..owned_noise_case(honest_pairs)
-        },
-        // Servers 0 and 2 owned: server 1's noise alone.
-        AttackCase {
-            name: "honest_hop1",
-            base_seed: 0x0C00,
-            compromised: &[0],
-            ..owned_noise_case(honest_pairs)
-        },
-        // Every noising server owned, so no honest noise is left.
-        AttackCase {
-            name: "all_compromised_control",
-            control: AttackControl::AllCompromised,
-            expect_within_bound: false,
-            base_seed: 0x0A11,
-            compromised: &[0, 1],
-            ..owned_noise_case(control_pairs)
-        },
-        // §4.2: the owned first server keeps only clients 0 and 1 (the
-        // target pair, first in batch order) in every round, dialing
-        // included, and the owned tail reads what is left. Server 1's
-        // noise must still cover the pair.
-        AttackCase {
-            name: "disruption_honest_hop1",
-            base_seed: 0x0D15,
-            compromised: &[0],
-            disrupt: Some(&[0, 1]),
-            ..owned_noise_case(honest_pairs)
-        },
-    ]
-}
-
-/// The honest case's deployment (µ = 200, b = 40, claiming its
-/// budget) as the paper's attacker meets it, for a case to name, seed
-/// and give its owned servers.
-fn owned_noise_case(seed_pairs: usize) -> AttackCase {
-    AttackCase {
-        name: "",
-        control: AttackControl::Honest,
-        expect_within_bound: true,
-        base_seed: 0,
-        seed_pairs,
+    let honest = AttackDeployment {
+        base_seed: 0xA77AC4,
+        seed_pairs: honest_pairs,
         population: 8,
         conversation_rounds: 4,
         conversation_noise: honest_conversation_noise(),
         dialing_noise: honest_dialing_noise(),
         noise_mode: NoiseMode::Sampled,
         ledger_noise: None,
-        compromised: &[],
         disrupt: None,
-    }
+        attackers: vec![
+            attacker("honest_sampled", AttackControl::Honest, &[]),
+            // The paper's adversary: it owns servers 1 and 2, so server
+            // 0's noise alone covers the pair.
+            attacker("honest_hop0", AttackControl::Honest, &[1]),
+            // Servers 0 and 2 owned: server 1's noise alone.
+            attacker("honest_hop1", AttackControl::Honest, &[0]),
+            // Every noising server owned, so no honest noise is left.
+            attacker(
+                "all_compromised_control",
+                AttackControl::AllCompromised,
+                &[0, 1],
+            ),
+        ],
+    };
+    let noise_off = AttackDeployment {
+        base_seed: 0x0FF,
+        seed_pairs: control_pairs,
+        // Same configured budget as the honest deployment — the
+        // ledger charges it even though Off mode sends nothing.
+        noise_mode: NoiseMode::Off,
+        attackers: vec![attacker("noise_off_control", AttackControl::NoiseOff, &[])],
+        ..honest.clone()
+    };
+    let undersized_mu = AttackDeployment {
+        base_seed: 0x5A11,
+        seed_pairs: control_pairs,
+        // Servers actually draw µ = 1.5, b = 0.1 — real sampled
+        // noise from the real mechanism, but ~100× too little for
+        // the claimed budget: the claimed bound allows advantage
+        // ≈ 0.32 and this noise leaves the detector ≈ 0.48.
+        conversation_noise: NoiseDistribution::new(1.5, 0.1),
+        dialing_noise: NoiseDistribution::new(1.5, 0.1),
+        ledger_noise: Some(LedgerNoise {
+            conversation: honest_conversation_noise(),
+            dialing: honest_dialing_noise(),
+        }),
+        attackers: vec![attacker(
+            "undersized_mu_control",
+            AttackControl::UndersizedMu,
+            &[],
+        )],
+        ..honest.clone()
+    };
+    // §4.2: the owned first server keeps only clients 0 and 1 (the
+    // target pair, first in batch order) in every round, dialing
+    // included, and the owned tail reads what is left. Server 1's
+    // noise must still cover the pair.
+    let disruption = AttackDeployment {
+        base_seed: 0x0D15,
+        disrupt: Some(&[0, 1]),
+        attackers: vec![attacker(
+            "disruption_honest_hop1",
+            AttackControl::Honest,
+            &[0],
+        )],
+        ..honest.clone()
+    };
+    vec![honest, noise_off, undersized_mu, disruption]
 }
 
-/// Builds one world of a case's twin pair. Both worlds share the seed
+/// Builds one world of a deployment's twin pair. Both worlds share the seed
 /// and every step except the target pair's behaviour: a background
 /// pair (clients 2, 3) dials and idles in both, and in the talking
 /// world clients 0 and 1 additionally dial, accept and hold an active
 /// conversation through every conversation round.
 #[must_use]
-pub fn twin_scenario(case: &AttackCase, seed: u64, talking: bool) -> Scenario {
+pub fn twin_scenario(deployment: &AttackDeployment, seed: u64, talking: bool) -> Scenario {
     let world = if talking { "talking" } else { "idle" };
-    let mut s = Scenario::new(&format!("{}__{world}", case.name), seed);
-    s.conversation_mu = case.conversation_noise.mu;
-    s.conversation_b = Some(case.conversation_noise.b);
-    s.dialing_mu = case.dialing_noise.mu;
-    s.dialing_b = Some(case.dialing_noise.b);
-    s.noise_mode = case.noise_mode;
-    s.ledger_noise = case.ledger_noise;
-    s.steps.push(Step::Join(case.population));
+    let mut s = Scenario::new(&format!("{}__{world}", deployment.name()), seed);
+    s.conversation_mu = deployment.conversation_noise.mu;
+    s.conversation_b = Some(deployment.conversation_noise.b);
+    s.dialing_mu = deployment.dialing_noise.mu;
+    s.dialing_b = Some(deployment.dialing_noise.b);
+    s.noise_mode = deployment.noise_mode;
+    s.ledger_noise = deployment.ledger_noise;
+    s.steps.push(Step::Join(deployment.population));
     // The background pair keeps the dialing round non-degenerate in
     // both worlds.
     s.steps.push(Step::Dial {
@@ -411,7 +431,7 @@ pub fn twin_scenario(case: &AttackCase, seed: u64, talking: bool) -> Scenario {
     }
     s.steps.push(Step::Run(vec![
         RoundPlan::Conversation;
-        case.conversation_rounds
+        deployment.conversation_rounds
     ]));
     s
 }
@@ -424,13 +444,13 @@ struct WorldRuns {
 }
 
 /// Runs every seeded twin of one world.
-fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
-    let mut per_seed = Vec::with_capacity(case.seed_pairs);
-    let mut reports = Vec::with_capacity(case.seed_pairs);
-    for i in 0..case.seed_pairs {
-        let seed = case.base_seed.wrapping_add(i as u64);
-        let scenario = twin_scenario(case, seed, talking);
-        let report = match case.disrupt {
+fn run_world(deployment: &AttackDeployment, talking: bool) -> Result<WorldRuns, SimError> {
+    let mut per_seed = Vec::with_capacity(deployment.seed_pairs);
+    let mut reports = Vec::with_capacity(deployment.seed_pairs);
+    for i in 0..deployment.seed_pairs {
+        let seed = deployment.base_seed.wrapping_add(i as u64);
+        let scenario = twin_scenario(deployment, seed, talking);
+        let report = match deployment.disrupt {
             None => run_scenario(&scenario)?,
             // The disruption trips the participation invariants, so its
             // worlds run in tolerant mode, as a soak case does.
@@ -455,10 +475,10 @@ fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
                 draws: report.noise_draws[&round].clone(),
             })
             .collect();
-        if rounds.len() != case.conversation_rounds {
+        if rounds.len() != deployment.conversation_rounds {
             return Err(SimError::Attack(format!(
                 "seed {seed}: expected {} observable conversation rounds, got {}",
-                case.conversation_rounds,
+                deployment.conversation_rounds,
                 rounds.len()
             )));
         }
@@ -468,60 +488,8 @@ fn run_world(case: &AttackCase, talking: bool) -> Result<WorldRuns, SimError> {
     Ok(WorldRuns { per_seed, reports })
 }
 
-/// Each run's [`pair_activity_feature`] per conversation round, of the
-/// histogram less the `compromised` servers' draws.
-fn features(per_seed: &[Vec<ObservedRound>], compromised: &[usize]) -> Vec<Vec<i64>> {
-    let feature = |round: &ObservedRound| {
-        let owned = compromised.iter().map(|&i| round.draws[i]);
-        let (m1, m2) = subtract_owned_noise(round.m1, round.m2, owned);
-        pair_activity_feature(m1, m2)
-    };
-    let run = |rounds: &Vec<ObservedRound>| rounds.iter().map(feature).collect();
-    per_seed.iter().map(run).collect()
-}
-
-/// Trains the detector on the first half of each world's seeds, scores
-/// it on the held-out half, and grades it against `budget`: the verdict
-/// of `case`'s runs for an attacker owning `compromised`.
-fn grade(
-    case: &AttackCase,
-    compromised: &[usize],
-    talking: &[Vec<ObservedRound>],
-    idle: &[Vec<ObservedRound>],
-    budget: ComposedPrivacy,
-) -> AttackVerdict {
-    let (train_talking, test_talking) = split_by_seed(&features(talking, compromised));
-    let (train_idle, test_idle) = split_by_seed(&features(idle, compromised));
-    let detector = ThresholdDetector::train(&train_talking, &train_idle);
-    let outcome = detector.evaluate(&test_talking, &test_idle);
-    let grade = outcome.grade(budget.epsilon, budget.delta, ATTACK_ALPHA);
-
-    let passed = if case.expect_within_bound {
-        grade.within_bound
-    } else {
-        grade.exceeds_bound
-    };
-    AttackVerdict {
-        name: case.name.to_string(),
-        control: case.control.name().to_string(),
-        expect_within_bound: case.expect_within_bound,
-        trials: outcome.trials,
-        accuracy: outcome.accuracy,
-        advantage: outcome.advantage,
-        threshold: detector.threshold,
-        talking_above: detector.talking_above,
-        epsilon: budget.epsilon,
-        delta: budget.delta,
-        bound: grade.bound,
-        slack: grade.slack,
-        within_bound: grade.within_bound,
-        exceeds_bound: grade.exceeds_bound,
-        passed,
-    }
-}
-
-/// Runs one attack case end to end: both worlds over every seed, the
-/// train/held-out split, detector fitting, and the bound comparison.
+/// Runs one deployment: both worlds over every seed. Grade each of its
+/// attackers on the runs with [`AttackOutcome::grade`].
 ///
 /// # Errors
 ///
@@ -533,13 +501,13 @@ fn grade(
 /// Panics if the twin runs disagree on the composed budget —
 /// adjacent worlds run the same round schedule, so their ledgers must
 /// match to the bit.
-pub fn run_attack_case(case: &AttackCase) -> Result<AttackOutcome, SimError> {
+pub fn run_deployment(deployment: &AttackDeployment) -> Result<AttackOutcome, SimError> {
     assert!(
-        case.seed_pairs >= 2,
+        deployment.seed_pairs >= 2,
         "need at least one train and one held-out seed"
     );
-    let mut talking = run_world(case, true)?;
-    let mut idle = run_world(case, false)?;
+    let mut talking = run_world(deployment, true)?;
+    let mut idle = run_world(deployment, false)?;
 
     let budget = talking.reports[0].view.budget;
     for other in talking.reports.iter().chain(&idle.reports) {
@@ -551,18 +519,10 @@ pub fn run_attack_case(case: &AttackCase) -> Result<AttackOutcome, SimError> {
         );
     }
 
-    let verdict = grade(
-        case,
-        case.compromised,
-        &talking.per_seed,
-        &idle.per_seed,
-        budget,
-    );
     // Keep the first held-out seed's twin pair as the inspectable
     // artefact.
-    let held_out = case.seed_pairs / 2;
+    let held_out = deployment.seed_pairs / 2;
     Ok(AttackOutcome {
-        verdict,
         sample_talking: talking.reports.swap_remove(held_out),
         sample_idle: idle.reports.swap_remove(held_out),
         talking: talking.per_seed,

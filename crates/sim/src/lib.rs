@@ -180,14 +180,15 @@
 //! reads each run's [`vuvuzela_adversary::AdversaryView`] — the typed
 //! record the simulator fills in beside its transcript, holding only
 //! what a tapping adversary sees ([`simulator::SimReport::view`]) —
-//! plus the noise draws of the servers a case's attacker owns
+//! plus the noise draws of the servers an attacker owns
 //! ([`simulator::SimReport::noise_draws`], kept out of the view) —
 //! trains a [`vuvuzela_adversary::ThresholdDetector`] on half the
 //! seeds, and asserts the held-out advantage against
 //! `max_advantage(ε′, δ′)` with the budget the view reports (the
-//! ledger's total, aborted rounds included). Honest sampled noise must
-//! stay under the bound while one noising server is honest, the §4.2
-//! disruption attack included; the noise-off, undersized-µ and
+//! ledger's total, aborted rounds included). Each deployment runs once,
+//! and every attacker on it is graded on those runs. Honest sampled
+//! noise must stay under the bound while one noising server is honest,
+//! the §4.2 disruption attack included; the noise-off, undersized-µ and
 //! all-compromised negative controls must *beat* it. `sim_attack` runs
 //! the matrix and writes a JSON verdict artefact.
 
@@ -202,8 +203,8 @@ pub mod soak;
 pub mod transcript;
 
 pub use attack::{
-    attack_matrix, run_attack_case, twin_scenario, AttackCase, AttackControl, AttackOutcome,
-    AttackVerdict, ATTACK_ALPHA,
+    attack_matrix, run_deployment, twin_scenario, AttackControl, AttackDeployment, AttackOutcome,
+    AttackVerdict, Attacker, ATTACK_ALPHA,
 };
 pub use scenario::{bundled_matrix, LedgerNoise, RoundPlan, Scale, Scenario, Step};
 pub use simulator::{run_scenario, run_scenario_over_wire, SimError, SimReport, Simulator};

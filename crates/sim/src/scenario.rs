@@ -386,16 +386,9 @@ fn idle_cover() -> Scenario {
 /// integration tests run the stall-free twin and assert identical
 /// round records.
 fn server_slowdown() -> Scenario {
-    let mut s = server_slowdown_base();
-    s.steps.insert(1, Step::StallLink { link: 1, millis: 3 });
-    s
-}
-
-/// The slowdown scenario without its stall — the twin the tests diff
-/// against. Public to the crate's tests via `bundled_matrix` siblings.
-pub(crate) fn server_slowdown_base() -> Scenario {
     let mut s = Scenario::new("server_slowdown", 0x510E);
     s.steps.push(Step::Join(16));
+    s.steps.push(Step::StallLink { link: 1, millis: 3 });
     s.steps.push(Step::Dial {
         caller: 4,
         callee: 5,

@@ -8,12 +8,13 @@
 //! included), and the view of a real bundled run holds every completed
 //! round with the last server's own observables.
 
+use std::sync::OnceLock;
 use vuvuzela_dp::accounting::combine;
 use vuvuzela_dp::{NoiseDistribution, PrivacyLedger, Protocol};
 use vuvuzela_net::LinkId;
 use vuvuzela_sim::{
-    attack_matrix, bundled_matrix, run_attack_case, run_scenario, AttackCase, AttackControl, Scale,
-    Scenario, Simulator,
+    attack_matrix, bundled_matrix, run_deployment, run_scenario, AttackDeployment, AttackOutcome,
+    AttackVerdict, Scale, Scenario, Simulator,
 };
 
 fn bundled(name: &str) -> Scenario {
@@ -23,24 +24,42 @@ fn bundled(name: &str) -> Scenario {
         .unwrap_or_else(|| panic!("bundled matrix has {name}"))
 }
 
-fn case(name: &str) -> AttackCase {
+/// Row `name`'s verdict on `outcome`, the runs of `deployment`.
+fn grade(outcome: &AttackOutcome, deployment: &AttackDeployment, name: &str) -> AttackVerdict {
+    let attacker = deployment.attackers.iter().find(|a| a.name == name);
+    outcome.grade(attacker.unwrap_or_else(|| panic!("{name} attacks this deployment")))
+}
+
+/// The deployment that row `name` attacks.
+fn deployment_of(name: &str) -> AttackDeployment {
     attack_matrix(Scale::Smoke)
         .into_iter()
-        .find(|c| c.name == name)
+        .find(|d| d.attackers.iter().any(|a| a.name == name))
         .unwrap_or_else(|| panic!("attack matrix has {name}"))
 }
 
-fn run_control(control: AttackControl) -> vuvuzela_sim::AttackVerdict {
-    let case = attack_matrix(Scale::Smoke)
-        .into_iter()
-        .find(|c| c.control == control)
-        .expect("matrix covers every control");
-    run_attack_case(&case).expect("case runs").verdict
+/// Runs the deployment of row `name` and grades that row.
+fn run_row(name: &str) -> AttackVerdict {
+    let deployment = deployment_of(name);
+    let outcome = run_deployment(&deployment).expect("deployment runs");
+    grade(&outcome, &deployment, name)
+}
+
+/// Row `name` graded on the honest deployment's runs, which run once
+/// for every test in this file.
+fn honest_row(name: &str) -> AttackVerdict {
+    static RUNS: OnceLock<(AttackDeployment, AttackOutcome)> = OnceLock::new();
+    let (deployment, outcome) = RUNS.get_or_init(|| {
+        let deployment = deployment_of("honest_sampled");
+        let outcome = run_deployment(&deployment).expect("deployment runs");
+        (deployment, outcome)
+    });
+    grade(outcome, deployment, name)
 }
 
 #[test]
 fn honest_deployment_stays_within_the_composed_bound() {
-    let v = run_control(AttackControl::Honest);
+    let v = honest_row("honest_sampled");
     assert!(v.expect_within_bound);
     assert!(
         v.within_bound,
@@ -56,7 +75,7 @@ fn honest_deployment_stays_within_the_composed_bound() {
 
 #[test]
 fn noise_off_control_beats_the_claimed_bound() {
-    let v = run_control(AttackControl::NoiseOff);
+    let v = run_row("noise_off_control");
     assert!(!v.expect_within_bound);
     // Zero cover traffic: the twin worlds are perfectly separable.
     assert!(
@@ -74,7 +93,7 @@ fn noise_off_control_beats_the_claimed_bound() {
 
 #[test]
 fn undersized_mu_control_beats_the_claimed_bound() {
-    let v = run_control(AttackControl::UndersizedMu);
+    let v = run_row("undersized_mu_control");
     assert!(!v.expect_within_bound);
     assert!(
         v.exceeds_bound,
@@ -87,16 +106,18 @@ fn undersized_mu_control_beats_the_claimed_bound() {
 }
 
 /// The attacker that owns both noising servers sees the target pair
-/// exactly once it subtracts their noise, and the same runs read
-/// passively — the histogram as the tail shows it, regraded without
-/// running again — stay within the bound: the subtraction is what gives
-/// this control its teeth.
+/// exactly once it subtracts their noise, while the passive attacker on
+/// the same runs — the histogram as the tail shows it — stays within
+/// the bound: the subtraction is what gives this control its teeth.
 #[test]
 fn all_compromised_control_beats_the_bound_only_with_the_owned_noise() {
-    let owned = case("all_compromised_control");
-    assert_eq!(owned.compromised, &[0, 1]);
-    let outcome = run_attack_case(&owned).expect("case runs");
-    let v = &outcome.verdict;
+    let owned = deployment_of("all_compromised_control");
+    let attacker = owned
+        .attackers
+        .iter()
+        .find(|a| a.name == "all_compromised_control");
+    assert_eq!(attacker.map(|a| a.compromised), Some(&[0, 1][..]));
+    let v = honest_row("all_compromised_control");
     assert!(!v.expect_within_bound);
     assert!(
         v.exceeds_bound && v.passed,
@@ -104,29 +125,23 @@ fn all_compromised_control_beats_the_bound_only_with_the_owned_noise() {
         v.advantage,
         v.bound
     );
-    assert_eq!(
-        outcome.regrade(&owned, owned.compromised).to_json(),
-        v.to_json(),
-        "regrading with the case's own set is the verdict"
-    );
-    let v = outcome.regrade(&owned, &[]);
+    let passive = honest_row("honest_sampled");
+    assert_eq!(passive.trials, v.trials, "one deployment, one set of runs");
     assert!(
-        v.within_bound,
+        passive.within_bound,
         "passive advantage {} + slack {} must be ≤ bound {}",
-        v.advantage, v.slack, v.bound
+        passive.advantage, passive.slack, passive.bound
     );
 }
 
-/// The paper's adversary — every server but one noising server owned,
-/// the §4.2 disruption included — stays within the bound at a reduced
-/// seed count.
-fn paper_adversary_stays_within_the_bound(name: &str) {
-    let reduced = AttackCase {
-        seed_pairs: 16,
-        ..case(name)
-    };
-    assert_eq!(reduced.compromised.len(), 1, "one noising server is honest");
-    let v = run_attack_case(&reduced).expect("case runs").verdict;
+/// The paper's adversary — every server but one noising server owned —
+/// stays within the bound: `v` is its row's verdict over `trials`
+/// held-out trials.
+fn paper_adversary_stays_within_the_bound(name: &str, v: &AttackVerdict, trials: usize) {
+    let deployment = deployment_of(name);
+    let attacker = deployment.attackers.iter().find(|a| a.name == name);
+    let owned = attacker.map(|a| a.compromised.len());
+    assert_eq!(owned, Some(1), "one noising server is honest");
     assert!(v.expect_within_bound);
     assert!(
         v.within_bound && v.passed,
@@ -137,23 +152,33 @@ fn paper_adversary_stays_within_the_bound(name: &str) {
         v.epsilon,
         v.delta
     );
-    assert_eq!(v.trials, 8 * 4 * 2);
+    assert_eq!(v.trials, trials);
 }
 
 #[test]
 fn honest_hop0_stays_within_the_composed_bound() {
-    paper_adversary_stays_within_the_bound("honest_hop0");
+    let v = honest_row("honest_hop0");
+    paper_adversary_stays_within_the_bound("honest_hop0", &v, 12 * 4 * 2);
 }
 
 #[test]
 fn honest_hop1_stays_within_the_composed_bound() {
-    paper_adversary_stays_within_the_bound("honest_hop1");
+    let v = honest_row("honest_hop1");
+    paper_adversary_stays_within_the_bound("honest_hop1", &v, 12 * 4 * 2);
 }
 
+/// The §4.2 disruption, at a reduced seed count.
 #[test]
 fn disruption_with_an_honest_hop1_stays_within_the_composed_bound() {
-    assert_eq!(case("disruption_honest_hop1").disrupt, Some(&[0, 1][..]));
-    paper_adversary_stays_within_the_bound("disruption_honest_hop1");
+    let name = "disruption_honest_hop1";
+    let reduced = AttackDeployment {
+        seed_pairs: 16,
+        ..deployment_of(name)
+    };
+    assert_eq!(reduced.disrupt, Some(&[0, 1][..]));
+    let outcome = run_deployment(&reduced).expect("deployment runs");
+    let v = grade(&outcome, &reduced, name);
+    paper_adversary_stays_within_the_bound(name, &v, 8 * 4 * 2);
 }
 
 /// Independent recomputation of the honest composed budget: 4
@@ -178,8 +203,8 @@ fn honest_budget() -> (f64, f64) {
 
 #[test]
 fn transcript_budget_matches_independent_dp_recomputation() {
-    let case = &attack_matrix(Scale::Smoke)[0];
-    let scenario = vuvuzela_sim::twin_scenario(case, 7, true);
+    let deployment = &attack_matrix(Scale::Smoke)[0];
+    let scenario = vuvuzela_sim::twin_scenario(deployment, 7, true);
     let budget = run_scenario(&scenario).expect("runs").view.budget;
     let (eps, delta) = honest_budget();
     assert!(

@@ -8,8 +8,8 @@
 use crate::deaddrop::InvitationDropIndex;
 use crate::{expect_len, WireError, DIAL_REQUEST_LEN, INVITATION_LEN, SEALED_INVITATION_LEN};
 use rand::{CryptoRng, RngCore};
-use vuvuzela_crypto::sealedbox;
 use vuvuzela_crypto::x25519::{x25519_base_batch, PublicKey, SecretKey};
+use vuvuzela_crypto::{sealedbox, CryptoError};
 
 /// A sealed invitation: 80 opaque bytes only the intended recipient can
 /// open (and only by trial decryption).
@@ -80,14 +80,32 @@ impl SealedInvitation {
         recipient_secret: &SecretKey,
         recipient_public: &PublicKey,
     ) -> Option<PublicKey> {
-        let plaintext = sealedbox::open(recipient_secret, recipient_public, &self.0).ok()?;
-        if plaintext.len() != INVITATION_LEN {
-            return None;
-        }
-        let mut pk = [0u8; 32];
-        pk.copy_from_slice(&plaintext);
-        Some(PublicKey::from_bytes(pk))
+        caller_key(sealedbox::open(recipient_secret, recipient_public, &self.0))
     }
+
+    /// [`SealedInvitation::try_open`] given `shared`, the X25519 of the
+    /// recipient's secret key and this invitation's first 32 bytes
+    /// ([`sealedbox::open_with_shared`]), so that a drop scan can batch
+    /// the multiplications.
+    #[must_use]
+    pub fn open_with_shared(
+        &self,
+        shared: &[u8; 32],
+        recipient_public: &PublicKey,
+    ) -> Option<PublicKey> {
+        caller_key(sealedbox::open_with_shared(
+            shared,
+            recipient_public,
+            &self.0,
+        ))
+    }
+}
+
+/// The caller's public key an opened invitation carries: its whole
+/// plaintext, [`INVITATION_LEN`] bytes.
+fn caller_key(opened: Result<Vec<u8>, CryptoError>) -> Option<PublicKey> {
+    let key: [u8; INVITATION_LEN] = opened.ok()?.try_into().ok()?;
+    Some(PublicKey::from_bytes(key))
 }
 
 /// A dialing request: deposit `invitation` in invitation drop `drop`.

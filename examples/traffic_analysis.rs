@@ -9,11 +9,13 @@
 //! the tampering either way, and the example lists what it flagged.
 //!
 //! Part 2 runs the paper's attacker on the running system: twin worlds
-//! (Alice talking to Bob, or idle) over a few seeds each, graded by the
-//! attack harness's trained detector (`sim_attack`'s, at fewer seeds).
-//! Owning every server but the honest hop 1 and subtracting the owned
-//! servers' noise, the attacker stays near a coin flip; owning both
-//! noising servers, it reads the pair exactly and beats the DP ceiling.
+//! (Alice talking to Bob, or idle) over a few seeds each, run once and
+//! graded by the attack harness's trained detector (`sim_attack`'s
+//! honest deployment, at fewer seeds) for each attacker in turn.
+//! Passive, or owning every server but one noising hop and subtracting
+//! the owned servers' noise, the attacker stays near a coin flip; owning
+//! both noising servers, it reads the pair exactly and beats the DP
+//! ceiling.
 //!
 //! Run: `cargo run --release --example traffic_analysis`
 
@@ -23,8 +25,8 @@ use std::sync::Arc;
 use vuvuzela::adversary::taps::KeepOnly;
 use vuvuzela::dp::NoiseMode;
 use vuvuzela::sim::{
-    attack_matrix, run_attack_case, AttackCase, RoundPlan, Scale, Scenario, SimError, Simulator,
-    Step,
+    attack_matrix, run_deployment, AttackDeployment, RoundPlan, Scale, Scenario, SimError,
+    Simulator, Step,
 };
 
 fn main() -> Result<(), SimError> {
@@ -48,20 +50,18 @@ fn main() -> Result<(), SimError> {
     }
 
     println!("\n=== Part 2: the paper's attacker on the running system ===\n");
-    for case in attack_matrix(Scale::Smoke) {
-        if !matches!(case.name, "honest_hop1" | "all_compromised_control") {
-            continue;
-        }
-        let v = run_attack_case(&AttackCase {
-            seed_pairs: 6,
-            ..case
-        })?
-        .verdict;
+    let honest = AttackDeployment {
+        seed_pairs: 6,
+        ..attack_matrix(Scale::Smoke).swap_remove(0)
+    };
+    let runs = run_deployment(&honest)?;
+    for attacker in &honest.attackers {
+        let v = runs.grade(attacker);
         println!(
             "{:>24}: owns noising servers {:?}, accuracy {:.1}% over {} held-out rounds \
              (DP ceiling {:.1}%)",
             v.name,
-            case.compromised,
+            attacker.compromised,
             100.0 * v.accuracy,
             v.trials,
             100.0 * (0.5 + v.bound)

@@ -391,10 +391,16 @@ fn drive<E>(
         sent.push(batch.len());
         batch
     })?;
+    // The addresses say where a launch found its ports, not what ran:
+    // the digest leaves them out, so every launch of one file writes one
+    // transcript. The handshakes exchange the whole config's digest.
+    let mut addressless = cfg.clone();
+    addressless.entry_addr.clear();
+    addressless.server_addrs.iter_mut().for_each(String::clear);
     let mut transcript = Transcript::new();
     transcript.push(format!(
         "deploy digest {} seed {} chain {} rounds {}",
-        hex(&cfg.digest()),
+        hex(&addressless.digest()),
         cfg.seed,
         cfg.system.chain_len,
         cfg.schedule.len()
@@ -699,8 +705,8 @@ mod tests {
     use super::*;
     use vuvuzela_crypto::onion;
 
-    /// Strips the transcript header, whose digest covers the deployment's
-    /// concrete addresses, so a pin does not depend on the ports.
+    /// Strips the transcript header, the config's digest, so the pin
+    /// holds the rounds alone.
     fn transcript_body(transcript: &str) -> &str {
         transcript
             .split_once('\n')
@@ -894,6 +900,23 @@ mod tests {
             WANT,
             "{reference}"
         );
+    }
+
+    #[test]
+    fn two_launches_of_one_file_write_one_transcript() {
+        // Each launch resolves the file's ":0" ports afresh, and the
+        // transcript must not depend on which ports it found.
+        let resolved = || {
+            let mut cfg = smoke_config();
+            resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
+            cfg
+        };
+        let first = resolved();
+        let second = (0..16)
+            .map(|_| resolved())
+            .find(|cfg| cfg.digest() != first.digest())
+            .expect("another launch finds other ports");
+        assert_eq!(run_reference(&first), run_reference(&second));
     }
 
     #[test]

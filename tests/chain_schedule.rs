@@ -18,9 +18,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::CrashOnRound;
 use vuvuzela::core::chain::Batch;
-use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::{Chain, RoundOutcome, RoundSpec, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::PublicKey;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -69,9 +68,8 @@ fn schedule(pks: &[PublicKey], rounds: &[(bool, usize)], seed: u64) -> Vec<Round
                     onion::wrap(&mut rng, pks, round, &payload).0
                 })
                 .collect();
-            let mut arena = entry::round_arena(kind, pks.len());
-            entry::multiplex(&mut arena, &[onions]);
-            let batch = Batch::Flat(arena);
+            let width = onion::wrapped_len(kind.payload_len(), pks.len());
+            let batch = Batch::Flat(RoundBuffer::from_vecs(&onions, width, width).0);
             if dialing {
                 RoundSpec::Dialing {
                     round,

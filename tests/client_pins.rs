@@ -6,9 +6,14 @@
 //! the member's position among the round's online members). The cohort
 //! must still produce exactly these bytes.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use vuvuzela::core::{Chain, ClientCohort, RoundBuffer, RoundSpec, SystemConfig};
-use vuvuzela::crypto::x25519::PublicKey;
+use vuvuzela::crypto::sealedbox;
+use vuvuzela::crypto::x25519::{Keypair, PublicKey};
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
+use vuvuzela::wire::dialing::SealedInvitation;
+use vuvuzela::wire::SEALED_INVITATION_LEN;
 
 fn cfg(chain_len: usize, slots: usize, workers: usize) -> SystemConfig {
     SystemConfig {
@@ -179,4 +184,62 @@ fn dialing_rounds_with_queued_dials_match_their_pin() {
         pin.hex(),
         "5cac57ee04825db106b9456c54908dcd41a1a6e3738b6e0ce2c6cb35b5087b29"
     );
+}
+
+/// The batched drop scan against its oracle, the per-entry
+/// `SealedInvitation::try_open` loop: the same callers in the same
+/// order for every member, on a drop of several chunks that mixes
+/// invitations to the member and to others, keyed noise, low-order
+/// ephemeral keys, a box whose plaintext is no public key, and entries
+/// too short to be a box.
+#[test]
+fn the_batched_drop_scan_finds_what_try_open_finds() {
+    let mut rng = StdRng::seed_from_u64(0x5CA7);
+    let members: Vec<Keypair> = (0..3).map(|_| Keypair::generate(&mut rng)).collect();
+    let outsider = Keypair::generate(&mut rng).public;
+    let mut noise = Vec::new();
+    let mut drop = Vec::new();
+    for i in 0..150 {
+        let recipient = match i % 5 {
+            0 | 1 => members[i % 2].public,
+            2 => {
+                noise.push(drop.len());
+                drop.push(SealedInvitation::noise(&mut rng));
+                continue;
+            }
+            3 => members[2].public,
+            _ => outsider,
+        };
+        let caller = Keypair::generate(&mut rng).public;
+        drop.push(SealedInvitation::seal(&mut rng, &caller, &recipient));
+    }
+    let keyed = drop.iter_mut().enumerate();
+    let keyed = keyed.filter(|(at, _)| noise.contains(at));
+    SealedInvitation::key_noise(keyed.map(|(_, inv)| inv.0.as_mut_slice()));
+    // u = 0 and u = 1 are low-order: every secret key's shared secret
+    // with them is zero.
+    for (at, u) in [(7, 0u8), (71, 1)] {
+        let mut low_order = vec![0u8; SEALED_INVITATION_LEN];
+        low_order[0] = u;
+        drop.insert(at, SealedInvitation(low_order));
+    }
+    drop.insert(3, SealedInvitation(vec![9; 12]));
+    drop.insert(40, SealedInvitation(vec![9; sealedbox::OVERHEAD - 1]));
+    let not_a_key = sealedbox::seal(&mut rng, &members[0].public, &[1; 31]);
+    drop.insert(90, SealedInvitation(not_a_key));
+
+    for workers in [1, 2] {
+        let (mut cohort, _) = cohort(&cfg(3, 1, workers), 1, 2, 0);
+        cohort.admit(members.iter().map(|kp| kp.secret.clone()).collect());
+        for (index, member) in members.iter().enumerate() {
+            let want: Vec<PublicKey> = drop
+                .iter()
+                .filter_map(|inv| inv.try_open(&member.secret, &member.public))
+                .collect();
+            assert_eq!(want.len(), 30, "member {index} has 30 invitations");
+            let got = cohort.scan_invitation_drop(index, &drop);
+            assert!(got == want, "member {index}, {workers} workers");
+            assert!(cohort.pending_invitations(index) == want.as_slice());
+        }
+    }
 }

@@ -11,7 +11,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
@@ -21,11 +20,10 @@ use vuvuzela::wire::conversation::{ConversationKeys, ExchangeRequest};
 use vuvuzela::wire::MESSAGE_LEN;
 
 /// Lays per-message onions into a conversation round's arena for the
-/// chain-3 deployment, as the entry does.
+/// chain-3 deployment.
 fn arena(onions: Vec<Vec<u8>>) -> RoundBuffer {
-    let mut batch = entry::round_arena(RoundKind::Conversation, 3);
-    entry::multiplex(&mut batch, &[onions]);
-    batch
+    let width = onion::wrapped_len(RoundKind::Conversation.payload_len(), 3);
+    RoundBuffer::from_vecs(&onions, width, width).0
 }
 
 fn tiny_config() -> SystemConfig {

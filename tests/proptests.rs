@@ -151,21 +151,25 @@ proptest! {
         prop_assert_eq!(ExchangeRequest::decode(&request.encode()).expect("decodes"), request);
     }
 
-    /// Entry multiplex lays every request into the round's arena, in
-    /// client order, for arbitrary shapes.
+    /// Requests laid into an arena keep their order, and a request of
+    /// any other width becomes a zero-filled slot, for arbitrary shapes.
     #[test]
-    fn entry_mux_roundtrip(
-        shape in proptest::collection::vec(0usize..4, 0..12),
+    fn arena_from_vecs_keeps_order_and_zero_fills_misfits(
+        lens in proptest::collection::vec(1usize..4, 0..12),
     ) {
-        let requests: Vec<Vec<Vec<u8>>> = shape
+        let requests: Vec<Vec<u8>> = lens
             .iter()
             .enumerate()
-            .map(|(i, &n)| (0..n).map(|j| vec![i as u8, j as u8]).collect())
+            .map(|(i, &len)| vec![i as u8 + 1; len])
             .collect();
-        let mut batch = vuvuzela::core::RoundBuffer::new(2, 2);
-        vuvuzela::core::entry::multiplex(&mut batch, &requests);
-        let flat: Vec<Vec<u8>> = requests.into_iter().flatten().collect();
-        prop_assert_eq!(batch.to_vecs(), flat);
+        let (batch, misfits) = vuvuzela::core::RoundBuffer::from_vecs(&requests, 2, 2);
+        let laid: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| if r.len() == 2 { r.clone() } else { vec![0; 2] })
+            .collect();
+        prop_assert_eq!(batch.to_vecs(), laid);
+        let want: Vec<usize> = (0..lens.len()).filter(|&i| lens[i] != 2).collect();
+        prop_assert_eq!(misfits, want);
     }
 }
 

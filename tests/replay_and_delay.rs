@@ -11,9 +11,8 @@ use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::{DelayBatch, RoundWindow};
-use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::{Chain, RoundSpec, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, RoundSpec, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
 use vuvuzela::net::{batch_through_link, Link, LinkId};
@@ -22,12 +21,13 @@ use vuvuzela::wire::conversation::ExchangeRequest;
 use vuvuzela::wire::{BatchFrame, RoundId, RoundType, DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN};
 
 /// Runs round `round` of `kind` on `chain` over one onion, laid into
-/// the chain-3 deployment's arena as the entry does: one spec per
-/// [`Chain::run`] call, so the caller sees each round's effect alone.
+/// the chain-3 deployment's arena: one spec per [`Chain::run`] call, so
+/// the caller sees each round's effect alone.
 fn run_one_onion(chain: &mut Chain, round: u64, kind: RoundKind, onion: &[u8]) {
-    let mut arena = entry::round_arena(kind, 3);
-    entry::multiplex(&mut arena, &[vec![onion.to_vec()]]);
-    let batch = arena.into();
+    let width = vuvuzela::crypto::onion::wrapped_len(kind.payload_len(), 3);
+    let batch = RoundBuffer::from_vecs(&[onion.to_vec()], width, width)
+        .0
+        .into();
     let spec = match kind {
         RoundKind::Conversation => RoundSpec::Conversation { round, batch },
         RoundKind::Dialing { num_drops } => RoundSpec::Dialing {

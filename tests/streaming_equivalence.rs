@@ -21,11 +21,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use vuvuzela::adversary::taps::CrashOnRound;
 use vuvuzela::core::chain::Batch;
-use vuvuzela::core::entry;
 use vuvuzela::core::pipeline::StreamingChain;
 use vuvuzela::core::record::{NodeId, Phase, Traffic};
 use vuvuzela::core::server::RoundKind;
-use vuvuzela::core::{Chain, RoundOutcome, RoundSpec, SystemConfig};
+use vuvuzela::core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela::crypto::onion;
 use vuvuzela::crypto::x25519::PublicKey;
 use vuvuzela::dp::{NoiseDistribution, NoiseMode};
@@ -47,11 +46,10 @@ fn config(chain_len: usize, mu: f64) -> SystemConfig {
 }
 
 /// Lays per-message onions into a `kind` round's arena over `chain_len`
-/// servers, as the entry does.
+/// servers.
 fn arena(kind: RoundKind, chain_len: usize, onions: Vec<Vec<u8>>) -> Batch {
-    let mut batch = entry::round_arena(kind, chain_len);
-    entry::multiplex(&mut batch, &[onions]);
-    Batch::Flat(batch)
+    let width = onion::wrapped_len(kind.payload_len(), chain_len);
+    Batch::Flat(RoundBuffer::from_vecs(&onions, width, width).0)
 }
 
 fn client_rounds(pks: &[PublicKey], rounds: usize, clients: usize, seed: u64) -> Vec<RoundSpec> {

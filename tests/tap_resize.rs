@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use vuvuzela::core::chain::Batch;
-use vuvuzela::core::entry;
 use vuvuzela::core::server::RoundKind;
 use vuvuzela::core::{Chain, RoundBuffer, RoundOutcome, RoundSpec, StreamingChain, SystemConfig};
 use vuvuzela::crypto::onion;
@@ -196,9 +195,8 @@ fn clients_leg_resize_runs_alike_on_both_drivers() {
         })
         .collect();
     let spec = || {
-        let mut arena = entry::round_arena(RoundKind::Conversation, 2);
-        entry::multiplex(&mut arena, std::slice::from_ref(&onions));
-        let batch = Batch::Flat(arena);
+        let width = onion::wrapped_len(RoundKind::Conversation.payload_len(), 2);
+        let batch = Batch::Flat(RoundBuffer::from_vecs(&onions, width, width).0);
         vec![RoundSpec::Conversation { round: 0, batch }]
     };
     let tap = || {
