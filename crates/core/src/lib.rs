@@ -25,7 +25,9 @@
 //!   with a weighted window of rounds in flight, hops overlapped across
 //!   rounds, conversation and dialing rounds mixed in one pipeline,
 //!   byte-identical per-round results: the [`node`] hop loop on one
-//!   scoped thread per server, over in-memory links.
+//!   scoped thread per node, over in-memory links ([`StreamingChain`])
+//!   or loopback TCP ([`pipeline::run_over_loopback`], the simulator's
+//!   wire twin).
 //! * [`engine`] — the shared per-server round engine: the one
 //!   implementation of the forward/turnaround/backward state machine
 //!   and the weighted admission window, driven by the hop protocol and

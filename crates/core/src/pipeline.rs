@@ -403,138 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_sequential_across_three_rounds() {
-        let seed = 11;
-        let mut streaming = StreamingChain::new(tiny_config(3), seed);
-        let mut sequential = Chain::new(tiny_config(3), seed);
-        let pks = streaming.chain().server_public_keys();
-        assert_eq!(pks, sequential.server_public_keys());
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let specs: Vec<RoundSpec> = (0..3u64)
-            .map(|round| conversation(round, client_batch(&pks, round, 4, &mut rng)))
-            .collect();
-
-        let streamed = streaming.run(specs.clone()).expect("schedule completes");
-        let expected = sequential.run(specs).expect("rounds complete");
-        assert_eq!(streamed.len(), expected.len());
-        for (round, (got, want)) in streamed.iter().zip(&expected).enumerate() {
-            assert_eq!(
-                got.replies(),
-                want.replies(),
-                "round {round} replies diverged"
-            );
-        }
-
-        // Observables and per-round link accounting agree too.
-        let mut got_obs: Vec<_> = streaming.chain().conversation_observables().to_vec();
-        got_obs.sort_by_key(|(r, _)| *r);
-        assert_eq!(&got_obs, sequential.conversation_observables());
-        for (sl, ql) in streaming.chain().links().iter().zip(sequential.links()) {
-            for round in 0..3 {
-                for direction in [Direction::Forward, Direction::Backward] {
-                    assert_eq!(
-                        sl.round_traffic(round, direction),
-                        ql.round_traffic(round, direction),
-                        "link {} round {round}",
-                        sl.id()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dialing_schedule_matches_sequential() {
-        let seed = 23;
-        let mut streaming = StreamingChain::new(tiny_config(2), seed);
-        let mut sequential = Chain::new(tiny_config(2), seed);
-        let pks = streaming.chain().server_public_keys();
-        let mut rng = StdRng::seed_from_u64(7);
-
-        let caller = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
-        let callee = vuvuzela_crypto::x25519::Keypair::generate(&mut rng);
-        let num_drops = 2;
-        let target = InvitationDropIndex::for_recipient(&callee.public, num_drops);
-        let make_round = |round: u64, rng: &mut StdRng| {
-            let request = vuvuzela_wire::dialing::DialRequest {
-                drop: target,
-                invitation: SealedInvitation::seal(rng, &caller.public, &callee.public),
-            };
-            let onion = onion::wrap(rng, &pks, round, &request.encode()).0;
-            let batch = arena(RoundKind::Dialing { num_drops }, pks.len(), vec![onion]);
-            dialing(round, batch, num_drops)
-        };
-        let specs: Vec<RoundSpec> = (10..13u64)
-            .map(|round| make_round(round, &mut rng))
-            .collect();
-
-        assert_eq!(streaming.run(specs.clone()).expect("completes").len(), 3);
-        sequential.run(specs).expect("rounds complete");
-
-        let mut got: Vec<_> = streaming.chain().dialing_observables().to_vec();
-        got.sort_by_key(|(r, _)| *r);
-        assert_eq!(&got, sequential.dialing_observables());
-
-        // Both retain the last round's drops with identical contents.
-        let streamed = streaming.download_drop(target).expect("drops exist");
-        let reference = sequential.download_drop(target).expect("drops exist");
-        assert_eq!(streamed, reference);
-        // No server leaked round state (dialing rounds are aborted).
-        for i in 0..2 {
-            assert_eq!(streaming.chain().server(i).in_flight_rounds(), 0);
-        }
-    }
-
-    #[test]
-    fn mixed_schedule_matches_sequential() {
-        let seed = 41;
-        let mut streaming = StreamingChain::new(tiny_config(3), seed).with_max_in_flight(3);
-        let mut sequential = Chain::new(tiny_config(3), seed);
-        let pks = streaming.chain().server_public_keys();
-        let mut rng = StdRng::seed_from_u64(13);
-        let num_drops = 2;
-
-        // Conversation and dialing interleaved; dialing both adjacent
-        // (rounds 1, 2) and separated (round 4).
-        let specs: Vec<RoundSpec> = vec![
-            conversation(0, client_batch(&pks, 0, 3, &mut rng)),
-            dialing(1, dial_batch(&pks, 1, 2, num_drops, &mut rng), num_drops),
-            dialing(2, dial_batch(&pks, 2, 1, num_drops, &mut rng), num_drops),
-            conversation(3, client_batch(&pks, 3, 2, &mut rng)),
-            dialing(4, dial_batch(&pks, 4, 2, num_drops, &mut rng), num_drops),
-        ];
-
-        let outcomes = streaming.run(specs.clone()).expect("schedule completes");
-        let expected = sequential.run(specs).expect("rounds complete");
-
-        assert_eq!(outcomes.len(), expected.len());
-        for (got, want) in outcomes.iter().zip(&expected) {
-            assert_eq!(got.replies(), want.replies(), "replies diverged");
-        }
-
-        let mut got_obs: Vec<_> = streaming.chain().conversation_observables().to_vec();
-        got_obs.sort_by_key(|(r, _)| *r);
-        assert_eq!(&got_obs, sequential.conversation_observables());
-        let mut got_dial: Vec<_> = streaming.chain().dialing_observables().to_vec();
-        got_dial.sort_by_key(|(r, _)| *r);
-        assert_eq!(&got_dial, sequential.dialing_observables());
-
-        // Both chains retain the *last* dialing round's drops.
-        for drop in 1..=num_drops {
-            let index = vuvuzela_wire::deaddrop::InvitationDropIndex(drop);
-            assert_eq!(
-                streaming.download_drop(index),
-                sequential.download_drop(index),
-                "drop {drop} diverged"
-            );
-        }
-        for i in 0..3 {
-            assert_eq!(streaming.chain().server(i).in_flight_rounds(), 0);
-        }
-    }
-
-    #[test]
     fn heavy_dialing_rounds_weigh_more_than_conversation_rounds() {
         let config = SystemConfig {
             chain_len: 3,
@@ -761,44 +629,6 @@ mod tests {
         }
         for i in 0..chain_len {
             assert_eq!(streaming.chain().server(i).in_flight_rounds(), 0);
-        }
-    }
-
-    #[test]
-    fn single_server_chain_streams() {
-        let seed = 31;
-        let mut streaming = StreamingChain::new(tiny_config(1), seed);
-        let mut sequential = Chain::new(tiny_config(1), seed);
-        let pks = streaming.chain().server_public_keys();
-        let mut rng = StdRng::seed_from_u64(9);
-        let specs: Vec<RoundSpec> = (0..2u64)
-            .map(|round| conversation(round, client_batch(&pks, round, 2, &mut rng)))
-            .collect();
-        let streamed = streaming.run(specs.clone()).expect("schedule completes");
-        let expected = sequential.run(specs).expect("rounds complete");
-        for (round, (got, want)) in streamed.iter().zip(&expected).enumerate() {
-            assert_eq!(got.replies(), want.replies(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn single_server_mixed_schedule() {
-        // chain_len = 1: the tail is also stage 0, so conversation
-        // turnarounds and dialing completion notices both exit directly.
-        let seed = 61;
-        let mut streaming = StreamingChain::new(tiny_config(1), seed);
-        let mut sequential = Chain::new(tiny_config(1), seed);
-        let pks = streaming.chain().server_public_keys();
-        let mut rng = StdRng::seed_from_u64(19);
-        let specs = vec![
-            conversation(0, client_batch(&pks, 0, 2, &mut rng)),
-            dialing(1, dial_batch(&pks, 1, 1, 1, &mut rng), 1),
-            conversation(2, client_batch(&pks, 2, 1, &mut rng)),
-        ];
-        let outcomes = streaming.run(specs.clone()).expect("schedule completes");
-        let expected = sequential.run(specs).expect("rounds complete");
-        for (got, want) in outcomes.iter().zip(&expected) {
-            assert_eq!(got.replies(), want.replies());
         }
     }
 }

@@ -981,59 +981,132 @@ mod tests {
         }
     }
 
-    /// The heart of the refactor's safety argument: for identical seeds
-    /// the flat arena pipeline and the per-`Vec` reference path must
-    /// produce byte-identical batches in both directions.
+    /// One row of [`flat_and_reference_paths_are_byte_identical`]: a
+    /// chain, its client batch, and the SHA-256 of the last hop's bytes
+    /// each way (`backward` is `None` for a forward-only dialing round).
+    struct Row {
+        chain_len: usize,
+        clients: usize,
+        mu: f64,
+        kind: RoundKind,
+        /// Flip one bit of one onion, so the substitute path runs too.
+        flip: bool,
+        forward: &'static str,
+        backward: Option<&'static str>,
+    }
+
+    /// The heart of the flat pipeline's safety argument: for identical
+    /// seeds it and the per-`Vec` reference path produce byte-identical
+    /// batches at every hop in both directions, replace the same
+    /// malformed onions, and meet each row's pins.
     #[test]
     fn flat_and_reference_paths_are_byte_identical() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let (mut flat0, mut flat1) = two_server_chain(3.0);
-        let (mut ref0, mut ref1) = two_server_chain(3.0);
-        let chain_pks = [flat0.public_key(), flat1.public_key()];
+        // SHA-256 of no bytes: no onion left.
+        const EMPTY: &str = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+        let conversation = RoundKind::Conversation;
+        let dialing = |num_drops| RoundKind::Dialing { num_drops };
+        #[rustfmt::skip]
+        let rows = [
+            Row { chain_len: 1, clients: 0, mu: 0.0, kind: conversation, flip: false,
+                forward: EMPTY, backward: Some(EMPTY) },
+            Row { chain_len: 1, clients: 11, mu: 5.0, kind: conversation, flip: false,
+                forward: "5dd66fe2e694656df48ca77ac96fb6c5ac4d27be99b4e511ded0a4e77e91a495",
+                backward: Some("1ef00db4fc8011926910c4ec76d8ad80448c3dc578d542498bc00480d2421839") },
+            Row { chain_len: 2, clients: 1, mu: 0.0, kind: conversation, flip: false,
+                forward: "d8739f5f6efc3a18286da44fd60725ee4cfaca95e3f1b0701e2c0ae01598e54d",
+                backward: Some("bba1be619a635ae9eb15eedacb637a8b177d648ac5775ed07bfae58d917d2a4c") },
+            Row { chain_len: 2, clients: 11, mu: 5.0, kind: conversation, flip: true,
+                forward: "dd8ccf59f58033c079a1e2c62688d38fb5fb8fcc1078976d8a55cc69fad1195c",
+                backward: Some("47b3a81d4926e2b421987962f73a8ed9a92c45af51854acc1f59425e9b0c3579") },
+            Row { chain_len: 3, clients: 0, mu: 5.0, kind: conversation, flip: false,
+                forward: "9bed8ed3f477b61abba4cf32861b4d5d0ab3f618a6388f96ee9fa980df338276",
+                backward: Some(EMPTY) },
+            Row { chain_len: 3, clients: 11, mu: 0.0, kind: conversation, flip: false,
+                forward: "4fc65a84c252ec88c5b277ba38ccbf200134c9fb140818e3a0f5d22ca7372b29",
+                backward: Some("fdbf8eb27b0b0822299d401276b4a269723fa28e4a52c13fcbac25fa92b58c8d") },
+            Row { chain_len: 3, clients: 1, mu: 5.0, kind: conversation, flip: false,
+                forward: "67a03ce62e9b2bef7adb9ad9b2c7fb4806c5996825c6d26a62ece2a74b0ebde3",
+                backward: Some("1671d3888f1d1dde8a7355e3c2255127d746c0d619fc70ef5c4369d429aed9af") },
+            Row { chain_len: 2, clients: 11, mu: 5.0, kind: dialing(1), flip: false,
+                forward: "e0839928ec963d49269277c9242d7e1521e3ee1b5f88af606fd693bb0da43003",
+                backward: None },
+            Row { chain_len: 3, clients: 11, mu: 5.0, kind: dialing(3), flip: false,
+                forward: "a78f2fa4e6feb44e30a468e16d46d5dadd696a100fde7c284eb3fbd110788610",
+                backward: None },
+        ];
+        let pin = |vecs: &[Vec<u8>]| {
+            let digest = vuvuzela_crypto::sha256::sha256(&vecs.concat());
+            digest
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect::<String>()
+        };
+        for (at, row) in (0u64..).zip(&rows) {
+            let (round, chain_len) = (3 + at, row.chain_len);
+            let mut config = test_config(row.mu);
+            config.chain_len = chain_len;
+            let mut rng = StdRng::seed_from_u64(at);
+            let keypairs: Vec<Keypair> = (0..chain_len)
+                .map(|_| Keypair::generate(&mut rng))
+                .collect();
+            let pks: Vec<PublicKey> = keypairs.iter().map(|kp| kp.public).collect();
+            let chain = || -> Vec<MixServer> {
+                let servers = keypairs.iter().cloned().enumerate();
+                servers
+                    .map(|(i, kp)| {
+                        let downstream = pks[i + 1..].to_vec();
+                        MixServer::new(i, chain_len, kp, downstream, config.clone(), at + i as u64)
+                    })
+                    .collect()
+            };
+            let (mut flat, mut reference) = (chain(), chain());
 
-        let onions: Vec<Vec<u8>> = (0..5)
-            .map(|_| {
-                let payload = ExchangeRequest::noise(&mut rng).encode();
-                onion::wrap(&mut rng, &chain_pks, 8, &payload).0
-            })
-            .collect();
-        // Corrupt one onion so the substitute path is exercised too.
-        let mut onions = onions;
-        onions[2][40] ^= 0xFF;
+            let mut onions: Vec<Vec<u8>> = (0..row.clients)
+                .map(|_| {
+                    let payload = match row.kind {
+                        RoundKind::Conversation => ExchangeRequest::noise(&mut rng).encode(),
+                        RoundKind::Dialing { .. } => DialRequest::noop(&mut rng).encode(),
+                    };
+                    onion::wrap(&mut rng, &pks, round, &payload).0
+                })
+                .collect();
+            if row.flip {
+                onions[row.clients / 2][40] ^= 0x10;
+            }
 
-        let width = flat0.incoming_width(RoundKind::Conversation);
-        let (buf, _) = RoundBuffer::from_vecs(&onions, width, width);
+            let width = flat[0].incoming_width(row.kind);
+            let (mut buf, _) = RoundBuffer::from_vecs(&onions, width, width);
+            let mut vecs = onions;
+            for (hop, (f, r)) in flat.iter_mut().zip(&mut reference).enumerate() {
+                buf = f.forward_buf(round, row.kind, buf).0;
+                vecs = r.forward_reference(round, row.kind, vecs);
+                let what = format!("row {at}, forward hop {hop}");
+                assert_eq!(buf.to_vecs(), vecs, "{what}");
+                assert_eq!(f.malformed_replaced, r.malformed_replaced, "{what}");
+            }
+            let replaced: u64 = flat.iter().map(|s| s.malformed_replaced).sum();
+            assert_eq!(replaced, u64::from(row.flip), "row {at}: substitutes");
+            assert_eq!(pin(&vecs), row.forward, "row {at}: the forward pin");
+            let Some(backward) = row.backward else {
+                continue;
+            };
 
-        let mid_ref = ref0.forward_reference(8, RoundKind::Conversation, onions);
-        let (mid_flat, _) = flat0.forward_buf(8, RoundKind::Conversation, buf);
-        assert_eq!(mid_flat.to_vecs(), mid_ref, "first hop diverged");
-
-        let (mid_buf, _) = RoundBuffer::from_vecs(&mid_ref, mid_flat.width(), mid_flat.width());
-        let last_ref = ref1.forward_reference(8, RoundKind::Conversation, mid_ref);
-        let (last_flat, _) = flat1.forward_buf(8, RoundKind::Conversation, mid_buf);
-        assert_eq!(last_flat.to_vecs(), last_ref, "second hop diverged");
-        assert_eq!(flat0.malformed_replaced, ref0.malformed_replaced);
-
-        // Echo the payloads back as replies and compare the return path.
-        let replies_ref = ref1.backward_reference(8, last_ref);
-        let mut reply_buf = RoundBuffer::new(
-            last_flat.width() + 2 * onion::REPLY_LAYER_OVERHEAD,
-            last_flat.width(),
-        );
-        for i in 0..last_flat.len() {
-            let bytes = last_flat.slot(i);
-            reply_buf.push_with(|slot| slot.copy_from_slice(bytes));
+            // The tail echoes its payloads back as the replies.
+            let reply_width = buf.width();
+            let reply_stride = reply_width + chain_len * onion::REPLY_LAYER_OVERHEAD;
+            let mut replies = RoundBuffer::new(reply_stride, reply_width);
+            for i in 0..buf.len() {
+                let bytes = buf.slot(i);
+                replies.push_with(|slot| slot.copy_from_slice(bytes));
+            }
+            let servers = flat.iter_mut().zip(&mut reference).enumerate().rev();
+            for (hop, (f, r)) in servers {
+                replies = f.backward_buf(round, replies);
+                vecs = r.backward_reference(round, vecs);
+                assert_eq!(replies.to_vecs(), vecs, "row {at}, backward hop {hop}");
+            }
+            assert_eq!(pin(&vecs), backward, "row {at}: the backward pin");
         }
-        let replies_flat = flat1.backward_buf(8, reply_buf);
-        assert_eq!(
-            replies_flat.to_vecs(),
-            replies_ref,
-            "last-hop replies diverged"
-        );
-
-        let back_ref = ref0.backward_reference(8, replies_ref);
-        let back_flat = flat0.backward_buf(8, replies_flat);
-        assert_eq!(back_flat.to_vecs(), back_ref, "first-hop replies diverged");
     }
 
     /// A batch with *every* onion malformed — garbage, a low-order

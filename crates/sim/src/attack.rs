@@ -7,7 +7,11 @@
 //! hold an active conversation; in the "idle" world both sit as cover
 //! traffic. Both worlds run once over many seeds on the real chain
 //! ([`run_deployment`]), and every [`Attacker`] of the deployment is
-//! graded on those same runs ([`AttackOutcome::grade`]). An attacker
+//! graded on those same runs ([`AttackOutcome::grade`]). Each world's
+//! sample seed runs a second time over loopback TCP
+//! ([`Simulator::over_wire`]), and the deployment is refused unless
+//! that twin's transcript, public record and graded rounds equal the
+//! in-process run's. An attacker
 //! owns the tail, so it reads each run's
 //! [`vuvuzela_adversary::AdversaryView`] (`SimReport::view`), which has
 //! no ground-truth field, and it knows the noise draws of the noising
@@ -47,7 +51,7 @@ use vuvuzela_adversary::{pair_activity_feature, subtract_owned_noise, ThresholdD
 use vuvuzela_dp::{ComposedPrivacy, NoiseDistribution, NoiseMode};
 
 use crate::scenario::{LedgerNoise, RoundPlan, Scale, Scenario, Step};
-use crate::simulator::{run_scenario, SimError, SimReport, Simulator};
+use crate::simulator::{SimError, SimReport, Simulator};
 
 /// Grading confidence for the Hoeffding slack: each gate's verdict
 /// holds except with probability ≤ α over the sampling noise.
@@ -218,7 +222,7 @@ impl AttackVerdict {
 /// tail's histogram, and each noising server's `(singles, pairs)` draw
 /// in chain order (`SimReport::noise_draws`), of which it subtracts the
 /// ones it owns.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct ObservedRound {
     m1: u64,
     m2: u64,
@@ -443,29 +447,32 @@ struct WorldRuns {
     reports: Vec<SimReport>,
 }
 
-/// Runs every seeded twin of one world.
+/// Runs every seeded twin of one world, and the first held-out seed's
+/// (the sample [`AttackOutcome`] keeps) a second time over the wire
+/// ([`Simulator::over_wire`]), which must match the in-process run.
 fn run_world(deployment: &AttackDeployment, talking: bool) -> Result<WorldRuns, SimError> {
-    let mut per_seed = Vec::with_capacity(deployment.seed_pairs);
-    let mut reports = Vec::with_capacity(deployment.seed_pairs);
-    for i in 0..deployment.seed_pairs {
-        let seed = deployment.base_seed.wrapping_add(i as u64);
-        let scenario = twin_scenario(deployment, seed, talking);
-        let report = match deployment.disrupt {
-            None => run_scenario(&scenario)?,
+    let run = |seed: u64, wire: bool| {
+        let mut sim = Simulator::new(twin_scenario(deployment, seed, talking));
+        if wire {
+            sim = sim.over_wire();
+        }
+        match deployment.disrupt {
+            None => sim.run(),
             // The disruption trips the participation invariants, so its
             // worlds run in tolerant mode, as a soak case does.
             Some(keep) => {
-                let mut sim = Simulator::new(scenario);
                 sim.chain_mut()
                     .link_mut(0)
                     .attach_tap(Arc::new(Mutex::new(KeepOnly {
                         indices: keep.to_vec(),
                         only_round: None,
                     })));
-                sim.run_collecting().0
+                Ok(sim.run_collecting().0)
             }
-        };
-        let rounds: Vec<ObservedRound> = report
+        }
+    };
+    let observed = |report: &SimReport| -> Vec<ObservedRound> {
+        report
             .view
             .conversation_rounds()
             .filter_map(|(round, observables)| Some((round, observables?)))
@@ -474,13 +481,31 @@ fn run_world(deployment: &AttackDeployment, talking: bool) -> Result<WorldRuns, 
                 m2: o.m2,
                 draws: report.noise_draws[&round].clone(),
             })
-            .collect();
+            .collect()
+    };
+    let mut per_seed = Vec::with_capacity(deployment.seed_pairs);
+    let mut reports = Vec::with_capacity(deployment.seed_pairs);
+    for i in 0..deployment.seed_pairs {
+        let seed = deployment.base_seed.wrapping_add(i as u64);
+        let report = run(seed, false)?;
+        let rounds = observed(&report);
         if rounds.len() != deployment.conversation_rounds {
             return Err(SimError::Attack(format!(
                 "seed {seed}: expected {} observable conversation rounds, got {}",
                 deployment.conversation_rounds,
                 rounds.len()
             )));
+        }
+        if i == deployment.seed_pairs / 2 {
+            let wire = run(seed, true)?;
+            let differs = (observed(&wire) != rounds).then_some("observed rounds");
+            if let Some(what) = report.twin_mismatch(&wire).or(differs) {
+                let world = if talking { "talking" } else { "idle" };
+                return Err(SimError::Attack(format!(
+                    "{} {world} world, seed {seed}: the wire twin's {what} differs",
+                    deployment.name()
+                )));
+            }
         }
         per_seed.push(rounds);
         reports.push(report);
@@ -494,7 +519,8 @@ fn run_world(deployment: &AttackDeployment, talking: bool) -> Result<WorldRuns, 
 /// # Errors
 ///
 /// Propagates the first simulation failure, or [`SimError::Attack`]
-/// for a run missing a conversation round's observables.
+/// for a run missing a conversation round's observables, or for a
+/// sample seed whose wire twin differs from its in-process run.
 ///
 /// # Panics
 ///

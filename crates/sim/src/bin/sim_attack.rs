@@ -14,6 +14,9 @@
 //! each, and `disruption_honest_hop1` (§4.2: the owned first server also
 //! drops every request but the target pair's) one row that owns server
 //! 0. A deployment's scenarios and transcripts take its first row's name.
+//! Each world's first held-out seed also runs over the wire
+//! (`Simulator::over_wire`), and a deployment whose wire twin differs
+//! from its in-process run fails with "the wire twin's … differs".
 //!
 //! ```text
 //! sim_attack [--full] [OUT_DIR]
@@ -35,7 +38,8 @@
 //!   `transcript_<deployment>_idle.txt` — the first held-out seed's twin
 //!   pair, for inspection.
 //!
-//! Exit status is non-zero if any row fails its gate: an honest row's
+//! Exit status is non-zero if a deployment's run or wire twin fails, or
+//! if any row fails its gate: an honest row's
 //! held-out advantage (plus slack) escaping the bound, or a negative
 //! control (noise off, undersized µ, every noising server owned)
 //! *failing to beat* the bound it falsely claims.

@@ -84,7 +84,10 @@
 //! ([`run_scenario_over_wire`], [`soak::run_soak_case_over_wire`]) and
 //! require a byte-identical transcript, the same tripped invariants and
 //! an equal public round record for every completed round
-//! ([`simulator::SimReport::twin_mismatch`]).
+//! ([`simulator::SimReport::twin_mismatch`]). The attack matrix runs
+//! each world's sample seed a second time that way too, and also
+//! requires equal histograms and noise draws for every round it grades
+//! ([`attack::run_deployment`]).
 //!
 //! ## Round-abort semantics
 //!

@@ -68,7 +68,8 @@ pub enum SimError {
     /// A per-round invariant did not hold.
     Invariant(InvariantViolation),
     /// The attack harness could not use a run's adversary view (it
-    /// lacks observable rounds) — see [`crate::attack`].
+    /// lacks observable rounds), or a run's wire twin differs from it —
+    /// see [`crate::attack`].
     Attack(String),
 }
 

@@ -375,7 +375,7 @@ impl ScriptedClients {
 /// One round as it came back: its replies and the tail's trailer.
 type Carried = (Vec<Vec<u8>>, RoundTrailer);
 
-/// The scripted-client driver [`run_reference`] and [`run_client`]
+/// The scripted-client driver [`run_reference`] and [`run_client_tcp`]
 /// share. `carry` gets a builder of round `index`'s client batch and
 /// returns every round, in order. The cohort sees no reply before every
 /// round is built, as in the simulator, so its bytes do not depend on
@@ -481,44 +481,6 @@ pub fn run_reference(cfg: &DeploymentConfig) -> String {
         carried.collect::<Result<_, Abort>>()
     })
     .expect("the reference chain runs every validated round")
-}
-
-/// Replays the schedule against a live entry over any [`Transport`]
-/// (`vuvuzela client` over TCP, or in-memory endpoints in tests) and
-/// builds the client-side transcript.
-///
-/// [`feed_window`] keeps the entry's own window in flight: `chain_len`
-/// weighted slots, the limit the entry enforces and the one the
-/// in-process [`Chain::run`] keeps, so heavyweight rounds consume more
-/// of it. Backward frames return in admission order, and the cohort sees
-/// no reply before every round is built, so the transcript is
-/// byte-identical to [`run_reference`]'s one round at a time.
-///
-/// # Errors
-///
-/// Transport failures, or [`Error::Protocol`] when the chain answers
-/// out of protocol (wrong round, malformed trailer).
-pub fn run_client(cfg: &DeploymentConfig, entry: &dyn Transport) -> Result<String, Error> {
-    let schedule: Vec<(u64, RoundKind, usize)> = (0u64..)
-        .zip(&cfg.schedule)
-        .map(|(round, entry)| {
-            let (kind, clients) = entry.shape();
-            (round, kind, clients)
-        })
-        .collect();
-    drive(cfg, |build| {
-        let mut carried = Vec::with_capacity(schedule.len());
-        let admit = |index| (build(index), ());
-        let collect = |(), back: BatchFrame, trailer| {
-            // A batch of no slots may come back with no stride.
-            let (stride, width) = ((back.stride as usize).max(1), back.width as usize);
-            let replies = RoundBuffer::from_raw(back.payload, stride, width, back.count as usize);
-            carried.push((replies.to_vecs(), trailer));
-        };
-        let window = cfg.system.chain_len;
-        feed_window(&cfg.system, entry, window, &schedule, admit, collect)?;
-        Ok(carried)
-    })
 }
 
 /// Binds the listener `node` serves on: the entry's client address, or
@@ -631,13 +593,21 @@ pub fn serve_entry_observed(
     run_entry_node(&cfg.system, clients, downstream, observer)
 }
 
-/// Runs the scripted client driver over TCP against a live entry (see
-/// [`run_client`]).
+/// Replays the schedule against a live entry over TCP (`vuvuzela
+/// client`) and builds the client-side transcript.
+///
+/// [`feed_window`] keeps the entry's own window in flight: `chain_len`
+/// weighted slots, the limit the entry enforces and the one the
+/// in-process [`Chain::run`] keeps, so heavyweight rounds consume more
+/// of it. Backward frames return in admission order, and the cohort sees
+/// no reply before every round is built, so the transcript is
+/// byte-identical to [`run_reference`]'s one round at a time.
 ///
 /// # Errors
 ///
-/// Connect/handshake failures and any protocol violation from
-/// [`run_client`].
+/// Connect/handshake and transport failures, or [`Error::Protocol`]
+/// when the chain answers out of protocol (wrong round, malformed
+/// trailer).
 pub fn run_client_tcp(cfg: &DeploymentConfig) -> Result<String, Error> {
     let entry = TcpTransport::connect(
         cfg.entry_addr.as_str(),
@@ -645,7 +615,26 @@ pub fn run_client_tcp(cfg: &DeploymentConfig) -> Result<String, Error> {
         cfg.digest(),
         &cfg.connect_retry(),
     )?;
-    run_client(cfg, &entry)
+    let schedule: Vec<(u64, RoundKind, usize)> = (0u64..)
+        .zip(&cfg.schedule)
+        .map(|(round, entry)| {
+            let (kind, clients) = entry.shape();
+            (round, kind, clients)
+        })
+        .collect();
+    drive(cfg, |build| {
+        let mut carried = Vec::with_capacity(schedule.len());
+        let admit = |index| (build(index), ());
+        let collect = |(), back: BatchFrame, trailer| {
+            // A batch of no slots may come back with no stride.
+            let (stride, width) = ((back.stride as usize).max(1), back.width as usize);
+            let replies = RoundBuffer::from_raw(back.payload, stride, width, back.count as usize);
+            carried.push((replies.to_vecs(), trailer));
+        };
+        let window = cfg.system.chain_len;
+        feed_window(&cfg.system, &entry, window, &schedule, admit, collect)?;
+        Ok(carried)
+    })
 }
 
 /// Rewrites every `:0` address to a concrete free loopback port
@@ -894,12 +883,46 @@ mod tests {
         // onions, what the servers did with them, and what the replies
         // delivered.
         const WANT: &str = "c30f6226946403163e5df81f1129b9c3cb382f6f73959f96646767a2bf7eaf26";
-        let reference = run_reference(&smoke_config());
+        let cfg = smoke_config();
+        let reference = run_reference(&cfg);
         assert_eq!(
             hex(&sha256(transcript_body(&reference).as_bytes())),
             WANT,
             "{reference}"
         );
+
+        // The tail's histograms, as the synthetic-onion client produced
+        // them before the cohort replaced it. Server noise is a function
+        // of the seed and the round, and the cohort puts the same pairs
+        // and singles into the dead drops, so no count the tail sees may
+        // move.
+        let obs: Vec<&str> = reference.lines().filter(|l| l.contains(" obs ")).collect();
+        assert_eq!(
+            obs,
+            [
+                "round 0 obs m1 10 m2 9 m_many 0 total 28",
+                "round 2 obs m1 15 m2 6 m_many 0 total 27",
+                "round 3 obs m1 11 m2 6 m_many 0 total 23",
+            ]
+        );
+
+        // Round 0's two pairs each deliver both their messages. Round
+        // 2's pair retransmits round 0's messages, whose acks the cohort
+        // ingests only after the last round is built (duplicates,
+        // nothing new); round 3 has no pair.
+        let delivered: Vec<&str> = reference
+            .lines()
+            .filter_map(|line| line.split(" delivered ").nth(1))
+            .collect();
+        assert_eq!(delivered, ["4", "0", "0"], "{reference}");
+
+        // Another seed or a shorter schedule writes another transcript.
+        let mut other = cfg.clone();
+        other.seed ^= 1;
+        assert_ne!(reference, run_reference(&other), "seeds must not collide");
+        let mut shorter = cfg;
+        shorter.schedule.pop();
+        assert_ne!(reference, run_reference(&shorter));
     }
 
     #[test]
@@ -917,23 +940,5 @@ mod tests {
             .find(|cfg| cfg.digest() != first.digest())
             .expect("another launch finds other ports");
         assert_eq!(run_reference(&first), run_reference(&second));
-    }
-
-    #[test]
-    fn smoke_tail_histograms_do_not_depend_on_the_client() {
-        // The lines the synthetic-onion client produced before the
-        // cohort replaced it. Server noise is a function of the seed and
-        // the round, and the cohort puts the same pairs and singles into
-        // the dead drops, so no count the tail sees may move.
-        let reference = run_reference(&smoke_config());
-        let obs: Vec<&str> = reference.lines().filter(|l| l.contains(" obs ")).collect();
-        assert_eq!(
-            obs,
-            [
-                "round 0 obs m1 10 m2 9 m_many 0 total 28",
-                "round 2 obs m1 15 m2 6 m_many 0 total 27",
-                "round 3 obs m1 11 m2 6 m_many 0 total 23",
-            ]
-        );
     }
 }
