@@ -883,46 +883,12 @@ mod tests {
         // onions, what the servers did with them, and what the replies
         // delivered.
         const WANT: &str = "c30f6226946403163e5df81f1129b9c3cb382f6f73959f96646767a2bf7eaf26";
-        let cfg = smoke_config();
-        let reference = run_reference(&cfg);
+        let reference = run_reference(&smoke_config());
         assert_eq!(
             hex(&sha256(transcript_body(&reference).as_bytes())),
             WANT,
             "{reference}"
         );
-
-        // The tail's histograms, as the synthetic-onion client produced
-        // them before the cohort replaced it. Server noise is a function
-        // of the seed and the round, and the cohort puts the same pairs
-        // and singles into the dead drops, so no count the tail sees may
-        // move.
-        let obs: Vec<&str> = reference.lines().filter(|l| l.contains(" obs ")).collect();
-        assert_eq!(
-            obs,
-            [
-                "round 0 obs m1 10 m2 9 m_many 0 total 28",
-                "round 2 obs m1 15 m2 6 m_many 0 total 27",
-                "round 3 obs m1 11 m2 6 m_many 0 total 23",
-            ]
-        );
-
-        // Round 0's two pairs each deliver both their messages. Round
-        // 2's pair retransmits round 0's messages, whose acks the cohort
-        // ingests only after the last round is built (duplicates,
-        // nothing new); round 3 has no pair.
-        let delivered: Vec<&str> = reference
-            .lines()
-            .filter_map(|line| line.split(" delivered ").nth(1))
-            .collect();
-        assert_eq!(delivered, ["4", "0", "0"], "{reference}");
-
-        // Another seed or a shorter schedule writes another transcript.
-        let mut other = cfg.clone();
-        other.seed ^= 1;
-        assert_ne!(reference, run_reference(&other), "seeds must not collide");
-        let mut shorter = cfg;
-        shorter.schedule.pop();
-        assert_ne!(reference, run_reference(&shorter));
     }
 
     #[test]
@@ -940,5 +906,23 @@ mod tests {
             .find(|cfg| cfg.digest() != first.digest())
             .expect("another launch finds other ports");
         assert_eq!(run_reference(&first), run_reference(&second));
+    }
+
+    #[test]
+    fn smoke_tail_histograms_do_not_depend_on_the_client() {
+        // The lines the synthetic-onion client produced before the
+        // cohort replaced it. Server noise is a function of the seed and
+        // the round, and the cohort puts the same pairs and singles into
+        // the dead drops, so no count the tail sees may move.
+        let reference = run_reference(&smoke_config());
+        let obs: Vec<&str> = reference.lines().filter(|l| l.contains(" obs ")).collect();
+        assert_eq!(
+            obs,
+            [
+                "round 0 obs m1 10 m2 9 m_many 0 total 28",
+                "round 2 obs m1 15 m2 6 m_many 0 total 27",
+                "round 3 obs m1 11 m2 6 m_many 0 total 23",
+            ]
+        );
     }
 }
