@@ -77,10 +77,21 @@ impl MessageLog {
         self.lens.push(len);
     }
 
+    /// How many messages the log holds.
+    pub(crate) fn len(&self) -> usize {
+        self.lens.len()
+    }
+
     /// The messages, oldest first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        let mut start = 0;
-        self.lens.iter().map(move |&len| {
+        self.since(0)
+    }
+
+    /// The messages after the first `count`, oldest first.
+    pub(crate) fn since(&self, count: usize) -> impl Iterator<Item = &[u8]> {
+        let lens = &self.lens[count..];
+        let mut start = self.bytes.len() - lens.iter().map(|&len| usize::from(len)).sum::<usize>();
+        lens.iter().map(move |&len| {
             let body = &self.bytes[start..start + usize::from(len)];
             start += body.len();
             body

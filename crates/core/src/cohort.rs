@@ -132,11 +132,13 @@ type BuildItem<'a, 'b> = (
 );
 
 /// One member's reply-ingestion work item: its conversation slots, its
-/// replies, and the layer keys recorded at build time.
+/// replies, the layer keys recorded at build time, and where to note
+/// each slot's delivered count before its reply is read.
 type IngestItem<'a> = (
     &'a mut [Option<Box<Conversation>>],
     &'a [Vec<u8>],
     &'a [LayerKey],
+    &'a mut [Option<usize>],
 );
 
 /// The conversation slots of each member in `members` (ascending).
@@ -298,10 +300,10 @@ impl ClientCohort {
         self.online[index] = online;
     }
 
-    /// Whether member `index` sends in the next round.
+    /// The member whose long-term public key is `key`, if any.
     #[must_use]
-    pub fn is_online(&self, index: usize) -> bool {
-        self.online[index]
+    pub fn member(&self, key: &PublicKey) -> Option<usize> {
+        self.by_key.get(key).copied()
     }
 
     fn slot_range(&self, index: usize) -> core::ops::Range<usize> {
@@ -539,7 +541,9 @@ impl ClientCohort {
         pairs
     }
 
-    fn online_members(&self) -> Vec<usize> {
+    /// The members that send in the next round, in index order.
+    #[must_use]
+    pub fn online_members(&self) -> Vec<usize> {
         (0..self.len()).filter(|&i| self.online[i]).collect()
     }
 
@@ -669,40 +673,70 @@ impl ClientCohort {
     /// their replies, and replies past the last request are ignored.
     /// Conversations entered since the round was built have their keys
     /// derived first (`ClientCohort::derive_queued_keys`).
-    pub fn handle_conversation_replies(&mut self, round: u64, replies: &[Vec<u8>]) {
+    ///
+    /// Returns the messages the replies delivered, each as `(member,
+    /// peer, body)`, in member-major slot order and, within a slot, in
+    /// the order the conversation delivered them.
+    pub fn handle_conversation_replies(
+        &mut self,
+        round: u64,
+        replies: &[Vec<u8>],
+    ) -> Vec<(usize, PublicKey, Vec<u8>)> {
         self.derive_queued_keys();
         let Some(PendingBatch { members, keys }) = self.pending.remove(&round) else {
-            return; // a round we never participated in (or already expired)
+            return Vec::new(); // a round we never participated in (or already expired)
         };
         let chain_len = self.server_pks.len();
         let slots_per = self.config.conversation_slots;
+        // Per request, how many messages its slot's conversation had
+        // delivered before its reply was read; `None` where none was.
+        let mut seen = vec![None; members.len() * slots_per];
         let items: Vec<IngestItem<'_>> = member_slots(&mut self.slots, slots_per, &members)
             .into_iter()
             .zip(replies.chunks(slots_per))
             .zip(keys.chunks(slots_per * chain_len))
-            .map(|(((_, slots), replies), keys)| (slots, replies, keys))
+            .zip(seen.chunks_mut(slots_per))
+            .map(|((((_, slots), replies), keys), seen)| (slots, replies, keys, seen))
             .collect();
 
-        WorkerPool::shared().map_vec(items, self.config.workers, |(slots, replies, keys)| {
-            for ((slot, reply), keys) in slots.iter_mut().zip(replies).zip(keys.chunks(chain_len)) {
-                let Ok(sealed) = onion::unwrap_reply_layers(keys, round, reply) else {
-                    continue; // tampered or misrouted reply
-                };
-                if sealed.len() != EXCHANGE_RESPONSE_LEN {
-                    continue;
-                }
-                if let Some(conversation) = slot {
-                    // A decrypt failure means the partner was absent
-                    // this round (server filler) — normal, not an error.
-                    let keys = conversation.keys.as_ref().expect(DERIVED);
-                    if let Ok(padded) = keys.open_message(round, &sealed) {
-                        if let Ok(frame) = FramedMessage::decode(&padded) {
-                            conversation.receive_frame(frame);
+        WorkerPool::shared().map_vec(
+            items,
+            self.config.workers,
+            |(slots, replies, keys, seen)| {
+                let slots = slots.iter_mut().zip(replies).zip(keys.chunks(chain_len));
+                for (((slot, reply), keys), seen) in slots.zip(seen) {
+                    let Ok(sealed) = onion::unwrap_reply_layers(keys, round, reply) else {
+                        continue; // tampered or misrouted reply
+                    };
+                    if sealed.len() != EXCHANGE_RESPONSE_LEN {
+                        continue;
+                    }
+                    if let Some(conversation) = slot {
+                        // A decrypt failure means the partner was absent
+                        // this round (server filler) — normal, not an error.
+                        let keys = conversation.keys.as_ref().expect(DERIVED);
+                        if let Ok(padded) = keys.open_message(round, &sealed) {
+                            if let Ok(frame) = FramedMessage::decode(&padded) {
+                                *seen = Some(conversation.delivered.len());
+                                conversation.receive_frame(frame);
+                            }
                         }
                     }
                 }
-            }
-        });
+            },
+        );
+        let requests = members.iter().flat_map(|&i| self.slot_range(i));
+        requests
+            .zip(seen)
+            .filter_map(|(slot, seen)| Some((slot, seen?)))
+            .flat_map(|(slot, seen)| {
+                let conversation = self.slots[slot]
+                    .as_deref()
+                    .expect("a slot that read a reply");
+                let bodies = conversation.delivered.since(seen);
+                bodies.map(move |body| (slot / slots_per, conversation.peer, body.to_vec()))
+            })
+            .collect()
     }
 
     /// Discards reply keys for rounds older than `round`; bounds memory
@@ -715,6 +749,13 @@ impl ClientCohort {
     #[cfg(test)]
     pub(crate) fn pending_rounds(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The oldest invitation member `index` has queued and not yet sent:
+    /// the callee its next dialing round invites.
+    #[must_use]
+    pub fn queued_dial(&self, index: usize) -> Option<PublicKey> {
+        self.dial_queues.get(&index)?.front().copied()
     }
 
     /// Queues an invitation from member `index` to `peer` for its next

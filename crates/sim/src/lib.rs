@@ -14,8 +14,9 @@
 //! [`vuvuzela_core::Chain`] and its windowed, seeded schedule of the hop
 //! protocol, the same adversary taps) and checks the paper's invariants
 //! after every round.
-//! The scripted clients are members of one cohort and a
-//! [`scenario::Step::Population`]'s bulk cover clients of another.
+//! Every client is a member of one cohort, joined by
+//! [`scenario::Step::Join`]: a conversing pair and an idle cover crowd
+//! differ only in what the script has them do.
 //!
 //! [`simulator::Simulator`] is the repository's one harness for whole
 //! rounds over a client population: the scenario matrices below run
@@ -39,7 +40,7 @@
 //! [`scenario::Step::Run`] submits a heterogeneous batch of
 //! conversation/dialing rounds through **one**
 //! [`vuvuzela_core::Chain::run`] call, so the
-//! scripted rounds genuinely overlap in flight. Population steps apply
+//! scripted rounds genuinely overlap in flight. Client steps apply
 //! *between* schedules, never mid-schedule — a client is online or
 //! offline for whole rounds, matching the round-synchronous protocol.
 //! Clients scan their invitation drop once per `Run` that contains a

@@ -20,6 +20,10 @@ pub enum RoundPlan {
 #[derive(Clone, Debug)]
 pub enum Step {
     /// Add this many fresh clients, online, with deterministic keys.
+    /// A joined client with no conversation is cover: each round its
+    /// idle slots make fake exchanges, which look like real ones on the
+    /// wire (§3), so a crowd is a `Join` of clients the script leaves
+    /// idle.
     Join(usize),
     /// Connect (`true`) or disconnect (`false`) a client. Offline
     /// clients send nothing — the observable event of §4.2.
@@ -51,15 +55,6 @@ pub enum Step {
     /// Run one schedule: all listed rounds go through a single
     /// `Chain::run` call and overlap in flight.
     Run(Vec<RoundPlan>),
-    /// Add this many fresh clients as a struct-of-arrays
-    /// [`vuvuzela_core::cohort::ClientCohort`]: they build requests in
-    /// parallel from flat buffers and run alongside the individual
-    /// clients of [`Step::Join`]. A scenario has at most one cohort (a
-    /// later `Population` step grows it). Cohort clients provide cover
-    /// traffic and can converse among themselves via
-    /// [`crate::Simulator`] accessors, but they are not addressable by
-    /// the per-client steps above.
-    Population(usize),
     /// Mark chain link `link` (0 = entry→server 0) as observed: after
     /// every completed schedule the simulator reads the link's
     /// per-round log, checks that every batch it records has the exact

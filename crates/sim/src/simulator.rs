@@ -1,11 +1,10 @@
 //! The deployment simulator: executes a [`Scenario`] over a real
-//! [`Chain`] and two [`ClientCohort`]s — the scripted clients and the
-//! bulk population — emitting the canonical transcript and checking
-//! every invariant per round. Each `Run` step is one [`Chain::run`]
-//! call: a window of rounds in flight on the calling thread, in the
-//! one interleaving the chain seed picks — or, in the wire twin
-//! ([`Simulator::over_wire`]), one schedule through the node loops over
-//! loopback TCP.
+//! [`Chain`] and one [`ClientCohort`], the scripted clients, emitting
+//! the canonical transcript and checking every invariant per round.
+//! Each `Run` step is one [`Chain::run`] call: a window of rounds in
+//! flight on the calling thread, in the one interleaving the chain seed
+//! picks — or, in the wire twin ([`Simulator::over_wire`]), one
+//! schedule through the node loops over loopback TCP.
 //!
 //! See the crate docs for the script format, the determinism contract
 //! and the round-abort semantics. Script *misuse* (dialing with no free
@@ -24,7 +23,7 @@ use crate::transcript::{hex, Transcript};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use vuvuzela_adversary::taps::{CrashOnRound, StallLink};
 use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
@@ -33,7 +32,6 @@ use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
 use vuvuzela_core::pipeline::run_over_loopback;
 use vuvuzela_core::record::{NodeId, Operator, Public};
-use vuvuzela_core::RoundBuffer;
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
 use vuvuzela_dp::{PrivacyLedger, Protocol};
@@ -50,11 +48,6 @@ const LEDGER_D: f64 = 1e-5;
 /// draws, so the expected number of honest draws outside their window
 /// is ≪ 1 — and runs are seeded, so a passing seed passes forever.
 const SAMPLED_TAIL_P: f64 = 1e-6;
-
-/// Domain separator for the population's RNG seed, so population
-/// members and scripted clients driven off the same scenario seed never
-/// share a per-client randomness stream.
-const COHORT_SEED_XOR: u64 = 0x00C0_8087_C0C0_8087;
 
 /// Width multiplier for the end-of-run concentration window
 /// (`k·σ/√n` around µ). Six standard errors: loose enough that honest
@@ -142,33 +135,17 @@ impl SimReport {
 /// What carries a schedule: [`Chain::run`] or [`run_over_loopback`].
 type Runner = fn(&mut Chain, Vec<RoundSpec>) -> Result<Vec<RoundOutcome>, Abort>;
 
-/// What the simulator tracks about a scripted client beside its
-/// membership of the scripted cohort.
-struct Scripted {
-    left: bool,
-    /// FIFO mirror of the member's dial queue, as callee indices — lets
-    /// the simulator predict which drop each dialing round's real
-    /// invitations target.
-    dial_mirror: VecDeque<usize>,
-}
-
 /// Per-round bookkeeping captured when the round's requests are built.
 enum RoundMeta {
     Conversation {
         round: u64,
         participants: Vec<usize>,
         mutual_pairs: u64,
-        /// Requests the population contributed at the head of the batch
-        /// (`population × slots`); the scripted participants' requests
-        /// follow.
-        cohort_requests: usize,
     },
     Dialing {
         round: u64,
         participants: Vec<usize>,
         real_per_drop: Vec<u64>,
-        /// Population members heading the batch, one no-op write each.
-        cohort_clients: usize,
     },
 }
 
@@ -202,14 +179,8 @@ pub struct Simulator {
     /// round randomness is keyed by the scenario seed, their keys come
     /// from `rng`.
     clients: ClientCohort,
-    scripted: Vec<Scripted>,
-    /// The population, if the scenario has a [`Step::Population`]: bulk
-    /// cover clients whose requests head every round's batch. They are
-    /// always online, never dial and never churn; per-client steps
-    /// cannot address them.
-    cohort: Option<ClientCohort>,
-    by_key: HashMap<PublicKey, usize>,
-    tables: Arc<Vec<onion::PrecomputedServer>>,
+    /// Clients a [`Step::Leave`] removed for good.
+    left: HashSet<usize>,
     rng: StdRng,
     next_round: u64,
     ledger: PrivacyLedger,
@@ -220,7 +191,6 @@ pub struct Simulator {
     /// Chain links a [`Step::Observe`] marked, in script order.
     observed: Vec<usize>,
     pending_crash: Option<(usize, u64)>,
-    delivered_seen: HashMap<(usize, PublicKey), usize>,
     rounds_completed: u64,
     schedules_aborted: u64,
     delivered: u64,
@@ -235,7 +205,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// Builds the deployment a scenario describes (chain, links, seeded
-    /// RNG) with an empty population.
+    /// RNG) with no clients.
     #[must_use]
     pub fn new(scenario: Scenario) -> Simulator {
         let config = SystemConfig {
@@ -259,9 +229,11 @@ impl Simulator {
             exchange_shards: scenario.exchange_shards,
         };
         let chain = Chain::new(config.clone(), scenario.seed);
-        let server_pks = chain.server_public_keys();
-        let tables = ClientCohort::chain_tables(&server_pks);
-        let clients = ClientCohort::new(config.clone(), scenario.seed, &server_pks, tables.clone());
+        let clients = ClientCohort::with_own_tables(
+            config.clone(),
+            scenario.seed,
+            &chain.server_public_keys(),
+        );
         // A ledger override models a mis-deployment: servers draw the
         // config's noise but the accounting charges (and the transcript
         // advertises) the claimed parameters.
@@ -307,10 +279,7 @@ impl Simulator {
             runner: Chain::run,
             config,
             clients,
-            scripted: Vec::new(),
-            cohort: None,
-            by_key: HashMap::new(),
-            tables,
+            left: HashSet::new(),
             next_round: 0,
             view: AdversaryView {
                 rounds: Vec::new(),
@@ -323,7 +292,6 @@ impl Simulator {
             transcript,
             observed: Vec::new(),
             pending_crash: None,
-            delivered_seen: HashMap::new(),
             rounds_completed: 0,
             schedules_aborted: 0,
             delivered: 0,
@@ -533,21 +501,6 @@ impl Simulator {
         &mut self.clients
     }
 
-    /// Read access to the cohort, if a [`Step::Population`] created one.
-    #[must_use]
-    pub fn cohort(&self) -> Option<&ClientCohort> {
-        self.cohort.as_ref()
-    }
-
-    /// Mutable access to the cohort, for scripting cohort-internal
-    /// conversations ([`ClientCohort::pair`] /
-    /// [`ClientCohort::queue_message`]) before a `Run` step. Cohort
-    /// deliveries are queried through the cohort itself, not the
-    /// transcript.
-    pub fn cohort_mut(&mut self) -> Option<&mut ClientCohort> {
-        self.cohort.as_mut()
-    }
-
     /// The underlying deployment: observables, links, servers.
     #[must_use]
     pub fn chain(&self) -> &Chain {
@@ -566,8 +519,7 @@ impl Simulator {
     /// Applies one scripted step immediately. Tests and examples use
     /// this to interleave script steps with what the script language
     /// cannot express: assertions between rounds, taps, direct client
-    /// and cohort access ([`Simulator::clients_mut`],
-    /// [`Simulator::cohort_mut`]).
+    /// access ([`Simulator::clients_mut`]).
     ///
     /// # Errors
     ///
@@ -588,19 +540,12 @@ impl Simulator {
                 let first = self.clients.len();
                 let secrets = (0..n).map(|_| SecretKey::generate(&mut self.rng)).collect();
                 self.clients.admit(secrets);
-                for index in first..first + n {
-                    self.by_key.insert(self.clients.public_key(index), index);
-                    self.scripted.push(Scripted {
-                        left: false,
-                        dial_mirror: VecDeque::new(),
-                    });
-                }
                 self.transcript
                     .push(format!("event join clients {first}..{}", first + n));
             }
             Step::SetOnline(index, online) => {
                 assert!(
-                    !self.scripted[index].left,
+                    !self.left.contains(&index),
                     "script bug: client {index} left"
                 );
                 self.clients.set_online(index, online);
@@ -609,7 +554,7 @@ impl Simulator {
             }
             Step::Leave(index) => {
                 self.clients.set_online(index, false);
-                self.scripted[index].left = true;
+                self.left.insert(index);
                 self.transcript.push(format!("event leave client {index}"));
             }
             Step::Dial { caller, callee } => {
@@ -617,7 +562,6 @@ impl Simulator {
                 self.clients
                     .dial(caller, pk)
                     .expect("script bug: caller has no free conversation slot");
-                self.scripted[caller].dial_mirror.push_back(callee);
                 self.transcript
                     .push(format!("event dial caller {caller} callee {callee}"));
             }
@@ -625,7 +569,7 @@ impl Simulator {
                 for index in 0..self.clients.len() {
                     let pending = self.clients.pending_invitations(index).to_vec();
                     for caller_pk in pending {
-                        let caller = self.by_key[&caller_pk];
+                        let caller = self.member(&caller_pk);
                         if self.clients.accept_invitation(index, caller_pk).is_ok() {
                             self.transcript
                                 .push(format!("event accept client {index} caller {caller}"));
@@ -673,30 +617,20 @@ impl Simulator {
                     LinkId::Hop(link as u32)
                 ));
             }
-            Step::Population(n) => {
-                if self.cohort.is_none() {
-                    self.cohort = Some(ClientCohort::new(
-                        self.config.clone(),
-                        self.scenario.seed ^ COHORT_SEED_XOR,
-                        &self.chain.server_public_keys(),
-                        self.tables.clone(),
-                    ));
-                }
-                let cohort = self.cohort.as_mut().expect("created above");
-                let first = cohort.len();
-                cohort.join(n);
-                self.transcript
-                    .push(format!("event population clients {first}..{}", first + n));
-            }
             Step::Run(plans) => self.run_schedule(&plans)?,
         }
         Ok(())
     }
 
-    fn participants(&self) -> Vec<usize> {
-        (0..self.clients.len())
-            .filter(|&i| self.clients.is_online(i))
-            .collect()
+    /// The scripted client whose key is `key`.
+    ///
+    /// # Panics
+    ///
+    /// On script misuse: a conversation with a key outside the cohort.
+    fn member(&self, key: &PublicKey) -> usize {
+        self.clients
+            .member(key)
+            .expect("script bug: a peer outside the scripted clients")
     }
 
     /// Attaches a tap, refusing to clobber one already on the link —
@@ -716,25 +650,9 @@ impl Simulator {
             });
     }
 
-    /// One round's client batch, built by `build` for each cohort: the
-    /// population's requests head it, the scripted clients' follow.
-    /// Returns the batch and the population's share of it.
-    fn round_batch(&mut self, build: impl Fn(&mut ClientCohort) -> RoundBuffer) -> (Batch, usize) {
-        let scripted = build(&mut self.clients);
-        let Some(population) = self.cohort.as_mut() else {
-            return (Batch::Flat(scripted), 0);
-        };
-        let mut batch = build(population);
-        let share = batch.len();
-        for i in 0..scripted.len() {
-            batch.push_with(|slot| slot.copy_from_slice(scripted.slot(i)));
-        }
-        (Batch::Flat(batch), share)
-    }
-
     fn run_schedule(&mut self, plans: &[RoundPlan]) -> Result<(), SimError> {
         let num_drops = self.scenario.num_drops;
-        let participants = self.participants();
+        let participants = self.clients.online_members();
 
         // Arm a pending crash fault against this schedule's rounds.
         let crash_link = if let Some((link, offset)) = self.pending_crash.take() {
@@ -745,10 +663,8 @@ impl Simulator {
             None
         };
         // Mutual conversation state cannot change mid-schedule: one
-        // count serves every conversation round below. The population's
-        // internal pairs ride on top of the scripted clients'.
-        let mutual_pairs = self.clients.mutual_pairs()
-            + self.cohort.as_ref().map_or(0, ClientCohort::mutual_pairs);
+        // count serves every conversation round below.
+        let mutual_pairs = self.clients.mutual_pairs();
 
         // Build every round's client batch up front (clients pipeline
         // requests; replies for the whole schedule arrive afterwards),
@@ -760,27 +676,26 @@ impl Simulator {
             self.next_round += 1;
             match plan {
                 RoundPlan::Conversation => {
-                    let (batch, cohort_requests) =
-                        self.round_batch(|cohort| cohort.build_conversation_round(round));
+                    let batch = Batch::Flat(self.clients.build_conversation_round(round));
                     specs.push(RoundSpec::Conversation { round, batch });
                     metas.push(RoundMeta::Conversation {
                         round,
                         participants: participants.clone(),
                         mutual_pairs,
-                        cohort_requests,
                     });
                 }
                 RoundPlan::Dialing => {
+                    // Which drop each real invitation targets: every
+                    // participant's oldest queued dial, read before the
+                    // build sends it.
                     let mut real_per_drop = vec![0u64; num_drops as usize];
                     for &id in &participants {
-                        if let Some(callee) = self.scripted[id].dial_mirror.pop_front() {
-                            let pk = self.clients.public_key(callee);
-                            let drop = InvitationDropIndex::for_recipient(&pk, num_drops);
+                        if let Some(callee) = self.clients.queued_dial(id) {
+                            let drop = InvitationDropIndex::for_recipient(&callee, num_drops);
                             real_per_drop[(drop.0 - 1) as usize] += 1;
                         }
                     }
-                    let (batch, cohort_clients) =
-                        self.round_batch(|cohort| cohort.build_dialing_round(round, num_drops));
+                    let batch = Batch::Flat(self.clients.build_dialing_round(round, num_drops));
                     specs.push(RoundSpec::Dialing {
                         round,
                         batch,
@@ -790,7 +705,6 @@ impl Simulator {
                         round,
                         participants: participants.clone(),
                         real_per_drop,
-                        cohort_clients,
                     });
                 }
             }
@@ -837,9 +751,6 @@ impl Simulator {
         }
         let _dropped = self.chain.abort_in_flight_rounds();
         self.clients.expire_pending(self.next_round);
-        if let Some(population) = self.cohort.as_mut() {
-            population.expire_pending(self.next_round);
-        }
         // Partial rounds may have leaked observable traffic: charge them.
         for meta in metas {
             let protocol = match meta {
@@ -887,23 +798,16 @@ impl Simulator {
                         round,
                         participants,
                         mutual_pairs,
-                        cohort_requests,
                     },
                     RoundOutcome::Conversation { replies, .. },
                 ) => {
-                    self.complete_conversation_round(
-                        *round,
-                        participants,
-                        *mutual_pairs,
-                        *cohort_requests,
-                        replies,
-                    )?;
+                    self.complete_conversation_round(*round, participants, *mutual_pairs, replies)?;
                     tap_shapes.insert(
                         *round,
                         ScheduleShape {
                             is_conversation: true,
-                            submitted: *cohort_requests as u64
-                                + participants.len() as u64 * self.config.conversation_slots as u64,
+                            submitted: participants.len() as u64
+                                * self.config.conversation_slots as u64,
                             noise_per_server_lo: conv_singles.0 + 2 * conv_pairs.0,
                             noise_per_server_hi: conv_singles.1 + 2 * conv_pairs.1,
                         },
@@ -914,7 +818,6 @@ impl Simulator {
                         round,
                         participants,
                         real_per_drop,
-                        cohort_clients,
                     },
                     RoundOutcome::Dialing { timing },
                 ) => {
@@ -922,14 +825,13 @@ impl Simulator {
                         *round,
                         participants,
                         real_per_drop,
-                        *cohort_clients,
                         timing.backward.len() as u64,
                     )?;
                     tap_shapes.insert(
                         *round,
                         ScheduleShape {
                             is_conversation: false,
-                            submitted: (*cohort_clients + participants.len()) as u64,
+                            submitted: participants.len() as u64,
                             noise_per_server_lo: u64::from(self.scenario.num_drops) * dial_draw.0,
                             noise_per_server_hi: u64::from(self.scenario.num_drops) * dial_draw.1,
                         },
@@ -986,13 +888,11 @@ impl Simulator {
         round: u64,
         participants: &[usize],
         mutual_pairs: u64,
-        cohort_requests: usize,
         replies: Vec<Vec<u8>>,
     ) -> Result<(), SimError> {
         let chain_len = self.config.chain_len as u64;
         let replies_len = replies.len() as u64;
-        let cohort_clients = cohort_requests / self.config.conversation_slots.max(1);
-        let total_participants = cohort_clients + participants.len();
+        let total_participants = participants.len();
         let mut draws: Vec<(NodeId, (u64, u64))> = self
             .chain
             .round_record(round)
@@ -1073,17 +973,9 @@ impl Simulator {
             );
         }
 
-        // Hand replies back and transcribe the deliveries they unlock.
-        // The population's replies head the batch (its requests did),
-        // the scripted clients' follow. Each cohort takes its stretch as
-        // it is: a batch an adversary shrank loses its tail replies.
-        let (population_replies, scripted_replies) =
-            replies.split_at(cohort_requests.min(replies.len()));
-        if let Some(population) = self.cohort.as_mut() {
-            population.handle_conversation_replies(round, population_replies);
-        }
-        self.clients
-            .handle_conversation_replies(round, scripted_replies);
+        // Hand replies back (a batch an adversary shrank loses its tail
+        // replies) and transcribe the deliveries they unlock.
+        let delivered = self.clients.handle_conversation_replies(round, &replies);
         let spent = self.charge(round, Protocol::Conversation)?;
         self.transcript.push(format!(
             "round {round} conversation participants {total_participants} submitted {} \
@@ -1101,20 +993,13 @@ impl Simulator {
             participants: total_participants as u64,
             observables: Some(observables),
         });
-        for &id in participants {
-            for pk in self.clients.peers(id) {
-                let msgs = self.clients.delivered_from(id, &pk);
-                let seen = self.delivered_seen.entry((id, pk)).or_insert(0);
-                let from = self.by_key[&pk];
-                for body in &msgs[*seen..] {
-                    self.delivered += 1;
-                    self.transcript.push(format!(
-                        "delivered round {round} client {id} from {from} body {}",
-                        hex(body)
-                    ));
-                }
-                *seen = msgs.len();
-            }
+        for (id, peer, body) in delivered {
+            let from = self.member(&peer);
+            self.delivered += 1;
+            self.transcript.push(format!(
+                "delivered round {round} client {id} from {from} body {}",
+                hex(&body)
+            ));
         }
         Ok(())
     }
@@ -1124,11 +1009,10 @@ impl Simulator {
         round: u64,
         participants: &[usize],
         real_per_drop: &[u64],
-        cohort_clients: usize,
         backward_stages: u64,
     ) -> Result<(), SimError> {
         let chain_len = self.config.chain_len as u64;
-        let total_participants = cohort_clients + participants.len();
+        let total_participants = participants.len();
         let observables = match self.find_dialing_observables(round) {
             Some(obs) => obs.clone(),
             None => {
@@ -1204,7 +1088,7 @@ impl Simulator {
             };
             let found = self.clients.scan_invitation_drop(id, &contents);
             if !found.is_empty() {
-                let mut callers: Vec<usize> = found.iter().map(|pk| self.by_key[pk]).collect();
+                let mut callers: Vec<usize> = found.iter().map(|pk| self.member(pk)).collect();
                 callers.sort_unstable();
                 let callers: Vec<String> = callers.iter().map(usize::to_string).collect();
                 self.transcript.push(format!(

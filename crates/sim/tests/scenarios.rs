@@ -452,13 +452,13 @@ fn the_wire_twin_taps_its_sockets_on_the_node_threads() {
 }
 
 #[test]
-fn population_step_is_deterministic_and_invariant_checked() {
-    // A struct-of-arrays cohort provides cover alongside individual
-    // clients: same determinism contract, invariants hold with the
-    // cohort folded into every round's participant totals.
-    let mut s = Scenario::new("population_cover", 0x0707);
+fn cover_crowd_is_deterministic_and_invariant_checked() {
+    // A crowd of joined idle clients provides cover alongside a
+    // conversing pair: same determinism contract, invariants hold with
+    // the crowd folded into every round's participant totals.
+    let mut s = Scenario::new("crowd_cover", 0x0707);
     s.steps.push(Step::Join(8));
-    s.steps.push(Step::Population(24));
+    s.steps.push(Step::Join(24)); // the crowd
     s.steps.push(Step::Dial {
         caller: 0,
         callee: 1,
@@ -470,32 +470,28 @@ fn population_step_is_deterministic_and_invariant_checked() {
         to: 1,
         body: b"through the cover crowd".to_vec(),
     });
-    s.steps.push(Step::Population(8)); // the cohort grows mid-scenario
+    s.steps.push(Step::Join(8)); // the crowd grows mid-scenario
     s.steps.push(Step::Run(vec![
         RoundPlan::Conversation,
         RoundPlan::Conversation,
         RoundPlan::Dialing,
     ]));
-    let a = run_scenario(&s).expect("population scenario passes invariants");
+    let a = run_scenario(&s).expect("crowd scenario passes invariants");
     let b = run_scenario_over_wire(&s).expect("the wire twin");
-    assert_eq!(
-        a.transcript.render(),
-        b.transcript.render(),
-        "population rounds must stay byte-deterministic"
-    );
+    assert_eq!(a.twin_mismatch(&b), None, "the wire twin differs");
     assert_eq!(a.hash, b.hash);
     assert_eq!(a.view, b.view, "and so must the adversary's view");
     assert_eq!(a.delivered, 1, "the individual pair's message arrives");
     let lines = a.transcript.lines();
     assert!(
-        lines.iter().any(|l| l == "event population clients 0..24"),
-        "population join transcribed"
+        lines.iter().any(|l| l == "event join clients 8..32"),
+        "crowd join transcribed"
     );
     assert!(
-        lines.iter().any(|l| l == "event population clients 24..32"),
-        "population growth transcribed"
+        lines.iter().any(|l| l == "event join clients 32..40"),
+        "crowd growth transcribed"
     );
-    // 32 cohort + 8 individual clients in the post-growth rounds.
+    // 32 crowd + 8 individual clients in the post-growth rounds.
     let rounds = &a.view.rounds;
     assert!(
         rounds.iter().any(|r| matches!(
@@ -505,7 +501,7 @@ fn population_step_is_deterministic_and_invariant_checked() {
                 ..
             }
         )),
-        "conversation totals include the cohort"
+        "conversation totals include the crowd"
     );
     assert!(
         rounds.iter().any(|r| matches!(
@@ -515,28 +511,29 @@ fn population_step_is_deterministic_and_invariant_checked() {
                 ..
             }
         )),
-        "dialing totals include the cohort"
+        "dialing totals include the crowd"
     );
 }
 
 #[test]
-fn population_cohort_converses_internally() {
-    // Cohort-internal conversations ride the same rounds as the
-    // individual clients'; deliveries are queried through the cohort.
+fn crowd_pair_converses_beside_the_dialed_pair() {
+    // Two crowd members paired directly (no dialing round) ride the
+    // same conversation rounds as a pair that dialed, and their
+    // deliveries are transcribed like the dialed pair's.
     use vuvuzela_sim::Simulator;
 
-    let mut sim = Simulator::new(Scenario::new("population_talk", 0x9090));
+    let mut sim = Simulator::new(Scenario::new("crowd_talk", 0x9090));
     sim.step(Step::Join(6)).expect("join");
-    sim.step(Step::Population(16)).expect("population");
-    let cohort = sim.cohort_mut().expect("population created a cohort");
-    let pk2 = cohort.public_key(2);
-    let pk9 = cohort.public_key(9);
-    cohort.pair(2, 9).expect("pair");
-    cohort
-        .queue_message(2, &pk9, b"cohort to cohort")
+    sim.step(Step::Join(16)).expect("the crowd, members 6..22");
+    let clients = sim.clients_mut();
+    let pk8 = clients.public_key(8);
+    let pk15 = clients.public_key(15);
+    clients.pair(8, 15).expect("pair");
+    clients
+        .queue_message(8, &pk15, b"crowd to crowd")
         .expect("queue");
-    cohort
-        .queue_message(9, &pk2, b"cohort right back")
+    clients
+        .queue_message(15, &pk8, b"crowd right back")
         .expect("queue");
     sim.step(Step::Dial {
         caller: 0,
@@ -548,7 +545,7 @@ fn population_cohort_converses_internally() {
     sim.step(Step::Queue {
         from: 0,
         to: 1,
-        body: b"individual pair".to_vec(),
+        body: b"dialed pair".to_vec(),
     })
     .expect("queue");
     sim.step(Step::Run(vec![
@@ -557,20 +554,83 @@ fn population_cohort_converses_internally() {
     ]))
     .expect("run");
 
-    let cohort = sim.cohort().expect("cohort persists");
-    assert_eq!(cohort.len(), 16);
-    assert_eq!(cohort.mutual_pairs(), 1);
+    let clients = sim.clients();
+    assert_eq!(clients.len(), 22);
+    assert_eq!(clients.mutual_pairs(), 2);
     assert_eq!(
-        cohort.delivered_from(9, &pk2),
-        vec![b"cohort to cohort".to_vec()]
+        clients.delivered_from(15, &pk8),
+        vec![b"crowd to crowd".to_vec()]
     );
     assert_eq!(
-        cohort.delivered_from(2, &pk9),
-        vec![b"cohort right back".to_vec()]
+        clients.delivered_from(8, &pk15),
+        vec![b"crowd right back".to_vec()]
     );
-    let pk0 = sim.clients().public_key(0);
+    let pk0 = clients.public_key(0);
     assert_eq!(
-        sim.clients().delivered_from(1, &pk0),
-        vec![b"individual pair".to_vec()]
+        clients.delivered_from(1, &pk0),
+        vec![b"dialed pair".to_vec()]
     );
+    let report = sim.run().expect("both pairs pass");
+    assert_eq!(report.delivered, 3);
+    let round_of = |body: &[u8]| {
+        let line = delivered_line(&report, body).expect("transcribed");
+        line.split(' ')
+            .nth(2)
+            .expect("delivered round <r> …")
+            .to_string()
+    };
+    let round = round_of(b"dialed pair");
+    assert_eq!(round_of(b"crowd to crowd"), round);
+    assert_eq!(round_of(b"crowd right back"), round);
+}
+
+#[test]
+fn a_conversation_restarted_with_the_same_peer_transcribes_its_messages() {
+    // Clients 0 and 1 talk, both hang up, and 0 dials 1 again: the new
+    // conversation's messages are transcribed and counted like the first
+    // one's, also when the first delivered more than the second.
+    use vuvuzela_sim::Simulator;
+
+    fn talk(sim: &mut Simulator, bodies: &[&str]) {
+        sim.step(Step::Dial {
+            caller: 0,
+            callee: 1,
+        })
+        .expect("dial");
+        sim.step(Step::Run(vec![RoundPlan::Dialing]))
+            .expect("dialing round");
+        sim.step(Step::AcceptAll).expect("accept");
+        for body in bodies {
+            sim.step(Step::Queue {
+                from: 0,
+                to: 1,
+                body: body.as_bytes().to_vec(),
+            })
+            .expect("queue");
+        }
+        sim.step(Step::Run(vec![RoundPlan::Conversation; bodies.len()]))
+            .expect("conversation rounds");
+    }
+
+    for (first, second) in [(&["first"][..], &["second"][..]), (&["a", "b"], &["c"])] {
+        let mut sim = Simulator::new(Scenario::new("restart", 0x5E5E));
+        sim.step(Step::Join(2)).expect("join");
+        talk(&mut sim, first);
+        let (pk0, pk1) = (sim.clients().public_key(0), sim.clients().public_key(1));
+        let clients = sim.clients_mut();
+        clients.end_conversation(0, &pk1).expect("0 talks to 1");
+        clients.end_conversation(1, &pk0).expect("1 talks to 0");
+        talk(&mut sim, second);
+        let bodies: Vec<Vec<u8>> = second.iter().map(|b| b.as_bytes().to_vec()).collect();
+        assert_eq!(sim.clients().all_delivered(1), bodies);
+
+        let report = sim.run().expect("both conversations pass");
+        assert_eq!(report.delivered, (first.len() + second.len()) as u64);
+        for body in first.iter().chain(second) {
+            assert!(
+                delivered_line(&report, body.as_bytes()).is_some(),
+                "{body:?} is transcribed"
+            );
+        }
+    }
 }

@@ -406,24 +406,18 @@ fn drive<E>(
         cfg.schedule.len()
     ));
     let cohort = &mut clients.cohort;
-    let delivered = |c: &ClientCohort| {
-        (0..c.len())
-            .map(|i| c.all_delivered(i).len())
-            .sum::<usize>()
-    };
     let rounds = (0u64..).zip(&cfg.schedule).zip(sent);
     for (((round, entry), sent), (replies, trailer)) in rounds.zip(carried) {
         match trailer {
             RoundTrailer::Conversation(obs) => {
                 let mut hasher = Sha256::new();
                 replies.iter().for_each(|reply| hasher.update(reply));
-                let before = delivered(cohort);
-                cohort.handle_conversation_replies(round, &replies);
+                let delivered = cohort.handle_conversation_replies(round, &replies);
                 transcript.push(format!(
                     "round {round} conversation clients {sent} replies {} sha256 {} delivered {}",
                     replies.len(),
                     hex(&hasher.finalize()),
-                    delivered(cohort) - before
+                    delivered.len()
                 ));
                 transcript.push(format!(
                     "round {round} obs m1 {} m2 {} m_many {} total {}",

@@ -333,64 +333,67 @@ proptest! {
 }
 
 /// Deterministic mixed schedule with dialing rounds both adjacent and
-/// separated, real invitations included, ≥3 rounds in flight: replies,
-/// `dialing_log`, and `download_drop` all match the sequential
-/// reference.
+/// separated, real invitations included, at chain 1 to 3 with as many
+/// rounds in flight as servers (≥3 at chain 3): replies, `dialing_log`,
+/// and `download_drop` all match the sequential reference.
 #[test]
 fn mixed_schedule_adjacent_and_separated_dialing() {
-    let seed = 2026;
-    let num_drops = 2u32;
-    let mut streaming = StreamingChain::new(config(3, 3.0), seed).with_max_in_flight(3);
-    let mut sequential = Chain::new(config(3, 3.0), seed);
-    let pks = streaming.chain().server_public_keys();
-    let mut rng = StdRng::seed_from_u64(99);
+    for chain_len in 1..=3 {
+        let seed = 2026;
+        let num_drops = 2u32;
+        let mut streaming =
+            StreamingChain::new(config(chain_len, 3.0), seed).with_max_in_flight(chain_len);
+        let mut sequential = Chain::new(config(chain_len, 3.0), seed);
+        let pks = streaming.chain().server_public_keys();
+        let mut rng = StdRng::seed_from_u64(99);
 
-    let caller = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
-    let callee = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
-    let target =
-        vuvuzela::wire::deaddrop::InvitationDropIndex::for_recipient(&callee.public, num_drops);
+        let caller = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
+        let callee = vuvuzela::crypto::x25519::Keypair::generate(&mut rng);
+        let target =
+            vuvuzela::wire::deaddrop::InvitationDropIndex::for_recipient(&callee.public, num_drops);
 
-    // Pattern: C D D C C D C — dialing adjacent (1, 2) and separated
-    // (5); the last dialing round carries a real invitation so the
-    // retained drops are non-trivially compared.
-    let pattern = [false, true, true, false, false, true, false];
-    let mut specs = mixed_specs(&pks, &pattern, 2, num_drops, seed);
-    let RoundSpec::Dialing {
-        batch: Batch::Flat(batch),
-        ..
-    } = &mut specs[5]
-    else {
-        panic!("round 5 is a dialing round");
-    };
-    let request = vuvuzela::wire::dialing::DialRequest {
-        drop: target,
-        invitation: vuvuzela::wire::dialing::SealedInvitation::seal(
-            &mut rng,
-            &caller.public,
-            &callee.public,
-        ),
-    };
-    let onion = onion::wrap(&mut rng, &pks, 5, &request.encode()).0;
-    batch.push_with(|slot| slot.copy_from_slice(&onion));
+        // Pattern: C D D C C D C — dialing adjacent (1, 2) and separated
+        // (5); the last dialing round carries a real invitation so the
+        // retained drops are non-trivially compared.
+        let pattern = [false, true, true, false, false, true, false];
+        let mut specs = mixed_specs(&pks, &pattern, 2, num_drops, seed);
+        let RoundSpec::Dialing {
+            batch: Batch::Flat(batch),
+            ..
+        } = &mut specs[5]
+        else {
+            panic!("round 5 is a dialing round");
+        };
+        let request = vuvuzela::wire::dialing::DialRequest {
+            drop: target,
+            invitation: vuvuzela::wire::dialing::SealedInvitation::seal(
+                &mut rng,
+                &caller.public,
+                &callee.public,
+            ),
+        };
+        let onion = onion::wrap(&mut rng, &pks, 5, &request.encode()).0;
+        batch.push_with(|slot| slot.copy_from_slice(&onion));
 
-    let (outcomes, expected) = run_both(&mut streaming, &mut sequential, specs);
-    assert_mixed_equivalent(
-        &mut streaming,
-        &mut sequential,
-        &outcomes,
-        &expected,
-        num_drops,
-    )
-    .expect("mixed schedule equivalent");
+        let (outcomes, expected) = run_both(&mut streaming, &mut sequential, specs);
+        assert_mixed_equivalent(
+            &mut streaming,
+            &mut sequential,
+            &outcomes,
+            &expected,
+            num_drops,
+        )
+        .unwrap_or_else(|err| panic!("chain {chain_len}: mixed schedule differs: {err:?}"));
 
-    // The real invitation is downloadable through the streaming chain
-    // and opens to the caller's key.
-    let contents = streaming.download_drop(target).expect("drops exist");
-    let mine: Vec<_> = contents
-        .iter()
-        .filter_map(|inv| inv.try_open(&callee.secret, &callee.public))
-        .collect();
-    assert_eq!(mine, vec![caller.public]);
+        // The real invitation is downloadable through the streaming chain
+        // and opens to the caller's key.
+        let contents = streaming.download_drop(target).expect("drops exist");
+        let mine: Vec<_> = contents
+            .iter()
+            .filter_map(|inv| inv.try_open(&callee.secret, &callee.public))
+            .collect();
+        assert_eq!(mine, vec![caller.public], "chain {chain_len}");
+    }
 }
 
 /// A panicking stage mid-mixed-schedule is a bug, not an abort: its
