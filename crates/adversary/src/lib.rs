@@ -13,8 +13,9 @@
 //!
 //! * [`view`] — what a run showed the adversary, as one typed record,
 //!   [`AdversaryView`]: per-round participants and the last server's
-//!   observables ([`vuvuzela_core::observables`]), the observed links'
-//!   batches and the composed (ε′, δ′). The simulator fills it in.
+//!   observables ([`vuvuzela_core::observables`]), the public round
+//!   record every link's batch sizes are read from, and the composed
+//!   (ε′, δ′). The simulator fills it in.
 //! * [`detector`] — the graded twin-world distinguisher over the
 //!   histogram, with the feature of an attacker that subtracts the
 //!   noise of the servers it owns.
@@ -45,4 +46,4 @@ pub use detector::{
     pair_activity_feature, split_by_seed, subtract_owned_noise, DetectionGrade, DetectionOutcome,
     ThresholdDetector,
 };
-pub use view::{AdversaryView, RoundView, TapBatch};
+pub use view::{AdversaryView, RoundView};

@@ -27,7 +27,8 @@
 use std::collections::BTreeMap;
 use std::iter::Sum;
 use std::time::Duration;
-use vuvuzela_wire::RoundType;
+use vuvuzela_net::Direction;
+use vuvuzela_wire::{LinkId, RoundType};
 
 use crate::node::NodeStats;
 
@@ -121,6 +122,28 @@ pub struct Public {
 }
 
 impl Public {
+    /// The link the pass's `sent` frame crossed in a chain of
+    /// `chain_len` servers, and which way. Forward, the entry sends on
+    /// `Hop(0)` and hop *i* on `Hop(i + 1)`; backward, hop *i* sends on
+    /// `Hop(i)` and the entry on `Clients`. `None` when no link logged
+    /// the frame: the tail's forward pass and conversation exchange hand
+    /// on in process, and a dialing round's completion has no slots.
+    /// `sent` is counted before the frame enters its link, so before any
+    /// tap, as the link's own log is.
+    #[must_use]
+    pub fn sent_on(&self, chain_len: usize) -> Option<(LinkId, Direction)> {
+        match (self.backward, self.node) {
+            (true, _) if self.protocol == RoundType::Dialing => None,
+            (true, NodeId::Entry) => Some((LinkId::Clients, Direction::Backward)),
+            (true, NodeId::Hop(i)) => Some((LinkId::Hop(i as u32), Direction::Backward)),
+            (false, NodeId::Entry) => Some((LinkId::Hop(0), Direction::Forward)),
+            (false, NodeId::Hop(i)) if i + 1 < chain_len => {
+                Some((LinkId::Hop(i as u32 + 1), Direction::Forward))
+            }
+            (false, NodeId::Hop(_)) => None,
+        }
+    }
+
     /// The event as one line of JSON, no trailing newline: the
     /// record's wire format, the one the node roles print.
     #[must_use]

@@ -3,18 +3,20 @@
 //! Every hop-to-hop transfer in an in-process deployment crosses a
 //! [`Link`] through [`batch_through_link`]. The link first writes the
 //! batch into its **per-round log** — per round and direction, how many
-//! fixed-size ciphertexts crossed, in how many bytes and how many
-//! transfers — and into the per-direction totals beside it. That record
-//! is the one record of link traffic: the byte counts the benches
-//! report, the simulator's invariant checks and the adversary's view of
-//! the link (§4.1, §6.1) all read it. Only then does the batch reach the
-//! optional [`Tap`] — the in-code embodiment of the paper's network
-//! adversary, who "can monitor, block, delay, or inject traffic on any
-//! network link" (§2.3). A tap edits the batch frame's own arena in place, slot by
-//! slot, through a [`Slots`] view: it may drop, overwrite or append
-//! entries, and whatever remains is what the next hop sees. Or the tap
-//! hangs the link up ([`Tap::hangs_up`]), and the transfer fails as a
-//! crashed peer process fails a socket: [`Error::Disconnected`].
+//! fixed-size ciphertexts crossed, in how many bytes — and into the
+//! per-direction totals beside it: the byte counts the benches report.
+//! The simulator and the adversary's view (§4.1, §6.1) read the same
+//! counts from the round record instead, where the sending node's event
+//! holds them (`vuvuzela_core::record::Public::sent_on`): it counts a
+//! frame before the frame enters its link, as the log does. Only then
+//! does the batch reach the optional [`Tap`] — the in-code embodiment of
+//! the paper's network adversary, who "can monitor, block, delay, or
+//! inject traffic on any network link" (§2.3). A tap edits the batch
+//! frame's own arena in place, slot by slot, through a [`Slots`] view:
+//! it may drop, overwrite or append entries, and whatever remains is
+//! what the next hop sees. Or the tap hangs the link up
+//! ([`Tap::hangs_up`]), and the transfer fails as a crashed peer process
+//! fails a socket: [`Error::Disconnected`].
 
 use crate::error::Error;
 use parking_lot::Mutex;
@@ -130,8 +132,8 @@ impl Slots<'_> {
 /// Implementations may delete entries (blocking), stash entries for
 /// later rounds (delaying), or push new entries (injection), all through
 /// the [`Slots`] view of the frame's arena. Honest operation is simply
-/// having no tap; a passive observer needs none either, since the link's
-/// per-round log already holds what it would see.
+/// having no tap; a passive observer needs none either, since the round
+/// record already holds what it would see.
 pub trait Tap: Send {
     /// Inspect and/or edit a batch in flight.
     fn intercept(&mut self, ctx: &TapContext, batch: &mut Slots<'_>);
@@ -171,8 +173,6 @@ pub struct Link {
 struct RoundTraffic {
     messages: u64,
     bytes: u64,
-    /// Batches that carried it: one for every honest round.
-    transfers: u64,
 }
 
 /// What every handle on one link shares.
@@ -200,7 +200,6 @@ impl RoundTraffic {
     fn add(&mut self, messages: u64, bytes: u64) {
         self.messages += messages;
         self.bytes += bytes;
-        self.transfers += 1;
     }
 }
 
@@ -268,31 +267,15 @@ impl Link {
         }
     }
 
-    fn round_entry(&self, round: u64, direction: Direction) -> RoundTraffic {
-        self.shared
-            .traffic
-            .lock()
-            .per_round
-            .get(&(round, matches!(direction, Direction::Backward)))
-            .copied()
-            .unwrap_or_default()
-    }
-
     /// The `(messages, bytes)` this link carried for one round in one
     /// direction — stable under overlapped rounds, unlike the order in
     /// which the totals grow.
     #[must_use]
     pub fn round_traffic(&self, round: u64, direction: Direction) -> (u64, u64) {
-        let entry = self.round_entry(round, direction);
-        (entry.messages, entry.bytes)
-    }
-
-    /// How many batches of one round crossed this link in one direction:
-    /// one for every round that crossed it honestly, zero for a round
-    /// that never reached it.
-    #[must_use]
-    pub fn round_transfers(&self, round: u64, direction: Direction) -> u64 {
-        self.round_entry(round, direction).transfers
+        let traffic = self.shared.traffic.lock();
+        let backward = matches!(direction, Direction::Backward);
+        let entry = traffic.per_round.get(&(round, backward));
+        entry.map_or((0, 0), |entry| (entry.messages, entry.bytes))
     }
 
     /// A snapshot of the whole per-round log, in `(round, direction)`
@@ -444,8 +427,6 @@ mod tests {
         assert_eq!(link.round_traffic(1, Direction::Forward), (2, 40));
         assert_eq!(link.round_traffic(0, Direction::Backward), (1, 5));
         assert_eq!(link.round_traffic(1, Direction::Backward), (0, 0));
-        assert_eq!(link.round_transfers(1, Direction::Forward), 1);
-        assert_eq!(link.round_transfers(1, Direction::Backward), 0);
         assert_eq!(link.total_bytes(), 55);
         assert_eq!(
             link.round_traffic_log(),

@@ -356,7 +356,11 @@ mod tests {
             up.send(Frame::Batch(batch(1, false))),
             Err(Error::Disconnected { .. })
         ));
-        assert_eq!(link.round_transfers(5, Direction::Forward), 1);
+        assert_eq!(
+            link.round_traffic_log(),
+            vec![((5, Direction::Forward), (2, 6))],
+            "the one batch sent before the hang-up, logged once"
+        );
     }
 
     #[test]
@@ -371,7 +375,7 @@ mod tests {
         };
         down.send(Frame::Batch(notice)).expect("send");
         assert!(matches!(up.recv(), Ok(Frame::Batch(b)) if b.count == 0));
-        assert_eq!(link.round_transfers(5, Direction::Backward), 0);
+        assert_eq!(link.round_traffic(5, Direction::Backward), (0, 0));
         assert!(link.round_traffic_log().is_empty());
         assert_eq!(link.total_bytes(), 0);
     }

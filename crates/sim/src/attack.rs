@@ -475,7 +475,6 @@ fn run_world(deployment: &AttackDeployment, talking: bool) -> Result<WorldRuns, 
         report
             .view
             .conversation_rounds()
-            .filter_map(|(round, observables)| Some((round, observables?)))
             .map(|(round, o)| ObservedRound {
                 m1: o.m1,
                 m2: o.m2,

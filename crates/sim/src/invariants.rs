@@ -17,10 +17,12 @@
 //! inferred noise draw must sit within `k·σ/√n` of µ
 //! ([`check_noise_concentration`]).
 
-use vuvuzela_adversary::TapBatch;
+use std::collections::BTreeMap;
 use vuvuzela_core::observables::{ConversationObservables, DialingObservables};
+use vuvuzela_core::record::Traffic;
+use vuvuzela_crypto::onion;
 use vuvuzela_dp::{compose, ComposedPrivacy, Protocol};
-use vuvuzela_net::Direction;
+use vuvuzela_wire::{DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN};
 
 /// A failed invariant: which one, in which round, and what diverged.
 #[derive(Clone, Debug)]
@@ -348,18 +350,44 @@ pub fn check_privacy_charge(
     Ok(())
 }
 
-/// Checks invariant 5 on chain link `link` for one schedule. `taps`
-/// holds what the link's per-round log recorded for each completed
-/// round and direction that crossed it, and `transfers` counts the
-/// batches behind a record ([`vuvuzela_net::Link::round_transfers`]).
-/// Every batch carries exactly the width its round's kind implies at
-/// that chain position, each completed round crossed the link exactly
+/// One observed link's traffic for one completed round in one
+/// direction, summed from the round record: every pass that sent on the
+/// link that way ([`vuvuzela_core::record::Public::sent_on`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Crossings {
+    /// Batches that crossed: one for every honest round.
+    pub batches: u64,
+    /// Their onions and bytes in all.
+    pub traffic: Traffic,
+}
+
+impl Crossings {
+    /// Counts one more batch of `traffic`.
+    pub fn add(&mut self, traffic: Traffic) {
+        self.batches += 1;
+        self.traffic.onions += traffic.onions;
+        self.traffic.bytes += traffic.bytes;
+    }
+
+    /// The batches' onion width; zero when they carried no onion.
+    #[must_use]
+    pub fn width(&self) -> u64 {
+        self.traffic
+            .bytes
+            .checked_div(self.traffic.onions)
+            .unwrap_or(0)
+    }
+}
+
+/// Checks invariant 5 on chain link `link` of a `chain_len`-server
+/// chain for one schedule. `rounds` maps each completed round to its
+/// [`RoundShape`] and what crossed the link for it, forward then
+/// backward. Every batch carries exactly the width its round's kind
+/// implies at that chain position, each round crossed the link exactly
 /// once forward (and, for conversation rounds, once backward), and the
 /// batch is `submitted + link·noise` onions strong for an in-window
 /// per-server noise draw (exact in deterministic mode, where the shape's
 /// `lo == hi`).
-///
-/// `rounds` maps each *completed* round id to its [`TapRoundShape`].
 ///
 /// # Errors
 ///
@@ -367,71 +395,69 @@ pub fn check_privacy_charge(
 /// batch.
 pub fn check_tap_sizes(
     link: usize,
-    rounds: &std::collections::BTreeMap<u64, TapRoundShape>,
-    taps: &[TapBatch],
-    transfers: impl Fn(u64, Direction) -> u64,
+    chain_len: usize,
+    rounds: &BTreeMap<u64, (RoundShape, [Crossings; 2])>,
 ) -> Result<(), InvariantViolation> {
-    for tap in taps {
-        let forward = tap.direction == Direction::Forward;
-        let Some(shape) = rounds.get(&tap.round) else {
-            // Only completed rounds are checked; anything else is a
-            // harness bug.
-            return Err(violation(
-                tap.round,
-                "fixed-sizes-under-taps",
-                format!("tap on link {link} saw an unscheduled round"),
-            ));
-        };
-        if !forward && !shape.is_conversation {
-            return Err(violation(
-                tap.round,
-                "dialing-forward-only",
-                format!("tap on link {link} saw backward traffic for a dialing round"),
-            ));
-        }
-        let want_width = if forward {
-            shape.forward_width
-        } else {
-            shape.backward_width
-        };
-        let want_lo = shape.submitted + link as u64 * shape.noise_per_server_lo;
-        let want_hi = shape.submitted + link as u64 * shape.noise_per_server_hi;
-        if tap.onions < want_lo || tap.onions > want_hi {
-            return Err(violation(
-                tap.round,
-                "fixed-sizes-under-taps",
-                format!(
-                    "link {link} {}: expected onion count in [{want_lo}, {want_hi}], saw {}",
-                    direction_name(forward),
-                    tap.onions
-                ),
-            ));
-        }
-        if tap.onions > 0 && tap.width != want_width {
-            return Err(violation(
-                tap.round,
-                "fixed-sizes-under-taps",
-                format!(
-                    "link {link} {}: expected uniform size {want_width}, saw {{{}}}",
-                    direction_name(forward),
-                    tap.width
-                ),
-            ));
+    // `remaining` layers are still wrapped at this link.
+    let remaining = chain_len - link;
+    for (&round, (shape, crossed)) in rounds {
+        for (crossing, forward) in crossed.iter().zip([true, false]) {
+            if crossing.batches == 0 {
+                continue;
+            }
+            if !forward && !shape.is_conversation {
+                return Err(violation(
+                    round,
+                    "dialing-forward-only",
+                    format!("tap on link {link} saw backward traffic for a dialing round"),
+                ));
+            }
+            let want_width = if !forward {
+                EXCHANGE_RESPONSE_LEN + remaining * onion::REPLY_LAYER_OVERHEAD
+            } else if shape.is_conversation {
+                onion::wrapped_len(EXCHANGE_REQUEST_LEN, remaining)
+            } else {
+                onion::wrapped_len(DIAL_REQUEST_LEN, remaining)
+            } as u64;
+            let want_lo = shape.submitted + link as u64 * shape.noise_per_server_lo;
+            let want_hi = shape.submitted + link as u64 * shape.noise_per_server_hi;
+            let onions = crossing.traffic.onions;
+            if onions < want_lo || onions > want_hi {
+                return Err(violation(
+                    round,
+                    "fixed-sizes-under-taps",
+                    format!(
+                        "link {link} {}: expected onion count in [{want_lo}, {want_hi}], saw {onions}",
+                        direction_name(forward),
+                    ),
+                ));
+            }
+            if onions > 0 && crossing.width() != want_width {
+                return Err(violation(
+                    round,
+                    "fixed-sizes-under-taps",
+                    format!(
+                        "link {link} {}: expected uniform size {want_width}, saw {{{}}}",
+                        direction_name(forward),
+                        crossing.width()
+                    ),
+                ));
+            }
         }
     }
     // Every completed round crossed exactly once per direction it has.
-    for (round, shape) in rounds {
-        if transfers(*round, Direction::Forward) != 1 {
+    for (&round, (shape, [forward, backward])) in rounds {
+        if forward.batches != 1 {
             return Err(violation(
-                *round,
+                round,
                 "fixed-sizes-under-taps",
                 format!("link {link} forward batch count != 1"),
             ));
         }
         let want_back = u64::from(shape.is_conversation);
-        if transfers(*round, Direction::Backward) != want_back {
+        if backward.batches != want_back {
             return Err(violation(
-                *round,
+                round,
                 "fixed-sizes-under-taps",
                 format!("link {link} backward batch count != {want_back}"),
             ));
@@ -440,17 +466,13 @@ pub fn check_tap_sizes(
     Ok(())
 }
 
-/// The expected shape of one round's traffic at a tapped link.
+/// The expected shape of one completed round's traffic, at any link.
 #[derive(Clone, Copy, Debug)]
-pub struct TapRoundShape {
+pub struct RoundShape {
     /// Whether the round has a backward pass.
     pub is_conversation: bool,
     /// Client submissions feeding the round.
     pub submitted: u64,
-    /// Expected onion width forward at the tapped link.
-    pub forward_width: u64,
-    /// Expected reply width backward at the tapped link.
-    pub backward_width: u64,
     /// Fewest noise onions each upstream noising server may have added
     /// (equals `noise_per_server_hi` in deterministic mode).
     pub noise_per_server_lo: u64,
@@ -557,7 +579,6 @@ pub fn check_noise_concentration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vuvuzela_net::LinkId;
 
     #[test]
     fn deterministic_noise_recipe() {
@@ -683,67 +704,56 @@ mod tests {
 
     #[test]
     fn tap_check_validates_widths_and_counts() {
-        let mut rounds = std::collections::BTreeMap::new();
-        rounds.insert(
-            0,
-            TapRoundShape {
-                is_conversation: true,
-                submitted: 4,
-                forward_width: 100,
-                backward_width: 50,
-                noise_per_server_lo: 12,
-                noise_per_server_hi: 12,
-            },
+        // Link 1 of a 3-server chain: two layers still wrapped.
+        let (forward_width, backward_width) = (
+            onion::wrapped_len(EXCHANGE_REQUEST_LEN, 2) as u64,
+            (EXCHANGE_RESPONSE_LEN + 2 * onion::REPLY_LAYER_OVERHEAD) as u64,
         );
-        let batch = |direction, onions, width| TapBatch {
-            link: LinkId::Hop(1),
-            round: 0,
-            direction,
-            onions,
-            width,
+        let shape = RoundShape {
+            is_conversation: true,
+            submitted: 4,
+            noise_per_server_lo: 12,
+            noise_per_server_hi: 12,
         };
-        let check = |rounds: &std::collections::BTreeMap<u64, TapRoundShape>, taps: &[TapBatch]| {
-            check_tap_sizes(1, rounds, taps, |round, direction| {
-                taps.iter()
-                    .filter(|tap| tap.round == round && tap.direction == direction)
-                    .count() as u64
-            })
+        let crossed = |batches: &[(bool, u64, u64)]| {
+            let mut crossed = [Crossings::default(); 2];
+            for &(forward, onions, width) in batches {
+                crossed[usize::from(!forward)].add(Traffic {
+                    onions,
+                    bytes: onions * width,
+                });
+            }
+            crossed
         };
-        let good = [
-            batch(Direction::Forward, 16, 100),
-            batch(Direction::Backward, 16, 50),
-        ];
-        check(&rounds, &good).expect("passes");
+        let check = |shape: RoundShape, batches: &[(bool, u64, u64)]| {
+            check_tap_sizes(1, 3, &BTreeMap::from([(0, (shape, crossed(batches)))]))
+        };
+        let good = [(true, 16, forward_width), (false, 16, backward_width)];
+        check(shape, &good).expect("passes");
 
-        let wide = [
-            batch(Direction::Forward, 16, 99),
-            batch(Direction::Backward, 16, 50),
-        ];
-        assert!(check(&rounds, &wide).is_err());
+        let wide = [(true, 16, forward_width - 1), (false, 16, backward_width)];
+        assert!(check(shape, &wide).is_err());
 
-        let missing = [batch(Direction::Forward, 16, 100)];
-        assert!(check(&rounds, &missing).is_err(), "no backward batch");
+        let missing = [(true, 16, forward_width)];
+        assert!(check(shape, &missing).is_err(), "no backward batch");
         let twice = [
-            batch(Direction::Forward, 16, 100),
-            batch(Direction::Forward, 16, 100),
-            batch(Direction::Backward, 16, 50),
+            (true, 8, forward_width),
+            (true, 8, forward_width),
+            (false, 16, backward_width),
         ];
-        assert!(check(&rounds, &twice).is_err(), "two forward batches");
+        assert!(check(shape, &twice).is_err(), "two forward batches");
 
         // A non-degenerate noise window accepts any in-range count...
-        rounds.get_mut(&0).unwrap().noise_per_server_lo = 10;
-        rounds.get_mut(&0).unwrap().noise_per_server_hi = 14;
-        let low = [
-            batch(Direction::Forward, 14, 100),
-            batch(Direction::Backward, 14, 50),
-        ];
-        check(&rounds, &low).expect("in-window count passes");
+        let window = RoundShape {
+            noise_per_server_lo: 10,
+            noise_per_server_hi: 14,
+            ..shape
+        };
+        let low = [(true, 14, forward_width), (false, 14, backward_width)];
+        check(window, &low).expect("in-window count passes");
         // ...but not one outside it.
-        let thin = [
-            batch(Direction::Forward, 13, 100),
-            batch(Direction::Backward, 14, 50),
-        ];
-        let err = check(&rounds, &thin).expect_err("must fail");
+        let thin = [(true, 13, forward_width), (false, 14, backward_width)];
+        let err = check(window, &thin).expect_err("must fail");
         assert_eq!(err.invariant, "fixed-sizes-under-taps");
     }
 

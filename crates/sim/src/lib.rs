@@ -63,7 +63,9 @@
 //! schedule is proptested byte-identical to one round per call. Three
 //! simulator-side rules keep it so: nothing
 //! timing-dependent is ever recorded (no wall-clock durations), link
-//! traffic is read from each link's per-round log in canonical
+//! traffic is read from each completed round's record — the onions and
+//! bytes every pass sent, on the link
+//! [`vuvuzela_core::record::Public::sent_on`] names — in canonical
 //! `(round, direction)` order, and an **aborted**
 //! schedule contributes only its planned round ids — which rounds were
 //! partially processed when a schedule dies depends on the interleaving
@@ -134,12 +136,12 @@
 //!    k−1. This one is checked on every charge, an aborted schedule's
 //!    rounds included.
 //! 5. **Fixed sizes under taps** — on every link a
-//!    [`scenario::Step::Observe`] marked, the link's own per-round log
-//!    ([`vuvuzela_net::Link::round_traffic`]) shows each completed round
-//!    crossing exactly once forward (and once backward for conversation
-//!    rounds), at the exact width the round kind implies at that chain
-//!    position, with an onion count inside the round's noise window
-//!    (exact in deterministic mode).
+//!    [`scenario::Step::Observe`] marked, the round record (each
+//!    pass's sent frame, counted before it enters its link, so before
+//!    any tap) shows each completed round crossing exactly once forward
+//!    (and once backward for conversation rounds), at the exact width
+//!    the round kind implies at that chain position, with an onion count
+//!    inside the round's noise window (exact in deterministic mode).
 //! 6. **Noise concentration** (sampled mode only, end of run) — the
 //!    empirical mean of every noise draw family inferred from the
 //!    observables (conversation singles, conversation pairs, dialing

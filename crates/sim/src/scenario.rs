@@ -56,11 +56,11 @@ pub enum Step {
     /// `Chain::run` call and overlap in flight.
     Run(Vec<RoundPlan>),
     /// Mark chain link `link` (0 = entry→server 0) as observed: after
-    /// every completed schedule the simulator reads the link's
-    /// per-round log, checks that every batch it records has the exact
-    /// expected width and count, and hands the records to the
-    /// adversary's view. Takes no tap slot, so the link may also carry a
-    /// tampering tap; the log is written before the tap runs.
+    /// every completed schedule the simulator sums the link's batches
+    /// from the round record, checks that each has the exact expected
+    /// width and count, and transcribes them. Takes no tap slot, so the
+    /// link may also carry a tampering tap; the record counts each batch
+    /// before it enters the link, so before the tap runs.
     Observe {
         /// Chain-link index to observe.
         link: usize,

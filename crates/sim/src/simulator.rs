@@ -16,7 +16,8 @@
 use crate::invariants::{
     self, check_conversation_histogram, check_conversation_participation, check_dialing_counts,
     check_dialing_participation, check_noise_concentration, check_privacy_charge, check_tap_sizes,
-    ConversationRoundCheck, DialingRoundCheck, InvariantViolation, NoiseSoakStats, TapRoundShape,
+    ConversationRoundCheck, Crossings, DialingRoundCheck, InvariantViolation, NoiseSoakStats,
+    RoundShape,
 };
 use crate::scenario::{RoundPlan, Scenario, Step};
 use crate::transcript::{hex, Transcript};
@@ -26,18 +27,18 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use vuvuzela_adversary::taps::{CrashOnRound, StallLink};
-use vuvuzela_adversary::{AdversaryView, RoundView, TapBatch};
+use vuvuzela_adversary::{AdversaryView, RoundView};
 use vuvuzela_core::chain::{Abort, Batch, Chain, RoundOutcome, RoundSpec};
 use vuvuzela_core::cohort::ClientCohort;
 use vuvuzela_core::config::SystemConfig;
 use vuvuzela_core::pipeline::run_over_loopback;
-use vuvuzela_core::record::{NodeId, Operator, Public};
+use vuvuzela_core::record::{NodeId, Operator, Phase, Public};
 use vuvuzela_crypto::onion;
 use vuvuzela_crypto::x25519::{PublicKey, SecretKey};
 use vuvuzela_dp::{PrivacyLedger, Protocol};
 use vuvuzela_net::{Direction, LinkId, Tap};
 use vuvuzela_wire::deaddrop::InvitationDropIndex;
-use vuvuzela_wire::{RoundType, DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN, EXCHANGE_RESPONSE_LEN};
+use vuvuzela_wire::{RoundType, DIAL_REQUEST_LEN, EXCHANGE_REQUEST_LEN};
 
 /// Theorem 2's free parameter, fixed to the paper's d = 10⁻⁵.
 const LEDGER_D: f64 = 1e-5;
@@ -99,7 +100,7 @@ pub struct SimReport {
     /// Messages delivered to clients across the whole run.
     pub delivered: u64,
     /// What the adversary saw of the run: the transcript's public
-    /// records, typed.
+    /// records, typed, and every completed round's public round record.
     pub view: AdversaryView,
     /// Each noising server's `(singles, pairs)` draw for every completed
     /// conversation round, by round, in chain order — the
@@ -108,23 +109,19 @@ pub struct SimReport {
     /// `view` and the transcript: the attack harness hands an attacker
     /// the draws of the servers it owns.
     pub noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
-    /// Every completed round's record, public parts only, each pass's
-    /// duration zeroed and the passes sorted by node, phase and
-    /// direction: what the two runtimes must agree on, wall time aside
-    /// ([`SimReport::twin_mismatch`]).
-    pub record: BTreeMap<u64, Vec<Public>>,
 }
 
 impl SimReport {
     /// What differs between this report and `twin`'s, the same scenario
     /// run over the other runtime ([`Simulator::over_wire`]): the
     /// transcript, or else the public round record of some completed
-    /// round; `None` when both agree byte for byte.
+    /// round ([`AdversaryView::record`]: what the two runtimes must agree
+    /// on, wall time aside); `None` when both agree byte for byte.
     #[must_use]
     pub fn twin_mismatch(&self, twin: &SimReport) -> Option<&'static str> {
         if self.transcript.render() != twin.transcript.render() {
             Some("transcript")
-        } else if self.record != twin.record {
+        } else if self.view.record != twin.view.record {
             Some("round record")
         } else {
             None
@@ -187,7 +184,6 @@ pub struct Simulator {
     transcript: Transcript,
     view: AdversaryView,
     noise_draws: BTreeMap<u64, Vec<(u64, u64)>>,
-    record: BTreeMap<u64, Vec<Public>>,
     /// Chain links a [`Step::Observe`] marked, in script order.
     observed: Vec<usize>,
     pending_crash: Option<(usize, u64)>,
@@ -283,11 +279,10 @@ impl Simulator {
             next_round: 0,
             view: AdversaryView {
                 rounds: Vec::new(),
-                taps: Vec::new(),
+                record: BTreeMap::new(),
                 budget: ledger.total_spent(),
             },
             noise_draws: BTreeMap::new(),
-            record: BTreeMap::new(),
             ledger,
             transcript,
             observed: Vec::new(),
@@ -385,7 +380,6 @@ impl Simulator {
             transcript: self.transcript,
             view: self.view,
             noise_draws: self.noise_draws,
-            record: self.record,
         }
     }
 
@@ -785,72 +779,33 @@ impl Simulator {
             // but defined: detach and continue.
             self.chain.link_mut(link).detach_tap();
         }
-        let chain_len = self.config.chain_len as u64;
         let (conv_singles, conv_pairs) = self.conversation_noise_bounds();
         let dial_draw = self.dialing_noise_bounds();
-        let mut tap_shapes: BTreeMap<u64, ScheduleShape> = BTreeMap::new();
+        let mut shapes: BTreeMap<u64, RoundShape> = BTreeMap::new();
         let mut last_dialing: Option<(u64, Vec<usize>)> = None;
 
         for (meta, outcome) in metas.iter().zip(outcomes) {
-            match (meta, outcome) {
-                (
-                    RoundMeta::Conversation {
-                        round,
-                        participants,
-                        mutual_pairs,
-                    },
-                    RoundOutcome::Conversation { replies, .. },
-                ) => {
-                    self.complete_conversation_round(*round, participants, *mutual_pairs, replies)?;
-                    tap_shapes.insert(
-                        *round,
-                        ScheduleShape {
-                            is_conversation: true,
-                            submitted: participants.len() as u64
-                                * self.config.conversation_slots as u64,
-                            noise_per_server_lo: conv_singles.0 + 2 * conv_pairs.0,
-                            noise_per_server_hi: conv_singles.1 + 2 * conv_pairs.1,
-                        },
-                    );
-                }
-                (
-                    RoundMeta::Dialing {
-                        round,
-                        participants,
-                        real_per_drop,
-                    },
-                    RoundOutcome::Dialing { timing },
-                ) => {
-                    self.complete_dialing_round(
-                        *round,
-                        participants,
-                        real_per_drop,
-                        timing.backward.len() as u64,
-                    )?;
-                    tap_shapes.insert(
-                        *round,
-                        ScheduleShape {
-                            is_conversation: false,
-                            submitted: participants.len() as u64,
-                            noise_per_server_lo: u64::from(self.scenario.num_drops) * dial_draw.0,
-                            noise_per_server_hi: u64::from(self.scenario.num_drops) * dial_draw.1,
-                        },
-                    );
-                    last_dialing = Some((*round, participants.clone()));
-                }
-                _ => {
-                    self.note(Err(InvariantViolation {
-                        round: Some(meta.round()),
-                        invariant: "schedule-drain",
-                        detail: "outcome kind does not match its RoundSpec".to_string(),
-                    }))?;
-                    continue;
-                }
-            }
-            self.rounds_completed += 1;
-            let mut passes: Vec<Public> = self
-                .chain
-                .round_record(meta.round())
+            let round = meta.round();
+            let record = self.chain.round_record(round);
+            let forward_passes = record
+                .iter()
+                .filter(|event| event.public.phase == Phase::Forward);
+            assert_eq!(
+                forward_passes.count(),
+                self.config.chain_len,
+                "a completed round ran every server's forward pass"
+            );
+            let mut draws: Vec<(NodeId, (u64, u64))> = record
+                .iter()
+                .filter_map(|event| match event.operator {
+                    Some(Operator::Conversation { singles, pairs }) => {
+                        Some((event.public.node, (singles, pairs)))
+                    }
+                    _ => None,
+                })
+                .collect();
+            draws.sort_unstable();
+            let mut passes: Vec<Public> = record
                 .iter()
                 .map(|event| Public {
                     duration: std::time::Duration::ZERO,
@@ -858,7 +813,55 @@ impl Simulator {
                 })
                 .collect();
             passes.sort_by_key(|public| (public.node, public.phase, public.backward));
-            self.record.insert(meta.round(), passes);
+            self.view.record.insert(round, passes);
+            // The tail answers every round in its spec's kind: a tap
+            // edits slots, never a frame's header.
+            let shape = match (meta, outcome) {
+                (
+                    RoundMeta::Conversation {
+                        participants,
+                        mutual_pairs,
+                        ..
+                    },
+                    RoundOutcome::Conversation { replies, .. },
+                ) => {
+                    self.noise_draws
+                        .insert(round, draws.into_iter().map(|(_, draw)| draw).collect());
+                    self.complete_conversation_round(round, participants, *mutual_pairs, replies)?;
+                    RoundShape {
+                        is_conversation: true,
+                        submitted: participants.len() as u64
+                            * self.config.conversation_slots as u64,
+                        noise_per_server_lo: conv_singles.0 + 2 * conv_pairs.0,
+                        noise_per_server_hi: conv_singles.1 + 2 * conv_pairs.1,
+                    }
+                }
+                (
+                    RoundMeta::Dialing {
+                        participants,
+                        real_per_drop,
+                        ..
+                    },
+                    RoundOutcome::Dialing { timing },
+                ) => {
+                    self.complete_dialing_round(
+                        round,
+                        participants,
+                        real_per_drop,
+                        timing.backward.len() as u64,
+                    )?;
+                    last_dialing = Some((round, participants.clone()));
+                    RoundShape {
+                        is_conversation: false,
+                        submitted: participants.len() as u64,
+                        noise_per_server_lo: u64::from(self.scenario.num_drops) * dial_draw.0,
+                        noise_per_server_hi: u64::from(self.scenario.num_drops) * dial_draw.1,
+                    }
+                }
+                _ => unreachable!("round {round}'s outcome is of its spec's kind"),
+            };
+            shapes.insert(round, shape);
+            self.rounds_completed += 1;
         }
 
         // Invitation scans: only the schedule's last dialing round's
@@ -879,7 +882,7 @@ impl Simulator {
             }
         }
 
-        self.check_taps(&tap_shapes, chain_len)?;
+        self.check_taps(&shapes)?;
         Ok(())
     }
 
@@ -893,50 +896,9 @@ impl Simulator {
         let chain_len = self.config.chain_len as u64;
         let replies_len = replies.len() as u64;
         let total_participants = participants.len();
-        let mut draws: Vec<(NodeId, (u64, u64))> = self
-            .chain
-            .round_record(round)
-            .iter()
-            .filter_map(|event| match event.operator {
-                Some(Operator::Conversation { singles, pairs }) => {
-                    Some((event.public.node, (singles, pairs)))
-                }
-                _ => None,
-            })
-            .collect();
-        draws.sort_unstable();
-        assert_eq!(
-            draws.len(),
-            self.config.chain_len - 1,
-            "a completed conversation round crossed every noising server"
-        );
-        self.noise_draws
-            .insert(round, draws.into_iter().map(|(_, draw)| draw).collect());
-        let observables = match self.find_conversation_observables(round) {
-            Some(obs) => *obs,
-            None => {
-                // No histogram means nothing to check or infer; still
-                // charge (the round started — the adversary observed
-                // traffic) and keep going.
-                self.note(Err(InvariantViolation {
-                    round: Some(round),
-                    invariant: "noise-covered-deaddrops",
-                    detail: "no observables recorded for a completed round".to_string(),
-                }))?;
-                let spent = self.charge(round, Protocol::Conversation)?;
-                self.transcript.push(format!(
-                    "round {round} conversation participants {total_participants} \
-                     missing-observables eps {:e} delta {:e}",
-                    spent.epsilon, spent.delta
-                ));
-                self.view.rounds.push(RoundView::Conversation {
-                    round,
-                    participants: total_participants as u64,
-                    observables: None,
-                });
-                return Ok(());
-            }
-        };
+        let observables = *self
+            .find_conversation_observables(round)
+            .expect("every completed round logs its trailer's observables");
         let onion_width = onion::wrapped_len(EXCHANGE_REQUEST_LEN, self.config.chain_len) as u64;
         let (singles, pairs) = self.conversation_noise_bounds();
         let check = ConversationRoundCheck {
@@ -991,7 +953,7 @@ impl Simulator {
         self.view.rounds.push(RoundView::Conversation {
             round,
             participants: total_participants as u64,
-            observables: Some(observables),
+            observables,
         });
         for (id, peer, body) in delivered {
             let from = self.member(&peer);
@@ -1013,28 +975,10 @@ impl Simulator {
     ) -> Result<(), SimError> {
         let chain_len = self.config.chain_len as u64;
         let total_participants = participants.len();
-        let observables = match self.find_dialing_observables(round) {
-            Some(obs) => obs.clone(),
-            None => {
-                self.note(Err(InvariantViolation {
-                    round: Some(round),
-                    invariant: "noise-covered-deaddrops",
-                    detail: "no observables recorded for a completed round".to_string(),
-                }))?;
-                let spent = self.charge(round, Protocol::Dialing)?;
-                self.transcript.push(format!(
-                    "round {round} dialing participants {total_participants} \
-                     missing-observables eps {:e} delta {:e}",
-                    spent.epsilon, spent.delta
-                ));
-                self.view.rounds.push(RoundView::Dialing {
-                    round,
-                    participants: total_participants as u64,
-                    observables: None,
-                });
-                return Ok(());
-            }
-        };
+        let observables = self
+            .find_dialing_observables(round)
+            .expect("every completed round logs its trailer's observables")
+            .clone();
         let onion_width = onion::wrapped_len(DIAL_REQUEST_LEN, self.config.chain_len) as u64;
         let client_link = self.chain.client_link();
         let check = DialingRoundCheck {
@@ -1074,7 +1018,7 @@ impl Simulator {
         self.view.rounds.push(RoundView::Dialing {
             round,
             participants: total_participants as u64,
-            observables: Some(observables),
+            observables,
         });
         Ok(())
     }
@@ -1154,90 +1098,42 @@ impl Simulator {
             .map(|(_, obs)| obs)
     }
 
-    /// Reads every observed link's per-round log for the rounds the
-    /// schedule completed, checks invariant 5, and transcribes one line
-    /// per (link, round, direction) in canonical `(round, forward-first)`
-    /// order. An aborted schedule's rounds are never read: which of them
-    /// reached a link is timing-dependent.
-    fn check_taps(
-        &mut self,
-        shapes: &BTreeMap<u64, ScheduleShape>,
-        chain_len: u64,
-    ) -> Result<(), SimError> {
+    /// Sums every observed link's batches for the rounds the schedule
+    /// completed from their round record, checks invariant 5, and
+    /// transcribes one line per (link, round, direction) in canonical
+    /// `(round, forward-first)` order. An aborted schedule's rounds have
+    /// no record: which of them reached a link is timing-dependent.
+    fn check_taps(&mut self, shapes: &BTreeMap<u64, RoundShape>) -> Result<(), SimError> {
+        let chain_len = self.config.chain_len;
         for position in self.observed.clone() {
-            let link = self.chain.links()[position].clone();
-            let mut taps = Vec::new();
-            for &round in shapes.keys() {
-                for direction in [Direction::Forward, Direction::Backward] {
-                    if link.round_transfers(round, direction) == 0 {
-                        continue;
+            let link = LinkId::Hop(position as u32);
+            let mut rounds = BTreeMap::new();
+            for (&round, &shape) in shapes {
+                let mut crossed = [Crossings::default(); 2];
+                for public in &self.view.record[&round] {
+                    if let Some((on, direction)) = public.sent_on(chain_len) {
+                        if on == link {
+                            crossed[usize::from(direction == Direction::Backward)].add(public.sent);
+                        }
                     }
-                    let (onions, bytes) = link.round_traffic(round, direction);
-                    taps.push(TapBatch {
-                        link: link.id(),
-                        round,
-                        direction,
-                        onions,
-                        width: bytes.checked_div(onions).unwrap_or(0),
-                    });
                 }
+                rounds.insert(round, (shape, crossed));
             }
-            // Onion widths depend on the chain position being observed:
-            // `remaining` layers are still wrapped at this link.
-            let remaining = chain_len as usize - position;
-            let link_shapes: BTreeMap<u64, TapRoundShape> = shapes
-                .iter()
-                .map(|(&round, shape)| {
-                    let payload = if shape.is_conversation {
-                        EXCHANGE_REQUEST_LEN
-                    } else {
-                        DIAL_REQUEST_LEN
-                    };
-                    (
-                        round,
-                        TapRoundShape {
-                            is_conversation: shape.is_conversation,
-                            submitted: shape.submitted,
-                            forward_width: onion::wrapped_len(payload, remaining) as u64,
-                            backward_width: (EXCHANGE_RESPONSE_LEN
-                                + remaining * onion::REPLY_LAYER_OVERHEAD)
-                                as u64,
-                            noise_per_server_lo: shape.noise_per_server_lo,
-                            noise_per_server_hi: shape.noise_per_server_hi,
-                        },
-                    )
-                })
-                .collect();
-            self.note(check_tap_sizes(
-                position,
-                &link_shapes,
-                &taps,
-                |round, direction| link.round_transfers(round, direction),
-            ))?;
-            for tap in taps {
-                let name = match tap.direction {
-                    Direction::Forward => "forward",
-                    Direction::Backward => "backward",
-                };
-                self.transcript.push(format!(
-                    "tap link {} round {} {name} onions {} width {}",
-                    tap.link, tap.round, tap.onions, tap.width
-                ));
-                self.view.taps.push(tap);
+            self.note(check_tap_sizes(position, chain_len, &rounds))?;
+            for (round, (_, crossed)) in rounds {
+                for (crossing, name) in crossed.iter().zip(["forward", "backward"]) {
+                    if crossing.batches > 0 {
+                        self.transcript.push(format!(
+                            "tap link {link} round {round} {name} onions {} width {}",
+                            crossing.traffic.onions,
+                            crossing.width()
+                        ));
+                    }
+                }
             }
         }
         Ok(())
     }
-}
-
-/// The link-independent shape of one completed round's traffic; the
-/// per-link [`TapRoundShape`] (widths depend on chain position) is
-/// derived from it in [`Simulator::check_taps`].
-struct ScheduleShape {
-    is_conversation: bool,
-    submitted: u64,
-    noise_per_server_lo: u64,
-    noise_per_server_hi: u64,
 }
 
 /// Convenience: build and run a scenario in one call.

@@ -11,7 +11,6 @@
 use std::sync::OnceLock;
 use vuvuzela_dp::accounting::combine;
 use vuvuzela_dp::{NoiseDistribution, PrivacyLedger, Protocol};
-use vuvuzela_net::LinkId;
 use vuvuzela_sim::{
     attack_matrix, bundled_matrix, run_deployment, run_scenario, AttackDeployment, AttackOutcome,
     AttackVerdict, Scale, Scenario, Simulator,
@@ -253,29 +252,34 @@ fn view_records_every_completed_round_with_the_last_servers_observables() {
     let conversation: Vec<_> = chain
         .conversation_observables()
         .iter()
-        .map(|(round, o)| (*round, Some(*o)))
+        .map(|(round, o)| (*round, *o))
         .collect();
     let dialing: Vec<_> = chain
         .dialing_observables()
         .iter()
-        .map(|(round, o)| (*round, Some(o.clone())))
+        .map(|(round, o)| (*round, o.clone()))
         .collect();
     let report = sim.run().expect("no steps left");
     let view = &report.view;
     let recorded: Vec<_> = view
         .conversation_rounds()
-        .map(|(round, o)| (round, o.copied()))
+        .map(|(round, o)| (round, *o))
         .collect();
     assert_eq!(recorded, conversation);
     let recorded: Vec<_> = view
         .dialing_rounds()
-        .map(|(round, o)| (round, o.cloned()))
+        .map(|(round, o)| (round, o.clone()))
         .collect();
     assert_eq!(recorded, dialing);
     assert_eq!(
         (conversation.len() + dialing.len()) as u64,
         report.rounds_completed
     );
-    assert!(!view.taps.is_empty(), "steady_state observes a link");
-    assert!(view.taps.iter().all(|t| t.link == LinkId::Hop(1)));
+    let mut completed: Vec<u64> = conversation.iter().map(|(round, _)| *round).collect();
+    completed.extend(dialing.iter().map(|(round, _)| *round));
+    completed.sort_unstable();
+    assert!(
+        view.record.keys().copied().eq(completed),
+        "one round record per completed round"
+    );
 }

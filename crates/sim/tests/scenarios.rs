@@ -5,11 +5,18 @@
 //! record must be byte-identical to the first run's (the determinism
 //! contract).
 
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use vuvuzela_adversary::taps::{DropFraction, RoundWindow};
 use vuvuzela_adversary::RoundView;
+use vuvuzela_net::{Direction, LinkId, Tap};
+use vuvuzela_sim::invariants::InvariantViolation;
+use vuvuzela_sim::soak::soak_case;
 use vuvuzela_sim::transcript::hex;
 use vuvuzela_sim::{
-    bundled_matrix, run_scenario, run_scenario_over_wire, RoundPlan, Scale, Scenario, SimReport,
-    Step,
+    bundled_matrix, run_scenario, run_scenario_over_wire, AdversaryStrategy, RoundPlan, Scale,
+    Scenario, SimReport, Simulator, Step,
 };
 
 /// Runs a bundled scenario in process and over the wire, asserting
@@ -27,7 +34,7 @@ fn run_deterministic(name: &str) -> SimReport {
         None,
         "{name}: the wire twin differs"
     );
-    assert!(!first.record.is_empty() && first.hash == wire.hash);
+    assert!(!first.view.record.is_empty() && first.hash == wire.hash);
     first
 }
 
@@ -115,7 +122,6 @@ fn idle_cover_is_pure_noise() {
     // ground truth had no pair talking).
     let mut rounds = 0;
     for (round, observables) in report.view.conversation_rounds() {
-        let observables = observables.expect("every idle round has a histogram");
         assert_eq!(observables.m2, 6, "round {round}: only noise pairs");
         rounds += 1;
     }
@@ -224,10 +230,7 @@ fn invariant_checker_catches_real_tampering() {
     // A blocking tap mid-chain silently deletes one onion per round;
     // the noise-covered-dead-drops equality must fail the very first
     // round it touches.
-    use parking_lot::Mutex;
-    use std::sync::Arc;
     use vuvuzela_adversary::taps::KeepOnly;
-    use vuvuzela_net::Tap;
 
     let mut scenario = Scenario::new("tampered", 99);
     scenario.steps.push(Step::Join(8));
@@ -258,10 +261,6 @@ fn tampered_dialing_round_never_trips_forward_only() {
     // the exact no-op-write accounting catches the dropped requests —
     // without ever conjuring a backward pass, and must leave the
     // surrounding conversation rounds untouched.
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-    use vuvuzela_adversary::taps::{DropFraction, RoundWindow};
-    use vuvuzela_net::Tap;
 
     let mut scenario = Scenario::new("dial_tamper", 77);
     scenario.steps.push(Step::Join(6));
@@ -296,19 +295,93 @@ fn tampered_dialing_round_never_trips_forward_only() {
     }
 }
 
+/// What crossed one chain link, per (round, backward) of every completed
+/// round: `(onions, bytes)`.
+type LinkTraffic = BTreeMap<(u64, bool), (u64, u64)>;
+
+/// Runs `scenario` in tolerant mode with `tap` on chain link 0, and
+/// returns the report, the violations, and what crossed each chain link
+/// of every completed round, summed from the report's round record
+/// (`Public::sent_on`, as invariant 5 reads it). Asserts on the way that
+/// each link's own per-round log, which the link writes before its tap
+/// runs, holds exactly the same.
+fn run_tampered(
+    scenario: Scenario,
+    tap: Option<Arc<Mutex<dyn Tap>>>,
+) -> (SimReport, Vec<InvariantViolation>, Vec<LinkTraffic>) {
+    let mut sim = Simulator::new(scenario);
+    if let Some(tap) = tap {
+        sim.chain_mut().link_mut(0).attach_tap(tap);
+    }
+    let links = sim.chain().links().to_vec();
+    let (report, violations) = sim.run_collecting();
+    let record = &report.view.record;
+    let traffic = links
+        .iter()
+        .map(|link| {
+            let mut from_record = LinkTraffic::new();
+            for (&round, passes) in record {
+                for public in passes {
+                    let Some((on, direction)) = public.sent_on(links.len()) else {
+                        continue;
+                    };
+                    if on == link.id() {
+                        let backward = direction == Direction::Backward;
+                        let entry = from_record.entry((round, backward)).or_default();
+                        entry.0 += public.sent.onions;
+                        entry.1 += public.sent.bytes;
+                    }
+                }
+            }
+            let from_log: LinkTraffic = link
+                .round_traffic_log()
+                .into_iter()
+                .filter(|((round, _), _)| record.contains_key(round))
+                .map(|((round, direction), traffic)| {
+                    ((round, direction == Direction::Backward), traffic)
+                })
+                .collect();
+            assert_eq!(
+                from_record,
+                from_log,
+                "{}: the record's batches on {} are the link's",
+                report.name,
+                link.id()
+            );
+            from_record
+        })
+        .collect();
+    (report, violations, traffic)
+}
+
+/// The `tap link` lines of a transcript.
+fn tap_lines(report: &SimReport) -> Vec<String> {
+    let lines = report.transcript.lines().iter();
+    lines
+        .filter(|l| l.starts_with("tap link "))
+        .cloned()
+        .collect()
+}
+
+/// The `tap link` lines of what crossed chain link `link`, in order.
+fn render_tap_lines(link: u32, traffic: &LinkTraffic) -> Vec<String> {
+    traffic
+        .iter()
+        .map(|(&(round, backward), &(onions, bytes))| {
+            let name = if backward { "backward" } else { "forward" };
+            let width = bytes.checked_div(onions).unwrap_or(0);
+            let link = LinkId::Hop(link);
+            format!("tap link {link} round {round} {name} onions {onions} width {width}")
+        })
+        .collect()
+}
+
 #[test]
 fn observer_on_the_tampered_link_sees_the_untampered_forward_batches() {
-    // `Observe` takes no tap slot: it reads the link's per-round log,
-    // which the link writes before its tap runs. So an observer on the
-    // very link a tamperer holds sees every forward batch as it arrived,
-    // identical to the untampered twin's.
-    use parking_lot::Mutex;
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-    use vuvuzela_adversary::taps::{DropFraction, RoundWindow};
-    use vuvuzela_adversary::TapBatch;
-    use vuvuzela_net::{Direction, Tap};
-
+    // The round record counts a frame before it enters its link, so
+    // before any tap runs: an observer on the very link a tamperer
+    // holds sees every forward batch as it arrived, identical to the
+    // untampered twin's, and what the link itself logged.
     let scenario = || {
         let mut s = Scenario::new("observed_tamper", 0x0B5E);
         s.steps.push(Step::Join(6));
@@ -320,28 +393,24 @@ fn observer_on_the_tampered_link_sees_the_untampered_forward_batches() {
         ]));
         s
     };
-    let twin = run_scenario(&scenario()).expect("the untampered twin passes");
-
-    let mut sim = vuvuzela_sim::Simulator::new(scenario());
+    let (twin, violations, twin_traffic) = run_tampered(scenario(), None);
+    assert!(violations.is_empty(), "the untampered twin passes");
     let tap: Arc<Mutex<dyn Tap>> = Arc::new(Mutex::new(DropFraction {
         numerator: 1,
         denominator: 3,
         window: RoundWindow::ALL,
     }));
-    sim.chain_mut().link_mut(0).attach_tap(tap);
-    let (report, violations) = sim.run_collecting();
+    let (report, violations, traffic) = run_tampered(scenario(), Some(tap));
 
-    let forward = |report: &SimReport| -> Vec<TapBatch> {
-        report
-            .view
-            .taps
-            .iter()
-            .filter(|tap| tap.direction == Direction::Forward)
-            .copied()
-            .collect()
+    let forward = |traffic: &LinkTraffic| -> LinkTraffic {
+        let mut traffic = traffic.clone();
+        traffic.retain(|&(_, backward), _| !backward);
+        traffic
     };
-    assert_eq!(forward(&twin).len(), 3, "one forward batch per round");
-    assert_eq!(forward(&report), forward(&twin));
+    assert_eq!(forward(&twin_traffic[0]).len(), 3, "one per round");
+    assert_eq!(forward(&traffic[0]), forward(&twin_traffic[0]));
+    assert_eq!(tap_lines(&twin), render_tap_lines(0, &twin_traffic[0]));
+    assert_eq!(tap_lines(&report), render_tap_lines(0, &traffic[0]));
 
     // The dropped third thins the histograms and the replies; on link 0
     // itself only the backward batch, which carries just the survivors'
@@ -361,6 +430,21 @@ fn observer_on_the_tampered_link_sees_the_untampered_forward_batches() {
     {
         assert!(v.detail.contains("backward"), "{v}");
     }
+
+    // steady_state observes link 1 while each soak strategy tampers with
+    // link 0, dropping, delaying, replaying or injecting onions: there
+    // too the record holds what every link logged, and the observer
+    // transcribes what link 1 logged.
+    let base = bundled_matrix(Scale::Smoke)
+        .into_iter()
+        .find(|s| s.name == "steady_state")
+        .expect("bundled scenario");
+    for strategy in AdversaryStrategy::ALL {
+        let case = soak_case(base.clone(), strategy);
+        let (report, _, traffic) = run_tampered(case.scenario, strategy.build_tap());
+        let want = render_tap_lines(1, &traffic[1]);
+        assert_eq!(tap_lines(&report), want, "{}", report.name);
+    }
 }
 
 #[test]
@@ -370,8 +454,7 @@ fn soak_cases_match_their_annotations() {
     // dialing-round replay (round 12 lands on a dialing round in
     // dial_storm), and the small-population delay that only replies
     // catch. `sim_soak` grades the full crossed matrix in CI.
-    use vuvuzela_sim::soak::soak_case;
-    use vuvuzela_sim::{run_soak_case, AdversaryStrategy};
+    use vuvuzela_sim::run_soak_case;
 
     let matrix = bundled_matrix(Scale::Smoke);
     let pick = |name: &str| {
@@ -403,8 +486,7 @@ fn soak_cases_match_their_annotations() {
 fn soak_runs_are_deterministic_under_tampering() {
     // Tampering (including violation lines) must not break the
     // byte-identical transcript contract, whichever runtime carries it.
-    use vuvuzela_sim::soak::soak_case;
-    use vuvuzela_sim::{run_soak_case, run_soak_case_over_wire, AdversaryStrategy};
+    use vuvuzela_sim::{run_soak_case, run_soak_case_over_wire};
 
     let base = bundled_matrix(Scale::Smoke)
         .into_iter()
@@ -425,11 +507,8 @@ fn soak_runs_are_deterministic_under_tampering() {
 fn the_wire_twin_taps_its_sockets_on_the_node_threads() {
     // `Chain::run` runs every tap on the calling thread; the wire twin
     // runs each where its sending node loop runs, one thread per node.
-    use parking_lot::Mutex;
-    use std::sync::Arc;
     use std::thread::{self, ThreadId};
-    use vuvuzela_net::{Slots, Tap, TapContext};
-    use vuvuzela_sim::Simulator;
+    use vuvuzela_net::{Slots, TapContext};
 
     struct Threads(Vec<ThreadId>);
     impl Tap for Threads {
@@ -520,7 +599,6 @@ fn crowd_pair_converses_beside_the_dialed_pair() {
     // Two crowd members paired directly (no dialing round) ride the
     // same conversation rounds as a pair that dialed, and their
     // deliveries are transcribed like the dialed pair's.
-    use vuvuzela_sim::Simulator;
 
     let mut sim = Simulator::new(Scenario::new("crowd_talk", 0x9090));
     sim.step(Step::Join(6)).expect("join");
@@ -589,7 +667,6 @@ fn a_conversation_restarted_with_the_same_peer_transcribes_its_messages() {
     // Clients 0 and 1 talk, both hang up, and 0 dials 1 again: the new
     // conversation's messages are transcribed and counted like the first
     // one's, also when the first delivered more than the second.
-    use vuvuzela_sim::Simulator;
 
     fn talk(sim: &mut Simulator, bodies: &[&str]) {
         sim.step(Step::Dial {

@@ -825,7 +825,8 @@ fn golden_pins_for_a_mixed_chain3_schedule() {
 
 /// The round record accounts for every byte the links count: for each
 /// round, link and direction of the golden mixed chain-3 schedule, what
-/// the sending node's event says it sent, and what the receiving node's
+/// the sending node's events say they sent on it (`Public::sent_on`
+/// names the link), and what the receiving node's
 /// event says it read, equal `Link::round_traffic` — on `Chain::run` and
 /// on `StreamingChain::run`. (The clients link's far end is the feeder,
 /// no node: the entry reads its forward frames and sends its backward
@@ -837,7 +838,7 @@ fn the_round_record_reconciles_with_every_links_traffic() {
     let specs = golden_specs(&pks);
     let mut sequential = Chain::new(config.clone(), seed);
     sequential.run(specs.clone()).expect("rounds complete");
-    let mut streaming = StreamingChain::new(config, seed);
+    let mut streaming = StreamingChain::new(config.clone(), seed);
     streaming.run(specs.clone()).expect("schedule completes");
 
     // Keyed by link and whether the frames went backward.
@@ -857,14 +858,16 @@ fn the_round_record_reconciles_with_every_links_traffic() {
             let (mut sent, mut read) = (Tally::new(), Tally::new());
             for event in record {
                 let public = &event.public;
+                if let Some((link, direction)) = public.sent_on(config.chain_len) {
+                    add(
+                        &mut sent,
+                        (link, direction == Direction::Backward),
+                        public.sent,
+                    );
+                }
                 let (up, down) = match public.node {
                     NodeId::Entry => (LinkId::Clients, LinkId::Hop(0)),
                     NodeId::Hop(i) => (LinkId::Hop(i as u32), LinkId::Hop(i as u32 + 1)),
-                };
-                let to = if public.backward {
-                    (up, true)
-                } else {
-                    (down, false)
                 };
                 let backward_leg = public.phase == Phase::Backward
                     || (public.phase == Phase::Relay && public.backward);
@@ -873,7 +876,6 @@ fn the_round_record_reconciles_with_every_links_traffic() {
                 } else {
                     (up, false)
                 };
-                add(&mut sent, to, public.sent);
                 add(&mut read, from, public.received);
             }
             for link in std::iter::once(chain.client_link()).chain(chain.links()) {
