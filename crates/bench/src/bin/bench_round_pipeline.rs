@@ -300,7 +300,6 @@ fn main() -> ExitCode {
         peels_per_sec_core: peels_per_sec,
         layers_per_sec_core: layers_per_sec,
         cores: workers,
-        overhead: 1.0,
     };
     let ops: KernelOps = flat.hops.iter().copied().sum();
     let kernel_floor_secs = model.kernel_floor_secs(ops);

@@ -1,29 +1,29 @@
 //! The paper's evaluation figures and tables (§6, §8): one function
-//! each, returning the artefact written to `bench_results/<name>.json`,
-//! over one shared deployment config, cost model and report setup.
+//! each, returning the artefact written to `bench_results/<name>.json`.
 //!
 //! Run: `cargo run --release -p vuvuzela-bench --bin figures --
 //! [--quick] <name>…|all`. A name selects the figure called that or
 //! starting with it and a `_` (`fig9` is `fig9_conv_latency`).
 //! `--quick` runs the latency sweeps (`fig9`, `fig10`, `fig11`) on a
-//! reduced grid; the other figures have one grid and ignore it.
+//! reduced grid and `paper_scale` at 1:100; the other figures have one
+//! grid and ignore it.
 //!
-//! The latency figures run the real protocol at 1:100 or 1:300 of the
-//! paper's scale, measure end-to-end wall-clock per round, and
-//! extrapolate to the paper's 36-core servers with [`CostModel`] — the
-//! §8.2 arithmetic behind the paper's own lower bound, priced at this
-//! host's chunk-kernel probes. Noise is deterministic (⌈µ⌉ per server),
-//! as in §8.1. Their rounds are built as the deployment builds one: a
-//! [`Chain`] of `chain::build_server`'s servers, and a
+//! The latency sweeps run the real protocol at 1:100 or 1:300 of the
+//! paper's scale and measure end-to-end wall-clock per round, with
+//! deterministic noise (⌈µ⌉ per server) as in §8.1; `paper_scale`
+//! measures the paper's headline point itself, 1M users at §8.1's
+//! sampled noise (about two minutes and 2 GB, so it runs on demand).
+//! Their rounds are built as the deployment builds one: a [`Chain`] of
+//! `chain::build_server`'s servers, and a
 //! [`vuvuzela_core::ClientCohort`] whose members pair up and each send
 //! their partner a message ([`vuvuzela_bench::workload`]); every
 //! conversation round timed must deliver every message.
 //!
-//! Each number of `fig9`–`fig11`, `tab_throughput`,
+//! Each number of `fig9`–`fig11`, `paper_scale`, `tab_throughput`,
 //! `abl_noise_placement` and `tab_posterior` says where it comes from:
 //! its artefact key starts, and its column header ends, with `measured`
-//! (on this host), `extrapolated` (through [`CostModel`]) or `closed
-//! form`; a run's parameters and the paper's own figures carry no label.
+//! (on this host) or `closed form`; a run's parameters and the paper's
+//! own figures carry no label.
 //!
 //! No figure measures an attack: attack accuracy is measured on the
 //! running system by `vuvuzela-sim`'s `sim_attack`, and `tab_posterior`
@@ -31,10 +31,11 @@
 
 use serde_json::{json, Value};
 use std::process::ExitCode;
+use std::time::Instant;
 use vuvuzela_baseline::broadcast;
 use vuvuzela_bench::report::{human_bytes, secs, write_json, Table};
 use vuvuzela_bench::workload::{assert_delivered, dialing_cohort, talking_cohort};
-use vuvuzela_bench::CostModel;
+use vuvuzela_core::record::{Fold, NodeId, Phase, Public};
 use vuvuzela_core::{Chain, ClientCohort, RoundOutcome, RoundSpec, SystemConfig};
 use vuvuzela_crypto::onion;
 use vuvuzela_dp::accounting::conversation_round;
@@ -50,13 +51,14 @@ use vuvuzela_wire::{EXCHANGE_REQUEST_LEN, SEALED_INVITATION_LEN, SEALED_MESSAGE_
 
 /// Every figure, by the name of the artefact it produces.
 type Figure = fn(&Setup) -> Value;
-const FIGURES: [(&str, Figure); 11] = [
+const FIGURES: [(&str, Figure); 12] = [
     ("fig6_sensitivity", fig6_sensitivity),
     ("fig7_conv_privacy", fig7_conv_privacy),
     ("fig8_dial_privacy", fig8_dial_privacy),
     ("fig9_conv_latency", fig9_conv_latency),
     ("fig10_dial_latency", fig10_dial_latency),
     ("fig11_chain_scaling", fig11_chain_scaling),
+    ("paper_scale", paper_scale),
     ("tab_bandwidth", tab_bandwidth),
     ("tab_throughput", tab_throughput),
     ("abl_drop_tuning", abl_drop_tuning),
@@ -82,7 +84,7 @@ fn main() -> ExitCode {
         eprintln!("usage: figures [--quick] <name>...|all, of {all}");
         return ExitCode::from(2);
     }
-    let setup = Setup::new(quick);
+    let setup = Setup { quick };
     for (name, figure) in FIGURES {
         if names.iter().any(|arg| selects(arg, name)) {
             write_json(name, &figure(&setup));
@@ -91,24 +93,12 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// What the figures share: the reduced-grid flag and this host's cost
-/// model (a ≈ 0.3 s probe of 1024 onions).
+/// What the figures share: the reduced-grid flag.
 struct Setup {
     quick: bool,
-    model: CostModel,
 }
 
 impl Setup {
-    fn new(quick: bool) -> Setup {
-        let model = CostModel::probe(1024, 3);
-        println!(
-            "kernel probes: {:.0} peels/s/core, {:.0} layers/s/core × {} cores \
-             (paper hardware: 340,000 DH ops/s total)",
-            model.peels_per_sec_core, model.layers_per_sec_core, model.cores
-        );
-        Setup { quick, model }
-    }
-
     /// The user-count grid of the two latency-vs-users sweeps (1:100
     /// of the paper's 10 → 2M).
     fn users_scaled(&self) -> &'static [u64] {
@@ -165,42 +155,99 @@ fn system(chain_len: usize, noise_mode: NoiseMode, conv_mu: f64, dial_mu: f64) -
     }
 }
 
+/// Wall-clock and CPU seconds (every thread of the process) of one
+/// step, and how much its resident memory grew.
+#[derive(Clone, Copy)]
+struct Cost {
+    wall: f64,
+    cpu: f64,
+    rss: f64,
+}
+
+/// Runs `step`, measuring what it cost.
+fn measure<T>(step: impl FnOnce() -> T) -> (T, Cost) {
+    let (start, cpu, rss) = (Instant::now(), cpu_secs(), status_bytes("VmRSS"));
+    let out = step();
+    let cost = Cost {
+        wall: start.elapsed().as_secs_f64(),
+        cpu: cpu_secs() - cpu,
+        rss: status_bytes("VmRSS") - rss,
+    };
+    (out, cost)
+}
+
+/// User plus system CPU seconds of every thread this process has run,
+/// exited ones included: fields 14 and 15 of `/proc/self/stat`, in
+/// Linux's fixed 1/100 s ticks.
+fn cpu_secs() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
+    // The command name (field 2) may hold spaces: count from its ')'.
+    let (_, fields) = stat.rsplit_once(')').expect("a stat line");
+    let ticks = fields.split_whitespace().skip(11).take(2);
+    ticks.map(|f| f.parse::<f64>().expect("ticks")).sum::<f64>() / 100.0
+}
+
+/// A memory line of `/proc/self/status` (`VmRSS`, `VmHWM`), in bytes.
+fn status_bytes(key: &str) -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let kib = status.lines().find_map(|line| {
+        let value = line.strip_prefix(key)?.strip_prefix(':')?;
+        value.split_whitespace().next()?.parse::<f64>().ok()
+    });
+    kib.expect(key) * 1024.0
+}
+
 /// One conversation round by `users` talking members of a cohort
-/// through a fresh chain; its `timing().total` is the round alone,
-/// without the cohort's build or its reply ingest, after which every
-/// talker must hold its partner's message.
-fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, RoundOutcome) {
+/// through a fresh chain, after which every talker must hold its
+/// partner's message. Returns the chain, the outcome (its
+/// `timing().total` is the round alone) and what the cohort's setup,
+/// its build, the round and the reply ingest (with the delivery check)
+/// cost.
+fn conv_round(config: SystemConfig, users: u64, seed: u64) -> (Chain, RoundOutcome, [Cost; 4]) {
     let mut chain = Chain::new(config, 1);
     let pks = chain.server_public_keys();
-    let mut cohort = talking_cohort(chain.config(), seed, &pks, users as usize);
-    let batch = cohort.build_conversation_round(0).into();
-    let outcome = chain
-        .run(vec![RoundSpec::Conversation { round: 0, batch }])
+    let (mut cohort, setup) =
+        measure(|| talking_cohort(chain.config(), seed, &pks, users as usize));
+    let (batch, build) = measure(|| cohort.build_conversation_round(0).into());
+    let spec = RoundSpec::Conversation { round: 0, batch };
+    let (outcomes, round) = measure(|| chain.run(vec![spec]));
+    let outcome = outcomes
         .expect("an untapped chain completes every round")
         .remove(0);
     let replies = outcome.replies().expect("a conversation round");
-    assert_delivered(&mut cohort, 0, replies);
-    (chain, outcome)
+    let ((), ingest) = measure(|| assert_delivered(&mut cohort, 0, replies));
+    (chain, outcome, [setup, build, round, ingest])
 }
 
 /// One dialing round on `chain`: `dialers` of `users` members of a
-/// cohort each call another member, whose drop among `drops` the
-/// invitation goes to. Returns the round's wall-clock.
-fn dial_round(chain: &mut Chain, users: u64, dialers: u64, drops: u32, seed: u64) -> f64 {
+/// cohort each call the member after them, whose drop among `drops`
+/// the invitation goes to; then the first callee scans its drop and
+/// must find its caller. Returns the round's outcome and what the
+/// cohort's build, the round and the scan cost.
+fn dial_round(
+    chain: &mut Chain,
+    users: u64,
+    dialers: u64,
+    drops: u32,
+    seed: u64,
+) -> (RoundOutcome, [Cost; 3]) {
     let pks = chain.server_public_keys();
     let mut cohort = dialing_cohort(chain.config(), seed, &pks, users as usize, dialers as usize);
-    let batch = cohort.build_dialing_round(0, drops).into();
+    let (batch, build) = measure(|| cohort.build_dialing_round(0, drops).into());
     let spec = RoundSpec::Dialing {
         round: 0,
         batch,
         num_drops: drops,
     };
-    chain
-        .run(vec![spec])
-        .expect("an untapped chain completes every round")[0]
-        .timing()
-        .total
-        .as_secs_f64()
+    let (outcomes, round) = measure(|| chain.run(vec![spec]));
+    let outcome = outcomes
+        .expect("an untapped chain completes every round")
+        .remove(0);
+    let contents = chain.download_drop(cohort.invitation_drop(1, drops));
+    let contents = contents.expect("the callee's drop");
+    let (callers, scan) = measure(|| cohort.scan_invitation_drop(1, &contents));
+    assert_eq!(callers, [cohort.public_key(0)], "member 1's invitation");
+    (outcome, [build, round, scan])
 }
 
 /// Figure 6: the (∆m1, ∆m2) sensitivity table. One noise-free round
@@ -390,64 +437,26 @@ fn fig8_dial_privacy(_: &Setup) -> Value {
 /// almost as much as the 10K-user one.
 fn fig9_conv_latency(setup: &Setup) -> Value {
     const SCALE: u64 = 100;
-    let local = setup.model.with_overhead(1.0);
-    let paper = CostModel::paper_hardware();
     let mut sheet = Sheet::default();
-    let mut overheads = Vec::new();
-
     for mu in [1_000.0, 2_000.0, 3_000.0] {
         for &users in setup.users_scaled() {
             let config = system(3, NoiseMode::Deterministic, mu, 1.0);
-            let (_, outcome) = conv_round(config, users, users ^ mu as u64);
+            let (_, outcome, _) = conv_round(config, users, users ^ mu as u64);
             let timing = outcome.timing();
             let measured = timing.total.as_secs_f64();
             let forward: f64 = timing.forward.iter().map(|d| d.as_secs_f64()).sum();
-
-            // Kernel-floor time at our scale, to expose the end-to-end
-            // overhead factor the paper reports as ≈2×; then the paper's
-            // hardware at 100× the size under that measured overhead.
-            let floor = local.predict_conversation_secs(users, mu, 3);
-            let overhead = measured / floor;
-            overheads.push(overhead);
-            let scaled = paper.with_overhead(overhead);
-            let paper_est = scaled.predict_conversation_secs(users * SCALE, mu * SCALE as f64, 3);
             #[rustfmt::skip]
             sheet.row(&[
                 ("users (x100)", "users_scaled", json!(users), users.to_string()),
                 ("mu (x100)", "mu_scaled", json!(mu), format!("{mu:.0}")),
                 ("round [measured]", "measured_secs", json!(measured), secs(measured)),
-                ("kernel floor [extrapolated]", "extrapolated_floor_secs", json!(floor), secs(floor)),
-                ("overhead [measured]", "measured_overhead", json!(overhead), format!("{overhead:.2}x")),
-                ("paper scale [extrapolated]", "extrapolated_paper_scale_secs", json!(paper_est), secs(paper_est)),
                 ("", "measured_forward_secs", json!(forward), String::new()),
             ]);
         }
     }
-
     sheet.print("Figure 9 (1:100 scale): conversation latency vs online users");
-    let mean_overhead = overheads.iter().sum::<f64>() / overheads.len() as f64;
-    println!(
-        "\nmean end-to-end overhead over the kernel floor [measured]: {mean_overhead:.2}x \
-         (paper: \"within 2x of the inevitable cryptographic operations\")"
-    );
-
-    let paper = paper.with_overhead(mean_overhead);
-    let mut headline = Table::new(&["configuration", "paper reports", "ours [extrapolated]"]);
-    for (configuration, reported, users) in [
-        ("1M users, mu=300K", "37 s", 1_000_000),
-        ("2M users, mu=300K", "55 s", 2_000_000),
-        ("10 users, mu=300K (noise floor)", "20 s", 10),
-    ] {
-        let ours = secs(paper.predict_conversation_secs(users, PAPER_MU, 3));
-        headline.row(&[configuration.into(), reported.into(), ours]);
-    }
-    headline.print("Paper-scale headline latencies");
-
-    json!({
-        "scale": SCALE, "points": sheet.rows, "mean_overhead": mean_overhead,
-        "probe_peels_per_sec_core": local.peels_per_sec_core,
-        "probe_layers_per_sec_core": local.layers_per_sec_core,
-    })
+    println!("\nthe paper's 1M-user point, measured: `figures paper_scale`");
+    json!({ "scale": SCALE, "points": sheet.rows })
 }
 
 /// Figure 10: dialing-round latency vs online users, 1:100 of the
@@ -458,51 +467,26 @@ fn fig10_dial_latency(setup: &Setup) -> Value {
     const DIAL_FRACTION: f64 = 0.05;
     const DROPS: u32 = 1;
     let mu = PAPER_DIAL_MU / SCALE as f64;
-    let local = setup.model.with_overhead(1.0);
-    let paper = CostModel::paper_hardware();
     let mut sheet = Sheet::default();
-    let mut overheads = Vec::new();
-
     for &users in setup.users_scaled() {
         let dialers = ((users as f64) * DIAL_FRACTION).round() as u64;
         let mut chain = Chain::new(system(3, NoiseMode::Deterministic, 1.0, mu), 1);
-        let measured = dial_round(&mut chain, users, dialers, DROPS, users);
-
-        let floor = local.predict_dialing_secs(users, mu, DROPS, 3);
-        let overhead = measured / floor;
-        overheads.push(overhead);
-        let scaled = paper.with_overhead(overhead);
-        let paper_est = scaled.predict_dialing_secs(users * SCALE, PAPER_DIAL_MU, DROPS, 3);
+        let (outcome, _) = dial_round(&mut chain, users, dialers, DROPS, users);
+        let measured = outcome.timing().total.as_secs_f64();
         #[rustfmt::skip]
         sheet.row(&[
             ("users (x100)", "users_scaled", json!(users), users.to_string()),
             ("dialers", "dialers", json!(dialers), dialers.to_string()),
             ("round [measured]", "measured_secs", json!(measured), secs(measured)),
-            ("kernel floor [extrapolated]", "extrapolated_floor_secs", json!(floor), secs(floor)),
-            ("overhead [measured]", "measured_overhead", json!(overhead), format!("{overhead:.2}x")),
-            ("paper scale [extrapolated]", "extrapolated_paper_scale_secs", json!(paper_est), secs(paper_est)),
         ]);
     }
     sheet.print("Figure 10 (1:100 scale): dialing latency vs online users (5% dialing)");
-
-    // In the paper's Figure 10 "the conversation protocol is running
-    // concurrently with µ=300,000": dialing contends with ~1.2M noise
-    // requests for the same CPUs. These runs have no such load, so it
-    // is modelled as an additive constant *fitted at the 10-user
-    // endpoint* (13 s, where dialing's own work is negligible) from
-    // which the 2M-user endpoint is then *predicted*.
-    let paper_secs = |users| paper.predict_dialing_secs(users, PAPER_DIAL_MU, DROPS, 3);
-    let contention = 13.0 - paper_secs(10);
     println!(
-        "\nconcurrent-conversation contention fitted at 10 users: {contention:.1} s\n\
-         paper endpoints: 13 s at 10 users, 50 s at 2M users\n\
-         ours [extrapolated]: 13.0 s (fitted) at 10 users, {} (predicted) at 2M users",
-        secs(paper_secs(2_000_000) + contention),
+        "\npaper endpoints, with conversation rounds running concurrently: \
+         13 s at 10 users, 50 s at 2M users"
     );
-
     json!({
         "scale": SCALE, "mu_scaled": mu, "dial_fraction": DIAL_FRACTION, "points": sheet.rows,
-        "mean_overhead": overheads.iter().sum::<f64>() / overheads.len() as f64,
     })
 }
 
@@ -515,25 +499,18 @@ fn fig11_chain_scaling(setup: &Setup) -> Value {
     let users: u64 = 1_000_000 / SCALE;
     let mu: f64 = PAPER_MU / SCALE as f64;
     let longest = if setup.quick { 4 } else { 6 };
-    let local = setup.model.with_overhead(1.0);
-    let paper = CostModel::paper_hardware();
     let mut sheet = Sheet::default();
     let mut measurements = Vec::new();
 
     for n in 1..=longest {
         let config = system(n, NoiseMode::Deterministic, mu, 1.0);
-        let (_, outcome) = conv_round(config, users, n as u64);
+        let (_, outcome, _) = conv_round(config, users, n as u64);
         let measured = outcome.timing().total.as_secs_f64();
         measurements.push(measured);
-        let floor = local.predict_conversation_secs(users, mu, n);
-        let scaled = paper.with_overhead(measured / floor);
-        let paper_est = scaled.predict_conversation_secs(1_000_000, PAPER_MU, n);
         #[rustfmt::skip]
         sheet.row(&[
             ("servers", "servers", json!(n), n.to_string()),
             ("round [measured]", "measured_secs", json!(measured), secs(measured)),
-            ("kernel floor [extrapolated]", "extrapolated_floor_secs", json!(floor), secs(floor)),
-            ("paper scale [extrapolated]", "extrapolated_paper_scale_secs", json!(paper_est), secs(paper_est)),
         ]);
     }
 
@@ -547,6 +524,144 @@ fn fig11_chain_scaling(setup: &Setup) -> Value {
     );
 
     json!({ "scale": SCALE, "users_scaled": users, "mu_scaled": mu, "points": sheet.rows })
+}
+
+/// The paper's headline point (§8), measured: one conversation round
+/// and one dialing round by 1M users at [`SystemConfig::paper_scale`]'s
+/// noise (µ = 300,000, and 13,000 per drop; sampled), each on a fresh
+/// chain on this host's cores, and the conversation round's noise floor
+/// at 10 users. 5% of users dial, into the planner's optimal number of
+/// drops. `--quick` divides users, µ and b by 100 (the noise floor
+/// keeps its 10 users). It panics rather than report a number unless
+/// every talker gets its partner's message, the first callee finds its
+/// caller's invitation, and each round's record, folded per node and
+/// phase, explains its wall-clock within ±10%.
+fn paper_scale(setup: &Setup) -> Value {
+    const DIAL_FRACTION: f64 = 0.05;
+    let scale = if setup.quick { 100.0 } else { 1.0 };
+    let mut config = SystemConfig::paper_scale();
+    for noise in [&mut config.conversation_noise, &mut config.dialing_noise] {
+        *noise = NoiseDistribution::new(noise.mu / scale, noise.b / scale);
+    }
+    let users = (1e6 / scale) as u64;
+    let title = format!(
+        "paper_scale (1:{scale}, {users} users, {} cores)",
+        config.workers
+    );
+
+    let (chain, _, [cohort, build, round, ingest]) = conv_round(config.clone(), users, 1);
+    let conversation = record_sheet(&format!("{title}: conversation round"), &chain, round);
+    drop(chain);
+    let dialers = (users as f64 * DIAL_FRACTION).round() as u64;
+    let drops = optimal_num_drops(users, DIAL_FRACTION, config.dialing_noise.mu);
+    let mut chain = Chain::new(config.clone(), 2);
+    let (_, [dial_build, dial, scan]) = dial_round(&mut chain, users, dialers, drops, 2);
+    let dialing = record_sheet(&format!("{title}: dialing round"), &chain, dial);
+    drop(chain);
+    let (_, _, [_, _, floor, _]) = conv_round(config.clone(), 10, 3);
+    let peak = status_bytes("VmHWM");
+
+    let mut steps = Sheet::default();
+    for (step, cost) in [
+        ("conversation: cohort setup", cohort),
+        ("conversation: client build", build),
+        ("conversation: round", round),
+        ("conversation: reply ingest", ingest),
+        ("dialing: client build", dial_build),
+        ("dialing: round", dial),
+        ("dialing: callee's drop scan", scan),
+        ("noise floor (10 users): round", floor),
+    ] {
+        #[rustfmt::skip]
+        steps.row(&[
+            ("step", "step", json!(step), step.into()),
+            ("wall [measured]", "measured_secs", json!(cost.wall), secs(cost.wall)),
+            ("core-s [measured]", "measured_core_secs", json!(cost.cpu), format!("{:.1}", cost.cpu)),
+        ]);
+    }
+    steps.print(&format!("{title}: {dialers} dialers into {drops} drops"));
+
+    // The paper's counting: each user sends and receives a message per
+    // round, plus one server's worth of noise requests (2µ); it gives
+    // both its 68,000 msgs/s at 1M users and 84,000 at 2M.
+    let mu = config.conversation_noise.mu;
+    let msgs_per_sec = (2.0 * users as f64 + 2.0 * mu) / round.wall;
+    let cohort_bytes = cohort.rss / users as f64;
+    let mut paper = Table::new(&["quantity", "paper (3 × 36 cores)", "here [measured]"]);
+    #[rustfmt::skip]
+    let rows = [
+        ("conversation round", "37 s at 1M users", format!("{} ({:.1} core-s)", secs(round.wall), round.cpu)),
+        ("throughput", "68,000 msgs/s", format!("{msgs_per_sec:.0} msgs/s")),
+        ("noise floor", "20 s at 10 users", format!("{} ({:.1} core-s)", secs(floor.wall), floor.cpu)),
+        ("cohort per client", "", human_bytes(cohort_bytes)),
+        ("peak RSS", "", human_bytes(peak)),
+    ];
+    for (quantity, reported, ours) in rows {
+        paper.row(&[quantity.into(), reported.into(), ours]);
+    }
+    paper.print(&format!("{title}: the paper's headline beside this host's"));
+
+    json!({
+        "scale": scale, "users": users, "workers": config.workers, "dialers": dialers,
+        "num_drops": drops, "mu": mu, "dialing_mu": config.dialing_noise.mu,
+        "steps": steps.rows, "conversation": conversation, "dialing": dialing,
+        "measured_round_secs": round.wall, "measured_round_core_secs": round.cpu,
+        "measured_build_secs": build.wall, "measured_ingest_secs": ingest.wall,
+        "measured_msgs_per_sec": msgs_per_sec, "measured_noise_floor_secs": floor.wall,
+        "measured_cohort_bytes_per_client": cohort_bytes, "measured_peak_rss_bytes": peak,
+        "paper": { "round_secs": 37.0, "msgs_per_sec": 68_000.0, "noise_floor_secs": 20.0 },
+    })
+}
+
+/// The record `chain` kept of its round 0, folded per node and phase
+/// and printed under `title`: each node's busy seconds, the kernel work
+/// of its forward passes and the bytes its passes read off a link (a
+/// forward pass's input arena). Panics unless the passes add up to the
+/// `round`'s wall-clock within ±10%.
+fn record_sheet(title: &str, chain: &Chain, round: Cost) -> Value {
+    let record: Vec<&Public> = chain
+        .round_record(0)
+        .iter()
+        .map(|event| &event.public)
+        .collect();
+    let chain_len = chain.config().chain_len;
+    let fold = Fold::of(chain_len, record.iter().copied());
+    let mut sheet = Sheet::default();
+    for node in std::iter::once(NodeId::Entry).chain((0..chain_len).map(NodeId::Hop)) {
+        for phase in Phase::ALL {
+            let tally = fold.get(node, phase);
+            if tally.passes == 0 {
+                continue;
+            }
+            let passes = record
+                .iter()
+                .filter(|event| (event.node, event.phase) == (node, phase));
+            let read: u64 = passes.map(|event| event.received.bytes).sum();
+            let (busy, work) = (tally.busy.as_secs_f64(), tally.work);
+            #[rustfmt::skip]
+            sheet.row(&[
+                ("node", "node", json!(node.to_string()), node.to_string()),
+                ("phase", "phase", json!(phase.name()), phase.name().into()),
+                ("busy [measured]", "measured_busy_secs", json!(busy), secs(busy)),
+                ("peels [measured]", "measured_peels", json!(work.peels), work.peels.to_string()),
+                ("layers [measured]", "measured_layers", json!(work.layers), work.layers.to_string()),
+                ("read [measured]", "measured_read_bytes", json!(read), human_bytes(read as f64)),
+            ]);
+        }
+    }
+    sheet.print(title);
+    let busy = fold.total().busy.as_secs_f64();
+    let explained = busy / round.wall;
+    println!(
+        "record total {} over the round's {}: {explained:.3}x",
+        secs(busy),
+        secs(round.wall)
+    );
+    assert!(
+        (0.9..=1.1).contains(&explained),
+        "{title}: the record explains {explained:.3}x of the round"
+    );
+    json!({ "passes": sheet.rows, "measured_record_busy_secs": busy })
 }
 
 /// Total bytes one conversation round moves across the three chain
@@ -572,7 +687,7 @@ fn tab_bandwidth(_: &Setup) -> Value {
     // --- Small real deployment to validate the closed forms. ---
     let users: u64 = 500;
     let config = system(3, NoiseMode::Deterministic, 200.0, 50.0);
-    let (mut chain, outcome) = conv_round(config, users, 9);
+    let (mut chain, outcome, _) = conv_round(config, users, 9);
     let replies = outcome.replies().expect("a conversation round");
 
     let expected_request = (EXCHANGE_REQUEST_LEN + 3 * onion::LAYER_OVERHEAD) as u64;
@@ -651,46 +766,12 @@ fn tab_bandwidth(_: &Setup) -> Value {
     })
 }
 
-/// Throughput table (§1, §8.2 headline numbers) and the baseline
-/// comparison: Vuvuzela's O(n) total bytes against the Dissent-style
-/// broadcast baseline's O(n²) — the crossover that caps broadcast
-/// systems at a few thousand users (§1: "100× higher than prior
-/// systems").
-fn tab_throughput(setup: &Setup) -> Value {
-    let local = setup.model;
-    let paper = CostModel::paper_hardware(); // 340K DH ops/s, overhead 2×
-
-    let mut headline = Sheet::default();
-    for (name, claim, users) in [
-        ("latency @1M users", "37 s", 1_000_000),
-        ("latency @2M users", "55 s", 2_000_000),
-        ("latency @10 users (noise floor)", "20 s", 10),
-    ] {
-        let hw = paper.predict_conversation_secs(users, PAPER_MU, 3);
-        let host = local.predict_conversation_secs(users, PAPER_MU, 3);
-        #[rustfmt::skip]
-        headline.row(&[
-            ("metric", "metric", json!(name), name.into()),
-            ("paper reports", "paper", json!(claim), claim.into()),
-            ("paper hw [extrapolated]", "extrapolated_paper_hw_secs", json!(hw), secs(hw)),
-            ("this host [extrapolated]", "extrapolated_this_host_secs", json!(host), secs(host)),
-        ]);
-    }
-    headline.print("Headline latencies (overhead 2x, as the paper observes)");
-
-    let mut tp = Table::new(&["users", "paper msgs/sec", "msgs/sec [extrapolated]"]);
-    for (label, reported, users) in [("1M", "68,000", 1_000_000), ("2M", "84,000", 2_000_000)] {
-        let ours = paper.throughput_msgs_per_sec(users, PAPER_MU, 3);
-        tp.row(&[label.into(), reported.into(), format!("{ours:.0}")]);
-    }
-    tp.print("Conversation throughput");
-
-    println!(
-        "\n§8.2 DH lower bound @2M users: paper ≈28 s, ours {} [extrapolated] \
-         (3.2M msgs × 3 servers / 340K ops/s)",
-        secs(paper.paper_lower_bound_secs(2_000_000, PAPER_MU, 3))
-    );
-
+/// Throughput's scaling table (§1): Vuvuzela's O(n) total bytes against
+/// the Dissent-style broadcast baseline's O(n²) — the crossover that
+/// caps broadcast systems at a few thousand users (§1: "100× higher
+/// than prior systems"). The headline latency and messages per second
+/// are measured by [`paper_scale`].
+fn tab_throughput(_: &Setup) -> Value {
     let mut scaling = Sheet::default();
     let mut crossover: Option<u64> = None;
     for exp in 1..=7u32 {
@@ -717,11 +798,7 @@ fn tab_throughput(setup: &Setup) -> Value {
         );
     }
 
-    json!({
-        "headlines": headline.rows, "scaling": scaling.rows, "crossover_users": crossover,
-        "local_peels_per_sec_core": local.peels_per_sec_core,
-        "local_layers_per_sec_core": local.layers_per_sec_core,
-    })
+    json!({ "scaling": scaling.rows, "crossover_users": crossover })
 }
 
 /// Ablation: the §5.4 invitation-drop count m, "a trade-off between
@@ -794,7 +871,7 @@ fn abl_noise_placement(_: &Setup) -> Value {
     ] {
         let config = system(chain_len, NoiseMode::Deterministic, mu, 1.0);
         let noise = config.conversation_noise;
-        let (_, outcome) = conv_round(config, users, 5);
+        let (_, outcome, _) = conv_round(config, users, 5);
         let measured = outcome.timing().total.as_secs_f64();
 
         // Privacy per round from ONE honest server's noise, in the best
@@ -856,7 +933,7 @@ mod tests {
     /// what each returns lands in its artefact.
     #[test]
     fn analytic_figures_write_their_json() {
-        let setup = Setup::new(true);
+        let setup = Setup { quick: true };
         for (name, figure) in FIGURES.iter().filter(|(name, _)| name.contains("privacy")) {
             let artefact = figure(&setup);
             for key in ["ks", "series", "summary"] {
@@ -878,10 +955,7 @@ mod tests {
     /// |∆m2| ≤ 1.
     #[test]
     fn fig6_matrix_is_pinned_within_the_papers_bounds() {
-        let setup = Setup {
-            quick: true,
-            model: CostModel::paper_hardware(),
-        };
+        let setup = Setup { quick: true };
         let artefact = fig6_sensitivity(&setup);
         let (still, pair, unpair) = ((0, 0), (-2, 1), (2, -1));
         let expected = [

@@ -1,15 +1,14 @@
 //! Shared machinery for the benchmark harness.
 //!
 //! `src/bin/figures.rs` regenerates every table and figure of the
-//! paper's evaluation (§8), writing its results to `bench_results/`.
+//! paper's evaluation (§8), writing its results to `bench_results/`;
+//! its `paper_scale` measures the paper's 1M-user headline round.
 //! The repository's gated benchmark is the separate `benchmark/` package
 //! (see `benchmark/README.md`). This library provides:
 //!
 //! * [`costmodel`] — the §8.2 arithmetic, counting a round's kernel
 //!   work (peels and wrapped layers) and pricing it at this host's
-//!   probed kernel rates or at the paper's hardware, used both to gate
-//!   the round pipeline and to extrapolate laptop-scale measurements to
-//!   the paper's 36-core/EC2 scale;
+//!   probed kernel rates, which gates the round pipeline;
 //! * [`peelstage`] — the chunk-peel and chunk-wrap probes behind it;
 //! * [`report`] — table printing and JSON dumping so every run leaves a
 //!   machine-readable artefact under `bench_results/`;

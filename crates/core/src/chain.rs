@@ -566,14 +566,6 @@ impl Chain {
         Some(drops.download(index)?.to_vec())
     }
 
-    /// Number of real drops in the tail's most recent dialing round (see
-    /// [`Chain::download_drop`]).
-    #[must_use]
-    pub fn current_num_drops(&self) -> Option<u32> {
-        let (_, drops) = self.servers.last()?.invitation_drops()?;
-        Some(drops.num_drops())
-    }
-
     /// Everything a compromised last server would have recorded about
     /// conversation rounds: per-round (m1, m2) histograms.
     #[must_use]
@@ -1036,9 +1028,9 @@ mod tests {
         };
         let abort = chain.run(vec![dialing, refused]).expect_err("no drops");
         assert_eq!(abort.rounds, vec![1], "{abort}");
-        let kept = chain.server(0).invitation_drops().map(|(round, _)| round);
-        assert_eq!(kept, Some(0));
-        assert_eq!(chain.current_num_drops(), Some(2));
+        let kept = chain.server(0).invitation_drops();
+        let kept = kept.map(|(round, drops)| (round, drops.num_drops()));
+        assert_eq!(kept, Some((0, 2)));
         assert!(opens(&chain.download_drop(target).expect("round 0's drop")));
     }
 

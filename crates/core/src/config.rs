@@ -67,9 +67,9 @@ impl Default for SystemConfig {
 impl SystemConfig {
     /// The paper's production parameters (§8.1): 3 servers,
     /// µ=300,000/b=13,800 conversation noise, µ=13,000/b=770 dialing
-    /// noise, sampled. Running a full round at this scale takes minutes
-    /// of CPU on a laptop — used by the extrapolating benchmarks, not by
-    /// tests.
+    /// noise, sampled. A 1M-user round at this scale takes about a
+    /// minute of CPU — `figures paper_scale` (in `vuvuzela-bench`)
+    /// measures one, and no test runs it.
     #[must_use]
     pub fn paper_scale() -> Self {
         SystemConfig {

@@ -29,14 +29,6 @@ pub struct ConversationObservables {
     pub total_requests: u64,
 }
 
-impl ConversationObservables {
-    /// Total dead drops touched this round.
-    #[must_use]
-    pub fn drops_touched(&self) -> u64 {
-        self.m1 + self.m2 + self.m_many
-    }
-}
-
 /// What an adversary learns from one dialing round: invitation counts per
 /// dead drop (observable from response sizes or by downloading the drops,
 /// §5.3).
@@ -51,35 +43,48 @@ pub struct DialingObservables {
     pub noop_writes: u64,
 }
 
-impl DialingObservables {
-    /// Total invitations across all real drops.
-    #[must_use]
-    pub fn total_invitations(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::deaddrops::{ConversationDrops, InvitationDrops};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use vuvuzela_wire::conversation::ExchangeRequest;
+    use vuvuzela_wire::deaddrop::{DeadDropId, InvitationDropIndex};
+    use vuvuzela_wire::dialing::{DialRequest, SealedInvitation};
+    use vuvuzela_wire::SEALED_MESSAGE_LEN;
 
     #[test]
     fn conversation_totals() {
-        let obs = ConversationObservables {
-            m1: 10,
-            m2: 4,
-            m_many: 1,
-            total_requests: 19,
-        };
-        assert_eq!(obs.drops_touched(), 15);
+        // Four pairs, six singles and one drop hit three times: every
+        // request lands in one bucket of the histogram.
+        let drops = [1u8, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 8, 9, 10, 11, 11, 11];
+        let requests: Vec<ExchangeRequest> = drops
+            .iter()
+            .map(|&drop| ExchangeRequest {
+                drop: DeadDropId([drop; 16]),
+                sealed_message: vec![drop; SEALED_MESSAGE_LEN],
+            })
+            .collect();
+        let (_, obs) = ConversationDrops::exchange(&mut StdRng::seed_from_u64(1), &requests);
+        assert_eq!((obs.m1, obs.m2, obs.m_many), (6, 4, 1));
+        assert_eq!(obs.m1 + obs.m2 + obs.m_many, 11, "drops touched");
+        assert_eq!(obs.total_requests, 17);
     }
 
     #[test]
     fn dialing_totals() {
-        let obs = DialingObservables {
-            counts: vec![3, 0, 7],
-            noop_writes: 90,
-        };
-        assert_eq!(obs.total_invitations(), 10);
+        // Three real drops: invitations land in drops 1 and 3, the
+        // no-op drop's writes are counted apart.
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut drops = InvitationDrops::new(3);
+        for drop in [1, 3, 3, 0, 1, 0, 1] {
+            drops.deposit(DialRequest {
+                drop: InvitationDropIndex(drop),
+                invitation: SealedInvitation::noise(&mut rng),
+            });
+        }
+        let obs = drops.observables();
+        assert_eq!((obs.counts.clone(), obs.noop_writes), (vec![3, 0, 2], 2));
+        assert_eq!(obs.counts.iter().sum::<u64>(), 5, "invitations");
     }
 }

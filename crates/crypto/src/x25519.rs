@@ -2,8 +2,8 @@
 //!
 //! Vuvuzela performs one fresh X25519 exchange per onion layer per round
 //! (paper Algorithm 1 step 2 and Algorithm 2 step 1) — this function
-//! dominates server CPU time (paper §8.2), so its cost model is the basis
-//! for the throughput/latency extrapolations in the benchmark harness.
+//! dominates server CPU time (paper §8.2), so the benchmark harness
+//! prices a round's kernel floor by it.
 
 use crate::edwards::{resolve_batch_into, PendingU, PointTable, MAX_RESOLVE_BATCH};
 #[cfg(target_arch = "x86_64")]

@@ -128,7 +128,11 @@ fn assert_same_bytes(
         want.conversation_observables()
     );
     prop_assert_eq!(got.dialing_observables(), want.dialing_observables());
-    prop_assert_eq!(got.current_num_drops(), want.current_num_drops());
+    let num_drops = |chain: &Chain| {
+        let tail = chain.server(chain.config().chain_len - 1);
+        tail.invitation_drops().map(|(_, drops)| drops.num_drops())
+    };
+    prop_assert_eq!(num_drops(got), num_drops(want));
     for drop in 1..=NUM_DROPS {
         let index = InvitationDropIndex(drop);
         prop_assert_eq!(

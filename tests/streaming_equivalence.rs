@@ -267,9 +267,13 @@ fn assert_mixed_equivalent(
 
     // The retained drops come from the *last* dialing round in feed
     // order, matching the sequential chain's overwrite semantics.
+    let num_drops_kept = |chain: &Chain| {
+        let tail = chain.server(chain.config().chain_len - 1);
+        tail.invitation_drops().map(|(_, drops)| drops.num_drops())
+    };
     prop_assert_eq!(
-        streaming.chain().current_num_drops(),
-        sequential.current_num_drops()
+        num_drops_kept(streaming.chain()),
+        num_drops_kept(sequential)
     );
     for drop in 1..=num_drops {
         let index = vuvuzela::wire::deaddrop::InvitationDropIndex(drop);
@@ -761,7 +765,9 @@ fn golden_pins(chain: &mut Chain, outcomes: &[RoundOutcome]) -> [String; 5] {
         counters.u64(chain.server(i).malformed_replaced);
     }
     let mut drops = Pin::default();
-    for drop in 1..=chain.current_num_drops().expect("a dialing round ran") {
+    let tail = chain.server(chain.config().chain_len - 1);
+    let (_, kept) = tail.invitation_drops().expect("a dialing round ran");
+    for drop in 1..=kept.num_drops() {
         let index = vuvuzela::wire::deaddrop::InvitationDropIndex(drop);
         for invitation in chain.download_drop(index).expect("drop exists") {
             drops.bytes(&invitation.0);
